@@ -158,6 +158,11 @@ func (c *Cluster) QueryContext(ctx context.Context, sqlText string) (*Result, er
 	return &Result{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Coverage: res.Coverage}, nil
 }
 
+// Close shuts the cluster's connections to its servers (ConnectCluster);
+// whatever is still in flight on them fails, and later queries find no
+// server. An in-process cluster holds none. Closing again is a no-op.
+func (c *Cluster) Close() error { return c.inner.Close() }
+
 // ClusterStats counts distributed execution events.
 type ClusterStats = cluster.Stats
 
@@ -247,6 +252,11 @@ func ConnectMixer(name string, childAddrSets [][]string, opts ClusterOptions) *M
 func ServeMixer(l net.Listener, m *Mixer) error {
 	return cluster.ServeNode(l, m.inner)
 }
+
+// Close shuts the mixer's connections to its children. The listener
+// ServeMixer was given stays the caller's to close. Closing again is a
+// no-op.
+func (m *Mixer) Close() error { return m.inner.Close() }
 
 // Stats returns the mixer's own dispatch counters (its fan-out to its
 // children; the coordinator's counters are separate).

@@ -29,8 +29,9 @@
 //	pdbench -exp durability          # WAL fsync cost, checksum overhead, offline scrub
 //
 // Absolute numbers depend on the host; the relationships (who wins, by
-// what factor, where curves bend) are the reproduction target. See
-// EXPERIMENTS.md for paper-vs-measured.
+// what factor, where curves bend) are the reproduction target. The
+// end-to-end click latency is measured by the benchmark in bench/ (see
+// bench/README.md), not here.
 package main
 
 import (

@@ -68,5 +68,5 @@ func main() {
 	}
 
 	fmt.Println("\n(the paper reduces Query 3's footprint 91.23 MB -> 5.63 MB across")
-	fmt.Println(" these steps, and Query 1's elements to 80 KB; see EXPERIMENTS.md)")
+	fmt.Println(" these steps, and Query 1's elements to 80 KB)")
 }

@@ -10,6 +10,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +138,26 @@ func (d *dispatcher) Health() []LeafHealth {
 		}
 	}
 	return out
+}
+
+// Close closes every child that can be closed: the RPC clients' connections
+// — which also ends whatever is still in flight on them, hedge losers and
+// Stat rounds included, so that no goroutine of the node outlives it — and
+// in-process mixers, which close their own children in turn. Queries after
+// Close fail as they would against a fleet that is down. Closing again is
+// a no-op.
+func (d *dispatcher) Close() error {
+	var first error
+	for _, s := range d.shards {
+		for _, ls := range s.replicaList() {
+			if c, ok := ls.leaf.(io.Closer); ok {
+				if err := c.Close(); err != nil && first == nil {
+					first = err
+				}
+			}
+		}
+	}
+	return first
 }
 
 // gather runs one fan-out round: scatter the sub-query to every shard,

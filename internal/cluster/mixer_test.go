@@ -7,9 +7,11 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -256,6 +258,40 @@ func TestFirstQueryCoverageExact(t *testing.T) {
 	}
 }
 
+// checkGoroutines fails the test if, once every cleanup registered after
+// this call has run, more goroutines are alive than there were at the call:
+// Close on the tree's nodes plus closing the listeners must end them all —
+// connection readers, servers' per-connection loops, hedge losers.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines alive after Close, %d before the test:\n%s",
+				n, before, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
+// closeAtCleanup closes a tree node when the test ends, twice: Close is
+// idempotent.
+func closeAtCleanup(t *testing.T, node io.Closer) {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := node.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		if err := node.Close(); err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+	})
+}
+
 // serveNodeAddr serves node over real loopback RPC and returns its address.
 func serveNodeAddr(t *testing.T, node Leaf) string {
 	t.Helper()
@@ -272,6 +308,7 @@ func serveNodeAddr(t *testing.T, node Leaf) string {
 // remote leaf whose queries fail still reports its row count, so the first
 // query over the wire is exactly covered.
 func TestRPCStatFirstQueryCoverage(t *testing.T) {
+	checkGoroutines(t)
 	tbl := logs(2000)
 	leaves := buildLeaves(t, tbl, 2, storeOpts())
 	leaves[0].SetFail(true)
@@ -280,6 +317,7 @@ func TestRPCStatFirstQueryCoverage(t *testing.T) {
 		sets = append(sets, []Leaf{NewRemoteLeaf(serveNodeAddr(t, l))})
 	}
 	c := FromLeaves(sets, Options{Replicas: 1, MaxRetries: 0})
+	closeAtCleanup(t, c)
 
 	res, err := c.Query(countQuery)
 	if err != nil {
@@ -300,6 +338,7 @@ func TestRPCStatFirstQueryCoverage(t *testing.T) {
 // kills the primary mixer's connections mid-query, and demands the replica
 // mixer deliver the identical full-coverage answer.
 func TestMixerKilledMidQueryFailsOver(t *testing.T) {
+	checkGoroutines(t)
 	tbl := logs(3000)
 	leaves := buildLeaves(t, tbl, 4, storeOpts())
 	var leafAddrs []string
@@ -311,7 +350,9 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 		for _, a := range leafAddrs {
 			sets = append(sets, []Leaf{NewRemoteLeaf(a)})
 		}
-		return NewMixer(name, sets, Options{Replicas: 1})
+		m := NewMixer(name, sets, Options{Replicas: 1})
+		closeAtCleanup(t, m)
+		return m
 	}
 	addrA := serveNodeAddr(t, mixerOver("mixer-a"))
 	addrB := serveNodeAddr(t, mixerOver("mixer-b"))
@@ -320,7 +361,7 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
+	t.Cleanup(func() { proxy.Close() })
 
 	// A huge hedge multiplier keeps the replica mixer out of the race until
 	// the primary actually fails: the failover below is kill-triggered, not
@@ -329,6 +370,7 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 		[][]Leaf{{NewRemoteLeaf(proxy.Addr()), NewRemoteLeaf(addrB)}},
 		Options{Replicas: 2, HedgeMultiplier: 1000, HedgeMaxDelay: 10 * time.Second},
 	)
+	closeAtCleanup(t, root)
 
 	ref, err := root.Query(countQuery)
 	if err != nil {

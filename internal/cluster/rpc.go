@@ -130,6 +130,7 @@ type RemoteLeaf struct {
 
 	mu        sync.Mutex
 	client    *rpc.Client
+	closed    bool // Close was called: no call dials again
 	dialFails int
 	nextDial  time.Time // no redial before this after a failed dial
 }
@@ -168,6 +169,9 @@ func (r *RemoteLeaf) ensureClient() (*rpc.Client, error) {
 	defer r.mu.Unlock()
 	if r.client != nil {
 		return r.client, nil
+	}
+	if r.closed {
+		return nil, fmt.Errorf("cluster: leaf %s: closed", r.addr)
 	}
 	now := time.Now()
 	if now.Before(r.nextDial) {
@@ -269,11 +273,14 @@ func (r *RemoteLeaf) NumRows(ctx context.Context) (int64, error) {
 	return reply.NumRows, nil
 }
 
-// Close releases the connection (if one is up).
+// Close releases the connection (if one is up) and makes every later call
+// fail without dialing; calls in flight on the connection return a
+// shutdown error. Closing again is a no-op.
 func (r *RemoteLeaf) Close() error {
 	r.mu.Lock()
 	client := r.client
 	r.client = nil
+	r.closed = true
 	r.mu.Unlock()
 	if client == nil {
 		return nil

@@ -17,7 +17,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
+
+// claimSeq numbers this process's ClaimFileExclusive calls.
+var claimSeq atomic.Uint64
 
 // ClaimFileExclusive writes blob to path atomically and exclusively: the
 // file appears with its full content or not at all, and if path already
@@ -27,8 +31,13 @@ import (
 // to O_EXCL creation, which keeps exclusivity but lets a reader racing the
 // write observe a partial file — tolerable for generation files, whose
 // readers skip anything that does not parse.
+//
+// The temp file's name is unique to the call, not only to the process: two
+// stores of one process can claim the same generation with different
+// content (both materialized a virtual column), and on a shared temp file
+// one would link the other's half-written bytes.
 func ClaimFileExclusive(path string, blob []byte) error {
-	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
+	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), claimSeq.Add(1))
 	if err := vfs().WriteFile(tmp, blob, 0o644); err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Width enumerates the storage widths.
@@ -200,8 +201,9 @@ func (s constSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
 	counts[s.v] += int64(mask.Count())
 }
 func (s constSeq) Materialize(dst []uint32) []uint32 {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, s.v)
+	dst, out := grown(dst, s.n)
+	for i := range out {
+		out[i] = s.v
 	}
 	return dst
 }
@@ -280,8 +282,9 @@ func (s bitSeq) SpreadMask(active []bool, m *Bitmap) {
 	}
 }
 func (s bitSeq) Materialize(dst []uint32) []uint32 {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, uint32(s.bits[i/64]>>(i%64)&1))
+	dst, out := grown(dst, s.n)
+	for i := range out {
+		out[i] = uint32(s.bits[i/64] >> (i % 64) & 1)
 	}
 	return dst
 }
@@ -310,8 +313,9 @@ func (s byteSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
 	mask.ForEach(func(i int) { counts[s[i]]++ })
 }
 func (s byteSeq) Materialize(dst []uint32) []uint32 {
-	for _, v := range s {
-		dst = append(dst, uint32(v))
+	dst, out := grown(dst, len(s))
+	for i, v := range s {
+		out[i] = uint32(v)
 	}
 	return dst
 }
@@ -349,8 +353,9 @@ func (s wordSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
 	mask.ForEach(func(i int) { counts[s[i]]++ })
 }
 func (s wordSeq) Materialize(dst []uint32) []uint32 {
-	for _, v := range s {
-		dst = append(dst, uint32(v))
+	dst, out := grown(dst, len(s))
+	for i, v := range s {
+		out[i] = uint32(v)
 	}
 	return dst
 }
@@ -418,6 +423,14 @@ func (s dwordSeq) AppendBytes(dst []byte) []byte {
 		dst = append(dst, b[:]...)
 	}
 	return dst
+}
+
+// grown extends dst by n elements in one step and returns it with the
+// new tail, which Materialize fills by index — an append per element
+// re-checks the capacity every time.
+func grown(dst []uint32, n int) (all, tail []uint32) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

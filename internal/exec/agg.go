@@ -2,13 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
+	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/sketch"
-	"powerdrill/internal/sql"
 	"powerdrill/internal/value"
 )
 
@@ -28,7 +27,7 @@ type accCell struct {
 }
 
 // merge folds o into c.
-func (c *accCell) merge(o *accCell, spec aggSpec) {
+func (c *accCell) merge(o *accCell) {
 	c.count += o.count
 	c.sumI += o.sumI
 	c.sumF += o.sumF
@@ -91,12 +90,12 @@ func (p *partial) sizeBytes() int64 {
 // fanning the per-chunk work (classify, mask, aggregate, cache probe) out
 // over the engine's parallelism. Workers produce one *partial per active
 // chunk (the same unit the result cache stores and the execution tree
-// ships); the partials then merge into the global group map in ascending
+// ships); the partials then merge into the group table in ascending
 // chunk order on the calling goroutine. Merging in chunk order — not in
 // the racy order workers finish — is what makes the result bit-for-bit
 // identical to the sequential engine's even for float SUM/AVG, where
 // addition order changes the last ULPs.
-func (e *Engine) executeChunks(p *plan) (map[uint32][]accCell, QueryStats, error) {
+func (e *Engine) executeChunks(p *plan) (*groupTable, QueryStats, error) {
 	var qs QueryStats
 	nChunks := e.store.NumChunks()
 	qs.ChunksTotal = nChunks
@@ -119,8 +118,11 @@ func (e *Engine) executeChunks(p *plan) (map[uint32][]accCell, QueryStats, error
 	defer e.gate.Release(workers)
 	parts := make([]*partial, nChunks) // nil entries are skipped chunks
 	wqs := make([]QueryStats, workers)
+	// One scratch per worker, reused across the chunks it claims: a worker
+	// scans one chunk at a time, so nothing in it is shared.
+	scratch := make([]chunkAggCtx, workers)
 	err := forEachChunk(nChunks, workers, nil, func(w, ci int) error {
-		part, err := e.scanChunk(p, ci, nCols, &wqs[w])
+		part, err := e.scanChunk(p, ci, nCols, &wqs[w], &scratch[w])
 		if err != nil {
 			return err
 		}
@@ -130,24 +132,31 @@ func (e *Engine) executeChunks(p *plan) (map[uint32][]accCell, QueryStats, error
 	if err != nil {
 		return nil, qs, err
 	}
-	global := make(map[uint32][]accCell)
+	card, contributed := 1, 0
+	if p.groupCol != nil {
+		card = p.groupCol.Dict.Len()
+	}
 	for _, part := range parts {
 		if part != nil {
-			// Cached partials are shared between queries and workers;
-			// mergePartial copies out of them, never aliasing.
-			e.mergePartial(global, part, p)
+			contributed += len(part.gids)
+		}
+	}
+	groups := newGroupTable(card, len(p.aggs), contributed)
+	for _, part := range parts {
+		if part != nil {
+			groups.merge(part)
 		}
 	}
 	for w := 0; w < workers; w++ {
 		qs.add(wqs[w])
 	}
-	return global, qs, nil
+	return groups, qs, nil
 }
 
 // scanChunk classifies one chunk and returns its partial contribution (nil
 // for skipped chunks) — the unit of work one parallel worker claims at a
 // time.
-func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats) (*partial, error) {
+func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chunkAggCtx) (*partial, error) {
 	rows := e.store.ChunkRows(ci)
 	if p.active != nil && !p.active[ci] {
 		// Pruned by the residency analysis: on a chunk-granular store this
@@ -188,7 +197,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats) (*parti
 				qs.RowsCached += int64(rows)
 				return v.(*partial), nil
 			}
-			part, err := e.aggregateChunk(p, ci, nil, qs)
+			part, err := e.aggregateChunk(p, ci, nil, qs, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -198,7 +207,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats) (*parti
 			qs.CellsScanned += int64(rows) * nCols
 			return part, nil
 		}
-		part, err := e.aggregateChunk(p, ci, nil, qs)
+		part, err := e.aggregateChunk(p, ci, nil, qs, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +220,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats) (*parti
 		if err != nil {
 			return nil, err
 		}
-		part, err := e.aggregateChunk(p, ci, mask, qs)
+		part, err := e.aggregateChunk(p, ci, mask, qs, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -243,114 +252,141 @@ func (p *plan) groupColumn() string {
 	return ""
 }
 
-// mergePartial folds a chunk partial into the global group map.
-func (e *Engine) mergePartial(global map[uint32][]accCell, part *partial, p *plan) {
-	na := len(p.aggs)
-	for i, gid := range part.gids {
-		accs, ok := global[gid]
-		if !ok {
-			accs = make([]accCell, na)
-			global[gid] = accs
-		}
-		for j := 0; j < na; j++ {
-			accs[j].merge(&part.accs[i*na+j], p.aggs[j])
-		}
-	}
-}
-
 // aggregateChunk computes a chunk's partial aggregates. mask == nil means
 // the chunk is fully active. It dispatches to the vectorized kernels
 // (kernels.go) unless Options.DisableKernels pins the scalar reference
 // path — the oracle the differential fuzzer compares the kernels against.
 // Both paths produce bit-for-bit identical partials, including float
-// SUM/AVG accumulation order (ascending rows).
-func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStats) (*partial, error) {
+// SUM/AVG accumulation order (ascending rows). sc is the calling worker's
+// scratch; nothing in the returned partial points into it.
+func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStats, sc *chunkAggCtx) (*partial, error) {
 	if e.opts.DisableKernels {
 		if qs != nil {
 			qs.ScalarChunks++
 		}
-		return e.aggregateChunkScalar(p, ci, mask)
+		return e.aggregateChunkScalar(p, ci, mask, sc)
 	}
 	if qs != nil {
 		qs.KernelChunks++
 	}
-	return e.aggregateChunkVec(p, ci, mask)
+	return e.aggregateChunkVec(p, ci, mask, sc)
 }
 
-// chunkAggCtx is the per-chunk geometry both aggregation paths share:
-// group cardinality and global-ids, materialized group elements, and the
-// per-aggregate argument tables (numeric value, hash, and global-id of
-// each argument chunk-id — computed once per distinct value, not per row,
-// the same trick the restriction masks use).
+// chunkAggCtx is one scan worker's scratch, reloaded for every chunk the
+// worker claims. It holds the per-chunk geometry both aggregation paths
+// share — group cardinality and global-ids, materialized group elements,
+// and the per-aggregate argument tables (numeric value, hash, and
+// global-id of each argument chunk-id — computed once per distinct value,
+// not per row, the same trick the restriction masks use) — and the dense
+// per-group arrays the kernels accumulate in. Every buffer keeps its
+// capacity from chunk to chunk, so after a worker's first chunks a scan
+// allocates only the partial it returns. A worker scans one chunk at a
+// time, which is why the scratch is the worker's and needs no lock.
 type chunkAggCtx struct {
 	rows int
 	na   int
-	// Group geometry: chunk-ids 0..card-1 map to group global-ids. gseq and
-	// gelems are nil for a global aggregate (card == 1, one implicit group).
+	// Group geometry: chunk-ids 0..card-1 map to group global-ids. gseq is
+	// nil for a global aggregate (card == 1, one implicit group). gelems
+	// holds each row's group chunk-id, and is nil where no kernel needs it:
+	// a chunk with one group — a global aggregate, or a chunk that holds a
+	// single value of the group column, as every chunk does for a
+	// partition field — and a query whose aggregates take no argument.
 	card      int
 	groupGIDs []uint32
 	gseq      enc.Sequence
 	gelems    []uint32
+	gelemsBuf []uint32
 	// Per-aggregate argument tables, indexed [agg][chunk-id] (argElems is
 	// [agg][row]).
-	argIsInt []bool
 	argValsF [][]float64
 	argValsI [][]int64
 	argGIDs  [][]uint32
 	argHash  [][]uint64
 	argElems [][]uint32
+
+	// counts[g] is the number of selected rows in group g; slot[g] is the
+	// group's position in the compacted partial (meaningful only where the
+	// group is occupied).
+	counts []int64
+	slot   []int32
+	// Kernel accumulators, indexed by group chunk-id.
+	sumsI  []int64
+	sumsF  []float64
+	minIDs []uint32
+	maxIDs []uint32
+	seen   []bool
+	// The sparse path's selected rows and their group chunk-ids.
+	sel []int32
+	gof []uint32
 }
 
-// newChunkAggCtx resolves chunk ci's group geometry and argument tables.
-func (e *Engine) newChunkAggCtx(p *plan, ci int) *chunkAggCtx {
-	rows := e.store.ChunkRows(ci)
-	gcol := p.groupColumn()
-	na := len(p.aggs)
-	c := &chunkAggCtx{rows: rows, na: na}
-	if gcol == "" {
-		c.card = 1
-		c.groupGIDs = []uint32{0}
-	} else {
-		gch := p.col(e, gcol).Chunks[ci]
-		c.card = gch.Cardinality()
-		c.groupGIDs = gch.GlobalIDs
-		c.gseq = gch.Elems
-		c.gelems = gch.Elems.Materialize(make([]uint32, 0, rows))
-	}
+// globalGroup is the chunk dictionary of a global aggregate: one group.
+var globalGroup = []uint32{0}
 
-	c.argIsInt = make([]bool, na)
-	c.argValsF = make([][]float64, na)
-	c.argValsI = make([][]int64, na)
-	c.argGIDs = make([][]uint32, na)
-	c.argHash = make([][]uint64, na)
-	c.argElems = make([][]uint32, na)
+// resized returns buf with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is resized with every element cleared.
+func zeroed[T any](buf []T, n int) []T {
+	buf = resized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// loadGroups resolves chunk ci's group geometry.
+func (c *chunkAggCtx) loadGroups(p *plan, ci int) {
+	c.na = len(p.aggs)
+	if p.groupCol == nil {
+		c.card, c.groupGIDs = 1, globalGroup
+		return
+	}
+	gch := p.groupCol.Chunks[ci]
+	c.card, c.groupGIDs, c.gseq = gch.Cardinality(), gch.GlobalIDs, gch.Elems
+}
+
+// load resolves chunk ci's group geometry and dense argument tables.
+func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
+	c.rows = e.store.ChunkRows(ci)
+	c.loadGroups(p, ci)
+	c.gelems = nil
+	if c.card > 1 && p.hasArgs {
+		c.gelemsBuf = c.gseq.Materialize(resized(c.gelemsBuf, c.rows)[:0])
+		c.gelems = c.gelemsBuf
+	}
+	na := c.na
+	if c.argElems == nil {
+		c.argValsF = make([][]float64, na)
+		c.argValsI = make([][]int64, na)
+		c.argGIDs = make([][]uint32, na)
+		c.argHash = make([][]uint64, na)
+		c.argElems = make([][]uint32, na)
+	}
 	for j, spec := range p.aggs {
-		if spec.argCol == "" {
+		acol := p.aggCols[j]
+		if acol == nil {
 			continue
 		}
-		acol := p.col(e, spec.argCol)
 		ach := acol.Chunks[ci]
 		c.argGIDs[j] = ach.GlobalIDs
-		c.argElems[j] = ach.Elems.Materialize(make([]uint32, 0, rows))
+		c.argElems[j] = ach.Elems.Materialize(resized(c.argElems[j], c.rows)[:0])
 		switch spec.fn {
 		case aggSum, aggAvg:
-			if acol.Kind == value.KindInt64 {
-				c.argIsInt[j] = true
-				vals := make([]int64, len(ach.GlobalIDs))
-				for i, gid := range ach.GlobalIDs {
-					vals[i] = acol.Dict.Value(gid).Int()
-				}
-				c.argValsI[j] = vals
+			if p.aggInt[j] {
+				c.argValsI[j] = resized(c.argValsI[j], len(ach.GlobalIDs))
+				fillInts(c.argValsI[j], acol.Dict, ach.GlobalIDs)
 			} else {
-				vals := make([]float64, len(ach.GlobalIDs))
-				for i, gid := range ach.GlobalIDs {
-					vals[i] = acol.Dict.Value(gid).AsFloat()
-				}
-				c.argValsF[j] = vals
+				c.argValsF[j] = resized(c.argValsF[j], len(ach.GlobalIDs))
+				fillFloats(c.argValsF[j], acol.Dict, ach.GlobalIDs)
 			}
 		case aggCountDistinct:
 			if !e.opts.ExactDistinct {
-				hs := make([]uint64, len(ach.GlobalIDs))
+				hs := resized(c.argHash[j], len(ach.GlobalIDs))
 				for i, gid := range ach.GlobalIDs {
 					hs[i] = acol.Dict.Hash(gid)
 				}
@@ -358,7 +394,62 @@ func (e *Engine) newChunkAggCtx(p *plan, ci int) *chunkAggCtx {
 			}
 		}
 	}
-	return c
+}
+
+// fillInts looks up the int64 values of gids; the sorted-array dictionary
+// answers without boxing each one into a value.Value.
+func fillInts(dst []int64, d dict.Dict, gids []uint32) {
+	if arr, ok := d.(*dict.Int64s); ok {
+		for i, gid := range gids {
+			dst[i] = arr.Int64At(gid)
+		}
+		return
+	}
+	for i, gid := range gids {
+		dst[i] = d.Value(gid).Int()
+	}
+}
+
+// fillFloats is fillInts for a float column.
+func fillFloats(dst []float64, d dict.Dict, gids []uint32) {
+	if arr, ok := d.(*dict.Float64s); ok {
+		for i, gid := range gids {
+			dst[i] = arr.Float64At(gid)
+		}
+		return
+	}
+	for i, gid := range gids {
+		dst[i] = d.Value(gid).AsFloat()
+	}
+}
+
+// compact allocates the chunk's partial at its exact size — one entry per
+// occupied group, in chunk-id order — records each occupied group's
+// position in c.slot, and writes the row counts, which are every cell's
+// .count whatever the aggregate (and all there is to COUNT(*)). c.counts
+// must be final. A group is occupied when it received a row; a pure GROUP
+// BY over a full chunk (no aggregates, no mask) emits every dictionary
+// entry.
+func (c *chunkAggCtx) compact(everyGroup bool) *partial {
+	c.slot = resized(c.slot, c.card)
+	n := 0
+	for g, cnt := range c.counts {
+		if cnt > 0 || everyGroup {
+			c.slot[g] = int32(n)
+			n++
+		}
+	}
+	part := &partial{gids: make([]uint32, n), accs: make([]accCell, n*c.na)}
+	for g, cnt := range c.counts {
+		if cnt > 0 || everyGroup {
+			at := int(c.slot[g])
+			part.gids[at] = c.groupGIDs[g]
+			for j := at * c.na; j < (at+1)*c.na; j++ {
+				part.accs[j].count = cnt
+			}
+		}
+	}
+	return part
 }
 
 // aggregateChunkScalar is the retained row-at-a-time reference
@@ -366,9 +457,14 @@ func (e *Engine) newChunkAggCtx(p *plan, ci int) *chunkAggCtx {
 // chunk-id, no hashing), one interface-dispatched add per row. It stays in
 // the tree as the differential-fuzzing oracle and the ablation baseline;
 // production queries run the kernels in kernels.go.
-func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap) (*partial, error) {
-	c := e.newChunkAggCtx(p, ci)
+func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) (*partial, error) {
+	c.load(e, p, ci)
 	rows, card, na, gelems := c.rows, c.card, c.na, c.gelems
+	if c.gseq != nil && gelems == nil {
+		// The reference path takes every row's group from the sequence,
+		// also where the kernels see a single-group chunk.
+		gelems = c.gseq.Materialize(nil)
+	}
 
 	accs := make([]accCell, card*na)
 	add := func(r int) {
@@ -384,7 +480,7 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap) (*parti
 				cell.count++
 			case aggSum, aggAvg:
 				cell.count++
-				if c.argIsInt[j] {
+				if p.aggInt[j] {
 					cell.sumI += c.argValsI[j][c.argElems[j][r]]
 				} else {
 					cell.sumF += c.argValsF[j][c.argElems[j][r]]
@@ -473,132 +569,129 @@ func groupOccupied(gelems []uint32, mask *enc.Bitmap, g int) bool {
 	return found
 }
 
-// finalize renders the result rows, applies ORDER BY and LIMIT. When the
-// ordering only involves aggregate columns, group-key values materialize
-// *after* the limit — the Section 2.5 trick: "after identifying the top 10
-// chunk-ids ... the original table name string values need to be looked up
-// in the dictionary" for just those ten rows, never for all groups.
-func (e *Engine) finalize(p *plan, global map[uint32][]accCell) (*Result, error) {
+// finalize selects the result's groups in id space and renders only those:
+// ORDER BY compares accumulators and group global-ids where they lie (see
+// groupOrderTerms), LIMIT bounds the selection, and dictionary values —
+// group keys included — are looked up for the surviving rows alone. This
+// is the Section 2.5 step: "after identifying the top 10 chunk-ids ... the
+// original table name string values need to be looked up in the
+// dictionary" for just those ten rows, never for all groups. (A HAVING
+// renders every group once, to filter on; see rowSelection.)
+func (e *Engine) finalize(p *plan, groups *groupTable) (*Result, error) {
 	res := &Result{}
 	for _, it := range p.items {
 		res.Columns = append(res.Columns, it.name)
 	}
-
-	gids := make([]uint32, 0, len(global))
-	for gid := range global {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-
-	// Does any ORDER BY key reference a group column? If not, keys can be
-	// materialized lazily after LIMIT. HAVING may reference keys, so it
-	// forces eager materialization.
-	deferKeys := p.stmt.Limit >= 0 && len(p.stmt.OrderBy) > 0 && p.stmt.Having == nil
-	if deferKeys {
-		for _, o := range p.stmt.OrderBy {
-			idx, err := p.resolveOrderColumn(res, o.Expr)
-			if err != nil || p.items[idx].groupIdx >= 0 {
-				deferKeys = false
-				break
-			}
-		}
-	}
-
-	rowGIDs := make([]uint32, 0, len(gids))
-	for _, gid := range gids {
-		accs := global[gid]
-		row := make([]value.Value, len(p.items))
-		for i, it := range p.items {
-			if it.aggIdx >= 0 {
-				v, err := e.aggValue(p, p.aggs[it.aggIdx], &accs[it.aggIdx])
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-		}
-		if !deferKeys {
-			keyVals, err := e.groupKeyValues(p, gid)
-			if err != nil {
-				return nil, err
-			}
-			for i, it := range p.items {
-				if it.groupIdx >= 0 {
-					row[i] = keyVals[it.groupIdx]
-				}
-			}
-		}
-		res.Rows = append(res.Rows, row)
-		rowGIDs = append(rowGIDs, gid)
-	}
-
-	if deferKeys {
-		// Sort rows and gids together by the aggregate order keys, cut to
-		// the limit, then look up only the surviving groups' values.
-		if err := e.orderAndLimitWithGIDs(p, res, rowGIDs); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	if err := applyHaving(p.stmt, res); err != nil {
+	items := orderItems(p.stmt)
+	if err := checkOrderItems(p.stmt, items); err != nil {
 		return nil, err
 	}
-	if err := e.orderAndLimit(p, res); err != nil {
+	sel, err := newRowSelection(p.stmt, res.Columns, e.groupOrderTerms(p, groups, items),
+		func(c int) ([]value.Value, error) { return e.groupRow(p, groups, uint32(c)) })
+	if err != nil {
+		return nil, err
+	}
+	if err := groups.forEach(func(gid uint32) error { return sel.offer(int(gid)) }); err != nil {
+		return nil, err
+	}
+	if res.Rows, err = sel.rows(); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// orderAndLimitWithGIDs sorts rows (keeping group ids aligned), applies
-// the limit, and materializes group-key values for the remaining rows.
-func (e *Engine) orderAndLimitWithGIDs(p *plan, res *Result, gids []uint32) error {
-	stmt := p.stmt
-	keys := make([]int, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		idx, err := p.resolveOrderColumn(res, o.Expr)
-		if err != nil {
-			return err
-		}
-		keys[i] = idx
-	}
-	order := make([]int, len(res.Rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := res.Rows[order[a]], res.Rows[order[b]]
-		for i, k := range keys {
-			c := ra[k].Compare(rb[k])
-			if c == 0 {
-				continue
+// groupOrderTerms compiles the ORDER BY keys (items: the select item each
+// names) into comparisons of two groups, given by global-id, on the state
+// the group table already holds: an aggregate key compares accumulators
+// (see cellComparer), a group-key column compares ids. Every dictionary is
+// sorted, so id order is value order: the lone group column's id is the
+// group's global-id itself, and a composite key's per-column ids are read
+// out of the composite dictionary's entry — lazily, only when the terms
+// before it tie.
+func (e *Engine) groupOrderTerms(p *plan, groups *groupTable, items []int) []orderTerm {
+	terms := make([]orderTerm, len(items))
+	for k, idx := range items {
+		it := p.items[idx]
+		terms[k].desc = p.stmt.OrderBy[k].Desc
+		switch {
+		case it.aggIdx >= 0:
+			j := it.aggIdx
+			cmp := e.cellComparer(p, j)
+			terms[k].cmp = func(a, b int) int {
+				return cmp(&groups.accs(uint32(a))[j], &groups.accs(uint32(b))[j])
 			}
-			if stmt.OrderBy[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	n := len(order)
-	if stmt.Limit >= 0 && n > stmt.Limit {
-		n = stmt.Limit
-	}
-	rows := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		row := res.Rows[order[i]]
-		keyVals, err := e.groupKeyValues(p, gids[order[i]])
-		if err != nil {
-			return err
-		}
-		for j, it := range p.items {
-			if it.groupIdx >= 0 {
-				row[j] = keyVals[it.groupIdx]
+		case p.composite == "":
+			terms[k].cmp = func(a, b int) int { return a - b }
+		default:
+			keys, pos := p.col(e, p.composite).Dict, it.groupIdx
+			terms[k].cmp = func(a, b int) int {
+				return compareInts(compositeID(keys, uint32(a), pos), compositeID(keys, uint32(b), pos))
 			}
 		}
-		rows[i] = row
 	}
-	res.Rows = rows
-	return nil
+	return terms
+}
+
+// compositeID reads the pos-th column's global-id out of a composite group
+// key: materializeComposite writes each as 8 hex digits, one separator
+// between. A malformed key (groupKeyValues reports those as corrupt when
+// the row is rendered) ranks as id 0.
+func compositeID(keys dict.Dict, gid uint32, pos int) int64 {
+	key := keys.Value(gid).Str()
+	if len(key) < 9*pos+8 {
+		return 0
+	}
+	id, _ := strconv.ParseUint(key[9*pos:9*pos+8], 16, 32)
+	return int64(id)
+}
+
+// cellComparer orders two accumulators of aggregate j exactly as their
+// rendered values (aggValue) would order, without rendering them: counts
+// and integer sums as integers, float sums and AVG quotients as floats,
+// MIN and MAX by global-id (the argument dictionary is sorted), COUNT
+// DISTINCT by its estimate.
+func (e *Engine) cellComparer(p *plan, j int) func(a, b *accCell) int {
+	isInt := p.aggInt[j]
+	switch p.aggs[j].fn {
+	case aggSum:
+		if isInt {
+			return func(a, b *accCell) int { return compareInts(a.sumI, b.sumI) }
+		}
+		return func(a, b *accCell) int { return compareFloats(a.sumF, b.sumF) }
+	case aggAvg:
+		return func(a, b *accCell) int { return compareFloats(a.avg(isInt), b.avg(isInt)) }
+	case aggMin:
+		return func(a, b *accCell) int { return compareInts(int64(a.minID), int64(b.minID)) }
+	case aggMax:
+		return func(a, b *accCell) int { return compareInts(int64(a.maxID), int64(b.maxID)) }
+	case aggCountDistinct:
+		return func(a, b *accCell) int { return compareInts(e.distinct(a), e.distinct(b)) }
+	}
+	return func(a, b *accCell) int { return compareInts(a.count, b.count) }
+}
+
+// groupRow renders one group's result row: aggregate values and group-key
+// values, looked up in the dictionaries.
+func (e *Engine) groupRow(p *plan, groups *groupTable, gid uint32) ([]value.Value, error) {
+	accs := groups.accs(gid)
+	keyVals, err := e.groupKeyValues(p, gid)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]value.Value, len(p.items))
+	for i, it := range p.items {
+		switch {
+		case it.aggIdx >= 0:
+			v, err := e.aggValue(p, it.aggIdx, &accs[it.aggIdx])
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
+		case it.groupIdx >= 0:
+			row[i] = keyVals[it.groupIdx]
+		}
+	}
+	return row, nil
 }
 
 // groupKeyValues decodes a group global-id into the per-group-expression
@@ -626,92 +719,54 @@ func (e *Engine) groupKeyValues(p *plan, gid uint32) ([]value.Value, error) {
 	return nil, nil
 }
 
-// aggValue renders one aggregate's final value.
-func (e *Engine) aggValue(p *plan, spec aggSpec, cell *accCell) (value.Value, error) {
-	switch spec.fn {
+// avg is the cell's AVG quotient; 0 for a cell that saw no row.
+func (c *accCell) avg(isInt bool) float64 {
+	if c.count == 0 {
+		return 0
+	}
+	total := c.sumF
+	if isInt {
+		total = float64(c.sumI)
+	}
+	return total / float64(c.count)
+}
+
+// distinct is the cell's COUNT(DISTINCT) answer.
+func (e *Engine) distinct(c *accCell) int64 {
+	if e.opts.ExactDistinct {
+		return int64(len(c.exact))
+	}
+	if c.sketch == nil {
+		return 0
+	}
+	return c.sketch.Estimate()
+}
+
+// aggValue renders aggregate j's final value.
+func (e *Engine) aggValue(p *plan, j int, cell *accCell) (value.Value, error) {
+	switch spec := p.aggs[j]; spec.fn {
 	case aggCount:
 		return value.Int64(cell.count), nil
 	case aggSum:
-		if spec.argCol != "" && p.col(e, spec.argCol).Kind == value.KindInt64 {
+		if p.aggInt[j] {
 			return value.Int64(cell.sumI), nil
 		}
 		return value.Float64(cell.sumF), nil
 	case aggAvg:
-		if cell.count == 0 {
-			return value.Float64(0), nil
-		}
-		total := cell.sumF
-		if p.col(e, spec.argCol).Kind == value.KindInt64 {
-			total = float64(cell.sumI)
-		}
-		return value.Float64(total / float64(cell.count)), nil
+		return value.Float64(cell.avg(p.aggInt[j])), nil
 	case aggMin:
 		if !cell.hasMM {
 			return value.Value{}, fmt.Errorf("exec: MIN over empty group")
 		}
-		return p.col(e, spec.argCol).Dict.Value(cell.minID), nil
+		return p.aggCols[j].Dict.Value(cell.minID), nil
 	case aggMax:
 		if !cell.hasMM {
 			return value.Value{}, fmt.Errorf("exec: MAX over empty group")
 		}
-		return p.col(e, spec.argCol).Dict.Value(cell.maxID), nil
+		return p.aggCols[j].Dict.Value(cell.maxID), nil
 	case aggCountDistinct:
-		if e.opts.ExactDistinct {
-			return value.Int64(int64(len(cell.exact))), nil
-		}
-		if cell.sketch == nil {
-			return value.Int64(0), nil
-		}
-		return value.Int64(cell.sketch.Estimate()), nil
+		return value.Int64(e.distinct(cell)), nil
+	default:
+		return value.Value{}, fmt.Errorf("exec: unknown aggregate %d", spec.fn)
 	}
-	return value.Value{}, fmt.Errorf("exec: unknown aggregate %d", spec.fn)
-}
-
-// orderAndLimit applies ORDER BY and LIMIT to the result in place.
-func (e *Engine) orderAndLimit(p *plan, res *Result) error {
-	stmt := p.stmt
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]int, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			idx, err := p.resolveOrderColumn(res, o.Expr)
-			if err != nil {
-				return err
-			}
-			keys[i] = idx
-		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for i, k := range keys {
-				c := res.Rows[a][k].Compare(res.Rows[b][k])
-				if c == 0 {
-					continue
-				}
-				if stmt.OrderBy[i].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if stmt.Limit >= 0 && len(res.Rows) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
-	}
-	return nil
-}
-
-// resolveOrderColumn maps an ORDER BY expression to an output column.
-func (p *plan) resolveOrderColumn(res *Result, x sql.Expr) (int, error) {
-	want := x.String()
-	for i, name := range res.Columns {
-		if name == want {
-			return i, nil
-		}
-	}
-	// Fall back to matching the underlying expression of each item.
-	for i, item := range p.stmt.Items {
-		if item.Expr.String() == want {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("exec: ORDER BY %s does not match any output column", want)
 }

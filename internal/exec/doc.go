@@ -30,8 +30,9 @@
 //     classification — skip / fully-active (cacheable) / partial — and
 //     active ones are aggregated, fanned out over admission-gated
 //     workers.
-//  5. Finalize: group keys decode through pinned dictionaries, ORDER
-//     BY/LIMIT/HAVING apply, pins release.
+//  5. Finalize: ORDER BY and LIMIT select groups in id space (topk.go),
+//     HAVING applies, the surviving rows' keys and values decode through
+//     pinned dictionaries, pins release.
 //
 // # Admission control
 //
@@ -61,8 +62,9 @@
 //     materialize → register" atomic without slowing the scan phase.
 //   - Chunks are independent units of work. Workers claim chunk indices
 //     from a shared counter and produce one partial per chunk plus
-//     per-worker QueryStats; partials then merge in ascending chunk order
-//     on the calling goroutine, so results — including order-sensitive
+//     per-worker QueryStats, each with a scratch of its own (chunkAggCtx);
+//     partials then merge in ascending chunk order on the calling
+//     goroutine (groupTable), so results — including order-sensitive
 //     float sums — are bit-for-bit identical to the sequential engine's.
 //   - Shared mutable state is wrapped, not sprinkled with locks: the
 //     result cache is behind cache.Synchronized (its eviction policies

@@ -307,12 +307,12 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		var partials map[uint32][]accCell
-		partials, qs, err = e.executeChunks(p)
+		var groups *groupTable
+		groups, qs, err = e.executeChunks(p)
 		if err != nil {
 			return nil, err
 		}
-		res, err = e.finalize(p, partials)
+		res, err = e.finalize(p, groups)
 		if err != nil {
 			return nil, err
 		}
@@ -687,6 +687,15 @@ type plan struct {
 	// cacheSig is the chunk-independent part of the result-cache key,
 	// derived from the compiled plan.
 	cacheSig string
+	// The scan's columns, resolved once so no chunk looks them up again:
+	// groupCol is the column grouped by (nil for a global aggregate),
+	// aggCols[j] aggregate j's argument (nil for COUNT(*)), and aggInt[j]
+	// whether that argument is integral (SUM and AVG accumulate in sumI);
+	// hasArgs reports whether any aggregate has an argument.
+	groupCol *colstore.Column
+	aggCols  []*colstore.Column
+	aggInt   []bool
+	hasArgs  bool
 }
 
 // pins returns the flags of the chunks planning must pin (nil = all
@@ -841,6 +850,18 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 				return nil, err
 			}
 			p.cols[col] = c
+		}
+	}
+	if gcol := p.groupColumn(); gcol != "" && !p.rowScan {
+		p.groupCol = p.col(e, gcol)
+	}
+	p.aggCols = make([]*colstore.Column, len(p.aggs))
+	p.aggInt = make([]bool, len(p.aggs))
+	for j, spec := range p.aggs {
+		if spec.argCol != "" {
+			p.aggCols[j] = p.col(e, spec.argCol)
+			p.aggInt[j] = p.aggCols[j].Kind == value.KindInt64
+			p.hasArgs = true
 		}
 	}
 	return p, nil

@@ -1,0 +1,74 @@
+package exec
+
+// groupTable is a query's merged accumulator state, kept in id space: one
+// []accCell slab holding na cells per group, addressed through a slot
+// table indexed by the group's global-id. The table's size is the group
+// dictionary's cardinality, known from the plan, so finding a group is an
+// array access — no hashing, no per-group allocation — and walking the
+// table front to back visits the groups in ascending global-id order,
+// which (the dictionary being sorted) is ascending key order.
+type groupTable struct {
+	na int
+	// slot maps a group global-id to 1 + its position in the slab; 0 means
+	// the group has received no partial yet.
+	slot []int32
+	// cells holds group s's accumulators at [s*na, (s+1)*na), in the order
+	// groups were first merged.
+	cells []accCell
+	n     int // groups present
+}
+
+// newGroupTable sizes the table for a plan: card is the group dictionary's
+// cardinality (1 for a global aggregate) and groupsHint an upper bound on
+// the groups the partials can contribute, so the slab is allocated once.
+func newGroupTable(card, na, groupsHint int) *groupTable {
+	if groupsHint > card {
+		groupsHint = card
+	}
+	return &groupTable{
+		na:    na,
+		slot:  make([]int32, card),
+		cells: make([]accCell, 0, groupsHint*na),
+	}
+}
+
+// merge folds one chunk partial into the table. Cells are merged into
+// zeroed slab cells, never copied: cached partials are shared between
+// queries and workers, and a copied cell would alias its sketch.
+func (t *groupTable) merge(part *partial) {
+	na := t.na
+	for i, gid := range part.gids {
+		s := t.slot[gid]
+		if s == 0 {
+			t.n++
+			s = int32(t.n)
+			t.slot[gid] = s
+			for j := 0; j < na; j++ {
+				t.cells = append(t.cells, accCell{})
+			}
+		}
+		dst := t.cells[int(s-1)*na : int(s)*na]
+		for j := range dst {
+			dst[j].merge(&part.accs[i*na+j])
+		}
+	}
+}
+
+// accs returns the accumulators of a group present in the table.
+func (t *groupTable) accs(gid uint32) []accCell {
+	s := int(t.slot[gid])
+	return t.cells[(s-1)*t.na : s*t.na]
+}
+
+// forEach calls fn for every group present, in ascending global-id order.
+func (t *groupTable) forEach(fn func(gid uint32) error) error {
+	for gid, s := range t.slot {
+		if s == 0 {
+			continue
+		}
+		if err := fn(uint32(gid)); err != nil {
+			return err
+		}
+	}
+	return nil
+}

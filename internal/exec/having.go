@@ -16,32 +16,28 @@ import (
 // rewritten to references into the result row, then evaluated with the
 // ordinary predicate machinery.
 
-// applyHaving filters res.Rows by the statement's HAVING clause.
-func applyHaving(stmt *sql.SelectStmt, res *Result) error {
+// compileHaving compiles the statement's HAVING clause into a predicate
+// over one finished result row (columns are the output column names); nil
+// when the statement has none.
+func compileHaving(stmt *sql.SelectStmt, columns []string) (func(row []value.Value) (bool, error), error) {
 	if stmt.Having == nil {
-		return nil
+		return nil, nil
 	}
-	names := outputNames(stmt)
-	rewritten, err := rewriteHaving(stmt.Having, names)
+	rewritten, err := rewriteHaving(stmt.Having, outputNames(stmt))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cols := make(map[string]int, len(res.Columns))
-	for i, c := range res.Columns {
+	cols := make(map[string]int, len(columns))
+	for i, c := range columns {
 		cols[c] = i
 	}
-	kept := res.Rows[:0]
-	for _, r := range res.Rows {
-		ok, err := expr.EvalPred(rewritten, resultRow{cols: cols, row: r})
+	return func(row []value.Value) (bool, error) {
+		ok, err := expr.EvalPred(rewritten, resultRow{cols: cols, row: row})
 		if err != nil {
-			return fmt.Errorf("exec: HAVING: %w", err)
+			return false, fmt.Errorf("exec: HAVING: %w", err)
 		}
-		if ok {
-			kept = append(kept, r)
-		}
-	}
-	res.Rows = kept
-	return nil
+		return ok, nil
+	}, nil
 }
 
 // outputNames maps each select item's alias and canonical expression form

@@ -18,71 +18,59 @@ import (
 
 	"powerdrill/internal/enc"
 	"powerdrill/internal/sketch"
-	"powerdrill/internal/value"
 )
 
 // aggregateChunkVec computes a chunk's partial aggregates with the
 // vectorized kernels. mask == nil means the chunk is fully active.
-func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap) (*partial, error) {
+func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) (*partial, error) {
 	if mask != nil {
 		// Sparse masks skip the dense per-chunk tables entirely: building
 		// them costs O(rows) per chunk (materialized element arrays plus
 		// per-distinct-value lookup tables), which dominates when only a
 		// few rows survive the restriction. The gather path is O(selected).
 		if n := mask.Count(); n*8 <= e.store.ChunkRows(ci) {
-			return e.aggregateChunkVecSparse(p, ci, mask, n)
+			return e.aggregateChunkVecSparse(p, ci, mask, n, c)
 		}
 	}
-	c := e.newChunkAggCtx(p, ci)
+	c.load(e, p, ci)
 
 	// Row counts per group drive every kernel: they are each cell's .count
 	// (all aggregate kinds count selected rows identically) and the
 	// occupancy test of the compaction step.
-	counts := make([]int64, c.card)
+	c.counts = zeroed(c.counts, c.card)
 	switch {
 	case c.gseq == nil: // global aggregate: one implicit group
 		if mask == nil {
-			counts[0] = int64(c.rows)
+			c.counts[0] = int64(c.rows)
 		} else {
-			counts[0] = int64(mask.Count())
+			c.counts[0] = int64(mask.Count())
 		}
 	case mask == nil:
-		c.gseq.CountInto(counts)
+		c.gseq.CountInto(c.counts)
 	default:
-		c.gseq.CountIntoMasked(counts, mask)
+		c.gseq.CountIntoMasked(c.counts, mask)
 	}
 
-	accs := make([]accCell, c.card*c.na)
+	// Compact first, then aggregate: the counts already say which groups
+	// received rows, so the partial is allocated at its exact size and the
+	// kernels write each occupied group's cell where it will stay.
+	// counts[g] > 0 is exactly the scalar path's occupancy verdict (every
+	// aggregate kind counts every selected row); the one asymmetry is the
+	// scalar rule that a pure GROUP BY over a full chunk emits every
+	// dictionary entry.
+	part := c.compact(c.na == 0 && mask == nil)
 	for j, spec := range p.aggs {
 		switch spec.fn {
-		case aggCount:
-			kernelFill(accs, j, c.na, counts)
 		case aggSum, aggAvg:
-			if c.argIsInt[j] {
-				kernelSumInt(accs, j, c, counts, mask)
+			if p.aggInt[j] {
+				kernelSumInt(part.accs, j, c, mask)
 			} else {
-				kernelSumFloat(accs, j, c, counts, mask)
+				kernelSumFloat(part.accs, j, c, mask)
 			}
 		case aggMin, aggMax:
-			kernelMinMax(accs, j, c, counts, mask)
+			kernelMinMax(part.accs, j, c, mask)
 		case aggCountDistinct:
-			kernelDistinct(e, accs, j, c, counts, mask)
-		}
-	}
-
-	// Compact: keep only groups that actually received rows. counts[g] > 0
-	// is exactly the scalar path's occupancy verdict (every aggregate kind
-	// counts every selected row); the one asymmetry is the scalar rule that
-	// a pure GROUP BY over a full chunk emits every dictionary entry.
-	part := &partial{}
-	for g := 0; g < c.card; g++ {
-		contributed := counts[g] > 0
-		if c.na == 0 && mask == nil {
-			contributed = true
-		}
-		if contributed {
-			part.gids = append(part.gids, c.groupGIDs[g])
-			part.accs = append(part.accs, accs[g*c.na:(g+1)*c.na]...)
+			kernelDistinct(e, part.accs, j, c, mask)
 		}
 	}
 	return part, nil
@@ -95,9 +83,8 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap) (*partial,
 // the same dictionary calls the dense tables are built from, and rows are
 // visited in ascending order, so the partial is bit-identical to the dense
 // kernels' and the scalar path's.
-func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int) (*partial, error) {
-	na := len(p.aggs)
-	sel := make([]int32, 0, nsel)
+func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int, c *chunkAggCtx) (*partial, error) {
+	sel := resized(c.sel, nsel)[:0]
 	for wi, w := range mask.Words() {
 		base := wi * 64
 		for w != 0 {
@@ -105,58 +92,54 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 			w &= w - 1
 		}
 	}
+	c.sel = sel
 
-	card := 1
-	groupGIDs := []uint32{0}
-	var gseq enc.Sequence
-	if gcol := p.groupColumn(); gcol != "" {
-		gch := p.col(e, gcol).Chunks[ci]
-		card = gch.Cardinality()
-		groupGIDs = gch.GlobalIDs
-		gseq = gch.Elems
-	}
-	counts := make([]int64, card)
-	var gof []uint32 // group chunk-id per selected row
-	if gseq == nil {
-		counts[0] = int64(len(sel))
+	c.loadGroups(p, ci)
+	na := c.na
+	c.counts = zeroed(c.counts, c.card)
+	if c.gseq == nil {
+		c.counts[0] = int64(len(sel))
 	} else {
-		gof = make([]uint32, len(sel))
+		c.gof = resized(c.gof, len(sel))
 		for i, r := range sel {
-			g := gseq.At(int(r))
-			gof[i] = g
-			counts[g]++
+			g := c.gseq.At(int(r))
+			c.gof[i] = g
+			c.counts[g]++
 		}
 	}
-	group := func(i int) int {
-		if gof == nil {
-			return 0
+	// mask != nil here, so occupancy is exactly counts[g] > 0 on every
+	// path (including the pure-GROUP-BY na == 0 case).
+	part := c.compact(false)
+	accs, gof, slot := part.accs, c.gof, c.slot
+	// cell is selected row i's accumulator for aggregate j.
+	cell := func(i, j int) *accCell {
+		if c.gseq == nil {
+			return &accs[j]
 		}
-		return int(gof[i])
+		return &accs[int(slot[gof[i]])*na+j]
 	}
-
-	accs := make([]accCell, card*na)
 	for j, spec := range p.aggs {
-		if spec.argCol == "" {
-			continue // COUNT(*): counts are written below
+		acol := p.aggCols[j]
+		if acol == nil {
+			continue // COUNT(*): compact wrote the counts, all of it
 		}
-		acol := p.col(e, spec.argCol)
 		ach := acol.Chunks[ci]
 		agids, aseq := ach.GlobalIDs, ach.Elems
 		switch spec.fn {
 		case aggSum, aggAvg:
-			if acol.Kind == value.KindInt64 {
+			if p.aggInt[j] {
 				for i, r := range sel {
-					accs[group(i)*na+j].sumI += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
+					cell(i, j).sumI += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
 				}
 			} else {
 				for i, r := range sel {
-					accs[group(i)*na+j].sumF += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
+					cell(i, j).sumF += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
 				}
 			}
 		case aggMin, aggMax:
 			for i, r := range sel {
 				gid := agids[aseq.At(int(r))]
-				cell := &accs[group(i)*na+j]
+				cell := cell(i, j)
 				if !cell.hasMM {
 					cell.minID, cell.maxID, cell.hasMM = gid, gid, true
 					continue
@@ -171,7 +154,7 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 		case aggCountDistinct:
 			if e.opts.ExactDistinct {
 				for i, r := range sel {
-					cell := &accs[group(i)*na+j]
+					cell := cell(i, j)
 					if cell.exact == nil {
 						cell.exact = make(map[uint32]struct{}, 16)
 					}
@@ -179,7 +162,7 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 				}
 			} else {
 				for i, r := range sel {
-					cell := &accs[group(i)*na+j]
+					cell := cell(i, j)
 					if cell.sketch == nil {
 						cell.sketch = sketch.NewKMV(e.opts.SketchM)
 					}
@@ -188,38 +171,27 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 			}
 		}
 	}
-
-	// Compact: mask != nil here, so occupancy is exactly counts[g] > 0 on
-	// every path (including the pure-GROUP-BY na == 0 case).
-	part := &partial{}
-	for g := 0; g < card; g++ {
-		if counts[g] == 0 {
-			continue
-		}
-		base := g * na
-		for j := 0; j < na; j++ {
-			accs[base+j].count = counts[g]
-		}
-		part.gids = append(part.gids, groupGIDs[g])
-		part.accs = append(part.accs, accs[base:base+na]...)
-	}
 	return part, nil
 }
 
-// kernelFill writes the per-group row counts into aggregate column j —
-// the complete COUNT(*) kernel, and the .count side of every other kernel.
-func kernelFill(accs []accCell, j, na int, counts []int64) {
-	for g, n := range counts {
-		accs[g*na+j].count = n
+// occupied calls fn(g, cell) for every group g of the chunk that received a
+// row, cell being the group's accumulator for aggregate j in the compacted
+// partial: how a kernel moves its dense per-group results into place.
+func (c *chunkAggCtx) occupied(accs []accCell, j int, fn func(g int, cell *accCell)) {
+	for g, n := range c.counts {
+		if n > 0 {
+			fn(g, &accs[int(c.slot[g])*c.na+j])
+		}
 	}
 }
 
 // kernelSumInt accumulates SUM/AVG over an int64 column: dense per-group
 // sums indexed by group chunk-id, values looked up per distinct argument
 // chunk-id.
-func kernelSumInt(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *enc.Bitmap) {
+func kernelSumInt(accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 	vals, ae, ge := c.argValsI[j], c.argElems[j], c.gelems
-	sums := make([]int64, c.card)
+	c.sumsI = zeroed(c.sumsI, c.card)
+	sums := c.sumsI
 	switch {
 	case ge == nil && mask == nil:
 		var s int64
@@ -252,18 +224,15 @@ func kernelSumInt(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *e
 			}
 		}
 	}
-	for g, s := range sums {
-		cell := &accs[g*c.na+j]
-		cell.count = counts[g]
-		cell.sumI = s
-	}
+	c.occupied(accs, j, func(g int, cell *accCell) { cell.sumI = sums[g] })
 }
 
 // kernelSumFloat is kernelSumInt for float64 columns. Ascending row order
 // keeps the float accumulation bit-identical to the scalar path.
-func kernelSumFloat(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *enc.Bitmap) {
+func kernelSumFloat(accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 	vals, ae, ge := c.argValsF[j], c.argElems[j], c.gelems
-	sums := make([]float64, c.card)
+	c.sumsF = zeroed(c.sumsF, c.card)
+	sums := c.sumsF
 	switch {
 	case ge == nil && mask == nil:
 		var s float64
@@ -296,20 +265,17 @@ func kernelSumFloat(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask 
 			}
 		}
 	}
-	for g, s := range sums {
-		cell := &accs[g*c.na+j]
-		cell.count = counts[g]
-		cell.sumF = s
-	}
+	c.occupied(accs, j, func(g int, cell *accCell) { cell.sumF = sums[g] })
 }
 
 // kernelMinMax tracks per-group global-id extremes. One kernel serves both
 // MIN and MAX: the cell carries both ids and finalize picks the right one.
-func kernelMinMax(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *enc.Bitmap) {
+func kernelMinMax(accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 	gids, ae, ge := c.argGIDs[j], c.argElems[j], c.gelems
-	minIDs := make([]uint32, c.card)
-	maxIDs := make([]uint32, c.card)
-	seen := make([]bool, c.card)
+	c.minIDs = resized(c.minIDs, c.card)
+	c.maxIDs = resized(c.maxIDs, c.card)
+	c.seen = zeroed(c.seen, c.card)
+	minIDs, maxIDs, seen := c.minIDs, c.maxIDs, c.seen
 	visit := func(g int, gid uint32) {
 		if !seen[g] {
 			minIDs[g], maxIDs[g], seen[g] = gid, gid, true
@@ -350,31 +316,30 @@ func kernelMinMax(accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *e
 			}
 		}
 	}
-	for g := 0; g < c.card; g++ {
-		cell := &accs[g*c.na+j]
-		cell.count = counts[g]
+	c.occupied(accs, j, func(g int, cell *accCell) {
 		if seen[g] {
 			cell.minID, cell.maxID, cell.hasMM = minIDs[g], maxIDs[g], true
 		}
-	}
+	})
 }
 
 // kernelDistinct feeds COUNT(DISTINCT x) accumulators: per-group KMV
 // sketches (hash per distinct argument id, precomputed) or exact id sets.
 // Sketches and sets allocate lazily on first row, like the scalar path.
-func kernelDistinct(e *Engine, accs []accCell, j int, c *chunkAggCtx, counts []int64, mask *enc.Bitmap) {
-	ae, ge := c.argElems[j], c.gelems
-	group := func(r int) int {
+func kernelDistinct(e *Engine, accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
+	ae, ge, slot := c.argElems[j], c.gelems, c.slot
+	// cell is row r's accumulator: a selected row's group is occupied.
+	cell := func(r int) *accCell {
 		if ge == nil {
-			return 0
+			return &accs[j]
 		}
-		return int(ge[r])
+		return &accs[int(slot[ge[r]])*c.na+j]
 	}
 	var visit func(r int)
 	if e.opts.ExactDistinct {
 		gids := c.argGIDs[j]
 		visit = func(r int) {
-			cell := &accs[group(r)*c.na+j]
+			cell := cell(r)
 			if cell.exact == nil {
 				cell.exact = make(map[uint32]struct{}, 16)
 			}
@@ -383,7 +348,7 @@ func kernelDistinct(e *Engine, accs []accCell, j int, c *chunkAggCtx, counts []i
 	} else {
 		hs := c.argHash[j]
 		visit = func(r int) {
-			cell := &accs[group(r)*c.na+j]
+			cell := cell(r)
 			if cell.sketch == nil {
 				cell.sketch = sketch.NewKMV(e.opts.SketchM)
 			}
@@ -403,8 +368,5 @@ func kernelDistinct(e *Engine, accs []accCell, j int, c *chunkAggCtx, counts []i
 				visit(r)
 			}
 		}
-	}
-	for g := 0; g < c.card; g++ {
-		accs[g*c.na+j].count = counts[g]
 	}
 }

@@ -104,7 +104,7 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if p.rowScan {
 		return nil, fmt.Errorf("exec: row scans are not distributed; aggregate or group the query")
 	}
-	global, qs, err := e.executeChunks(p)
+	groups, qs, err := e.executeChunks(p)
 	if err != nil {
 		return nil, err
 	}
@@ -128,38 +128,44 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	for _, it := range p.items {
 		out.Columns = append(out.Columns, it.name)
 	}
-	for gid, accs := range global {
+	if out.Groups, err = e.partialGroups(p, groups); err != nil {
+		return nil, err
+	}
+	e.recordStats(qs)
+	return out, nil
+}
+
+// partialGroups converts the group table to its mergeable form, in
+// ascending group global-id order: keys become values and MIN/MAX ids the
+// values they name, because ids mean nothing on another shard.
+func (e *Engine) partialGroups(p *plan, groups *groupTable) ([]PartialGroup, error) {
+	out := make([]PartialGroup, 0, groups.n)
+	err := groups.forEach(func(gid uint32) error {
+		accs := groups.accs(gid)
 		keys, err := e.groupKeyValues(p, gid)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		pg := PartialGroup{Keys: keys}
+		pg := PartialGroup{Keys: keys, Cells: make([]PartialCell, len(p.aggs))}
 		for j := range p.aggs {
-			cell := PartialCell{
-				Count: accs[j].count,
-				SumI:  accs[j].sumI,
-				SumF:  accs[j].sumF,
-			}
-			if col := p.aggs[j].argCol; col != "" {
-				cell.SumIsInt = p.col(e, col).Kind == value.KindInt64
-			}
+			cell := &pg.Cells[j]
+			cell.Count, cell.SumI, cell.SumF = accs[j].count, accs[j].sumI, accs[j].sumF
+			cell.SumIsInt = p.aggInt[j]
 			if fn := p.aggs[j].fn; (fn == aggSum || fn == aggAvg) && !cell.SumIsInt {
 				cell.SumFParts = []float64{cell.SumF}
 			}
 			if accs[j].hasMM {
-				col := p.col(e, p.aggs[j].argCol)
-				cell.Min = col.Dict.Value(accs[j].minID)
-				cell.Max = col.Dict.Value(accs[j].maxID)
+				cell.Min = p.aggCols[j].Dict.Value(accs[j].minID)
+				cell.Max = p.aggCols[j].Dict.Value(accs[j].maxID)
 			}
 			if accs[j].sketch != nil {
 				cell.Sketch = accs[j].sketch.Marshal()
 			}
-			pg.Cells = append(pg.Cells, cell)
 		}
-		out.Groups = append(out.Groups, pg)
-	}
-	e.recordStats(qs)
-	return out, nil
+		out = append(out, pg)
+		return nil
+	})
+	return out, err
 }
 
 // keyString renders a group key for merge hashing.
@@ -269,163 +275,162 @@ func (c *PartialCell) merge(o *PartialCell) error {
 }
 
 // FinalizePartial turns a fully merged partial into the final result,
-// applying AVG division, sketch estimation, ORDER BY and LIMIT — the work
-// the root of the tree does (it also "executes any having statements" in
-// the paper; HAVING is outside this subset).
+// applying AVG division, sketch estimation, HAVING, ORDER BY and LIMIT —
+// the work the root of the tree does ("the root executes any having
+// statements", Section 4). Group keys are values here, not ids (see
+// Partial), and arrive in merge order, so the selection compares one
+// order-key column per ORDER BY term — an aggregate's finished values, or
+// the key values themselves, reached only when the terms before tie — and
+// renders rows for the groups LIMIT keeps.
 func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 	res := &Result{Columns: p.Columns, Stats: p.Stats, Coverage: 1}
 	if p.Stats.RowsTotal > 0 {
 		res.Coverage = float64(p.Stats.RowsCovered) / float64(p.Stats.RowsTotal)
 	}
-	specs, keyIdx, err := partialItemSpecs(stmt)
+	specs, err := partialItemSpecs(stmt)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range p.Groups {
-		row := make([]value.Value, len(stmt.Items))
-		ki := 0
-		for i := range stmt.Items {
-			if specs[i] == nil {
-				row[i] = g.Keys[keyIdx[ki]]
-				ki++
-				continue
-			}
-			cell := g.Cells[specs[i].cellIdx]
-			switch specs[i].fn {
-			case aggCount:
-				row[i] = value.Int64(cell.Count)
-			case aggSum:
-				if cell.SumIsInt {
-					row[i] = value.Int64(cell.SumI)
-				} else {
-					row[i] = value.Float64(cell.sumFloat())
-				}
-			case aggAvg:
-				if cell.Count == 0 {
-					row[i] = value.Float64(0)
-				} else {
-					total := cell.sumFloat()
-					if cell.SumIsInt {
-						total = float64(cell.SumI)
-					}
-					row[i] = value.Float64(total / float64(cell.Count))
-				}
-			case aggMin:
-				row[i] = cell.Min
-			case aggMax:
-				row[i] = cell.Max
-			case aggCountDistinct:
-				if len(cell.Sketch) == 0 {
-					row[i] = value.Int64(0)
-				} else {
-					k, err := sketch.UnmarshalKMV(cell.Sketch)
-					if err != nil {
-						return nil, err
-					}
-					row[i] = value.Int64(k.Estimate())
-				}
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	// "The root executes any having statements" (Section 4).
-	if err := applyHaving(stmt, res); err != nil {
+	terms, err := partialOrderTerms(stmt, specs, p.Groups)
+	if err != nil {
 		return nil, err
 	}
-	sortPartialRows(stmt, res)
+	sel, err := newRowSelection(stmt, p.Columns, terms,
+		func(i int) ([]value.Value, error) { return partialRow(specs, &p.Groups[i]) })
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.Groups {
+		if err := sel.offer(i); err != nil {
+			return nil, err
+		}
+	}
+	if res.Rows, err = sel.rows(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// partialItemSpec describes how one select item draws from a partial.
+// partialOrderTerms compiles stmt's ORDER BY for merged groups. ORDER BY
+// keys that match no output column are ignored, as in rowOrderTerms.
+func partialOrderTerms(stmt *sql.SelectStmt, specs []partialItemSpec, groups []PartialGroup) ([]orderTerm, error) {
+	var terms []orderTerm
+	for k, idx := range orderItems(stmt) {
+		if idx < 0 {
+			continue
+		}
+		spec := specs[idx]
+		term := orderTerm{desc: stmt.OrderBy[k].Desc}
+		if spec.cellIdx < 0 {
+			term.cmp = func(a, b int) int {
+				return compareOrderValues(groups[a].Keys[spec.keyIdx], groups[b].Keys[spec.keyIdx])
+			}
+		} else {
+			// A merged cell's value needs folding (float parts, a sketch to
+			// decode), so the term's values are computed once per group.
+			vals := make([]value.Value, len(groups))
+			for i := range groups {
+				v, err := spec.value(&groups[i].Cells[spec.cellIdx])
+				if err != nil {
+					return nil, err
+				}
+				vals[i] = v
+			}
+			term.cmp = func(a, b int) int { return compareOrderValues(vals[a], vals[b]) }
+		}
+		terms = append(terms, term)
+	}
+	return terms, nil
+}
+
+// partialRow renders one merged group's result row.
+func partialRow(specs []partialItemSpec, g *PartialGroup) ([]value.Value, error) {
+	row := make([]value.Value, len(specs))
+	for i, spec := range specs {
+		if spec.cellIdx < 0 {
+			row[i] = g.Keys[spec.keyIdx]
+			continue
+		}
+		v, err := spec.value(&g.Cells[spec.cellIdx])
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
+}
+
+// partialItemSpec describes how one select item draws from a partial: an
+// aggregate from cell cellIdx, or (cellIdx < 0) group key keyIdx.
 type partialItemSpec struct {
 	fn      aggFn
 	cellIdx int
+	keyIdx  int
+}
+
+// value renders the item's aggregate from its merged cell.
+func (s partialItemSpec) value(cell *PartialCell) (value.Value, error) {
+	switch s.fn {
+	case aggCount:
+		return value.Int64(cell.Count), nil
+	case aggSum:
+		if cell.SumIsInt {
+			return value.Int64(cell.SumI), nil
+		}
+		return value.Float64(cell.sumFloat()), nil
+	case aggAvg:
+		if cell.Count == 0 {
+			return value.Float64(0), nil
+		}
+		total := cell.sumFloat()
+		if cell.SumIsInt {
+			total = float64(cell.SumI)
+		}
+		return value.Float64(total / float64(cell.Count)), nil
+	case aggMin:
+		return cell.Min, nil
+	case aggMax:
+		return cell.Max, nil
+	}
+	// COUNT(DISTINCT)
+	if len(cell.Sketch) == 0 {
+		return value.Int64(0), nil
+	}
+	k, err := sketch.UnmarshalKMV(cell.Sketch)
+	if err != nil {
+		return value.Value{}, err
+	}
+	return value.Int64(k.Estimate()), nil
 }
 
 // partialItemSpecs maps select items to (aggregate, cell index) or group
-// key position (nil spec).
-func partialItemSpecs(stmt *sql.SelectStmt) ([]*partialItemSpec, []int, error) {
-	var specs []*partialItemSpec
-	var keyIdx []int
+// key position.
+func partialItemSpecs(stmt *sql.SelectStmt) ([]partialItemSpec, error) {
+	specs := make([]partialItemSpec, 0, len(stmt.Items))
 	cell := 0
 	key := 0
 	for _, item := range stmt.Items {
 		if !sql.HasAggregate(item.Expr) {
-			specs = append(specs, nil)
-			keyIdx = append(keyIdx, key)
+			specs = append(specs, partialItemSpec{cellIdx: -1, keyIdx: key})
 			key++
 			continue
 		}
 		call, ok := item.Expr.(*sql.Call)
 		if !ok {
-			return nil, nil, fmt.Errorf("exec: aggregates must be top-level calls, got %s", item.Expr)
+			return nil, fmt.Errorf("exec: aggregates must be top-level calls, got %s", item.Expr)
 		}
-		var fn aggFn
-		switch strings.ToLower(call.Name) {
-		case "count":
-			fn = aggCount
-			if call.Distinct {
-				fn = aggCountDistinct
-			}
-		case "sum":
-			fn = aggSum
-		case "min":
-			fn = aggMin
-		case "max":
-			fn = aggMax
-		case "avg":
-			fn = aggAvg
-		default:
-			return nil, nil, fmt.Errorf("exec: unknown aggregate %q", call.Name)
+		fn, ok := aggFnFor(call.Name, call.Distinct)
+		if !ok {
+			return nil, fmt.Errorf("exec: unknown aggregate %q", call.Name)
 		}
-		specs = append(specs, &partialItemSpec{fn: fn, cellIdx: cell})
+		specs = append(specs, partialItemSpec{fn: fn, cellIdx: cell})
 		cell++
 	}
-	return specs, keyIdx, nil
+	return specs, nil
 }
 
 // ApplyOrderLimit applies stmt's ORDER BY and LIMIT to an assembled
 // result — the root step of any multi-part row-scan merge. Ingest
-// snapshots use it after concatenating per-generation scans (each run
-// with the LIMIT stripped), mirroring what FinalizePartial does for
-// aggregates.
-func ApplyOrderLimit(stmt *sql.SelectStmt, res *Result) { sortPartialRows(stmt, res) }
-
-// sortPartialRows applies ORDER BY and LIMIT at the root.
-func sortPartialRows(stmt *sql.SelectStmt, res *Result) {
-	if len(stmt.OrderBy) > 0 {
-		cols := map[string]int{}
-		for i, item := range stmt.Items {
-			if item.Alias != "" {
-				cols[item.Alias] = i
-			}
-			cols[item.Expr.String()] = i
-		}
-		type orderKey struct {
-			idx  int
-			desc bool
-		}
-		var keys []orderKey
-		for _, o := range stmt.OrderBy {
-			if idx, found := cols[o.Expr.String()]; found {
-				keys = append(keys, orderKey{idx, o.Desc})
-			}
-		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for _, k := range keys {
-				c := res.Rows[a][k.idx].Compare(res.Rows[b][k.idx])
-				if c == 0 {
-					continue
-				}
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if stmt.Limit >= 0 && len(res.Rows) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
-	}
-}
+// snapshots use it after concatenating per-generation scans, mirroring
+// what FinalizePartial does for aggregates.
+func ApplyOrderLimit(stmt *sql.SelectStmt, res *Result) { res.Rows = orderRows(stmt, res.Rows) }

@@ -18,7 +18,11 @@ import (
 // claiming further chunks once enough rows have been collected; already
 // claimed chunks finish (the truncation below restores the exact sequential
 // prefix), so under an early stop the scan counters may report slightly
-// more work than the sequential engine would.
+// more work than the sequential engine would. With ORDER BY and LIMIT a
+// chunk keeps only its own first LIMIT rows of the order — selected by
+// comparing the order columns' global-ids, values looked up for the
+// survivors alone — because a row of the final top LIMIT is in the top
+// LIMIT of its chunk.
 func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 	var qs QueryStats
 	nChunks := e.store.NumChunks()
@@ -35,8 +39,13 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 	for _, it := range p.items {
 		res.Columns = append(res.Columns, it.name)
 	}
+	orderCols := orderItems(p.stmt)
+	if err := checkOrderItems(p.stmt, orderCols); err != nil {
+		return nil, qs, err
+	}
 	// Without ORDER BY, stop claiming chunks once LIMIT rows are collected.
-	canStopEarly := len(p.stmt.OrderBy) == 0 && p.stmt.Limit >= 0
+	canStopEarly := len(orderCols) == 0 && p.stmt.Limit >= 0
+	chunkTopK := len(orderCols) > 0 && p.stmt.Limit >= 0
 
 	// Admission control: share the engine's worker budget with concurrent
 	// queries (see executeChunks).
@@ -84,15 +93,34 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 			maxOut = p.stmt.Limit
 		}
 		var out [][]value.Value
-		emit := func(r int) {
-			if len(out) >= maxOut {
-				return
-			}
+		keep := func(r int) {
 			row := make([]value.Value, len(cols))
 			for i, col := range cols {
 				row[i] = col.ValueAt(ci, r)
 			}
 			out = append(out, row)
+		}
+		emit := func(r int) {
+			if len(out) < maxOut {
+				keep(r)
+			}
+		}
+		var tk *topK
+		if chunkTopK {
+			// Dictionaries are sorted: the order of two rows' global-ids in
+			// a column is the order of their values.
+			terms := make([]orderTerm, len(orderCols))
+			for k, oc := range orderCols {
+				col := cols[oc]
+				terms[k] = orderTerm{
+					cmp: func(a, b int) int {
+						return compareInts(int64(col.GlobalIDAt(ci, a)), int64(col.GlobalIDAt(ci, b)))
+					},
+					desc: p.stmt.OrderBy[k].Desc,
+				}
+			}
+			tk = newTopK(terms, p.stmt.Limit)
+			emit = tk.offer
 		}
 		if state == activeAll {
 			for r := 0; r < rows && len(out) < maxOut; r++ {
@@ -104,6 +132,11 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 				return err
 			}
 			mask.ForEach(emit)
+		}
+		if tk != nil {
+			for _, r := range tk.sorted() {
+				keep(r)
+			}
 		}
 		chunkRows[ci] = out
 		collected.Add(int64(len(out)))
@@ -122,8 +155,6 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 		qs.add(wqs[w])
 	}
 
-	if err := e.orderAndLimit(p, res); err != nil {
-		return nil, qs, err
-	}
+	res.Rows = orderRows(p.stmt, res.Rows)
 	return res, qs, nil
 }

@@ -153,16 +153,16 @@ func (s *Snapshot) runAggregate(stmt *sql.SelectStmt) (*exec.Result, error) {
 	return exec.FinalizePartial(stmt, merged)
 }
 
-// runRowScan concatenates per-unit projections in unit order. Each unit
-// runs with the LIMIT stripped (a per-unit limit would cut rows the
-// global limit keeps); ORDER BY and LIMIT apply once to the assembled
-// result, as at the root of the serving tree.
+// runRowScan concatenates per-unit projections in unit order and applies
+// ORDER BY and LIMIT once more to the assembled result, as at the root of
+// the serving tree. Each unit runs the statement whole: a row among the
+// first LIMIT of the assembled order is among the first LIMIT of its own
+// unit's, ties going to the earlier row in both, so no unit has to hand
+// over more than LIMIT rows.
 func (s *Snapshot) runRowScan(stmt *sql.SelectStmt) (*exec.Result, error) {
-	sub := *stmt
-	sub.Limit = -1
 	var out *exec.Result
 	for _, u := range s.units {
-		res, err := u.eng.Run(&sub)
+		res, err := u.eng.Run(stmt)
 		if err != nil {
 			return nil, err
 		}

@@ -33,12 +33,14 @@ type KMV struct {
 
 // NewKMV creates a sketch keeping the m smallest hash values. The paper
 // describes m as "typically in the order of a couple of thousand". m must
-// be positive.
+// be positive. The sketch grows with the hashes it retains: a group-by
+// makes one per group per chunk, and most of those see a handful of
+// distinct values, not m.
 func NewKMV(m int) *KMV {
 	if m <= 0 {
 		panic(fmt.Sprintf("sketch: invalid m=%d", m))
 	}
-	return &KMV{m: m, heap: make([]uint64, 0, m), set: make(map[uint64]struct{}, m)}
+	return &KMV{m: m, set: map[uint64]struct{}{}}
 }
 
 // M returns the sketch parameter m.
