@@ -14,6 +14,17 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// Reset makes b an all-zero bitmap over n rows, keeping the word array when
+// it is large enough: a scan worker carries one bitmap from chunk to chunk.
+func (b *Bitmap) Reset(n int) {
+	words := (n + 63) / 64
+	if cap(b.words) < words {
+		b.words = make([]uint64, words)
+	}
+	b.n, b.words = n, b.words[:words]
+	clear(b.words)
+}
+
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -72,13 +72,13 @@ type Sequence interface {
 	CountIntoMasked(counts []int64, mask *Bitmap)
 	// Materialize appends all elements to dst and returns it.
 	Materialize(dst []uint32) []uint32
-	// SpreadMask sets m's bit for every row whose chunk-id v has active[v]
-	// true; active must be sized to the chunk-dictionary cardinality and m
-	// to Len rows. Rows whose chunk-id is inactive are left untouched, so
-	// callers reuse a cleared bitmap. This spreads a per-distinct predicate
-	// verdict to per-row selection in one type-specialized pass — the
-	// vectorized restriction step.
-	SpreadMask(active []bool, m *Bitmap)
+	// SpreadMask sets m's bit for every row whose chunk-id v has verdict[v]
+	// == 1; verdict holds only 0s and 1s, one per chunk-dictionary entry,
+	// and m covers Len rows. Rows whose chunk-id has verdict 0 are left
+	// untouched. This spreads a per-distinct predicate verdict to per-row
+	// selection without a data-dependent branch — the vectorized
+	// restriction step.
+	SpreadMask(verdict []uint8, m *Bitmap)
 	// AppendBytes appends the serialized element payload to dst; the
 	// inverse is Decode with the same width and length.
 	AppendBytes(dst []byte) []byte
@@ -207,8 +207,8 @@ func (s constSeq) Materialize(dst []uint32) []uint32 {
 	}
 	return dst
 }
-func (s constSeq) SpreadMask(active []bool, m *Bitmap) {
-	if s.n > 0 && active[s.v] {
+func (s constSeq) SpreadMask(verdict []uint8, m *Bitmap) {
+	if s.n > 0 && verdict[s.v] != 0 {
 		m.SetAll()
 	}
 }
@@ -265,16 +265,16 @@ func (s bitSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
 	counts[1] += int64(ones)
 	counts[0] += int64(selected - ones)
 }
-func (s bitSeq) SpreadMask(active []bool, m *Bitmap) {
+func (s bitSeq) SpreadMask(verdict []uint8, m *Bitmap) {
 	switch {
-	case active[0] && active[1]:
+	case verdict[0] != 0 && verdict[1] != 0:
 		m.SetAll()
-	case active[1]:
+	case verdict[1] != 0:
 		for i, w := range s.bits {
 			m.words[i] |= w
 		}
 		m.trim()
-	case active[0]:
+	case verdict[0] != 0:
 		for i, w := range s.bits {
 			m.words[i] |= ^w
 		}
@@ -319,23 +319,8 @@ func (s byteSeq) Materialize(dst []uint32) []uint32 {
 	}
 	return dst
 }
-func (s byteSeq) AppendBytes(dst []byte) []byte { return append(dst, s...) }
-func (s byteSeq) SpreadMask(active []bool, m *Bitmap) {
-	for wi := range m.words {
-		base := wi * 64
-		end := base + 64
-		if end > len(s) {
-			end = len(s)
-		}
-		var w uint64
-		for i := base; i < end; i++ {
-			if active[s[i]] {
-				w |= 1 << uint(i-base)
-			}
-		}
-		m.words[wi] |= w
-	}
-}
+func (s byteSeq) AppendBytes(dst []byte) []byte         { return append(dst, s...) }
+func (s byteSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
 
 // wordSeq: up to 65536 distinct values, two bytes per element.
 type wordSeq []uint16
@@ -359,22 +344,7 @@ func (s wordSeq) Materialize(dst []uint32) []uint32 {
 	}
 	return dst
 }
-func (s wordSeq) SpreadMask(active []bool, m *Bitmap) {
-	for wi := range m.words {
-		base := wi * 64
-		end := base + 64
-		if end > len(s) {
-			end = len(s)
-		}
-		var w uint64
-		for i := base; i < end; i++ {
-			if active[s[i]] {
-				w |= 1 << uint(i-base)
-			}
-		}
-		m.words[wi] |= w
-	}
-}
+func (s wordSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
 func (s wordSeq) AppendBytes(dst []byte) []byte {
 	var b [2]byte
 	for _, v := range s {
@@ -399,23 +369,8 @@ func (s dwordSeq) CountInto(counts []int64) {
 func (s dwordSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
 	mask.ForEach(func(i int) { counts[s[i]]++ })
 }
-func (s dwordSeq) Materialize(dst []uint32) []uint32 { return append(dst, s...) }
-func (s dwordSeq) SpreadMask(active []bool, m *Bitmap) {
-	for wi := range m.words {
-		base := wi * 64
-		end := base + 64
-		if end > len(s) {
-			end = len(s)
-		}
-		var w uint64
-		for i := base; i < end; i++ {
-			if active[s[i]] {
-				w |= 1 << uint(i-base)
-			}
-		}
-		m.words[wi] |= w
-	}
-}
+func (s dwordSeq) Materialize(dst []uint32) []uint32     { return append(dst, s...) }
+func (s dwordSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
 func (s dwordSeq) AppendBytes(dst []byte) []byte {
 	var b [4]byte
 	for _, v := range s {
@@ -423,6 +378,33 @@ func (s dwordSeq) AppendBytes(dst []byte) []byte {
 		dst = append(dst, b[:]...)
 	}
 	return dst
+}
+
+// spreadMask is the one SpreadMask loop behind the three element widths: bit
+// r%64 of words[r/64] is ORed with verdict[s[r]]. A 64-row word is built
+// from eight groups of eight loads, each load shifted into place and ORed —
+// the verdict is data, never a branch, so the cost per row does not depend
+// on how many rows are selected or in what pattern. The rows beyond the
+// last full word are handled once, after the loop.
+func spreadMask[T uint8 | uint16 | uint32](s []T, verdict []uint8, words []uint64) {
+	full := len(s) / 64
+	for wi := 0; wi < full; wi++ {
+		rows := s[wi*64 : wi*64+64]
+		var w uint64
+		for g := 0; g < 64; g += 8 {
+			b := rows[g : g+8]
+			w |= uint64(verdict[b[0]]|verdict[b[1]]<<1|verdict[b[2]]<<2|verdict[b[3]]<<3|
+				verdict[b[4]]<<4|verdict[b[5]]<<5|verdict[b[6]]<<6|verdict[b[7]]<<7) << g
+		}
+		words[wi] |= w
+	}
+	if tail := s[full*64:]; len(tail) > 0 {
+		var w uint64
+		for i, v := range tail {
+			w |= uint64(verdict[v]) << i
+		}
+		words[full] |= w
+	}
 }
 
 // grown extends dst by n elements in one step and returns it with the

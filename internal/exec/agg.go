@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"powerdrill/internal/colstore"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/sketch"
@@ -14,17 +15,21 @@ import (
 // accCell accumulates one aggregate for one group. Minimum and maximum are
 // tracked as global-ids: the global dictionary is sorted, so the order of
 // ids is the order of values and no value needs materializing until the
-// final result rows.
+// final result rows. The cell holds no pointer, so a slice of them — a
+// chunk's partial, the group table's slab, a cached partial — is memory the
+// garbage collector never scans; COUNT(DISTINCT) state, which does point,
+// lives beside it in a distinctCell.
 type accCell struct {
-	count  int64
-	sumI   int64
-	sumF   float64
-	minID  uint32
-	maxID  uint32
-	hasMM  bool
-	sketch *sketch.KMV
-	exact  map[uint32]struct{}
+	count int64
+	sumI  int64
+	sumF  float64
+	minID uint32
+	maxID uint32
+	hasMM bool
 }
+
+// accCellBytes is the size of an accCell in memory.
+const accCellBytes = 40
 
 // merge folds o into c.
 func (c *accCell) merge(o *accCell) {
@@ -43,30 +48,52 @@ func (c *accCell) merge(o *accCell) {
 			}
 		}
 	}
-	if o.sketch != nil {
-		if c.sketch == nil {
-			c.sketch = sketch.NewKMV(o.sketch.M())
-		}
-		c.sketch.Merge(o.sketch)
+}
+
+// distinctCell is the COUNT(DISTINCT) state of one aggregate for one group:
+// a KMV sketch, or the exact id set under Options.ExactDistinct. Both are
+// made on the first value, so a cell of any other aggregate stays zero.
+type distinctCell struct {
+	sketch *sketch.KMV
+	exact  map[uint32]struct{}
+}
+
+// addHash offers one value's hash to the sketch (of parameter m).
+func (d *distinctCell) addHash(h uint64, m int) {
+	if d.sketch == nil {
+		d.sketch = sketch.NewKMV(m)
 	}
-	if o.exact != nil {
-		if c.exact == nil {
-			c.exact = make(map[uint32]struct{}, len(o.exact))
+	d.sketch.AddHash(h)
+}
+
+// addID adds one value's global-id to the exact set.
+func (d *distinctCell) addID(gid uint32) {
+	if d.exact == nil {
+		d.exact = make(map[uint32]struct{}, 16)
+	}
+	d.exact[gid] = struct{}{}
+}
+
+// merge folds o into d.
+func (d *distinctCell) merge(o *distinctCell) {
+	if o.sketch != nil {
+		if d.sketch == nil {
+			d.sketch = sketch.NewKMV(o.sketch.M())
 		}
-		for g := range o.exact {
-			c.exact[g] = struct{}{}
-		}
+		d.sketch.Merge(o.sketch)
+	}
+	for g := range o.exact {
+		d.addID(g)
 	}
 }
 
 // sizeBytes estimates the cache footprint of the cell.
-func (c *accCell) sizeBytes() int64 {
-	s := int64(64)
-	if c.sketch != nil {
-		s += c.sketch.MemoryBytes()
+func (d *distinctCell) sizeBytes() int64 {
+	s := int64(16)
+	if d.sketch != nil {
+		s += d.sketch.MemoryBytes()
 	}
-	s += int64(len(c.exact)) * 16
-	return s
+	return s + int64(len(d.exact))*16
 }
 
 // partial is one chunk's aggregate contribution: group global-ids plus a
@@ -76,12 +103,16 @@ func (c *accCell) sizeBytes() int64 {
 type partial struct {
 	gids []uint32
 	accs []accCell // len = len(gids) * nAggs
+	// distinct[i] is the COUNT(DISTINCT) state beside accs[i]. It exists
+	// only when the plan has a DISTINCT aggregate: any other plan's partials
+	// point at nothing but their two arrays.
+	distinct []distinctCell
 }
 
 func (p *partial) sizeBytes() int64 {
-	s := int64(len(p.gids)) * 4
-	for i := range p.accs {
-		s += p.accs[i].sizeBytes()
+	s := int64(len(p.gids))*4 + int64(len(p.accs))*accCellBytes
+	for i := range p.distinct {
+		s += p.distinct[i].sizeBytes()
 	}
 	return s
 }
@@ -141,7 +172,7 @@ func (e *Engine) executeChunks(p *plan) (*groupTable, QueryStats, error) {
 			contributed += len(part.gids)
 		}
 	}
-	groups := newGroupTable(card, len(p.aggs), contributed)
+	groups := newGroupTable(card, len(p.aggs), contributed, p.hasDistinct)
 	for _, part := range parts {
 		if part != nil {
 			groups.merge(part)
@@ -216,7 +247,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		qs.CellsScanned += int64(rows) * nCols
 		return part, nil
 	case activeSome:
-		mask, err := p.where.mask(e, p, ci)
+		mask, err := p.where.mask(e, p, ci, &sc.mask)
 		if err != nil {
 			return nil, err
 		}
@@ -285,6 +316,11 @@ func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStat
 type chunkAggCtx struct {
 	rows int
 	na   int
+	// hasDistinct: the plan has a COUNT(DISTINCT), so partials carry the
+	// distinct side array.
+	hasDistinct bool
+	// mask is the restriction's scratch: verdict table and bitmaps.
+	mask maskScratch
 	// Group geometry: chunk-ids 0..card-1 map to group global-ids. gseq is
 	// nil for a global aggregate (card == 1, one implicit group). gelems
 	// holds each row's group chunk-id, and is nil where no kernel needs it:
@@ -297,12 +333,15 @@ type chunkAggCtx struct {
 	gelems    []uint32
 	gelemsBuf []uint32
 	// Per-aggregate argument tables, indexed [agg][chunk-id] (argElems is
-	// [agg][row]).
-	argValsF [][]float64
-	argValsI [][]int64
-	argGIDs  [][]uint32
-	argHash  [][]uint64
-	argElems [][]uint32
+	// [agg][row], and empty where the kernels take the aggregate from the
+	// chunk dictionary instead of the rows; argChunks is the argument's
+	// chunk itself).
+	argValsF  [][]float64
+	argValsI  [][]int64
+	argGIDs   [][]uint32
+	argHash   [][]uint64
+	argElems  [][]uint32
+	argChunks []*colstore.Chunk
 
 	// counts[g] is the number of selected rows in group g; slot[g] is the
 	// group's position in the compacted partial (meaningful only where the
@@ -314,7 +353,12 @@ type chunkAggCtx struct {
 	sumsF  []float64
 	minIDs []uint32
 	maxIDs []uint32
-	seen   []bool
+	// occ[a] counts the selected rows holding argument chunk-id a, for the
+	// argument chunk occOf (see occupancy); pairSeen[g*|dict|+a] marks the
+	// (group, argument) pairs COUNT(DISTINCT) has already offered.
+	occ      []int64
+	occOf    *colstore.Chunk
+	pairSeen []bool
 	// The sparse path's selected rows and their group chunk-ids.
 	sel []int32
 	gof []uint32
@@ -341,7 +385,7 @@ func zeroed[T any](buf []T, n int) []T {
 
 // loadGroups resolves chunk ci's group geometry.
 func (c *chunkAggCtx) loadGroups(p *plan, ci int) {
-	c.na = len(p.aggs)
+	c.na, c.hasDistinct = len(p.aggs), p.hasDistinct
 	if p.groupCol == nil {
 		c.card, c.groupGIDs = 1, globalGroup
 		return
@@ -350,11 +394,14 @@ func (c *chunkAggCtx) loadGroups(p *plan, ci int) {
 	c.card, c.groupGIDs, c.gseq = gch.Cardinality(), gch.GlobalIDs, gch.Elems
 }
 
-// load resolves chunk ci's group geometry and dense argument tables.
-func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
+// load resolves chunk ci's group geometry and dense argument tables. With
+// dictFed, MIN, MAX and COUNT(DISTINCT) arguments of a single-group chunk
+// are not decoded to per-row elements: the kernels answer those from the
+// chunk dictionary (kernelMinMax, kernelDistinct).
+func (c *chunkAggCtx) load(e *Engine, p *plan, ci int, dictFed bool) {
 	c.rows = e.store.ChunkRows(ci)
 	c.loadGroups(p, ci)
-	c.gelems = nil
+	c.gelems, c.occOf = nil, nil
 	if c.card > 1 && p.hasArgs {
 		c.gelemsBuf = c.gseq.Materialize(resized(c.gelemsBuf, c.rows)[:0])
 		c.gelems = c.gelemsBuf
@@ -366,6 +413,7 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 		c.argGIDs = make([][]uint32, na)
 		c.argHash = make([][]uint64, na)
 		c.argElems = make([][]uint32, na)
+		c.argChunks = make([]*colstore.Chunk, na)
 	}
 	for j, spec := range p.aggs {
 		acol := p.aggCols[j]
@@ -373,8 +421,11 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 			continue
 		}
 		ach := acol.Chunks[ci]
-		c.argGIDs[j] = ach.GlobalIDs
-		c.argElems[j] = ach.Elems.Materialize(resized(c.argElems[j], c.rows)[:0])
+		c.argChunks[j], c.argGIDs[j] = ach, ach.GlobalIDs
+		c.argElems[j] = c.argElems[j][:0]
+		if !dictFed || c.gelems != nil || spec.fn == aggSum || spec.fn == aggAvg {
+			c.argElems[j] = ach.Elems.Materialize(resized(c.argElems[j], c.rows)[:0])
+		}
 		switch spec.fn {
 		case aggSum, aggAvg:
 			if p.aggInt[j] {
@@ -394,6 +445,22 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 			}
 		}
 	}
+}
+
+// occupancy tells which argument chunk-ids of aggregate j occur among the
+// selected rows: a count per chunk-id, or nil under a full mask, when all of
+// them do — a chunk dictionary lists only values the chunk holds. Aggregates
+// over one column (MIN and MAX of it, say) share the count.
+func (c *chunkAggCtx) occupancy(j int, mask *enc.Bitmap) []int64 {
+	if mask == nil {
+		return nil
+	}
+	if ach := c.argChunks[j]; c.occOf != ach {
+		c.occ = zeroed(c.occ, len(ach.GlobalIDs))
+		ach.Elems.CountIntoMasked(c.occ, mask)
+		c.occOf = ach
+	}
+	return c.occ
 }
 
 // fillInts looks up the int64 values of gids; the sorted-array dictionary
@@ -440,6 +507,9 @@ func (c *chunkAggCtx) compact(everyGroup bool) *partial {
 		}
 	}
 	part := &partial{gids: make([]uint32, n), accs: make([]accCell, n*c.na)}
+	if c.hasDistinct {
+		part.distinct = make([]distinctCell, n*c.na)
+	}
 	for g, cnt := range c.counts {
 		if cnt > 0 || everyGroup {
 			at := int(c.slot[g])
@@ -458,7 +528,7 @@ func (c *chunkAggCtx) compact(everyGroup bool) *partial {
 // the tree as the differential-fuzzing oracle and the ablation baseline;
 // production queries run the kernels in kernels.go.
 func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) (*partial, error) {
-	c.load(e, p, ci)
+	c.load(e, p, ci, false)
 	rows, card, na, gelems := c.rows, c.card, c.na, c.gelems
 	if c.gseq != nil && gelems == nil {
 		// The reference path takes every row's group from the sequence,
@@ -467,6 +537,10 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 	}
 
 	accs := make([]accCell, card*na)
+	var dist []distinctCell
+	if p.hasDistinct {
+		dist = make([]distinctCell, card*na)
+	}
 	add := func(r int) {
 		g := 0
 		if gelems != nil {
@@ -501,15 +575,9 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 			case aggCountDistinct:
 				cell.count++
 				if e.opts.ExactDistinct {
-					if cell.exact == nil {
-						cell.exact = make(map[uint32]struct{}, 16)
-					}
-					cell.exact[c.argGIDs[j][c.argElems[j][r]]] = struct{}{}
+					dist[base+j].addID(c.argGIDs[j][c.argElems[j][r]])
 				} else {
-					if cell.sketch == nil {
-						cell.sketch = sketch.NewKMV(e.opts.SketchM)
-					}
-					cell.sketch.AddHash(c.argHash[j][c.argElems[j][r]])
+					dist[base+j].addHash(c.argHash[j][c.argElems[j][r]], e.opts.SketchM)
 				}
 			}
 		}
@@ -553,6 +621,9 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 		if contributed {
 			part.gids = append(part.gids, c.groupGIDs[g])
 			part.accs = append(part.accs, accs[g*na:(g+1)*na]...)
+			if dist != nil {
+				part.distinct = append(part.distinct, dist[g*na:(g+1)*na]...)
+			}
 		}
 	}
 	return part, nil
@@ -614,9 +685,14 @@ func (e *Engine) groupOrderTerms(p *plan, groups *groupTable, items []int) []ord
 		it := p.items[idx]
 		terms[k].desc = p.stmt.OrderBy[k].Desc
 		switch {
+		case it.aggIdx >= 0 && p.aggs[it.aggIdx].fn == aggCountDistinct:
+			j := it.aggIdx
+			terms[k].cmp = func(a, b int) int {
+				return compareInts(e.distinct(&groups.dist(uint32(a))[j]), e.distinct(&groups.dist(uint32(b))[j]))
+			}
 		case it.aggIdx >= 0:
 			j := it.aggIdx
-			cmp := e.cellComparer(p, j)
+			cmp := cellComparer(p, j)
 			terms[k].cmp = func(a, b int) int {
 				return cmp(&groups.accs(uint32(a))[j], &groups.accs(uint32(b))[j])
 			}
@@ -648,9 +724,10 @@ func compositeID(keys dict.Dict, gid uint32, pos int) int64 {
 // cellComparer orders two accumulators of aggregate j exactly as their
 // rendered values (aggValue) would order, without rendering them: counts
 // and integer sums as integers, float sums and AVG quotients as floats,
-// MIN and MAX by global-id (the argument dictionary is sorted), COUNT
-// DISTINCT by its estimate.
-func (e *Engine) cellComparer(p *plan, j int) func(a, b *accCell) int {
+// MIN and MAX by global-id (the argument dictionary is sorted). COUNT
+// DISTINCT orders by its estimate, which is not in the accCell: see
+// groupOrderTerms.
+func cellComparer(p *plan, j int) func(a, b *accCell) int {
 	isInt := p.aggInt[j]
 	switch p.aggs[j].fn {
 	case aggSum:
@@ -664,8 +741,6 @@ func (e *Engine) cellComparer(p *plan, j int) func(a, b *accCell) int {
 		return func(a, b *accCell) int { return compareInts(int64(a.minID), int64(b.minID)) }
 	case aggMax:
 		return func(a, b *accCell) int { return compareInts(int64(a.maxID), int64(b.maxID)) }
-	case aggCountDistinct:
-		return func(a, b *accCell) int { return compareInts(e.distinct(a), e.distinct(b)) }
 	}
 	return func(a, b *accCell) int { return compareInts(a.count, b.count) }
 }
@@ -673,7 +748,7 @@ func (e *Engine) cellComparer(p *plan, j int) func(a, b *accCell) int {
 // groupRow renders one group's result row: aggregate values and group-key
 // values, looked up in the dictionaries.
 func (e *Engine) groupRow(p *plan, groups *groupTable, gid uint32) ([]value.Value, error) {
-	accs := groups.accs(gid)
+	accs, dist := groups.accs(gid), groups.dist(gid)
 	keyVals, err := e.groupKeyValues(p, gid)
 	if err != nil {
 		return nil, err
@@ -682,7 +757,7 @@ func (e *Engine) groupRow(p *plan, groups *groupTable, gid uint32) ([]value.Valu
 	for i, it := range p.items {
 		switch {
 		case it.aggIdx >= 0:
-			v, err := e.aggValue(p, it.aggIdx, &accs[it.aggIdx])
+			v, err := e.aggValue(p, it.aggIdx, accs, dist)
 			if err != nil {
 				return nil, err
 			}
@@ -732,18 +807,20 @@ func (c *accCell) avg(isInt bool) float64 {
 }
 
 // distinct is the cell's COUNT(DISTINCT) answer.
-func (e *Engine) distinct(c *accCell) int64 {
+func (e *Engine) distinct(d *distinctCell) int64 {
 	if e.opts.ExactDistinct {
-		return int64(len(c.exact))
+		return int64(len(d.exact))
 	}
-	if c.sketch == nil {
+	if d.sketch == nil {
 		return 0
 	}
-	return c.sketch.Estimate()
+	return d.sketch.Estimate()
 }
 
-// aggValue renders aggregate j's final value.
-func (e *Engine) aggValue(p *plan, j int, cell *accCell) (value.Value, error) {
+// aggValue renders aggregate j's final value from a group's accumulators
+// (and its distinct cells, when the plan has any).
+func (e *Engine) aggValue(p *plan, j int, accs []accCell, dist []distinctCell) (value.Value, error) {
+	cell := &accs[j]
 	switch spec := p.aggs[j]; spec.fn {
 	case aggCount:
 		return value.Int64(cell.count), nil
@@ -765,7 +842,7 @@ func (e *Engine) aggValue(p *plan, j int, cell *accCell) (value.Value, error) {
 		}
 		return p.aggCols[j].Dict.Value(cell.maxID), nil
 	case aggCountDistinct:
-		return value.Int64(e.distinct(cell)), nil
+		return value.Int64(e.distinct(&dist[j])), nil
 	default:
 		return value.Value{}, fmt.Errorf("exec: unknown aggregate %d", spec.fn)
 	}

@@ -89,11 +89,7 @@ func aggFnFor(name string, distinct bool) (aggFn, bool) {
 func (e *Engine) predictCacheSig(stmt *sql.SelectStmt) (string, bool) {
 	var groupCols []string
 	for _, g := range stmt.GroupBy {
-		resolved, err := e.resolveGroupExpr(stmt, g)
-		if err != nil {
-			return "", false
-		}
-		groupCols = append(groupCols, operandName(resolved))
+		groupCols = append(groupCols, operandName(resolveGroupExpr(stmt, g)))
 	}
 	hasAgg := false
 	var aggs []aggSpec

@@ -477,9 +477,7 @@ func (e *Engine) prefetchColumns(stmt *sql.SelectStmt, ps *colstore.PinSet, acti
 	}
 	pinPredicate(stmt.Where)
 	for _, g := range stmt.GroupBy {
-		if resolved, err := e.resolveGroupExpr(stmt, g); err == nil {
-			pinOperand(resolved)
-		}
+		pinOperand(resolveGroupExpr(stmt, g))
 	}
 	for _, o := range stmt.OrderBy {
 		pinOperand(o.Expr)
@@ -691,11 +689,13 @@ type plan struct {
 	// groupCol is the column grouped by (nil for a global aggregate),
 	// aggCols[j] aggregate j's argument (nil for COUNT(*)), and aggInt[j]
 	// whether that argument is integral (SUM and AVG accumulate in sumI);
-	// hasArgs reports whether any aggregate has an argument.
-	groupCol *colstore.Column
-	aggCols  []*colstore.Column
-	aggInt   []bool
-	hasArgs  bool
+	// hasArgs reports whether any aggregate has an argument, hasDistinct
+	// whether any is a COUNT(DISTINCT).
+	groupCol    *colstore.Column
+	aggCols     []*colstore.Column
+	aggInt      []bool
+	hasArgs     bool
+	hasDistinct bool
 }
 
 // pins returns the flags of the chunks planning must pin (nil = all
@@ -744,11 +744,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 
 	// GROUP BY columns (materialized).
 	for _, g := range stmt.GroupBy {
-		name, err := e.resolveGroupExpr(stmt, g)
-		if err != nil {
-			return nil, err
-		}
-		col, err := e.materializeOperand(name, ps, p.pins())
+		col, err := e.materializeOperand(resolveGroupExpr(stmt, g), ps, p.pins())
 		if err != nil {
 			return nil, err
 		}
@@ -863,21 +859,22 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 			p.aggInt[j] = p.aggCols[j].Kind == value.KindInt64
 			p.hasArgs = true
 		}
+		p.hasDistinct = p.hasDistinct || spec.fn == aggCountDistinct
 	}
 	return p, nil
 }
 
 // resolveGroupExpr maps a GROUP BY expression, which may be an alias of a
 // select item, back to the underlying expression.
-func (e *Engine) resolveGroupExpr(stmt *sql.SelectStmt, g sql.Expr) (sql.Expr, error) {
+func resolveGroupExpr(stmt *sql.SelectStmt, g sql.Expr) sql.Expr {
 	if id, ok := g.(*sql.Ident); ok {
 		for _, item := range stmt.Items {
 			if item.Alias == id.Name && !sql.HasAggregate(item.Expr) {
-				return item.Expr, nil
+				return item.Expr
 			}
 		}
 	}
-	return g, nil
+	return g
 }
 
 // matchGroup finds which group expression a select item corresponds to.

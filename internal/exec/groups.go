@@ -1,7 +1,7 @@
 package exec
 
 // groupTable is a query's merged accumulator state, kept in id space: one
-// []accCell slab holding na cells per group, addressed through a slot
+// pointer-free []accCell slab holding na cells per group, addressed through a slot
 // table indexed by the group's global-id. The table's size is the group
 // dictionary's cardinality, known from the plan, so finding a group is an
 // array access — no hashing, no per-group allocation — and walking the
@@ -15,26 +15,33 @@ type groupTable struct {
 	// cells holds group s's accumulators at [s*na, (s+1)*na), in the order
 	// groups were first merged.
 	cells []accCell
-	n     int // groups present
+	// distinct holds the COUNT(DISTINCT) state beside cells, for a plan
+	// that has a DISTINCT aggregate; nil for any other.
+	distinct []distinctCell
+	n        int // groups present
 }
 
 // newGroupTable sizes the table for a plan: card is the group dictionary's
 // cardinality (1 for a global aggregate) and groupsHint an upper bound on
 // the groups the partials can contribute, so the slab is allocated once.
-func newGroupTable(card, na, groupsHint int) *groupTable {
+func newGroupTable(card, na, groupsHint int, hasDistinct bool) *groupTable {
 	if groupsHint > card {
 		groupsHint = card
 	}
-	return &groupTable{
+	t := &groupTable{
 		na:    na,
 		slot:  make([]int32, card),
 		cells: make([]accCell, 0, groupsHint*na),
 	}
+	if hasDistinct {
+		t.distinct = make([]distinctCell, 0, groupsHint*na)
+	}
+	return t
 }
 
 // merge folds one chunk partial into the table. Cells are merged into
 // zeroed slab cells, never copied: cached partials are shared between
-// queries and workers, and a copied cell would alias its sketch.
+// queries and workers, and a copied distinct cell would alias its sketch.
 func (t *groupTable) merge(part *partial) {
 	na := t.na
 	for i, gid := range part.gids {
@@ -45,11 +52,20 @@ func (t *groupTable) merge(part *partial) {
 			t.slot[gid] = s
 			for j := 0; j < na; j++ {
 				t.cells = append(t.cells, accCell{})
+				if t.distinct != nil {
+					t.distinct = append(t.distinct, distinctCell{})
+				}
 			}
 		}
 		dst := t.cells[int(s-1)*na : int(s)*na]
 		for j := range dst {
 			dst[j].merge(&part.accs[i*na+j])
+		}
+		if t.distinct != nil {
+			dst := t.distinct[int(s-1)*na : int(s)*na]
+			for j := range dst {
+				dst[j].merge(&part.distinct[i*na+j])
+			}
 		}
 	}
 }
@@ -58,6 +74,16 @@ func (t *groupTable) merge(part *partial) {
 func (t *groupTable) accs(gid uint32) []accCell {
 	s := int(t.slot[gid])
 	return t.cells[(s-1)*t.na : s*t.na]
+}
+
+// dist returns the distinct cells beside accs(gid); nil when the plan has
+// no DISTINCT aggregate.
+func (t *groupTable) dist(gid uint32) []distinctCell {
+	if t.distinct == nil {
+		return nil
+	}
+	s := int(t.slot[gid])
+	return t.distinct[(s-1)*t.na : s*t.na]
 }
 
 // forEach calls fn for every group present, in ascending global-id order.

@@ -7,13 +7,23 @@ package exec
 // materialized element arrays, driven either by the full row range or by
 // the surviving-row bitmap's words (64 rows per branch-free word probe).
 //
-// Bit-for-bit identity with the scalar path is a hard requirement (the
-// differential fuzzer enforces it): every kernel visits rows in ascending
-// order, so float SUM/AVG accumulate in exactly the scalar order, KMV
-// sketches ingest hashes in the same sequence, and the compaction step
-// reproduces the scalar occupancy rules exactly.
+// Identity with the scalar path is a hard requirement (the differential
+// fuzzer enforces it): the sum kernels visit rows in ascending order, so
+// float SUM/AVG accumulate in exactly the scalar order, bit for bit; a KMV
+// sketch is offered the same set of hashes, so it retains the same hashes
+// and gives the same estimate (the order they arrive in, and with it the
+// sketch's internal layout, is not part of the contract); and the
+// compaction step reproduces the scalar occupancy rules exactly.
+//
+// Where a chunk holds one group — a global aggregate, or any chunk when
+// grouping by a partition field — MIN, MAX and COUNT(DISTINCT) do not visit
+// rows at all: the argument's chunk dictionary is the sorted list of values
+// that occur, so under a full mask its first and last entries are the
+// extremes and its entries are the distinct values, and under a partial mask
+// the same holds for the entries CountIntoMasked finds occupied.
 
 import (
+	"math"
 	"math/bits"
 
 	"powerdrill/internal/enc"
@@ -32,7 +42,7 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 			return e.aggregateChunkVecSparse(p, ci, mask, n, c)
 		}
 	}
-	c.load(e, p, ci)
+	c.load(e, p, ci, true)
 
 	// Row counts per group drive every kernel: they are each cell's .count
 	// (all aggregate kinds count selected rows identically) and the
@@ -59,6 +69,9 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 	// scalar rule that a pure GROUP BY over a full chunk emits every
 	// dictionary entry.
 	part := c.compact(c.na == 0 && mask == nil)
+	if len(part.gids) == 0 {
+		return part, nil // no row selected (or none there): nothing to aggregate
+	}
 	for j, spec := range p.aggs {
 		switch spec.fn {
 		case aggSum, aggAvg:
@@ -70,7 +83,7 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 		case aggMin, aggMax:
 			kernelMinMax(part.accs, j, c, mask)
 		case aggCountDistinct:
-			kernelDistinct(e, part.accs, j, c, mask)
+			kernelDistinct(e, part.distinct, j, c, mask)
 		}
 	}
 	return part, nil
@@ -110,13 +123,13 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 	// mask != nil here, so occupancy is exactly counts[g] > 0 on every
 	// path (including the pure-GROUP-BY na == 0 case).
 	part := c.compact(false)
-	accs, gof, slot := part.accs, c.gof, c.slot
-	// cell is selected row i's accumulator for aggregate j.
-	cell := func(i, j int) *accCell {
+	accs, dist, gof, slot := part.accs, part.distinct, c.gof, c.slot
+	// at is where selected row i's cell for aggregate j lies in the partial.
+	at := func(i, j int) int {
 		if c.gseq == nil {
-			return &accs[j]
+			return j
 		}
-		return &accs[int(slot[gof[i]])*na+j]
+		return int(slot[gof[i]])*na + j
 	}
 	for j, spec := range p.aggs {
 		acol := p.aggCols[j]
@@ -129,17 +142,17 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 		case aggSum, aggAvg:
 			if p.aggInt[j] {
 				for i, r := range sel {
-					cell(i, j).sumI += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
+					accs[at(i, j)].sumI += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
 				}
 			} else {
 				for i, r := range sel {
-					cell(i, j).sumF += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
+					accs[at(i, j)].sumF += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
 				}
 			}
 		case aggMin, aggMax:
 			for i, r := range sel {
 				gid := agids[aseq.At(int(r))]
-				cell := cell(i, j)
+				cell := &accs[at(i, j)]
 				if !cell.hasMM {
 					cell.minID, cell.maxID, cell.hasMM = gid, gid, true
 					continue
@@ -154,19 +167,11 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 		case aggCountDistinct:
 			if e.opts.ExactDistinct {
 				for i, r := range sel {
-					cell := cell(i, j)
-					if cell.exact == nil {
-						cell.exact = make(map[uint32]struct{}, 16)
-					}
-					cell.exact[agids[aseq.At(int(r))]] = struct{}{}
+					dist[at(i, j)].addID(agids[aseq.At(int(r))])
 				}
 			} else {
 				for i, r := range sel {
-					cell := cell(i, j)
-					if cell.sketch == nil {
-						cell.sketch = sketch.NewKMV(e.opts.SketchM)
-					}
-					cell.sketch.AddHash(acol.Dict.Hash(agids[aseq.At(int(r))]))
+					dist[at(i, j)].addHash(acol.Dict.Hash(agids[aseq.At(int(r))]), e.opts.SketchM)
 				}
 			}
 		}
@@ -270,103 +275,129 @@ func kernelSumFloat(accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 
 // kernelMinMax tracks per-group global-id extremes. One kernel serves both
 // MIN and MAX: the cell carries both ids and finalize picks the right one.
+// A single-group chunk is answered from the argument's chunk dictionary:
+// the first and last occupied entries.
 func kernelMinMax(accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 	gids, ae, ge := c.argGIDs[j], c.argElems[j], c.gelems
-	c.minIDs = resized(c.minIDs, c.card)
-	c.maxIDs = resized(c.maxIDs, c.card)
-	c.seen = zeroed(c.seen, c.card)
-	minIDs, maxIDs, seen := c.minIDs, c.maxIDs, c.seen
-	visit := func(g int, gid uint32) {
-		if !seen[g] {
-			minIDs[g], maxIDs[g], seen[g] = gid, gid, true
-			return
-		}
-		if gid < minIDs[g] {
-			minIDs[g] = gid
-		}
-		if gid > maxIDs[g] {
-			maxIDs[g] = gid
-		}
-	}
-	switch {
-	case mask == nil && ge == nil:
-		for _, a := range ae {
-			visit(0, gids[a])
-		}
-	case mask == nil:
-		for r, a := range ae {
-			visit(int(ge[r]), gids[a])
-		}
-	case ge == nil:
-		for wi, w := range mask.Words() {
-			base := wi * 64
-			for w != 0 {
-				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				visit(0, gids[ae[r]])
+	if ge == nil {
+		first, last := 0, len(gids)-1
+		if occ := c.occupancy(j, mask); occ != nil {
+			for occ[first] == 0 {
+				first++
+			}
+			for occ[last] == 0 {
+				last--
 			}
 		}
-	default:
+		accs[j].minID, accs[j].maxID, accs[j].hasMM = gids[first], gids[last], true
+		return
+	}
+	// Chunk-ids ascend with the global-ids they stand for, so a group's
+	// extreme chunk-ids name its extreme values. Every selected row counts
+	// into its group, so the occupied groups are the ones that saw a value.
+	c.minIDs = resized(c.minIDs, c.card)
+	c.maxIDs = zeroed(c.maxIDs, c.card)
+	lo, hi := c.minIDs, c.maxIDs
+	for g := range lo {
+		lo[g] = math.MaxUint32
+	}
+	if mask == nil {
+		for r, a := range ae {
+			g := ge[r]
+			lo[g], hi[g] = min(lo[g], a), max(hi[g], a)
+		}
+	} else {
 		for wi, w := range mask.Words() {
 			base := wi * 64
-			for w != 0 {
+			for ; w != 0; w &= w - 1 {
 				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				visit(int(ge[r]), gids[ae[r]])
+				g, a := ge[r], ae[r]
+				lo[g], hi[g] = min(lo[g], a), max(hi[g], a)
 			}
 		}
 	}
 	c.occupied(accs, j, func(g int, cell *accCell) {
-		if seen[g] {
-			cell.minID, cell.maxID, cell.hasMM = minIDs[g], maxIDs[g], true
-		}
+		cell.minID, cell.maxID, cell.hasMM = gids[lo[g]], gids[hi[g]], true
 	})
 }
 
+// pairSeenCap bounds the (group, argument chunk-id) table kernelDistinct
+// dedupes through, in entries; it is cleared for every chunk that uses it.
+const pairSeenCap = 1 << 16
+
 // kernelDistinct feeds COUNT(DISTINCT x) accumulators: per-group KMV
-// sketches (hash per distinct argument id, precomputed) or exact id sets.
-// Sketches and sets allocate lazily on first row, like the scalar path.
-func kernelDistinct(e *Engine, accs []accCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
-	ae, ge, slot := c.argElems[j], c.gelems, c.slot
-	// cell is row r's accumulator: a selected row's group is occupied.
-	cell := func(r int) *accCell {
-		if ge == nil {
-			return &accs[j]
+// sketches (hash per distinct argument id, precomputed) or exact id sets,
+// both made on a group's first value, like the scalar path. A single-group
+// chunk offers the occupied entries of the argument's chunk dictionary, each
+// once. Otherwise rows are visited, and a (group, value) pair
+// is offered the first time it is seen: a repeated offer never changes a
+// sketch or a set, so skipping it — one flag instead of a hash-set probe
+// per row — leaves exactly the state offering every row would.
+func kernelDistinct(e *Engine, dist []distinctCell, j int, c *chunkAggCtx, mask *enc.Bitmap) {
+	gids, hs, ge := c.argGIDs[j], c.argHash[j], c.gelems
+	offer := func(d *distinctCell, a uint32) {
+		if e.opts.ExactDistinct {
+			d.addID(gids[a])
+		} else {
+			d.addHash(hs[a], e.opts.SketchM)
 		}
-		return &accs[int(slot[ge[r]])*c.na+j]
 	}
-	var visit func(r int)
-	if e.opts.ExactDistinct {
-		gids := c.argGIDs[j]
-		visit = func(r int) {
-			cell := cell(r)
-			if cell.exact == nil {
-				cell.exact = make(map[uint32]struct{}, 16)
+	if ge == nil {
+		d, occ := &dist[j], c.occupancy(j, mask)
+		if e.opts.ExactDistinct {
+			for a, gid := range gids {
+				if occ == nil || occ[a] > 0 {
+					d.addID(gid)
+				}
 			}
-			cell.exact[gids[ae[r]]] = struct{}{}
+			return
 		}
-	} else {
-		hs := c.argHash[j]
-		visit = func(r int) {
-			cell := cell(r)
-			if cell.sketch == nil {
-				cell.sketch = sketch.NewKMV(e.opts.SketchM)
+		// hs is scratch, filled for this chunk: keep the occupied entries'
+		// hashes and hand them to the sketch in one step.
+		if occ != nil {
+			n := 0
+			for a, h := range hs {
+				if occ[a] > 0 {
+					hs[n] = h
+					n++
+				}
 			}
-			cell.sketch.AddHash(hs[ae[r]])
+			hs = hs[:n]
 		}
+		if d.sketch == nil {
+			d.sketch = sketch.NewKMV(e.opts.SketchM)
+		}
+		d.sketch.AddDictionary(hs)
+		return
+	}
+	ae, slot, nd := c.argElems[j], c.slot, len(gids)
+	var seen []bool
+	if c.card*nd <= pairSeenCap {
+		c.pairSeen = zeroed(c.pairSeen, c.card*nd)
+		seen = c.pairSeen
+	}
+	visit := func(r int) {
+		g, a := ge[r], ae[r]
+		if seen != nil {
+			pair := int(g)*nd + int(a)
+			if seen[pair] {
+				return
+			}
+			seen[pair] = true
+		}
+		// A selected row's group is occupied, so it has a slot.
+		offer(&dist[int(slot[g])*c.na+j], a)
 	}
 	if mask == nil {
 		for r := 0; r < c.rows; r++ {
 			visit(r)
 		}
-	} else {
-		for wi, w := range mask.Words() {
-			base := wi * 64
-			for w != 0 {
-				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				visit(r)
-			}
+		return
+	}
+	for wi, w := range mask.Words() {
+		base := wi * 64
+		for ; w != 0; w &= w - 1 {
+			visit(base + bits.TrailingZeros64(w))
 		}
 	}
 }

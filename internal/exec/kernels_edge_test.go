@@ -181,3 +181,46 @@ func TestKernelSparseDenseCutover(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelEmptyStore: a store built from an empty table has one chunk of
+// no rows and an empty chunk dictionary, which no kernel may index.
+func TestKernelEmptyStore(t *testing.T) {
+	tbl := table.New("data").AddStringColumn("s", nil).AddInt64Column("n", nil)
+	store, err := colstore.FromTable(tbl, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`SELECT COUNT(*), MIN(n), MAX(s), COUNT(DISTINCT s), SUM(n) FROM data;`,
+		`SELECT s, MIN(n), COUNT(DISTINCT n), AVG(n) FROM data GROUP BY s;`,
+		`SELECT s, MAX(n) FROM data WHERE n > 3 GROUP BY s;`,
+	} {
+		kres, kerr := New(store, Options{}).Query(q)
+		sres, serr := New(store, Options{DisableKernels: true}).Query(q)
+		if kerr != nil || serr != nil {
+			t.Fatalf("%s: kernel error %v, scalar error %v", q, kerr, serr)
+		}
+		if len(kres.Rows) != 0 || len(sres.Rows) != 0 {
+			t.Errorf("%s: rows from an empty store: kernel %v, scalar %v", q, kres.Rows, sres.Rows)
+		}
+	}
+}
+
+// TestKernelMaskErrorParity: the kernel mask evaluation stops folding a
+// subtree once a leaf has decided it, but the scalar path evaluates every
+// child, and a row predicate among them may fail. The kernels must report
+// that failure too — here the chunk dictionary decides the AND ("none", by
+// n = 99) and the OR ("all", by p) before the failing comparison is reached.
+func TestKernelMaskErrorParity(t *testing.T) {
+	store := edgeStore(t)
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM data WHERE (p = "p00" AND n = 99 AND s < n) OR n >= 2;`,
+		`SELECT COUNT(*) FROM data WHERE (p = "p00" OR s < n) AND n >= 2;`,
+	} {
+		_, kerr := New(store, Options{}).Query(q)
+		_, serr := New(store, Options{DisableKernels: true}).Query(q)
+		if kerr == nil || serr == nil || kerr.Error() != serr.Error() {
+			t.Errorf("%s:\n  kernel: %v\n  scalar: %v", q, kerr, serr)
+		}
+	}
+}

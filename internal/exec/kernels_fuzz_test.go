@@ -13,11 +13,19 @@ import (
 // FuzzScanKernelsVsScalar is the differential fuzzer that backs the
 // bit-for-bit identity claim in kernels.go: it generates a random table
 // (mixed column types, duplicate and empty strings, uneven chunk sizes down
-// to single rows) and a random query (restrictions over =, !=, <, <=, >,
-// >=, IN, NOT, AND, OR; GROUP BY over any column or none; 1–3 aggregates
-// from COUNT/SUM/AVG/MIN/MAX/COUNT(DISTINCT)), then runs it through the
-// vectorized kernels and the scalar reference path and requires exactly
-// equal results — including float bit patterns — or exactly equal errors.
+// to single rows) and a random query (a restriction tree up to three levels
+// deep over =, !=, <, <=, >, >=, IN, NOT, AND, OR, whose leaves on the
+// partition column are decided "all" or "none" by most chunk dictionaries
+// and whose selective leaves leave a sparse mask for the ones after them;
+// GROUP BY over any column — the partition column makes single-group
+// chunks — or none; 1–3 aggregates from COUNT/SUM/AVG/MIN/MAX/
+// COUNT(DISTINCT)), then runs it through the vectorized kernels and the
+// scalar reference path and requires exactly equal results — including
+// float bit patterns — or exactly equal errors, and exactly equal merged
+// accumulators, sketches compared by the hashes they retain. Bits of shape
+// turn on ExactDistinct and DisableSkipping, the latter so that chunks the
+// classification would settle reach the masked kernels with full and empty
+// masks.
 func FuzzScanKernelsVsScalar(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(0))
 	f.Add(int64(2012), uint16(1000), uint16(7))
@@ -29,8 +37,16 @@ func FuzzScanKernelsVsScalar(f *testing.F) {
 	})
 }
 
-// diffKernelsVsScalar is one differential trial; the chunk-boundary table
-// tests reuse it with pinned inputs.
+// TestScanKernelsVsScalarSweep runs the differential trial over a fixed
+// range of seeds, sizes and shapes, so that a plain `go test` — not only a
+// fuzzing run — walks the restriction and kernel branches.
+func TestScanKernelsVsScalarSweep(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		diffKernelsVsScalar(t, seed, 1+int(seed*37%1500), uint16(seed))
+	}
+}
+
+// diffKernelsVsScalar is one differential trial.
 func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 	t.Helper()
 	if rows == 0 {
@@ -72,15 +88,17 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 		t.Fatalf("FromTable: %v", err)
 	}
 
-	q := randomKernelQuery(rng, strCard, intCard)
+	q := randomKernelQuery(rng, strCard, intCard, (rows-1)/pEvery)
 	opts := Options{
-		Parallelism:   1 + rng.Intn(4),
-		ExactDistinct: shape&2 != 0,
+		Parallelism:     1 + rng.Intn(4),
+		ExactDistinct:   shape&2 != 0,
+		DisableSkipping: shape&4 != 0,
 	}
 	scalarOpts := opts
 	scalarOpts.DisableKernels = true
-	kres, kerr := New(store, opts).Query(q)
-	sres, serr := New(store, scalarOpts).Query(q)
+	kernel, scalar := New(store, opts), New(store, scalarOpts)
+	kres, kerr := kernel.Query(q)
+	sres, serr := scalar.Query(q)
 
 	switch {
 	case (kerr == nil) != (serr == nil):
@@ -97,11 +115,40 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 	if !reflect.DeepEqual(kres.Rows, sres.Rows) {
 		t.Fatalf("row divergence for %q:\n  kernel: %#v\n  scalar: %#v", q, kres.Rows, sres.Rows)
 	}
+	requireSameGroupTables(t, q, kernel, scalar)
+}
+
+// requireSameGroupTables runs q's scan on both engines and compares the
+// merged accumulators of every group — what ORDER BY and LIMIT hide from a
+// comparison of result rows. A sketch is compared by the hashes it retains.
+func requireSameGroupTables(t *testing.T, q string, kernel, scalar *Engine) {
+	t.Helper()
+	var tables [2]*groupTable
+	for i, e := range []*Engine{kernel, scalar} {
+		p, release := planned(t, e, q)
+		defer release()
+		groups, _, err := e.executeChunks(p)
+		if err != nil {
+			t.Fatalf("executeChunks %q: %v", q, err)
+		}
+		tables[i] = groups
+	}
+	k, s := tables[0], tables[1]
+	if !reflect.DeepEqual(k.slot, s.slot) || !reflect.DeepEqual(k.cells, s.cells) || len(k.distinct) != len(s.distinct) {
+		t.Fatalf("accumulator divergence for %q:\n  kernel: %v %+v\n  scalar: %v %+v", q, k.slot, k.cells, s.slot, s.cells)
+	}
+	for i := range k.distinct {
+		kd, sd := &k.distinct[i], &s.distinct[i]
+		if !reflect.DeepEqual(kd.exact, sd.exact) || (kd.sketch == nil) != (sd.sketch == nil) ||
+			kd.sketch != nil && !reflect.DeepEqual(kd.sketch.RetainedHashes(), sd.sketch.RetainedHashes()) {
+			t.Fatalf("distinct cell %d diverges for %q:\n  kernel: %+v\n  scalar: %+v", i, q, kd, sd)
+		}
+	}
 }
 
 // randomKernelQuery assembles a query from the restriction and aggregate
 // grammar both scan paths support.
-func randomKernelQuery(rng *rand.Rand, strCard, intCard int) string {
+func randomKernelQuery(rng *rand.Rand, strCard, intCard, lastPart int) string {
 	strLit := func() string {
 		// Mix of present values, the empty string, and guaranteed misses.
 		switch rng.Intn(4) {
@@ -114,6 +161,8 @@ func randomKernelQuery(rng *rand.Rand, strCard, intCard int) string {
 		}
 	}
 	intLit := func() string { return fmt.Sprintf("%d", rng.Intn(intCard+2)) }
+	// A value of the partition column: one past the last is a miss.
+	partLit := func() string { return fmt.Sprintf(`"p%03d"`, rng.Intn(lastPart+2)) }
 	preds := []func() string{
 		func() string { return fmt.Sprintf("s = %s", strLit()) },
 		func() string { return fmt.Sprintf("s != %s", strLit()) },
@@ -125,19 +174,46 @@ func randomKernelQuery(rng *rand.Rand, strCard, intCard int) string {
 		func() string { return fmt.Sprintf("s IN (%s, %s, %s)", strLit(), strLit(), strLit()) },
 		func() string { return fmt.Sprintf("n NOT IN (%s, %s)", intLit(), intLit()) },
 		func() string { return fmt.Sprintf("NOT s = %s", strLit()) },
+		// On the partition column: all or none of a chunk, for most chunks.
+		func() string { return fmt.Sprintf("p = %s", partLit()) },
+		func() string { return fmt.Sprintf("p != %s", partLit()) },
+		func() string { return fmt.Sprintf("p >= %s", partLit()) },
+		func() string { return fmt.Sprintf("p IN (%s, %s)", partLit(), partLit()) },
+		// A row predicate: evaluated per row, and now and then one that fails.
+		func() string {
+			if rng.Intn(8) == 0 {
+				return "s < n"
+			}
+			return "n = n"
+		},
+	}
+	// tree draws a restriction tree: a leaf, or at depth > 0 a NOT, or an
+	// AND or OR of two to four subtrees. A long AND is the shape whose first
+	// selective leaves leave few rows for the rest to be probed at.
+	var tree func(depth int) string
+	tree = func(depth int) string {
+		if depth == 0 || rng.Intn(3) == 0 {
+			return preds[rng.Intn(len(preds))]()
+		}
+		if rng.Intn(5) == 0 {
+			return "NOT (" + tree(depth-1) + ")"
+		}
+		op := " AND "
+		if rng.Intn(3) == 0 {
+			op = " OR "
+		}
+		out := "(" + tree(depth-1)
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			out += op + tree(depth-1)
+		}
+		return out + ")"
 	}
 	var where string
-	switch rng.Intn(5) {
-	case 0: // unrestricted
-	case 1, 2:
-		where = " WHERE " + preds[rng.Intn(len(preds))]()
-	case 3:
-		where = fmt.Sprintf(" WHERE %s AND %s", preds[rng.Intn(len(preds))](), preds[rng.Intn(len(preds))]())
-	default:
-		where = fmt.Sprintf(" WHERE %s OR %s", preds[rng.Intn(len(preds))](), preds[rng.Intn(len(preds))]())
+	if depth := rng.Intn(4); depth > 0 {
+		where = " WHERE " + tree(depth-1)
 	}
 
-	aggs := []string{"COUNT(*)", "SUM(n)", "SUM(fv)", "AVG(fv)", "AVG(n)", "MIN(s)", "MAX(n)", "COUNT(DISTINCT s)", "COUNT(DISTINCT n)"}
+	aggs := []string{"COUNT(*)", "SUM(n)", "SUM(fv)", "AVG(fv)", "AVG(n)", "MIN(s)", "MAX(n)", "MIN(fv)", "MAX(s)", "COUNT(DISTINCT s)", "COUNT(DISTINCT n)"}
 	rng.Shuffle(len(aggs), func(i, j int) { aggs[i], aggs[j] = aggs[j], aggs[i] })
 	na := 1 + rng.Intn(3)
 

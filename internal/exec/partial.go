@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -141,7 +142,7 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 func (e *Engine) partialGroups(p *plan, groups *groupTable) ([]PartialGroup, error) {
 	out := make([]PartialGroup, 0, groups.n)
 	err := groups.forEach(func(gid uint32) error {
-		accs := groups.accs(gid)
+		accs, dist := groups.accs(gid), groups.dist(gid)
 		keys, err := e.groupKeyValues(p, gid)
 		if err != nil {
 			return err
@@ -158,8 +159,8 @@ func (e *Engine) partialGroups(p *plan, groups *groupTable) ([]PartialGroup, err
 				cell.Min = p.aggCols[j].Dict.Value(accs[j].minID)
 				cell.Max = p.aggCols[j].Dict.Value(accs[j].maxID)
 			}
-			if accs[j].sketch != nil {
-				cell.Sketch = accs[j].sketch.Marshal()
+			if dist != nil && dist[j].sketch != nil {
+				cell.Sketch = dist[j].sketch.Marshal()
 			}
 		}
 		out = append(out, pg)
@@ -404,15 +405,24 @@ func (s partialItemSpec) value(cell *PartialCell) (value.Value, error) {
 }
 
 // partialItemSpecs maps select items to (aggregate, cell index) or group
-// key position.
+// key position. A group's Keys are in GROUP BY order (partialGroups), which
+// need not be the order of the select list, so a key item finds its
+// position the way the planner's matchGroup does: by the column it
+// resolves to.
 func partialItemSpecs(stmt *sql.SelectStmt) ([]partialItemSpec, error) {
+	groupCols := make([]string, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
+		groupCols[i] = operandName(resolveGroupExpr(stmt, g))
+	}
 	specs := make([]partialItemSpec, 0, len(stmt.Items))
 	cell := 0
-	key := 0
 	for _, item := range stmt.Items {
 		if !sql.HasAggregate(item.Expr) {
+			key := slices.Index(groupCols, operandName(item.Expr))
+			if key < 0 {
+				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", item.Expr)
+			}
 			specs = append(specs, partialItemSpec{cellIdx: -1, keyIdx: key})
-			key++
 			continue
 		}
 		call, ok := item.Expr.(*sql.Call)

@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/enc"
@@ -60,7 +62,6 @@ const (
 	rInSet   // column value's global-id ∈ gids
 	rRange   // lo <= global-id < hi
 	rRowPred // evaluate expression per row (cannot skip)
-	rTrue    // matches everything (e.g. empty NOT IN list)
 )
 
 // compileRestriction translates a WHERE expression. Any sub-expression
@@ -237,11 +238,8 @@ func rangeForComparison(d interface {
 	}
 	switch op {
 	case sql.OpLt:
-		hi = ge
-		if present && !strict {
-			// v itself sorts at ge; excluded for <.
-		}
-		return 0, hi, nil
+		// v itself, when present, sorts at ge and is excluded.
+		return 0, ge, nil
 	case sql.OpLe:
 		hi = ge
 		if present && !strict {
@@ -378,80 +376,266 @@ func (r *restriction) classify(e *Engine, ci int) triState {
 		return activeSome
 	case rRowPred:
 		return activeSome
-	case rTrue:
+	}
+	return activeSome
+}
+
+// maskScratch is where a scan worker's restriction masks live: the verdict
+// table of the leaf being decided and one bitmap per depth of the tree, all
+// of them kept from chunk to chunk, so after the worker's first chunk a mask
+// allocates nothing.
+type maskScratch struct {
+	verdict []uint8
+	// bitmaps[d] holds the rows of the node evaluated at depth d.
+	bitmaps []*enc.Bitmap
+}
+
+// bitmap returns depth's bitmap, cleared and sized to rows.
+func (s *maskScratch) bitmap(depth, rows int) *enc.Bitmap {
+	for len(s.bitmaps) <= depth {
+		s.bitmaps = append(s.bitmaps, &enc.Bitmap{})
+	}
+	s.bitmaps[depth].Reset(rows)
+	return s.bitmaps[depth]
+}
+
+// mask computes the row-selection bitmap of the tree for chunk ci. p (the
+// compiled plan, nil in tests) supplies pre-resolved pinned column
+// pointers to the row-predicate fallback. On the kernel path the bitmap
+// belongs to sc and is good until sc's next mask.
+func (r *restriction) mask(e *Engine, p *plan, ci int, sc *maskScratch) (*enc.Bitmap, error) {
+	if e.opts.DisableKernels {
+		return r.maskScalar(e, p, ci)
+	}
+	state, err := r.eval(e, p, ci, sc, 0)
+	if err != nil {
+		return nil, err
+	}
+	if state == activeSome {
+		return sc.bitmaps[0], nil
+	}
+	m := sc.bitmap(0, e.store.ChunkRows(ci))
+	if state == activeAll {
+		m.SetAll()
+	}
+	return m, nil
+}
+
+// eval is the kernel path's mask evaluation. It decides every leaf on the
+// chunk dictionary first (leafVerdicts counts the satisfying distinct
+// values on its way): a leaf no value or every value of the chunk
+// satisfies is activeNone or activeAll and touches neither the elements
+// nor a bitmap, and AND, OR and NOT fold those verdicts as identities and
+// short-circuits. Only an activeSome result has rows, in sc.bitmaps[depth];
+// the evaluation may overwrite the bitmaps below depth.
+func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth int) (triState, error) {
+	rows := e.store.ChunkRows(ci)
+	switch r.op {
+	case rAnd, rOr:
+		// Under AND the running result starts at "all", a child that is
+		// "all" changes nothing and one that is "none" decides the node;
+		// OR is the mirror image.
+		identity, decided := activeAll, activeNone
+		if r.op == rOr {
+			identity, decided = activeNone, activeAll
+		}
+		state := identity
+		for _, c := range r.children {
+			if state == decided {
+				// The remaining children cannot change the rows; evaluate
+				// only those that could surface an error the scalar
+				// reference path would report.
+				if c.canError() {
+					if _, err := c.eval(e, p, ci, sc, depth+1); err != nil {
+						return 0, err
+					}
+				}
+				continue
+			}
+			if r.op == rAnd && state == activeSome && c.isLeaf() && sc.bitmaps[depth].Count()*8 <= rows {
+				// Few rows are left: look the leaf up at those rows only.
+				state = c.probe(c.colRef.Chunks[ci], sc, sc.bitmaps[depth])
+				continue
+			}
+			// The first child with rows leaves them in this node's bitmap;
+			// later ones go one level down and are folded in.
+			at := depth + 1
+			if state == identity {
+				at = depth
+			}
+			cs, err := c.eval(e, p, ci, sc, at)
+			if err != nil {
+				return 0, err
+			}
+			switch {
+			case cs == identity:
+			case cs == decided || state == identity:
+				state = cs
+			case r.op == rAnd:
+				if sc.bitmaps[depth].And(sc.bitmaps[at]); sc.bitmaps[depth].None() {
+					state = activeNone
+				}
+			default:
+				sc.bitmaps[depth].Or(sc.bitmaps[at])
+			}
+		}
+		return state, nil
+	case rNot:
+		state, err := r.children[0].eval(e, p, ci, sc, depth)
+		if err != nil {
+			return 0, err
+		}
+		switch state {
+		case activeNone:
+			return activeAll, nil
+		case activeAll:
+			return activeNone, nil
+		}
+		sc.bitmaps[depth].Not()
+		return activeSome, nil
+	case rInSet, rRange:
+		ch := r.colRef.Chunks[ci]
+		state := r.decide(ch, sc)
+		if state == activeSome {
+			ch.Elems.SpreadMask(sc.verdict, sc.bitmap(depth, rows))
+		}
+		return state, nil
+	case rRowPred:
+		return activeSome, e.rowPredMask(r.rowExpr, p, ci, sc.bitmap(depth, rows))
+	}
+	return 0, fmt.Errorf("exec: cannot mask restriction op %d", r.op)
+}
+
+// isLeaf reports whether r is decided per distinct value of one column.
+func (r *restriction) isLeaf() bool { return r.op == rInSet || r.op == rRange }
+
+// decide fills sc.verdict for leaf r on chunk ch and classifies the leaf
+// from the count: none, every, or some of the chunk's values satisfy it.
+func (r *restriction) decide(ch *colstore.Chunk, sc *maskScratch) triState {
+	sc.verdict = resized(sc.verdict, len(ch.GlobalIDs))
+	switch r.leafVerdicts(ch, sc.verdict) {
+	case 0:
+		return activeNone
+	case len(ch.GlobalIDs):
 		return activeAll
 	}
 	return activeSome
 }
 
-// mask computes the row-selection bitmap of the tree for chunk ci. p (the
-// compiled plan, nil in tests) supplies pre-resolved pinned column
-// pointers to the row-predicate fallback.
-func (r *restriction) mask(e *Engine, p *plan, ci int) (*enc.Bitmap, error) {
+// probe intersects running with leaf r by reading the leaf's column at the
+// rows still selected, not at every row.
+func (r *restriction) probe(ch *colstore.Chunk, sc *maskScratch, running *enc.Bitmap) triState {
+	switch r.decide(ch, sc) {
+	case activeNone:
+		return activeNone
+	case activeAll:
+		return activeSome
+	}
+	words, left := running.Words(), uint64(0)
+	for wi, w := range words {
+		for rest := w; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			if sc.verdict[ch.Elems.At(wi*64+bit)] == 0 {
+				w &^= 1 << bit
+			}
+		}
+		words[wi] = w
+		left |= w
+	}
+	if left == 0 {
+		return activeNone
+	}
+	return activeSome
+}
+
+// leafVerdicts decides leaf r once per *distinct* value of chunk ch, not once
+// per row — why the double dictionary encoding makes restrictions cheap:
+// verdict[i] becomes 1 where the chunk's i-th global-id satisfies r and 0
+// elsewhere, and the number of 1s is returned. The chunk dictionary and an
+// id set are both sorted, so the set is decided in one walk over the two;
+// a range is the two positions of its bounds.
+func (r *restriction) leafVerdicts(ch *colstore.Chunk, verdict []uint8) int {
+	ids := ch.GlobalIDs
+	clear(verdict)
+	if r.op == rRange {
+		lo, _ := slices.BinarySearch(ids, r.lo)
+		hi, _ := slices.BinarySearch(ids, r.hi)
+		for i := lo; i < hi; i++ {
+			verdict[i] = 1
+		}
+		return max(hi-lo, 0)
+	}
+	n, i := 0, 0
+	for _, gid := range r.gids {
+		for i < len(ids) && ids[i] < gid {
+			i++
+		}
+		if i == len(ids) {
+			break
+		}
+		if ids[i] == gid {
+			verdict[i] = 1
+			n++
+			i++
+		}
+	}
+	return n
+}
+
+// maskScalar is the reference mask evaluation (Options.DisableKernels):
+// every node gets a bitmap of its own and every leaf is spread row by row,
+// with none of eval's shortcuts.
+func (r *restriction) maskScalar(e *Engine, p *plan, ci int) (*enc.Bitmap, error) {
 	rows := e.store.ChunkRows(ci)
 	switch r.op {
-	case rAnd:
-		out, err := r.children[0].mask(e, p, ci)
+	case rAnd, rOr:
+		out, err := r.children[0].maskScalar(e, p, ci)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range r.children[1:] {
-			if !e.opts.DisableKernels && out.None() && !c.canError() {
-				// Kernel path: an empty AND stays empty; skip the remaining
-				// children unless one could surface an evaluation error the
-				// scalar path would report.
-				continue
-			}
-			m, err := c.mask(e, p, ci)
+			m, err := c.maskScalar(e, p, ci)
 			if err != nil {
 				return nil, err
 			}
-			out.And(m)
-		}
-		return out, nil
-	case rOr:
-		out, err := r.children[0].mask(e, p, ci)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range r.children[1:] {
-			m, err := c.mask(e, p, ci)
-			if err != nil {
-				return nil, err
+			if r.op == rAnd {
+				out.And(m)
+			} else {
+				out.Or(m)
 			}
-			out.Or(m)
 		}
 		return out, nil
 	case rNot:
-		m, err := r.children[0].mask(e, p, ci)
+		m, err := r.children[0].maskScalar(e, p, ci)
 		if err != nil {
 			return nil, err
 		}
 		m.Not()
 		return m, nil
-	case rInSet:
-		return maskFromChunkPredWith(e, r.colRef.Chunks[ci], rows, func(gid uint32) bool {
-			return containsUint32(r.gids, gid)
-		}), nil
-	case rRange:
-		return maskFromChunkPredWith(e, r.colRef.Chunks[ci], rows, func(gid uint32) bool {
-			return gid >= r.lo && gid < r.hi
-		}), nil
-	case rRowPred:
-		return e.rowPredMask(r.rowExpr, p, ci)
-	case rTrue:
+	case rInSet, rRange:
+		ch := r.colRef.Chunks[ci]
+		verdict := make([]uint8, len(ch.GlobalIDs))
 		m := enc.NewBitmap(rows)
-		m.SetAll()
+		if r.leafVerdicts(ch, verdict) > 0 {
+			for row := 0; row < rows; row++ {
+				if verdict[ch.Elems.At(row)] == 1 {
+					m.Set(row)
+				}
+			}
+		}
 		return m, nil
+	case rRowPred:
+		m := enc.NewBitmap(rows)
+		return m, e.rowPredMask(r.rowExpr, p, ci, m)
 	}
 	return nil, fmt.Errorf("exec: cannot mask restriction op %d", r.op)
 }
 
 // canError reports whether evaluating the tree's mask can surface an
 // error: only the row-predicate fallback evaluates expressions per row; id
-// sets, ranges and their boolean combinations cannot fail. The kernel
-// path's AND short-circuit uses this so it never skips an error the scalar
-// reference path would report.
+// sets, ranges and their boolean combinations cannot fail. eval skips a
+// subtree whose rows no longer matter only when this is false, so it never
+// hides an error the scalar reference path would report.
 func (r *restriction) canError() bool {
 	if r.op == rRowPred {
 		return true
@@ -464,75 +648,21 @@ func (r *restriction) canError() bool {
 	return false
 }
 
-// maskFromChunkPredWith picks the mask builder for the engine's scan mode:
-// the vectorized SpreadMask spread or the scalar per-row reference loop.
-func maskFromChunkPredWith(e *Engine, ch *colstore.Chunk, rows int, pred func(gid uint32) bool) *enc.Bitmap {
-	if e.opts.DisableKernels {
-		return maskFromChunkPred(ch, rows, pred)
-	}
-	return maskFromChunkPredVec(ch, rows, pred)
-}
-
-// maskFromChunkPred builds a row bitmap from a per-global-id predicate:
-// first decide each *distinct* value once against the chunk-dictionary,
-// then spread the verdicts over the rows through the elements. This is why
-// the double dictionary encoding makes restrictions cheap — the predicate
-// runs |chunk-dict| times, not |rows| times.
-func maskFromChunkPred(ch *colstore.Chunk, rows int, pred func(gid uint32) bool) *enc.Bitmap {
-	active := make([]bool, len(ch.GlobalIDs))
-	anyActive := false
-	for i, gid := range ch.GlobalIDs {
-		if pred(gid) {
-			active[i] = true
-			anyActive = true
-		}
-	}
-	m := enc.NewBitmap(rows)
-	if !anyActive {
-		return m
-	}
-	for r := 0; r < rows; r++ {
-		if active[ch.Elems.At(r)] {
-			m.Set(r)
-		}
-	}
-	return m
-}
-
-// maskFromChunkPredVec is maskFromChunkPred with the per-row spread
-// replaced by the sequence's word-at-a-time SpreadMask kernel.
-func maskFromChunkPredVec(ch *colstore.Chunk, rows int, pred func(gid uint32) bool) *enc.Bitmap {
-	active := make([]bool, len(ch.GlobalIDs))
-	anyActive := false
-	for i, gid := range ch.GlobalIDs {
-		if pred(gid) {
-			active[i] = true
-			anyActive = true
-		}
-	}
-	m := enc.NewBitmap(rows)
-	if anyActive {
-		ch.Elems.SpreadMask(active, m)
-	}
-	return m
-}
-
-// rowPredMask evaluates an arbitrary predicate per row — the slow path.
-func (e *Engine) rowPredMask(pred sql.Expr, p *plan, ci int) (*enc.Bitmap, error) {
-	rows := e.store.ChunkRows(ci)
-	m := enc.NewBitmap(rows)
+// rowPredMask evaluates an arbitrary predicate per row — the slow path —
+// into the cleared bitmap m.
+func (e *Engine) rowPredMask(pred sql.Expr, p *plan, ci int, m *enc.Bitmap) error {
 	row := newStoreRow(e, p, ci)
-	for r := 0; r < rows; r++ {
+	for r := 0; r < m.Len(); r++ {
 		row.row = r
 		ok, err := evalPredRow(pred, row)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			m.Set(r)
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // columnsOf collects the column names a restriction tree touches.
@@ -556,17 +686,4 @@ func sortUint32s(a []uint32) {
 			a[j-1], a[j] = a[j], a[j-1]
 		}
 	}
-}
-
-func containsUint32(sorted []uint32, x uint32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == x
 }

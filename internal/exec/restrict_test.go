@@ -41,6 +41,7 @@ func TestClassifyConsistentWithMask(t *testing.T) {
 		`latency > 100.5`,
 		`country IN ("zz")`,
 	}
+	var sc maskScratch
 	for _, p := range preds {
 		stmt, err := sql.Parse(`SELECT country, COUNT(*) FROM data WHERE ` + p + ` GROUP BY country;`)
 		if err != nil {
@@ -52,7 +53,7 @@ func TestClassifyConsistentWithMask(t *testing.T) {
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
 			state := r.classify(e, ci)
-			mask, err := r.mask(e, nil, ci)
+			mask, err := r.mask(e, nil, ci, &sc)
 			if err != nil {
 				t.Fatalf("mask %q chunk %d: %v", p, ci, err)
 			}
@@ -103,6 +104,7 @@ func TestClassifyRandomTrees(t *testing.T) {
 		}
 	}
 
+	var sc maskScratch
 	for trial := 0; trial < 60; trial++ {
 		p := genPred(3)
 		stmt, err := sql.Parse(`SELECT COUNT(*) FROM data WHERE ` + p + `;`)
@@ -115,7 +117,7 @@ func TestClassifyRandomTrees(t *testing.T) {
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
 			state := rt.classify(e, ci)
-			mask, err := rt.mask(e, nil, ci)
+			mask, err := rt.mask(e, nil, ci, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +219,7 @@ func TestRestrictionErrorPaths(t *testing.T) {
 	}
 }
 
-func TestSortAndContainsHelpers(t *testing.T) {
+func TestSortUint32s(t *testing.T) {
 	a := []uint32{5, 1, 4, 1, 3}
 	sortUint32s(a)
 	for i := 1; i < len(a); i++ {
@@ -225,7 +227,58 @@ func TestSortAndContainsHelpers(t *testing.T) {
 			t.Fatal("sortUint32s did not sort")
 		}
 	}
-	if !containsUint32(a, 4) || containsUint32(a, 2) || containsUint32(nil, 1) {
-		t.Error("containsUint32 broken")
+}
+
+// TestLeafVerdicts checks the one verdict-table builder against a per-id
+// membership test: random sorted chunk dictionaries against random id sets
+// (with repeats, as an IN list may have) and ranges, empty ones included.
+func TestLeafVerdicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sortedIDs := func(n, span int) []uint32 {
+		seen := map[uint32]bool{}
+		var ids []uint32
+		for len(ids) < n {
+			if id := uint32(rng.Intn(span)); !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
+			}
+		}
+		sortUint32s(ids)
+		return ids
+	}
+	for trial := 0; trial < 300; trial++ {
+		span := 1 + rng.Intn(60)
+		ch := &colstore.Chunk{GlobalIDs: sortedIDs(rng.Intn(span+1), span)}
+		set := &restriction{op: rInSet}
+		for i := rng.Intn(8); i > 0; i-- {
+			set.gids = append(set.gids, uint32(rng.Intn(span+2)))
+		}
+		sortUint32s(set.gids)
+		rng2 := &restriction{op: rRange, lo: uint32(rng.Intn(span + 2)), hi: uint32(rng.Intn(span + 2))}
+		for _, leaf := range []*restriction{set, rng2} {
+			verdict := make([]uint8, len(ch.GlobalIDs))
+			for i := range verdict {
+				verdict[i] = 7 // stale scratch
+			}
+			n, want := leaf.leafVerdicts(ch, verdict), 0
+			for i, gid := range ch.GlobalIDs {
+				in := gid >= leaf.lo && gid < leaf.hi
+				if leaf.op == rInSet {
+					in = false
+					for _, g := range leaf.gids {
+						in = in || g == gid
+					}
+				}
+				if in {
+					want++
+				}
+				if (verdict[i] == 1) != in || verdict[i] > 1 {
+					t.Fatalf("op %d ids %v gids %v [%d,%d): verdict[%d] = %d, want %v", leaf.op, ch.GlobalIDs, leaf.gids, leaf.lo, leaf.hi, i, verdict[i], in)
+				}
+			}
+			if n != want {
+				t.Fatalf("op %d: counted %d, want %d", leaf.op, n, want)
+			}
+		}
 	}
 }

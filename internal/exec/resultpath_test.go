@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"powerdrill/internal/colstore"
@@ -63,6 +65,105 @@ func TestTopKAllocationsBoundedByChunks(t *testing.T) {
 	}
 	if allocs > bound {
 		t.Errorf("%.0f allocations per query, want at most %.0f: something allocates per group", allocs, bound)
+	}
+}
+
+// TestMaskedScanAllocations is the allocation guard of the restriction
+// masks: with a worker's scratch warm, scanning a partially active chunk
+// under a three-conjunct IN restriction allocates what scanning it
+// unrestricted does — the partial it returns — and nothing for verdict
+// tables or bitmaps. The restriction is tried in two orders: the selective
+// leaf last (two spreads and an AND) and first (one spread, then probes of
+// the few rows left).
+func TestMaskedScanAllocations(t *testing.T) {
+	store := highCardinality(t)
+	e := New(store, Options{Parallelism: 1})
+	chunks := store.NumChunks()
+	var parts []string
+	for ci := 0; ci < chunks; ci++ {
+		parts = append(parts, fmt.Sprintf("%q", fmt.Sprintf("p%02d", ci)))
+	}
+	var (
+		inP = "p IN (" + strings.Join(parts, ", ") + ")" // every row of every chunk
+		inN = "n IN (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)"
+		inK = `k IN ("k00005", "k02005", "k04005")` // one group of each chunk
+	)
+	// scanAllocs measures one pass over every chunk with a warm scratch.
+	scanAllocs := func(where string) float64 {
+		p, release := planned(t, e, `SELECT k, SUM(n) AS v FROM data`+where+` GROUP BY k;`)
+		defer release()
+		var sc chunkAggCtx
+		pass := func() {
+			var qs QueryStats
+			for ci := 0; ci < chunks; ci++ {
+				if _, err := e.scanChunk(p, ci, 2, &qs, &sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if qs.ChunksScanned != chunks || qs.KernelChunks != chunks {
+				t.Fatalf("%q: scanned %d, kernels on %d of %d chunks", where, qs.ChunksScanned, qs.KernelChunks, chunks)
+			}
+		}
+		pass()
+		return testing.AllocsPerRun(10, pass)
+	}
+	unrestricted := scanAllocs("")
+	if unrestricted != float64(3*chunks) {
+		t.Errorf("unrestricted scan: %.0f allocations over %d chunks, want 3 a chunk (the partial and its two arrays)", unrestricted, chunks)
+	}
+	for _, where := range []string{
+		" WHERE " + inP + " AND " + inN + " AND " + inK,
+		" WHERE " + inK + " AND " + inN + " AND " + inP,
+	} {
+		p, release := planned(t, e, `SELECT k, SUM(n) AS v FROM data`+where+` GROUP BY k;`)
+		for ci := 0; ci < chunks; ci++ {
+			if state := p.where.classify(e, ci); state != activeSome {
+				t.Fatalf("chunk %d is %v under%s, want partially active", ci, state, where)
+			}
+		}
+		release()
+		if got := scanAllocs(where); got > unrestricted {
+			t.Errorf("%.0f allocations per pass under%s, %.0f unrestricted: the mask allocates per chunk", got, where, unrestricted)
+		}
+	}
+}
+
+// TestPartialIsNoscan: an accumulator cell holds no pointer, and the
+// partials of a plan without COUNT(DISTINCT) carry no distinct cells, so
+// their accumulator arrays — in a chunk's partial, the group table, the
+// result cache — are memory the garbage collector does not scan.
+func TestPartialIsNoscan(t *testing.T) {
+	cell := reflect.TypeOf(accCell{})
+	if cell.Size() != accCellBytes {
+		t.Errorf("accCell is %d bytes, accCellBytes says %d", cell.Size(), accCellBytes)
+	}
+	for i := 0; i < cell.NumField(); i++ {
+		switch f := cell.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Float64, reflect.Uint32, reflect.Bool:
+		default:
+			t.Errorf("accCell.%s is a %s: the cell must stay pointer-free", f.Name, f.Type)
+		}
+	}
+	e := New(highCardinality(t), Options{Parallelism: 1})
+	for q, wantDistinct := range map[string]bool{
+		`SELECT k, SUM(n), MIN(n), AVG(n), COUNT(*) FROM data WHERE n > 500 GROUP BY k;`: false,
+		`SELECT p, MAX(n), COUNT(DISTINCT k) FROM data GROUP BY p;`:                      true,
+	} {
+		p, release := planned(t, e, q)
+		var sc chunkAggCtx
+		part, err := e.scanChunk(p, 0, 2, &QueryStats{}, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, _, err := e.executeChunks(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if len(part.accs) == 0 || (part.distinct != nil) != wantDistinct || (groups.distinct != nil) != wantDistinct {
+			t.Errorf("%s: %d cells, distinct cells in partial: %v, in group table: %v, want %v",
+				q, len(part.accs), part.distinct != nil, groups.distinct != nil, wantDistinct)
+		}
 	}
 }
 

@@ -59,6 +59,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 
 	chunkRows := make([][][]value.Value, nChunks)
 	wqs := make([]QueryStats, workers)
+	masks := make([]maskScratch, workers) // one per worker, as in executeChunks
 	var collected atomic.Int64
 	var quit func() bool
 	if canStopEarly {
@@ -127,7 +128,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 				emit(r)
 			}
 		} else {
-			mask, err := p.where.mask(e, p, ci)
+			mask, err := p.where.mask(e, p, ci, &masks[w])
 			if err != nil {
 				return err
 			}

@@ -90,13 +90,23 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 		}
 		part.gids = append(part.gids, uint32(gid))
 		part.accs = append(part.accs, make([]accCell, len(p.aggs))...)
+		if p.hasDistinct {
+			part.distinct = append(part.distinct, make([]distinctCell, len(p.aggs))...)
+		}
 	}
-	groups := newGroupTable(card, len(p.aggs), len(part.gids))
+	groups := newGroupTable(card, len(p.aggs), len(part.gids), p.hasDistinct)
 	groups.merge(part)
 	for _, gid := range part.gids {
 		// Set, not merged: a merge into a zero cell turns a -0 sum into +0.
 		for j := range p.aggs {
-			groups.accs(gid)[j] = randomAccCell(rng, e, p, j)
+			groups.accs(gid)[j] = randomAccCell(rng, p, j)
+			if p.aggs[j].fn == aggCountDistinct && rng.Intn(4) > 0 {
+				sk := sketch.NewKMV(e.opts.SketchM)
+				for i := rng.Intn(4); i > 0; i-- {
+					sk.AddUint64(uint64(rng.Intn(6)))
+				}
+				groups.dist(gid)[j].sketch = sk
+			}
 		}
 	}
 
@@ -241,7 +251,7 @@ func requireSameRows(t *testing.T, q, what string, got, want [][]value.Value) {
 
 // randomAccCell draws aggregate j's accumulator from small pools, so that
 // groups tie on every kind of key.
-func randomAccCell(rng *rand.Rand, e *Engine, p *plan, j int) accCell {
+func randomAccCell(rng *rand.Rand, p *plan, j int) accCell {
 	counts := []int64{0, 1, 1, 2, 3, 7}
 	ints := []int64{-3, 0, 0, 5, 5, 12}
 	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5, 1.5, -1.5, math.Inf(1), math.Inf(-1), 1e300}
@@ -253,12 +263,6 @@ func randomAccCell(rng *rand.Rand, e *Engine, p *plan, j int) accCell {
 	if col := p.aggCols[j]; col != nil {
 		a, b := uint32(rng.Intn(col.Dict.Len())), uint32(rng.Intn(col.Dict.Len()))
 		c.minID, c.maxID, c.hasMM = min(a, b), max(a, b), true
-	}
-	if p.aggs[j].fn == aggCountDistinct && rng.Intn(4) > 0 {
-		c.sketch = sketch.NewKMV(e.opts.SketchM)
-		for i := rng.Intn(4); i > 0; i-- {
-			c.sketch.AddUint64(uint64(rng.Intn(6)))
-		}
 	}
 	return c
 }

@@ -13,22 +13,28 @@
 // PowerDrill exploits that global- and chunk-dictionaries store values
 // sorted: a chunk contributes each *distinct* value exactly once by walking
 // its chunk-dictionary instead of its rows, so the per-row cost disappears
-// for skipped and fully-active chunks. AddDictionary models exactly that.
+// for skipped and fully-active chunks. AddDictionary is that path.
 package sketch
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // KMV is a k-minimum-values sketch. The zero value is unusable; create
 // sketches with NewKMV.
 type KMV struct {
-	m    int
-	heap []uint64 // max-heap of the m smallest *distinct* hashes seen so far
-	set  map[uint64]struct{}
+	m int
+	// hashes holds the m smallest *distinct* hashes seen so far, ascending:
+	// a duplicate is found by binary search, the m-th minimum is the last
+	// entry, and two sketches merge in one walk. Keeping the order costs a
+	// shift per accepted hash, of at most m entries, and a stream of n
+	// distinct values has only about m·ln(n/m) of those after the first m.
+	hashes []uint64
+	// spare is the buffer the next Merge or AddDictionary writes into.
+	spare []uint64
 }
 
 // NewKMV creates a sketch keeping the m smallest hash values. The paper
@@ -40,7 +46,7 @@ func NewKMV(m int) *KMV {
 	if m <= 0 {
 		panic(fmt.Sprintf("sketch: invalid m=%d", m))
 	}
-	return &KMV{m: m, set: map[uint64]struct{}{}}
+	return &KMV{m: m}
 }
 
 // M returns the sketch parameter m.
@@ -91,22 +97,19 @@ func HashUint64(v uint64) uint64 {
 // kept duplicate-free — KMV estimates from the m smallest distinct hashes,
 // so a repeated value must not displace a distinct one.
 func (k *KMV) AddHash(h uint64) {
-	if _, dup := k.set[h]; dup {
+	n := len(k.hashes)
+	if n == k.m && h >= k.hashes[n-1] {
+		return // not among the m smallest (or the m-th itself, again)
+	}
+	at, dup := slices.BinarySearch(k.hashes, h)
+	if dup {
 		return
 	}
-	if len(k.heap) < k.m {
-		k.set[h] = struct{}{}
-		k.heap = append(k.heap, h)
-		up(k.heap, len(k.heap)-1)
-		return
+	if n < k.m {
+		k.hashes = append(k.hashes, 0)
 	}
-	if h >= k.heap[0] {
-		return
-	}
-	delete(k.set, k.heap[0])
-	k.set[h] = struct{}{}
-	k.heap[0] = h
-	down(k.heap, 0)
+	copy(k.hashes[at+1:], k.hashes[at:])
+	k.hashes[at] = h
 }
 
 // AddString offers a string value.
@@ -115,18 +118,36 @@ func (k *KMV) AddString(s string) { k.AddHash(HashString(s)) }
 // AddUint64 offers an integer value.
 func (k *KMV) AddUint64(v uint64) { k.AddHash(HashUint64(v)) }
 
-// AddDictionary offers every value of a sorted dictionary by rank, the
-// chunk-dictionary fast path of Section 5: at(i) must return the hash of the
-// i-th distinct value.
-func (k *KMV) AddDictionary(n int, at func(i int) uint64) {
-	for i := 0; i < n; i++ {
-		k.AddHash(at(i))
+// AddDictionary offers the hashes of a dictionary's values in one step, the
+// chunk-dictionary fast path of Section 5: sorted once and merged in, where
+// AddHash would search and shift for each. It sorts hs in place.
+func (k *KMV) AddDictionary(hs []uint64) {
+	slices.Sort(hs)
+	k.union(hs)
+}
+
+// union replaces the retained hashes by the m smallest distinct hashes of
+// them and the ascending list other.
+func (k *KMV) union(other []uint64) {
+	a, b := k.hashes, other
+	out := slices.Grow(k.spare[:0], min(len(a)+len(b), k.m))
+	for len(out) < k.m && (len(a) > 0 || len(b) > 0) {
+		var h uint64
+		if len(b) == 0 || (len(a) > 0 && a[0] <= b[0]) {
+			h, a = a[0], a[1:]
+		} else {
+			h, b = b[0], b[1:]
+		}
+		if len(out) == 0 || out[len(out)-1] != h {
+			out = append(out, h)
+		}
 	}
+	k.hashes, k.spare = out, k.hashes
 }
 
 // Estimate returns the approximate number of distinct values added.
 func (k *KMV) Estimate() int64 {
-	n := len(k.heap)
+	n := len(k.hashes)
 	if n == 0 {
 		return 0
 	}
@@ -134,7 +155,7 @@ func (k *KMV) Estimate() int64 {
 		// Fewer than m distinct hashes seen: the sketch is exact.
 		return int64(n)
 	}
-	v := float64(k.heap[0]) / float64(math.MaxUint64) // normalized m-th minimum
+	v := float64(k.hashes[n-1]) / float64(math.MaxUint64) // normalized m-th minimum
 	if v <= 0 {
 		return int64(n)
 	}
@@ -143,35 +164,29 @@ func (k *KMV) Estimate() int64 {
 
 // RetainedHashes returns the sorted retained hashes (used by tests and the
 // distributed merge path for deterministic inspection).
-func (k *KMV) RetainedHashes() []uint64 {
-	hs := append([]uint64(nil), k.heap...)
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
-}
+func (k *KMV) RetainedHashes() []uint64 { return slices.Clone(k.hashes) }
 
 // Merge folds other into k (union, trimmed back to the m smallest). The
 // sketches may have different m; the result keeps k's m.
 func (k *KMV) Merge(other *KMV) {
-	if other == nil {
-		return
-	}
-	for _, h := range other.heap {
-		k.AddHash(h)
+	if other != nil {
+		k.union(other.hashes)
 	}
 }
 
 // Marshal serializes the sketch.
 func (k *KMV) Marshal() []byte {
-	out := make([]byte, 8+8+len(k.heap)*8)
+	out := make([]byte, 8+8+len(k.hashes)*8)
 	binary.LittleEndian.PutUint64(out[0:], uint64(k.m))
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(k.heap)))
-	for i, h := range k.heap {
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(k.hashes)))
+	for i, h := range k.hashes {
 		binary.LittleEndian.PutUint64(out[16+i*8:], h)
 	}
 	return out
 }
 
-// UnmarshalKMV reconstructs a sketch serialized by Marshal.
+// UnmarshalKMV reconstructs a sketch serialized by Marshal. The hashes may
+// come in any order: encoders before the sorted layout wrote heap order.
 func UnmarshalKMV(data []byte) (*KMV, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("sketch: truncated header (%d bytes)", len(data))
@@ -182,43 +197,13 @@ func UnmarshalKMV(data []byte) (*KMV, error) {
 		return nil, fmt.Errorf("sketch: corrupt encoding (m=%d n=%d len=%d)", m, n, len(data))
 	}
 	k := NewKMV(m)
-	for i := 0; i < n; i++ {
-		k.AddHash(binary.LittleEndian.Uint64(data[16+i*8:]))
+	hs := make([]uint64, n)
+	for i := range hs {
+		hs[i] = binary.LittleEndian.Uint64(data[16+i*8:])
 	}
+	k.AddDictionary(hs)
 	return k, nil
 }
 
 // MemoryBytes reports the footprint of the retained hash set.
-func (k *KMV) MemoryBytes() int64 { return int64(cap(k.heap) * 8) }
-
-// up restores the max-heap property walking from index i to the root.
-func up(h []uint64, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] >= h[i] {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// down restores the max-heap property walking from index i to the leaves.
-func down(h []uint64, i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h[l] > h[largest] {
-			largest = l
-		}
-		if r < n && h[r] > h[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h[i], h[largest] = h[largest], h[i]
-		i = largest
-	}
-}
+func (k *KMV) MemoryBytes() int64 { return int64((cap(k.hashes) + cap(k.spare)) * 8) }

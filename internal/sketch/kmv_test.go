@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -105,10 +107,18 @@ func TestAddDictionaryEquivalentToAdds(t *testing.T) {
 	for _, v := range vals {
 		direct.AddString(v)
 	}
+	// Two dictionaries that overlap, into a sketch that already holds hashes.
 	viaDict := NewKMV(256)
-	viaDict.AddDictionary(len(vals), func(i int) uint64 { return HashString(vals[i]) })
-	if direct.Estimate() != viaDict.Estimate() {
-		t.Errorf("AddDictionary estimate %d != direct %d", viaDict.Estimate(), direct.Estimate())
+	viaDict.AddString(vals[17])
+	for _, part := range [][]string{vals[:3000], vals[2000:]} {
+		hs := make([]uint64, len(part))
+		for i, v := range part {
+			hs[i] = HashString(v)
+		}
+		viaDict.AddDictionary(hs)
+	}
+	if !reflect.DeepEqual(direct.RetainedHashes(), viaDict.RetainedHashes()) {
+		t.Errorf("AddDictionary retains %v, AddHash %v", viaDict.RetainedHashes(), direct.RetainedHashes())
 	}
 }
 
@@ -220,5 +230,30 @@ func BenchmarkMerge(b *testing.B) {
 		cp := NewKMV(4096)
 		cp.Merge(a)
 		cp.Merge(c)
+	}
+}
+
+// TestRetainsSmallestDistinct: whatever m is relative to the stream, and
+// however often values repeat, the sketch retains exactly the m smallest
+// distinct hashes offered.
+func TestRetainsSmallestDistinct(t *testing.T) {
+	for _, m := range []int{1, 4, 31, 64, 1000} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		k := NewKMV(m)
+		distinct := map[uint64]bool{}
+		for i := 0; i < 2000; i++ {
+			h := HashUint64(uint64(rng.Intn(300)))
+			distinct[h] = true
+			k.AddHash(h)
+		}
+		var want []uint64
+		for h := range distinct {
+			want = append(want, h)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		want = want[:min(m, len(want))]
+		if got := k.RetainedHashes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("m=%d: retained %d hashes %v, want %d %v", m, len(got), got, len(want), want)
+		}
 	}
 }
