@@ -13,18 +13,15 @@ import (
 )
 
 // runColdIO measures the cold I/O path under compression: with per-chunk
-// codec framing (manifest v3) a restricted query cold-reads only its
-// active chunks' compressed byte ranges — one coalesced ReadAt per
-// contiguous run, one single-record decompress per chunk — where the
-// whole-column-codec baseline re-reads and decompresses the entire column
-// file for every cold column. Three sweeps:
+// codec framing a restricted query cold-reads only its active chunks'
+// compressed byte ranges — one coalesced ReadAt per contiguous run, one
+// single-record decompress per chunk. Three sweeps:
 //
-//   - layout comparison (fixed selective restriction, 25% budget): each
-//     codec saved both ways; cold bytes, read runs, decompress time and
-//     cold/warm latency side by side;
-//   - selectivity sweep (per-chunk zippy, unlimited budget): cold disk
+//   - codec comparison (fixed selective restriction, 25% budget): cold
+//     bytes, read runs, decompress time and cold/warm latency per codec;
+//   - selectivity sweep (zippy, unlimited budget): cold disk
 //     traffic and read runs must fall with the active-chunk count;
-//   - budget sweep (per-chunk zippy, result cache on): a repeated query
+//   - budget sweep (zippy, result cache on): a repeated query
 //     under a tight budget answers fully active chunks from the result
 //     cache without reloading them (cache-skipped > 0, cold chunks 0).
 func runColdIO(cfg config) error {
@@ -71,57 +68,47 @@ func runColdIO(cfg config) error {
 	}
 
 	codecs := []string{"zippy", "lzoish", "zlib"}
-	type layout struct {
-		name string
-		save func(s *colstore.Store, dir, codec string) error
-	}
-	layouts := []layout{
-		{"per-chunk", colstore.Save},
-		{"whole-col", colstore.SaveLegacyV2},
-	}
 
 	fmt.Printf("store: %.2f MB resident, %d chunks; restriction = 1 country, budget = 25%%\n\n",
 		float64(footprint)/1e6, store.NumChunks())
-	fmt.Println("layout comparison (cold pass then warm pass):")
-	row("codec", "layout", "cold chunks", "disk MB", "runs", "coalesced", "decomp ms", "cold", "warm")
+	fmt.Println("codec comparison (cold pass then warm pass):")
+	row("codec", "cold chunks", "disk MB", "runs", "coalesced", "decomp ms", "cold", "warm")
 	for _, codecName := range codecs {
 		if _, err := compress.ByName(codecName); err != nil {
 			return err
 		}
-		for _, lt := range layouts {
-			dir := filepath.Join(base, codecName+"-"+lt.name)
-			if err := lt.save(store, dir, codecName); err != nil {
-				return err
-			}
-			mgr := memmgr.New(footprint/4, "2q")
-			lazy, _, err := colstore.OpenLazy(dir, mgr)
-			if err != nil {
-				return err
-			}
-			engine := exec.New(lazy, exec.Options{Parallelism: cfg.parallelism})
-			coldElapsed, err := runCharts(engine, `WHERE country = "de"`)
-			if err != nil {
-				return err
-			}
-			warmElapsed, err := runCharts(engine, `WHERE country = "de"`)
-			if err != nil {
-				return err
-			}
-			es := engine.Stats()
-			io, _ := lazy.IOStats()
-			row(codecName, lt.name,
-				fmt.Sprint(es.ColdChunkLoads),
-				mb(es.DiskBytesRead),
-				fmt.Sprint(es.ReadRuns),
-				fmt.Sprint(es.CoalescedReads),
-				fmt.Sprintf("%.1f", float64(io.DecompressNanos)/1e6),
-				coldElapsed.Round(time.Millisecond).String(),
-				warmElapsed.Round(time.Millisecond).String())
-			_ = lazy.Close()
+		dir := filepath.Join(base, codecName)
+		if err := colstore.Save(store, dir, codecName); err != nil {
+			return err
 		}
+		mgr := memmgr.New(footprint/4, "2q")
+		lazy, _, err := colstore.OpenLazy(dir, mgr)
+		if err != nil {
+			return err
+		}
+		engine := exec.New(lazy, exec.Options{Parallelism: cfg.parallelism})
+		coldElapsed, err := runCharts(engine, `WHERE country = "de"`)
+		if err != nil {
+			return err
+		}
+		warmElapsed, err := runCharts(engine, `WHERE country = "de"`)
+		if err != nil {
+			return err
+		}
+		es := engine.Stats()
+		io, _ := lazy.IOStats()
+		row(codecName,
+			fmt.Sprint(es.ColdChunkLoads),
+			mb(es.DiskBytesRead),
+			fmt.Sprint(es.ReadRuns),
+			fmt.Sprint(es.CoalescedReads),
+			fmt.Sprintf("%.1f", float64(io.DecompressNanos)/1e6),
+			coldElapsed.Round(time.Millisecond).String(),
+			warmElapsed.Round(time.Millisecond).String())
+		_ = lazy.Close()
 	}
 
-	fmt.Println("\nselectivity sweep (per-chunk zippy, unlimited budget, cold open per row):")
+	fmt.Println("\nselectivity sweep (zippy, unlimited budget, cold open per row):")
 	row("restriction", "active", "cold chunks", "disk MB", "runs", "coalesced", "latency")
 	restrictions := []struct{ label, where string }{
 		{"unrestricted", ``},
@@ -129,7 +116,7 @@ func runColdIO(cfg config) error {
 		{"2 countries", `WHERE country IN ("de", "ch")`},
 		{"1 country", `WHERE country = "de"`},
 	}
-	zdir := filepath.Join(base, "zippy-per-chunk")
+	zdir := filepath.Join(base, "zippy")
 	for _, r := range restrictions {
 		mgr := memmgr.New(0, "2q")
 		lazy, _, err := colstore.OpenLazy(zdir, mgr)
@@ -152,7 +139,7 @@ func runColdIO(cfg config) error {
 		_ = lazy.Close()
 	}
 
-	fmt.Println("\nbudget sweep (per-chunk zippy, result cache on, 1 country, cold then warm pass):")
+	fmt.Println("\nbudget sweep (zippy, result cache on, 1 country, cold then warm pass):")
 	row("budget", "cold chunks", "disk MB", "evictions", "cache-skip", "cold pass", "warm pass")
 	budgets := []int64{0, footprint / 4, footprint / 10}
 	if cfg.memoryBudget > 0 {

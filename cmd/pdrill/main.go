@@ -9,6 +9,7 @@
 //	                -store ./store -partition country,table_name -codec zippy
 //	pdrill query    -store ./store -q 'SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;'
 //	pdrill info     -store ./store
+//	pdrill upgrade  -store ./old-store -out ./store
 package main
 
 import (
@@ -45,6 +46,8 @@ func main() {
 		err = runInfo(os.Args[2:])
 	case "scrub":
 		err = runScrub(os.Args[2:])
+	case "upgrade":
+		err = runUpgrade(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -56,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: pdrill <generate|import|append|query|info|scrub> [flags]
+	fmt.Fprintln(os.Stderr, `usage: pdrill <generate|import|append|query|info|scrub|upgrade> [flags]
   generate -rows N -seed S -out FILE.csv
   import   -csv FILE -schema name:kind,...  -store DIR [-partition f1,f2] [-chunk N] [-codec zippy] [-trie] [-reorder]
   append   -csv FILE -schema name:kind,...  -store DIR [-batch N] [-seal N] [-compact]
@@ -70,7 +73,10 @@ func usage() {
   info     -store DIR
   scrub    -store DIR [-v]
            verifies every checksummed byte offline (columns, segments,
-           WAL, manifests); exits 1 if any file fails`)
+           WAL, manifests); exits 1 if any file fails
+  upgrade  -store OLDDIR -out NEWDIR
+           rewrites a store written in an older format generation as a
+           current one (base stores only); OLDDIR is left untouched`)
 }
 
 func runGenerate(args []string) error {
@@ -490,6 +496,27 @@ func runScrub(args []string) error {
 	return nil
 }
 
+// runUpgrade converts a store of an older format generation, which query,
+// append, info and scrub refuse, into a new directory in the current one.
+func runUpgrade(args []string) error {
+	fs := flag.NewFlagSet("upgrade", flag.ExitOnError)
+	storeDir := fs.String("store", "", "store directory to convert")
+	outDir := fs.String("out", "", "directory to write the converted store to")
+	fs.Parse(args)
+	if *storeDir == "" || *outDir == "" {
+		return fmt.Errorf("upgrade needs -store and -out")
+	}
+	from, err := powerdrill.FormatGeneration(*storeDir)
+	if err != nil {
+		return err
+	}
+	if err := powerdrill.Upgrade(*storeDir, *outDir); err != nil {
+		return err
+	}
+	fmt.Printf("upgraded %s (format generation %d) -> %s\n", *storeDir, from, *outDir)
+	return nil
+}
+
 func runInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	storeDir := fs.String("store", "", "store directory")
@@ -497,6 +524,11 @@ func runInfo(args []string) error {
 	if *storeDir == "" {
 		return fmt.Errorf("info needs -store")
 	}
+	gen, err := powerdrill.FormatGeneration(*storeDir)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("format: generation %d\n", gen)
 	store, _, err := powerdrill.Open(*storeDir, powerdrill.Options{})
 	if err != nil {
 		return err

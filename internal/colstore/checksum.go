@@ -1,14 +1,12 @@
 package colstore
 
-// Manifest format v5: integrity checksums. Save records a CRC32C
-// (Castagnoli) per on-disk record — the head record (dictionary plus
-// chunk-count varint), every chunk record, and every dictionary shard
-// frame — computed over the exact file bytes a cold load reads
-// (compressed bytes on per-record-compressed stores, raw bytes
+// Integrity checksums. Save records a CRC32C (Castagnoli) per on-disk
+// record — the head record (dictionary plus chunk-count varint), every
+// chunk record, and every dictionary shard frame — computed over the exact
+// file bytes a cold load reads (compressed bytes with a codec, raw bytes
 // otherwise). Readers verify on every cold read unless disabled; a
-// mismatch degrades like a missing shard: an error carrying file and
-// byte range, never a silently wrong answer. v1–v4 stores carry no
-// checksums and read unchanged.
+// mismatch degrades like a missing shard: an error carrying file and byte
+// range, never a silently wrong answer.
 
 import (
 	"fmt"
@@ -18,13 +16,14 @@ import (
 )
 
 // formatChecksums is the first manifest generation carrying per-record
-// CRC32C checksums.
+// CRC32C checksums. Only the eager Open of an older store (the read half
+// of Upgrade) ever meets a manifest below it.
 const formatChecksums = 5
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// CRC32C returns the Castagnoli CRC of b — the checksum every v5 record
-// (and the ingest WAL's frames and generation manifests) carries.
+// CRC32C returns the Castagnoli CRC of b — the checksum every record (and
+// the ingest WAL's frames and every generation manifest) carries.
 func CRC32C(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // vfs returns the filesystem all colstore disk I/O routes through —
@@ -50,10 +49,10 @@ func (e *ChecksumError) Error() string {
 
 // headFileLen is the byte length of a column's head record (dictionary
 // plus chunk-count varint) inside the column file: the compressed head
-// record on per-record-compressed stores, the bytes before the first
-// chunk otherwise.
-func (m *manifest) headFileLen(mc manifestCol, fileLen int64) int64 {
-	if m.perChunkCompressed(mc) {
+// record with a codec, the bytes before the first chunk otherwise (all of
+// a chunkless file, which only the verifier's fuzzer builds).
+func headFileLen(mc manifestCol, compressed bool, fileLen int64) int64 {
+	if compressed {
 		return mc.DictCLen
 	}
 	if len(mc.Chunks) > 0 {
@@ -62,28 +61,26 @@ func (m *manifest) headFileLen(mc manifestCol, fileLen int64) int64 {
 	return fileLen
 }
 
-// addColChecksums computes the v5 record checksums of one column from
-// its final file bytes. perRecord mirrors perChunkCompressed for the
-// file being written: it selects which byte ranges delimit the records.
+// chunkFileRange is the byte range of one chunk record in the column file:
+// the compressed record with a codec, the raw record otherwise.
+func chunkFileRange(ch manifestChunk, compressed bool) (off, n int64) {
+	if compressed {
+		return ch.COff, ch.CLen
+	}
+	return ch.Off, ch.Len
+}
+
+// addColChecksums computes the record checksums of one column from its
+// final file bytes; compressed says which byte ranges delimit the records.
 // Dictionary shard frames are only checksummed on uncompressed stores,
 // where their offsets index the file directly.
-func addColChecksums(mc *manifestCol, data []byte, perRecord bool) {
-	head := int64(len(data))
-	if perRecord {
-		head = mc.DictCLen
-	} else if len(mc.Chunks) > 0 {
-		head = mc.Chunks[0].Off
-	}
-	mc.DictCRC = CRC32C(data[:head])
+func addColChecksums(mc *manifestCol, data []byte, compressed bool) {
+	mc.DictCRC = CRC32C(data[:headFileLen(*mc, compressed, int64(len(data)))])
 	for i := range mc.Chunks {
-		ch := &mc.Chunks[i]
-		if perRecord {
-			ch.CRC = CRC32C(data[ch.COff : ch.COff+ch.CLen])
-		} else {
-			ch.CRC = CRC32C(data[ch.Off : ch.Off+ch.Len])
-		}
+		off, n := chunkFileRange(mc.Chunks[i], compressed)
+		mc.Chunks[i].CRC = CRC32C(data[off : off+n])
 	}
-	if !perRecord {
+	if !compressed {
 		for i := range mc.DictShards {
 			ds := &mc.DictShards[i]
 			ds.CRC = CRC32C(data[ds.Off : ds.Off+ds.Len])
@@ -115,15 +112,12 @@ func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (in
 		verified++
 		return nil
 	}
-	if err := check(0, m.headFileLen(mc, int64(len(data))), mc.DictCRC); err != nil {
+	compressed := m.Codec != ""
+	if err := check(0, headFileLen(mc, compressed, int64(len(data))), mc.DictCRC); err != nil {
 		return verified, err
 	}
-	per := m.perChunkCompressed(mc)
 	for _, ch := range mc.Chunks {
-		off, n := ch.Off, ch.Len
-		if per {
-			off, n = ch.COff, ch.CLen
-		}
+		off, n := chunkFileRange(ch, compressed)
 		if err := check(off, n, ch.CRC); err != nil {
 			return verified, err
 		}
@@ -131,50 +125,33 @@ func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (in
 	return verified, nil
 }
 
-// verifyActive reports whether this reader checks record checksums:
-// enabled (the default) and a manifest generation that carries them.
-func (r *Reader) verifyActive() bool { return r.verify && r.m.Format >= formatChecksums }
-
-// SetVerify toggles checksum verification on cold reads. On by default;
-// v1–v4 stores have nothing to verify either way.
+// SetVerify toggles checksum verification on cold reads. On by default.
 func (r *Reader) SetVerify(v bool) { r.verify = v }
-
-// noteChecksum counts one verification in the reader's I/O stats.
-func (r *Reader) noteChecksum(n int, ok bool) {
-	r.mu.Lock()
-	if ok {
-		r.stats.ChecksumVerified += int64(n)
-	} else {
-		r.stats.ChecksumFailed++
-	}
-	r.mu.Unlock()
-}
 
 // verifyRecord checks one record's file bytes against its stored CRC,
 // updating the reader's counters. want == 0 skips (absent checksum).
 func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) error {
-	if !r.verifyActive() || want == 0 {
+	if !r.verify || want == 0 {
 		return nil
 	}
-	if got := CRC32C(rec); got != want {
-		r.noteChecksum(0, false)
+	got := CRC32C(rec)
+	r.mu.Lock()
+	if got == want {
+		r.stats.ChecksumVerified++
+	} else {
+		r.stats.ChecksumFailed++
+	}
+	r.mu.Unlock()
+	if got != want {
 		return &ChecksumError{Path: r.dir + "/" + file, Off: off, Len: int64(len(rec)), Want: want, Got: got}
 	}
-	r.noteChecksum(1, true)
 	return nil
 }
 
-// SetVerifyChecksums toggles cold-read checksum verification on a
-// lazily opened store (v5 manifests; earlier generations carry no
-// checksums). On by default; a no-op on fully resident stores.
+// SetVerifyChecksums toggles cold-read checksum verification on a lazily
+// opened store. On by default; a no-op on fully resident stores.
 func (s *Store) SetVerifyChecksums(v bool) {
 	if s.lazy != nil {
 		s.lazy.reader.SetVerify(v)
 	}
-}
-
-// ChecksumsActive reports whether cold reads of this store verify
-// per-record checksums (v5 manifest, verification not disabled).
-func (s *Store) ChecksumsActive() bool {
-	return s.lazy != nil && s.lazy.reader.verifyActive()
 }

@@ -10,8 +10,8 @@ import (
 	"powerdrill/internal/memmgr"
 )
 
-// TestPerChunkCompressedRoundTrip pins the v3 format: for every registered
-// codec, a per-record-compressed save must open bit-for-bit identically —
+// TestPerChunkCompressedRoundTrip pins per-record framing: for every
+// registered codec, a per-record-compressed save must open bit-for-bit identically —
 // eagerly and lazily — and single-chunk/single-dictionary loads must read
 // exactly the compressed record's byte range, nothing more.
 func TestPerChunkCompressedRoundTrip(t *testing.T) {
@@ -27,9 +27,6 @@ func TestPerChunkCompressedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !lazy.ChunkGranular() {
-				t.Fatal("per-chunk-compressed store is not chunk-granular")
-			}
 			assertColumnsEqual(t, built, lazy)
 
 			r, _, err := NewReader(dir)
@@ -38,17 +35,17 @@ func TestPerChunkCompressedRoundTrip(t *testing.T) {
 			}
 			for _, name := range built.Columns() {
 				want := built.Column(name)
-				dlen, ok := r.DictFileLen(name)
-				if !ok || dlen <= 0 {
-					t.Fatalf("column %q: no exact dictionary range (ok=%v len=%d)", name, ok, dlen)
+				dlen, err := r.DictFileLen(name)
+				if err != nil || dlen <= 0 {
+					t.Fatalf("column %q: no exact dictionary range (err=%v len=%d)", name, err, dlen)
 				}
 				if _, disk, err := r.LoadColumnDict(name); err != nil || disk != dlen {
 					t.Fatalf("column %q: dict load disk=%d want %d (err=%v)", name, disk, dlen, err)
 				}
 				for ci := range want.Chunks {
-					off, n, ok := r.ChunkFileRange(name, ci)
-					if !ok || n <= 0 || off < dlen {
-						t.Fatalf("column %q chunk %d: bad range ok=%v off=%d n=%d", name, ci, ok, off, n)
+					off, n, err := r.ChunkFileRange(name, ci)
+					if err != nil || n <= 0 || off < dlen {
+						t.Fatalf("column %q chunk %d: bad range err=%v off=%d n=%d", name, ci, err, off, n)
 					}
 					ch, disk, err := r.LoadColumnChunk(name, ci)
 					if err != nil {
@@ -94,83 +91,6 @@ func TestPerChunkCompressedSmallerThanFile(t *testing.T) {
 	}
 }
 
-// TestLegacyV2WholeColumnMemoized pins the legacy-compressed behavior: a
-// store with whole-column codec framing pays one full read+decompress for
-// the first cold piece of a column (later loads come from the Reader's
-// memoized stream), while every chunk load — first or memoized — is
-// *charged* its exact record share of the file. Before the attribution
-// fix, the first load was charged the whole file and later loads 0, so
-// per-query DiskBytesRead depended on arrival order.
-func TestLegacyV2WholeColumnMemoized(t *testing.T) {
-	built, dir := buildLegacyStore(t, 3000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lazy.ChunkGranular() {
-		t.Fatal("v2 store with a chunk layout should be chunk-granular")
-	}
-	assertColumnsEqual(t, built, lazy)
-
-	r, _, err := NewReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := built.Columns()[0]
-	if _, _, ok := r.ChunkFileRange(name, 0); ok {
-		t.Fatal("whole-column codec must not advertise exact chunk ranges")
-	}
-	mc, ok := r.colMeta(name)
-	if !ok {
-		t.Fatalf("no manifest entry for %q", name)
-	}
-	fi, err := os.Stat(filepath.Join(dir, mc.File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := streamLen(mc)
-	share := func(recLen int64) int64 {
-		s := int64(float64(fi.Size()) * float64(recLen) / float64(stream))
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
-	var charged int64
-	for ci := 0; ci < built.NumChunks(); ci++ {
-		_, disk, err := r.LoadColumnChunk(name, ci)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := share(mc.Chunks[ci].Len); disk != want {
-			t.Fatalf("chunk %d charged %d bytes, want its record share %d", ci, disk, want)
-		}
-		if disk <= 0 || disk >= fi.Size() {
-			t.Fatalf("chunk %d charged %d bytes of a %d byte file; want a strict nonzero subrange", ci, disk, fi.Size())
-		}
-		charged += disk
-	}
-	if _, disk, err := r.LoadColumnDict(name); err != nil {
-		t.Fatal(err)
-	} else if want := share(mc.DictLen); disk != want {
-		t.Fatalf("dictionary charged %d bytes, want its record share %d", disk, want)
-	} else {
-		charged += disk
-	}
-	// The shares are proportional, so loading everything is charged about
-	// one file (never more than file + one rounding unit per record).
-	if slack := int64(built.NumChunks() + 1); charged > fi.Size()+slack || charged < fi.Size()/2 {
-		t.Fatalf("all records charged %d bytes of a %d byte file", charged, fi.Size())
-	}
-	io := r.IOStats()
-	if io.DecompressCalls != 1 {
-		t.Fatalf("decompress calls = %d, want 1 (memoized)", io.DecompressCalls)
-	}
-	if io.ReadCalls != 1 || io.BytesRead != fi.Size() {
-		t.Fatalf("physical IO = %d reads / %d bytes, want exactly one whole-file read (%d bytes)", io.ReadCalls, io.BytesRead, fi.Size())
-	}
-}
-
 // TestReadChunkRuns checks run coalescing: contiguous chunks collapse into
 // one read, a gap splits the runs, and the records decode identically to
 // individual loads.
@@ -196,9 +116,9 @@ func TestReadChunkRuns(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			recs, runs, coalesced, ok, err := r.ReadChunkRuns(col, all)
-			if err != nil || !ok {
-				t.Fatalf("ReadChunkRuns: ok=%v err=%v", ok, err)
+			recs, runs, coalesced, err := r.ReadChunkRuns(col, all)
+			if err != nil {
+				t.Fatalf("ReadChunkRuns: %v", err)
 			}
 			if runs != 1 {
 				t.Fatalf("contiguous chunks read in %d runs, want 1", runs)
@@ -219,15 +139,20 @@ func TestReadChunkRuns(t *testing.T) {
 				}
 			}
 			// A hole splits the run.
-			_, runs, coalesced, ok, err = r.ReadChunkRuns(col, []int{0, 1, 3})
-			if err != nil || !ok {
-				t.Fatalf("ReadChunkRuns with gap: ok=%v err=%v", ok, err)
+			_, runs, coalesced, err = r.ReadChunkRuns(col, []int{0, 1, 3})
+			if err != nil {
+				t.Fatalf("ReadChunkRuns with gap: %v", err)
 			}
 			if runs != 2 {
 				t.Fatalf("gapped set read in %d runs, want 2", runs)
 			}
 			if coalesced != 1 {
 				t.Fatalf("gapped set saved %d reads, want 1 (the 0-1 pair)", coalesced)
+			}
+			// Ranges are total on a valid store: a chunk past the end is an
+			// error, not a fall-back.
+			if _, _, _, err := r.ReadChunkRuns(col, []int{0, n}); err == nil {
+				t.Fatal("ReadChunkRuns accepted an out-of-range chunk")
 			}
 		})
 	}

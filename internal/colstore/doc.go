@@ -22,40 +22,45 @@
 // Save writes a manifest.json plus one binary file per column:
 // dictionary header first, then length-prefixed chunk records. The
 // manifest also records, per column, the dictionary's byte length and
-// each chunk's global-id span and byte range (see manifestChunk) — enough
-// metadata to decide which chunks a restriction can match, and to load
-// any single dictionary or chunk, without touching the rest of the file.
-// With a codec, every record is compressed individually and its
-// compressed byte range recorded too (manifest v3), so the exact-read
-// property holds under compression; SaveLegacyV2 keeps the old
-// whole-column framing for baselines and compatibility tests. See
-// docs/format.md for the full layout and compatibility matrix.
+// each chunk's global-id span, Bloom filter, byte range and CRC32C (see
+// manifestChunk) — enough metadata to decide which chunks a restriction
+// can match, and to load and verify any single dictionary or chunk,
+// without touching the rest of the file. With a codec, every record is
+// compressed individually and its compressed byte range recorded too, so
+// the exact-read property holds under compression. There is one format
+// generation (docs/format.md); a store written by an earlier build is
+// refused with ErrOldFormat by everything except the eager Open, which is
+// what Upgrade rewrites it with.
 //
 // # Lazy stores and the Reader
 //
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
-// unit is the (column, chunk) pair plus one entry per global dictionary;
-// stores saved before the manifest carried the chunk layout fall back to
-// whole-column entries (Store.ChunkGranular distinguishes them). Reader
-// is the decoding layer underneath: LoadColumn, LoadColumnDict and
-// LoadColumnChunk go to the files through a bounded handle cache,
-// ReadChunkRuns serves contiguous cold chunks with one read per byte run,
-// and legacy whole-column-codec streams are decompressed once and
-// memoized (bounded, freed by Close). IOStats counts the physical work.
+// unit is the (column, chunk) pair plus one entry per global dictionary.
+// Reader is the decoding layer underneath: LoadColumnDict and
+// LoadColumnChunk read one record at its exact byte range through a
+// bounded handle cache, and ReadChunkRuns serves contiguous cold chunks
+// with one read per byte run. IOStats counts the physical work.
 //
 // # Virtual columns
 //
 // Expressions materialized at query time (AddVirtualColumn) are built in
-// the store's own format. On a chunk-granular lazy store,
-// AddVirtualColumnPinned additionally persists the column into the
-// virtual/ sidecar next to the store — same framing, codec and per-chunk
-// spans as the parent's columns — and registers its pieces with the
-// memory manager, so materializations are budgeted, evictable, reloadable
-// and span-prunable exactly like physical data, and survive a reopen.
-// When persistence is impossible (resident stores, legacy layouts,
-// read-only directories) or disabled, the column falls back to the
-// always-resident registry; UnevictableVirtualBytes reports those bytes.
+// the store's own format. On a lazy store, AddVirtualColumnPinned
+// additionally persists the column into the virtual/ sidecar next to the
+// store — same framing, codec and per-chunk spans as the parent's columns
+// — and registers its pieces with the memory manager, so materializations
+// are budgeted, evictable, reloadable and span-prunable exactly like
+// physical data, and survive a reopen. When persistence is impossible
+// (resident stores, read-only directories) or disabled, the column falls
+// back to the always-resident registry; UnevictableVirtualBytes reports
+// those bytes.
+//
+// # Generation chains
+//
+// The virtual sidecar's manifest and the ingest path's segment list are
+// each committed as a chain of numbered files, one implementation
+// (GenChain, genfile.go): claim the next number exclusively, read the
+// newest file that passes its own CRC.
 //
 // # The PinSet-first contract
 //

@@ -15,54 +15,50 @@ import (
 	"powerdrill/internal/value"
 )
 
-// The on-disk format: a manifest.json plus one binary file per column.
-// The format exists for two reasons: cold-start experiments (Figure 5
-// charges disk loads by these exact byte counts) and the pdrill CLI.
+// The on-disk format: a manifest.json plus one binary file per column
+// (docs/format.md). The format exists for two reasons: cold-start
+// experiments (Figure 5 charges disk loads by these exact byte counts) and
+// the pdrill CLI.
 //
-// Three manifest generations coexist (see docs/format.md for the full
-// layout and compatibility matrix):
-//
-//   - v1 (no chunk layout): the column file is one stream, optionally
-//     compressed as a whole; residency degrades to whole columns.
-//   - v2 (chunk layout, whole-column codec): the manifest records each
-//     chunk's byte range in the *uncompressed* stream. Uncompressed stores
-//     serve exact per-chunk reads; compressed stores must still read and
-//     decompress the whole file per cold load.
-//   - v3 (per-record compression): with a codec, Save compresses the
-//     dictionary record and every chunk record individually and records
-//     each record's compressed byte range ([COff, COff+CLen)) in the file,
-//     so a cold chunk is one exact ReadAt plus one single-record
-//     decompress — cold I/O scales with restriction selectivity under
-//     compression exactly like it does for raw stores.
-//   - v4 (scan-pruning metadata): each sparse chunk additionally carries a
-//     Bloom filter over its distinct global-ids, so equality restrictions
-//     on unsorted columns can skip chunks the [min, max] span test cannot;
-//     and sharded string dictionaries record one frame per sub-dictionary
-//     (byte range, value count, routing bounds, Bloom filter), so lazy
-//     reopens of uncompressed stores load only the dictionary shards a
-//     query probes. Both fields are optional JSON additions: v4 readers
-//     open v1–v3 stores unchanged, and older readers ignore the fields.
-//   - v5 (record checksums): every on-disk record — head record, chunk
-//     record, dictionary shard frame — carries a CRC32C over the exact
-//     file bytes a cold load reads, verified on read (see checksum.go).
-//     Again purely additive JSON fields; v1–v4 stores read unchanged.
+// There is one format generation. The manifest records, per column, the
+// byte range, global-id span, Bloom filter and CRC32C of every record — the
+// head record (global dictionary plus chunk-count varint) and one record
+// per chunk — so a cold load is one exact ReadAt of one record, verified
+// and, with a codec, decompressed alone. Stores written by earlier builds
+// (generations 1–4: no chunk layout, whole-file codec, no checksums) are
+// read by exactly one function, the eager Open, which is all Upgrade needs
+// to rewrite them; everything else refuses them with ErrOldFormat.
 
-// formatVersion is the manifest generation this package writes.
+// formatVersion is the manifest generation this package writes, and the
+// only one the lazy reader, the sidecar and the scrub accept.
 const formatVersion = 5
 
-// formatPerRecordCodec is the first generation whose codec applies per
-// record (dictionary and chunks compressed individually) rather than to
-// the whole column file.
-const formatPerRecordCodec = 3
+// ErrOldFormat is what errors.Is matches when a store directory was
+// written in format generation 1–4; the error itself is an
+// *OldFormatError naming the generation found.
+var ErrOldFormat = errors.New("colstore: old format generation")
+
+// OldFormatError refuses a store written by an earlier build. Such a store
+// is still readable in full by the eager Open, which is how Upgrade
+// converts it.
+type OldFormatError struct {
+	Dir        string
+	Generation int
+}
+
+func (e *OldFormatError) Error() string {
+	return fmt.Sprintf("colstore: %s is format generation %d and this build reads generation %d only: "+
+		"convert it with `pdrill upgrade -store %s -out NEWDIR`", e.Dir, e.Generation, formatVersion, e.Dir)
+}
+
+func (e *OldFormatError) Unwrap() error { return ErrOldFormat }
 
 // manifest is the JSON header of a persisted store.
 type manifest struct {
 	Name   string `json:"name"`
 	Bounds []int  `json:"bounds"`
 	Codec  string `json:"codec,omitempty"`
-	// Format is the manifest generation; absent (0) on stores written
-	// before per-record compression. Codec framing: with Format >= 3 a
-	// codec applies per record, otherwise to the whole column file.
+	// Format is the manifest generation; absent (0) on generations 1–2.
 	Format  int           `json:"format,omitempty"`
 	Columns []manifestCol `json:"columns"`
 	Opts    manifestOpts  `json:"options"`
@@ -74,22 +70,20 @@ type manifestCol struct {
 	Virtual bool   `json:"virtual,omitempty"`
 	File    string `json:"file"`
 	// DictLen is the byte length of the dictionary header at the start of
-	// the (uncompressed) column stream; 0 on manifests written before
-	// chunk-granular residency, which fall back to whole-column loads.
+	// the (uncompressed) column stream.
 	DictLen int64 `json:"dict_len,omitempty"`
 	// DictCLen is the compressed byte length of the head record (dictionary
-	// plus chunk-count varint) at the start of the column file; only set by
-	// per-record-compressed (v3) saves.
+	// plus chunk-count varint) at the start of the column file; set exactly
+	// when the store has a codec.
 	DictCLen int64 `json:"dict_clen,omitempty"`
-	// DictCRC is the CRC32C of the head record's file bytes (v5): the
-	// compressed record on per-record-compressed stores, otherwise every
-	// byte before the first chunk (the whole file for chunkless columns).
+	// DictCRC is the CRC32C of the head record's file bytes: the compressed
+	// record with a codec, otherwise every byte before the first chunk.
 	DictCRC uint32 `json:"dict_crc,omitempty"`
 	// Chunks is the per-chunk layout: value span for restriction pruning
 	// and the byte range of each chunk record, so a single chunk can be
 	// loaded without touching the rest of the column.
 	Chunks []manifestChunk `json:"chunks,omitempty"`
-	// DictShards sub-frames a sharded string dictionary (v4): one entry per
+	// DictShards sub-frames a sharded string dictionary: one entry per
 	// dict.Sharded shard, in id order. Byte offsets index the uncompressed
 	// column stream, so lazy readers of uncompressed stores can load single
 	// shards with exact reads; compressed stores fall back to the full
@@ -108,17 +102,16 @@ type manifestDictShard struct {
 	First string `json:"first"`
 	Last  string `json:"last"`
 	Bloom []byte `json:"bloom,omitempty"`
-	// CRC is the CRC32C of the shard's file bytes (v5, uncompressed
-	// stores only — shard offsets index the file directly there).
+	// CRC is the CRC32C of the shard's file bytes (uncompressed stores
+	// only — shard offsets index the file directly there).
 	CRC uint32 `json:"crc,omitempty"`
 }
 
 // manifestChunk records one chunk's residency metadata: the global-id span
 // of its chunk-dictionary (Min > Max marks an empty chunk) and the byte
 // range [Off, Off+Len) of its record in the uncompressed column stream.
-// On per-record-compressed (v3) stores, [COff, COff+CLen) is additionally
-// the compressed record's byte range in the column file — the exact range
-// a cold load reads.
+// With a codec, [COff, COff+CLen) is additionally the compressed record's
+// byte range in the column file — the exact range a cold load reads.
 type manifestChunk struct {
 	Min  uint32 `json:"min"`
 	Max  uint32 `json:"max"`
@@ -126,14 +119,13 @@ type manifestChunk struct {
 	Len  int64  `json:"len"`
 	COff int64  `json:"coff,omitempty"`
 	CLen int64  `json:"clen,omitempty"`
-	// Bloom is a marshaled filter over the chunk's distinct global-ids (v4,
-	// sparse chunks only): a negative probe proves an equality restriction
+	// Bloom is a marshaled filter over the chunk's distinct global-ids
+	// (sparse chunks only): a negative probe proves an equality restriction
 	// matches nothing in the chunk, pruning it before any load — the check
 	// the [Min, Max] span cannot make on unsorted columns.
 	Bloom []byte `json:"bloom,omitempty"`
-	// CRC is the CRC32C of the chunk record's file bytes (v5): the
-	// compressed record [COff, COff+CLen) on per-record-compressed
-	// stores, [Off, Off+Len) otherwise.
+	// CRC is the CRC32C of the chunk record's file bytes: the compressed
+	// record [COff, COff+CLen) with a codec, [Off, Off+Len) otherwise.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
@@ -146,24 +138,10 @@ type manifestOpts struct {
 }
 
 // Save persists the store into dir (created if needed). codecName may be
-// empty for uncompressed files or any registered codec. Compressed stores
-// are written with per-record (v3) framing: the dictionary and every chunk
-// are compressed individually so cold loads read exact byte ranges.
+// empty for uncompressed files or any registered codec; a codec compresses
+// the dictionary and every chunk individually, so cold loads read exact
+// byte ranges either way.
 func Save(s *Store, dir, codecName string) error {
-	return save(s, dir, codecName, formatVersion)
-}
-
-// SaveLegacyV2 persists the store with the pre-v3 whole-column codec
-// framing: the chunk layout is recorded, but a codec (if any) compresses
-// the column file as one stream, so a cold chunk load must read and
-// decompress the whole file. Kept as the baseline for the cold-I/O
-// benchmarks and the cross-version compatibility tests; new code should
-// use Save.
-func SaveLegacyV2(s *Store, dir, codecName string) error {
-	return save(s, dir, codecName, 0)
-}
-
-func save(s *Store, dir, codecName string, format int) error {
 	var codec compress.Codec
 	if codecName != "" {
 		var err error
@@ -179,7 +157,7 @@ func save(s *Store, dir, codecName string, format int) error {
 		Name:   s.Name,
 		Bounds: s.Bounds,
 		Codec:  codecName,
-		Format: format,
+		Format: formatVersion,
 		Opts: manifestOpts{
 			PartitionFields:  s.Opts.PartitionFields,
 			MaxChunkRows:     s.Opts.MaxChunkRows,
@@ -200,26 +178,16 @@ func save(s *Store, dir, codecName string, format int) error {
 		}
 		file := fmt.Sprintf("col_%04d.bin", i)
 		raw, dictLen, chunkMetas := encodeColumn(col)
-		var dictShards []manifestDictShard
-		if format >= 4 {
-			buildChunkBlooms(col, chunkMetas)
-			dictShards = dictShardFrames(col)
-		}
-		ps.Release()
+		buildChunkBlooms(col, chunkMetas)
 		mc := manifestCol{
 			Name: name, Kind: col.Kind.String(), Virtual: col.Virtual, File: file,
-			DictLen: dictLen, Chunks: chunkMetas, DictShards: dictShards,
+			DictLen: dictLen, Chunks: chunkMetas, DictShards: dictShardFrames(col),
 		}
+		ps.Release()
 		if codec != nil {
-			if format >= 3 {
-				raw, mc = compressRecords(codec, raw, mc)
-			} else {
-				raw = codec.Compress(nil, raw)
-			}
+			raw, mc = compressRecords(codec, raw, mc)
 		}
-		if format >= formatChecksums {
-			addColChecksums(&mc, raw, codec != nil && mc.DictCLen > 0)
-		}
+		addColChecksums(&mc, raw, codec != nil)
 		if err := vfs().WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
@@ -311,8 +279,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// compressRecords rewrites one column's raw stream with per-record (v3)
-// codec framing: a head record (dictionary plus chunk-count varint, the
+// compressRecords rewrites one column's raw stream with per-record codec
+// framing: a head record (dictionary plus chunk-count varint, the
 // bytes before the first chunk) followed by one record per chunk, each
 // compressed independently. The returned manifest entry carries the
 // compressed byte range of every record.
@@ -333,13 +301,7 @@ func compressRecords(codec compress.Codec, raw []byte, mc manifestCol) ([]byte, 
 	return out, mc
 }
 
-// perChunkCompressed reports whether a column file uses the v3 per-record
-// codec framing (compressed records at exact byte ranges).
-func (m *manifest) perChunkCompressed(mc manifestCol) bool {
-	return m.Codec != "" && m.Format >= formatPerRecordCodec && mc.DictCLen > 0
-}
-
-// decompressColumnFile rebuilds a v3 column's uncompressed stream from its
+// decompressColumnFile rebuilds a column's uncompressed stream from its
 // per-record-compressed file contents.
 func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) ([]byte, error) {
 	if mc.DictCLen > int64(len(data)) {
@@ -428,7 +390,9 @@ type DiskStats struct {
 	Files     int
 }
 
-// readManifest loads and validates a persisted store's manifest.
+// readManifest loads a persisted store's manifest of any generation up to
+// this build's. A newer one is refused loudly: its fields would be
+// silently ignored and its records possibly misread.
 func readManifest(dir string) (*manifest, int64, error) {
 	blob, err := vfs().ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -441,7 +405,50 @@ func readManifest(dir string) (*manifest, int64, error) {
 	if len(m.Bounds) < 2 {
 		return nil, 0, errors.New("colstore: manifest has no chunk bounds")
 	}
+	if m.Format > formatVersion {
+		return nil, 0, fmt.Errorf("colstore: %s is format generation %d, written by a newer build (this one reads up to %d)",
+			dir, m.Format, formatVersion)
+	}
 	return &m, int64(len(blob)), nil
+}
+
+// generation names the format generation that wrote m. Generations 1 and 2
+// predate the format field; 2 added the chunk layout.
+func (m *manifest) generation() int {
+	if m.Format > 0 {
+		return m.Format
+	}
+	for _, mc := range m.Columns {
+		if len(mc.Chunks) == 0 {
+			return 1
+		}
+	}
+	return 2
+}
+
+// checkCurrent is the gate of every reader but the eager Open: an
+// *OldFormatError for generations 1–4, and for the current generation a
+// check that every column carries the layout cold reads rely on.
+func (m *manifest) checkCurrent(dir string) error {
+	if gen := m.generation(); gen < formatVersion {
+		return &OldFormatError{Dir: dir, Generation: gen}
+	}
+	for _, mc := range m.Columns {
+		if err := m.checkLayout(mc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkLayout verifies one column entry (of the manifest or of its virtual
+// sidecar) records a dictionary length and one chunk per store chunk, with
+// compressed ranges when the store has a codec.
+func (m *manifest) checkLayout(mc manifestCol) error {
+	if mc.DictLen <= 0 || len(mc.Chunks) != len(m.Bounds)-1 || (m.Codec != "" && mc.DictCLen <= 0) {
+		return fmt.Errorf("colstore: column %q has no chunk layout", mc.Name)
+	}
+	return nil
 }
 
 // storeShell builds an empty Store carrying the manifest's layout and
@@ -464,10 +471,18 @@ func storeShell(m *manifest) *Store {
 // Open loads a persisted store fully into memory. The string-dictionary
 // implementation is taken from the manifest options. For a lazily loaded,
 // budget-managed store see OpenLazy.
+//
+// Open is also the one reader of format generations 1–4 (Upgrade is Open
+// plus Save): it reads whole files and decodes full columns, so all it has
+// to know about them is that generations 1–2 compressed a column file as
+// one stream and that none carried checksums (verifyColumnFile).
 func Open(dir string) (*Store, *DiskStats, error) {
 	stats := &DiskStats{}
 	m, manifestBytes, err := readManifest(dir)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.checkCurrent(dir); err != nil && !errors.Is(err, ErrOldFormat) {
 		return nil, nil, err
 	}
 	stats.BytesRead += manifestBytes
@@ -490,10 +505,10 @@ func Open(dir string) (*Store, *DiskStats, error) {
 			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
 		}
 		if codec != nil {
-			if m.perChunkCompressed(mc) {
-				raw, err = decompressColumnFile(codec, mc, raw)
-			} else {
+			if m.Format < 3 {
 				raw, err = codec.Decompress(nil, raw)
+			} else {
+				raw, err = decompressColumnFile(codec, mc, raw)
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("colstore: decompress column %q: %w", mc.Name, err)
@@ -512,6 +527,35 @@ func Open(dir string) (*Store, *DiskStats, error) {
 		}
 	}
 	return s, stats, nil
+}
+
+// FormatGeneration reports which format generation wrote the store at dir,
+// from its manifest alone.
+func FormatGeneration(dir string) (int, error) {
+	m, _, err := readManifest(dir)
+	if err != nil {
+		return 0, err
+	}
+	return m.generation(), nil
+}
+
+// Upgrade rewrites the base store at oldDir — any format generation this
+// build can still read eagerly — as a current-generation store at newDir,
+// with the same codec and import options. Only the manifest's own columns
+// are carried: a virtual sidecar is a rebuildable cache and is left behind.
+func Upgrade(oldDir, newDir string) error {
+	if _, err := vfs().Stat(filepath.Join(newDir, "manifest.json")); err == nil {
+		return fmt.Errorf("colstore: upgrade: %s already holds a store", newDir)
+	}
+	m, _, err := readManifest(oldDir)
+	if err != nil {
+		return err
+	}
+	s, _, err := Open(oldDir)
+	if err != nil {
+		return err
+	}
+	return Save(s, newDir, m.Codec)
 }
 
 // decodeColumn parses the output of encodeColumn.
@@ -629,34 +673,6 @@ func decodeChunk(r *byteReader) (*Chunk, error) {
 		return nil, err
 	}
 	return &Chunk{GlobalIDs: gids, Elems: seq}, nil
-}
-
-// skipChunk advances r past one chunk record without building its slices —
-// the "length-prefixed so a reader could skip them" promise of the format.
-// The chunk-dictionary deltas are varints without a byte-length prefix, so
-// skipping still walks them, but allocates nothing.
-func skipChunk(r *byteReader) error {
-	card, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < card; i++ {
-		if _, err := r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if _, err := r.take(1); err != nil { // width byte
-		return err
-	}
-	if _, err := r.uvarint(); err != nil { // rows
-		return err
-	}
-	plen, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	_, err = r.take(int(plen))
-	return err
 }
 
 // byteReader is a bounds-checked cursor over a byte slice.

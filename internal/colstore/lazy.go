@@ -25,8 +25,7 @@ import (
 // The unit of residency is the (column, chunk) pair plus one entry per
 // global dictionary: a restricted query that scans k of n chunks pins the
 // dictionaries of its columns and the k active chunks of each, nothing
-// else. Stores saved before the manifest carried a chunk layout fall back
-// to whole-column residency (see Store.ChunkGranular).
+// else.
 
 // ColumnMeta describes a persisted column without loading its data.
 type ColumnMeta struct {
@@ -56,13 +55,12 @@ func spanOf(ch *Chunk) ChunkSpan {
 	return ChunkSpan{MinGID: ch.GlobalIDs[0], MaxGID: ch.GlobalIDs[len(ch.GlobalIDs)-1]}
 }
 
-// Reader decodes individual columns, dictionaries and chunks from a store
-// persisted with Save. It keeps no column data itself — every Load call
-// goes back to the files — so it is the natural provider behind a
-// budget-managed store. What it does keep is cold-I/O plumbing (see
-// readerio.go): a bounded cache of open file handles, a bounded memo of
-// decompressed streams for legacy whole-column-codec stores, and physical
-// I/O counters. All methods are safe for concurrent use.
+// Reader decodes individual dictionaries and chunks from a store persisted
+// with Save, each read at its exact byte range. It keeps no column data
+// itself — every Load call goes back to the files — so it is the natural
+// provider behind a budget-managed store. What it does keep is cold-I/O
+// plumbing (see readerio.go): a bounded cache of open file handles and
+// physical I/O counters. All methods are safe for concurrent use.
 type Reader struct {
 	dir string
 	m   *manifest
@@ -77,30 +75,23 @@ type Reader struct {
 	mu      sync.Mutex
 	files   map[string]*openFile
 	fileLRU []string
-	// fileSizes memoizes each column file's on-disk byte size after its
-	// first whole-file read — the denominator-independent input to the
-	// exact per-record disk attribution of legacy whole-column-codec loads
-	// (recordShare). Sizes are immutable, so entries are never invalidated.
-	fileSizes map[string]int64
-	// rawCache memoizes decompressed whole-column streams for stores whose
-	// codec frames the entire file (legacy v1/v2): without it, every cold
-	// chunk of such a store would decompress the full column again.
-	rawCache map[string][]byte
-	rawOrder []string
-	rawBytes int64
-	stats    IOStats
+	stats   IOStats
 
-	// verify enables CRC32C verification of every cold-read record on v5
-	// stores (see checksum.go). On by default; earlier formats carry no
-	// checksums, so the flag is moot there.
+	// verify enables CRC32C verification of every cold-read record (see
+	// checksum.go). On by default.
 	verify bool
 }
 
-// NewReader opens the manifest in dir. manifestBytes reports the bytes
-// read, the quantity Figure 5's latency model charges.
+// NewReader opens the manifest in dir, which must be of the current format
+// generation (an older one is refused with an *OldFormatError).
+// manifestBytes reports the bytes read, the quantity Figure 5's latency
+// model charges.
 func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 	m, n, err := readManifest(dir)
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := m.checkCurrent(dir); err != nil {
 		return nil, 0, err
 	}
 	if m.Codec != "" {
@@ -160,91 +151,9 @@ func (r *Reader) Columns() []ColumnMeta {
 // Bounds returns the store's chunk row boundaries.
 func (r *Reader) Bounds() []int { return r.m.Bounds }
 
-// hasLayout reports whether a manifest entry carries the chunk-granular
-// layout (dictionary length plus per-chunk spans and byte ranges).
-// Manifests written before this layout existed lack it and are served at
-// whole-column granularity.
-func (r *Reader) hasLayout(mc manifestCol) bool {
-	return mc.DictLen > 0 && len(mc.Chunks) == len(r.m.Bounds)-1
-}
-
-// rawColumn reads and decompresses one column file into its uncompressed
-// stream. On compressed stores the decompressed stream is memoized in the
-// Reader (bounded; see readerio.go), so repeated whole-column reads —
-// notably cold chunk loads on legacy whole-column-codec stores — pay the
-// read and decompress once, not once per chunk. diskBytes reports the
-// bytes actually read from disk by this call: zero on a memo hit.
-func (r *Reader) rawColumn(name string) (raw []byte, diskBytes int64, kind value.Kind, virtual bool, err error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return nil, 0, value.KindInvalid, false, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	kind, err = value.ParseKind(mc.Kind)
-	if err != nil {
-		return nil, 0, value.KindInvalid, false, fmt.Errorf("colstore: column %q: %w", name, err)
-	}
-	if r.m.Codec != "" {
-		if cached, ok := r.cachedStream(name); ok {
-			return cached, 0, kind, mc.Virtual, nil
-		}
-	}
-	raw, err = vfs().ReadFile(filepath.Join(r.dir, mc.File))
-	if err != nil {
-		return nil, 0, value.KindInvalid, false, fmt.Errorf("colstore: load column %q: %w", name, err)
-	}
-	diskBytes = int64(len(raw))
-	r.mu.Lock()
-	r.stats.ReadCalls++
-	r.stats.BytesRead += diskBytes
-	if r.fileSizes == nil {
-		r.fileSizes = make(map[string]int64, 8)
-	}
-	r.fileSizes[mc.File] = diskBytes
-	r.mu.Unlock()
-	if r.verifyActive() {
-		n, verr := verifyColumnFile(r.m, mc, raw, filepath.Join(r.dir, mc.File))
-		r.noteChecksum(n, verr == nil)
-		if verr != nil {
-			return nil, 0, value.KindInvalid, false, fmt.Errorf("colstore: load column %q: %w", name, verr)
-		}
-	}
-	if r.m.Codec != "" {
-		codec := mustCodec(r.m.Codec)
-		if r.m.perChunkCompressed(mc) {
-			raw, err = r.decompressColumnFile(codec, mc, raw)
-		} else {
-			raw, err = r.decompress(codec, nil, raw)
-		}
-		if err != nil {
-			return nil, 0, value.KindInvalid, false, fmt.Errorf("colstore: decompress column %q: %w", name, err)
-		}
-		r.memoizeStream(name, raw)
-	}
-	return raw, diskBytes, kind, mc.Virtual, nil
-}
-
-// LoadColumn decodes the named column in full. diskBytes is the on-disk
-// (compressed) size actually read.
-func (r *Reader) LoadColumn(name string) (*Column, int64, error) {
-	raw, diskBytes, kind, virtual, err := r.rawColumn(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	col, err := decodeColumn(name, kind, virtual, raw, r.sd)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-	}
-	return col, diskBytes, nil
-}
-
-// LoadColumnDict decodes only the named column's global dictionary. With a
-// chunk layout just the dictionary record's byte range is read from disk —
-// raw on uncompressed stores, one compressed record (decompressed alone)
-// on per-record-compressed ones. Legacy whole-column codecs read the whole
-// file (memoized in the Reader) but materialize only the dictionary, and
-// the reported disk bytes are the dictionary record's share of the file
-// (see recordShare), not whichever of zero or the whole file the memo
-// happened to serve.
+// LoadColumnDict decodes only the named column's global dictionary: the
+// head record's byte range is read from disk, verified, and with a codec
+// decompressed alone. The reported disk bytes are exactly that record's.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 	mc, ok := r.colMeta(name)
 	if !ok {
@@ -255,50 +164,36 @@ func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
 	}
 	if d, ok := r.shardedDictFromFrames(mc, kind); ok {
-		// Sub-framed load (v4, uncompressed sharded string dictionaries):
+		// Sub-framed load (uncompressed sharded string dictionaries):
 		// routing bounds and Bloom filters come straight from the manifest,
 		// so no dictionary bytes are read until a query probes a shard —
 		// and each probe reads exactly that shard's byte range.
 		return d, 0, nil
 	}
-	if n, exact := r.DictFileLen(name); exact {
-		raw, err := r.readRange(mc.File, 0, n)
-		if err != nil {
-			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
-		}
-		if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
-			return nil, 0, err
-		}
-		if r.m.perChunkCompressed(mc) {
-			if raw, err = r.decompress(mustCodec(r.m.Codec), nil, raw); err != nil {
-				return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
-			}
-		}
-		d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd)
-		if err != nil {
-			return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-		}
-		return d, n, nil
-	}
-	raw, diskBytes, kind, _, err := r.rawColumn(name)
+	n := headFileLen(mc, r.m.Codec != "", 0)
+	raw, err := r.readRange(mc.File, 0, n)
 	if err != nil {
+		return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
+	}
+	if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
 		return nil, 0, err
 	}
+	if r.m.Codec != "" {
+		if raw, err = r.decompress(mustCodec(r.m.Codec), nil, raw); err != nil {
+			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
+		}
+	}
+	// The head record ends in the chunk-count varint; the decoder stops at
+	// the dictionary's end and ignores it.
 	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
 	}
-	if r.hasLayout(mc) {
-		// Whole-column codec with a layout: attribute the dictionary
-		// record's exact share of the file rather than the full read (or a
-		// memo-hit zero).
-		diskBytes = r.recordShare(mc, mc.DictLen)
-	}
-	return d, diskBytes, nil
+	return d, n, nil
 }
 
 // shardedDictFromFrames reconstructs a sharded string dictionary from the
-// manifest's v4 sub-frames, loading no values. Applies only to uncompressed
+// manifest's sub-frames, loading no values. Applies only to uncompressed
 // stores saved with StringDictSharded: the shard byte ranges index the raw
 // column file, so each shard the query probes is served by one exact
 // ReadAt. Any malformed frame (bad Bloom bytes, non-positive count) makes
@@ -353,102 +248,23 @@ func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Di
 	return d, true
 }
 
-// LoadColumnChunk decodes a single chunk of the named column. When the
-// layout supports exact reads (uncompressed with a chunk layout, or
-// per-record-compressed v3) only the chunk record's byte range is read —
-// and on v3 stores only that record is decompressed. A legacy store
-// compressed as a whole still reads and decompresses the file (memoized in
-// the Reader), materializing only the requested chunk and charging the
-// chunk record's share of the file (recordShare) as its disk bytes.
-// Without a layout the reader walks the stream, skipping the dictionary
-// and the preceding chunks.
+// LoadColumnChunk decodes a single chunk of the named column: only the
+// chunk record's byte range is read, and with a codec only that record is
+// decompressed. The reported disk bytes are exactly the record's.
 func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
-	mc, ok := r.colMeta(name)
-	if ok && r.hasLayout(mc) {
-		if chunk < 0 || chunk >= len(mc.Chunks) {
-			return nil, 0, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, len(mc.Chunks), chunk)
-		}
-		meta := mc.Chunks[chunk]
-		if off, n, exact := r.ChunkFileRange(name, chunk); exact {
-			rec, err := r.readRange(mc.File, off, n)
-			if err != nil {
-				return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
-			}
-			ch, err := r.DecodeChunkRecord(name, chunk, rec)
-			if err != nil {
-				return nil, 0, err
-			}
-			return ch, n, nil
-		}
-		raw, _, _, _, err := r.rawColumn(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		if meta.Off+meta.Len > int64(len(raw)) {
-			return nil, 0, fmt.Errorf("colstore: column %q chunk %d: %w", name, chunk, errTruncated)
-		}
-		ch, err := decodeChunk(&byteReader{buf: raw[meta.Off : meta.Off+meta.Len]})
-		if err != nil {
-			return nil, 0, fmt.Errorf("colstore: column %q chunk %d: %w", name, chunk, err)
-		}
-		// Whole-column codec: the read (or memo hit) touched the whole
-		// file, but this load is *for* one record — charge its exact share
-		// so per-query DiskBytesRead does not depend on which query
-		// happened to populate the memo.
-		return ch, r.recordShare(mc, meta.Len), nil
-	}
-	raw, diskBytes, kind, _, err := r.rawColumn(name)
+	mc, off, n, err := r.chunkRecord(name, chunk)
 	if err != nil {
 		return nil, 0, err
 	}
-	br := &byteReader{buf: raw}
-	if err := skipDict(br, kind); err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-	}
-	nChunks, err := br.uvarint()
+	rec, err := r.readRange(mc.File, off, n)
 	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
+		return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
 	}
-	if chunk < 0 || uint64(chunk) >= nChunks {
-		return nil, 0, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, nChunks, chunk)
-	}
-	for c := 0; c < chunk; c++ {
-		if err := skipChunk(br); err != nil {
-			return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-		}
-	}
-	ch, err := decodeChunk(br)
+	ch, err := r.DecodeChunkRecord(name, chunk, rec)
 	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q chunk %d: %w", name, chunk, err)
+		return nil, 0, err
 	}
-	return ch, diskBytes, nil
-}
-
-// skipDict advances past the dictionary header without building it.
-func skipDict(r *byteReader, kind value.Kind) error {
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case value.KindString:
-		for i := uint64(0); i < n; i++ {
-			l, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if _, err := r.take(int(l)); err != nil {
-				return err
-			}
-		}
-	case value.KindInt64, value.KindFloat64:
-		if _, err := r.take(int(n) * 8); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("invalid kind %v", kind)
-	}
-	return nil
+	return ch, n, nil
 }
 
 // lazySource wires a Store to its on-disk provider and memory manager.
@@ -459,22 +275,18 @@ type lazySource struct {
 	// Replicas opened from the same directory share entries by design: the
 	// data is immutable and identical.
 	ns string
-	// chunked is true when every persisted column carries a chunk layout,
-	// enabling (column, chunk) residency. Immutable after OpenLazy.
-	chunked bool
-
 	// mu guards spans and sidecar: both immutable for physical columns but
 	// extended at query time when a virtual column is persisted.
 	mu sync.RWMutex
-	// spans holds each laid-out column's per-chunk value spans, straight
-	// from the manifest (or the virtual sidecar) — the metadata restriction
-	// pruning runs on.
+	// spans holds each column's per-chunk value spans, straight from the
+	// manifest (or the virtual sidecar) — the metadata restriction pruning
+	// runs on.
 	spans map[string][]ChunkSpan
-	// blooms holds each column's decoded per-chunk Bloom filters (v4
-	// manifests; nil entries where the chunk has none), the second
-	// metadata input to restriction pruning: a negative probe proves an
-	// equality restriction matches nothing in a chunk even when the value
-	// falls inside the chunk's [min, max] span.
+	// blooms holds each column's decoded per-chunk Bloom filters (nil
+	// entries where the chunk has none), the second metadata input to
+	// restriction pruning: a negative probe proves an equality restriction
+	// matches nothing in a chunk even when the value falls inside the
+	// chunk's [min, max] span.
 	blooms map[string][]*bloom.Filter
 	// sidecar mirrors the virtual/ sidecar manifest's column list.
 	sidecar []manifestCol
@@ -485,10 +297,8 @@ type lazySource struct {
 	noPersist atomic.Bool
 }
 
-func (l *lazySource) key(col string) string { return l.ns + "\x00" + col }
-
-// dictKey and chunkKey name the chunk-granular residency units inside the
-// manager: one entry per global dictionary, one per (column, chunk) pair.
+// dictKey and chunkKey name the residency units inside the manager: one
+// entry per global dictionary, one per (column, chunk) pair.
 func (l *lazySource) dictKey(col string) string { return l.ns + "\x00" + col + "#dict" }
 
 func (l *lazySource) chunkKey(col string, ci int) string {
@@ -503,11 +313,11 @@ func (l *lazySource) chunkKey(col string, ci int) string {
 // way (AddVirtualColumnPinned). mgr may be shared across stores (e.g. all
 // shards of a leaf process share one budget).
 //
-// When the manifest carries a chunk layout (any store saved by this
-// version), residency is chunk-granular: the manager tracks one entry per
-// global dictionary and one per (column, chunk) pair, so a restricted
-// query pins only the chunks it scans. Older manifests fall back to
-// whole-column entries.
+// Residency is chunk-granular: the manager tracks one entry per global
+// dictionary and one per (column, chunk) pair, so a restricted query pins
+// only the chunks it scans. A store of an older format generation is
+// refused with an *OldFormatError (errors.Is ErrOldFormat); Upgrade
+// converts it.
 func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 	if mgr == nil {
 		mgr = memmgr.New(0, "")
@@ -523,12 +333,11 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		ns = abs
 	}
 	src := &lazySource{
-		reader:  r,
-		mgr:     mgr,
-		ns:      ns,
-		spans:   make(map[string][]ChunkSpan),
-		blooms:  make(map[string][]*bloom.Filter),
-		chunked: true,
+		reader: r,
+		mgr:    mgr,
+		ns:     ns,
+		spans:  make(map[string][]ChunkSpan),
+		blooms: make(map[string][]*bloom.Filter),
 	}
 	s.lazy = src
 	s.metas = make(map[string]ColumnMeta, len(r.m.Columns))
@@ -539,28 +348,27 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		s.metas[meta.Name] = meta
 		s.order = append(s.order, meta.Name)
 		mc := r.cols[meta.Name]
-		if !r.hasLayout(mc) {
-			src.chunked = false
-			continue
-		}
-		spans := make([]ChunkSpan, len(mc.Chunks))
-		for i, cm := range mc.Chunks {
-			spans[i] = ChunkSpan{MinGID: cm.Min, MaxGID: cm.Max}
-		}
-		src.spans[meta.Name] = spans
+		src.spans[meta.Name] = chunkSpans(mc)
 		if filters := decodeChunkBlooms(mc); filters != nil {
 			src.blooms[meta.Name] = filters
 		}
 	}
-	if src.chunked {
-		// Virtual columns persisted by earlier sessions: register them so
-		// this session serves them as ordinary budgeted columns instead of
-		// re-materializing the expressions.
-		if err := s.loadSidecar(dir); err != nil {
-			return nil, nil, err
-		}
+	// Virtual columns persisted by earlier sessions: register them so this
+	// session serves them as ordinary budgeted columns instead of
+	// re-materializing the expressions.
+	if err := s.loadSidecar(dir); err != nil {
+		return nil, nil, err
 	}
 	return s, stats, nil
+}
+
+// chunkSpans lifts a manifest entry's per-chunk global-id spans.
+func chunkSpans(mc manifestCol) []ChunkSpan {
+	spans := make([]ChunkSpan, len(mc.Chunks))
+	for i, cm := range mc.Chunks {
+		spans[i] = ChunkSpan{MinGID: cm.Min, MaxGID: cm.Max}
+	}
+	return spans
 }
 
 // DisableVirtualPersist turns off sidecar persistence for this store:
@@ -614,9 +422,8 @@ func (s *Store) IOStats() (IOStats, bool) {
 }
 
 // Close releases the resources a lazy store holds outside the memory
-// budget: cached column-file handles and memoized decompressed streams.
-// The store stays usable (files re-open on demand); a no-op for fully
-// resident stores.
+// budget: its cached column-file handles. The store stays usable (files
+// re-open on demand); a no-op for fully resident stores.
 func (s *Store) Close() error {
 	if s.lazy == nil {
 		return nil
@@ -624,16 +431,10 @@ func (s *Store) Close() error {
 	return s.lazy.reader.Close()
 }
 
-// ChunkGranular reports whether the store's residency unit is the
-// (column, chunk) pair. False for fully resident stores and for lazy
-// stores whose manifest predates the chunk layout (those load and evict
-// whole columns).
-func (s *Store) ChunkGranular() bool { return s.lazy != nil && s.lazy.chunked }
-
 // ChunkSpans returns the per-chunk global-id spans of the named column,
 // without loading any chunk data: from the manifest on a lazy store, from
 // the chunk-dictionaries on a resident one. ok is false when the column is
-// unknown or (on a lazy store) has no layout.
+// unknown.
 func (s *Store) ChunkSpans(name string) ([]ChunkSpan, bool) {
 	if c := s.residentColumn(name); c != nil {
 		out := make([]ChunkSpan, len(c.Chunks))
@@ -651,11 +452,11 @@ func (s *Store) ChunkSpans(name string) ([]ChunkSpan, bool) {
 	return nil, false
 }
 
-// decodeChunkBlooms unmarshals a manifest column's per-chunk Bloom filters
-// (v4; empty on older manifests). The returned slice is indexed by chunk,
-// nil where the chunk carries no filter (dense or empty chunks) or where
-// the bytes fail to parse — a bad filter degrades to span-only pruning,
-// never to a wrong answer. Returns nil when no chunk has one.
+// decodeChunkBlooms unmarshals a manifest column's per-chunk Bloom
+// filters. The returned slice is indexed by chunk, nil where the chunk
+// carries no filter (dense or empty chunks) or where the bytes fail to
+// parse — a bad filter degrades to span-only pruning, never to a wrong
+// answer. Returns nil when no chunk has one.
 func decodeChunkBlooms(mc manifestCol) []*bloom.Filter {
 	var filters []*bloom.Filter
 	for i, cm := range mc.Chunks {
@@ -676,9 +477,8 @@ func decodeChunkBlooms(mc manifestCol) []*bloom.Filter {
 
 // ChunkBlooms returns the named column's per-chunk Bloom filters over
 // distinct global-ids, without loading any chunk data: nil entries mark
-// chunks without one. ok is false on fully resident stores, on manifests
-// predating the filters (v1–v3), and for columns none of whose chunks
-// carry one — callers then prune on spans alone.
+// chunks without one. ok is false on fully resident stores and for columns
+// none of whose chunks carry one — callers then prune on spans alone.
 func (s *Store) ChunkBlooms(name string) ([]*bloom.Filter, bool) {
 	if s.lazy == nil {
 		return nil, false
@@ -687,33 +487,6 @@ func (s *Store) ChunkBlooms(name string) ([]*bloom.Filter, bool) {
 	bf, ok := s.lazy.blooms[name]
 	s.lazy.mu.RUnlock()
 	return bf, ok
-}
-
-// acquire pins the named physical column in the memory manager as one
-// whole-column entry, loading it from disk when cold — the residency unit
-// of stores without a chunk layout. Callers must Release the returned key
-// when done.
-func (s *Store) acquire(name string) (col *Column, key string, cold bool, diskBytes int64, err error) {
-	meta, ok := s.meta(name)
-	if !ok {
-		return nil, "", false, 0, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	key = s.lazy.key(name)
-	v, cold, err := s.acquireFn(meta.Virtual)(key, func() (any, int64, int64, error) {
-		c, disk, err := s.lazy.reader.LoadColumn(meta.Name)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := c.checkAligned(s.Bounds); err != nil {
-			return nil, 0, 0, err
-		}
-		return &loadedColumn{col: c, diskBytes: disk}, c.Memory().Total(), disk, nil
-	})
-	if err != nil {
-		return nil, "", false, 0, err
-	}
-	lc := v.(*loadedColumn)
-	return lc.col, key, cold, lc.diskBytes, nil
 }
 
 // acquireFn selects the manager entry point: virtual-column entries are
@@ -784,14 +557,7 @@ func (s *Store) acquireChunk(name string, ci int, rec []byte) (ch *Chunk, key st
 	return lc.ch, key, cold, lc.size, lc.diskBytes, nil
 }
 
-// loadedColumn is the whole-column unit the memory manager holds for
-// stores without a chunk layout.
-type loadedColumn struct {
-	col       *Column
-	diskBytes int64
-}
-
-// loadedDict and loadedChunk are the chunk-granular residency units.
+// loadedDict and loadedChunk are the residency units the manager holds.
 type loadedDict struct {
 	d         dict.Dict
 	size      int64
@@ -811,10 +577,9 @@ type loadedChunk struct {
 // accumulate per set, giving per-query attribution of what had to come
 // from disk.
 //
-// On a chunk-granular store a column is represented by a query-private
-// *Column view whose Chunks slice is filled only at the pinned indices;
-// positions the residency analysis pruned stay nil and must not be
-// touched. The view pointer is stable across calls within one set, so
+// On a lazy store a column is represented by a query-private *Column view
+// whose Chunks slice is filled only at the pinned indices; positions the
+// residency analysis pruned stay nil and must not be touched. The view pointer is stable across calls within one set, so
 // compiled plans can cache it. On a fully resident store a PinSet degrades
 // to plain column lookups.
 //
@@ -824,29 +589,26 @@ type PinSet struct {
 	s    *Store
 	held map[string]*heldPin // column name -> pins
 	// ColdLoads counts columns for which this set loaded anything from
-	// disk (a column with five cold chunks counts once — the
-	// column-granularity number comparable across store generations).
+	// disk (a column with five cold chunks counts once).
 	ColdLoads int
 	// ColdChunkLoads counts individual (column, chunk) entries this set
-	// cold-loaded; zero on stores without a chunk layout.
+	// cold-loaded.
 	ColdChunkLoads int
-	// ColdDictLoads counts global dictionaries this set cold-loaded; zero
-	// on stores without a chunk layout.
+	// ColdDictLoads counts global dictionaries this set cold-loaded.
 	ColdDictLoads int
 	// ColdBytesLoaded sums the resident bytes of all cold loads.
 	ColdBytesLoaded int64
 	// DiskBytesRead sums their on-disk (compressed) bytes.
 	DiskBytesRead int64
 	// ReadRuns counts the coalesced byte-run reads the set's cold chunk
-	// prefetches issued (one ReadAt per run; zero on stores without exact
-	// chunk reads).
+	// prefetches issued (one ReadAt per run).
 	ReadRuns int
 	// CoalescedReads counts the reads run coalescing saved: a run of m
 	// contiguous cold chunks is one read instead of m, saving m−1.
 	CoalescedReads int
 	// ChecksumVerified counts the records (chunks, dictionaries) whose
-	// CRC32C this set's cold loads checked and matched — zero on v1–v4
-	// stores or with verification disabled.
+	// CRC32C this set's cold loads checked and matched — zero with
+	// verification disabled.
 	ChecksumVerified int64
 	// ChecksumFailed counts cold loads this set aborted on a checksum
 	// mismatch (the query then fails with that ChecksumError).
@@ -857,7 +619,7 @@ type PinSet struct {
 type heldPin struct {
 	view *Column
 	keys []string
-	// chunks flags which chunk indices are pinned (chunk-granular only).
+	// chunks flags which chunk indices are pinned.
 	chunks []bool
 	dict   bool
 	// cold marks the column as already counted in ColdLoads.
@@ -877,8 +639,7 @@ func (p *PinSet) coldColumn(h *heldPin, size, disk int64) {
 	p.DiskBytesRead += disk
 }
 
-// ensure returns (creating if needed) the held record for a chunk-granular
-// column.
+// ensure returns (creating if needed) the held record for a lazy column.
 func (p *PinSet) ensure(name string) (*heldPin, error) {
 	if h, ok := p.held[name]; ok {
 		return h, nil
@@ -919,7 +680,7 @@ func (p *PinSet) ensureDict(h *heldPin) error {
 	if cold {
 		p.ColdDictLoads++
 		p.coldColumn(h, size, disk)
-		if p.s.ChecksumsActive() {
+		if p.s.lazy.reader.verify {
 			p.ChecksumVerified++
 		}
 	}
@@ -951,32 +712,11 @@ func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
 	if cold {
 		p.ColdChunkLoads++
 		p.coldColumn(h, size, disk)
-		if p.s.ChecksumsActive() {
+		if p.s.lazy.reader.verify {
 			p.ChecksumVerified++
 		}
 	}
 	return nil
-}
-
-// legacyColumn pins a whole column as a single manager entry — the path
-// for stores whose manifest has no chunk layout.
-func (p *PinSet) legacyColumn(name string) (*Column, error) {
-	if h, ok := p.held[name]; ok {
-		return h.view, nil
-	}
-	col, key, cold, disk, err := p.s.acquire(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.held == nil {
-		p.held = make(map[string]*heldPin, 8)
-	}
-	h := &heldPin{view: col, keys: []string{key}}
-	p.held[name] = h
-	if cold {
-		p.coldColumn(h, col.Memory().Total(), disk)
-	}
-	return col, nil
 }
 
 // Column returns the named column fully pinned: dictionary plus every
@@ -990,17 +730,14 @@ func (p *PinSet) Column(name string) (*Column, error) {
 
 // ColumnDict returns a view of the named column with only its global
 // dictionary pinned — enough to look up restriction literals and decode
-// group keys, but with no chunk data. On resident and legacy stores it
-// degrades to a full column.
+// group keys, but with no chunk data. On a resident store it degrades to
+// the full column.
 func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return c, nil
 	}
 	if p.s.lazy == nil {
 		return nil, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	if !p.s.lazy.chunked {
-		return p.legacyColumn(name)
 	}
 	h, err := p.ensure(name)
 	if err != nil {
@@ -1018,11 +755,10 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 // Pinning is monotonic per set: asking again with a wider set fills the
 // missing chunks, and already pinned ones are never double-counted.
 //
-// Cold chunks are prefetched in coalesced runs when the store's layout
-// supports exact reads: the not-yet-resident subset of the wanted chunks
-// is sorted into contiguous byte runs and each run is served by one ReadAt
-// instead of one read per chunk (ReadRuns/CoalescedReads count the
-// effect). A chunk another query loads between the residency peek and the
+// Cold chunks are prefetched in coalesced runs: the not-yet-resident subset
+// of the wanted chunks is sorted into contiguous byte runs and each run is
+// served by one ReadAt instead of one read per chunk (ReadRuns and
+// CoalescedReads count the effect). A chunk another query loads between the residency peek and the
 // pin is shared as usual — its pre-read bytes are simply dropped.
 func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	if c := p.s.residentColumn(name); c != nil {
@@ -1030,9 +766,6 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	}
 	if p.s.lazy == nil {
 		return nil, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	if !p.s.lazy.chunked {
-		return p.legacyColumn(name)
 	}
 	h, err := p.ensure(name)
 	if err != nil {
@@ -1064,14 +797,12 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		if len(batch) == 0 {
 			return nil
 		}
-		recs, runs, coalesced, exact, err := reader.ReadChunkRuns(name, batch)
+		recs, runs, coalesced, err := reader.ReadChunkRuns(name, batch)
 		if err != nil {
 			return err
 		}
-		if exact {
-			p.ReadRuns += runs
-			p.CoalescedReads += coalesced
-		}
+		p.ReadRuns += runs
+		p.CoalescedReads += coalesced
 		for _, ci := range batch {
 			if err := p.ensureChunk(h, ci, recs[ci]); err != nil {
 				return err
@@ -1082,9 +813,9 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		return nil
 	}
 	for _, ci := range cold {
-		n := int64(0)
-		if _, rn, ok := reader.ChunkFileRange(name, ci); ok {
-			n = rn
+		_, n, err := reader.ChunkFileRange(name, ci)
+		if err != nil {
+			return nil, err
 		}
 		if len(batch) > 0 && batchBytes+n > maxPrefetchBatchBytes {
 			if err := flush(); err != nil {

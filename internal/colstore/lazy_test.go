@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -128,7 +127,7 @@ func TestReaderSingleChunk(t *testing.T) {
 	if _, _, err := r.LoadColumnChunk("country", 9999); err == nil {
 		t.Fatal("out-of-range chunk should error")
 	}
-	if _, _, err := r.LoadColumn("nope"); err == nil {
+	if _, _, err := r.LoadColumnChunk("nope", 0); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
@@ -277,8 +276,7 @@ func TestLazyConcurrentReaders(t *testing.T) {
 }
 
 // TestLoadColumnDict checks the dictionary-only load path against the
-// fully decoded column, raw (byte-range read) and compressed (full read,
-// dictionary-only materialization).
+// fully decoded column, raw and compressed (one exact head-record read).
 func TestLoadColumnDict(t *testing.T) {
 	for _, codec := range []string{"", "zippy"} {
 		name := codec
@@ -332,9 +330,6 @@ func TestChunkSpansMatchChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lazy.ChunkGranular() {
-		t.Fatal("fresh store is not chunk-granular")
-	}
 	for _, name := range eager.Columns() {
 		want, ok := eager.ChunkSpans(name) // computed from resident chunks
 		if !ok {
@@ -352,104 +347,6 @@ func TestChunkSpansMatchChunks(t *testing.T) {
 				t.Fatalf("column %q chunk %d: span %+v, want %+v", name, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// stripChunkLayout rewrites a saved manifest without format/dict_len/
-// chunks — simulating a store saved before chunk-granular residency
-// existed. The column files must use whole-column codec framing
-// (SaveLegacyV2) for the result to be a faithful v1 store.
-func stripChunkLayout(t *testing.T, dir string) {
-	t.Helper()
-	path := filepath.Join(dir, "manifest.json")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "format")
-	cols, ok := m["columns"].([]any)
-	if !ok {
-		t.Fatal("manifest has no columns")
-	}
-	for _, c := range cols {
-		mc := c.(map[string]any)
-		delete(mc, "dict_len")
-		delete(mc, "dict_clen")
-		delete(mc, "chunks")
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// buildLegacyStore persists a store with the pre-v3 whole-column codec
-// framing.
-func buildLegacyStore(t *testing.T, rows int, codec string) (*Store, string) {
-	t.Helper()
-	tbl := workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 7})
-	s, err := FromTable(tbl, Options{
-		PartitionFields:  []string{"country", "table_name"},
-		MaxChunkRows:     500,
-		OptimizeElements: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := SaveLegacyV2(s, dir, codec); err != nil {
-		t.Fatal(err)
-	}
-	return s, dir
-}
-
-// TestLegacyManifestFallsBackToColumns opens a store whose manifest lacks
-// the chunk layout: residency degrades to whole columns, chunk walks still
-// decode correctly, and queries through a PinSet behave like before.
-func TestLegacyManifestFallsBackToColumns(t *testing.T) {
-	built, dir := buildLegacyStore(t, 2000, "zippy")
-	stripChunkLayout(t, dir)
-	mgr := memmgr.New(0, "2q")
-	lazy, _, err := OpenLazy(dir, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.ChunkGranular() {
-		t.Fatal("layout-less manifest must not be chunk-granular")
-	}
-	if _, ok := lazy.ChunkSpans("country"); ok {
-		t.Fatal("layout-less manifest must have no spans")
-	}
-	// Whole-column pins: one cold load per column, no chunk/dict entries.
-	// (Must run before anything else loads the column.)
-	ps := lazy.NewPinSet()
-	if _, err := ps.Column("country"); err != nil {
-		t.Fatal(err)
-	}
-	if ps.ColdLoads != 1 || ps.ColdChunkLoads != 0 || ps.ColdDictLoads != 0 {
-		t.Fatalf("legacy pin counters = %d/%d/%d", ps.ColdLoads, ps.ColdChunkLoads, ps.ColdDictLoads)
-	}
-	ps.Release()
-	assertColumnsEqual(t, built, lazy)
-	// The walk-based single-chunk path still works without a layout.
-	r, _, err := NewReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := built.Column("country")
-	ch, disk, err := r.LoadColumnChunk("country", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disk <= 0 || ch.Rows() != want.Chunks[1].Rows() {
-		t.Fatalf("legacy chunk walk: disk=%d rows=%d", disk, ch.Rows())
 	}
 }
 

@@ -12,19 +12,14 @@ import (
 
 // This file is the Reader's cold-I/O machinery: a bounded per-column file
 // handle cache (cold loads stop re-opening the column file), coalesced run
-// reads (adjacent cold chunks become one ReadAt), a bounded memo of
-// decompressed whole-column streams (legacy compressed stores stop paying
-// one full decompress per cold chunk), and the IOStats the benchmarks
-// report. All of it sits under Reader.mu; the actual ReadAt calls run
+// reads (adjacent cold chunks become one ReadAt), and the IOStats the
+// benchmarks report. All of it sits under Reader.mu; the actual ReadAt calls run
 // outside the lock (handles are reference-counted so an eviction never
 // closes a file mid-read).
 
 const (
 	// maxOpenFiles bounds the Reader's file handle cache.
 	maxOpenFiles = 32
-	// maxRawCacheBytes bounds the decompressed-stream memo for legacy
-	// (whole-column codec) stores.
-	maxRawCacheBytes = 64 << 20
 	// maxPrefetchBatchBytes bounds the raw record bytes a coalesced
 	// prefetch holds in flight (PinSet.ColumnChunks): the byte budget
 	// governs decoded residency, so the undecoded staging area must stay
@@ -38,16 +33,16 @@ const (
 type IOStats struct {
 	// FileOpens counts os.Open calls (cache misses in the handle cache).
 	FileOpens int64
-	// ReadCalls counts ReadAt/ReadFile calls issued.
+	// ReadCalls counts ReadAt calls issued.
 	ReadCalls int64
 	// BytesRead sums the bytes those calls returned.
 	BytesRead int64
-	// DecompressCalls counts codec record/stream decompressions.
+	// DecompressCalls counts codec record decompressions.
 	DecompressCalls int64
 	// DecompressNanos sums the wall time spent inside the codec.
 	DecompressNanos int64
 	// ChecksumVerified counts records whose CRC32C was checked and
-	// matched on a cold read (v5 stores with verification enabled).
+	// matched on a cold read (verification enabled).
 	ChecksumVerified int64
 	// ChecksumFailed counts records whose CRC32C check failed — each one
 	// a load that returned a ChecksumError instead of decoded data.
@@ -161,19 +156,6 @@ func (r *Reader) decompress(codec compress.Codec, dst, src []byte) ([]byte, erro
 	return out, err
 }
 
-// decompressColumnFile is the package-level helper with the Reader's
-// timing counters applied (one timed span covering all records).
-func (r *Reader) decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) ([]byte, error) {
-	start := time.Now()
-	raw, err := decompressColumnFile(codec, mc, data)
-	elapsed := time.Since(start)
-	r.mu.Lock()
-	r.stats.DecompressCalls += int64(len(mc.Chunks)) + 1
-	r.stats.DecompressNanos += int64(elapsed)
-	r.mu.Unlock()
-	return raw, err
-}
-
 // IOStats returns a snapshot of the Reader's physical I/O counters.
 func (r *Reader) IOStats() IOStats {
 	r.mu.Lock()
@@ -181,9 +163,8 @@ func (r *Reader) IOStats() IOStats {
 	return r.stats
 }
 
-// Close releases the Reader's cached file handles and decompressed-stream
-// memo. The Reader stays usable afterwards (subsequent loads re-open
-// files); Close only frees resources.
+// Close releases the Reader's cached file handles. The Reader stays usable
+// afterwards (subsequent loads re-open files); Close only frees resources.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	var toClose []faultfs.File
@@ -198,9 +179,6 @@ func (r *Reader) Close() error {
 	}
 	r.files = nil
 	r.fileLRU = nil
-	r.rawCache = nil
-	r.rawOrder = nil
-	r.rawBytes = 0
 	r.mu.Unlock()
 	for _, f := range toClose {
 		_ = f.Close()
@@ -208,126 +186,52 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// cachedStream returns the memoized decompressed stream for a legacy
-// compressed column, if present.
-func (r *Reader) cachedStream(name string) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	raw, ok := r.rawCache[name]
-	if ok {
-		r.touchRawLocked(name)
+// chunkRecord resolves chunk ci of the named column: its manifest entry and
+// the byte range of the chunk's record in the column file — compressed
+// bytes with a codec, raw bytes otherwise. An unknown column or a chunk
+// index out of range is an error.
+func (r *Reader) chunkRecord(name string, ci int) (mc manifestCol, off, n int64, err error) {
+	mc, ok := r.colMeta(name)
+	if !ok {
+		return mc, 0, 0, fmt.Errorf("colstore: unknown column %q", name)
 	}
-	return raw, ok
-}
-
-// memoizeStream stores a legacy column's decompressed stream, bounded by
-// maxRawCacheBytes (least recently used streams are dropped first).
-func (r *Reader) memoizeStream(name string, raw []byte) {
-	if int64(len(raw)) > maxRawCacheBytes {
-		return
+	if ci < 0 || ci >= len(mc.Chunks) {
+		return mc, 0, 0, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, len(mc.Chunks), ci)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.rawCache[name]; ok {
-		r.touchRawLocked(name)
-		return
-	}
-	if r.rawCache == nil {
-		r.rawCache = make(map[string][]byte, 8)
-	}
-	r.rawCache[name] = raw
-	r.rawOrder = append(r.rawOrder, name)
-	r.rawBytes += int64(len(raw))
-	for r.rawBytes > maxRawCacheBytes && len(r.rawOrder) > 0 {
-		victim := r.rawOrder[0]
-		r.rawOrder = r.rawOrder[1:]
-		if b, ok := r.rawCache[victim]; ok {
-			r.rawBytes -= int64(len(b))
-			delete(r.rawCache, victim)
-		}
-	}
-}
-
-// touchRawLocked moves name to the back of the raw-memo LRU order.
-func (r *Reader) touchRawLocked(name string) {
-	for i, n := range r.rawOrder {
-		if n == name {
-			r.rawOrder = append(append(r.rawOrder[:i:i], r.rawOrder[i+1:]...), name)
-			return
-		}
-	}
-}
-
-// exactChunkReads reports whether the column's chunk records live at exact
-// byte ranges in the file: an uncompressed store with a chunk layout, or a
-// per-record-compressed (v3) store. Only then can cold loads be served by
-// ReadAt without touching the rest of the column.
-func (r *Reader) exactChunkReads(mc manifestCol) bool {
-	if !r.hasLayout(mc) {
-		return false
-	}
-	return r.m.Codec == "" || r.m.perChunkCompressed(mc)
+	off, n = chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
+	return mc, off, n, nil
 }
 
 // ChunkFileRange returns the byte range of chunk ci's record in the column
-// file — compressed bytes on a v3 store, raw bytes on an uncompressed one.
-// ok is false when the layout cannot serve exact reads (legacy manifests,
-// whole-column codecs) or the chunk index is out of range.
-func (r *Reader) ChunkFileRange(name string, ci int) (off, n int64, ok bool) {
-	mc, found := r.colMeta(name)
-	if !found || !r.exactChunkReads(mc) || ci < 0 || ci >= len(mc.Chunks) {
-		return 0, 0, false
-	}
-	meta := mc.Chunks[ci]
-	if r.m.perChunkCompressed(mc) {
-		return meta.COff, meta.CLen, true
-	}
-	return meta.Off, meta.Len, true
+// file (see chunkRecord).
+func (r *Reader) ChunkFileRange(name string, ci int) (off, n int64, err error) {
+	_, off, n, err = r.chunkRecord(name, ci)
+	return off, n, err
 }
 
-// DictFileLen returns the byte length of the head record (dictionary) read
-// by an exact dictionary load, and whether exact dictionary reads apply.
-func (r *Reader) DictFileLen(name string) (int64, bool) {
-	mc, found := r.colMeta(name)
-	if !found || !r.hasLayout(mc) {
-		return 0, false
+// DictFileLen returns the byte length of the head record (dictionary plus
+// chunk-count varint) a dictionary load reads.
+func (r *Reader) DictFileLen(name string) (int64, error) {
+	mc, ok := r.colMeta(name)
+	if !ok {
+		return 0, fmt.Errorf("colstore: unknown column %q", name)
 	}
-	if r.m.perChunkCompressed(mc) {
-		return mc.DictCLen, true
-	}
-	if r.m.Codec != "" {
-		return 0, false
-	}
-	if r.m.Format >= formatChecksums && len(mc.Chunks) > 0 {
-		// v5 checksums cover the whole head record (dictionary plus
-		// chunk-count varint), so exact dictionary reads span it fully;
-		// the decoder ignores the trailing varint.
-		return mc.Chunks[0].Off, true
-	}
-	return mc.DictLen, true
+	return headFileLen(mc, r.m.Codec != "", 0), nil
 }
 
 // DecodeChunkRecord decodes one chunk from its file-level record bytes (as
-// delimited by ChunkFileRange): a compressed record on v3 stores, the raw
+// delimited by ChunkFileRange): a compressed record with a codec, the raw
 // record otherwise.
 func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return nil, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	if ci < 0 || ci >= len(mc.Chunks) {
-		return nil, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, len(mc.Chunks), ci)
-	}
-	off := mc.Chunks[ci].Off
-	if r.m.perChunkCompressed(mc) {
-		off = mc.Chunks[ci].COff
+	mc, off, _, err := r.chunkRecord(name, ci)
+	if err != nil {
+		return nil, err
 	}
 	if err := r.verifyRecord(mc.File, off, rec, mc.Chunks[ci].CRC); err != nil {
 		return nil, err
 	}
 	raw := rec
-	if r.m.perChunkCompressed(mc) {
-		var err error
+	if r.m.Codec != "" {
 		raw, err = r.decompress(mustCodec(r.m.Codec), nil, rec)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
@@ -341,44 +245,6 @@ func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, err
 		return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
 	}
 	return ch, nil
-}
-
-// streamLen is the byte length of a laid-out column's uncompressed stream
-// (the last chunk record's end); 0 without a layout.
-func streamLen(mc manifestCol) int64 {
-	if len(mc.Chunks) == 0 {
-		return 0
-	}
-	last := mc.Chunks[len(mc.Chunks)-1]
-	return last.Off + last.Len
-}
-
-// recordShare attributes a whole-column-codec load to one record: the
-// record's proportional share of the column file's on-disk bytes
-// (fileBytes × recLen ⁄ streamLen, at least 1 for a non-empty record).
-// Before this, the first load to touch such a column was charged the whole
-// file and every later (memoized) load charged 0 — per-query DiskBytesRead
-// depended on which query happened to arrive first. The share is computed
-// from manifest metadata plus the file size memoized on first read, so it
-// is deterministic per record; physical reads are still counted exactly in
-// IOStats.BytesRead.
-func (r *Reader) recordShare(mc manifestCol, recLen int64) int64 {
-	stream := streamLen(mc)
-	if stream <= 0 || recLen <= 0 {
-		return 0
-	}
-	r.mu.Lock()
-	fileSize := r.fileSizes[mc.File]
-	r.mu.Unlock()
-	if fileSize <= 0 {
-		// Unknown file size (no read has happened, so no charge to split).
-		return 0
-	}
-	share := int64(float64(fileSize) * float64(recLen) / float64(stream))
-	if share < 1 {
-		share = 1
-	}
-	return share
 }
 
 // mustCodec resolves a codec name that the manifest already validated; an
@@ -401,20 +267,18 @@ type byteRun struct {
 // that are adjacent in the file into single ReadAt calls. It returns the
 // per-chunk record bytes (pass each to DecodeChunkRecord), the number of
 // read runs issued, and the number of reads coalescing saved (a run of m
-// chunks is one read instead of m, saving m−1). ok is false when the
-// column cannot serve exact reads — callers fall back to per-chunk loads.
-func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, runs, coalesced int, ok bool, err error) {
-	mc, found := r.colMeta(name)
-	if !found || !r.exactChunkReads(mc) || len(chunks) == 0 {
-		return nil, 0, 0, false, nil
-	}
+// chunks is one read instead of m, saving m−1).
+func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, runs, coalesced int, err error) {
 	sorted := append([]int(nil), chunks...)
 	sort.Ints(sorted)
-	var plan []byteRun
+	var (
+		mc   manifestCol
+		plan []byteRun
+	)
 	for _, ci := range sorted {
-		off, n, rok := r.ChunkFileRange(name, ci)
-		if !rok {
-			return nil, 0, 0, false, fmt.Errorf("colstore: column %q has no range for chunk %d", name, ci)
+		var off, n int64
+		if mc, off, n, err = r.chunkRecord(name, ci); err != nil {
+			return nil, 0, 0, err
 		}
 		if last := len(plan) - 1; last >= 0 && plan[last].off+plan[last].n == off {
 			plan[last].n += n
@@ -427,15 +291,15 @@ func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, 
 	for _, run := range plan {
 		buf, err := r.readRange(mc.File, run.off, run.n)
 		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("colstore: load column %q chunks %v: %w", name, run.chunks, err)
+			return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, run.chunks, err)
 		}
 		pos := int64(0)
 		for _, ci := range run.chunks {
-			_, n, _ := r.ChunkFileRange(name, ci)
+			_, n := chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
 			recs[ci] = buf[pos : pos+n : pos+n]
 			pos += n
 		}
 		coalesced += len(run.chunks) - 1
 	}
-	return recs, len(plan), coalesced, true, nil
+	return recs, len(plan), coalesced, nil
 }

@@ -7,11 +7,7 @@ package colstore
 // it reports, one verdict per file, and the operator decides (restore
 // the file, recompact, or strip the CRC to read around it).
 
-import (
-	"encoding/json"
-	"fmt"
-	"path/filepath"
-)
+import "path/filepath"
 
 // ScrubFile is one file's verdict from an offline scrub.
 type ScrubFile struct {
@@ -22,11 +18,12 @@ type ScrubFile struct {
 	Kind string
 	// Bytes is the file's size as read.
 	Bytes int64
-	// Records is how many checksummed records were verified. Zero on
-	// pre-v5 files, which carry no checksums to check.
+	// Records is how many checksummed records were verified.
 	Records int
 	// Err is empty when the file verified clean; otherwise the first
-	// failure found (checksum mismatch, parse failure, unreadable file).
+	// failure found (checksum mismatch, parse failure, unreadable file, a
+	// manifest of an old format generation — which records no checksums,
+	// so nothing under it can be verified).
 	Err string
 }
 
@@ -42,25 +39,37 @@ func scrubRel(root, path string) string {
 	return path
 }
 
+// GenScrubFile renders a generation file's walk verdict as a scrub verdict.
+func GenScrubFile(path, kind string, f GenFile) ScrubFile {
+	out := ScrubFile{Path: path, Kind: kind, Bytes: f.Bytes}
+	if f.Err != nil {
+		out.Err = f.Err.Error()
+	} else {
+		out.Records = 1
+	}
+	return out
+}
+
 // ScrubDir verifies one colstore directory offline: the manifest, every
 // column file's record checksums, and the virtual/ sidecar (manifest
 // generations plus sidecar column files). root anchors the verdict
 // paths; pass dir itself for a standalone store. The walk continues past
 // failures — every file gets a verdict.
 func ScrubDir(root, dir string) []ScrubFile {
-	var out []ScrubFile
 	m, mBytes, err := readManifest(dir)
+	if err == nil {
+		err = m.checkCurrent(dir)
+	}
 	mf := ScrubFile{Path: scrubRel(root, filepath.Join(dir, "manifest.json")), Kind: "manifest", Bytes: mBytes}
 	if err != nil {
 		mf.Err = err.Error()
-		return append(out, mf)
+		return []ScrubFile{mf}
 	}
-	out = append(out, mf)
+	out := []ScrubFile{mf}
 	for _, mc := range m.Columns {
 		out = append(out, scrubColumnFile(root, dir, m, mc, "column"))
 	}
-	out = append(out, scrubSidecar(root, dir, m)...)
-	return out
+	return append(out, scrubSidecar(root, dir)...)
 }
 
 // scrubColumnFile verifies one column file's record checksums.
@@ -83,54 +92,21 @@ func scrubColumnFile(root, dir string, m *manifest, mc manifestCol, kind string)
 
 // scrubSidecar verifies the virtual/ sidecar: every generation manifest
 // (not just the newest — a corrupt older one is still worth a verdict)
-// and the column files of the newest good generation.
-func scrubSidecar(root, dir string, parent *manifest) []ScrubFile {
-	vdir := filepath.Join(dir, virtualSubdir)
-	entries, err := vfs().ReadDir(vdir)
+// and the column files of the newest clean generation.
+func scrubSidecar(root, dir string) []ScrubFile {
+	walk, err := walkSidecar(dir)
 	if err != nil {
-		return nil // no sidecar
+		return nil
 	}
 	var out []ScrubFile
-	var best *virtualSidecar
-	bestGen := -1
-	for _, ent := range entries {
-		gen, ok := ParseGenSeq(ent.Name(), virtualGenPrefix, virtualGenSuffix)
-		isLegacy := ent.Name() == virtualManifestName
-		if !ok && !isLegacy {
-			continue
-		}
-		path := filepath.Join(vdir, ent.Name())
-		f := ScrubFile{Path: scrubRel(root, path), Kind: "sidecar-manifest"}
-		blob, err := vfs().ReadFile(path)
-		if err != nil {
-			f.Err = err.Error()
-			out = append(out, f)
-			continue
-		}
-		f.Bytes = int64(len(blob))
-		var vm virtualSidecar
-		if uerr := json.Unmarshal(blob, &vm); uerr != nil {
-			f.Err = fmt.Sprintf("parse: %v", uerr)
-		} else if !sidecarCheckOK(&vm) {
-			f.Err = "integrity check failed (torn or bit-flipped manifest)"
-		} else {
-			f.Records = 1
-			if ok && gen > bestGen {
-				vm.Gen = gen
-				best, bestGen = &vm, gen
-			} else if isLegacy && best == nil {
-				best = &vm
-			}
-		}
-		out = append(out, f)
+	for _, f := range walk.Files {
+		path := filepath.Join(dir, virtualSubdir, f.Name)
+		out = append(out, GenScrubFile(scrubRel(root, path), "sidecar-manifest", f))
 	}
-	if best != nil {
-		// Sidecar column files use the parent store's record framing;
+	if best := walk.Newest; best != nil {
+		// Sidecar column files use the framing their manifest records;
 		// their manifest paths are store-root-relative.
 		shell := &manifest{Format: best.Format, Codec: best.Codec}
-		if parent != nil && best.Format == 0 {
-			shell.Format = parent.Format
-		}
 		for _, mc := range best.Columns {
 			out = append(out, scrubColumnFile(root, dir, shell, mc, "sidecar-column"))
 		}

@@ -421,7 +421,7 @@ func (s *Store) AddVirtualColumn(name string, kind value.Kind, vals []value.Valu
 }
 
 // AddVirtualColumnPinned materializes per-row values like AddVirtualColumn
-// and, on a chunk-granular lazy store, persists the new column into the
+// and, on a lazy store, persists the new column into the
 // store's virtual/ sidecar (see docs/format.md) so it becomes an ordinary
 // citizen of the memory subsystem: its global dictionary and chunks are
 // registered with the memory manager — charged to the byte budget (cold
@@ -431,13 +431,13 @@ func (s *Store) AddVirtualColumn(name string, kind value.Kind, vals []value.Valu
 // per-chunk value spans, so later restrictions on the expression prune
 // chunks from metadata alone.
 //
-// On fully resident stores, legacy stores without a chunk layout, stores
-// with persistence disabled (DisableVirtualPersist), or when the sidecar
+// On fully resident stores, stores with persistence disabled
+// (DisableVirtualPersist), or when the sidecar
 // cannot be written (read-only store directory), it falls back to
 // AddVirtualColumn's in-registry residency: correct, but unevictable and
 // outside the budget (reported by UnevictableVirtualBytes).
 func (s *Store) AddVirtualColumnPinned(ps *PinSet, name string, kind value.Kind, vals []value.Value) (*Column, error) {
-	if s.lazy == nil || !s.lazy.chunked || s.lazy.noPersist.Load() {
+	if s.lazy == nil || s.lazy.noPersist.Load() {
 		return s.AddVirtualColumn(name, kind, vals)
 	}
 	if s.HasColumn(name) {
@@ -476,8 +476,8 @@ func (s *Store) AddVirtualColumnPinned(ps *PinSet, name string, kind value.Kind,
 
 // UnevictableVirtualBytes sums the resident footprint of virtual columns
 // living in the in-memory registry — materializations that could not join
-// the byte budget (fully resident stores, legacy stores without a chunk
-// layout, unwritable store directories, DisableVirtualPersist). Budgeted
+// the byte budget (fully resident stores, unwritable store directories,
+// DisableVirtualPersist). Budgeted
 // virtual columns are accounted by the memory manager instead
 // (memmgr.Stats.VirtualBytes).
 func (s *Store) UnevictableVirtualBytes() int64 {

@@ -3,11 +3,11 @@ package colstore
 // Sidecar persistence for materialized virtual columns (paper Section 5
 // "virtual fields"). Expressions the engine materializes at query time used
 // to live only in the store's in-memory registry: always resident, never
-// evictable, invisible to the byte budget. On a chunk-granular lazy store
-// they are instead written into a `virtual/` sidecar directory next to the
-// store — one column file per materialization plus a sidecar manifest —
-// using the exact framing of the store's own columns (same codec, same
-// format generation, per-chunk value spans and byte ranges). From then on
+// evictable, invisible to the byte budget. On a lazy store they are
+// instead written into a `virtual/` sidecar directory next to the store —
+// one column file per materialization plus a sidecar manifest — using the
+// exact framing of the store's own columns (same codec, per-chunk value
+// spans, byte ranges and checksums). From then on
 // a virtual column is indistinguishable from a physical one to the memory
 // subsystem: loaded on demand, pinned per query, evicted under budget
 // pressure, reloaded from disk, and pruned by restriction spans.
@@ -24,23 +24,20 @@ package colstore
 // generation chain: column files are claimed exclusively (O_EXCL, never
 // overwritten), and the manifest is committed by claiming the next
 // "manifest.gen-NNNNNN.json" exclusively after merging the newest one on
-// disk (see genfile.go). A writer that loses the claim race re-reads,
+// disk (GenChain, genfile.go). A writer that loses the claim race re-reads,
 // re-merges and retries, so concurrent writers *lose nothing* — every
-// committed column survives — where the pre-generation tmp+rename
-// manifest was last-writer-wins (lose-not-corrupt). Readers take the
-// highest generation that parses; a crashed writer's torn file is skipped
-// and the previous generation stays authoritative. Files orphaned by lost
+// committed column survives. Readers take the highest clean generation; a
+// crashed writer's torn file is skipped and the previous generation stays
+// authoritative. Files orphaned by lost
 // column-file races or superseded generations are reclaimed by
 // GCVirtualSidecar (the ingest compactor calls it).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"powerdrill/internal/value"
@@ -49,116 +46,54 @@ import (
 const (
 	// virtualSubdir is the sidecar directory inside a persisted store.
 	virtualSubdir = "virtual"
-	// virtualManifestName is the legacy single-file sidecar manifest inside
-	// virtualSubdir, read (never written) for stores persisted before the
-	// generation chain.
-	virtualManifestName = "manifest.json"
 	// virtualGenPrefix/virtualGenSuffix frame the generation-chain
 	// manifests: virtualGenPrefix + NNNNNN + virtualGenSuffix.
 	virtualGenPrefix = "manifest.gen-"
 	virtualGenSuffix = ".json"
 )
 
-// virtualGenName names the sidecar manifest of generation gen.
-func virtualGenName(gen int) string {
-	return fmt.Sprintf("%s%06d%s", virtualGenPrefix, gen, virtualGenSuffix)
-}
-
 // virtualSidecar is the JSON header of the virtual/ sidecar. Format and
-// Codec mirror the parent manifest: sidecar column files use exactly the
-// record framing of the store's own columns, so every Reader code path
-// (exact byte-range reads, per-record decompression, legacy stream
-// memoization) applies unchanged.
+// Codec record the framing its column files were written in — always the
+// parent store's at the time, so every Reader code path applies to them
+// unchanged.
 type virtualSidecar struct {
 	Format  int           `json:"format,omitempty"`
 	Codec   string        `json:"codec,omitempty"`
 	Columns []manifestCol `json:"columns"`
-	// Gen is the manifest's position in the generation chain; derived from
-	// the file name on read, 0 for a legacy manifest.json.
-	Gen int `json:"gen,omitempty"`
-	// Check is the CRC32C of the manifest's canonical marshal with this
-	// field zeroed (v5): a torn or corrupted generation file fails the
-	// check and is skipped exactly like one that fails to parse.
+	// Gen and Check are the generation-chain fields (GenChain.Fields).
+	Gen   int    `json:"gen,omitempty"`
 	Check uint32 `json:"check,omitempty"`
 }
 
-// checkedSidecarBlob marshals vs with its integrity checksum filled in.
-func checkedSidecarBlob(vs *virtualSidecar) ([]byte, error) {
-	vs.Check = 0
-	blob, err := json.MarshalIndent(vs, "", "  ")
-	if err != nil {
-		return nil, err
+// sidecarChain is the generation chain of dir's virtual sidecar.
+func sidecarChain(dir string) GenChain[virtualSidecar] {
+	return GenChain[virtualSidecar]{
+		Dir: filepath.Join(dir, virtualSubdir), Prefix: virtualGenPrefix, Suffix: virtualGenSuffix,
+		Fields: func(vs *virtualSidecar) (*int, *uint32) { return &vs.Gen, &vs.Check },
 	}
-	vs.Check = CRC32C(blob)
-	return json.MarshalIndent(vs, "", "  ")
 }
 
-// sidecarCheckOK verifies a parsed generation manifest against its Check
-// field by re-marshaling canonically with the field zeroed. Files written
-// before checksums (Check == 0) pass.
-func sidecarCheckOK(vm *virtualSidecar) bool {
-	if vm.Check == 0 {
-		return true
-	}
-	check := vm.Check
-	vm.Check = 0
-	canon, err := json.MarshalIndent(vm, "", "  ")
-	vm.Check = check
-	return err == nil && CRC32C(canon) == check
-}
-
-// readVirtualSidecar loads dir's newest sidecar manifest: the
-// highest-numbered manifest.gen-*.json that parses, falling back to the
-// legacy manifest.json of pre-generation stores. A missing sidecar is not
-// an error (nil, nil), and neither is an unreadable sidecar *path* (e.g. a
+// walkSidecar lists dir's sidecar chain. A missing sidecar is not an error
+// (an empty walk), and neither is an unreadable sidecar *path* (e.g. a
 // stray file where the directory should be — persisting into it will fail
-// and fall back, but the store itself must open). A generation file that
-// fails to read or parse is skipped — that is a crashed or in-flight
-// writer's torn claim, and the previous generation stays authoritative.
-func readVirtualSidecar(dir string) (*virtualSidecar, error) {
-	vdir := filepath.Join(dir, virtualSubdir)
-	entries, err := vfs().ReadDir(vdir)
+// and fall back, but the store itself must open).
+func walkSidecar(dir string) (GenWalk[virtualSidecar], error) {
+	walk, err := sidecarChain(dir).Walk()
 	if errors.Is(err, os.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
-		return nil, nil
+		return walk, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("colstore: open virtual sidecar: %w", err)
+		return walk, fmt.Errorf("colstore: open virtual sidecar: %w", err)
 	}
-	var best *virtualSidecar
-	for _, ent := range entries {
-		gen, ok := ParseGenSeq(ent.Name(), virtualGenPrefix, virtualGenSuffix)
-		if !ok || (best != nil && gen <= best.Gen) {
-			continue
-		}
-		blob, err := vfs().ReadFile(filepath.Join(vdir, ent.Name()))
-		if err != nil {
-			continue
-		}
-		var vm virtualSidecar
-		if json.Unmarshal(blob, &vm) != nil {
-			continue
-		}
-		if !sidecarCheckOK(&vm) {
-			continue
-		}
-		vm.Gen = gen
-		best = &vm
-	}
-	if best != nil {
-		return best, nil
-	}
-	blob, err := vfs().ReadFile(filepath.Join(vdir, virtualManifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("colstore: open virtual sidecar: %w", err)
-	}
-	var vm virtualSidecar
-	if err := json.Unmarshal(blob, &vm); err != nil {
-		return nil, fmt.Errorf("colstore: open virtual sidecar: %w", err)
-	}
-	return &vm, nil
+	return walk, nil
+}
+
+// matches reports whether the sidecar's column files use the framing of
+// the store they sit next to. One that does not — written by an older
+// build, or orphaned by an in-place re-save with another codec — is a stale
+// cache: its columns are ignored and re-materialize on demand.
+func (vs *virtualSidecar) matches(m *manifest) bool {
+	return vs.Format == m.Format && vs.Codec == m.Codec
 }
 
 // persistVirtualLocked writes one freshly built virtual column into the
@@ -174,18 +109,9 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 		DictLen: dictLen, Chunks: chunkMetas,
 	}
 	if r.m.Codec != "" {
-		codec := mustCodec(r.m.Codec)
-		if r.m.Format >= formatPerRecordCodec {
-			raw, mc = compressRecords(codec, raw, mc)
-		} else {
-			// Legacy whole-column framing: keep the sidecar readable by the
-			// same code paths as the parent's columns.
-			raw = codec.Compress(nil, raw)
-		}
+		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc)
 	}
-	if r.m.Format >= formatChecksums {
-		addColChecksums(&mc, raw, r.m.Codec != "" && mc.DictCLen > 0)
-	}
+	addColChecksums(&mc, raw, r.m.Codec != "")
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {
 		return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)
 	}
@@ -226,21 +152,22 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	// the data is identical by construction (deterministic materialization
 	// over immutable rows), our file is merely orphaned for GC, and the
 	// caller still registers the in-memory copy it just built.
+	chain := sidecarChain(r.dir)
 	var cols []manifestCol
 	for {
-		cur, err := readVirtualSidecar(r.dir)
+		walk, err := walkSidecar(r.dir)
 		if err != nil {
 			return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)
 		}
 		gen := 0
 		cols = cols[:0]
-		if cur != nil {
+		if cur := walk.Newest; cur != nil {
 			gen = cur.Gen
-			if cur.Codec == r.m.Codec && cur.Format == r.m.Format {
+			if cur.matches(r.m) {
 				cols = append(cols, cur.Columns...)
 			}
-			// A stale-framing sidecar (store re-saved in place with another
-			// codec) contributes no columns but keeps the chain moving.
+			// A stale-framing sidecar contributes no columns but keeps the
+			// chain moving.
 		}
 		dup := false
 		for _, existing := range cols {
@@ -252,11 +179,7 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 		if !dup {
 			cols = append(cols, mc)
 		}
-		blob, err := checkedSidecarBlob(&virtualSidecar{Format: r.m.Format, Codec: r.m.Codec, Columns: cols, Gen: gen + 1})
-		if err != nil {
-			return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)
-		}
-		err = ClaimFileExclusive(filepath.Join(r.dir, virtualSubdir, virtualGenName(gen+1)), blob)
+		err = chain.Commit(gen+1, &virtualSidecar{Format: r.m.Format, Codec: r.m.Codec, Columns: cols})
 		if errors.Is(err, fs.ErrExist) {
 			continue
 		}
@@ -274,8 +197,7 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 // GCVirtualSidecar removes sidecar files nothing references anymore:
 // column files orphaned by lost persist races or by in-place re-saves,
 // generation manifests superseded by a newer one, and stale temp files.
-// Files referenced by the newest generation manifest or by the legacy
-// manifest.json (still read by pre-generation binaries) are kept.
+// Files referenced by the newest generation manifest are kept.
 // Best-effort by design: individual removal errors are ignored, and a
 // *cross-process* materializer racing the GC can lose a column file it has
 // written but not yet committed — costing that process one
@@ -289,60 +211,41 @@ func (s *Store) GCVirtualSidecar() (files int, bytes int64) {
 	src := s.lazy
 	src.persistMu.Lock()
 	defer src.persistMu.Unlock()
-	dir := src.reader.dir
-	vdir := filepath.Join(dir, virtualSubdir)
-	entries, err := vfs().ReadDir(vdir)
+	walk, err := walkSidecar(src.reader.dir)
 	if err != nil {
 		return 0, 0
 	}
+	vdir := filepath.Join(src.reader.dir, virtualSubdir)
+	remove := func(name string, size int64) {
+		if vfs().Remove(filepath.Join(vdir, name)) == nil {
+			files++
+			bytes += size
+		}
+	}
+	for _, f := range walk.Files {
+		// Generations older than the newest clean one are superseded. A
+		// higher-numbered file is either a concurrent writer's fresh commit
+		// (clean, kept) or a crashed writer's torn claim — garbage, swept
+		// so it cannot linger.
+		if f.Seq < walk.Seq || (f.Seq > walk.Seq && f.Err != nil) {
+			remove(f.Name, f.Bytes)
+		}
+	}
 	keep := make(map[string]bool, 8)
-	newestGen := -1
-	if cur, err := readVirtualSidecar(dir); err == nil && cur != nil {
-		newestGen = cur.Gen
-		for _, mc := range cur.Columns {
+	if walk.Newest != nil {
+		for _, mc := range walk.Newest.Columns {
 			keep[filepath.Base(mc.File)] = true
 		}
 	}
-	if blob, err := vfs().ReadFile(filepath.Join(vdir, virtualManifestName)); err == nil {
-		var legacy virtualSidecar
-		if json.Unmarshal(blob, &legacy) == nil {
-			for _, mc := range legacy.Columns {
-				keep[filepath.Base(mc.File)] = true
-			}
-		}
-	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || name == virtualManifestName {
+	for _, ent := range walk.Other {
+		if ent.IsDir() || keep[ent.Name()] {
 			continue
 		}
-		var remove bool
-		if gen, ok := ParseGenSeq(name, virtualGenPrefix, virtualGenSuffix); ok {
-			// Generations older than the newest readable one are
-			// superseded. A higher-numbered file is either a concurrent
-			// writer's fresh commit (kept) or a crashed writer's torn
-			// claim — unreadable garbage, swept so it cannot linger.
-			remove = gen < newestGen
-			if gen > newestGen {
-				var vm virtualSidecar
-				blob, err := vfs().ReadFile(filepath.Join(vdir, name))
-				remove = err != nil || json.Unmarshal(blob, &vm) != nil || !sidecarCheckOK(&vm)
-			}
-		} else if strings.HasSuffix(name, ".tmp") {
-			remove = true
-		} else {
-			remove = !keep[name]
+		var size int64
+		if info, err := ent.Info(); err == nil {
+			size = info.Size()
 		}
-		if !remove {
-			continue
-		}
-		info, ierr := ent.Info()
-		if vfs().Remove(filepath.Join(vdir, name)) == nil {
-			files++
-			if ierr == nil {
-				bytes += info.Size()
-			}
-		}
+		remove(ent.Name(), size)
 	}
 	return files, bytes
 }
@@ -358,8 +261,8 @@ func (s *Store) registerSidecarColumn(mc manifestCol) error {
 		return fmt.Errorf("colstore: virtual column %q: %w", mc.Name, err)
 	}
 	src := s.lazy
-	if !src.reader.hasLayout(mc) {
-		return fmt.Errorf("colstore: virtual column %q has no chunk layout", mc.Name)
+	if err := src.reader.m.checkLayout(mc); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if _, dup := s.metas[mc.Name]; dup {
@@ -373,12 +276,8 @@ func (s *Store) registerSidecarColumn(mc manifestCol) error {
 	s.metas[mc.Name] = ColumnMeta{Name: mc.Name, Kind: kind, Virtual: true}
 	s.order = append(s.order, mc.Name)
 	s.mu.Unlock()
-	spans := make([]ChunkSpan, len(mc.Chunks))
-	for i, cm := range mc.Chunks {
-		spans[i] = ChunkSpan{MinGID: cm.Min, MaxGID: cm.Max}
-	}
 	src.mu.Lock()
-	src.spans[mc.Name] = spans
+	src.spans[mc.Name] = chunkSpans(mc)
 	src.mu.Unlock()
 	src.reader.registerVirtual(mc)
 	return nil
@@ -386,20 +285,17 @@ func (s *Store) registerSidecarColumn(mc manifestCol) error {
 
 // loadSidecar reads and registers dir's virtual sidecar during OpenLazy.
 // The sidecar is best-effort by contract ("lose a column, never corrupt
-// one"), so staleness never fails the open: a framing mismatch (the store
-// was re-saved in place with a different codec) ignores the sidecar
-// entirely, and an entry that no longer registers — typically a column an
+// one"), so staleness never fails the open: a framing mismatch (see
+// virtualSidecar.matches) ignores the sidecar entirely, and an entry that no longer registers — typically a column an
 // in-place Save promoted into the main manifest — is skipped and dropped
 // from the kept list, re-materializing (or serving from the main
 // manifest) instead.
 func (s *Store) loadSidecar(dir string) error {
 	src := s.lazy
-	vm, err := readVirtualSidecar(dir)
-	if err != nil || vm == nil {
+	walk, err := walkSidecar(dir)
+	vm := walk.Newest
+	if err != nil || vm == nil || !vm.matches(src.reader.m) {
 		return err
-	}
-	if vm.Codec != src.reader.m.Codec || vm.Format != src.reader.m.Format {
-		return nil
 	}
 	kept := make([]manifestCol, 0, len(vm.Columns))
 	for _, mc := range vm.Columns {

@@ -42,10 +42,11 @@ func materializeUpper(t *testing.T, s *Store, name string) *Column {
 // sidecarManifest reads the virtual sidecar's newest manifest of dir.
 func sidecarManifest(t *testing.T, dir string) *virtualSidecar {
 	t.Helper()
-	vm, err := readVirtualSidecar(dir)
+	walk, err := walkSidecar(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vm := walk.Newest
 	if vm == nil {
 		t.Fatalf("no virtual sidecar manifest in %s", dir)
 	}
@@ -145,37 +146,6 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	}
 	if ps.ColdChunkLoads != 1 || ps.ColdDictLoads != 1 {
 		t.Fatalf("cold loads = %d chunks / %d dicts, want 1/1", ps.ColdChunkLoads, ps.ColdDictLoads)
-	}
-}
-
-// TestVirtualSidecarLegacyFraming pins sidecar persistence on a legacy
-// v2 whole-column-codec parent: the sidecar mirrors the parent's framing
-// and the column reloads identically.
-func TestVirtualSidecarLegacyFraming(t *testing.T) {
-	_, dir := buildLegacyStore(t, 3000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := materializeUpper(t, lazy, "upper(country)")
-	vm := sidecarManifest(t, dir)
-	if vm.Format >= formatVersion || vm.Columns[0].DictCLen != 0 {
-		t.Fatalf("legacy parent must produce legacy-framed sidecar, got format %d %+v", vm.Format, vm.Columns[0])
-	}
-	reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := reopened.ColumnErr("upper(country)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range built.Chunks {
-		for r := 0; r < built.Chunks[ci].Rows(); r++ {
-			if !built.ValueAt(ci, r).Equal(got.ValueAt(ci, r)) {
-				t.Fatalf("chunk %d row %d mismatch", ci, r)
-			}
-		}
 	}
 }
 
@@ -529,11 +499,11 @@ func TestVirtualSidecarTornGeneration(t *testing.T) {
 			built := materializeUpper(t, lazy, "upper(country)")
 			vm := sidecarManifest(t, dir)
 			vdir := filepath.Join(dir, virtualSubdir)
-			goodBlob, err := os.ReadFile(filepath.Join(vdir, virtualGenName(vm.Gen)))
+			goodBlob, err := os.ReadFile(filepath.Join(vdir, sidecarChain(dir).Name(vm.Gen)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tornPath := filepath.Join(vdir, virtualGenName(vm.Gen+1))
+			tornPath := filepath.Join(vdir, sidecarChain(dir).Name(vm.Gen+1))
 			if err := os.WriteFile(tornPath, torn.blob(goodBlob), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -564,7 +534,7 @@ func TestVirtualSidecarTornGeneration(t *testing.T) {
 					verdicts = append(verdicts, f)
 				}
 			}
-			if len(verdicts) != 1 || !strings.HasSuffix(verdicts[0].Path, virtualGenName(vm.Gen+1)) {
+			if len(verdicts) != 1 || !strings.HasSuffix(verdicts[0].Path, sidecarChain(dir).Name(vm.Gen+1)) {
 				t.Fatalf("scrub verdicts for torn sidecar = %+v", verdicts)
 			}
 		})

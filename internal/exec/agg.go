@@ -179,7 +179,7 @@ func (e *Engine) executeChunks(p *plan) (*groupTable, QueryStats, error) {
 		}
 	}
 	for w := 0; w < workers; w++ {
-		qs.add(wqs[w])
+		qs.Add(wqs[w])
 	}
 	return groups, qs, nil
 }

@@ -77,9 +77,6 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lazyStore.ChunkGranular() {
-		t.Fatal("freshly saved store is not chunk-granular")
-	}
 	eager := New(eagerStore, Options{Parallelism: 2})
 	lazy := New(lazyStore, Options{Parallelism: 2})
 

@@ -61,15 +61,15 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	}
 	var wantDisk int64
 	for _, col := range []string{"country", "table_name"} {
-		dlen, ok := r.DictFileLen(col)
-		if !ok {
-			t.Fatalf("column %q has no exact dictionary range", col)
+		dlen, err := r.DictFileLen(col)
+		if err != nil {
+			t.Fatal(err)
 		}
 		wantDisk += dlen
 		for _, ci := range active {
-			_, clen, ok := r.ChunkFileRange(col, ci)
-			if !ok {
-				t.Fatalf("column %q chunk %d has no exact range", col, ci)
+			_, clen, err := r.ChunkFileRange(col, ci)
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantDisk += clen
 		}
@@ -290,55 +290,6 @@ func TestCompressedCodecsBitIdentical(t *testing.T) {
 				assertSameResult(t, q, want, got)
 			}
 		})
-	}
-}
-
-// TestLegacyV2EngineMemoizedDecompress runs a restricted query against a
-// whole-column-codec (v2) store: correctness aside, the Reader's stream
-// memo must keep the disk charge at one file read per touched column
-// instead of one per cold chunk.
-func TestLegacyV2EngineMemoizedDecompress(t *testing.T) {
-	tbl := logs(4000)
-	s, err := colstore.FromTable(tbl, chunkedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := colstore.SaveLegacyV2(s, dir, "zippy"); err != nil {
-		t.Fatal(err)
-	}
-	eagerStore, _, err := colstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager := New(eagerStore, Options{Parallelism: 2})
-	lazy := New(lazyStore, Options{Parallelism: 2})
-	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name ORDER BY c DESC, table_name ASC;`
-	want, err := eager.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lazy.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, q, want, got)
-	st := got.Stats
-	if st.ColdChunkLoads == 0 {
-		t.Fatalf("expected cold chunk loads on a v2 store: %+v", st)
-	}
-	io, ok := lazyStore.IOStats()
-	if !ok {
-		t.Fatal("lazy store reports no IO stats")
-	}
-	// Two touched columns: one decompress each, however many chunks were
-	// cold. Without the memo this would be ~one per cold chunk+dict.
-	if io.DecompressCalls != 2 {
-		t.Fatalf("decompress calls = %d, want 2 (one per column, memoized)", io.DecompressCalls)
 	}
 }
 

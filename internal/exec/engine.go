@@ -317,6 +317,21 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 			return nil, err
 		}
 	}
+	e.closeStats(&qs, ps, rsd)
+	res.Stats = qs
+	res.Coverage = 1
+	e.recordStats(qs)
+	return res, nil
+}
+
+// closeStats completes a query's counters with what the scan workers do
+// not see: the residency analysis' bloom prunes, the pin set's cold-load
+// attribution, and the rows the answer spans. An engine's answer (and a
+// leaf's partial) always covers its whole store — coverage accounting is
+// about server availability, not restriction selectivity; the coordinator
+// adds the row counts of shards that never answered to RowsTotal alone,
+// which is what drives Coverage below 1.
+func (e *Engine) closeStats(qs *QueryStats, ps *colstore.PinSet, rsd *residency) {
 	qs.BloomSkippedChunks = rsd.bloomSkipped
 	qs.ColdLoads = ps.ColdLoads
 	qs.ColdChunkLoads = ps.ColdChunkLoads
@@ -329,10 +344,6 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 	qs.CoalescedReads = ps.CoalescedReads
 	qs.RowsTotal = int64(e.store.NumRows())
 	qs.RowsCovered = qs.RowsTotal
-	res.Stats = qs
-	res.Coverage = 1
-	e.recordStats(qs)
-	return res, nil
 }
 
 // recordStats folds one query's merged counters into the cumulative stats.

@@ -97,8 +97,9 @@ func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) e
 	return first
 }
 
-// add folds another query's (or worker's) counters into qs.
-func (qs *QueryStats) add(o QueryStats) {
+// Add folds another query's, unit's or worker's counters into qs: every
+// field is a sum (TestQueryStatsAddCoversEveryField holds it to that).
+func (qs *QueryStats) Add(o QueryStats) {
 	qs.ChunksTotal += o.ChunksTotal
 	qs.ChunksSkipped += o.ChunksSkipped
 	qs.ChunksCached += o.ChunksCached
@@ -115,10 +116,15 @@ func (qs *QueryStats) add(o QueryStats) {
 	qs.ColdDictLoads += o.ColdDictLoads
 	qs.ColdBytesLoaded += o.ColdBytesLoaded
 	qs.DiskBytesRead += o.DiskBytesRead
+	qs.ChecksumVerified += o.ChecksumVerified
+	qs.ChecksumFailed += o.ChecksumFailed
 	qs.CacheSkippedChunks += o.CacheSkippedChunks
 	qs.ReadRuns += o.ReadRuns
 	qs.CoalescedReads += o.CoalescedReads
 	qs.BloomSkippedChunks += o.BloomSkippedChunks
 	qs.KernelChunks += o.KernelChunks
 	qs.ScalarChunks += o.ScalarChunks
+	qs.RowsTotal += o.RowsTotal
+	qs.RowsCovered += o.RowsCovered
+	qs.ShardsMissing += o.ShardsMissing
 }

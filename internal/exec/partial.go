@@ -109,22 +109,7 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	qs.BloomSkippedChunks = rsd.bloomSkipped
-	qs.ColdLoads = ps.ColdLoads
-	qs.ColdChunkLoads = ps.ColdChunkLoads
-	qs.ColdDictLoads = ps.ColdDictLoads
-	qs.ColdBytesLoaded = ps.ColdBytesLoaded
-	qs.DiskBytesRead = ps.DiskBytesRead
-	qs.ChecksumVerified = int(ps.ChecksumVerified)
-	qs.ChecksumFailed = int(ps.ChecksumFailed)
-	qs.ReadRuns = ps.ReadRuns
-	qs.CoalescedReads = ps.CoalescedReads
-	// A leaf's partial always covers its whole shard — coverage accounting
-	// is about server availability, not restriction selectivity. The
-	// coordinator adds the row counts of shards that never answered to
-	// RowsTotal alone, which is what drives Coverage below 1.
-	qs.RowsTotal = int64(e.store.NumRows())
-	qs.RowsCovered = qs.RowsTotal
+	e.closeStats(&qs, ps, rsd)
 	out := &Partial{Stats: qs}
 	for _, it := range p.items {
 		out.Columns = append(out.Columns, it.name)
@@ -214,33 +199,7 @@ func MergePartials(dst, src *Partial) error {
 			}
 		}
 	}
-	dst.Stats.ChunksTotal += src.Stats.ChunksTotal
-	dst.Stats.ChunksSkipped += src.Stats.ChunksSkipped
-	dst.Stats.ChunksCached += src.Stats.ChunksCached
-	dst.Stats.ChunksScanned += src.Stats.ChunksScanned
-	dst.Stats.RowsScanned += src.Stats.RowsScanned
-	dst.Stats.RowsCached += src.Stats.RowsCached
-	dst.Stats.RowsSkipped += src.Stats.RowsSkipped
-	dst.Stats.CellsCovered += src.Stats.CellsCovered
-	dst.Stats.CellsScanned += src.Stats.CellsScanned
-	dst.Stats.ActiveChunks += src.Stats.ActiveChunks
-	dst.Stats.SkippedChunks += src.Stats.SkippedChunks
-	dst.Stats.ColdLoads += src.Stats.ColdLoads
-	dst.Stats.ColdChunkLoads += src.Stats.ColdChunkLoads
-	dst.Stats.ColdDictLoads += src.Stats.ColdDictLoads
-	dst.Stats.ColdBytesLoaded += src.Stats.ColdBytesLoaded
-	dst.Stats.DiskBytesRead += src.Stats.DiskBytesRead
-	dst.Stats.ChecksumVerified += src.Stats.ChecksumVerified
-	dst.Stats.ChecksumFailed += src.Stats.ChecksumFailed
-	dst.Stats.CacheSkippedChunks += src.Stats.CacheSkippedChunks
-	dst.Stats.ReadRuns += src.Stats.ReadRuns
-	dst.Stats.CoalescedReads += src.Stats.CoalescedReads
-	dst.Stats.BloomSkippedChunks += src.Stats.BloomSkippedChunks
-	dst.Stats.KernelChunks += src.Stats.KernelChunks
-	dst.Stats.ScalarChunks += src.Stats.ScalarChunks
-	dst.Stats.RowsTotal += src.Stats.RowsTotal
-	dst.Stats.RowsCovered += src.Stats.RowsCovered
-	dst.Stats.ShardsMissing += src.Stats.ShardsMissing
+	dst.Stats.Add(src.Stats)
 	return nil
 }
 

@@ -153,7 +153,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 		res.Rows = append(res.Rows, out...)
 	}
 	for w := 0; w < workers; w++ {
-		qs.add(wqs[w])
+		qs.Add(wqs[w])
 	}
 
 	res.Rows = orderRows(p.stmt, res.Rows)

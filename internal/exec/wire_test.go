@@ -69,6 +69,25 @@ func TestWireStatsCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestQueryStatsAddCoversEveryField fills every field of two QueryStats
+// with distinct values via reflection and asserts Add sums all of them —
+// a new counter added to QueryStats but not to Add fails here, instead of
+// silently under-reporting wherever per-unit stats are merged.
+func TestQueryStatsAddCoversEveryField(t *testing.T) {
+	var a, b QueryStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(100 + i))
+		vb.Field(i).SetInt(int64(1000 + 7*i))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Int(), int64(1100+8*i); got != want {
+			t.Errorf("Add dropped %s: got %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
 func TestWireVersionGate(t *testing.T) {
 	enc := EncodePartial(samplePartial())
 	enc[0] = PartialWireVersion + 1

@@ -11,6 +11,7 @@ import (
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/exec"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 )
 
@@ -133,6 +134,29 @@ func TestAppendSealQueryReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPrefix(t, snap, 1500)
+	// v is unsorted within the c-partitioned chunks, so only the chunk
+	// blooms can prune an equality on it — in the base (13) and in the
+	// first sealed segment (1052). The merged scan must report every unit's prunes.
+	stmt, err := sql.Parse(`SELECT v FROM data WHERE v IN (13, 1052) ORDER BY v;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := snap.Run(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bloomSkipped := 0
+	for _, u := range snap.units {
+		res, err := u.eng.Run(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bloomSkipped += res.Stats.BloomSkippedChunks
+	}
+	if len(merged.Rows) != 2 || bloomSkipped == 0 || merged.Stats.BloomSkippedChunks != bloomSkipped {
+		t.Fatalf("merged row scan: %d rows, BloomSkippedChunks %d; units sum to %d (want 2 rows, equal and > 0)",
+			len(merged.Rows), merged.Stats.BloomSkippedChunks, bloomSkipped)
+	}
 	snap.Release()
 
 	st := w.Stats()

@@ -10,9 +10,9 @@
 // package grows that pipeline into an LSM-shaped ingestion path that
 // reuses it wholesale: every sealed segment is a full colstore built by
 // the same FromTable import (same partitioning, reordering and dictionary
-// options as the base store) and saved in the same v3 on-disk format, so
-// the lazy reader, memory budget and chunk-skipping machinery apply to
-// appended data unchanged.
+// options as the base store) and saved in the same on-disk format
+// (docs/format.md), so the lazy reader, memory budget and chunk-skipping
+// machinery apply to appended data unchanged.
 //
 // Durability protocol. A store directory with appends holds
 //
@@ -21,8 +21,8 @@
 //
 // next to the untouched base manifest. Sealing writes the segment
 // directory first, then commits by claiming the *next* generation file
-// exclusively (colstore.ClaimFileExclusive); readers take the highest
-// generation that parses. A crash between the two leaves an orphan
+// exclusively (colstore.GenChain); readers take the highest clean
+// generation. A crash between the two leaves an orphan
 // segment directory and no manifest — the previous generation stays
 // authoritative and the orphan is garbage-collected on the next Attach.
 // Readers that predate this package ignore MANIFEST.gen-* files entirely
@@ -30,7 +30,7 @@
 package ingest
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -46,10 +46,16 @@ const (
 	segsSubdir = "segs"
 )
 
-// genName renders the manifest file name of a generation.
-func genName(gen int) string {
-	return fmt.Sprintf("%s%06d%s", genPrefix, gen, genSuffix)
+// genChain is dir's chain of generation manifests.
+func genChain(dir string) colstore.GenChain[genManifest] {
+	return colstore.GenChain[genManifest]{
+		Dir: dir, Prefix: genPrefix, Suffix: genSuffix,
+		Fields: func(m *genManifest) (*int, *uint32) { return &m.Gen, &m.Check },
+	}
 }
+
+// genName renders the manifest file name of a generation.
+func genName(gen int) string { return genChain("").Name(gen) }
 
 // segRel renders the store-relative directory of a segment.
 func segRel(seq int) string {
@@ -88,35 +94,10 @@ type genManifest struct {
 	// Their files are deleted right after the commit; the list covers
 	// the crash window between commit and deletion.
 	WalDone []int `json:"wal_done,omitempty"`
-	// Check is the CRC32C of the manifest's canonical marshal with this
-	// field zeroed: a torn or bit-flipped generation file fails the
-	// check and is skipped exactly like one that fails to parse.
+	// Check is, with Gen, the generation chain's own: a torn or bit-flipped
+	// generation file fails its CRC and is skipped exactly like one that
+	// fails to parse (colstore.GenChain).
 	Check uint32 `json:"check,omitempty"`
-}
-
-// checkedManifestBlob marshals m with its integrity checksum filled in.
-func checkedManifestBlob(m *genManifest) ([]byte, error) {
-	m.Check = 0
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	m.Check = colstore.CRC32C(blob)
-	return json.MarshalIndent(m, "", "  ")
-}
-
-// manifestCheckOK verifies a parsed generation manifest against its
-// Check field by re-marshaling canonically with the field zeroed. Files
-// written before checksums (Check == 0) pass.
-func manifestCheckOK(m *genManifest) bool {
-	if m.Check == 0 {
-		return true
-	}
-	check := m.Check
-	m.Check = 0
-	canon, err := json.MarshalIndent(m, "", "  ")
-	m.Check = check
-	return err == nil && colstore.CRC32C(canon) == check
 }
 
 // HasGenerations reports whether dir carries ingest state — a committed
@@ -139,87 +120,77 @@ func HasGenerations(dir string) bool {
 	return false
 }
 
-// readGenerations scans dir for the newest parseable generation manifest.
-// Unreadable or torn files are skipped (a crashed writer's partial claim
-// must not mask the previous generation). Returns (nil, 0, nil) when the
-// directory has no generations at all.
+// readGenerations returns dir's newest clean generation manifest. Torn
+// files are skipped (a crashed writer's partial claim must not mask the
+// previous generation). Returns (nil, 0, nil) when the directory has no
+// generations at all.
 func readGenerations(dir string) (*genManifest, int, error) {
-	entries, err := vfs().ReadDir(dir)
-	if err != nil {
+	walk, err := genChain(dir).Walk()
+	if err != nil || walk.Newest == nil {
 		return nil, 0, err
 	}
-	var best *genManifest
-	bestGen := -1
-	for _, ent := range entries {
-		gen, ok := colstore.ParseGenSeq(ent.Name(), genPrefix, genSuffix)
-		if !ok || gen <= bestGen {
-			continue
-		}
-		blob, err := vfs().ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			continue
-		}
-		var m genManifest
-		if json.Unmarshal(blob, &m) != nil || m.Gen != gen || !manifestCheckOK(&m) {
-			continue
-		}
-		best, bestGen = &m, gen
-	}
-	if best == nil {
-		return nil, 0, nil
-	}
-	return best, bestGen, nil
+	return walk.Newest, walk.Seq, nil
 }
 
-// commitGeneration claims gen's manifest file exclusively. fs.ErrExist
+// commitGeneration claims m.Gen's manifest file exclusively. fs.ErrExist
 // means another writer committed this generation first — with the
 // single-writer-per-directory contract that is a usage error, surfaced
 // rather than merged.
 func commitGeneration(dir string, m *genManifest) error {
-	blob, err := checkedManifestBlob(m)
+	return genChain(dir).Commit(m.Gen, m)
+}
+
+// CheckUpgrade refuses a directory whose ingest state `pdrill upgrade`,
+// which rewrites the base store only, would leave behind: with the typed
+// colstore.ErrOldFormat error when a live segment is itself of an old
+// format generation, plainly when the appended rows are current.
+func CheckUpgrade(dir string) error {
+	if !HasGenerations(dir) {
+		return nil
+	}
+	m, _, err := readGenerations(dir)
 	if err != nil {
 		return err
 	}
-	return colstore.ClaimFileExclusive(filepath.Join(dir, genName(m.Gen)), blob)
+	if m != nil {
+		for _, seg := range m.Segments {
+			if _, _, err := colstore.NewReader(filepath.Join(dir, seg.Dir)); errors.Is(err, colstore.ErrOldFormat) {
+				return fmt.Errorf("ingest: segment %s: %w", seg.Dir, err)
+			}
+		}
+	}
+	return fmt.Errorf("ingest: %s carries appended rows (segments or a write-ahead log) that an upgrade of the base store would drop", dir)
 }
 
-// gcGenerations removes superseded generation manifests (gen < keep),
-// torn manifests that failed to read (keep is the newest *parseable*
-// generation and this writer holds the directory, so any other numbered
-// file is a crashed commit's garbage), and orphan segment directories
-// not referenced by the keep manifest — the leftovers of a writer that
+// gcGenerations removes, from a walk of dir's chain, superseded generation
+// manifests, torn manifests that failed to read (the walk's newest is the
+// newest *clean* generation and this writer holds the directory, so any
+// other numbered file is a crashed commit's garbage), and orphan segment
+// directories not referenced by the newest manifest — the leftovers of a writer that
 // crashed between writing a segment and committing it, or of
 // retirements whose removal was interrupted. WAL files are never
 // touched: the replay pass owns their lifecycle, and sweeping one here
-// would throw away acknowledged rows. keep may be nil (no committed
-// generation): every numbered manifest is then garbage and so is every
-// segment directory. Only called from Attach, before any snapshot
+// would throw away acknowledged rows. With no committed generation every
+// numbered manifest is garbage and so is every segment directory. Only called from Attach, before any snapshot
 // exists and before WAL replay, so nothing live can reference what it
 // deletes. Removal errors are ignored: garbage that survives is
 // re-collected next time.
-func gcGenerations(dir string, keep *genManifest) {
-	keepGen := -1
-	var keepSegs []genSegment
-	if keep != nil {
-		keepGen = keep.Gen
-		keepSegs = keep.Segments
-	}
-	entries, err := vfs().ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if gen, ok := colstore.ParseGenSeq(name, genPrefix, genSuffix); ok && gen != keepGen {
-			_ = vfs().Remove(filepath.Join(dir, name))
+func gcGenerations(dir string, walk colstore.GenWalk[genManifest]) {
+	for _, f := range walk.Files {
+		if f.Seq != walk.Seq {
+			_ = vfs().Remove(filepath.Join(dir, f.Name))
 		}
-		if strings.HasPrefix(name, genPrefix) && strings.HasSuffix(name, ".tmp") {
+	}
+	for _, ent := range walk.Other {
+		if name := ent.Name(); strings.HasPrefix(name, genPrefix) && strings.HasSuffix(name, ".tmp") {
 			_ = vfs().Remove(filepath.Join(dir, name))
 		}
 	}
-	live := make(map[string]bool, len(keepSegs))
-	for _, seg := range keepSegs {
-		live[filepath.Base(seg.Dir)] = true
+	live := map[string]bool{}
+	if walk.Newest != nil {
+		for _, seg := range walk.Newest.Segments {
+			live[filepath.Base(seg.Dir)] = true
+		}
 	}
 	segEntries, err := vfs().ReadDir(filepath.Join(dir, segsSubdir))
 	if err != nil {

@@ -8,7 +8,6 @@ package ingest
 // an operator decision.
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
@@ -44,8 +43,9 @@ func (r *ScrubReport) add(files ...ScrubFile) {
 // base colstore (manifest, column files, virtual sidecar), each
 // generation manifest's integrity check, each live segment's colstore,
 // and each WAL file's frame chain. It opens nothing for query and
-// repairs nothing. A store that predates checksums scrubs clean with
-// zero records verified.
+// repairs nothing. A store of an old format generation records no
+// checksums: its manifest's verdict says so and nothing under it is
+// verified.
 func ScrubStore(dir string) (*ScrubReport, error) {
 	if _, err := vfs().Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		return nil, fmt.Errorf("ingest: scrub: %s is not a store directory: %w", dir, err)
@@ -72,41 +72,14 @@ func ScrubStore(dir string) (*ScrubReport, error) {
 // scrubGenManifests verdicts every MANIFEST.gen-* file and returns the
 // newest clean one (nil when none).
 func scrubGenManifests(dir string, rep *ScrubReport) *genManifest {
-	entries, err := vfs().ReadDir(dir)
+	walk, err := genChain(dir).Walk()
 	if err != nil {
 		return nil
 	}
-	var best *genManifest
-	bestGen := -1
-	for _, ent := range entries {
-		gen, ok := colstore.ParseGenSeq(ent.Name(), genPrefix, genSuffix)
-		if !ok {
-			continue
-		}
-		f := ScrubFile{Path: ent.Name(), Kind: "gen-manifest"}
-		blob, err := vfs().ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			f.Err = err.Error()
-			rep.add(f)
-			continue
-		}
-		f.Bytes = int64(len(blob))
-		var m genManifest
-		if uerr := json.Unmarshal(blob, &m); uerr != nil {
-			f.Err = fmt.Sprintf("parse: %v", uerr)
-		} else if m.Gen != gen {
-			f.Err = fmt.Sprintf("gen %d recorded in file named for gen %d", m.Gen, gen)
-		} else if !manifestCheckOK(&m) {
-			f.Err = "integrity check failed (torn or bit-flipped manifest)"
-		} else {
-			f.Records = 1
-			if gen > bestGen {
-				best, bestGen = &m, gen
-			}
-		}
-		rep.add(f)
+	for _, f := range walk.Files {
+		rep.add(colstore.GenScrubFile(f.Name, "gen-manifest", f))
 	}
-	return best
+	return walk.Newest
 }
 
 // scrubWAL verdicts every WAL file. A torn tail is legal only in the

@@ -171,38 +171,13 @@ func (s *Snapshot) runRowScan(stmt *sql.SelectStmt) (*exec.Result, error) {
 			continue
 		}
 		out.Rows = append(out.Rows, res.Rows...)
-		addQueryStats(&out.Stats, res.Stats)
+		out.Stats.Add(res.Stats)
 	}
 	out.Stats.RowsTotal = s.rows
 	out.Stats.RowsCovered = s.rows
 	out.Coverage = 1
 	exec.ApplyOrderLimit(stmt, out)
 	return out, nil
-}
-
-// addQueryStats folds one unit's execution counters into the total.
-func addQueryStats(dst *exec.QueryStats, src exec.QueryStats) {
-	dst.ChunksTotal += src.ChunksTotal
-	dst.ChunksSkipped += src.ChunksSkipped
-	dst.ChunksCached += src.ChunksCached
-	dst.ChunksScanned += src.ChunksScanned
-	dst.RowsScanned += src.RowsScanned
-	dst.RowsCached += src.RowsCached
-	dst.RowsSkipped += src.RowsSkipped
-	dst.CellsCovered += src.CellsCovered
-	dst.CellsScanned += src.CellsScanned
-	dst.ActiveChunks += src.ActiveChunks
-	dst.SkippedChunks += src.SkippedChunks
-	dst.ColdLoads += src.ColdLoads
-	dst.ColdChunkLoads += src.ColdChunkLoads
-	dst.ColdDictLoads += src.ColdDictLoads
-	dst.ColdBytesLoaded += src.ColdBytesLoaded
-	dst.DiskBytesRead += src.DiskBytesRead
-	dst.ChecksumVerified += src.ChecksumVerified
-	dst.ChecksumFailed += src.ChecksumFailed
-	dst.CacheSkippedChunks += src.CacheSkippedChunks
-	dst.ReadRuns += src.ReadRuns
-	dst.CoalescedReads += src.CoalescedReads
 }
 
 // Release drops the snapshot's segment pins. The last release of a

@@ -189,13 +189,14 @@ func Attach(dir string, base *colstore.Store, baseEng *exec.Engine, opts Opts) (
 	if w.codec == "" {
 		w.codec = base.Codec()
 	}
-	m, gen, err := readGenerations(dir)
+	walk, err := genChain(dir).Walk()
 	if err != nil {
 		return nil, err
 	}
-	gcGenerations(dir, m)
+	gcGenerations(dir, walk)
+	m := walk.Newest
 	if m != nil {
-		w.gen, w.nextSeg = gen, m.NextSeg
+		w.gen, w.nextSeg = walk.Seq, m.NextSeg
 		for _, gs := range m.Segments {
 			seg, err := w.openSegment(gs)
 			if err != nil {

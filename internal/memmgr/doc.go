@@ -8,9 +8,7 @@
 //
 // The manager is deliberately key-agnostic: callers decide what an entry
 // is. colstore uses one entry per (column, chunk) pair plus one per global
-// dictionary on chunk-granular stores (keys "<dir>\x00<column>#<chunk>"
-// and "<dir>\x00<column>#dict"), and one entry per whole column on stores
-// saved before the manifest carried a chunk layout ("<dir>\x00<column>").
+// dictionary (keys "<dir>\x00<column>#<chunk>" and "<dir>\x00<column>#dict").
 // Namespacing by absolute store directory means replicas opened from the
 // same path share residency. One Manager may be shared by many stores —
 // every shard of a cluster leaf process, for example — to enforce a single

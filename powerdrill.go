@@ -148,7 +148,7 @@ type Options struct {
 	// decides). See docs/ingest.md.
 	IngestFsyncPolicy string
 	// DisableChecksumVerify turns off per-record CRC32C verification on
-	// cold reads of format-v5 stores. Verification is on by default; a
+	// cold reads. Verification is on by default; a
 	// detected mismatch fails the read with the file and offset rather
 	// than returning corrupt data. See docs/format.md.
 	DisableChecksumVerify bool
@@ -293,8 +293,8 @@ func (s *Store) Memory(cols ...string) (MemoryBreakdown, error) {
 func (s *Store) EngineStats() exec.Stats { return s.engine.Stats() }
 
 // Save persists the store to a directory; codec may be "" (raw), "zippy",
-// "lzoish" or "zlib". Compressed stores are written with per-chunk codec
-// framing (manifest v3, see docs/format.md), so a lazily opened store
+// "lzoish" or "zlib". A codec compresses every dictionary and chunk
+// record individually (see docs/format.md), so a lazily opened store
 // cold-reads exact byte ranges even under compression.
 func (s *Store) Save(dir, codec string) error {
 	return colstore.Save(s.store, dir, codec)
@@ -308,8 +308,8 @@ type IOStats = colstore.IOStats
 // stores built in memory, which never touch disk.
 func (s *Store) IOStats() (IOStats, bool) { return s.store.IOStats() }
 
-// Close releases the file handles and decompression memos a lazily opened
-// store caches outside the memory budget, and — on stores with an active
+// Close releases the file handles a lazily opened store caches outside
+// the memory budget, and — on stores with an active
 // append path — seals any buffered rows and stops the background
 // compactor. The store stays usable; a no-op for in-memory stores.
 func (s *Store) Close() error {
@@ -376,6 +376,31 @@ func Open(dir string, opts Options) (*Store, int64, error) {
 		s.startScrubLoop(opts.ScrubInterval)
 	}
 	return s, stats.BytesRead, nil
+}
+
+// ErrOldFormat is what errors.Is matches when Open refuses a store
+// directory (or one of its ingest segments) because it was written in an
+// older on-disk format generation; the error text names the generation and
+// the `pdrill upgrade` command that converts it.
+var ErrOldFormat = colstore.ErrOldFormat
+
+// FormatGeneration reports the on-disk format generation of the store at
+// dir, read from its manifest alone. Open accepts exactly the generation
+// this build saves (docs/format.md); a lower one needs Upgrade first.
+func FormatGeneration(dir string) (int, error) { return colstore.FormatGeneration(dir) }
+
+// Upgrade rewrites the store at oldDir, of any older format generation, as
+// a current-format store at newDir: every column is read in full and saved
+// again with the same codec and import options (see docs/format.md,
+// "Upgrading older stores"). It converts base stores only: a directory
+// that also carries streaming-ingest state is refused, because those rows
+// would be left behind. Materialized virtual columns are not carried over;
+// they re-materialize on first use.
+func Upgrade(oldDir, newDir string) error {
+	if err := ingest.CheckUpgrade(oldDir); err != nil {
+		return err
+	}
+	return colstore.Upgrade(oldDir, newDir)
 }
 
 // validateMemoryPolicy rejects unknown policy names instead of silently

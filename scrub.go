@@ -21,8 +21,8 @@ type ScrubReport = ingest.ScrubReport
 // base column files, generation manifests, sealed segments, WAL frames
 // and the virtual sidecar — without opening it for query, so it works
 // on stores too corrupt to open. Read-only: corruption is reported, one
-// verdict per file, never repaired. Stores persisted before format v5
-// scrub clean with zero records verified (nothing carries a checksum).
+// verdict per file, never repaired. A store of an older format generation
+// records no checksums: its manifest's verdict says so (see Upgrade).
 func Scrub(dir string) (*ScrubReport, error) {
 	return ingest.ScrubStore(dir)
 }
