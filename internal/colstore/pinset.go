@@ -1,0 +1,289 @@
+package colstore
+
+import (
+	"errors"
+	"fmt"
+)
+
+// PinSet keeps the pieces one query touches resident for the query's
+// lifetime: the engine pins every dictionary and chunk it needs from first
+// touch (during planning) through the parallel chunk scan and final
+// dictionary lookups, then releases them all at once. Cold-load counters
+// accumulate per set, giving per-query attribution of what had to come
+// from disk.
+//
+// On a lazy store a column is represented by a query-private *Column view
+// whose Chunks slice is filled only at the pinned indices; positions the
+// residency analysis pruned stay nil and must not be touched. The view pointer is stable across calls within one set, so
+// compiled plans can cache it. On a fully resident store a PinSet degrades
+// to plain column lookups.
+//
+// This is the error-carrying access path: prefer it over Store.Column,
+// which swallows load errors (see the PinSet-first contract there).
+type PinSet struct {
+	s    *Store
+	held map[string]*heldPin // column name -> pins
+	// ColdLoads counts columns for which this set loaded anything from
+	// disk (a column with five cold chunks counts once).
+	ColdLoads int
+	// ColdChunkLoads counts individual (column, chunk) entries this set
+	// cold-loaded.
+	ColdChunkLoads int
+	// ColdDictLoads counts global dictionaries this set cold-loaded.
+	ColdDictLoads int
+	// ColdBytesLoaded sums the resident bytes of all cold loads.
+	ColdBytesLoaded int64
+	// DiskBytesRead sums their on-disk (compressed) bytes.
+	DiskBytesRead int64
+	// ReadRuns counts the coalesced byte-run reads the set's cold chunk
+	// prefetches issued (one ReadAt per run).
+	ReadRuns int
+	// CoalescedReads counts the reads run coalescing saved: a run of m
+	// contiguous cold chunks is one read instead of m, saving m−1.
+	CoalescedReads int
+	// ChecksumVerified counts the records (chunks, dictionaries) whose
+	// CRC32C this set's cold loads checked and matched — zero with
+	// verification disabled.
+	ChecksumVerified int64
+	// ChecksumFailed counts cold loads this set aborted on a checksum
+	// mismatch (the query then fails with that ChecksumError).
+	ChecksumFailed int64
+}
+
+// heldPin records the pins held for one column.
+type heldPin struct {
+	view *Column
+	keys []string
+	// chunks flags which chunk indices are pinned.
+	chunks []bool
+	dict   bool
+	// cold marks the column as already counted in ColdLoads.
+	cold bool
+}
+
+// NewPinSet creates an empty pin set for the store.
+func (s *Store) NewPinSet() *PinSet { return &PinSet{s: s} }
+
+// coldColumn folds one cold entry's sizes into the set's counters.
+func (p *PinSet) coldColumn(h *heldPin, size, disk int64) {
+	if !h.cold {
+		h.cold = true
+		p.ColdLoads++
+	}
+	p.ColdBytesLoaded += size
+	p.DiskBytesRead += disk
+}
+
+// ensure returns (creating if needed) the held record for a lazy column.
+func (p *PinSet) ensure(name string) (*heldPin, error) {
+	if h, ok := p.held[name]; ok {
+		return h, nil
+	}
+	meta, ok := p.s.meta(name)
+	if !ok {
+		return nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	h := &heldPin{
+		view: &Column{
+			Name:    meta.Name,
+			Kind:    meta.Kind,
+			Virtual: meta.Virtual,
+			Chunks:  make([]*Chunk, p.s.NumChunks()),
+		},
+		chunks: make([]bool, p.s.NumChunks()),
+	}
+	if p.held == nil {
+		p.held = make(map[string]*heldPin, 8)
+	}
+	p.held[name] = h
+	return h, nil
+}
+
+// ensureDict pins the column's global dictionary into the view.
+func (p *PinSet) ensureDict(h *heldPin) error {
+	if h.dict {
+		return nil
+	}
+	d, key, cold, size, disk, err := p.s.acquireDict(h.view.Name)
+	if err != nil {
+		p.noteChecksumErr(err)
+		return err
+	}
+	h.view.Dict = d
+	h.dict = true
+	h.keys = append(h.keys, key)
+	if cold {
+		p.ColdDictLoads++
+		p.coldColumn(h, size, disk)
+		if p.s.lazy.reader.verify {
+			p.ChecksumVerified++
+		}
+	}
+	return nil
+}
+
+// noteChecksumErr counts a load aborted by a checksum mismatch.
+func (p *PinSet) noteChecksumErr(err error) {
+	var ce *ChecksumError
+	if errors.As(err, &ce) {
+		p.ChecksumFailed++
+	}
+}
+
+// ensureChunk pins one chunk into the view. rec optionally carries the
+// chunk's pre-read file record from a coalesced run.
+func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
+	if h.chunks[ci] {
+		return nil
+	}
+	ch, key, cold, size, disk, err := p.s.acquireChunk(h.view.Name, ci, rec)
+	if err != nil {
+		p.noteChecksumErr(err)
+		return err
+	}
+	h.view.Chunks[ci] = ch
+	h.chunks[ci] = true
+	h.keys = append(h.keys, key)
+	if cold {
+		p.ColdChunkLoads++
+		p.coldColumn(h, size, disk)
+		if p.s.lazy.reader.verify {
+			p.ChecksumVerified++
+		}
+	}
+	return nil
+}
+
+// Column returns the named column fully pinned: dictionary plus every
+// chunk. Registry-resident columns (fully resident stores, unpersisted
+// virtual columns) need no pin and pass straight through; persisted
+// virtual columns pin like physical ones. Unknown columns are an error.
+// Use ColumnChunks when the query will only scan a subset of the chunks.
+func (p *PinSet) Column(name string) (*Column, error) {
+	return p.ColumnChunks(name, nil)
+}
+
+// ColumnDict returns a view of the named column with only its global
+// dictionary pinned — enough to look up restriction literals and decode
+// group keys, but with no chunk data. On a resident store it degrades to
+// the full column.
+func (p *PinSet) ColumnDict(name string) (*Column, error) {
+	if c := p.s.residentColumn(name); c != nil {
+		return c, nil
+	}
+	if p.s.lazy == nil {
+		return nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	h, err := p.ensure(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ensureDict(h); err != nil {
+		return nil, err
+	}
+	return h.view, nil
+}
+
+// ColumnChunks returns the named column with its dictionary and the chunks
+// flagged in active pinned (nil active = every chunk). Chunks outside the
+// active set stay nil in the returned view; callers must not touch them.
+// Pinning is monotonic per set: asking again with a wider set fills the
+// missing chunks, and already pinned ones are never double-counted.
+//
+// Cold chunks are prefetched in coalesced runs: the not-yet-resident subset
+// of the wanted chunks is sorted into contiguous byte runs and each run is
+// served by one ReadAt instead of one read per chunk (ReadRuns and
+// CoalescedReads count the effect). A chunk another query loads between the residency peek and the
+// pin is shared as usual — its pre-read bytes are simply dropped.
+func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
+	if c := p.s.residentColumn(name); c != nil {
+		return c, nil
+	}
+	if p.s.lazy == nil {
+		return nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	h, err := p.ensure(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ensureDict(h); err != nil {
+		return nil, err
+	}
+	// Which wanted chunks are cold? Those are worth batching into runs.
+	var cold []int
+	for ci := range h.chunks {
+		if (active != nil && !active[ci]) || h.chunks[ci] {
+			continue
+		}
+		if !p.s.lazy.mgr.Resident(p.s.lazy.chunkKey(name, ci)) {
+			cold = append(cold, ci)
+		}
+	}
+	// Batched cold prefetch: read runs and pin their chunks one bounded
+	// batch at a time, so the transient raw-record buffers never exceed
+	// maxPrefetchBatchBytes regardless of how much of the column is cold
+	// (the decoded chunks themselves are pinned and budget-accounted as
+	// usual). A batch boundary can split a contiguous run — one extra
+	// read, bounded memory.
+	reader := p.s.lazy.reader
+	var batch []int
+	var batchBytes int64
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		recs, runs, coalesced, err := reader.ReadChunkRuns(name, batch)
+		if err != nil {
+			return err
+		}
+		p.ReadRuns += runs
+		p.CoalescedReads += coalesced
+		for _, ci := range batch {
+			if err := p.ensureChunk(h, ci, recs[ci]); err != nil {
+				return err
+			}
+		}
+		batch = batch[:0]
+		batchBytes = 0
+		return nil
+	}
+	for _, ci := range cold {
+		_, n, err := reader.ChunkFileRange(name, ci)
+		if err != nil {
+			return nil, err
+		}
+		if len(batch) > 0 && batchBytes+n > maxPrefetchBatchBytes {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
+		batch = append(batch, ci)
+		batchBytes += n
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	// Pin everything wanted; cold chunks are already held, warm ones (and
+	// any loaded by another query since the peek) share the resident entry.
+	for ci := range h.chunks {
+		if active != nil && !active[ci] {
+			continue
+		}
+		if err := p.ensureChunk(h, ci, nil); err != nil {
+			return nil, err
+		}
+	}
+	return h.view, nil
+}
+
+// Release drops every pin the set holds. Safe to call more than once.
+func (p *PinSet) Release() {
+	if p.s.lazy != nil {
+		for _, h := range p.held {
+			for _, key := range h.keys {
+				p.s.lazy.mgr.Release(key)
+			}
+		}
+	}
+	p.held = nil
+}
