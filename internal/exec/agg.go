@@ -198,10 +198,10 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		return nil, nil
 	}
 	if part, ok := p.cachedParts[ci]; ok {
-		// Answered by the cache-aware residency pass: the chunk is fully
-		// active and its partial came from the result cache before anything
-		// was pinned, so — like a residency-pruned chunk — its data was
-		// never loaded and must not be touched.
+		// Answered by the cache probe: the chunk is fully active and its
+		// partial came from the result cache before anything was pinned, so
+		// — like a residency-pruned chunk — its data was never loaded and
+		// must not be touched.
 		qs.ChunksCached++
 		qs.CacheSkippedChunks++
 		qs.RowsCached += int64(rows)
@@ -212,7 +212,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		if e.opts.DisableSkipping {
 			state = activeSome
 		} else {
-			state = p.where.classify(e, ci)
+			state = p.where.classify(ci, byChunkDict)
 		}
 	}
 	switch state {
@@ -261,14 +261,6 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		return part, nil
 	}
 	return nil, nil
-}
-
-// cacheKey identifies a fully-active chunk's partial result. The
-// chunk-independent part (p.cacheSig) is derived once per plan; the
-// cache-aware residency pass probes the same keys before planning via a
-// syntactic prediction of the signature (see cacheres.go).
-func cacheKey(ci int, p *plan) string {
-	return cacheKeyAt(ci, p.cacheSig)
 }
 
 // groupColumn returns the single column the engine groups by: the lone

@@ -8,20 +8,13 @@ import (
 )
 
 // Cache-aware residency: before any chunk is pinned or loaded, chunks the
-// spans prove fully active are probed in the result cache under the cache
-// key the compiled plan would use. A hit removes the chunk from the pin
-// set entirely — the Section 6 result cache already holds its partial, so
-// the chunk's data is never read, never charged to the byte budget, and on
-// a cold store never touches disk (the third leg of the ROADMAP's cold-I/O
-// follow-ups). The retrieved partials are held by the plan, so an eviction
-// between analysis and scan cannot strand the query.
-//
-// The probe needs the plan's cache key before the plan exists, so
-// predictCacheSig mirrors the naming rules of plan/materializeOperand
-// syntactically (idents by name, expressions by canonical string,
-// multi-column group-bys by their composite). plan re-derives the
-// signature from the compiled query and drops the cached set on any
-// mismatch — the prediction is an optimization, never an oracle.
+// spans prove fully active are probed in the result cache under the
+// compiled plan's own cache key. A hit removes the chunk from the pin set
+// entirely — the Section 6 result cache already holds its partial, so the
+// chunk's data is never read, never charged to the byte budget, and on a
+// cold store never touches disk. The retrieved partials are held by the
+// plan, so an eviction between the probe and the scan cannot strand the
+// query.
 
 // cacheSigOf renders the chunk-independent part of the result-cache key:
 // the single group column (composite for multi-column group-bys, "" for a
@@ -37,9 +30,11 @@ func cacheSigOf(groupCol string, aggs []aggSpec) string {
 	return b.String()
 }
 
-// cacheKeyAt is the full per-chunk result-cache key.
-func cacheKeyAt(ci int, sig string) string {
-	return strconv.Itoa(ci) + "|" + sig
+// cacheKey identifies a fully active chunk's partial result: the chunk and
+// the plan's signature, derived once per plan. The probe before pinning
+// and the scan use the same key.
+func cacheKey(ci int, p *plan) string {
+	return strconv.Itoa(ci) + "|" + p.cacheSig
 }
 
 // operandName is the column name materializeOperand resolves an operand
@@ -53,15 +48,13 @@ func operandName(x sql.Expr) string {
 }
 
 // compositeName is the canonical name of a multi-column group-by's
-// combined virtual column — shared by plan and the signature prediction
-// so the two can never drift.
+// combined virtual column.
 func compositeName(cols []string) string {
 	return "composite(" + strings.Join(cols, "\x1f") + ")"
 }
 
 // aggFnFor maps an aggregate call name to its function — the single
-// name→function mapping, used by compileAggregate and the signature
-// prediction alike.
+// name→function mapping, used by compileAggregate and FinalizePartial alike.
 func aggFnFor(name string, distinct bool) (aggFn, bool) {
 	switch strings.ToLower(name) {
 	case "count":
@@ -81,91 +74,30 @@ func aggFnFor(name string, distinct bool) (aggFn, bool) {
 	return 0, false
 }
 
-// predictCacheSig derives the cache-key signature the compiled plan will
-// use, without planning (and so without pinning or materializing
-// anything). ok is false whenever the statement's shape leaves room for
-// doubt — row scans, malformed aggregates — in which case the cache-aware
-// pass simply does nothing.
-func (e *Engine) predictCacheSig(stmt *sql.SelectStmt) (string, bool) {
-	var groupCols []string
-	for _, g := range stmt.GroupBy {
-		groupCols = append(groupCols, operandName(resolveGroupExpr(stmt, g)))
-	}
-	hasAgg := false
-	var aggs []aggSpec
-	for _, item := range stmt.Items {
-		if !sql.HasAggregate(item.Expr) {
-			continue
-		}
-		hasAgg = true
-		call, ok := item.Expr.(*sql.Call)
-		if !ok {
-			return "", false
-		}
-		fn, ok := aggFnFor(call.Name, call.Distinct)
-		if !ok {
-			return "", false
-		}
-		spec := aggSpec{fn: fn}
-		switch {
-		case call.Star:
-			if fn != aggCount {
-				return "", false
-			}
-		case len(call.Args) == 1:
-			spec.argCol = operandName(call.Args[0])
-		default:
-			return "", false
-		}
-		aggs = append(aggs, spec)
-	}
-	if !hasAgg && len(groupCols) == 0 {
-		// Row scan: no partials, no cache.
-		return "", false
-	}
-	groupCol := ""
-	switch {
-	case len(groupCols) > 1:
-		groupCol = compositeName(groupCols)
-	case len(groupCols) == 1:
-		groupCol = groupCols[0]
-	}
-	return cacheSigOf(groupCol, aggs), true
-}
-
-// cacheResidency runs the cache-aware pass over an analyzed residency:
-// span-proven fully active chunks whose partials sit in the result cache
-// are answered from it and dropped from the pin set.
-func (e *Engine) cacheResidency(stmt *sql.SelectStmt, rsd *residency) {
-	if e.resultCache == nil || rsd.full == nil || e.opts.DisableSkipping {
+// cacheResidency probes the result cache for the chunks the residency
+// analysis proved fully active: those whose partials it holds are answered
+// from it and dropped from the plan's pin set.
+func (e *Engine) cacheResidency(p *plan) {
+	if e.resultCache == nil || p.full == nil || p.rowScan {
 		return
 	}
-	sig, ok := e.predictCacheSig(stmt)
-	if !ok {
-		return
-	}
-	n := e.store.NumChunks()
-	for ci := 0; ci < n; ci++ {
-		if !rsd.full[ci] {
+	for ci, full := range p.full {
+		if !full {
 			continue
 		}
-		v, hit := e.resultCache.Get(cacheKeyAt(ci, sig))
+		v, hit := e.resultCache.Get(cacheKey(ci, p))
 		if !hit {
 			continue
 		}
-		if rsd.cached == nil {
-			rsd.cached = make(map[int]*partial, 8)
-			rsd.pinActive = make([]bool, n)
-			if rsd.active != nil {
-				copy(rsd.pinActive, rsd.active)
-			} else {
-				for i := range rsd.pinActive {
-					rsd.pinActive[i] = true
-				}
+		if p.cachedParts == nil {
+			p.cachedParts = make(map[int]*partial, 8)
+			// The pin set parts from the active set: copy before clearing.
+			p.pin = make([]bool, len(p.full))
+			for i := range p.pin {
+				p.pin[i] = p.active == nil || p.active[i]
 			}
-			rsd.sig = sig
 		}
-		rsd.cached[ci] = v.(*partial)
-		rsd.pinActive[ci] = false
+		p.cachedParts[ci] = v.(*partial)
+		p.pin[ci] = false
 	}
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // savedReorderedStore persists a store partitioned AND row-reordered on
 // country/table_name, so chunks cover contiguous value runs and the
 // manifest spans prune exactly. codec "" keeps per-chunk disk reads exact.
-func savedReorderedStore(t *testing.T, rows int, codec string) string {
+func savedReorderedStore(t testing.TB, rows int, codec string) string {
 	t.Helper()
 	tbl := workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 23})
 	s, err := colstore.FromTable(tbl, colstore.Options{
@@ -239,59 +241,118 @@ func TestChunkGranularConcurrentRestricted(t *testing.T) {
 	}
 }
 
-// TestResidencySoundness checks the safety property of the span-based
-// analysis against the precise chunk-dictionary classification: any chunk
-// the analysis prunes must also be pruned by classify — over the operator
-// zoo of restrict_test on a fully resident store.
+// TestResidencySoundness checks the safety property of pruning on the one
+// compiled tree: what the spans and blooms prove about a chunk — none or
+// all — the exact classification on its chunk dictionary confirms, and the
+// plan's active count is its flag sum. Over the operator zoo of
+// restrict_test plus a materialized expression and an equality the chunk
+// blooms decide, on a lazy store.
 func TestResidencySoundness(t *testing.T) {
-	tbl := logs(3000)
-	e := buildEngine(t, tbl, chunkedOpts(), Options{})
-	preds := []string{
-		`country IN ("de")`,
-		`country IN ("de", "fr", "zz")`,
-		`country NOT IN ("us")`,
-		`country = "ch"`,
-		`country != "ch"`,
-		`NOT country = "ch"`,
-		`latency > 500`,
-		`latency <= 100`,
-		`latency < -5`,
-		`latency > 100 AND latency < 2000`,
-		`country IN ("de") AND latency > 500`,
-		`country IN ("de") OR country IN ("fr")`,
-		`NOT (country IN ("de") OR latency > 100)`,
-		`country = "de" AND NOT latency <= 50 OR user IN ("user0001")`,
-		`latency = 105`,
-		`latency > 100.5`,
-		`country IN ("zz")`,
-		`latency = latency`, // row predicate: analysis must not prune
+	store, _, err := colstore.OpenLazy(savedReorderedStore(t, 6000, ""), memmgr.New(1<<30, "2q"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	e := New(store, Options{})
+	// A date and a latency that occur; the first query materializes the
+	// expression.
+	res, err := e.Query(`SELECT MIN(date(timestamp)), MAX(latency) FROM data;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := append(slices.Clone(predicateZoo),
+		`latency = latency`, // row predicate: analysis must not prune
+		fmt.Sprintf(`date(timestamp) = %q`, res.Rows[0][0].Str()),
+		fmt.Sprintf(`latency = %d`, res.Rows[0][1].Int()))
+	bloomSkipped := 0
 	for _, pred := range preds {
 		stmt, err := sql.Parse(`SELECT country, COUNT(*) FROM data WHERE ` + pred + ` GROUP BY country;`)
 		if err != nil {
 			t.Fatalf("parse %q: %v", pred, err)
 		}
-		ps := e.store.NewPinSet()
-		rsd := e.analyzeResidency(stmt, ps)
-		r, err := e.compileRestriction(stmt.Where, ps, nil)
+		ps := store.NewPinSet()
+		p, err := e.prepare(stmt, ps)
 		if err != nil {
-			t.Fatalf("compile %q: %v", pred, err)
+			t.Fatalf("prepare %q: %v", pred, err)
 		}
-		active := rsd.activeSet()
+		// The exact verdict reads every chunk's dictionary, pruned or not.
+		for _, col := range p.accessCols {
+			if _, err := ps.Column(col); err != nil {
+				t.Fatal(err)
+			}
+		}
 		count := 0
-		for ci := 0; ci < e.store.NumChunks(); ci++ {
-			residencyActive := active == nil || active[ci]
-			if residencyActive {
+		for ci := 0; ci < store.NumChunks(); ci++ {
+			span, exact := p.where.classify(ci, byBlooms), p.where.classify(ci, byChunkDict)
+			if span != activeSome && span != exact {
+				t.Fatalf("%q chunk %d: spans prove %v but the chunk dictionary says %v", pred, ci, span, exact)
+			}
+			if p.active[ci] != (span != activeNone) {
+				t.Fatalf("%q chunk %d: active %v under span verdict %v", pred, ci, p.active[ci], span)
+			}
+			if p.active[ci] {
 				count++
 			}
-			if !residencyActive && r.classify(e, ci) != activeNone {
-				t.Fatalf("%q chunk %d: pruned by residency but classify says %v",
-					pred, ci, r.classify(e, ci))
-			}
 		}
-		if count != rsd.count {
-			t.Fatalf("%q: residency count %d, active flags sum %d", pred, rsd.count, count)
+		if count != p.activeCount {
+			t.Fatalf("%q: active count %d, active flags sum %d", pred, p.activeCount, count)
 		}
+		bloomSkipped += p.bloomSkipped
 		ps.Release()
+	}
+	if bloomSkipped == 0 {
+		t.Fatal("no predicate was pruned by a chunk bloom")
+	}
+}
+
+// TestAliasShadowingColumnIsNotLoaded: ORDER BY and HAVING name output
+// columns, so an alias that happens to spell a store column must not load
+// that column — the statement costs what it costs with any other alias,
+// and a statement the planner rejects for its ORDER BY key loads no more
+// than it would for a key that names nothing.
+func TestAliasShadowingColumnIsNotLoaded(t *testing.T) {
+	dir := savedReorderedStore(t, 6000, "")
+	// cold runs q on a store opened for it alone: its cold columns, chunks,
+	// dictionaries and disk bytes, and what the memory manager loaded.
+	cold := func(q string) (loads [4]int64, mgrLoads int64, err error) {
+		mgr := memmgr.New(0, "2q")
+		store, _, err := colstore.OpenLazy(dir, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		res, err := New(store, Options{}).Query(q)
+		if err == nil {
+			st := res.Stats
+			loads = [4]int64{int64(st.ColdLoads), int64(st.ColdChunkLoads), int64(st.ColdDictLoads), st.DiskBytesRead}
+		}
+		return loads, mgr.Stats().ColdLoads, err
+	}
+	var want [4]int64
+	for i, q := range []string{
+		`SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC;`,
+		`SELECT country, COUNT(*) AS latency FROM data GROUP BY country ORDER BY latency DESC;`,
+		`SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING c > 0 ORDER BY c DESC;`,
+		`SELECT country, COUNT(*) AS latency FROM data GROUP BY country HAVING latency > 0 ORDER BY latency DESC;`,
+	} {
+		loads, _, err := cold(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if i == 0 {
+			want = loads
+		} else if loads != want {
+			t.Errorf("%s\ncold-loaded [columns chunks dicts diskbytes] %v, want %v", q, loads, want)
+		}
+	}
+	_, named, err := cold(`SELECT country FROM data ORDER BY latency;`)
+	if err == nil {
+		t.Fatal("ORDER BY a column outside the select list was accepted")
+	}
+	_, unnamed, err := cold(`SELECT country FROM data ORDER BY nosuchcolumn;`)
+	if err == nil {
+		t.Fatal("ORDER BY an unknown name was accepted")
+	}
+	if named > unnamed {
+		t.Errorf("rejected ORDER BY latency cold-loaded %d entries, %d for a key that names nothing", named, unnamed)
 	}
 }

@@ -133,6 +133,27 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 // or loading them — CacheSkippedChunks > 0 with zero cold chunk loads even
 // after the budget evicted everything — and stay bit-for-bit identical.
 func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
+	// Every shape probes under its compiled signature: a plain group column,
+	// a GROUP BY alias of a materialized expression, a two-key group-by.
+	// dicts are the dictionaries a repeat still reads; cols counts the
+	// physical columns the cold pass loads in full.
+	for _, c := range []struct {
+		q     string
+		dicts []string
+		cols  int
+	}{
+		{`SELECT table_name, COUNT(*) AS c FROM data GROUP BY table_name ORDER BY c DESC, table_name ASC;`,
+			[]string{"table_name"}, 1},
+		{`SELECT date(timestamp) AS d, COUNT(*) AS c FROM data GROUP BY d ORDER BY c DESC, d ASC;`,
+			[]string{"date(timestamp)"}, 1},
+		{`SELECT country, table_name, COUNT(*) AS c FROM data GROUP BY country, table_name ORDER BY c DESC, country ASC, table_name ASC;`,
+			[]string{"country", "table_name", compositeName([]string{"country", "table_name"})}, 2},
+	} {
+		t.Run(c.dicts[0], func(t *testing.T) { cacheSkippedWarmRepeat(t, c.q, c.dicts, c.cols) })
+	}
+}
+
+func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int) {
 	dir := savedReorderedStore(t, 6000, "zippy")
 	eagerStore, _, err := colstore.Open(dir)
 	if err != nil {
@@ -140,12 +161,19 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 	}
 	n := eagerStore.NumChunks()
 	eager := New(eagerStore, Options{Parallelism: 2})
+	want, err := eager.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A budget below one pass's working set — after the cold query the
 	// unpinned chunks cannot all stay, so any chunk reload would have to
-	// hit disk — but big enough that the group column's dictionary alone
-	// fits once nothing else competes.
-	dictBytes := eagerStore.Column("table_name").Memory().GlobalDict
+	// hit disk — but big enough that the dictionaries a repeat reads fit
+	// once nothing else competes.
+	var dictBytes int64
+	for _, name := range dicts {
+		dictBytes += eagerStore.Column(name).Memory().GlobalDict
+	}
 	mgr := memmgr.New(dictBytes+dictBytes/4, "2q")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
@@ -153,18 +181,13 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 	}
 	lazy := New(lazyStore, Options{Parallelism: 2, ResultCacheBytes: 32 << 20})
 
-	q := `SELECT table_name, COUNT(*) AS c FROM data GROUP BY table_name ORDER BY c DESC, table_name ASC;`
-	want, err := eager.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cold, err := lazy.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, q, want, cold)
-	if cold.Stats.ColdChunkLoads != n {
-		t.Fatalf("cold pass loaded %d chunks, want %d", cold.Stats.ColdChunkLoads, n)
+	if cold.Stats.ColdChunkLoads != cols*n {
+		t.Fatalf("cold pass loaded %d chunks, want %d", cold.Stats.ColdChunkLoads, cols*n)
 	}
 	if cold.Stats.CacheSkippedChunks != 0 {
 		t.Fatalf("cold pass reported %d cache-skipped chunks", cold.Stats.CacheSkippedChunks)
@@ -175,7 +198,7 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 
 	// Repeat: every chunk is fully active (no WHERE) and cached, so none
 	// may be pinned or loaded — even though the budget evicted them all.
-	// Only the group column's dictionary may reload (finalize needs it).
+	// Only the dictionaries may reload (compiling and finalize need them).
 	warm, err := lazy.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +214,7 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 		t.Fatalf("warm repeat reported %d cached chunks, want %d", warm.Stats.ChunksCached, n)
 	}
 
-	// Third pass: the dictionary is warm again, so the query is entirely
+	// Third pass: the dictionaries are warm again, so the query is entirely
 	// I/O-free — zero cold loads of any kind.
 	third, err := lazy.Query(q)
 	if err != nil {

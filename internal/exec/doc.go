@@ -6,30 +6,40 @@
 //
 // # Query lifecycle on a lazy store
 //
-// One Run goes through five phases; the first three decide what must be
-// resident, the last two only read pinned, immutable data:
+// A statement is compiled once, and every later decision reads that one
+// compiled plan (prepare runs the first three phases). The first three
+// decide what must be resident, the last two only read pinned, immutable
+// data:
 //
-//  1. Residency analysis (analyzeResidency, lock-free): the WHERE clause
-//     is compiled against global dictionaries and the per-chunk value
-//     spans from the store manifest, classifying every chunk as possibly
-//     active or provably inactive — before any chunk data is loaded.
-//     Only dictionaries are pinned here.
-//  2. Prefetch (prefetchColumns, lock-free): the active chunks of every
-//     plain column the statement mentions are pinned, cold-loading from
-//     disk as needed. Concurrent first-touch queries load disjoint data
-//     in parallel; the memory manager deduplicates identical loads.
-//  3. Planning (plan, serialized by planMu): the only phase that may
-//     mutate the store — materializing virtual columns (which scans every
-//     row, so materialization sources are pinned in full). The compiled
-//     plan resolves every accessed column to its pinned pointer
-//     (plan.cols, restriction.colRef), so later phases never touch the
-//     store registry or the manager mutex.
-//  4. Scan (executeChunks / executeRowScan): chunks pruned by the
-//     residency analysis are skipped without touching their (never
-//     loaded) data; surviving chunks get the precise per-chunk-dictionary
-//     classification — skip / fully-active (cacheable) / partial — and
-//     active ones are aggregated, fanned out over admission-gated
-//     workers.
+//  1. Compile (plan): one walk resolves every operand — WHERE leaves,
+//     group keys, aggregate arguments — to a column; an expression or a
+//     multi-key composite no earlier query materialized is materialized
+//     right here (its sources pinned in full: it scans every row). Only
+//     dictionaries are pinned. Restriction literals become sorted
+//     global-id sets and ranges, and each leaf of the restriction tree
+//     carries its column's per-chunk value spans and bloom filters from
+//     the store manifest. The result-cache signature is derived from the
+//     compiled group column and aggregates.
+//  2. Prune (analyzeResidency, cacheResidency): the restriction tree is
+//     classified per chunk on the spans and blooms — the same AND/OR/NOT
+//     fold the scan applies to chunk dictionaries — giving the possibly
+//     active and the provably fully active chunks before any chunk data is
+//     loaded. Fully active chunks whose partials the result cache holds
+//     are answered from it and never pinned.
+//  3. Pin (pinPlan): the plan's access set — restriction leaves,
+//     row-predicate columns, group columns, aggregate arguments, the
+//     composite — is pinned at the surviving chunks, cold-loading from
+//     disk as needed: one coalesced read per column, under no lock, so
+//     concurrent first-touch queries load disjoint data in parallel (the
+//     memory manager deduplicates identical loads). The plan now holds a
+//     pinned view of every accessed column (plan.cols,
+//     restriction.colRef), so later phases never touch the store registry
+//     or the manager mutex.
+//  4. Scan (executeChunks / executeRowScan): chunks pruned in phase 2 are
+//     skipped without touching their (never loaded) data; surviving chunks
+//     get the exact classification on their chunk dictionaries — skip /
+//     fully active (cacheable) / partial — and active ones are aggregated,
+//     fanned out over admission-gated workers.
 //  5. Finalize: ORDER BY and LIMIT select groups in id space (topk.go),
 //     HAVING applies, the surviving rows' keys and values decode through
 //     pinned dictionaries, pins release.
@@ -58,8 +68,10 @@
 //     registry/metadata, which grow when a virtual field materializes
 //     (on lazy stores the materialization is persisted into the store's
 //     sidecar and budgeted via the memory manager).
-//   - Planning is serialized by planMu, keeping "check column exists →
-//     materialize → register" atomic without slowing the scan phase.
+//   - planMu guards one step only: "check column exists → materialize →
+//     register", taken (and the check repeated) just when compiling meets
+//     an expression or composite that no query has materialized yet; a
+//     query over existing columns never touches it.
 //   - Chunks are independent units of work. Workers claim chunk indices
 //     from a shared counter and produce one partial per chunk plus
 //     per-worker QueryStats, each with a scratch of its own (chunkAggCtx);

@@ -5,6 +5,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"powerdrill/internal/cache"
@@ -53,8 +54,9 @@ type Engine struct {
 	store *colstore.Store
 	opts  Options
 
-	// planMu serializes query planning — the only phase that may mutate the
-	// store (materializing virtual columns). Execution runs outside it.
+	// planMu makes "check column exists → materialize → register" atomic:
+	// it is held only while a virtual column that does not exist yet is
+	// computed and added to the store, the one way a query mutates it.
 	planMu sync.Mutex
 
 	// resultCache is internally synchronized (cache.Synchronized); workers
@@ -276,24 +278,14 @@ func (e *Engine) Query(src string) (*Result, error) {
 	return e.Run(stmt)
 }
 
-// Run executes a parsed statement. Planning serializes on planMu; the scan
-// phase runs lock-free over the immutable store, fanned out over the
-// workers the admission gate grants.
-//
-// On lazy stores everything the query touches is pinned from first touch
-// (during planning) through the final dictionary lookups, so the scan never
-// races an eviction; the pins drop when the result is assembled. On
-// chunk-granular stores the residency analysis runs first, so only the
-// chunks the restriction can possibly match are ever loaded or pinned.
+// Run executes a parsed statement: prepare decides what must be resident
+// and pins it, the scan runs lock-free over the pinned, immutable data,
+// fanned out over the workers the admission gate grants, and the pins drop
+// when the result is assembled.
 func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 	ps := e.store.NewPinSet()
 	defer ps.Release()
-	rsd := e.analyzeResidency(stmt, ps)
-	e.cacheResidency(stmt, rsd)
-	e.prefetchColumns(stmt, ps, rsd.pinSet())
-	e.planMu.Lock()
-	p, err := e.plan(stmt, ps, rsd)
-	e.planMu.Unlock()
+	p, err := e.prepare(stmt, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -317,22 +309,42 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	e.closeStats(&qs, ps, rsd)
-	res.Stats = qs
+	res.Stats = e.closeStats(qs, ps, p)
 	res.Coverage = 1
-	e.recordStats(qs)
 	return res, nil
 }
 
+// prepare takes a statement to the point where its scan can start, in three
+// steps that each read the one compiled plan (see doc.go): compile it,
+// pinning dictionaries only; prune the chunks its restriction provably
+// cannot match and answer fully active ones from the result cache; pin
+// what is left. On a lazy store the pinning is the query's cold I/O — one
+// coalesced read per column, under no lock, so concurrent first-touch
+// queries load disjoint data in parallel (the memory manager deduplicates
+// identical loads).
+func (e *Engine) prepare(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
+	p, err := e.plan(stmt, ps)
+	if err != nil {
+		return nil, err
+	}
+	e.analyzeResidency(p)
+	e.cacheResidency(p)
+	if err := e.pinPlan(p, ps); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // closeStats completes a query's counters with what the scan workers do
-// not see: the residency analysis' bloom prunes, the pin set's cold-load
-// attribution, and the rows the answer spans. An engine's answer (and a
-// leaf's partial) always covers its whole store — coverage accounting is
-// about server availability, not restriction selectivity; the coordinator
-// adds the row counts of shards that never answered to RowsTotal alone,
-// which is what drives Coverage below 1.
-func (e *Engine) closeStats(qs *QueryStats, ps *colstore.PinSet, rsd *residency) {
-	qs.BloomSkippedChunks = rsd.bloomSkipped
+// not see — the residency analysis' bloom prunes, the pin set's cold-load
+// attribution, and the rows the answer spans — and folds them into the
+// engine's cumulative stats. An engine's answer (and a leaf's partial)
+// always covers its whole store — coverage accounting is about server
+// availability, not restriction selectivity; the coordinator adds the row
+// counts of shards that never answered to RowsTotal alone, which is what
+// drives Coverage below 1.
+func (e *Engine) closeStats(qs QueryStats, ps *colstore.PinSet, p *plan) QueryStats {
+	qs.BloomSkippedChunks = p.bloomSkipped
 	qs.ColdLoads = ps.ColdLoads
 	qs.ColdChunkLoads = ps.ColdChunkLoads
 	qs.ColdDictLoads = ps.ColdDictLoads
@@ -344,6 +356,8 @@ func (e *Engine) closeStats(qs *QueryStats, ps *colstore.PinSet, rsd *residency)
 	qs.CoalescedReads = ps.CoalescedReads
 	qs.RowsTotal = int64(e.store.NumRows())
 	qs.RowsCovered = qs.RowsTotal
+	e.recordStats(qs)
+	return qs
 }
 
 // recordStats folds one query's merged counters into the cumulative stats.
@@ -376,130 +390,6 @@ func (e *Engine) recordStats(qs QueryStats) {
 	e.stats.BloomSkippedChunks += int64(qs.BloomSkippedChunks)
 	e.stats.KernelChunks += int64(qs.KernelChunks)
 	e.stats.ScalarChunks += int64(qs.ScalarChunks)
-}
-
-// prefetchColumns pins what the statement will touch BEFORE planning takes
-// planMu: cold loads are the slow part of a first-touch query on a lazy
-// store, and doing them here lets concurrent queries load disjoint data in
-// parallel instead of serializing their disk reads behind the plan lock
-// (memmgr deduplicates concurrent loads of the same entry). Planning then
-// finds everything warm. Unknown names are skipped — they either name a
-// not-yet-materialized virtual column or fail later with a proper error.
-//
-// active is the residency analysis verdict: plain columns are pinned at
-// chunk granularity, loading only the chunks the restriction can match.
-// The one exception is the source columns of an expression that still
-// needs materializing — materialization scans every row, so those are
-// prefetched in full.
-func (e *Engine) prefetchColumns(stmt *sql.SelectStmt, ps *colstore.PinSet, active []bool) {
-	// pinOperand warms one operand-level expression: the unit
-	// materializeOperand will resolve during planning.
-	pinOperand := func(x sql.Expr) {
-		if x == nil {
-			return
-		}
-		if id, ok := x.(*sql.Ident); ok {
-			if e.store.HasColumn(id.Name) {
-				_, _ = ps.ColumnChunks(id.Name, active)
-			}
-			return
-		}
-		if key := x.String(); e.store.HasColumn(key) {
-			// Already materialized. A registry-resident column needs no pin
-			// (pass-through); one persisted in the virtual sidecar cold-loads
-			// like any physical column, so warm its active chunks here,
-			// outside the plan lock.
-			_, _ = ps.ColumnChunks(key, active)
-			return
-		}
-		// Fresh materialization ahead: it will read every row of the
-		// sources, so pin them in full.
-		for _, name := range exprColumns(x) {
-			if e.store.HasColumn(name) {
-				_, _ = ps.Column(name)
-			}
-		}
-	}
-	// pinRowPred warms a predicate that will be evaluated row by row: its
-	// columns are only ever read inside active chunks.
-	pinRowPred := func(x sql.Expr) {
-		for _, name := range exprColumns(x) {
-			if e.store.HasColumn(name) {
-				_, _ = ps.ColumnChunks(name, active)
-			}
-		}
-	}
-	// pinPredicate walks a WHERE tree down to its comparison/IN operands.
-	var pinPredicate func(x sql.Expr)
-	pinPredicate = func(x sql.Expr) {
-		switch n := x.(type) {
-		case nil:
-			return
-		case *sql.Binary:
-			switch n.Op {
-			case sql.OpAnd, sql.OpOr:
-				pinPredicate(n.L)
-				pinPredicate(n.R)
-				return
-			default:
-				// Only a column-vs-literal comparison materializes its
-				// non-literal side; anything else compiles to a row
-				// predicate and needs active chunks only.
-				_, lLit := exprLiteral(n.L)
-				_, rLit := exprLiteral(n.R)
-				if lLit == rLit {
-					pinRowPred(x)
-					return
-				}
-				if !lLit {
-					pinOperand(n.L)
-				}
-				if !rLit {
-					pinOperand(n.R)
-				}
-				return
-			}
-		case *sql.Not:
-			pinPredicate(n.X)
-			return
-		case *sql.In:
-			// A non-literal list member turns the whole IN into a row
-			// predicate; only an all-literal list materializes n.X.
-			for _, item := range n.List {
-				if _, ok := exprLiteral(item); !ok {
-					pinRowPred(x)
-					return
-				}
-			}
-			pinOperand(n.X)
-			return
-		}
-		pinRowPred(x)
-	}
-	for _, item := range stmt.Items {
-		x := item.Expr
-		if call, ok := x.(*sql.Call); ok && sql.HasAggregate(x) {
-			for _, arg := range call.Args {
-				pinOperand(arg)
-			}
-			continue
-		}
-		pinOperand(x)
-	}
-	pinPredicate(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		pinOperand(resolveGroupExpr(stmt, g))
-	}
-	for _, o := range stmt.OrderBy {
-		pinOperand(o.Expr)
-	}
-	if stmt.Having != nil {
-		for _, name := range exprColumns(stmt.Having) {
-			if e.store.HasColumn(name) {
-				_, _ = ps.ColumnChunks(name, active)
-			}
-		}
-	}
 }
 
 // storeRow adapts a (chunk, row) position to the expr.Row interface. It is
@@ -545,40 +435,30 @@ func exprLiteral(e sql.Expr) (value.Value, bool) { return expr.IsLiteral(e) }
 
 func exprColumns(e sql.Expr) []string { return expr.Columns(e) }
 
-// materializeOperand resolves an expression used as a restriction or
-// group-by operand to a column name, materializing a virtual field when it
-// is not a plain column reference (Section 5: expressions are computed once
-// and stored in the datastore; restrictions on them can then skip chunks).
-// Columns it resolves are pinned into ps at the residency analysis's chunk
-// granularity (active; nil = all chunks), and the source columns of a
-// fresh materialization are pinned in full for the duration of its
-// chunk-parallel, every-row scan.
-func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet, active []bool) (string, error) {
-	if id, ok := x.(*sql.Ident); ok {
-		if !e.store.HasColumn(id.Name) {
-			return "", fmt.Errorf("exec: unknown column %q", id.Name)
-		}
-		if _, err := ps.ColumnChunks(id.Name, active); err != nil {
-			return "", err
-		}
-		return id.Name, nil
+// materializeOperand resolves an expression used as a restriction, group-by
+// or aggregate operand to a column, materializing a virtual field when it
+// is not a plain column reference and no earlier query has (Section 5:
+// expressions are computed once and stored in the datastore; restrictions
+// on them can then skip chunks). The column comes back with its dictionary
+// pinned into ps and no chunk: which chunks to pin is decided on the
+// compiled plan.
+func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
+	name := operandName(x)
+	if e.store.HasColumn(name) {
+		return ps.ColumnDict(name)
 	}
-	key := x.String()
-	if e.store.HasColumn(key) {
-		// Already materialized by an earlier query.
-		if _, err := ps.ColumnChunks(key, active); err != nil {
-			return "", err
-		}
-		return key, nil
+	if _, ok := x.(*sql.Ident); ok {
+		return nil, fmt.Errorf("exec: unknown column %q", name)
 	}
-	// Pin the expression's source columns: the materialization scan below
-	// reads them row by row, and pinning keeps those reads resident on lazy
-	// stores. The resolved pointers also seed each worker's row cache so
-	// the per-chunk loop never goes back through the memory manager.
+	// Materializing reads the expression's source columns row by row, so
+	// they are pinned in full — before the lock: on a lazy store this is
+	// where the cold loads happen. The resolved pointers also seed each
+	// worker's row cache so the per-chunk loop never goes back through the
+	// memory manager.
 	srcCols := make(map[string]*colstore.Column, 4)
-	for _, name := range exprColumns(x) {
-		if c, cerr := ps.Column(name); cerr == nil {
-			srcCols[name] = c
+	for _, col := range exprColumns(x) {
+		if c, cerr := ps.Column(col); cerr == nil {
+			srcCols[col] = c
 		}
 	}
 	kind, err := expr.InferKind(x, func(col string) (value.Kind, bool) {
@@ -589,45 +469,58 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet, active []bo
 		return c.Kind, true
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	// Chunk-parallel evaluation: each worker fills its chunk's slice of
-	// vals (disjoint regions, so no locks). The per-row interface dispatch
-	// of expr.Eval makes this the costliest part of materialization. The
-	// fan-out goes through the admission gate like every other chunk
-	// sweep, so a burst of first-touch queries cannot multiply worker
-	// goroutines past the shared budget.
+	e.planMu.Lock()
+	if !e.store.HasColumn(name) { // else a concurrent query materialized it first
+		// The per-row interface dispatch of expr.Eval makes this the
+		// costliest part of materialization.
+		err = e.addVirtualColumn(ps, name, kind, func(ci int, vals []value.Value) error {
+			row := newStoreRow(e, nil, ci)
+			for k, v := range srcCols {
+				row.cols[k] = v
+			}
+			for r := range vals {
+				row.row = r
+				v, err := expr.Eval(x, row)
+				if err != nil {
+					return err
+				}
+				vals[r] = v
+			}
+			return nil
+		})
+	}
+	e.planMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return ps.ColumnDict(name)
+}
+
+// addVirtualColumn computes a virtual column chunk by chunk — fill writes
+// chunk ci's rows into its slice of the column's values (disjoint regions,
+// so no locks) — and adds it to the store; the caller holds planMu. The
+// fan-out goes through the admission gate like every other chunk sweep, so
+// a burst of first-touch queries cannot multiply worker goroutines past the
+// shared budget.
+//
+// On a chunk-granular lazy store the materialization is persisted into the
+// store's virtual sidecar and its pieces enter the memory budget (evicting
+// cold chunks to make room), pinned into ps like any physical column;
+// resident stores keep the in-registry path.
+func (e *Engine) addVirtualColumn(ps *colstore.PinSet, name string, kind value.Kind, fill func(ci int, vals []value.Value) error) error {
 	workers := e.gate.AcquireUpTo(e.parallelism())
 	vals := make([]value.Value, e.store.NumRows())
-	err = forEachChunk(e.store.NumChunks(), workers, nil, func(_, ci int) error {
-		row := newStoreRow(e, nil, ci)
-		for k, v := range srcCols {
-			row.cols[k] = v
-		}
-		base := e.store.Bounds[ci]
-		rows := e.store.ChunkRows(ci)
-		for r := 0; r < rows; r++ {
-			row.row = r
-			v, err := expr.Eval(x, row)
-			if err != nil {
-				return err
-			}
-			vals[base+r] = v
-		}
-		return nil
+	err := forEachChunk(e.store.NumChunks(), workers, nil, func(_, ci int) error {
+		return fill(ci, vals[e.store.Bounds[ci]:e.store.Bounds[ci+1]])
 	})
 	e.gate.Release(workers)
 	if err != nil {
-		return "", err
+		return err
 	}
-	// On a chunk-granular lazy store the materialization is persisted into
-	// the store's virtual sidecar and its pieces enter the memory budget
-	// (evicting cold chunks to make room), pinned into ps like any physical
-	// column; resident stores keep the in-registry path.
-	if _, err := e.store.AddVirtualColumnPinned(ps, key, kind, vals); err != nil {
-		return "", err
-	}
-	return key, nil
+	_, err = e.store.AddVirtualColumnPinned(ps, name, kind, vals)
+	return err
 }
 
 // aggFn enumerates aggregate functions.
@@ -660,7 +553,8 @@ type outItem struct {
 	aggIdx   int    // ≥0: index into aggSpecs
 }
 
-// plan is a compiled query.
+// plan is a compiled query: the one object the prune, pin, scan and
+// finalize steps read.
 type plan struct {
 	stmt      *sql.SelectStmt
 	where     *restriction // nil when no WHERE clause
@@ -670,31 +564,37 @@ type plan struct {
 	aggs      []aggSpec
 	items     []outItem
 	rowScan   bool // no aggregates and no GROUP BY: plain projection
-	// accessCols are the physical/virtual columns the query touches (for
-	// cell accounting).
+	// accessCols are the physical/virtual columns the scan reads — WHERE
+	// leaves, row-predicate columns, group columns, aggregate arguments, the
+	// composite — in the order compiling met them: what pinPlan pins and
+	// cell accounting counts.
 	accessCols []string
-	// cols maps every accessed column to its resolved (pinned) pointer, so
-	// the scan and finalize phases never go back through the store registry
-	// or the memory manager. On a chunk-granular store these are
-	// query-private views whose Chunks are populated only at active
-	// indices. Read-only after planning.
+	// cols maps every accessed column to its pinned view, so the scan and
+	// finalize phases never go back through the store registry or the
+	// memory manager. On a lazy store the views are query-private and their
+	// Chunks are populated only at the pinned indices. Read-only after
+	// prepare.
 	cols map[string]*colstore.Column
 	// active flags the chunks the residency analysis kept (nil = all);
 	// the scan skips pruned chunks without touching their data, which on a
-	// chunk-granular store was never loaded in the first place.
-	active []bool
-	// activeCount is the number of active chunks.
-	activeCount int
-	// pinActive is the subset of active the query actually pins: chunks
-	// answered by the cache-aware residency pass are active but never
-	// pinned. nil = same as active.
-	pinActive []bool
-	// cachedParts holds the result-cache partials the cache-aware pass
+	// lazy store was never loaded in the first place. activeCount is their
+	// number, and bloomSkipped counts the pruned chunks that the [min, max]
+	// spans alone would have kept.
+	active       []bool
+	activeCount  int
+	bloomSkipped int
+	// full flags chunks the spans PROVE fully active (every row matches):
+	// exactly the chunks whose partials the result cache can hold. nil
+	// under Options.DisableSkipping.
+	full []bool
+	// pin flags the chunks the query pins (nil = all): the active ones
+	// minus those the result cache answered.
+	pin []bool
+	// cachedParts holds the result-cache partials the cache probe
 	// retrieved, by chunk index; the scan returns them without touching
 	// (never-loaded) chunk data. Read-only during execution.
 	cachedParts map[int]*partial
-	// cacheSig is the chunk-independent part of the result-cache key,
-	// derived from the compiled plan.
+	// cacheSig is the chunk-independent part of the result-cache key.
 	cacheSig string
 	// The scan's columns, resolved once so no chunk looks them up again:
 	// groupCol is the column grouped by (nil for a global aggregate),
@@ -709,13 +609,11 @@ type plan struct {
 	hasDistinct bool
 }
 
-// pins returns the flags of the chunks planning must pin (nil = all
-// active).
-func (p *plan) pins() []bool {
-	if p.pinActive != nil {
-		return p.pinActive
+// access records that the scan reads the named column.
+func (p *plan) access(name string) {
+	if !slices.Contains(p.accessCols, name) {
+		p.accessCols = append(p.accessCols, name)
 	}
-	return p.active
 }
 
 // col returns the plan's resolved pointer for an accessed column, falling
@@ -727,45 +625,35 @@ func (p *plan) col(e *Engine, name string) *colstore.Column {
 	return e.store.Column(name)
 }
 
-// plan compiles a statement. Everything the query touches is pinned into
-// ps as it is resolved — at the chunk granularity rsd allows — so on lazy
-// stores the scan phase only ever sees resident data.
-func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency) (*plan, error) {
+// plan compiles a statement in one walk: every operand is resolved to a
+// column — an expression or a composite nobody materialized yet is
+// materialized right here — and the restriction's literals become
+// global-id sets and ranges. Only dictionaries are pinned into ps.
+func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
 	if stmt.From == "" {
 		return nil, fmt.Errorf("exec: missing FROM")
 	}
-	p := &plan{
-		stmt:        stmt,
-		active:      rsd.activeSet(),
-		activeCount: rsd.count,
-		pinActive:   rsd.pinActive,
-		cachedParts: rsd.cached,
-	}
-	access := map[string]bool{}
+	p := &plan{stmt: stmt}
 
 	// WHERE.
 	if stmt.Where != nil {
-		w, err := e.compileRestriction(stmt.Where, ps, p.pins())
+		w, err := e.compileRestriction(stmt.Where, ps)
 		if err != nil {
 			return nil, err
 		}
 		p.where = w
-		w.columnsOf(access)
+		w.columnsOf(p.access)
 	}
 
 	// GROUP BY columns (materialized).
 	for _, g := range stmt.GroupBy {
-		col, err := e.materializeOperand(resolveGroupExpr(stmt, g), ps, p.pins())
+		gc, err := e.materializeOperand(resolveGroupExpr(stmt, g), ps)
 		if err != nil {
 			return nil, err
 		}
-		gc, err := ps.ColumnChunks(col, p.pins())
-		if err != nil {
-			return nil, err
-		}
-		p.groupCols = append(p.groupCols, col)
+		p.groupCols = append(p.groupCols, gc.Name)
 		p.groupKind = append(p.groupKind, gc.Kind)
-		access[col] = true
+		p.access(gc.Name)
 	}
 
 	// Select items: group keys and aggregates.
@@ -787,32 +675,36 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 		}
 		switch {
 		case p.rowScan:
-			col, err := e.materializeOperand(item.Expr, ps, p.pins())
+			col, err := e.materializeOperand(item.Expr, ps)
 			if err != nil {
 				return nil, err
 			}
-			access[col] = true
+			p.access(col.Name)
 			p.items = append(p.items, outItem{name: name, groupIdx: -1, aggIdx: -1})
-			p.groupCols = append(p.groupCols, col) // reuse as projection list
+			p.groupCols = append(p.groupCols, col.Name) // reuse as projection list
 		case sql.HasAggregate(item.Expr):
 			call, ok := item.Expr.(*sql.Call)
 			if !ok {
 				return nil, fmt.Errorf("exec: aggregates must be top-level calls, got %s", item.Expr)
 			}
-			spec, err := e.compileAggregate(call, ps, p.pins())
+			spec, err := e.compileAggregate(call, ps)
 			if err != nil {
 				return nil, err
 			}
 			if spec.argCol != "" {
-				access[spec.argCol] = true
+				p.access(spec.argCol)
 			}
 			p.aggs = append(p.aggs, spec)
 			p.items = append(p.items, outItem{name: name, groupIdx: -1, aggIdx: len(p.aggs) - 1})
 		default:
 			// Must match a group expression.
-			gi, err := p.matchGroup(e, stmt, item.Expr, ps)
+			col, err := e.materializeOperand(item.Expr, ps)
 			if err != nil {
 				return nil, err
+			}
+			gi := slices.Index(p.groupCols, col.Name)
+			if gi < 0 {
+				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", item.Expr)
 			}
 			p.items = append(p.items, outItem{name: name, groupIdx: gi, aggIdx: -1})
 		}
@@ -829,32 +721,23 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 				return nil, err
 			}
 		}
-		access[p.composite] = true
+		p.access(p.composite)
 	}
-
-	// The compiled cache signature. The cache-aware residency pass probed
-	// the result cache under a syntactic prediction of this value before
-	// planning; if the prediction missed (it mirrors the naming rules
-	// above, so it should not), drop the cached partials and re-widen the
-	// pin set — the sweep below then pins the previously skipped chunks.
 	p.cacheSig = cacheSigOf(p.groupColumn(), p.aggs)
-	if len(p.cachedParts) > 0 && p.cacheSig != rsd.sig {
-		p.cachedParts = nil
-		p.pinActive = nil
-	}
+	return p, nil
+}
 
-	p.cols = make(map[string]*colstore.Column, len(access))
-	for col := range access {
-		p.accessCols = append(p.accessCols, col)
-		// Pin everything the scan will touch and record the resolved
-		// pointers. Most columns are already held (pinning is idempotent
-		// per set); this sweep catches stragglers such as columns
-		// referenced only inside row-level predicates. Unknown names are
-		// left to fail at evaluation time, as before.
+// pinPlan pins the plan's access set at the chunks pruning and the cache
+// probe left, and resolves the scan's columns to the pinned views.
+func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
+	p.cols = make(map[string]*colstore.Column, len(p.accessCols))
+	for _, col := range p.accessCols {
+		// A name only a row-level predicate mentions may be unknown; it is
+		// left to fail at evaluation time.
 		if e.store.HasColumn(col) {
-			c, err := ps.ColumnChunks(col, p.pins())
+			c, err := ps.ColumnChunks(col, p.pin)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			p.cols[col] = c
 		}
@@ -872,7 +755,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet, rsd *residency)
 		}
 		p.hasDistinct = p.hasDistinct || spec.fn == aggCountDistinct
 	}
-	return p, nil
+	return nil
 }
 
 // resolveGroupExpr maps a GROUP BY expression, which may be an alias of a
@@ -888,23 +771,9 @@ func resolveGroupExpr(stmt *sql.SelectStmt, g sql.Expr) sql.Expr {
 	return g
 }
 
-// matchGroup finds which group expression a select item corresponds to.
-func (p *plan) matchGroup(e *Engine, stmt *sql.SelectStmt, x sql.Expr, ps *colstore.PinSet) (int, error) {
-	col, err := e.materializeOperand(x, ps, p.pins())
-	if err != nil {
-		return 0, err
-	}
-	for i, g := range p.groupCols {
-		if g == col {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("exec: %s is neither aggregated nor grouped", x)
-}
-
 // compileAggregate validates an aggregate call and materializes its
 // argument column.
-func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet, active []bool) (aggSpec, error) {
+func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet) (aggSpec, error) {
 	fn, ok := aggFnFor(call.Name, call.Distinct)
 	if !ok {
 		return aggSpec{}, fmt.Errorf("exec: unknown aggregate %q", call.Name)
@@ -918,19 +787,14 @@ func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet, active []
 	if len(call.Args) != 1 {
 		return aggSpec{}, fmt.Errorf("exec: %s expects one argument", call.Name)
 	}
-	col, err := e.materializeOperand(call.Args[0], ps, active)
+	arg, err := e.materializeOperand(call.Args[0], ps)
 	if err != nil {
 		return aggSpec{}, err
 	}
-	argCol, err := ps.ColumnChunks(col, active)
-	if err != nil {
-		return aggSpec{}, err
+	if arg.Kind == value.KindString && (fn == aggSum || fn == aggAvg) {
+		return aggSpec{}, fmt.Errorf("exec: %s over string column %q", call.Name, arg.Name)
 	}
-	kind := argCol.Kind
-	if kind == value.KindString && (fn == aggSum || fn == aggAvg) {
-		return aggSpec{}, fmt.Errorf("exec: %s over string column %q", call.Name, col)
-	}
-	return aggSpec{fn: fn, argCol: col}, nil
+	return aggSpec{fn: fn, argCol: arg.Name}, nil
 }
 
 // materializeComposite builds the combined group-by column: per row, the
@@ -945,15 +809,14 @@ func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.P
 		}
 		colRefs[i] = c
 	}
-	// Gated fan-out, like materializeOperand.
-	workers := e.gate.AcquireUpTo(e.parallelism())
-	defer e.gate.Release(workers)
-	vals := make([]value.Value, e.store.NumRows())
-	err := forEachChunk(e.store.NumChunks(), workers, nil, func(_, ci int) error {
-		base := e.store.Bounds[ci]
-		rows := e.store.ChunkRows(ci)
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if e.store.HasColumn(name) {
+		return nil // a concurrent query materialized it first
+	}
+	return e.addVirtualColumn(ps, name, value.KindString, func(ci int, vals []value.Value) error {
 		buf := make([]byte, 0, 9*len(cols))
-		for r := 0; r < rows; r++ {
+		for r := range vals {
 			buf = buf[:0]
 			for j, c := range colRefs {
 				if j > 0 {
@@ -961,15 +824,10 @@ func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.P
 				}
 				buf = appendHex32(buf, c.GlobalIDAt(ci, r))
 			}
-			vals[base+r] = value.String(string(buf))
+			vals[r] = value.String(string(buf))
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	_, err = e.store.AddVirtualColumnPinned(ps, name, value.KindString, vals)
-	return err
 }
 
 // appendHex32 appends v as exactly 8 lowercase hex digits. Fixed width keeps

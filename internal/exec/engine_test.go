@@ -10,6 +10,7 @@ import (
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/expr"
+	"powerdrill/internal/memmgr"
 	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
@@ -630,6 +631,50 @@ func BenchmarkQuery1CountsArray(b *testing.B) {
 		if _, err := e.Query(`SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPrepare times a chart's fixed cost before its first row is
+// scanned — compile, prune, pin, release; parse excluded — for the click's
+// three-conjunct restriction on a warm resident and a warm lazy store.
+func BenchmarkPrepare(b *testing.B) {
+	dir := savedReorderedStore(b, 100_000, "")
+	resident, _, err := colstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(1<<30, "2q"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := func(col string) string { // the column's three smallest values
+		d := resident.Column(col).Dict
+		return fmt.Sprintf("%s IN (%q, %q, %q)", col, d.Value(0).Str(), d.Value(1).Str(), d.Value(2).Str())
+	}
+	stmt, err := sql.Parse(`SELECT user AS k, COUNT(*) AS v FROM data WHERE ` + in("country") + ` AND ` + in("user") +
+		` AND ` + in("table_name") + ` GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		store *colstore.Store
+	}{{"resident", resident}, {"lazy", lazy}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := New(c.store, Options{})
+			if _, err := e.Run(stmt); err != nil { // warm the store
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps := c.store.NewPinSet()
+				if _, err := e.prepare(stmt, ps); err != nil {
+					b.Fatal(err)
+				}
+				ps.Release()
+			}
+		})
 	}
 }
 

@@ -93,12 +93,7 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	}
 	ps := e.store.NewPinSet()
 	defer ps.Release()
-	rsd := e.analyzeResidency(stmt, ps)
-	e.cacheResidency(stmt, rsd)
-	e.prefetchColumns(stmt, ps, rsd.pinSet())
-	e.planMu.Lock()
-	p, err := e.plan(stmt, ps, rsd)
-	e.planMu.Unlock()
+	p, err := e.prepare(stmt, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -109,15 +104,14 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.closeStats(&qs, ps, rsd)
-	out := &Partial{Stats: qs}
+	out := &Partial{}
 	for _, it := range p.items {
 		out.Columns = append(out.Columns, it.name)
 	}
 	if out.Groups, err = e.partialGroups(p, groups); err != nil {
 		return nil, err
 	}
-	e.recordStats(qs)
+	out.Stats = e.closeStats(qs, ps, p)
 	return out, nil
 }
 
@@ -366,7 +360,7 @@ func (s partialItemSpec) value(cell *PartialCell) (value.Value, error) {
 // partialItemSpecs maps select items to (aggregate, cell index) or group
 // key position. A group's Keys are in GROUP BY order (partialGroups), which
 // need not be the order of the select list, so a key item finds its
-// position the way the planner's matchGroup does: by the column it
+// position the way the planner matches select items: by the column it
 // resolves to.
 func partialItemSpecs(stmt *sql.SelectStmt) ([]partialItemSpec, error) {
 	groupCols := make([]string, len(stmt.GroupBy))

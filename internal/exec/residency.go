@@ -5,157 +5,73 @@ import (
 
 	"powerdrill/internal/bloom"
 	"powerdrill/internal/colstore"
-	"powerdrill/internal/sql"
-	"powerdrill/internal/value"
 )
 
-// This file computes the active-chunk set of a statement BEFORE any chunk
-// data is loaded — the piece that makes the memory budget scale with
-// restriction selectivity (paper Section 5: composite range partitioning
-// makes most chunks provably inactive for a restricted query, so only the
-// active ones need RAM). The analysis runs on metadata alone: global
-// dictionaries (to map literals to global-ids) and the per-chunk value
-// spans recorded in the manifest (colstore.ChunkSpan). It is deliberately
+// This file decides which chunks of a compiled statement must be resident
+// BEFORE any chunk data is loaded — the piece that makes the memory budget
+// scale with restriction selectivity (paper Section 5: composite range
+// partitioning makes most chunks provably inactive for a restricted query,
+// so only the active ones need RAM). It classifies the plan's one
+// restriction tree (restrict.go) on metadata alone: the leaves' global-id
+// sets and ranges against the per-chunk value spans and bloom filters the
+// manifest records (colstore.ChunkSpan). The verdict is deliberately
 // conservative — a chunk is pruned only when the spans PROVE no row can
-// match — so the precise per-chunk classification in scanChunk, which sees
-// the real chunk-dictionaries, still runs on whatever survives.
+// match — so the exact classification on the chunk dictionaries, in
+// scanChunk, still runs on whatever survives.
 //
-// The analysis happens before prefetch and outside planMu: it pins only
-// dictionaries (cheap), and its verdict tells prefetchColumns which chunks
-// to pin, so a restricted query never loads — and never charges the byte
-// budget for — chunks it cannot scan.
+// Compiling pinned only dictionaries; the verdict tells the plan which
+// chunks to pin, so a restricted query never loads — and never charges the
+// byte budget for — chunks it cannot scan.
 
-// residency is the result of the pre-scan active-chunk analysis.
-type residency struct {
-	// active flags the chunks the statement may touch; nil when the
-	// analysis could not prune anything (no WHERE clause, skipping
-	// disabled, or no usable spans), meaning every chunk is active.
-	active []bool
-	// count is the number of active chunks (NumChunks when active is nil).
-	count int
-	// full flags chunks the spans PROVE fully active (every row matches):
-	// exactly the chunks whose partials the result cache can hold. nil when
-	// the analysis cannot prove fullness for any chunk (unknown spans,
-	// skipping disabled). With no WHERE clause every chunk is full.
-	full []bool
-	// cached maps chunk index -> the result-cache partial the cache-aware
-	// pass retrieved for it (see cacheResidency); those chunks are answered
-	// without being pinned or loaded. The pointers are held here so a cache
-	// eviction between analysis and scan cannot strand the query.
-	cached map[int]*partial
-	// pinActive is active minus the cached chunks — what prefetch and plan
-	// actually pin. nil means "same as active".
-	pinActive []bool
-	// sig is the predicted cache-key signature the cached entries were
-	// probed under; plan verifies it against the compiled query.
-	sig string
-	// bloomSkipped counts chunks pruned only because a per-chunk bloom
-	// filter proved an equality restriction's ids absent — the [min, max]
-	// spans alone would have kept them active.
-	bloomSkipped int
-}
-
-// activeSet returns the active flags (nil = all chunks).
-func (r *residency) activeSet() []bool {
-	if r == nil {
-		return nil
-	}
-	return r.active
-}
-
-// pinSet returns the flags of the chunks that must actually be pinned:
-// the active set minus chunks already answered by the result cache.
-func (r *residency) pinSet() []bool {
-	if r == nil {
-		return nil
-	}
-	if r.pinActive != nil {
-		return r.pinActive
-	}
-	return r.active
-}
-
-// analyzeResidency classifies every chunk against the statement's WHERE
-// clause using spans only. Dictionaries it needs are pinned into ps. The
-// analysis never fails: anything it cannot decide (row predicates,
-// unmaterialized expressions, span-less columns, type mismatches) is
-// treated as "may match", and real errors surface later in plan with
-// proper context.
-func (e *Engine) analyzeResidency(stmt *sql.SelectStmt, ps *colstore.PinSet) *residency {
+// analyzeResidency classifies every chunk against the plan's restriction
+// using spans and blooms only, and sets the plan's active and full sets.
+// Anything the metadata cannot decide (row predicates, leaves without
+// spans) is "may match".
+func (e *Engine) analyzeResidency(p *plan) {
 	n := e.store.NumChunks()
-	all := &residency{count: n}
+	p.activeCount = n
 	if e.opts.DisableSkipping {
-		return all
+		return
 	}
-	if stmt.Where == nil {
-		// Everything is trivially fully active — the cache-aware pass can
-		// still skip chunks whose partials are cached.
-		full := make([]bool, n)
-		for ci := range full {
-			full[ci] = true
+	p.full = make([]bool, n)
+	if p.where == nil {
+		// Everything is trivially fully active — the cache probe can still
+		// answer chunks whose partials are cached.
+		for ci := range p.full {
+			p.full[ci] = true
 		}
-		all.full = full
-		return all
+		return
 	}
-	node := e.compileSpanTree(stmt.Where, ps)
-	if node == unknownSpan {
-		return all
-	}
-	active := make([]bool, n)
-	full := make([]bool, n)
-	hasBlooms := node.hasBlooms()
-	count, fullCount, bloomSkipped := 0, 0, 0
+	p.active = make([]bool, n)
+	p.activeCount = 0
+	hasBlooms := p.where.hasBlooms()
 	for ci := 0; ci < n; ci++ {
-		switch node.classify(ci, true) {
+		switch p.where.classify(ci, byBlooms) {
 		case activeAll:
-			// Span-proven fully active: the precise per-chunk-dictionary
-			// classification is sound w.r.t. this (TestResidencySoundness),
-			// so the chunk's cached partial, if any, answers it exactly.
-			active[ci] = true
-			full[ci] = true
-			count++
-			fullCount++
+			// Span-proven fully active: the chunk's cached partial, if any,
+			// answers it exactly.
+			p.full[ci] = true
+			fallthrough
 		case activeSome:
-			active[ci] = true
-			count++
+			p.active[ci] = true
+			p.activeCount++
 		case activeNone:
 			// Attribute the skip: if spans alone would have kept the chunk,
 			// the bloom filters are what pruned it.
-			if hasBlooms && node.classify(ci, false) != activeNone {
-				bloomSkipped++
+			if hasBlooms && p.where.classify(ci, bySpans) != activeNone {
+				p.bloomSkipped++
 			}
 		}
 	}
-	if fullCount == 0 {
-		full = nil
-	}
-	return &residency{active: active, count: count, full: full, bloomSkipped: bloomSkipped}
-}
-
-// spanNode is a conservative, metadata-only compilation of a WHERE tree:
-// leaves carry restriction global-id sets or ranges plus the column's
-// per-chunk spans; anything the analysis cannot prove becomes unknownSpan,
-// which classifies every chunk as possibly active.
-type spanNode struct {
-	op       rOp // rAnd, rOr, rNot, rInSet, rRange, rRowPred (= unknown)
-	children []*spanNode
-	spans    []colstore.ChunkSpan
-	gids     []uint32 // rInSet: sorted global-ids
-	lo, hi   uint32   // rRange: [lo, hi)
-	// blooms are per-chunk global-id filters (v4 manifests; nil entries and
-	// nil slices mean "no filter"). Only rInSet leaves consult them: a
-	// filter that tests negative for every id in the set proves the chunk
-	// holds none of them — no false negatives — sharpening activeNone on
-	// unsorted columns whose [min, max] spans cover everything.
-	blooms []*bloom.Filter
+	p.pin = p.active
 }
 
 // hasBlooms reports whether any leaf carries chunk bloom filters.
-func (n *spanNode) hasBlooms() bool {
-	if len(n.blooms) > 0 {
+func (r *restriction) hasBlooms() bool {
+	if len(r.blooms) > 0 {
 		return true
 	}
-	for _, c := range n.children {
+	for _, c := range r.children {
 		if c.hasBlooms() {
 			return true
 		}
@@ -163,187 +79,36 @@ func (n *spanNode) hasBlooms() bool {
 	return false
 }
 
-// unknownSpan is the "cannot decide, assume active" sentinel leaf.
-var unknownSpan = &spanNode{op: rRowPred}
-
-// compileSpanTree mirrors compileRestriction, but materializes nothing and
-// loads no chunk data.
-func (e *Engine) compileSpanTree(w sql.Expr, ps *colstore.PinSet) *spanNode {
-	switch n := w.(type) {
-	case *sql.Binary:
-		switch n.Op {
-		case sql.OpAnd, sql.OpOr:
-			l := e.compileSpanTree(n.L, ps)
-			r := e.compileSpanTree(n.R, ps)
-			op := rAnd
-			if n.Op == sql.OpOr {
-				op = rOr
-			}
-			return &spanNode{op: op, children: []*spanNode{l, r}}
-		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-			return e.spanComparison(n, ps)
-		}
-		return unknownSpan
-	case *sql.Not:
-		return &spanNode{op: rNot, children: []*spanNode{e.compileSpanTree(n.X, ps)}}
-	case *sql.In:
-		return e.spanIn(n, ps)
-	}
-	return unknownSpan
-}
-
-// spanLeafColumn resolves a restriction operand to a dictionary and chunk
-// spans, when that is possible without loading chunks or materializing
-// expressions: a plain column, or an expression an earlier query already
-// materialized (registered under its canonical string). Persisted virtual
-// columns record their spans in the store's sidecar manifest, so a
-// restriction on a materialized expression prunes chunks even after the
-// column was evicted — or in a later process that merely reopened the
-// store — instead of being treated as all-active.
-func (e *Engine) spanLeafColumn(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, []colstore.ChunkSpan, []*bloom.Filter, bool) {
-	name := ""
-	if id, ok := x.(*sql.Ident); ok {
-		name = id.Name
-	} else if key := x.String(); e.store.HasColumn(key) {
-		name = key
-	} else {
-		return nil, nil, nil, false
-	}
-	spans, ok := e.store.ChunkSpans(name)
-	if !ok {
-		return nil, nil, nil, false
-	}
-	col, err := ps.ColumnDict(name)
-	if err != nil {
-		// Plan will hit (and report) the same load error; stay conservative.
-		return nil, nil, nil, false
-	}
-	blooms, _ := e.store.ChunkBlooms(name)
-	return col, spans, blooms, true
-}
-
-// spanComparison maps `col OP literal` onto a set or range leaf over spans.
-func (e *Engine) spanComparison(n *sql.Binary, ps *colstore.PinSet) *spanNode {
-	lhs, rhs := n.L, n.R
-	op := n.Op
-	if _, isLit := exprLiteral(lhs); isLit {
-		lhs, rhs = rhs, lhs
-		op = flipOp(op)
-	}
-	lit, ok := exprLiteral(rhs)
-	if !ok {
-		return unknownSpan
-	}
-	col, spans, blooms, ok := e.spanLeafColumn(lhs, ps)
-	if !ok {
-		return unknownSpan
-	}
-	switch op {
-	case sql.OpEq, sql.OpNe:
-		gids, err := eqGIDs(col, lit)
-		if err != nil {
-			return unknownSpan
-		}
-		leaf := &spanNode{op: rInSet, spans: spans, gids: gids, blooms: blooms}
-		if op == sql.OpNe {
-			return &spanNode{op: rNot, children: []*spanNode{leaf}}
-		}
-		return leaf
-	}
-	lo, hi, err := rangeForComparison(col.Dict, col.Kind, op, lit)
-	if err != nil {
-		return unknownSpan
-	}
-	return &spanNode{op: rRange, spans: spans, lo: lo, hi: hi}
-}
-
-// spanIn maps `X [NOT] IN (literals)` onto a set leaf over spans.
-func (e *Engine) spanIn(n *sql.In, ps *colstore.PinSet) *spanNode {
-	lits := make([]value.Value, 0, len(n.List))
-	for _, item := range n.List {
-		lit, ok := exprLiteral(item)
-		if !ok {
-			return unknownSpan
-		}
-		lits = append(lits, lit)
-	}
-	col, spans, blooms, ok := e.spanLeafColumn(n.X, ps)
-	if !ok {
-		return unknownSpan
-	}
-	gids, err := inGIDs(col, lits)
-	if err != nil {
-		return unknownSpan
-	}
-	leaf := &spanNode{op: rInSet, spans: spans, gids: gids, blooms: blooms}
-	if n.Negated {
-		return &spanNode{op: rNot, children: []*spanNode{leaf}}
-	}
-	return leaf
-}
-
-// classify evaluates the tree against chunk ci's spans — the same
-// three-valued lattice as restriction.classify, but over [min, max]
-// summaries instead of full chunk-dictionaries. Sound by construction:
-// whenever this returns activeNone, the precise classification would too.
-// useBloom additionally consults the per-chunk bloom filters at rInSet
-// leaves; filters never report a present id absent, so the sharpened
-// activeNone — and its flip to activeAll under NOT — stays sound.
-func (n *spanNode) classify(ci int, useBloom bool) triState {
-	switch n.op {
-	case rAnd:
-		out := activeAll
-		for _, c := range n.children {
-			if s := c.classify(ci, useBloom); s < out {
-				out = s
-			}
-			if out == activeNone {
-				break
-			}
-		}
-		return out
-	case rOr:
-		out := activeNone
-		for _, c := range n.children {
-			if s := c.classify(ci, useBloom); s > out {
-				out = s
-			}
-			if out == activeAll {
-				break
-			}
-		}
-		return out
-	case rNot:
-		switch n.children[0].classify(ci, useBloom) {
-		case activeNone:
-			return activeAll
-		case activeAll:
-			return activeNone
-		default:
-			return activeSome
-		}
-	case rInSet:
-		sp := n.spans[ci]
-		if sp.Empty() || !anyGIDInSpan(n.gids, sp) {
-			return activeNone
-		}
-		if sp.MinGID == sp.MaxGID {
-			// Single distinct value, proven to be in the set.
-			return activeAll
-		}
-		if useBloom && ci < len(n.blooms) && n.blooms[ci] != nil && !anyGIDInBloom(n.gids, sp, n.blooms[ci]) {
-			return activeNone
-		}
+// classifySpan classifies leaf r on chunk ci's [min, max] span instead of
+// its chunk dictionary. Sound by construction: none and all are returned
+// only when they hold for every value a chunk with that span can contain.
+// useBloom additionally consults the chunk's bloom filter at an id-set
+// leaf: a filter that tests negative for every id in the set proves the
+// chunk holds none of them — filters never report a present id absent —
+// which sharpens none on unsorted columns whose spans cover everything.
+func (r *restriction) classifySpan(ci int, useBloom bool) triState {
+	if r.spans == nil {
 		return activeSome
-	case rRange:
-		sp := n.spans[ci]
-		if sp.Empty() || n.lo >= n.hi || sp.MaxGID < n.lo || sp.MinGID >= n.hi {
+	}
+	sp := r.spans[ci]
+	if r.op == rRange {
+		if sp.Empty() || r.lo >= r.hi || sp.MaxGID < r.lo || sp.MinGID >= r.hi {
 			return activeNone
 		}
-		if sp.MinGID >= n.lo && sp.MaxGID < n.hi {
+		if sp.MinGID >= r.lo && sp.MaxGID < r.hi {
 			return activeAll
 		}
 		return activeSome
+	}
+	if sp.Empty() || !anyGIDInSpan(r.gids, sp) {
+		return activeNone
+	}
+	if sp.MinGID == sp.MaxGID {
+		// Single distinct value, proven to be in the set.
+		return activeAll
+	}
+	if useBloom && ci < len(r.blooms) && r.blooms[ci] != nil && !anyGIDInBloom(r.gids, sp, r.blooms[ci]) {
+		return activeNone
 	}
 	return activeSome
 }

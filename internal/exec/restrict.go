@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"powerdrill/internal/bloom"
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/sql"
@@ -16,10 +17,12 @@ import (
 // of AND, OR, NOT, IN, NOT IN, = and != (plus ordinary comparisons, which
 // sorted dictionaries turn into global-id ranges): a WHERE clause compiles
 // into a tree whose leaves are per-column global-id sets or ranges. The
-// tree is evaluated twice per chunk, first in three-valued logic against
-// the chunk-dictionaries alone — classifying the chunk as skippable, fully
-// active (cacheable) or partially active — and only for partially active
-// chunks a second time row-wise, producing a selection bitmap.
+// tree is evaluated up to three times per chunk: in three-valued logic
+// against the manifest's spans and blooms, before the chunk is loaded
+// (residency.go); by the same fold against the chunk-dictionaries alone —
+// classifying the chunk as skippable, fully active (cacheable) or partially
+// active — and only for partially active chunks row-wise, producing a
+// selection bitmap.
 
 // triState is the chunk classification lattice.
 type triState int8
@@ -46,11 +49,19 @@ type restriction struct {
 	op       rOp
 	children []*restriction // for rAnd, rOr, rNot
 
-	col     string           // leaf column
-	colRef  *colstore.Column // resolved (pinned) pointer for col
-	gids    []uint32         // rInSet: sorted global-ids
-	lo, hi  uint32           // rRange: [lo, hi) of global-ids
-	rowExpr sql.Expr         // rRowPred: arbitrary row-level fallback
+	col string // leaf column
+	// colRef is the query's pinned view of col. Compiling pins the
+	// dictionary only; the view's chunks fill in when the plan pins the
+	// chunks that survive pruning (a PinSet's views are stable).
+	colRef  *colstore.Column
+	gids    []uint32 // rInSet: sorted global-ids
+	lo, hi  uint32   // rRange: [lo, hi) of global-ids
+	rowExpr sql.Expr // rRowPred: arbitrary row-level fallback
+	// spans and blooms are col's per-chunk metadata from the manifest, what
+	// the leaf is classified on before any chunk is loaded (residency.go).
+	// nil spans: the leaf may match anywhere.
+	spans  []colstore.ChunkSpan
+	blooms []*bloom.Filter
 }
 
 type rOp uint8
@@ -64,22 +75,21 @@ const (
 	rRowPred // evaluate expression per row (cannot skip)
 )
 
-// compileRestriction translates a WHERE expression. Any sub-expression
-// whose left side is not a plain column is first materialized as a virtual
-// field by the engine (Section 5), after which it is a plain column again.
-// Leaf columns are pinned into ps at the residency analysis's chunk
-// granularity (active; nil = all chunks): the compile-time dictionary
-// lookups need the dictionary, and the scan touches only active chunks.
-func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet, active []bool) (*restriction, error) {
+// compileRestriction translates a WHERE expression — the one place that
+// walks it. An operand that is not a plain column is first materialized as a
+// virtual field (Section 5), after which it is a plain column again. A leaf
+// pins its column's dictionary into ps, which the literal lookups need, and
+// no chunk: which chunks the scan touches is decided on the compiled tree.
+func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restriction, error) {
 	switch n := w.(type) {
 	case *sql.Binary:
 		switch n.Op {
 		case sql.OpAnd, sql.OpOr:
-			l, err := e.compileRestriction(n.L, ps, active)
+			l, err := e.compileRestriction(n.L, ps)
 			if err != nil {
 				return nil, err
 			}
-			r, err := e.compileRestriction(n.R, ps, active)
+			r, err := e.compileRestriction(n.R, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -89,25 +99,48 @@ func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet, active []bo
 			}
 			return &restriction{op: op, children: []*restriction{l, r}}, nil
 		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-			return e.compileComparison(n, ps, active)
+			return e.compileComparison(n, ps)
 		default:
 			return nil, fmt.Errorf("exec: operator %s is not a predicate", n.Op)
 		}
 	case *sql.Not:
-		child, err := e.compileRestriction(n.X, ps, active)
+		child, err := e.compileRestriction(n.X, ps)
 		if err != nil {
 			return nil, err
 		}
 		return &restriction{op: rNot, children: []*restriction{child}}, nil
 	case *sql.In:
-		return e.compileIn(n, ps, active)
+		return e.compileIn(n, ps)
 	}
 	return nil, fmt.Errorf("exec: expression %s is not a predicate", w)
 }
 
+// compileLeaf resolves a leaf's operand to its column and hangs the
+// column's manifest spans and chunk blooms on the leaf. Persisted virtual
+// columns record theirs in the store's sidecar, so a restriction on a
+// materialized expression prunes chunks even after the column was evicted,
+// or in a later process that reopened the store.
+func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
+	col, err := e.materializeOperand(x, ps)
+	if err != nil {
+		return nil, err
+	}
+	leaf := &restriction{op: op, col: col.Name, colRef: col}
+	leaf.spans, _ = e.store.ChunkSpans(col.Name)
+	leaf.blooms, _ = e.store.ChunkBlooms(col.Name)
+	return leaf, nil
+}
+
+// negated wraps leaf in a NOT when neg is set.
+func negated(leaf *restriction, neg bool) *restriction {
+	if neg {
+		return &restriction{op: rNot, children: []*restriction{leaf}}
+	}
+	return leaf
+}
+
 // inGIDs maps `col IN (lits)` onto the sorted global-id set that
-// satisfies it. Shared by the restriction compiler and the residency
-// analysis so the two can never drift apart on literal coercion.
+// satisfies it.
 func inGIDs(col *colstore.Column, lits []value.Value) ([]uint32, error) {
 	gids := make([]uint32, 0, len(lits))
 	for _, lit := range lits {
@@ -122,12 +155,12 @@ func inGIDs(col *colstore.Column, lits []value.Value) ([]uint32, error) {
 			gids = append(gids, id)
 		}
 	}
-	sortUint32s(gids)
+	slices.Sort(gids)
 	return gids, nil
 }
 
 // eqGIDs maps `col = lit` onto its global-id set (empty when the literal
-// cannot match any column value). Shared like inGIDs.
+// cannot match any column value).
 func eqGIDs(col *colstore.Column, lit value.Value) ([]uint32, error) {
 	v, err := coerceToKind(lit, col.Kind)
 	if err != nil {
@@ -142,7 +175,7 @@ func eqGIDs(col *colstore.Column, lit value.Value) ([]uint32, error) {
 }
 
 // compileIn maps `X [NOT] IN (literals)` onto a global-id set.
-func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet, active []bool) (*restriction, error) {
+func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet) (*restriction, error) {
 	lits := make([]value.Value, 0, len(n.List))
 	for _, item := range n.List {
 		v, ok := exprLiteral(item)
@@ -152,28 +185,19 @@ func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet, active []bool) (*rest
 		}
 		lits = append(lits, v)
 	}
-	colName, err := e.materializeOperand(n.X, ps, active)
+	leaf, err := e.compileLeaf(rInSet, n.X, ps)
 	if err != nil {
 		return nil, err
 	}
-	col, err := ps.ColumnChunks(colName, active)
-	if err != nil {
-		return nil, err
+	if leaf.gids, err = inGIDs(leaf.colRef, lits); err != nil {
+		return nil, fmt.Errorf("exec: IN list for %q: %w", leaf.col, err)
 	}
-	gids, err := inGIDs(col, lits)
-	if err != nil {
-		return nil, fmt.Errorf("exec: IN list for %q: %w", colName, err)
-	}
-	leaf := &restriction{op: rInSet, col: colName, colRef: col, gids: gids}
-	if n.Negated {
-		return &restriction{op: rNot, children: []*restriction{leaf}}, nil
-	}
-	return leaf, nil
+	return negated(leaf, n.Negated), nil
 }
 
 // compileComparison maps `col OP literal` (either side) onto a set or a
 // range leaf; anything else becomes a row predicate.
-func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet, active []bool) (*restriction, error) {
+func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet) (*restriction, error) {
 	lhs, rhs := n.L, n.R
 	op := n.Op
 	if _, isLit := exprLiteral(lhs); isLit {
@@ -186,34 +210,24 @@ func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet, active []
 		// Column-to-column or other complex comparison.
 		return &restriction{op: rRowPred, rowExpr: n}, nil
 	}
-	colName, err := e.materializeOperand(lhs, ps, active)
-	if err != nil {
-		return nil, err
-	}
-	col, err := ps.ColumnChunks(colName, active)
-	if err != nil {
-		return nil, err
-	}
-	d := col.Dict
-
-	switch op {
-	case sql.OpEq, sql.OpNe:
-		gids, err := eqGIDs(col, lit)
+	if op == sql.OpEq || op == sql.OpNe {
+		leaf, err := e.compileLeaf(rInSet, lhs, ps)
 		if err != nil {
-			return nil, fmt.Errorf("exec: comparing %q: %w", colName, err)
+			return nil, err
 		}
-		leaf := &restriction{op: rInSet, col: colName, colRef: col, gids: gids}
-		if op == sql.OpNe {
-			return &restriction{op: rNot, children: []*restriction{leaf}}, nil
+		if leaf.gids, err = eqGIDs(leaf.colRef, lit); err != nil {
+			return nil, fmt.Errorf("exec: comparing %q: %w", leaf.col, err)
 		}
-		return leaf, nil
+		return negated(leaf, op == sql.OpNe), nil
 	}
-
-	lo, hi, err := rangeForComparison(d, col.Kind, op, lit)
+	leaf, err := e.compileLeaf(rRange, lhs, ps)
 	if err != nil {
-		return nil, fmt.Errorf("exec: comparing %q: %w", colName, err)
+		return nil, err
 	}
-	return &restriction{op: rRange, col: colName, colRef: col, lo: lo, hi: hi}, nil
+	if leaf.lo, leaf.hi, err = rangeForComparison(leaf.colRef.Dict, leaf.colRef.Kind, op, lit); err != nil {
+		return nil, fmt.Errorf("exec: comparing %q: %w", leaf.col, err)
+	}
+	return leaf, nil
 }
 
 // rangeForComparison converts `col OP lit` into the half-open global-id
@@ -227,7 +241,7 @@ func rangeForComparison(d interface {
 	n := uint32(d.Len())
 	// Cross-kind numeric comparisons adjust the literal to the column
 	// kind, tightening the bound when the literal is fractional.
-	v, strict, errc := coerceBound(lit, kind, op)
+	v, strict, errc := coerceBound(lit, kind)
 	if errc != nil {
 		return 0, 0, errc
 	}
@@ -261,7 +275,7 @@ func rangeForComparison(d interface {
 // coerceBound adapts a literal to the column kind for range comparisons.
 // strict reports that the adjusted literal is already strictly inside the
 // bound (e.g. latency > 100.5 became latency >= 101).
-func coerceBound(lit value.Value, kind value.Kind, op sql.BinaryOp) (value.Value, bool, error) {
+func coerceBound(lit value.Value, kind value.Kind) (value.Value, bool, error) {
 	if lit.Kind() == kind {
 		return lit, false, nil
 	}
@@ -272,13 +286,8 @@ func coerceBound(lit value.Value, kind value.Kind, op sql.BinaryOp) (value.Value
 		if f == fl {
 			return value.Int64(int64(fl)), false, nil
 		}
-		// Fractional bound: x > 100.5 ⇔ x >= 101; x < 100.5 ⇔ x <= 100.
-		switch op {
-		case sql.OpGt, sql.OpGe:
-			return value.Int64(int64(fl) + 1), true, nil
-		default:
-			return value.Int64(int64(fl) + 1), true, nil // x < 100.5 ⇔ x < 101
-		}
+		// Fractional bound: x > 100.5 ⇔ x >= 101, and x < 100.5 ⇔ x < 101.
+		return value.Int64(int64(fl) + 1), true, nil
 	case kind == value.KindFloat64 && lit.Kind() == value.KindInt64:
 		return value.Float64(float64(lit.Int())), false, nil
 	}
@@ -318,13 +327,25 @@ func flipOp(op sql.BinaryOp) sql.BinaryOp {
 	return op // = and != are symmetric
 }
 
-// classify evaluates the tree against chunk ci's chunk-dictionaries only.
-func (r *restriction) classify(e *Engine, ci int) triState {
+// evidence is what a chunk classification reads at the leaves.
+type evidence uint8
+
+const (
+	bySpans     evidence = iota // the manifest's [min, max] spans: nothing loaded
+	byBlooms                    // the spans and the per-chunk bloom filters
+	byChunkDict                 // the pinned chunk's own dictionary: exact
+)
+
+// classify evaluates the tree for chunk ci in three-valued logic — the one
+// AND/OR/NOT fold, over whichever evidence the caller has. On spans and
+// blooms it is conservative: none and all are proofs (classifySpan), so the
+// exact verdict on the chunk dictionary agrees wherever they are given.
+func (r *restriction) classify(ci int, by evidence) triState {
 	switch r.op {
 	case rAnd:
 		out := activeAll
 		for _, c := range r.children {
-			if s := c.classify(e, ci); s < out {
+			if s := c.classify(ci, by); s < out {
 				out = s
 			}
 			if out == activeNone {
@@ -335,7 +356,7 @@ func (r *restriction) classify(e *Engine, ci int) triState {
 	case rOr:
 		out := activeNone
 		for _, c := range r.children {
-			if s := c.classify(e, ci); s > out {
+			if s := c.classify(ci, by); s > out {
 				out = s
 			}
 			if out == activeAll {
@@ -344,7 +365,7 @@ func (r *restriction) classify(e *Engine, ci int) triState {
 		}
 		return out
 	case rNot:
-		switch r.children[0].classify(e, ci) {
+		switch r.children[0].classify(ci, by) {
 		case activeNone:
 			return activeAll
 		case activeAll:
@@ -352,19 +373,22 @@ func (r *restriction) classify(e *Engine, ci int) triState {
 		default:
 			return activeSome
 		}
-	case rInSet:
-		ch := r.colRef.Chunks[ci]
-		if ch.Rows() == 0 || !ch.ContainsAny(r.gids) {
-			return activeNone
+	case rInSet, rRange:
+		if by != byChunkDict {
+			return r.classifySpan(ci, by == byBlooms)
 		}
-		if ch.AllWithin(r.gids) {
-			return activeAll
-		}
-		return activeSome
-	case rRange:
 		ch := r.colRef.Chunks[ci]
 		if ch.Rows() == 0 {
 			return activeNone
+		}
+		if r.op == rInSet {
+			if !ch.ContainsAny(r.gids) {
+				return activeNone
+			}
+			if ch.AllWithin(r.gids) {
+				return activeAll
+			}
+			return activeSome
 		}
 		first, last := ch.GlobalIDs[0], ch.GlobalIDs[len(ch.GlobalIDs)-1]
 		if r.lo >= r.hi || last < r.lo || first >= r.hi {
@@ -374,10 +398,8 @@ func (r *restriction) classify(e *Engine, ci int) triState {
 			return activeAll
 		}
 		return activeSome
-	case rRowPred:
-		return activeSome
 	}
-	return activeSome
+	return activeSome // a row predicate cannot be decided without its rows
 }
 
 // maskScratch is where a scan worker's restriction masks live: the verdict
@@ -665,25 +687,17 @@ func (e *Engine) rowPredMask(pred sql.Expr, p *plan, ci int, m *enc.Bitmap) erro
 	return nil
 }
 
-// columnsOf collects the column names a restriction tree touches.
-func (r *restriction) columnsOf(out map[string]bool) {
+// columnsOf reports the column names a restriction tree touches.
+func (r *restriction) columnsOf(out func(name string)) {
 	for _, c := range r.children {
 		c.columnsOf(out)
 	}
 	if r.col != "" {
-		out[r.col] = true
+		out(r.col)
 	}
 	if r.rowExpr != nil {
 		for _, c := range exprColumns(r.rowExpr) {
-			out[c] = true
-		}
-	}
-}
-
-func sortUint32s(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+			out(c)
 		}
 	}
 }

@@ -3,11 +3,36 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/sql"
 )
+
+// predicateZoo is a zoo of WHERE clauses: every operator, nested trees,
+// ranges, impossible and tautological predicates.
+var predicateZoo = []string{
+	`country IN ("de")`,
+	`country IN ("de", "fr", "zz")`,
+	`country NOT IN ("us")`,
+	`country = "ch"`,
+	`country != "ch"`,
+	`NOT country = "ch"`,
+	`latency > 500`,
+	`latency <= 100`,
+	`latency >= 0`,
+	`latency < -5`,
+	`latency > 100 AND latency < 2000`,
+	`country IN ("de") AND latency > 500`,
+	`country IN ("de") OR country IN ("fr")`,
+	`NOT (country IN ("de") OR latency > 100)`,
+	`country = "de" AND NOT latency <= 50 OR user IN ("user0001")`,
+	`table_name != "nope"`,
+	`latency = 105`,
+	`latency > 100.5`,
+	`country IN ("zz")`,
+}
 
 // TestClassifyConsistentWithMask is the core safety property of skipping
 // (Section 2.4): for every chunk, the tri-state classification computed
@@ -18,41 +43,18 @@ func TestClassifyConsistentWithMask(t *testing.T) {
 	tbl := logs(3000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 
-	// A zoo of WHERE clauses: every operator, nested trees, ranges,
-	// impossible and tautological predicates.
-	preds := []string{
-		`country IN ("de")`,
-		`country IN ("de", "fr", "zz")`,
-		`country NOT IN ("us")`,
-		`country = "ch"`,
-		`country != "ch"`,
-		`NOT country = "ch"`,
-		`latency > 500`,
-		`latency <= 100`,
-		`latency >= 0`,
-		`latency < -5`,
-		`latency > 100 AND latency < 2000`,
-		`country IN ("de") AND latency > 500`,
-		`country IN ("de") OR country IN ("fr")`,
-		`NOT (country IN ("de") OR latency > 100)`,
-		`country = "de" AND NOT latency <= 50 OR user IN ("user0001")`,
-		`table_name != "nope"`,
-		`latency = 105`,
-		`latency > 100.5`,
-		`country IN ("zz")`,
-	}
 	var sc maskScratch
-	for _, p := range preds {
+	for _, p := range predicateZoo {
 		stmt, err := sql.Parse(`SELECT country, COUNT(*) FROM data WHERE ` + p + ` GROUP BY country;`)
 		if err != nil {
 			t.Fatalf("parse %q: %v", p, err)
 		}
-		r, err := e.compileRestriction(stmt.Where, e.store.NewPinSet(), nil)
+		r, err := e.compileRestriction(stmt.Where, e.store.NewPinSet())
 		if err != nil {
 			t.Fatalf("compile %q: %v", p, err)
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
-			state := r.classify(e, ci)
+			state := r.classify(ci, byChunkDict)
 			mask, err := r.mask(e, nil, ci, &sc)
 			if err != nil {
 				t.Fatalf("mask %q chunk %d: %v", p, ci, err)
@@ -111,12 +113,12 @@ func TestClassifyRandomTrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", p, err)
 		}
-		rt, err := e.compileRestriction(stmt.Where, e.store.NewPinSet(), nil)
+		rt, err := e.compileRestriction(stmt.Where, e.store.NewPinSet())
 		if err != nil {
 			t.Fatalf("compile %q: %v", p, err)
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
-			state := rt.classify(e, ci)
+			state := rt.classify(ci, byChunkDict)
 			mask, err := rt.mask(e, nil, ci, &sc)
 			if err != nil {
 				t.Fatal(err)
@@ -219,16 +221,6 @@ func TestRestrictionErrorPaths(t *testing.T) {
 	}
 }
 
-func TestSortUint32s(t *testing.T) {
-	a := []uint32{5, 1, 4, 1, 3}
-	sortUint32s(a)
-	for i := 1; i < len(a); i++ {
-		if a[i-1] > a[i] {
-			t.Fatal("sortUint32s did not sort")
-		}
-	}
-}
-
 // TestLeafVerdicts checks the one verdict-table builder against a per-id
 // membership test: random sorted chunk dictionaries against random id sets
 // (with repeats, as an IN list may have) and ranges, empty ones included.
@@ -243,7 +235,7 @@ func TestLeafVerdicts(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		sortUint32s(ids)
+		slices.Sort(ids)
 		return ids
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -253,7 +245,7 @@ func TestLeafVerdicts(t *testing.T) {
 		for i := rng.Intn(8); i > 0; i-- {
 			set.gids = append(set.gids, uint32(rng.Intn(span+2)))
 		}
-		sortUint32s(set.gids)
+		slices.Sort(set.gids)
 		rng2 := &restriction{op: rRange, lo: uint32(rng.Intn(span + 2)), hi: uint32(rng.Intn(span + 2))}
 		for _, leaf := range []*restriction{set, rng2} {
 			verdict := make([]uint8, len(ch.GlobalIDs))

@@ -117,7 +117,7 @@ func TestMaskedScanAllocations(t *testing.T) {
 	} {
 		p, release := planned(t, e, `SELECT k, SUM(n) AS v FROM data`+where+` GROUP BY k;`)
 		for ci := 0; ci < chunks; ci++ {
-			if state := p.where.classify(e, ci); state != activeSome {
+			if state := p.where.classify(ci, byChunkDict); state != activeSome {
 				t.Fatalf("chunk %d is %v under%s, want partially active", ci, state, where)
 			}
 		}
@@ -213,9 +213,7 @@ func planned(t testing.TB, e *Engine, q string) (*plan, func()) {
 		t.Fatal(err)
 	}
 	ps := e.store.NewPinSet()
-	rsd := e.analyzeResidency(stmt, ps)
-	e.prefetchColumns(stmt, ps, rsd.pinSet())
-	p, err := e.plan(stmt, ps, rsd)
+	p, err := e.prepare(stmt, ps)
 	if err != nil {
 		ps.Release()
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 			if e.opts.DisableSkipping {
 				state = activeSome
 			} else {
-				state = p.where.classify(e, ci)
+				state = p.where.classify(ci, byChunkDict)
 			}
 		}
 		if state == activeNone {

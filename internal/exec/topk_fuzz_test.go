@@ -71,9 +71,7 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 
 	ps := store.NewPinSet()
 	defer ps.Release()
-	rsd := e.analyzeResidency(stmt, ps)
-	e.prefetchColumns(stmt, ps, rsd.pinSet())
-	p, err := e.plan(stmt, ps, rsd)
+	p, err := e.prepare(stmt, ps)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/memmgr"
@@ -200,4 +201,53 @@ func TestVirtualColumnReuseAfterClose(t *testing.T) {
 		t.Fatalf("query after Close: %v", err)
 	}
 	assertSameResult(t, q, want, got)
+}
+
+// TestPlainQueryDoesNotWaitForPlanLock: planMu guards only "check column
+// exists → materialize → register". With it held, queries over plain
+// columns, an already materialized expression and an already materialized
+// composite finish; one that must materialize waits for the lock.
+func TestPlainQueryDoesNotWaitForPlanLock(t *testing.T) {
+	e := buildEngine(t, logs(2000), chunkedOpts(), Options{})
+	settled := []string{
+		`SELECT country, COUNT(*) FROM data WHERE latency > 100 GROUP BY country;`,
+		`SELECT date(timestamp), COUNT(*) FROM data WHERE date(timestamp) != "x" GROUP BY date(timestamp);`,
+		`SELECT country, user, COUNT(*) FROM data GROUP BY country, user;`,
+	}
+	for _, q := range settled {
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(q string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Query(q)
+			done <- err
+		}()
+		return done
+	}
+	e.planMu.Lock()
+	unlock := sync.OnceFunc(e.planMu.Unlock)
+	defer unlock()
+	for _, q := range settled {
+		select {
+		case err := <-run(q):
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waits for the plan lock", q)
+		}
+	}
+	fresh := run(`SELECT hour(timestamp), COUNT(*) FROM data GROUP BY hour(timestamp);`)
+	select {
+	case err := <-fresh:
+		t.Fatalf("a fresh materialization finished under a held plan lock (error %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	unlock()
+	if err := <-fresh; err != nil {
+		t.Fatal(err)
+	}
 }
