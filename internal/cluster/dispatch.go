@@ -459,29 +459,20 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 // the computation tree. With real mixers in the topology each level
 // arrives pre-merged and this folds only the node's own children; a flat
 // coordinator still simulates every level here. Either way the float
-// aggregates stay bit-for-bit identical: per-leaf sums ride
-// PartialCell.SumFParts and are folded canonically at finalize.
+// aggregates stay bit-for-bit identical: per-leaf sums ride the partial's
+// float-parts column and are folded canonically at finalize.
 func (d *dispatcher) mergeTree(parts []*exec.Partial) (*exec.Partial, error) {
-	if len(parts) == 0 {
-		return &exec.Partial{}, nil
-	}
 	level := parts
-	for len(level) > 1 {
+	for len(level) > d.opts.Fanout {
 		var next []*exec.Partial
 		for start := 0; start < len(level); start += d.opts.Fanout {
-			end := start + d.opts.Fanout
-			if end > len(level) {
-				end = len(level)
-			}
-			acc := level[start]
-			for _, p := range level[start+1 : end] {
-				if err := exec.MergePartials(acc, p); err != nil {
-					return nil, err
-				}
+			acc, err := exec.MergeAll(level[start:min(start+d.opts.Fanout, len(level))])
+			if err != nil {
+				return nil, err
 			}
 			next = append(next, acc)
 		}
 		level = next
 	}
-	return level[0], nil
+	return exec.MergeAll(level)
 }

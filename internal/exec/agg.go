@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/dict"
@@ -701,16 +699,31 @@ func (e *Engine) groupOrderTerms(p *plan, groups *groupTable, items []int) []ord
 }
 
 // compositeID reads the pos-th column's global-id out of a composite group
-// key: materializeComposite writes each as 8 hex digits, one separator
-// between. A malformed key (groupKeyValues reports those as corrupt when
-// the row is rendered) ranks as id 0.
+// key, for ordering: a malformed key (groupKeyValues reports those as
+// corrupt when the row is rendered) ranks as id 0.
 func compositeID(keys dict.Dict, gid uint32, pos int) int64 {
-	key := keys.Value(gid).Str()
-	if len(key) < 9*pos+8 {
-		return 0
-	}
-	id, _ := strconv.ParseUint(key[9*pos:9*pos+8], 16, 32)
+	id, _ := compositeSub(keys.Value(gid).Str(), pos)
 	return int64(id)
+}
+
+// compositeSub parses the pos-th global-id of a composite key:
+// materializeComposite writes each as 8 hex digits, one separator between.
+func compositeSub(key string, pos int) (uint32, bool) {
+	if len(key) < 9*pos+8 {
+		return 0, false
+	}
+	var id uint32
+	for _, c := range []byte(key[9*pos : 9*pos+8]) {
+		switch {
+		case c >= '0' && c <= '9':
+			id = id<<4 | uint32(c-'0')
+		case c >= 'a' && c <= 'f':
+			id = id<<4 | uint32(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return id, true
 }
 
 // cellComparer orders two accumulators of aggregate j exactly as their
@@ -767,17 +780,13 @@ func (e *Engine) groupKeyValues(p *plan, gid uint32) ([]value.Value, error) {
 	switch {
 	case p.composite != "":
 		key := p.col(e, p.composite).Dict.Value(gid).Str()
-		parts := strings.Split(key, "\x1f")
-		if len(parts) != len(p.groupCols) {
-			return nil, fmt.Errorf("exec: corrupt composite key %q", key)
-		}
-		out := make([]value.Value, len(parts))
-		for i, hex := range parts {
-			sub, err := strconv.ParseUint(hex, 16, 32)
-			if err != nil {
-				return nil, fmt.Errorf("exec: corrupt composite key %q: %w", key, err)
+		out := make([]value.Value, len(p.groupCols))
+		for i := range out {
+			sub, ok := compositeSub(key, i)
+			if !ok || len(key) != 9*len(out)-1 {
+				return nil, fmt.Errorf("exec: corrupt composite key %q", key)
 			}
-			out[i] = p.col(e, p.groupCols[i]).Dict.Value(uint32(sub))
+			out[i] = p.col(e, p.groupCols[i]).Dict.Value(sub)
 		}
 		return out, nil
 	case len(p.groupCols) == 1:

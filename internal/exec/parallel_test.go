@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -171,25 +170,13 @@ func TestConcurrentRunPartial(t *testing.T) {
 	}
 }
 
-// partialGroupsFingerprint renders a Partial's groups sorted by key.
+// partialGroupsFingerprint is a Partial's groups as they cross the wire:
+// the encoding without the counters, which depend on what the result cache
+// held when the query ran.
 func partialGroupsFingerprint(p *Partial) string {
-	lines := make([]string, 0, len(p.Groups))
-	for _, g := range p.Groups {
-		line := ""
-		for _, k := range g.Keys {
-			line += k.String() + "|"
-		}
-		for _, c := range g.Cells {
-			line += fmt.Sprintf("count=%d sumI=%d sumF=%g|", c.Count, c.SumI, c.SumF)
-		}
-		lines = append(lines, line)
-	}
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
+	groups := *p
+	groups.Stats = QueryStats{}
+	return fmt.Sprintf("%x", EncodePartial(&groups))
 }
 
 // TestParallelFloatSumDeterminism pins the chunk-ordered merge: float

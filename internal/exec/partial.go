@@ -1,12 +1,12 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 
+	"powerdrill/internal/dict"
 	"powerdrill/internal/sketch"
 	"powerdrill/internal/sql"
 	"powerdrill/internal/value"
@@ -19,54 +19,183 @@ import (
 // sketch (the paper: exact count distinct cannot be multi-level aggregated,
 // "therefore, we use an approximative technique").
 //
-// Group keys are values, not global-ids: different shards have different
-// dictionaries, so ids are meaningless across machines.
+// A partial is columnar from the leaf's group table to the root's top-k:
+// n groups, one key column per GROUP BY expression and one aggregate column
+// per aggregate, each an array (or a few) over the groups. Group keys are
+// values, not global-ids: different shards have different dictionaries, so
+// ids are meaningless across machines. The columns are never written after
+// the partial is built — a merge builds new ones — so partials may share
+// them, and a decoded partial may alias its payload.
 type Partial struct {
 	// Columns are the output column names (for assembling the final
 	// result at the root).
 	Columns []string
-	// Groups holds one entry per group key present on this server.
-	Groups []PartialGroup
 	// Stats carries the leaf's execution counters up the tree.
 	Stats QueryStats
+
+	n    int           // groups
+	keys []valueColumn // one per GROUP BY expression, in GROUP BY order
+	aggs []aggColumn   // one per aggregate, in select-list order
 }
 
-// PartialGroup is one group's mergeable accumulators.
-type PartialGroup struct {
-	Keys  []value.Value
-	Cells []PartialCell
+// NumGroups returns the number of groups the partial holds.
+func (p *Partial) NumGroups() int { return p.n }
+
+// valueColumn holds one value of one kind per group: a key column, or the
+// values of a MIN or MAX. Strings lie end to end in one byte arena, string
+// i at arena[off[i]:off[i+1]].
+type valueColumn struct {
+	kind  value.Kind
+	ints  []int64
+	flts  []float64
+	off   []uint32
+	arena []byte
 }
 
-// PartialCell is one aggregate's mergeable state.
-type PartialCell struct {
-	Count int64
-	SumI  int64
-	SumF  float64
-	// SumIsInt records whether the summed column is integral, so the root
-	// can render SUM with the right kind.
-	SumIsInt bool
-	// SumFParts holds the per-leaf float sums that SumF totals, one entry
-	// per contributing leaf. Float addition is not associative, so folding
-	// SumF level by level would make SUM/AVG depend on how the tree groups
-	// its merges; concatenating the parts is associative, and the root
-	// folds them in one canonical order (see sumFloat) — the answer is
-	// bit-for-bit identical whatever the topology.
-	SumFParts []float64
-	Min       value.Value
-	Max       value.Value
-	Sketch    []byte // marshaled KMV for COUNT DISTINCT
-}
-
-// sumFloat is the cell's float total. With per-part sums present they are
-// folded smallest-first by the IEEE-754 total order (sign-magnitude bit
-// trick, so ±0 and NaN payloads order deterministically too); without
-// them (int sums, pre-part encoders) the running SumF stands in.
-func (c *PartialCell) sumFloat() float64 {
-	if len(c.SumFParts) == 0 {
-		return c.SumF
+// newValueColumn returns an empty column with room for n values.
+func newValueColumn(kind value.Kind, n int) valueColumn {
+	c := valueColumn{kind: kind}
+	switch kind {
+	case value.KindInt64:
+		c.ints = make([]int64, 0, n)
+	case value.KindFloat64:
+		c.flts = make([]float64, 0, n)
+	default:
+		c.off = make([]uint32, 1, n+1)
 	}
-	parts := append([]float64(nil), c.SumFParts...)
-	sort.Slice(parts, func(i, j int) bool { return floatOrd(parts[i]) < floatOrd(parts[j]) })
+	return c
+}
+
+func (c *valueColumn) bytesAt(i int) []byte { return c.arena[c.off[i]:c.off[i+1]] }
+
+// append adds a dictionary value of the column's kind.
+func (c *valueColumn) append(v value.Value) {
+	switch c.kind {
+	case value.KindInt64:
+		c.ints = append(c.ints, v.Int())
+	case value.KindFloat64:
+		c.flts = append(c.flts, v.Float())
+	default:
+		s := v.Str()
+		if c.arena == nil {
+			// A sorted dictionary's neighbours are about as long as each other:
+			// room for as many strings as the column expects, a little longer
+			// than the first, mostly saves growing.
+			c.arena = make([]byte, 0, (len(s)+len(s)/8+1)*cap(c.off))
+		}
+		c.arena = append(c.arena, s...)
+		c.off = append(c.off, uint32(len(c.arena)))
+	}
+}
+
+// appendFrom adds value i of src, a column of the same kind.
+func (c *valueColumn) appendFrom(src *valueColumn, i int) {
+	switch c.kind {
+	case value.KindInt64:
+		c.ints = append(c.ints, src.ints[i])
+	case value.KindFloat64:
+		c.flts = append(c.flts, src.flts[i])
+	default:
+		c.arena = append(c.arena, src.bytesAt(i)...)
+		c.off = append(c.off, uint32(len(c.arena)))
+	}
+}
+
+// value renders value i.
+func (c *valueColumn) value(i int) value.Value {
+	switch c.kind {
+	case value.KindInt64:
+		return value.Int64(c.ints[i])
+	case value.KindFloat64:
+		return value.Float64(c.flts[i])
+	}
+	return value.String(string(c.bytesAt(i)))
+}
+
+// comparer orders two of the column's values as compareOrderValues orders
+// their renderings.
+func (c *valueColumn) comparer() func(a, b int) int {
+	switch c.kind {
+	case value.KindInt64:
+		return func(a, b int) int { return compareInts(c.ints[a], c.ints[b]) }
+	case value.KindFloat64:
+		return func(a, b int) int { return compareFloats(c.flts[a], c.flts[b]) }
+	}
+	return func(a, b int) int { return bytes.Compare(c.bytesAt(a), c.bytesAt(b)) }
+}
+
+// aggArrays names the arrays an aggregate column holds — only those its
+// aggregate merges. It is the column's presence mask on the wire.
+type aggArrays uint8
+
+const (
+	arrCounts aggArrays = 1 << iota // row counts: COUNT, SUM, AVG
+	arrSumI                         // integer sums: SUM, AVG of an int column
+	arrParts                        // per-leaf float sums: SUM, AVG of a float column
+	arrMin                          // vals holds minima
+	arrMax                          // vals holds maxima (never with arrMin)
+	arrSketch                       // KMV sketches: COUNT DISTINCT
+)
+
+// runColumn holds a run of 8-byte values per group, group i's at
+// vals[off[i]:off[i+1]].
+type runColumn struct {
+	off  []uint32
+	vals []uint64
+}
+
+func (r *runColumn) at(i int) []uint64 { return r.vals[r.off[i]:r.off[i+1]] }
+
+// endRun closes the run of the group whose values were just appended.
+func (r *runColumn) endRun() { r.off = append(r.off, uint32(len(r.vals))) }
+
+// aggColumn is one aggregate's mergeable state over the groups.
+type aggColumn struct {
+	has    aggArrays
+	counts []int64
+	sumI   []int64
+	// parts holds, as float bits, each group's per-leaf float sums, one per
+	// contributing leaf. Float addition is not associative, so folding a
+	// running sum level by level would make SUM/AVG depend on how the tree
+	// groups its merges; concatenating the parts is associative, and the
+	// root folds them in one canonical order (see sumFloat) — the answer is
+	// bit-for-bit identical whatever the topology.
+	parts runColumn
+	vals  valueColumn
+	// hashes holds each group's sketch: its retained hashes, ascending, at
+	// most m of them.
+	hashes runColumn
+	m      int
+}
+
+// aggLayout is the arrays a leaf emits for an aggregate.
+func aggLayout(fn aggFn, isInt bool) aggArrays {
+	switch fn {
+	case aggCount:
+		return arrCounts
+	case aggSum, aggAvg:
+		if isInt {
+			return arrCounts | arrSumI
+		}
+		return arrCounts | arrParts
+	case aggMin:
+		return arrMin
+	case aggMax:
+		return arrMax
+	}
+	return arrSketch
+}
+
+// sumFloat is group i's float total: its per-leaf parts folded
+// smallest-first by the IEEE-754 total order (sign-magnitude bit trick, so
+// ±0 and NaN payloads order deterministically too).
+func (a *aggColumn) sumFloat(i int) float64 {
+	var buf [8]float64
+	parts := buf[:0]
+	for _, bits := range a.parts.at(i) {
+		parts = append(parts, math.Float64frombits(bits))
+	}
+	slices.SortFunc(parts, func(x, y float64) int { return compareInts(floatOrd(x), floatOrd(y)) })
 	var sum float64
 	for _, v := range parts {
 		sum += v
@@ -74,15 +203,15 @@ func (c *PartialCell) sumFloat() float64 {
 	return sum
 }
 
-// floatOrd maps a float64 to a uint64 whose natural order is the IEEE-754
+// floatOrd maps a float64 to an int64 whose natural order is the IEEE-754
 // total order (negatives descending by magnitude, then ±0, positives
 // ascending, NaNs at the extremes by payload).
-func floatOrd(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
+func floatOrd(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	if b < 0 {
+		return b ^ math.MaxInt64
 	}
-	return b | 1<<63
+	return b
 }
 
 // RunPartial executes a statement but stops before finalization: no AVG
@@ -104,157 +233,129 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Partial{}
-	for _, it := range p.items {
-		out.Columns = append(out.Columns, it.name)
-	}
-	if out.Groups, err = e.partialGroups(p, groups); err != nil {
+	out, err := e.emitPartial(p, groups)
+	if err != nil {
 		return nil, err
 	}
 	out.Stats = e.closeStats(qs, ps, p)
 	return out, nil
 }
 
-// partialGroups converts the group table to its mergeable form, in
-// ascending group global-id order: keys become values and MIN/MAX ids the
-// values they name, because ids mean nothing on another shard.
-func (e *Engine) partialGroups(p *plan, groups *groupTable) ([]PartialGroup, error) {
-	out := make([]PartialGroup, 0, groups.n)
+// emitPartial writes the group table out in its mergeable form, in
+// ascending group global-id order: keys become the values their ids name,
+// and so do MIN and MAX, because ids mean nothing on another shard.
+func (e *Engine) emitPartial(p *plan, groups *groupTable) (*Partial, error) {
+	n := groups.n
+	out := &Partial{n: n, keys: make([]valueColumn, len(p.groupCols)), aggs: make([]aggColumn, len(p.aggs))}
+	for _, it := range p.items {
+		out.Columns = append(out.Columns, it.name)
+	}
+	keyDicts := make([]dict.Dict, len(out.keys))
+	for k := range out.keys {
+		out.keys[k], keyDicts[k] = newValueColumn(p.groupKind[k], n), p.col(e, p.groupCols[k]).Dict
+	}
+	for j, spec := range p.aggs {
+		a := &out.aggs[j]
+		a.has = aggLayout(spec.fn, p.aggInt[j])
+		if a.has&arrCounts != 0 {
+			a.counts = make([]int64, 0, n)
+		}
+		if a.has&arrSumI != 0 {
+			a.sumI = make([]int64, 0, n)
+		}
+		if a.has&arrParts != 0 {
+			a.parts = runColumn{make([]uint32, 1, n+1), make([]uint64, 0, n)}
+		}
+		if a.has&(arrMin|arrMax) != 0 {
+			a.vals = newValueColumn(p.aggCols[j].Kind, n)
+		}
+		if a.has&arrSketch != 0 {
+			a.m, a.hashes.off = e.opts.SketchM, make([]uint32, 1, n+1)
+		}
+	}
 	err := groups.forEach(func(gid uint32) error {
+		switch {
+		case p.composite != "":
+			key := p.groupCol.Dict.Value(gid).Str()
+			for k := range out.keys {
+				sub, ok := compositeSub(key, k)
+				if !ok || len(key) != 9*len(out.keys)-1 {
+					return fmt.Errorf("exec: corrupt composite key %q", key)
+				}
+				out.keys[k].append(keyDicts[k].Value(sub))
+			}
+		case len(out.keys) == 1:
+			out.keys[0].append(keyDicts[0].Value(gid))
+		}
 		accs, dist := groups.accs(gid), groups.dist(gid)
-		keys, err := e.groupKeyValues(p, gid)
-		if err != nil {
-			return err
+		for j := range out.aggs {
+			a, c := &out.aggs[j], &accs[j]
+			if a.has&arrCounts != 0 {
+				a.counts = append(a.counts, c.count)
+			}
+			if a.has&arrSumI != 0 {
+				a.sumI = append(a.sumI, c.sumI)
+			}
+			if a.has&arrParts != 0 {
+				a.parts.vals = append(a.parts.vals, math.Float64bits(c.sumF))
+				a.parts.endRun()
+			}
+			if a.has&(arrMin|arrMax) != 0 {
+				if !c.hasMM {
+					return fmt.Errorf("exec: MIN or MAX over empty group")
+				}
+				id := c.minID
+				if a.has&arrMax != 0 {
+					id = c.maxID
+				}
+				a.vals.append(p.aggCols[j].Dict.Value(id))
+			}
+			if a.has&arrSketch != 0 {
+				if sk := dist[j].sketch; sk != nil {
+					a.hashes.vals = sk.AppendHashes(a.hashes.vals)
+				}
+				a.hashes.endRun()
+			}
 		}
-		pg := PartialGroup{Keys: keys, Cells: make([]PartialCell, len(p.aggs))}
-		for j := range p.aggs {
-			cell := &pg.Cells[j]
-			cell.Count, cell.SumI, cell.SumF = accs[j].count, accs[j].sumI, accs[j].sumF
-			cell.SumIsInt = p.aggInt[j]
-			if fn := p.aggs[j].fn; (fn == aggSum || fn == aggAvg) && !cell.SumIsInt {
-				cell.SumFParts = []float64{cell.SumF}
-			}
-			if accs[j].hasMM {
-				cell.Min = p.aggCols[j].Dict.Value(accs[j].minID)
-				cell.Max = p.aggCols[j].Dict.Value(accs[j].maxID)
-			}
-			if dist != nil && dist[j].sketch != nil {
-				cell.Sketch = dist[j].sketch.Marshal()
-			}
-		}
-		out = append(out, pg)
 		return nil
 	})
 	return out, err
 }
 
-// keyString renders a group key for merge hashing.
-func keyString(keys []value.Value) string {
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteByte(byte(k.Kind()))
-		b.WriteString(k.String())
-		b.WriteByte(0x1f)
-	}
-	return b.String()
-}
-
-// MergePartials folds src into dst (same query shape). This is the
-// re-aggregation every inner node of the execution tree performs.
-func MergePartials(dst, src *Partial) error {
-	if dst == nil || src == nil {
-		return fmt.Errorf("exec: merging nil partials")
-	}
-	if len(dst.Columns) == 0 {
-		dst.Columns = src.Columns
-	}
-	if len(src.Columns) != len(dst.Columns) {
-		return fmt.Errorf("exec: merging partials with %d vs %d columns", len(src.Columns), len(dst.Columns))
-	}
-	index := make(map[string]int, len(dst.Groups))
-	for i, g := range dst.Groups {
-		index[keyString(g.Keys)] = i
-	}
-	for _, g := range src.Groups {
-		k := keyString(g.Keys)
-		di, ok := index[k]
-		if !ok {
-			dst.Groups = append(dst.Groups, g)
-			index[k] = len(dst.Groups) - 1
-			continue
-		}
-		d := &dst.Groups[di]
-		if len(d.Cells) != len(g.Cells) {
-			return fmt.Errorf("exec: merging groups with %d vs %d cells", len(d.Cells), len(g.Cells))
-		}
-		for j := range d.Cells {
-			if err := d.Cells[j].merge(&g.Cells[j]); err != nil {
-				return err
-			}
-		}
-	}
-	dst.Stats.Add(src.Stats)
-	return nil
-}
-
-func (c *PartialCell) merge(o *PartialCell) error {
-	c.Count += o.Count
-	c.SumI += o.SumI
-	c.SumF += o.SumF
-	c.SumFParts = append(c.SumFParts, o.SumFParts...)
-	c.SumIsInt = c.SumIsInt || o.SumIsInt
-	if o.Min.IsValid() && (!c.Min.IsValid() || o.Min.Compare(c.Min) < 0) {
-		c.Min = o.Min
-	}
-	if o.Max.IsValid() && (!c.Max.IsValid() || o.Max.Compare(c.Max) > 0) {
-		c.Max = o.Max
-	}
-	if len(o.Sketch) > 0 {
-		if len(c.Sketch) == 0 {
-			c.Sketch = append([]byte(nil), o.Sketch...)
-			return nil
-		}
-		a, err := sketch.UnmarshalKMV(c.Sketch)
-		if err != nil {
-			return fmt.Errorf("exec: merge sketch: %w", err)
-		}
-		b, err := sketch.UnmarshalKMV(o.Sketch)
-		if err != nil {
-			return fmt.Errorf("exec: merge sketch: %w", err)
-		}
-		a.Merge(b)
-		c.Sketch = a.Marshal()
-	}
-	return nil
-}
-
 // FinalizePartial turns a fully merged partial into the final result,
 // applying AVG division, sketch estimation, HAVING, ORDER BY and LIMIT —
 // the work the root of the tree does ("the root executes any having
-// statements", Section 4). Group keys are values here, not ids (see
-// Partial), and arrive in merge order, so the selection compares one
-// order-key column per ORDER BY term — an aggregate's finished values, or
-// the key values themselves, reached only when the terms before tie — and
-// renders rows for the groups LIMIT keeps.
+// statements", Section 4). Groups arrive in merge order, so the selection
+// compares one column of finished values per ORDER BY term, where it lies,
+// and renders value.Values for the groups LIMIT keeps.
 func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 	res := &Result{Columns: p.Columns, Stats: p.Stats, Coverage: 1}
 	if p.Stats.RowsTotal > 0 {
 		res.Coverage = float64(p.Stats.RowsCovered) / float64(p.Stats.RowsTotal)
 	}
-	specs, err := partialItemSpecs(stmt)
+	cols, err := finishedColumns(stmt, p)
 	if err != nil {
 		return nil, err
 	}
-	terms, err := partialOrderTerms(stmt, specs, p.Groups)
+	// ORDER BY keys that match no output column are ignored, as in
+	// rowOrderTerms.
+	var terms []orderTerm
+	for k, idx := range orderItems(stmt) {
+		if idx >= 0 {
+			terms = append(terms, orderTerm{cmp: cols[idx].comparer(), desc: stmt.OrderBy[k].Desc})
+		}
+	}
+	sel, err := newRowSelection(stmt, p.Columns, terms, func(i int) ([]value.Value, error) {
+		row := make([]value.Value, len(cols))
+		for k := range cols {
+			row[k] = cols[k].value(i)
+		}
+		return row, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sel, err := newRowSelection(stmt, p.Columns, terms,
-		func(i int) ([]value.Value, error) { return partialRow(specs, &p.Groups[i]) })
-	if err != nil {
-		return nil, err
-	}
-	for i := range p.Groups {
+	for i := 0; i < p.n; i++ {
 		if err := sel.offer(i); err != nil {
 			return nil, err
 		}
@@ -265,117 +366,32 @@ func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 	return res, nil
 }
 
-// partialOrderTerms compiles stmt's ORDER BY for merged groups. ORDER BY
-// keys that match no output column are ignored, as in rowOrderTerms.
-func partialOrderTerms(stmt *sql.SelectStmt, specs []partialItemSpec, groups []PartialGroup) ([]orderTerm, error) {
-	var terms []orderTerm
-	for k, idx := range orderItems(stmt) {
-		if idx < 0 {
-			continue
-		}
-		spec := specs[idx]
-		term := orderTerm{desc: stmt.OrderBy[k].Desc}
-		if spec.cellIdx < 0 {
-			term.cmp = func(a, b int) int {
-				return compareOrderValues(groups[a].Keys[spec.keyIdx], groups[b].Keys[spec.keyIdx])
-			}
-		} else {
-			// A merged cell's value needs folding (float parts, a sketch to
-			// decode), so the term's values are computed once per group.
-			vals := make([]value.Value, len(groups))
-			for i := range groups {
-				v, err := spec.value(&groups[i].Cells[spec.cellIdx])
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			term.cmp = func(a, b int) int { return compareOrderValues(vals[a], vals[b]) }
-		}
-		terms = append(terms, term)
-	}
-	return terms, nil
-}
-
-// partialRow renders one merged group's result row.
-func partialRow(specs []partialItemSpec, g *PartialGroup) ([]value.Value, error) {
-	row := make([]value.Value, len(specs))
-	for i, spec := range specs {
-		if spec.cellIdx < 0 {
-			row[i] = g.Keys[spec.keyIdx]
-			continue
-		}
-		v, err := spec.value(&g.Cells[spec.cellIdx])
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// partialItemSpec describes how one select item draws from a partial: an
-// aggregate from cell cellIdx, or (cellIdx < 0) group key keyIdx.
-type partialItemSpec struct {
-	fn      aggFn
-	cellIdx int
-	keyIdx  int
-}
-
-// value renders the item's aggregate from its merged cell.
-func (s partialItemSpec) value(cell *PartialCell) (value.Value, error) {
-	switch s.fn {
-	case aggCount:
-		return value.Int64(cell.Count), nil
-	case aggSum:
-		if cell.SumIsInt {
-			return value.Int64(cell.SumI), nil
-		}
-		return value.Float64(cell.sumFloat()), nil
-	case aggAvg:
-		if cell.Count == 0 {
-			return value.Float64(0), nil
-		}
-		total := cell.sumFloat()
-		if cell.SumIsInt {
-			total = float64(cell.SumI)
-		}
-		return value.Float64(total / float64(cell.Count)), nil
-	case aggMin:
-		return cell.Min, nil
-	case aggMax:
-		return cell.Max, nil
-	}
-	// COUNT(DISTINCT)
-	if len(cell.Sketch) == 0 {
-		return value.Int64(0), nil
-	}
-	k, err := sketch.UnmarshalKMV(cell.Sketch)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return value.Int64(k.Estimate()), nil
-}
-
-// partialItemSpecs maps select items to (aggregate, cell index) or group
-// key position. A group's Keys are in GROUP BY order (partialGroups), which
-// need not be the order of the select list, so a key item finds its
-// position the way the planner matches select items: by the column it
-// resolves to.
-func partialItemSpecs(stmt *sql.SelectStmt) ([]partialItemSpec, error) {
+// finishedColumns returns stmt's select items as columns over p's groups:
+// an aggregate finished from the aggregate column of its position among
+// the aggregates, a group key the key column of its GROUP BY position —
+// which need not be its position in the select list, so a key item finds
+// it the way the planner matches select items: by the column it resolves
+// to. A partial without groups has empty columns: the root of a tree whose
+// shards all failed holds one that has none to bind.
+func finishedColumns(stmt *sql.SelectStmt, p *Partial) ([]valueColumn, error) {
 	groupCols := make([]string, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
 		groupCols[i] = operandName(resolveGroupExpr(stmt, g))
 	}
-	specs := make([]partialItemSpec, 0, len(stmt.Items))
-	cell := 0
-	for _, item := range stmt.Items {
+	cols := make([]valueColumn, len(stmt.Items))
+	agg := 0
+	for i, item := range stmt.Items {
 		if !sql.HasAggregate(item.Expr) {
 			key := slices.Index(groupCols, operandName(item.Expr))
 			if key < 0 {
 				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", item.Expr)
 			}
-			specs = append(specs, partialItemSpec{cellIdx: -1, keyIdx: key})
+			if p.n > 0 {
+				if key >= len(p.keys) {
+					return nil, fmt.Errorf("exec: partial has %d key columns, %s is key %d", len(p.keys), item.Expr, key)
+				}
+				cols[i] = p.keys[key]
+			}
 			continue
 		}
 		call, ok := item.Expr.(*sql.Call)
@@ -386,10 +402,50 @@ func partialItemSpecs(stmt *sql.SelectStmt) ([]partialItemSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown aggregate %q", call.Name)
 		}
-		specs = append(specs, partialItemSpec{fn: fn, cellIdx: cell})
-		cell++
+		if p.n > 0 {
+			// The column must be laid out as a leaf lays out fn's.
+			if agg >= len(p.aggs) || p.aggs[agg].has != aggLayout(fn, true) && p.aggs[agg].has != aggLayout(fn, false) {
+				return nil, fmt.Errorf("exec: partial holds no column that finishes %s", item.Expr)
+			}
+			cols[i] = p.aggs[agg].finished(fn, p.n)
+		}
+		agg++
 	}
-	return specs, nil
+	return cols, nil
+}
+
+// finished returns the aggregate's values over the n groups as fn finishes
+// them. Counts, integer sums and MIN/MAX values are the column's own
+// arrays; what needs folding — float parts, a sketch — is finished once per
+// group, not once per comparison.
+func (a *aggColumn) finished(fn aggFn, n int) valueColumn {
+	switch {
+	case fn == aggMin || fn == aggMax:
+		return a.vals
+	case fn == aggCount:
+		return valueColumn{kind: value.KindInt64, ints: a.counts}
+	case fn == aggSum && a.has&arrSumI != 0:
+		return valueColumn{kind: value.KindInt64, ints: a.sumI}
+	case fn == aggCountDistinct:
+		ints := make([]int64, n)
+		for i := range ints {
+			ints[i] = sketch.EstimateSorted(a.hashes.at(i), a.m)
+		}
+		return valueColumn{kind: value.KindInt64, ints: ints}
+	}
+	flts := make([]float64, n)
+	for i := range flts {
+		switch {
+		case fn == aggSum:
+			flts[i] = a.sumFloat(i)
+		case a.counts[i] == 0: // the AVG of a group that saw no row is 0
+		case a.has&arrSumI != 0:
+			flts[i] = float64(a.sumI[i]) / float64(a.counts[i])
+		default:
+			flts[i] = a.sumFloat(i) / float64(a.counts[i])
+		}
+	}
+	return valueColumn{kind: value.KindFloat64, flts: flts}
 }
 
 // ApplyOrderLimit applies stmt's ORDER BY and LIMIT to an assembled

@@ -133,24 +133,18 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 	}
 
 	// The same groups as a merged partial: keys as values, arrival order.
-	pgs, err := e.partialGroups(p, groups)
+	emitted, err := e.emitPartial(p, groups)
 	if err != nil {
-		t.Fatalf("partialGroups %q: %v", q, err)
+		t.Fatalf("emitPartial %q: %v", q, err)
 	}
-	rng.Shuffle(len(pgs), func(i, j int) { pgs[i], pgs[j] = pgs[j], pgs[i] })
-	specs, err := partialItemSpecs(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := emitted.rowwise()
+	rng.Shuffle(len(ref.Groups), func(i, j int) { ref.Groups[i], ref.Groups[j] = ref.Groups[j], ref.Groups[i] })
+	specs := refItemSpecs(t, stmt)
 	var prows [][]value.Value
-	for i := range pgs {
-		row, err := partialRow(specs, &pgs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		prows = append(prows, row)
+	for i := range ref.Groups {
+		prows = append(prows, refRow(specs, &ref.Groups[i]))
 	}
-	pres, err := FinalizePartial(stmt, &Partial{Columns: columns, Groups: pgs})
+	pres, err := FinalizePartial(stmt, ref.columnar(emitted.layoutsOf()))
 	if err != nil {
 		t.Fatalf("FinalizePartial %q: %v", q, err)
 	}

@@ -7,71 +7,130 @@ package exec
 // fail loud on an incompatible layout, and intermediate mixers must be
 // able to re-ship what they merged without re-encoding surprises.
 //
-// Layout (all multi-byte integers are uvarint/varint; floats are 8-byte
-// little-endian IEEE-754 bits):
+// The layout is the partial's own: column after column, each array whole.
+// Integers are uvarint (counts, lengths) or zigzag varint (values); floats
+// and hashes are 8 bytes little-endian. docs/cluster.md has it as a table.
 //
 //	byte    version (PartialWireVersion)
-//	uvarint #columns, then each as (uvarint len, bytes)
-//	uvarint #stat counters, then each as varint — in the fixed order of
-//	        statsCounters; the list is append-only, so a decoder reads
+//	uvarint #columns, then each name as (uvarint len, bytes)
+//	uvarint #stat counters, then each as varint — QueryStats' fields in
+//	        declaration order; the list is append-only, so a decoder reads
 //	        what it knows and skips trailing counters from newer peers
-//	uvarint #groups, then per group:
-//	  uvarint #keys, then each value as (kind byte, payload)
-//	  uvarint #cells, then per cell:
-//	    byte    flags (1 SumIsInt, 2 has Min, 4 has Max)
-//	    varint  Count, varint SumI, fixed64 SumF
-//	    uvarint #SumFParts, then each as fixed64
-//	    value   Min (if flagged), value Max (if flagged)
-//	    uvarint len(Sketch), bytes
+//	uvarint n, the number of groups
+//	uvarint #key columns, then each as a value column: a kind byte, then n
+//	        varints, n floats, or n string lengths and the strings' bytes
+//	uvarint #aggregate columns, then per column a presence mask byte (see
+//	        aggArrays) and the arrays it names, in mask order: n varints
+//	        (counts, sums); n run lengths and every float of every run
+//	        (parts); a value column (min or max); uvarint m, n run lengths
+//	        and every hash of every run, ascending within a run (sketch)
+//
+// The decoder bounds every count by the bytes that remain before it
+// allocates, so a corrupt reply costs an error, never memory; and it cuts
+// strings out of the payload instead of copying them, so the payload
+// belongs to the partial it decoded to.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 
 	"powerdrill/internal/value"
 )
 
 // PartialWireVersion is the current encoding version. Bump it when the
 // layout changes incompatibly; append new stat counters instead when that
-// is the only change.
-const PartialWireVersion = 1
-
-const (
-	cellFlagSumIsInt = 1 << iota
-	cellFlagHasMin
-	cellFlagHasMax
-)
+// is the only change. Version 1 wrote group after group, cell after cell.
+const PartialWireVersion = 2
 
 // EncodePartial serializes p into the versioned wire form.
 func EncodePartial(p *Partial) []byte {
-	b := make([]byte, 0, 256)
+	size := 256 + 4*p.n*(len(p.keys)+len(p.aggs)) // a guess at the varints
+	for k := range p.keys {
+		size += len(p.keys[k].arena)
+	}
+	for j := range p.aggs {
+		size += len(p.aggs[j].vals.arena) + 8*(len(p.aggs[j].parts.vals)+len(p.aggs[j].hashes.vals))
+	}
+	b := make([]byte, 0, size)
 	b = append(b, PartialWireVersion)
 	b = binary.AppendUvarint(b, uint64(len(p.Columns)))
 	for _, c := range p.Columns {
-		b = appendWireString(b, c)
+		b = binary.AppendUvarint(b, uint64(len(c)))
+		b = append(b, c...)
 	}
 	counters := statsCounters(&p.Stats)
 	b = binary.AppendUvarint(b, uint64(len(counters)))
-	for _, v := range counters {
-		b = binary.AppendVarint(b, v)
+	b = appendVarints(b, counters)
+	b = binary.AppendUvarint(b, uint64(p.n))
+	b = binary.AppendUvarint(b, uint64(len(p.keys)))
+	for k := range p.keys {
+		b = appendValueColumn(b, &p.keys[k])
 	}
-	b = binary.AppendUvarint(b, uint64(len(p.Groups)))
-	for _, g := range p.Groups {
-		b = binary.AppendUvarint(b, uint64(len(g.Keys)))
-		for _, k := range g.Keys {
-			b = appendWireValue(b, k)
+	b = binary.AppendUvarint(b, uint64(len(p.aggs)))
+	for j := range p.aggs {
+		a := &p.aggs[j]
+		b = append(b, byte(a.has))
+		if a.has&arrCounts != 0 {
+			b = appendVarints(b, a.counts)
 		}
-		b = binary.AppendUvarint(b, uint64(len(g.Cells)))
-		for i := range g.Cells {
-			b = appendWireCell(b, &g.Cells[i])
+		if a.has&arrSumI != 0 {
+			b = appendVarints(b, a.sumI)
+		}
+		if a.has&arrParts != 0 {
+			b = appendRuns(b, &a.parts)
+		}
+		if a.has&(arrMin|arrMax) != 0 {
+			b = appendValueColumn(b, &a.vals)
+		}
+		if a.has&arrSketch != 0 {
+			b = appendRuns(binary.AppendUvarint(b, uint64(a.m)), &a.hashes)
 		}
 	}
 	return b
 }
 
-// DecodePartial parses data produced by EncodePartial (any process, any
-// build — the version byte gates compatibility).
+func appendVarints(b []byte, vs []int64) []byte {
+	for _, v := range vs {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// appendLengths writes the lengths of the runs that off delimits.
+func appendLengths(b []byte, off []uint32) []byte {
+	for i := 1; i < len(off); i++ {
+		b = binary.AppendUvarint(b, uint64(off[i]-off[i-1]))
+	}
+	return b
+}
+
+func appendRuns(b []byte, r *runColumn) []byte {
+	b = appendLengths(b, r.off)
+	for _, v := range r.vals {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+func appendValueColumn(b []byte, c *valueColumn) []byte {
+	b = append(b, byte(c.kind))
+	switch c.kind {
+	case value.KindInt64:
+		return appendVarints(b, c.ints)
+	case value.KindFloat64:
+		for _, v := range c.flts {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	return append(appendLengths(b, c.off), c.arena...)
+}
+
+// DecodePartial parses a payload EncodePartial produced (any process, any
+// build — the version byte gates compatibility) and takes it over: the
+// partial's strings are slices of data, which must not be written again.
 func DecodePartial(data []byte) (*Partial, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("exec: decode partial: empty payload")
@@ -81,80 +140,35 @@ func DecodePartial(data []byte) (*Partial, error) {
 	}
 	r := &wireReader{b: data[1:]}
 	p := &Partial{}
-	for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-		p.Columns = append(p.Columns, r.str())
-	}
-	nStats := r.uvarint()
-	counters := make([]int64, nStats)
-	for i := range counters {
-		counters[i] = r.varint()
-	}
-	setStatsCounters(&p.Stats, counters)
-	nGroups := r.uvarint()
-	for gi := uint64(0); gi < nGroups && r.err == nil; gi++ {
-		var g PartialGroup
-		for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-			g.Keys = append(g.Keys, r.value())
+	if n := r.count(1); n > 0 {
+		p.Columns = make([]string, n)
+		for i := range p.Columns {
+			p.Columns[i] = string(r.take(r.count(1)))
 		}
-		for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-			g.Cells = append(g.Cells, r.cell())
-		}
-		p.Groups = append(p.Groups, g)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("exec: decode partial: %d trailing bytes", len(r.b))
+	setStatsCounters(&p.Stats, r.varints(r.count(1)))
+	// Every array is checked against the bytes it needs; the group count of
+	// a partial without arrays at least against the bytes there are.
+	p.n = r.count(1)
+	if n := r.count(1); n > 0 {
+		p.keys = make([]valueColumn, n)
+		for k := range p.keys {
+			p.keys[k] = r.valueColumn(p.n)
+		}
+	}
+	if n := r.count(1); n > 0 {
+		p.aggs = make([]aggColumn, n)
+		for j := range p.aggs {
+			r.aggColumn(&p.aggs[j], p.n)
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	return p, nil
-}
-
-func appendWireString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendWireValue(b []byte, v value.Value) []byte {
-	b = append(b, byte(v.Kind()))
-	switch v.Kind() {
-	case value.KindString:
-		b = appendWireString(b, v.Str())
-	case value.KindInt64:
-		b = binary.AppendVarint(b, v.Int())
-	case value.KindFloat64:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-	}
-	return b
-}
-
-func appendWireCell(b []byte, c *PartialCell) []byte {
-	var flags byte
-	if c.SumIsInt {
-		flags |= cellFlagSumIsInt
-	}
-	if c.Min.IsValid() {
-		flags |= cellFlagHasMin
-	}
-	if c.Max.IsValid() {
-		flags |= cellFlagHasMax
-	}
-	b = append(b, flags)
-	b = binary.AppendVarint(b, c.Count)
-	b = binary.AppendVarint(b, c.SumI)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.SumF))
-	b = binary.AppendUvarint(b, uint64(len(c.SumFParts)))
-	for _, v := range c.SumFParts {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	if c.Min.IsValid() {
-		b = appendWireValue(b, c.Min)
-	}
-	if c.Max.IsValid() {
-		b = appendWireValue(b, c.Max)
-	}
-	b = binary.AppendUvarint(b, uint64(len(c.Sketch)))
-	return append(b, c.Sketch...)
 }
 
 // wireReader consumes the payload; the first malformed read sticks in err
@@ -164,9 +178,9 @@ type wireReader struct {
 	err error
 }
 
-func (r *wireReader) fail() {
+func (r *wireReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("exec: decode partial: truncated payload")
+		r.err = fmt.Errorf("exec: decode partial: "+format, args...)
 	}
 }
 
@@ -176,175 +190,165 @@ func (r *wireReader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		r.fail()
+		r.fail("truncated payload")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *wireReader) varint() int64 {
+// count reads the number of elements that follow, each at least size bytes
+// on the wire.
+func (r *wireReader) count(size int) int { return r.fits(r.uvarint(), size) }
+
+// fits returns n, unless an earlier read failed or the bytes that remain
+// cannot hold n elements of size bytes: nothing is allocated from a count
+// that has not passed here.
+func (r *wireReader) fits(n uint64, size int) int {
+	if r.err == nil && n > uint64(len(r.b)/size) {
+		r.fail("%d elements of %d bytes in the %d that remain", n, size, len(r.b))
+	}
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
+	return int(n)
 }
 
+// take cuts off the next n bytes, a number that fits.
 func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.fail()
-		return nil
-	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
 }
 
-func (r *wireReader) str() string {
-	n := r.uvarint()
-	return string(r.take(int(n)))
+func (r *wireReader) varints(n int) []int64 {
+	out := make([]int64, r.fits(uint64(n), 1))
+	b := r.b // a local: the loop must not store through r for every value
+	for i := range out {
+		v, w := binary.Varint(b)
+		if w <= 0 {
+			r.fail("truncated payload")
+			return nil
+		}
+		out[i], b = v, b[w:]
+	}
+	r.b = b
+	return out
 }
 
-func (r *wireReader) float() float64 {
-	raw := r.take(8)
-	if r.err != nil {
-		return 0
+func (r *wireReader) floats(n int) []float64 {
+	out := make([]float64, r.fits(uint64(n), 8))
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	r.take(8 * len(out))
+	return out
 }
 
-func (r *wireReader) value() value.Value {
-	kind := r.take(1)
-	if r.err != nil {
-		return value.Value{}
+// lengths reads n run lengths, each at most limit, as the n+1 offsets that
+// delimit runs of elements of size bytes.
+func (r *wireReader) lengths(n, size int, limit uint64) []uint32 {
+	off := make([]uint32, r.fits(uint64(n), 1)+1)
+	b, total := r.b, uint64(0)
+	for i := 1; i < len(off); i++ {
+		l, w := binary.Uvarint(b)
+		if w <= 0 || l > limit || total+l > math.MaxUint32 {
+			r.fail("run %d of %d elements after %d, at most %d allowed", i-1, l, total, limit)
+			return []uint32{0}
+		}
+		total, b = total+l, b[w:]
+		off[i] = uint32(total)
 	}
-	switch value.Kind(kind[0]) {
-	case value.KindString:
-		return value.String(r.str())
+	r.b = b
+	if r.fits(total, size) != int(total) {
+		return []uint32{0}
+	}
+	return off
+}
+
+// runs reads n runs of 8-byte values, of at most limit values each.
+func (r *wireReader) runs(n int, limit uint64) runColumn {
+	c := runColumn{off: r.lengths(n, 8, limit)}
+	c.vals = make([]uint64, c.off[len(c.off)-1])
+	for i := range c.vals {
+		c.vals[i] = binary.LittleEndian.Uint64(r.b[8*i:])
+	}
+	r.take(8 * len(c.vals))
+	return c
+}
+
+func (r *wireReader) valueColumn(n int) valueColumn {
+	var c valueColumn
+	if kind := r.take(r.fits(1, 1)); len(kind) == 1 {
+		c.kind = value.Kind(kind[0])
+	}
+	switch c.kind {
 	case value.KindInt64:
-		return value.Int64(r.varint())
+		c.ints = r.varints(n)
 	case value.KindFloat64:
-		return value.Float64(r.float())
-	case value.KindInvalid:
-		return value.Value{}
-	}
-	r.err = fmt.Errorf("exec: decode partial: unknown value kind %d", kind[0])
-	return value.Value{}
-}
-
-func (r *wireReader) cell() PartialCell {
-	flagsRaw := r.take(1)
-	if r.err != nil {
-		return PartialCell{}
-	}
-	flags := flagsRaw[0]
-	c := PartialCell{SumIsInt: flags&cellFlagSumIsInt != 0}
-	c.Count = r.varint()
-	c.SumI = r.varint()
-	c.SumF = r.float()
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.b)/8) {
-			r.fail()
-			return PartialCell{}
-		}
-		c.SumFParts = make([]float64, n)
-		for i := range c.SumFParts {
-			c.SumFParts[i] = r.float()
-		}
-	}
-	if flags&cellFlagHasMin != 0 {
-		c.Min = r.value()
-	}
-	if flags&cellFlagHasMax != 0 {
-		c.Max = r.value()
-	}
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		c.Sketch = append([]byte(nil), r.take(int(n))...)
+		c.flts = r.floats(n)
+	case value.KindString:
+		c.off = r.lengths(n, 1, math.MaxUint32)
+		c.arena = r.take(int(c.off[len(c.off)-1]))
+	default:
+		r.fail("unknown value kind %d", c.kind)
 	}
 	return c
 }
 
-// statsCounters snapshots every QueryStats counter in wire order. The
-// order is append-only: add new counters at the end (and mirror them in
-// setStatsCounters) so older decoders skip them and newer decoders
-// zero-fill; TestWireStatsCoversEveryField enforces the mirror.
-func statsCounters(qs *QueryStats) []int64 {
-	return []int64{
-		int64(qs.ChunksTotal),
-		int64(qs.ChunksSkipped),
-		int64(qs.ChunksCached),
-		int64(qs.ChunksScanned),
-		qs.RowsScanned,
-		qs.RowsCached,
-		qs.RowsSkipped,
-		qs.CellsCovered,
-		qs.CellsScanned,
-		int64(qs.ActiveChunks),
-		int64(qs.SkippedChunks),
-		int64(qs.ColdLoads),
-		int64(qs.ColdChunkLoads),
-		int64(qs.ColdDictLoads),
-		qs.ColdBytesLoaded,
-		qs.DiskBytesRead,
-		int64(qs.ChecksumVerified),
-		int64(qs.ChecksumFailed),
-		int64(qs.CacheSkippedChunks),
-		int64(qs.ReadRuns),
-		int64(qs.CoalescedReads),
-		int64(qs.BloomSkippedChunks),
-		int64(qs.KernelChunks),
-		int64(qs.ScalarChunks),
-		qs.RowsTotal,
-		qs.RowsCovered,
-		int64(qs.ShardsMissing),
+func (r *wireReader) aggColumn(a *aggColumn, n int) {
+	if has := r.take(r.fits(1, 1)); len(has) == 1 {
+		a.has = aggArrays(has[0])
 	}
+	if a.has >= arrSketch<<1 || a.has&arrMin != 0 && a.has&arrMax != 0 {
+		r.fail("aggregate presence mask %#x", a.has)
+	}
+	if a.has&arrCounts != 0 {
+		a.counts = r.varints(n)
+	}
+	if a.has&arrSumI != 0 {
+		a.sumI = r.varints(n)
+	}
+	if a.has&arrParts != 0 {
+		a.parts = r.runs(n, math.MaxUint32)
+	}
+	if a.has&(arrMin|arrMax) != 0 {
+		a.vals = r.valueColumn(n)
+	}
+	if a.has&arrSketch != 0 {
+		m := r.uvarint()
+		if m > math.MaxInt32 {
+			r.fail("sketch parameter m = %d", m)
+		}
+		a.m, a.hashes = int(m), r.runs(n, m)
+		for g := 0; g+1 < len(a.hashes.off); g++ {
+			for run := a.hashes.at(g); len(run) > 1; run = run[1:] {
+				if run[0] >= run[1] {
+					r.fail("sketch %d is not ascending", g)
+					return
+				}
+			}
+		}
+	}
+}
+
+// statsCounters snapshots QueryStats' counters — every field, in declaration
+// order, which is therefore append-only: add new counters at the end of the
+// struct, so older decoders skip them and newer decoders zero-fill.
+func statsCounters(qs *QueryStats) []int64 {
+	v := reflect.ValueOf(qs).Elem()
+	out := make([]int64, v.NumField())
+	for i := range out {
+		out[i] = v.Field(i).Int()
+	}
+	return out
 }
 
 // setStatsCounters is the inverse of statsCounters; counters beyond the
 // known list (a newer peer) are ignored, missing ones stay zero.
 func setStatsCounters(qs *QueryStats, vals []int64) {
-	dst := []func(int64){
-		func(v int64) { qs.ChunksTotal = int(v) },
-		func(v int64) { qs.ChunksSkipped = int(v) },
-		func(v int64) { qs.ChunksCached = int(v) },
-		func(v int64) { qs.ChunksScanned = int(v) },
-		func(v int64) { qs.RowsScanned = v },
-		func(v int64) { qs.RowsCached = v },
-		func(v int64) { qs.RowsSkipped = v },
-		func(v int64) { qs.CellsCovered = v },
-		func(v int64) { qs.CellsScanned = v },
-		func(v int64) { qs.ActiveChunks = int(v) },
-		func(v int64) { qs.SkippedChunks = int(v) },
-		func(v int64) { qs.ColdLoads = int(v) },
-		func(v int64) { qs.ColdChunkLoads = int(v) },
-		func(v int64) { qs.ColdDictLoads = int(v) },
-		func(v int64) { qs.ColdBytesLoaded = v },
-		func(v int64) { qs.DiskBytesRead = v },
-		func(v int64) { qs.ChecksumVerified = int(v) },
-		func(v int64) { qs.ChecksumFailed = int(v) },
-		func(v int64) { qs.CacheSkippedChunks = int(v) },
-		func(v int64) { qs.ReadRuns = int(v) },
-		func(v int64) { qs.CoalescedReads = int(v) },
-		func(v int64) { qs.BloomSkippedChunks = int(v) },
-		func(v int64) { qs.KernelChunks = int(v) },
-		func(v int64) { qs.ScalarChunks = int(v) },
-		func(v int64) { qs.RowsTotal = v },
-		func(v int64) { qs.RowsCovered = v },
-		func(v int64) { qs.ShardsMissing = int(v) },
-	}
-	for i, v := range vals {
-		if i >= len(dst) {
-			break
-		}
-		dst[i](v)
+	v := reflect.ValueOf(qs).Elem()
+	for i := 0; i < min(len(vals), v.NumField()); i++ {
+		v.Field(i).SetInt(vals[i])
 	}
 }

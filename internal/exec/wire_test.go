@@ -1,37 +1,64 @@
 package exec
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"powerdrill/internal/sketch"
 	"powerdrill/internal/value"
 )
 
+// samplePartial holds every kind of key column and every aggregate array.
 func samplePartial() *Partial {
-	return &Partial{
-		Columns: []string{"country", "sum(f)", "cnt"},
+	sk := sketch.NewKMV(4)
+	for _, h := range []uint64{9, 3, 1 << 63} {
+		sk.AddHash(h)
+	}
+	ref := &refPartial{
+		Columns: []string{"country", "n", "f", "sum(n)", "avg(f)", "min(s)", "max(f)", "distinct"},
 		Stats: QueryStats{
 			ChunksTotal: 7, ChunksScanned: 3, RowsScanned: 1000,
 			RowsTotal: 5000, RowsCovered: 5000, ShardsMissing: 1,
 		},
-		Groups: []PartialGroup{
+		Groups: []refGroup{
 			{
-				Keys: []value.Value{value.String("ch"), value.Int64(3)},
-				Cells: []PartialCell{
-					{Count: 12, SumI: 40, SumIsInt: true, Min: value.Int64(-3), Max: value.Int64(9)},
-					{Count: 12, SumF: 1.5, SumFParts: []float64{0.25, 1.25}, Sketch: []byte{1, 2, 3}},
+				Keys: []value.Value{value.String("ch"), value.Int64(3), value.Float64(math.Inf(-1))},
+				Cells: []refCell{
+					{Count: 12, SumI: -40, SumIsInt: true},
+					{Count: 12, SumFParts: []float64{0.25, 1.25}},
+					{Min: value.String("a")},
+					{Max: value.Float64(math.NaN())},
+					{Sketch: sk},
 				},
 			},
 			{
-				Keys: []value.Value{value.Float64(math.Inf(-1)), value.Value{}},
-				Cells: []PartialCell{
-					{Count: 1, SumF: math.Copysign(0, -1), SumFParts: []float64{math.Copysign(0, -1)}},
-					{Min: value.String("a"), Max: value.String("z")},
+				Keys: []value.Value{value.String(""), value.Int64(math.MinInt64), value.Float64(math.Copysign(0, -1))},
+				Cells: []refCell{
+					{Count: 1, SumI: math.MaxInt64, SumIsInt: true},
+					{SumFParts: []float64{math.Copysign(0, -1)}},
+					{Min: value.String("")},
+					{Max: value.Float64(9)},
+					{},
 				},
 			},
 		},
+	}
+	return ref.columnar(
+		[]aggArrays{arrCounts | arrSumI, arrCounts | arrParts, arrMin, arrMax, arrSketch},
+		[]value.Kind{value.KindString, value.KindInt64, value.KindFloat64},
+		[]value.Kind{0, 0, value.KindString, value.KindFloat64, 0}, 4)
+}
+
+// requireSamePartial demands equal partials: the same encoding (which
+// covers every array) and the same row-wise rendering.
+func requireSamePartial(t testing.TB, what string, got, want *Partial) {
+	t.Helper()
+	if !bytes.Equal(EncodePartial(got), EncodePartial(want)) {
+		t.Fatalf("%s: partials differ:\n got %s\nwant %s", what, got.rowwise(), want.rowwise())
 	}
 }
 
@@ -41,8 +68,9 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(p, got) {
-		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", p, got)
+	requireSamePartial(t, "round trip", got, p)
+	if in, out := p.rowwise().String(), got.rowwise().String(); in != out || got.NumGroups() != 2 {
+		t.Fatalf("round trip mismatch:\n in  %s\n out %s", in, out)
 	}
 }
 
@@ -94,6 +122,11 @@ func TestWireVersionGate(t *testing.T) {
 	if _, err := DecodePartial(enc); err == nil {
 		t.Fatal("decoding a future version succeeded; want loud failure")
 	}
+	// What the version-1 encoder wrote for an empty partial: version, no
+	// columns, no counters, no groups.
+	if _, err := DecodePartial([]byte{1, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("decoding a version-1 payload: %v; want a version error", err)
+	}
 	if _, err := DecodePartial(nil); err == nil {
 		t.Fatal("decoding empty payload succeeded")
 	}
@@ -115,32 +148,39 @@ func TestWireTruncationSafe(t *testing.T) {
 // total is bit-for-bit identical.
 func TestSumFloatTopologyInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	leaf := func(part float64) *Partial {
+		ref := &refPartial{Columns: []string{"s"}, Groups: []refGroup{{Cells: []refCell{{Count: 1, SumFParts: []float64{part}}}}}}
+		return ref.columnar([]aggArrays{arrCounts | arrParts}, nil, []value.Kind{0}, 0)
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(14)
-		parts := make([]float64, n)
-		for i := range parts {
+		leaves := make([]*Partial, n)
+		for i := range leaves {
 			// Wide magnitude spread makes float addition visibly
 			// non-associative, which is the point of the canonical fold.
-			parts[i] = math.Ldexp(rng.Float64()*2-1, rng.Intn(80)-40)
+			leaves[i] = leaf(math.Ldexp(rng.Float64()*2-1, rng.Intn(80)-40))
 		}
-		flat := PartialCell{SumFParts: append([]float64(nil), parts...)}
-		want := math.Float64bits(flat.sumFloat())
+		flat, err := MergeAll(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Float64bits(flat.aggs[0].sumFloat(0))
 
 		// A random two-level tree over the same parts.
-		tree := PartialCell{}
+		tree := &Partial{}
 		for i := 0; i < n; {
-			w := 1 + rng.Intn(4)
-			if i+w > n {
-				w = n - i
+			w := min(1+rng.Intn(4), n-i)
+			inner, err := MergeAll(leaves[i : i+w])
+			if err != nil {
+				t.Fatal(err)
 			}
-			inner := PartialCell{SumFParts: append([]float64(nil), parts[i:i+w]...)}
-			if err := tree.merge(&inner); err != nil {
+			if err := MergePartials(tree, inner); err != nil {
 				t.Fatal(err)
 			}
 			i += w
 		}
-		if got := math.Float64bits(tree.sumFloat()); got != want {
-			t.Fatalf("trial %d: tree fold %x != flat fold %x", trial, got, want)
+		if got := math.Float64bits(tree.aggs[0].sumFloat(0)); got != want || tree.aggs[0].counts[0] != int64(n) {
+			t.Fatalf("trial %d: tree fold %x of %d != flat fold %x", trial, got, tree.aggs[0].counts[0], want)
 		}
 	}
 }

@@ -136,19 +136,16 @@ func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
 
 // runAggregate merges per-unit partials in unit order.
 func (s *Snapshot) runAggregate(stmt *sql.SelectStmt) (*exec.Result, error) {
-	var merged *exec.Partial
-	for _, u := range s.units {
-		p, err := u.eng.RunPartial(stmt)
-		if err != nil {
+	parts := make([]*exec.Partial, len(s.units))
+	for i, u := range s.units {
+		var err error
+		if parts[i], err = u.eng.RunPartial(stmt); err != nil {
 			return nil, err
 		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		if err := exec.MergePartials(merged, p); err != nil {
-			return nil, err
-		}
+	}
+	merged, err := exec.MergeAll(parts)
+	if err != nil {
+		return nil, err
 	}
 	return exec.FinalizePartial(stmt, merged)
 }

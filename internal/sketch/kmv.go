@@ -129,42 +129,58 @@ func (k *KMV) AddDictionary(hs []uint64) {
 // union replaces the retained hashes by the m smallest distinct hashes of
 // them and the ascending list other.
 func (k *KMV) union(other []uint64) {
-	a, b := k.hashes, other
-	out := slices.Grow(k.spare[:0], min(len(a)+len(b), k.m))
-	for len(out) < k.m && (len(a) > 0 || len(b) > 0) {
+	out := slices.Grow(k.spare[:0], min(len(k.hashes)+len(other), k.m))
+	k.hashes, k.spare = UnionSorted(out, k.hashes, other, k.m), k.hashes
+}
+
+// UnionSorted appends to dst the m smallest distinct hashes of the
+// ascending, duplicate-free lists a and b: the merge of two sketches'
+// retained hashes, for callers that hold them as plain runs (the serving
+// tree's columnar partials). dst must not overlap a or b.
+func UnionSorted(dst, a, b []uint64, m int) []uint64 {
+	base := len(dst)
+	for len(dst)-base < m && (len(a) > 0 || len(b) > 0) {
 		var h uint64
 		if len(b) == 0 || (len(a) > 0 && a[0] <= b[0]) {
 			h, a = a[0], a[1:]
 		} else {
 			h, b = b[0], b[1:]
 		}
-		if len(out) == 0 || out[len(out)-1] != h {
-			out = append(out, h)
+		if len(dst) == base || dst[len(dst)-1] != h {
+			dst = append(dst, h)
 		}
 	}
-	k.hashes, k.spare = out, k.hashes
+	return dst
 }
 
 // Estimate returns the approximate number of distinct values added.
-func (k *KMV) Estimate() int64 {
-	n := len(k.hashes)
+func (k *KMV) Estimate() int64 { return EstimateSorted(k.hashes, k.m) }
+
+// EstimateSorted is Estimate over a sketch's retained hashes — at most m,
+// ascending — held as a plain run.
+func EstimateSorted(hashes []uint64, m int) int64 {
+	n := len(hashes)
 	if n == 0 {
 		return 0
 	}
-	if n < k.m {
+	if n < m {
 		// Fewer than m distinct hashes seen: the sketch is exact.
 		return int64(n)
 	}
-	v := float64(k.hashes[n-1]) / float64(math.MaxUint64) // normalized m-th minimum
+	v := float64(hashes[n-1]) / float64(math.MaxUint64) // normalized m-th minimum
 	if v <= 0 {
 		return int64(n)
 	}
 	return int64(math.Round(float64(n) / v))
 }
 
-// RetainedHashes returns the sorted retained hashes (used by tests and the
-// distributed merge path for deterministic inspection).
+// RetainedHashes returns the sorted retained hashes (used by tests for
+// deterministic inspection).
 func (k *KMV) RetainedHashes() []uint64 { return slices.Clone(k.hashes) }
+
+// AppendHashes appends the sorted retained hashes to dst: how a sketch
+// enters a columnar partial.
+func (k *KMV) AppendHashes(dst []uint64) []uint64 { return append(dst, k.hashes...) }
 
 // Merge folds other into k (union, trimmed back to the m smallest). The
 // sketches may have different m; the result keeps k's m.
@@ -172,37 +188,6 @@ func (k *KMV) Merge(other *KMV) {
 	if other != nil {
 		k.union(other.hashes)
 	}
-}
-
-// Marshal serializes the sketch.
-func (k *KMV) Marshal() []byte {
-	out := make([]byte, 8+8+len(k.hashes)*8)
-	binary.LittleEndian.PutUint64(out[0:], uint64(k.m))
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(k.hashes)))
-	for i, h := range k.hashes {
-		binary.LittleEndian.PutUint64(out[16+i*8:], h)
-	}
-	return out
-}
-
-// UnmarshalKMV reconstructs a sketch serialized by Marshal. The hashes may
-// come in any order: encoders before the sorted layout wrote heap order.
-func UnmarshalKMV(data []byte) (*KMV, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("sketch: truncated header (%d bytes)", len(data))
-	}
-	m := int(binary.LittleEndian.Uint64(data[0:]))
-	n := int(binary.LittleEndian.Uint64(data[8:]))
-	if m <= 0 || n < 0 || n > m || len(data) != 16+n*8 {
-		return nil, fmt.Errorf("sketch: corrupt encoding (m=%d n=%d len=%d)", m, n, len(data))
-	}
-	k := NewKMV(m)
-	hs := make([]uint64, n)
-	for i := range hs {
-		hs[i] = binary.LittleEndian.Uint64(data[16+i*8:])
-	}
-	k.AddDictionary(hs)
-	return k, nil
 }
 
 // MemoryBytes reports the footprint of the retained hash set.

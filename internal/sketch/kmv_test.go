@@ -142,29 +142,27 @@ func TestNewKMVPanicsOnBadM(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	k := NewKMV(128)
-	for i := 0; i < 10_000; i++ {
-		k.AddUint64(uint64(i * 31))
-	}
-	l, err := UnmarshalKMV(k.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalKMV: %v", err)
-	}
-	if l.Estimate() != k.Estimate() || l.M() != k.M() {
-		t.Errorf("round trip changed sketch: %d/%d vs %d/%d", l.Estimate(), l.M(), k.Estimate(), k.M())
-	}
-}
-
-func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	if _, err := UnmarshalKMV(nil); err == nil {
-		t.Error("UnmarshalKMV(nil) succeeded")
-	}
-	k := NewKMV(4)
-	k.AddUint64(1)
-	raw := k.Marshal()
-	if _, err := UnmarshalKMV(raw[:len(raw)-3]); err == nil {
-		t.Error("UnmarshalKMV(truncated) succeeded")
+// TestUnionSortedMatchesMerge pins the plain-run forms the columnar
+// partials use to the sketch's own merge and estimate.
+func TestUnionSortedMatchesMerge(t *testing.T) {
+	for _, m := range []int{4, 64, 4096} {
+		a, b := NewKMV(m), NewKMV(m)
+		for i := 0; i < 300; i++ {
+			a.AddUint64(uint64(i * 31))
+			b.AddUint64(uint64(i * 17))
+		}
+		prefix := []uint64{7}
+		got := UnionSorted(prefix, a.RetainedHashes(), b.RetainedHashes(), m)
+		a.Merge(b)
+		if !reflect.DeepEqual(got[1:], a.RetainedHashes()) || got[0] != 7 {
+			t.Errorf("m=%d: UnionSorted = %v, Merge retains %v", m, got, a.RetainedHashes())
+		}
+		if EstimateSorted(got[1:], m) != a.Estimate() {
+			t.Errorf("m=%d: EstimateSorted = %d, Estimate = %d", m, EstimateSorted(got[1:], m), a.Estimate())
+		}
+		if !reflect.DeepEqual(a.AppendHashes(nil), a.RetainedHashes()) {
+			t.Errorf("m=%d: AppendHashes differs from RetainedHashes", m)
+		}
 	}
 }
 
