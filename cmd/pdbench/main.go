@@ -62,7 +62,6 @@ var experiments = []struct {
 	{"groupby", "Ablation: counts-array vs hash-table group-by", runGroupBy},
 	{"skipping", "Ablation: chunk skipping on/off", runSkipping},
 	{"partitionorder", "Ablation: partition field order sensitivity", runPartitionOrder},
-	{"layers", "Ablation: two-layer (uncompressed/compressed) hybrid", runLayers},
 	{"coldstart", "Section 5: byte-budgeted lazy loading, cold vs warm", runColdStart},
 	{"chunkres", "Section 5: chunk-granular residency vs restriction selectivity", runChunkRes},
 	{"coldio", "Cold I/O: per-chunk compression, coalesced runs, cache-aware skips", runColdIO},
