@@ -7,7 +7,6 @@ import (
 	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/sketch"
-	"powerdrill/internal/value"
 )
 
 // accCell accumulates one aggregate for one group. Minimum and maximum are
@@ -83,6 +82,15 @@ func (d *distinctCell) merge(o *distinctCell) {
 	for g := range o.exact {
 		d.addID(g)
 	}
+}
+
+// count is the cell's COUNT(DISTINCT) answer: the exact set's size, or the
+// sketch's estimate.
+func (d *distinctCell) count() int64 {
+	if d.sketch != nil {
+		return d.sketch.Estimate()
+	}
+	return int64(len(d.exact))
 }
 
 // sizeBytes estimates the cache footprint of the cell.
@@ -628,223 +636,4 @@ func groupOccupied(gelems []uint32, mask *enc.Bitmap, g int) bool {
 		}
 	})
 	return found
-}
-
-// finalize selects the result's groups in id space and renders only those:
-// ORDER BY compares accumulators and group global-ids where they lie (see
-// groupOrderTerms), LIMIT bounds the selection, and dictionary values —
-// group keys included — are looked up for the surviving rows alone. This
-// is the Section 2.5 step: "after identifying the top 10 chunk-ids ... the
-// original table name string values need to be looked up in the
-// dictionary" for just those ten rows, never for all groups. (A HAVING
-// renders every group once, to filter on; see rowSelection.)
-func (e *Engine) finalize(p *plan, groups *groupTable) (*Result, error) {
-	res := &Result{}
-	for _, it := range p.items {
-		res.Columns = append(res.Columns, it.name)
-	}
-	items := orderItems(p.stmt)
-	if err := checkOrderItems(p.stmt, items); err != nil {
-		return nil, err
-	}
-	sel, err := newRowSelection(p.stmt, res.Columns, e.groupOrderTerms(p, groups, items),
-		func(c int) ([]value.Value, error) { return e.groupRow(p, groups, uint32(c)) })
-	if err != nil {
-		return nil, err
-	}
-	if err := groups.forEach(func(gid uint32) error { return sel.offer(int(gid)) }); err != nil {
-		return nil, err
-	}
-	if res.Rows, err = sel.rows(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// groupOrderTerms compiles the ORDER BY keys (items: the select item each
-// names) into comparisons of two groups, given by global-id, on the state
-// the group table already holds: an aggregate key compares accumulators
-// (see cellComparer), a group-key column compares ids. Every dictionary is
-// sorted, so id order is value order: the lone group column's id is the
-// group's global-id itself, and a composite key's per-column ids are read
-// out of the composite dictionary's entry — lazily, only when the terms
-// before it tie.
-func (e *Engine) groupOrderTerms(p *plan, groups *groupTable, items []int) []orderTerm {
-	terms := make([]orderTerm, len(items))
-	for k, idx := range items {
-		it := p.items[idx]
-		terms[k].desc = p.stmt.OrderBy[k].Desc
-		switch {
-		case it.aggIdx >= 0 && p.aggs[it.aggIdx].fn == aggCountDistinct:
-			j := it.aggIdx
-			terms[k].cmp = func(a, b int) int {
-				return compareInts(e.distinct(&groups.dist(uint32(a))[j]), e.distinct(&groups.dist(uint32(b))[j]))
-			}
-		case it.aggIdx >= 0:
-			j := it.aggIdx
-			cmp := cellComparer(p, j)
-			terms[k].cmp = func(a, b int) int {
-				return cmp(&groups.accs(uint32(a))[j], &groups.accs(uint32(b))[j])
-			}
-		case p.composite == "":
-			terms[k].cmp = func(a, b int) int { return a - b }
-		default:
-			keys, pos := p.col(e, p.composite).Dict, it.groupIdx
-			terms[k].cmp = func(a, b int) int {
-				return compareInts(compositeID(keys, uint32(a), pos), compositeID(keys, uint32(b), pos))
-			}
-		}
-	}
-	return terms
-}
-
-// compositeID reads the pos-th column's global-id out of a composite group
-// key, for ordering: a malformed key (groupKeyValues reports those as
-// corrupt when the row is rendered) ranks as id 0.
-func compositeID(keys dict.Dict, gid uint32, pos int) int64 {
-	id, _ := compositeSub(keys.Value(gid).Str(), pos)
-	return int64(id)
-}
-
-// compositeSub parses the pos-th global-id of a composite key:
-// materializeComposite writes each as 8 hex digits, one separator between.
-func compositeSub(key string, pos int) (uint32, bool) {
-	if len(key) < 9*pos+8 {
-		return 0, false
-	}
-	var id uint32
-	for _, c := range []byte(key[9*pos : 9*pos+8]) {
-		switch {
-		case c >= '0' && c <= '9':
-			id = id<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			id = id<<4 | uint32(c-'a'+10)
-		default:
-			return 0, false
-		}
-	}
-	return id, true
-}
-
-// cellComparer orders two accumulators of aggregate j exactly as their
-// rendered values (aggValue) would order, without rendering them: counts
-// and integer sums as integers, float sums and AVG quotients as floats,
-// MIN and MAX by global-id (the argument dictionary is sorted). COUNT
-// DISTINCT orders by its estimate, which is not in the accCell: see
-// groupOrderTerms.
-func cellComparer(p *plan, j int) func(a, b *accCell) int {
-	isInt := p.aggInt[j]
-	switch p.aggs[j].fn {
-	case aggSum:
-		if isInt {
-			return func(a, b *accCell) int { return compareInts(a.sumI, b.sumI) }
-		}
-		return func(a, b *accCell) int { return compareFloats(a.sumF, b.sumF) }
-	case aggAvg:
-		return func(a, b *accCell) int { return compareFloats(a.avg(isInt), b.avg(isInt)) }
-	case aggMin:
-		return func(a, b *accCell) int { return compareInts(int64(a.minID), int64(b.minID)) }
-	case aggMax:
-		return func(a, b *accCell) int { return compareInts(int64(a.maxID), int64(b.maxID)) }
-	}
-	return func(a, b *accCell) int { return compareInts(a.count, b.count) }
-}
-
-// groupRow renders one group's result row: aggregate values and group-key
-// values, looked up in the dictionaries.
-func (e *Engine) groupRow(p *plan, groups *groupTable, gid uint32) ([]value.Value, error) {
-	accs, dist := groups.accs(gid), groups.dist(gid)
-	keyVals, err := e.groupKeyValues(p, gid)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]value.Value, len(p.items))
-	for i, it := range p.items {
-		switch {
-		case it.aggIdx >= 0:
-			v, err := e.aggValue(p, it.aggIdx, accs, dist)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		case it.groupIdx >= 0:
-			row[i] = keyVals[it.groupIdx]
-		}
-	}
-	return row, nil
-}
-
-// groupKeyValues decodes a group global-id into the per-group-expression
-// values.
-func (e *Engine) groupKeyValues(p *plan, gid uint32) ([]value.Value, error) {
-	switch {
-	case p.composite != "":
-		key := p.col(e, p.composite).Dict.Value(gid).Str()
-		out := make([]value.Value, len(p.groupCols))
-		for i := range out {
-			sub, ok := compositeSub(key, i)
-			if !ok || len(key) != 9*len(out)-1 {
-				return nil, fmt.Errorf("exec: corrupt composite key %q", key)
-			}
-			out[i] = p.col(e, p.groupCols[i]).Dict.Value(sub)
-		}
-		return out, nil
-	case len(p.groupCols) == 1:
-		return []value.Value{p.col(e, p.groupCols[0]).Dict.Value(gid)}, nil
-	}
-	return nil, nil
-}
-
-// avg is the cell's AVG quotient; 0 for a cell that saw no row.
-func (c *accCell) avg(isInt bool) float64 {
-	if c.count == 0 {
-		return 0
-	}
-	total := c.sumF
-	if isInt {
-		total = float64(c.sumI)
-	}
-	return total / float64(c.count)
-}
-
-// distinct is the cell's COUNT(DISTINCT) answer.
-func (e *Engine) distinct(d *distinctCell) int64 {
-	if e.opts.ExactDistinct {
-		return int64(len(d.exact))
-	}
-	if d.sketch == nil {
-		return 0
-	}
-	return d.sketch.Estimate()
-}
-
-// aggValue renders aggregate j's final value from a group's accumulators
-// (and its distinct cells, when the plan has any).
-func (e *Engine) aggValue(p *plan, j int, accs []accCell, dist []distinctCell) (value.Value, error) {
-	cell := &accs[j]
-	switch spec := p.aggs[j]; spec.fn {
-	case aggCount:
-		return value.Int64(cell.count), nil
-	case aggSum:
-		if p.aggInt[j] {
-			return value.Int64(cell.sumI), nil
-		}
-		return value.Float64(cell.sumF), nil
-	case aggAvg:
-		return value.Float64(cell.avg(p.aggInt[j])), nil
-	case aggMin:
-		if !cell.hasMM {
-			return value.Value{}, fmt.Errorf("exec: MIN over empty group")
-		}
-		return p.aggCols[j].Dict.Value(cell.minID), nil
-	case aggMax:
-		if !cell.hasMM {
-			return value.Value{}, fmt.Errorf("exec: MAX over empty group")
-		}
-		return p.aggCols[j].Dict.Value(cell.maxID), nil
-	case aggCountDistinct:
-		return value.Int64(e.distinct(&dist[j])), nil
-	default:
-		return value.Value{}, fmt.Errorf("exec: unknown aggregate %d", spec.fn)
-	}
 }

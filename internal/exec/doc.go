@@ -40,9 +40,15 @@
 //     get the exact classification on their chunk dictionaries — skip /
 //     fully active (cacheable) / partial — and active ones are aggregated,
 //     fanned out over admission-gated workers.
-//  5. Finalize: ORDER BY and LIMIT select groups in id space (topk.go),
-//     HAVING applies, the surviving rows' keys and values decode through
-//     pinned dictionaries, pins release.
+//  5. Emit and finalize: the merged group table is written out as a
+//     columnar Partial (emitPartial) with keys and MIN/MAX still
+//     global-ids beside their pinned dictionaries. RunPartial resolves
+//     those to values and hands the partial up the tree; Run finalizes it
+//     right there with FinalizePartial — the one finalizer, the same call
+//     a cluster root or an ingest snapshot makes on a merged partial:
+//     ORDER BY and LIMIT select groups on ids (topk.go), HAVING applies,
+//     and only the surviving rows' keys and values decode through the
+//     dictionaries. Then the pins release.
 //
 // # Admission control
 //

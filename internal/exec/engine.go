@@ -299,12 +299,15 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		var groups *groupTable
-		groups, qs, err = e.executeChunks(p)
+		// One finalizer: the engine finishes the partial it would emit to a
+		// mixer, in id form — keys and MIN/MAX are looked up in the
+		// dictionaries, still pinned here, for the rows LIMIT keeps.
+		var part *Partial
+		part, qs, err = e.runGroupBy(p)
 		if err != nil {
 			return nil, err
 		}
-		res, err = e.finalize(p, groups)
+		res, err = FinalizePartial(stmt, part)
 		if err != nil {
 			return nil, err
 		}
@@ -546,13 +549,6 @@ func (a aggSpec) signature() string {
 	return fmt.Sprintf("%d(%s)", a.fn, a.argCol)
 }
 
-// outItem maps a select item to its source: a group key or an aggregate.
-type outItem struct {
-	name     string // output column name (alias or canonical expr)
-	groupIdx int    // ≥0: index into group exprs
-	aggIdx   int    // ≥0: index into aggSpecs
-}
-
 // plan is a compiled query: the one object the prune, pin, scan and
 // finalize steps read.
 type plan struct {
@@ -562,8 +558,8 @@ type plan struct {
 	groupKind []value.Kind
 	composite string // composite column when len(groupCols) > 1
 	aggs      []aggSpec
-	items     []outItem
-	rowScan   bool // no aggregates and no GROUP BY: plain projection
+	columns   []string // output column names: alias, or canonical expression
+	rowScan   bool     // no aggregates and no GROUP BY: plain projection
 	// accessCols are the physical/virtual columns the scan reads — WHERE
 	// leaves, row-predicate columns, group columns, aggregate arguments, the
 	// composite — in the order compiling met them: what pinPlan pins and
@@ -633,6 +629,11 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 	if stmt.From == "" {
 		return nil, fmt.Errorf("exec: missing FROM")
 	}
+	// ORDER BY names output columns: refused here, before anything is loaded,
+	// by every engine of every deployment shape alike.
+	if err := checkOrderItems(stmt, orderItems(stmt)); err != nil {
+		return nil, err
+	}
 	p := &plan{stmt: stmt}
 
 	// WHERE.
@@ -673,6 +674,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 		if name == "" {
 			name = item.Expr.String()
 		}
+		p.columns = append(p.columns, name)
 		switch {
 		case p.rowScan:
 			col, err := e.materializeOperand(item.Expr, ps)
@@ -680,7 +682,6 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 				return nil, err
 			}
 			p.access(col.Name)
-			p.items = append(p.items, outItem{name: name, groupIdx: -1, aggIdx: -1})
 			p.groupCols = append(p.groupCols, col.Name) // reuse as projection list
 		case sql.HasAggregate(item.Expr):
 			call, ok := item.Expr.(*sql.Call)
@@ -695,18 +696,16 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 				p.access(spec.argCol)
 			}
 			p.aggs = append(p.aggs, spec)
-			p.items = append(p.items, outItem{name: name, groupIdx: -1, aggIdx: len(p.aggs) - 1})
 		default:
-			// Must match a group expression.
+			// Must match a group expression; finishedColumns binds it to the
+			// key column of that expression.
 			col, err := e.materializeOperand(item.Expr, ps)
 			if err != nil {
 				return nil, err
 			}
-			gi := slices.Index(p.groupCols, col.Name)
-			if gi < 0 {
+			if !slices.Contains(p.groupCols, col.Name) {
 				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", item.Expr)
 			}
-			p.items = append(p.items, outItem{name: name, groupIdx: gi, aggIdx: -1})
 		}
 	}
 
@@ -839,4 +838,24 @@ func appendHex32(dst []byte, v uint32) []byte {
 		dst = append(dst, digits[(v>>uint(shift))&0xf])
 	}
 	return dst
+}
+
+// compositeSub parses the pos-th global-id of a composite key:
+// materializeComposite writes each as 8 hex digits, one separator between.
+func compositeSub(key string, pos int) (uint32, bool) {
+	if len(key) < 9*pos+8 {
+		return 0, false
+	}
+	var id uint32
+	for _, c := range []byte(key[9*pos : 9*pos+8]) {
+		switch {
+		case c >= '0' && c <= '9':
+			id = id<<4 | uint32(c-'0')
+		case c >= 'a' && c <= 'f':
+			id = id<<4 | uint32(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return id, true
 }

@@ -70,31 +70,24 @@ func (t *groupTable) merge(part *partial) {
 	}
 }
 
-// accs returns the accumulators of a group present in the table.
-func (t *groupTable) accs(gid uint32) []accCell {
-	s := int(t.slot[gid])
-	return t.cells[(s-1)*t.na : s*t.na]
+// cell returns aggregate j's accumulator of a group present in the table.
+func (t *groupTable) cell(gid uint32, j int) *accCell {
+	return &t.cells[(int(t.slot[gid])-1)*t.na+j]
 }
 
-// dist returns the distinct cells beside accs(gid); nil when the plan has
-// no DISTINCT aggregate.
-func (t *groupTable) dist(gid uint32) []distinctCell {
-	if t.distinct == nil {
-		return nil
-	}
-	s := int(t.slot[gid])
-	return t.distinct[(s-1)*t.na : s*t.na]
+// distinctCell returns the COUNT(DISTINCT) state beside cell(gid, j), in a
+// plan that has a DISTINCT aggregate.
+func (t *groupTable) distinctCell(gid uint32, j int) *distinctCell {
+	return &t.distinct[(int(t.slot[gid])-1)*t.na+j]
 }
 
-// forEach calls fn for every group present, in ascending global-id order.
-func (t *groupTable) forEach(fn func(gid uint32) error) error {
+// gids returns the groups present, in ascending global-id order.
+func (t *groupTable) gids() []uint32 {
+	out := make([]uint32, 0, t.n)
 	for gid, s := range t.slot {
-		if s == 0 {
-			continue
-		}
-		if err := fn(uint32(gid)); err != nil {
-			return err
+		if s != 0 {
+			out = append(out, uint32(gid))
 		}
 	}
-	return nil
+	return out
 }

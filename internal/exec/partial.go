@@ -21,11 +21,12 @@ import (
 //
 // A partial is columnar from the leaf's group table to the root's top-k:
 // n groups, one key column per GROUP BY expression and one aggregate column
-// per aggregate, each an array (or a few) over the groups. Group keys are
-// values, not global-ids: different shards have different dictionaries, so
-// ids are meaningless across machines. The columns are never written after
-// the partial is built — a merge builds new ones — so partials may share
-// them, and a decoded partial may alias its payload.
+// per aggregate, each an array (or a few) over the groups. A partial that
+// leaves its engine holds group keys as values, not global-ids: different
+// shards have different dictionaries, so ids are meaningless across
+// machines (see valueColumn's id form for the one that stays). The columns
+// are never written after the partial is built — a merge builds new ones —
+// so partials may share them, and a decoded partial may alias its payload.
 type Partial struct {
 	// Columns are the output column names (for assembling the final
 	// result at the root).
@@ -44,12 +45,22 @@ func (p *Partial) NumGroups() int { return p.n }
 // valueColumn holds one value of one kind per group: a key column, or the
 // values of a MIN or MAX. Strings lie end to end in one byte arena, string
 // i at arena[off[i]:off[i+1]].
+//
+// A column the engine emits starts in a fourth form, the id form: value i is
+// dict's value of global-id ids[i]. The dictionary is sorted, so the ids
+// compare as the values do, and a value is looked up only when it is
+// rendered — for the groups LIMIT keeps (Section 2.5). The form lives under
+// the query's pins: Engine.Run finalizes it there, RunPartial resolves it
+// (see resolve) before the partial leaves, so a merge, the wire and every
+// other holder of a Partial meet the three value forms only.
 type valueColumn struct {
 	kind  value.Kind
 	ints  []int64
 	flts  []float64
 	off   []uint32
 	arena []byte
+	ids   []uint32
+	dict  dict.Dict // non-nil: the id form
 }
 
 // newValueColumn returns an empty column with room for n values.
@@ -103,6 +114,9 @@ func (c *valueColumn) appendFrom(src *valueColumn, i int) {
 
 // value renders value i.
 func (c *valueColumn) value(i int) value.Value {
+	if c.dict != nil {
+		return c.dict.Value(c.ids[i])
+	}
 	switch c.kind {
 	case value.KindInt64:
 		return value.Int64(c.ints[i])
@@ -115,6 +129,9 @@ func (c *valueColumn) value(i int) value.Value {
 // comparer orders two of the column's values as compareOrderValues orders
 // their renderings.
 func (c *valueColumn) comparer() func(a, b int) int {
+	if c.dict != nil {
+		return func(a, b int) int { return compareInts(int64(c.ids[a]), int64(c.ids[b])) }
+	}
 	switch c.kind {
 	case value.KindInt64:
 		return func(a, b int) int { return compareInts(c.ints[a], c.ints[b]) }
@@ -166,6 +183,13 @@ type aggColumn struct {
 	// most m of them.
 	hashes runColumn
 	m      int
+	// distinct is an arrSketch column as the engine emits it: not hashes yet
+	// but the group table's COUNT DISTINCT cells themselves — sketches, or
+	// exact sets under Options.ExactDistinct. Like valueColumn's id form it
+	// stays in the engine: Run finishes the cells where they lie, RunPartial
+	// copies the sketches out (resolve), and an exact set, which does not
+	// merge across machines, never leaves — RunPartial refuses the option.
+	distinct []*distinctCell
 }
 
 // aggLayout is the arrays a leaf emits for an aggregate.
@@ -215,7 +239,9 @@ func floatOrd(f float64) int64 {
 }
 
 // RunPartial executes a statement but stops before finalization: no AVG
-// division, no ORDER BY, no LIMIT — those happen once, at the root.
+// division, no ORDER BY, no LIMIT — those happen once, at the root. The
+// partial it returns holds values only, and nothing of the store's: it is
+// resolved before the query's pins drop.
 func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if e.opts.ExactDistinct {
 		return nil, fmt.Errorf("exec: exact count distinct is not multi-level aggregatable (Section 4); use sketches")
@@ -229,105 +255,163 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	if p.rowScan {
 		return nil, fmt.Errorf("exec: row scans are not distributed; aggregate or group the query")
 	}
-	groups, qs, err := e.executeChunks(p)
+	out, qs, err := e.runGroupBy(p)
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.emitPartial(p, groups)
-	if err != nil {
-		return nil, err
-	}
+	out.resolve()
 	out.Stats = e.closeStats(qs, ps, p)
 	return out, nil
 }
 
+// resolve turns what an engine's own partial refers to under the query's
+// pins — dictionaries by id, the group table's COUNT DISTINCT cells — into
+// the values and hashes a partial holds anywhere else.
+func (p *Partial) resolve() {
+	for k := range p.keys {
+		p.keys[k].resolve()
+	}
+	for j := range p.aggs {
+		p.aggs[j].resolve()
+	}
+}
+
+// runGroupBy scans the plan's chunks and emits the merged group table as a
+// partial in id form, valid while the plan's pins are held.
+func (e *Engine) runGroupBy(p *plan) (*Partial, QueryStats, error) {
+	groups, qs, err := e.executeChunks(p)
+	if err != nil {
+		return nil, qs, err
+	}
+	out, err := e.emitPartial(p, groups)
+	return out, qs, err
+}
+
+// resolve turns what the column refers to in the engine into what it
+// merges: MIN/MAX ids into values, COUNT DISTINCT cells into runs of hashes.
+func (a *aggColumn) resolve() {
+	a.vals.resolve()
+	if a.distinct == nil {
+		return
+	}
+	a.hashes.off = make([]uint32, 1, len(a.distinct)+1)
+	for _, d := range a.distinct {
+		if d.sketch != nil {
+			a.hashes.vals = d.sketch.AppendHashes(a.hashes.vals)
+		}
+		a.hashes.endRun()
+	}
+	a.distinct = nil
+}
+
+// resolve turns a column in id form into the value form of its kind: ids
+// mean nothing on another shard, or once the dictionary's pin is dropped.
+func (c *valueColumn) resolve() {
+	d, ids := c.dict, c.ids
+	if d == nil {
+		return
+	}
+	*c = newValueColumn(c.kind, len(ids))
+	switch c.kind {
+	case value.KindInt64:
+		c.ints = c.ints[:len(ids)]
+		fillInts(c.ints, d, ids)
+	case value.KindFloat64:
+		c.flts = c.flts[:len(ids)]
+		fillFloats(c.flts, d, ids)
+	default:
+		for _, id := range ids {
+			c.append(d.Value(id))
+		}
+	}
+}
+
 // emitPartial writes the group table out in its mergeable form, in
-// ascending group global-id order: keys become the values their ids name,
-// and so do MIN and MAX, because ids mean nothing on another shard.
+// ascending group global-id order. Keys, MIN and MAX stay global-ids beside
+// the dictionary they index (valueColumn's id form): no value is looked up
+// here, and a COUNT DISTINCT column refers to the table's cells
+// (aggColumn.distinct): no sketch is copied.
 func (e *Engine) emitPartial(p *plan, groups *groupTable) (*Partial, error) {
 	n := groups.n
-	out := &Partial{n: n, keys: make([]valueColumn, len(p.groupCols)), aggs: make([]aggColumn, len(p.aggs))}
-	for _, it := range p.items {
-		out.Columns = append(out.Columns, it.name)
-	}
-	keyDicts := make([]dict.Dict, len(out.keys))
-	for k := range out.keys {
-		out.keys[k], keyDicts[k] = newValueColumn(p.groupKind[k], n), p.col(e, p.groupCols[k]).Dict
+	out := &Partial{Columns: p.columns, n: n, keys: make([]valueColumn, len(p.groupCols)), aggs: make([]aggColumn, len(p.aggs))}
+	gids := groups.gids()
+	switch {
+	case p.composite != "":
+		// The composite key spells out each group column's global-id.
+		for k := range out.keys {
+			out.keys[k] = valueColumn{kind: p.groupKind[k], ids: make([]uint32, n), dict: p.col(e, p.groupCols[k]).Dict}
+		}
+		for i, gid := range gids {
+			key := p.groupCol.Dict.Value(gid).Str()
+			for k := range out.keys {
+				sub, ok := compositeSub(key, k)
+				if !ok || len(key) != 9*len(out.keys)-1 {
+					return nil, fmt.Errorf("exec: corrupt composite key %q", key)
+				}
+				out.keys[k].ids[i] = sub
+			}
+		}
+	case len(out.keys) == 1:
+		out.keys[0] = valueColumn{kind: p.groupKind[0], ids: gids, dict: p.groupCol.Dict}
 	}
 	for j, spec := range p.aggs {
 		a := &out.aggs[j]
 		a.has = aggLayout(spec.fn, p.aggInt[j])
 		if a.has&arrCounts != 0 {
-			a.counts = make([]int64, 0, n)
+			a.counts = make([]int64, n)
 		}
 		if a.has&arrSumI != 0 {
-			a.sumI = make([]int64, 0, n)
+			a.sumI = make([]int64, n)
 		}
-		if a.has&arrParts != 0 {
-			a.parts = runColumn{make([]uint32, 1, n+1), make([]uint64, 0, n)}
+		if a.has&arrParts != 0 { // one part per group: this engine's sum
+			a.parts = runColumn{make([]uint32, n+1), make([]uint64, n)}
 		}
 		if a.has&(arrMin|arrMax) != 0 {
-			a.vals = newValueColumn(p.aggCols[j].Kind, n)
+			a.vals = valueColumn{kind: p.aggCols[j].Kind, ids: make([]uint32, n), dict: p.aggCols[j].Dict}
 		}
 		if a.has&arrSketch != 0 {
-			a.m, a.hashes.off = e.opts.SketchM, make([]uint32, 1, n+1)
+			a.m, a.distinct = e.opts.SketchM, make([]*distinctCell, n)
+		}
+		// One pass over the group's cells fills every array the column has.
+		counts, sumI, parts, ids := a.counts, a.sumI, a.parts, a.vals.ids
+		for i, gid := range gids {
+			c := groups.cell(gid, j)
+			if counts != nil {
+				counts[i] = c.count
+			}
+			if sumI != nil {
+				sumI[i] = c.sumI
+			}
+			if parts.vals != nil {
+				parts.vals[i], parts.off[i+1] = math.Float64bits(c.sumF), uint32(i+1)
+			}
+			if ids != nil {
+				if !c.hasMM {
+					return nil, fmt.Errorf("exec: MIN or MAX over empty group")
+				}
+				ids[i] = c.minID
+				if a.has&arrMax != 0 {
+					ids[i] = c.maxID
+				}
+			}
+			if a.distinct != nil {
+				a.distinct[i] = groups.distinctCell(gid, j)
+			}
 		}
 	}
-	err := groups.forEach(func(gid uint32) error {
-		switch {
-		case p.composite != "":
-			key := p.groupCol.Dict.Value(gid).Str()
-			for k := range out.keys {
-				sub, ok := compositeSub(key, k)
-				if !ok || len(key) != 9*len(out.keys)-1 {
-					return fmt.Errorf("exec: corrupt composite key %q", key)
-				}
-				out.keys[k].append(keyDicts[k].Value(sub))
-			}
-		case len(out.keys) == 1:
-			out.keys[0].append(keyDicts[0].Value(gid))
-		}
-		accs, dist := groups.accs(gid), groups.dist(gid)
-		for j := range out.aggs {
-			a, c := &out.aggs[j], &accs[j]
-			if a.has&arrCounts != 0 {
-				a.counts = append(a.counts, c.count)
-			}
-			if a.has&arrSumI != 0 {
-				a.sumI = append(a.sumI, c.sumI)
-			}
-			if a.has&arrParts != 0 {
-				a.parts.vals = append(a.parts.vals, math.Float64bits(c.sumF))
-				a.parts.endRun()
-			}
-			if a.has&(arrMin|arrMax) != 0 {
-				if !c.hasMM {
-					return fmt.Errorf("exec: MIN or MAX over empty group")
-				}
-				id := c.minID
-				if a.has&arrMax != 0 {
-					id = c.maxID
-				}
-				a.vals.append(p.aggCols[j].Dict.Value(id))
-			}
-			if a.has&arrSketch != 0 {
-				if sk := dist[j].sketch; sk != nil {
-					a.hashes.vals = sk.AppendHashes(a.hashes.vals)
-				}
-				a.hashes.endRun()
-			}
-		}
-		return nil
-	})
-	return out, err
+	return out, nil
 }
 
 // FinalizePartial turns a fully merged partial into the final result,
 // applying AVG division, sketch estimation, HAVING, ORDER BY and LIMIT —
 // the work the root of the tree does ("the root executes any having
-// statements", Section 4). Groups arrive in merge order, so the selection
-// compares one column of finished values per ORDER BY term, where it lies,
-// and renders value.Values for the groups LIMIT keeps.
+// statements", Section 4), and the one finishing step there is: Engine.Run
+// ends in it too, over the partial its own scan emitted. The selection
+// compares one column of finished values per ORDER BY term, where it lies —
+// ids in an engine's own partial, values in a merged one — and renders
+// value.Values for the groups LIMIT keeps: "the original table name string
+// values need to be looked up in the dictionary" for those alone (Section
+// 2.5).
 func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 	res := &Result{Columns: p.Columns, Stats: p.Stats, Coverage: 1}
 	if p.Stats.RowsTotal > 0 {
@@ -338,7 +422,8 @@ func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 		return nil, err
 	}
 	// ORDER BY keys that match no output column are ignored, as in
-	// rowOrderTerms.
+	// rowOrderTerms: every engine's plan has refused them, and the root of a
+	// tree none of whose shards answered has nothing to order.
 	var terms []orderTerm
 	for k, idx := range orderItems(stmt) {
 		if idx >= 0 {
@@ -429,7 +514,11 @@ func (a *aggColumn) finished(fn aggFn, n int) valueColumn {
 	case fn == aggCountDistinct:
 		ints := make([]int64, n)
 		for i := range ints {
-			ints[i] = sketch.EstimateSorted(a.hashes.at(i), a.m)
+			if a.distinct != nil {
+				ints[i] = a.distinct[i].count()
+			} else {
+				ints[i] = sketch.EstimateSorted(a.hashes.at(i), a.m)
+			}
 		}
 		return valueColumn{kind: value.KindInt64, ints: ints}
 	}

@@ -28,9 +28,10 @@ var partialPathShards = sync.OnceValues(func() ([]*Engine, error) {
 
 // BenchmarkPartialPath times what a chart's result costs between the leaf's
 // group table and the root's rows, stage by stage, one pass over four
-// shards per iteration: emit (group table → partial), encode, decode, merge
-// 4, finalize — and path, all of them in the order a query runs them. wire-B
-// is the four partials' bytes on the wire.
+// shards per iteration: emit (group table → partial, resolved as a leaf
+// resolves it), encode, decode, merge 4, finalize — and path, all of them in
+// the order a query runs them. wire-B is the four partials' bytes on the
+// wire.
 func BenchmarkPartialPath(b *testing.B) {
 	engines, err := partialPathShards()
 	if err != nil {
@@ -63,6 +64,7 @@ func BenchmarkPartialPath(b *testing.B) {
 				if parts[i], err = e.emitPartial(plans[i], tables[i]); err != nil {
 					b.Fatal(err)
 				}
+				parts[i].resolve()
 			}
 			return parts
 		}

@@ -35,14 +35,8 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 		qs.SkippedChunks = nChunks - p.activeCount
 	}
 
-	res := &Result{}
-	for _, it := range p.items {
-		res.Columns = append(res.Columns, it.name)
-	}
-	orderCols := orderItems(p.stmt)
-	if err := checkOrderItems(p.stmt, orderCols); err != nil {
-		return nil, qs, err
-	}
+	res := &Result{Columns: p.columns}
+	orderCols := orderItems(p.stmt) // plan has checked that each names one
 	// Without ORDER BY, stop claiming chunks once LIMIT rows are collected.
 	canStopEarly := len(orderCols) == 0 && p.stmt.Limit >= 0
 	chunkTopK := len(orderCols) > 0 && p.stmt.Limit >= 0

@@ -1,14 +1,16 @@
 package exec
 
 // Bounded top-k selection — the one implementation of ORDER BY … LIMIT
-// behind Engine.finalize, FinalizePartial, ApplyOrderLimit and the row
-// scan. Candidates are ordinals whose numeric order is the order the
-// result would have without an ORDER BY (ascending group global-id, merged
-// group position, scanned row position); the selection ranks them by the
-// ORDER BY terms and breaks ties by the ordinal, which makes the order
-// total and equal to what a stable sort of all rows would give. With a
-// LIMIT only the current best LIMIT candidates are held, in a heap, so
-// nothing is materialized for the others.
+// behind FinalizePartial (the one finalizer of aggregates: Engine.Run's
+// and every merged shape's), ApplyOrderLimit and the row scan. Candidates
+// are ordinals whose numeric order is the order the result would have
+// without an ORDER BY (position among a partial's groups — ascending group
+// global-id as an engine emits them, merge order after a merge — or scanned
+// row position); the selection ranks them by the ORDER BY terms and breaks
+// ties by the ordinal, which makes the order total and equal to what a
+// stable sort of all rows would give. With a LIMIT only the current best
+// LIMIT candidates are held, in a heap, so nothing is materialized for the
+// others.
 
 import (
 	"fmt"
@@ -104,9 +106,9 @@ func (t *topK) down(i int) {
 	}
 }
 
-// rowSelection is the tail the two aggregate result paths share: HAVING
-// over each candidate's rendered row, the top-k selection, and rendering
-// the rows that survive it. HAVING is written against output values, so
+// rowSelection is the tail of FinalizePartial: HAVING over each
+// candidate's rendered row, the top-k selection, and rendering the rows
+// that survive it. HAVING is written against output values, so
 // with one every candidate is rendered (once — the row is kept for the
 // result); without, only the candidates LIMIT keeps ever are.
 type rowSelection struct {
@@ -184,7 +186,8 @@ func orderItems(stmt *sql.SelectStmt) []int {
 	return out
 }
 
-// checkOrderItems is the engine's verdict on an unmatched ORDER BY key.
+// checkOrderItems is the engine's verdict on an unmatched ORDER BY key,
+// given once, in plan.
 func checkOrderItems(stmt *sql.SelectStmt, items []int) error {
 	for k, i := range items {
 		if i < 0 {
@@ -196,7 +199,7 @@ func checkOrderItems(stmt *sql.SelectStmt, items []int) error {
 
 // rowOrderTerms ranks finished rows by their values. ORDER BY keys that
 // match no output column are ignored: the root of a merge has no plan to
-// reject them with, and the leaves have already run.
+// reject them with, and every engine's plan already has.
 func rowOrderTerms(stmt *sql.SelectStmt, rows [][]value.Value) []orderTerm {
 	var terms []orderTerm
 	for k, col := range orderItems(stmt) {

@@ -18,16 +18,18 @@ import (
 
 // FuzzTopKVsStableSort pins the bounded top-k selection to what it
 // replaced. Random accumulator sets — ties, NaN, ±0 and infinite float
-// sums, groups that saw no row, absent groups — are put in a group table
-// and finalized under a random query (0–3 ORDER BY terms of mixed
+// sums, groups that saw no row, absent groups — are put in a group table,
+// emitted, and finalized under a random query (0–3 ORDER BY terms of mixed
 // direction over aggregates and keys, LIMIT absent / 0 / 1 / k / above
 // the group count, sometimes a HAVING; one key, a composite key or none),
-// three ways: Engine.finalize over the table (sorted dictionaries: the
-// comparison runs on ids), FinalizePartial over the same groups shuffled
-// (keys are values in arrival order, as after a merge), and orderRows
-// over finished rows. Each must equal, row for row and bit for bit, the
-// deleted implementation kept below as referenceOrderLimit: render every
-// row, filter, sort.SliceStable, cut.
+// three ways, FinalizePartial being the one finalizer there is: over the
+// emitted partial as it is — id form, ascending global-id order, what
+// Engine.Run does; over the same groups shuffled and in value form — keys
+// are values in arrival order, what a merge delivers; and orderRows over
+// finished rows. Each must equal, row for row and bit for bit, the deleted
+// implementation kept below as referenceOrderLimit: render every row
+// (partial_ref_test.go's row-wise reference does that), filter,
+// sort.SliceStable, cut.
 func FuzzTopKVsStableSort(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)
@@ -97,58 +99,50 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 	for _, gid := range part.gids {
 		// Set, not merged: a merge into a zero cell turns a -0 sum into +0.
 		for j := range p.aggs {
-			groups.accs(gid)[j] = randomAccCell(rng, p, j)
+			*groups.cell(gid, j) = randomAccCell(rng, p, j)
 			if p.aggs[j].fn == aggCountDistinct && rng.Intn(4) > 0 {
 				sk := sketch.NewKMV(e.opts.SketchM)
 				for i := rng.Intn(4); i > 0; i-- {
 					sk.AddUint64(uint64(rng.Intn(6)))
 				}
-				groups.dist(gid)[j].sketch = sk
+				groups.distinctCell(gid, j).sketch = sk
 			}
 		}
 	}
 
-	var columns []string
-	for _, it := range p.items {
-		columns = append(columns, it.name)
-	}
-	var rows [][]value.Value
-	if err := groups.forEach(func(gid uint32) error {
-		row, err := e.groupRow(p, groups, gid)
-		rows = append(rows, row)
-		return err
-	}); err != nil {
-		t.Fatalf("render %q: %v", q, err)
-	}
-	want := referenceOrderLimit(t, stmt, columns, rows)
-
-	res, err := e.finalize(p, groups)
+	emitted, err := e.emitPartial(p, groups)
 	if err != nil {
-		t.Fatalf("finalize %q: %v", q, err)
+		t.Fatalf("emitPartial %q: %v", q, err)
 	}
-	requireSameRows(t, q, "finalize", res.Rows, want)
+	// The emitted partial as Run finalizes it: ids, global-id order.
+	res, err := FinalizePartial(stmt, emitted)
+	if err != nil {
+		t.Fatalf("FinalizePartial of the id form %q: %v", q, err)
+	}
+
+	emitted.resolve()
+	ref, specs, columns := emitted.rowwise(), refItemSpecs(t, stmt), emitted.Columns
+	render := func() (rows [][]value.Value) {
+		for i := range ref.Groups {
+			rows = append(rows, refRow(specs, &ref.Groups[i]))
+		}
+		return rows
+	}
+	rows := render()
+	want := referenceOrderLimit(t, stmt, columns, rows)
+	requireSameRows(t, q, "id form", res.Rows, want)
 
 	if stmt.Having == nil {
 		requireSameRows(t, q, "orderRows", orderRows(stmt, rows), want)
 	}
 
 	// The same groups as a merged partial: keys as values, arrival order.
-	emitted, err := e.emitPartial(p, groups)
-	if err != nil {
-		t.Fatalf("emitPartial %q: %v", q, err)
-	}
-	ref := emitted.rowwise()
 	rng.Shuffle(len(ref.Groups), func(i, j int) { ref.Groups[i], ref.Groups[j] = ref.Groups[j], ref.Groups[i] })
-	specs := refItemSpecs(t, stmt)
-	var prows [][]value.Value
-	for i := range ref.Groups {
-		prows = append(prows, refRow(specs, &ref.Groups[i]))
-	}
 	pres, err := FinalizePartial(stmt, ref.columnar(emitted.layoutsOf()))
 	if err != nil {
-		t.Fatalf("FinalizePartial %q: %v", q, err)
+		t.Fatalf("FinalizePartial of the value form %q: %v", q, err)
 	}
-	requireSameRows(t, q, "FinalizePartial", pres.Rows, referenceOrderLimit(t, stmt, columns, prows))
+	requireSameRows(t, q, "value form", pres.Rows, referenceOrderLimit(t, stmt, columns, render()))
 }
 
 // referenceOrderLimit is the result path this package had before the

@@ -108,9 +108,12 @@ func (s *Snapshot) Query(src string) (*exec.Result, error) {
 // runs each unit and merges: aggregates through the same partial
 // machinery the distributed tree uses (Section 4), row scans by
 // concatenating per-unit scans in unit order and applying ORDER BY and
-// LIMIT once at the end. COUNT(DISTINCT x) merges as a sketch, so exact
-// distinct mode only works single-unit — the same restriction the
-// cluster has.
+// LIMIT once at the end. Either way an aggregate ends in the one
+// exec.FinalizePartial — over the unit's own partial inside Engine.Run,
+// over the merged one here — so the two shapes cannot answer differently
+// (an ORDER BY key that names no output column is refused by every
+// unit's plan). COUNT(DISTINCT x) merges as a sketch, so exact distinct
+// mode only works single-unit — the same restriction the cluster has.
 func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
 	if len(s.units) == 1 {
 		res, err := s.units[0].eng.Run(stmt)

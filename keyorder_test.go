@@ -3,6 +3,7 @@ package powerdrill
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 )
 
@@ -11,8 +12,13 @@ import (
 // key under its own column. The merged shapes finalize wire groups whose
 // keys are in GROUP BY order; they used to hand the i-th select item the
 // i-th key, which swapped the two columns here.
+//
+// The same four shapes must refuse an ORDER BY key that names no output
+// column, and in the same words: every engine's plan checks it. Only the
+// single store used to; the merged shapes returned LIMIT rows in no order.
 func TestSelectKeyOrderAllShapes(t *testing.T) {
 	const q = `SELECT table_name, country, COUNT(*) AS c FROM data GROUP BY country, table_name ORDER BY c DESC, country, table_name LIMIT 12;`
+	const unordered = `SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY nosuch DESC LIMIT 3;`
 	tbl := GenerateQueryLogs(4000, 11)
 	opts := ingestOptions()
 
@@ -42,7 +48,14 @@ func TestSelectKeyOrderAllShapes(t *testing.T) {
 		if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 			t.Errorf("%s:\n got %v %v\nwant %v %v", shape, got.Columns, got.Rows, want.Columns, want.Rows)
 		}
+		res, err := ask(unordered)
+		if err == nil {
+			t.Errorf("%s: ORDER BY nosuch answered %v", shape, res.Rows)
+		} else if !strings.Contains(err.Error(), "exec: ORDER BY nosuch does not match any output column") {
+			t.Errorf("%s: ORDER BY nosuch: %v", shape, err)
+		}
 	}
+	check("store", resident.Query)
 
 	// Ingest: half the rows saved, half appended and sealed, merged per query.
 	dir := t.TempDir()
