@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper's tables and figures; one benchmark
-// per experiment, with byte footprints attached via b.ReportMetric so the
-// memory columns of the tables appear in -benchmem output. cmd/pdbench
-// prints the same data as formatted tables at larger scales.
+// Benchmarks regenerating the paper's tables and figures, one benchmark per
+// experiment: go test -run=NONE -bench=<Name> . reproduces one. The
+// columns of a table (byte footprints, percentages, ratios, per-bucket
+// latencies) are attached with b.ReportMetric and print beside ns/op. The
+// end-to-end click is measured by bench/run.sh (see bench/README.md).
 package powerdrill
 
 import (
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,9 +28,10 @@ import (
 	"powerdrill/internal/workload"
 )
 
-// benchRows is the dataset size benchmarks use; the paper uses 5M rows,
-// pdbench defaults to 1M, and `go test -bench` keeps iterations fast at
-// 200K. Shapes, not absolute numbers, are the reproduction target.
+// benchRows is the dataset size benchmarks use; the paper uses 5M rows, and
+// `go test -bench` keeps iterations fast at 200K. Shapes — who wins, by
+// what factor, where curves bend — not absolute numbers, are the
+// reproduction target.
 const benchRows = 200_000
 
 var benchTable *table.Table
@@ -204,7 +207,9 @@ func BenchmarkTrieDict(b *testing.B) {
 }
 
 // BenchmarkReorder measures the Section 3 reordering step (the sort) and
-// reports the compressed elements+chunk-dicts before/after as metrics.
+// reports the compressed elements+chunk-dicts before/after as metrics, with
+// the Hamming path length of a random, the original and the lexicographic
+// row order behind the factor (Figures 2-4).
 func BenchmarkReorder(b *testing.B) {
 	tbl := dataset(b)
 	part := []string{"country", "table_name"}
@@ -234,12 +239,20 @@ func BenchmarkReorder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reorder.Lexicographic(tbl, part)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(elems(before))/1e6, "beforeMB")
 	b.ReportMetric(float64(elems(after))/1e6, "afterMB")
+	fields := []string{"country", "table_name", "user"}
+	b.ReportMetric(float64(reorder.HammingCost(tbl, fields, reorder.Random(tbl.NumRows(), 2012))), "hammingRandom")
+	b.ReportMetric(float64(reorder.HammingCost(tbl, fields, reorder.Identity(tbl.NumRows()))), "hammingOriginal")
+	b.ReportMetric(float64(reorder.HammingCost(tbl, fields, reorder.Lexicographic(tbl, fields))), "hammingLex")
 }
 
 // BenchmarkFigure5 runs the production simulation behind Figure 5 and the
-// Section 6 split, reporting the headline percentages as metrics.
+// Section 6 split, reporting the headline percentages and Figure 5 itself
+// as metrics: the average latency of the queries that loaded nothing
+// (ms@nodisk) and of each log2 bucket of data loaded from disk
+// (ms@[lo,hi)MB).
 func BenchmarkFigure5(b *testing.B) {
 	var rep *prodsim.Report
 	var err error
@@ -262,6 +275,13 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ReportMetric(rep.CachedPct, "cached%")
 	b.ReportMetric(rep.ScannedPct, "scanned%")
 	b.ReportMetric(rep.NoDiskPct, "nodisk%")
+	for _, bk := range rep.Buckets {
+		unit := "ms@nodisk"
+		if bk.Log2MB >= 0 {
+			unit = fmt.Sprintf("ms@[%d,%d)MB", 1<<bk.Log2MB, 1<<(bk.Log2MB+1))
+		}
+		b.ReportMetric(float64(bk.AvgLatency.Microseconds())/1000, unit)
+	}
 }
 
 // BenchmarkCountDistinct measures the Section 5 sketch on the
@@ -418,6 +438,51 @@ func BenchmarkSkippingAblation(b *testing.B) {
 				rows = res.Stats.RowsScanned
 			}
 			b.ReportMetric(float64(rows), "rowsScanned")
+		})
+	}
+}
+
+// BenchmarkPartitionOrder backs Section 6's claim that choosing 3-5 natural
+// key fields "is quite straightforward": the same drill-down session is
+// replayed on stores partitioned by different keys, each pass on a fresh
+// engine with the result cache on, and the share of records skipped, served
+// from cache and scanned is reported per key (the paper skips ~92%).
+func BenchmarkPartitionOrder(b *testing.B) {
+	tbl := dataset(b)
+	clicks := workload.DrillDownSession(tbl, workload.SessionSpec{Seed: 2012, Clicks: 8, QueriesPerClick: 10})
+	for _, key := range [][]string{
+		{"country", "table_name"},
+		{"table_name", "country"},
+		{"user"},
+		nil, // no partitioning
+	} {
+		store, err := colstore.FromTable(tbl, colstore.Options{
+			PartitionFields: key, MaxChunkRows: benchRows / 200, OptimizeElements: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := strings.Join(key, ",")
+		if name == "" {
+			name = "none"
+		}
+		b.Run(name, func(b *testing.B) {
+			var st exec.Stats
+			for i := 0; i < b.N; i++ {
+				engine := exec.New(store, exec.Options{ResultCacheBytes: 32 << 20})
+				for _, click := range clicks {
+					for _, q := range click.Queries {
+						if _, err := engine.Query(q); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				st = engine.Stats()
+			}
+			total := float64(st.RowsTotal)
+			b.ReportMetric(100*float64(st.RowsSkipped)/total, "skipped%")
+			b.ReportMetric(100*float64(st.RowsCached)/total, "cached%")
+			b.ReportMetric(100*float64(st.RowsScanned)/total, "scanned%")
 		})
 	}
 }
@@ -586,9 +651,8 @@ func BenchmarkParallelScan(b *testing.B) {
 // restricted GROUP BY aggregation through the scalar reference path and the
 // vectorized kernels, swept across restriction selectivities. Needle values
 // planted at exact row fractions in an unsorted high-cardinality column
-// make the selectivity precise; the dataset and queries mirror
-// `pdbench -exp kernels`. Setup asserts both paths return identical rows
-// before any timing, and each subtest reports rows/s.
+// make the selectivity precise. Setup asserts both paths return identical
+// rows before any timing, and each subtest reports rows/s.
 func BenchmarkVectorizedScan(b *testing.B) {
 	const chunkRows = benchRows / 100
 	rows := benchRows

@@ -89,11 +89,10 @@ func (s *Store) ensureWriter() (*ingest.Writer, error) {
 		return nil, errors.New("powerdrill: appending requires a store opened from disk (use Open)")
 	}
 	w, err := ingest.Attach(s.dir, s.store, s.engine, ingest.Opts{
-		SealRows:              s.opts.IngestSealRows,
-		CompactMinSegments:    s.opts.IngestCompactMinSegments,
-		FsyncPolicy:           s.opts.IngestFsyncPolicy,
-		DisableChecksumVerify: s.opts.DisableChecksumVerify,
-		EngineOpts:            s.opts.engineOptions(),
+		SealRows:           s.opts.IngestSealRows,
+		CompactMinSegments: s.opts.IngestCompactMinSegments,
+		FsyncPolicy:        s.opts.IngestFsyncPolicy,
+		EngineOpts:         s.opts.engineOptions(),
 	})
 	if err != nil {
 		return nil, err

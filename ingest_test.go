@@ -2,6 +2,7 @@ package powerdrill
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -123,6 +124,89 @@ func TestPublicAPIAppend(t *testing.T) {
 		t.Fatal("reopen did not attach the append path")
 	}
 	checkOracle("reopened")
+}
+
+// TestIngestFsyncPolicies runs each WAL fsync rung, set through
+// Options.IngestFsyncPolicy, through Append, Flush, Close and a reopen: the
+// reopened store answers as a one-shot Build of the same rows does. A
+// misspelt policy is refused by Open, by name.
+func TestIngestFsyncPolicies(t *testing.T) {
+	const baseRows, fullRows = 1000, 2000
+	full := GenerateQueryLogs(fullRows, 11)
+	base, err := Build(tableSlice(full, 0, baseRows), ingestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := Build(full, ingestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`SELECT country, COUNT(*) AS c, SUM(latency) AS s, AVG(latency) AS a FROM data GROUP BY country ORDER BY country;`,
+		`SELECT user, latency FROM data WHERE latency > 900 ORDER BY latency DESC, user LIMIT 20;`,
+	}
+	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
+		t.Run(policy, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := base.Save(dir, "zippy"); err != nil {
+				t.Fatal(err)
+			}
+			opts := ingestOptions()
+			opts.IngestFsyncPolicy = policy
+			store, _, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for start := baseRows; start < fullRows; start += 300 {
+				if err := store.Append(tableSlice(full, start, min(300, fullRows-start))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			store, _, err = Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if store.NumRows() != fullRows {
+				t.Fatalf("reopened NumRows = %d, want %d", store.NumRows(), fullRows)
+			}
+			for _, q := range queries {
+				want, err := oracle.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := store.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// %v prints a float in its shortest round-trip form: equal
+				// text is equal bits.
+				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("%s\ngot  %v\nwant %v", q, got.Rows, want.Rows)
+				}
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	if err := base.Save(dir, "zippy"); err != nil {
+		t.Fatal(err)
+	}
+	opts := ingestOptions()
+	opts.IngestFsyncPolicy = "alwyas"
+	if store, _, err := Open(dir, opts); err == nil {
+		store.Close()
+		t.Fatal("Open accepted fsync policy \"alwyas\"")
+	} else if !strings.Contains(err.Error(), `"alwyas"`) {
+		t.Fatalf("the refusal does not name the policy: %v", err)
+	}
 }
 
 // tableSlice copies rows [start, start+n) of src into a fresh table.

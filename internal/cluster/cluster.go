@@ -37,7 +37,7 @@
 // whole cluster in one binary); rpc.go exposes the same node interface
 // over net/rpc for multi-process deployments (partials cross the wire in
 // the versioned exec.EncodePartial form), and faultinject.go provides the
-// fault harness the tests and pdbench's faulttol experiment drive.
+// fault harness the tests drive.
 package cluster
 
 import (

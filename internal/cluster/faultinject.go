@@ -4,7 +4,7 @@ package cluster
 // shared cluster where processes straggle (overload, eviction), die, come
 // back, and flap — the harness here reproduces those modes composably so
 // the hedging/breaker/coverage machinery can be exercised deterministically
-// in tests and swept in pdbench -exp faulttol:
+// in tests:
 //
 //   - Straggle:   every call waits a fixed extra latency (overloaded box).
 //   - SlowStart:  only the next n calls straggle (page-cache-cold restart).

@@ -335,8 +335,9 @@ func TestRPCStatFirstQueryCoverage(t *testing.T) {
 
 // TestMixerKilledMidQueryFailsOver runs a two-level tree of real RPC
 // processes — four leaf servers, two replica mixer servers over them —
-// kills the primary mixer's connections mid-query, and demands the replica
-// mixer deliver the identical full-coverage answer.
+// checks that healthy it answers as a flat coordinator does, kills the
+// primary mixer's connections mid-query, and demands the replica mixer
+// deliver the identical full-coverage answer.
 func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	checkGoroutines(t)
 	tbl := logs(3000)
@@ -378,6 +379,23 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	}
 	if ref.Coverage != 1 {
 		t.Fatalf("baseline coverage = %v", ref.Coverage)
+	}
+	// Healthy, the RPC tree answers as a flat coordinator over the same
+	// leaves does, float aggregates bit for bit.
+	flat := FromLeaves(singles(leaves), Options{Replicas: 1})
+	closeAtCleanup(t, flat)
+	for _, q := range distributedQueries() {
+		want, err := flat.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := root.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Coverage != 1 || !bitIdenticalRows(sortedCopy(got.Rows), sortedCopy(want.Rows)) {
+			t.Fatalf("%q: the RPC tree answered %v at coverage %v, the flat coordinator %v", q, got.Rows, got.Coverage, want.Rows)
+		}
 	}
 
 	// Slow the whole leaf tier down so the primary mixer's answer is still

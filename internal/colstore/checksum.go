@@ -125,13 +125,10 @@ func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (in
 	return verified, nil
 }
 
-// SetVerify toggles checksum verification on cold reads. On by default.
-func (r *Reader) SetVerify(v bool) { r.verify = v }
-
 // verifyRecord checks one record's file bytes against its stored CRC,
 // updating the reader's counters. want == 0 skips (absent checksum).
 func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) error {
-	if !r.verify || want == 0 {
+	if want == 0 {
 		return nil
 	}
 	got := CRC32C(rec)
@@ -146,12 +143,4 @@ func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) e
 		return &ChecksumError{Path: r.dir + "/" + file, Off: off, Len: int64(len(rec)), Want: want, Got: got}
 	}
 	return nil
-}
-
-// SetVerifyChecksums toggles cold-read checksum verification on a lazily
-// opened store. On by default; a no-op on fully resident stores.
-func (s *Store) SetVerifyChecksums(v bool) {
-	if s.lazy != nil {
-		s.lazy.reader.SetVerify(v)
-	}
 }

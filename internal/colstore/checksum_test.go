@@ -183,25 +183,3 @@ func TestV5ManifestWithoutCRCsStillReads(t *testing.T) {
 	}
 	assertColumnsEqual(t, built, back)
 }
-
-// TestSetVerifyChecksumsOff: with verification disabled, cold reads do
-// not tally verification work.
-func TestSetVerifyChecksumsOff(t *testing.T) {
-	built, dir := buildSavedStore(t, 1200, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lazy.Close()
-	lazy.SetVerifyChecksums(false)
-	ps := lazy.NewPinSet()
-	defer ps.Release()
-	for _, name := range built.Columns() {
-		if _, err := ps.Column(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ps.ChecksumVerified != 0 || ps.ChecksumFailed != 0 {
-		t.Fatalf("counters with verify off = %d/%d", ps.ChecksumVerified, ps.ChecksumFailed)
-	}
-}

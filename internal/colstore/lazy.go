@@ -75,10 +75,6 @@ type Reader struct {
 	files   map[string]*openFile
 	fileLRU []string
 	stats   IOStats
-
-	// verify enables CRC32C verification of every cold-read record (see
-	// checksum.go). On by default.
-	verify bool
 }
 
 // NewReader opens the manifest in dir, which must be of the current format
@@ -102,11 +98,10 @@ func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 		}
 	}
 	r = &Reader{
-		dir:    dir,
-		m:      m,
-		sd:     StringDictKind(m.Opts.StringDict),
-		cols:   make(map[string]manifestCol, len(m.Columns)),
-		verify: true,
+		dir:  dir,
+		m:    m,
+		sd:   StringDictKind(m.Opts.StringDict),
+		cols: make(map[string]manifestCol, len(m.Columns)),
 	}
 	if r.sd == "" {
 		r.sd = StringDictArray

@@ -119,9 +119,7 @@ func (p *PinSet) ensureDict(h *heldPin) error {
 	if cold {
 		p.ColdDictLoads++
 		p.coldColumn(h, size, disk)
-		if p.s.lazy.reader.verify {
-			p.ChecksumVerified++
-		}
+		p.ChecksumVerified++
 	}
 	return nil
 }
@@ -151,9 +149,7 @@ func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
 	if cold {
 		p.ColdChunkLoads++
 		p.coldColumn(h, size, disk)
-		if p.s.lazy.reader.verify {
-			p.ChecksumVerified++
-		}
+		p.ChecksumVerified++
 	}
 	return nil
 }

@@ -32,9 +32,6 @@ type Opts struct {
 	// FsyncEvery is the timer period of the FsyncInterval policy
 	// (default 200ms).
 	FsyncEvery time.Duration
-	// DisableChecksumVerify turns off CRC verification on segment cold
-	// reads (the base store's own verify flag is the caller's to manage).
-	DisableChecksumVerify bool
 	// EngineOpts configures the engines of segments and frozen buffer
 	// views. The gate is always replaced by the base engine's, so every
 	// unit shares one process-wide worker budget, and the per-chunk
@@ -403,9 +400,6 @@ func (w *Writer) openSegment(gs genSegment) (*segment, error) {
 		return nil, fmt.Errorf("ingest: open segment %s: %w", gs.Dir, err)
 	}
 	cs.DisableVirtualPersist()
-	if w.opts.DisableChecksumVerify {
-		cs.SetVerifyChecksums(false)
-	}
 	return &segment{
 		rel:   gs.Dir,
 		dir:   dir,

@@ -147,11 +147,6 @@ type Options struct {
 	// an OS crash at most the last interval), or FsyncNever (the kernel
 	// decides). See docs/ingest.md.
 	IngestFsyncPolicy string
-	// DisableChecksumVerify turns off per-record CRC32C verification on
-	// cold reads. Verification is on by default; a
-	// detected mismatch fails the read with the file and offset rather
-	// than returning corrupt data. See docs/format.md.
-	DisableChecksumVerify bool
 	// ScrubInterval runs the offline scrub (see Scrub) on this cadence in
 	// the background for stores opened from disk: every checksummed byte
 	// of the directory is re-verified, read-only, while queries continue.
@@ -360,9 +355,6 @@ func Open(dir string, opts Options) (*Store, int64, error) {
 	}
 	if opts.DisableVirtualPersist {
 		cs.DisableVirtualPersist()
-	}
-	if opts.DisableChecksumVerify {
-		cs.SetVerifyChecksums(false)
 	}
 	s := &Store{store: cs, engine: exec.New(cs, opts.engineOptions()), opts: opts, dir: dir}
 	// A directory that was appended to reopens with its append path
