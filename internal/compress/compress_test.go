@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,80 @@ func TestCorruptInputsDoNotPanic(t *testing.T) {
 			t.Errorf("%s: empty input decoded without error", c.Name())
 		}
 	}
+}
+
+// TestDecompressHostilePreamble: a preamble promising a terabyte in front of
+// a few bytes — no element, a short literal, one codec's whole compressed
+// form — is refused with an error, having allocated about nothing. Such a
+// preamble used to be reserved as it stood: a fatal out-of-memory, not a
+// recoverable panic. The column files of old store generations carry no
+// checksums, so these bytes reach the codecs unverified.
+func TestDecompressHostilePreamble(t *testing.T) {
+	const promise = 1 << 40
+	for _, c := range allCodecs(t) {
+		body := c.Compress(nil, []byte("powerdrill powerdrill powerdrill"))
+		if _, n := uvarint(body); n > 0 && c.Name() != "zlib" && c.Name() != "huffman-only" {
+			body = body[n:]
+		}
+		for _, in := range [][]byte{
+			putUvarint(nil, promise),
+			append(putUvarint(nil, promise), 0x00, 'p'),
+			append(putUvarint(nil, promise), body...),
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := c.Decompress(nil, in)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: %x decoded to %d bytes without error", c.Name(), in, len(out))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s: %x allocated %d bytes", c.Name(), in, got)
+			}
+			if allocs := testing.AllocsPerRun(5, func() { c.Decompress(nil, in) }); allocs > 32 {
+				t.Errorf("%s: %x took %.0f allocations", c.Name(), in, allocs)
+			}
+		}
+	}
+}
+
+// FuzzCodecs: every codec round-trips arbitrary bytes, and arbitrary bytes
+// given to Decompress neither panic nor allocate more than the output they
+// produce (a few times over, for growth) and what they can expand to — no
+// reservation is taken on a length the input cannot back. An input whose
+// preamble declares more than a MiB is left to TestDecompressHostilePreamble:
+// a few bytes of LZ match can honestly keep such a promise, so decoding it
+// would measure the host's memory, not the codec.
+func FuzzCodecs(f *testing.F) {
+	codecs := allCodecs(f)
+	for _, data := range corpus() {
+		data = data[:min(len(data), 512)]
+		f.Add(data)
+		for _, c := range codecs {
+			f.Add(c.Compress(nil, data))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			got, err := c.Decompress(nil, c.Compress(nil, data))
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: round trip of %d bytes gave %d bytes, %v", c.Name(), len(data), len(got), err)
+			}
+		}
+		if declared, n := uvarint(data); n > 0 && declared > 1<<20 {
+			return
+		}
+		for _, c := range codecs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, _ := c.Decompress(nil, data)
+			runtime.ReadMemStats(&after)
+			bound := 8*uint64(len(out)) + 22*uint64(len(data)) + 256<<10
+			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+				t.Fatalf("%s: %d bytes of input, %d of output, allocated %d (bound %d)", c.Name(), len(data), len(out), got, bound)
+			}
+		}
+	})
 }
 
 func TestCompressionRatiosOnColumnData(t *testing.T) {

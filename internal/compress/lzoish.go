@@ -97,7 +97,13 @@ func (LZOish) Compress(dst, src []byte) []byte {
 
 var errLZOCorrupt = errors.New("compress: corrupt lzoish data")
 
-// Decompress implements Codec.
+// lzoMaxOutPlain is the most output n bytes of ops can stand for without an
+// extended match length: a two-byte match emits at most 129 bytes. An
+// extended length has no bound, so Decompress reserves no more than this
+// and grows its output as the ops produce it.
+func lzoMaxOutPlain(n int) uint64 { return uint64(n) * (lzoMinMatch + 126) / 2 }
+
+// Decompress implements Codec. No op may write past the preamble.
 func (LZOish) Decompress(dst, src []byte) ([]byte, error) {
 	want, n := uvarint(src)
 	if n <= 0 {
@@ -105,46 +111,47 @@ func (LZOish) Decompress(dst, src []byte) ([]byte, error) {
 	}
 	src = src[n:]
 	base := len(dst)
-	if cap(dst)-len(dst) < int(want) {
-		grown := make([]byte, len(dst), len(dst)+int(want))
+	if reserve := int(min(want, lzoMaxOutPlain(len(src)))); cap(dst)-len(dst) < reserve {
+		grown := make([]byte, len(dst), len(dst)+reserve)
 		copy(grown, dst)
 		dst = grown
 	}
+	// left is what the preamble still allows.
+	left := func() uint64 { return want - uint64(len(dst)-base) }
 	for len(src) > 0 {
 		op := src[0]
 		src = src[1:]
 		if op < 0x80 {
 			n := int(op) + 1
-			if len(src) < n {
+			if len(src) < n || uint64(n) > left() {
 				return dst, errLZOCorrupt
 			}
 			dst = append(dst, src[:n]...)
 			src = src[n:]
 			continue
 		}
-		length := int(op&0x7f) + lzoMinMatch
+		length := uint64(op&0x7f) + lzoMinMatch
 		if op&0x7f == 127 {
 			ext, n := uvarint(src)
 			if n <= 0 {
 				return dst, errLZOCorrupt
 			}
 			src = src[n:]
-			length = int(ext) + lzoMinMatch
+			length = ext + lzoMinMatch
 		}
 		off, n := uvarint(src)
 		if n <= 0 {
 			return dst, errLZOCorrupt
 		}
 		src = src[n:]
-		offset := int(off)
-		if offset <= 0 || offset > len(dst)-base {
+		if off == 0 || off > uint64(len(dst)-base) || length > left() {
 			return dst, errLZOCorrupt
 		}
-		for i := 0; i < length; i++ {
+		for i, offset := uint64(0), int(off); i < length; i++ {
 			dst = append(dst, dst[len(dst)-offset])
 		}
 	}
-	if got := len(dst) - base; got != int(want) {
+	if got := len(dst) - base; uint64(got) != want {
 		return dst, errLZOCorrupt
 	}
 	return dst, nil

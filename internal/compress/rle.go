@@ -45,7 +45,7 @@ func (RLE) Decompress(dst, src []byte) ([]byte, error) {
 		}
 		v := src[n]
 		src = src[n+1:]
-		if run == 0 || uint64(len(dst)-base)+run > want {
+		if run == 0 || run > want-uint64(len(dst)-base) {
 			return dst, errRLECorrupt
 		}
 		for i := uint64(0); i < run; i++ {

@@ -168,22 +168,35 @@ var (
 	errZippyTruncated = errors.New("compress: truncated zippy data")
 )
 
-// Decompress implements Codec.
+// zippyMaxOut is the most output n bytes of elements can stand for: a
+// three-byte copy element emits at most 64 bytes, and no element more per
+// byte of its own.
+func zippyMaxOut(n int) uint64 { return uint64(n) * 64 / 3 }
+
+// Decompress implements Codec. The preamble is checked against what the
+// elements that follow it can expand to before anything is reserved, and no
+// element may write past it.
 func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 	want, n := uvarint(src)
 	if n <= 0 {
 		return dst, errZippyTruncated
 	}
 	src = src[n:]
+	if want > zippyMaxOut(len(src)) {
+		return dst, fmt.Errorf("%w: preamble says %d bytes, %d bytes of elements make at most %d",
+			errZippyCorrupt, want, len(src), zippyMaxOut(len(src)))
+	}
 	base := len(dst)
+	end := base + int(want)
 	// Grow once; the preamble tells us the exact output size.
-	if cap(dst)-len(dst) < int(want) {
-		grown := make([]byte, len(dst), len(dst)+int(want))
+	if cap(dst) < end {
+		grown := make([]byte, len(dst), end)
 		copy(grown, dst)
 		dst = grown
 	}
 	for len(src) > 0 {
 		tag := src[0]
+		var err error
 		switch tag & 0x03 {
 		case zippyTagLiteral:
 			n := int(tag >> 2)
@@ -213,6 +226,9 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 			if len(src) < 1+extra+n {
 				return dst, errZippyTruncated
 			}
+			if len(dst)+n > end {
+				return dst, fmt.Errorf("%w: output past the preamble's %d bytes", errZippyCorrupt, want)
+			}
 			dst = append(dst, src[1+extra:1+extra+n]...)
 			src = src[1+extra+n:]
 		case zippyTagCopy1:
@@ -222,11 +238,7 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 			length := 4 + int(tag>>2)&0x07
 			offset := int(tag&0xe0)<<3 | int(src[1])
 			src = src[2:]
-			var err error
-			dst, err = zippyCopy(dst, base, offset, length)
-			if err != nil {
-				return dst, err
-			}
+			dst, err = zippyCopy(dst, base, end, offset, length)
 		case zippyTagCopy2:
 			if len(src) < 3 {
 				return dst, errZippyTruncated
@@ -234,11 +246,7 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 			length := 1 + int(tag>>2)
 			offset := int(src[1]) | int(src[2])<<8
 			src = src[3:]
-			var err error
-			dst, err = zippyCopy(dst, base, offset, length)
-			if err != nil {
-				return dst, err
-			}
+			dst, err = zippyCopy(dst, base, end, offset, length)
 		default: // zippyTagCopy4
 			if len(src) < 5 {
 				return dst, errZippyTruncated
@@ -246,11 +254,10 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 			length := 1 + int(tag>>2)
 			offset := int(binary.LittleEndian.Uint32(src[1:]))
 			src = src[5:]
-			var err error
-			dst, err = zippyCopy(dst, base, offset, length)
-			if err != nil {
-				return dst, err
-			}
+			dst, err = zippyCopy(dst, base, end, offset, length)
+		}
+		if err != nil {
+			return dst, err
 		}
 	}
 	if got := len(dst) - base; got != int(want) {
@@ -260,9 +267,10 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 }
 
 // zippyCopy appends length bytes starting offset bytes back, handling
-// overlapping copies (the RLE-like case offset < length) byte by byte.
-func zippyCopy(dst []byte, base, offset, length int) ([]byte, error) {
-	if offset <= 0 || offset > len(dst)-base {
+// overlapping copies (the RLE-like case offset < length) byte by byte. The
+// output starts at base and may not pass end.
+func zippyCopy(dst []byte, base, end, offset, length int) ([]byte, error) {
+	if offset <= 0 || offset > len(dst)-base || len(dst)+length > end {
 		return dst, errZippyCorrupt
 	}
 	for i := 0; i < length; i++ {

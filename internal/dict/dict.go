@@ -18,6 +18,7 @@ package dict
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"powerdrill/internal/sketch"
 	"powerdrill/internal/value"
@@ -56,6 +57,12 @@ func findGEByProbe(d Dict, v value.Value) uint32 {
 // lookup by rank is an array access, rank of a value a binary search.
 type StringArray struct {
 	vals []string
+	// hashes[id] is Hash(id), computed once, on first use: COUNT(DISTINCT)
+	// offers a chunk's values by hash on every query, and hashing a string
+	// reads all of it. Dictionaries no COUNT(DISTINCT) reads never pay for
+	// it — a cold load does not hash.
+	hashOnce sync.Once
+	hashes   []uint64
 }
 
 // NewStringArray builds a dictionary from strictly sorted, distinct
@@ -108,13 +115,23 @@ func (d *StringArray) FindGE(v value.Value) uint32 {
 }
 
 // Hash implements Dict.
-func (d *StringArray) Hash(id uint32) uint64 { return sketch.HashString(d.vals[id]) }
+func (d *StringArray) Hash(id uint32) uint64 {
+	d.hashOnce.Do(func() {
+		d.hashes = make([]uint64, len(d.vals))
+		for i, s := range d.vals {
+			d.hashes[i] = sketch.HashString(s)
+		}
+	})
+	return d.hashes[id]
+}
 
 // MemoryBytes implements Dict. Each Go string costs a 16-byte header plus
-// its bytes; this mirrors the paper's observation that verbatim dictionaries
-// for high-cardinality fields dominate the footprint.
+// its bytes, and 8 more for its hash — counted whether or not it has been
+// computed yet, so that a budget that admits the dictionary has room for
+// them; this mirrors the paper's observation that verbatim dictionaries for
+// high-cardinality fields dominate the footprint.
 func (d *StringArray) MemoryBytes() int64 {
-	total := int64(len(d.vals)) * 16
+	total := int64(len(d.vals)) * (16 + 8)
 	for _, s := range d.vals {
 		total += int64(len(s))
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"powerdrill/internal/sketch"
 	"powerdrill/internal/value"
 )
 
@@ -211,6 +212,9 @@ func TestHashDistinctness(t *testing.T) {
 		seen := map[uint64]bool{}
 		for i := 0; i < d.Len(); i++ {
 			h := d.Hash(uint32(i))
+			if want := sketch.HashString(vals[i]); h != want {
+				t.Errorf("%s: Hash(%d) = %#x, want the value's own hash %#x", name, i, h, want)
+			}
 			if seen[h] {
 				t.Errorf("%s: hash collision at id %d", name, i)
 			}
@@ -257,7 +261,7 @@ func TestQuickArrayVsTrie(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	vals := sortedStrings(1000)
 	arr := NewStringArray(vals)
-	var want int64 = int64(len(vals)) * 16
+	var want int64 = int64(len(vals)) * (16 + 8) // string header, memoized hash
 	for _, s := range vals {
 		want += int64(len(s))
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"powerdrill/internal/bloom"
-	"powerdrill/internal/sketch"
 	"powerdrill/internal/value"
 )
 
@@ -228,9 +227,9 @@ func (d *Sharded) load(i int) (*StringArray, error) {
 	return sh.resident, nil
 }
 
-// StringAt returns the string with the given rank, loading its shard if
-// necessary.
-func (d *Sharded) StringAt(id uint32) string {
+// at returns the shard holding rank id, loading it if necessary, and id's
+// rank in it.
+func (d *Sharded) at(id uint32) (*StringArray, uint32) {
 	if int(id) >= d.n {
 		panic(fmt.Sprintf("dict: rank %d out of range [0,%d)", id, d.n))
 	}
@@ -239,7 +238,14 @@ func (d *Sharded) StringAt(id uint32) string {
 	if err != nil {
 		panic(fmt.Sprintf("dict: loading shard %d: %v", i, err))
 	}
-	return sa.StringAt(id - uint32(d.shards[i].base))
+	return sa, id - uint32(d.shards[i].base)
+}
+
+// StringAt returns the string with the given rank, loading its shard if
+// necessary.
+func (d *Sharded) StringAt(id uint32) string {
+	sa, local := d.at(id)
+	return sa.StringAt(local)
 }
 
 // Value implements Dict.
@@ -328,8 +334,11 @@ func (d *Sharded) FindGE(v value.Value) uint32 {
 	return uint32(d.shards[i].base) + sa.FindGE(v)
 }
 
-// Hash implements Dict.
-func (d *Sharded) Hash(id uint32) uint64 { return sketch.HashString(d.StringAt(id)) }
+// Hash implements Dict: the shard's own, memoized.
+func (d *Sharded) Hash(id uint32) uint64 {
+	sa, local := d.at(id)
+	return sa.Hash(local)
+}
 
 // MemoryBytes implements Dict: routing data, filters, and resident shards
 // only — the whole point of the split is that evicted shards cost nothing.

@@ -4,24 +4,27 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
+	"powerdrill/internal/sketch"
 )
 
 // groupSet is aggregate state over a set of groups in the layout a Partial
 // gives its aggregates: the groups' global-ids, ascending, and one aggColumn
 // per aggregate holding only the arrays aggLayout names, group i's state at
 // index i of each. It is a chunk's partial — what the result cache holds for
-// a fully active chunk and what the chunk-order merge folds — and the
-// query's group table, which emitPartial wraps. Minimum and maximum are
-// global-ids (the global dictionary is sorted, so the order of ids is the
-// order of values) and a float sum is one part per group; neither is looked
-// up or split until the partial leaves the engine (Partial.resolve). No
-// array holds a pointer and no column a dictionary, so a cached entry keeps
-// nothing alive outside the memory budget and is memory the garbage
-// collector does not scan.
+// a fully active chunk, folded into a worker's groupTable like a scanned
+// chunk — and the query's merged group table, which emitPartial wraps.
+// Minimum and maximum are global-ids (the global dictionary is sorted, so
+// the order of ids is the order of values) and a float sum is one part per
+// group; neither is looked up or split until the partial leaves the engine
+// (Partial.resolve). No array holds a pointer and no column a dictionary,
+// so a cached entry keeps nothing alive outside the memory budget and is
+// memory the garbage collector does not scan.
 type groupSet struct {
 	gids []uint32
 	aggs []aggColumn
@@ -38,12 +41,13 @@ func (s *groupSet) sizeBytes() int64 {
 
 // executeChunks classifies every chunk and aggregates the active ones,
 // fanning the per-chunk work (classify, mask, aggregate, cache probe) out
-// over the engine's parallelism. Workers produce one partial per active
-// chunk (the same unit the result cache stores); the partials then merge
-// into the group table in ascending chunk order on the calling goroutine.
-// Merging in chunk order — not in the racy order workers finish — is what
-// makes the result bit-for-bit identical to the sequential engine's even
-// for float SUM/AVG, where addition order changes the last ULPs.
+// over the engine's parallelism. Each worker folds every chunk it claims —
+// scanned, or a partial from the result cache — into a group table of its
+// own, indexed by group global-id; the tables then merge once
+// (mergeTables). Counts, integer sums, MIN/MAX and sketches combine in any
+// order; float sums, where addition order changes the last ULPs, are added
+// in ascending chunk order at the merge — not in the racy order workers
+// finish — so the result is bit-for-bit the sequential engine's.
 func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	var qs QueryStats
 	nChunks := e.store.NumChunks()
@@ -65,18 +69,14 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	// one), so total scan goroutines stay bounded by the gate's capacity.
 	workers := e.gate.AcquireUpTo(e.chunkWorkers(nChunks))
 	defer e.gate.Release(workers)
-	parts := make([]*groupSet, nChunks) // nil entries are skipped chunks
+	ws := workerPool.take(workers)
+	defer workerPool.give(ws)
+	for _, w := range ws {
+		w.begin(p)
+	}
 	wqs := make([]QueryStats, workers)
-	// One scratch per worker, reused across the chunks it claims: a worker
-	// scans one chunk at a time, so nothing in it is shared.
-	scratch := make([]chunkAggCtx, workers)
 	err := forEachChunk(nChunks, workers, nil, func(w, ci int) error {
-		part, err := e.scanChunk(p, ci, nCols, &wqs[w], &scratch[w])
-		if err != nil {
-			return err
-		}
-		parts[ci] = part
-		return nil
+		return e.scanChunk(p, ci, nCols, &wqs[w], ws[w])
 	})
 	if err != nil {
 		return nil, qs, err
@@ -84,56 +84,12 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	for w := 0; w < workers; w++ {
 		qs.Add(wqs[w])
 	}
-	return mergeChunks(p, parts), qs, nil
+	return mergeTables(p, ws), qs, nil
 }
 
-// mergeChunks folds the chunk partials, in ascending chunk order, into the
-// query's group table, through a slot table indexed by group global-id (its
-// size is the group dictionary's cardinality, known from the plan, so
-// finding a group is an array access): mark the groups present, number them
-// in ascending global-id order, then scatter every partial into the table's
-// zeroed arrays (aggColumn.fold). Cached partials are shared between queries
-// and workers, so nothing is written through them.
-func mergeChunks(p *plan, parts []*groupSet) *groupSet {
-	card := 1
-	if p.groupCol != nil {
-		card = p.groupCol.Dict.Len()
-	}
-	slot := make([]int32, card)
-	present, total := make([]*groupSet, 0, len(parts)), 0
-	for _, part := range parts {
-		if part != nil && len(part.gids) > 0 {
-			present, total = append(present, part), total+len(part.gids)
-			for _, gid := range part.gids {
-				slot[gid] = 1
-			}
-		}
-	}
-	out := &groupSet{gids: make([]uint32, 0, min(card, total)), aggs: slices.Clone(p.emptyAggs)}
-	for gid, s := range slot {
-		if s != 0 {
-			slot[gid] = int32(len(out.gids))
-			out.gids = append(out.gids, uint32(gid))
-		}
-	}
-	inputs, slots, flat := make([][]aggColumn, len(present)), make([][]int32, len(present)), make([]int32, total)
-	for pi, part := range present {
-		inputs[pi] = part.aggs
-		slots[pi], flat = flat[:len(part.gids):len(part.gids)], flat[len(part.gids):]
-		for i, gid := range part.gids {
-			slots[pi][i] = slot[gid]
-		}
-	}
-	for j := range out.aggs {
-		out.aggs[j].fold(len(out.gids), j, inputs, slots)
-	}
-	return out
-}
-
-// scanChunk classifies one chunk and returns its partial contribution (nil
-// for skipped chunks) — the unit of work one parallel worker claims at a
-// time.
-func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chunkAggCtx) (*groupSet, error) {
+// scanChunk classifies one chunk and folds its contribution into the
+// worker's table — the unit of work one parallel worker claims at a time.
+func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scanWorker) error {
 	rows := e.store.ChunkRows(ci)
 	if p.active != nil && !p.active[ci] {
 		// Pruned by the residency analysis: on a chunk-granular store this
@@ -141,7 +97,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		// column views have nil entries here.
 		qs.ChunksSkipped++
 		qs.RowsSkipped += int64(rows)
-		return nil, nil
+		return nil
 	}
 	if part, ok := p.cachedParts[ci]; ok {
 		// Answered by the cache probe: the chunk is fully active and its
@@ -151,7 +107,8 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 		qs.ChunksCached++
 		qs.CacheSkippedChunks++
 		qs.RowsCached += int64(rows)
-		return part, nil
+		w.table.addPartial(part, ci)
+		return nil
 	}
 	state := activeAll
 	if p.where != nil {
@@ -170,30 +127,30 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, sc *chu
 	case state == activeNone:
 		qs.ChunksSkipped++
 		qs.RowsSkipped += int64(rows)
-		return nil, nil
+		return nil
 	case state == activeSome:
-		if mask, err = p.where.mask(e, p, ci, &sc.mask); err != nil {
-			return nil, err
+		if mask, err = p.where.mask(e, p, ci, &w.mask); err != nil {
+			return err
 		}
 	case e.resultCache != nil:
 		key = cacheKey(ci, p)
 		if v, ok := e.resultCache.Get(key); ok {
 			qs.ChunksCached++
 			qs.RowsCached += int64(rows)
-			return v.(*groupSet), nil
+			w.table.addPartial(v.(*groupSet), ci)
+			return nil
 		}
 	}
-	part, err := e.aggregateChunk(p, ci, mask, qs, sc)
-	if err != nil {
-		return nil, err
-	}
+	e.aggregateChunk(p, ci, mask, qs, &w.chunkAggCtx)
 	if key != "" {
+		part := w.newPartial(p)
 		e.resultCache.Put(key, part, part.sizeBytes())
 	}
+	w.table.add(w.groupGIDs, w.present, w.counts, w.dense, ci)
 	qs.ChunksScanned++
 	qs.RowsScanned += int64(rows)
 	qs.CellsScanned += int64(rows) * nCols
-	return part, nil
+	return nil
 }
 
 // groupColumn returns the single column the engine groups by: the lone
@@ -208,24 +165,26 @@ func (p *plan) groupColumn() string {
 	return ""
 }
 
-// aggregateChunk computes a chunk's partial aggregates. mask == nil means
-// the chunk is fully active. It dispatches to the vectorized kernels
-// (kernels.go) unless Options.DisableKernels pins the scalar reference
-// path — the oracle the differential fuzzer compares the kernels against.
-// Both paths produce bit-for-bit identical partials, including float
-// SUM/AVG accumulation order (ascending rows). sc is the calling worker's
-// scratch; nothing in the returned partial points into it.
-func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStats, sc *chunkAggCtx) (*groupSet, error) {
+// aggregateChunk aggregates a chunk into sc, the calling worker's scratch:
+// sc.present lists the groups that received a selected row and sc.dense
+// holds each aggregate's results over the chunk's groups (see dense).
+// mask == nil means the chunk is fully active. It dispatches to the
+// vectorized kernels (kernels.go) unless Options.DisableKernels pins the
+// scalar reference path — the oracle the differential fuzzer compares the
+// kernels against. Both paths produce bit-for-bit identical results,
+// including float SUM/AVG accumulation order (ascending rows).
+func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStats, sc *chunkAggCtx) {
 	if e.opts.DisableKernels {
 		if qs != nil {
 			qs.ScalarChunks++
 		}
-		return e.aggregateChunkScalar(p, ci, mask, sc), nil
+		e.aggregateChunkScalar(p, ci, mask, sc)
+		return
 	}
 	if qs != nil {
 		qs.KernelChunks++
 	}
-	return e.aggregateChunkVec(p, ci, mask, sc), nil
+	e.aggregateChunkVec(p, ci, mask, sc)
 }
 
 // chunkAggCtx is one scan worker's scratch, reloaded for every chunk the
@@ -235,8 +194,8 @@ func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStat
 // global-id of each argument chunk-id — computed once per distinct value,
 // not per row, the same trick the restriction masks use) — and the dense
 // per-group tables the kernels accumulate in. Every buffer keeps its
-// capacity from chunk to chunk, so after a worker's first chunks a scan
-// allocates only the partial it returns. A worker scans one chunk at a
+// capacity from chunk to chunk and, in workerPool, from query to query, so
+// a warm scan allocates nothing per chunk. A worker scans one chunk at a
 // time, which is why the scratch is the worker's and needs no lock.
 type chunkAggCtx struct {
 	rows int
@@ -266,9 +225,15 @@ type chunkAggCtx struct {
 	argChunks []*colstore.Chunk
 
 	// counts[g] is the number of selected rows in group g; present lists
-	// the groups that have any, ascending — the partial's groups.
+	// the groups that have any, ascending — the groups the chunk
+	// contributes.
 	counts  []int64
 	present []int32
+	// dense holds the chunk's results, one column per aggregate in the
+	// query's layout but for the counts, which are counts: entry g of each
+	// array is group g's, and the runs are the present groups', in order.
+	// Entries of groups not present are stale.
+	dense []aggColumn
 	// Kernel accumulators, indexed by group chunk-id: sums and extreme
 	// argument chunk-ids. COUNT(DISTINCT) offers lie in bucket, one stretch
 	// per group in group order, fill[g] the next free entry of group g's
@@ -279,14 +244,357 @@ type chunkAggCtx struct {
 	bucket []uint64
 	fill   []int32
 	// occ[a] counts the selected rows holding argument chunk-id a, for the
-	// argument chunk occOf (see occupancy); pairSeen[g*|dict|+a] marks the
-	// (group, argument) pairs COUNT(DISTINCT) has already offered.
+	// argument chunk occOf (see occupancy); bit g*|dict|+a of pairSeen marks
+	// the (group, argument) pairs COUNT(DISTINCT) has already offered.
 	occ      []int64
 	occOf    *colstore.Chunk
-	pairSeen []bool
+	pairSeen []uint64
 	// The sparse path's selected rows and their group chunk-ids.
 	sel []int32
 	gof []uint32
+}
+
+// begin lays the dense results out for p's aggregates, keeping the arrays.
+func (c *chunkAggCtx) begin(p *plan) {
+	c.dense = slices.Grow(c.dense[:0], len(p.emptyAggs))[:len(p.emptyAggs)]
+	for j, e := range p.emptyAggs {
+		a := &c.dense[j]
+		a.has, a.m, a.vals.kind = e.has, e.m, e.vals.kind
+	}
+}
+
+// occupied lists the groups that received a selected row and returns how
+// many there are. c.counts must be final.
+func (c *chunkAggCtx) occupied() int {
+	c.present = c.present[:0]
+	for g, n := range c.counts {
+		if n > 0 {
+			c.present = append(c.present, int32(g))
+		}
+	}
+	return len(c.present)
+}
+
+// release drops the views the scratch holds between chunks: into the store
+// — chunk dictionaries and element sequences, so that a pooled scratch
+// keeps no evicted chunk alive outside the memory budget — and gelems, so
+// that it keeps nothing trim drops.
+func (c *chunkAggCtx) release() {
+	c.groupGIDs, c.gseq, c.gelems, c.occOf = nil, nil, nil, nil
+	clear(c.argGIDs)
+	clear(c.argChunks)
+}
+
+// trim drops the scratch's buffers that hold more than lim bytes and
+// returns what the others hold.
+func (c *chunkAggCtx) trim(lim int) int {
+	n := 0
+	c.mask.verdict = kept(c.mask.verdict, lim, &n)
+	for i, b := range c.mask.bitmaps {
+		if capBytes(b.Words()) > lim {
+			c.mask.bitmaps = c.mask.bitmaps[:i]
+			break
+		}
+		n += capBytes(b.Words())
+	}
+	c.gelemsBuf = kept(c.gelemsBuf, lim, &n)
+	for j := range c.argElems {
+		c.argValsF[j] = kept(c.argValsF[j], lim, &n)
+		c.argValsI[j] = kept(c.argValsI[j], lim, &n)
+		c.argHash[j] = kept(c.argHash[j], lim, &n)
+		c.argElems[j] = kept(c.argElems[j], lim, &n)
+	}
+	c.counts, c.present = kept(c.counts, lim, &n), kept(c.present, lim, &n)
+	for j := range c.dense {
+		a := &c.dense[j]
+		a.sumI, a.parts.vals, a.vals.ids = kept(a.sumI, lim, &n), kept(a.parts.vals, lim, &n), kept(a.vals.ids, lim, &n)
+		a.hashes.off, a.hashes.vals = kept(a.hashes.off, lim, &n), kept(a.hashes.vals, lim, &n)
+	}
+	c.sumsI, c.sumsF, c.ext = kept(c.sumsI, lim, &n), kept(c.sumsF, lim, &n), kept(c.ext, lim, &n)
+	c.bucket, c.fill = kept(c.bucket, lim, &n), kept(c.fill, lim, &n)
+	c.occ, c.pairSeen = kept(c.occ, lim, &n), kept(c.pairSeen, lim, &n)
+	c.sel, c.gof = kept(c.sel, lim, &n), kept(c.gof, lim, &n)
+	return n
+}
+
+// kept returns buf, adding the bytes it holds to *n — or nil, if they are
+// more than lim.
+func kept[T any](buf []T, lim int, n *int) []T {
+	b := capBytes(buf)
+	if b > lim {
+		return nil
+	}
+	*n += b
+	return buf
+}
+
+// capBytes is the memory a slice's backing array holds.
+func capBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
+}
+
+// groupTable is one scan worker's aggregate state for one query: every
+// chunk the worker claims folds into it (add), and at the end of the scan
+// the workers' tables merge once (mergeTables). Its arrays are indexed by
+// group global-id and sized by the group dictionary, not by the chunks or
+// the groups per chunk. Wherever no group was folded in an array holds its
+// identity, zero — MIN and MAX keep a key whose larger value wins (see
+// keyMask), a sketch an empty run — so a cleared table is ready for the
+// next query.
+type groupTable struct {
+	// counts[gid] is the group's selected rows, positive for every group
+	// folded in: the table's groups. (A cached partial of a query none of
+	// whose aggregates counts rows holds no counts; it adds one a group.)
+	counts []int64
+	cols   []tableColumn
+	// Float sums are not added here: addition order would then depend on
+	// which worker claimed which chunk. The table logs them instead — the
+	// chunks folded in, in the (ascending) order they were, ends[k] the end
+	// of chunk k's groups in gids and in each float column's parts — and
+	// mergeTables adds them, in ascending chunk order, through slot.
+	floats bool
+	chunks []int32
+	ends   []int32
+	gids   []uint32
+	slot   []int32
+	tmp    []uint64 // sketch unions
+	iota   []int32  // 0, 1, 2, …: where a partial's groups lie (addPartial)
+}
+
+// tableColumn is one aggregate's state in a groupTable: whichever of its
+// arrays the aggregate's layout names.
+type tableColumn struct {
+	sumI []int64
+	// keys holds MIN or MAX as id ^ keyMask: the larger key wins, and 0 is
+	// no value.
+	keys []uint32
+	// runs holds each group's sketch so far, or under ExactDistinct its set.
+	runs [][]uint64
+	// parts logs one float sum per logged group (groupTable.gids).
+	parts []uint64
+}
+
+// keyMask makes MIN and MAX one maximum: a MIN column's ids are kept
+// complemented, which reverses their order.
+func keyMask(has aggArrays) uint32 {
+	if has&arrMin != 0 {
+		return math.MaxUint32
+	}
+	return 0
+}
+
+// begin sizes the table for p: the group dictionary's cardinality (one
+// group for a global aggregate), and the arrays p's aggregates name.
+func (t *groupTable) begin(p *plan) {
+	card := 1
+	if p.groupCol != nil {
+		card = p.groupCol.Dict.Len()
+	}
+	t.counts = clean(t.counts, true, card)
+	for len(t.cols) < len(p.emptyAggs) {
+		t.cols = append(t.cols, tableColumn{})
+	}
+	t.floats = false
+	for j := range t.cols {
+		var h aggArrays
+		if j < len(p.emptyAggs) {
+			h = p.emptyAggs[j].has
+		}
+		c := &t.cols[j]
+		c.sumI = clean(c.sumI, h&arrSumI != 0, card)
+		c.keys = clean(c.keys, h&(arrMin|arrMax) != 0, card)
+		c.runs = clean(c.runs, h&arrSketch != 0, card)
+		t.floats = t.floats || h&arrParts != 0
+	}
+	t.slot = clean(t.slot, t.floats, card)
+}
+
+// clean returns buf with length n if the query uses it, else nil: an array
+// the query has no use for is not kept for a later one. A table's arrays
+// are zero over their whole capacity between queries, so reslicing
+// suffices unless buf must grow.
+func clean[T any](buf []T, use bool, n int) []T {
+	switch {
+	case !use:
+		return nil
+	case cap(buf) < n:
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// add folds a chunk's contribution into the table: group k of it is entry
+// at[k] of counts and of aggs' arrays, with global-id gids[at[k]], and run k
+// of a sketch column; counts is nil if the contribution does not count rows.
+// ci is the chunk; nothing is written through the arrays.
+func (t *groupTable) add(gids []uint32, at []int32, counts []int64, aggs []aggColumn, ci int) {
+	if len(at) == 0 {
+		return
+	}
+	if counts == nil {
+		for _, g := range at {
+			t.counts[gids[g]]++
+		}
+	} else {
+		for _, g := range at {
+			t.counts[gids[g]] += counts[g]
+		}
+	}
+	if t.floats {
+		t.chunks = append(t.chunks, int32(ci))
+		for _, g := range at {
+			t.gids = append(t.gids, gids[g])
+		}
+		t.ends = append(t.ends, int32(len(t.gids)))
+	}
+	for j := range aggs {
+		a, c := &aggs[j], &t.cols[j]
+		switch {
+		case a.has&arrSumI != 0:
+			for _, g := range at {
+				c.sumI[gids[g]] += a.sumI[g]
+			}
+		case a.has&arrParts != 0:
+			for _, g := range at {
+				c.parts = append(c.parts, a.parts.vals[g])
+			}
+		case a.has&(arrMin|arrMax) != 0:
+			mask := keyMask(a.has)
+			for _, g := range at {
+				gid := gids[g]
+				c.keys[gid] = max(c.keys[gid], a.vals.ids[g]^mask)
+			}
+		case a.has&arrSketch != 0:
+			for k, g := range at {
+				gid := gids[g]
+				in, run := a.hashes.at(k), c.runs[gid]
+				if len(run) == 0 {
+					c.runs[gid] = append(run, in...)
+					continue
+				}
+				t.tmp = sketch.UnionSorted(t.tmp[:0], run, in, a.m)
+				c.runs[gid] = append(run[:0], t.tmp...)
+			}
+		}
+	}
+}
+
+// addPartial folds in a chunk's partial from the result cache.
+func (t *groupTable) addPartial(part *groupSet, ci int) {
+	for len(t.iota) < len(part.gids) {
+		t.iota = append(t.iota, int32(len(t.iota)))
+	}
+	var counts []int64
+	for j := range part.aggs {
+		if part.aggs[j].has&arrCounts != 0 {
+			// Every aggregate that counts counts the same rows.
+			counts = part.aggs[j].counts
+			break
+		}
+	}
+	t.add(part.gids, t.iota[:len(part.gids)], counts, part.aggs, ci)
+}
+
+// reset returns every array to zero and empties the float log. Sketch runs
+// are dropped, not kept: a group's may hold m hashes.
+func (t *groupTable) reset() {
+	clear(t.counts)
+	clear(t.slot)
+	for j := range t.cols {
+		c := &t.cols[j]
+		clear(c.sumI)
+		clear(c.keys)
+		clear(c.runs)
+		c.parts = c.parts[:0]
+	}
+	t.chunks, t.ends, t.gids = t.chunks[:0], t.ends[:0], t.gids[:0]
+}
+
+// trim drops the table's arrays that hold more than lim bytes and returns
+// what the others hold. The table must be reset.
+func (t *groupTable) trim(lim int) int {
+	n := 0
+	t.counts, t.slot = kept(t.counts, lim, &n), kept(t.slot, lim, &n)
+	t.chunks, t.ends, t.gids = kept(t.chunks, lim, &n), kept(t.ends, lim, &n), kept(t.gids, lim, &n)
+	t.tmp, t.iota = kept(t.tmp, lim, &n), kept(t.iota, lim, &n)
+	for j := range t.cols {
+		c := &t.cols[j]
+		c.sumI, c.keys = kept(c.sumI, lim, &n), kept(c.keys, lim, &n)
+		c.runs, c.parts = kept(c.runs, lim, &n), kept(c.parts, lim, &n)
+	}
+	return n
+}
+
+// scanWorker is what one scan worker works with: its scratch and its group
+// table. Row scans use the scratch's mask alone.
+type scanWorker struct {
+	chunkAggCtx
+	table groupTable
+	held  int // bytes, while in workerPool
+}
+
+// begin readies the worker for p's scan.
+func (w *scanWorker) begin(p *plan) {
+	w.chunkAggCtx.begin(p)
+	w.table.begin(p)
+}
+
+// workerPool keeps scan workers between queries, so that a warm query
+// neither regrows scratch nor remakes tables. It is process-wide — the
+// engines of one process (leaves, ingest units) scan with the same workers
+// — and it is outside every byte budget (docs/memory.md), so it is small:
+// it keeps no buffer larger than poolBuffer — such a buffer is a large
+// chunk's or a large grouping's, made again, once, by the query that needs
+// it — and no worker that would take it past poolBytes. (A sync.Pool keeps
+// whatever it is given until the garbage collector runs twice.)
+var workerPool statePool
+
+const (
+	poolBytes  = 128 << 10
+	poolBuffer = 16 << 10
+)
+
+type statePool struct {
+	mu   sync.Mutex
+	free []*scanWorker
+	held int
+}
+
+// take returns n workers.
+func (s *statePool) take(n int) []*scanWorker {
+	ws := make([]*scanWorker, n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range ws {
+		k := len(s.free) - 1
+		if k < 0 {
+			ws[i] = &scanWorker{}
+			continue
+		}
+		ws[i], s.free[k] = s.free[k], nil
+		s.free = s.free[:k]
+		s.held -= ws[i].held
+	}
+	return ws
+}
+
+// give returns workers to the pool, reset and trimmed; those the pool has
+// no room for are dropped.
+func (s *statePool) give(ws []*scanWorker) {
+	for _, w := range ws {
+		w.table.reset()
+		w.release()
+		w.held = w.chunkAggCtx.trim(poolBuffer) + w.table.trim(poolBuffer)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range ws {
+		if s.held+w.held <= poolBytes {
+			s.free = append(s.free, w)
+			s.held += w.held
+		}
+	}
 }
 
 // globalGroup is the chunk dictionary of a global aggregate: one group.
@@ -421,28 +729,34 @@ func fillFloats(dst []float64, d dict.Dict, gids []uint32) {
 	}
 }
 
-// newPartial allocates the chunk's partial at its exact size: the groups
-// that received a selected row, in chunk-id order, and for each aggregate
-// the zeroed arrays its layout names. It writes the groups' global-ids and
-// row counts — the same for every aggregate, all of which count selected
-// rows, and all there is to COUNT(*). c.counts must be final.
+// newPartial copies the chunk's results into a partial of its own, at its
+// exact size — what the result cache holds: the groups that received a
+// selected row, in chunk-id order, and for each aggregate the arrays its
+// layout names.
 func (c *chunkAggCtx) newPartial(p *plan) *groupSet {
-	c.present = c.present[:0]
-	for g, n := range c.counts {
-		if n > 0 {
-			c.present = append(c.present, int32(g))
-		}
-	}
 	n := len(c.present)
 	part := &groupSet{gids: make([]uint32, n), aggs: slices.Clone(p.emptyAggs)}
 	for k, g := range c.present {
 		part.gids[k] = c.groupGIDs[g]
 	}
 	for j := range part.aggs {
-		a := &part.aggs[j]
+		a, d := &part.aggs[j], &c.dense[j]
 		a.alloc(n)
-		if a.counts != nil {
-			c.gatherInts(a.counts, c.counts)
+		for k, g := range c.present {
+			if a.has&arrCounts != 0 {
+				a.counts[k] = c.counts[g]
+			}
+			switch {
+			case a.has&arrSumI != 0:
+				a.sumI[k] = d.sumI[g]
+			case a.has&arrParts != 0:
+				a.parts.vals[k] = d.parts.vals[g]
+			case a.has&(arrMin|arrMax) != 0:
+				a.vals.ids[k] = d.vals.ids[g]
+			}
+		}
+		if a.has&arrSketch != 0 && n > 0 {
+			a.hashes = runColumn{slices.Clone(d.hashes.off), slices.Clone(d.hashes.vals)}
 		}
 	}
 	return part
@@ -451,10 +765,10 @@ func (c *chunkAggCtx) newPartial(p *plan) *groupSet {
 // aggregateChunkScalar is the retained row-at-a-time reference
 // implementation — the inner loops of Section 2.4 (dense arrays indexed by
 // chunk-id, no hashing), one interface-dispatched add per row into per-group,
-// per-aggregate tables, which then move into the partial's arrays. It stays
+// per-aggregate tables, which then move into the chunk's results. It stays
 // in the tree as the differential-fuzzing oracle and the ablation baseline;
 // production queries run the kernels in kernels.go.
-func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) *groupSet {
+func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
 	c.load(e, p, ci, false)
 	rows, card, na, gelems := c.rows, c.card, len(p.aggs), c.gelems
 	if c.gseq != nil && gelems == nil {
@@ -514,18 +828,28 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 	}
 
 	// Keep the groups that received rows.
-	part := c.newPartial(p)
-	for j := range part.aggs {
-		a := &part.aggs[j]
-		for k, g := range c.present {
+	c.occupied()
+	for j := range c.dense {
+		a := &c.dense[j]
+		switch {
+		case a.has&arrSumI != 0:
+			a.sumI = resized(a.sumI, card)
+		case a.has&arrParts != 0:
+			a.parts.vals = resized(a.parts.vals, card)
+		case a.has&(arrMin|arrMax) != 0:
+			a.vals.ids = resized(a.vals.ids, card)
+		case a.has&arrSketch != 0:
+			a.hashes.off, a.hashes.vals = append(a.hashes.off[:0], 0), a.hashes.vals[:0]
+		}
+		for _, g := range c.present {
 			at := int(g)*na + j
 			switch {
 			case a.has&arrSumI != 0:
-				a.sumI[k] = sumsI[at]
+				a.sumI[g] = sumsI[at]
 			case a.has&arrParts != 0:
-				a.parts.vals[k] = math.Float64bits(sumsF[at])
+				a.parts.vals[g] = math.Float64bits(sumsF[at])
 			case a.has&(arrMin|arrMax) != 0:
-				a.vals.ids[k] = ext[at]
+				a.vals.ids[g] = ext[at]
 			case a.has&arrSketch != 0:
 				run := offers[at]
 				slices.Sort(run)
@@ -535,5 +859,4 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 			}
 		}
 	}
-	return part
 }

@@ -79,13 +79,18 @@
 //     an expression or composite that no query has materialized yet; a
 //     query over existing columns never touches it.
 //   - Chunks are independent units of work. Workers claim chunk indices
-//     from a shared counter and produce one partial per chunk plus
-//     per-worker QueryStats, each with a scratch of its own (chunkAggCtx);
-//     partials then fold into the group table in ascending chunk order on
-//     the calling goroutine (mergeChunks), so results — including
-//     order-sensitive float sums — are bit-for-bit identical to the
-//     sequential engine's. A chunk partial is never written once built,
-//     so the result cache shares it between queries and workers as it is.
+//     from a shared counter, each with a worker of its own (scanWorker: a
+//     scratch and a group table indexed by group global-id, taken from the
+//     process-wide workerPool and given back after the query), and fold
+//     every chunk they claim into their own table, beside per-worker
+//     QueryStats. The tables merge once on the calling goroutine
+//     (mergeTables): counts, integer sums, MIN/MAX and sketches in any
+//     order, float sums from a per-worker log in ascending chunk order, so
+//     results — including order-sensitive float sums — are bit-for-bit
+//     identical to the sequential engine's. Only a chunk whose partial
+//     enters the result cache gets a partial of its own; it is never
+//     written once built, so the cache shares it between queries and
+//     workers as it is.
 //   - Shared mutable state is wrapped, not sprinkled with locks: the
 //     result cache is behind cache.Synchronized (its eviction policies
 //     mutate on Get), and the engine's cumulative Stats accumulate under

@@ -6,8 +6,8 @@ package exec
 // kernels run one type-specialized pass per aggregate over the chunk's
 // materialized element arrays, driven either by the full row range or by
 // the surviving-row bitmap's words (64 rows per branch-free word probe),
-// into a dense table indexed by group chunk-id, then move the occupied
-// groups' entries into the partial's arrays.
+// into a dense table indexed by group chunk-id — the chunk's results, which
+// the worker's group table folds in as they lie.
 //
 // Identity with the scalar path is a hard requirement (the differential
 // fuzzer enforces it): the sum kernels visit rows in ascending order, so
@@ -31,22 +31,23 @@ import (
 	"powerdrill/internal/enc"
 )
 
-// aggregateChunkVec computes a chunk's partial aggregates with the
-// vectorized kernels. mask == nil means the chunk is fully active.
-func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) *groupSet {
+// aggregateChunkVec aggregates a chunk with the vectorized kernels into c's
+// dense per-group results. mask == nil means the chunk is fully active.
+func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
 	if mask != nil {
 		// Sparse masks skip the dense per-chunk tables entirely: building
 		// them costs O(rows) per chunk (materialized element arrays plus
 		// per-distinct-value lookup tables), which dominates when only a
 		// few rows survive the restriction. The gather path is O(selected).
 		if n := mask.Count(); n*8 <= e.store.ChunkRows(ci) {
-			return e.aggregateChunkVecSparse(p, ci, mask, n, c)
+			e.aggregateChunkVecSparse(p, ci, mask, n, c)
+			return
 		}
 	}
 	c.load(e, p, ci, true)
 
 	// Row counts per group drive every kernel: they are every counts
-	// array, and which groups the partial holds.
+	// array, and which groups the chunk contributes.
 	c.counts = zeroed(c.counts, c.card)
 	switch {
 	case c.gseq == nil: // global aggregate: one implicit group
@@ -61,22 +62,20 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 		c.gseq.CountIntoMasked(c.counts, mask)
 	}
 
-	part := c.newPartial(p)
-	if len(part.gids) == 0 {
-		return part // no row selected (or none there): nothing to aggregate
+	if c.occupied() == 0 {
+		return // no row selected (or none there): nothing to aggregate
 	}
 	for j, spec := range p.aggs {
-		a := &part.aggs[j]
+		a := &c.dense[j]
 		switch spec.fn {
 		case aggSum, aggAvg:
 			if p.aggInt[j] {
-				c.sumsI = zeroed(c.sumsI, c.card)
-				kernelSum(c.sumsI, c.argValsI[j], c, c.argElems[j], mask)
-				c.gatherInts(a.sumI, c.sumsI)
+				a.sumI = zeroed(a.sumI, c.card)
+				kernelSum(a.sumI, c.argValsI[j], c, c.argElems[j], mask)
 			} else {
 				c.sumsF = zeroed(c.sumsF, c.card)
 				kernelSum(c.sumsF, c.argValsF[j], c, c.argElems[j], mask)
-				c.gatherFloats(a, c.sumsF)
+				c.floatParts(a, c.sumsF)
 			}
 		case aggMin, aggMax:
 			kernelMinMax(a, j, c, mask)
@@ -84,7 +83,6 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 			kernelDistinct(a, j, c, mask)
 		}
 	}
-	return part
 }
 
 // aggregateChunkVecSparse is the low-selectivity kernel: it gathers the
@@ -92,9 +90,9 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 // and argument sequences point-wise for just those rows — no materialized
 // element arrays, no per-distinct-value tables. Values and offers come from
 // the same dictionary calls the dense tables are built from, and rows are
-// visited in ascending order, so the partial is bit-identical to the dense
+// visited in ascending order, so the results are bit-identical to the dense
 // kernels' and the scalar path's.
-func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int, c *chunkAggCtx) *groupSet {
+func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int, c *chunkAggCtx) {
 	sel := resized(c.sel, nsel)[:0]
 	for wi, w := range mask.Words() {
 		base := wi * 64
@@ -117,31 +115,30 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 			c.counts[g]++
 		}
 	}
-	part := c.newPartial(p)
+	c.occupied()
 	for j, spec := range p.aggs {
 		acol := p.aggCols[j]
 		if acol == nil {
-			continue // COUNT(*): newPartial wrote the counts, all of it
+			continue // COUNT(*): the counts are all of it
 		}
-		a := &part.aggs[j]
+		a := &c.dense[j]
 		ach := acol.Chunks[ci]
 		agids, aseq := ach.GlobalIDs, ach.Elems
 		switch spec.fn {
 		case aggSum, aggAvg:
 			if p.aggInt[j] {
-				sums := zeroed(c.sumsI, c.card)
+				sums := zeroed(a.sumI, c.card)
 				for i, r := range sel {
 					sums[c.gof[i]] += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
 				}
-				c.sumsI = sums
-				c.gatherInts(a.sumI, sums)
+				a.sumI = sums
 			} else {
 				sums := zeroed(c.sumsF, c.card)
 				for i, r := range sel {
 					sums[c.gof[i]] += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
 				}
 				c.sumsF = sums
-				c.gatherFloats(a, sums)
+				c.floatParts(a, sums)
 			}
 		case aggMin, aggMax:
 			ext, flip := c.extremes(a)
@@ -149,33 +146,25 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 				g := c.gof[i]
 				ext[g] = min(ext[g], aseq.At(int(r))^flip)
 			}
-			c.gatherIDs(a, agids, flip)
+			c.extremeIDs(a, agids, flip)
 		case aggCountDistinct:
-			fill := c.buckets()
+			fill := c.buckets(math.MaxInt)
 			for i, r := range sel {
 				g := c.gof[i]
 				c.bucket[fill[g]] = distinctOffer(e, acol.Dict, agids[aseq.At(int(r))])
 				fill[g]++
 			}
-			c.fillRuns(a)
+			c.fillRuns(a, math.MaxInt)
 		}
 	}
-	return part
 }
 
-// gatherInts moves the occupied groups' entries of a dense per-group table
-// into a partial array, in group order.
-func (c *chunkAggCtx) gatherInts(dst, src []int64) {
-	for k, g := range c.present {
-		dst[k] = src[g]
-	}
-}
-
-// gatherFloats is gatherInts for float sums, into the column's parts: one
-// per group, as float bits.
-func (c *chunkAggCtx) gatherFloats(a *aggColumn, src []float64) {
-	for k, g := range c.present {
-		a.parts.vals[k] = math.Float64bits(src[g])
+// floatParts writes the occupied groups' float sums into the column's
+// parts, as float bits.
+func (c *chunkAggCtx) floatParts(a *aggColumn, src []float64) {
+	a.parts.vals = resized(a.parts.vals, c.card)
+	for _, g := range c.present {
+		a.parts.vals[g] = math.Float64bits(src[g])
 	}
 }
 
@@ -193,24 +182,27 @@ func (c *chunkAggCtx) extremes(a *aggColumn) (ext []uint32, flip uint32) {
 	return c.ext, flip
 }
 
-// gatherIDs moves the occupied groups' extremes into the column, as the
+// extremeIDs writes the occupied groups' extremes into the column, as the
 // global-ids the chunk-ids stand for.
-func (c *chunkAggCtx) gatherIDs(a *aggColumn, gids []uint32, flip uint32) {
-	for k, g := range c.present {
-		a.vals.ids[k] = gids[c.ext[g]^flip]
+func (c *chunkAggCtx) extremeIDs(a *aggColumn, gids []uint32, flip uint32) {
+	a.vals.ids = resized(a.vals.ids, c.card)
+	for _, g := range c.present {
+		a.vals.ids[g] = gids[c.ext[g]^flip]
 	}
 }
 
 // buckets lays out the COUNT(DISTINCT) offers of one aggregate: group g's go
 // to bucket[fill[g]], fill[g]++, in a bucket as large as the group's
-// selected rows — more than it can be offered. The buckets lie in group
-// order, so a group's starts where the previous group's ends.
-func (c *chunkAggCtx) buckets() []int32 {
+// selected rows or most, whichever is less — no larger than it can be
+// offered; most is the number of distinct values when no group is offered
+// one twice. The buckets lie in group order, so a group's starts where the
+// previous group's ends.
+func (c *chunkAggCtx) buckets(most int) []int32 {
 	c.fill = resized(c.fill, c.card)
 	at := int32(0)
 	for g, n := range c.counts {
 		c.fill[g] = at
-		at += int32(n)
+		at += int32(min(n, int64(most)))
 	}
 	c.bucket = resized(c.bucket, int(at))
 	return c.fill
@@ -219,21 +211,23 @@ func (c *chunkAggCtx) buckets() []int32 {
 // fillRuns writes the column's runs from the buckets: each occupied group's
 // offers, ascending, each value once, cut at the m smallest — a KMV sketch's
 // retained hashes, or an exact set of global-ids, whose m never cuts. The
-// runs are packed down the scratch, then copied out at their exact size.
-func (c *chunkAggCtx) fillRuns(a *aggColumn) {
+// runs are packed down the scratch, then copied into the column, one per
+// occupied group in group order. most is what buckets was given.
+func (c *chunkAggCtx) fillRuns(a *aggColumn, most int) {
+	a.hashes.off = append(a.hashes.off[:0], 0)
 	start, n := 0, 0
 	for g, cnt := range c.counts {
 		if cnt == 0 {
 			continue
 		}
 		run := c.bucket[start:c.fill[g]]
-		start += int(cnt)
+		start += int(min(cnt, int64(most)))
 		slices.Sort(run)
 		run = slices.Compact(run)
 		n += copy(c.bucket[n:], run[:min(len(run), a.m)])
 		a.hashes.off = append(a.hashes.off, uint32(n))
 	}
-	a.hashes.vals = slices.Clone(c.bucket[:n])
+	a.hashes.vals = append(a.hashes.vals[:0], c.bucket[:n]...)
 }
 
 // kernelSum accumulates SUM/AVG: dense per-group sums indexed by group
@@ -290,6 +284,7 @@ func kernelMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 				last--
 			}
 		}
+		a.vals.ids = resized(a.vals.ids, 1)
 		a.vals.ids[0] = gids[first]
 		if a.has&arrMax != 0 {
 			a.vals.ids[0] = gids[last]
@@ -315,11 +310,12 @@ func kernelMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 			}
 		}
 	}
-	c.gatherIDs(a, gids, flip)
+	c.extremeIDs(a, gids, flip)
 }
 
 // pairSeenCap bounds the (group, argument chunk-id) table kernelDistinct
-// dedupes through, in entries; it is cleared for every chunk that uses it.
+// dedupes through, in entries (one bit each); it is cleared for every chunk
+// that uses it.
 const pairSeenCap = 1 << 16
 
 // kernelDistinct feeds COUNT(DISTINCT x): each group's bucket receives the
@@ -331,9 +327,9 @@ const pairSeenCap = 1 << 16
 // offer never changes a run, so skipping it — one flag instead of a bucket
 // entry per row — leaves exactly the run offering every row would.
 func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
-	hs, ge := c.argHash[j], c.gelems
-	fill := c.buckets()
+	hs, ge, nd := c.argHash[j], c.gelems, len(c.argHash[j])
 	if ge == nil {
+		fill := c.buckets(nd)
 		occ := c.occupancy(j, mask)
 		for i, h := range hs {
 			if occ == nil || occ[i] > 0 {
@@ -341,23 +337,24 @@ func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 				fill[0]++
 			}
 		}
-		c.fillRuns(a)
+		c.fillRuns(a, nd)
 		return
 	}
-	ae, nd := c.argElems[j], len(hs)
-	var seen []bool
+	ae, most := c.argElems[j], math.MaxInt
+	var seen []uint64
 	if c.card*nd <= pairSeenCap {
-		c.pairSeen = zeroed(c.pairSeen, c.card*nd)
-		seen = c.pairSeen
+		c.pairSeen = zeroed(c.pairSeen, (c.card*nd+63)/64)
+		seen, most = c.pairSeen, nd
 	}
+	fill := c.buckets(most)
 	visit := func(r int) {
 		g, x := ge[r], ae[r]
 		if seen != nil {
 			pair := int(g)*nd + int(x)
-			if seen[pair] {
+			if seen[pair/64]&(1<<(pair%64)) != 0 {
 				return
 			}
-			seen[pair] = true
+			seen[pair/64] |= 1 << (pair % 64)
 		}
 		c.bucket[fill[g]] = hs[x]
 		fill[g]++
@@ -374,5 +371,5 @@ func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 			}
 		}
 	}
-	c.fillRuns(a)
+	c.fillRuns(a, most)
 }

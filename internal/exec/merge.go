@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 
 	"powerdrill/internal/sketch"
 	"powerdrill/internal/value"
@@ -199,21 +200,11 @@ func (c *valueColumn) less(i int, o *valueColumn, j int) bool {
 	return bytes.Compare(c.bytesAt(i), o.bytesAt(j)) < 0
 }
 
-// engineForm reports whether the column is in the form a groupSet holds it
-// in: MIN/MAX as ids, float sums one per group.
-func (a *aggColumn) engineForm() bool {
-	return a.vals.ids != nil || a.parts.vals != nil && a.parts.off == nil
-}
-
 // fold fills a, whose layout (has, m, vals.kind) is set, with the merge of
 // the inputs' aggregate columns j over n output groups, inputs in order:
-// group i of inputs[pi] goes to group slots[pi][i]. Columns in an engine's
-// own form fold the way a chunk accumulates rows: float sums, one per
-// group, add from +0, and MIN/MAX ids compare. A partial's float parts
-// concatenate and its MIN/MAX values compare; counts, integer sums and
-// sketches fold the same in either form.
+// group i of inputs[pi] goes to group slots[pi][i]. Counts and integer sums
+// add, float parts concatenate, MIN and MAX compare values, sketches union.
 func (a *aggColumn) fold(n, j int, inputs [][]aggColumn, slots [][]int32) {
-	engine := len(inputs) > 0 && inputs[0][j].engineForm()
 	if a.has&arrCounts != 0 {
 		a.counts = make([]int64, n)
 		for pi, in := range inputs {
@@ -230,14 +221,7 @@ func (a *aggColumn) fold(n, j int, inputs [][]aggColumn, slots [][]int32) {
 			}
 		}
 	}
-	if a.has&arrParts != 0 && engine {
-		a.parts.vals = make([]uint64, n)
-		for pi, in := range inputs {
-			for i, s := range slots[pi] {
-				a.parts.vals[s] = math.Float64bits(math.Float64frombits(a.parts.vals[s]) + math.Float64frombits(in[j].parts.vals[i]))
-			}
-		}
-	} else if a.has&arrParts != 0 {
+	if a.has&arrParts != 0 {
 		// Count each group's parts, turn the counts into offsets, then copy
 		// the runs in, in child order.
 		off := make([]uint32, n+1)
@@ -258,25 +242,7 @@ func (a *aggColumn) fold(n, j int, inputs [][]aggColumn, slots [][]int32) {
 			}
 		}
 	}
-	if a.has&(arrMin|arrMax) != 0 && engine {
-		// A MAX column's ids are minimized flipped, as kernelMinMax does.
-		flip := uint32(0)
-		if a.has&arrMax != 0 {
-			flip = math.MaxUint32
-		}
-		a.vals.ids = make([]uint32, n)
-		for s := range a.vals.ids {
-			a.vals.ids[s] = math.MaxUint32
-		}
-		for pi, in := range inputs {
-			for i, s := range slots[pi] {
-				a.vals.ids[s] = min(a.vals.ids[s], in[j].vals.ids[i]^flip)
-			}
-		}
-		for s := range a.vals.ids {
-			a.vals.ids[s] ^= flip
-		}
-	} else if a.has&(arrMin|arrMax) != 0 {
+	if a.has&(arrMin|arrMax) != 0 {
 		// Find each group's winner where it lies, then gather: a string that
 		// loses later is never copied.
 		type ref struct {
@@ -330,5 +296,135 @@ func (a *aggColumn) fold(n, j int, inputs [][]aggColumn, slots [][]int32) {
 			held[s] = end
 		}
 		a.hashes = runColumn{off, hashes[:end]}
+	}
+}
+
+// mergeTables merges the scan workers' tables into the query's group table:
+// the groups any worker saw, in ascending global-id order — a partial's
+// emit order — each aggregate combined across the workers into fresh
+// arrays of the engine's form. Counts, integer sums, MIN/MAX and sketch
+// runs combine in any order. Float sums are added from +0, group by group,
+// in ascending chunk order, replaying the workers' logs: the sequential
+// engine's order, so the sums are the same to the bit at any parallelism
+// (TestParallelFloatSumDeterminism). The aggregates that count share one
+// counts array: a partial's columns are never written once built.
+func mergeTables(p *plan, ws []*scanWorker) *groupSet {
+	counts := ws[0].table.counts
+	for _, w := range ws[1:] {
+		for gid, n := range w.table.counts {
+			counts[gid] += n
+		}
+	}
+	n := 0
+	for _, c := range counts {
+		if c > 0 {
+			n++
+		}
+	}
+	out := &groupSet{gids: make([]uint32, 0, n), aggs: slices.Clone(p.emptyAggs)}
+	for gid, c := range counts {
+		if c > 0 {
+			out.gids = append(out.gids, uint32(gid))
+		}
+	}
+	var rows []int64
+	for j := range out.aggs {
+		a := &out.aggs[j]
+		if a.has&arrCounts != 0 {
+			if rows == nil {
+				rows = make([]int64, n)
+				for k, gid := range out.gids {
+					rows[k] = counts[gid]
+				}
+			}
+			a.counts = rows
+		}
+		switch {
+		case a.has&arrSumI != 0:
+			a.sumI = make([]int64, n)
+			for _, w := range ws {
+				for k, gid := range out.gids {
+					a.sumI[k] += w.table.cols[j].sumI[gid]
+				}
+			}
+		case a.has&arrParts != 0:
+			a.parts.vals = make([]uint64, n)
+		case a.has&(arrMin|arrMax) != 0:
+			mask := keyMask(a.has)
+			a.vals.ids = make([]uint32, n)
+			for k, gid := range out.gids {
+				key := uint32(0)
+				for _, w := range ws {
+					key = max(key, w.table.cols[j].keys[gid])
+				}
+				a.vals.ids[k] = key ^ mask
+			}
+		case a.has&arrSketch != 0:
+			t0, room := &ws[0].table, 0
+			for _, gid := range out.gids {
+				held := 0
+				for _, w := range ws {
+					held += len(w.table.cols[j].runs[gid])
+				}
+				room += min(held, a.m)
+			}
+			a.hashes.off, a.hashes.vals = make([]uint32, 1, n+1), make([]uint64, 0, room)
+			for _, gid := range out.gids {
+				start := len(a.hashes.vals)
+				for _, w := range ws {
+					switch run := w.table.cols[j].runs[gid]; {
+					case len(run) == 0:
+					case len(a.hashes.vals) == start:
+						a.hashes.vals = append(a.hashes.vals, run...)
+					default:
+						t0.tmp = sketch.UnionSorted(t0.tmp[:0], a.hashes.vals[start:], run, a.m)
+						a.hashes.vals = append(a.hashes.vals[:start], t0.tmp...)
+					}
+				}
+				a.hashes.endRun()
+			}
+		}
+	}
+	if ws[0].table.floats {
+		addFloats(out, ws)
+	}
+	return out
+}
+
+// addFloats adds the workers' logged float sums into out's, chunk by chunk
+// in ascending order: each worker logged its chunks ascending, so the next
+// chunk is the smallest one some worker has not replayed yet.
+func addFloats(out *groupSet, ws []*scanWorker) {
+	slot := ws[0].table.slot
+	for k, gid := range out.gids {
+		slot[gid] = int32(k)
+	}
+	next := make([]int, len(ws))
+	for {
+		w := -1
+		for i, wk := range ws {
+			if next[i] < len(wk.table.chunks) && (w < 0 || wk.table.chunks[next[i]] < ws[w].table.chunks[next[w]]) {
+				w = i
+			}
+		}
+		if w < 0 {
+			return
+		}
+		t, c := &ws[w].table, next[w]
+		next[w]++
+		start := int32(0)
+		if c > 0 {
+			start = t.ends[c-1]
+		}
+		for j := range out.aggs {
+			if out.aggs[j].has&arrParts == 0 {
+				continue
+			}
+			sums, parts := out.aggs[j].parts.vals, t.cols[j].parts
+			for e := start; e < t.ends[c]; e++ {
+				s := slot[t.gids[e]]
+				sums[s] = math.Float64bits(math.Float64frombits(sums[s]) + math.Float64frombits(parts[e]))
+			}
+		}
 	}
 }

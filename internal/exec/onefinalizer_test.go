@@ -226,3 +226,9 @@ func TestExactDistinctThroughTheOnePath(t *testing.T) {
 		t.Error("RunPartial accepted exact count distinct")
 	}
 }
+
+// engineForm reports whether the column is in the form a groupSet holds it
+// in: MIN/MAX as ids, float sums one per group.
+func (a *aggColumn) engineForm() bool {
+	return a.vals.ids != nil || a.parts.vals != nil && a.parts.off == nil
+}

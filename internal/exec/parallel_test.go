@@ -8,7 +8,6 @@ import (
 
 	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
-	"powerdrill/internal/value"
 )
 
 // parallelQueries is the mixed workload the concurrency tests run: group-bys
@@ -179,17 +178,31 @@ func partialGroupsFingerprint(p *Partial) string {
 	return fmt.Sprintf("%x", EncodePartial(&groups))
 }
 
-// TestParallelFloatSumDeterminism pins the chunk-ordered merge: float
-// addition is not associative, so summing chunk partials in worker-finish
-// order would drift in the last ULPs run to run. The magnitudes below make
-// any reordering change the result, and the assertion is exact equality
-// with the sequential engine.
+// TestParallelFloatSumDeterminism pins the chunk-ordered float sums: float
+// addition is not associative, so adding chunk sums in the order workers
+// happen to claim chunks would drift in the last ULPs run to run. The
+// magnitudes below make any reordering change the result, and the assertion
+// is exact equality with the sequential engine — first grouped on the
+// partition field (one group a chunk), then on a key every chunk holds many
+// groups of, with every kind of aggregate in one statement, at several
+// parallelisms, with the result cache off and on, cold and warm: a warm
+// repeat folds cached chunk partials into the workers' tables beside the
+// scanned chunks (the restriction leaves chunks fully active, which the
+// cache holds, and partially active, which it does not).
 func TestParallelFloatSumDeterminism(t *testing.T) {
 	const rows = 4000
 	g := make([]string, rows)
+	p := make([]string, rows)
+	k := make([]int64, rows)
+	n := make([]int64, rows)
+	s := make([]string, rows)
 	f := make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		g[i] = fmt.Sprintf("g%d", i%3)
+		p[i] = fmt.Sprintf("p%02d", i/100)
+		k[i] = int64(i * 7 % 37)
+		n[i] = int64(i * 13 % 101)
+		s[i] = fmt.Sprintf("s%03d", i*11%211)
 		// Alternate huge and tiny addends so partial-sum order matters.
 		if i%2 == 0 {
 			f[i] = 1e16
@@ -199,36 +212,54 @@ func TestParallelFloatSumDeterminism(t *testing.T) {
 	}
 	tbl := table.New("data")
 	tbl.AddStringColumn("g", g)
+	tbl.AddStringColumn("p", p)
+	tbl.AddInt64Column("k", k)
+	tbl.AddInt64Column("n", n)
+	tbl.AddStringColumn("s", s)
 	tbl.AddFloat64Column("f", f)
-	opts := chunkedOpts()
-	opts.PartitionFields = []string{"g"}
-	opts.MaxChunkRows = 100
 
+	byG := chunkedOpts()
+	byG.PartitionFields = []string{"g"}
+	byG.MaxChunkRows = 100
 	q := `SELECT g, SUM(f) AS s, AVG(f) AS a FROM data GROUP BY g ORDER BY g ASC;`
-	seq := buildEngine(t, tbl, opts, Options{Parallelism: 1})
+	seq := buildEngine(t, tbl, byG, Options{Parallelism: 1})
 	want, err := seq.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := buildEngine(t, tbl, opts, Options{Parallelism: runtime.NumCPU() * 2})
+	par := buildEngine(t, tbl, byG, Options{Parallelism: runtime.NumCPU() * 2})
 	for run := 0; run < 5; run++ {
 		got, err := par.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("run %d: %d rows, want %d", run, len(got.Rows), len(want.Rows))
+		requireSameRows(t, q, fmt.Sprintf("run %d", run), got.Rows, want.Rows)
+	}
+
+	byP := chunkedOpts()
+	byP.PartitionFields = []string{"p"}
+	byP.MaxChunkRows = 100
+	for _, q := range []string{
+		`SELECT k, SUM(f) AS s, AVG(f) AS a, SUM(n) AS sn, MIN(s) AS lo, MAX(n) AS hi, COUNT(DISTINCT s) AS d FROM data GROUP BY k ORDER BY k ASC;`,
+		`SELECT k, SUM(f) AS s, AVG(f) AS a, SUM(n) AS sn, MIN(s) AS lo, MAX(n) AS hi, COUNT(DISTINCT s) AS d FROM data WHERE p >= "p20" OR n < 30 GROUP BY k ORDER BY k ASC;`,
+	} {
+		want, err := buildEngine(t, tbl, byP, Options{Parallelism: 1}).Query(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Rows {
-			for j := range want.Rows[i] {
-				a, b := want.Rows[i][j], got.Rows[i][j]
-				if a.Kind() == b.Kind() && a.Kind() == value.KindFloat64 {
-					if a.Float() != b.Float() {
-						t.Errorf("run %d row %d col %d: parallel %v != sequential %v (diff %g)",
-							run, i, j, b.Float(), a.Float(), b.Float()-a.Float())
+		for _, parallelism := range []int{1, 2, 3, 8} {
+			for _, cacheBytes := range []int64{0, 32 << 20} {
+				e := buildEngine(t, tbl, byP, Options{Parallelism: parallelism, ResultCacheBytes: cacheBytes})
+				for _, pass := range []string{"cold", "warm"} {
+					got, err := e.Query(q)
+					if err != nil {
+						t.Fatal(err)
 					}
-				} else if a.Compare(b) != 0 {
-					t.Errorf("run %d row %d col %d: parallel %v != sequential %v", run, i, j, b, a)
+					what := fmt.Sprintf("parallelism %d, cache %d, %s", parallelism, cacheBytes, pass)
+					if pass == "warm" && cacheBytes > 0 && got.Stats.ChunksCached == 0 {
+						t.Errorf("%s: no chunk came from the result cache", what)
+					}
+					requireSameRows(t, q, what, got.Rows, want.Rows)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,9 +35,11 @@ func highCardinality(t testing.TB) *colstore.Store {
 const highCardinalityTopK = `SELECT k, SUM(n) AS v FROM data GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;`
 
 // TestTopKAllocationsBoundedByChunks is the allocation regression guard of
-// the id-space result path: a top-10 over 6 000 groups allocates per chunk
-// (the partial) and per surviving row, never per group. The old path made a
-// map entry, an accumulator slice and a result row for every group.
+// the id-space result path: a warm top-10 over 6 000 groups in 30 chunks
+// allocates per query and per surviving row — never per group, and since
+// the scan workers fold chunks into pooled tables, never per chunk either.
+// The old path made a map entry, an accumulator slice and a result row for
+// every group, and later a partial for every chunk.
 func TestTopKAllocationsBoundedByChunks(t *testing.T) {
 	store := highCardinality(t)
 	e := New(store, Options{Parallelism: 1})
@@ -57,25 +58,24 @@ func TestTopKAllocationsBoundedByChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per chunk: the partial, its two arrays. Per survivor: the row and its
-	// key values. Per query: plan, scratch, slot table, slab, selection.
-	bound := float64(120 + 4*chunks + 4*limit)
+	// Per survivor: the row and its key values. Per query: plan, workers,
+	// the merged table and its arrays, selection.
+	bound := float64(60 + 4*limit)
 	t.Logf("%.0f allocations per query over %d chunks, %d groups (bound %.0f)", allocs, chunks, groups, bound)
 	if bound >= groups {
-		t.Fatalf("bound %.0f does not separate chunks from %d groups", bound, groups)
+		t.Fatalf("bound %.0f does not separate the query from its %d groups", bound, groups)
 	}
 	if allocs > bound {
-		t.Errorf("%.0f allocations per query, want at most %.0f: something allocates per group", allocs, bound)
+		t.Errorf("%.0f allocations per query, want at most %.0f: something allocates per chunk or per group", allocs, bound)
 	}
 }
 
-// TestMaskedScanAllocations is the allocation guard of the restriction
-// masks: with a worker's scratch warm, scanning a partially active chunk
-// under a three-conjunct IN restriction allocates what scanning it
-// unrestricted does — the partial it returns — and nothing for verdict
-// tables or bitmaps. The restriction is tried in two orders: the selective
-// leaf last (two spreads and an AND) and first (one spread, then probes of
-// the few rows left).
+// TestMaskedScanAllocations is the allocation guard of the scan worker:
+// with its scratch and table warm, scanning every chunk — unrestricted, or
+// partially active under a three-conjunct IN restriction — allocates
+// nothing: no partial, no verdict table, no bitmap. The restriction is tried
+// in two orders: the selective leaf last (two spreads and an AND) and first
+// (one spread, then probes of the few rows left).
 func TestMaskedScanAllocations(t *testing.T) {
 	store := highCardinality(t)
 	e := New(store, Options{Parallelism: 1})
@@ -89,36 +89,29 @@ func TestMaskedScanAllocations(t *testing.T) {
 		inN = "n IN (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)"
 		inK = `k IN ("k00005", "k02005", "k04005")` // one group of each chunk
 	)
-	// scanAllocs measures one pass over every chunk with a warm scratch.
+	// scanAllocs measures one pass over every chunk with a warm worker.
 	scanAllocs := func(where string) float64 {
 		p, release := planned(t, e, `SELECT k, SUM(n) AS v FROM data`+where+` GROUP BY k;`)
 		defer release()
-		var sc chunkAggCtx
+		w := &scanWorker{}
+		w.begin(p)
 		pass := func() {
 			var qs QueryStats
 			for ci := 0; ci < chunks; ci++ {
-				if _, err := e.scanChunk(p, ci, 2, &qs, &sc); err != nil {
+				if err := e.scanChunk(p, ci, 2, &qs, w); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if qs.ChunksScanned != chunks || qs.KernelChunks != chunks {
 				t.Fatalf("%q: scanned %d, kernels on %d of %d chunks", where, qs.ChunksScanned, qs.KernelChunks, chunks)
 			}
+			w.table.reset()
 		}
 		pass()
 		return testing.AllocsPerRun(10, pass)
 	}
-	unrestricted := scanAllocs("")
-	// Per chunk: the partial and its arrays — its global-ids, its aggregate
-	// columns, and each array their layouts name.
-	p, release := planned(t, e, `SELECT k, SUM(n) AS v FROM data GROUP BY k;`)
-	perChunk := 2
-	for _, a := range p.emptyAggs {
-		perChunk += 1 + layoutArrays(a.has)
-	}
-	release()
-	if unrestricted != float64(perChunk*chunks) {
-		t.Errorf("unrestricted scan: %.0f allocations over %d chunks, want %d a chunk (the partial and its arrays)", unrestricted, chunks, perChunk)
+	if got := scanAllocs(""); got != 0 {
+		t.Errorf("unrestricted scan: %.0f allocations over %d chunks, want none", got, chunks)
 	}
 	for _, where := range []string{
 		" WHERE " + inP + " AND " + inN + " AND " + inK,
@@ -131,20 +124,58 @@ func TestMaskedScanAllocations(t *testing.T) {
 			}
 		}
 		release()
-		if got := scanAllocs(where); got > unrestricted {
-			t.Errorf("%.0f allocations per pass under%s, %.0f unrestricted: the mask allocates per chunk", got, where, unrestricted)
+		if got := scanAllocs(where); got != 0 {
+			t.Errorf("%.0f allocations per pass under%s, want none: the mask allocates per chunk", got, where)
 		}
 	}
 }
 
-// layoutArrays is the number of arrays a column of the given layout holds
-// in a chunk partial: one per array named, two (offsets and values) for runs.
-func layoutArrays(has aggArrays) int {
-	n := bits.OnesCount8(uint8(has))
-	if has&arrSketch != 0 {
-		n++
+// TestWarmScanAllocations: a warm group-by allocates per query, never per
+// chunk. The same rows, stored as 16 chunks and as 130, are grouped many
+// groups to a chunk under every aggregate but COUNT(DISTINCT) — whose
+// sketch runs are released after every query, so they regrow — fully
+// active, under a mask and under a mask sparse enough for the gather
+// kernel; a query's allocations must not tell the two stores apart. A
+// float sum logs one value per chunk and group; 11 groups keep the log
+// small enough for workerPool to keep.
+func TestWarmScanAllocations(t *testing.T) {
+	const rows = 13000
+	c, k, n, s, f := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]string, rows), make([]float64, rows)
+	for i := range k {
+		c[i] = int64(i / 100) // the partition field: chunks of whole hundreds
+		k[i] = int64(i * 7 % 11)
+		n[i] = int64(i * 13 % 101)
+		s[i] = fmt.Sprintf("s%03d", i*11%211)
+		f[i] = float64(i%9) / 4
 	}
-	return n
+	tbl := table.New("data").AddInt64Column("c", c).AddInt64Column("k", k).AddInt64Column("n", n).
+		AddStringColumn("s", s).AddFloat64Column("f", f)
+	var engines [2]*Engine
+	for i, chunkRows := range []int{1000, 100} {
+		engines[i] = buildEngine(t, tbl, colstore.Options{PartitionFields: []string{"c"}, MaxChunkRows: chunkRows}, Options{Parallelism: 1})
+	}
+	few, many := engines[0].store.NumChunks(), engines[1].store.NumChunks()
+	if many < 8*few {
+		t.Fatalf("%d and %d chunks: too close to tell per-chunk allocations apart", few, many)
+	}
+	const aggs = `COUNT(*) AS c, SUM(n) AS sn, SUM(f) AS sf, AVG(f) AS af, MIN(s) AS lo, MAX(n) AS hi`
+	for _, where := range []string{"", " WHERE n < 60", " WHERE n < 3"} {
+		stmt := mustParseStmt(t, `SELECT k, `+aggs+` FROM data`+where+` GROUP BY k;`)
+		var allocs [2]float64
+		for i, e := range engines {
+			run := func() {
+				if _, err := e.Run(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			allocs[i] = testing.AllocsPerRun(10, run)
+		}
+		t.Logf("%s: %.0f allocations at %d chunks, %.0f at %d", stmt, allocs[0], few, allocs[1], many)
+		if allocs[1] > allocs[0]+4 {
+			t.Errorf("%s: %.0f allocations at %d chunks, %.0f at %d: the scan allocates per chunk", stmt, allocs[1], many, allocs[0], few)
+		}
+	}
 }
 
 // TestPartialFollowsLayout: a chunk's partial — what the result cache holds
@@ -172,10 +203,9 @@ func TestPartialFollowsLayout(t *testing.T) {
 			q := fmt.Sprintf(`SELECT %s, %s FROM data GROUP BY %s;`, keys, c.agg, keys)
 			p, release := planned(t, e, q)
 			var sc chunkAggCtx
-			part, err := e.scanChunk(p, 0, 2, &QueryStats{}, &sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc.begin(p)
+			e.aggregateChunk(p, 0, nil, nil, &sc)
+			part := sc.newPartial(p)
 			groups, _, err := e.executeChunks(p)
 			release()
 			if err != nil {
@@ -332,24 +362,27 @@ func BenchmarkFinalizeHighCardinality(b *testing.B) {
 	}
 }
 
-// BenchmarkChunkScanAllocs times one worker scanning every chunk with its
-// scratch, 2 000 groups to a chunk, and reports the allocations: in steady
-// state the partial each chunk returns, nothing else.
+// BenchmarkChunkScanAllocs times one worker scanning every chunk, 2 000
+// groups to a chunk, into its table, and reports the allocations: in steady
+// state none, however many chunks.
 func BenchmarkChunkScanAllocs(b *testing.B) {
 	e := New(highCardinality(b), Options{Parallelism: 1})
 	p, release := planned(b, e, highCardinalityTopK)
 	defer release()
-	var sc chunkAggCtx
+	w := &scanWorker{}
+	w.begin(p)
 	chunks := e.store.NumChunks()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci := 0; ci < chunks; ci++ {
-			part, err := e.aggregateChunk(p, ci, nil, nil, &sc)
-			if err != nil || len(part.gids) != 2000 {
-				b.Fatalf("%v, %d groups", err, len(part.gids))
+			e.aggregateChunk(p, ci, nil, nil, &w.chunkAggCtx)
+			if len(w.present) != 2000 {
+				b.Fatalf("%d groups", len(w.present))
 			}
+			w.table.add(w.groupGIDs, w.present, w.counts, w.dense, ci)
 		}
+		w.table.reset()
 	}
 	b.ReportMetric(float64(chunks), "chunks/op")
 }

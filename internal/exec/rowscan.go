@@ -53,7 +53,9 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 
 	chunkRows := make([][][]value.Value, nChunks)
 	wqs := make([]QueryStats, workers)
-	masks := make([]maskScratch, workers) // one per worker, as in executeChunks
+	// Each worker's masks lie in its scratch, as in executeChunks.
+	ws := workerPool.take(workers)
+	defer workerPool.give(ws)
 	var collected atomic.Int64
 	var quit func() bool
 	if canStopEarly {
@@ -122,7 +124,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 				emit(r)
 			}
 		} else {
-			mask, err := p.where.mask(e, p, ci, &masks[w])
+			mask, err := p.where.mask(e, p, ci, &ws[w].mask)
 			if err != nil {
 				return err
 			}
