@@ -632,11 +632,18 @@ func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, e
 	return nil, fmt.Errorf("invalid kind %v", kind)
 }
 
-// decodeChunk parses one chunk record written by encodeColumn.
+// decodeChunk parses one chunk record written by encodeColumn. The record is
+// not trusted: a cardinality is bounded by the bytes left (every global-id
+// takes at least one), the global-ids must ascend strictly within uint32, and
+// enc.Decode refuses an element outside the chunk dictionary — the scan
+// kernels index tables by element and do not check again.
 func decodeChunk(r *byteReader) (*Chunk, error) {
 	card, err := r.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if card > uint64(len(r.buf)-r.off) {
+		return nil, errTruncated
 	}
 	gids := make([]uint32, card)
 	prev := uint64(0)
@@ -645,11 +652,10 @@ func decodeChunk(r *byteReader) (*Chunk, error) {
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			prev = delta
-		} else {
-			prev += delta
+		if i > 0 && delta == 0 || delta > math.MaxUint32-prev {
+			return nil, fmt.Errorf("colstore: chunk global-ids do not ascend within uint32 at entry %d", i)
 		}
+		prev += delta
 		gids[i] = uint32(prev)
 	}
 	widthByte, err := r.take(1)
@@ -668,7 +674,7 @@ func decodeChunk(r *byteReader) (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := enc.Decode(enc.Width(widthByte[0]), int(rows), payload)
+	seq, err := enc.Decode(enc.Width(widthByte[0]), int(rows), payload, len(gids))
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,14 @@
 package colstore
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"powerdrill/internal/compress"
+	"powerdrill/internal/enc"
 	"powerdrill/internal/value"
 )
 
@@ -185,6 +188,64 @@ func BenchmarkOpen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Open(dir); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeChunkRejectsHostile: a chunk record is not trusted, since a
+// generation 1–4 store has no checksum to catch a damaged one. A cardinality
+// the record's bytes cannot hold fails before anything is allocated for it;
+// global-ids that do not ascend strictly within uint32, and an element
+// outside the chunk dictionary — which a scan kernel would index its tables
+// with — are refused. The same record with a good element decodes.
+func TestDecodeChunkRejectsHostile(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = appendUvarint(out, v)
+		}
+		return out
+	}
+	// record: the global-id deltas, then three 1-byte elements.
+	record := func(deltas []uint64, elems ...byte) []byte {
+		out := uv(uint64(len(deltas)))
+		out = append(out, uv(deltas...)...)
+		out = append(out, byte(enc.Width8))
+		out = append(out, uv(uint64(len(elems)), uint64(len(elems)))...)
+		return append(out, elems...)
+	}
+	for _, c := range []struct {
+		name string
+		rec  []byte
+		ok   bool
+	}{
+		{"cardinality 1<<28 in 5 bytes", uv(1 << 28), false},
+		{"element 200 of 2", record([]uint64{3, 4}, 0, 200, 1), false},
+		{"element 2 of 2", record([]uint64{3, 4}, 0, 2, 1), false},
+		{"repeated global-id", record([]uint64{3, 0}, 0, 1, 1), false},
+		{"global-id past uint32", record([]uint64{3, math.MaxUint32}, 0, 1, 1), false},
+		{"first global-id past uint32", record([]uint64{math.MaxUint32 + 1, 1}, 0, 1, 1), false},
+		{"good", record([]uint64{3, 4}, 0, 1, 1), true},
+		{"good, last global-id MaxUint32", record([]uint64{math.MaxUint32 - 1, 1}, 0, 1, 1), true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ch, err := decodeChunk(&byteReader{buf: c.rec})
+		runtime.ReadMemStats(&after)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: error %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d", c.name, len(c.rec), grew)
+		}
+		if err != nil {
+			continue
+		}
+		counts := make([]int64, ch.Cardinality())
+		ch.Elems.CountInto(counts)
+		if ch.Rows() != 3 || counts[0] != 1 || counts[1] != 2 {
+			t.Errorf("%s: %d rows, counts %v", c.name, ch.Rows(), counts)
 		}
 	}
 }

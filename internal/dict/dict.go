@@ -167,6 +167,10 @@ func (d *Int64s) Len() int { return len(d.vals) }
 // Int64At returns the value with the given rank without boxing.
 func (d *Int64s) Int64At(id uint32) int64 { return d.vals[id] }
 
+// Values returns the values, indexed by global-id; the caller must not
+// write them.
+func (d *Int64s) Values() []int64 { return d.vals }
+
 // Value implements Dict.
 func (d *Int64s) Value(id uint32) value.Value { return value.Int64(d.vals[id]) }
 
@@ -225,6 +229,10 @@ func (d *Float64s) Len() int { return len(d.vals) }
 
 // Float64At returns the value with the given rank without boxing.
 func (d *Float64s) Float64At(id uint32) float64 { return d.vals[id] }
+
+// Values returns the values, indexed by global-id; the caller must not
+// write them.
+func (d *Float64s) Values() []float64 { return d.vals }
 
 // Value implements Dict.
 func (d *Float64s) Value(id uint32) value.Value { return value.Float64(d.vals[id]) }

@@ -12,17 +12,31 @@
 // The Basic variant of Section 2.3 always uses 4 bytes; EncodeFixed32
 // produces it so the experiments can measure the difference.
 //
-// Sequences expose bulk operations (CountInto, Materialize) so the group-by
-// inner loop of Section 2.4 — counts[elements[row]]++ — runs as a tight,
-// type-specialized loop rather than through an interface call per row.
+// Sequences expose bulk operations (CountInto, CountIntoMasked, SpreadMask)
+// so the group-by inner loop of Section 2.4 — counts[elements[row]]++ — runs
+// as a tight, width-specialized loop rather than through an interface call
+// per row; each is one generic loop over Elem. Kernels elsewhere read the
+// elements where they lie, at the width they are stored at (Raw): only a
+// bit-set or constant sequence, which stores no element per row, is widened
+// — to one byte per row.
 package enc
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 )
+
+// Elem is an element type a sequence stores its chunk-ids as.
+type Elem interface{ uint8 | uint16 | uint32 }
+
+// Raw is a sequence's elements as they lie in memory, one per row: in U16 if
+// it is non-nil, else in U32 if that is, else in U8.
+type Raw struct {
+	U8  []uint8
+	U16 []uint16
+	U32 []uint32
+}
 
 // Width enumerates the storage widths.
 type Width uint8
@@ -70,8 +84,11 @@ type Sequence interface {
 	CountInto(counts []int64)
 	// CountIntoMasked is CountInto restricted to rows with mask bit set.
 	CountIntoMasked(counts []int64, mask *Bitmap)
-	// Materialize appends all elements to dst and returns it.
-	Materialize(dst []uint32) []uint32
+	// Raw returns the elements where they lie: a byte, word or dword
+	// sequence's own storage, which the caller must not write. A bit-set or
+	// constant sequence stores none per row and is widened into *scratch, a
+	// byte per row, which grows to Len bytes if it must.
+	Raw(scratch *[]uint8) Raw
 	// SpreadMask sets m's bit for every row whose chunk-id v has verdict[v]
 	// == 1; verdict holds only 0s and 1s, one per chunk-dictionary entry,
 	// and m covers Len rows. Rows whose chunk-id has verdict 0 are left
@@ -93,14 +110,14 @@ func Encode(values []uint32, cardinality int) Sequence {
 		if len(values) != 0 {
 			panic("enc: nonzero elements with zero cardinality")
 		}
-		return constSeq{n: 0, v: 0}
+		return constSeq{}
 	case cardinality == 1:
 		for _, v := range values {
 			if v != 0 {
 				panic(fmt.Sprintf("enc: value %d out of range for cardinality 1", v))
 			}
 		}
-		return constSeq{n: len(values), v: 0}
+		return constSeq{n: len(values)}
 	case cardinality == 2:
 		return newBitSeq(values)
 	case cardinality <= 1<<8:
@@ -136,87 +153,112 @@ func checkRange(v uint32, cardinality int) {
 	}
 }
 
-// Decode reconstructs a sequence serialized by AppendBytes.
-func Decode(w Width, n int, data []byte) (Sequence, error) {
+// Decode reconstructs a sequence serialized by AppendBytes and refuses one
+// that holds an element of cardinality or more: kernels index dense tables by
+// element, so an element is checked here, once, not on every scan. (Encode
+// never writes such a payload; a damaged or hostile record can.) A bit-set
+// payload's bits past row n and a constant's value are elements too: the
+// first must be zero and the second must be 0; and a bit-set has two
+// entries, so it needs a cardinality of two.
+func Decode(w Width, n int, data []byte, cardinality int) (Sequence, error) {
+	var (
+		s   Sequence
+		top uint32 // the largest element, if n > 0
+	)
+	if n < 0 || w != Width0 && n > 8*len(data) {
+		return nil, fmt.Errorf("enc: %d elements in a %d-byte payload", n, len(data))
+	}
 	switch w {
 	case Width0:
 		if len(data) != 4 {
 			return nil, fmt.Errorf("enc: const payload is %d bytes, want 4", len(data))
 		}
-		return constSeq{n: n, v: binary.LittleEndian.Uint32(data)}, nil
+		if v := binary.LittleEndian.Uint32(data); v != 0 {
+			return nil, fmt.Errorf("enc: const payload holds %d, want 0", v)
+		}
+		s = constSeq{n: n}
 	case Width1:
 		words := (n + 63) / 64
+		if cardinality < 2 {
+			// CountInto counts into both entries, zero or not.
+			return nil, fmt.Errorf("enc: bitset payload under cardinality %d", cardinality)
+		}
 		if len(data) != words*8 {
 			return nil, fmt.Errorf("enc: bitset payload is %d bytes, want %d", len(data), words*8)
 		}
-		s := bitSeq{n: n, bits: make([]uint64, words)}
-		for i := range s.bits {
-			s.bits[i] = binary.LittleEndian.Uint64(data[i*8:])
+		b := bitSeq{n: n, bits: make([]uint64, words)}
+		for i := range b.bits {
+			b.bits[i] = binary.LittleEndian.Uint64(data[i*8:])
 		}
-		return s, nil
+		if rem := n % 64; rem != 0 && b.bits[words-1]>>rem != 0 {
+			return nil, fmt.Errorf("enc: bitset payload sets bits past row %d", n)
+		}
+		s = b
 	case Width8:
 		if len(data) != n {
 			return nil, fmt.Errorf("enc: byte payload is %d bytes, want %d", len(data), n)
 		}
-		return byteSeq(append([]uint8(nil), data...)), nil
+		b := byteSeq(append([]uint8(nil), data...))
+		for _, v := range b {
+			top = max(top, uint32(v))
+		}
+		s = b
 	case Width16:
 		if len(data) != n*2 {
 			return nil, fmt.Errorf("enc: word payload is %d bytes, want %d", len(data), n*2)
 		}
-		s := make(wordSeq, n)
-		for i := range s {
-			s[i] = binary.LittleEndian.Uint16(data[i*2:])
+		b := make(wordSeq, n)
+		for i := range b {
+			b[i] = binary.LittleEndian.Uint16(data[i*2:])
+			top = max(top, uint32(b[i]))
 		}
-		return s, nil
+		s = b
 	case Width32:
 		if len(data) != n*4 {
 			return nil, fmt.Errorf("enc: dword payload is %d bytes, want %d", len(data), n*4)
 		}
-		s := make(dwordSeq, n)
-		for i := range s {
-			s[i] = binary.LittleEndian.Uint32(data[i*4:])
+		b := make(dwordSeq, n)
+		for i := range b {
+			b[i] = binary.LittleEndian.Uint32(data[i*4:])
+			top = max(top, uint32(b[i]))
 		}
-		return s, nil
+		s = b
+	default:
+		return nil, fmt.Errorf("enc: unknown width %d", w)
 	}
-	return nil, fmt.Errorf("enc: unknown width %d", w)
+	if n > 0 && int64(top) >= int64(cardinality) {
+		return nil, fmt.Errorf("enc: element %d out of range for cardinality %d", top, cardinality)
+	}
+	return s, nil
 }
 
-// constSeq: every element is the same value (cardinality 1).
-type constSeq struct {
-	n int
-	v uint32
-}
+// constSeq: every element is 0, the one chunk-id of cardinality 1.
+type constSeq struct{ n int }
 
 func (s constSeq) Len() int           { return s.n }
 func (s constSeq) Width() Width       { return Width0 }
-func (s constSeq) MemoryBytes() int64 { return 8 } // n and v; O(1) per the paper
+func (s constSeq) MemoryBytes() int64 { return 8 } // n; O(1) per the paper
 func (s constSeq) At(i int) uint32 {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("enc: index %d out of range [0,%d)", i, s.n))
 	}
-	return s.v
+	return 0
 }
-func (s constSeq) CountInto(counts []int64) { counts[s.v] += int64(s.n) }
+func (s constSeq) CountInto(counts []int64) { counts[0] += int64(s.n) }
 func (s constSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
-	counts[s.v] += int64(mask.Count())
+	counts[0] += int64(mask.Count())
 }
-func (s constSeq) Materialize(dst []uint32) []uint32 {
-	dst, out := grown(dst, s.n)
-	for i := range out {
-		out[i] = s.v
-	}
-	return dst
+func (s constSeq) Raw(scratch *[]uint8) Raw {
+	out := widened(scratch, s.n)
+	clear(out)
+	return Raw{U8: out}
 }
 func (s constSeq) SpreadMask(verdict []uint8, m *Bitmap) {
-	if s.n > 0 && verdict[s.v] != 0 {
+	if s.n > 0 && verdict[0] != 0 {
 		m.SetAll()
 	}
 }
-func (s constSeq) AppendBytes(dst []byte) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], s.v)
-	return append(dst, b[:]...)
-}
+func (s constSeq) AppendBytes(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
 
 // bitSeq: two distinct values, one bit per element (⌈n/8⌉ bytes).
 type bitSeq struct {
@@ -281,12 +323,12 @@ func (s bitSeq) SpreadMask(verdict []uint8, m *Bitmap) {
 		m.trim()
 	}
 }
-func (s bitSeq) Materialize(dst []uint32) []uint32 {
-	dst, out := grown(dst, s.n)
+func (s bitSeq) Raw(scratch *[]uint8) Raw {
+	out := widened(scratch, s.n)
 	for i := range out {
-		out[i] = uint32(s.bits[i/64] >> (i % 64) & 1)
+		out[i] = uint8(s.bits[i/64] >> (i % 64) & 1)
 	}
-	return dst
+	return Raw{U8: out}
 }
 func (s bitSeq) AppendBytes(dst []byte) []byte {
 	var b [8]byte
@@ -300,51 +342,27 @@ func (s bitSeq) AppendBytes(dst []byte) []byte {
 // byteSeq: up to 256 distinct values, one byte per element.
 type byteSeq []uint8
 
-func (s byteSeq) Len() int           { return len(s) }
-func (s byteSeq) Width() Width       { return Width8 }
-func (s byteSeq) MemoryBytes() int64 { return int64(len(s)) }
-func (s byteSeq) At(i int) uint32    { return uint32(s[i]) }
-func (s byteSeq) CountInto(counts []int64) {
-	for _, v := range s {
-		counts[v]++
-	}
-}
-func (s byteSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
-	mask.ForEach(func(i int) { counts[s[i]]++ })
-}
-func (s byteSeq) Materialize(dst []uint32) []uint32 {
-	dst, out := grown(dst, len(s))
-	for i, v := range s {
-		out[i] = uint32(v)
-	}
-	return dst
-}
-func (s byteSeq) AppendBytes(dst []byte) []byte         { return append(dst, s...) }
-func (s byteSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
+func (s byteSeq) Len() int                                     { return len(s) }
+func (s byteSeq) Width() Width                                 { return Width8 }
+func (s byteSeq) MemoryBytes() int64                           { return int64(len(s)) }
+func (s byteSeq) At(i int) uint32                              { return uint32(s[i]) }
+func (s byteSeq) CountInto(counts []int64)                     { countInto(s, counts) }
+func (s byteSeq) CountIntoMasked(counts []int64, mask *Bitmap) { countMasked(s, counts, mask.words) }
+func (s byteSeq) Raw(*[]uint8) Raw                             { return Raw{U8: s} }
+func (s byteSeq) AppendBytes(dst []byte) []byte                { return append(dst, s...) }
+func (s byteSeq) SpreadMask(verdict []uint8, m *Bitmap)        { spreadMask(s, verdict, m.words) }
 
 // wordSeq: up to 65536 distinct values, two bytes per element.
 type wordSeq []uint16
 
-func (s wordSeq) Len() int           { return len(s) }
-func (s wordSeq) Width() Width       { return Width16 }
-func (s wordSeq) MemoryBytes() int64 { return int64(len(s) * 2) }
-func (s wordSeq) At(i int) uint32    { return uint32(s[i]) }
-func (s wordSeq) CountInto(counts []int64) {
-	for _, v := range s {
-		counts[v]++
-	}
-}
-func (s wordSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
-	mask.ForEach(func(i int) { counts[s[i]]++ })
-}
-func (s wordSeq) Materialize(dst []uint32) []uint32 {
-	dst, out := grown(dst, len(s))
-	for i, v := range s {
-		out[i] = uint32(v)
-	}
-	return dst
-}
-func (s wordSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
+func (s wordSeq) Len() int                                     { return len(s) }
+func (s wordSeq) Width() Width                                 { return Width16 }
+func (s wordSeq) MemoryBytes() int64                           { return int64(len(s) * 2) }
+func (s wordSeq) At(i int) uint32                              { return uint32(s[i]) }
+func (s wordSeq) CountInto(counts []int64)                     { countInto(s, counts) }
+func (s wordSeq) CountIntoMasked(counts []int64, mask *Bitmap) { countMasked(s, counts, mask.words) }
+func (s wordSeq) Raw(*[]uint8) Raw                             { return Raw{U16: s} }
+func (s wordSeq) SpreadMask(verdict []uint8, m *Bitmap)        { spreadMask(s, verdict, m.words) }
 func (s wordSeq) AppendBytes(dst []byte) []byte {
 	var b [2]byte
 	for _, v := range s {
@@ -357,20 +375,14 @@ func (s wordSeq) AppendBytes(dst []byte) []byte {
 // dwordSeq: plain 4-byte elements (the Basic layout).
 type dwordSeq []uint32
 
-func (s dwordSeq) Len() int           { return len(s) }
-func (s dwordSeq) Width() Width       { return Width32 }
-func (s dwordSeq) MemoryBytes() int64 { return int64(len(s) * 4) }
-func (s dwordSeq) At(i int) uint32    { return s[i] }
-func (s dwordSeq) CountInto(counts []int64) {
-	for _, v := range s {
-		counts[v]++
-	}
-}
-func (s dwordSeq) CountIntoMasked(counts []int64, mask *Bitmap) {
-	mask.ForEach(func(i int) { counts[s[i]]++ })
-}
-func (s dwordSeq) Materialize(dst []uint32) []uint32     { return append(dst, s...) }
-func (s dwordSeq) SpreadMask(verdict []uint8, m *Bitmap) { spreadMask(s, verdict, m.words) }
+func (s dwordSeq) Len() int                                     { return len(s) }
+func (s dwordSeq) Width() Width                                 { return Width32 }
+func (s dwordSeq) MemoryBytes() int64                           { return int64(len(s) * 4) }
+func (s dwordSeq) At(i int) uint32                              { return s[i] }
+func (s dwordSeq) CountInto(counts []int64)                     { countInto(s, counts) }
+func (s dwordSeq) CountIntoMasked(counts []int64, mask *Bitmap) { countMasked(s, counts, mask.words) }
+func (s dwordSeq) Raw(*[]uint8) Raw                             { return Raw{U32: s} }
+func (s dwordSeq) SpreadMask(verdict []uint8, m *Bitmap)        { spreadMask(s, verdict, m.words) }
 func (s dwordSeq) AppendBytes(dst []byte) []byte {
 	var b [4]byte
 	for _, v := range s {
@@ -386,7 +398,7 @@ func (s dwordSeq) AppendBytes(dst []byte) []byte {
 // the verdict is data, never a branch, so the cost per row does not depend
 // on how many rows are selected or in what pattern. The rows beyond the
 // last full word are handled once, after the loop.
-func spreadMask[T uint8 | uint16 | uint32](s []T, verdict []uint8, words []uint64) {
+func spreadMask[T Elem](s []T, verdict []uint8, words []uint64) {
 	full := len(s) / 64
 	for wi := 0; wi < full; wi++ {
 		rows := s[wi*64 : wi*64+64]
@@ -407,12 +419,32 @@ func spreadMask[T uint8 | uint16 | uint32](s []T, verdict []uint8, words []uint6
 	}
 }
 
-// grown extends dst by n elements in one step and returns it with the
-// new tail, which Materialize fills by index — an append per element
-// re-checks the capacity every time.
-func grown(dst []uint32, n int) (all, tail []uint32) {
-	all = slices.Grow(dst, n)[:len(dst)+n]
-	return all, all[len(dst):]
+// countInto is the one CountInto loop behind the three element widths.
+func countInto[T Elem](s []T, counts []int64) {
+	for _, v := range s {
+		counts[v]++
+	}
+}
+
+// countMasked is the one CountIntoMasked loop behind the three element
+// widths: the selected rows are read off the mask's words, lowest bit first,
+// with no call per row.
+func countMasked[T Elem](s []T, counts []int64, words []uint64) {
+	for wi, w := range words {
+		base := wi * 64
+		for ; w != 0; w &= w - 1 {
+			counts[s[base+bits.TrailingZeros64(w)]]++
+		}
+	}
+}
+
+// widened returns *scratch grown to n bytes, for a sequence that stores no
+// element per row to be widened into.
+func widened(scratch *[]uint8, n int) []uint8 {
+	if cap(*scratch) < n {
+		*scratch = make([]uint8, n)
+	}
+	return (*scratch)[:n]
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -189,11 +189,11 @@ func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStat
 
 // chunkAggCtx is one scan worker's scratch, reloaded for every chunk the
 // worker claims. It holds the per-chunk geometry both aggregation paths
-// share — group cardinality and global-ids, materialized group elements,
-// and the per-aggregate argument tables (numeric value, distinct offer, and
-// global-id of each argument chunk-id — computed once per distinct value,
-// not per row, the same trick the restriction masks use) — and the dense
-// per-group tables the kernels accumulate in. Every buffer keeps its
+// share — group cardinality and global-ids, the group elements where they
+// lie, and the per-aggregate argument tables (distinct offer and global-id
+// of each argument chunk-id — computed once per distinct value, not per
+// row, the same trick the restriction masks use — and a sum's dictionary
+// values) — and the dense per-group tables the kernels accumulate in. Every buffer keeps its
 // capacity from chunk to chunk and, in workerPool, from query to query, so
 // a warm scan allocates nothing per chunk. A worker scans one chunk at a
 // time, which is why the scratch is the worker's and needs no lock.
@@ -203,25 +203,28 @@ type chunkAggCtx struct {
 	mask maskScratch
 	// Group geometry: chunk-ids 0..card-1 map to group global-ids. gseq is
 	// nil for a global aggregate (card == 1, one implicit group). gelems
-	// holds each row's group chunk-id, and is nil where no kernel needs it:
-	// a chunk with one group — a global aggregate, or a chunk that holds a
-	// single value of the group column, as every chunk does for a
-	// partition field — and a query whose aggregates take no argument.
-	card      int
-	groupGIDs []uint32
-	gseq      enc.Sequence
-	gelems    []uint32
-	gelemsBuf []uint32
-	// Per-aggregate argument tables, indexed [agg][chunk-id] (argElems is
-	// [agg][row], and empty where the kernels take the aggregate from the
-	// chunk dictionary instead of the rows; argChunks is the argument's
-	// chunk itself). argHash holds what a chunk-id offers COUNT(DISTINCT):
-	// its value's hash, or under Options.ExactDistinct its global-id.
-	argValsF  [][]float64
-	argValsI  [][]int64
+	// holds each row's group chunk-id, as the group sequence stores it, and
+	// is empty where no kernel needs it: a chunk with one group — a global
+	// aggregate, or a chunk that holds a single value of the group column, as
+	// every chunk does for a partition field — and a query whose aggregates
+	// take no argument. A bit-set or constant sequence stores no element per
+	// row; gwide and awide are what the group's and the argument's are
+	// widened into (enc.Sequence.Raw), a byte a row.
+	card         int
+	groupGIDs    []uint32
+	gseq         enc.Sequence
+	gelems       enc.Raw
+	gwide, awide []uint8
+	// Per-aggregate argument tables: argGIDs and argHash indexed
+	// [agg][chunk-id] — the chunk dictionary, and what a chunk-id offers
+	// COUNT(DISTINCT): its value's hash, or under Options.ExactDistinct its
+	// global-id — argInts and argFlts [agg][global-id], a SUM or AVG
+	// argument's dictionary values, which the kernels gather through the
+	// chunk dictionary; argChunks is the argument's chunk itself.
+	argInts   [][]int64
+	argFlts   [][]float64
 	argGIDs   [][]uint32
 	argHash   [][]uint64
-	argElems  [][]uint32
 	argChunks []*colstore.Chunk
 
 	// counts[g] is the number of selected rows in group g; present lists
@@ -275,12 +278,13 @@ func (c *chunkAggCtx) occupied() int {
 	return len(c.present)
 }
 
-// release drops the views the scratch holds between chunks: into the store
-// — chunk dictionaries and element sequences, so that a pooled scratch
-// keeps no evicted chunk alive outside the memory budget — and gelems, so
-// that it keeps nothing trim drops.
+// release drops the views the scratch holds into the store — chunk
+// dictionaries and element sequences — so that a pooled scratch keeps no
+// evicted chunk alive outside the memory budget.
 func (c *chunkAggCtx) release() {
-	c.groupGIDs, c.gseq, c.gelems, c.occOf = nil, nil, nil, nil
+	c.groupGIDs, c.gseq, c.gelems, c.occOf = nil, nil, enc.Raw{}, nil
+	clear(c.argInts)
+	clear(c.argFlts)
 	clear(c.argGIDs)
 	clear(c.argChunks)
 }
@@ -297,12 +301,9 @@ func (c *chunkAggCtx) trim(lim int) int {
 		}
 		n += capBytes(b.Words())
 	}
-	c.gelemsBuf = kept(c.gelemsBuf, lim, &n)
-	for j := range c.argElems {
-		c.argValsF[j] = kept(c.argValsF[j], lim, &n)
-		c.argValsI[j] = kept(c.argValsI[j], lim, &n)
+	c.gwide, c.awide = kept(c.gwide, lim, &n), kept(c.awide, lim, &n)
+	for j := range c.argHash {
 		c.argHash[j] = kept(c.argHash[j], lim, &n)
-		c.argElems[j] = kept(c.argElems[j], lim, &n)
 	}
 	c.counts, c.present = kept(c.counts, lim, &n), kept(c.present, lim, &n)
 	for j := range c.dense {
@@ -543,16 +544,19 @@ func (w *scanWorker) begin(p *plan) {
 // workerPool keeps scan workers between queries, so that a warm query
 // neither regrows scratch nor remakes tables. It is process-wide — the
 // engines of one process (leaves, ingest units) scan with the same workers
-// — and it is outside every byte budget (docs/memory.md), so it is small:
-// it keeps no buffer larger than poolBuffer — such a buffer is a large
-// chunk's or a large grouping's, made again, once, by the query that needs
-// it — and no worker that would take it past poolBytes. (A sync.Pool keeps
-// whatever it is given until the garbage collector runs twice.)
+// — and it is outside every byte budget (docs/memory.md), so it is bounded:
+// it keeps no buffer larger than poolBuffer and no worker that would take it
+// past poolBytes. (A sync.Pool keeps whatever it is given until the garbage
+// collector runs twice.) The kernels read a chunk's elements where they lie,
+// so what a worker keeps grows with chunk and group dictionaries, not with
+// rows: poolBuffer holds a group table array of 8 192 groups, and poolBytes
+// four workers grouping by a dictionary of that size. A larger buffer is a
+// larger grouping's, made again, once, by the query that needs it.
 var workerPool statePool
 
 const (
-	poolBytes  = 128 << 10
-	poolBuffer = 16 << 10
+	poolBytes  = 1 << 20
+	poolBuffer = 64 << 10
 )
 
 type statePool struct {
@@ -626,25 +630,17 @@ func (c *chunkAggCtx) loadGroups(p *plan, ci int) {
 	c.card, c.groupGIDs, c.gseq = gch.Cardinality(), gch.GlobalIDs, gch.Elems
 }
 
-// load resolves chunk ci's group geometry and dense argument tables. With
-// dictFed, MIN, MAX and COUNT(DISTINCT) arguments of a single-group chunk
-// are not decoded to per-row elements: the kernels answer those from the
-// chunk dictionary (kernelMinMax, kernelDistinct).
-func (c *chunkAggCtx) load(e *Engine, p *plan, ci int, dictFed bool) {
+// load resolves chunk ci's group geometry and dense argument tables.
+func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 	c.rows = e.store.ChunkRows(ci)
 	c.loadGroups(p, ci)
-	c.gelems, c.occOf = nil, nil
-	if c.card > 1 && p.hasArgs {
-		c.gelemsBuf = c.gseq.Materialize(resized(c.gelemsBuf, c.rows)[:0])
-		c.gelems = c.gelemsBuf
-	}
+	c.occOf = nil
 	na := len(p.aggs)
-	if len(c.argElems) < na {
-		c.argValsF = make([][]float64, na)
-		c.argValsI = make([][]int64, na)
+	if len(c.argChunks) < na {
+		c.argInts = make([][]int64, na)
+		c.argFlts = make([][]float64, na)
 		c.argGIDs = make([][]uint32, na)
 		c.argHash = make([][]uint64, na)
-		c.argElems = make([][]uint32, na)
 		c.argChunks = make([]*colstore.Chunk, na)
 	}
 	for j, spec := range p.aggs {
@@ -654,18 +650,13 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int, dictFed bool) {
 		}
 		ach := acol.Chunks[ci]
 		c.argChunks[j], c.argGIDs[j] = ach, ach.GlobalIDs
-		c.argElems[j] = c.argElems[j][:0]
-		if !dictFed || c.gelems != nil || spec.fn == aggSum || spec.fn == aggAvg {
-			c.argElems[j] = ach.Elems.Materialize(resized(c.argElems[j], c.rows)[:0])
-		}
 		switch spec.fn {
 		case aggSum, aggAvg:
+			// A numeric column's dictionary is the sorted array.
 			if p.aggInt[j] {
-				c.argValsI[j] = resized(c.argValsI[j], len(ach.GlobalIDs))
-				fillInts(c.argValsI[j], acol.Dict, ach.GlobalIDs)
+				c.argInts[j] = acol.Dict.(*dict.Int64s).Values()
 			} else {
-				c.argValsF[j] = resized(c.argValsF[j], len(ach.GlobalIDs))
-				fillFloats(c.argValsF[j], acol.Dict, ach.GlobalIDs)
+				c.argFlts[j] = acol.Dict.(*dict.Float64s).Values()
 			}
 		case aggCountDistinct:
 			hs := resized(c.argHash[j], len(ach.GlobalIDs))
@@ -769,13 +760,8 @@ func (c *chunkAggCtx) newPartial(p *plan) *groupSet {
 // in the tree as the differential-fuzzing oracle and the ablation baseline;
 // production queries run the kernels in kernels.go.
 func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
-	c.load(e, p, ci, false)
-	rows, card, na, gelems := c.rows, c.card, len(p.aggs), c.gelems
-	if c.gseq != nil && gelems == nil {
-		// The reference path takes every row's group from the sequence,
-		// also where the kernels see a single-group chunk.
-		gelems = c.gseq.Materialize(nil)
-	}
+	c.load(e, p, ci)
+	rows, card, na := c.rows, c.card, len(p.aggs)
 
 	c.counts = zeroed(c.counts, card)
 	counts := c.counts
@@ -790,27 +776,32 @@ func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chun
 			}
 		}
 	}
+	// Every row's group and argument chunk-ids are read from the sequences
+	// one at a time, also where the kernels see a single-group chunk.
 	add := func(r int) {
 		g := 0
-		if gelems != nil {
-			g = int(gelems[r])
+		if c.gseq != nil {
+			g = int(c.gseq.At(r))
 		}
 		counts[g]++
 		for j, spec := range p.aggs {
-			at := g*na + j
+			if spec.fn == aggCount {
+				continue
+			}
+			at, x := g*na+j, c.argChunks[j].Elems.At(r)
 			switch spec.fn {
 			case aggSum, aggAvg:
 				if p.aggInt[j] {
-					sumsI[at] += c.argValsI[j][c.argElems[j][r]]
+					sumsI[at] += c.argInts[j][c.argGIDs[j][x]]
 				} else {
-					sumsF[at] += c.argValsF[j][c.argElems[j][r]]
+					sumsF[at] += c.argFlts[j][c.argGIDs[j][x]]
 				}
 			case aggMin:
-				ext[at] = min(ext[at], c.argGIDs[j][c.argElems[j][r]])
+				ext[at] = min(ext[at], c.argGIDs[j][x])
 			case aggMax:
-				ext[at] = max(ext[at], c.argGIDs[j][c.argElems[j][r]])
+				ext[at] = max(ext[at], c.argGIDs[j][x])
 			case aggCountDistinct:
-				offers[at] = append(offers[at], c.argHash[j][c.argElems[j][r]])
+				offers[at] = append(offers[at], c.argHash[j][x])
 			}
 		}
 	}

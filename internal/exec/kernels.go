@@ -4,10 +4,12 @@ package exec
 // Section 2.4 inner loops. Where the scalar reference path (agg.go)
 // dispatches a closure per row that switches over every aggregate, the
 // kernels run one type-specialized pass per aggregate over the chunk's
-// materialized element arrays, driven either by the full row range or by
-// the surviving-row bitmap's words (64 rows per branch-free word probe),
-// into a dense table indexed by group chunk-id — the chunk's results, which
-// the worker's group table folds in as they lie.
+// element arrays where they lie — generic over the width each sequence
+// stores its elements at, so a 1- or 2-byte element is read as 1 or 2 bytes
+// and nothing is copied — driven either by the full row range or by the
+// surviving-row bitmap's words (64 rows per branch-free word probe), into a
+// dense table indexed by group chunk-id: the chunk's results, which the
+// worker's group table folds in as they lie.
 //
 // Identity with the scalar path is a hard requirement (the differential
 // fuzzer enforces it): the sum kernels visit rows in ascending order, so
@@ -36,15 +38,19 @@ import (
 func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
 	if mask != nil {
 		// Sparse masks skip the dense per-chunk tables entirely: building
-		// them costs O(rows) per chunk (materialized element arrays plus
-		// per-distinct-value lookup tables), which dominates when only a
-		// few rows survive the restriction. The gather path is O(selected).
+		// them costs O(distinct values) per chunk and a dense pass O(rows),
+		// which dominates when only a few rows survive the restriction. The
+		// gather path is O(selected).
 		if n := mask.Count(); n*8 <= e.store.ChunkRows(ci) {
 			e.aggregateChunkVecSparse(p, ci, mask, n, c)
 			return
 		}
 	}
-	c.load(e, p, ci, true)
+	c.load(e, p, ci)
+	c.gelems = enc.Raw{}
+	if c.card > 1 && p.hasArgs {
+		c.gelems = c.gseq.Raw(&c.gwide)
+	}
 
 	// Row counts per group drive every kernel: they are every counts
 	// array, and which groups the chunk contributes.
@@ -65,33 +71,78 @@ func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAg
 	if c.occupied() == 0 {
 		return // no row selected (or none there): nothing to aggregate
 	}
+	single := c.card == 1
 	for j, spec := range p.aggs {
 		a := &c.dense[j]
-		switch spec.fn {
-		case aggSum, aggAvg:
-			if p.aggInt[j] {
-				a.sumI = zeroed(a.sumI, c.card)
-				kernelSum(a.sumI, c.argValsI[j], c, c.argElems[j], mask)
-			} else {
-				c.sumsF = zeroed(c.sumsF, c.card)
-				kernelSum(c.sumsF, c.argValsF[j], c, c.argElems[j], mask)
-				c.floatParts(a, c.sumsF)
-			}
-		case aggMin, aggMax:
-			kernelMinMax(a, j, c, mask)
-		case aggCountDistinct:
-			kernelDistinct(a, j, c, mask)
+		switch {
+		case spec.fn == aggCount:
+		case single && (spec.fn == aggMin || spec.fn == aggMax):
+			dictMinMax(a, j, c, mask)
+		case single && spec.fn == aggCountDistinct:
+			dictDistinct(a, j, c, mask)
+		default:
+			c.rowKernel(p, j, mask)
 		}
+	}
+}
+
+// rowKernel runs aggregate j's kernel over the chunk's rows, reading the
+// group and argument elements at the widths they are stored at. It is the
+// one place an element width picks a kernel: a single-group chunk's group
+// elements are empty, and go as bytes.
+func (c *chunkAggCtx) rowKernel(p *plan, j int, mask *enc.Bitmap) {
+	g, x := c.gelems, c.argChunks[j].Elems.Raw(&c.awide)
+	switch {
+	case g.U16 != nil && x.U16 != nil:
+		kernel(c, p, j, g.U16, x.U16, mask)
+	case g.U16 != nil && x.U32 != nil:
+		kernel(c, p, j, g.U16, x.U32, mask)
+	case g.U16 != nil:
+		kernel(c, p, j, g.U16, x.U8, mask)
+	case g.U32 != nil && x.U16 != nil:
+		kernel(c, p, j, g.U32, x.U16, mask)
+	case g.U32 != nil && x.U32 != nil:
+		kernel(c, p, j, g.U32, x.U32, mask)
+	case g.U32 != nil:
+		kernel(c, p, j, g.U32, x.U8, mask)
+	case x.U16 != nil:
+		kernel(c, p, j, g.U8, x.U16, mask)
+	case x.U32 != nil:
+		kernel(c, p, j, g.U8, x.U32, mask)
+	default:
+		kernel(c, p, j, g.U8, x.U8, mask)
+	}
+}
+
+// kernel is aggregate j's row kernel at one pair of element widths: ge is
+// each row's group chunk-id, or nil for a single-group chunk, and ae each
+// row's argument chunk-id.
+func kernel[G, A enc.Elem](c *chunkAggCtx, p *plan, j int, ge []G, ae []A, mask *enc.Bitmap) {
+	a := &c.dense[j]
+	switch p.aggs[j].fn {
+	case aggSum, aggAvg:
+		if p.aggInt[j] {
+			a.sumI = zeroed(a.sumI, c.card)
+			kernelSum(a.sumI, c.argInts[j], c.argGIDs[j], ge, ae, mask)
+		} else {
+			c.sumsF = zeroed(c.sumsF, c.card)
+			kernelSum(c.sumsF, c.argFlts[j], c.argGIDs[j], ge, ae, mask)
+			c.floatParts(a, c.sumsF)
+		}
+	case aggMin, aggMax:
+		kernelMinMax(a, c, c.argGIDs[j], ge, ae, mask)
+	case aggCountDistinct:
+		kernelDistinct(a, c, c.argHash[j], ge, ae, mask)
 	}
 }
 
 // aggregateChunkVecSparse is the low-selectivity kernel: it gathers the
 // surviving row indices once from the bitmap words, then reads the group
-// and argument sequences point-wise for just those rows — no materialized
-// element arrays, no per-distinct-value tables. Values and offers come from
-// the same dictionary calls the dense tables are built from, and rows are
-// visited in ascending order, so the results are bit-identical to the dense
-// kernels' and the scalar path's.
+// and argument sequences point-wise for just those rows — no per-distinct-
+// value tables. A value is the dictionary's, as the dense kernels gather it,
+// an offer the one the dense tables hold, and rows are visited in ascending
+// order, so the results are bit-identical to the dense kernels' and the
+// scalar path's.
 func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int, c *chunkAggCtx) {
 	sel := resized(c.sel, nsel)[:0]
 	for wi, w := range mask.Words() {
@@ -231,74 +282,56 @@ func (c *chunkAggCtx) fillRuns(a *aggColumn, most int) {
 }
 
 // kernelSum accumulates SUM/AVG: dense per-group sums indexed by group
-// chunk-id, values looked up per distinct argument chunk-id. Ascending row
-// order keeps a float accumulation bit-identical to the scalar path.
-func kernelSum[T int64 | float64](sums, vals []T, c *chunkAggCtx, ae []uint32, mask *enc.Bitmap) {
-	ge := c.gelems
+// chunk-id, each row's value gathered from the dictionary's values through
+// the chunk dictionary's global-ids — no per-chunk table of values: a chunk
+// holds barely more rows than distinct values of a column such as latency.
+// Ascending row order keeps a float accumulation bit-identical to the scalar
+// path.
+func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, gids []uint32, ge []G, ae []A, mask *enc.Bitmap) {
 	switch {
 	case ge == nil && mask == nil:
 		var s T
 		for _, x := range ae {
-			s += vals[x]
+			s += vals[gids[x]]
 		}
 		sums[0] = s
 	case ge == nil:
 		var s T
 		for wi, w := range mask.Words() {
 			base := wi * 64
-			for w != 0 {
-				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				s += vals[ae[r]]
+			for ; w != 0; w &= w - 1 {
+				s += vals[gids[ae[base+bits.TrailingZeros64(w)]]]
 			}
 		}
 		sums[0] = s
 	case mask == nil:
+		ge = ge[:len(ae)]
 		for r, x := range ae {
-			sums[ge[r]] += vals[x]
+			sums[ge[r]] += vals[gids[x]]
 		}
 	default:
 		for wi, w := range mask.Words() {
 			base := wi * 64
-			for w != 0 {
+			for ; w != 0; w &= w - 1 {
 				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				sums[ge[r]] += vals[ae[r]]
+				sums[ge[r]] += vals[gids[ae[r]]]
 			}
 		}
 	}
 }
 
-// kernelMinMax tracks per-group global-id extremes: MIN or MAX, whichever
-// the column holds. A single-group chunk is answered from the argument's
-// chunk dictionary: the first or last occupied entry.
-func kernelMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
-	gids, ae, ge := c.argGIDs[j], c.argElems[j], c.gelems
-	if ge == nil {
-		first, last := 0, len(gids)-1
-		if occ := c.occupancy(j, mask); occ != nil {
-			for occ[first] == 0 {
-				first++
-			}
-			for occ[last] == 0 {
-				last--
-			}
-		}
-		a.vals.ids = resized(a.vals.ids, 1)
-		a.vals.ids[0] = gids[first]
-		if a.has&arrMax != 0 {
-			a.vals.ids[0] = gids[last]
-		}
-		return
-	}
-	// Chunk-ids ascend with the global-ids they stand for, so a group's
-	// extreme chunk-ids name its extreme values. Every selected row counts
-	// into its group, so the occupied groups are the ones that saw a value.
+// kernelMinMax tracks per-group global-id extremes in a multi-group chunk:
+// MIN or MAX, whichever the column holds. Chunk-ids ascend with the
+// global-ids they stand for, so a group's extreme chunk-ids name its
+// extreme values. Every selected row counts into its group, so the occupied
+// groups are the ones that saw a value.
+func kernelMinMax[G, A enc.Elem](a *aggColumn, c *chunkAggCtx, gids []uint32, ge []G, ae []A, mask *enc.Bitmap) {
 	ext, flip := c.extremes(a)
 	if mask == nil {
+		ge = ge[:len(ae)]
 		for r, x := range ae {
 			g := ge[r]
-			ext[g] = min(ext[g], x^flip)
+			ext[g] = min(ext[g], uint32(x)^flip)
 		}
 	} else {
 		for wi, w := range mask.Words() {
@@ -306,11 +339,31 @@ func kernelMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 			for ; w != 0; w &= w - 1 {
 				r := base + bits.TrailingZeros64(w)
 				g := ge[r]
-				ext[g] = min(ext[g], ae[r]^flip)
+				ext[g] = min(ext[g], uint32(ae[r])^flip)
 			}
 		}
 	}
 	c.extremeIDs(a, gids, flip)
+}
+
+// dictMinMax answers MIN or MAX of a single-group chunk from the argument's
+// chunk dictionary: the first or last occupied entry.
+func dictMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
+	gids := c.argGIDs[j]
+	first, last := 0, len(gids)-1
+	if occ := c.occupancy(j, mask); occ != nil {
+		for occ[first] == 0 {
+			first++
+		}
+		for occ[last] == 0 {
+			last--
+		}
+	}
+	a.vals.ids = resized(a.vals.ids, 1)
+	a.vals.ids[0] = gids[first]
+	if a.has&arrMax != 0 {
+		a.vals.ids[0] = gids[last]
+	}
 }
 
 // pairSeenCap bounds the (group, argument chunk-id) table kernelDistinct
@@ -318,29 +371,15 @@ func kernelMinMax(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 // that uses it.
 const pairSeenCap = 1 << 16
 
-// kernelDistinct feeds COUNT(DISTINCT x): each group's bucket receives the
-// offers (hash, or global-id under Options.ExactDistinct, precomputed per
-// argument chunk-id) of the values its rows hold, and fillRuns turns the
-// buckets into runs. A single-group chunk offers the occupied entries of the
-// argument's chunk dictionary, each once. Otherwise rows are visited, and a
-// (group, value) pair is offered the first time it is seen: a repeated
-// offer never changes a run, so skipping it — one flag instead of a bucket
-// entry per row — leaves exactly the run offering every row would.
-func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
-	hs, ge, nd := c.argHash[j], c.gelems, len(c.argHash[j])
-	if ge == nil {
-		fill := c.buckets(nd)
-		occ := c.occupancy(j, mask)
-		for i, h := range hs {
-			if occ == nil || occ[i] > 0 {
-				c.bucket[fill[0]] = h
-				fill[0]++
-			}
-		}
-		c.fillRuns(a, nd)
-		return
-	}
-	ae, most := c.argElems[j], math.MaxInt
+// kernelDistinct feeds COUNT(DISTINCT x) of a multi-group chunk: each
+// group's bucket receives the offers hs (hash, or global-id under
+// Options.ExactDistinct, precomputed per argument chunk-id) of the values its
+// rows hold, and fillRuns turns the buckets into runs. A (group, value) pair
+// is offered the first time it is seen: a repeated offer never changes a
+// run, so skipping it — one flag instead of a bucket entry per row — leaves
+// exactly the run offering every row would.
+func kernelDistinct[G, A enc.Elem](a *aggColumn, c *chunkAggCtx, hs []uint64, ge []G, ae []A, mask *enc.Bitmap) {
+	nd, most := len(hs), math.MaxInt
 	var seen []uint64
 	if c.card*nd <= pairSeenCap {
 		c.pairSeen = zeroed(c.pairSeen, (c.card*nd+63)/64)
@@ -360,7 +399,7 @@ func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 		fill[g]++
 	}
 	if mask == nil {
-		for r := 0; r < c.rows; r++ {
+		for r := range ae {
 			visit(r)
 		}
 	} else {
@@ -372,4 +411,19 @@ func kernelDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
 		}
 	}
 	c.fillRuns(a, most)
+}
+
+// dictDistinct feeds COUNT(DISTINCT x) of a single-group chunk: the occupied
+// entries of the argument's chunk dictionary are offered, each once.
+func dictDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
+	hs := c.argHash[j]
+	fill := c.buckets(len(hs))
+	occ := c.occupancy(j, mask)
+	for i, h := range hs {
+		if occ == nil || occ[i] > 0 {
+			c.bucket[fill[0]] = h
+			fill[0]++
+		}
+	}
+	c.fillRuns(a, len(hs))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powerdrill/internal/colstore"
+	"powerdrill/internal/enc"
 	"powerdrill/internal/table"
 )
 
@@ -221,6 +222,70 @@ func TestKernelMaskErrorParity(t *testing.T) {
 		_, serr := New(store, Options{DisableKernels: true}).Query(q)
 		if kerr == nil || serr == nil || kerr.Error() != serr.Error() {
 			t.Errorf("%s:\n  kernel: %v\n  scalar: %v", q, kerr, serr)
+		}
+	}
+}
+
+// TestKernelsEveryWidth runs every pair of group and argument element widths
+// through the kernels and the scalar path, and demands the same results and
+// group tables, bit for bit. A chunk stores a column's elements at the width
+// its chunk dictionary's cardinality picks — constant, bit-set, 1, 2 or 4
+// bytes — so one chunk of 66 000 rows holds a column at each (4 bytes takes
+// more than 65 536 distinct values). Each pair runs as a GROUP BY and as a
+// global aggregate, unrestricted and under a mask that keeps half the rows;
+// with OptimizeElements off, where every column is 4 bytes, every group
+// width runs against one argument.
+func TestKernelsEveryWidth(t *testing.T) {
+	const rows = 66000
+	widths := []struct {
+		name string
+		card int
+		want enc.Width
+	}{
+		{"const", 1, enc.Width0}, {"bit", 2, enc.Width1}, {"w8", 200, enc.Width8},
+		{"w16", 3000, enc.Width16}, {"w32", rows, enc.Width32},
+	}
+	tbl := table.New("data")
+	for _, w := range widths {
+		ints, flts := make([]int64, rows), make([]float64, rows)
+		for i := range ints {
+			v := (i*7919 + w.card/3) % w.card // every value of [0, card), scattered
+			ints[i], flts[i] = int64(v)*3-50, float64(v)/8-1
+		}
+		tbl.AddInt64Column("i_"+w.name, ints).AddFloat64Column("f_"+w.name, flts)
+	}
+	for _, optimize := range []bool{true, false} {
+		store, err := colstore.FromTable(tbl, colstore.Options{MaxChunkRows: rows, OptimizeElements: optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := widths[3:4]
+		if optimize {
+			args = widths
+		}
+		for _, w := range widths {
+			for _, col := range []string{"i_", "f_"} {
+				got, want := store.Column(col + w.name).Chunks[0].Elems.Width(), w.want
+				if !optimize {
+					want = enc.Width32
+				}
+				if store.NumChunks() != 1 || got != want {
+					t.Fatalf("optimize %v: %d chunks, %s%s at width %v, want one chunk at %v", optimize, store.NumChunks(), col, w.name, got, want)
+				}
+			}
+		}
+		for _, g := range append([]string{""}, "const", "bit", "w8", "w16", "w32") {
+			sel, group := "", ""
+			if g != "" {
+				sel, group = "i_"+g+", ", " GROUP BY i_"+g
+			}
+			for _, a := range args {
+				aggs := fmt.Sprintf("COUNT(*) AS c, SUM(i_%[1]s) AS s, AVG(f_%[1]s) AS av, MIN(i_%[1]s) AS lo, MAX(f_%[1]s) AS hi, COUNT(DISTINCT i_%[1]s) AS d", a.name)
+				for _, where := range []string{"", " WHERE i_w16 < 4450"} {
+					q := "SELECT " + sel + aggs + " FROM data" + where + group + " ORDER BY c DESC, s ASC LIMIT 20;"
+					requireKernelsMatchScalar(t, store, Options{Parallelism: 1}, q)
+				}
+			}
 		}
 	}
 }

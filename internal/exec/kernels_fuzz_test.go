@@ -14,7 +14,8 @@ import (
 // FuzzScanKernelsVsScalar is the differential fuzzer that backs the
 // bit-for-bit identity claim in kernels.go: it generates a random table
 // (mixed column types, duplicate and empty strings, uneven chunk sizes down
-// to single rows) and a random query (a restriction tree up to three levels
+// to single rows and up to thousands, elements of every width but 4 bytes
+// — OptimizeElements off gives those) and a random query (a restriction tree up to three levels
 // deep over =, !=, <, <=, >, >=, IN, NOT, AND, OR, whose leaves on the
 // partition column are decided "all" or "none" by most chunk dictionaries
 // and whose selective leaves leave a sparse mask for the ones after them;
@@ -32,8 +33,9 @@ func FuzzScanKernelsVsScalar(f *testing.F) {
 	f.Add(int64(-7), uint16(1), uint16(3))
 	f.Add(int64(42), uint16(4095), uint16(65535))
 	f.Add(int64(99), uint16(64), uint16(129))
+	f.Add(int64(3), uint16(7000), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, shape uint16) {
-		diffKernelsVsScalar(t, seed, int(rows)%4096, shape)
+		diffKernelsVsScalar(t, seed, int(rows)%8192, shape)
 	})
 }
 
@@ -56,9 +58,16 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 
 	// Table: string s (small domain, includes the empty string), int64 n,
 	// float64 fv, and a monotone partition column p that splits the store
-	// into uneven chunks (MaxChunkRows below can force 1-row chunks).
+	// into uneven chunks (MaxChunkRows below can force 1-row chunks). One
+	// table in four is wide: domains of up to 1 000 strings, 3 000 integers
+	// and 4 000 floats, so chunks store 2-byte elements, and chunks as large
+	// as the partition column allows — over 4 096 rows, when rows is.
 	strCard := 1 + rng.Intn(1+rng.Intn(32))
 	intCard := 1 + rng.Intn(1+rng.Intn(64))
+	fvCard, maxChunkRows := 400, 1+rng.Intn(300)
+	if rng.Intn(4) == 0 {
+		strCard, intCard, fvCard, maxChunkRows = 1+rng.Intn(1000), 1+rng.Intn(3000), 4000, rows
+	}
 	pEvery := 1 + rng.Intn(rows)
 	s := make([]string, rows)
 	n := make([]int64, rows)
@@ -71,7 +80,7 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 			s[i] = fmt.Sprintf("v%02d", v)
 		}
 		n[i] = int64(rng.Intn(intCard))
-		fv[i] = float64(rng.Intn(400)) / 4
+		fv[i] = float64(rng.Intn(fvCard)) / 4
 		p[i] = fmt.Sprintf("p%03d", i/pEvery)
 	}
 	tbl := table.New("data").
@@ -81,7 +90,7 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 		AddStringColumn("p", p)
 	store, err := colstore.FromTable(tbl, colstore.Options{
 		PartitionFields:  []string{"p"},
-		MaxChunkRows:     1 + rng.Intn(300),
+		MaxChunkRows:     maxChunkRows,
 		OptimizeElements: shape&1 == 0,
 	})
 	if err != nil {
@@ -94,6 +103,14 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 		ExactDistinct:   shape&2 != 0,
 		DisableSkipping: shape&4 != 0,
 	}
+	requireKernelsMatchScalar(t, store, opts, q)
+}
+
+// requireKernelsMatchScalar runs q through the kernels and the scalar path
+// of engines over store with opts, and demands the same results and the
+// same merged group tables, bit for bit, or the same error.
+func requireKernelsMatchScalar(t *testing.T, store *colstore.Store, opts Options, q string) {
+	t.Helper()
 	scalarOpts := opts
 	scalarOpts.DisableKernels = true
 	kernel, scalar := New(store, opts), New(store, scalarOpts)

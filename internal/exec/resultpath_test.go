@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,51 +132,89 @@ func TestMaskedScanAllocations(t *testing.T) {
 }
 
 // TestWarmScanAllocations: a warm group-by allocates per query, never per
-// chunk. The same rows, stored as 16 chunks and as 130, are grouped many
-// groups to a chunk under every aggregate but COUNT(DISTINCT) — whose
-// sketch runs are released after every query, so they regrow — fully
-// active, under a mask and under a mask sparse enough for the gather
-// kernel; a query's allocations must not tell the two stores apart. A
-// float sum logs one value per chunk and group; 11 groups keep the log
-// small enough for workerPool to keep.
+// chunk, in count and in bytes. Each table is stored at two chunkings and
+// grouped under every aggregate but COUNT(DISTINCT) — whose sketch runs are
+// released after every query, so they regrow — fully active, under a mask
+// and under a mask sparse enough for the gather kernel; a query's
+// allocations must not tell the two stores apart. The first table groups 11
+// keys over 13 000 rows in chunks of 1 000 and of 100 (a float sum logs one
+// value per chunk and group; 11 groups keep the log small). The second
+// groups 3 000 keys — a group table of 24 KB an array — over 6 000 rows in
+// one chunk and in chunks of 100: a worker that regrew its element buffers
+// for a large chunk, or its table for a large grouping, would allocate more
+// at one chunking than at the other, or more than the bound: what a query
+// makes per group — its merged table, 52 bytes a group for the second
+// table's five aggregates, 68 for the first's six — rounded up to 72, plus
+// 24 KiB.
 func TestWarmScanAllocations(t *testing.T) {
-	const rows = 13000
-	c, k, n, s, f := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]string, rows), make([]float64, rows)
-	for i := range k {
-		c[i] = int64(i / 100) // the partition field: chunks of whole hundreds
-		k[i] = int64(i * 7 % 11)
-		n[i] = int64(i * 13 % 101)
-		s[i] = fmt.Sprintf("s%03d", i*11%211)
-		f[i] = float64(i%9) / 4
-	}
-	tbl := table.New("data").AddInt64Column("c", c).AddInt64Column("k", k).AddInt64Column("n", n).
-		AddStringColumn("s", s).AddFloat64Column("f", f)
-	var engines [2]*Engine
-	for i, chunkRows := range []int{1000, 100} {
-		engines[i] = buildEngine(t, tbl, colstore.Options{PartitionFields: []string{"c"}, MaxChunkRows: chunkRows}, Options{Parallelism: 1})
-	}
-	few, many := engines[0].store.NumChunks(), engines[1].store.NumChunks()
-	if many < 8*few {
-		t.Fatalf("%d and %d chunks: too close to tell per-chunk allocations apart", few, many)
-	}
-	const aggs = `COUNT(*) AS c, SUM(n) AS sn, SUM(f) AS sf, AVG(f) AS af, MIN(s) AS lo, MAX(n) AS hi`
-	for _, where := range []string{"", " WHERE n < 60", " WHERE n < 3"} {
-		stmt := mustParseStmt(t, `SELECT k, `+aggs+` FROM data`+where+` GROUP BY k;`)
-		var allocs [2]float64
-		for i, e := range engines {
-			run := func() {
-				if _, err := e.Run(stmt); err != nil {
-					t.Fatal(err)
-				}
+	for _, c := range []struct {
+		name      string
+		rows      int
+		groups    int
+		chunkRows [2]int
+	}{
+		{"11 groups", 13000, 11, [2]int{1000, 100}},
+		{"3000 groups", 6000, 3000, [2]int{6000, 100}},
+	} {
+		part, k, n, s, f := make([]int64, c.rows), make([]int64, c.rows), make([]int64, c.rows), make([]string, c.rows), make([]float64, c.rows)
+		for i := range k {
+			part[i] = int64(i / 100) // the partition field: chunks of whole hundreds
+			k[i] = int64(i * 7 % c.groups)
+			n[i] = int64(i * 13 % 101)
+			s[i] = fmt.Sprintf("s%03d", i*11%211)
+			f[i] = float64(i%9) / 4
+		}
+		tbl := table.New("data").AddInt64Column("c", part).AddInt64Column("k", k).AddInt64Column("n", n).
+			AddStringColumn("s", s).AddFloat64Column("f", f)
+		var engines [2]*Engine
+		for i, chunkRows := range c.chunkRows {
+			engines[i] = buildEngine(t, tbl, colstore.Options{PartitionFields: []string{"c"}, MaxChunkRows: chunkRows, OptimizeElements: true}, Options{Parallelism: 1})
+		}
+		few, many := engines[0].store.NumChunks(), engines[1].store.NumChunks()
+		if many < 8*few {
+			t.Fatalf("%s: %d and %d chunks: too close to tell per-chunk allocations apart", c.name, few, many)
+		}
+		aggs := `COUNT(*) AS c, SUM(n) AS sn, SUM(f) AS sf, AVG(f) AS af, MIN(s) AS lo, MAX(n) AS hi`
+		if c.groups > 1000 {
+			aggs = `COUNT(*) AS c, SUM(n) AS sn, AVG(n) AS an, MIN(s) AS lo, MAX(n) AS hi`
+		}
+		bound := float64(72*c.groups + 24<<10)
+		for _, where := range []string{"", " WHERE n < 60", " WHERE n < 3"} {
+			stmt := mustParseStmt(t, `SELECT k, `+aggs+` FROM data`+where+` GROUP BY k ORDER BY c DESC, k ASC LIMIT 10;`)
+			var allocs, bytes [2]float64
+			for i, e := range engines {
+				allocs[i], bytes[i] = warmCost(10, func() {
+					if _, err := e.Run(stmt); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			run()
-			allocs[i] = testing.AllocsPerRun(10, run)
-		}
-		t.Logf("%s: %.0f allocations at %d chunks, %.0f at %d", stmt, allocs[0], few, allocs[1], many)
-		if allocs[1] > allocs[0]+4 {
-			t.Errorf("%s: %.0f allocations at %d chunks, %.0f at %d: the scan allocates per chunk", stmt, allocs[1], many, allocs[0], few)
+			t.Logf("%s: %.0f allocations, %.0f bytes at %d chunks; %.0f, %.0f at %d", stmt, allocs[0], bytes[0], few, allocs[1], bytes[1], many)
+			if allocs[1] > allocs[0]+4 {
+				t.Errorf("%s: %.0f allocations at %d chunks, %.0f at %d: the scan allocates per chunk", stmt, allocs[1], many, allocs[0], few)
+			}
+			if d := bytes[1] - bytes[0]; d > 32*float64(many) || d < -32*float64(many) {
+				t.Errorf("%s: %.0f bytes at %d chunks, %.0f at %d: the scan allocates by chunk size or per chunk", stmt, bytes[0], few, bytes[1], many)
+			}
+			if max(bytes[0], bytes[1]) > bound {
+				t.Errorf("%s: %.0f and %.0f bytes a query, want at most %.0f: a warm worker regrows its scratch or its table", stmt, bytes[0], bytes[1], bound)
+			}
 		}
 	}
+}
+
+// warmCost runs f once, then n times on one thread, and returns what a run
+// allocated: objects and bytes.
+func warmCost(n int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 // TestPartialFollowsLayout: a chunk's partial — what the result cache holds
