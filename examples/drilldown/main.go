@@ -50,7 +50,7 @@ func main() {
 	}
 
 	for i, c := range session {
-		var skipped, cached, scanned, total int
+		var st powerdrill.QueryStats
 		start := time.Now()
 		for _, chart := range charts {
 			q := fmt.Sprintf(chart, c.where)
@@ -58,18 +58,16 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s: %v", q, err)
 			}
-			skipped += res.Stats.ChunksSkipped
-			cached += res.Stats.ChunksCached
-			scanned += res.Stats.ChunksScanned
-			total += res.Stats.ChunksTotal
+			st.Add(res.Stats)
 		}
 		elapsed := time.Since(start)
+		total := float64(st.ChunksTotal)
 		fmt.Printf("click %d: %s\n", i+1, c.label)
 		fmt.Printf("  %d chart queries in %v\n", len(charts), elapsed.Round(time.Microsecond))
 		fmt.Printf("  chunks: %5.1f%% skipped, %5.1f%% cached, %5.1f%% scanned\n\n",
-			100*float64(skipped)/float64(total),
-			100*float64(cached)/float64(total),
-			100*float64(scanned)/float64(total))
+			100*float64(st.ChunksSkipped)/total,
+			100*float64(st.ChunksCached)/total,
+			100*float64(st.ChunksScanned)/total)
 	}
 	fmt.Println("(the paper's production fleet skips 92.41% of records and caches 5.02%)")
 }

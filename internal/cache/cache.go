@@ -62,9 +62,9 @@ type EvictionNotifier interface {
 
 // Stats holds cumulative cache counters.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 }
 
 // HitRate returns Hits / (Hits+Misses), or 0 before any access.

@@ -20,32 +20,32 @@ import (
 
 // Stats counts distributed execution events.
 type Stats struct {
-	Queries         int64
-	SubQueries      int64
-	ReplicaRaces    int64 // sub-queries issued to more than one server
-	PrimaryFailures int64 // sub-queries answered by a non-primary replica
+	Queries         int64 `json:"queries"`
+	SubQueries      int64 `json:"sub_queries"`
+	ReplicaRaces    int64 `json:"replica_races"`    // sub-queries issued to more than one server
+	PrimaryFailures int64 `json:"primary_failures"` // sub-queries answered by a non-primary replica
 	// Hedges counts secondary dispatches fired by the straggler threshold
 	// (including the immediate hedge on shards with no latency estimate).
-	Hedges int64
+	Hedges int64 `json:"hedges"`
 	// Retries counts re-dispatches after a replica error: speculative
 	// immediate ones and backoff retries alike.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// DeadlineExpired counts sub-queries abandoned because the query
 	// deadline expired before any replica answered.
-	DeadlineExpired int64
+	DeadlineExpired int64 `json:"deadline_expired"`
 	// ShardsMissing counts shard answers missing from served results —
 	// every one of them degraded a query's coverage below 1.
-	ShardsMissing int64
+	ShardsMissing int64 `json:"shards_missing"`
 	// PartialAnswers counts queries served with Coverage < 1.
-	PartialAnswers int64
+	PartialAnswers int64 `json:"partial_answers"`
 	// BreakerOpens counts circuit breakers tripping open; BreakerSkips
 	// counts dispatches skipped because a breaker was open.
-	BreakerOpens int64
-	BreakerSkips int64
+	BreakerOpens int64 `json:"breaker_opens"`
+	BreakerSkips int64 `json:"breaker_skips"`
 	// Rebalances counts Rebalance calls that moved at least one replica;
 	// ReplicasMoved counts the individual relocations.
-	Rebalances    int64
-	ReplicasMoved int64
+	Rebalances    int64 `json:"rebalances"`
+	ReplicasMoved int64 `json:"replicas_moved"`
 }
 
 // shardState holds one shard's replicas and its dispatch-side state.

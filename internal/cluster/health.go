@@ -178,23 +178,24 @@ func (ls *leafState) failure(err error, now time.Time) bool {
 // LeafHealth is one leaf's health as seen by the coordinator — surfaced
 // through Cluster.Health, the public powerdrill API and pdserver /statz.
 type LeafHealth struct {
-	Name    string
-	Shard   int
-	Replica int
+	Name    string `json:"name"`
+	Shard   int    `json:"shard"`
+	Replica int    `json:"replica"`
 	// Server is the placement label of the server the replica lives on.
-	Server string
+	Server string `json:"server,omitempty"`
 	// Breaker is "closed", "open" or "half-open" ("disabled" when health
 	// tracking is off).
-	Breaker             string
-	ConsecutiveFailures int
-	Successes           int64
-	Failures            int64
+	Breaker             string `json:"breaker"`
+	ConsecutiveFailures int    `json:"consecutive_failures"`
+	Successes           int64  `json:"successes"`
+	Failures            int64  `json:"failures"`
 	// BreakerOpens counts how many times this leaf's breaker tripped.
-	BreakerOpens int64
+	BreakerOpens int64 `json:"breaker_opens"`
 	// LatencyEWMA is the replica's moving completed-attempt latency
-	// (0 = no observation yet) — the signal the rebalancer reads.
-	LatencyEWMA time.Duration
-	LastError   string
+	// (0 = no observation yet) — the signal the rebalancer reads. /statz
+	// shows it in milliseconds.
+	LatencyEWMA time.Duration `json:"-"`
+	LastError   string        `json:"last_error,omitempty"`
 }
 
 func (ls *leafState) health() LeafHealth {

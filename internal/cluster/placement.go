@@ -63,14 +63,15 @@ func (c *Cluster) AddServer(name string, open LeafFactory) {
 
 // PlacementEntry is one row of the shard→server placement table.
 type PlacementEntry struct {
-	Shard   int
-	Replica int
-	Server  string
-	Leaf    string
+	Shard   int    `json:"shard"`
+	Replica int    `json:"replica"`
+	Server  string `json:"server"`
+	Leaf    string `json:"leaf"`
 	// LatencyEWMA is the replica's moving completed-attempt latency
-	// (0 = no observation yet); Breaker its circuit state.
-	LatencyEWMA time.Duration
-	Breaker     string
+	// (0 = no observation yet; /statz shows it in milliseconds); Breaker
+	// its circuit state.
+	LatencyEWMA time.Duration `json:"-"`
+	Breaker     string        `json:"breaker"`
 }
 
 // Placement returns the current placement table, shard-then-replica order.

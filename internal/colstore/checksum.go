@@ -4,7 +4,7 @@ package colstore
 // record — the head record (dictionary plus chunk-count varint), every
 // chunk record, and every dictionary shard frame — computed over the exact
 // file bytes a cold load reads (compressed bytes with a codec, raw bytes
-// otherwise). Readers verify on every cold read unless disabled; a
+// otherwise). Readers verify on every cold read; a
 // mismatch degrades like a missing shard: an error carrying file and byte
 // range, never a silently wrong answer.
 

@@ -30,25 +30,25 @@ type PinSet struct {
 	keys []string
 	// ColdLoads counts columns for which this set loaded anything from
 	// disk (a column with five cold chunks counts once).
-	ColdLoads int
+	ColdLoads int64
 	// ColdChunkLoads counts individual (column, chunk) entries this set
 	// cold-loaded.
-	ColdChunkLoads int
+	ColdChunkLoads int64
 	// ColdDictLoads counts global dictionaries this set cold-loaded.
-	ColdDictLoads int
+	ColdDictLoads int64
 	// ColdBytesLoaded sums the resident bytes of all cold loads.
 	ColdBytesLoaded int64
 	// DiskBytesRead sums their on-disk (compressed) bytes.
 	DiskBytesRead int64
 	// ReadRuns counts the coalesced byte-run reads the set's cold chunk
 	// prefetches issued (one ReadAt per run).
-	ReadRuns int
+	ReadRuns int64
 	// CoalescedReads counts the reads run coalescing saved: a run of m
 	// contiguous cold chunks is one read instead of m, saving m−1.
-	CoalescedReads int
+	CoalescedReads int64
 	// ChecksumVerified counts the records (chunks, dictionaries) whose
-	// CRC32C this set's cold loads checked and matched — zero with
-	// verification disabled.
+	// CRC32C this set's cold loads checked and matched — one per cold load:
+	// the lazy path verifies every record it reads.
 	ChecksumVerified int64
 	// ChecksumFailed counts cold loads this set aborted on a checksum
 	// mismatch (the query then fails with that ChecksumError).
@@ -236,8 +236,8 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		if err != nil {
 			return err
 		}
-		p.ReadRuns += runs
-		p.CoalescedReads += coalesced
+		p.ReadRuns += int64(runs)
+		p.CoalescedReads += int64(coalesced)
 		for _, ci := range batch {
 			if err := p.ensureChunk(h, ci, recs[ci]); err != nil {
 				return err

@@ -42,7 +42,7 @@ type IOStats struct {
 	// DecompressNanos sums the wall time spent inside the codec.
 	DecompressNanos int64
 	// ChecksumVerified counts records whose CRC32C was checked and
-	// matched on a cold read (verification enabled).
+	// matched on a cold read.
 	ChecksumVerified int64
 	// ChecksumFailed counts records whose CRC32C check failed — each one
 	// a load that returned a ChecksumError instead of decoded data.

@@ -49,17 +49,8 @@ func (s *groupSet) sizeBytes() int64 {
 // in ascending chunk order at the merge — not in the racy order workers
 // finish — so the result is bit-for-bit the sequential engine's.
 func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
-	var qs QueryStats
-	nChunks := e.store.NumChunks()
-	qs.ChunksTotal = nChunks
-	nCols := int64(len(p.accessCols))
-	qs.CellsCovered = int64(e.store.NumRows()) * nCols
-	qs.ActiveChunks = nChunks
-	if p.active != nil {
-		qs.ActiveChunks = p.activeCount
-		qs.SkippedChunks = nChunks - p.activeCount
-	}
-
+	qs := e.scanStats(p)
+	nChunks, nCols := e.store.NumChunks(), int64(len(p.accessCols))
 	if p.rowScan {
 		return nil, qs, fmt.Errorf("exec: internal: row scans do not aggregate")
 	}
@@ -85,6 +76,18 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 		qs.Add(wqs[w])
 	}
 	return mergeTables(p, ws), qs, nil
+}
+
+// scanStats starts a scan's counters with what is known before it runs:
+// the chunks and cells the query covers and the residency analysis' split.
+func (e *Engine) scanStats(p *plan) QueryStats {
+	n := int64(e.store.NumChunks())
+	qs := QueryStats{ChunksTotal: n, ActiveChunks: n, CellsCovered: int64(e.store.NumRows()) * int64(len(p.accessCols))}
+	if p.active != nil {
+		qs.ActiveChunks = int64(p.activeCount)
+		qs.SkippedChunks = n - qs.ActiveChunks
+	}
+	return qs
 }
 
 // scanChunk classifies one chunk and folds its contribution into the

@@ -37,7 +37,7 @@ func savedReorderedStore(t testing.TB, rows int, codec string) string {
 
 // chunksContaining counts the chunks of a column that actually contain the
 // value — the ground truth k for "a restriction selecting k of n chunks".
-func chunksContaining(t *testing.T, s *colstore.Store, column, val string) int {
+func chunksContaining(t *testing.T, s *colstore.Store, column, val string) int64 {
 	t.Helper()
 	col, err := s.ColumnErr(column)
 	if err != nil {
@@ -47,7 +47,7 @@ func chunksContaining(t *testing.T, s *colstore.Store, column, val string) int {
 	if !ok {
 		t.Fatalf("value %q not in %q dictionary", val, column)
 	}
-	k := 0
+	var k int64
 	for _, ch := range col.Chunks {
 		if _, found := ch.ChunkID(gid); found {
 			k++
@@ -69,7 +69,7 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	}
 	footprint := residentFootprint(t, eagerStore)
 	k := chunksContaining(t, eagerStore, "country", "de")
-	n := eagerStore.NumChunks()
+	n := int64(eagerStore.NumChunks())
 	if k == 0 || k == n {
 		t.Fatalf("degenerate test data: %d of %d chunks contain de", k, n)
 	}
@@ -125,10 +125,10 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 
 	// The manager held exactly the active working set: 2 dicts + 2k chunks.
 	ms := mgr.Stats()
-	if ms.ColdLoads != int64(2*k+2) {
+	if ms.ColdLoads != 2*k+2 {
 		t.Fatalf("manager cold loads = %d, want %d", ms.ColdLoads, 2*k+2)
 	}
-	if ms.ResidentItems != 2*k+2 {
+	if int64(ms.ResidentItems) != 2*k+2 {
 		t.Fatalf("resident items = %d, want %d", ms.ResidentItems, 2*k+2)
 	}
 }
@@ -323,7 +323,7 @@ func TestAliasShadowingColumnIsNotLoaded(t *testing.T) {
 		res, err := New(store, Options{}).Query(q)
 		if err == nil {
 			st := res.Stats
-			loads = [4]int64{int64(st.ColdLoads), int64(st.ColdChunkLoads), int64(st.ColdDictLoads), st.DiskBytesRead}
+			loads = [4]int64{st.ColdLoads, st.ColdChunkLoads, st.ColdDictLoads, st.DiskBytesRead}
 		}
 		return loads, mgr.Stats().ColdLoads, err
 	}

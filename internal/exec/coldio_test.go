@@ -47,7 +47,7 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	}
 	footprint := residentFootprint(t, eagerStore)
 	active := activeChunkIndices(t, eagerStore, "country", "de")
-	k, n := len(active), eagerStore.NumChunks()
+	k, n := int64(len(active)), int64(eagerStore.NumChunks())
 	if k < 2 || k == n {
 		t.Fatalf("degenerate test data: %d of %d chunks contain de", k, n)
 	}
@@ -140,7 +140,7 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 	for _, c := range []struct {
 		q     string
 		dicts []string
-		cols  int
+		cols  int64
 	}{
 		{`SELECT table_name, COUNT(*) AS c FROM data GROUP BY table_name ORDER BY c DESC, table_name ASC;`,
 			[]string{"table_name"}, 1},
@@ -153,13 +153,13 @@ func TestCacheSkippedChunksWarmRepeat(t *testing.T) {
 	}
 }
 
-func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int) {
+func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) {
 	dir := savedReorderedStore(t, 6000, "zippy")
 	eagerStore, _, err := colstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := eagerStore.NumChunks()
+	n := int64(eagerStore.NumChunks())
 	eager := New(eagerStore, Options{Parallelism: 2})
 	want, err := eager.Query(q)
 	if err != nil {

@@ -109,7 +109,7 @@ func TestColdStartBudgetedMatchesResident(t *testing.T) {
 				t.Fatalf("lazy %s: %v", q, err)
 			}
 			assertSameResult(t, q, want, got)
-			totalCold += int64(got.Stats.ColdLoads)
+			totalCold += got.Stats.ColdLoads
 			st := mgr.Stats()
 			// Unpinned residency must respect the budget; transient pinned
 			// bytes are bounded by one query's working set, which the
@@ -161,7 +161,7 @@ func TestColdThenWarmStats(t *testing.T) {
 		t.Fatalf("warm repeat reported cold loads: %+v", second.Stats)
 	}
 	cum := e.Stats()
-	if cum.ColdLoads != int64(first.Stats.ColdLoads) {
+	if cum.ColdLoads != first.Stats.ColdLoads {
 		t.Fatalf("cumulative cold loads %d, want %d", cum.ColdLoads, first.Stats.ColdLoads)
 	}
 }
@@ -371,7 +371,7 @@ func TestBudgetedRepeatDeterministic(t *testing.T) {
 		`SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`)
 	type step struct {
 		disk      int64
-		chunks    int
+		chunks    int64
 		evictions int64
 	}
 	run := func() []step {

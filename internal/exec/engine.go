@@ -71,140 +71,97 @@ type Engine struct {
 }
 
 // Stats accumulates execution counters across queries — the quantities the
-// paper reports for production (Section 6).
+// paper reports for production (Section 6): every QueryStats counter summed
+// over Queries queries.
 type Stats struct {
-	Queries       int64
-	ChunksTotal   int64
-	ChunksSkipped int64
-	ChunksCached  int64
-	ChunksScanned int64
-	RowsTotal     int64
-	RowsSkipped   int64
-	RowsCached    int64
-	RowsScanned   int64
-	// CellsCovered counts rows × accessed columns over the whole store —
-	// the paper's "cells" a hypothetical full scan would process.
-	CellsCovered int64
-	// CellsScanned counts rows × accessed columns actually scanned.
-	CellsScanned int64
-	// ActiveChunks counts chunks the pre-scan residency analysis marked
-	// possibly active (all chunks when nothing could be pruned).
-	ActiveChunks int64
-	// SkippedChunks counts chunks the residency analysis pruned before any
-	// of their data was loaded — on a lazy store these never touch disk.
-	SkippedChunks int64
-	// ColdLoads counts columns loaded from disk because they were not
-	// resident when a query touched them (lazy stores only).
-	ColdLoads int64
-	// ColdChunkLoads counts individual (column, chunk) entries loaded from
-	// disk (chunk-granular lazy stores only).
-	ColdChunkLoads int64
-	// ColdDictLoads counts global dictionaries loaded from disk
-	// (chunk-granular lazy stores only).
-	ColdDictLoads int64
-	// ColdBytesLoaded sums the resident bytes of those cold loads.
-	ColdBytesLoaded int64
-	// DiskBytesRead sums their on-disk (compressed) bytes — the quantity
-	// Figure 5's latency model charges.
-	DiskBytesRead int64
-	// ChecksumVerified counts cold loads whose CRC32C checked out;
-	// ChecksumFailed counts loads rejected for a mismatch (v5 stores with
-	// verification on). A nonzero failure count means disk corruption was
-	// caught before it could reach a query result.
-	ChecksumVerified int64
-	ChecksumFailed   int64
-	// CacheSkippedChunks counts chunks the cache-aware residency pass
-	// answered straight from the result cache — never pinned, loaded, or
-	// charged to the byte budget.
-	CacheSkippedChunks int64
-	// ReadRuns counts the coalesced byte-run reads cold chunk prefetches
-	// issued (one ReadAt per run).
-	ReadRuns int64
-	// CoalescedReads counts the reads run coalescing saved (a run of m
-	// contiguous cold chunks is one read, saving m−1).
-	CoalescedReads int64
-	// BloomSkippedChunks counts chunks pruned only because a per-chunk
-	// bloom filter proved an equality restriction's ids absent — the
-	// manifest spans alone could not have skipped them.
-	BloomSkippedChunks int64
-	// KernelChunks counts chunks aggregated by the vectorized kernels;
-	// ScalarChunks counts chunks that ran the row-at-a-time reference path
-	// (Options.DisableKernels).
-	KernelChunks int64
-	ScalarChunks int64
+	Queries int64 `json:"queries"`
+	QueryStats
 }
 
-// QueryStats are the per-query counters.
+// QueryStats are the per-query counters, and the only declaration of an
+// engine counter: Add, the partial wire form (declaration order — append
+// new fields at the end), Engine.Stats and /statz (the json tag) all walk
+// the fields. Every field is an int64 sum.
+//
+// Every chunk a query covers is skipped, cached or scanned exactly once,
+// and so is every row: ChunksSkipped + ChunksCached + ChunksScanned =
+// ChunksTotal, and the rows likewise sum to RowsCovered — the split the
+// paper reports for production (Sections 5–6).
 type QueryStats struct {
-	ChunksTotal   int
-	ChunksSkipped int
-	ChunksCached  int
-	ChunksScanned int
-	RowsScanned   int64
-	RowsCached    int64
-	RowsSkipped   int64
-	CellsCovered  int64
-	CellsScanned  int64
+	ChunksTotal   int64 `json:"chunks_total"`
+	ChunksSkipped int64 `json:"chunks_skipped"`
+	ChunksCached  int64 `json:"chunks_cached"`
+	ChunksScanned int64 `json:"chunks_scanned"`
+	RowsScanned   int64 `json:"rows_scanned"`
+	RowsCached    int64 `json:"rows_cached"`
+	RowsSkipped   int64 `json:"rows_skipped"`
+	// CellsCovered counts rows × accessed columns over the whole store —
+	// the paper's "cells" a full scan would process; CellsScanned counts
+	// those actually scanned.
+	CellsCovered int64 `json:"cells_covered"`
+	CellsScanned int64 `json:"cells_scanned"`
 	// ActiveChunks counts chunks the pre-scan residency analysis marked
 	// possibly active for this query (ChunksTotal when nothing could be
 	// pruned); only these are loaded — and charged to the memory budget —
 	// on a chunk-granular lazy store.
-	ActiveChunks int
+	ActiveChunks int64 `json:"active_chunks"`
 	// SkippedChunks counts chunks the residency analysis pruned from
 	// manifest spans alone, before any of their data was loaded. They are
 	// also included in ChunksSkipped, which additionally counts chunks the
 	// precise per-chunk-dictionary classification skipped.
-	SkippedChunks int
+	SkippedChunks int64 `json:"skipped_chunks"`
 	// ColdLoads counts columns this query had to load from disk (zero on a
 	// warm repeat — the Section 5 "only a fraction of the data needs to be
 	// in memory" accounting). A column counts once however many of its
 	// chunks came from disk.
-	ColdLoads int
+	ColdLoads int64 `json:"cold_loads"`
 	// ColdChunkLoads counts the individual (column, chunk) entries this
 	// query cold-loaded (chunk-granular lazy stores only).
-	ColdChunkLoads int
+	ColdChunkLoads int64 `json:"cold_chunk_loads"`
 	// ColdDictLoads counts the global dictionaries this query cold-loaded
 	// (chunk-granular lazy stores only).
-	ColdDictLoads int
+	ColdDictLoads int64 `json:"cold_dict_loads"`
 	// ColdBytesLoaded sums the resident bytes of those cold loads.
-	ColdBytesLoaded int64
-	// DiskBytesRead sums their on-disk (compressed) bytes.
-	DiskBytesRead int64
+	ColdBytesLoaded int64 `json:"cold_bytes_loaded"`
+	// DiskBytesRead sums their on-disk (compressed) bytes — the quantity
+	// Figure 5's latency model charges.
+	DiskBytesRead int64 `json:"disk_bytes_read"`
 	// ChecksumVerified / ChecksumFailed count this query's cold loads
-	// that passed / failed CRC verification (v5 stores).
-	ChecksumVerified int
-	ChecksumFailed   int
+	// that passed / failed CRC32C verification. A nonzero failure count
+	// means disk corruption was caught before it could reach a result.
+	ChecksumVerified int64 `json:"checksum_verified"`
+	ChecksumFailed   int64 `json:"checksum_failed"`
 	// CacheSkippedChunks counts chunks answered by the cache-aware
 	// residency pass from the result cache alone: they are in ChunksCached
 	// too, but additionally were never pinned or loaded.
-	CacheSkippedChunks int
+	CacheSkippedChunks int64 `json:"cache_skipped_chunks"`
 	// ReadRuns counts the coalesced byte-run reads this query's cold chunk
 	// prefetches issued (one ReadAt per run; zero on stores without exact
 	// chunk reads).
-	ReadRuns int
+	ReadRuns int64 `json:"read_runs"`
 	// CoalescedReads counts the reads this query's run coalescing saved
 	// (a run of m contiguous cold chunks is one read, saving m−1).
-	CoalescedReads int
+	CoalescedReads int64 `json:"coalesced_reads"`
 	// BloomSkippedChunks counts chunks this query pruned only because a
 	// per-chunk bloom filter proved an equality restriction's ids absent —
 	// the manifest spans alone could not have skipped them. They are also
 	// counted in SkippedChunks (and ChunksSkipped).
-	BloomSkippedChunks int
+	BloomSkippedChunks int64 `json:"bloom_skipped_chunks"`
 	// KernelChunks counts chunks this query aggregated through the
 	// vectorized kernels; ScalarChunks counts chunks that ran the
 	// row-at-a-time reference path instead (Options.DisableKernels).
-	KernelChunks int
-	ScalarChunks int
+	KernelChunks int64 `json:"kernel_chunks"`
+	ScalarChunks int64 `json:"scalar_chunks"`
 	// RowsTotal counts the rows the answer SHOULD span: the store's row
 	// count for a single engine or leaf partial, the sum over every shard
 	// (answering or not) after a cluster merge. RowsCovered counts the
 	// rows of the servers that actually contributed. The two are equal
 	// unless a shard was abandoned (dead replicas, expired deadline) and
 	// the cluster degraded to a partial answer.
-	RowsTotal   int64
-	RowsCovered int64
+	RowsTotal   int64 `json:"rows_total"`
+	RowsCovered int64 `json:"rows_covered"`
 	// ShardsMissing counts shards absent from a merged answer.
-	ShardsMissing int
+	ShardsMissing int64 `json:"shards_missing"`
 }
 
 // Result is a finished query result.
@@ -347,52 +304,23 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, erro
 // counts of shards that never answered to RowsTotal alone, which is what
 // drives Coverage below 1.
 func (e *Engine) closeStats(qs QueryStats, ps *colstore.PinSet, p *plan) QueryStats {
-	qs.BloomSkippedChunks = p.bloomSkipped
+	qs.BloomSkippedChunks = int64(p.bloomSkipped)
 	qs.ColdLoads = ps.ColdLoads
 	qs.ColdChunkLoads = ps.ColdChunkLoads
 	qs.ColdDictLoads = ps.ColdDictLoads
 	qs.ColdBytesLoaded = ps.ColdBytesLoaded
 	qs.DiskBytesRead = ps.DiskBytesRead
-	qs.ChecksumVerified = int(ps.ChecksumVerified)
-	qs.ChecksumFailed = int(ps.ChecksumFailed)
+	qs.ChecksumVerified = ps.ChecksumVerified
+	qs.ChecksumFailed = ps.ChecksumFailed
 	qs.ReadRuns = ps.ReadRuns
 	qs.CoalescedReads = ps.CoalescedReads
 	qs.RowsTotal = int64(e.store.NumRows())
 	qs.RowsCovered = qs.RowsTotal
-	e.recordStats(qs)
-	return qs
-}
-
-// recordStats folds one query's merged counters into the cumulative stats.
-func (e *Engine) recordStats(qs QueryStats) {
 	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
 	e.stats.Queries++
-	e.stats.ChunksTotal += int64(qs.ChunksTotal)
-	e.stats.ChunksSkipped += int64(qs.ChunksSkipped)
-	e.stats.ChunksCached += int64(qs.ChunksCached)
-	e.stats.ChunksScanned += int64(qs.ChunksScanned)
-	e.stats.RowsTotal += int64(e.store.NumRows())
-	e.stats.RowsScanned += qs.RowsScanned
-	e.stats.RowsCached += qs.RowsCached
-	e.stats.RowsSkipped += qs.RowsSkipped
-	e.stats.CellsCovered += qs.CellsCovered
-	e.stats.CellsScanned += qs.CellsScanned
-	e.stats.ActiveChunks += int64(qs.ActiveChunks)
-	e.stats.SkippedChunks += int64(qs.SkippedChunks)
-	e.stats.ColdLoads += int64(qs.ColdLoads)
-	e.stats.ColdChunkLoads += int64(qs.ColdChunkLoads)
-	e.stats.ColdDictLoads += int64(qs.ColdDictLoads)
-	e.stats.ColdBytesLoaded += qs.ColdBytesLoaded
-	e.stats.DiskBytesRead += qs.DiskBytesRead
-	e.stats.ChecksumVerified += int64(qs.ChecksumVerified)
-	e.stats.ChecksumFailed += int64(qs.ChecksumFailed)
-	e.stats.CacheSkippedChunks += int64(qs.CacheSkippedChunks)
-	e.stats.ReadRuns += int64(qs.ReadRuns)
-	e.stats.CoalescedReads += int64(qs.CoalescedReads)
-	e.stats.BloomSkippedChunks += int64(qs.BloomSkippedChunks)
-	e.stats.KernelChunks += int64(qs.KernelChunks)
-	e.stats.ScalarChunks += int64(qs.ScalarChunks)
+	e.stats.Add(qs)
+	e.statsMu.Unlock()
+	return qs
 }
 
 // storeRow adapts a (chunk, row) position to the expr.Row interface. It is

@@ -57,8 +57,8 @@ func TestKernelChunkBoundaries(t *testing.T) {
 		name    string
 		query   string
 		wantN   string // expected lone aggregate rendering, "" to skip
-		scanned int    // chunks the precise classification must scan
-		skipped int    // chunks skipped before or during classification
+		scanned int64  // chunks the precise classification must scan
+		skipped int64  // chunks skipped before or during classification
 	}{
 		{
 			name:    "first row of a chunk",

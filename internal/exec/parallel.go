@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -100,31 +101,16 @@ func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) e
 // Add folds another query's, unit's or worker's counters into qs: every
 // field is a sum (TestQueryStatsAddCoversEveryField holds it to that).
 func (qs *QueryStats) Add(o QueryStats) {
-	qs.ChunksTotal += o.ChunksTotal
-	qs.ChunksSkipped += o.ChunksSkipped
-	qs.ChunksCached += o.ChunksCached
-	qs.ChunksScanned += o.ChunksScanned
-	qs.RowsScanned += o.RowsScanned
-	qs.RowsCached += o.RowsCached
-	qs.RowsSkipped += o.RowsSkipped
-	qs.CellsCovered += o.CellsCovered
-	qs.CellsScanned += o.CellsScanned
-	qs.ActiveChunks += o.ActiveChunks
-	qs.SkippedChunks += o.SkippedChunks
-	qs.ColdLoads += o.ColdLoads
-	qs.ColdChunkLoads += o.ColdChunkLoads
-	qs.ColdDictLoads += o.ColdDictLoads
-	qs.ColdBytesLoaded += o.ColdBytesLoaded
-	qs.DiskBytesRead += o.DiskBytesRead
-	qs.ChecksumVerified += o.ChecksumVerified
-	qs.ChecksumFailed += o.ChecksumFailed
-	qs.CacheSkippedChunks += o.CacheSkippedChunks
-	qs.ReadRuns += o.ReadRuns
-	qs.CoalescedReads += o.CoalescedReads
-	qs.BloomSkippedChunks += o.BloomSkippedChunks
-	qs.KernelChunks += o.KernelChunks
-	qs.ScalarChunks += o.ScalarChunks
-	qs.RowsTotal += o.RowsTotal
-	qs.RowsCovered += o.RowsCovered
-	qs.ShardsMissing += o.ShardsMissing
+	src := reflect.ValueOf(o)
+	qs.eachCounter(func(i int, c reflect.Value) { c.SetInt(c.Int() + src.Field(i).Int()) })
+}
+
+// eachCounter calls fn with the index and the settable value of every
+// QueryStats field, in declaration order — the one walk over the counters,
+// which Add and the wire codec (statsCounters, setStatsCounters) share.
+func (qs *QueryStats) eachCounter(fn func(i int, c reflect.Value)) {
+	v := reflect.ValueOf(qs).Elem()
+	for i := range v.NumField() {
+		fn(i, v.Field(i))
+	}
 }

@@ -331,7 +331,7 @@ func (sh *partialShape) randomChild(rng *rand.Rand) *refPartial {
 	p := &refPartial{Columns: sh.columns}
 	p.Stats.RowsTotal = int64(rng.Intn(1000))
 	p.Stats.RowsCovered = int64(rng.Intn(int(p.Stats.RowsTotal) + 1))
-	p.Stats.ChunksScanned, p.Stats.ShardsMissing = rng.Intn(9), rng.Intn(2)
+	p.Stats.ChunksScanned, p.Stats.ShardsMissing = int64(rng.Intn(9)), int64(rng.Intn(2))
 	n := rng.Intn(7) // groups wanted; 0 is a child nothing matched on
 	if len(sh.keyKinds) == 0 {
 		n = min(n, 1)

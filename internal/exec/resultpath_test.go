@@ -103,7 +103,7 @@ func TestMaskedScanAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if qs.ChunksScanned != chunks || qs.KernelChunks != chunks {
+			if qs.ChunksScanned != int64(chunks) || qs.KernelChunks != int64(chunks) {
 				t.Fatalf("%q: scanned %d, kernels on %d of %d chunks", where, qs.ChunksScanned, qs.KernelChunks, chunks)
 			}
 			w.table.reset()

@@ -18,23 +18,15 @@ import (
 // claiming further chunks once enough rows have been collected; already
 // claimed chunks finish (the truncation below restores the exact sequential
 // prefix), so under an early stop the scan counters may report slightly
-// more work than the sequential engine would. With ORDER BY and LIMIT a
+// more work than the sequential engine would, and the chunks no worker
+// claimed count as skipped — they were not read. With ORDER BY and LIMIT a
 // chunk keeps only its own first LIMIT rows of the order — selected by
 // comparing the order columns' global-ids, values looked up for the
 // survivors alone — because a row of the final top LIMIT is in the top
 // LIMIT of its chunk.
 func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
-	var qs QueryStats
-	nChunks := e.store.NumChunks()
-	qs.ChunksTotal = nChunks
-	nCols := int64(len(p.accessCols))
-	qs.CellsCovered = int64(e.store.NumRows()) * nCols
-	qs.ActiveChunks = nChunks
-	if p.active != nil {
-		qs.ActiveChunks = p.activeCount
-		qs.SkippedChunks = nChunks - p.activeCount
-	}
-
+	qs := e.scanStats(p)
+	nChunks, nCols := e.store.NumChunks(), int64(len(p.accessCols))
 	res := &Result{Columns: p.columns}
 	orderCols := orderItems(p.stmt) // plan has checked that each names one
 	// Without ORDER BY, stop claiming chunks once LIMIT rows are collected.
@@ -65,9 +57,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 
 	err := forEachChunk(nChunks, workers, quit, func(w, ci int) error {
 		if p.active != nil && !p.active[ci] {
-			// Pruned by the residency analysis: never loaded, don't touch.
-			wqs[w].ChunksSkipped++
-			return nil
+			return nil // pruned by the residency analysis: never loaded, don't touch
 		}
 		rows := e.store.ChunkRows(ci)
 		state := activeAll
@@ -79,7 +69,6 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 			}
 		}
 		if state == activeNone {
-			wqs[w].ChunksSkipped++
 			return nil
 		}
 		// Under an early-stop LIMIT, one chunk never contributes more than
@@ -151,6 +140,10 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 	for w := 0; w < workers; w++ {
 		qs.Add(wqs[w])
 	}
+	// A row scan caches nothing: every chunk it did not scan — pruned,
+	// classified "none", or left unclaimed by an early stop — was skipped.
+	qs.ChunksSkipped = qs.ChunksTotal - qs.ChunksScanned
+	qs.RowsSkipped = int64(e.store.NumRows()) - qs.RowsScanned
 
 	res.Rows = orderRows(p.stmt, res.Rows)
 	return res, qs, nil

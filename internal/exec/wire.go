@@ -336,19 +336,17 @@ func (r *wireReader) aggColumn(a *aggColumn, n int) {
 // order, which is therefore append-only: add new counters at the end of the
 // struct, so older decoders skip them and newer decoders zero-fill.
 func statsCounters(qs *QueryStats) []int64 {
-	v := reflect.ValueOf(qs).Elem()
-	out := make([]int64, v.NumField())
-	for i := range out {
-		out[i] = v.Field(i).Int()
-	}
+	out := make([]int64, reflect.TypeFor[QueryStats]().NumField())
+	qs.eachCounter(func(i int, c reflect.Value) { out[i] = c.Int() })
 	return out
 }
 
 // setStatsCounters is the inverse of statsCounters; counters beyond the
 // known list (a newer peer) are ignored, missing ones stay zero.
 func setStatsCounters(qs *QueryStats, vals []int64) {
-	v := reflect.ValueOf(qs).Elem()
-	for i := 0; i < min(len(vals), v.NumField()); i++ {
-		v.Field(i).SetInt(vals[i])
-	}
+	qs.eachCounter(func(i int, c reflect.Value) {
+		if i < len(vals) {
+			c.SetInt(vals[i])
+		}
+	})
 }

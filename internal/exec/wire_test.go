@@ -98,9 +98,9 @@ func TestWireStatsCoversEveryField(t *testing.T) {
 }
 
 // TestQueryStatsAddCoversEveryField fills every field of two QueryStats
-// with distinct values via reflection and asserts Add sums all of them —
-// a new counter added to QueryStats but not to Add fails here, instead of
-// silently under-reporting wherever per-unit stats are merged.
+// with distinct values via reflection and asserts Add sums all of them,
+// and that each is an int64 with a json tag — the shape Add's walk, the
+// wire and /statz rely on.
 func TestQueryStatsAddCoversEveryField(t *testing.T) {
 	var a, b QueryStats
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
@@ -112,6 +112,9 @@ func TestQueryStatsAddCoversEveryField(t *testing.T) {
 	for i := 0; i < va.NumField(); i++ {
 		if got, want := va.Field(i).Int(), int64(1100+8*i); got != want {
 			t.Errorf("Add dropped %s: got %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+		if f := va.Type().Field(i); f.Type.Kind() != reflect.Int64 || f.Tag.Get("json") == "" {
+			t.Errorf("%s is a %s tagged %q: every counter is an int64 with a json tag, its /statz name", f.Name, f.Type, f.Tag)
 		}
 	}
 }

@@ -86,8 +86,8 @@ func (w *Writer) CompactNow() (CompactStats, error) {
 			destroy = append(destroy, s)
 		}
 	}
-	w.stats.compactions++
-	w.stats.segmentsCompacted += int64(len(old))
+	w.stats.Compactions++
+	w.stats.SegmentsCompacted += int64(len(old))
 	w.mu.Unlock()
 
 	_ = vfs().Remove(filepath.Join(w.dir, genName(gen)))
@@ -169,6 +169,6 @@ func (w *Writer) destroySegment(s *segment) {
 	}
 	_ = vfs().RemoveAll(s.dir)
 	w.mu.Lock()
-	w.stats.segmentsRetired++
+	w.stats.SegmentsRetired++
 	w.mu.Unlock()
 }

@@ -145,7 +145,7 @@ func TestAppendSealQueryReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bloomSkipped := 0
+	var bloomSkipped int64
 	for _, u := range snap.units {
 		res, err := u.eng.Run(stmt)
 		if err != nil {

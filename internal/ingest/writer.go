@@ -97,7 +97,9 @@ type Writer struct {
 	gen     int
 	nextSeg int
 	closed  bool
-	stats   counters
+	// stats holds the cumulative counters (guarded by mu); Stats fills in
+	// the gauges.
+	stats Stats
 
 	// walSeq is the next unallocated WAL sequence number. It is written
 	// only under sealMu (Attach runs before any concurrency), and read
@@ -124,34 +126,25 @@ type Writer struct {
 	testBeforeCommit func()
 }
 
-// counters are the writer's cumulative statistics (guarded by mu).
-type counters struct {
-	rowsAppended      int64
-	seals             int64
-	compactions       int64
-	segmentsCompacted int64
-	segmentsRetired   int64
-}
-
 // Stats is a point-in-time snapshot of the writer's state and counters.
 type Stats struct {
 	// Gen is the committed generation number (0 before the first seal).
-	Gen int
+	Gen int `json:"gen"`
 	// Segments and SegmentRows describe the live committed segments.
-	Segments    int
-	SegmentRows int64
+	Segments    int   `json:"segments"`
+	SegmentRows int64 `json:"segment_rows"`
 	// MemRows counts buffered rows not yet sealed; SealingRows counts
 	// rows sealed but not yet committed; MemBytes is the buffer's
 	// resident footprint (dictionaries plus ids).
-	MemRows     int
-	SealingRows int64
-	MemBytes    int64
+	MemRows     int   `json:"mem_rows"`
+	SealingRows int64 `json:"sealing_rows"`
+	MemBytes    int64 `json:"mem_bytes"`
 	// Cumulative counters.
-	RowsAppended      int64
-	Seals             int64
-	Compactions       int64
-	SegmentsCompacted int64
-	SegmentsRetired   int64
+	RowsAppended      int64 `json:"rows_appended"`
+	Seals             int64 `json:"seals"`
+	Compactions       int64 `json:"compactions"`
+	SegmentsCompacted int64 `json:"segments_compacted"`
+	SegmentsRetired   int64 `json:"segments_retired"`
 }
 
 // Attach opens the append path of a store directory: reads the newest
@@ -444,7 +437,7 @@ func (w *Writer) Append(tbl *table.Table) error {
 			continue
 		}
 		w.mu.Lock()
-		w.stats.rowsAppended += int64(tbl.NumRows())
+		w.stats.RowsAppended += int64(tbl.NumRows())
 		w.mu.Unlock()
 		if rows >= w.opts.SealRows {
 			return w.seal()
@@ -554,7 +547,7 @@ func (w *Writer) seal() error {
 			break
 		}
 	}
-	w.stats.seals++
+	w.stats.Seals++
 	segCount := len(w.segs)
 	w.mu.Unlock()
 
@@ -626,17 +619,9 @@ func (w *Writer) Rows() int64 {
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := Stats{
-		Gen:               w.gen,
-		Segments:          len(w.segs),
-		MemRows:           w.mem.curRows(),
-		MemBytes:          w.mem.memoryBytes(),
-		RowsAppended:      w.stats.rowsAppended,
-		Seals:             w.stats.seals,
-		Compactions:       w.stats.compactions,
-		SegmentsCompacted: w.stats.segmentsCompacted,
-		SegmentsRetired:   w.stats.segmentsRetired,
-	}
+	st := w.stats
+	st.Gen, st.Segments = w.gen, len(w.segs)
+	st.MemRows, st.MemBytes = w.mem.curRows(), w.mem.memoryBytes()
 	for _, s := range w.segs {
 		st.SegmentRows += int64(s.rows)
 	}

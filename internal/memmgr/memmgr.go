@@ -54,30 +54,30 @@ type inflight struct {
 // Stats is a snapshot of the manager's accounting.
 type Stats struct {
 	// BudgetBytes is the configured budget (0 = unlimited).
-	BudgetBytes int64
+	BudgetBytes int64 `json:"budget_bytes"`
 	// ResidentBytes is pinned + evictable resident bytes.
-	ResidentBytes int64
+	ResidentBytes int64 `json:"resident_bytes"`
 	// PinnedBytes is the portion held by in-flight queries.
-	PinnedBytes int64
+	PinnedBytes int64 `json:"pinned_bytes"`
 	// ResidentItems counts resident entries across both tiers.
-	ResidentItems int
+	ResidentItems int `json:"resident_items"`
 	// VirtualBytes is the portion of ResidentBytes held by materialized
 	// virtual columns (entries acquired or inserted with virtual = true).
-	VirtualBytes int64
+	VirtualBytes int64 `json:"virtual_bytes"`
 	// Hits counts Acquire calls served from resident data.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// ColdLoads counts Acquire calls that had to load from disk.
-	ColdLoads int64
+	ColdLoads int64 `json:"cold_loads"`
 	// ColdBytesLoaded sums the resident bytes of cold loads.
-	ColdBytesLoaded int64
+	ColdBytesLoaded int64 `json:"cold_bytes_loaded"`
 	// DiskBytesRead sums the disk bytes of cold loads.
-	DiskBytesRead int64
+	DiskBytesRead int64 `json:"disk_bytes_read"`
 	// Evictions counts entries displaced to satisfy the budget.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// EvictedBytes sums the resident bytes of evicted entries.
-	EvictedBytes int64
+	EvictedBytes int64 `json:"evicted_bytes"`
 	// Policy names the replacement policy ("lru", "2q", "arc").
-	Policy string
+	Policy string `json:"policy"`
 }
 
 // HitRate returns Hits / (Hits + ColdLoads), or 0 before any access.

@@ -40,20 +40,21 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 // ScrubStatus summarizes one background scrub pass
 // (Options.ScrubInterval).
 type ScrubStatus struct {
-	// Time is when the pass finished; Elapsed how long it took.
-	Time    time.Time
-	Elapsed time.Duration
+	// Time is when the pass finished; Elapsed how long it took. /statz
+	// shows them as an RFC 3339 time and milliseconds.
+	Time    time.Time     `json:"-"`
+	Elapsed time.Duration `json:"-"`
 	// Files, Records and Corrupt are the pass totals: files visited,
 	// checksummed records verified clean, files that failed.
-	Files   int
-	Records int
-	Corrupt int
+	Files   int `json:"files"`
+	Records int `json:"records"`
+	Corrupt int `json:"corrupt"`
 	// Failures lists the failing files' verdicts ("path: error"), capped
 	// at scrubFailureCap entries.
-	Failures []string
+	Failures []string `json:"failures,omitempty"`
 	// Err is set when the pass itself could not run (the directory walk
 	// failed); the per-file verdicts above are then from no files.
-	Err string
+	Err string `json:"err,omitempty"`
 }
 
 const scrubFailureCap = 8
