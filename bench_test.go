@@ -21,10 +21,12 @@ import (
 	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/exec"
+	"powerdrill/internal/memmgr"
 	"powerdrill/internal/prodsim"
 	"powerdrill/internal/reorder"
 	"powerdrill/internal/sketch"
 	"powerdrill/internal/table"
+	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
 )
 
@@ -351,6 +353,91 @@ func BenchmarkCodecs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdLoad measures the cold-load layer alone — read, checksum,
+// decompress, decode — on a zippy-saved store of the benchmark table, laid
+// out as BenchmarkCodecs lays it out: LoadColumnDict of the largest
+// numeric and the largest string dictionary, and one PinSet.ColumnChunks of
+// every chunk of the numeric one's column, under a budget that keeps nothing
+// a released set held, so that every iteration loads every chunk again. Each
+// case reports decoded MB/s, B/op and allocs/op. The chunk case pins the
+// column's dictionary first, with the timer stopped; that load grows the
+// set's read and decompression buffers past every chunk record, as the
+// largest record a query meets does, so the case's B/op is what the chunk
+// loads keep or allocate per load. It reports the decoded chunks' own bytes
+// (elements plus chunk dictionaries) beside it: a load path without
+// transient buffers stays close to them.
+func BenchmarkColdLoad(b *testing.B) {
+	store, err := colstore.FromTable(dataset(b), colstore.Options{
+		PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 5000,
+		OptimizeElements: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := colstore.Save(store, dir, "zippy"); err != nil {
+		b.Fatal(err)
+	}
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	largest := map[bool]string{} // string kind or not -> column
+	for _, name := range store.Columns() {
+		d := store.Column(name).Dict
+		isString := d.Kind() == value.KindString
+		if cur, ok := largest[isString]; !ok || d.MemoryBytes() > store.Column(cur).Dict.MemoryBytes() {
+			largest[isString] = name
+		}
+	}
+	for _, name := range []string{largest[false], largest[true]} {
+		b.Run("dict/"+name, func(b *testing.B) {
+			b.SetBytes(store.Column(name).Dict.MemoryBytes())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := r.LoadColumnDict(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	col := largest[false]
+	var decoded int64
+	for _, ch := range store.Column(col).Chunks {
+		decoded += ch.MemoryElements() + ch.MemoryChunkDict()
+	}
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(1, "lru"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dictOnly := make([]bool, store.NumChunks())
+	b.Run("chunks/"+col, func(b *testing.B) {
+		b.SetBytes(decoded)
+		b.ReportAllocs()
+		b.ReportMetric(float64(decoded), "decodedB/op")
+		for i := 0; i < b.N; i++ {
+			// The dictionary is pinned with the timer stopped: the case
+			// measures the chunks alone.
+			b.StopTimer()
+			ps := lazy.NewPinSet()
+			if _, err := ps.ColumnChunks(col, dictOnly); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := ps.ColumnChunks(col, nil); err != nil {
+				b.Fatal(err)
+			}
+			if ps.ColdChunkLoads != int64(store.NumChunks()) {
+				b.Fatalf("%d cold chunk loads, want %d", ps.ColdChunkLoads, store.NumChunks())
+			}
+			b.StopTimer()
+			ps.Release()
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkCachePolicies compares LRU, 2Q and ARC under the Section 5

@@ -2,12 +2,15 @@ package colstore
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"powerdrill/internal/compress"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/value"
 )
 
 // TestPerChunkCompressedRoundTrip pins per-record framing: for every
@@ -212,4 +215,93 @@ func TestReaderCloseReopens(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestColdLoadsDoNotAliasScratch: a pin set reads and decompresses every
+// cold load into two buffers it reuses, so nothing it pins may point into
+// them. Every column of a saved store is cold-loaded through one set under a
+// 25 % budget — dictionary first, then the odd chunks, then the rest, so the
+// buffers serve several loads and batches — the buffers are overwritten with
+// junk, and every pinned dictionary and chunk must still equal, bit for bit,
+// the resident store built from the same table. The uncompressed store's
+// decoders read the read buffer itself.
+func TestColdLoadsDoNotAliasScratch(t *testing.T) {
+	for _, codec := range []string{"zippy", ""} {
+		t.Run(codecLabel(codec), func(t *testing.T) {
+			built, dir := buildSavedStore(t, 3000, codec)
+			var total int64
+			for _, name := range built.Columns() {
+				total += built.Column(name).Memory().Total()
+			}
+			lazy, _, err := OpenLazy(dir, memmgr.New(total/4, "2q"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := lazy.NewPinSet()
+			defer ps.Release()
+			odd := make([]bool, lazy.NumChunks())
+			for ci := range odd {
+				odd[ci] = ci%2 == 1
+			}
+			pinned := map[string]*Column{}
+			for _, name := range lazy.Columns() {
+				if _, err := ps.ColumnDict(name); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ps.ColumnChunks(name, odd); err != nil {
+					t.Fatal(err)
+				}
+				if pinned[name], err = ps.Column(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := int64(len(pinned) * lazy.NumChunks()); ps.ColdChunkLoads != want {
+				t.Fatalf("%d cold chunk loads, want %d", ps.ColdChunkLoads, want)
+			}
+			if cap(ps.bufs.read) == 0 || (codec != "") != (cap(ps.bufs.raw) > 0) {
+				t.Fatalf("buffers unused: %d read bytes, %d decompressed", cap(ps.bufs.read), cap(ps.bufs.raw))
+			}
+			for _, buf := range [][]byte{ps.bufs.read, ps.bufs.raw} {
+				for i := range buf[:cap(buf)] {
+					buf[:cap(buf)][i] = byte(i*7 + 0xa5)
+				}
+			}
+			for name, got := range pinned {
+				want := built.Column(name)
+				if got.Dict.Len() != want.Dict.Len() {
+					t.Fatalf("column %q: %d dictionary values, want %d", name, got.Dict.Len(), want.Dict.Len())
+				}
+				for id := 0; id < want.Dict.Len(); id++ {
+					if g, w := got.Dict.Value(uint32(id)), want.Dict.Value(uint32(id)); !sameBits(g, w) {
+						t.Fatalf("column %q: dictionary value %d is %v, want %v", name, id, g, w)
+					}
+				}
+				for ci, wch := range want.Chunks {
+					gch := got.Chunks[ci]
+					if !slices.Equal(gch.GlobalIDs, wch.GlobalIDs) || gch.Elems.Width() != wch.Elems.Width() || gch.Rows() != wch.Rows() {
+						t.Fatalf("column %q chunk %d: global-ids, width or rows differ", name, ci)
+					}
+					for r := 0; r < wch.Rows(); r++ {
+						if gch.Elems.At(r) != wch.Elems.At(r) {
+							t.Fatalf("column %q chunk %d row %d: element %d, want %d", name, ci, r, gch.Elems.At(r), wch.Elems.At(r))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameBits reports whether two values are the same kind and the same bits.
+func sameBits(a, b value.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case value.KindFloat64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case value.KindInt64:
+		return a.Int() == b.Int()
+	}
+	return a.Str() == b.Str()
 }

@@ -40,7 +40,9 @@
 // Reader is the decoding layer underneath: LoadColumnDict and
 // LoadColumnChunk read one record at its exact byte range through a
 // bounded handle cache, and ReadChunkRuns serves contiguous cold chunks
-// with one read per byte run. IOStats counts the physical work.
+// with one read per byte run. IOStats counts the physical work. A PinSet's
+// cold loads read and decompress into two buffers the set owns and reuses,
+// dropped at Release; the exported Reader methods allocate their own.
 //
 // # Virtual columns
 //

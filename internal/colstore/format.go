@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -580,7 +581,11 @@ func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd Str
 	return col, nil
 }
 
-// decodeDict parses the dictionary header encodeColumn writes.
+// decodeDict parses the dictionary header encodeColumn writes. The record is
+// not trusted: the count is bounded by the bytes left (a string takes at
+// least its length byte, a number eight) before anything is allocated, and
+// the values must ascend strictly, which the dictionaries' constructors
+// otherwise panic on.
 func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -588,6 +593,9 @@ func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, e
 	}
 	switch kind {
 	case value.KindString:
+		if n > uint64(len(r.buf)-r.off) {
+			return nil, errTruncated
+		}
 		vals := make([]string, n)
 		for i := range vals {
 			l, err := r.uvarint()
@@ -599,6 +607,9 @@ func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, e
 				return nil, err
 			}
 			vals[i] = string(b)
+			if i > 0 && vals[i-1] >= vals[i] {
+				return nil, errDictOrder(i)
+			}
 		}
 		switch sd {
 		case StringDictTrie:
@@ -609,27 +620,39 @@ func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, e
 			return dict.NewStringArray(vals), nil
 		}
 	case value.KindInt64:
+		words, err := r.words(n)
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]int64, n)
 		for i := range vals {
-			v, err := r.le64()
-			if err != nil {
-				return nil, err
+			vals[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
+			if i > 0 && vals[i-1] >= vals[i] {
+				return nil, errDictOrder(i)
 			}
-			vals[i] = int64(v)
 		}
 		return dict.NewInt64s(vals), nil
 	case value.KindFloat64:
+		words, err := r.words(n)
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]float64, n)
 		for i := range vals {
-			v, err := r.le64()
-			if err != nil {
-				return nil, err
+			vals[i] = floatFromBits(binary.LittleEndian.Uint64(words[8*i:]))
+			if i > 0 && vals[i-1] >= vals[i] {
+				return nil, errDictOrder(i)
 			}
-			vals[i] = floatFromBits(v)
 		}
 		return dict.NewFloat64s(vals), nil
 	}
 	return nil, fmt.Errorf("invalid kind %v", kind)
+}
+
+// errDictOrder reports a dictionary record whose entry i does not follow
+// entry i−1 in strictly ascending order.
+func errDictOrder(i int) error {
+	return fmt.Errorf("colstore: dictionary values do not ascend strictly at entry %d", i)
 }
 
 // decodeChunk parses one chunk record written by encodeColumn. The record is
@@ -715,13 +738,12 @@ func (r *byteReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *byteReader) le64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+// words takes the bytes of n 8-byte words, n bounded once by the bytes left.
+func (r *byteReader) words(n uint64) ([]byte, error) {
+	if n > uint64(len(r.buf)-r.off)/8 {
+		return nil, errTruncated
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
+	return r.take(int(n) * 8)
 }
 
 // floatFromBits is the inverse of floatBitsOf.

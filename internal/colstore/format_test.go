@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"powerdrill/internal/compress"
+	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/value"
 )
@@ -246,6 +249,91 @@ func TestDecodeChunkRejectsHostile(t *testing.T) {
 		ch.Elems.CountInto(counts)
 		if ch.Rows() != 3 || counts[0] != 1 || counts[1] != 2 {
 			t.Errorf("%s: %d rows, counts %v", c.name, ch.Rows(), counts)
+		}
+	}
+}
+
+// TestDecodeDictRejectsHostile: a dictionary record is not trusted either. A
+// count the record's bytes cannot hold — eight a number, at least one a
+// string — fails before anything is allocated for it (an int64 count of
+// 2⁶³−1 used to panic in make, a string count of 2³² to run the process out
+// of memory), and values that do not ascend strictly fail with an error
+// instead of the constructors' panic, for every string dictionary kind. The
+// good records decode to their values; the chunk-count varint after them is
+// left unread.
+func TestDecodeDictRejectsHostile(t *testing.T) {
+	rec := func(n uint64, vals ...any) []byte {
+		out := appendUvarint(nil, n)
+		for _, v := range vals {
+			switch v := v.(type) {
+			case int64:
+				out = binary.LittleEndian.AppendUint64(out, uint64(v))
+			case float64:
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			case string:
+				out = append(appendUvarint(out, uint64(len(v))), v...)
+			}
+		}
+		return appendUvarint(out, 7) // the head record's chunk count
+	}
+	for _, c := range []struct {
+		name string
+		kind value.Kind
+		rec  []byte
+		want []value.Value // nil: an error
+	}{
+		{"int64 count 2^63-1", value.KindInt64, rec(math.MaxInt64, int64(1)), nil},
+		{"float64 count 2^40", value.KindFloat64, rec(1<<40, 1.5), nil},
+		{"string count 2^32", value.KindString, rec(1<<32, "a", "b"), nil},
+		{"int64 count past the bytes", value.KindInt64, rec(3, int64(1), int64(2)), nil},
+		{"string count past the bytes", value.KindString, rec(4, "a", "b"), nil},
+		{"int64 repeated", value.KindInt64, rec(2, int64(5), int64(5)), nil},
+		{"int64 descending", value.KindInt64, rec(3, int64(-1), int64(7), int64(5)), nil},
+		{"float64 repeated", value.KindFloat64, rec(2, 1.5, 1.5), nil},
+		{"string descending", value.KindString, rec(2, "b", "a"), nil},
+		{"string repeated", value.KindString, rec(3, "", "a", "a"), nil},
+		{"int64", value.KindInt64, rec(3, int64(-4), int64(0), int64(9)),
+			[]value.Value{value.Int64(-4), value.Int64(0), value.Int64(9)}},
+		{"float64", value.KindFloat64, rec(2, -0.5, 2.25), []value.Value{value.Float64(-0.5), value.Float64(2.25)}},
+		{"string", value.KindString, rec(3, "", "a", "ab"), []value.Value{value.String(""), value.String("a"), value.String("ab")}},
+		{"empty", value.KindString, rec(0), []value.Value{}},
+	} {
+		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie, StringDictSharded} {
+			if c.kind != value.KindString && sd != StringDictArray {
+				continue
+			}
+			name := c.name + "/" + string(sd)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := func() (d dict.Dict, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+						t.Errorf("%s: %v", name, err)
+					}
+				}()
+				return decodeDict(&byteReader{buf: c.rec}, c.kind, sd)
+			}()
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("%s: decoding %d bytes allocated %d", name, len(c.rec), grew)
+			}
+			if (err == nil) != (c.want != nil) {
+				t.Errorf("%s: error %v, want ok=%v", name, err, c.want != nil)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if d.Len() != len(c.want) {
+				t.Errorf("%s: %d values, want %d", name, d.Len(), len(c.want))
+				continue
+			}
+			for i, w := range c.want {
+				if got := d.Value(uint32(i)); got != w {
+					t.Errorf("%s: value %d is %v, want %v", name, i, got, w)
+				}
+			}
 		}
 	}
 }

@@ -149,6 +149,11 @@ func (r *Reader) Bounds() []int { return r.m.Bounds }
 // head record's byte range is read from disk, verified, and with a codec
 // decompressed alone. The reported disk bytes are exactly that record's.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
+	return r.loadColumnDict(name, nil)
+}
+
+// loadColumnDict is LoadColumnDict reading and decompressing into bufs.
+func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, error) {
 	mc, ok := r.colMeta(name)
 	if !ok {
 		return nil, 0, fmt.Errorf("colstore: unknown column %q", name)
@@ -165,7 +170,7 @@ func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 		return d, 0, nil
 	}
 	n := headFileLen(mc, r.m.Codec != "", 0)
-	raw, err := r.readRange(mc.File, 0, n)
+	raw, err := r.readRange(mc.File, 0, n, bufs)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
 	}
@@ -173,7 +178,7 @@ func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 		return nil, 0, err
 	}
 	if r.m.Codec != "" {
-		if raw, err = r.decompress(mustCodec(r.m.Codec), nil, raw); err != nil {
+		if raw, err = r.decompress(mustCodec(r.m.Codec), raw, bufs); err != nil {
 			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
 		}
 	}
@@ -213,7 +218,7 @@ func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Di
 			return nil, fmt.Errorf("colstore: dict shard %d of %q out of range", i, mc.Name)
 		}
 		ds := shards[i]
-		raw, err := r.readRange(file, ds.Off, ds.Len)
+		raw, err := r.readRange(file, ds.Off, ds.Len, nil)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: load dict shard %d of %q: %w", i, mc.Name, err)
 		}
@@ -246,15 +251,20 @@ func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Di
 // chunk record's byte range is read, and with a codec only that record is
 // decompressed. The reported disk bytes are exactly the record's.
 func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
+	return r.loadColumnChunk(name, chunk, nil)
+}
+
+// loadColumnChunk is LoadColumnChunk reading and decompressing into bufs.
+func (r *Reader) loadColumnChunk(name string, chunk int, bufs *loadBufs) (*Chunk, int64, error) {
 	mc, off, n, err := r.chunkRecord(name, chunk)
 	if err != nil {
 		return nil, 0, err
 	}
-	rec, err := r.readRange(mc.File, off, n)
+	rec, err := r.readRange(mc.File, off, n, bufs)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
 	}
-	ch, err := r.DecodeChunkRecord(name, chunk, rec)
+	ch, err := r.decodeChunkRecord(name, chunk, rec, bufs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -499,11 +509,12 @@ func (s *Store) isVirtual(name string) bool {
 	return ok && m.Virtual
 }
 
-// acquireDict pins the named column's global dictionary.
-func (s *Store) acquireDict(name string) (d dict.Dict, key string, cold bool, size, diskBytes int64, err error) {
+// acquireDict pins the named column's global dictionary. A cold load reads
+// and decompresses into bufs: the manager runs it on this goroutine.
+func (s *Store) acquireDict(name string, bufs *loadBufs) (d dict.Dict, key string, cold bool, size, diskBytes int64, err error) {
 	key = s.lazy.dictKey(name)
 	v, cold, err := s.acquireFn(s.isVirtual(name))(key, func() (any, int64, int64, error) {
-		dd, disk, err := s.lazy.reader.LoadColumnDict(name)
+		dd, disk, err := s.lazy.reader.loadColumnDict(name, bufs)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -520,8 +531,9 @@ func (s *Store) acquireDict(name string) (d dict.Dict, key string, cold bool, si
 // the chunk's file record pre-read by a coalesced run (see ColumnChunks);
 // the load then decodes without touching the disk again. The record bytes
 // are only consumed if this call actually performs the load — when another
-// query won the race, the resident chunk is shared and rec is dropped.
-func (s *Store) acquireChunk(name string, ci int, rec []byte) (ch *Chunk, key string, cold bool, size, diskBytes int64, err error) {
+// query won the race, the resident chunk is shared and rec is dropped. A
+// cold load reads and decompresses into bufs, as acquireDict's does.
+func (s *Store) acquireChunk(name string, ci int, rec []byte, bufs *loadBufs) (ch *Chunk, key string, cold bool, size, diskBytes int64, err error) {
 	key = s.lazy.chunkKey(name, ci)
 	v, cold, err := s.acquireFn(s.isVirtual(name))(key, func() (any, int64, int64, error) {
 		var (
@@ -530,10 +542,10 @@ func (s *Store) acquireChunk(name string, ci int, rec []byte) (ch *Chunk, key st
 			err  error
 		)
 		if rec != nil {
-			c, err = s.lazy.reader.DecodeChunkRecord(name, ci, rec)
+			c, err = s.lazy.reader.decodeChunkRecord(name, ci, rec, bufs)
 			disk = int64(len(rec))
 		} else {
-			c, disk, err = s.lazy.reader.LoadColumnChunk(name, ci)
+			c, disk, err = s.lazy.reader.loadColumnChunk(name, ci, bufs)
 		}
 		if err != nil {
 			return nil, 0, 0, err

@@ -53,6 +53,10 @@ type PinSet struct {
 	// ChecksumFailed counts cold loads this set aborted on a checksum
 	// mismatch (the query then fails with that ChecksumError).
 	ChecksumFailed int64
+
+	// bufs holds the transient buffers of the set's cold loads, reused by
+	// each and dropped at Release.
+	bufs loadBufs
 }
 
 // heldPin records the pins held for one column.
@@ -108,7 +112,7 @@ func (p *PinSet) ensureDict(h *heldPin) error {
 	if h.dict {
 		return nil
 	}
-	d, key, cold, size, disk, err := p.s.acquireDict(h.view.Name)
+	d, key, cold, size, disk, err := p.s.acquireDict(h.view.Name, &p.bufs)
 	if err != nil {
 		p.noteChecksumErr(err)
 		return err
@@ -138,7 +142,7 @@ func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
 	if h.chunks[ci] {
 		return nil
 	}
-	ch, key, cold, size, disk, err := p.s.acquireChunk(h.view.Name, ci, rec)
+	ch, key, cold, size, disk, err := p.s.acquireChunk(h.view.Name, ci, rec, &p.bufs)
 	if err != nil {
 		p.noteChecksumErr(err)
 		return err
@@ -232,7 +236,7 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		if len(batch) == 0 {
 			return nil
 		}
-		recs, runs, coalesced, err := reader.ReadChunkRuns(name, batch)
+		recs, runs, coalesced, err := reader.readChunkRuns(name, batch, &p.bufs)
 		if err != nil {
 			return err
 		}
@@ -276,13 +280,13 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	return h.view, nil
 }
 
-// Release drops every pin the set holds, in the order they were taken.
-// Safe to call more than once.
+// Release drops every pin the set holds, in the order they were taken, and
+// the buffers its cold loads reused. Safe to call more than once.
 func (p *PinSet) Release() {
 	if p.s.lazy != nil {
 		for _, key := range p.keys {
 			p.s.lazy.mgr.Release(key)
 		}
 	}
-	p.held, p.keys = nil, nil
+	p.held, p.keys, p.bufs = nil, nil, loadBufs{}
 }

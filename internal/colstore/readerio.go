@@ -125,27 +125,64 @@ func (r *Reader) evictFilesLocked() {
 	}
 }
 
+// loadBufs are the transient buffers of cold loads: the record bytes read
+// from disk, and their decompressed form. A PinSet owns one and reuses it
+// for every load it makes, on the query's goroutine; every decoder copies
+// what it keeps out of them (the chunk's global-ids and elements, the
+// dictionary's values), so nothing decoded aliases them, and the set drops
+// them at Release. A nil *loadBufs allocates afresh for each load: the
+// exported Reader methods, whose callers may keep the bytes.
+type loadBufs struct {
+	read, raw []byte
+}
+
+// readBuf returns n bytes to read a record into.
+func (b *loadBufs) readBuf(n int64) []byte {
+	if b == nil {
+		return make([]byte, n)
+	}
+	if int64(cap(b.read)) < n {
+		b.read = make([]byte, n)
+	}
+	return b.read[:n]
+}
+
 // readRange reads exactly [off, off+n) of a column file through the handle
-// cache.
-func (r *Reader) readRange(file string, off, n int64) ([]byte, error) {
-	f, release, err := r.acquireFile(file)
-	if err != nil {
+// cache, into bufs.
+func (r *Reader) readRange(file string, off, n int64, bufs *loadBufs) ([]byte, error) {
+	buf := bufs.readBuf(n)
+	if err := r.readInto(file, off, buf); err != nil {
 		return nil, err
 	}
-	defer release()
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.stats.ReadCalls++
-	r.stats.BytesRead += n
-	r.mu.Unlock()
 	return buf, nil
 }
 
-// decompress wraps codec.Decompress with the IOStats timing counters.
-func (r *Reader) decompress(codec compress.Codec, dst, src []byte) ([]byte, error) {
+// readInto fills buf from offset off of a column file through the handle
+// cache.
+func (r *Reader) readInto(file string, off int64, buf []byte) error {
+	f, release, err := r.acquireFile(file)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.stats.ReadCalls++
+	r.stats.BytesRead += int64(len(buf))
+	r.mu.Unlock()
+	return nil
+}
+
+// decompress wraps codec.Decompress with the IOStats timing counters. The
+// output goes into bufs, which keeps it (grown, if it had to be) for the
+// next load.
+func (r *Reader) decompress(codec compress.Codec, src []byte, bufs *loadBufs) ([]byte, error) {
+	var dst []byte
+	if bufs != nil {
+		dst = bufs.raw[:0]
+	}
 	start := time.Now()
 	out, err := codec.Decompress(dst, src)
 	elapsed := time.Since(start)
@@ -153,6 +190,9 @@ func (r *Reader) decompress(codec compress.Codec, dst, src []byte) ([]byte, erro
 	r.stats.DecompressCalls++
 	r.stats.DecompressNanos += int64(elapsed)
 	r.mu.Unlock()
+	if bufs != nil && cap(out) > cap(bufs.raw) {
+		bufs.raw = out[:0]
+	}
 	return out, err
 }
 
@@ -223,6 +263,11 @@ func (r *Reader) DictFileLen(name string) (int64, error) {
 // delimited by ChunkFileRange): a compressed record with a codec, the raw
 // record otherwise.
 func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
+	return r.decodeChunkRecord(name, ci, rec, nil)
+}
+
+// decodeChunkRecord is DecodeChunkRecord decompressing into bufs.
+func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
 	mc, off, _, err := r.chunkRecord(name, ci)
 	if err != nil {
 		return nil, err
@@ -232,7 +277,7 @@ func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, err
 	}
 	raw := rec
 	if r.m.Codec != "" {
-		raw, err = r.decompress(mustCodec(r.m.Codec), nil, rec)
+		raw, err = r.decompress(mustCodec(r.m.Codec), rec, bufs)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
 		}
@@ -269,17 +314,25 @@ type byteRun struct {
 // read runs issued, and the number of reads coalescing saved (a run of m
 // chunks is one read instead of m, saving m−1).
 func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, runs, coalesced int, err error) {
+	return r.readChunkRuns(name, chunks, nil)
+}
+
+// readChunkRuns is ReadChunkRuns reading every run into one buffer from
+// bufs.
+func (r *Reader) readChunkRuns(name string, chunks []int, bufs *loadBufs) (recs map[int][]byte, runs, coalesced int, err error) {
 	sorted := append([]int(nil), chunks...)
 	sort.Ints(sorted)
 	var (
-		mc   manifestCol
-		plan []byteRun
+		mc    manifestCol
+		plan  []byteRun
+		total int64
 	)
 	for _, ci := range sorted {
 		var off, n int64
 		if mc, off, n, err = r.chunkRecord(name, ci); err != nil {
 			return nil, 0, 0, err
 		}
+		total += n
 		if last := len(plan) - 1; last >= 0 && plan[last].off+plan[last].n == off {
 			plan[last].n += n
 			plan[last].chunks = append(plan[last].chunks, ci)
@@ -287,16 +340,18 @@ func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, 
 		}
 		plan = append(plan, byteRun{off: off, n: n, chunks: []int{ci}})
 	}
+	buf := bufs.readBuf(total)
 	recs = make(map[int][]byte, len(sorted))
 	for _, run := range plan {
-		buf, err := r.readRange(mc.File, run.off, run.n)
-		if err != nil {
+		runBuf := buf[:run.n:run.n]
+		buf = buf[run.n:]
+		if err := r.readInto(mc.File, run.off, runBuf); err != nil {
 			return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, run.chunks, err)
 		}
 		pos := int64(0)
 		for _, ci := range run.chunks {
 			_, n := chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
-			recs[ci] = buf[pos : pos+n : pos+n]
+			recs[ci] = runBuf[pos : pos+n : pos+n]
 			pos += n
 		}
 		coalesced += len(run.chunks) - 1

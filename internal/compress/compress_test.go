@@ -240,6 +240,155 @@ func FuzzCodecs(f *testing.F) {
 	})
 }
 
+// zippyReferenceDecompress is the byte-at-a-time zippy decoder Zippy's own
+// replaced: every element appended, every copy one byte at a time. It is the
+// oracle FuzzZippyVsReference holds the index-writing decoder to.
+func zippyReferenceDecompress(dst, src []byte) ([]byte, error) {
+	want, n := uvarint(src)
+	if n <= 0 {
+		return dst, errZippyTruncated
+	}
+	src = src[n:]
+	if want > zippyMaxOut(len(src)) {
+		return dst, errZippyCorrupt
+	}
+	base := len(dst)
+	end := base + int(want)
+	if cap(dst) < end {
+		grown := make([]byte, len(dst), end)
+		copy(grown, dst)
+		dst = grown
+	}
+	for len(src) > 0 {
+		tag := src[0]
+		var length, offset int
+		switch tag & 0x03 {
+		case zippyTagLiteral:
+			n := int(tag >> 2)
+			var extra int
+			switch {
+			case n < 60:
+				n++
+			case n == 60:
+				extra = 1
+			case n == 61:
+				extra = 2
+			case n == 62:
+				extra = 3
+			default:
+				extra = 4
+			}
+			if extra > 0 {
+				if len(src) < 1+extra {
+					return dst, errZippyTruncated
+				}
+				n = 0
+				for i := extra - 1; i >= 0; i-- {
+					n = n<<8 | int(src[1+i])
+				}
+				n++
+			}
+			if len(src) < 1+extra+n {
+				return dst, errZippyTruncated
+			}
+			if len(dst)+n > end {
+				return dst, errZippyCorrupt
+			}
+			dst = append(dst, src[1+extra:1+extra+n]...)
+			src = src[1+extra+n:]
+			continue
+		case zippyTagCopy1:
+			if len(src) < 2 {
+				return dst, errZippyTruncated
+			}
+			length = 4 + int(tag>>2)&0x07
+			offset = int(tag&0xe0)<<3 | int(src[1])
+			src = src[2:]
+		case zippyTagCopy2:
+			if len(src) < 3 {
+				return dst, errZippyTruncated
+			}
+			length = 1 + int(tag>>2)
+			offset = int(src[1]) | int(src[2])<<8
+			src = src[3:]
+		default: // zippyTagCopy4
+			if len(src) < 5 {
+				return dst, errZippyTruncated
+			}
+			length = 1 + int(tag>>2)
+			offset = int(src[1]) | int(src[2])<<8 | int(src[3])<<16 | int(src[4])<<24
+			src = src[5:]
+		}
+		if offset <= 0 || offset > len(dst)-base || len(dst)+length > end {
+			return dst, errZippyCorrupt
+		}
+		for i := 0; i < length; i++ {
+			dst = append(dst, dst[len(dst)-offset])
+		}
+	}
+	if len(dst)-base != int(want) {
+		return dst, errZippyCorrupt
+	}
+	return dst, nil
+}
+
+// TestZippyMatchesReference: the index-writing decoder and the reference
+// agree, bytes and verdict, on the corpus, on every truncation of its
+// compressed forms, and on single-byte corruptions of them.
+func TestZippyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for name, data := range corpus() {
+		comp := Zippy{}.Compress(nil, data)
+		inputs := [][]byte{comp}
+		for cut := 0; cut < len(comp); cut += 1 + len(comp)/64 {
+			inputs = append(inputs, comp[:cut])
+		}
+		for trial := 0; trial < 64 && len(comp) > 0; trial++ {
+			mut := append([]byte(nil), comp...)
+			mut[r.Intn(len(mut))] = byte(r.Intn(256))
+			inputs = append(inputs, mut)
+		}
+		for _, in := range inputs {
+			requireZippyMatchesReference(t, name, in, []byte("prefix"), 7)
+		}
+	}
+}
+
+// requireZippyMatchesReference decodes src with both decoders into a dst
+// holding prefix and spare bytes of capacity past it: the output bytes and
+// whether there is an error must agree, the prefix must be untouched, and a
+// successful decode must leave the capacity past its output as it found it.
+func requireZippyMatchesReference(t *testing.T, name string, src, prefix []byte, spare int) {
+	t.Helper()
+	const sentinel = 0xa5
+	fresh := func() []byte {
+		dst := make([]byte, len(prefix), len(prefix)+spare)
+		copy(dst, prefix)
+		for i := len(dst); i < cap(dst); i++ {
+			dst[:cap(dst)][i] = sentinel
+		}
+		return dst
+	}
+	want, wantErr := zippyReferenceDecompress(fresh(), src)
+	got, gotErr := Zippy{}.Decompress(fresh(), src)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: %d bytes: error %v, reference error %v", name, len(src), gotErr, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: %d bytes: %d bytes out, reference %d (or bytes differ)", name, len(src), len(got), len(want))
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("%s: prefix overwritten: %q", name, got[:len(prefix)])
+	}
+	if gotErr == nil {
+		for i, b := range got[len(got):cap(got)] {
+			if b != sentinel {
+				t.Fatalf("%s: byte %d past the output written", name, len(got)+i)
+			}
+		}
+	}
+}
+
 func TestCompressionRatiosOnColumnData(t *testing.T) {
 	data := corpus()
 	for _, name := range []string{"zippy", "lzoish", "zlib"} {

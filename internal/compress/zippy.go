@@ -176,6 +176,14 @@ func zippyMaxOut(n int) uint64 { return uint64(n) * 64 / 3 }
 // Decompress implements Codec. The preamble is checked against what the
 // elements that follow it can expand to before anything is reserved, and no
 // element may write past it.
+//
+// The output is sized once from the preamble and written by index: d is
+// where the next element's bytes go in out[base:end]. A literal or copy of at
+// most 16 bytes moves two 8-byte words when 16 bytes are left to read and to
+// write, and a copy's offset is at least 8, so that each word reads only
+// bytes already written. What lands past the element is overwritten by the
+// elements after it, and the closing d == end check proves every byte of the
+// output was written by the element it belongs to.
 func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 	want, n := uvarint(src)
 	if n <= 0 {
@@ -188,95 +196,107 @@ func (Zippy) Decompress(dst, src []byte) ([]byte, error) {
 	}
 	base := len(dst)
 	end := base + int(want)
-	// Grow once; the preamble tells us the exact output size.
 	if cap(dst) < end {
-		grown := make([]byte, len(dst), end)
+		grown := make([]byte, base, end)
 		copy(grown, dst)
 		dst = grown
 	}
-	for len(src) > 0 {
-		tag := src[0]
-		var err error
+	out := dst[:end]
+	d, s := base, 0
+	for s < len(src) {
+		tag := src[s]
+		var length, offset int
 		switch tag & 0x03 {
 		case zippyTagLiteral:
-			n := int(tag >> 2)
-			var extra int
-			switch {
-			case n < 60:
-				n++
-			case n == 60:
-				extra = 1
-			case n == 61:
-				extra = 2
-			case n == 62:
-				extra = 3
+			switch x := int(tag >> 2); {
+			case x < 60:
+				length = x
+				s++
+			case x == 60:
+				if len(src)-s < 2 {
+					return out[:d], errZippyTruncated
+				}
+				length = int(src[s+1])
+				s += 2
+			case x == 61:
+				if len(src)-s < 3 {
+					return out[:d], errZippyTruncated
+				}
+				length = int(binary.LittleEndian.Uint16(src[s+1:]))
+				s += 3
+			case x == 62:
+				if len(src)-s < 4 {
+					return out[:d], errZippyTruncated
+				}
+				length = int(src[s+1]) | int(src[s+2])<<8 | int(src[s+3])<<16
+				s += 4
 			default:
-				extra = 4
-			}
-			if extra > 0 {
-				if len(src) < 1+extra {
-					return dst, errZippyTruncated
+				if len(src)-s < 5 {
+					return out[:d], errZippyTruncated
 				}
-				n = 0
-				for i := extra - 1; i >= 0; i-- {
-					n = n<<8 | int(src[1+i])
-				}
-				n++
+				length = int(binary.LittleEndian.Uint32(src[s+1:]))
+				s += 5
 			}
-			if len(src) < 1+extra+n {
-				return dst, errZippyTruncated
+			length++
+			if length > len(src)-s {
+				return out[:d], errZippyTruncated
 			}
-			if len(dst)+n > end {
-				return dst, fmt.Errorf("%w: output past the preamble's %d bytes", errZippyCorrupt, want)
+			if length > end-d {
+				return out[:d], fmt.Errorf("%w: output past the preamble's %d bytes", errZippyCorrupt, want)
 			}
-			dst = append(dst, src[1+extra:1+extra+n]...)
-			src = src[1+extra+n:]
+			if length <= 16 && end-d >= 16 && len(src)-s >= 16 {
+				binary.LittleEndian.PutUint64(out[d:], binary.LittleEndian.Uint64(src[s:]))
+				binary.LittleEndian.PutUint64(out[d+8:], binary.LittleEndian.Uint64(src[s+8:]))
+			} else {
+				copy(out[d:d+length], src[s:s+length])
+			}
+			d += length
+			s += length
+			continue
 		case zippyTagCopy1:
-			if len(src) < 2 {
-				return dst, errZippyTruncated
+			if len(src)-s < 2 {
+				return out[:d], errZippyTruncated
 			}
-			length := 4 + int(tag>>2)&0x07
-			offset := int(tag&0xe0)<<3 | int(src[1])
-			src = src[2:]
-			dst, err = zippyCopy(dst, base, end, offset, length)
+			length = 4 + int(tag>>2)&0x07
+			offset = int(tag&0xe0)<<3 | int(src[s+1])
+			s += 2
 		case zippyTagCopy2:
-			if len(src) < 3 {
-				return dst, errZippyTruncated
+			if len(src)-s < 3 {
+				return out[:d], errZippyTruncated
 			}
-			length := 1 + int(tag>>2)
-			offset := int(src[1]) | int(src[2])<<8
-			src = src[3:]
-			dst, err = zippyCopy(dst, base, end, offset, length)
+			length = 1 + int(tag>>2)
+			offset = int(binary.LittleEndian.Uint16(src[s+1:]))
+			s += 3
 		default: // zippyTagCopy4
-			if len(src) < 5 {
-				return dst, errZippyTruncated
+			if len(src)-s < 5 {
+				return out[:d], errZippyTruncated
 			}
-			length := 1 + int(tag>>2)
-			offset := int(binary.LittleEndian.Uint32(src[1:]))
-			src = src[5:]
-			dst, err = zippyCopy(dst, base, end, offset, length)
+			length = 1 + int(tag>>2)
+			offset = int(binary.LittleEndian.Uint32(src[s+1:]))
+			s += 5
 		}
-		if err != nil {
-			return dst, err
+		if offset <= 0 || offset > d-base || length > end-d {
+			return out[:d], errZippyCorrupt
 		}
+		switch from := d - offset; {
+		case length <= 16 && offset >= 8 && end-d >= 16:
+			binary.LittleEndian.PutUint64(out[d:], binary.LittleEndian.Uint64(out[from:]))
+			binary.LittleEndian.PutUint64(out[d+8:], binary.LittleEndian.Uint64(out[from+8:]))
+		case offset >= length:
+			copy(out[d:d+length], out[from:from+length])
+		default:
+			// Overlapping (the RLE-like case): each byte may be one this
+			// copy has just written.
+			for i := 0; i < length; i++ {
+				out[d+i] = out[from+i]
+			}
+		}
+		d += length
 	}
-	if got := len(dst) - base; got != int(want) {
-		return dst, fmt.Errorf("%w: got %d bytes, preamble says %d", errZippyCorrupt, got, want)
+	if d != end {
+		return out[:d], fmt.Errorf("%w: got %d bytes, preamble says %d", errZippyCorrupt, d-base, want)
 	}
-	return dst, nil
-}
-
-// zippyCopy appends length bytes starting offset bytes back, handling
-// overlapping copies (the RLE-like case offset < length) byte by byte. The
-// output starts at base and may not pass end.
-func zippyCopy(dst []byte, base, end, offset, length int) ([]byte, error) {
-	if offset <= 0 || offset > len(dst)-base || len(dst)+length > end {
-		return dst, errZippyCorrupt
-	}
-	for i := 0; i < length; i++ {
-		dst = append(dst, dst[len(dst)-offset])
-	}
-	return dst, nil
+	return out, nil
 }
 
 func init() { Register(Zippy{}) }

@@ -203,10 +203,13 @@ func TestWarmScanAllocations(t *testing.T) {
 	}
 }
 
-// warmCost runs f once, then n times on one thread, and returns what a run
-// allocated: objects and bytes.
+// warmCost empties the worker pool, runs f once, then n times on one thread,
+// and returns what a run allocated: objects and bytes. The pool is
+// process-wide, so without the emptying a measurement would start from what
+// earlier tests left in it.
 func warmCost(n int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	workerPool.empty()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -424,4 +427,11 @@ func BenchmarkChunkScanAllocs(b *testing.B) {
 		w.table.reset()
 	}
 	b.ReportMetric(float64(chunks), "chunks/op")
+}
+
+// empty drops every worker the pool keeps.
+func (s *statePool) empty() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.free, s.held = nil, 0
 }
