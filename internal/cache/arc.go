@@ -1,7 +1,5 @@
 package cache
 
-import "fmt"
-
 // ARC implements an adaptive replacement cache in the spirit of Megiddo and
 // Modha (IEEE Computer 2004), the second policy the paper cites for its
 // improved cache heuristics. Two resident lists — T1 (seen once recently)
@@ -10,69 +8,41 @@ import "fmt"
 // tunes itself between recency (LRU-like) and frequency (LFU-like)
 // behaviour. Sizes are tracked in bytes rather than pages.
 type ARC struct {
-	capacity int64
-	p        int64 // adaptive target byte size of t1
+	core
+	p int64 // adaptive target byte size of t1
 
-	items  map[string]*entry // resident, in t1 or t2
-	b1, b2 map[string]int64  // ghost key -> last seen size
-	b1o    []string          // FIFO order for trimming b1
+	b1, b2 map[string]int64 // ghost key -> last seen size
+	b1o    []string         // FIFO order for trimming b1
 	b2o    []string
 	t1, t2 list
-
-	stats   Stats
-	onEvict func(key string, value any, size int64)
 }
 
 // NewARC creates an adaptive cache holding at most capacity bytes.
 func NewARC(capacity int64) *ARC {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cache: invalid ARC capacity %d", capacity))
-	}
 	return &ARC{
-		capacity: capacity,
-		items:    make(map[string]*entry),
-		b1:       make(map[string]int64),
-		b2:       make(map[string]int64),
+		core: newCore("ARC", capacity),
+		b1:   make(map[string]int64),
+		b2:   make(map[string]int64),
 	}
 }
 
 // Name implements Cache.
 func (c *ARC) Name() string { return "arc" }
 
-// SetCapacity implements Resizer.
-func (c *ARC) SetCapacity(capacity int64) {
-	c.capacity = capacity
-	if c.p > capacity {
-		c.p = maxInt64(capacity, 0)
-	}
-	c.replace(false)
-	c.trimGhosts()
-}
-
-// OnEvict implements EvictionNotifier.
-func (c *ARC) OnEvict(fn func(key string, value any, size int64)) { c.onEvict = fn }
-
-// Keys implements KeyLister: a peek with no recency or counter effects.
-func (c *ARC) Keys() []string {
-	keys := make([]string, 0, len(c.items))
-	for k := range c.items {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Contains implements Cache: a peek with no recency or counter effects.
-func (c *ARC) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
-
 // Get implements Cache.
 func (c *ARC) Get(key string) (any, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
+	e := c.get(key)
+	if e == nil {
 		return nil, false
+	}
+	return e.value, true
+}
+
+// get is Get returning the entry.
+func (c *ARC) get(key string) *entry {
+	e := c.lookup(key)
+	if e == nil {
+		return nil
 	}
 	// Any repeat access moves the entry to the frequency list T2.
 	if e.list == &c.t1 {
@@ -81,8 +51,16 @@ func (c *ARC) Get(key string) (any, bool) {
 	} else {
 		c.t2.moveToFront(e)
 	}
-	c.stats.Hits++
-	return e.value, true
+	return e
+}
+
+// Pin implements Pinner.
+func (c *ARC) Pin(key string) (any, int, bool) {
+	e := c.get(key)
+	if e == nil {
+		return nil, 0, false
+	}
+	return e.value, e.pin(), true
 }
 
 // Put implements Cache.
@@ -91,15 +69,30 @@ func (c *ARC) Put(key string, value any, size int64) {
 		c.Remove(key)
 		return
 	}
+	c.insert(key, value, size)
+	c.balance()
+}
+
+// PutPinned implements Pinner.
+func (c *ARC) PutPinned(key string, value any, size int64) {
+	c.insert(key, value, size).pin()
+	c.balance()
+}
+
+// Unpin implements Pinner.
+func (c *ARC) Unpin(key string, remove bool) (any, int, bool) {
+	return unpin(c, &c.core, key, remove)
+}
+
+// insert stores the value, adapting p on a ghost hit. An existing entry
+// keeps its pins.
+func (c *ARC) insert(key string, value any, size int64) *entry {
 	if e, ok := c.items[key]; ok {
-		l := e.list
-		l.remove(e)
+		e.list.remove(e)
 		e.value, e.size = value, size
 		// A rewrite counts as a repeat access.
 		c.t2.pushFront(e)
-		_ = l
-		c.replace(false)
-		return
+		return e
 	}
 	e := &entry{key: key, value: value, size: size}
 	switch {
@@ -117,34 +110,43 @@ func (c *ARC) Put(key string, value any, size int64) {
 		c.t1.pushFront(e)
 	}
 	c.items[key] = e
-	c.replace(c.b2[key] != 0)
-	c.trimGhosts()
+	return e
 }
 
-// replace evicts resident entries until the byte budget holds, choosing the
-// victim list by comparing |T1| with the adaptive target p.
-func (c *ARC) replace(preferT2 bool) {
+// balance evicts resident entries until the byte budget holds, choosing the
+// victim list by comparing |T1| with the adaptive target p. Pinned entries
+// are skipped; when the chosen list holds only pinned entries the victim
+// comes from the other. Ghosts only grow here, so they are trimmed here.
+func (c *ARC) balance() {
+	evicted := false
 	for c.t1.bytes+c.t2.bytes > c.capacity {
-		var victim *entry
-		fromT1 := c.t1.bytes > c.p || (c.t1.bytes == c.p && preferT2) || c.t2.n == 0
-		if fromT1 && c.t1.n > 0 {
-			victim = c.t1.back()
-			c.t1.remove(victim)
-			c.addGhost(c.b1, &c.b1o, victim)
-		} else {
-			victim = c.t2.back()
-			if victim == nil {
-				return
-			}
-			c.t2.remove(victim)
-			c.addGhost(c.b2, &c.b2o, victim)
+		first, second := &c.t2, &c.t1
+		if c.t1.bytes > c.p {
+			first, second = second, first
 		}
-		delete(c.items, victim.key)
-		c.stats.Evictions++
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.value, victim.size)
+		victim := first.victim()
+		if victim == nil {
+			victim = second.victim()
 		}
+		if victim == nil {
+			break
+		}
+		c.evict(victim)
+		evicted = true
 	}
+	if evicted {
+		c.trimGhosts()
+	}
+}
+
+func (c *ARC) evict(e *entry) {
+	if e.list == &c.t1 {
+		c.addGhost(c.b1, &c.b1o, e)
+	} else {
+		c.addGhost(c.b2, &c.b2o, e)
+	}
+	e.list.remove(e)
+	c.evicted(e)
 }
 
 func (c *ARC) addGhost(m map[string]int64, order *[]string, e *entry) {
@@ -216,16 +218,13 @@ func (c *ARC) Remove(key string) {
 	c.dropGhost(key)
 }
 
-// Len implements Cache.
-func (c *ARC) Len() int { return len(c.items) }
-
 // SizeBytes implements Cache.
 func (c *ARC) SizeBytes() int64 { return c.t1.bytes + c.t2.bytes }
 
-// Stats implements Cache.
-func (c *ARC) Stats() Stats { return c.stats }
-
-var _ Cache = (*ARC)(nil)
+var (
+	_ Cache  = (*ARC)(nil)
+	_ Pinner = (*ARC)(nil)
+)
 
 func minInt64(a, b int64) int64 {
 	if a < b {

@@ -30,13 +30,6 @@ func (s *Synchronized) Keys() []string {
 	return s.inner.(KeyLister).Keys()
 }
 
-// Contains implements Cache.
-func (s *Synchronized) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Contains(key)
-}
-
 // Get implements Cache.
 func (s *Synchronized) Get(key string) (any, bool) {
 	s.mu.Lock()
@@ -84,16 +77,6 @@ func (s *Synchronized) Name() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.inner.Name()
-}
-
-// SetCapacity implements Resizer when the wrapped policy does; it is a
-// no-op otherwise.
-func (s *Synchronized) SetCapacity(capacity int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.inner.(Resizer); ok {
-		r.SetCapacity(capacity)
-	}
 }
 
 // OnEvict implements EvictionNotifier when the wrapped policy does; the

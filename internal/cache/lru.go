@@ -1,61 +1,44 @@
 package cache
 
-import "fmt"
-
 // LRU is a least-recently-used cache with a byte budget.
 type LRU struct {
-	capacity int64
-	items    map[string]*entry
-	order    list
-	stats    Stats
-	onEvict  func(key string, value any, size int64)
+	core
+	order list
 }
 
 // NewLRU creates an LRU cache holding at most capacity bytes.
 func NewLRU(capacity int64) *LRU {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cache: invalid LRU capacity %d", capacity))
-	}
-	return &LRU{capacity: capacity, items: make(map[string]*entry)}
+	return &LRU{core: newCore("LRU", capacity)}
 }
 
 // Name implements Cache.
 func (c *LRU) Name() string { return "lru" }
 
-// SetCapacity implements Resizer.
-func (c *LRU) SetCapacity(capacity int64) {
-	c.capacity = capacity
-	c.evictTo(capacity)
-}
-
-// OnEvict implements EvictionNotifier.
-func (c *LRU) OnEvict(fn func(key string, value any, size int64)) { c.onEvict = fn }
-
-// Keys implements KeyLister: a peek with no recency or counter effects.
-func (c *LRU) Keys() []string {
-	keys := make([]string, 0, len(c.items))
-	for k := range c.items {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Contains implements Cache: a peek with no recency or counter effects.
-func (c *LRU) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
-
 // Get implements Cache.
 func (c *LRU) Get(key string) (any, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
+	e := c.get(key)
+	if e == nil {
 		return nil, false
 	}
-	c.order.moveToFront(e)
-	c.stats.Hits++
 	return e.value, true
+}
+
+// get is Get returning the entry.
+func (c *LRU) get(key string) *entry {
+	e := c.lookup(key)
+	if e != nil {
+		c.order.moveToFront(e)
+	}
+	return e
+}
+
+// Pin implements Pinner.
+func (c *LRU) Pin(key string) (any, int, bool) {
+	e := c.get(key)
+	if e == nil {
+		return nil, 0, false
+	}
+	return e.value, e.pin(), true
 }
 
 // Put implements Cache.
@@ -64,16 +47,33 @@ func (c *LRU) Put(key string, value any, size int64) {
 		c.Remove(key)
 		return
 	}
-	if e, ok := c.items[key]; ok {
+	c.insert(key, value, size)
+	c.balance()
+}
+
+// PutPinned implements Pinner.
+func (c *LRU) PutPinned(key string, value any, size int64) {
+	c.insert(key, value, size).pin()
+	c.balance()
+}
+
+// Unpin implements Pinner.
+func (c *LRU) Unpin(key string, remove bool) (any, int, bool) {
+	return unpin(c, &c.core, key, remove)
+}
+
+// insert stores the value at the front, keeping an existing entry's pins.
+func (c *LRU) insert(key string, value any, size int64) *entry {
+	e, ok := c.items[key]
+	if ok {
 		c.order.remove(e)
 		e.value, e.size = value, size
-		c.order.pushFront(e)
 	} else {
 		e = &entry{key: key, value: value, size: size}
 		c.items[key] = e
-		c.order.pushFront(e)
 	}
-	c.evictTo(c.capacity)
+	c.order.pushFront(e)
+	return e
 }
 
 // Remove implements Cache.
@@ -84,29 +84,26 @@ func (c *LRU) Remove(key string) {
 	}
 }
 
-// evictTo drops least-recently-used entries until the budget fits.
-func (c *LRU) evictTo(budget int64) {
-	for c.order.bytes > budget {
-		victim := c.order.back()
+func (c *LRU) evict(e *entry) {
+	c.order.remove(e)
+	c.evicted(e)
+}
+
+// balance drops least-recently-used unpinned entries until the budget fits.
+func (c *LRU) balance() {
+	for c.order.bytes > c.capacity {
+		victim := c.order.victim()
 		if victim == nil {
 			return
 		}
-		c.order.remove(victim)
-		delete(c.items, victim.key)
-		c.stats.Evictions++
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.value, victim.size)
-		}
+		c.evict(victim)
 	}
 }
-
-// Len implements Cache.
-func (c *LRU) Len() int { return len(c.items) }
 
 // SizeBytes implements Cache.
 func (c *LRU) SizeBytes() int64 { return c.order.bytes }
 
-// Stats implements Cache.
-func (c *LRU) Stats() Stats { return c.stats }
-
-var _ Cache = (*LRU)(nil)
+var (
+	_ Cache  = (*LRU)(nil)
+	_ Pinner = (*LRU)(nil)
+)

@@ -1,7 +1,5 @@
 package cache
 
-import "fmt"
-
 // TwoQ implements the 2Q eviction policy (Johnson and Shasha, VLDB 1994) in
 // its full version: a FIFO probationary queue A1in for first-time accesses,
 // a ghost queue A1out remembering recently evicted first-timers (keys only),
@@ -9,69 +7,44 @@ import "fmt"
 // scan streams through A1in without ever displacing the hot set in Am,
 // which is the property PowerDrill needs (Section 5).
 type TwoQ struct {
-	capacity int64
-	kin      int64 // byte budget for A1in (25% of capacity, per the paper)
-	kout     int   // entry budget for the ghost queue A1out (50% of entries seen)
+	core
+	kin  int64 // byte budget for A1in (25% of capacity, per the paper)
+	kout int   // entry budget for the ghost queue A1out (50% of entries seen)
 
-	items map[string]*entry // resident entries, in a1in or am
-	ghost map[string]bool   // keys in A1out (no values)
+	ghost map[string]bool // keys in A1out (no values)
 
 	a1in       list
 	am         list
 	ghostOrder []string // FIFO order of ghost keys
-
-	stats   Stats
-	onEvict func(key string, value any, size int64)
 }
 
 // NewTwoQ creates a 2Q cache holding at most capacity bytes.
 func NewTwoQ(capacity int64) *TwoQ {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cache: invalid 2Q capacity %d", capacity))
-	}
 	return &TwoQ{
-		capacity: capacity,
-		kin:      capacity / 4,
-		kout:     1024,
-		items:    make(map[string]*entry),
-		ghost:    make(map[string]bool),
+		core:  newCore("2Q", capacity),
+		kin:   capacity / 4,
+		kout:  1024,
+		ghost: make(map[string]bool),
 	}
 }
 
 // Name implements Cache.
 func (c *TwoQ) Name() string { return "2q" }
 
-// SetCapacity implements Resizer.
-func (c *TwoQ) SetCapacity(capacity int64) {
-	c.capacity = capacity
-	c.kin = capacity / 4
-	c.balance()
-}
-
-// OnEvict implements EvictionNotifier.
-func (c *TwoQ) OnEvict(fn func(key string, value any, size int64)) { c.onEvict = fn }
-
-// Keys implements KeyLister: a peek with no recency or counter effects.
-func (c *TwoQ) Keys() []string {
-	keys := make([]string, 0, len(c.items))
-	for k := range c.items {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Contains implements Cache: a peek with no recency or counter effects.
-func (c *TwoQ) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
-
 // Get implements Cache.
 func (c *TwoQ) Get(key string) (any, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
+	e := c.get(key)
+	if e == nil {
 		return nil, false
+	}
+	return e.value, true
+}
+
+// get is Get returning the entry.
+func (c *TwoQ) get(key string) *entry {
+	e := c.lookup(key)
+	if e == nil {
+		return nil
 	}
 	// A second access promotes a probationary page to the hot queue; hits
 	// in Am refresh recency as in plain LRU.
@@ -81,8 +54,16 @@ func (c *TwoQ) Get(key string) (any, bool) {
 	} else {
 		c.am.moveToFront(e)
 	}
-	c.stats.Hits++
-	return e.value, true
+	return e
+}
+
+// Pin implements Pinner.
+func (c *TwoQ) Pin(key string) (any, int, bool) {
+	e := c.get(key)
+	if e == nil {
+		return nil, 0, false
+	}
+	return e.value, e.pin(), true
 }
 
 // Put implements Cache.
@@ -91,13 +72,30 @@ func (c *TwoQ) Put(key string, value any, size int64) {
 		c.Remove(key)
 		return
 	}
+	c.insert(key, value, size)
+	c.balance()
+}
+
+// PutPinned implements Pinner.
+func (c *TwoQ) PutPinned(key string, value any, size int64) {
+	c.insert(key, value, size).pin()
+	c.balance()
+}
+
+// Unpin implements Pinner.
+func (c *TwoQ) Unpin(key string, remove bool) (any, int, bool) {
+	return unpin(c, &c.core, key, remove)
+}
+
+// insert stores the value at the front of its queue, keeping an existing
+// entry's queue and pins.
+func (c *TwoQ) insert(key string, value any, size int64) *entry {
 	if e, ok := c.items[key]; ok {
 		l := e.list
 		l.remove(e)
 		e.value, e.size = value, size
 		l.pushFront(e)
-		c.balance()
-		return
+		return e
 	}
 	e := &entry{key: key, value: value, size: size}
 	if c.ghost[key] {
@@ -108,38 +106,35 @@ func (c *TwoQ) Put(key string, value any, size int64) {
 		c.a1in.pushFront(e)
 	}
 	c.items[key] = e
-	c.balance()
+	return e
 }
 
 // balance enforces the byte budgets, evicting from A1in first (into the
-// ghost queue) and then from Am.
+// ghost queue) and then from Am. Pinned entries are skipped; when one
+// queue holds only pinned entries the victim comes from the other.
 func (c *TwoQ) balance() {
 	for c.a1in.bytes+c.am.bytes > c.capacity {
-		if c.a1in.bytes > c.kin || c.am.n == 0 {
-			victim := c.a1in.back()
-			if victim == nil {
-				break
-			}
-			c.a1in.remove(victim)
-			delete(c.items, victim.key)
-			c.addGhost(victim.key)
-			c.stats.Evictions++
-			if c.onEvict != nil {
-				c.onEvict(victim.key, victim.value, victim.size)
-			}
-			continue
+		first, second := &c.am, &c.a1in
+		if c.a1in.bytes > c.kin {
+			first, second = second, first
 		}
-		victim := c.am.back()
+		victim := first.victim()
 		if victim == nil {
-			break
+			victim = second.victim()
 		}
-		c.am.remove(victim)
-		delete(c.items, victim.key)
-		c.stats.Evictions++
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.value, victim.size)
+		if victim == nil {
+			return
 		}
+		c.evict(victim)
 	}
+}
+
+func (c *TwoQ) evict(e *entry) {
+	if e.list == &c.a1in {
+		c.addGhost(e.key)
+	}
+	e.list.remove(e)
+	c.evicted(e)
 }
 
 // addGhost remembers an evicted probationary key.
@@ -165,13 +160,10 @@ func (c *TwoQ) Remove(key string) {
 	delete(c.ghost, key)
 }
 
-// Len implements Cache.
-func (c *TwoQ) Len() int { return len(c.items) }
-
 // SizeBytes implements Cache.
 func (c *TwoQ) SizeBytes() int64 { return c.a1in.bytes + c.am.bytes }
 
-// Stats implements Cache.
-func (c *TwoQ) Stats() Stats { return c.stats }
-
-var _ Cache = (*TwoQ)(nil)
+var (
+	_ Cache  = (*TwoQ)(nil)
+	_ Pinner = (*TwoQ)(nil)
+)

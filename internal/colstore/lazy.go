@@ -294,6 +294,8 @@ type lazySource struct {
 	blooms map[string][]*bloom.Filter
 	// sidecar mirrors the virtual/ sidecar manifest's column list.
 	sidecar []manifestCol
+	// keys holds each pinned column's residency keys (guarded by mu).
+	keys map[string]*colKeys
 
 	// persistMu serializes sidecar writes for this store.
 	persistMu sync.Mutex
@@ -301,12 +303,36 @@ type lazySource struct {
 	noPersist atomic.Bool
 }
 
-// dictKey and chunkKey name the residency units inside the manager: one
-// entry per global dictionary, one per (column, chunk) pair.
-func (l *lazySource) dictKey(col string) string { return l.ns + "\x00" + col + "#dict" }
+// colKeys name one column's residency units inside the manager: one entry
+// for its global dictionary, one per chunk. They are built on the column's
+// first pin in the store and shared by every later one, so a warm pin
+// builds no string.
+type colKeys struct {
+	virtual bool
+	dict    string
+	chunks  []string
+}
 
-func (l *lazySource) chunkKey(col string, ci int) string {
-	return l.ns + "\x00" + col + "#" + strconv.Itoa(ci)
+// keysOf returns the column's residency keys, building them on first use.
+func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
+	l.mu.RLock()
+	k := l.keys[meta.Name]
+	l.mu.RUnlock()
+	if k != nil {
+		return k
+	}
+	prefix := l.ns + "\x00" + meta.Name + "#"
+	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", chunks: make([]string, chunks)}
+	for ci := range k.chunks {
+		k.chunks[ci] = prefix + strconv.Itoa(ci)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if got := l.keys[meta.Name]; got != nil {
+		return got
+	}
+	l.keys[meta.Name] = k
+	return k
 }
 
 // OpenLazy opens a persisted store without loading any column data: only
@@ -342,6 +368,7 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		ns:     ns,
 		spans:  make(map[string][]ChunkSpan),
 		blooms: make(map[string][]*bloom.Filter),
+		keys:   make(map[string]*colKeys),
 	}
 	s.lazy = src
 	s.metas = make(map[string]ColumnMeta, len(r.m.Columns))
@@ -493,27 +520,19 @@ func (s *Store) ChunkBlooms(name string) ([]*bloom.Filter, bool) {
 	return bf, ok
 }
 
-// acquireFn selects the manager entry point: virtual-column entries are
-// tagged so their resident bytes show up in Stats.VirtualBytes.
-func (s *Store) acquireFn(virtual bool) func(string, memmgr.LoadFunc) (any, bool, error) {
-	if virtual {
-		return s.lazy.mgr.AcquireVirtual
+// acquire pins key through the manager; virtual-column entries are tagged
+// so their resident bytes show up in Stats.VirtualBytes.
+func (s *Store) acquire(k *colKeys, key string, load memmgr.LoadFunc) (any, bool, error) {
+	if k.virtual {
+		return s.lazy.mgr.AcquireVirtual(key, load)
 	}
-	return s.lazy.mgr.Acquire
-}
-
-// isVirtual reports whether the named column is a materialized virtual
-// field, from metadata alone.
-func (s *Store) isVirtual(name string) bool {
-	m, ok := s.meta(name)
-	return ok && m.Virtual
+	return s.lazy.mgr.Acquire(key, load)
 }
 
 // acquireDict pins the named column's global dictionary. A cold load reads
 // and decompresses into bufs: the manager runs it on this goroutine.
-func (s *Store) acquireDict(name string, bufs *loadBufs) (d dict.Dict, key string, cold bool, size, diskBytes int64, err error) {
-	key = s.lazy.dictKey(name)
-	v, cold, err := s.acquireFn(s.isVirtual(name))(key, func() (any, int64, int64, error) {
+func (s *Store) acquireDict(name string, k *colKeys, bufs *loadBufs) (d dict.Dict, cold bool, size, diskBytes int64, err error) {
+	v, cold, err := s.acquire(k, k.dict, func() (any, int64, int64, error) {
 		dd, disk, err := s.lazy.reader.loadColumnDict(name, bufs)
 		if err != nil {
 			return nil, 0, 0, err
@@ -521,10 +540,10 @@ func (s *Store) acquireDict(name string, bufs *loadBufs) (d dict.Dict, key strin
 		return &loadedDict{d: dd, size: dd.MemoryBytes(), diskBytes: disk}, dd.MemoryBytes(), disk, nil
 	})
 	if err != nil {
-		return nil, "", false, 0, 0, err
+		return nil, false, 0, 0, err
 	}
 	ld := v.(*loadedDict)
-	return ld.d, key, cold, ld.size, ld.diskBytes, nil
+	return ld.d, cold, ld.size, ld.diskBytes, nil
 }
 
 // acquireChunk pins one chunk of the named column. rec, when non-nil, is
@@ -533,9 +552,8 @@ func (s *Store) acquireDict(name string, bufs *loadBufs) (d dict.Dict, key strin
 // are only consumed if this call actually performs the load — when another
 // query won the race, the resident chunk is shared and rec is dropped. A
 // cold load reads and decompresses into bufs, as acquireDict's does.
-func (s *Store) acquireChunk(name string, ci int, rec []byte, bufs *loadBufs) (ch *Chunk, key string, cold bool, size, diskBytes int64, err error) {
-	key = s.lazy.chunkKey(name, ci)
-	v, cold, err := s.acquireFn(s.isVirtual(name))(key, func() (any, int64, int64, error) {
+func (s *Store) acquireChunk(name string, k *colKeys, ci int, rec []byte, bufs *loadBufs) (ch *Chunk, cold bool, size, diskBytes int64, err error) {
+	v, cold, err := s.acquire(k, k.chunks[ci], func() (any, int64, int64, error) {
 		var (
 			c    *Chunk
 			disk int64
@@ -557,10 +575,10 @@ func (s *Store) acquireChunk(name string, ci int, rec []byte, bufs *loadBufs) (c
 		return &loadedChunk{ch: c, size: size, diskBytes: disk}, size, disk, nil
 	})
 	if err != nil {
-		return nil, "", false, 0, 0, err
+		return nil, false, 0, 0, err
 	}
 	lc := v.(*loadedChunk)
-	return lc.ch, key, cold, lc.size, lc.diskBytes, nil
+	return lc.ch, cold, lc.size, lc.diskBytes, nil
 }
 
 // loadedDict and loadedChunk are the residency units the manager holds.

@@ -3,6 +3,7 @@ package colstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PinSet keeps the pieces one query touches resident for the query's
@@ -57,11 +58,24 @@ type PinSet struct {
 	// bufs holds the transient buffers of the set's cold loads, reused by
 	// each and dropped at Release.
 	bufs loadBufs
+	// warm is ColumnChunks' scratch, reused by each call.
+	warm warmScratch
+}
+
+// warmScratch holds one ColumnChunks call's wanted chunks, their keys, the
+// values the manager pinned for the resident ones, and the indices of the
+// cold ones.
+type warmScratch struct {
+	chunks []int
+	keys   []string
+	values []any
+	cold   []int
 }
 
 // heldPin records the pins held for one column.
 type heldPin struct {
 	view *Column
+	keys *colKeys
 	// chunks flags which chunk indices are pinned.
 	chunks []bool
 	dict   bool
@@ -99,6 +113,7 @@ func (p *PinSet) ensure(name string) (*heldPin, error) {
 			Chunks:  make([]*Chunk, p.s.NumChunks()),
 		},
 		chunks: make([]bool, p.s.NumChunks()),
+		keys:   p.s.lazy.keysOf(meta, p.s.NumChunks()),
 	}
 	if p.held == nil {
 		p.held = make(map[string]*heldPin, 8)
@@ -112,14 +127,14 @@ func (p *PinSet) ensureDict(h *heldPin) error {
 	if h.dict {
 		return nil
 	}
-	d, key, cold, size, disk, err := p.s.acquireDict(h.view.Name, &p.bufs)
+	d, cold, size, disk, err := p.s.acquireDict(h.view.Name, h.keys, &p.bufs)
 	if err != nil {
 		p.noteChecksumErr(err)
 		return err
 	}
 	h.view.Dict = d
 	h.dict = true
-	p.keys = append(p.keys, key)
+	p.keys = append(p.keys, h.keys.dict)
 	if cold {
 		p.ColdDictLoads++
 		p.coldColumn(h, size, disk)
@@ -142,14 +157,14 @@ func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
 	if h.chunks[ci] {
 		return nil
 	}
-	ch, key, cold, size, disk, err := p.s.acquireChunk(h.view.Name, ci, rec, &p.bufs)
+	ch, cold, size, disk, err := p.s.acquireChunk(h.view.Name, h.keys, ci, rec, &p.bufs)
 	if err != nil {
 		p.noteChecksumErr(err)
 		return err
 	}
 	h.view.Chunks[ci] = ch
 	h.chunks[ci] = true
-	p.keys = append(p.keys, key)
+	p.keys = append(p.keys, h.keys.chunks[ci])
 	if cold {
 		p.ColdChunkLoads++
 		p.coldColumn(h, size, disk)
@@ -194,11 +209,12 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 // Pinning is monotonic per set: asking again with a wider set fills the
 // missing chunks, and already pinned ones are never double-counted.
 //
-// Cold chunks are prefetched in coalesced runs: the not-yet-resident subset
-// of the wanted chunks is sorted into contiguous byte runs and each run is
+// The wanted chunks already resident are pinned first, all under one lock,
+// so that this call's own cold loads cannot evict them. The rest are
+// prefetched in coalesced runs: sorted into contiguous byte runs, each
 // served by one ReadAt instead of one read per chunk (ReadRuns and
-// CoalescedReads count the effect). A chunk another query loads between the residency peek and the
-// pin is shared as usual — its pre-read bytes are simply dropped.
+// CoalescedReads count the effect). A chunk another query loads in between
+// is shared as usual — its pre-read bytes are simply dropped.
 func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return c, nil
@@ -213,15 +229,29 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	if err := p.ensureDict(h); err != nil {
 		return nil, err
 	}
-	// Which wanted chunks are cold? Those are worth batching into runs.
-	var cold []int
+	w := &p.warm
+	w.chunks, w.keys = w.chunks[:0], w.keys[:0]
 	for ci := range h.chunks {
 		if (active != nil && !active[ci]) || h.chunks[ci] {
 			continue
 		}
-		if !p.s.lazy.mgr.Resident(p.s.lazy.chunkKey(name, ci)) {
-			cold = append(cold, ci)
+		w.chunks = append(w.chunks, ci)
+		w.keys = append(w.keys, h.keys.chunks[ci])
+	}
+	if len(w.keys) == 0 {
+		return h.view, nil
+	}
+	w.values = slices.Grow(w.values[:0], len(w.keys))[:len(w.keys)]
+	clear(w.values)
+	w.cold = p.s.lazy.mgr.PinResident(w.keys, w.values, w.cold[:0])
+	for i, v := range w.values {
+		if v == nil {
+			continue
 		}
+		ci := w.chunks[i]
+		h.view.Chunks[ci] = v.(*loadedChunk).ch
+		h.chunks[ci] = true
+		p.keys = append(p.keys, w.keys[i])
 	}
 	// Batched cold prefetch: read runs and pin their chunks one bounded
 	// batch at a time, so the transient raw-record buffers never exceed
@@ -251,7 +281,8 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		batchBytes = 0
 		return nil
 	}
-	for _, ci := range cold {
+	for _, i := range w.cold {
+		ci := w.chunks[i]
 		_, n, err := reader.ChunkFileRange(name, ci)
 		if err != nil {
 			return nil, err
@@ -267,26 +298,15 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	if err := flush(); err != nil {
 		return nil, err
 	}
-	// Pin everything wanted; cold chunks are already held, warm ones (and
-	// any loaded by another query since the peek) share the resident entry.
-	for ci := range h.chunks {
-		if active != nil && !active[ci] {
-			continue
-		}
-		if err := p.ensureChunk(h, ci, nil); err != nil {
-			return nil, err
-		}
-	}
 	return h.view, nil
 }
 
-// Release drops every pin the set holds, in the order they were taken, and
-// the buffers its cold loads reused. Safe to call more than once.
+// Release drops every pin the set holds, in the order they were taken and
+// under one lock, and the buffers its cold loads reused. Safe to call more
+// than once.
 func (p *PinSet) Release() {
 	if p.s.lazy != nil {
-		for _, key := range p.keys {
-			p.s.lazy.mgr.Release(key)
-		}
+		p.s.lazy.mgr.ReleaseAll(p.keys)
 	}
-	p.held, p.keys, p.bufs = nil, nil, loadBufs{}
+	p.held, p.keys, p.bufs, p.warm = nil, nil, loadBufs{}, warmScratch{}
 }

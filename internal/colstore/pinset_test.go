@@ -1,0 +1,117 @@
+package colstore
+
+import (
+	"runtime"
+	"testing"
+
+	"powerdrill/internal/memmgr"
+	"powerdrill/internal/workload"
+)
+
+// TestColumnChunksPinsWarmBeforeCold: a column whose first half is warm,
+// under a budget that holds about that half, is pinned whole by one
+// ColumnChunks call that cold-loads exactly the other half. Pinning the
+// warm half before loading the cold one is what keeps the call's own cold
+// batch from evicting the chunks it found resident, and from reloading
+// them one at a time outside the coalesced read.
+func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
+	const col = "latency"
+	_, dir := buildSavedStore(t, 30000, "zippy")
+	eager, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := eager.NumChunks()
+	if n < 60 {
+		t.Fatalf("store has %d chunks, want at least 60", n)
+	}
+	half := n / 2
+	full := eager.Column(col)
+	budget := full.Dict.MemoryBytes()
+	warm := make([]bool, n)
+	for ci := 0; ci < half; ci++ {
+		ch := full.Chunks[ci]
+		budget += ch.MemoryElements() + ch.MemoryChunkDict()
+		warm[ci] = true
+	}
+	for _, policy := range []string{"lru", "2q", "arc"} {
+		t.Run(policy, func(t *testing.T) {
+			mgr := memmgr.New(budget, policy)
+			lazy, _, err := OpenLazy(dir, mgr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := lazy.NewPinSet()
+			if _, err := ps.ColumnChunks(col, warm); err != nil {
+				t.Fatal(err)
+			}
+			ps.Release()
+			if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+1 {
+				t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+1)
+			}
+			ps = lazy.NewPinSet()
+			view, err := ps.ColumnChunks(col, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.ColdChunkLoads != int64(n-half) {
+				t.Fatalf("ColumnChunks cold-loaded %d chunks, want the %d not resident before it", ps.ColdChunkLoads, n-half)
+			}
+			for ci, ch := range view.Chunks {
+				if ch == nil || ch.Rows() != full.Chunks[ci].Rows() {
+					t.Fatalf("chunk %d not pinned into the view", ci)
+				}
+			}
+			ps.Release()
+			if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentBytes > budget {
+				t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
+			}
+		})
+	}
+}
+
+// BenchmarkWarmPin pins and releases every chunk and the dictionary of
+// three columns of a warm store opened lazily with no budget: the price a
+// query pays for residency when nothing is cold. ns/pin and allocs/pin
+// divide by the entries pinned.
+func BenchmarkWarmPin(b *testing.B) {
+	cols := []string{"country", "latency", "user"}
+	s, err := FromTable(workload.QueryLogs(workload.LogsSpec{Rows: 60000, Seed: 7}), Options{
+		PartitionFields:  []string{"country", "table_name"},
+		MaxChunkRows:     500,
+		OptimizeElements: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := Save(s, dir, "zippy"); err != nil {
+		b.Fatal(err)
+	}
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pinAll := func() {
+		ps := lazy.NewPinSet()
+		for _, col := range cols {
+			if _, err := ps.Column(col); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ps.Release()
+	}
+	pinAll() // load everything once
+	pins := len(cols) * (lazy.NumChunks() + 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pinAll()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N * pins)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/pin")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/pin")
+}

@@ -325,14 +325,14 @@ func (p *PinSet) adoptVirtual(col *Column) (*Column, error) {
 		return h.view, nil
 	}
 	src := p.s.lazy
-	h := &heldPin{view: col, chunks: make([]bool, p.s.NumChunks()), dict: true}
-	dictKey := src.dictKey(name)
+	keys := src.keysOf(ColumnMeta{Name: name, Kind: col.Kind, Virtual: true}, p.s.NumChunks())
+	h := &heldPin{view: col, chunks: make([]bool, p.s.NumChunks()), dict: true, keys: keys}
 	dictSize := col.Dict.MemoryBytes()
-	ld := src.mgr.Insert(dictKey, &loadedDict{d: col.Dict, size: dictSize}, dictSize, true).(*loadedDict)
+	ld := src.mgr.Insert(keys.dict, &loadedDict{d: col.Dict, size: dictSize}, dictSize, true).(*loadedDict)
 	col.Dict = ld.d
-	p.keys = append(p.keys, dictKey)
+	p.keys = append(p.keys, keys.dict)
 	for ci, ch := range col.Chunks {
-		key := src.chunkKey(name, ci)
+		key := keys.chunks[ci]
 		size := ch.MemoryElements() + ch.MemoryChunkDict()
 		lc := src.mgr.Insert(key, &loadedChunk{ch: ch, size: size}, size, true).(*loadedChunk)
 		col.Chunks[ci] = lc.ch

@@ -16,15 +16,19 @@
 //
 // # The pin/evict contract
 //
+// The replacement policy holds every resident entry, pinned or not, and its
+// capacity is the budget. A pin is a count on the policy's entry.
+//
 //   - Acquire(key, load) returns the entry's value and pins it. A pinned
-//     entry is NEVER evicted, whatever the budget; its bytes instead
-//     shrink the capacity available to unpinned residents. Pins are
-//     counted: two queries pinning one entry share it, and it stays until
-//     both have released.
-//   - Release(key) drops one pin. When the last pin goes, the entry
-//     re-enters the replacement policy — still resident, now evictable.
-//     An entry larger than the remaining evictable capacity is dropped
-//     immediately (still counted as an eviction).
+//     entry is NEVER evicted, whatever the budget: victim selection skips
+//     it. Pins are counted: two queries pinning one entry share it, and it
+//     stays until both have released. PinResident pins every resident key
+//     of a list under one lock and hands back the cold ones.
+//   - Release(key) drops one pin; ReleaseAll drops one per key under one
+//     lock, in order. When the last pin goes, the entry is evictable again
+//     — still resident, where its accesses put it in the policy. An entry
+//     larger than the whole budget is dropped then (still counted as an
+//     eviction).
 //   - Cold loads are deduplicated: concurrent Acquire calls for one key
 //     share a single load; the waiters count as hits, the loader as the
 //     cold load. A failed load is returned to every waiter and leaves no
@@ -37,15 +41,16 @@
 //
 // # Budget semantics
 //
-// The budget bounds pinnedBytes + policyBytes. Pinned bytes may
-// transiently exceed the budget — a query that needs N chunks at once must
-// hold all N — which is the "± one working set" slack the accounting
-// documents; steady-state (unpinned) residency is always within the
-// budget. Budget 0 means unlimited: entries still load lazily and are
-// tracked, but nothing is ever evicted.
+// The budget bounds the resident bytes. Pinned bytes may transiently
+// exceed it — a query that needs N chunks at once must hold all N — which
+// is the "± one working set" slack the accounting documents: the policy
+// evicts until the budget holds or only pinned entries are left, so
+// steady-state (unpinned) residency is always within the budget. Budget 0
+// means unlimited: entries still load lazily and are tracked, but nothing
+// is ever evicted.
 //
-// Hotness survives the pin/release cycle: an entry that was accessed more
-// than once is restored to the policy's frequency tier (2Q's Am, ARC's T2)
-// on release rather than re-entering probation, so scan resistance
-// actually engages for the interactive working set.
+// Hotness survives a pin by construction: the entry never leaves the
+// policy, and the pin is the access that promotes it to the frequency tier
+// (2Q's Am, ARC's T2), so scan resistance engages for the interactive
+// working set.
 package memmgr

@@ -12,7 +12,7 @@ import (
 func TestInsertBudgetsPrebuiltValues(t *testing.T) {
 	m := New(1000, "lru")
 	var calls atomic.Int64
-	// Fill the evictable tier with a cold column.
+	// Fill the budget with a cold, unpinned column.
 	if _, _, err := m.Acquire("cold", loader(&calls, 900)); err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +20,8 @@ func TestInsertBudgetsPrebuiltValues(t *testing.T) {
 	if st := m.Stats(); st.ResidentBytes != 900 {
 		t.Fatalf("resident = %d, want 900", st.ResidentBytes)
 	}
-	// Inserting 800 pinned bytes shrinks the evictable capacity to 200:
-	// the cold entry must be evicted to make room.
+	// Inserting 800 pinned bytes leaves room for 200 unpinned ones: the
+	// cold entry must be evicted to make room.
 	v := m.Insert("virt", []byte("built"), 800, true)
 	if v == nil {
 		t.Fatal("Insert returned nil")

@@ -1,12 +1,9 @@
 package memmgr
 
-// The manager tracks two tiers (see doc.go for the full pin/evict
-// contract):
-//
-//   - pinned entries: acquired by at least one in-flight query. Never
-//     evicted; their bytes shrink the evictable tier's capacity instead.
-//   - unpinned resident entries: held by the replacement policy, evicted
-//     whenever pinnedBytes + policyBytes would exceed the budget.
+// The replacement policy holds every resident entry, pinned or not, and its
+// capacity is the budget (see doc.go for the full pin/evict contract). A
+// pin is a count on the policy's entry: the policy never picks a pinned
+// victim, so pinned bytes may transiently exceed the budget.
 
 import (
 	"math"
@@ -33,18 +30,6 @@ type item struct {
 	virtual bool
 }
 
-// pinEntry is a resident entry held by at least one in-flight query.
-type pinEntry struct {
-	it   *item
-	pins int
-	// hot records that the entry has been accessed more than once, so that
-	// on release it is restored to the policy's frequency tier (Am/T2)
-	// rather than re-entering probation — without this, the pin/release
-	// cycle would demote every entry to first-timer status and the 2Q/ARC
-	// scan resistance would never engage.
-	hot bool
-}
-
 // inflight deduplicates concurrent loads of one key.
 type inflight struct {
 	done chan struct{}
@@ -55,16 +40,17 @@ type inflight struct {
 type Stats struct {
 	// BudgetBytes is the configured budget (0 = unlimited).
 	BudgetBytes int64 `json:"budget_bytes"`
-	// ResidentBytes is pinned + evictable resident bytes.
+	// ResidentBytes is the resident bytes, pinned or not.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// PinnedBytes is the portion held by in-flight queries.
 	PinnedBytes int64 `json:"pinned_bytes"`
-	// ResidentItems counts resident entries across both tiers.
+	// ResidentItems counts resident entries, pinned or not.
 	ResidentItems int `json:"resident_items"`
 	// VirtualBytes is the portion of ResidentBytes held by materialized
 	// virtual columns (entries acquired or inserted with virtual = true).
 	VirtualBytes int64 `json:"virtual_bytes"`
-	// Hits counts Acquire calls served from resident data.
+	// Hits counts pins served from resident data, by Acquire or
+	// PinResident.
 	Hits int64 `json:"hits"`
 	// ColdLoads counts Acquire calls that had to load from disk.
 	ColdLoads int64 `json:"cold_loads"`
@@ -96,25 +82,33 @@ type Manager struct {
 	mu sync.Mutex
 
 	budget int64 // 0 = unlimited
-	policy cache.Cache
-	// pinned holds entries with pins > 0; they are not in the policy.
-	pinned      map[string]*pinEntry
+	policy policy
+	// pinnedBytes sums the entries with at least one pin: it moves when a
+	// count goes 0→1 and 1→0.
 	pinnedBytes int64
 	loading     map[string]*inflight
 
 	hits, coldLoads         int64
 	coldBytes, diskBytes    int64
 	evictions, evictedBytes int64
-	// condemned holds key prefixes whose entries must not re-enter the
-	// policy: DropNamespace retired the namespace while some of its entries
-	// were still pinned by a draining query. Release drops such stragglers
-	// instead of re-admitting them; a prefix is removed once no pinned key
-	// matches it, so the set stays bounded by in-flight retirements.
-	condemned map[string]struct{}
+	// condemned maps key prefixes whose entries must not stay resident to
+	// the number of their entries still pinned: DropNamespace retired the
+	// namespace while a draining query held some of them. The last release
+	// of such a straggler removes it; a prefix goes when its count reaches
+	// zero, so the map stays bounded by in-flight retirements.
+	condemned map[string]int
 	// virtualBytes tracks the resident bytes of virtual-column entries
-	// across both tiers (grows when one becomes resident, shrinks when one
-	// leaves residency via eviction or an oversized drop).
+	// (grows when one becomes resident, shrinks when one leaves residency
+	// via eviction or removal).
 	virtualBytes int64
+}
+
+// policy is a replacement policy that pins and reports evictions.
+type policy interface {
+	cache.Cache
+	cache.Pinner
+	cache.KeyLister
+	cache.EvictionNotifier
 }
 
 // unlimitedCapacity stands in for "no budget" so the policies never evict.
@@ -132,23 +126,23 @@ func New(budgetBytes int64, policyName string) *Manager {
 	if capacity == 0 {
 		capacity = unlimitedCapacity
 	}
-	var policy cache.Cache
+	var p policy
 	switch policyName {
 	case "lru":
-		policy = cache.NewLRU(capacity)
+		p = cache.NewLRU(capacity)
 	case "arc":
-		policy = cache.NewARC(capacity)
+		p = cache.NewARC(capacity)
 	default:
-		policy = cache.NewTwoQ(capacity)
+		p = cache.NewTwoQ(capacity)
 	}
 	m := &Manager{
 		budget:  budgetBytes,
-		policy:  policy,
-		pinned:  make(map[string]*pinEntry),
+		policy:  p,
 		loading: make(map[string]*inflight),
 	}
 	// The callback runs inside policy calls, which only happen under m.mu.
-	policy.(cache.EvictionNotifier).OnEvict(func(_ string, v any, size int64) {
+	// The policy never evicts a pinned entry, so pinnedBytes stays put.
+	p.OnEvict(func(_ string, v any, size int64) {
 		m.evictions++
 		m.evictedBytes += size
 		if it, ok := v.(*item); ok && it.virtual {
@@ -160,25 +154,6 @@ func New(budgetBytes int64, policyName string) *Manager {
 
 // Budget returns the configured budget in bytes (0 = unlimited).
 func (m *Manager) Budget() int64 { return m.budget }
-
-// evictableCapacity is the byte budget left for unpinned residents.
-// Requires m.mu.
-func (m *Manager) evictableCapacity() int64 {
-	if m.budget == 0 {
-		return unlimitedCapacity
-	}
-	c := m.budget - m.pinnedBytes
-	if c < 0 {
-		c = 0
-	}
-	return c
-}
-
-// syncCapacity pushes the current evictable capacity into the policy,
-// evicting as needed. Requires m.mu.
-func (m *Manager) syncCapacity() {
-	m.policy.(cache.Resizer).SetCapacity(m.evictableCapacity())
-}
 
 // Acquire returns the value for key, pinning it until Release. On a cold
 // miss the value is produced by load (deduplicated across concurrent
@@ -200,24 +175,9 @@ func (m *Manager) AcquireVirtual(key string, load LoadFunc) (value any, cold boo
 func (m *Manager) acquire(key string, virtual bool, load LoadFunc) (value any, cold bool, err error) {
 	m.mu.Lock()
 	for {
-		// Already pinned by another query: share the pin. The second access
-		// proves the entry hot.
-		if p, ok := m.pinned[key]; ok {
-			p.pins++
-			p.hot = true
-			m.hits++
-			m.mu.Unlock()
-			return p.it.value, false, nil
-		}
-		// Resident but unpinned: move from the policy to the pinned tier.
-		// The Get itself is this entry's second-or-later access, so it is
-		// hot by the 2Q/ARC definition.
-		if v, ok := m.policy.Get(key); ok {
-			it := v.(*item)
-			m.policy.Remove(key)
-			m.pinned[key] = &pinEntry{it: it, pins: 1, hot: true}
-			m.pinnedBytes += it.size
-			m.syncCapacity()
+		// Resident, pinned or not: one more pin. A second access proves the
+		// entry hot by the 2Q/ARC definition, and the pin is that access.
+		if it, ok := m.pin(key); ok {
 			m.hits++
 			m.mu.Unlock()
 			return it.value, false, nil
@@ -242,120 +202,120 @@ func (m *Manager) acquire(key string, virtual bool, load LoadFunc) (value any, c
 	v, size, disk, err := load()
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.loading, key)
 	if err != nil {
 		fl.err = err
 		close(fl.done)
-		m.mu.Unlock()
 		return nil, false, err
 	}
-	it := &item{value: v, size: size, diskSize: disk, virtual: virtual}
-	m.pinned[key] = &pinEntry{it: it, pins: 1}
-	m.pinnedBytes += size
+	it := m.admit(key, &item{value: v, size: size, diskSize: disk, virtual: virtual})
 	m.coldLoads++
 	m.coldBytes += size
 	m.diskBytes += disk
-	if virtual {
-		m.virtualBytes += size
-	}
-	m.syncCapacity()
 	close(fl.done)
-	m.mu.Unlock()
-	return v, true, nil
+	return it.value, true, nil
+}
+
+// pin adds one pin to key's entry if it is resident. Requires m.mu.
+func (m *Manager) pin(key string) (*item, bool) {
+	v, pins, ok := m.policy.Pin(key)
+	if !ok {
+		return nil, false
+	}
+	it := v.(*item)
+	if pins == 1 {
+		m.pinned(key, it, 1)
+	}
+	return it, true
+}
+
+// admit makes it key's resident entry, holding one pin, and returns the
+// resident item. When the key is already resident (an Insert raced a
+// load), that entry gains the pin instead and it is dropped. Entries are
+// admitted whatever their size; the policy evicts unpinned ones to make
+// room. Requires m.mu.
+func (m *Manager) admit(key string, it *item) *item {
+	if got, ok := m.pin(key); ok {
+		return got
+	}
+	m.policy.PutPinned(key, it, it.size)
+	m.pinned(key, it, 1)
+	if it.virtual {
+		m.virtualBytes += it.size
+	}
+	return it
+}
+
+// pinned accounts an entry whose pin count went 0→1 (delta 1) or 1→0
+// (delta −1). Requires m.mu.
+func (m *Manager) pinned(key string, it *item, delta int) {
+	m.pinnedBytes += int64(delta) * it.size
+	for prefix := range m.condemned {
+		if strings.HasPrefix(key, prefix) {
+			if m.condemned[prefix] += delta; m.condemned[prefix] == 0 {
+				delete(m.condemned, prefix)
+			}
+		}
+	}
 }
 
 // Insert registers an already built value as a resident, pinned entry —
 // the path a freshly materialized virtual column takes: the data exists in
 // memory before the manager ever sees it, so there is no LoadFunc, no cold
-// counter and no disk charge, but the bytes still enter the budget
-// (syncCapacity evicts cold unpinned entries to make room). The returned
-// value is the resident one: when another store sharing the manager
-// already inserted or loaded the key, that entry is pinned and returned
-// instead and v is dropped. Callers must Release the key like any Acquire.
+// counter and no disk charge, but the bytes still enter the budget (the
+// policy evicts cold unpinned entries to make room). The returned value is
+// the resident one: when another store sharing the manager already
+// inserted or loaded the key, that entry is pinned and returned instead
+// and v is dropped. Callers must Release the key like any Acquire.
 func (m *Manager) Insert(key string, v any, size int64, virtual bool) any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p, ok := m.pinned[key]; ok {
-		p.pins++
-		p.hot = true
-		return p.it.value
-	}
-	if got, ok := m.policy.Get(key); ok {
-		it := got.(*item)
-		m.policy.Remove(key)
-		m.pinned[key] = &pinEntry{it: it, pins: 1, hot: true}
-		m.pinnedBytes += it.size
-		m.syncCapacity()
-		return it.value
-	}
-	it := &item{value: v, size: size, virtual: virtual}
-	m.pinned[key] = &pinEntry{it: it, pins: 1}
-	m.pinnedBytes += size
-	if virtual {
-		m.virtualBytes += size
-	}
-	m.syncCapacity()
-	return v
+	return m.admit(key, &item{value: v, size: size, virtual: virtual}).value
 }
 
-// Resident reports whether key is resident (pinned or held by the policy)
-// without loading, pinning, promoting, or counting a hit — the peek the
-// coalesced-prefetch planner uses to decide which chunks need disk reads.
-// The answer is advisory: another goroutine may load or evict the entry
-// immediately after.
-func (m *Manager) Resident(key string) bool {
+// PinResident pins every resident key of keys under one lock — the warm
+// half of a column's chunks, pinned before the cold half loads so those
+// loads cannot evict it. Each pinned key counts a hit and its value goes to
+// values[i] (len(values) must be len(keys)). The indices of the keys that
+// are not resident are appended to cold, for the caller to Acquire.
+func (m *Manager) PinResident(keys []string, values []any, cold []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.pinned[key]; ok {
-		return true
+	for i, key := range keys {
+		it, ok := m.pin(key)
+		if !ok {
+			cold = append(cold, i)
+			continue
+		}
+		m.hits++
+		values[i] = it.value
 	}
-	return m.policy.Contains(key)
+	return cold
 }
 
-// Release drops one pin on key. When the last pin goes, the entry re-enters
-// the replacement policy (or is evicted immediately if it no longer fits
-// the remaining budget). Release of an unknown key is a no-op.
-func (m *Manager) Release(key string) {
+// Release drops one pin on key; see ReleaseAll.
+func (m *Manager) Release(key string) { m.ReleaseAll([]string{key}) }
+
+// ReleaseAll drops one pin on each key under one lock, in order. When an
+// entry's last pin goes it becomes evictable again — still resident, in
+// the place its accesses gave it in the policy — unless it is larger than
+// the budget, when it is dropped at once (counted as an eviction), or its
+// namespace was retired, when it is removed. Keys not pinned are skipped.
+func (m *Manager) ReleaseAll(keys []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p, ok := m.pinned[key]
-	if !ok {
-		return
-	}
-	p.pins--
-	if p.pins > 0 {
-		return
-	}
-	delete(m.pinned, key)
-	m.pinnedBytes -= p.it.size
-	m.syncCapacity()
-	if m.isCondemned(key) {
-		// The entry's namespace was retired (DropNamespace) while this
-		// query was still draining: drop it instead of re-admitting it.
-		if p.it.virtual {
-			m.virtualBytes -= p.it.size
+	for _, key := range keys {
+		remove := len(m.condemned) > 0 && m.isCondemned(key)
+		v, pins, ok := m.policy.Unpin(key, remove)
+		if !ok || pins > 0 {
+			continue
 		}
-		m.pruneCondemned()
-		return
-	}
-	if p.it.size > m.evictableCapacity() {
-		// Will never fit the evictable tier: drop now. The policies would
-		// silently refuse oversized entries; counting here keeps the
-		// eviction accounting exact.
-		m.evictions++
-		m.evictedBytes += p.it.size
-		if p.it.virtual {
-			m.virtualBytes -= p.it.size
+		it := v.(*item)
+		m.pinned(key, it, -1)
+		if remove && it.virtual {
+			m.virtualBytes -= it.size
 		}
-		return
-	}
-	m.policy.Put(key, p.it, p.it.size)
-	if p.hot {
-		// Restore frequency-tier status: the Put re-entered probation
-		// (Acquire removed the entry and its ghost), so replay one access
-		// to promote it back to Am/T2. Policy-internal hit counters move,
-		// but the manager reports its own counters, not the policy's.
-		m.policy.Get(key)
 	}
 }
 
@@ -369,30 +329,31 @@ func (m *Manager) Release(key string) {
 func (m *Manager) DropNamespace(prefix string) (dropped int, droppedBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, key := range m.policy.(cache.KeyLister).Keys() {
+	stragglers := 0
+	for _, key := range m.policy.Keys() {
 		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		v, ok := m.policy.Get(key)
-		if !ok {
+		// A pin and an unpin with remove: the entry goes unless a query
+		// still holds it.
+		m.policy.Pin(key)
+		v, pins, _ := m.policy.Unpin(key, true)
+		if pins > 0 {
+			stragglers++
 			continue
 		}
 		it := v.(*item)
-		m.policy.Remove(key)
 		if it.virtual {
 			m.virtualBytes -= it.size
 		}
 		dropped++
 		droppedBytes += it.size
 	}
-	for key := range m.pinned {
-		if strings.HasPrefix(key, prefix) {
-			if m.condemned == nil {
-				m.condemned = make(map[string]struct{}, 2)
-			}
-			m.condemned[prefix] = struct{}{}
-			break
+	if stragglers > 0 {
+		if m.condemned == nil {
+			m.condemned = make(map[string]int, 2)
 		}
+		m.condemned[prefix] = stragglers
 	}
 	return dropped, droppedBytes
 }
@@ -409,32 +370,15 @@ func (m *Manager) isCondemned(key string) bool {
 	return false
 }
 
-// pruneCondemned drops condemned prefixes no pinned key matches anymore.
-// Requires m.mu.
-func (m *Manager) pruneCondemned() {
-	for prefix := range m.condemned {
-		alive := false
-		for key := range m.pinned {
-			if strings.HasPrefix(key, prefix) {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			delete(m.condemned, prefix)
-		}
-	}
-}
-
 // Stats returns a snapshot of the manager's accounting.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
 		BudgetBytes:     m.budget,
-		ResidentBytes:   m.pinnedBytes + m.policy.SizeBytes(),
+		ResidentBytes:   m.policy.SizeBytes(),
 		PinnedBytes:     m.pinnedBytes,
-		ResidentItems:   len(m.pinned) + m.policy.Len(),
+		ResidentItems:   m.policy.Len(),
 		VirtualBytes:    m.virtualBytes,
 		Hits:            m.hits,
 		ColdLoads:       m.coldLoads,

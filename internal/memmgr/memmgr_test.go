@@ -284,3 +284,67 @@ func TestDropNamespacePinnedStraggler(t *testing.T) {
 		t.Fatal("condemned entry re-entered the cache")
 	}
 }
+
+// TestPinResidentThenReleaseAll: the batched pin takes the resident keys
+// under one lock, counting a hit each, and hands back the cold ones; the
+// batched release drops the pins in order, so the first key released is
+// the first one the policy may evict.
+func TestPinResidentThenReleaseAll(t *testing.T) {
+	m := New(250, "lru")
+	var calls atomic.Int64
+	for _, k := range []string{"a", "b"} {
+		if _, _, err := m.Acquire(k, loader(&calls, 100)); err != nil {
+			t.Fatal(err)
+		}
+		m.Release(k)
+	}
+	keys := []string{"a", "x", "b"}
+	values := make([]any, len(keys))
+	cold := m.PinResident(keys, values, nil)
+	if len(cold) != 1 || cold[0] != 1 || values[0] == nil || values[1] != nil || values[2] == nil {
+		t.Fatalf("PinResident: cold %v, values %v", cold, values)
+	}
+	if st := m.Stats(); st.Hits != 2 || st.PinnedBytes != 200 {
+		t.Fatalf("after PinResident: %+v", st)
+	}
+	// The cold key overshoots the budget while everything is pinned.
+	if _, cold, err := m.Acquire("x", loader(&calls, 100)); err != nil || !cold {
+		t.Fatalf("Acquire(x) cold=%v err=%v", cold, err)
+	}
+	if st := m.Stats(); st.ResidentBytes != 300 || st.Evictions != 0 {
+		t.Fatalf("pinned overshoot: %+v", st)
+	}
+	m.ReleaseAll([]string{"a", "b", "x", "never-pinned"})
+	st := m.Stats()
+	if st.PinnedBytes != 0 || st.ResidentBytes != 200 || st.Evictions != 1 {
+		t.Fatalf("after ReleaseAll: %+v", st)
+	}
+	if _, cold, _ := m.Acquire("a", loader(&calls, 100)); !cold {
+		t.Fatal("the first key released was not the one evicted")
+	}
+	m.Release("a")
+}
+
+// TestDropNamespaceDrainingColdLoad: a draining query that cold-loads one
+// more entry of a retired namespace gets it, and its release drops it with
+// the stragglers; once they are gone the namespace admits entries again.
+func TestDropNamespaceDrainingColdLoad(t *testing.T) {
+	m := New(0, "2q")
+	var calls atomic.Int64
+	if _, _, err := m.Acquire("seg1\x00a", loader(&calls, 100)); err != nil {
+		t.Fatal(err)
+	}
+	m.DropNamespace("seg1\x00")
+	if _, cold, err := m.Acquire("seg1\x00b", loader(&calls, 100)); err != nil || !cold {
+		t.Fatalf("draining cold load: cold=%v err=%v", cold, err)
+	}
+	m.ReleaseAll([]string{"seg1\x00a", "seg1\x00b"})
+	if st := m.Stats(); st.ResidentItems != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("stragglers survived their release: %+v", st)
+	}
+	m.Acquire("seg1\x00a", loader(&calls, 100))
+	m.Release("seg1\x00a")
+	if st := m.Stats(); st.ResidentItems != 1 {
+		t.Fatalf("namespace still condemned after its stragglers left: %+v", st)
+	}
+}
