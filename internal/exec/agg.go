@@ -144,13 +144,14 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 			return nil
 		}
 	}
-	e.aggregateChunk(p, ci, mask, qs, &w.chunkAggCtx)
+	e.aggregateChunk(p, ci, mask, &w.chunkAggCtx)
 	if key != "" {
 		part := w.newPartial(p)
 		e.resultCache.Put(key, part, part.sizeBytes())
 	}
 	w.table.add(w.groupGIDs, w.present, w.counts, w.dense, ci)
 	qs.ChunksScanned++
+	qs.KernelChunks++
 	qs.RowsScanned += int64(rows)
 	qs.CellsScanned += int64(rows) * nCols
 	return nil
@@ -168,38 +169,17 @@ func (p *plan) groupColumn() string {
 	return ""
 }
 
-// aggregateChunk aggregates a chunk into sc, the calling worker's scratch:
-// sc.present lists the groups that received a selected row and sc.dense
-// holds each aggregate's results over the chunk's groups (see dense).
-// mask == nil means the chunk is fully active. It dispatches to the
-// vectorized kernels (kernels.go) unless Options.DisableKernels pins the
-// scalar reference path — the oracle the differential fuzzer compares the
-// kernels against. Both paths produce bit-for-bit identical results,
-// including float SUM/AVG accumulation order (ascending rows).
-func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, qs *QueryStats, sc *chunkAggCtx) {
-	if e.opts.DisableKernels {
-		if qs != nil {
-			qs.ScalarChunks++
-		}
-		e.aggregateChunkScalar(p, ci, mask, sc)
-		return
-	}
-	if qs != nil {
-		qs.KernelChunks++
-	}
-	e.aggregateChunkVec(p, ci, mask, sc)
-}
-
 // chunkAggCtx is one scan worker's scratch, reloaded for every chunk the
-// worker claims. It holds the per-chunk geometry both aggregation paths
-// share — group cardinality and global-ids, the group elements where they
-// lie, and the per-aggregate argument tables (distinct offer and global-id
-// of each argument chunk-id — computed once per distinct value, not per
-// row, the same trick the restriction masks use — and a sum's dictionary
-// values) — and the dense per-group tables the kernels accumulate in. Every buffer keeps its
-// capacity from chunk to chunk and, in workerPool, from query to query, so
-// a warm scan allocates nothing per chunk. A worker scans one chunk at a
-// time, which is why the scratch is the worker's and needs no lock.
+// worker claims. It holds the per-chunk geometry the kernels read — group
+// cardinality and global-ids, the group elements where they lie, and the
+// per-aggregate argument tables (distinct offer and global-id of each
+// argument chunk-id — computed once per distinct value, not per row, the
+// same trick the restriction masks use — and a sum's dictionary values) —
+// and the dense per-group tables the kernels accumulate in. Every buffer
+// keeps its capacity from chunk to chunk and, in workerPool, from query to
+// query, so a warm scan allocates nothing per chunk. A worker scans one
+// chunk at a time, which is why the scratch is the worker's and needs no
+// lock.
 type chunkAggCtx struct {
 	rows int
 	// mask is the restriction's scratch: verdict table and bitmaps.
@@ -754,103 +734,4 @@ func (c *chunkAggCtx) newPartial(p *plan) *groupSet {
 		}
 	}
 	return part
-}
-
-// aggregateChunkScalar is the retained row-at-a-time reference
-// implementation — the inner loops of Section 2.4 (dense arrays indexed by
-// chunk-id, no hashing), one interface-dispatched add per row into per-group,
-// per-aggregate tables, which then move into the chunk's results. It stays
-// in the tree as the differential-fuzzing oracle and the ablation baseline;
-// production queries run the kernels in kernels.go.
-func (e *Engine) aggregateChunkScalar(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
-	c.load(e, p, ci)
-	rows, card, na := c.rows, c.card, len(p.aggs)
-
-	c.counts = zeroed(c.counts, card)
-	counts := c.counts
-	sumsI := make([]int64, card*na)
-	sumsF := make([]float64, card*na)
-	ext := make([]uint32, card*na) // MIN starts from the largest id, MAX from 0
-	offers := make([][]uint64, card*na)
-	for j, spec := range p.aggs {
-		if spec.fn == aggMin {
-			for g := 0; g < card; g++ {
-				ext[g*na+j] = math.MaxUint32
-			}
-		}
-	}
-	// Every row's group and argument chunk-ids are read from the sequences
-	// one at a time, also where the kernels see a single-group chunk.
-	add := func(r int) {
-		g := 0
-		if c.gseq != nil {
-			g = int(c.gseq.At(r))
-		}
-		counts[g]++
-		for j, spec := range p.aggs {
-			if spec.fn == aggCount {
-				continue
-			}
-			at, x := g*na+j, c.argChunks[j].Elems.At(r)
-			switch spec.fn {
-			case aggSum, aggAvg:
-				if p.aggInt[j] {
-					sumsI[at] += c.argInts[j][c.argGIDs[j][x]]
-				} else {
-					sumsF[at] += c.argFlts[j][c.argGIDs[j][x]]
-				}
-			case aggMin:
-				ext[at] = min(ext[at], c.argGIDs[j][x])
-			case aggMax:
-				ext[at] = max(ext[at], c.argGIDs[j][x])
-			case aggCountDistinct:
-				offers[at] = append(offers[at], c.argHash[j][x])
-			}
-		}
-	}
-
-	// Fast path: a single COUNT(*) over a full chunk is the pure
-	// counts[elements[row]]++ loop (20 ms for 5M rows in the paper).
-	if mask == nil && na == 1 && p.aggs[0].fn == aggCount && c.gseq != nil {
-		c.gseq.CountInto(counts)
-	} else if mask == nil {
-		for r := 0; r < rows; r++ {
-			add(r)
-		}
-	} else {
-		mask.ForEach(add)
-	}
-
-	// Keep the groups that received rows.
-	c.occupied()
-	for j := range c.dense {
-		a := &c.dense[j]
-		switch {
-		case a.has&arrSumI != 0:
-			a.sumI = resized(a.sumI, card)
-		case a.has&arrParts != 0:
-			a.parts.vals = resized(a.parts.vals, card)
-		case a.has&(arrMin|arrMax) != 0:
-			a.vals.ids = resized(a.vals.ids, card)
-		case a.has&arrSketch != 0:
-			a.hashes.off, a.hashes.vals = append(a.hashes.off[:0], 0), a.hashes.vals[:0]
-		}
-		for _, g := range c.present {
-			at := int(g)*na + j
-			switch {
-			case a.has&arrSumI != 0:
-				a.sumI[g] = sumsI[at]
-			case a.has&arrParts != 0:
-				a.parts.vals[g] = math.Float64bits(sumsF[at])
-			case a.has&(arrMin|arrMax) != 0:
-				a.vals.ids[g] = ext[at]
-			case a.has&arrSketch != 0:
-				run := offers[at]
-				slices.Sort(run)
-				run = slices.Compact(run)
-				a.hashes.vals = append(a.hashes.vals, run[:min(len(run), a.m)]...)
-				a.hashes.endRun()
-			}
-		}
-	}
 }

@@ -31,11 +31,6 @@ type Options struct {
 	// DisableSkipping scans every chunk regardless of the restriction —
 	// the ablation that isolates Section 2.2's contribution.
 	DisableSkipping bool
-	// DisableKernels forces the row-at-a-time scalar scan path instead of
-	// the vectorized kernels. The scalar path is the reference
-	// implementation the differential fuzzer compares the kernels against
-	// (and an ablation isolating the kernels' contribution).
-	DisableKernels bool
 	// Parallelism is the number of workers a single query fans its chunk
 	// scans out over; 0 (the default) means runtime.GOMAXPROCS(0), and 1
 	// recovers the fully sequential engine.
@@ -147,9 +142,12 @@ type QueryStats struct {
 	// the manifest spans alone could not have skipped them. They are also
 	// counted in SkippedChunks (and ChunksSkipped).
 	BloomSkippedChunks int64 `json:"bloom_skipped_chunks"`
-	// KernelChunks counts chunks this query aggregated through the
-	// vectorized kernels; ScalarChunks counts chunks that ran the
-	// row-at-a-time reference path instead (Options.DisableKernels).
+	// KernelChunks counts chunks this query aggregated, all of them through
+	// the vectorized kernels: ChunksScanned, unless the query is a row
+	// scan, which aggregates none. ScalarChunks is never written and stays
+	// 0 — a reserved slot, kept with its tag and position because the
+	// partial wire walks these fields in declaration order. Both go with
+	// the next wire version.
 	KernelChunks int64 `json:"kernel_chunks"`
 	ScalarChunks int64 `json:"scalar_chunks"`
 	// RowsTotal counts the rows the answer SHOULD span: the store's row

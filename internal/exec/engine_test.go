@@ -46,38 +46,16 @@ func naiveRun(t *testing.T, tbl *table.Table, src string) [][]value.Value {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	rowAt := func(i int) expr.MapRow {
+	rowAt := func(i int) expr.Row {
 		m := expr.MapRow{}
 		for _, c := range tbl.Cols {
 			m[c.Name] = c.Value(i)
 		}
 		return m
 	}
-	// Select matching rows.
-	var rows []int
-	for i := 0; i < tbl.NumRows(); i++ {
-		if stmt.Where == nil {
-			rows = append(rows, i)
-			continue
-		}
-		ok, err := expr.EvalPred(stmt.Where, rowAt(i))
-		if err != nil {
-			t.Fatalf("naive pred: %v", err)
-		}
-		if ok {
-			rows = append(rows, i)
-		}
-	}
-	// Resolve group exprs (aliases included).
-	resolve := func(g sql.Expr) sql.Expr {
-		if id, ok := g.(*sql.Ident); ok {
-			for _, item := range stmt.Items {
-				if item.Alias == id.Name && !sql.HasAggregate(item.Expr) {
-					return item.Expr
-				}
-			}
-		}
-		return g
+	groups, err := naiveGroups(stmt, tbl.NumRows(), rowAt)
+	if err != nil {
+		t.Fatalf("naive %q: %v", src, err)
 	}
 	hasAgg := false
 	for _, item := range stmt.Items {
@@ -85,52 +63,27 @@ func naiveRun(t *testing.T, tbl *table.Table, src string) [][]value.Value {
 			hasAgg = true
 		}
 	}
-	if !hasAgg && len(stmt.GroupBy) == 0 {
-		// Plain projection.
-		var out [][]value.Value
-		for _, r := range rows {
-			var vals []value.Value
-			for _, item := range stmt.Items {
-				v, err := expr.Eval(item.Expr, rowAt(r))
-				if err != nil {
-					t.Fatalf("naive eval: %v", err)
-				}
-				vals = append(vals, v)
-			}
-			out = append(out, vals)
-		}
-		return applyNaiveOrderLimit(t, stmt, out)
-	}
-	// Group.
-	type group struct {
-		keys []value.Value
-		rows []int
-	}
-	groups := map[string]*group{}
-	for _, r := range rows {
-		var keys []value.Value
-		var sb strings.Builder
-		for _, g := range stmt.GroupBy {
-			v, err := expr.Eval(resolve(g), rowAt(r))
-			if err != nil {
-				t.Fatalf("naive group eval: %v", err)
-			}
-			keys = append(keys, v)
-			sb.WriteString(v.String())
-			sb.WriteByte(0x1f)
-		}
-		k := sb.String()
-		if groups[k] == nil {
-			groups[k] = &group{keys: keys}
-		}
-		groups[k].rows = append(groups[k].rows, r)
-	}
 	var out [][]value.Value
 	for _, g := range groups {
+		if !hasAgg && len(stmt.GroupBy) == 0 {
+			// Plain projection: the one group holds the selected rows.
+			for _, r := range g.rows {
+				var vals []value.Value
+				for _, item := range stmt.Items {
+					v, err := expr.Eval(item.Expr, rowAt(r))
+					if err != nil {
+						t.Fatalf("naive eval: %v", err)
+					}
+					vals = append(vals, v)
+				}
+				out = append(out, vals)
+			}
+			continue
+		}
 		var vals []value.Value
 		for _, item := range stmt.Items {
 			if !sql.HasAggregate(item.Expr) {
-				v, err := expr.Eval(resolve(item.Expr), rowAt(g.rows[0]))
+				v, err := expr.Eval(naiveResolve(stmt, item.Expr), rowAt(g.rows[0]))
 				if err != nil {
 					t.Fatalf("naive key eval: %v", err)
 				}
@@ -138,14 +91,102 @@ func naiveRun(t *testing.T, tbl *table.Table, src string) [][]value.Value {
 				continue
 			}
 			call := item.Expr.(*sql.Call)
-			vals = append(vals, naiveAgg(t, tbl, call, g.rows, rowAt))
+			vals = append(vals, naiveAgg(t, call, g.rows, rowAt))
 		}
 		out = append(out, vals)
 	}
 	return applyNaiveOrderLimit(t, stmt, out)
 }
 
-func naiveAgg(t *testing.T, tbl *table.Table, call *sql.Call, rows []int, rowAt func(int) expr.MapRow) value.Value {
+// naiveGroup is a group of selected rows: its GROUP BY values and its rows,
+// ascending.
+type naiveGroup struct {
+	keys []value.Value
+	rows []int
+}
+
+// naiveGroups selects the rows i < n, read through rowAt, that satisfy
+// stmt's WHERE clause (rowMatches) and groups them by its GROUP BY
+// expressions, groups in the order their first rows come. Without GROUP BY
+// every selected row is in one group; with no row selected there is none.
+// The error is the first a comparison in WHERE raised, which read as false
+// there, or the first a GROUP BY expression raised.
+func naiveGroups(stmt *sql.SelectStmt, n int, rowAt func(int) expr.Row) ([]*naiveGroup, error) {
+	var groups []*naiveGroup
+	index := map[string]*naiveGroup{}
+	var first error
+	for i := 0; i < n; i++ {
+		row := rowAt(i)
+		if stmt.Where != nil {
+			ok, err := rowMatches(stmt.Where, row)
+			if first == nil {
+				first = err
+			}
+			if !ok {
+				continue
+			}
+		}
+		keys := make([]value.Value, len(stmt.GroupBy))
+		for k, g := range stmt.GroupBy {
+			v, err := expr.Eval(naiveResolve(stmt, g), row)
+			if err != nil {
+				return nil, err
+			}
+			keys[k] = v
+		}
+		k := refKeyString(keys)
+		g := index[k]
+		if g == nil {
+			g = &naiveGroup{keys: keys}
+			index[k] = g
+			groups = append(groups, g)
+		}
+		g.rows = append(g.rows, i)
+	}
+	return groups, first
+}
+
+// naiveResolve maps a GROUP BY expression that names a select item's alias
+// to the item's expression.
+func naiveResolve(stmt *sql.SelectStmt, g sql.Expr) sql.Expr {
+	if id, ok := g.(*sql.Ident); ok {
+		for _, item := range stmt.Items {
+			if item.Alias == id.Name && !sql.HasAggregate(item.Expr) {
+				return item.Expr
+			}
+		}
+	}
+	return g
+}
+
+// rowMatches decides where for one row as a restriction tree decides it:
+// AND, OR and NOT fold their operands' verdicts, and every comparison is
+// evaluated, so that one that fails is reported whichever way the others
+// decide the row. A failing comparison reads as false; the error returned
+// is the first.
+func rowMatches(where sql.Expr, row expr.Row) (bool, error) {
+	switch n := where.(type) {
+	case *sql.Binary:
+		if n.Op == sql.OpAnd || n.Op == sql.OpOr {
+			l, lerr := rowMatches(n.L, row)
+			r, rerr := rowMatches(n.R, row)
+			if lerr == nil {
+				lerr = rerr
+			}
+			if n.Op == sql.OpAnd {
+				return l && r, lerr
+			}
+			return l || r, lerr
+		}
+	case *sql.Not:
+		ok, err := rowMatches(n.X, row)
+		return !ok, err
+	}
+	ok, err := expr.EvalPred(where, row)
+	return ok && err == nil, err
+}
+
+func naiveAgg(t *testing.T, call *sql.Call, rows []int, rowAt func(int) expr.Row) value.Value {
 	t.Helper()
 	name := strings.ToLower(call.Name)
 	if call.Star {

@@ -1,9 +1,9 @@
 package exec
 
-// Vectorized aggregation kernels — the batch-at-a-time rewrite of the
-// Section 2.4 inner loops. Where the scalar reference path (agg.go)
-// dispatches a closure per row that switches over every aggregate, the
-// kernels run one type-specialized pass per aggregate over the chunk's
+// Vectorized aggregation kernels — the batch-at-a-time form of the
+// Section 2.4 inner loops, and the only one. Where a row-at-a-time loop
+// would switch over every aggregate at every row, the kernels run one
+// type-specialized pass per aggregate over the chunk's
 // element arrays where they lie — generic over the width each sequence
 // stores its elements at, so a 1- or 2-byte element is read as 1 or 2 bytes
 // and nothing is copied — driven either by the full row range or by the
@@ -11,12 +11,12 @@ package exec
 // dense table indexed by group chunk-id: the chunk's results, which the
 // worker's group table folds in as they lie.
 //
-// Identity with the scalar path is a hard requirement (the differential
-// fuzzer enforces it): the sum kernels visit rows in ascending order, so
-// float SUM/AVG accumulate in exactly the scalar order, bit for bit; a
-// COUNT(DISTINCT) group is offered the same set of values, so it keeps the
-// same m smallest; and both paths keep exactly the groups that received a
-// selected row.
+// Identity with a row-wise reference that shares none of this code is a
+// hard requirement (FuzzScanKernelsVsReference enforces it): the sum
+// kernels visit rows in ascending order, so float SUM/AVG accumulate in
+// row order, bit for bit; a COUNT(DISTINCT) group is offered the set of
+// its rows' values, so it keeps their m smallest hashes; and the result
+// holds exactly the groups that received a selected row.
 //
 // Where a chunk holds one group — a global aggregate, or any chunk when
 // grouping by a partition field — MIN, MAX and COUNT(DISTINCT) do not visit
@@ -33,9 +33,11 @@ import (
 	"powerdrill/internal/enc"
 )
 
-// aggregateChunkVec aggregates a chunk with the vectorized kernels into c's
-// dense per-group results. mask == nil means the chunk is fully active.
-func (e *Engine) aggregateChunkVec(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
+// aggregateChunk aggregates a chunk with the vectorized kernels into c, the
+// calling worker's scratch: c.present lists the groups that received a
+// selected row and c.dense holds each aggregate's results over the chunk's
+// groups (see dense). mask == nil means the chunk is fully active.
+func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCtx) {
 	if mask != nil {
 		// Sparse masks skip the dense per-chunk tables entirely: building
 		// them costs O(distinct values) per chunk and a dense pass O(rows),
@@ -141,8 +143,7 @@ func kernel[G, A enc.Elem](c *chunkAggCtx, p *plan, j int, ge []G, ae []A, mask 
 // and argument sequences point-wise for just those rows — no per-distinct-
 // value tables. A value is the dictionary's, as the dense kernels gather it,
 // an offer the one the dense tables hold, and rows are visited in ascending
-// order, so the results are bit-identical to the dense kernels' and the
-// scalar path's.
+// order, so the results are bit-identical to the dense kernels'.
 func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel int, c *chunkAggCtx) {
 	sel := resized(c.sel, nsel)[:0]
 	for wi, w := range mask.Words() {
@@ -285,8 +286,8 @@ func (c *chunkAggCtx) fillRuns(a *aggColumn, most int) {
 // chunk-id, each row's value gathered from the dictionary's values through
 // the chunk dictionary's global-ids — no per-chunk table of values: a chunk
 // holds barely more rows than distinct values of a column such as latency.
-// Ascending row order keeps a float accumulation bit-identical to the scalar
-// path.
+// Ascending row order keeps a float accumulation bit-identical to a
+// row-at-a-time sum.
 func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, gids []uint32, ge []G, ae []A, mask *enc.Bitmap) {
 	switch {
 	case ge == nil && mask == nil:

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"powerdrill/internal/colstore"
@@ -50,7 +49,8 @@ func edgeStore(t *testing.T) *colstore.Store {
 // TestKernelChunkBoundaries drives restrictions that land exactly on chunk
 // edges — the first row of a chunk, the last row of a chunk, a chunk with a
 // single distinct value, and the all-rows / zero-rows extremes — through
-// both scan paths and checks results and the skip/scan counters.
+// the engine and the row-wise reference, and checks results and the
+// skip/scan counters: every scanned chunk is a kernel chunk.
 func TestKernelChunkBoundaries(t *testing.T) {
 	store := edgeStore(t)
 	cases := []struct {
@@ -101,50 +101,30 @@ func TestKernelChunkBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			kernel := New(store, Options{Parallelism: 1})
-			scalar := New(store, Options{Parallelism: 1, DisableKernels: true})
-			kres, err := kernel.Query(tc.query)
-			if err != nil {
-				t.Fatalf("kernel: %v", err)
-			}
-			sres, err := scalar.Query(tc.query)
-			if err != nil {
-				t.Fatalf("scalar: %v", err)
-			}
-			if !reflect.DeepEqual(kres.Rows, sres.Rows) {
-				t.Fatalf("paths diverge:\n  kernel: %#v\n  scalar: %#v", kres.Rows, sres.Rows)
+			res := requireMatchesReference(t, store, Options{Parallelism: 1}, tc.query)
+			if res == nil {
+				t.Fatal("the query failed, as the reference did")
 			}
 			switch tc.wantN {
 			case "":
-				return
 			case "empty":
-				if len(kres.Rows) != 0 {
-					t.Fatalf("want empty result, got %#v", kres.Rows)
+				if len(res.Rows) != 0 {
+					t.Fatalf("want empty result, got %#v", res.Rows)
 				}
 			default:
-				if len(kres.Rows) != 1 || len(kres.Rows[0]) != 1 {
-					t.Fatalf("want one aggregate cell, got %#v", kres.Rows)
+				if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+					t.Fatalf("want one aggregate cell, got %#v", res.Rows)
 				}
-				if got := kres.Rows[0][0].String(); got != tc.wantN {
+				if got := res.Rows[0][0].String(); got != tc.wantN {
 					t.Fatalf("aggregate = %s, want %s", got, tc.wantN)
 				}
 			}
-			for _, r := range []struct {
-				path string
-				res  *Result
-			}{{"kernel", kres}, {"scalar", sres}} {
-				if r.res.Stats.ChunksScanned != tc.scanned {
-					t.Errorf("%s ChunksScanned = %d, want %d", r.path, r.res.Stats.ChunksScanned, tc.scanned)
-				}
-				if r.res.Stats.ChunksSkipped != tc.skipped {
-					t.Errorf("%s ChunksSkipped = %d, want %d", r.path, r.res.Stats.ChunksSkipped, tc.skipped)
-				}
+			st := res.Stats
+			if tc.wantN != "" && (st.ChunksScanned != tc.scanned || st.ChunksSkipped != tc.skipped) {
+				t.Errorf("ChunksScanned, ChunksSkipped = %d, %d, want %d, %d", st.ChunksScanned, st.ChunksSkipped, tc.scanned, tc.skipped)
 			}
-			if kres.Stats.KernelChunks != tc.scanned {
-				t.Errorf("KernelChunks = %d, want %d", kres.Stats.KernelChunks, tc.scanned)
-			}
-			if sres.Stats.ScalarChunks != tc.scanned {
-				t.Errorf("ScalarChunks = %d, want %d", sres.Stats.ScalarChunks, tc.scanned)
+			if st.KernelChunks != st.ChunksScanned || st.ScalarChunks != 0 {
+				t.Errorf("KernelChunks = %d, ScalarChunks = %d, want %d and 0", st.KernelChunks, st.ScalarChunks, st.ChunksScanned)
 			}
 		})
 	}
@@ -169,17 +149,7 @@ func TestKernelSparseDenseCutover(t *testing.T) {
 	// n < 1 selects ~6% of rows (sparse); n < 9 selects ~53% (dense).
 	for _, where := range []string{"n < 1", "n < 9"} {
 		q := fmt.Sprintf(`SELECT s, COUNT(*) AS c, SUM(n) AS t FROM data WHERE %s GROUP BY s;`, where)
-		kres, err := New(store, Options{Parallelism: 1}).Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres, err := New(store, Options{Parallelism: 1, DisableKernels: true}).Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(kres.Rows, sres.Rows) {
-			t.Fatalf("%s: paths diverge:\n  kernel: %#v\n  scalar: %#v", where, kres.Rows, sres.Rows)
-		}
+		requireMatchesReference(t, store, Options{Parallelism: 1}, q)
 	}
 }
 
@@ -196,39 +166,38 @@ func TestKernelEmptyStore(t *testing.T) {
 		`SELECT s, MIN(n), COUNT(DISTINCT n), AVG(n) FROM data GROUP BY s;`,
 		`SELECT s, MAX(n) FROM data WHERE n > 3 GROUP BY s;`,
 	} {
-		kres, kerr := New(store, Options{}).Query(q)
-		sres, serr := New(store, Options{DisableKernels: true}).Query(q)
-		if kerr != nil || serr != nil {
-			t.Fatalf("%s: kernel error %v, scalar error %v", q, kerr, serr)
-		}
-		if len(kres.Rows) != 0 || len(sres.Rows) != 0 {
-			t.Errorf("%s: rows from an empty store: kernel %v, scalar %v", q, kres.Rows, sres.Rows)
+		if res := requireMatchesReference(t, store, Options{}, q); res == nil || len(res.Rows) != 0 {
+			t.Errorf("%s: %v from an empty store, want no rows", q, res)
 		}
 	}
 }
 
-// TestKernelMaskErrorParity: the kernel mask evaluation stops folding a
-// subtree once a leaf has decided it, but the scalar path evaluates every
-// child, and a row predicate among them may fail. The kernels must report
-// that failure too — here the chunk dictionary decides the AND ("none", by
-// n = 99) and the OR ("all", by p) before the failing comparison is reached.
+// TestKernelMaskErrorParity: the mask evaluation stops folding a subtree
+// once a leaf has decided it, but a row predicate among the skipped
+// children may fail, and the query must report that failure — here the
+// chunk dictionary decides the AND ("none", by n = 99) and the OR ("all",
+// by p) before the failing comparison is reached. The error is the failing
+// comparison's own, with skipping on and off.
 func TestKernelMaskErrorParity(t *testing.T) {
+	const want = "expr: cannot compare string with int64"
 	store := edgeStore(t)
 	for _, q := range []string{
 		`SELECT COUNT(*) FROM data WHERE (p = "p00" AND n = 99 AND s < n) OR n >= 2;`,
 		`SELECT COUNT(*) FROM data WHERE (p = "p00" OR s < n) AND n >= 2;`,
 	} {
-		_, kerr := New(store, Options{}).Query(q)
-		_, serr := New(store, Options{DisableKernels: true}).Query(q)
-		if kerr == nil || serr == nil || kerr.Error() != serr.Error() {
-			t.Errorf("%s:\n  kernel: %v\n  scalar: %v", q, kerr, serr)
+		for _, noSkip := range []bool{false, true} {
+			opts := Options{DisableSkipping: noSkip}
+			if _, err := New(store, opts).Query(q); err == nil || err.Error() != want {
+				t.Errorf("%s (DisableSkipping %v): error %v, want %q", q, noSkip, err, want)
+			}
+			requireMatchesReference(t, store, opts, q)
 		}
 	}
 }
 
 // TestKernelsEveryWidth runs every pair of group and argument element widths
-// through the kernels and the scalar path, and demands the same results and
-// group tables, bit for bit. A chunk stores a column's elements at the width
+// through the kernels and the row-wise reference, and demands the same
+// partials and results, bit for bit. A chunk stores a column's elements at the width
 // its chunk dictionary's cardinality picks — constant, bit-set, 1, 2 or 4
 // bytes — so one chunk of 66 000 rows holds a column at each (4 bytes takes
 // more than 65 536 distinct values). Each pair runs as a GROUP BY and as a
@@ -283,9 +252,47 @@ func TestKernelsEveryWidth(t *testing.T) {
 				aggs := fmt.Sprintf("COUNT(*) AS c, SUM(i_%[1]s) AS s, AVG(f_%[1]s) AS av, MIN(i_%[1]s) AS lo, MAX(f_%[1]s) AS hi, COUNT(DISTINCT i_%[1]s) AS d", a.name)
 				for _, where := range []string{"", " WHERE i_w16 < 4450"} {
 					q := "SELECT " + sel + aggs + " FROM data" + where + group + " ORDER BY c DESC, s ASC LIMIT 20;"
-					requireKernelsMatchScalar(t, store, Options{Parallelism: 1}, q)
+					requireMatchesReference(t, store, Options{Parallelism: 1}, q)
 				}
 			}
+		}
+	}
+}
+
+// TestKernelFloatSumOrder pins the order float SUM and AVG add in, which
+// the other tests' floats — multiples of a power of two — cannot show: a
+// sum of reciprocals rounds differently in almost any other order. Each
+// kernel that sums floats (the whole chunk or a mask, one group or many,
+// dense or sparse) runs over uneven chunks at one and three workers, and
+// must add each chunk's rows in ascending order and the chunks' sums in
+// chunk order, as the reference does.
+func TestKernelFloatSumOrder(t *testing.T) {
+	const rows = 3000
+	g, p := make([]string, rows), make([]string, rows)
+	x, y := make([]float64, rows), make([]int64, rows)
+	for i := range x {
+		g[i] = fmt.Sprintf("g%d", i*i%5)
+		p[i] = fmt.Sprintf("p%02d", i*i/(rows*rows/12))
+		x[i] = 1 / float64(1+i%97)
+		y[i] = int64(i * 7919 % 100)
+	}
+	tbl := table.New("data").AddStringColumn("g", g).AddStringColumn("p", p).
+		AddFloat64Column("x", x).AddInt64Column("y", y)
+	store, err := colstore.FromTable(tbl, colstore.Options{PartitionFields: []string{"p"}, MaxChunkRows: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 3} {
+		for _, q := range []string{
+			`SELECT g, SUM(x), AVG(x) FROM data GROUP BY g;`,
+			`SELECT g, SUM(x) FROM data WHERE y < 60 GROUP BY g;`,
+			`SELECT g, SUM(x) FROM data WHERE y < 5 GROUP BY g;`,
+			`SELECT p, SUM(x) FROM data WHERE y >= 30 GROUP BY p;`,
+			`SELECT SUM(x), AVG(x) FROM data;`,
+			`SELECT SUM(x) FROM data WHERE y < 60;`,
+			`SELECT SUM(x) FROM data WHERE y < 5;`,
+		} {
+			requireMatchesReference(t, store, Options{Parallelism: par}, q)
 		}
 	}
 }

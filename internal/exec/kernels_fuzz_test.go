@@ -2,16 +2,21 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"powerdrill/internal/colstore"
+	"powerdrill/internal/expr"
+	"powerdrill/internal/sketch"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
+	"powerdrill/internal/value"
 )
 
-// FuzzScanKernelsVsScalar is the differential fuzzer that backs the
+// FuzzScanKernelsVsReference is the differential fuzzer that backs the
 // bit-for-bit identity claim in kernels.go: it generates a random table
 // (mixed column types, duplicate and empty strings, uneven chunk sizes down
 // to single rows and up to thousands, elements of every width but 4 bytes
@@ -21,13 +26,15 @@ import (
 // and whose selective leaves leave a sparse mask for the ones after them;
 // GROUP BY over any column — the partition column makes single-group
 // chunks — or none; 1–3 aggregates from COUNT/SUM/AVG/MIN/MAX/
-// COUNT(DISTINCT)), then runs it through the vectorized kernels and the
-// scalar reference path and requires exactly equal results — including
-// float bit patterns — or exactly equal errors, and exactly equal merged
-// group tables, array by array. Bits of shape turn on ExactDistinct and
-// DisableSkipping, the latter so that chunks the classification would
-// settle reach the masked kernels with full and empty masks.
-func FuzzScanKernelsVsScalar(f *testing.F) {
+// COUNT(DISTINCT)), then runs it through the engine and through
+// referencePartial, a row-wise aggregation that shares none of the scan,
+// and requires the same partial, group by group and cell by cell —
+// float parts by their bits, sketches by their retained hashes — and the
+// same finished rows, or the same error (requireMatchesReference). Bits
+// of shape turn on ExactDistinct and DisableSkipping, the latter so that
+// chunks the classification would settle reach the masked kernels with
+// full and empty masks.
+func FuzzScanKernelsVsReference(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(0))
 	f.Add(int64(2012), uint16(1000), uint16(7))
 	f.Add(int64(-7), uint16(1), uint16(3))
@@ -35,25 +42,30 @@ func FuzzScanKernelsVsScalar(f *testing.F) {
 	f.Add(int64(99), uint16(64), uint16(129))
 	f.Add(int64(3), uint16(7000), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, shape uint16) {
-		diffKernelsVsScalar(t, seed, int(rows)%8192, shape)
+		diffScanVsReference(t, seed, int(rows)%8192, shape)
 	})
 }
 
-// TestScanKernelsVsScalarSweep runs the differential trial over a fixed
+// TestScanKernelsVsReferenceSweep runs the differential trial over a fixed
 // range of seeds, sizes and shapes, so that a plain `go test` — not only a
 // fuzzing run — walks the restriction and kernel branches.
-func TestScanKernelsVsScalarSweep(t *testing.T) {
+func TestScanKernelsVsReferenceSweep(t *testing.T) {
 	for seed := int64(0); seed < 1000; seed++ {
-		diffKernelsVsScalar(t, seed, 1+int(seed*37%1500), uint16(seed))
+		diffScanVsReference(t, seed, 1+int(seed*37%1500), uint16(seed))
 	}
 }
 
-// diffKernelsVsScalar is one differential trial.
-func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
+// diffScanVsReference is one differential trial.
+func diffScanVsReference(t *testing.T, seed int64, rows int, shape uint16) {
 	t.Helper()
 	if rows == 0 {
 		rows = 1
 	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("trial: seed %d, rows %d, shape %d", seed, rows, shape)
+		}
+	}()
 	rng := rand.New(rand.NewSource(seed))
 
 	// Table: string s (small domain, includes the empty string), int64 n,
@@ -103,72 +115,254 @@ func diffKernelsVsScalar(t *testing.T, seed int64, rows int, shape uint16) {
 		ExactDistinct:   shape&2 != 0,
 		DisableSkipping: shape&4 != 0,
 	}
-	requireKernelsMatchScalar(t, store, opts, q)
+	requireMatchesReference(t, store, opts, q)
 }
 
-// requireKernelsMatchScalar runs q through the kernels and the scalar path
-// of engines over store with opts, and demands the same results and the
-// same merged group tables, bit for bit, or the same error.
-func requireKernelsMatchScalar(t *testing.T, store *colstore.Store, opts Options, q string) {
+// requireMatchesReference runs q on an engine over store with opts and on
+// referencePartial, and demands the same partial, group by group, and the
+// same finished rows, bit for bit. Errors: with skipping off the engine
+// evaluates every row predicate at every row, so it must raise the
+// reference's error or, with the reference, none. With skipping on, chunk
+// classification may skip the chunks that hold the failing rows: an engine
+// error must still be one the reference raises, but an answer is compared
+// with the reference's, whose failing comparisons read as false — the
+// rows of a skipped chunk are out whichever way they read. It returns the
+// engine's result, nil if the query failed.
+func requireMatchesReference(t *testing.T, store *colstore.Store, opts Options, q string) *Result {
 	t.Helper()
-	scalarOpts := opts
-	scalarOpts.DisableKernels = true
-	kernel, scalar := New(store, opts), New(store, scalarOpts)
-	kres, kerr := kernel.Query(q)
-	sres, serr := scalar.Query(q)
-
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	e := New(store, opts)
+	want, werr := referencePartial(t, store, stmt, e.opts)
+	res, err := e.Query(q)
 	switch {
-	case (kerr == nil) != (serr == nil):
-		t.Fatalf("error divergence for %q:\n  kernel: %v\n  scalar: %v", q, kerr, serr)
-	case kerr != nil:
-		if kerr.Error() != serr.Error() {
-			t.Fatalf("error text divergence for %q:\n  kernel: %v\n  scalar: %v", q, kerr, serr)
+	case err != nil && (werr == nil || err.Error() != werr.Error()):
+		t.Fatalf("error divergence for %q:\n  engine:    %v\n  reference: %v", q, err, werr)
+	case err != nil:
+		return nil
+	case werr != nil && opts.DisableSkipping:
+		t.Fatalf("error divergence for %q:\n  engine:    none\n  reference: %v", q, werr)
+	}
+	part, err := enginePartial(e, stmt)
+	if err != nil {
+		t.Fatalf("partial %q: %v", q, err)
+	}
+	got := part.rowwise()
+	got.Stats, want.Columns = QueryStats{}, got.Columns
+	sortRefGroups(got)
+	sortRefGroups(want)
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("group divergence for %q:\n  engine:\n%s  reference:\n%s", q, got, want)
+	}
+	for i := range got.Groups {
+		if g, w := &got.Groups[i], &want.Groups[i]; !sameRefGroup(g, w) {
+			t.Fatalf("group %d diverges for %q:\n  engine:\n%s  reference:\n%s", i, q,
+				&refPartial{Groups: []refGroup{*g}}, &refPartial{Groups: []refGroup{*w}})
 		}
-		return
 	}
-	if !reflect.DeepEqual(kres.Columns, sres.Columns) {
-		t.Fatalf("column divergence for %q:\n  kernel: %v\n  scalar: %v", q, kres.Columns, sres.Columns)
+	rows := referenceFinalize(t, stmt, want).Rows
+	if !slices.EqualFunc(res.Rows, rows, func(a, b []value.Value) bool { return slices.EqualFunc(a, b, sameBits) }) {
+		t.Fatalf("row divergence for %q:\n  engine:    %v\n  reference: %v", q, res.Rows, rows)
 	}
-	if !reflect.DeepEqual(kres.Rows, sres.Rows) {
-		t.Fatalf("row divergence for %q:\n  kernel: %#v\n  scalar: %#v", q, kres.Rows, sres.Rows)
-	}
-	requireSameGroupTables(t, q, kernel, scalar)
+	return res
 }
 
-// requireSameGroupTables runs q's scan on both engines and compares the
-// merged group tables array by array — what ORDER BY and LIMIT hide from a
-// comparison of result rows: global-ids, counts, sums (floats by their
-// bits), MIN/MAX ids, and COUNT(DISTINCT) runs, of hashes or, under
-// ExactDistinct, of global-ids.
-func requireSameGroupTables(t *testing.T, q string, kernel, scalar *Engine) {
+// enginePartial is e's RunPartial for stmt, also under ExactDistinct,
+// which RunPartial refuses only because exact sets do not merge across
+// shards.
+func enginePartial(e *Engine, stmt *sql.SelectStmt) (*Partial, error) {
+	if !e.opts.ExactDistinct {
+		return e.RunPartial(stmt)
+	}
+	ps := e.store.NewPinSet()
+	defer ps.Release()
+	p, err := e.prepare(stmt, ps)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := e.runGroupBy(p)
+	if err != nil {
+		return nil, err
+	}
+	out.resolve()
+	return out, nil
+}
+
+// referencePartial aggregates stmt over store row by row, with none of the
+// engine's scan: naiveGroups selects and groups the store's rows, read
+// chunk by chunk through the dictionaries, and each group's cells
+// accumulate per row and are totalled at the end — the shape of maho's
+// Aggregator (SNIPPETS.md §3). A float sum adds a chunk's rows in
+// ascending order and then the chunks' sums in chunk order, the order the
+// engine's merge fixes (addFloats). COUNT(DISTINCT) offers a value's hash,
+// or under ExactDistinct its global-id, to a KMV of opts.SketchM (exact:
+// exactM). A failing comparison reads as false, and the first error comes
+// back beside the partial. Columns are left to the caller.
+func referencePartial(t testing.TB, store *colstore.Store, stmt *sql.SelectStmt, opts Options) (*refPartial, error) {
 	t.Helper()
-	var tables [2]*groupSet
-	for i, e := range []*Engine{kernel, scalar} {
-		p, release := planned(t, e, q)
-		defer release()
-		groups, _, err := e.executeChunks(p)
-		if err != nil {
-			t.Fatalf("executeChunks %q: %v", q, err)
-		}
-		tables[i] = groups
-	}
-	k, s := tables[0], tables[1]
-	if !slices.Equal(k.gids, s.gids) || len(k.aggs) != len(s.aggs) {
-		t.Fatalf("group divergence for %q:\n  kernel: %v\n  scalar: %v", q, k.gids, s.gids)
-	}
-	for j := range k.aggs {
-		ka, sa := &k.aggs[j], &s.aggs[j]
-		if ka.has != sa.has || ka.m != sa.m || !slices.Equal(ka.counts, sa.counts) || !slices.Equal(ka.sumI, sa.sumI) ||
-			!slices.Equal(ka.parts.off, sa.parts.off) || !slices.Equal(ka.parts.vals, sa.parts.vals) ||
-			!slices.Equal(ka.vals.ids, sa.vals.ids) ||
-			!slices.Equal(ka.hashes.off, sa.hashes.off) || !slices.Equal(ka.hashes.vals, sa.hashes.vals) {
-			t.Fatalf("aggregate %d diverges for %q:\n  kernel: %+v\n  scalar: %+v", j, q, *ka, *sa)
+	chunkOf, rowOf := make([]int, 0, store.NumRows()), make([]int, 0, store.NumRows())
+	for ci := 0; ci < store.NumChunks(); ci++ {
+		for r := 0; r < store.ChunkRows(ci); r++ {
+			chunkOf, rowOf = append(chunkOf, ci), append(rowOf, r)
 		}
 	}
+	// One row, moved from row to row: what rowAt returns is read before
+	// rowAt is called again.
+	row := &refStoreRow{store: store, cols: map[string]*colstore.Column{}}
+	rowAt := func(i int) expr.Row {
+		row.ci, row.r = chunkOf[i], rowOf[i]
+		return row
+	}
+	groups, werr := naiveGroups(stmt, len(chunkOf), rowAt)
+	m := opts.SketchM
+	if opts.ExactDistinct {
+		m = exactM
+	}
+	out := &refPartial{}
+	for _, g := range groups {
+		rg := refGroup{Keys: g.keys}
+		for _, item := range stmt.Items {
+			call, ok := item.Expr.(*sql.Call)
+			if !ok {
+				continue
+			}
+			var c refCell
+			name := strings.ToLower(call.Name)
+			switch {
+			case name == "count" && !call.Distinct:
+				c.Count = int64(len(g.rows))
+			case name == "count":
+				c.Sketch = sketch.NewKMV(m)
+			case name == "sum" || name == "avg":
+				c.Count = int64(len(g.rows))
+			}
+			rows := g.rows
+			if call.Star {
+				rows = nil // COUNT(*): the count is all of it
+			}
+			chunk, run, part := -1, 0.0, 0.0
+			for _, i := range rows {
+				v, err := expr.Eval(call.Args[0], rowAt(i))
+				if err != nil {
+					t.Fatalf("reference: %s: %v", call, err)
+				}
+				switch name {
+				case "sum", "avg":
+					if v.Kind() == value.KindInt64 {
+						c.SumI, c.SumIsInt = c.SumI+v.Int(), true
+						continue
+					}
+					if chunkOf[i] != chunk {
+						chunk, part, run = chunkOf[i], part+run, 0
+					}
+					run += v.Float()
+				case "min":
+					if !c.Min.IsValid() || v.Compare(c.Min) < 0 {
+						c.Min = v
+					}
+				case "max":
+					if !c.Max.IsValid() || v.Compare(c.Max) > 0 {
+						c.Max = v
+					}
+				case "count":
+					if c.Sketch != nil {
+						c.Sketch.AddHash(distinctRef(t, store, call, v, opts.ExactDistinct))
+					}
+				}
+			}
+			if chunk >= 0 {
+				c.SumFParts = []float64{part + run}
+			}
+			rg.Cells = append(rg.Cells, c)
+		}
+		out.Groups = append(out.Groups, rg)
+	}
+	return out, werr
 }
 
-// randomKernelQuery assembles a query from the restriction and aggregate
-// grammar both scan paths support.
+// refStoreRow is row r of chunk ci of a store, as expr reads rows: each
+// column's value through its chunk dictionary and global dictionary.
+type refStoreRow struct {
+	store *colstore.Store
+	cols  map[string]*colstore.Column
+	ci, r int
+}
+
+func (x *refStoreRow) ColumnValue(name string) value.Value {
+	col, ok := x.cols[name]
+	if !ok {
+		col = x.store.Column(name)
+		x.cols[name] = col
+	}
+	if col == nil {
+		return value.Value{}
+	}
+	return col.ValueAt(x.ci, x.r)
+}
+
+// distinctRef is what v offers COUNT(DISTINCT call's column): the hash the
+// sketch takes for a value of its kind or, exact, its global-id.
+func distinctRef(t testing.TB, store *colstore.Store, call *sql.Call, v value.Value, exact bool) uint64 {
+	if exact {
+		id, ok := store.Column(call.Args[0].String()).Dict.Lookup(v)
+		if !ok {
+			t.Fatalf("reference: %v is not in %s's dictionary", v, call.Args[0])
+		}
+		return uint64(id)
+	}
+	switch v.Kind() {
+	case value.KindInt64:
+		return sketch.HashUint64(uint64(v.Int()))
+	case value.KindFloat64:
+		return sketch.HashUint64(math.Float64bits(v.Float()))
+	}
+	return sketch.HashString(v.Str())
+}
+
+// sortRefGroups orders a partial's groups by their keys.
+func sortRefGroups(p *refPartial) {
+	slices.SortFunc(p.Groups, func(a, b refGroup) int {
+		for k := range a.Keys {
+			if c := a.Keys[k].Compare(b.Keys[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+}
+
+// sameRefGroup reports whether two groups are equal, key for key and cell
+// for cell: floats by their bits, sketches by the hashes they retain.
+func sameRefGroup(a, b *refGroup) bool {
+	if !slices.EqualFunc(a.Keys, b.Keys, sameBits) || len(a.Cells) != len(b.Cells) {
+		return false
+	}
+	for j := range a.Cells {
+		x, y := &a.Cells[j], &b.Cells[j]
+		if x.Count != y.Count || x.SumI != y.SumI || x.SumIsInt != y.SumIsInt ||
+			!slices.EqualFunc(x.SumFParts, y.SumFParts, func(f, g float64) bool { return math.Float64bits(f) == math.Float64bits(g) }) ||
+			!sameBits(x.Min, y.Min) || !sameBits(x.Max, y.Max) || (x.Sketch == nil) != (y.Sketch == nil) {
+			return false
+		}
+		if x.Sketch != nil && (x.Sketch.M() != y.Sketch.M() || !slices.Equal(x.Sketch.RetainedHashes(), y.Sketch.RetainedHashes())) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether two values are equal, floats by their bits.
+func sameBits(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat64 && b.Kind() == value.KindFloat64 {
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return a == b
+}
+
+// randomKernelQuery assembles a query from the engine's restriction and
+// aggregate grammar.
 func randomKernelQuery(rng *rand.Rand, strCard, intCard, lastPart int) string {
 	strLit := func() string {
 		// Mix of present values, the empty string, and guaranteed misses.

@@ -421,14 +421,11 @@ func (s *maskScratch) bitmap(depth, rows int) *enc.Bitmap {
 	return s.bitmaps[depth]
 }
 
-// mask computes the row-selection bitmap of the tree for chunk ci. p (the
-// compiled plan, nil in tests) supplies pre-resolved pinned column
-// pointers to the row-predicate fallback. On the kernel path the bitmap
-// belongs to sc and is good until sc's next mask.
+// mask computes the row-selection bitmap of the tree for chunk ci with
+// eval. p (the compiled plan, nil in tests) supplies pre-resolved pinned
+// column pointers to the row-predicate fallback. The bitmap belongs to sc
+// and is good until sc's next mask.
 func (r *restriction) mask(e *Engine, p *plan, ci int, sc *maskScratch) (*enc.Bitmap, error) {
-	if e.opts.DisableKernels {
-		return r.maskScalar(e, p, ci)
-	}
 	state, err := r.eval(e, p, ci, sc, 0)
 	if err != nil {
 		return nil, err
@@ -443,7 +440,7 @@ func (r *restriction) mask(e *Engine, p *plan, ci int, sc *maskScratch) (*enc.Bi
 	return m, nil
 }
 
-// eval is the kernel path's mask evaluation. It decides every leaf on the
+// eval is the mask evaluation. It decides every leaf on the
 // chunk dictionary first (leafVerdicts counts the satisfying distinct
 // values on its way): a leaf no value or every value of the chunk
 // satisfies is activeNone or activeAll and touches neither the elements
@@ -465,8 +462,8 @@ func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth in
 		for _, c := range r.children {
 			if state == decided {
 				// The remaining children cannot change the rows; evaluate
-				// only those that could surface an error the scalar
-				// reference path would report.
+				// only those that could surface an error, so that whether a
+				// query fails does not depend on the order of its children.
 				if c.canError() {
 					if _, err := c.eval(e, p, ci, sc, depth+1); err != nil {
 						return 0, err
@@ -604,60 +601,13 @@ func (r *restriction) leafVerdicts(ch *colstore.Chunk, verdict []uint8) int {
 	return n
 }
 
-// maskScalar is the reference mask evaluation (Options.DisableKernels):
-// every node gets a bitmap of its own and every leaf is spread row by row,
-// with none of eval's shortcuts.
-func (r *restriction) maskScalar(e *Engine, p *plan, ci int) (*enc.Bitmap, error) {
-	rows := e.store.ChunkRows(ci)
-	switch r.op {
-	case rAnd, rOr:
-		out, err := r.children[0].maskScalar(e, p, ci)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range r.children[1:] {
-			m, err := c.maskScalar(e, p, ci)
-			if err != nil {
-				return nil, err
-			}
-			if r.op == rAnd {
-				out.And(m)
-			} else {
-				out.Or(m)
-			}
-		}
-		return out, nil
-	case rNot:
-		m, err := r.children[0].maskScalar(e, p, ci)
-		if err != nil {
-			return nil, err
-		}
-		m.Not()
-		return m, nil
-	case rInSet, rRange:
-		ch := r.colRef.Chunks[ci]
-		verdict := make([]uint8, len(ch.GlobalIDs))
-		m := enc.NewBitmap(rows)
-		if r.leafVerdicts(ch, verdict) > 0 {
-			for row := 0; row < rows; row++ {
-				if verdict[ch.Elems.At(row)] == 1 {
-					m.Set(row)
-				}
-			}
-		}
-		return m, nil
-	case rRowPred:
-		m := enc.NewBitmap(rows)
-		return m, e.rowPredMask(r.rowExpr, p, ci, m)
-	}
-	return nil, fmt.Errorf("exec: cannot mask restriction op %d", r.op)
-}
-
 // canError reports whether evaluating the tree's mask can surface an
 // error: only the row-predicate fallback evaluates expressions per row; id
 // sets, ranges and their boolean combinations cannot fail. eval skips a
-// subtree whose rows no longer matter only when this is false, so it never
-// hides an error the scalar reference path would report.
+// subtree whose rows no longer matter only when this is false, so its
+// shortcuts never hide an error: a masked chunk fails exactly when one of
+// its rows fails a row predicate, whichever way the tree's other leaves
+// decide that row.
 func (r *restriction) canError() bool {
 	if r.op == rRowPred {
 		return true

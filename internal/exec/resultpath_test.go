@@ -246,7 +246,7 @@ func TestPartialFollowsLayout(t *testing.T) {
 			p, release := planned(t, e, q)
 			var sc chunkAggCtx
 			sc.begin(p)
-			e.aggregateChunk(p, 0, nil, nil, &sc)
+			e.aggregateChunk(p, 0, nil, &sc)
 			part := sc.newPartial(p)
 			groups, _, err := e.executeChunks(p)
 			release()
@@ -418,7 +418,7 @@ func BenchmarkChunkScanAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci := 0; ci < chunks; ci++ {
-			e.aggregateChunk(p, ci, nil, nil, &w.chunkAggCtx)
+			e.aggregateChunk(p, ci, nil, &w.chunkAggCtx)
 			if len(w.present) != 2000 {
 				b.Fatalf("%d groups", len(w.present))
 			}
