@@ -3,10 +3,10 @@ package colstore
 // Integrity checksums. Save records a CRC32C (Castagnoli) per on-disk
 // record — the head record (dictionary plus chunk-count varint), every
 // chunk record, and every dictionary shard frame — computed over the exact
-// file bytes a cold load reads (compressed bytes with a codec, raw bytes
-// otherwise). Readers verify on every cold read; a
-// mismatch degrades like a missing shard: an error carrying file and byte
-// range, never a silently wrong answer.
+// file bytes a cold load reads (a codec record's bytes with a codec,
+// whether compressed or stored raw; raw bytes otherwise). Readers verify
+// on every cold read; a mismatch degrades like a missing shard: an error
+// carrying file and byte range, never a silently wrong answer.
 
 import (
 	"fmt"
@@ -48,9 +48,10 @@ func (e *ChecksumError) Error() string {
 }
 
 // headFileLen is the byte length of a column's head record (dictionary
-// plus chunk-count varint) inside the column file: the compressed head
-// record with a codec, the bytes before the first chunk otherwise (all of
-// a chunkless file, which only the verifier's fuzzer builds).
+// plus chunk-count varint) inside the column file: its codec record
+// (compressed or, from generation 6, possibly raw) with a codec, the bytes
+// before the first chunk otherwise (all of a chunkless file, which only
+// the verifier's fuzzer builds).
 func headFileLen(mc manifestCol, compressed bool, fileLen int64) int64 {
 	if compressed {
 		return mc.DictCLen
@@ -61,8 +62,27 @@ func headFileLen(mc manifestCol, compressed bool, fileLen int64) int64 {
 	return fileLen
 }
 
+// headRawLen is the raw byte length of a column's head record: the
+// dictionary and the chunk-count varint after it.
+func headRawLen(mc manifestCol) int64 {
+	return mc.DictLen + int64(uvarintLen(uint64(len(mc.Chunks))))
+}
+
+// headStoredRaw and chunkStoredRaw report whether a record of a codec
+// store of generation gen sits in the file raw. Below formatRawRecords
+// every record is compressed; from it on, a record is raw exactly when its
+// file length equals its raw length, which compressRecords never lets a
+// compressed record reach.
+func headStoredRaw(mc manifestCol, gen int) bool {
+	return gen >= formatRawRecords && mc.DictCLen == headRawLen(mc)
+}
+
+func chunkStoredRaw(ch manifestChunk, gen int) bool {
+	return gen >= formatRawRecords && ch.CLen == ch.Len
+}
+
 // chunkFileRange is the byte range of one chunk record in the column file:
-// the compressed record with a codec, the raw record otherwise.
+// the codec record with a codec, the raw record otherwise.
 func chunkFileRange(ch manifestChunk, compressed bool) (off, n int64) {
 	if compressed {
 		return ch.COff, ch.CLen

@@ -26,11 +26,14 @@
 // manifestChunk) — enough metadata to decide which chunks a restriction
 // can match, and to load and verify any single dictionary or chunk,
 // without touching the rest of the file. With a codec, every record is
-// compressed individually and its compressed byte range recorded too, so
-// the exact-read property holds under compression. There is one format
-// generation (docs/format.md); a store written by an earlier build is
-// refused with ErrOldFormat by everything except the eager Open, which is
-// what Upgrade rewrites it with.
+// encoded individually — compressed, or kept raw where the codec does not
+// shrink it below 7/8 — and its file byte range recorded too, so the
+// exact-read property holds under compression. Save writes format
+// generation 6 and every reader accepts generations 5 and 6
+// (docs/format.md), decoding a file by the generation of the manifest
+// that lists it; a store written by an earlier build is refused with
+// ErrOldFormat by everything except the eager Open, which is what Upgrade
+// rewrites it with.
 //
 // # Lazy stores and the Reader
 //

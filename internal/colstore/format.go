@@ -21,18 +21,29 @@ import (
 // experiments (Figure 5 charges disk loads by these exact byte counts) and
 // the pdrill CLI.
 //
-// There is one format generation. The manifest records, per column, the
-// byte range, global-id span, Bloom filter and CRC32C of every record — the
-// head record (global dictionary plus chunk-count varint) and one record
-// per chunk — so a cold load is one exact ReadAt of one record, verified
-// and, with a codec, decompressed alone. Stores written by earlier builds
-// (generations 1–4: no chunk layout, whole-file codec, no checksums) are
-// read by exactly one function, the eager Open, which is all Upgrade needs
-// to rewrite them; everything else refuses them with ErrOldFormat.
+// Save writes generation 6; every reader accepts generations 5 and 6. The
+// manifest records, per column, the byte range, global-id span, Bloom
+// filter and CRC32C of every record — the head record (global dictionary
+// plus chunk-count varint) and one record per chunk — so a cold load is
+// one exact ReadAt of one record, verified and, with a codec, decompressed
+// alone. Generation 6 differs from 5 in two ways, both chosen by the
+// writer per record: a record the codec does not shrink below 7/8 of its
+// raw length is stored raw (its file length then equals its raw length,
+// which is how readers tell), and a numeric dictionary is written as
+// fixed-width deltas of order-preserving keys instead of 8-byte words.
+// Stores written by earlier builds (generations 1–4: no chunk layout,
+// whole-file codec, no checksums) are read by exactly one function, the
+// eager Open, which is all Upgrade needs to rewrite them; everything else
+// refuses them with ErrOldFormat.
 
-// formatVersion is the manifest generation this package writes, and the
-// only one the lazy reader, the sidecar and the scrub accept.
-const formatVersion = 5
+// formatVersion is the manifest generation Save writes, and the newest one
+// any reader accepts.
+const formatVersion = 6
+
+// formatRawRecords is the first generation whose codec stores may hold a
+// record raw and whose numeric dictionaries are key deltas. Below it, a
+// codec store compresses every record and numbers are 8-byte words.
+const formatRawRecords = 6
 
 // ErrOldFormat is what errors.Is matches when a store directory was
 // written in format generation 1–4; the error itself is an
@@ -48,8 +59,8 @@ type OldFormatError struct {
 }
 
 func (e *OldFormatError) Error() string {
-	return fmt.Sprintf("colstore: %s is format generation %d and this build reads generation %d only: "+
-		"convert it with `pdrill upgrade -store %s -out NEWDIR`", e.Dir, e.Generation, formatVersion, e.Dir)
+	return fmt.Sprintf("colstore: %s is format generation %d and this build reads generations %d–%d only: "+
+		"convert it with `pdrill upgrade -store %s -out NEWDIR`", e.Dir, e.Generation, formatChecksums, formatVersion, e.Dir)
 }
 
 func (e *OldFormatError) Unwrap() error { return ErrOldFormat }
@@ -73,11 +84,12 @@ type manifestCol struct {
 	// DictLen is the byte length of the dictionary header at the start of
 	// the (uncompressed) column stream.
 	DictLen int64 `json:"dict_len,omitempty"`
-	// DictCLen is the compressed byte length of the head record (dictionary
-	// plus chunk-count varint) at the start of the column file; set exactly
-	// when the store has a codec.
+	// DictCLen is the file length of the head record (dictionary plus
+	// chunk-count varint) at the start of the column file; set exactly when
+	// the store has a codec. From generation 6 the record is stored raw
+	// exactly when DictCLen equals its raw length (headRawLen).
 	DictCLen int64 `json:"dict_clen,omitempty"`
-	// DictCRC is the CRC32C of the head record's file bytes: the compressed
+	// DictCRC is the CRC32C of the head record's file bytes: its codec
 	// record with a codec, otherwise every byte before the first chunk.
 	DictCRC uint32 `json:"dict_crc,omitempty"`
 	// Chunks is the per-chunk layout: value span for restriction pruning
@@ -111,8 +123,9 @@ type manifestDictShard struct {
 // manifestChunk records one chunk's residency metadata: the global-id span
 // of its chunk-dictionary (Min > Max marks an empty chunk) and the byte
 // range [Off, Off+Len) of its record in the uncompressed column stream.
-// With a codec, [COff, COff+CLen) is additionally the compressed record's
-// byte range in the column file — the exact range a cold load reads.
+// With a codec, [COff, COff+CLen) is additionally the record's byte range
+// in the column file — the exact range a cold load reads. From generation
+// 6 the record is stored raw there exactly when CLen == Len.
 type manifestChunk struct {
 	Min  uint32 `json:"min"`
 	Max  uint32 `json:"max"`
@@ -125,7 +138,7 @@ type manifestChunk struct {
 	// matches nothing in the chunk, pruning it before any load — the check
 	// the [Min, Max] span cannot make on unsorted columns.
 	Bloom []byte `json:"bloom,omitempty"`
-	// CRC is the CRC32C of the chunk record's file bytes: the compressed
+	// CRC is the CRC32C of the chunk record's file bytes: the codec
 	// record [COff, COff+CLen) with a codec, [Off, Off+Len) otherwise.
 	CRC uint32 `json:"crc,omitempty"`
 }
@@ -140,8 +153,8 @@ type manifestOpts struct {
 
 // Save persists the store into dir (created if needed). codecName may be
 // empty for uncompressed files or any registered codec; a codec compresses
-// the dictionary and every chunk individually, so cold loads read exact
-// byte ranges either way.
+// the dictionary and every chunk individually (keeping a record raw where
+// it does not pay), so cold loads read exact byte ranges either way.
 func Save(s *Store, dir, codecName string) error {
 	var codec compress.Codec
 	if codecName != "" {
@@ -178,7 +191,7 @@ func Save(s *Store, dir, codecName string) error {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
 		file := fmt.Sprintf("col_%04d.bin", i)
-		raw, dictLen, chunkMetas := encodeColumn(col)
+		raw, dictLen, chunkMetas := encodeColumn(col, formatVersion)
 		buildChunkBlooms(col, chunkMetas)
 		mc := manifestCol{
 			Name: name, Kind: col.Kind.String(), Virtual: col.Virtual, File: file,
@@ -186,7 +199,7 @@ func Save(s *Store, dir, codecName string) error {
 		}
 		ps.Release()
 		if codec != nil {
-			raw, mc = compressRecords(codec, raw, mc)
+			raw, mc = compressRecords(codec, raw, mc, formatVersion)
 		}
 		addColChecksums(&mc, raw, codec != nil)
 		if err := vfs().WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
@@ -283,42 +296,60 @@ func uvarintLen(v uint64) int {
 // compressRecords rewrites one column's raw stream with per-record codec
 // framing: a head record (dictionary plus chunk-count varint, the
 // bytes before the first chunk) followed by one record per chunk, each
-// compressed independently. The returned manifest entry carries the
-// compressed byte range of every record.
-func compressRecords(codec compress.Codec, raw []byte, mc manifestCol) ([]byte, manifestCol) {
-	headLen := int64(len(raw))
-	if len(mc.Chunks) > 0 {
-		headLen = mc.Chunks[0].Off
+// compressed independently. From generation gen = formatRawRecords on, a
+// record stays compressed only if that makes it strictly smaller than 7/8
+// of its raw length, and is stored raw otherwise — so a compressed record
+// is never as long as its raw form, and a reader tells the two apart by
+// length. The returned manifest entry carries the file byte range of every
+// record.
+func compressRecords(codec compress.Codec, raw []byte, mc manifestCol, gen int) ([]byte, manifestCol) {
+	var out []byte
+	record := func(src []byte) (off, n int64) {
+		start := len(out)
+		out = codec.Compress(out, src)
+		if gen >= formatRawRecords && !keepCompressed(len(out)-start, len(src)) {
+			out = append(out[:start], src...)
+		}
+		return int64(start), int64(len(out) - start)
 	}
-	out := codec.Compress(nil, raw[:headLen])
-	mc.DictCLen = int64(len(out))
+	_, mc.DictCLen = record(raw[:headRawLen(mc)])
 	for i := range mc.Chunks {
 		ch := &mc.Chunks[i]
-		rec := codec.Compress(nil, raw[ch.Off:ch.Off+ch.Len])
-		ch.COff = int64(len(out))
-		ch.CLen = int64(len(rec))
-		out = append(out, rec...)
+		ch.COff, ch.CLen = record(raw[ch.Off : ch.Off+ch.Len])
 	}
 	return out, mc
 }
 
+// keepCompressed is generation 6's codec rule: a compressed record is kept
+// only when it is strictly smaller than 7/8 of its raw length, since
+// decompressing it costs more than reading the bytes it saves.
+func keepCompressed(compressed, raw int) bool { return 8*compressed < 7*raw }
+
 // decompressColumnFile rebuilds a column's uncompressed stream from its
-// per-record-compressed file contents.
-func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) ([]byte, error) {
-	if mc.DictCLen > int64(len(data)) {
-		return nil, errTruncated
+// per-record file contents, decompressing the records generation gen
+// stored compressed and copying the ones it stored raw.
+func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte, gen int) ([]byte, error) {
+	var raw []byte
+	record := func(off, n int64, stored bool) error {
+		if off < 0 || n < 0 || off+n > int64(len(data)) {
+			return errTruncated
+		}
+		if stored {
+			raw = append(raw, data[off:off+n]...)
+			return nil
+		}
+		var err error
+		raw, err = codec.Decompress(raw, data[off:off+n])
+		return err
 	}
-	raw, err := codec.Decompress(nil, data[:mc.DictCLen])
-	if err != nil {
+	if err := record(0, mc.DictCLen, headStoredRaw(mc, gen)); err != nil {
 		return nil, err
 	}
-	for i := range mc.Chunks {
-		ch := mc.Chunks[i]
-		if ch.COff+ch.CLen > int64(len(data)) || int64(len(raw)) != ch.Off {
+	for _, ch := range mc.Chunks {
+		if int64(len(raw)) != ch.Off {
 			return nil, errTruncated
 		}
-		raw, err = codec.Decompress(raw, data[ch.COff:ch.COff+ch.CLen])
-		if err != nil {
+		if err := record(ch.COff, ch.CLen, chunkStoredRaw(ch, gen)); err != nil {
 			return nil, err
 		}
 		if int64(len(raw)) != ch.Off+ch.Len {
@@ -328,30 +359,13 @@ func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) ([]
 	return raw, nil
 }
 
-// encodeColumn renders a column's dictionary and chunks. Alongside the raw
-// stream it reports the layout the manifest records for chunk-granular
-// loads: the dictionary's byte length and each chunk's value span and byte
-// range within the stream.
-func encodeColumn(col *Column) (raw []byte, dictLen int64, chunkMetas []manifestChunk) {
-	var out []byte
-	// Dictionary: count then kind-specific payload.
-	out = appendUvarint(out, uint64(col.Dict.Len()))
-	switch col.Kind {
-	case value.KindString:
-		for i := 0; i < col.Dict.Len(); i++ {
-			s := col.Dict.Value(uint32(i)).Str()
-			out = appendUvarint(out, uint64(len(s)))
-			out = append(out, s...)
-		}
-	case value.KindInt64:
-		for i := 0; i < col.Dict.Len(); i++ {
-			out = appendLE64(out, uint64(col.Dict.Value(uint32(i)).Int()))
-		}
-	case value.KindFloat64:
-		for i := 0; i < col.Dict.Len(); i++ {
-			out = appendLE64(out, floatBitsOf(col.Dict.Value(uint32(i)).Float()))
-		}
-	}
+// encodeColumn renders a column's dictionary and chunks in format
+// generation gen (formatVersion, or a virtual sidecar's older base
+// generation). Alongside the raw stream it reports the layout the manifest
+// records for chunk-granular loads: the dictionary's byte length and each
+// chunk's value span and byte range within the stream.
+func encodeColumn(col *Column, gen int) (raw []byte, dictLen int64, chunkMetas []manifestChunk) {
+	out := appendDict(nil, col.Dict, col.Kind, gen)
 	dictLen = int64(len(out))
 	// Chunks.
 	out = appendUvarint(out, uint64(len(col.Chunks)))
@@ -382,6 +396,33 @@ func encodeColumn(col *Column) (raw []byte, dictLen int64, chunkMetas []manifest
 		chunkMetas = append(chunkMetas, meta)
 	}
 	return out, dictLen, chunkMetas
+}
+
+// appendDict appends a global dictionary as generation gen writes it: the
+// count, then a string's length and bytes per value, or a numeric
+// dictionary's words (generation 5) or key deltas (numdict.go).
+func appendDict(out []byte, d dict.Dict, kind value.Kind, gen int) []byte {
+	n := d.Len()
+	out = appendUvarint(out, uint64(n))
+	switch {
+	case kind == value.KindString:
+		for i := 0; i < n; i++ {
+			s := d.Value(uint32(i)).Str()
+			out = appendUvarint(out, uint64(len(s)))
+			out = append(out, s...)
+		}
+	case gen < formatRawRecords:
+		for i := 0; i < n; i++ {
+			out = appendLE64(out, numericWord(d.Value(uint32(i))))
+		}
+	default:
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = numericKey(d.Value(uint32(i)))
+		}
+		out = appendKeyDeltas(out, keys)
+	}
+	return out
 }
 
 // DiskStats reports how many bytes Open read, the quantity Figure 5's
@@ -428,10 +469,10 @@ func (m *manifest) generation() int {
 }
 
 // checkCurrent is the gate of every reader but the eager Open: an
-// *OldFormatError for generations 1–4, and for the current generation a
-// check that every column carries the layout cold reads rely on.
+// *OldFormatError for generations 1–4, and for generations 5 and 6 a check
+// that every column carries the layout cold reads rely on.
 func (m *manifest) checkCurrent(dir string) error {
-	if gen := m.generation(); gen < formatVersion {
+	if gen := m.generation(); gen < formatChecksums {
 		return &OldFormatError{Dir: dir, Generation: gen}
 	}
 	for _, mc := range m.Columns {
@@ -444,7 +485,7 @@ func (m *manifest) checkCurrent(dir string) error {
 
 // checkLayout verifies one column entry (of the manifest or of its virtual
 // sidecar) records a dictionary length and one chunk per store chunk, with
-// compressed ranges when the store has a codec.
+// codec record ranges when the store has a codec.
 func (m *manifest) checkLayout(mc manifestCol) error {
 	if mc.DictLen <= 0 || len(mc.Chunks) != len(m.Bounds)-1 || (m.Codec != "" && mc.DictCLen <= 0) {
 		return fmt.Errorf("colstore: column %q has no chunk layout", mc.Name)
@@ -509,7 +550,7 @@ func Open(dir string) (*Store, *DiskStats, error) {
 			if m.Format < 3 {
 				raw, err = codec.Decompress(nil, raw)
 			} else {
-				raw, err = decompressColumnFile(codec, mc, raw)
+				raw, err = decompressColumnFile(codec, mc, raw, m.Format)
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("colstore: decompress column %q: %w", mc.Name, err)
@@ -519,7 +560,7 @@ func Open(dir string) (*Store, *DiskStats, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 		}
-		col, err := decodeColumn(mc.Name, kind, mc.Virtual, raw, s.Opts.StringDict)
+		col, err := decodeColumn(mc.Name, kind, mc.Virtual, raw, s.Opts.StringDict, m.Format)
 		if err != nil {
 			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 		}
@@ -559,10 +600,10 @@ func Upgrade(oldDir, newDir string) error {
 	return Save(s, newDir, m.Codec)
 }
 
-// decodeColumn parses the output of encodeColumn.
-func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd StringDictKind) (*Column, error) {
+// decodeColumn parses the output of encodeColumn for generation gen.
+func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd StringDictKind, gen int) (*Column, error) {
 	r := &byteReader{buf: raw}
-	d, err := decodeDict(r, kind, sd)
+	d, err := decodeDict(r, kind, sd, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -581,12 +622,13 @@ func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd Str
 	return col, nil
 }
 
-// decodeDict parses the dictionary header encodeColumn writes. The record is
-// not trusted: the count is bounded by the bytes left (a string takes at
-// least its length byte, a number eight) before anything is allocated, and
-// the values must ascend strictly, which the dictionaries' constructors
-// otherwise panic on.
-func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
+// decodeDict parses the dictionary header encodeColumn writes in generation
+// gen. The record is not trusted: the count is bounded by the bytes left (a
+// string takes at least its length byte, a number in generation 5 eight
+// bytes, a delta its width) before anything is allocated, and the values
+// must ascend strictly — checked once, by the dictionary constructor, which
+// reports an error instead of panicking.
+func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind, gen int) (dict.Dict, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -607,52 +649,53 @@ func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, e
 				return nil, err
 			}
 			vals[i] = string(b)
-			if i > 0 && vals[i-1] >= vals[i] {
-				return nil, errDictOrder(i)
-			}
 		}
 		switch sd {
 		case StringDictTrie:
-			return dict.NewTrie(vals), nil
+			return dict.TrieOf(vals)
 		case StringDictSharded:
-			return dict.NewSharded(vals, dict.ShardedOptions{Retain: true}), nil
+			return dict.ShardedOf(vals, dict.ShardedOptions{Retain: true})
 		default:
-			return dict.NewStringArray(vals), nil
+			return dict.StringArrayOf(vals)
 		}
 	case value.KindInt64:
-		words, err := r.words(n)
+		var vals []int64
+		if gen >= formatRawRecords {
+			vals, err = decodeKeyDeltas(r, n, keyInt64)
+		} else {
+			vals, err = decodeWords(r, n, func(w uint64) int64 { return int64(w) })
+		}
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(words[8*i:]))
-			if i > 0 && vals[i-1] >= vals[i] {
-				return nil, errDictOrder(i)
-			}
-		}
-		return dict.NewInt64s(vals), nil
+		return dict.Int64sOf(vals)
 	case value.KindFloat64:
-		words, err := r.words(n)
+		var vals []float64
+		if gen >= formatRawRecords {
+			vals, err = decodeKeyDeltas(r, n, keyFloat64)
+		} else {
+			vals, err = decodeWords(r, n, math.Float64frombits)
+		}
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = floatFromBits(binary.LittleEndian.Uint64(words[8*i:]))
-			if i > 0 && vals[i-1] >= vals[i] {
-				return nil, errDictOrder(i)
-			}
-		}
-		return dict.NewFloat64s(vals), nil
+		return dict.Float64sOf(vals)
 	}
 	return nil, fmt.Errorf("invalid kind %v", kind)
 }
 
-// errDictOrder reports a dictionary record whose entry i does not follow
-// entry i−1 in strictly ascending order.
-func errDictOrder(i int) error {
-	return fmt.Errorf("colstore: dictionary values do not ascend strictly at entry %d", i)
+// decodeWords reads generation 5's numeric dictionary payload: n 8-byte
+// little-endian words, n bounded once by the bytes left.
+func decodeWords[T int64 | float64](r *byteReader, n uint64, of func(uint64) T) ([]T, error) {
+	words, err := r.words(n)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]T, n)
+	for i := range vals {
+		vals[i] = of(binary.LittleEndian.Uint64(words[8*i:]))
+	}
+	return vals, nil
 }
 
 // decodeChunk parses one chunk record written by encodeColumn. The record is
@@ -712,21 +755,19 @@ type byteReader struct {
 
 var errTruncated = errors.New("colstore: truncated column file")
 
+// uvarint reads one uvarint. A varint running past the buffer, or past
+// ten bytes, or overflowing 64 bits in its tenth is errTruncated.
 func (r *byteReader) uvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	for i := 0; ; i++ {
-		if r.off >= len(r.buf) || i > 9 {
-			return 0, errTruncated
-		}
-		b := r.buf[r.off]
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
 		r.off++
-		if b < 0x80 {
-			return v | uint64(b)<<shift, nil
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
+		return uint64(r.buf[r.off-1]), nil
 	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		return 0, errTruncated
+	}
+	r.off += n
+	return v, nil
 }
 
 func (r *byteReader) take(n int) ([]byte, error) {
@@ -745,6 +786,3 @@ func (r *byteReader) words(n uint64) ([]byte, error) {
 	}
 	return r.take(int(n) * 8)
 }
-
-// floatFromBits is the inverse of floatBitsOf.
-func floatFromBits(v uint64) float64 { return math.Float64frombits(v) }

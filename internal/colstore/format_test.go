@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -253,15 +254,56 @@ func TestDecodeChunkRejectsHostile(t *testing.T) {
 	}
 }
 
+// TestUvarintRefusals: the cursor's uvarint gives binary.Uvarint's verdict
+// wherever the varint sits — a one-byte varint, one with ten or more bytes
+// left (binary.Uvarint itself), one near the end of the buffer — and
+// refuses a varint that runs off the buffer, past ten bytes, or past 64
+// bits in its tenth byte.
+func TestUvarintRefusals(t *testing.T) {
+	maxU64 := append(bytes.Repeat([]byte{0xff}, 9), 0x01)
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want uint64
+		ok   bool
+	}{
+		{"one byte", []byte{0x7f}, 0x7f, true},
+		{"two bytes", []byte{0x80, 0x01}, 0x80, true},
+		{"max uint64", maxU64, math.MaxUint64, true},
+		{"truncated", []byte{0x80, 0x80}, 0, false},
+		{"empty", nil, 0, false},
+		{"eleven bytes", append(bytes.Repeat([]byte{0x80}, 10), 0x01), 0, false},
+		{"tenth byte overflows", append(bytes.Repeat([]byte{0xff}, 9), 0x02), 0, false},
+	} {
+		// Alone, ending the buffer, and followed by sixteen more bytes.
+		for _, pad := range []int{0, 16} {
+			buf := append(append([]byte(nil), c.enc...), make([]byte, pad)...)
+			if pad > 0 && !c.ok && len(c.enc) < 10 {
+				continue // padding would complete a truncated varint
+			}
+			r := &byteReader{buf: buf}
+			got, err := r.uvarint()
+			if (err == nil) != c.ok || got != c.want || (c.ok && r.off != len(c.enc)) {
+				t.Errorf("%s, %d bytes after: %d, %v, read %d bytes", c.name, pad, got, err, r.off)
+			}
+		}
+	}
+}
+
 // TestDecodeDictRejectsHostile: a dictionary record is not trusted either. A
-// count the record's bytes cannot hold — eight a number, at least one a
-// string — fails before anything is allocated for it (an int64 count of
-// 2⁶³−1 used to panic in make, a string count of 2³² to run the process out
-// of memory), and values that do not ascend strictly fail with an error
-// instead of the constructors' panic, for every string dictionary kind. The
-// good records decode to their values; the chunk-count varint after them is
-// left unread.
+// count the record's bytes cannot hold — eight a number in generation 5, a
+// delta's width in generation 6, at least one a string — fails before
+// anything is allocated for it (an int64 count of 2⁶³−1 used to panic in
+// make, a string count of 2³² to run the process out of memory), and values
+// that do not ascend strictly fail with an error instead of the
+// constructors' panic, for every string dictionary kind. Generation 6's
+// delta framing refuses a width byte other than 1, 2, 4 or 8 or wider than
+// its deltas need, a zero delta and a delta that wraps the key; the
+// extremes of both kinds decode bit for bit. The good records decode to
+// their values; the chunk-count varint after them is left unread.
 func TestDecodeDictRejectsHostile(t *testing.T) {
+	// rec is a record in either generation's string layout, or in
+	// generation 5's numeric one: the count, then each value.
 	rec := func(n uint64, vals ...any) []byte {
 		out := appendUvarint(nil, n)
 		for _, v := range vals {
@@ -276,35 +318,102 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 		}
 		return appendUvarint(out, 7) // the head record's chunk count
 	}
-	for _, c := range []struct {
+	// deltas is a generation-6 numeric record spelled out: the count, the
+	// first key, then the width byte and the deltas, each delta w bytes.
+	deltas := func(n, first uint64, w byte, ds ...uint64) []byte {
+		out := binary.LittleEndian.AppendUint64(appendUvarint(nil, n), first)
+		out = append(out, w)
+		for _, d := range ds {
+			for b := 0; b < int(w) && b < 8; b++ {
+				out = append(out, byte(d>>(8*b)))
+			}
+		}
+		return appendUvarint(out, 7)
+	}
+	// keys is a generation-6 numeric record as Save writes it.
+	keys := func(vals ...value.Value) []byte {
+		ks := make([]uint64, len(vals))
+		for i, v := range vals {
+			ks[i] = numericKey(v)
+		}
+		return appendUvarint(appendKeyDeltas(appendUvarint(nil, uint64(len(vals))), ks), 7)
+	}
+	i64, f64 := value.Int64, value.Float64
+	k0 := uint64(1) << 63 // the key of int64 0
+	type hostile struct {
 		name string
+		gen  int
 		kind value.Kind
 		rec  []byte
 		want []value.Value // nil: an error
-	}{
-		{"int64 count 2^63-1", value.KindInt64, rec(math.MaxInt64, int64(1)), nil},
-		{"float64 count 2^40", value.KindFloat64, rec(1<<40, 1.5), nil},
-		{"string count 2^32", value.KindString, rec(1<<32, "a", "b"), nil},
-		{"int64 count past the bytes", value.KindInt64, rec(3, int64(1), int64(2)), nil},
-		{"string count past the bytes", value.KindString, rec(4, "a", "b"), nil},
-		{"int64 repeated", value.KindInt64, rec(2, int64(5), int64(5)), nil},
-		{"int64 descending", value.KindInt64, rec(3, int64(-1), int64(7), int64(5)), nil},
-		{"float64 repeated", value.KindFloat64, rec(2, 1.5, 1.5), nil},
-		{"string descending", value.KindString, rec(2, "b", "a"), nil},
-		{"string repeated", value.KindString, rec(3, "", "a", "a"), nil},
-		{"int64", value.KindInt64, rec(3, int64(-4), int64(0), int64(9)),
-			[]value.Value{value.Int64(-4), value.Int64(0), value.Int64(9)}},
-		{"float64", value.KindFloat64, rec(2, -0.5, 2.25), []value.Value{value.Float64(-0.5), value.Float64(2.25)}},
-		{"string", value.KindString, rec(3, "", "a", "ab"), []value.Value{value.String(""), value.String("a"), value.String("ab")}},
-		{"empty", value.KindString, rec(0), []value.Value{}},
-	} {
+	}
+	cases := []hostile{
+		{"int64 count 2^63-1", 5, value.KindInt64, rec(math.MaxInt64, int64(1)), nil},
+		{"float64 count 2^40", 5, value.KindFloat64, rec(1<<40, 1.5), nil},
+		{"int64 count past the bytes", 5, value.KindInt64, rec(3, int64(1), int64(2)), nil},
+		{"int64 repeated", 5, value.KindInt64, rec(2, int64(5), int64(5)), nil},
+		{"int64 descending", 5, value.KindInt64, rec(3, int64(-1), int64(7), int64(5)), nil},
+		{"float64 repeated", 5, value.KindFloat64, rec(2, 1.5, 1.5), nil},
+		{"int64", 5, value.KindInt64, rec(3, int64(-4), int64(0), int64(9)), []value.Value{i64(-4), i64(0), i64(9)}},
+		{"float64", 5, value.KindFloat64, rec(2, -0.5, 2.25), []value.Value{f64(-0.5), f64(2.25)}},
+
+		{"width 0", 6, value.KindInt64, deltas(2, k0, 0), nil},
+		{"width 3", 6, value.KindInt64, deltas(2, k0, 3, 1), nil},
+		{"width 9", 6, value.KindInt64, deltas(2, k0, 9, 1, 0), nil},
+		{"width 2 for 1-byte deltas", 6, value.KindInt64, deltas(3, k0, 2, 1, 255), nil},
+		{"width byte missing", 6, value.KindInt64, binary.LittleEndian.AppendUint64(appendUvarint(nil, 2), k0), nil},
+		{"first key missing", 6, value.KindFloat64, append(appendUvarint(nil, 1), 1, 2, 3), nil},
+		{"count 2^62", 6, value.KindInt64, deltas(1<<62, k0, 1, 1, 2), nil},
+		{"zero delta", 6, value.KindInt64, deltas(3, k0, 1, 1, 0), nil},
+		{"zero delta, float64", 6, value.KindFloat64, deltas(2, numericKey(f64(1.5)), 1, 0), nil},
+		{"wrapping delta", 6, value.KindInt64, deltas(2, math.MaxUint64-1, 1, 5), nil},
+		{"wrapping 8-byte delta", 6, value.KindInt64, deltas(3, k0, 8, 1, math.MaxUint64), nil},
+		{"-0 then +0", 6, value.KindFloat64, keys(f64(math.Copysign(0, -1)), f64(0)), nil},
+		{"int64 extremes", 6, value.KindInt64, keys(i64(math.MinInt64), i64(-1), i64(0), i64(math.MaxInt64)),
+			[]value.Value{i64(math.MinInt64), i64(-1), i64(0), i64(math.MaxInt64)}},
+		{"int64 1-byte deltas", 6, value.KindInt64, deltas(3, k0-4, 1, 4, 9), []value.Value{i64(-4), i64(0), i64(9)}},
+		{"int64 one value", 6, value.KindInt64, keys(i64(math.MinInt64)), []value.Value{i64(math.MinInt64)}},
+		{"float64 extremes and -0", 6, value.KindFloat64,
+			keys(f64(math.Inf(-1)), f64(-math.MaxFloat64), f64(-5e-324), f64(math.Copysign(0, -1)), f64(5e-324),
+				f64(math.SmallestNonzeroFloat64*3), f64(2.2250738585072014e-308), f64(math.Inf(1))),
+			[]value.Value{f64(math.Inf(-1)), f64(-math.MaxFloat64), f64(-5e-324), f64(math.Copysign(0, -1)), f64(5e-324),
+				f64(math.SmallestNonzeroFloat64 * 3), f64(2.2250738585072014e-308), f64(math.Inf(1))}},
+		{"float64 +0", 6, value.KindFloat64, keys(f64(-1), f64(0), f64(1)), []value.Value{f64(-1), f64(0), f64(1)}},
+		{"int64 empty", 6, value.KindInt64, keys(), []value.Value{}},
+	}
+	// Every width: a record whose deltas need it decodes; one whose count
+	// runs two past the deltas present (the chunk count after them could
+	// pass for one) does not.
+	for _, w := range []struct {
+		w   byte
+		big uint64
+	}{{1, 200}, {2, 300}, {4, 70000}, {8, 1 << 40}} {
+		want := []value.Value{i64(-1), i64(0), i64(int64(w.big))}
+		cases = append(cases,
+			hostile{fmt.Sprintf("width %d", w.w), 6, value.KindInt64, deltas(3, k0-1, w.w, 1, w.big), want},
+			hostile{fmt.Sprintf("width %d count past the bytes", w.w), 6, value.KindInt64, deltas(5, k0-1, w.w, 1, w.big), nil},
+		)
+	}
+	// Strings are framed alike in both generations.
+	for _, gen := range []int{5, 6} {
+		cases = append(cases,
+			hostile{"string count 2^32", gen, value.KindString, rec(1<<32, "a", "b"), nil},
+			hostile{"string count past the bytes", gen, value.KindString, rec(4, "a", "b"), nil},
+			hostile{"string descending", gen, value.KindString, rec(2, "b", "a"), nil},
+			hostile{"string repeated", gen, value.KindString, rec(3, "", "a", "a"), nil},
+			hostile{"string", gen, value.KindString, rec(3, "", "a", "ab"), []value.Value{value.String(""), value.String("a"), value.String("ab")}},
+			hostile{"empty", gen, value.KindString, rec(0), []value.Value{}},
+		)
+	}
+	for _, c := range cases {
 		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie, StringDictSharded} {
 			if c.kind != value.KindString && sd != StringDictArray {
 				continue
 			}
-			name := c.name + "/" + string(sd)
+			name := fmt.Sprintf("gen%d/%s/%s", c.gen, c.name, sd)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			r := &byteReader{buf: c.rec}
 			d, err := func() (d dict.Dict, err error) {
 				defer func() {
 					if p := recover(); p != nil {
@@ -312,7 +421,7 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 						t.Errorf("%s: %v", name, err)
 					}
 				}()
-				return decodeDict(&byteReader{buf: c.rec}, c.kind, sd)
+				return decodeDict(r, c.kind, sd, c.gen)
 			}()
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
@@ -330,9 +439,13 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 				continue
 			}
 			for i, w := range c.want {
-				if got := d.Value(uint32(i)); got != w {
+				got := d.Value(uint32(i))
+				if got != w || (w.Kind() == value.KindFloat64 && math.Float64bits(got.Float()) != math.Float64bits(w.Float())) {
 					t.Errorf("%s: value %d is %v, want %v", name, i, got, w)
 				}
+			}
+			if n, err := r.uvarint(); err != nil || n != 7 || r.off != len(c.rec) {
+				t.Errorf("%s: the decoder did not stop at the chunk count (%d, %v)", name, n, err)
 			}
 		}
 	}

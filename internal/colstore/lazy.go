@@ -146,8 +146,9 @@ func (r *Reader) Columns() []ColumnMeta {
 func (r *Reader) Bounds() []int { return r.m.Bounds }
 
 // LoadColumnDict decodes only the named column's global dictionary: the
-// head record's byte range is read from disk, verified, and with a codec
-// decompressed alone. The reported disk bytes are exactly that record's.
+// head record's byte range is read from disk, verified, and, if the codec
+// compressed it, decompressed alone. The reported disk bytes are exactly
+// that record's.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 	return r.loadColumnDict(name, nil)
 }
@@ -177,14 +178,14 @@ func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, 
 	if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
 		return nil, 0, err
 	}
-	if r.m.Codec != "" {
+	if r.m.Codec != "" && !headStoredRaw(mc, r.m.Format) {
 		if raw, err = r.decompress(mustCodec(r.m.Codec), raw, bufs); err != nil {
 			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
 		}
 	}
 	// The head record ends in the chunk-count varint; the decoder stops at
 	// the dictionary's end and ignores it.
-	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd)
+	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd, r.m.Format)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
 	}
@@ -248,8 +249,9 @@ func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Di
 }
 
 // LoadColumnChunk decodes a single chunk of the named column: only the
-// chunk record's byte range is read, and with a codec only that record is
-// decompressed. The reported disk bytes are exactly the record's.
+// chunk record's byte range is read, and only that record is decompressed
+// (if the codec compressed it). The reported disk bytes are exactly the
+// record's.
 func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
 	return r.loadColumnChunk(name, chunk, nil)
 }

@@ -1,0 +1,287 @@
+package colstore
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"powerdrill/internal/compress"
+	"powerdrill/internal/memmgr"
+	"powerdrill/internal/value"
+)
+
+// savedManifest reads the manifest Save wrote into dir.
+func savedManifest(t *testing.T, dir string) *manifest {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
+}
+
+// TestStoredRawRecords: a generation-6 zippy store keeps the records zippy
+// does not shrink below 7/8 raw, and compresses the rest. Every reader
+// agrees on what it holds — the lazy loads, the eager Open and Upgrade,
+// which rewrites the same bytes — and the scrub verifies both kinds. A raw
+// record is still checksummed: a flipped byte in one is a ChecksumError at
+// load and a dirty scrub verdict.
+func TestStoredRawRecords(t *testing.T) {
+	built, dir := buildSavedStore(t, 20000, "zippy")
+	m := savedManifest(t, dir)
+	if m.Format != formatVersion {
+		t.Fatalf("Save wrote generation %d, want %d", m.Format, formatVersion)
+	}
+	type record struct {
+		col     manifestCol
+		chunk   int // -1: the head record
+		off, n  int64
+		rawLen  int64
+		storedR bool
+	}
+	var records []record
+	for _, mc := range m.Columns {
+		records = append(records, record{mc, -1, 0, mc.DictCLen, headRawLen(mc), headStoredRaw(mc, m.Format)})
+		for ci, ch := range mc.Chunks {
+			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, chunkStoredRaw(ch, m.Format)})
+		}
+	}
+	var raw, compressed *record
+	for i := range records {
+		rec := &records[i]
+		if rec.storedR {
+			raw = rec
+		} else {
+			compressed = rec
+			if !keepCompressed(int(rec.n), int(rec.rawLen)) {
+				t.Errorf("column %q record %d kept compressed at %d of %d bytes", rec.col.Name, rec.chunk, rec.n, rec.rawLen)
+			}
+		}
+	}
+	if raw == nil || compressed == nil {
+		t.Fatalf("want raw and compressed records in one store (raw %v, compressed %v)", raw != nil, compressed != nil)
+	}
+
+	eager, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertColumnsEqual(t, built, eager)
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	assertColumnsEqual(t, built, lazy)
+	up := filepath.Join(t.TempDir(), "up")
+	if err := Upgrade(dir, up); err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range m.Columns {
+		want, _ := os.ReadFile(filepath.Join(dir, mc.File))
+		got, _ := os.ReadFile(filepath.Join(up, mc.File))
+		if !bytes.Equal(want, got) {
+			t.Errorf("Upgrade rewrote column %q differently (%d bytes, was %d)", mc.Name, len(got), len(want))
+		}
+	}
+	verified := 0
+	for _, f := range ScrubDir(dir, dir) {
+		if !f.OK() {
+			t.Fatalf("scrub: %s: %s", f.Path, f.Err)
+		}
+		verified += f.Records
+	}
+	if verified != len(records) {
+		t.Fatalf("scrub verified %d records, the store holds %d", verified, len(records))
+	}
+
+	// A flipped byte in the first raw chunk record and in the first raw
+	// head record.
+	var flips []record
+	for _, head := range []bool{false, true} {
+		for _, rec := range records {
+			if rec.storedR && (rec.chunk < 0) == head {
+				flips = append(flips, rec)
+				break
+			}
+		}
+	}
+	if len(flips) != 2 {
+		t.Fatalf("want a raw chunk record and a raw head record, have %d of them", len(flips))
+	}
+	for _, rec := range flips {
+		t.Run(fmt.Sprintf("%s/%d", rec.col.Name, rec.chunk), func(t *testing.T) {
+			path := filepath.Join(dir, rec.col.File)
+			orig, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer os.WriteFile(path, orig, 0o644)
+			flipBit(t, path, rec.off+rec.n/2)
+			r, _, err := NewReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if rec.chunk < 0 {
+				_, _, err = r.LoadColumnDict(rec.col.Name)
+			} else {
+				_, _, err = r.LoadColumnChunk(rec.col.Name, rec.chunk)
+			}
+			var ce *ChecksumError
+			if !errors.As(err, &ce) || ce.Off != rec.off || ce.Len != rec.n {
+				t.Fatalf("load of record %d after a flip = %v, want a ChecksumError at [%d,%d)", rec.chunk, err, rec.off, rec.off+rec.n)
+			}
+			if _, _, err := Open(dir); !errors.As(err, &ce) {
+				t.Fatalf("eager Open after a flip = %v, want a ChecksumError", err)
+			}
+			dirty := 0
+			for _, f := range ScrubDir(dir, dir) {
+				if !f.OK() {
+					dirty++
+					if f.Path != rec.col.File || !strings.Contains(f.Err, "checksum mismatch") {
+						t.Errorf("scrub verdict %s: %s", f.Path, f.Err)
+					}
+				}
+			}
+			if dirty != 1 {
+				t.Fatalf("scrub found %d dirty files, want 1", dirty)
+			}
+		})
+	}
+}
+
+// TestKeepCompressedNeverRawLength: whatever the codec makes of a record,
+// a compressed record kept by generation 6 is never as long as its raw form
+// — the length a reader takes for "stored raw" — for raw lengths 0–64.
+func TestKeepCompressedNeverRawLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range []string{"zippy", "lzoish"} {
+		codec, err := compress.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= 64; n++ {
+			for c := 0; c <= n+16; c++ {
+				if keepCompressed(c, n) && c >= n {
+					t.Fatalf("keepCompressed(%d, %d) keeps a record no shorter than raw", c, n)
+				}
+			}
+			for _, chunk := range [][]byte{make([]byte, n), bytes.Repeat([]byte("ab"), n)[:n], randBytes(rng, n)} {
+				// A one-chunk column: a one-byte head record, then the chunk.
+				raw := append([]byte{1}, chunk...)
+				mc := manifestCol{Chunks: []manifestChunk{{Off: 1, Len: int64(n)}}}
+				file, mc := compressRecords(codec, raw, mc, formatVersion)
+				ch := mc.Chunks[0]
+				if chunkStoredRaw(ch, formatVersion) != bytes.Equal(file[ch.COff:ch.COff+ch.CLen], chunk) {
+					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, chunkStoredRaw(ch, formatVersion), file[ch.COff:], chunk)
+				}
+				back, err := decompressColumnFile(codec, mc, file, formatVersion)
+				if err != nil || !bytes.Equal(back, raw) {
+					t.Fatalf("%s, %d bytes: the column file decodes to %x, %v", name, n, back, err)
+				}
+			}
+		}
+	}
+}
+
+func randBytes(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
+// TestVirtualColumnOnParentBase: a virtual column materialized on the
+// committed generation-5 base (testdata/parent5) is written in the base's
+// generation — a sidecar is decoded by the generation its manifest
+// records, and it must match the base it sits next to — so after a reopen
+// it is served from disk, beside the sidecar column the older build wrote,
+// with the values it was built with.
+func TestVirtualColumnOnParentBase(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent5")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			if rel == "segs" {
+				return filepath.SkipDir // ingest state: not the base store's
+			}
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), blob, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.HasColumn("date(timestamp)") {
+		t.Fatal("the fixture's generation-5 sidecar column is not registered")
+	}
+	str := materializeSuffix(t, s, "suffix(country)", "?")
+	lat, err := s.ColumnErr("latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []value.Value
+	for ci := 0; ci < s.NumChunks(); ci++ {
+		for r := 0; r < s.ChunkRows(ci); r++ {
+			vals = append(vals, value.Int64(-3*lat.ValueAt(ci, r).Int()))
+		}
+	}
+	ps := s.NewPinSet()
+	num, err := s.AddVirtualColumnPinned(ps, "-3*latency", value.KindInt64, vals)
+	ps.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if vm := sidecarManifest(t, dir); vm.Format != 5 || len(vm.Columns) != 3 {
+		t.Fatalf("sidecar is generation %d with %d columns, want the base's generation 5 with 3", vm.Format, len(vm.Columns))
+	}
+
+	re, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, want := range []*Column{str, num} {
+		got, err := re.ColumnErr(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.residentColumn(want.Name) != nil {
+			t.Fatalf("%s was re-materialized, not read from the sidecar", want.Name)
+		}
+		for ci := 0; ci < re.NumChunks(); ci++ {
+			for r := 0; r < re.ChunkRows(ci); r++ {
+				if g, w := got.ValueAt(ci, r), want.ValueAt(ci, r); g != w {
+					t.Fatalf("%s chunk %d row %d = %v after reopen, want %v", want.Name, ci, r, g, w)
+				}
+			}
+		}
+	}
+	if _, err := re.ColumnErr("date(timestamp)"); err != nil {
+		t.Fatal(err)
+	}
+}

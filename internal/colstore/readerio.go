@@ -227,8 +227,8 @@ func (r *Reader) Close() error {
 }
 
 // chunkRecord resolves chunk ci of the named column: its manifest entry and
-// the byte range of the chunk's record in the column file — compressed
-// bytes with a codec, raw bytes otherwise. An unknown column or a chunk
+// the byte range of the chunk's record in the column file — the codec
+// record with a codec, raw bytes otherwise. An unknown column or a chunk
 // index out of range is an error.
 func (r *Reader) chunkRecord(name string, ci int) (mc manifestCol, off, n int64, err error) {
 	mc, ok := r.colMeta(name)
@@ -260,8 +260,8 @@ func (r *Reader) DictFileLen(name string) (int64, error) {
 }
 
 // DecodeChunkRecord decodes one chunk from its file-level record bytes (as
-// delimited by ChunkFileRange): a compressed record with a codec, the raw
-// record otherwise.
+// delimited by ChunkFileRange): the codec record with a codec — compressed,
+// or from generation 6 possibly raw — the raw record otherwise.
 func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
 	return r.decodeChunkRecord(name, ci, rec, nil)
 }
@@ -276,7 +276,7 @@ func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBu
 		return nil, err
 	}
 	raw := rec
-	if r.m.Codec != "" {
+	if r.m.Codec != "" && !chunkStoredRaw(mc.Chunks[ci], r.m.Format) {
 		raw, err = r.decompress(mustCodec(r.m.Codec), rec, bufs)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,17 +87,18 @@ func TestNewerFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := strings.Replace(string(blob), `"format": 5`, `"format": 6`, 1)
+	cur, newer := fmt.Sprintf(`"format": %d`, formatVersion), fmt.Sprintf(`"format": %d`, formatVersion+1)
+	next := strings.Replace(string(blob), cur, newer, 1)
 	if next == string(blob) {
-		t.Fatal("manifest does not record format 5")
+		t.Fatalf("manifest does not record %s", cur)
 	}
 	if err := os.WriteFile(path, []byte(next), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir); err == nil || errors.Is(err, ErrOldFormat) {
-		t.Fatalf("Open of a format-6 store = %v, want a newer-build refusal", err)
+		t.Fatalf("Open of a %s store = %v, want a newer-build refusal", newer, err)
 	}
 	if _, _, err := OpenLazy(dir, memmgr.New(0, "")); err == nil || errors.Is(err, ErrOldFormat) {
-		t.Fatalf("OpenLazy of a format-6 store = %v, want a newer-build refusal", err)
+		t.Fatalf("OpenLazy of a %s store = %v, want a newer-build refusal", newer, err)
 	}
 }

@@ -103,13 +103,13 @@ func (vs *virtualSidecar) matches(m *manifest) bool {
 func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	src := s.lazy
 	r := src.reader
-	raw, dictLen, chunkMetas := encodeColumn(col)
+	raw, dictLen, chunkMetas := encodeColumn(col, r.m.Format)
 	mc := manifestCol{
 		Name: col.Name, Kind: col.Kind.String(), Virtual: true,
 		DictLen: dictLen, Chunks: chunkMetas,
 	}
 	if r.m.Codec != "" {
-		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc)
+		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc, r.m.Format)
 	}
 	addColChecksums(&mc, raw, r.m.Codec != "")
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {

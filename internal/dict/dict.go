@@ -68,13 +68,35 @@ type StringArray struct {
 // NewStringArray builds a dictionary from strictly sorted, distinct
 // strings. It panics if the input is not sorted or has duplicates, which
 // would indicate an import-pipeline bug.
-func NewStringArray(sorted []string) *StringArray {
+func NewStringArray(sorted []string) *StringArray { return must(StringArrayOf(sorted)) }
+
+// StringArrayOf is NewStringArray for input that is not trusted (a decoded
+// record): out-of-order input is an error, not a panic.
+func StringArrayOf(sorted []string) (*StringArray, error) {
+	if err := checkStrings(sorted); err != nil {
+		return nil, err
+	}
+	return &StringArray{vals: sorted}, nil
+}
+
+// checkStrings is the one order check of every string dictionary
+// constructor: values must ascend strictly.
+func checkStrings(sorted []string) error {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1] >= sorted[i] {
-			panic(fmt.Sprintf("dict: strings not strictly sorted at %d: %q >= %q", i, sorted[i-1], sorted[i]))
+			return fmt.Errorf("dict: strings not strictly sorted at %d: %q >= %q", i, sorted[i-1], sorted[i])
 		}
 	}
-	return &StringArray{vals: sorted}
+	return nil
+}
+
+// must turns a checked constructor's error into the panic of its
+// trusted-input twin.
+func must[T any](d T, err error) T {
+	if err != nil {
+		panic(err.Error())
+	}
+	return d
 }
 
 // Kind implements Dict.
@@ -149,13 +171,16 @@ type Int64s struct {
 }
 
 // NewInt64s builds a dictionary from strictly sorted, distinct int64s.
-func NewInt64s(sorted []int64) *Int64s {
+func NewInt64s(sorted []int64) *Int64s { return must(Int64sOf(sorted)) }
+
+// Int64sOf is NewInt64s returning an error for out-of-order input.
+func Int64sOf(sorted []int64) (*Int64s, error) {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1] >= sorted[i] {
-			panic(fmt.Sprintf("dict: int64s not strictly sorted at %d", i))
+			return nil, fmt.Errorf("dict: int64s not strictly sorted at %d", i)
 		}
 	}
-	return &Int64s{vals: sorted}
+	return &Int64s{vals: sorted}, nil
 }
 
 // Kind implements Dict.
@@ -212,13 +237,20 @@ type Float64s struct {
 }
 
 // NewFloat64s builds a dictionary from strictly sorted, distinct float64s.
-func NewFloat64s(sorted []float64) *Float64s {
+// NaN, which orders against nothing, is refused wherever it stands.
+func NewFloat64s(sorted []float64) *Float64s { return must(Float64sOf(sorted)) }
+
+// Float64sOf is NewFloat64s returning an error for out-of-order input.
+func Float64sOf(sorted []float64) (*Float64s, error) {
+	if len(sorted) == 1 && sorted[0] != sorted[0] {
+		return nil, fmt.Errorf("dict: float64s hold NaN")
+	}
 	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			panic(fmt.Sprintf("dict: float64s not strictly sorted at %d", i))
+		if !(sorted[i-1] < sorted[i]) {
+			return nil, fmt.Errorf("dict: float64s not strictly sorted at %d", i)
 		}
 	}
-	return &Float64s{vals: sorted}
+	return &Float64s{vals: sorted}, nil
 }
 
 // Kind implements Dict.

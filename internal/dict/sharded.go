@@ -66,10 +66,13 @@ type ShardedOptions struct {
 // defaults to an in-memory copy (tests and fully-resident stores) but can
 // be replaced with a file-backed one via SetLoader.
 func NewSharded(sorted []string, opts ShardedOptions) *Sharded {
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			panic(fmt.Sprintf("dict: strings not strictly sorted at %d", i))
-		}
+	return must(ShardedOf(sorted, opts))
+}
+
+// ShardedOf is NewSharded returning an error for out-of-order input.
+func ShardedOf(sorted []string, opts ShardedOptions) (*Sharded, error) {
+	if err := checkStrings(sorted); err != nil {
+		return nil, err
 	}
 	if opts.ShardSize <= 0 {
 		opts.ShardSize = 8192
@@ -90,7 +93,7 @@ func NewSharded(sorted []string, opts ShardedOptions) *Sharded {
 		}
 		sh := shard{base: base, count: len(vals), first: vals[0], last: vals[len(vals)-1], filter: f}
 		if opts.Retain {
-			sh.resident = NewStringArray(append([]string(nil), vals...))
+			sh.resident = &StringArray{vals: append([]string(nil), vals...)} // checked above
 		}
 		d.shards = append(d.shards, sh)
 	}
@@ -117,7 +120,7 @@ func NewSharded(sorted []string, opts ShardedOptions) *Sharded {
 			}
 		}
 	}
-	return d
+	return d, nil
 }
 
 // SetLoader replaces the shard loader (e.g. with a file-backed one).
@@ -222,7 +225,11 @@ func (d *Sharded) load(i int) (*StringArray, error) {
 	if len(vals) != sh.count {
 		return nil, fmt.Errorf("dict: shard %d loaded %d values, want %d", i, len(vals), sh.count)
 	}
-	sh.resident = NewStringArray(append([]string(nil), vals...))
+	sa, err = StringArrayOf(append([]string(nil), vals...))
+	if err != nil {
+		return nil, fmt.Errorf("dict: shard %d: %w", i, err)
+	}
+	sh.resident = sa
 	d.loads.Add(1)
 	return sh.resident, nil
 }

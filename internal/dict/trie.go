@@ -53,11 +53,12 @@ type trieNode struct {
 }
 
 // NewTrie builds a trie dictionary from strictly sorted, distinct strings.
-func NewTrie(sorted []string) *Trie {
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			panic(fmt.Sprintf("dict: strings not strictly sorted at %d: %q >= %q", i, sorted[i-1], sorted[i]))
-		}
+func NewTrie(sorted []string) *Trie { return must(TrieOf(sorted)) }
+
+// TrieOf is NewTrie returning an error for out-of-order input.
+func TrieOf(sorted []string) (*Trie, error) {
+	if err := checkStrings(sorted); err != nil {
+		return nil, err
 	}
 	root := &trieNode{}
 	for _, s := range sorted {
@@ -78,7 +79,7 @@ func NewTrie(sorted []string) *Trie {
 	if len(sorted) > 0 {
 		t.root = t.write(root, nil)
 	}
-	return t
+	return t, nil
 }
 
 // nibbleAt returns the i-th 4-bit part of s (high nibble first).

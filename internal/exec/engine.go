@@ -262,7 +262,7 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err = FinalizePartial(stmt, part)
+		res, err = finalizePartial(stmt, p.orderCols, part)
 		if err != nil {
 			return nil, err
 		}
@@ -486,6 +486,9 @@ type plan struct {
 	aggs      []aggSpec
 	columns   []string // output column names: alias, or canonical expression
 	rowScan   bool     // no aggregates and no GROUP BY: plain projection
+	// orderCols maps each ORDER BY term to the select item it names
+	// (orderItems), every one checked to name one.
+	orderCols []int
 	// accessCols are the physical/virtual columns the scan reads — WHERE
 	// leaves, row-predicate columns, group columns, aggregate arguments, the
 	// composite — in the order compiling met them: what pinPlan pins and
@@ -559,10 +562,10 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 	}
 	// ORDER BY names output columns: refused here, before anything is loaded,
 	// by every engine of every deployment shape alike.
-	if err := checkOrderItems(stmt, orderItems(stmt)); err != nil {
+	p := &plan{stmt: stmt, orderCols: orderItems(stmt)}
+	if err := checkOrderItems(stmt, p.orderCols); err != nil {
 		return nil, err
 	}
-	p := &plan{stmt: stmt}
 
 	// WHERE.
 	if stmt.Where != nil {

@@ -402,6 +402,12 @@ func (e *Engine) emitPartial(p *plan, groups *groupSet) (*Partial, error) {
 // values need to be looked up in the dictionary" for those alone (Section
 // 2.5).
 func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
+	return finalizePartial(stmt, orderItems(stmt), p)
+}
+
+// finalizePartial is FinalizePartial given the select items stmt's ORDER
+// BY terms name: an engine's plan computed them already.
+func finalizePartial(stmt *sql.SelectStmt, items []int, p *Partial) (*Result, error) {
 	res := &Result{Columns: p.Columns, Stats: p.Stats, Coverage: 1}
 	if p.Stats.RowsTotal > 0 {
 		res.Coverage = float64(p.Stats.RowsCovered) / float64(p.Stats.RowsTotal)
@@ -414,7 +420,7 @@ func FinalizePartial(stmt *sql.SelectStmt, p *Partial) (*Result, error) {
 	// rowOrderTerms: every engine's plan has refused them, and the root of a
 	// tree none of whose shards answered has nothing to order.
 	var terms []orderTerm
-	for k, idx := range orderItems(stmt) {
+	for k, idx := range items {
 		if idx >= 0 {
 			terms = append(terms, orderTerm{cmp: cols[idx].comparer(), desc: stmt.OrderBy[k].Desc})
 		}
@@ -526,4 +532,6 @@ func (a *aggColumn) finished(fn aggFn, n int) valueColumn {
 // result — the root step of any multi-part row-scan merge. Ingest
 // snapshots use it after concatenating per-generation scans, mirroring
 // what FinalizePartial does for aggregates.
-func ApplyOrderLimit(stmt *sql.SelectStmt, res *Result) { res.Rows = orderRows(stmt, res.Rows) }
+func ApplyOrderLimit(stmt *sql.SelectStmt, res *Result) {
+	res.Rows = orderRows(stmt, orderItems(stmt), res.Rows)
+}

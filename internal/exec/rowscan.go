@@ -28,7 +28,7 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 	qs := e.scanStats(p)
 	nChunks, nCols := e.store.NumChunks(), int64(len(p.accessCols))
 	res := &Result{Columns: p.columns}
-	orderCols := orderItems(p.stmt) // plan has checked that each names one
+	orderCols := p.orderCols
 	// Without ORDER BY, stop claiming chunks once LIMIT rows are collected.
 	canStopEarly := len(orderCols) == 0 && p.stmt.Limit >= 0
 	chunkTopK := len(orderCols) > 0 && p.stmt.Limit >= 0
@@ -145,6 +145,6 @@ func (e *Engine) executeRowScan(p *plan) (*Result, QueryStats, error) {
 	qs.ChunksSkipped = qs.ChunksTotal - qs.ChunksScanned
 	qs.RowsSkipped = int64(e.store.NumRows()) - qs.RowsScanned
 
-	res.Rows = orderRows(p.stmt, res.Rows)
+	res.Rows = orderRows(p.stmt, orderCols, res.Rows)
 	return res, qs, nil
 }

@@ -197,12 +197,13 @@ func checkOrderItems(stmt *sql.SelectStmt, items []int) error {
 	return nil
 }
 
-// rowOrderTerms ranks finished rows by their values. ORDER BY keys that
-// match no output column are ignored: the root of a merge has no plan to
-// reject them with, and every engine's plan already has.
-func rowOrderTerms(stmt *sql.SelectStmt, rows [][]value.Value) []orderTerm {
+// rowOrderTerms ranks finished rows by their values, on the select items
+// the ORDER BY terms name (orderItems). ORDER BY keys that match no output
+// column are ignored: the root of a merge has no plan to reject them with,
+// and every engine's plan already has.
+func rowOrderTerms(stmt *sql.SelectStmt, items []int, rows [][]value.Value) []orderTerm {
 	var terms []orderTerm
-	for k, col := range orderItems(stmt) {
+	for k, col := range items {
 		if col < 0 {
 			continue
 		}
@@ -215,14 +216,14 @@ func rowOrderTerms(stmt *sql.SelectStmt, rows [][]value.Value) []orderTerm {
 	return terms
 }
 
-// orderRows applies stmt's ORDER BY and LIMIT to finished rows. The
-// survivors are copied into a slice of their own, so a LIMIT releases the
-// rows it cuts.
-func orderRows(stmt *sql.SelectStmt, rows [][]value.Value) [][]value.Value {
+// orderRows applies stmt's ORDER BY and LIMIT to finished rows; items are
+// the select items the ORDER BY terms name (orderItems). The survivors are
+// copied into a slice of their own, so a LIMIT releases the rows it cuts.
+func orderRows(stmt *sql.SelectStmt, items []int, rows [][]value.Value) [][]value.Value {
 	if len(stmt.OrderBy) == 0 && (stmt.Limit < 0 || len(rows) <= stmt.Limit) {
 		return rows
 	}
-	tk := newTopK(rowOrderTerms(stmt, rows), stmt.Limit)
+	tk := newTopK(rowOrderTerms(stmt, items, rows), stmt.Limit)
 	for i := range rows {
 		tk.offer(i)
 	}

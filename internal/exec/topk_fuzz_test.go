@@ -116,7 +116,7 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 	requireSameRows(t, q, "id form", res.Rows, want)
 
 	if stmt.Having == nil {
-		requireSameRows(t, q, "orderRows", orderRows(stmt, rows), want)
+		requireSameRows(t, q, "orderRows", orderRows(stmt, orderItems(stmt), rows), want)
 	}
 
 	// The same groups as a merged partial: keys as values, arrival order.

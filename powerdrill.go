@@ -377,8 +377,9 @@ func Open(dir string, opts Options) (*Store, int64, error) {
 var ErrOldFormat = colstore.ErrOldFormat
 
 // FormatGeneration reports the on-disk format generation of the store at
-// dir, read from its manifest alone. Open accepts exactly the generation
-// this build saves (docs/format.md); a lower one needs Upgrade first.
+// dir, read from its manifest alone. Open accepts the generation this
+// build saves and the one before it (docs/format.md); a lower one needs
+// Upgrade first.
 func FormatGeneration(dir string) (int, error) { return colstore.FormatGeneration(dir) }
 
 // Upgrade rewrites the store at oldDir, of any older format generation, as
