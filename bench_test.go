@@ -25,6 +25,7 @@ import (
 	"powerdrill/internal/prodsim"
 	"powerdrill/internal/reorder"
 	"powerdrill/internal/sketch"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
@@ -438,6 +439,55 @@ func BenchmarkColdLoad(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+}
+
+// BenchmarkRowScanCold counts what the UI's "slowest queries" table — the
+// click's one row scan, ten rows of five columns — loads from a cold store:
+// the bench layout saved with zippy and opened afresh for every iteration
+// under a quarter of its resident bytes, as bench/'s click-cold opens it.
+// cold_loads/op counts the chunks and dictionaries read, cold_bytes/op
+// their resident bytes, and disk_bytes/op the bytes read from disk.
+func BenchmarkRowScanCold(b *testing.B) {
+	const q = `SELECT timestamp, table_name, latency, country, user FROM data WHERE latency > 20000 ORDER BY latency DESC, timestamp ASC, table_name ASC LIMIT 10;`
+	store, err := colstore.FromTable(dataset(b), colstore.Options{
+		PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000,
+		OptimizeElements: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := colstore.Save(store, dir, "zippy"); err != nil {
+		b.Fatal(err)
+	}
+	var resident int64
+	for _, name := range store.Columns() {
+		resident += store.Column(name).Memory().Total()
+	}
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var loads, coldBytes, diskBytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lazy, _, err := colstore.OpenLazy(dir, memmgr.New(resident/4, "2q"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := exec.New(lazy, exec.Options{}).Run(stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loads += res.Stats.ColdChunkLoads + res.Stats.ColdDictLoads
+		coldBytes += res.Stats.ColdBytesLoaded
+		diskBytes += res.Stats.DiskBytesRead
+	}
+	b.ReportMetric(float64(loads)/float64(b.N), "cold_loads/op")
+	b.ReportMetric(float64(coldBytes)/float64(b.N), "cold_bytes/op")
+	b.ReportMetric(float64(diskBytes)/float64(b.N), "disk_bytes/op")
 }
 
 // BenchmarkCachePolicies compares LRU, 2Q and ARC under the Section 5

@@ -144,23 +144,3 @@ func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (in
 	}
 	return verified, nil
 }
-
-// verifyRecord checks one record's file bytes against its stored CRC,
-// updating the reader's counters. want == 0 skips (absent checksum).
-func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) error {
-	if want == 0 {
-		return nil
-	}
-	got := CRC32C(rec)
-	r.mu.Lock()
-	if got == want {
-		r.stats.ChecksumVerified++
-	} else {
-		r.stats.ChecksumFailed++
-	}
-	r.mu.Unlock()
-	if got != want {
-		return &ChecksumError{Path: r.dir + "/" + file, Off: off, Len: int64(len(rec)), Want: want, Got: got}
-	}
-	return nil
-}

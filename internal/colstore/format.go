@@ -623,79 +623,27 @@ func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd Str
 }
 
 // decodeDict parses the dictionary header encodeColumn writes in generation
-// gen. The record is not trusted: the count is bounded by the bytes left (a
-// string takes at least its length byte, a number in generation 5 eight
-// bytes, a delta its width) before anything is allocated, and the values
-// must ascend strictly — checked once, by the dictionary constructor, which
-// reports an error instead of panicking.
+// gen: walkDict reads and checks every value, and the dictionary is built
+// on what it returns.
 func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind, gen int) (dict.Dict, error) {
-	n, err := r.uvarint()
+	strs, ints, floats, err := walkDict(r, kind, gen, nil)
 	if err != nil {
 		return nil, err
 	}
 	switch kind {
 	case value.KindString:
-		if n > uint64(len(r.buf)-r.off) {
-			return nil, errTruncated
-		}
-		vals := make([]string, n)
-		for i := range vals {
-			l, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			b, err := r.take(int(l))
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = string(b)
-		}
 		switch sd {
 		case StringDictTrie:
-			return dict.TrieOf(vals)
+			return dict.TrieOf(strs)
 		case StringDictSharded:
-			return dict.ShardedOf(vals, dict.ShardedOptions{Retain: true})
+			return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
 		default:
-			return dict.StringArrayOf(vals)
+			return dict.StringArrayOf(strs)
 		}
 	case value.KindInt64:
-		var vals []int64
-		if gen >= formatRawRecords {
-			vals, err = decodeKeyDeltas(r, n, keyInt64)
-		} else {
-			vals, err = decodeWords(r, n, func(w uint64) int64 { return int64(w) })
-		}
-		if err != nil {
-			return nil, err
-		}
-		return dict.Int64sOf(vals)
-	case value.KindFloat64:
-		var vals []float64
-		if gen >= formatRawRecords {
-			vals, err = decodeKeyDeltas(r, n, keyFloat64)
-		} else {
-			vals, err = decodeWords(r, n, math.Float64frombits)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return dict.Float64sOf(vals)
+		return dict.Int64sOf(ints)
 	}
-	return nil, fmt.Errorf("invalid kind %v", kind)
-}
-
-// decodeWords reads generation 5's numeric dictionary payload: n 8-byte
-// little-endian words, n bounded once by the bytes left.
-func decodeWords[T int64 | float64](r *byteReader, n uint64, of func(uint64) T) ([]T, error) {
-	words, err := r.words(n)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]T, n)
-	for i := range vals {
-		vals[i] = of(binary.LittleEndian.Uint64(words[8*i:]))
-	}
-	return vals, nil
+	return dict.Float64sOf(floats)
 }
 
 // decodeChunk parses one chunk record written by encodeColumn. The record is

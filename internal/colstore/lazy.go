@@ -8,18 +8,18 @@ import (
 	"sync/atomic"
 
 	"powerdrill/internal/bloom"
-	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/memmgr"
 	"powerdrill/internal/value"
 )
 
 // This file implements the Section 5 "only a fraction of the data needs to
-// reside in RAM" machinery: a Reader that decodes a single column, a single
-// dictionary or a single chunk from the persisted format, a lazily loaded
-// Store whose data is materialized on first touch through a memmgr.Manager,
-// and the PinSet queries use to keep exactly the pieces they are scanning
-// resident while cold data gets evicted around them.
+// reside in RAM" machinery: a lazily loaded Store whose data is
+// materialized on first touch through a memmgr.Manager, from a Reader
+// (reader.go) that decodes a single dictionary or a single chunk from the
+// persisted format, and the PinSet (pinset.go) queries use to keep exactly
+// the pieces they are scanning resident while cold data gets evicted
+// around them.
 //
 // The unit of residency is the (column, chunk) pair plus one entry per
 // global dictionary: a restricted query that scans k of n chunks pins the
@@ -52,225 +52,6 @@ func spanOf(ch *Chunk) ChunkSpan {
 		return ChunkSpan{MinGID: 1, MaxGID: 0}
 	}
 	return ChunkSpan{MinGID: ch.GlobalIDs[0], MaxGID: ch.GlobalIDs[len(ch.GlobalIDs)-1]}
-}
-
-// Reader decodes individual dictionaries and chunks from a store persisted
-// with Save, each read at its exact byte range. It keeps no column data
-// itself — every Load call goes back to the files — so it is the natural
-// provider behind a budget-managed store. What it does keep is cold-I/O
-// plumbing (see readerio.go): a bounded cache of open file handles and
-// physical I/O counters. All methods are safe for concurrent use.
-type Reader struct {
-	dir string
-	m   *manifest
-	sd  StringDictKind
-
-	// colsMu guards cols: immutable for physical columns, but persisted
-	// virtual columns register new entries at query time (registerVirtual)
-	// while other queries load concurrently.
-	colsMu sync.RWMutex
-	cols   map[string]manifestCol
-
-	mu      sync.Mutex
-	files   map[string]*openFile
-	fileLRU []string
-	stats   IOStats
-}
-
-// NewReader opens the manifest in dir, which must be of the current format
-// generation (an older one is refused with an *OldFormatError).
-// manifestBytes reports the bytes read, the quantity Figure 5's latency
-// model charges.
-func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
-	m, n, err := readManifest(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := m.checkCurrent(dir); err != nil {
-		return nil, 0, err
-	}
-	if m.Codec != "" {
-		// Validate up front so every later load can resolve the codec
-		// infallibly (mustCodec): an unknown codec — a store written by a
-		// newer build, say — must fail the open, not the first cold query.
-		if _, err := compress.ByName(m.Codec); err != nil {
-			return nil, 0, fmt.Errorf("colstore: open %s: %w", dir, err)
-		}
-	}
-	r = &Reader{
-		dir:  dir,
-		m:    m,
-		sd:   StringDictKind(m.Opts.StringDict),
-		cols: make(map[string]manifestCol, len(m.Columns)),
-	}
-	if r.sd == "" {
-		r.sd = StringDictArray
-	}
-	for _, mc := range m.Columns {
-		r.cols[mc.Name] = mc
-	}
-	return r, n, nil
-}
-
-// colMeta looks up a column's manifest entry. Reads take the lock because
-// persisted virtual columns register entries while loads are in flight.
-func (r *Reader) colMeta(name string) (manifestCol, bool) {
-	r.colsMu.RLock()
-	mc, ok := r.cols[name]
-	r.colsMu.RUnlock()
-	return mc, ok
-}
-
-// registerVirtual publishes a sidecar column's manifest entry so the
-// Reader serves its loads exactly like a physical column's.
-func (r *Reader) registerVirtual(mc manifestCol) {
-	r.colsMu.Lock()
-	r.cols[mc.Name] = mc
-	r.colsMu.Unlock()
-}
-
-// Columns lists the persisted columns in manifest order.
-func (r *Reader) Columns() []ColumnMeta {
-	out := make([]ColumnMeta, 0, len(r.m.Columns))
-	for _, mc := range r.m.Columns {
-		kind, err := value.ParseKind(mc.Kind)
-		if err != nil {
-			kind = value.KindInvalid
-		}
-		out = append(out, ColumnMeta{Name: mc.Name, Kind: kind, Virtual: mc.Virtual})
-	}
-	return out
-}
-
-// Bounds returns the store's chunk row boundaries.
-func (r *Reader) Bounds() []int { return r.m.Bounds }
-
-// LoadColumnDict decodes only the named column's global dictionary: the
-// head record's byte range is read from disk, verified, and, if the codec
-// compressed it, decompressed alone. The reported disk bytes are exactly
-// that record's.
-func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
-	return r.loadColumnDict(name, nil)
-}
-
-// loadColumnDict is LoadColumnDict reading and decompressing into bufs.
-func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	kind, err := value.ParseKind(mc.Kind)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-	}
-	if d, ok := r.shardedDictFromFrames(mc, kind); ok {
-		// Sub-framed load (uncompressed sharded string dictionaries):
-		// routing bounds and Bloom filters come straight from the manifest,
-		// so no dictionary bytes are read until a query probes a shard —
-		// and each probe reads exactly that shard's byte range.
-		return d, 0, nil
-	}
-	n := headFileLen(mc, r.m.Codec != "", 0)
-	raw, err := r.readRange(mc.File, 0, n, bufs)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
-	}
-	if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
-		return nil, 0, err
-	}
-	if r.m.Codec != "" && !headStoredRaw(mc, r.m.Format) {
-		if raw, err = r.decompress(mustCodec(r.m.Codec), raw, bufs); err != nil {
-			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", name, err)
-		}
-	}
-	// The head record ends in the chunk-count varint; the decoder stops at
-	// the dictionary's end and ignores it.
-	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd, r.m.Format)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
-	}
-	return d, n, nil
-}
-
-// shardedDictFromFrames reconstructs a sharded string dictionary from the
-// manifest's sub-frames, loading no values. Applies only to uncompressed
-// stores saved with StringDictSharded: the shard byte ranges index the raw
-// column file, so each shard the query probes is served by one exact
-// ReadAt. Any malformed frame (bad Bloom bytes, non-positive count) makes
-// the whole path report !ok and the caller falls back to decoding the full
-// dictionary record — slower, never wrong.
-func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Dict, bool) {
-	if kind != value.KindString || len(mc.DictShards) == 0 ||
-		r.m.Codec != "" || r.sd != StringDictSharded {
-		return nil, false
-	}
-	frames := make([]dict.ShardFrame, len(mc.DictShards))
-	for i, ds := range mc.DictShards {
-		f, err := bloom.Unmarshal(ds.Bloom)
-		if err != nil || ds.Count <= 0 || ds.Len <= 0 {
-			return nil, false
-		}
-		frames[i] = dict.ShardFrame{Count: ds.Count, First: ds.First, Last: ds.Last, Filter: f}
-	}
-	shards := mc.DictShards
-	file := mc.File
-	loader := func(i int) ([]string, error) {
-		if i < 0 || i >= len(shards) {
-			return nil, fmt.Errorf("colstore: dict shard %d of %q out of range", i, mc.Name)
-		}
-		ds := shards[i]
-		raw, err := r.readRange(file, ds.Off, ds.Len, nil)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: load dict shard %d of %q: %w", i, mc.Name, err)
-		}
-		if err := r.verifyRecord(file, ds.Off, raw, ds.CRC); err != nil {
-			return nil, err
-		}
-		br := &byteReader{buf: raw}
-		vals := make([]string, ds.Count)
-		for j := range vals {
-			l, err := br.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
-			}
-			b, err := br.take(int(l))
-			if err != nil {
-				return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
-			}
-			vals[j] = string(b)
-		}
-		return vals, nil
-	}
-	d, err := dict.NewShardedFromFrames(frames, loader)
-	if err != nil {
-		return nil, false
-	}
-	return d, true
-}
-
-// LoadColumnChunk decodes a single chunk of the named column: only the
-// chunk record's byte range is read, and only that record is decompressed
-// (if the codec compressed it). The reported disk bytes are exactly the
-// record's.
-func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
-	return r.loadColumnChunk(name, chunk, nil)
-}
-
-// loadColumnChunk is LoadColumnChunk reading and decompressing into bufs.
-func (r *Reader) loadColumnChunk(name string, chunk int, bufs *loadBufs) (*Chunk, int64, error) {
-	mc, off, n, err := r.chunkRecord(name, chunk)
-	if err != nil {
-		return nil, 0, err
-	}
-	rec, err := r.readRange(mc.File, off, n, bufs)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
-	}
-	ch, err := r.decodeChunkRecord(name, chunk, rec, bufs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ch, n, nil
 }
 
 // lazySource wires a Store to its on-disk provider and memory manager.
@@ -531,11 +312,11 @@ func (s *Store) acquire(k *colKeys, key string, load memmgr.LoadFunc) (any, bool
 	return s.lazy.mgr.Acquire(key, load)
 }
 
-// acquireDict pins the named column's global dictionary. A cold load reads
-// and decompresses into bufs: the manager runs it on this goroutine.
-func (s *Store) acquireDict(name string, k *colKeys, bufs *loadBufs) (d dict.Dict, cold bool, size, diskBytes int64, err error) {
+// acquireDict pins a column's global dictionary. On a cold miss load
+// produces it, and the disk bytes it read, on this goroutine.
+func (s *Store) acquireDict(k *colKeys, load func() (dict.Dict, int64, error)) (d dict.Dict, cold bool, size, diskBytes int64, err error) {
 	v, cold, err := s.acquire(k, k.dict, func() (any, int64, int64, error) {
-		dd, disk, err := s.lazy.reader.loadColumnDict(name, bufs)
+		dd, disk, err := load()
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -553,7 +334,7 @@ func (s *Store) acquireDict(name string, k *colKeys, bufs *loadBufs) (d dict.Dic
 // the load then decodes without touching the disk again. The record bytes
 // are only consumed if this call actually performs the load — when another
 // query won the race, the resident chunk is shared and rec is dropped. A
-// cold load reads and decompresses into bufs, as acquireDict's does.
+// cold load reads and decompresses into bufs.
 func (s *Store) acquireChunk(name string, k *colKeys, ci int, rec []byte, bufs *loadBufs) (ch *Chunk, cold bool, size, diskBytes int64, err error) {
 	v, cold, err := s.acquire(k, k.chunks[ci], func() (any, int64, int64, error) {
 		var (

@@ -94,26 +94,42 @@ func appendKeyDeltas(out []byte, keys []uint64) []byte {
 	return out
 }
 
-// decodeKeyDeltas reads the payload appendKeyDeltas writes for n values,
-// storing of(key) for each key (keyInt64, keyFloat64), with no slice of
-// keys between. The payload is not trusted: n is bounded by the bytes left
-// before anything is allocated, and a width byte other than 1, 2, 4 or 8
-// or wider than the deltas need is an error. Order is left to the
-// dictionary constructor's check, the one order check of the decode: a
-// zero delta repeats a value, and a delta that wraps the key past 2⁶⁴
-// makes it descend (to a smaller value, or to a NaN, which no float
-// dictionary holds).
-func decodeKeyDeltas[T int64 | float64](r *byteReader, n uint64, of func(uint64) T) ([]T, error) {
+// The keys of the float64s that are not NaN: from −Inf's to +Inf's.
+const (
+	minFloatKey = ^uint64(0xFFF0000000000000)
+	maxFloatKey = 0xFFF0000000000000
+)
+
+// walkNumbers reads a numeric dictionary payload of n values, the count
+// read and passed by walkDict: generation 5's 8-byte words, converted by
+// word, or from formatRawRecords on the key deltas appendKeyDeltas writes,
+// converted by key. It keeps the values at the ids in want, a sorted set
+// (every value when want is nil), and converts no other. The payload is
+// not trusted: n is bounded by the bytes left before anything is
+// allocated; a width byte other than 1, 2, 4 or 8, or wider than the
+// deltas need, is an error; and the values must ascend strictly — a zero
+// delta repeats a value, and a delta that wraps the key past 2⁶⁴ descends.
+// Keys order as their values do, so the keys are what is checked, but for
+// what float64 order adds: no NaN, and not both −0 and +0, which are
+// adjacent keys of equal values.
+func walkNumbers[T int64 | float64](r *byteReader, n uint64, gen int, word, key func(uint64) T, want []uint32) ([]T, error) {
 	if n == 0 {
-		return []T{}, nil
+		return []T{}, checkWant(want, 0)
 	}
-	first, err := r.words(1)
+	var (
+		first, body []byte
+		w           = 1 // a delta's width
+		err         error
+	)
+	if gen < formatRawRecords {
+		body, err = r.words(n)
+	} else {
+		first, err = r.words(1)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var body []byte
-	w := 1
-	if n > 1 {
+	if gen >= formatRawRecords && n > 1 {
 		wb, err := r.take(1)
 		if err != nil {
 			return nil, err
@@ -126,42 +142,121 @@ func decodeKeyDeltas[T int64 | float64](r *byteReader, n uint64, of func(uint64)
 		}
 		body, _ = r.take(int(n-1) * w) // cannot fail: bounded just above
 	}
-	vals := make([]T, n)
-	key := binary.LittleEndian.Uint64(first)
-	vals[0] = of(key)
-	var span uint64
-	switch w {
-	case 1:
-		for i, b := range body {
-			d := uint64(b)
-			key += d
-			span |= d
-			vals[i+1] = of(key)
+	var out []T
+	if want == nil {
+		out = make([]T, n)
+	} else {
+		out = make([]T, 0, len(want))
+	}
+	next := 0 // the next id of want
+	descends := func(i int) error {
+		return fmt.Errorf("colstore: numeric dictionary does not ascend strictly at %d", i)
+	}
+	if gen < formatRawRecords {
+		var prev T
+		for i := 0; i < int(n); i++ {
+			v := word(binary.LittleEndian.Uint64(body[8*i:]))
+			if v != v || i > 0 && !(prev < v) {
+				return nil, descends(i)
+			}
+			prev = v
+			if want == nil {
+				out[i] = v
+			} else if next < len(want) && want[next] == uint32(i) {
+				out = append(out, v)
+				next++
+			}
 		}
-	case 2:
-		for i := 1; i < len(vals); i++ {
-			d := uint64(binary.LittleEndian.Uint16(body[2*i-2:]))
-			key += d
-			span |= d
-			vals[i] = of(key)
+		return out, checkWant(want, next)
+	}
+
+	var zero T
+	_, float := any(zero).(float64)
+	k := binary.LittleEndian.Uint64(first)
+	if float && k < minFloatKey {
+		return nil, descends(0)
+	}
+	if want == nil {
+		out[0] = key(k)
+	} else if len(want) > 0 && want[0] == 0 {
+		out = append(out, key(k))
+		next++
+	}
+	// The keys go through a block at a time: one tight loop per delta
+	// width reads, sums and checks them, and only the kept ones are
+	// converted.
+	var (
+		block [256]uint64
+		span  uint64
+		bad   = -1 // the id of a key that does not ascend
+	)
+	for base := 1; base < int(n); base += len(block) {
+		keys := block[:min(len(block), int(n)-base)]
+		src := body[(base-1)*w : (base-1+len(keys))*w]
+		switch w {
+		case 1:
+			for j, b := range src {
+				d := uint64(b)
+				span |= d
+				if k+d <= k || float && k+d == signBit && k == signBit-1 {
+					bad = base + j
+					break
+				}
+				k += d
+				keys[j] = k
+			}
+		case 2:
+			for j := range keys {
+				d := uint64(binary.LittleEndian.Uint16(src[2*j:]))
+				span |= d
+				if k+d <= k || float && k+d == signBit && k == signBit-1 {
+					bad = base + j
+					break
+				}
+				k += d
+				keys[j] = k
+			}
+		case 4:
+			for j := range keys {
+				d := uint64(binary.LittleEndian.Uint32(src[4*j:]))
+				span |= d
+				if k+d <= k || float && k+d == signBit && k == signBit-1 {
+					bad = base + j
+					break
+				}
+				k += d
+				keys[j] = k
+			}
+		default:
+			for j := range keys {
+				d := binary.LittleEndian.Uint64(src[8*j:])
+				span |= d
+				if k+d <= k || float && k+d == signBit && k == signBit-1 {
+					bad = base + j
+					break
+				}
+				k += d
+				keys[j] = k
+			}
 		}
-	case 4:
-		for i := 1; i < len(vals); i++ {
-			d := uint64(binary.LittleEndian.Uint32(body[4*i-4:]))
-			key += d
-			span |= d
-			vals[i] = of(key)
+		if bad >= 0 {
+			return nil, descends(bad)
 		}
-	default:
-		for i := 1; i < len(vals); i++ {
-			d := binary.LittleEndian.Uint64(body[8*i-8:])
-			key += d
-			span |= d
-			vals[i] = of(key)
+		if want == nil {
+			for j, kj := range keys {
+				out[base+j] = key(kj)
+			}
+			continue
 		}
+		for ; next < len(want) && int(want[next]) < base+len(keys); next++ {
+			out = append(out, key(keys[int(want[next])-base]))
+		}
+	}
+	if float && k > maxFloatKey {
+		return nil, descends(int(n) - 1)
 	}
 	if deltaWidth(span) != w {
 		return nil, fmt.Errorf("colstore: numeric dictionary delta width %d, the deltas need %d", w, deltaWidth(span))
 	}
-	return vals, nil
+	return out, checkWant(want, next)
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"powerdrill/internal/dict"
+	"powerdrill/internal/value"
 )
 
 // PinSet keeps the pieces one query touches resident for the query's
@@ -122,25 +125,39 @@ func (p *PinSet) ensure(name string) (*heldPin, error) {
 	return h, nil
 }
 
-// ensureDict pins the column's global dictionary into the view.
+// ensureDict pins the column's global dictionary into the view, loading
+// it from disk if it is cold.
 func (p *PinSet) ensureDict(h *heldPin) error {
+	return p.admitDict(h, func() (dict.Dict, int64, error) {
+		return p.s.lazy.reader.loadColumnDict(h.view.Name, &p.bufs)
+	})
+}
+
+// admitDict pins the column's global dictionary into the view; on a cold
+// miss load produces it, and the disk bytes it read.
+func (p *PinSet) admitDict(h *heldPin, load func() (dict.Dict, int64, error)) error {
 	if h.dict {
 		return nil
 	}
-	d, cold, size, disk, err := p.s.acquireDict(h.view.Name, h.keys, &p.bufs)
+	d, cold, size, disk, err := p.s.acquireDict(h.keys, load)
 	if err != nil {
 		p.noteChecksumErr(err)
 		return err
 	}
-	h.view.Dict = d
-	h.dict = true
-	p.keys = append(p.keys, h.keys.dict)
+	p.holdDict(h, d)
 	if cold {
 		p.ColdDictLoads++
 		p.coldColumn(h, size, disk)
 		p.ChecksumVerified++
 	}
 	return nil
+}
+
+// holdDict records the view's dictionary as pinned.
+func (p *PinSet) holdDict(h *heldPin, d dict.Dict) {
+	h.view.Dict = d
+	h.dict = true
+	p.keys = append(p.keys, h.keys.dict)
 }
 
 // noteChecksumErr counts a load aborted by a checksum mismatch.
@@ -179,6 +196,9 @@ func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
 // virtual columns pin like physical ones. Unknown columns are an error.
 // Use ColumnChunks when the query will only scan a subset of the chunks.
 func (p *PinSet) Column(name string) (*Column, error) {
+	if _, err := p.ColumnDict(name); err != nil {
+		return nil, err
+	}
 	return p.ColumnChunks(name, nil)
 }
 
@@ -203,9 +223,13 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	return h.view, nil
 }
 
-// ColumnChunks returns the named column with its dictionary and the chunks
-// flagged in active pinned (nil active = every chunk). Chunks outside the
-// active set stay nil in the returned view; callers must not touch them.
+// ColumnChunks returns the named column with the chunks flagged in active
+// pinned (nil active = every chunk), and no dictionary: enough to read and
+// compare global-ids. A caller that reads values pins the dictionary too
+// (ColumnDict), or looks them up afterwards (Values). The view's Dict is
+// nil until one of them does — on a resident store the column is returned
+// whole. Chunks outside the active set stay nil in the returned view;
+// callers must not touch them.
 // Pinning is monotonic per set: asking again with a wider set fills the
 // missing chunks, and already pinned ones are never double-counted.
 //
@@ -224,9 +248,6 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	}
 	h, err := p.ensure(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := p.ensureDict(h); err != nil {
 		return nil, err
 	}
 	w := &p.warm
@@ -299,6 +320,82 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		return nil, err
 	}
 	return h.view, nil
+}
+
+// Values returns the values of the global-ids in the named column's
+// dictionary, in the order of gids, without pinning the dictionary unless
+// loading it is free — the lookup a row scan renders its winners with. A
+// dictionary the set holds, or the manager holds resident, answers from
+// memory. A cold one is admitted as ColumnDict would when the manager can
+// hold it without evicting anything (always, without a budget). Otherwise
+// its record is read, CRC-verified and decompressed like any cold load, and
+// walked once for the wanted ids; the dictionary is never built and never
+// enters the manager. The walk counts as a cold dictionary load with no
+// resident bytes.
+func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
+	if c := p.s.residentColumn(name); c != nil {
+		return lookupValues(c.Dict, gids), nil
+	}
+	if p.s.lazy == nil {
+		return nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	h, err := p.ensure(name)
+	if err != nil {
+		return nil, err
+	}
+	if !h.dict {
+		var resident [1]any
+		if cold := p.s.lazy.mgr.PinResident([]string{h.keys.dict}, resident[:], nil); len(cold) == 0 {
+			p.holdDict(h, resident[0].(*loadedDict).d)
+		}
+	}
+	if h.dict {
+		return lookupValues(h.view.Dict, gids), nil
+	}
+	reader := p.s.lazy.reader
+	mc, kind, err := reader.dictMeta(name)
+	if err != nil {
+		return nil, err
+	}
+	if reader.framedDict(mc, kind) {
+		// A frame-indexed dictionary loads no values until probed.
+		if err := p.ensureDict(h); err != nil {
+			return nil, err
+		}
+		return lookupValues(h.view.Dict, gids), nil
+	}
+	rec, disk, err := reader.dictRecord(mc, &p.bufs)
+	if err != nil {
+		p.noteChecksumErr(err)
+		return nil, err
+	}
+	if p.s.lazy.mgr.Fits(dictSizeOf(kind, rec)) {
+		err := p.admitDict(h, func() (dict.Dict, int64, error) {
+			d, err := reader.decodeDictRecord(mc, kind, rec)
+			return d, disk, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return lookupValues(h.view.Dict, gids), nil
+	}
+	vals, err := reader.dictValues(mc, kind, rec, gids)
+	if err != nil {
+		return nil, err
+	}
+	p.ColdDictLoads++
+	p.coldColumn(h, 0, disk)
+	p.ChecksumVerified++
+	return vals, nil
+}
+
+// lookupValues looks global-ids up in a dictionary held in memory.
+func lookupValues(d dict.Dict, gids []uint32) []value.Value {
+	out := make([]value.Value, len(gids))
+	for i, id := range gids {
+		out[i] = d.Value(id)
+	}
+	return out
 }
 
 // Release drops every pin the set holds, in the order they were taken and

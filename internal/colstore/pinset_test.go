@@ -42,6 +42,9 @@ func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			ps := lazy.NewPinSet()
+			if _, err := ps.ColumnDict(col); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := ps.ColumnChunks(col, warm); err != nil {
 				t.Fatal(err)
 			}

@@ -1,0 +1,171 @@
+package colstore
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"powerdrill/internal/dict"
+	"powerdrill/internal/memmgr"
+	"powerdrill/internal/value"
+)
+
+// TestDictWalkMatchesDecode: a walk for some global-ids refuses exactly
+// the records a full decode refuses, and returns the values the decoded
+// dictionary holds at those ids — over valid records of every kind in
+// generations 5 and 6, over the same records with bytes overwritten, and
+// over records only the order check refuses.
+func TestDictWalkMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	kinds := []value.Kind{value.KindString, value.KindInt64, value.KindFloat64}
+	records := map[value.Kind][][]byte{}
+	for _, kind := range kinds {
+		for _, n := range []int{0, 1, 2, 7, 300} {
+			var d dict.Dict
+			switch kind {
+			case value.KindString:
+				vals := make([]string, n)
+				for i := range vals {
+					vals[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
+				}
+				slices.Sort(vals)
+				d = dict.NewStringArray(slices.Compact(vals))
+			case value.KindInt64:
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = rng.Int63n(1<<uint(1+rng.Intn(62))) - 1<<20
+				}
+				slices.Sort(vals)
+				d = dict.NewInt64s(slices.Compact(vals))
+			default:
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = rng.NormFloat64() * 1e3
+				}
+				slices.Sort(vals)
+				d = dict.NewFloat64s(slices.Compact(vals))
+			}
+			for _, gen := range []int{formatRawRecords - 1, formatRawRecords} {
+				records[kind] = append(records[kind], append([]byte{byte(gen)}, appendDict(nil, d, kind, gen)...))
+			}
+		}
+	}
+	// Records only the order check refuses, in generation 6's layout:
+	// a repeat, a wrap, −0 beside +0, and a NaN first or last.
+	keys := func(ks ...uint64) []byte {
+		return append([]byte{formatRawRecords}, appendKeyDeltas(appendUvarint(nil, uint64(len(ks))), ks)...)
+	}
+	deltas := func(first uint64, ds ...byte) []byte {
+		rec := binary.LittleEndian.AppendUint64(appendUvarint(nil, uint64(1+len(ds))), first)
+		return append([]byte{formatRawRecords}, append(append(rec, 1), ds...)...)
+	}
+	records[value.KindInt64] = append(records[value.KindInt64], deltas(5, 1, 0, 2), deltas(math.MaxUint64-1, 1, 1))
+	records[value.KindFloat64] = append(records[value.KindFloat64],
+		keys(numericKey(value.Float64(-1)), numericKey(value.Float64(math.Copysign(0, -1))), numericKey(value.Float64(0))),
+		keys(minFloatKey-1, numericKey(value.Float64(1))),
+		keys(numericKey(value.Float64(1)), maxFloatKey+1))
+	for _, kind := range kinds {
+		for _, rec := range records[kind] {
+			for trial := 0; trial < 40; trial++ {
+				gen, raw := int(rec[0]), slices.Clone(rec[1:])
+				if trial > 0 && len(raw) > 0 {
+					raw[rng.Intn(len(raw))] = byte(rng.Intn(256))
+				}
+				d, derr := decodeDict(&byteReader{buf: raw}, kind, StringDictArray, gen)
+				var want []uint32
+				if derr == nil && d.Len() > 0 {
+					want = []uint32{0, uint32(rng.Intn(d.Len())), uint32(d.Len() - 1)}
+					slices.Sort(want)
+					want = slices.Compact(want)
+				}
+				strs, ints, floats, werr := walkDict(&byteReader{buf: raw}, kind, gen, want)
+				if (derr != nil) != (werr != nil) {
+					t.Fatalf("%v gen %d %x: decode error %v, walk error %v", kind, gen, raw, derr, werr)
+				}
+				for i, id := range want {
+					var got value.Value
+					switch kind {
+					case value.KindString:
+						got = value.String(strs[i])
+					case value.KindInt64:
+						got = value.Int64(ints[i])
+					default:
+						got = value.Float64(floats[i])
+					}
+					if got != d.Value(id) {
+						t.Fatalf("%v gen %d: walk gives %v at id %d, decode %v", kind, gen, got, id, d.Value(id))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValuesAdmitsOrWalks: PinSet.Values admits a cold dictionary when the
+// budget holds it beside everything resident — without a budget, or in an
+// empty manager — and otherwise walks its record, evicting nothing: the
+// same values either way, one verified cold dictionary load either way,
+// and only an admitted dictionary resident afterwards.
+func TestValuesAdmitsOrWalks(t *testing.T) {
+	built, dir := buildSavedStore(t, 3000, "zippy")
+	for _, name := range []string{"timestamp", "latency", "user"} {
+		col := built.Column(name)
+		gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2), 0}
+		size := col.Dict.MemoryBytes()
+		for _, c := range []struct {
+			budget int64
+			full   bool // fill the manager first, so the dictionary does not fit
+		}{{0, false}, {2*size + 8192, false}, {2*size + 8192, true}} {
+			mgr := memmgr.New(c.budget, "lru")
+			lazy, _, err := OpenLazy(dir, mgr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, other := range built.Columns() {
+				if !c.full || mgr.Stats().ResidentBytes > c.budget-size {
+					break
+				}
+				if other == name {
+					continue
+				}
+				ps := lazy.NewPinSet()
+				if _, err := ps.Column(other); err != nil {
+					t.Fatal(err)
+				}
+				ps.Release()
+			}
+			before := mgr.Stats()
+			if c.full && before.ResidentBytes <= c.budget-size {
+				t.Fatalf("%s %+v: %d bytes resident, not enough to keep the dictionary out", name, c, before.ResidentBytes)
+			}
+			ps := lazy.NewPinSet()
+			vals, err := ps.Values(name, gids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range gids {
+				if vals[i] != col.Dict.Value(id) {
+					t.Fatalf("%s %+v: id %d is %v, want %v", name, c, id, vals[i], col.Dict.Value(id))
+				}
+			}
+			if ps.ColdDictLoads != 1 || ps.ChecksumVerified != 1 || ps.DiskBytesRead == 0 {
+				t.Errorf("%s %+v: %d cold dictionaries, %d verified, %d disk bytes; want 1, 1, > 0",
+					name, c, ps.ColdDictLoads, ps.ChecksumVerified, ps.DiskBytesRead)
+			}
+			if c.full && mgr.Stats().Evictions != before.Evictions {
+				t.Errorf("%s %+v: looking values up evicted %d entries", name, c, mgr.Stats().Evictions-before.Evictions)
+			}
+			ps.Release()
+			ps = lazy.NewPinSet()
+			if _, err := ps.ColumnDict(name); err != nil {
+				t.Fatal(err)
+			}
+			if resident := ps.ColdDictLoads == 0; resident == c.full {
+				t.Errorf("%s %+v: dictionary resident afterwards = %v", name, c, resident)
+			}
+			ps.Release()
+		}
+	}
+}

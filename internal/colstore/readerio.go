@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"time"
 
-	"powerdrill/internal/compress"
 	"powerdrill/internal/faultfs"
 )
 
@@ -147,55 +145,6 @@ func (b *loadBufs) readBuf(n int64) []byte {
 	return b.read[:n]
 }
 
-// readRange reads exactly [off, off+n) of a column file through the handle
-// cache, into bufs.
-func (r *Reader) readRange(file string, off, n int64, bufs *loadBufs) ([]byte, error) {
-	buf := bufs.readBuf(n)
-	if err := r.readInto(file, off, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readInto fills buf from offset off of a column file through the handle
-// cache.
-func (r *Reader) readInto(file string, off int64, buf []byte) error {
-	f, release, err := r.acquireFile(file)
-	if err != nil {
-		return err
-	}
-	defer release()
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.stats.ReadCalls++
-	r.stats.BytesRead += int64(len(buf))
-	r.mu.Unlock()
-	return nil
-}
-
-// decompress wraps codec.Decompress with the IOStats timing counters. The
-// output goes into bufs, which keeps it (grown, if it had to be) for the
-// next load.
-func (r *Reader) decompress(codec compress.Codec, src []byte, bufs *loadBufs) ([]byte, error) {
-	var dst []byte
-	if bufs != nil {
-		dst = bufs.raw[:0]
-	}
-	start := time.Now()
-	out, err := codec.Decompress(dst, src)
-	elapsed := time.Since(start)
-	r.mu.Lock()
-	r.stats.DecompressCalls++
-	r.stats.DecompressNanos += int64(elapsed)
-	r.mu.Unlock()
-	if bufs != nil && cap(out) > cap(bufs.raw) {
-		bufs.raw = out[:0]
-	}
-	return out, err
-}
-
 // IOStats returns a snapshot of the Reader's physical I/O counters.
 func (r *Reader) IOStats() IOStats {
 	r.mu.Lock()
@@ -224,82 +173,6 @@ func (r *Reader) Close() error {
 		_ = f.Close()
 	}
 	return nil
-}
-
-// chunkRecord resolves chunk ci of the named column: its manifest entry and
-// the byte range of the chunk's record in the column file — the codec
-// record with a codec, raw bytes otherwise. An unknown column or a chunk
-// index out of range is an error.
-func (r *Reader) chunkRecord(name string, ci int) (mc manifestCol, off, n int64, err error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return mc, 0, 0, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	if ci < 0 || ci >= len(mc.Chunks) {
-		return mc, 0, 0, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, len(mc.Chunks), ci)
-	}
-	off, n = chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
-	return mc, off, n, nil
-}
-
-// ChunkFileRange returns the byte range of chunk ci's record in the column
-// file (see chunkRecord).
-func (r *Reader) ChunkFileRange(name string, ci int) (off, n int64, err error) {
-	_, off, n, err = r.chunkRecord(name, ci)
-	return off, n, err
-}
-
-// DictFileLen returns the byte length of the head record (dictionary plus
-// chunk-count varint) a dictionary load reads.
-func (r *Reader) DictFileLen(name string) (int64, error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return 0, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	return headFileLen(mc, r.m.Codec != "", 0), nil
-}
-
-// DecodeChunkRecord decodes one chunk from its file-level record bytes (as
-// delimited by ChunkFileRange): the codec record with a codec — compressed,
-// or from generation 6 possibly raw — the raw record otherwise.
-func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
-	return r.decodeChunkRecord(name, ci, rec, nil)
-}
-
-// decodeChunkRecord is DecodeChunkRecord decompressing into bufs.
-func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
-	mc, off, _, err := r.chunkRecord(name, ci)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.verifyRecord(mc.File, off, rec, mc.Chunks[ci].CRC); err != nil {
-		return nil, err
-	}
-	raw := rec
-	if r.m.Codec != "" && !chunkStoredRaw(mc.Chunks[ci], r.m.Format) {
-		raw, err = r.decompress(mustCodec(r.m.Codec), rec, bufs)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
-		}
-		if int64(len(raw)) != mc.Chunks[ci].Len {
-			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, errTruncated)
-		}
-	}
-	ch, err := decodeChunk(&byteReader{buf: raw})
-	if err != nil {
-		return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
-	}
-	return ch, nil
-}
-
-// mustCodec resolves a codec name that the manifest already validated; an
-// unknown name at this point is an initialization bug.
-func mustCodec(name string) compress.Codec {
-	c, err := compress.ByName(name)
-	if err != nil {
-		panic("colstore: " + err.Error())
-	}
-	return c
 }
 
 // byteRun is one contiguous byte range covering consecutive chunk records.

@@ -137,6 +137,9 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	defer ps.Release()
 	active := make([]bool, cold.NumChunks())
 	active[0] = true
+	if _, err := ps.ColumnDict("upper(country)"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ps.ColumnChunks("upper(country)", active); err != nil {
 		t.Fatal(err)
 	}

@@ -515,7 +515,11 @@ func (t *groupTable) trim(lim int) int {
 type scanWorker struct {
 	chunkAggCtx
 	table groupTable
-	held  int // bytes, while in workerPool
+	// rowCands and rowTop are a row scan's scratch: a chunk's matching
+	// rows, and the heap selecting their best first keys (rowscan.go).
+	rowCands []rowCand
+	rowTop   []int
+	held     int // bytes, while in workerPool
 }
 
 // begin readies the worker for p's scan.
@@ -573,6 +577,7 @@ func (s *statePool) give(ws []*scanWorker) {
 		w.table.reset()
 		w.release()
 		w.held = w.chunkAggCtx.trim(poolBuffer) + w.table.trim(poolBuffer)
+		w.rowCands, w.rowTop = kept(w.rowCands[:0], poolBuffer, &w.held), kept(w.rowTop[:0], poolBuffer, &w.held)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

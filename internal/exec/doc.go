@@ -28,8 +28,9 @@
 //     are answered from it and never pinned.
 //  3. Pin (pinPlan): the plan's access set — restriction leaves,
 //     row-predicate columns, group columns, aggregate arguments, the
-//     composite — is pinned at the surviving chunks, cold-loading from
-//     disk as needed: one coalesced read per column, under no lock, so
+//     composite — is pinned with its dictionaries at the surviving
+//     chunks, cold-loading from disk as needed: one coalesced read per
+//     column, under no lock, so
 //     concurrent first-touch queries load disjoint data in parallel (the
 //     memory manager deduplicates identical loads). The plan now holds a
 //     pinned view of every accessed column (plan.cols,
@@ -39,7 +40,13 @@
 //     skipped without touching their (never loaded) data; surviving chunks
 //     get the exact classification on their chunk dictionaries — skip /
 //     fully active (cacheable) / partial — and active ones are aggregated,
-//     fanned out over admission-gated workers.
+//     fanned out over admission-gated workers. A row scan skips phase 3
+//     and pins in two phases of its own (rowscan.go): it selects on the
+//     WHERE columns and the first ORDER BY key, a round of chunks at a
+//     time, best-first by that key's spans, skipping unloaded the chunks
+//     its rank bound rules out; then it fetches the other ORDER BY keys
+//     and the projection at the chunks that hold a candidate only, ranks
+//     the candidates and looks up the winners' values.
 //  5. Emit and finalize: the merged group table, already laid out as a
 //     Partial's columns, is wrapped as one (emitPartial) with keys and
 //     MIN/MAX still global-ids beside their pinned dictionaries. RunPartial resolves

@@ -81,7 +81,12 @@ type Stats struct {
 // Every chunk a query covers is skipped, cached or scanned exactly once,
 // and so is every row: ChunksSkipped + ChunksCached + ChunksScanned =
 // ChunksTotal, and the rows likewise sum to RowsCovered — the split the
-// paper reports for production (Sections 5–6).
+// paper reports for production (Sections 5–6). A chunk is skipped when
+// the manifest's spans and blooms prune it, when its chunk dictionary
+// proves no row matches, or — in a row scan — when the rank bound rules it
+// out (its span on the first ORDER BY key cannot tie the LIMIT-th row
+// held) or the scan holds LIMIT rows before reaching it. Of these, only
+// the chunks their chunk dictionaries skip were loaded.
 type QueryStats struct {
 	ChunksTotal   int64 `json:"chunks_total"`
 	ChunksSkipped int64 `json:"chunks_skipped"`
@@ -249,7 +254,7 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 		qs  QueryStats
 	)
 	if p.rowScan {
-		res, qs, err = e.executeRowScan(p)
+		res, qs, err = e.executeRowScan(p, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -286,6 +291,10 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, erro
 		return nil, err
 	}
 	e.analyzeResidency(p)
+	if p.rowScan {
+		// A row scan pins in its own two phases (executeRowScan).
+		return p, nil
+	}
 	e.cacheResidency(p)
 	if err := e.pinPlan(p, ps); err != nil {
 		return nil, err
@@ -498,7 +507,8 @@ type plan struct {
 	// finalize phases never go back through the store registry or the
 	// memory manager. On a lazy store the views are query-private and their
 	// Chunks are populated only at the pinned indices. Read-only after
-	// prepare.
+	// prepare — a row scan fills it between its rounds, never while a
+	// worker reads it.
 	cols map[string]*colstore.Column
 	// active flags the chunks the residency analysis kept (nil = all);
 	// the scan skips pruned chunks without touching their data, which on a
@@ -608,12 +618,19 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 		p.columns = append(p.columns, name)
 		switch {
 		case p.rowScan:
-			col, err := e.materializeOperand(item.Expr, ps)
-			if err != nil {
-				return nil, err
+			// A projected column is read for the rows the scan returns
+			// alone, so a column that exists pins nothing here: no
+			// dictionary, whose values the winners look up (Values).
+			name := operandName(item.Expr)
+			if !e.store.HasColumn(name) {
+				col, err := e.materializeOperand(item.Expr, ps)
+				if err != nil {
+					return nil, err
+				}
+				name = col.Name
 			}
-			p.access(col.Name)
-			p.groupCols = append(p.groupCols, col.Name) // reuse as projection list
+			p.access(name)
+			p.groupCols = append(p.groupCols, name) // reuse as projection list
 		case sql.HasAggregate(item.Expr):
 			call, ok := item.Expr.(*sql.Call)
 			if !ok {
@@ -658,17 +675,17 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 }
 
 // pinPlan pins the plan's access set at the chunks pruning and the cache
-// probe left, and resolves the scan's columns to the pinned views.
+// probe left, each column with its dictionary — an aggregation reads
+// values everywhere: group keys, aggregate arguments, row predicates — and
+// resolves the scan's columns to the pinned views.
 func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	p.cols = make(map[string]*colstore.Column, len(p.accessCols))
 	for _, col := range p.accessCols {
-		// A name only a row-level predicate mentions may be unknown; it is
-		// left to fail at evaluation time.
-		if e.store.HasColumn(col) {
-			c, err := ps.ColumnChunks(col, p.pin)
-			if err != nil {
-				return err
-			}
+		c, err := e.pinColumn(ps, col, true, p.pin)
+		if err != nil {
+			return err
+		}
+		if c != nil {
 			p.cols[col] = c
 		}
 	}
@@ -696,6 +713,22 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 		}
 	}
 	return nil
+}
+
+// pinColumn pins the named column at the chunks flagged in active (nil =
+// every chunk), with its dictionary when withDict is set. A name only a
+// row-level predicate mentions may be unknown; it is left to fail at
+// evaluation time, and a nil view comes back.
+func (e *Engine) pinColumn(ps *colstore.PinSet, name string, withDict bool, active []bool) (*colstore.Column, error) {
+	if !e.store.HasColumn(name) {
+		return nil, nil
+	}
+	if withDict {
+		if _, err := ps.ColumnDict(name); err != nil {
+			return nil, err
+		}
+	}
+	return ps.ColumnChunks(name, active)
 }
 
 // resolveGroupExpr maps a GROUP BY expression, which may be an alias of a
