@@ -64,7 +64,7 @@ func usage() {
   import   -csv FILE -schema name:kind,...  -store DIR [-partition f1,f2] [-chunk N] [-codec zippy] [-trie] [-reorder]
   append   -csv FILE -schema name:kind,...  -store DIR [-batch N] [-seal N] [-compact]
            streams rows into an existing store (queryable while appending)
-  query    -store DIR -q SQL [-parallelism N] [-memory-budget BYTES] [-memory-policy lru|2q|arc]
+  query    -store DIR -q SQL [-parallelism N] [-memory-budget BYTES]
            (-q - reads queries from stdin)
            -shards DIR1,DIR2,... replaces -store with an in-process cluster
            (replicated, hedged, health-tracked); [-replicas N] [-deadline D]
@@ -277,7 +277,6 @@ func runQuery(args []string) error {
 	q := fs.String("q", "", "SQL query, or '-' to read one query per line from stdin")
 	parallelism := fs.Int("parallelism", 0, "chunk-scan workers per query (0 = all cores, 1 = sequential)")
 	memBudget := fs.Int64("memory-budget", 0, "resident column byte budget (0 = unlimited, columns still load lazily)")
-	memPolicy := fs.String("memory-policy", "2q", "column eviction policy: lru, 2q or arc")
 	replicas := fs.Int("replicas", 2, "replicas per shard with -shards")
 	deadline := fs.Duration("deadline", 10*time.Second, "per-query deadline with -shards (0 = none)")
 	fs.Parse(args)
@@ -313,7 +312,6 @@ func runQuery(args []string) error {
 				ResultCacheBytes:  64 << 20,
 				Parallelism:       *parallelism,
 				MemoryBudgetBytes: *memBudget,
-				MemoryPolicy:      *memPolicy,
 			},
 		})
 		if err != nil {
@@ -327,7 +325,6 @@ func runQuery(args []string) error {
 		ResultCacheBytes:  64 << 20,
 		Parallelism:       *parallelism,
 		MemoryBudgetBytes: *memBudget,
-		MemoryPolicy:      *memPolicy,
 	})
 	if err != nil {
 		return err

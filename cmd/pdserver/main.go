@@ -53,7 +53,6 @@ func main() {
 	cacheBytes := flag.Int64("cache", 64<<20, "result cache bytes")
 	parallelism := flag.Int("parallelism", 0, "chunk-scan workers per query (0 = all cores, 1 = sequential)")
 	memBudget := flag.Int64("memory-budget", 0, "resident column byte budget (0 = unlimited, columns still load lazily)")
-	memPolicy := flag.String("memory-policy", "2q", "column eviction policy: lru, 2q or arc")
 	statz := flag.String("statz", "", "HTTP address for the /statz JSON endpoint (disabled when empty; required with -shards)")
 	replicas := flag.Int("replicas", 2, "replicas per shard in coordinator mode")
 	deadline := flag.Duration("deadline", 10*time.Second, "per-query deadline in coordinator mode (0 = none)")
@@ -82,7 +81,6 @@ func main() {
 			cacheBytes:  *cacheBytes,
 			parallelism: *parallelism,
 			memBudget:   *memBudget,
-			memPolicy:   *memPolicy,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "pdserver: %v\n", err)
 			os.Exit(1)
@@ -97,7 +95,6 @@ func main() {
 		ResultCacheBytes:  *cacheBytes,
 		Parallelism:       *parallelism,
 		MemoryBudgetBytes: *memBudget,
-		MemoryPolicy:      *memPolicy,
 		ScrubInterval:     *scrubInterval,
 	})
 	if err != nil {
@@ -179,7 +176,6 @@ type coordinatorOptions struct {
 	cacheBytes  int64
 	parallelism int
 	memBudget   int64
-	memPolicy   string
 }
 
 // runCoordinator opens the shard directories as an in-process cluster and
@@ -195,7 +191,6 @@ func runCoordinator(dirs []string, statzAddr string, o coordinatorOptions) error
 			ResultCacheBytes:  o.cacheBytes,
 			Parallelism:       o.parallelism,
 			MemoryBudgetBytes: o.memBudget,
-			MemoryPolicy:      o.memPolicy,
 		},
 	})
 	if err != nil {

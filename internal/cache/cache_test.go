@@ -6,184 +6,127 @@ import (
 	"testing"
 )
 
-// policies returns one fresh cache per implementation, all with the same
-// byte budget, so shared behaviours are tested uniformly.
-func policies(capacity int64) []Cache {
-	return []Cache{NewLRU(capacity), NewTwoQ(capacity), NewARC(capacity)}
-}
-
 func TestBasicPutGet(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("a", 1, 100)
-			c.Put("b", 2, 100)
-			if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-				t.Errorf("Get(a) = %v, %v", v, ok)
-			}
-			if v, ok := c.Get("b"); !ok || v.(int) != 2 {
-				t.Errorf("Get(b) = %v, %v", v, ok)
-			}
-			if _, ok := c.Get("missing"); ok {
-				t.Error("Get(missing) hit")
-			}
-			if c.Len() != 2 || c.SizeBytes() != 200 {
-				t.Errorf("Len=%d Size=%d, want 2/200", c.Len(), c.SizeBytes())
-			}
-		})
+	c := New(1000, nil)
+	c.Put("a", 1, 100)
+	c.Put("b", 2, 100)
+	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+		t.Errorf("Get(a) = %v, %v", v, ok)
+	}
+	if v, ok := c.Get("b"); !ok || v.(int) != 2 {
+		t.Errorf("Get(b) = %v, %v", v, ok)
+	}
+	if _, ok := c.Get("missing"); ok {
+		t.Error("Get(missing) hit")
+	}
+	if c.Len() != 2 || c.SizeBytes() != 200 {
+		t.Errorf("Len=%d Size=%d, want 2/200", c.Len(), c.SizeBytes())
 	}
 }
 
 func TestUpdateExistingKey(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("k", "old", 100)
-			c.Put("k", "new", 300)
-			if v, _ := c.Get("k"); v != "new" {
-				t.Errorf("value after update = %v", v)
-			}
-			if c.Len() != 1 || c.SizeBytes() != 300 {
-				t.Errorf("Len=%d Size=%d after update, want 1/300", c.Len(), c.SizeBytes())
-			}
-		})
+	c := New(1000, nil)
+	c.Put("k", "old", 100)
+	c.Put("k", "new", 300)
+	if v, _ := c.Get("k"); v != "new" {
+		t.Errorf("value after update = %v", v)
+	}
+	if c.Len() != 1 || c.SizeBytes() != 300 {
+		t.Errorf("Len=%d Size=%d after update, want 1/300", c.Len(), c.SizeBytes())
 	}
 }
 
 func TestBudgetEnforced(t *testing.T) {
-	for _, c := range policies(500) {
-		t.Run(c.Name(), func(t *testing.T) {
-			for i := 0; i < 50; i++ {
-				c.Put(fmt.Sprintf("k%d", i), i, 100)
-				if c.SizeBytes() > 500 {
-					t.Fatalf("budget exceeded: %d bytes after insert %d", c.SizeBytes(), i)
-				}
-			}
-			if c.Stats().Evictions == 0 {
-				t.Error("no evictions despite overflow")
-			}
-		})
+	c := New(500, nil)
+	for i := 0; i < 50; i++ {
+		c.Put(fmt.Sprintf("k%d", i), i, 100)
+		if c.SizeBytes() > 500 {
+			t.Fatalf("budget exceeded: %d bytes after insert %d", c.SizeBytes(), i)
+		}
+	}
+	if c.Stats().Evictions == 0 {
+		t.Error("no evictions despite overflow")
 	}
 }
 
 func TestOversizeEntryNotCached(t *testing.T) {
-	for _, c := range policies(100) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("big", "x", 1000)
-			if _, ok := c.Get("big"); ok {
-				t.Error("oversize entry was cached")
-			}
-			// An oversize rewrite of an existing key must also drop it.
-			c.Put("k", 1, 50)
-			c.Put("k", 2, 1000)
-			if _, ok := c.Get("k"); ok {
-				t.Error("oversize rewrite left stale entry")
-			}
-		})
+	c := New(100, nil)
+	c.Put("big", "x", 1000)
+	if _, ok := c.Get("big"); ok {
+		t.Error("oversize entry was cached")
+	}
+	// An oversize rewrite of an existing key must also drop it.
+	c.Put("k", 1, 50)
+	c.Put("k", 2, 1000)
+	if _, ok := c.Get("k"); ok {
+		t.Error("oversize rewrite left stale entry")
 	}
 }
 
 func TestRemove(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("a", 1, 10)
-			c.Remove("a")
-			if _, ok := c.Get("a"); ok {
-				t.Error("removed key still present")
-			}
-			c.Remove("never-there") // must not panic
-			if c.Len() != 0 || c.SizeBytes() != 0 {
-				t.Errorf("Len=%d Size=%d after removals", c.Len(), c.SizeBytes())
-			}
-		})
+	c := New(1000, nil)
+	c.Put("a", 1, 10)
+	c.Remove("a")
+	if _, ok := c.Get("a"); ok {
+		t.Error("removed key still present")
 	}
-}
-
-func TestLRUEvictsLeastRecent(t *testing.T) {
-	c := NewLRU(300)
-	c.Put("a", 1, 100)
-	c.Put("b", 2, 100)
-	c.Put("c", 3, 100)
-	c.Get("a") // refresh a; b becomes the victim
-	c.Put("d", 4, 100)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived, want it evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a evicted despite refresh")
+	c.Remove("never-there") // must not panic
+	if c.Len() != 0 || c.SizeBytes() != 0 {
+		t.Errorf("Len=%d Size=%d after removals", c.Len(), c.SizeBytes())
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("a", 1, 10)
-			c.Get("a")
-			c.Get("a")
-			c.Get("nope")
-			s := c.Stats()
-			if s.Hits != 2 || s.Misses != 1 {
-				t.Errorf("stats = %+v, want 2 hits 1 miss", s)
-			}
-			if got := s.HitRate(); got < 0.66 || got > 0.67 {
-				t.Errorf("HitRate = %f", got)
-			}
-		})
+	c := New(1000, nil)
+	c.Put("a", 1, 10)
+	c.Get("a")
+	c.Get("a")
+	c.Get("nope")
+	s := c.Stats()
+	if s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want 2 hits 1 miss", s)
+	}
+	if got := s.HitRate(); got < 0.66 || got > 0.67 {
+		t.Errorf("HitRate = %f", got)
 	}
 	if (Stats{}).HitRate() != 0 {
 		t.Error("zero Stats HitRate != 0")
 	}
 }
 
-// TestScanResistance is the behaviour the paper adopts 2Q/ARC for: a hot
+// TestScanResistance is the behaviour the paper adopts 2Q for: a hot
 // working set accessed repeatedly must survive a one-time scan of many cold
-// keys. Plain LRU loses the entire working set; 2Q and ARC must retain a
-// decent fraction.
+// keys. Plain LRU loses the entire working set; 2Q keeps all of it.
 func TestScanResistance(t *testing.T) {
-	const capacity = 100 * 10 // 100 entries of size 10
+	c := New(100*10, nil) // 100 entries of size 10
 	hot := make([]string, 50)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("hot%d", i)
 	}
-	run := func(c Cache) float64 {
-		// Warm the working set with repeated accesses.
-		for pass := 0; pass < 5; pass++ {
-			for _, k := range hot {
-				if _, ok := c.Get(k); !ok {
-					c.Put(k, k, 10)
-				}
-			}
-		}
-		// One-time scan of 1000 cold keys.
-		for i := 0; i < 1000; i++ {
-			k := fmt.Sprintf("scan%d", i)
+	// Warm the working set with repeated accesses.
+	for pass := 0; pass < 5; pass++ {
+		for _, k := range hot {
 			if _, ok := c.Get(k); !ok {
 				c.Put(k, k, 10)
 			}
 		}
-		// How much of the hot set survived?
-		survived := 0
-		for _, k := range hot {
-			if _, ok := c.Get(k); ok {
-				survived++
-			}
+	}
+	// One-time scan of 1000 cold keys.
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("scan%d", i)
+		if _, ok := c.Get(k); !ok {
+			c.Put(k, k, 10)
 		}
-		return float64(survived) / float64(len(hot))
 	}
-	lru := run(NewLRU(capacity))
-	twoq := run(NewTwoQ(capacity))
-	arc := run(NewARC(capacity))
-	if lru > 0.1 {
-		t.Logf("note: LRU unexpectedly retained %.0f%% of hot set", lru*100)
-	}
-	if twoq <= lru {
-		t.Errorf("2Q survival %.2f not better than LRU %.2f", twoq, lru)
-	}
-	if arc <= lru {
-		t.Errorf("ARC survival %.2f not better than LRU %.2f", arc, lru)
+	for _, k := range hot {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("hot key %q lost to a one-time scan", k)
+		}
 	}
 }
 
 func TestTwoQPromotionOnSecondAccess(t *testing.T) {
-	c := NewTwoQ(1000)
+	c := New(1000, nil)
 	c.Put("x", 1, 10)
 	c.Get("x") // promote to Am
 	// Flood probation; x must survive since it lives in Am now.
@@ -196,7 +139,7 @@ func TestTwoQPromotionOnSecondAccess(t *testing.T) {
 }
 
 func TestTwoQGhostReadmission(t *testing.T) {
-	c := NewTwoQ(200)
+	c := New(200, nil)
 	c.Put("g", 1, 50)
 	// Evict g from probation.
 	for i := 0; i < 20; i++ {
@@ -215,120 +158,186 @@ func TestTwoQGhostReadmission(t *testing.T) {
 	}
 }
 
-func TestARCAdaptsP(t *testing.T) {
-	c := NewARC(200)
-	// Recency-heavy phase: ghost hits in B1 should grow p.
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("r%d", i%30)
-		if _, ok := c.Get(k); !ok {
-			c.Put(k, i, 20)
+// ghost makes key A1out's newest ghost in a 10-byte cache left empty: key
+// enters A1in alone, and a filler's insert evicts it from there.
+func ghost(c *Cache, key string) {
+	c.Remove(key)
+	c.Put(key, key, 10)
+	c.Put("filler", nil, 10)
+	c.Remove("filler")
+}
+
+// checkGhosts compares A1out, newest first, with model, oldest first.
+func checkGhosts(t *testing.T, c *Cache, model []string) {
+	t.Helper()
+	if len(c.ghosts) != len(model) || c.a1out.n != len(model) {
+		t.Fatalf("A1out holds %d keys in its map and %d in its queue, want %d", len(c.ghosts), c.a1out.n, len(model))
+	}
+	g := c.a1out.head
+	for i := len(model) - 1; i >= 0; i-- {
+		if g.key != model[i] || c.ghosts[g.key] != g {
+			t.Fatalf("A1out position %d is %q, want %q", len(model)-1-i, g.key, model[i])
+		}
+		g = g.next
+	}
+}
+
+// TestGhostQueueHoldsEveryGhost: after repeated ghost hits and removals,
+// A1out holds every key ghosted since it was last admitted or removed, up
+// to kout keys, oldest forgotten first.
+func TestGhostQueueHoldsEveryGhost(t *testing.T) {
+	c := New(10, nil)
+	var model []string
+	forget := func(key string) {
+		for i, k := range model {
+			if k == key {
+				model = append(model[:i], model[i+1:]...)
+				return
+			}
 		}
 	}
-	if c.Len() == 0 {
-		t.Fatal("ARC holds nothing after workload")
+	r := rand.New(rand.NewSource(7))
+	for op := 0; op < 3000; op++ {
+		key := fmt.Sprintf("k%d", r.Intn(600))
+		forget(key)
+		if r.Intn(2) == 0 {
+			ghost(c, key)
+			model = append(model, key)
+			continue
+		}
+		// A ghost hit (or a first access), then a removal: key is
+		// neither resident nor a ghost.
+		c.Put(key, key, 10)
+		c.Remove(key)
 	}
-	if c.SizeBytes() > 200 {
-		t.Fatalf("ARC exceeded budget: %d", c.SizeBytes())
+	checkGhosts(t, c, model)
+	for i := 0; i < kout; i++ {
+		key := fmt.Sprintf("x%d", i)
+		ghost(c, key)
+		model = append(model, key)
+	}
+	checkGhosts(t, c, model[len(model)-kout:])
+}
+
+// TestGhostSurvivesReghosting: a key ghosted, promoted by a ghost hit,
+// removed and ghosted again is remembered for exactly kout − 1 further
+// ghostings.
+func TestGhostSurvivesReghosting(t *testing.T) {
+	c := New(10, nil)
+	ghost(c, "g")
+	c.Put("g", "g", 10) // ghost hit: promoted to Am
+	c.Remove("g")
+	ghost(c, "g")
+	for i := 0; i < kout-1; i++ {
+		ghost(c, fmt.Sprintf("x%d", i))
+	}
+	if c.ghosts["g"] == nil {
+		t.Fatalf("g forgotten after %d further ghostings", kout-1)
+	}
+	ghost(c, "last")
+	if c.ghosts["g"] != nil {
+		t.Fatalf("g remembered after %d further ghostings", kout)
+	}
+}
+
+// TestDropSkipsPinned: Drop removes an unpinned entry and leaves a pinned
+// one where it is, counting no hit, miss or eviction.
+func TestDropSkipsPinned(t *testing.T) {
+	c := New(1000, nil)
+	c.Put("a", 1, 100)
+	c.PutPinned("p", 2, 100)
+	if v, pins, ok := c.Drop("a"); !ok || pins != 0 || v != 1 {
+		t.Fatalf("Drop(a) = %v, %d, %v", v, pins, ok)
+	}
+	if v, pins, ok := c.Drop("p"); !ok || pins != 1 || v != 2 {
+		t.Fatalf("Drop(p) = %v, %d, %v", v, pins, ok)
+	}
+	if _, _, ok := c.Drop("a"); ok {
+		t.Fatal("Drop of an absent key reported it")
+	}
+	if c.Len() != 1 || c.items["p"].list != &c.a1in {
+		t.Fatal("Drop moved the pinned entry out of A1in")
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Fatalf("Drop counted %+v", s)
 	}
 }
 
 func TestConstructorsPanicOnBadCapacity(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewLRU(0) },
-		func() { NewTwoQ(-1) },
-		func() { NewARC(0) },
-	} {
+	for _, capacity := range []int64{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("constructor with bad capacity did not panic")
+					t.Errorf("New(%d) did not panic", capacity)
 				}
 			}()
-			f()
+			New(capacity, nil)
 		}()
 	}
 }
 
-// TestRandomizedConsistency hammers each policy with a random workload and
+// TestRandomizedConsistency hammers the cache with a random workload and
 // checks the structural invariants after every operation.
 func TestRandomizedConsistency(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(42))
-			for op := 0; op < 5000; op++ {
-				k := fmt.Sprintf("k%d", r.Intn(200))
-				switch r.Intn(3) {
-				case 0:
-					c.Put(k, op, int64(10+r.Intn(90)))
-				case 1:
-					c.Get(k)
-				case 2:
-					c.Remove(k)
-				}
-				if c.SizeBytes() > 1000 {
-					t.Fatalf("op %d: budget exceeded (%d bytes)", op, c.SizeBytes())
-				}
-				if c.SizeBytes() < 0 || c.Len() < 0 {
-					t.Fatalf("op %d: negative accounting", op)
-				}
-			}
-		})
+	c := New(1000, nil)
+	r := rand.New(rand.NewSource(42))
+	for op := 0; op < 5000; op++ {
+		k := fmt.Sprintf("k%d", r.Intn(200))
+		switch r.Intn(3) {
+		case 0:
+			c.Put(k, op, int64(10+r.Intn(90)))
+		case 1:
+			c.Get(k)
+		case 2:
+			c.Remove(k)
+		}
+		if c.SizeBytes() > 1000 {
+			t.Fatalf("op %d: budget exceeded (%d bytes)", op, c.SizeBytes())
+		}
+		if c.SizeBytes() < 0 || c.Len() < 0 {
+			t.Fatalf("op %d: negative accounting", op)
+		}
 	}
 }
 
 func BenchmarkGetHit(b *testing.B) {
-	for _, c := range policies(1 << 20) {
-		b.Run(c.Name(), func(b *testing.B) {
-			for i := 0; i < 100; i++ {
-				c.Put(fmt.Sprintf("k%d", i), i, 64)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Get("k50")
-			}
-		})
+	c := New(1<<20, nil)
+	for i := 0; i < 100; i++ {
+		c.Put(fmt.Sprintf("k%d", i), i, 64)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Get("k50")
 	}
 }
 
 func BenchmarkPutChurn(b *testing.B) {
-	for _, c := range policies(64 * 1024) {
-		b.Run(c.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.Put(fmt.Sprintf("k%d", i%4096), i, 64)
-			}
-		})
+	c := New(64*1024, nil)
+	for i := 0; i < b.N; i++ {
+		c.Put(fmt.Sprintf("k%d", i%4096), i, 64)
 	}
 }
 
 func TestKeysEnumeratesEveryPolicy(t *testing.T) {
-	for _, c := range policies(1000) {
-		t.Run(c.Name(), func(t *testing.T) {
-			c.Put("ns1/a", 1, 100)
-			c.Put("ns1/b", 2, 100)
-			c.Put("ns2/a", 3, 100)
-			keys := c.(KeyLister).Keys()
-			if len(keys) != 3 {
-				t.Fatalf("Keys() = %v, want 3 entries", keys)
-			}
-			seen := map[string]bool{}
-			for _, k := range keys {
-				seen[k] = true
-			}
-			for _, want := range []string{"ns1/a", "ns1/b", "ns2/a"} {
-				if !seen[want] {
-					t.Errorf("Keys() missing %q: %v", want, keys)
-				}
-			}
-			c.Remove("ns1/b")
-			if got := len(c.(KeyLister).Keys()); got != 2 {
-				t.Errorf("Keys() after Remove = %d entries, want 2", got)
-			}
-		})
+	c := New(1000, nil)
+	c.Put("ns1/a", 1, 100)
+	c.Put("ns1/b", 2, 100)
+	c.Put("ns2/a", 3, 100)
+	keys := c.Keys()
+	if len(keys) != 3 {
+		t.Fatalf("Keys() = %v, want 3 entries", keys)
 	}
-	// The synchronized wrapper forwards Keys.
-	s := NewSynchronized(NewLRU(1000))
-	s.Put("x", 1, 10)
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != "x" {
-		t.Errorf("Synchronized Keys() = %v", keys)
+	seen := map[string]bool{}
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for _, want := range []string{"ns1/a", "ns1/b", "ns2/a"} {
+		if !seen[want] {
+			t.Errorf("Keys() missing %q: %v", want, keys)
+		}
+	}
+	c.Remove("ns1/b")
+	if got := len(c.Keys()); got != 2 {
+		t.Errorf("Keys() after Remove = %d entries, want 2", got)
 	}
 }

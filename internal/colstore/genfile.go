@@ -59,15 +59,32 @@ func (c GenChain[M]) Name(seq int) string {
 	return fmt.Sprintf("%s%06d%s", c.Prefix, seq, c.Suffix)
 }
 
+// walkLists bounds how many times one Walk lists the directory.
+const walkLists = 4
+
 // Walk lists the chain's directory and reads every numbered file. A file
 // that fails is a crashed or in-flight writer's torn claim, or bit rot: it
-// gets a verdict and never masks an older clean generation. The only error
-// is a directory that cannot be listed.
+// gets a verdict and never masks an older clean generation. A file that
+// vanished between the listing and its read was superseded by a concurrent
+// commit: it gets no verdict, and the directory is listed again, up to
+// walkLists times in all, so that the generation which superseded it is
+// seen. The only error is a directory that cannot be listed.
 func (c GenChain[M]) Walk() (GenWalk[M], error) {
-	w := GenWalk[M]{Seq: -1}
+	for lists := 1; ; lists++ {
+		w, vanished, err := c.walk()
+		if err != nil || !vanished || lists == walkLists {
+			return w, err
+		}
+	}
+}
+
+// walk is one listing of Walk; vanished reports a numbered file that was
+// listed but gone when read.
+func (c GenChain[M]) walk() (w GenWalk[M], vanished bool, err error) {
+	w.Seq = -1
 	entries, err := vfs().ReadDir(c.Dir)
 	if err != nil {
-		return w, err
+		return w, false, err
 	}
 	for _, ent := range entries {
 		seq, ok := ParseGenSeq(ent.Name(), c.Prefix, c.Suffix)
@@ -76,12 +93,16 @@ func (c GenChain[M]) Walk() (GenWalk[M], error) {
 			continue
 		}
 		m, n, err := c.read(ent.Name(), seq)
+		if errors.Is(err, fs.ErrNotExist) {
+			vanished = true
+			continue
+		}
 		w.Files = append(w.Files, GenFile{Name: ent.Name(), Seq: seq, Bytes: n, Err: err})
 		if err == nil && seq > w.Seq {
 			w.Newest, w.Seq = m, seq
 		}
 	}
-	return w, nil
+	return w, vanished, nil
 }
 
 // read loads one generation file and checks it against its name and its

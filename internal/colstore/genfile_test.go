@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"powerdrill/internal/faultfs"
 )
 
 // TestClaimFileExclusiveSameProcessRace races many claimants of one
@@ -73,5 +75,60 @@ func TestClaimFileExclusiveSameProcessRace(t *testing.T) {
 				t.Fatalf("round %d: temp file %s left behind", round, e.Name())
 			}
 		}
+	}
+}
+
+// supersedingFS is the filesystem as a reader sees it while a writer
+// commits: the first read of file runs commit, which publishes the next
+// generation and removes this one.
+type supersedingFS struct {
+	faultfs.OS
+	file   string
+	commit func()
+	done   bool
+}
+
+func (f *supersedingFS) ReadFile(name string) ([]byte, error) {
+	if name == f.file && !f.done {
+		f.done = true
+		f.commit()
+	}
+	return f.OS.ReadFile(name)
+}
+
+// TestGenChainWalkSeesSupersedingGeneration: a walk that lists generation 1
+// and finds it gone when it reads it — a writer committed 2 and removed 1
+// in between — lists the directory again and returns generation 2, with no
+// verdict for the vanished file.
+func TestGenChainWalkSeesSupersedingGeneration(t *testing.T) {
+	type gen struct {
+		Gen   int    `json:"gen"`
+		Check uint32 `json:"check"`
+	}
+	chain := GenChain[gen]{
+		Dir: t.TempDir(), Prefix: "gen-", Suffix: ".json",
+		Fields: func(g *gen) (*int, *uint32) { return &g.Gen, &g.Check },
+	}
+	if err := chain.Commit(1, &gen{}); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(chain.Dir, chain.Name(1))
+	defer faultfs.Swap(&supersedingFS{file: first, commit: func() {
+		if err := chain.Commit(2, &gen{}); err != nil {
+			t.Error(err)
+		}
+		if err := os.Remove(first); err != nil {
+			t.Error(err)
+		}
+	}})()
+	w, err := chain.Walk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Newest == nil || w.Seq != 2 {
+		t.Fatalf("walk found generation %d (%v), want 2", w.Seq, w.Newest)
+	}
+	if len(w.Files) != 1 || w.Files[0].Seq != 2 || w.Files[0].Err != nil {
+		t.Fatalf("walk verdicts = %+v, want generation 2 clean alone", w.Files)
 	}
 }

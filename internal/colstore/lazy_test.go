@@ -145,7 +145,7 @@ func TestLazyEvictionReloadDeterministic(t *testing.T) {
 		total += eager.Column(name).Memory().Total()
 	}
 	budget := total / int64(len(eager.Columns()))
-	mgr := memmgr.New(budget, "lru")
+	mgr := memmgr.New(budget, "")
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestPinSetColdWarmCounters(t *testing.T) {
 
 func TestPinnedColumnsSurviveTinyBudget(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "")
-	mgr := memmgr.New(1, "lru") // nothing fits unpinned
+	mgr := memmgr.New(1, "") // nothing fits unpinned
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)

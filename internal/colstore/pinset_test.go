@@ -34,42 +34,38 @@ func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
 		budget += ch.MemoryElements() + ch.MemoryChunkDict()
 		warm[ci] = true
 	}
-	for _, policy := range []string{"lru", "2q", "arc"} {
-		t.Run(policy, func(t *testing.T) {
-			mgr := memmgr.New(budget, policy)
-			lazy, _, err := OpenLazy(dir, mgr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps := lazy.NewPinSet()
-			if _, err := ps.ColumnDict(col); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ps.ColumnChunks(col, warm); err != nil {
-				t.Fatal(err)
-			}
-			ps.Release()
-			if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+1 {
-				t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+1)
-			}
-			ps = lazy.NewPinSet()
-			view, err := ps.ColumnChunks(col, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ps.ColdChunkLoads != int64(n-half) {
-				t.Fatalf("ColumnChunks cold-loaded %d chunks, want the %d not resident before it", ps.ColdChunkLoads, n-half)
-			}
-			for ci, ch := range view.Chunks {
-				if ch == nil || ch.Rows() != full.Chunks[ci].Rows() {
-					t.Fatalf("chunk %d not pinned into the view", ci)
-				}
-			}
-			ps.Release()
-			if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentBytes > budget {
-				t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
-			}
-		})
+	mgr := memmgr.New(budget, "")
+	lazy, _, err := OpenLazy(dir, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := lazy.NewPinSet()
+	if _, err := ps.ColumnDict(col); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.ColumnChunks(col, warm); err != nil {
+		t.Fatal(err)
+	}
+	ps.Release()
+	if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+1 {
+		t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+1)
+	}
+	ps = lazy.NewPinSet()
+	view, err := ps.ColumnChunks(col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.ColdChunkLoads != int64(n-half) {
+		t.Fatalf("ColumnChunks cold-loaded %d chunks, want the %d not resident before it", ps.ColdChunkLoads, n-half)
+	}
+	for ci, ch := range view.Chunks {
+		if ch == nil || ch.Rows() != full.Chunks[ci].Rows() {
+			t.Fatalf("chunk %d not pinned into the view", ci)
+		}
+	}
+	ps.Release()
+	if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentBytes > budget {
+		t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 			budget int64
 			full   bool // fill the manager first, so the dictionary does not fit
 		}{{0, false}, {2*size + 8192, false}, {2*size + 8192, true}} {
-			mgr := memmgr.New(c.budget, "lru")
+			mgr := memmgr.New(c.budget, "")
 			lazy, _, err := OpenLazy(dir, mgr)
 			if err != nil {
 				t.Fatal(err)

@@ -327,7 +327,7 @@ func TestColdIOConcurrentCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := residentFootprint(t, eagerStore) / 5
-	mgr := memmgr.New(budget, "arc")
+	mgr := memmgr.New(budget, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)

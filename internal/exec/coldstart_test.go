@@ -176,7 +176,7 @@ func TestColdStartConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := residentFootprint(t, eagerStore) / 4
-	mgr := memmgr.New(budget, "arc")
+	mgr := memmgr.New(budget, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@
 //     written once built, so the cache shares it between queries and
 //     workers as it is.
 //   - Shared mutable state is wrapped, not sprinkled with locks: the
-//     result cache is behind cache.Synchronized (its eviction policies
-//     mutate on Get), and the engine's cumulative Stats accumulate under
+//     result cache is a cache.Synchronized (2Q mutates its queues on
+//     Get), and the engine's cumulative Stats accumulate under
 //     statsMu once per query, from the already-merged per-query counters.
 package exec

@@ -19,9 +19,6 @@ import (
 type Options struct {
 	// ResultCacheBytes bounds the per-chunk result cache; 0 disables it.
 	ResultCacheBytes int64
-	// CachePolicy selects the eviction policy: "lru", "2q" (default) or
-	// "arc" — the Section 5 "Improved Cache Heuristics".
-	CachePolicy string
 	// SketchM is the m parameter of the count-distinct approximation
 	// (default 2048, the paper's "couple of thousand").
 	SketchM int
@@ -54,9 +51,9 @@ type Engine struct {
 	// computed and added to the store, the one way a query mutates it.
 	planMu sync.Mutex
 
-	// resultCache is internally synchronized (cache.Synchronized); workers
-	// and concurrent queries share it directly.
-	resultCache cache.Cache
+	// resultCache is internally synchronized; workers and concurrent
+	// queries share it directly.
+	resultCache *cache.Synchronized
 
 	// gate admits scan workers across concurrent queries (see Gate).
 	gate *Gate
@@ -187,16 +184,7 @@ func New(store *colstore.Store, opts Options) *Engine {
 	}
 	e := &Engine{store: store, opts: opts}
 	if opts.ResultCacheBytes > 0 {
-		var inner cache.Cache
-		switch opts.CachePolicy {
-		case "lru":
-			inner = cache.NewLRU(opts.ResultCacheBytes)
-		case "arc":
-			inner = cache.NewARC(opts.ResultCacheBytes)
-		default:
-			inner = cache.NewTwoQ(opts.ResultCacheBytes)
-		}
-		e.resultCache = cache.NewSynchronized(inner)
+		e.resultCache = cache.NewSynchronized(opts.ResultCacheBytes)
 	}
 	e.gate = opts.Gate
 	if e.gate == nil {

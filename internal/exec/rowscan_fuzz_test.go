@@ -136,7 +136,7 @@ func diffRowScan(t *testing.T, seed int64, rows int, allTies bool, limitMode uin
 		}
 	}
 	run("lazy", func() *colstore.Store {
-		s, _, err := colstore.OpenLazy(dir, memmgr.New(max(budget/2, 1), "lru"))
+		s, _, err := colstore.OpenLazy(dir, memmgr.New(max(budget/2, 1), ""))
 		if err != nil {
 			t.Fatal(err)
 		}

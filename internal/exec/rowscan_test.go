@@ -48,7 +48,7 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	tsDict := built.Column("timestamp").Dict.MemoryBytes()
 	budget := tsDict / 2
 	open := func(budget int64) *colstore.Store {
-		s, _, err := colstore.OpenLazy(dir, memmgr.New(budget, "lru"))
+		s, _, err := colstore.OpenLazy(dir, memmgr.New(budget, ""))
 		if err != nil {
 			t.Fatal(err)
 		}

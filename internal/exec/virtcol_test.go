@@ -137,7 +137,7 @@ func TestVirtualColumnConcurrentBudgeted(t *testing.T) {
 		}
 	}
 	budget := residentFootprint(t, eagerStore) / 4
-	lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(budget, "arc"))
+	lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(budget, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

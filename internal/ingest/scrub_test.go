@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"powerdrill/internal/faultfs"
 )
 
 // scrubStore builds a store with base rows, sealed segments and a live
@@ -208,5 +210,70 @@ func TestSnapshotChecksumCounters(t *testing.T) {
 	}
 	if res.Stats.ChecksumFailed != 0 {
 		t.Fatalf("clean store failed %d checksums", res.Stats.ChecksumFailed)
+	}
+}
+
+// supersedingFS is the filesystem as a reader sees it while a writer
+// commits: the first read of file runs commit, which publishes the next
+// generation and removes this one.
+type supersedingFS struct {
+	faultfs.OS
+	file   string
+	commit func()
+	done   bool
+}
+
+func (f *supersedingFS) ReadFile(name string) ([]byte, error) {
+	if name == f.file && !f.done {
+		f.done = true
+		f.commit()
+	}
+	return f.OS.ReadFile(name)
+}
+
+// TestGenChainSupersededWhileRead: when the generation manifest a reader
+// listed is superseded and removed before it reads it, readGenerations
+// returns the superseding generation and ScrubStore verdicts it alone, as
+// clean.
+func TestGenChainSupersededWhileRead(t *testing.T) {
+	dir, _, _ := newBase(t, 100)
+	if err := commitGeneration(dir, &genManifest{Gen: 1, NextSeg: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// supersede makes the first read of generation gen find gen+1
+	// committed and gen removed.
+	supersede := func(gen int) (restore func()) {
+		path := filepath.Join(dir, genName(gen))
+		return faultfs.Swap(&supersedingFS{file: path, commit: func() {
+			if err := commitGeneration(dir, &genManifest{Gen: gen + 1, NextSeg: 1}); err != nil {
+				t.Error(err)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Error(err)
+			}
+		}})
+	}
+
+	restore := supersede(1)
+	m, seq, err := readGenerations(dir)
+	restore()
+	if err != nil || m == nil || seq != 2 {
+		t.Fatalf("readGenerations = %v, %d, %v; want generation 2", m, seq, err)
+	}
+
+	restore = supersede(2)
+	rep, err := ScrubStore(dir)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []ScrubFile
+	for _, f := range rep.Files {
+		if f.Kind == "gen-manifest" {
+			gens = append(gens, f)
+		}
+	}
+	if rep.Corrupt != 0 || len(gens) != 1 || gens[0].Path != genName(3) {
+		t.Fatalf("scrub: %d corrupt, manifest verdicts %+v; want %s alone, clean", rep.Corrupt, gens, genName(3))
 	}
 }

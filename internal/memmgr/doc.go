@@ -2,9 +2,8 @@
 // Section 5 mechanism that lets one machine "serve" far more data than fits
 // in RAM. Data loads lazily from the persisted format on first touch,
 // in-flight scans pin what they are using, and when the budget is exceeded
-// cold entries are evicted through one of the internal/cache replacement
-// policies (2Q by default — scan-resistant, so a one-time full scan cannot
-// flush the interactive working set).
+// cold entries are evicted by internal/cache's 2Q policy (scan-resistant,
+// so a one-time full scan cannot flush the interactive working set).
 //
 // The manager is deliberately key-agnostic: callers decide what an entry
 // is. colstore uses one entry per (column, chunk) pair plus one per global
@@ -16,8 +15,8 @@
 //
 // # The pin/evict contract
 //
-// The replacement policy holds every resident entry, pinned or not, and its
-// capacity is the budget. A pin is a count on the policy's entry.
+// The 2Q cache holds every resident entry, pinned or not, and its capacity
+// is the budget. A pin is a count on the cache's entry.
 //
 //   - Acquire(key, load) returns the entry's value and pins it. A pinned
 //     entry is NEVER evicted, whatever the budget: victim selection skips
@@ -26,7 +25,7 @@
 //     of a list under one lock and hands back the cold ones.
 //   - Release(key) drops one pin; ReleaseAll drops one per key under one
 //     lock, in order. When the last pin goes, the entry is evictable again
-//     — still resident, where its accesses put it in the policy. An entry
+//     — still resident, where its accesses put it in the cache. An entry
 //     larger than the whole budget is dropped then (still counted as an
 //     eviction).
 //   - Cold loads are deduplicated: concurrent Acquire calls for one key
@@ -43,14 +42,13 @@
 //
 // The budget bounds the resident bytes. Pinned bytes may transiently
 // exceed it — a query that needs N chunks at once must hold all N — which
-// is the "± one working set" slack the accounting documents: the policy
+// is the "± one working set" slack the accounting documents: the cache
 // evicts until the budget holds or only pinned entries are left, so
 // steady-state (unpinned) residency is always within the budget. Budget 0
 // means unlimited: entries still load lazily and are tracked, but nothing
 // is ever evicted.
 //
 // Hotness survives a pin by construction: the entry never leaves the
-// policy, and the pin is the access that promotes it to the frequency tier
-// (2Q's Am, ARC's T2), so scan resistance engages for the interactive
-// working set.
+// cache, and the pin is the access that promotes it to 2Q's hot queue Am,
+// so scan resistance engages for the interactive working set.
 package memmgr

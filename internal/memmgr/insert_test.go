@@ -10,7 +10,7 @@ import (
 // disk accounting, its bytes push cold unpinned entries out of the budget,
 // and a second Insert (or Acquire) of the key shares the resident entry.
 func TestInsertBudgetsPrebuiltValues(t *testing.T) {
-	m := New(1000, "lru")
+	m := New(1000, "")
 	var calls atomic.Int64
 	// Fill the budget with a cold, unpinned column.
 	if _, _, err := m.Acquire("cold", loader(&calls, 900)); err != nil {
@@ -65,7 +65,7 @@ func TestInsertBudgetsPrebuiltValues(t *testing.T) {
 // becomes resident and shrinks on eviction and on oversized drops, across
 // both Acquire and Insert entry points.
 func TestVirtualBytesFollowsResidency(t *testing.T) {
-	m := New(1000, "lru")
+	m := New(1000, "")
 	var calls atomic.Int64
 	if _, _, err := m.AcquireVirtual("v1", loader(&calls, 400)); err != nil {
 		t.Fatal(err)

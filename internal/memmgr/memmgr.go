@@ -1,11 +1,12 @@
 package memmgr
 
-// The replacement policy holds every resident entry, pinned or not, and its
-// capacity is the budget (see doc.go for the full pin/evict contract). A
-// pin is a count on the policy's entry: the policy never picks a pinned
-// victim, so pinned bytes may transiently exceed the budget.
+// The 2Q cache holds every resident entry, pinned or not, and its capacity
+// is the budget (see doc.go for the full pin/evict contract). A pin is a
+// count on the cache's entry: the cache never picks a pinned victim, so
+// pinned bytes may transiently exceed the budget.
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -62,7 +63,7 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 	// EvictedBytes sums the resident bytes of evicted entries.
 	EvictedBytes int64 `json:"evicted_bytes"`
-	// Policy names the replacement policy ("lru", "2q", "arc").
+	// Policy names the replacement policy: always "2q".
 	Policy string `json:"policy"`
 }
 
@@ -81,8 +82,8 @@ func (s Stats) HitRate() float64 {
 type Manager struct {
 	mu sync.Mutex
 
-	budget int64 // 0 = unlimited
-	policy policy
+	budget   int64 // 0 = unlimited
+	resident *cache.Cache
 	// pinnedBytes sums the entries with at least one pin: it moves when a
 	// count goes 0→1 and 1→0.
 	pinnedBytes int64
@@ -103,22 +104,20 @@ type Manager struct {
 	virtualBytes int64
 }
 
-// policy is a replacement policy that pins and reports evictions.
-type policy interface {
-	cache.Cache
-	cache.Pinner
-	cache.KeyLister
-	cache.EvictionNotifier
-}
-
-// unlimitedCapacity stands in for "no budget" so the policies never evict.
+// unlimitedCapacity stands in for "no budget" so the cache never evicts.
 const unlimitedCapacity = math.MaxInt64 / 4
+
+// twoQ is the name of the one replacement policy, as Stats reports it.
+const twoQ = "2q"
 
 // New creates a manager with the given byte budget (0 or negative =
 // unlimited: columns still load lazily and are tracked, but nothing is ever
-// evicted). policyName selects the replacement policy for unpinned
-// residents: "lru", "arc", or "2q" (the default for any other value).
+// evicted). policyName must be "" or "2q": 2Q is the only replacement
+// policy, and any other name is a caller's bug that panics.
 func New(budgetBytes int64, policyName string) *Manager {
+	if policyName != "" && policyName != twoQ {
+		panic(fmt.Sprintf("memmgr: unknown replacement policy %q (2q is the only one)", policyName))
+	}
 	if budgetBytes < 0 {
 		budgetBytes = 0
 	}
@@ -126,23 +125,13 @@ func New(budgetBytes int64, policyName string) *Manager {
 	if capacity == 0 {
 		capacity = unlimitedCapacity
 	}
-	var p policy
-	switch policyName {
-	case "lru":
-		p = cache.NewLRU(capacity)
-	case "arc":
-		p = cache.NewARC(capacity)
-	default:
-		p = cache.NewTwoQ(capacity)
-	}
 	m := &Manager{
 		budget:  budgetBytes,
-		policy:  p,
 		loading: make(map[string]*inflight),
 	}
-	// The callback runs inside policy calls, which only happen under m.mu.
-	// The policy never evicts a pinned entry, so pinnedBytes stays put.
-	p.OnEvict(func(_ string, v any, size int64) {
+	// The callback runs inside cache calls, which only happen under m.mu.
+	// The cache never evicts a pinned entry, so pinnedBytes stays put.
+	m.resident = cache.New(capacity, func(_ string, v any, size int64) {
 		m.evictions++
 		m.evictedBytes += size
 		if it, ok := v.(*item); ok && it.virtual {
@@ -176,7 +165,7 @@ func (m *Manager) acquire(key string, virtual bool, load LoadFunc) (value any, c
 	m.mu.Lock()
 	for {
 		// Resident, pinned or not: one more pin. A second access proves the
-		// entry hot by the 2Q/ARC definition, and the pin is that access.
+		// entry hot by 2Q's definition, and the pin is that access.
 		if it, ok := m.pin(key); ok {
 			m.hits++
 			m.mu.Unlock()
@@ -219,7 +208,7 @@ func (m *Manager) acquire(key string, virtual bool, load LoadFunc) (value any, c
 
 // pin adds one pin to key's entry if it is resident. Requires m.mu.
 func (m *Manager) pin(key string) (*item, bool) {
-	v, pins, ok := m.policy.Pin(key)
+	v, pins, ok := m.resident.Pin(key)
 	if !ok {
 		return nil, false
 	}
@@ -233,13 +222,13 @@ func (m *Manager) pin(key string) (*item, bool) {
 // admit makes it key's resident entry, holding one pin, and returns the
 // resident item. When the key is already resident (an Insert raced a
 // load), that entry gains the pin instead and it is dropped. Entries are
-// admitted whatever their size; the policy evicts unpinned ones to make
+// admitted whatever their size; the cache evicts unpinned ones to make
 // room. Requires m.mu.
 func (m *Manager) admit(key string, it *item) *item {
 	if got, ok := m.pin(key); ok {
 		return got
 	}
-	m.policy.PutPinned(key, it, it.size)
+	m.resident.PutPinned(key, it, it.size)
 	m.pinned(key, it, 1)
 	if it.virtual {
 		m.virtualBytes += it.size
@@ -264,7 +253,7 @@ func (m *Manager) pinned(key string, it *item, delta int) {
 // the path a freshly materialized virtual column takes: the data exists in
 // memory before the manager ever sees it, so there is no LoadFunc, no cold
 // counter and no disk charge, but the bytes still enter the budget (the
-// policy evicts cold unpinned entries to make room). The returned value is
+// cache evicts cold unpinned entries to make room). The returned value is
 // the resident one: when another store sharing the manager already
 // inserted or loaded the key, that entry is pinned and returned instead
 // and v is dropped. Callers must Release the key like any Acquire.
@@ -303,7 +292,7 @@ func (m *Manager) Fits(size int64) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.policy.SizeBytes()+size <= m.budget
+	return m.resident.SizeBytes()+size <= m.budget
 }
 
 // Release drops one pin on key; see ReleaseAll.
@@ -311,7 +300,7 @@ func (m *Manager) Release(key string) { m.ReleaseAll([]string{key}) }
 
 // ReleaseAll drops one pin on each key under one lock, in order. When an
 // entry's last pin goes it becomes evictable again — still resident, in
-// the place its accesses gave it in the policy — unless it is larger than
+// the place its accesses gave it in the cache — unless it is larger than
 // the budget, when it is dropped at once (counted as an eviction), or its
 // namespace was retired, when it is removed. Keys not pinned are skipped.
 func (m *Manager) ReleaseAll(keys []string) {
@@ -319,7 +308,7 @@ func (m *Manager) ReleaseAll(keys []string) {
 	defer m.mu.Unlock()
 	for _, key := range keys {
 		remove := len(m.condemned) > 0 && m.isCondemned(key)
-		v, pins, ok := m.policy.Unpin(key, remove)
+		v, pins, ok := m.resident.Unpin(key, remove)
 		if !ok || pins > 0 {
 			continue
 		}
@@ -336,20 +325,17 @@ func (m *Manager) ReleaseAll(keys []string) {
 // compaction: its chunks and dictionaries leave the budget at once instead
 // of lingering until eviction pressure finds them. Unpinned entries are
 // dropped immediately; entries still pinned by a draining query are
-// condemned and dropped on their final Release instead of re-entering the
-// policy. Returns the count and bytes of the entries dropped immediately.
+// condemned and dropped on their final Release instead of becoming
+// evictable. Returns the count and bytes of the entries dropped immediately.
 func (m *Manager) DropNamespace(prefix string) (dropped int, droppedBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	stragglers := 0
-	for _, key := range m.policy.Keys() {
+	for _, key := range m.resident.Keys() {
 		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		// A pin and an unpin with remove: the entry goes unless a query
-		// still holds it.
-		m.policy.Pin(key)
-		v, pins, _ := m.policy.Unpin(key, true)
+		v, pins, _ := m.resident.Drop(key)
 		if pins > 0 {
 			stragglers++
 			continue
@@ -388,9 +374,9 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		BudgetBytes:     m.budget,
-		ResidentBytes:   m.policy.SizeBytes(),
+		ResidentBytes:   m.resident.SizeBytes(),
 		PinnedBytes:     m.pinnedBytes,
-		ResidentItems:   m.policy.Len(),
+		ResidentItems:   m.resident.Len(),
 		VirtualBytes:    m.virtualBytes,
 		Hits:            m.hits,
 		ColdLoads:       m.coldLoads,
@@ -398,6 +384,6 @@ func (m *Manager) Stats() Stats {
 		DiskBytesRead:   m.diskBytes,
 		Evictions:       m.evictions,
 		EvictedBytes:    m.evictedBytes,
-		Policy:          m.policy.Name(),
+		Policy:          twoQ,
 	}
 }

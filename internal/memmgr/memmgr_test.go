@@ -17,38 +17,34 @@ func loader(calls *atomic.Int64, size int64) LoadFunc {
 }
 
 func TestAcquireColdThenWarm(t *testing.T) {
-	for _, policy := range []string{"lru", "2q", "arc"} {
-		t.Run(policy, func(t *testing.T) {
-			m := New(1000, policy)
-			var calls atomic.Int64
-			v, cold, err := m.Acquire("a", loader(&calls, 100))
-			if err != nil || !cold || v == nil {
-				t.Fatalf("first Acquire = %v cold=%v err=%v", v, cold, err)
-			}
-			m.Release("a")
-			_, cold, err = m.Acquire("a", loader(&calls, 100))
-			if err != nil || cold {
-				t.Fatalf("second Acquire cold=%v err=%v, want warm", cold, err)
-			}
-			m.Release("a")
-			if calls.Load() != 1 {
-				t.Fatalf("load ran %d times, want 1", calls.Load())
-			}
-			st := m.Stats()
-			if st.ColdLoads != 1 || st.Hits != 1 || st.ResidentBytes != 100 || st.DiskBytesRead != 200 {
-				t.Fatalf("stats = %+v", st)
-			}
-		})
+	m := New(1000, "")
+	var calls atomic.Int64
+	v, cold, err := m.Acquire("a", loader(&calls, 100))
+	if err != nil || !cold || v == nil {
+		t.Fatalf("first Acquire = %v cold=%v err=%v", v, cold, err)
+	}
+	m.Release("a")
+	_, cold, err = m.Acquire("a", loader(&calls, 100))
+	if err != nil || cold {
+		t.Fatalf("second Acquire cold=%v err=%v, want warm", cold, err)
+	}
+	m.Release("a")
+	if calls.Load() != 1 {
+		t.Fatalf("load ran %d times, want 1", calls.Load())
+	}
+	st := m.Stats()
+	if st.ColdLoads != 1 || st.Hits != 1 || st.ResidentBytes != 100 || st.DiskBytesRead != 200 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestFits: an entry fits while the budget holds it beside every resident
 // entry, pinned or not; without a budget everything fits.
 func TestFits(t *testing.T) {
-	if !New(0, "lru").Fits(1 << 40) {
+	if !New(0, "").Fits(1 << 40) {
 		t.Error("an unlimited manager refused an entry")
 	}
-	m := New(1000, "lru")
+	m := New(1000, "")
 	var calls atomic.Int64
 	if _, _, err := m.Acquire("a", loader(&calls, 300)); err != nil {
 		t.Fatal(err)
@@ -63,7 +59,7 @@ func TestFits(t *testing.T) {
 }
 
 func TestBudgetEvictsCold(t *testing.T) {
-	m := New(250, "lru")
+	m := New(250, "")
 	var calls atomic.Int64
 	for _, k := range []string{"a", "b", "c"} {
 		if _, _, err := m.Acquire(k, loader(&calls, 100)); err != nil {
@@ -123,7 +119,7 @@ func TestPinnedEntriesSurviveBudgetPressure(t *testing.T) {
 }
 
 func TestOversizedEntryDroppedOnRelease(t *testing.T) {
-	m := New(50, "lru")
+	m := New(50, "")
 	var calls atomic.Int64
 	if _, _, err := m.Acquire("big", loader(&calls, 100)); err != nil {
 		t.Fatal(err)
@@ -160,7 +156,7 @@ func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
 }
 
 func TestSingleflightLoad(t *testing.T) {
-	m := New(0, "lru")
+	m := New(0, "")
 	var calls atomic.Int64
 	var started sync.WaitGroup
 	release := make(chan struct{})
@@ -205,7 +201,7 @@ func TestSingleflightLoad(t *testing.T) {
 }
 
 func TestLoadErrorPropagatesAndRetries(t *testing.T) {
-	m := New(0, "lru")
+	m := New(0, "")
 	boom := errors.New("boom")
 	fail := func() (any, int64, int64, error) { return nil, 0, 0, boom }
 	if _, _, err := m.Acquire("k", fail); !errors.Is(err, boom) {
@@ -220,7 +216,7 @@ func TestLoadErrorPropagatesAndRetries(t *testing.T) {
 }
 
 func TestConcurrentChurn(t *testing.T) {
-	m := New(500, "arc")
+	m := New(500, "")
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -310,7 +306,7 @@ func TestDropNamespacePinnedStraggler(t *testing.T) {
 // batched release drops the pins in order, so the first key released is
 // the first one the policy may evict.
 func TestPinResidentThenReleaseAll(t *testing.T) {
-	m := New(250, "lru")
+	m := New(250, "")
 	var calls atomic.Int64
 	for _, k := range []string{"a", "b"} {
 		if _, _, err := m.Acquire(k, loader(&calls, 100)); err != nil {

@@ -129,7 +129,7 @@ type server struct {
 	engine *exec.Engine
 	// resident tracks which columns are in memory; its byte budget models
 	// the "as much data in memory as possible" constraint.
-	resident cache.Cache
+	resident *cache.Cache
 	// colDiskBytes is the compressed on-disk size per column (what a load
 	// streams); colMemBytes the uncompressed resident size.
 	colDiskBytes map[string]int64
@@ -162,7 +162,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		srv := &server{
 			engine:       exec.New(store, exec.Options{ResultCacheBytes: cfg.ResultCacheBytes}),
-			resident:     cache.NewTwoQ(budget),
+			resident:     cache.New(budget, nil),
 			colDiskBytes: map[string]int64{},
 			colMemBytes:  map[string]int64{},
 		}

@@ -106,8 +106,6 @@ type Options struct {
 
 	// ResultCacheBytes bounds the per-chunk result cache (0 disables).
 	ResultCacheBytes int64
-	// CachePolicy is "lru", "2q" (default) or "arc".
-	CachePolicy string
 	// SketchM tunes approximate COUNT DISTINCT (default 2048).
 	SketchM int
 	// ExactDistinct computes COUNT DISTINCT exactly (single node only).
@@ -129,8 +127,11 @@ type Options struct {
 	// 0 means unlimited: data still loads lazily but nothing is evicted.
 	// Ignored by Build, whose store is fully resident by construction.
 	MemoryBudgetBytes int64
-	// MemoryPolicy selects the eviction policy for Open: "lru",
-	// "2q" (default) or "arc".
+	// MemoryPolicy names the eviction policy for Open. 2Q is the only
+	// one, so it must be "" or "2q"; Open and OpenCluster refuse any
+	// other name.
+	//
+	// Deprecated: 2Q is always used; leave MemoryPolicy empty.
 	MemoryPolicy string
 	// IngestSealRows is the streaming-append buffer size: an Append that
 	// fills the in-memory write buffer to this many rows seals it into an
@@ -178,7 +179,6 @@ func (o Options) storeOptions() colstore.Options {
 func (o Options) engineOptions() exec.Options {
 	return exec.Options{
 		ResultCacheBytes: o.ResultCacheBytes,
-		CachePolicy:      o.CachePolicy,
 		SketchM:          o.SketchM,
 		ExactDistinct:    o.ExactDistinct,
 		Parallelism:      o.Parallelism,
@@ -396,15 +396,13 @@ func Upgrade(oldDir, newDir string) error {
 	return colstore.Upgrade(oldDir, newDir)
 }
 
-// validateMemoryPolicy rejects unknown policy names instead of silently
-// falling back to the default, so a typo in a config cannot quietly run the
-// wrong eviction policy.
+// validateMemoryPolicy refuses any policy name but 2Q's, so a config that
+// names a removed policy ("lru", "arc") fails instead of quietly running 2Q.
 func validateMemoryPolicy(p string) error {
-	switch p {
-	case "", "lru", "2q", "arc":
-		return nil
+	if p != "" && p != "2q" {
+		return fmt.Errorf("powerdrill: unknown memory policy %q (2q is the only one)", p)
 	}
-	return fmt.Errorf("powerdrill: unknown memory policy %q (want lru, 2q or arc)", p)
+	return nil
 }
 
 // WAL fsync policies for Options.IngestFsyncPolicy.

@@ -1,6 +1,7 @@
 package powerdrill
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -314,4 +315,40 @@ func TestOpenClusterLazyShards(t *testing.T) {
 	if !ok || st.ColdLoads == 0 {
 		t.Fatalf("cluster MemStats = %+v, ok=%v", st, ok)
 	}
+}
+
+// TestOpenRefusesRemovedMemoryPolicy: 2Q is the only replacement policy,
+// so Open and OpenCluster refuse a removed one by name rather than quietly
+// running 2Q, and accept 2Q's own name.
+func TestOpenRefusesRemovedMemoryPolicy(t *testing.T) {
+	store, err := Build(GenerateQueryLogs(500, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := store.Save(dir, "zippy"); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted MemoryPolicy \"lru\"", what)
+		}
+		if !strings.Contains(err.Error(), `"lru"`) {
+			t.Fatalf("%s's refusal does not name the policy: %v", what, err)
+		}
+	}
+	s, _, err := Open(dir, Options{MemoryPolicy: "lru"})
+	if err == nil {
+		s.Close()
+	}
+	refused("Open", err)
+	_, err = OpenCluster([]string{dir}, ClusterOptions{Replicas: 1, Store: Options{MemoryPolicy: "lru"}})
+	refused("OpenCluster", err)
+
+	s, _, err = Open(dir, Options{MemoryPolicy: "2q"})
+	if err != nil {
+		t.Fatalf("Open refused MemoryPolicy \"2q\": %v", err)
+	}
+	s.Close()
 }
