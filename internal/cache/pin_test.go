@@ -131,50 +131,54 @@ func checkA1out(t *testing.T, c *Cache, op int) {
 // the budget holds again once its last pin drops, and a second Unpin
 // reports no pin.
 func TestPinSurvivesScan(t *testing.T) {
-	c := New(500, nil)
-	c.Put("hot", "v", 100)
-	if _, n, ok := c.Pin("hot"); !ok || n != 1 {
-		t.Fatalf("Pin = %d, %v", n, ok)
-	}
-	for i := 0; i < 50; i++ {
-		c.Put(fmt.Sprintf("scan%d", i), i, 100)
-	}
-	if _, ok := c.Get("hot"); !ok {
-		t.Fatal("pinned entry evicted by a scan")
-	}
-	if _, n, ok := c.Unpin("hot", false); !ok || n != 0 {
-		t.Fatalf("Unpin = %d, %v", n, ok)
-	}
-	if _, _, ok := c.Unpin("hot", false); ok {
-		t.Fatal("Unpin of an unpinned entry reported a pin")
-	}
-	if c.SizeBytes() > 500 {
-		t.Fatalf("over budget after the last unpin: %d", c.SizeBytes())
-	}
+	t.Run("2q", func(t *testing.T) {
+		c := New(500, nil)
+		c.Put("hot", "v", 100)
+		if _, n, ok := c.Pin("hot"); !ok || n != 1 {
+			t.Fatalf("Pin = %d, %v", n, ok)
+		}
+		for i := 0; i < 50; i++ {
+			c.Put(fmt.Sprintf("scan%d", i), i, 100)
+		}
+		if _, ok := c.Get("hot"); !ok {
+			t.Fatal("pinned entry evicted by a scan")
+		}
+		if _, n, ok := c.Unpin("hot", false); !ok || n != 0 {
+			t.Fatalf("Unpin = %d, %v", n, ok)
+		}
+		if _, _, ok := c.Unpin("hot", false); ok {
+			t.Fatal("Unpin of an unpinned entry reported a pin")
+		}
+		if c.SizeBytes() > 500 {
+			t.Fatalf("over budget after the last unpin: %d", c.SizeBytes())
+		}
+	})
 }
 
 // TestUnpinOversizedEvicts: an entry admitted pinned beyond the capacity is
 // dropped, as an eviction, when its last pin goes; with remove it leaves
 // without counting one.
 func TestUnpinOversizedEvicts(t *testing.T) {
-	var evicted []string
-	c := New(100, func(key string, _ any, _ int64) { evicted = append(evicted, key) })
-	c.PutPinned("big", "x", 300)
-	c.PutPinned("big", "x", 300)
-	if c.SizeBytes() != 300 {
-		t.Fatalf("pinned oversized entry not admitted: %d bytes", c.SizeBytes())
-	}
-	c.Unpin("big", false)
-	if c.Len() != 1 {
-		t.Fatal("oversized entry dropped while still pinned")
-	}
-	c.Unpin("big", false)
-	if c.Len() != 0 || len(evicted) != 1 || c.Stats().Evictions != 1 {
-		t.Fatalf("after the last unpin: len %d, evicted %v", c.Len(), evicted)
-	}
-	c.PutPinned("big", "x", 300)
-	c.Unpin("big", true)
-	if c.Len() != 0 || len(evicted) != 1 {
-		t.Fatalf("Unpin with remove: len %d, evicted %v", c.Len(), evicted)
-	}
+	t.Run("2q", func(t *testing.T) {
+		var evicted []string
+		c := New(100, func(key string, _ any, _ int64) { evicted = append(evicted, key) })
+		c.PutPinned("big", "x", 300)
+		c.PutPinned("big", "x", 300)
+		if c.SizeBytes() != 300 {
+			t.Fatalf("pinned oversized entry not admitted: %d bytes", c.SizeBytes())
+		}
+		c.Unpin("big", false)
+		if c.Len() != 1 {
+			t.Fatal("oversized entry dropped while still pinned")
+		}
+		c.Unpin("big", false)
+		if c.Len() != 0 || len(evicted) != 1 || c.Stats().Evictions != 1 {
+			t.Fatalf("after the last unpin: len %d, evicted %v", c.Len(), evicted)
+		}
+		c.PutPinned("big", "x", 300)
+		c.Unpin("big", true)
+		if c.Len() != 0 || len(evicted) != 1 {
+			t.Fatalf("Unpin with remove: len %d, evicted %v", c.Len(), evicted)
+		}
+	})
 }

@@ -15,58 +15,60 @@ import (
 // batch from evicting the chunks it found resident, and from reloading
 // them one at a time outside the coalesced read.
 func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
-	const col = "latency"
-	_, dir := buildSavedStore(t, 30000, "zippy")
-	eager, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := eager.NumChunks()
-	if n < 60 {
-		t.Fatalf("store has %d chunks, want at least 60", n)
-	}
-	half := n / 2
-	full := eager.Column(col)
-	budget := full.Dict.MemoryBytes()
-	warm := make([]bool, n)
-	for ci := 0; ci < half; ci++ {
-		ch := full.Chunks[ci]
-		budget += ch.MemoryElements() + ch.MemoryChunkDict()
-		warm[ci] = true
-	}
-	mgr := memmgr.New(budget, "")
-	lazy, _, err := OpenLazy(dir, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := lazy.NewPinSet()
-	if _, err := ps.ColumnDict(col); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.ColumnChunks(col, warm); err != nil {
-		t.Fatal(err)
-	}
-	ps.Release()
-	if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+1 {
-		t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+1)
-	}
-	ps = lazy.NewPinSet()
-	view, err := ps.ColumnChunks(col, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.ColdChunkLoads != int64(n-half) {
-		t.Fatalf("ColumnChunks cold-loaded %d chunks, want the %d not resident before it", ps.ColdChunkLoads, n-half)
-	}
-	for ci, ch := range view.Chunks {
-		if ch == nil || ch.Rows() != full.Chunks[ci].Rows() {
-			t.Fatalf("chunk %d not pinned into the view", ci)
+	t.Run("2q", func(t *testing.T) {
+		const col = "latency"
+		_, dir := buildSavedStore(t, 30000, "zippy")
+		eager, _, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ps.Release()
-	if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentBytes > budget {
-		t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
-	}
+		n := eager.NumChunks()
+		if n < 60 {
+			t.Fatalf("store has %d chunks, want at least 60", n)
+		}
+		half := n / 2
+		full := eager.Column(col)
+		budget := full.Dict.MemoryBytes()
+		warm := make([]bool, n)
+		for ci := 0; ci < half; ci++ {
+			ch := full.Chunks[ci]
+			budget += ch.MemoryElements() + ch.MemoryChunkDict()
+			warm[ci] = true
+		}
+		mgr := memmgr.New(budget, "2q")
+		lazy, _, err := OpenLazy(dir, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := lazy.NewPinSet()
+		if _, err := ps.ColumnDict(col); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ps.ColumnChunks(col, warm); err != nil {
+			t.Fatal(err)
+		}
+		ps.Release()
+		if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+1 {
+			t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+1)
+		}
+		ps = lazy.NewPinSet()
+		view, err := ps.ColumnChunks(col, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.ColdChunkLoads != int64(n-half) {
+			t.Fatalf("ColumnChunks cold-loaded %d chunks, want the %d not resident before it", ps.ColdChunkLoads, n-half)
+		}
+		for ci, ch := range view.Chunks {
+			if ch == nil || ch.Rows() != full.Chunks[ci].Rows() {
+				t.Fatalf("chunk %d not pinned into the view", ci)
+			}
+		}
+		ps.Release()
+		if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentBytes > budget {
+			t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
+		}
+	})
 }
 
 // BenchmarkWarmPin pins and releases every chunk and the dictionary of

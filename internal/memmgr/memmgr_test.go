@@ -16,26 +16,30 @@ func loader(calls *atomic.Int64, size int64) LoadFunc {
 	}
 }
 
+// TestAcquireColdThenWarm also checks that New takes "2q", the name of its
+// one replacement policy.
 func TestAcquireColdThenWarm(t *testing.T) {
-	m := New(1000, "")
-	var calls atomic.Int64
-	v, cold, err := m.Acquire("a", loader(&calls, 100))
-	if err != nil || !cold || v == nil {
-		t.Fatalf("first Acquire = %v cold=%v err=%v", v, cold, err)
-	}
-	m.Release("a")
-	_, cold, err = m.Acquire("a", loader(&calls, 100))
-	if err != nil || cold {
-		t.Fatalf("second Acquire cold=%v err=%v, want warm", cold, err)
-	}
-	m.Release("a")
-	if calls.Load() != 1 {
-		t.Fatalf("load ran %d times, want 1", calls.Load())
-	}
-	st := m.Stats()
-	if st.ColdLoads != 1 || st.Hits != 1 || st.ResidentBytes != 100 || st.DiskBytesRead != 200 {
-		t.Fatalf("stats = %+v", st)
-	}
+	t.Run("2q", func(t *testing.T) {
+		m := New(1000, "2q")
+		var calls atomic.Int64
+		v, cold, err := m.Acquire("a", loader(&calls, 100))
+		if err != nil || !cold || v == nil {
+			t.Fatalf("first Acquire = %v cold=%v err=%v", v, cold, err)
+		}
+		m.Release("a")
+		_, cold, err = m.Acquire("a", loader(&calls, 100))
+		if err != nil || cold {
+			t.Fatalf("second Acquire cold=%v err=%v, want warm", cold, err)
+		}
+		m.Release("a")
+		if calls.Load() != 1 {
+			t.Fatalf("load ran %d times, want 1", calls.Load())
+		}
+		st := m.Stats()
+		if st.ColdLoads != 1 || st.Hits != 1 || st.ResidentBytes != 100 || st.DiskBytesRead != 200 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
 }
 
 // TestFits: an entry fits while the budget holds it beside every resident
