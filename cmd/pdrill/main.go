@@ -76,7 +76,7 @@ func usage() {
            WAL, manifests); exits 1 if any file fails
   upgrade  -store OLDDIR -out NEWDIR
            rewrites a store written in an older format generation as a
-           current one (base stores only); OLDDIR is left untouched`)
+           current one, segments and WAL included; OLDDIR is left untouched`)
 }
 
 func runGenerate(args []string) error {
@@ -493,8 +493,8 @@ func runScrub(args []string) error {
 	return nil
 }
 
-// runUpgrade converts a store of an older format generation, which query,
-// append, info and scrub refuse, into a new directory in the current one.
+// runUpgrade converts a store of an older format generation — base,
+// segments and WAL — which every other command refuses, into a new one.
 func runUpgrade(args []string) error {
 	fs := flag.NewFlagSet("upgrade", flag.ExitOnError)
 	storeDir := fs.String("store", "", "store directory to convert")

@@ -15,11 +15,6 @@ import (
 	"powerdrill/internal/faultfs"
 )
 
-// formatChecksums is the first manifest generation carrying per-record
-// CRC32C checksums. Only the eager Open of an older store (the read half
-// of Upgrade) ever meets a manifest below it.
-const formatChecksums = 5
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CRC32C returns the Castagnoli CRC of b — the checksum every record (and
@@ -49,7 +44,7 @@ func (e *ChecksumError) Error() string {
 
 // headFileLen is the byte length of a column's head record (dictionary
 // plus chunk-count varint) inside the column file: its codec record
-// (compressed or, from generation 6, possibly raw) with a codec, the bytes
+// (compressed or stored raw) with a codec, the bytes
 // before the first chunk otherwise (all of a chunkless file, which only
 // the verifier's fuzzer builds).
 func headFileLen(mc manifestCol, compressed bool, fileLen int64) int64 {
@@ -69,17 +64,11 @@ func headRawLen(mc manifestCol) int64 {
 }
 
 // headStoredRaw and chunkStoredRaw report whether a record of a codec
-// store of generation gen sits in the file raw. Below formatRawRecords
-// every record is compressed; from it on, a record is raw exactly when its
-// file length equals its raw length, which compressRecords never lets a
-// compressed record reach.
-func headStoredRaw(mc manifestCol, gen int) bool {
-	return gen >= formatRawRecords && mc.DictCLen == headRawLen(mc)
-}
+// store sits in the file raw: exactly when its file length equals its raw
+// length, which compressRecords never lets a compressed record reach.
+func headStoredRaw(mc manifestCol) bool { return mc.DictCLen == headRawLen(mc) }
 
-func chunkStoredRaw(ch manifestChunk, gen int) bool {
-	return gen >= formatRawRecords && ch.CLen == ch.Len
-}
+func chunkStoredRaw(ch manifestChunk) bool { return ch.CLen == ch.Len }
 
 // chunkFileRange is the byte range of one chunk record in the column file:
 // the codec record with a codec, the raw record otherwise.
@@ -109,15 +98,14 @@ func addColChecksums(mc *manifestCol, data []byte, compressed bool) {
 }
 
 // verifyColumnFile checks every record checksum of one column against
-// its full file bytes. Returns how many records carried a checksum and
-// were verified; the first mismatch aborts with a ChecksumError. A
-// record whose stored CRC is zero is skipped (zero doubles as "absent"
-// in the manifest encoding; a data CRC of exactly zero forgoes its
-// check — a 2^-32 gap, documented in docs/format.md).
-func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (int, error) {
-	if m.Format < formatChecksums {
-		return 0, nil
-	}
+// its full file bytes; compressed says which byte ranges delimit the
+// records. Returns how many records carried a checksum and were verified;
+// the first mismatch aborts with a ChecksumError. A record whose stored
+// CRC is zero is skipped (zero doubles as "absent" in the manifest
+// encoding, which is all a manifest of generations 1–4 records; a data CRC
+// of exactly zero forgoes its check — a 2^-32 gap, documented in
+// docs/format.md).
+func verifyColumnFile(mc manifestCol, compressed bool, data []byte, path string) (int, error) {
 	verified := 0
 	check := func(off, n int64, want uint32) error {
 		if want == 0 {
@@ -132,7 +120,6 @@ func verifyColumnFile(m *manifest, mc manifestCol, data []byte, path string) (in
 		verified++
 		return nil
 	}
-	compressed := m.Codec != ""
 	if err := check(0, headFileLen(mc, compressed, int64(len(data))), mc.DictCRC); err != nil {
 		return verified, err
 	}

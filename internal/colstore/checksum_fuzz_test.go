@@ -26,8 +26,7 @@ func FuzzChunkChecksum(f *testing.F) {
 			{Off: int64(h), Len: int64(mid - h), CRC: CRC32C(data[h:mid])},
 			{Off: int64(mid), Len: int64(len(data) - mid), CRC: CRC32C(data[mid:])},
 		}
-		m := &manifest{Format: formatChecksums}
-		if _, err := verifyColumnFile(m, mc, data, mc.File); err != nil {
+		if _, err := verifyColumnFile(mc, false, data, mc.File); err != nil {
 			t.Fatalf("clean file fails verification: %v", err)
 		}
 
@@ -49,7 +48,7 @@ func FuzzChunkChecksum(f *testing.F) {
 		default:
 			want = mc.Chunks[1].CRC
 		}
-		_, err := verifyColumnFile(m, mc, mut, mc.File)
+		_, err := verifyColumnFile(mc, false, mut, mc.File)
 		if want == 0 {
 			if err != nil {
 				t.Fatalf("zero-CRC record must be skipped, got %v", err)
@@ -67,10 +66,12 @@ func FuzzChunkChecksum(f *testing.F) {
 			t.Fatalf("flipped byte %d outside reported range [%d,%d)", idx, ce.Off, ce.Off+ce.Len)
 		}
 
-		// A pre-checksum manifest has nothing to verify: the same flip
-		// passes silently on v4.
-		if _, err := verifyColumnFile(&manifest{Format: formatChecksums - 1}, mc, mut, mc.File); err != nil {
-			t.Fatalf("v4 manifest verified checksums: %v", err)
+		// A pre-checksum manifest (generations 1–4) records every CRC as
+		// zero, so it has nothing to verify: the same flip passes silently.
+		v4 := manifestCol{File: mc.File, Chunks: []manifestChunk{mc.Chunks[0], mc.Chunks[1]}}
+		v4.Chunks[0].CRC, v4.Chunks[1].CRC = 0, 0
+		if n, err := verifyColumnFile(v4, false, mut, mc.File); err != nil || n != 0 {
+			t.Fatalf("v4 manifest verified %d checksums: %v", n, err)
 		}
 	})
 }

@@ -29,11 +29,10 @@
 // encoded individually — compressed, or kept raw where the codec does not
 // shrink it below 7/8 — and its file byte range recorded too, so the
 // exact-read property holds under compression. Save writes format
-// generation 6 and every reader accepts generations 5 and 6
-// (docs/format.md), decoding a file by the generation of the manifest
-// that lists it; a store written by an earlier build is refused with
+// generation 6, the one generation every reader but the eager Open reads
+// (docs/format.md); a store written by an earlier build is refused with
 // ErrOldFormat by everything except the eager Open, which is what Upgrade
-// rewrites it with.
+// rewrites it with (upgrade.go).
 //
 // # Lazy stores and the Reader
 //

@@ -21,32 +21,25 @@ import (
 // experiments (Figure 5 charges disk loads by these exact byte counts) and
 // the pdrill CLI.
 //
-// Save writes generation 6; every reader accepts generations 5 and 6. The
-// manifest records, per column, the byte range, global-id span, Bloom
-// filter and CRC32C of every record — the head record (global dictionary
-// plus chunk-count varint) and one record per chunk — so a cold load is
-// one exact ReadAt of one record, verified and, with a codec, decompressed
-// alone. Generation 6 differs from 5 in two ways, both chosen by the
-// writer per record: a record the codec does not shrink below 7/8 of its
+// Save writes generation 6, and every reader but one reads generation 6
+// only. The manifest records, per column, the byte range, global-id span,
+// Bloom filter and CRC32C of every record — the head record (global
+// dictionary plus chunk-count varint) and one record per chunk — so a cold
+// load is one exact ReadAt of one record, verified and, with a codec,
+// decompressed alone. A record the codec does not shrink below 7/8 of its
 // raw length is stored raw (its file length then equals its raw length,
 // which is how readers tell), and a numeric dictionary is written as
-// fixed-width deltas of order-preserving keys instead of 8-byte words.
-// Stores written by earlier builds (generations 1–4: no chunk layout,
-// whole-file codec, no checksums) are read by exactly one function, the
-// eager Open, which is all Upgrade needs to rewrite them; everything else
-// refuses them with ErrOldFormat.
+// fixed-width deltas of order-preserving keys (numdict.go). Stores written
+// by earlier builds (generations 1–5) are read by exactly one function,
+// the eager Open, which is all Upgrade needs to rewrite them (upgrade.go);
+// everything else refuses them with ErrOldFormat.
 
-// formatVersion is the manifest generation Save writes, and the newest one
-// any reader accepts.
+// formatVersion is the manifest generation Save writes, and the one
+// generation every reader but the eager Open accepts.
 const formatVersion = 6
 
-// formatRawRecords is the first generation whose codec stores may hold a
-// record raw and whose numeric dictionaries are key deltas. Below it, a
-// codec store compresses every record and numbers are 8-byte words.
-const formatRawRecords = 6
-
 // ErrOldFormat is what errors.Is matches when a store directory was
-// written in format generation 1–4; the error itself is an
+// written in format generation 1–5; the error itself is an
 // *OldFormatError naming the generation found.
 var ErrOldFormat = errors.New("colstore: old format generation")
 
@@ -59,8 +52,8 @@ type OldFormatError struct {
 }
 
 func (e *OldFormatError) Error() string {
-	return fmt.Sprintf("colstore: %s is format generation %d and this build reads generations %d–%d only: "+
-		"convert it with `pdrill upgrade -store %s -out NEWDIR`", e.Dir, e.Generation, formatChecksums, formatVersion, e.Dir)
+	return fmt.Sprintf("colstore: %s is format generation %d and this build reads generation %d only: "+
+		"convert it with `pdrill upgrade -store %s -out NEWDIR`", e.Dir, e.Generation, formatVersion, e.Dir)
 }
 
 func (e *OldFormatError) Unwrap() error { return ErrOldFormat }
@@ -86,8 +79,8 @@ type manifestCol struct {
 	DictLen int64 `json:"dict_len,omitempty"`
 	// DictCLen is the file length of the head record (dictionary plus
 	// chunk-count varint) at the start of the column file; set exactly when
-	// the store has a codec. From generation 6 the record is stored raw
-	// exactly when DictCLen equals its raw length (headRawLen).
+	// the store has a codec. The record is stored raw exactly when DictCLen
+	// equals its raw length (headRawLen).
 	DictCLen int64 `json:"dict_clen,omitempty"`
 	// DictCRC is the CRC32C of the head record's file bytes: its codec
 	// record with a codec, otherwise every byte before the first chunk.
@@ -124,8 +117,8 @@ type manifestDictShard struct {
 // of its chunk-dictionary (Min > Max marks an empty chunk) and the byte
 // range [Off, Off+Len) of its record in the uncompressed column stream.
 // With a codec, [COff, COff+CLen) is additionally the record's byte range
-// in the column file — the exact range a cold load reads. From generation
-// 6 the record is stored raw there exactly when CLen == Len.
+// in the column file — the exact range a cold load reads. The record is
+// stored raw there exactly when CLen == Len.
 type manifestChunk struct {
 	Min  uint32 `json:"min"`
 	Max  uint32 `json:"max"`
@@ -191,7 +184,7 @@ func Save(s *Store, dir, codecName string) error {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
 		file := fmt.Sprintf("col_%04d.bin", i)
-		raw, dictLen, chunkMetas := encodeColumn(col, formatVersion)
+		raw, dictLen, chunkMetas := encodeColumn(col)
 		buildChunkBlooms(col, chunkMetas)
 		mc := manifestCol{
 			Name: name, Kind: col.Kind.String(), Virtual: col.Virtual, File: file,
@@ -199,7 +192,7 @@ func Save(s *Store, dir, codecName string) error {
 		}
 		ps.Release()
 		if codec != nil {
-			raw, mc = compressRecords(codec, raw, mc, formatVersion)
+			raw, mc = compressRecords(codec, raw, mc)
 		}
 		addColChecksums(&mc, raw, codec != nil)
 		if err := vfs().WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
@@ -294,20 +287,19 @@ func uvarintLen(v uint64) int {
 }
 
 // compressRecords rewrites one column's raw stream with per-record codec
-// framing: a head record (dictionary plus chunk-count varint, the
-// bytes before the first chunk) followed by one record per chunk, each
-// compressed independently. From generation gen = formatRawRecords on, a
-// record stays compressed only if that makes it strictly smaller than 7/8
-// of its raw length, and is stored raw otherwise — so a compressed record
-// is never as long as its raw form, and a reader tells the two apart by
-// length. The returned manifest entry carries the file byte range of every
-// record.
-func compressRecords(codec compress.Codec, raw []byte, mc manifestCol, gen int) ([]byte, manifestCol) {
+// framing: a head record (dictionary plus chunk-count varint, the bytes
+// before the first chunk) followed by one record per chunk, each
+// compressed independently. A record stays compressed only if that makes
+// it strictly smaller than 7/8 of its raw length, and is stored raw
+// otherwise — so a compressed record is never as long as its raw form,
+// and a reader tells the two apart by length. The returned manifest entry
+// carries the file byte range of every record.
+func compressRecords(codec compress.Codec, raw []byte, mc manifestCol) ([]byte, manifestCol) {
 	var out []byte
 	record := func(src []byte) (off, n int64) {
 		start := len(out)
 		out = codec.Compress(out, src)
-		if gen >= formatRawRecords && !keepCompressed(len(out)-start, len(src)) {
+		if !keepCompressed(len(out)-start, len(src)) {
 			out = append(out[:start], src...)
 		}
 		return int64(start), int64(len(out) - start)
@@ -320,52 +312,43 @@ func compressRecords(codec compress.Codec, raw []byte, mc manifestCol, gen int) 
 	return out, mc
 }
 
-// keepCompressed is generation 6's codec rule: a compressed record is kept
-// only when it is strictly smaller than 7/8 of its raw length, since
-// decompressing it costs more than reading the bytes it saves.
+// keepCompressed is the codec rule: a compressed record is kept only when
+// it is strictly smaller than 7/8 of its raw length, since decompressing
+// it costs more than reading the bytes it saves.
 func keepCompressed(compressed, raw int) bool { return 8*compressed < 7*raw }
 
 // decompressColumnFile rebuilds a column's uncompressed stream from its
-// per-record file contents, decompressing the records generation gen
-// stored compressed and copying the ones it stored raw.
-func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte, gen int) ([]byte, error) {
-	var raw []byte
-	record := func(off, n int64, stored bool) error {
-		if off < 0 || n < 0 || off+n > int64(len(data)) {
-			return errTruncated
+// per-record file contents — the head record, then each chunk's —
+// decompressing the records stored compressed and copying the ones stored
+// raw.
+func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) (raw []byte, err error) {
+	off, n, rawOff, rawLen, stored := int64(0), mc.DictCLen, int64(0), headRawLen(mc), headStoredRaw(mc)
+	for i := 0; i <= len(mc.Chunks); i++ {
+		if i > 0 {
+			ch := mc.Chunks[i-1]
+			off, n, rawOff, rawLen, stored = ch.COff, ch.CLen, ch.Off, ch.Len, chunkStoredRaw(ch)
+		}
+		if off < 0 || n < 0 || off+n > int64(len(data)) || int64(len(raw)) != rawOff {
+			return nil, errTruncated
 		}
 		if stored {
 			raw = append(raw, data[off:off+n]...)
-			return nil
-		}
-		var err error
-		raw, err = codec.Decompress(raw, data[off:off+n])
-		return err
-	}
-	if err := record(0, mc.DictCLen, headStoredRaw(mc, gen)); err != nil {
-		return nil, err
-	}
-	for _, ch := range mc.Chunks {
-		if int64(len(raw)) != ch.Off {
-			return nil, errTruncated
-		}
-		if err := record(ch.COff, ch.CLen, chunkStoredRaw(ch, gen)); err != nil {
+		} else if raw, err = codec.Decompress(raw, data[off:off+n]); err != nil {
 			return nil, err
 		}
-		if int64(len(raw)) != ch.Off+ch.Len {
+		if int64(len(raw)) != rawOff+rawLen {
 			return nil, errTruncated
 		}
 	}
 	return raw, nil
 }
 
-// encodeColumn renders a column's dictionary and chunks in format
-// generation gen (formatVersion, or a virtual sidecar's older base
-// generation). Alongside the raw stream it reports the layout the manifest
-// records for chunk-granular loads: the dictionary's byte length and each
-// chunk's value span and byte range within the stream.
-func encodeColumn(col *Column, gen int) (raw []byte, dictLen int64, chunkMetas []manifestChunk) {
-	out := appendDict(nil, col.Dict, col.Kind, gen)
+// encodeColumn renders a column's dictionary and chunks. Alongside the raw
+// stream it reports the layout the manifest records for chunk-granular
+// loads: the dictionary's byte length and each chunk's value span and byte
+// range within the stream.
+func encodeColumn(col *Column) (raw []byte, dictLen int64, chunkMetas []manifestChunk) {
+	out := appendDict(nil, col.Dict, col.Kind)
 	dictLen = int64(len(out))
 	// Chunks.
 	out = appendUvarint(out, uint64(len(col.Chunks)))
@@ -398,31 +381,25 @@ func encodeColumn(col *Column, gen int) (raw []byte, dictLen int64, chunkMetas [
 	return out, dictLen, chunkMetas
 }
 
-// appendDict appends a global dictionary as generation gen writes it: the
-// count, then a string's length and bytes per value, or a numeric
-// dictionary's words (generation 5) or key deltas (numdict.go).
-func appendDict(out []byte, d dict.Dict, kind value.Kind, gen int) []byte {
+// appendDict appends a global dictionary: the count, then a string's
+// length and bytes per value, or a numeric dictionary's key deltas
+// (numdict.go).
+func appendDict(out []byte, d dict.Dict, kind value.Kind) []byte {
 	n := d.Len()
 	out = appendUvarint(out, uint64(n))
-	switch {
-	case kind == value.KindString:
+	if kind == value.KindString {
 		for i := 0; i < n; i++ {
 			s := d.Value(uint32(i)).Str()
 			out = appendUvarint(out, uint64(len(s)))
 			out = append(out, s...)
 		}
-	case gen < formatRawRecords:
-		for i := 0; i < n; i++ {
-			out = appendLE64(out, numericWord(d.Value(uint32(i))))
-		}
-	default:
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = numericKey(d.Value(uint32(i)))
-		}
-		out = appendKeyDeltas(out, keys)
+		return out
 	}
-	return out
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = numericKey(d.Value(uint32(i)))
+	}
+	return appendKeyDeltas(out, keys)
 }
 
 // DiskStats reports how many bytes Open read, the quantity Figure 5's
@@ -454,26 +431,12 @@ func readManifest(dir string) (*manifest, int64, error) {
 	return &m, int64(len(blob)), nil
 }
 
-// generation names the format generation that wrote m. Generations 1 and 2
-// predate the format field; 2 added the chunk layout.
-func (m *manifest) generation() int {
-	if m.Format > 0 {
-		return m.Format
-	}
-	for _, mc := range m.Columns {
-		if len(mc.Chunks) == 0 {
-			return 1
-		}
-	}
-	return 2
-}
-
 // checkCurrent is the gate of every reader but the eager Open: an
-// *OldFormatError for generations 1–4, and for generations 5 and 6 a check
-// that every column carries the layout cold reads rely on.
+// *OldFormatError for generations 1–5, and for generation 6 a check that
+// every column carries the layout cold reads rely on.
 func (m *manifest) checkCurrent(dir string) error {
-	if gen := m.generation(); gen < formatChecksums {
-		return &OldFormatError{Dir: dir, Generation: gen}
+	if m.Format != formatVersion {
+		return &OldFormatError{Dir: dir, Generation: m.generation()}
 	}
 	for _, mc := range m.Columns {
 		if err := m.checkLayout(mc); err != nil {
@@ -514,17 +477,19 @@ func storeShell(m *manifest) *Store {
 // implementation is taken from the manifest options. For a lazily loaded,
 // budget-managed store see OpenLazy.
 //
-// Open is also the one reader of format generations 1–4 (Upgrade is Open
-// plus Save): it reads whole files and decodes full columns, so all it has
-// to know about them is that generations 1–2 compressed a column file as
-// one stream and that none carried checksums (verifyColumnFile).
+// Open is also the one reader of format generations 1–5 (Upgrade is Open
+// plus Save), and the one function that decodes by generation: it reads
+// whole files and decodes full columns, an older generation's once
+// oldColumnStream (upgrade.go) has rewritten them in generation 6's
+// framing.
 func Open(dir string) (*Store, *DiskStats, error) {
 	stats := &DiskStats{}
 	m, manifestBytes, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.checkCurrent(dir); err != nil && !errors.Is(err, ErrOldFormat) {
+	old := m.Format != formatVersion
+	if err := m.checkCurrent(dir); err != nil && !old {
 		return nil, nil, err
 	}
 	stats.BytesRead += manifestBytes
@@ -543,24 +508,23 @@ func Open(dir string) (*Store, *DiskStats, error) {
 		}
 		stats.BytesRead += int64(len(raw))
 		stats.Files++
-		if _, err := verifyColumnFile(m, mc, raw, filepath.Join(dir, mc.File)); err != nil {
+		if _, err := verifyColumnFile(mc, codec != nil, raw, filepath.Join(dir, mc.File)); err != nil {
 			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
-		}
-		if codec != nil {
-			if m.Format < 3 {
-				raw, err = codec.Decompress(nil, raw)
-			} else {
-				raw, err = decompressColumnFile(codec, mc, raw, m.Format)
-			}
-			if err != nil {
-				return nil, nil, fmt.Errorf("colstore: decompress column %q: %w", mc.Name, err)
-			}
 		}
 		kind, err := value.ParseKind(mc.Kind)
 		if err != nil {
 			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 		}
-		col, err := decodeColumn(mc.Name, kind, mc.Virtual, raw, s.Opts.StringDict, m.Format)
+		switch {
+		case old:
+			raw, err = oldColumnStream(m.generation(), codec, mc, kind, raw)
+		case codec != nil:
+			raw, err = decompressColumnFile(codec, mc, raw)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
+		}
+		col, err := decodeColumn(mc.Name, kind, mc.Virtual, raw, s.Opts.StringDict)
 		if err != nil {
 			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 		}
@@ -581,29 +545,10 @@ func FormatGeneration(dir string) (int, error) {
 	return m.generation(), nil
 }
 
-// Upgrade rewrites the base store at oldDir — any format generation this
-// build can still read eagerly — as a current-generation store at newDir,
-// with the same codec and import options. Only the manifest's own columns
-// are carried: a virtual sidecar is a rebuildable cache and is left behind.
-func Upgrade(oldDir, newDir string) error {
-	if _, err := vfs().Stat(filepath.Join(newDir, "manifest.json")); err == nil {
-		return fmt.Errorf("colstore: upgrade: %s already holds a store", newDir)
-	}
-	m, _, err := readManifest(oldDir)
-	if err != nil {
-		return err
-	}
-	s, _, err := Open(oldDir)
-	if err != nil {
-		return err
-	}
-	return Save(s, newDir, m.Codec)
-}
-
-// decodeColumn parses the output of encodeColumn for generation gen.
-func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd StringDictKind, gen int) (*Column, error) {
+// decodeColumn parses the output of encodeColumn.
+func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd StringDictKind) (*Column, error) {
 	r := &byteReader{buf: raw}
-	d, err := decodeDict(r, kind, sd, gen)
+	d, err := decodeDict(r, kind, sd)
 	if err != nil {
 		return nil, err
 	}
@@ -622,11 +567,11 @@ func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd Str
 	return col, nil
 }
 
-// decodeDict parses the dictionary header encodeColumn writes in generation
-// gen: walkDict reads and checks every value, and the dictionary is built
-// on what it returns.
-func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind, gen int) (dict.Dict, error) {
-	strs, ints, floats, err := walkDict(r, kind, gen, nil)
+// decodeDict parses the dictionary header encodeColumn writes: walkDict
+// reads and checks every value, and the dictionary is built on what it
+// returns.
+func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
+	strs, ints, floats, err := walkDict(r, kind, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -725,12 +670,4 @@ func (r *byteReader) take(n int) ([]byte, error) {
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b, nil
-}
-
-// words takes the bytes of n 8-byte words, n bounded once by the bytes left.
-func (r *byteReader) words(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)-r.off)/8 {
-		return nil, errTruncated
-	}
-	return r.take(int(n) * 8)
 }

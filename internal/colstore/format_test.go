@@ -291,19 +291,20 @@ func TestUvarintRefusals(t *testing.T) {
 }
 
 // TestDecodeDictRejectsHostile: a dictionary record is not trusted either. A
-// count the record's bytes cannot hold — eight a number in generation 5, a
-// delta's width in generation 6, at least one a string — fails before
-// anything is allocated for it (an int64 count of 2⁶³−1 used to panic in
-// make, a string count of 2³² to run the process out of memory), and values
-// that do not ascend strictly fail with an error instead of the
-// constructors' panic, for every string dictionary kind. Generation 6's
-// delta framing refuses a width byte other than 1, 2, 4 or 8 or wider than
-// its deltas need, a zero delta and a delta that wraps the key; the
-// extremes of both kinds decode bit for bit. The good records decode to
-// their values; the chunk-count varint after them is left unread.
+// count the record's bytes cannot hold — a delta's width, at least one byte
+// a string, and eight a number in the 8-byte words of generation 5 that
+// only Upgrade's word decoder still reads — fails before anything is
+// allocated for it (an int64 count of 2⁶³−1 used to panic in make, a
+// string count of 2³² to run the process out of memory), and values that
+// do not ascend strictly fail with an error instead of the constructors'
+// panic, for every string dictionary kind. The delta framing refuses a
+// width byte other than 1, 2, 4 or 8 or wider than its deltas need, a zero
+// delta and a delta that wraps the key; the extremes of both kinds decode
+// bit for bit. The good records decode to their values; the chunk-count
+// varint after them is left unread.
 func TestDecodeDictRejectsHostile(t *testing.T) {
-	// rec is a record in either generation's string layout, or in
-	// generation 5's numeric one: the count, then each value.
+	// rec is a record in the string layout, or in generation 5's numeric
+	// one: the count, then each value.
 	rec := func(n uint64, vals ...any) []byte {
 		out := appendUvarint(nil, n)
 		for _, v := range vals {
@@ -318,7 +319,7 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 		}
 		return appendUvarint(out, 7) // the head record's chunk count
 	}
-	// deltas is a generation-6 numeric record spelled out: the count, the
+	// deltas is a numeric record spelled out: the count, the
 	// first key, then the width byte and the deltas, each delta w bytes.
 	deltas := func(n, first uint64, w byte, ds ...uint64) []byte {
 		out := binary.LittleEndian.AppendUint64(appendUvarint(nil, n), first)
@@ -330,7 +331,7 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 		}
 		return appendUvarint(out, 7)
 	}
-	// keys is a generation-6 numeric record as Save writes it.
+	// keys is a numeric record as Save writes it.
 	keys := func(vals ...value.Value) []byte {
 		ks := make([]uint64, len(vals))
 		for i, v := range vals {
@@ -342,7 +343,7 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 	k0 := uint64(1) << 63 // the key of int64 0
 	type hostile struct {
 		name string
-		gen  int
+		gen  int // 5: Upgrade's word decoder reads it
 		kind value.Kind
 		rec  []byte
 		want []value.Value // nil: an error
@@ -356,6 +357,8 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 		{"float64 repeated", 5, value.KindFloat64, rec(2, 1.5, 1.5), nil},
 		{"int64", 5, value.KindInt64, rec(3, int64(-4), int64(0), int64(9)), []value.Value{i64(-4), i64(0), i64(9)}},
 		{"float64", 5, value.KindFloat64, rec(2, -0.5, 2.25), []value.Value{f64(-0.5), f64(2.25)}},
+		{"float64 NaN", 5, value.KindFloat64, rec(1, math.NaN()), nil},
+		{"float64 NaN last", 5, value.KindFloat64, rec(2, 1.5, math.NaN()), nil},
 
 		{"width 0", 6, value.KindInt64, deltas(2, k0, 0), nil},
 		{"width 3", 6, value.KindInt64, deltas(2, k0, 3, 1), nil},
@@ -394,17 +397,14 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 			hostile{fmt.Sprintf("width %d count past the bytes", w.w), 6, value.KindInt64, deltas(5, k0-1, w.w, 1, w.big), nil},
 		)
 	}
-	// Strings are framed alike in both generations.
-	for _, gen := range []int{5, 6} {
-		cases = append(cases,
-			hostile{"string count 2^32", gen, value.KindString, rec(1<<32, "a", "b"), nil},
-			hostile{"string count past the bytes", gen, value.KindString, rec(4, "a", "b"), nil},
-			hostile{"string descending", gen, value.KindString, rec(2, "b", "a"), nil},
-			hostile{"string repeated", gen, value.KindString, rec(3, "", "a", "a"), nil},
-			hostile{"string", gen, value.KindString, rec(3, "", "a", "ab"), []value.Value{value.String(""), value.String("a"), value.String("ab")}},
-			hostile{"empty", gen, value.KindString, rec(0), []value.Value{}},
-		)
-	}
+	cases = append(cases,
+		hostile{"string count 2^32", 6, value.KindString, rec(1<<32, "a", "b"), nil},
+		hostile{"string count past the bytes", 6, value.KindString, rec(4, "a", "b"), nil},
+		hostile{"string descending", 6, value.KindString, rec(2, "b", "a"), nil},
+		hostile{"string repeated", 6, value.KindString, rec(3, "", "a", "a"), nil},
+		hostile{"string", 6, value.KindString, rec(3, "", "a", "ab"), []value.Value{value.String(""), value.String("a"), value.String("ab")}},
+		hostile{"empty", 6, value.KindString, rec(0), []value.Value{}},
+	)
 	for _, c := range cases {
 		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie, StringDictSharded} {
 			if c.kind != value.KindString && sd != StringDictArray {
@@ -421,7 +421,10 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 						t.Errorf("%s: %v", name, err)
 					}
 				}()
-				return decodeDict(r, c.kind, sd, c.gen)
+				if c.gen == 5 {
+					return decodeWordDict(r, c.kind)
+				}
+				return decodeDict(r, c.kind, sd)
 			}()
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {

@@ -8,25 +8,15 @@ import (
 	"powerdrill/internal/value"
 )
 
-// Generation 6 writes a numeric dictionary as fixed-width deltas of
+// A numeric dictionary is written as fixed-width deltas of
 // order-preserving uint64 keys (docs/format.md): after the count n, the
 // first key in 8 little-endian bytes, then — when n ≥ 2 — one width byte
 // (1, 2, 4 or 8, the narrowest that holds every delta) and the n−1 deltas
 // in that many little-endian bytes each. Sorted distinct values have
 // strictly ascending keys, so every delta is at least one; a dictionary of
-// timestamps or small integers packs into a byte or two a value where
-// generation 5 spent eight.
+// timestamps or small integers packs into a byte or two a value.
 
 const signBit = 1 << 63
-
-// numericWord is a numeric dictionary value's 8-byte word in generation 5:
-// the int64's two's complement, the float64's IEEE bits.
-func numericWord(v value.Value) uint64 {
-	if v.Kind() == value.KindFloat64 {
-		return math.Float64bits(v.Float())
-	}
-	return uint64(v.Int())
-}
 
 // numericKey maps a numeric dictionary value to a key that sorts as the
 // values do: an int64 with its sign bit flipped; a float64's bits with the
@@ -101,8 +91,7 @@ const (
 )
 
 // walkNumbers reads a numeric dictionary payload of n values, the count
-// read and passed by walkDict: generation 5's 8-byte words, converted by
-// word, or from formatRawRecords on the key deltas appendKeyDeltas writes,
+// read and passed by walkDict: the key deltas appendKeyDeltas writes,
 // converted by key. It keeps the values at the ids in want, a sorted set
 // (every value when want is nil), and converts no other. The payload is
 // not trusted: n is bounded by the bytes left before anything is
@@ -112,24 +101,17 @@ const (
 // Keys order as their values do, so the keys are what is checked, but for
 // what float64 order adds: no NaN, and not both −0 and +0, which are
 // adjacent keys of equal values.
-func walkNumbers[T int64 | float64](r *byteReader, n uint64, gen int, word, key func(uint64) T, want []uint32) ([]T, error) {
+func walkNumbers[T int64 | float64](r *byteReader, n uint64, key func(uint64) T, want []uint32) ([]T, error) {
 	if n == 0 {
 		return []T{}, checkWant(want, 0)
 	}
-	var (
-		first, body []byte
-		w           = 1 // a delta's width
-		err         error
-	)
-	if gen < formatRawRecords {
-		body, err = r.words(n)
-	} else {
-		first, err = r.words(1)
-	}
+	first, err := r.take(8)
 	if err != nil {
 		return nil, err
 	}
-	if gen >= formatRawRecords && n > 1 {
+	var body []byte
+	w := 1 // a delta's width
+	if n > 1 {
 		wb, err := r.take(1)
 		if err != nil {
 			return nil, err
@@ -152,24 +134,6 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, gen int, word, key 
 	descends := func(i int) error {
 		return fmt.Errorf("colstore: numeric dictionary does not ascend strictly at %d", i)
 	}
-	if gen < formatRawRecords {
-		var prev T
-		for i := 0; i < int(n); i++ {
-			v := word(binary.LittleEndian.Uint64(body[8*i:]))
-			if v != v || i > 0 && !(prev < v) {
-				return nil, descends(i)
-			}
-			prev = v
-			if want == nil {
-				out[i] = v
-			} else if next < len(want) && want[next] == uint32(i) {
-				out = append(out, v)
-				next++
-			}
-		}
-		return out, checkWant(want, next)
-	}
-
 	var zero T
 	_, float := any(zero).(float64)
 	k := binary.LittleEndian.Uint64(first)

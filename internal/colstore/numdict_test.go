@@ -45,12 +45,32 @@ func numericDictOf(data []byte, float bool) dict.Dict {
 	return dict.NewInt64s(out)
 }
 
-// FuzzNumericDict: the numeric dictionary record of both generations. A
-// sorted set built from the input round-trips bit for bit through
-// generation 5's words and generation 6's key deltas, and the input read as
-// a generation-6 record decodes to an error or to a dictionary whose values
-// re-encode to exactly the bytes they were read from — never a panic, and
-// never an allocation the input's length cannot back.
+// numericWord is a numeric dictionary value's 8-byte word in generations
+// 1–5: the int64's two's complement, the float64's IEEE bits.
+func numericWord(v value.Value) uint64 {
+	if v.Kind() == value.KindFloat64 {
+		return math.Float64bits(v.Float())
+	}
+	return uint64(v.Int())
+}
+
+// appendWordDict appends a numeric dictionary as generations 1–5 wrote it,
+// for decodeWordDict: the count, then each value's word.
+func appendWordDict(out []byte, d dict.Dict) []byte {
+	out = appendUvarint(out, uint64(d.Len()))
+	for i := 0; i < d.Len(); i++ {
+		out = appendLE64(out, numericWord(d.Value(uint32(i))))
+	}
+	return out
+}
+
+// FuzzNumericDict: the numeric dictionary record, as Save writes it and as
+// Upgrade's word decoder reads generation 5's. A sorted set built from the
+// input round-trips bit for bit through the key deltas and through the
+// 8-byte words, and the input read as either record decodes to an error or
+// to a dictionary whose values re-encode to exactly the bytes they were
+// read from — never a panic, and never an allocation the input's length
+// cannot back.
 func FuzzNumericDict(f *testing.F) {
 	words := func(vs ...uint64) []byte {
 		var out []byte
@@ -72,7 +92,8 @@ func FuzzNumericDict(f *testing.F) {
 			if float {
 				kind = value.KindFloat64
 			}
-			f.Add(appendDict(nil, numericDictOf(set, float), kind, formatVersion), float)
+			f.Add(appendDict(nil, numericDictOf(set, float), kind), float)
+			f.Add(appendWordDict(nil, numericDictOf(set, float)), float)
 		}
 	}
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0x80, 3, 1, 0, 0}, false)
@@ -81,36 +102,49 @@ func FuzzNumericDict(f *testing.F) {
 		if float {
 			kind = value.KindFloat64
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r := &byteReader{buf: data}
-		d, err := decodeDict(r, kind, StringDictArray, formatVersion)
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(data))+1<<16 {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		type codec struct {
+			name   string
+			decode func(*byteReader) (dict.Dict, error)
+			encode func(dict.Dict) []byte
 		}
-		if err == nil {
-			// The count is a plain uvarint, which may be spelled overlong;
-			// everything after it must be the one spelling of its values.
-			head := &byteReader{buf: data}
-			head.uvarint()
-			got := appendDict(nil, d, kind, formatVersion)
-			if !bytes.Equal(got[uvarintLen(uint64(d.Len())):], data[head.off:r.off]) {
-				t.Fatalf("record %x decodes to %d values that re-encode to %x", data[:r.off], d.Len(), got)
+		for _, c := range []codec{
+			{"key deltas",
+				func(r *byteReader) (dict.Dict, error) { return decodeDict(r, kind, StringDictArray) },
+				func(d dict.Dict) []byte { return appendDict(nil, d, kind) }},
+			{"words",
+				func(r *byteReader) (dict.Dict, error) { return decodeWordDict(r, kind) },
+				func(d dict.Dict) []byte { return appendWordDict(nil, d) }},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := &byteReader{buf: data}
+			d, err := c.decode(r)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(data))+1<<16 {
+				t.Fatalf("%s: decoding %d bytes allocated %d", c.name, len(data), grew)
 			}
-		}
+			if err == nil {
+				// The count is a plain uvarint, which may be spelled
+				// overlong; everything after it must be the one spelling
+				// of its values.
+				head := &byteReader{buf: data}
+				head.uvarint()
+				got := c.encode(d)
+				if !bytes.Equal(got[uvarintLen(uint64(d.Len())):], data[head.off:r.off]) {
+					t.Fatalf("%s: record %x decodes to %d values that re-encode to %x", c.name, data[:r.off], d.Len(), got)
+				}
+			}
 
-		want := numericDictOf(data, float)
-		for _, gen := range []int{formatChecksums, formatVersion} {
-			rec := appendDict(nil, want, kind, gen)
-			r := &byteReader{buf: rec}
-			got, err := decodeDict(r, kind, StringDictArray, gen)
+			want := numericDictOf(data, float)
+			rec := c.encode(want)
+			r = &byteReader{buf: rec}
+			got, err := c.decode(r)
 			if err != nil || r.off != len(rec) || got.Len() != want.Len() {
-				t.Fatalf("generation %d: %d values decode to %v (%d of %d bytes read)", gen, want.Len(), err, r.off, len(rec))
+				t.Fatalf("%s: %d values decode to %v (%d of %d bytes read)", c.name, want.Len(), err, r.off, len(rec))
 			}
 			for i := 0; i < want.Len(); i++ {
 				if w, g := numericWord(want.Value(uint32(i))), numericWord(got.Value(uint32(i))); w != g {
-					t.Fatalf("generation %d: value %d is %x, want %x", gen, i, g, w)
+					t.Fatalf("%s: value %d is %x, want %x", c.name, i, g, w)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +13,6 @@ import (
 
 	"powerdrill/internal/compress"
 	"powerdrill/internal/memmgr"
-	"powerdrill/internal/value"
 )
 
 // savedManifest reads the manifest Save wrote into dir.
@@ -52,9 +50,9 @@ func TestStoredRawRecords(t *testing.T) {
 	}
 	var records []record
 	for _, mc := range m.Columns {
-		records = append(records, record{mc, -1, 0, mc.DictCLen, headRawLen(mc), headStoredRaw(mc, m.Format)})
+		records = append(records, record{mc, -1, 0, mc.DictCLen, headRawLen(mc), headStoredRaw(mc)})
 		for ci, ch := range mc.Chunks {
-			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, chunkStoredRaw(ch, m.Format)})
+			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, chunkStoredRaw(ch)})
 		}
 	}
 	var raw, compressed *record
@@ -163,7 +161,7 @@ func TestStoredRawRecords(t *testing.T) {
 }
 
 // TestKeepCompressedNeverRawLength: whatever the codec makes of a record,
-// a compressed record kept by generation 6 is never as long as its raw form
+// a compressed record kept is never as long as its raw form
 // — the length a reader takes for "stored raw" — for raw lengths 0–64.
 func TestKeepCompressedNeverRawLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -182,12 +180,12 @@ func TestKeepCompressedNeverRawLength(t *testing.T) {
 				// A one-chunk column: a one-byte head record, then the chunk.
 				raw := append([]byte{1}, chunk...)
 				mc := manifestCol{Chunks: []manifestChunk{{Off: 1, Len: int64(n)}}}
-				file, mc := compressRecords(codec, raw, mc, formatVersion)
+				file, mc := compressRecords(codec, raw, mc)
 				ch := mc.Chunks[0]
-				if chunkStoredRaw(ch, formatVersion) != bytes.Equal(file[ch.COff:ch.COff+ch.CLen], chunk) {
-					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, chunkStoredRaw(ch, formatVersion), file[ch.COff:], chunk)
+				if chunkStoredRaw(ch) != bytes.Equal(file[ch.COff:ch.COff+ch.CLen], chunk) {
+					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, chunkStoredRaw(ch), file[ch.COff:], chunk)
 				}
-				back, err := decompressColumnFile(codec, mc, file, formatVersion)
+				back, err := decompressColumnFile(codec, mc, file)
 				if err != nil || !bytes.Equal(back, raw) {
 					t.Fatalf("%s, %d bytes: the column file decodes to %x, %v", name, n, back, err)
 				}
@@ -200,88 +198,4 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
 	return b
-}
-
-// TestVirtualColumnOnParentBase: a virtual column materialized on the
-// committed generation-5 base (testdata/parent5) is written in the base's
-// generation — a sidecar is decoded by the generation its manifest
-// records, and it must match the base it sits next to — so after a reopen
-// it is served from disk, beside the sidecar column the older build wrote,
-// with the values it was built with.
-func TestVirtualColumnOnParentBase(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "parent5")
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			if rel == "segs" {
-				return filepath.SkipDir // ingest state: not the base store's
-			}
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), blob, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := OpenLazy(dir, memmgr.New(0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasColumn("date(timestamp)") {
-		t.Fatal("the fixture's generation-5 sidecar column is not registered")
-	}
-	str := materializeSuffix(t, s, "suffix(country)", "?")
-	lat, err := s.ColumnErr("latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vals []value.Value
-	for ci := 0; ci < s.NumChunks(); ci++ {
-		for r := 0; r < s.ChunkRows(ci); r++ {
-			vals = append(vals, value.Int64(-3*lat.ValueAt(ci, r).Int()))
-		}
-	}
-	ps := s.NewPinSet()
-	num, err := s.AddVirtualColumnPinned(ps, "-3*latency", value.KindInt64, vals)
-	ps.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if vm := sidecarManifest(t, dir); vm.Format != 5 || len(vm.Columns) != 3 {
-		t.Fatalf("sidecar is generation %d with %d columns, want the base's generation 5 with 3", vm.Format, len(vm.Columns))
-	}
-
-	re, _, err := OpenLazy(dir, memmgr.New(0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, want := range []*Column{str, num} {
-		got, err := re.ColumnErr(want.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.residentColumn(want.Name) != nil {
-			t.Fatalf("%s was re-materialized, not read from the sidecar", want.Name)
-		}
-		for ci := 0; ci < re.NumChunks(); ci++ {
-			for r := 0; r < re.ChunkRows(ci); r++ {
-				if g, w := got.ValueAt(ci, r), want.ValueAt(ci, r); g != w {
-					t.Fatalf("%s chunk %d row %d = %v after reopen, want %v", want.Name, ci, r, g, w)
-				}
-			}
-		}
-	}
-	if _, err := re.ColumnErr("date(timestamp)"); err != nil {
-		t.Fatal(err)
-	}
 }

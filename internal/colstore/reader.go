@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -165,7 +164,7 @@ func (r *Reader) dictRecord(mc manifestCol, bufs *loadBufs) (raw []byte, n int64
 	if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
 		return nil, 0, err
 	}
-	if r.m.Codec != "" && !headStoredRaw(mc, r.m.Format) {
+	if r.m.Codec != "" && !headStoredRaw(mc) {
 		if raw, err = r.decompress(mustCodec(r.m.Codec), raw, bufs); err != nil {
 			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", mc.Name, err)
 		}
@@ -177,7 +176,7 @@ func (r *Reader) dictRecord(mc manifestCol, bufs *loadBufs) (raw []byte, n int64
 // returned. The record ends in the chunk-count varint; the decoder stops
 // at the dictionary's end and ignores it.
 func (r *Reader) decodeDictRecord(mc manifestCol, kind value.Kind, raw []byte) (dict.Dict, error) {
-	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd, r.m.Format)
+	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 	}
@@ -191,7 +190,7 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, raw []byte, gids []
 	want := slices.Clone(gids)
 	slices.Sort(want)
 	want = slices.Compact(want)
-	strs, ints, floats, err := walkDict(&byteReader{buf: raw}, kind, r.m.Format, want)
+	strs, ints, floats, err := walkDict(&byteReader{buf: raw}, kind, want)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 	}
@@ -415,8 +414,8 @@ func (r *Reader) DictFileLen(name string) (int64, error) {
 }
 
 // DecodeChunkRecord decodes one chunk from its file-level record bytes (as
-// delimited by ChunkFileRange): the codec record with a codec — compressed,
-// or from generation 6 possibly raw — the raw record otherwise.
+// delimited by ChunkFileRange): the codec record with a codec — compressed
+// or stored raw — the raw record otherwise.
 func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
 	return r.decodeChunkRecord(name, ci, rec, nil)
 }
@@ -431,7 +430,7 @@ func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBu
 		return nil, err
 	}
 	raw := rec
-	if r.m.Codec != "" && !chunkStoredRaw(mc.Chunks[ci], r.m.Format) {
+	if r.m.Codec != "" && !chunkStoredRaw(mc.Chunks[ci]) {
 		raw, err = r.decompress(mustCodec(r.m.Codec), rec, bufs)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
@@ -463,11 +462,10 @@ func mustCodec(name string) compress.Codec {
 // want is nil), as strings, int64s or float64s by kind. The record is not
 // trusted, and every refusal is here, so a walk that keeps ten values
 // refuses exactly the records a full decode does: the count is bounded by
-// the bytes left (a string takes at least its length byte, a number in
-// generation 5 eight bytes, a delta its width) before anything is
-// allocated, the values must ascend strictly, and an id of want past the
-// last value is an error.
-func walkDict(r *byteReader, kind value.Kind, gen int, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
+// the bytes left (a string takes at least its length byte, a delta its
+// width) before anything is allocated, the values must ascend strictly,
+// and an id of want past the last value is an error.
+func walkDict(r *byteReader, kind value.Kind, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, nil, nil, err
@@ -476,9 +474,9 @@ func walkDict(r *byteReader, kind value.Kind, gen int, want []uint32) (strs []st
 	case value.KindString:
 		strs, err = walkStrings(r, n, want)
 	case value.KindInt64:
-		ints, err = walkNumbers(r, n, gen, func(w uint64) int64 { return int64(w) }, keyInt64, want)
+		ints, err = walkNumbers(r, n, keyInt64, want)
 	case value.KindFloat64:
-		floats, err = walkNumbers(r, n, gen, math.Float64frombits, keyFloat64, want)
+		floats, err = walkNumbers(r, n, keyFloat64, want)
 	default:
 		err = fmt.Errorf("invalid kind %v", kind)
 	}

@@ -14,9 +14,9 @@ import (
 
 // TestDictWalkMatchesDecode: a walk for some global-ids refuses exactly
 // the records a full decode refuses, and returns the values the decoded
-// dictionary holds at those ids — over valid records of every kind in
-// generations 5 and 6, over the same records with bytes overwritten, and
-// over records only the order check refuses.
+// dictionary holds at those ids — over valid records of every kind, over
+// the same records with bytes overwritten, and over records only the order
+// check refuses.
 func TestDictWalkMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	kinds := []value.Kind{value.KindString, value.KindInt64, value.KindFloat64}
@@ -47,19 +47,17 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 				slices.Sort(vals)
 				d = dict.NewFloat64s(slices.Compact(vals))
 			}
-			for _, gen := range []int{formatRawRecords - 1, formatRawRecords} {
-				records[kind] = append(records[kind], append([]byte{byte(gen)}, appendDict(nil, d, kind, gen)...))
-			}
+			records[kind] = append(records[kind], appendDict(nil, d, kind))
 		}
 	}
-	// Records only the order check refuses, in generation 6's layout:
-	// a repeat, a wrap, −0 beside +0, and a NaN first or last.
+	// Records only the order check refuses: a repeat, a wrap, −0 beside
+	// +0, and a NaN first or last.
 	keys := func(ks ...uint64) []byte {
-		return append([]byte{formatRawRecords}, appendKeyDeltas(appendUvarint(nil, uint64(len(ks))), ks)...)
+		return appendKeyDeltas(appendUvarint(nil, uint64(len(ks))), ks)
 	}
 	deltas := func(first uint64, ds ...byte) []byte {
 		rec := binary.LittleEndian.AppendUint64(appendUvarint(nil, uint64(1+len(ds))), first)
-		return append([]byte{formatRawRecords}, append(append(rec, 1), ds...)...)
+		return append(append(rec, 1), ds...)
 	}
 	records[value.KindInt64] = append(records[value.KindInt64], deltas(5, 1, 0, 2), deltas(math.MaxUint64-1, 1, 1))
 	records[value.KindFloat64] = append(records[value.KindFloat64],
@@ -69,20 +67,20 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 	for _, kind := range kinds {
 		for _, rec := range records[kind] {
 			for trial := 0; trial < 40; trial++ {
-				gen, raw := int(rec[0]), slices.Clone(rec[1:])
+				raw := slices.Clone(rec)
 				if trial > 0 && len(raw) > 0 {
 					raw[rng.Intn(len(raw))] = byte(rng.Intn(256))
 				}
-				d, derr := decodeDict(&byteReader{buf: raw}, kind, StringDictArray, gen)
+				d, derr := decodeDict(&byteReader{buf: raw}, kind, StringDictArray)
 				var want []uint32
 				if derr == nil && d.Len() > 0 {
 					want = []uint32{0, uint32(rng.Intn(d.Len())), uint32(d.Len() - 1)}
 					slices.Sort(want)
 					want = slices.Compact(want)
 				}
-				strs, ints, floats, werr := walkDict(&byteReader{buf: raw}, kind, gen, want)
+				strs, ints, floats, werr := walkDict(&byteReader{buf: raw}, kind, want)
 				if (derr != nil) != (werr != nil) {
-					t.Fatalf("%v gen %d %x: decode error %v, walk error %v", kind, gen, raw, derr, werr)
+					t.Fatalf("%v %x: decode error %v, walk error %v", kind, raw, derr, werr)
 				}
 				for i, id := range want {
 					var got value.Value
@@ -95,7 +93,7 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 						got = value.Float64(floats[i])
 					}
 					if got != d.Value(id) {
-						t.Fatalf("%v gen %d: walk gives %v at id %d, decode %v", kind, gen, got, id, d.Value(id))
+						t.Fatalf("%v: walk gives %v at id %d, decode %v", kind, got, id, d.Value(id))
 					}
 				}
 			}

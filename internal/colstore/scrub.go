@@ -67,13 +67,13 @@ func ScrubDir(root, dir string) []ScrubFile {
 	}
 	out := []ScrubFile{mf}
 	for _, mc := range m.Columns {
-		out = append(out, scrubColumnFile(root, dir, m, mc, "column"))
+		out = append(out, scrubColumnFile(root, dir, m.Codec != "", mc, "column"))
 	}
 	return append(out, scrubSidecar(root, dir)...)
 }
 
 // scrubColumnFile verifies one column file's record checksums.
-func scrubColumnFile(root, dir string, m *manifest, mc manifestCol, kind string) ScrubFile {
+func scrubColumnFile(root, dir string, compressed bool, mc manifestCol, kind string) ScrubFile {
 	path := filepath.Join(dir, mc.File)
 	f := ScrubFile{Path: scrubRel(root, path), Kind: kind}
 	data, err := vfs().ReadFile(path)
@@ -82,7 +82,7 @@ func scrubColumnFile(root, dir string, m *manifest, mc manifestCol, kind string)
 		return f
 	}
 	f.Bytes = int64(len(data))
-	n, err := verifyColumnFile(m, mc, data, path)
+	n, err := verifyColumnFile(mc, compressed, data, path)
 	f.Records = n
 	if err != nil {
 		f.Err = err.Error()
@@ -106,9 +106,8 @@ func scrubSidecar(root, dir string) []ScrubFile {
 	if best := walk.Newest; best != nil {
 		// Sidecar column files use the framing their manifest records;
 		// their manifest paths are store-root-relative.
-		shell := &manifest{Format: best.Format, Codec: best.Codec}
 		for _, mc := range best.Columns {
-			out = append(out, scrubColumnFile(root, dir, shell, mc, "sidecar-column"))
+			out = append(out, scrubColumnFile(root, dir, best.Codec != "", mc, "sidecar-column"))
 		}
 	}
 	return out

@@ -12,11 +12,12 @@ import (
 )
 
 // TestOldGenerationsRefusedThenUpgraded runs the committed corpus of
-// generation 1–4 stores (testdata/gen*, 300 rows × 3 columns, written by
-// the last build that still had those writers) through the one path left
-// for them: every reader but the eager Open refuses them with the typed
-// error naming their generation, and Upgrade rewrites them into a store
-// that opens lazily, holds the same values, and scrubs clean.
+// generation 1–5 stores (testdata/gen*, 300 rows × 3 columns, and the base
+// of testdata/parent5, each written by the last build that still had its
+// writer) through the one path left for them: every reader but the eager
+// Open refuses them with the typed error naming their generation, and
+// Upgrade rewrites them into a store that opens lazily, holds the same
+// values, and scrubs clean.
 func TestOldGenerationsRefusedThenUpgraded(t *testing.T) {
 	for _, fx := range []struct {
 		name string
@@ -27,11 +28,15 @@ func TestOldGenerationsRefusedThenUpgraded(t *testing.T) {
 		{"gen2zippy", 2}, // chunk layout, whole-file zippy
 		{"gen3", 3},      // per-record zippy
 		{"gen4", 4},      // chunk blooms and dictionary shard frames, no codec
+		{"parent5", 5},   // checksums, every record zippy, 8-byte numeric words; its segs/ is ingest state, not read here
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", fx.name)
-			_, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			var old *OldFormatError
+			if _, _, err := NewReader(dir); !errors.As(err, &old) || old.Generation != fx.gen {
+				t.Fatalf("NewReader = %v, want ErrOldFormat for generation %d", err, fx.gen)
+			}
+			_, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if !errors.Is(err, ErrOldFormat) || !errors.As(err, &old) || old.Generation != fx.gen {
 				t.Fatalf("OpenLazy = %v, want ErrOldFormat for generation %d", err, fx.gen)
 			}

@@ -53,9 +53,9 @@ const (
 )
 
 // virtualSidecar is the JSON header of the virtual/ sidecar. Format and
-// Codec record the framing its column files were written in — always the
-// parent store's at the time, so every Reader code path applies to them
-// unchanged.
+// Codec record the framing its column files were written in — this
+// build's generation and the parent store's codec, so every Reader code
+// path applies to them unchanged.
 type virtualSidecar struct {
 	Format  int           `json:"format,omitempty"`
 	Codec   string        `json:"codec,omitempty"`
@@ -93,7 +93,7 @@ func walkSidecar(dir string) (GenWalk[virtualSidecar], error) {
 // build, or orphaned by an in-place re-save with another codec — is a stale
 // cache: its columns are ignored and re-materialize on demand.
 func (vs *virtualSidecar) matches(m *manifest) bool {
-	return vs.Format == m.Format && vs.Codec == m.Codec
+	return vs.Format == formatVersion && vs.Codec == m.Codec
 }
 
 // persistVirtualLocked writes one freshly built virtual column into the
@@ -103,13 +103,13 @@ func (vs *virtualSidecar) matches(m *manifest) bool {
 func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	src := s.lazy
 	r := src.reader
-	raw, dictLen, chunkMetas := encodeColumn(col, r.m.Format)
+	raw, dictLen, chunkMetas := encodeColumn(col)
 	mc := manifestCol{
 		Name: col.Name, Kind: col.Kind.String(), Virtual: true,
 		DictLen: dictLen, Chunks: chunkMetas,
 	}
 	if r.m.Codec != "" {
-		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc, r.m.Format)
+		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc)
 	}
 	addColChecksums(&mc, raw, r.m.Codec != "")
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {
@@ -179,7 +179,7 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 		if !dup {
 			cols = append(cols, mc)
 		}
-		err = chain.Commit(gen+1, &virtualSidecar{Format: r.m.Format, Codec: r.m.Codec, Columns: cols})
+		err = chain.Commit(gen+1, &virtualSidecar{Format: formatVersion, Codec: r.m.Codec, Columns: cols})
 		if errors.Is(err, fs.ErrExist) {
 			continue
 		}

@@ -30,7 +30,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -140,26 +139,41 @@ func commitGeneration(dir string, m *genManifest) error {
 	return genChain(dir).Commit(m.Gen, m)
 }
 
-// CheckUpgrade refuses a directory whose ingest state `pdrill upgrade`,
-// which rewrites the base store only, would leave behind: with the typed
-// colstore.ErrOldFormat error when a live segment is itself of an old
-// format generation, plainly when the appended rows are current.
-func CheckUpgrade(dir string) error {
-	if !HasGenerations(dir) {
-		return nil
+// Upgrade rewrites the store at oldDir, ingest state included, as a
+// current-generation store at newDir: each live segment of the newest clean
+// generation manifest (colstore.Upgrade), a byte-for-byte copy of each WAL
+// file, that manifest committed again, and the base last — so nothing opens
+// newDir until everything is written. Virtual sidecars are caches and stay
+// behind.
+func Upgrade(oldDir, newDir string) error {
+	if _, err := vfs().Stat(filepath.Join(newDir, "manifest.json")); err == nil {
+		return fmt.Errorf("ingest: upgrade: %s already holds a store", newDir)
 	}
-	m, _, err := readGenerations(dir)
-	if err != nil {
-		return err
+	m, _, err := readGenerations(oldDir)
+	var seqs []int
+	if err == nil {
+		seqs, err = listWALFiles(oldDir)
 	}
-	if m != nil {
-		for _, seg := range m.Segments {
-			if _, _, err := colstore.NewReader(filepath.Join(dir, seg.Dir)); errors.Is(err, colstore.ErrOldFormat) {
-				return fmt.Errorf("ingest: segment %s: %w", seg.Dir, err)
-			}
+	if err == nil && (m != nil || len(seqs) > 0) {
+		err = vfs().MkdirAll(filepath.Join(newDir, segsSubdir), 0o755)
+	}
+	for i := 0; err == nil && m != nil && i < len(m.Segments); i++ {
+		seg := m.Segments[i].Dir
+		err = colstore.Upgrade(filepath.Join(oldDir, seg), filepath.Join(newDir, seg))
+	}
+	for i := 0; err == nil && i < len(seqs); i++ {
+		var blob []byte
+		if blob, err = vfs().ReadFile(filepath.Join(oldDir, walRel(seqs[i]))); err == nil {
+			err = vfs().WriteFile(filepath.Join(newDir, walRel(seqs[i])), blob, 0o644)
 		}
 	}
-	return fmt.Errorf("ingest: %s carries appended rows (segments or a write-ahead log) that an upgrade of the base store would drop", dir)
+	if err == nil && m != nil {
+		err = commitGeneration(newDir, m)
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: upgrade: %w", err)
+	}
+	return colstore.Upgrade(oldDir, newDir)
 }
 
 // gcGenerations removes, from a walk of dir's chain, superseded generation

@@ -43,9 +43,8 @@ func (r *ScrubReport) add(files ...ScrubFile) {
 // base colstore (manifest, column files, virtual sidecar), each
 // generation manifest's integrity check, each live segment's colstore,
 // and each WAL file's frame chain. It opens nothing for query and
-// repairs nothing. A store of an old format generation records no
-// checksums: its manifest's verdict says so and nothing under it is
-// verified.
+// repairs nothing. A base store or segment of an old format generation
+// gets one verdict, on its manifest, naming `pdrill upgrade`.
 func ScrubStore(dir string) (*ScrubReport, error) {
 	if _, err := vfs().Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		return nil, fmt.Errorf("ingest: scrub: %s is not a store directory: %w", dir, err)

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,15 +13,17 @@ import (
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/exec"
+	"powerdrill/internal/faultfs"
 	"powerdrill/internal/memmgr"
 )
 
 // parentStore copies colstore's testdata/parent5 into a temp dir (attaching
 // replays and retires its WAL). The directory was written by the last
 // commit that still carried five format generations and four
-// generation-chain walkers: a zippy base store, two sealed segments behind
-// MANIFEST.gen-000002, a virtual sidecar holding date(timestamp), and 20
-// acknowledged rows still in the WAL, as after a crash.
+// generation-chain walkers: a generation-5 zippy base store, two sealed
+// generation-5 segments behind MANIFEST.gen-000002, a virtual sidecar
+// holding date(timestamp), and 20 acknowledged rows still in the WAL, as
+// after a crash.
 func parentStore(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
@@ -26,11 +31,70 @@ func parentStore(t *testing.T) string {
 	return dir
 }
 
-// TestParentWrittenStore: what is written did not change, only who walks
-// the directory — so that directory must scrub clean, attach, and answer
-// what the commit that wrote it answered (expected.json).
-func TestParentWrittenStore(t *testing.T) {
-	dir := parentStore(t)
+// parentAnswers is the fixture's expected.json: what the commit that wrote
+// it answered, as strings.
+type parentAnswers []struct {
+	SQL  string     `json:"sql"`
+	Rows [][]string `json:"rows"`
+}
+
+func readParentAnswers(t *testing.T) parentAnswers {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "colstore", "testdata", "parent5", "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers parentAnswers
+	if err := json.Unmarshal(blob, &answers); err != nil {
+		t.Fatal(err)
+	}
+	return answers
+}
+
+// mismatch reports the first answer the store of w gives that differs
+// from the fixture's, or "" when every one matches bit for bit.
+func (answers parentAnswers) mismatch(w *Writer) string {
+	snap, err := w.Snapshot()
+	if err != nil {
+		return err.Error()
+	}
+	defer snap.Release()
+	for _, a := range answers {
+		res, err := snap.Query(a.SQL)
+		if err != nil || len(res.Rows) != len(a.Rows) {
+			return fmt.Sprintf("%s: err %v; want %d rows", a.SQL, err, len(a.Rows))
+		}
+		for i, row := range res.Rows {
+			for j, v := range row {
+				if v.String() != a.Rows[i][j] {
+					return fmt.Sprintf("%s: row %d col %d = %s, want %s", a.SQL, i, j, v, a.Rows[i][j])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// openUpgraded opens dir as the public Open does (the base lazily, then
+// its append path), returning the first error on the way.
+func openUpgraded(dir string) (*Writer, error) {
+	base, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		return nil, err
+	}
+	w, err := Attach(dir, base, exec.New(base, exec.Options{}), Opts{CompactMinSegments: 100})
+	if err != nil {
+		base.Close()
+	}
+	return w, err
+}
+
+// checkUpgradedParent: the upgrade of parent5 at dir scrubs clean — base,
+// generation manifest, segments and WAL, and no sidecar, which stays
+// behind — attaches with every row, and answers what the commit that
+// wrote parent5 answered, date(timestamp) re-materialized.
+func checkUpgradedParent(t *testing.T, dir string) {
+	t.Helper()
 	rep, err := ScrubStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -42,71 +106,177 @@ func TestParentWrittenStore(t *testing.T) {
 		}
 		kinds[strings.Fields(f.Kind)[0]]++
 	}
-	for _, want := range []string{"manifest", "column", "gen-manifest", "sidecar-manifest", "sidecar-column", "wal"} {
+	for _, want := range []string{"manifest", "column", "gen-manifest", "wal"} {
 		if kinds[want] == 0 {
 			t.Errorf("scrub visited no %q file (kinds: %v)", want, kinds)
 		}
 	}
-	w := reattach(t, dir, Opts{CompactMinSegments: 100})
+	if kinds["sidecar-manifest"]+kinds["sidecar-column"] != 0 {
+		t.Errorf("the upgrade carried the virtual sidecar (kinds: %v)", kinds)
+	}
+	for _, sub := range []string{"", segRel(0), segRel(1)} {
+		if gen, err := colstore.FormatGeneration(filepath.Join(dir, sub)); err != nil || gen != 6 {
+			t.Errorf("%q is generation %d (%v), want 6", sub, gen, err)
+		}
+	}
+	w, err := openUpgraded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer w.Close()
-	if w.Rows() != 420 || !w.base.HasColumn("date(timestamp)") {
+	if w.Rows() != 420 || w.base.HasColumn("date(timestamp)") {
 		t.Fatalf("rows = %d (want 300 base + 100 sealed + 20 from the WAL), sidecar column registered: %v",
 			w.Rows(), w.base.HasColumn("date(timestamp)"))
 	}
-	var answers []struct {
-		SQL  string     `json:"sql"`
-		Rows [][]string `json:"rows"`
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, "expected.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &answers); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	for _, a := range answers {
-		res, err := snap.Query(a.SQL)
-		if err != nil || len(res.Rows) != len(a.Rows) {
-			t.Fatalf("%s: %d rows, err %v; want %d rows", a.SQL, len(res.Rows), err, len(a.Rows))
-		}
-		for i, row := range res.Rows {
-			for j, v := range row {
-				if v.String() != a.Rows[i][j] {
-					t.Fatalf("%s: row %d col %d = %s, want %s", a.SQL, i, j, v, a.Rows[i][j])
-				}
-			}
-		}
+	if diff := readParentAnswers(t).mismatch(w); diff != "" {
+		t.Fatal(diff)
 	}
 }
 
-// TestUpgradeRefusesIngestState: `pdrill upgrade` rewrites base stores
-// only, so a directory with appended rows is refused rather than silently
-// losing them — with the typed old-format error when a segment is itself
-// old, which is also what attaching such a directory reports.
-func TestUpgradeRefusesIngestState(t *testing.T) {
-	dir := parentStore(t)
-	if err := CheckUpgrade(dir); err == nil || errors.Is(err, colstore.ErrOldFormat) {
-		t.Fatalf("CheckUpgrade of a current store with segments = %v, want a plain refusal", err)
+// TestParentWrittenStore: a directory written by the parent of the
+// one-generation change — base, segments, sidecar and WAL — upgrades into
+// one this build serves: it scrubs clean, attaches, and answers what the
+// commit that wrote it answered (expected.json).
+func TestParentWrittenStore(t *testing.T) {
+	up := filepath.Join(t.TempDir(), "up")
+	if err := Upgrade(parentStore(t), up); err != nil {
+		t.Fatal(err)
 	}
+	checkUpgradedParent(t, up)
+}
+
+// snapshotTree reads every file under dir, keyed by its relative path.
+func snapshotTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestUpgradeCarriesIngestState: a generation-5 directory with appended
+// rows is refused by every reader with the typed error naming `pdrill
+// upgrade`, and Upgrade carries its segments, generation manifest and WAL
+// into a store that holds every row — without touching a byte of the old
+// directory. A live segment of an even older generation upgrades with the
+// rest, while attaching the un-upgraded directory still refuses it.
+func TestUpgradeCarriesIngestState(t *testing.T) {
+	dir := parentStore(t)
+	_, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
+	var old *colstore.OldFormatError
+	if !errors.As(err, &old) || old.Generation != 5 || !strings.Contains(err.Error(), "pdrill upgrade") {
+		t.Fatalf("OpenLazy of a generation-5 store = %v, want a generation-5 refusal naming pdrill upgrade", err)
+	}
+	rep, err := ScrubStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := rep.Files[0]; f.Kind != "manifest" || f.Path != "manifest.json" || !strings.Contains(f.Err, "format generation 5") {
+		t.Fatalf("scrub's base manifest verdict = %+v, want the old-generation refusal", f)
+	}
+
+	before := snapshotTree(t, dir)
+	up := filepath.Join(t.TempDir(), "up")
+	if err := Upgrade(dir, up); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshotTree(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("upgrade changed the old directory's file count: %d -> %d", len(before), len(after))
+	}
+	for rel, blob := range before {
+		if !bytes.Equal(after[rel], blob) {
+			t.Fatalf("upgrade changed %s in the old directory", rel)
+		}
+	}
+	checkUpgradedParent(t, up)
+	if err := Upgrade(dir, up); err == nil {
+		t.Fatal("Upgrade wrote over an existing store")
+	}
+	base, _, err := colstore.OpenLazy(up, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	attach := func() error {
+		w, err := Attach(dir, base, exec.New(base, exec.Options{}), Opts{})
+		if err == nil {
+			w.Close()
+		}
+		return err
+	}
+	if err := attach(); !errors.As(err, &old) || old.Generation != 5 {
+		t.Fatalf("Attach over generation-5 segments = %v, want a generation-5 refusal", err)
+	}
+
 	// Swap one live segment for a generation-3 store.
 	seg := filepath.Join(dir, segRel(0))
 	if err := os.RemoveAll(seg); err != nil {
 		t.Fatal(err)
 	}
 	copyTree(t, filepath.Join("..", "colstore", "testdata", "gen3"), seg)
-	if err := CheckUpgrade(dir); !errors.Is(err, colstore.ErrOldFormat) {
-		t.Fatalf("CheckUpgrade over an old segment = %v, want ErrOldFormat", err)
+	up3 := filepath.Join(t.TempDir(), "up3")
+	if err := Upgrade(dir, up3); err != nil {
+		t.Fatalf("Upgrade over a generation-3 segment = %v", err)
 	}
-	base, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
-	if err != nil {
-		t.Fatal(err)
+	if gen, err := colstore.FormatGeneration(filepath.Join(up3, segRel(0))); err != nil || gen != 6 {
+		t.Fatalf("the generation-3 segment upgraded to generation %d (%v), want 6", gen, err)
 	}
-	if _, err := Attach(dir, base, exec.New(base, exec.Options{}), Opts{}); !errors.Is(err, colstore.ErrOldFormat) {
-		t.Fatalf("Attach over an old segment = %v, want ErrOldFormat", err)
+	if err := attach(); !errors.Is(err, colstore.ErrOldFormat) {
+		t.Fatalf("Attach over old segments = %v, want ErrOldFormat", err)
+	}
+}
+
+// TestUpgradeCrash: Upgrade killed at any point of its write stream leaves
+// a directory that either fails to open or is the complete store — every
+// row and every expected answer — never one missing rows. A dry run
+// measures the write units the upgrade of parent5 takes; the kill points
+// spread over that range, plus the one that tears only the last byte. Not
+// parallel: it swaps the process filesystem.
+func TestUpgradeCrash(t *testing.T) {
+	src := parentStore(t)
+	dry := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorOptions{WriteBudget: -1})
+	restore := faultfs.Swap(dry)
+	err := Upgrade(src, filepath.Join(t.TempDir(), "dry"))
+	restore()
+	units := dry.Stats().Units
+	if err != nil || units <= 0 {
+		t.Fatalf("dry run: %v (%d units)", err, units)
+	}
+	answers := readParentAnswers(t)
+	kills := []int64{units - 1}
+	for k := int64(0); k <= 24; k++ {
+		kills = append(kills, 1+k*(units-1)/24) // from the first unit to the last
+	}
+	opened := 0
+	for _, kill := range kills {
+		up := filepath.Join(t.TempDir(), "up")
+		inj := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorOptions{WriteBudget: kill})
+		restore := faultfs.Swap(inj)
+		uerr := Upgrade(src, up)
+		restore()
+		w, err := openUpgraded(up)
+		if err != nil {
+			continue // refused: the upgrade did not finish, and says so
+		}
+		opened++
+		diff := answers.mismatch(w)
+		rows := w.Rows()
+		w.Close()
+		if rows != 420 || diff != "" {
+			t.Fatalf("kill at unit %d of %d (upgrade: %v): a store of %d rows opened (%s)", kill, units, uerr, rows, diff)
+		}
+	}
+	if opened == 0 {
+		t.Fatal("no kill point left a store that opens, not even the last one")
 	}
 }

@@ -377,24 +377,16 @@ func Open(dir string, opts Options) (*Store, int64, error) {
 var ErrOldFormat = colstore.ErrOldFormat
 
 // FormatGeneration reports the on-disk format generation of the store at
-// dir, read from its manifest alone. Open accepts the generation this
-// build saves and the one before it (docs/format.md); a lower one needs
-// Upgrade first.
+// dir, read from its manifest alone. Open accepts only the generation this
+// build saves (docs/format.md); a lower one needs Upgrade first.
 func FormatGeneration(dir string) (int, error) { return colstore.FormatGeneration(dir) }
 
 // Upgrade rewrites the store at oldDir, of any older format generation, as
-// a current-format store at newDir: every column is read in full and saved
-// again with the same codec and import options (see docs/format.md,
-// "Upgrading older stores"). It converts base stores only: a directory
-// that also carries streaming-ingest state is refused, because those rows
-// would be left behind. Materialized virtual columns are not carried over;
-// they re-materialize on first use.
-func Upgrade(oldDir, newDir string) error {
-	if err := ingest.CheckUpgrade(oldDir); err != nil {
-		return err
-	}
-	return colstore.Upgrade(oldDir, newDir)
-}
+// a current-format store at newDir, appended rows included: the base and
+// every sealed segment are saved again with the same codec and options,
+// and the write-ahead log is copied (docs/format.md, "Upgrading older
+// stores"). Virtual columns are not carried; they re-materialize on use.
+func Upgrade(oldDir, newDir string) error { return ingest.Upgrade(oldDir, newDir) }
 
 // validateMemoryPolicy refuses any policy name but 2Q's, so a config that
 // names a removed policy ("lru", "arc") fails instead of quietly running 2Q.

@@ -22,7 +22,7 @@ type ScrubReport = ingest.ScrubReport
 // and the virtual sidecar — without opening it for query, so it works
 // on stores too corrupt to open. Read-only: corruption is reported, one
 // verdict per file, never repaired. A store of an older format generation
-// records no checksums: its manifest's verdict says so (see Upgrade).
+// is not verified: its manifest's verdict names Upgrade.
 func Scrub(dir string) (*ScrubReport, error) {
 	return ingest.ScrubStore(dir)
 }
