@@ -617,6 +617,30 @@ func BenchmarkPartitionOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times the import pipeline — ranking, partitioning and
+// chunk assembly — in the bench layout (country, table_name; 2 000-row
+// chunks; OptimizeElements) at 200 k and 2 M rows. Ingest seals and
+// compactions go through the same colstore.FromTable, so its cost per row
+// must not grow with the row count; µs/row prints beside ns/op.
+func BenchmarkBuild(b *testing.B) {
+	for _, rows := range []struct {
+		name string
+		n    int
+	}{{"200k", 200_000}, {"2M", 2_000_000}} {
+		b.Run(rows.name, func(b *testing.B) {
+			tbl := GenerateQueryLogs(rows.n, 1)
+			opts := Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(tbl, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*rows.n), "µs/row")
+		})
+	}
+}
+
 // BenchmarkGroupByAblation contrasts the counts-array inner loop with a
 // generic hash group-by over the same data — the Section 2.5 explanation.
 func BenchmarkGroupByAblation(b *testing.B) {

@@ -1,9 +1,11 @@
 package colstore
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
+	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
@@ -313,6 +315,96 @@ func TestNaNRejected(t *testing.T) {
 	tbl.AddFloat64Column("f", []float64{1, nan()})
 	if _, err := FromTable(tbl, Options{}); err == nil {
 		t.Error("NaN accepted")
+	}
+}
+
+// TestNaNRejectedBeforePartitioning: a NaN anywhere fails the import with
+// the column's own error before any ranking or partitioning — here before
+// the unknown partition field would have failed it.
+func TestNaNRejectedBeforePartitioning(t *testing.T) {
+	for _, fields := range [][]string{{"nope"}, {"f", "nope"}, {"g"}} {
+		tbl := table.New("bad")
+		tbl.AddFloat64Column("g", []float64{3, 2, 1})
+		tbl.AddFloat64Column("f", []float64{1, 0, nan()})
+		_, err := FromTable(tbl, Options{PartitionFields: fields, MaxChunkRows: 1})
+		if err == nil || err.Error() != `colstore: column "f" contains NaN` {
+			t.Errorf("fields %v: error %v, want the NaN error", fields, err)
+		}
+	}
+}
+
+func TestUnknownPartitionField(t *testing.T) {
+	_, err := FromTable(logs(100), Options{PartitionFields: []string{"country", "nope"}})
+	if err == nil || err.Error() != `colstore: unknown partition field "nope"` {
+		t.Errorf("error %v, want the unknown-field error", err)
+	}
+}
+
+// TestSignedZeroKeepsLastSign: −0 and +0 are one global-id, and the
+// dictionary keeps the zero of the last such row in store order.
+func TestSignedZeroKeepsLastSign(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		vals []float64
+		neg  bool
+	}{
+		{[]float64{negZero, 1, 0}, false},
+		{[]float64{0, 1, negZero}, true},
+	} {
+		tbl := table.New("z")
+		tbl.AddFloat64Column("f", tc.vals)
+		s, err := FromTable(tbl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := s.Column("f").Dict.(*dict.Float64s).Values()
+		if len(d) != 2 || d[0] != 0 || math.Signbit(d[0]) != tc.neg {
+			t.Errorf("%v: dictionary %v, want one zero with sign bit %v", tc.vals, d, tc.neg)
+		}
+	}
+}
+
+// TestBuiltStoreHoldsNoSlack: a built store keeps no spare capacity in its
+// chunk-dictionaries or numeric dictionaries, which would count against
+// the heap for the store's whole life.
+func TestBuiltStoreHoldsNoSlack(t *testing.T) {
+	tbl := logs(20_000)
+	lat := tbl.Column("latency").Ints
+	score := make([]float64, len(lat))
+	for i, l := range lat {
+		score[i] = float64(l) / 3
+	}
+	tbl.AddFloat64Column("score", score)
+	for name, opts := range variants() {
+		s, err := FromTable(tbl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]value.Value, s.NumRows())
+		for i := range vals {
+			vals[i] = value.Int64(int64(i % 777))
+		}
+		if _, err := s.AddVirtualColumn("v", value.KindInt64, vals); err != nil {
+			t.Fatal(err)
+		}
+		for _, cn := range s.Columns() {
+			col := s.Column(cn)
+			for c, ch := range col.Chunks {
+				if cap(ch.GlobalIDs) != len(ch.GlobalIDs) {
+					t.Fatalf("%s: %s chunk %d GlobalIDs len %d cap %d", name, cn, c, len(ch.GlobalIDs), cap(ch.GlobalIDs))
+				}
+			}
+			switch d := col.Dict.(type) {
+			case *dict.Int64s:
+				if v := d.Values(); cap(v) != len(v) {
+					t.Fatalf("%s: %s dictionary len %d cap %d", name, cn, len(v), cap(v))
+				}
+			case *dict.Float64s:
+				if v := d.Values(); cap(v) != len(v) {
+					t.Fatalf("%s: %s dictionary len %d cap %d", name, cn, len(v), cap(v))
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"powerdrill/internal/dict"
@@ -203,26 +203,49 @@ func (s *Store) AddColumn(c *Column) error {
 	return nil
 }
 
-// FromTable imports a raw table into a column store.
+// FromTable imports a raw table into a column store. It works in
+// global-id space throughout: every column is ranked once into its
+// dictionary and order-preserving ids, the optional reorder and the
+// partitioner run on the partition fields' ids, and each column's chunks
+// are assembled from its ids permuted into store order.
 func FromTable(tbl *table.Table, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if opts.Reorder && len(opts.PartitionFields) > 0 {
-		tbl = tbl.Permute(reorder.Lexicographic(tbl, opts.PartitionFields))
-	}
-	bounds := []int{0, tbl.NumRows()}
-	if len(opts.PartitionFields) > 0 {
-		res, err := partition.Partition(tbl, partition.Spec{
-			Fields:       opts.PartitionFields,
-			MaxChunkRows: opts.MaxChunkRows,
-		})
-		if err != nil {
+	for _, col := range tbl.Cols {
+		if err := checkNaN(col); err != nil {
 			return nil, err
 		}
-		tbl = tbl.Permute(res.Perm)
-		bounds = res.Bounds
 	}
-	if tbl.NumRows() == 0 {
-		bounds = []int{0, 0}
+	n := tbl.NumRows()
+	ids := make([][]uint32, len(tbl.Cols))
+	distinct := make([]*table.Column, len(tbl.Cols))
+	for i, col := range tbl.Cols {
+		ids[i], distinct[i] = col.Rank()
+	}
+	keys := make([][]uint32, len(opts.PartitionFields))
+	for k, f := range opts.PartitionFields {
+		i := slices.IndexFunc(tbl.Cols, func(c *table.Column) bool { return c.Name == f })
+		if i < 0 {
+			return nil, fmt.Errorf("colstore: unknown partition field %q", f)
+		}
+		keys[k] = ids[i]
+	}
+	// perm maps store order to table rows; nil is the identity.
+	var perm []int
+	bounds := []int{0, n}
+	if len(keys) > 0 {
+		if opts.Reorder {
+			perm = reorder.ByKeys(keys, n)
+			for k, key := range keys {
+				keys[k] = permuteIDs(key, perm, nil)
+			}
+		}
+		res := partition.Partition(keys, n, opts.MaxChunkRows)
+		if perm != nil {
+			for i, p := range res.Perm {
+				res.Perm[i] = perm[p]
+			}
+		}
+		perm, bounds = res.Perm, res.Bounds
 	}
 	s := &Store{
 		Name:    tbl.Name,
@@ -230,8 +253,14 @@ func FromTable(tbl *table.Table, opts Options) (*Store, error) {
 		Opts:    opts,
 		columns: make(map[string]*Column),
 	}
-	for _, col := range tbl.Cols {
-		built, err := s.buildColumn(col)
+	var buf []uint32
+	for i, col := range tbl.Cols {
+		gids := ids[i]
+		if perm != nil {
+			buf = permuteIDs(gids, perm, buf)
+			gids = buf
+		}
+		built, err := s.encodeColumn(col, distinct[i], gids, perm, false)
 		if err != nil {
 			return nil, err
 		}
@@ -242,118 +271,98 @@ func FromTable(tbl *table.Table, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// buildColumn dictionary-encodes one raw column against the store layout.
-func (s *Store) buildColumn(col *table.Column) (*Column, error) {
+// permuteIDs returns ids in the order perm gives, in buf if it is large
+// enough.
+func permuteIDs(ids []uint32, perm []int, buf []uint32) []uint32 {
+	if cap(buf) < len(perm) {
+		buf = make([]uint32, len(perm))
+	}
+	buf = buf[:len(perm)]
+	for i, p := range perm {
+		buf[i] = ids[p]
+	}
+	return buf
+}
+
+// checkNaN refuses a float column holding a NaN: it has no place in an
+// ordered dictionary.
+func checkNaN(col *table.Column) error {
+	if col.Kind == value.KindFloat64 && slices.ContainsFunc(col.Floats, math.IsNaN) {
+		return fmt.Errorf("colstore: column %q contains NaN", col.Name)
+	}
+	return nil
+}
+
+// encodeColumn builds a column from its ranks: distinct holds the raw
+// column's distinct values, ascending, and gids each row's global-id in
+// store order, where store row i is raw row perm[i] (perm nil: raw row i).
+func (s *Store) encodeColumn(col, distinct *table.Column, gids []uint32, perm []int, virtual bool) (*Column, error) {
+	var d dict.Dict
 	switch col.Kind {
 	case value.KindString:
-		return s.buildStringColumn(col.Name, col.Strs, false)
+		switch s.Opts.StringDict {
+		case StringDictTrie:
+			d = dict.NewTrie(distinct.Strs)
+		case StringDictSharded:
+			d = dict.NewSharded(distinct.Strs, dict.ShardedOptions{ShardSize: s.Opts.ShardedDictSize, Retain: !s.Opts.LazyDicts})
+		default:
+			d = dict.NewStringArray(distinct.Strs)
+		}
 	case value.KindInt64:
-		return s.buildInt64Column(col.Name, col.Ints, false)
+		d = dict.NewInt64s(distinct.Ints)
 	case value.KindFloat64:
-		return s.buildFloat64Column(col.Name, col.Floats, false)
-	}
-	return nil, fmt.Errorf("colstore: column %q has invalid kind", col.Name)
-}
-
-func (s *Store) buildStringColumn(name string, vals []string, virtual bool) (*Column, error) {
-	gids := make([]uint32, len(vals))
-	ranks := make(map[string]uint32, 1024)
-	for _, v := range vals {
-		if _, ok := ranks[v]; !ok {
-			ranks[v] = 0
+		// −0 and +0 share a global-id; the dictionary keeps the sign of
+		// the last zero in store order.
+		if z, ok := slices.BinarySearch(distinct.Floats, 0); ok {
+			for i := len(gids) - 1; i >= 0; i-- {
+				if gids[i] == uint32(z) {
+					r := i
+					if perm != nil {
+						r = perm[i]
+					}
+					distinct.Floats[z] = col.Floats[r]
+					break
+				}
+			}
 		}
-	}
-	sorted := make([]string, 0, len(ranks))
-	for v := range ranks {
-		sorted = append(sorted, v)
-	}
-	sort.Strings(sorted)
-	for i, v := range sorted {
-		ranks[v] = uint32(i)
-	}
-	for i, v := range vals {
-		gids[i] = ranks[v]
-	}
-	var d dict.Dict
-	switch s.Opts.StringDict {
-	case StringDictTrie:
-		d = dict.NewTrie(sorted)
-	case StringDictSharded:
-		d = dict.NewSharded(sorted, dict.ShardedOptions{ShardSize: s.Opts.ShardedDictSize, Retain: !s.Opts.LazyDicts})
+		d = dict.NewFloat64s(distinct.Floats)
 	default:
-		d = dict.NewStringArray(sorted)
+		return nil, fmt.Errorf("colstore: column %q has invalid kind", col.Name)
 	}
-	return s.assemble(name, value.KindString, d, gids, virtual)
-}
-
-func (s *Store) buildInt64Column(name string, vals []int64, virtual bool) (*Column, error) {
-	seen := make(map[int64]uint32, 1024)
-	for _, v := range vals {
-		seen[v] = 0
-	}
-	sorted := make([]int64, 0, len(seen))
-	for v := range seen {
-		sorted = append(sorted, v)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, v := range sorted {
-		seen[v] = uint32(i)
-	}
-	gids := make([]uint32, len(vals))
-	for i, v := range vals {
-		gids[i] = seen[v]
-	}
-	return s.assemble(name, value.KindInt64, dict.NewInt64s(sorted), gids, virtual)
-}
-
-func (s *Store) buildFloat64Column(name string, vals []float64, virtual bool) (*Column, error) {
-	seen := make(map[float64]uint32, 1024)
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("colstore: column %q contains NaN", name)
-		}
-		seen[v] = 0
-	}
-	sorted := make([]float64, 0, len(seen))
-	for v := range seen {
-		sorted = append(sorted, v)
-	}
-	sort.Float64s(sorted)
-	for i, v := range sorted {
-		seen[v] = uint32(i)
-	}
-	gids := make([]uint32, len(vals))
-	for i, v := range vals {
-		gids[i] = seen[v]
-	}
-	return s.assemble(name, value.KindFloat64, dict.NewFloat64s(sorted), gids, virtual)
+	return s.assemble(col.Name, col.Kind, d, gids, virtual)
 }
 
 // assemble cuts a column's per-row global-ids into chunks, builds the
-// chunk-dictionaries, and encodes the elements.
+// chunk-dictionaries, and encodes the elements. It needs no map: a
+// chunk's distinct global-ids are found through seen, stamped with the
+// chunk's number, and their chunk-ids kept in rank, both indexed by
+// global-id.
 func (s *Store) assemble(name string, kind value.Kind, d dict.Dict, gids []uint32, virtual bool) (*Column, error) {
 	if len(gids) != s.NumRows() {
 		return nil, fmt.Errorf("colstore: column %q has %d rows, store has %d", name, len(gids), s.NumRows())
 	}
-	col := &Column{Name: name, Kind: kind, Dict: d, Virtual: virtual}
-	for c := 0; c < s.NumChunks(); c++ {
+	col := &Column{Name: name, Kind: kind, Dict: d, Virtual: virtual, Chunks: make([]*Chunk, s.NumChunks())}
+	seen := make([]uint32, d.Len())
+	rank := make([]uint32, d.Len())
+	var distinct, elems []uint32
+	for c := range col.Chunks {
 		part := gids[s.Bounds[c]:s.Bounds[c+1]]
-		// Chunk-dictionary: sorted distinct global-ids of the chunk.
-		distinct := make(map[uint32]struct{}, 64)
+		distinct = distinct[:0]
 		for _, g := range part {
-			distinct[g] = struct{}{}
+			if seen[g] != uint32(c+1) {
+				seen[g] = uint32(c + 1)
+				distinct = append(distinct, g)
+			}
 		}
-		cd := make([]uint32, 0, len(distinct))
-		for g := range distinct {
-			cd = append(cd, g)
-		}
-		sort.Slice(cd, func(i, j int) bool { return cd[i] < cd[j] })
-		// Chunk-ids are ranks within the chunk-dictionary.
-		rank := make(map[uint32]uint32, len(cd))
-		for i, g := range cd {
+		slices.Sort(distinct)
+		// Chunk-dictionary: sorted distinct global-ids of the chunk, with
+		// no spare capacity; chunk-ids are ranks within it.
+		cd := make([]uint32, len(distinct))
+		for i, g := range distinct {
+			cd[i] = g
 			rank[g] = uint32(i)
 		}
-		elems := make([]uint32, len(part))
+		elems = slices.Grow(elems[:0], len(part))[:len(part)]
 		for i, g := range part {
 			elems[i] = rank[g]
 		}
@@ -363,7 +372,7 @@ func (s *Store) assemble(name string, kind value.Kind, d dict.Dict, gids []uint3
 		} else {
 			seq = enc.EncodeFixed32(elems)
 		}
-		col.Chunks = append(col.Chunks, &Chunk{GlobalIDs: cd, Elems: seq})
+		col.Chunks[c] = &Chunk{GlobalIDs: cd, Elems: seq}
 	}
 	return col, nil
 }
@@ -371,27 +380,31 @@ func (s *Store) assemble(name string, kind value.Kind, d dict.Dict, gids []uint3
 // buildVirtual dictionary-encodes materialized per-row values into a
 // virtual column aligned with the store's chunk layout.
 func (s *Store) buildVirtual(name string, kind value.Kind, vals []value.Value) (*Column, error) {
+	col := &table.Column{Name: name, Kind: kind}
 	switch kind {
 	case value.KindString:
-		raw := make([]string, len(vals))
+		col.Strs = make([]string, len(vals))
 		for i, v := range vals {
-			raw[i] = v.Str()
+			col.Strs[i] = v.Str()
 		}
-		return s.buildStringColumn(name, raw, true)
 	case value.KindInt64:
-		raw := make([]int64, len(vals))
+		col.Ints = make([]int64, len(vals))
 		for i, v := range vals {
-			raw[i] = v.Int()
+			col.Ints[i] = v.Int()
 		}
-		return s.buildInt64Column(name, raw, true)
 	case value.KindFloat64:
-		raw := make([]float64, len(vals))
+		col.Floats = make([]float64, len(vals))
 		for i, v := range vals {
-			raw[i] = v.Float()
+			col.Floats[i] = v.Float()
 		}
-		return s.buildFloat64Column(name, raw, true)
+		if err := checkNaN(col); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("colstore: virtual column %q has invalid kind", name)
 	}
-	return nil, fmt.Errorf("colstore: virtual column %q has invalid kind", name)
+	gids, distinct := col.Rank()
+	return s.encodeColumn(col, distinct, gids, nil, true)
 }
 
 // AddVirtualColumn materializes per-row values (computed by the expression

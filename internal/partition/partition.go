@@ -1,36 +1,41 @@
 // Package partition implements the paper's composite range partitioning
 // (Section 2.2): the user names an ordered set of fields — a "natural
 // primary key", typically 3–5 fields chosen by a domain expert — and the
-// data is split iteratively into chunks. The largest chunk is always split
-// next ("heaviest first"), by a balanced range split on the first named
-// field that still has at least two distinct values in that chunk.
-// Splitting stops when no chunk exceeds the row threshold (the paper uses
-// 50'000).
+// data is split iteratively into chunks until no chunk exceeds the row
+// threshold (the paper uses 50'000).
+//
+// A range split only ever compares values of one field, so the
+// partitioner works on each field's order-preserving ids (table.Column's
+// Rank; the column store's global-ids) and never looks at a value. The
+// layout is defined by these rules, and FuzzPartitionVsReference holds
+// them against a partitioner over boxed values:
+//
+//   - Heaviest first: the paper splits the chunk with the most rows next,
+//     the earlier-created chunk first on a tie (the table itself is
+//     first). A split reads only its own chunk's rows, so this order
+//     decides when a chunk is split, never how: the oracle keeps it, and
+//     Partition splits in whatever order is cheapest.
+//   - A chunk splits on the first field, in key order, that has two or
+//     more distinct values among its rows; a chunk with none stays whole,
+//     however large.
+//   - The pivot is one of the first 4 097 distinct values met in the
+//     chunk's row order: the one that puts the share of rows below it
+//     nearest to half (counting only rows holding one of those values),
+//     the earliest such value on a tie. Rows below the pivot go left, the
+//     rest right, each side keeping its row order.
+//   - Chunks are laid out in order of their minimum-id tuples, field by
+//     field, then by their first row.
 //
 // The output is a permutation of the rows plus chunk boundaries, so the
-// column store can lay chunks out contiguously. Chunks are emitted in
-// lexicographic order of their field ranges, which keeps neighbouring
-// chunks similar — the property the Zippy and reordering experiments of
-// Section 3 build on.
+// column store can lay chunks out contiguously. The lexicographic chunk
+// order keeps neighbouring chunks similar — the property the Zippy and
+// reordering experiments of Section 3 build on.
 package partition
 
 import (
-	"container/heap"
-	"fmt"
-	"sort"
-
-	"powerdrill/internal/table"
-	"powerdrill/internal/value"
+	"cmp"
+	"slices"
 )
-
-// Spec configures a partitioning run.
-type Spec struct {
-	// Fields is the ordered list of split fields.
-	Fields []string
-	// MaxChunkRows is the splitting threshold (default 50'000, the
-	// paper's choice).
-	MaxChunkRows int
-}
 
 // Result describes the produced layout.
 type Result struct {
@@ -44,188 +49,180 @@ type Result struct {
 // NumChunks returns the number of chunks.
 func (r *Result) NumChunks() int { return len(r.Bounds) - 1 }
 
-// chunk is a work item: a set of original row indices plus its recursion
-// identity for deterministic ordering.
+// maxDistinct bounds the distinct values a split weighs: enough
+// resolution for a balanced pivot.
+const maxDistinct = 4097
+
+// chunk is a work item: the rows at positions lo..hi-1. Fields before
+// from are constant on it: they were on the chunk it was split from. mins
+// holds its minimum id per field once it is final.
 type chunk struct {
-	rows []int
-	seq  int // creation sequence, tie-breaker
+	lo, hi, from int
+	mins         []uint32
 }
 
-// chunkHeap orders chunks by size descending ("heaviest first").
-type chunkHeap []*chunk
+// partitioner holds one run's rows and the scratch every split reuses.
+// Each field's ids move with their rows, so every pass reads a chunk's
+// ids in sequence.
+type partitioner struct {
+	// rows[i] is the row at position i, ids[f][i] its id in field f;
+	// chunk c holds positions c.lo..c.hi-1, its rows ascending.
+	rows []uint32
+	ids  [][]uint32
+	tmp  []uint32 // the right side of the split in progress, rows long
+	// stamp[id] == epoch marks id as one of the current split's distinct
+	// values, and count[id] is then its row count.
+	stamp, count []uint32
+	epoch        uint32
+	distinct     []uint32
+}
 
-func (h chunkHeap) Len() int { return len(h) }
-func (h chunkHeap) Less(i, j int) bool {
-	if len(h[i].rows) != len(h[j].rows) {
-		return len(h[i].rows) > len(h[j].rows)
+// Partition splits rows 0..rows-1 into chunks of at most maxChunkRows rows
+// (as far as the key allows). keys holds, for each split field in key
+// order, every row's order-preserving id: keys[f][r] < keys[f][s] exactly
+// when row r's value of field f sorts before row s's.
+func Partition(keys [][]uint32, rows, maxChunkRows int) *Result {
+	if rows == 0 {
+		return &Result{Perm: []int{}, Bounds: []int{0, 0}}
 	}
-	return h[i].seq < h[j].seq
-}
-func (h chunkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *chunkHeap) Push(x any)   { *h = append(*h, x.(*chunk)) }
-func (h *chunkHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
-}
-
-// Partition splits tbl according to spec.
-func Partition(tbl *table.Table, spec Spec) (*Result, error) {
-	if spec.MaxChunkRows <= 0 {
-		spec.MaxChunkRows = 50_000
+	p := &partitioner{rows: make([]uint32, rows), ids: make([][]uint32, len(keys)), tmp: make([]uint32, rows)}
+	for i := range p.rows {
+		p.rows[i] = uint32(i)
 	}
-	cols := make([]*table.Column, len(spec.Fields))
-	for i, f := range spec.Fields {
-		c := tbl.Column(f)
-		if c == nil {
-			return nil, fmt.Errorf("partition: unknown field %q", f)
+	var card uint32
+	for f, ids := range keys {
+		p.ids[f] = slices.Clone(ids)
+		for _, id := range ids {
+			card = max(card, id+1)
 		}
-		cols[i] = c
 	}
-	n := tbl.NumRows()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	if n == 0 {
-		return &Result{Perm: all, Bounds: []int{0, 0}}, nil
-	}
+	p.stamp = make([]uint32, card)
+	p.count = make([]uint32, card)
 
-	h := &chunkHeap{{rows: all}}
-	heap.Init(h)
-	seq := 1
-	var done []*chunk
-
-	for h.Len() > 0 {
-		c := heap.Pop(h).(*chunk)
-		if len(c.rows) <= spec.MaxChunkRows {
+	todo, done := []chunk{{lo: 0, hi: rows}}, []chunk(nil)
+	for len(todo) > 0 {
+		c := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		mid, f := 0, len(keys)
+		if c.hi-c.lo > maxChunkRows {
+			mid, f = p.split(c)
+		}
+		if f == len(keys) {
 			done = append(done, c)
 			continue
 		}
-		left, right, ok := split(c.rows, cols)
-		if !ok {
-			// No field distinguishes these rows; the chunk stays larger
-			// than the threshold (all rows identical on the key).
-			done = append(done, c)
-			continue
-		}
-		heap.Push(h, &chunk{rows: left, seq: seq})
-		heap.Push(h, &chunk{rows: right, seq: seq + 1})
-		seq += 2
+		todo = append(todo, chunk{lo: c.lo, hi: mid, from: f}, chunk{lo: mid, hi: c.hi, from: f})
 	}
 
-	// Order chunks lexicographically by their minimal key tuple so the
-	// on-disk layout follows the field order.
-	sort.Slice(done, func(i, j int) bool {
-		return compareChunks(done[i], done[j], cols) < 0
+	mins := make([]uint32, 0, len(done)*len(keys))
+	for i, c := range done {
+		for _, ids := range p.ids {
+			mins = append(mins, slices.Min(ids[c.lo:c.hi]))
+		}
+		done[i].mins = mins[i*len(keys) : (i+1)*len(keys)]
+	}
+	slices.SortFunc(done, func(a, b chunk) int {
+		if c := slices.Compare(a.mins, b.mins); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.rows[a.lo], p.rows[b.lo])
 	})
 
-	res := &Result{Bounds: []int{0}}
+	res := &Result{Perm: make([]int, 0, rows), Bounds: make([]int, 1, len(done)+1)}
 	for _, c := range done {
-		res.Perm = append(res.Perm, c.rows...)
+		for _, r := range p.rows[c.lo:c.hi] {
+			res.Perm = append(res.Perm, int(r))
+		}
 		res.Bounds = append(res.Bounds, len(res.Perm))
 	}
-	return res, nil
+	return res
 }
 
-// split performs one balanced range split on the first field with at least
-// two distinct values among rows. It reports ok=false if every field is
+// split performs one balanced range split of c on the first field with at
+// least two distinct values among its rows, in place: the rows below the
+// pivot end up at positions c.lo..mid-1, the rest at mid..c.hi-1, both in
+// row order. It returns the field split on, or len(keys) if every field is
 // constant on the chunk.
-func split(rows []int, cols []*table.Column) (left, right []int, ok bool) {
-	for _, col := range cols {
-		distinct := distinctValues(rows, col)
-		if len(distinct) < 2 {
+func (p *partitioner) split(c chunk) (mid, field int) {
+	for f := c.from; f < len(p.ids); f++ {
+		side := p.ids[f][c.lo:c.hi]
+		pivot, ok := p.pivot(side)
+		if !ok {
 			continue
 		}
-		pivot := balancedPivot(rows, col, distinct)
-		for _, r := range rows {
-			if col.Value(r).Compare(pivot) < 0 {
-				left = append(left, r)
-			} else {
-				right = append(right, r)
+		for g, ids := range p.ids {
+			if g != f {
+				p.stableSplit(ids[c.lo:c.hi], side, pivot)
 			}
 		}
-		return left, right, true
+		p.stableSplit(p.rows[c.lo:c.hi], side, pivot)
+		return c.lo + p.stableSplit(side, side, pivot), f
 	}
-	return nil, nil, false
+	return 0, len(p.ids)
 }
 
-// distinctValues returns the sorted distinct values of col over rows.
-func distinctValues(rows []int, col *table.Column) []value.Value {
-	seen := make(map[string]value.Value)
-	for _, r := range rows {
-		v := col.Value(r)
-		seen[v.String()+"\x00"+v.Kind().String()] = v
-		if len(seen) > 4096 {
-			break // enough resolution for a balanced split
-		}
+// stableSplit moves the entries of a whose side entry is below pivot to
+// the front and the rest behind them, each in order, and returns how many
+// went to the front. side must be moved last: its entries decide. The
+// loop is branch-free: every entry is written to both sides, and only the
+// side it belongs to advances.
+func (p *partitioner) stableSplit(a, side []uint32, pivot uint32) int {
+	right := p.tmp[:len(a)]
+	l, r := 0, 0
+	for i, v := range a {
+		below := int((uint64(side[i]) - uint64(pivot)) >> 63)
+		a[l], right[r] = v, v
+		l += below
+		r += 1 - below
 	}
-	out := make([]value.Value, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	copy(a[l:], right[:r])
+	return l
 }
 
-// balancedPivot picks the distinct value v such that splitting into
-// {rows < v} and {rows >= v} is as even as possible, with both sides
-// guaranteed non-empty.
-func balancedPivot(rows []int, col *table.Column, distinct []value.Value) value.Value {
-	counts := make([]int, len(distinct))
-	for _, r := range rows {
-		v := col.Value(r)
-		i := sort.Search(len(distinct), func(i int) bool { return distinct[i].Compare(v) >= 0 })
-		if i < len(distinct) && distinct[i].Compare(v) == 0 {
-			counts[i]++
+// pivot picks, among the first maxDistinct distinct ids in row order, the
+// id v such that splitting into {rows < v} and {rows >= v} is as even as
+// possible, with both sides non-empty. It reports ok=false if the rows
+// hold fewer than two distinct ids.
+func (p *partitioner) pivot(ids []uint32) (uint32, bool) {
+	p.epoch++
+	distinct := p.distinct[:0]
+	lo, hi := ^uint32(0), uint32(0)
+	for _, id := range ids {
+		switch {
+		case p.stamp[id] == p.epoch:
+			p.count[id]++
+		case len(distinct) < maxDistinct:
+			p.stamp[id] = p.epoch
+			p.count[id] = 1
+			distinct = append(distinct, id)
+			lo, hi = min(lo, id), max(hi, id)
 		}
 	}
-	half := len(rows) / 2
-	acc := 0
-	best := 1
-	bestDiff := len(rows)
-	for i := 0; i < len(distinct)-1; i++ {
-		acc += counts[i]
-		diff := acc - half
-		if diff < 0 {
-			diff = -diff
+	if len(distinct) < 2 {
+		p.distinct = distinct
+		return 0, false
+	}
+	if int(hi-lo) < len(ids) {
+		// A span no wider than the rows is walked in id order, cheaper
+		// than a sort.
+		distinct = distinct[:0]
+		for id := lo; id <= hi; id++ {
+			if p.stamp[id] == p.epoch {
+				distinct = append(distinct, id)
+			}
 		}
-		if diff < bestDiff {
+	} else {
+		slices.Sort(distinct)
+	}
+	p.distinct = distinct
+	half := len(ids) / 2
+	acc, best, bestDiff := 0, 1, len(ids)
+	for i, id := range distinct[:len(distinct)-1] {
+		acc += int(p.count[id])
+		if diff := max(acc-half, half-acc); diff < bestDiff {
 			bestDiff = diff
 			best = i + 1
 		}
 	}
-	return distinct[best]
-}
-
-// compareChunks orders two chunks by their minimal key tuples.
-func compareChunks(a, b *chunk, cols []*table.Column) int {
-	for _, col := range cols {
-		av := minValue(a.rows, col)
-		bv := minValue(b.rows, col)
-		if c := av.Compare(bv); c != 0 {
-			return c
-		}
-	}
-	// Equal minima (can happen when a later field split them): use the
-	// first row index for a stable, deterministic order.
-	switch {
-	case a.rows[0] < b.rows[0]:
-		return -1
-	case a.rows[0] > b.rows[0]:
-		return 1
-	}
-	return 0
-}
-
-func minValue(rows []int, col *table.Column) value.Value {
-	min := col.Value(rows[0])
-	for _, r := range rows[1:] {
-		if v := col.Value(r); v.Compare(min) < 0 {
-			min = v
-		}
-	}
-	return min
+	return distinct[best], true
 }

@@ -14,7 +14,7 @@ func logs(rows int) *table.Table {
 
 func TestPartitionBasicInvariants(t *testing.T) {
 	tbl := logs(20_000)
-	res, err := Partition(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1000})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPartitionBasicInvariants(t *testing.T) {
 
 func TestHeaviestFirstBalance(t *testing.T) {
 	tbl := logs(50_000)
-	res, err := Partition(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 2000})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestHeaviestFirstBalance(t *testing.T) {
 // distinct values per chunk.
 func TestPartitionFieldLocality(t *testing.T) {
 	tbl := logs(30_000)
-	res, err := Partition(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1500})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPartitionFieldLocality(t *testing.T) {
 
 func TestPartitionSmallTable(t *testing.T) {
 	tbl := logs(100)
-	res, err := Partition(tbl, Spec{Fields: []string{"country"}, MaxChunkRows: 1000})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"country"}, MaxChunkRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPartitionSmallTable(t *testing.T) {
 func TestPartitionEmptyTable(t *testing.T) {
 	tbl := table.New("empty")
 	tbl.AddStringColumn("a", nil)
-	res, err := Partition(tbl, Spec{Fields: []string{"a"}, MaxChunkRows: 10})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"a"}, MaxChunkRows: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPartitionEmptyTable(t *testing.T) {
 }
 
 func TestPartitionUnknownField(t *testing.T) {
-	if _, err := Partition(logs(100), Spec{Fields: []string{"nope"}}); err == nil {
+	if _, err := partitionTable(logs(100), Spec{Fields: []string{"nope"}}); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestPartitionConstantKey(t *testing.T) {
 		vals[i] = "same"
 	}
 	tbl.AddStringColumn("k", vals)
-	res, err := Partition(tbl, Spec{Fields: []string{"k"}, MaxChunkRows: 100})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"k"}, MaxChunkRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPartitionFallsToSecondField(t *testing.T) {
 	}
 	tbl.AddStringColumn("k1", k1)
 	tbl.AddInt64Column("k2", k2)
-	res, err := Partition(tbl, Spec{Fields: []string{"k1", "k2"}, MaxChunkRows: 500})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"k1", "k2"}, MaxChunkRows: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPartitionFallsToSecondField(t *testing.T) {
 
 func TestChunkOrderFollowsFieldRanges(t *testing.T) {
 	tbl := logs(20_000)
-	res, err := Partition(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1000})
+	res, err := partitionTable(tbl, Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestQuickPartitionAlwaysPermutation(t *testing.T) {
 	f := func(seed int64, sizes uint8) bool {
 		rows := int(sizes)%500 + 1
 		tbl := workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: seed})
-		res, err := Partition(tbl, Spec{Fields: []string{"country", "user"}, MaxChunkRows: 50})
+		res, err := partitionTable(tbl, Spec{Fields: []string{"country", "user"}, MaxChunkRows: 50})
 		if err != nil {
 			return false
 		}
@@ -227,11 +227,9 @@ func TestQuickPartitionAlwaysPermutation(t *testing.T) {
 
 func BenchmarkPartition(b *testing.B) {
 	tbl := logs(100_000)
-	spec := Spec{Fields: []string{"country", "table_name"}, MaxChunkRows: 5000}
+	keys := [][]uint32{rankOf(tbl, "country"), rankOf(tbl, "table_name")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(tbl, spec); err != nil {
-			b.Fatal(err)
-		}
+		Partition(keys, tbl.NumRows(), 5000)
 	}
 }

@@ -18,31 +18,40 @@
 package reorder
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"powerdrill/internal/table"
 )
 
 // Lexicographic returns the permutation that sorts tbl by fields, in
 // order, with ties broken by the original row index (a stable sort, so the
-// implicit time clustering of the remaining columns survives).
+// implicit time clustering of the remaining columns survives). Unknown
+// fields are ignored.
 func Lexicographic(tbl *table.Table, fields []string) []int {
-	cols := make([]*table.Column, 0, len(fields))
+	var keys [][]uint32
 	for _, f := range fields {
 		if c := tbl.Column(f); c != nil {
-			cols = append(cols, c)
+			ids, _ := c.Rank()
+			keys = append(keys, ids)
 		}
 	}
-	perm := identity(tbl.NumRows())
-	sort.SliceStable(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
-		for _, c := range cols {
-			if cmp := c.Value(a).Compare(c.Value(b)); cmp != 0 {
-				return cmp < 0
+	return ByKeys(keys, tbl.NumRows())
+}
+
+// ByKeys is Lexicographic over ranked fields: it sorts rows 0..n-1 by
+// their id tuples — keys[f][r] is row r's order-preserving id in field f —
+// with the row index as the last key.
+func ByKeys(keys [][]uint32, n int) []int {
+	perm := identity(n)
+	slices.SortFunc(perm, func(a, b int) int {
+		for _, ids := range keys {
+			if c := cmp.Compare(ids[a], ids[b]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return cmp.Compare(a, b)
 	})
 	return perm
 }

@@ -1,6 +1,9 @@
 package reorder
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"powerdrill/internal/table"
@@ -60,6 +63,42 @@ func TestLexicographicIgnoresUnknownFields(t *testing.T) {
 	tbl := logs(100)
 	perm := Lexicographic(tbl, []string{"missing", "country"})
 	isPermutation(t, perm, 100)
+}
+
+// TestLexicographicMatchesValueSort holds the id sort to the stable sort
+// over boxed values it replaced, on string, int64 and float64 keys (the
+// floats hold both zeros, which Compare calls equal).
+func TestLexicographicMatchesValueSort(t *testing.T) {
+	tbl := logs(20_000)
+	lat := tbl.Column("latency").Ints
+	score := make([]float64, len(lat))
+	for i, l := range lat {
+		score[i] = float64(l%9-4) / 2
+		if l%7 == 0 {
+			score[i] = math.Copysign(0, -1)
+		}
+	}
+	tbl.AddFloat64Column("score", score)
+	for _, fields := range [][]string{
+		{"country"},
+		{"country", "table_name"},
+		{"score", "latency"},
+		{"table_name", "score", "user"},
+	} {
+		want := Identity(tbl.NumRows())
+		sort.SliceStable(want, func(i, j int) bool {
+			for _, f := range fields {
+				c := tbl.Column(f)
+				if cmp := c.Value(want[i]).Compare(c.Value(want[j])); cmp != 0 {
+					return cmp < 0
+				}
+			}
+			return false
+		})
+		if !slices.Equal(Lexicographic(tbl, fields), want) {
+			t.Errorf("%v: permutation differs from the stable value sort", fields)
+		}
+	}
 }
 
 func TestIdentityAndRandom(t *testing.T) {

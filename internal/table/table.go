@@ -7,6 +7,8 @@ package table
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"powerdrill/internal/value"
 )
@@ -45,6 +47,116 @@ func (c *Column) Value(i int) value.Value {
 		return value.Float64(c.Floats[i])
 	}
 	panic("table: column with invalid kind")
+}
+
+// Rank maps every row to an order-preserving dense id — the rank of its
+// value among the column's distinct values, so two rows' ids compare as
+// value.Compare compares their values — and returns those distinct
+// values, ascending, as a column of the same kind whose payload has no
+// spare capacity. Strings rank through a map; numbers by sort-and-dedupe.
+// Values that Compare calls equal share an id: −0 and +0 are one value
+// (distinct holds the one in the first such row), and so are all NaNs, which rank
+// below every number.
+func (c *Column) Rank() (ids []uint32, distinct *Column) {
+	distinct = &Column{Name: c.Name, Kind: c.Kind}
+	switch c.Kind {
+	case value.KindString:
+		ids, distinct.Strs = rankStrings(c.Strs)
+	case value.KindInt64:
+		ids, distinct.Ints = rankSorted(c.Ints, int64Key)
+	case value.KindFloat64:
+		ids, distinct.Floats = rankSorted(c.Floats, float64Key)
+	default:
+		panic("table: column with invalid kind")
+	}
+	return ids, distinct
+}
+
+func rankStrings(vals []string) ([]uint32, []string) {
+	ranks := make(map[string]uint32, 1024)
+	for _, v := range vals {
+		ranks[v] = 0
+	}
+	sorted := make([]string, 0, len(ranks))
+	for v := range ranks {
+		sorted = append(sorted, v)
+	}
+	slices.Sort(sorted)
+	for i, v := range sorted {
+		ranks[v] = uint32(i)
+	}
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		ids[i] = ranks[v]
+	}
+	return ids, sorted
+}
+
+// rankSorted ranks numbers by sort-and-dedupe: a stable LSD radix sort of
+// (order key, row) pairs, a byte a pass and no pass for a byte every key
+// shares, then one walk that numbers the distinct keys. Equal keys keep
+// row order, so distinct holds each value as its first row has it.
+func rankSorted[T int64 | float64](vals []T, key func(T) uint64) ([]uint32, []T) {
+	n := len(vals)
+	keys, rows := make([]uint64, n), make([]uint32, n)
+	var hist [8][256]uint32
+	for i, v := range vals {
+		k := key(v)
+		keys[i], rows[i] = k, uint32(i)
+		for d := range hist {
+			hist[d][byte(k>>(8*d))]++
+		}
+	}
+	keys2, rows2 := make([]uint64, n), make([]uint32, n)
+	for d := range hist {
+		if n == 0 || hist[d][byte(keys[0]>>(8*d))] == uint32(n) {
+			continue
+		}
+		var at uint32
+		for b, c := range hist[d] {
+			hist[d][b] = at
+			at += c
+		}
+		for i, k := range keys {
+			j := &hist[d][byte(k>>(8*d))]
+			keys2[*j], rows2[*j] = k, rows[i]
+			*j++
+		}
+		keys, keys2, rows, rows2 = keys2, keys, rows2, rows
+	}
+	card := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			card++
+		}
+	}
+	ids, distinct := make([]uint32, n), make([]T, 0, card)
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			distinct = append(distinct, vals[rows[i]])
+		}
+		ids[rows[i]] = uint32(len(distinct) - 1)
+	}
+	return ids, distinct
+}
+
+// int64Key orders int64s as uint64s.
+func int64Key(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// float64Key orders float64s as uint64s, with −0 and +0 one key and every
+// NaN one key below −Inf.
+func float64Key(v float64) uint64 {
+	switch {
+	case v != v:
+		return 0
+	case v == 0:
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b&(1<<63) != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Table is a named set of equally long columns.

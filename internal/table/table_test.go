@@ -1,6 +1,9 @@
 package table
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
 	"powerdrill/internal/value"
@@ -163,4 +166,51 @@ func TestShard(t *testing.T) {
 		}()
 		tbl.Shard(0)
 	}()
+}
+
+// TestRank: ids compare as value.Compare compares the values, distinct is
+// ascending with no spare capacity, and Compare-equal values (−0 and +0,
+// all NaNs) share one id.
+func TestRank(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	tbl := New("r")
+	tbl.AddStringColumn("s", []string{"b", "a", "c", "a", "", "b"})
+	tbl.AddInt64Column("i", []int64{5, -3, math.MaxInt64, -3, math.MinInt64, 0})
+	tbl.AddFloat64Column("f", []float64{2.5, negZero, nan, 0, math.Inf(-1), nan})
+	for _, col := range tbl.Cols {
+		ids, distinct := col.Rank()
+		if distinct.Kind != col.Kind || distinct.Len() == 0 {
+			t.Fatalf("%s: distinct %+v", col.Name, distinct)
+		}
+		for a := range ids {
+			if int(ids[a]) >= distinct.Len() || distinct.Value(int(ids[a])).Compare(col.Value(a)) != 0 {
+				t.Errorf("%s: row %d id %d does not hold %v", col.Name, a, ids[a], col.Value(a))
+			}
+			for b := range ids {
+				va, vb := col.Value(a), col.Value(b)
+				if va.Kind() == value.KindFloat64 && (math.IsNaN(va.Float()) || math.IsNaN(vb.Float())) {
+					continue
+				}
+				if got, want := cmp.Compare(ids[a], ids[b]), va.Compare(vb); got != want {
+					t.Errorf("%s: rows %d, %d: ids compare %d, values %d", col.Name, a, b, got, want)
+				}
+			}
+		}
+		for i := 1; i < distinct.Len(); i++ {
+			if distinct.Value(i-1).Compare(distinct.Value(i)) >= 0 && col.Kind != value.KindFloat64 {
+				t.Errorf("%s: distinct not ascending at %d", col.Name, i)
+			}
+		}
+	}
+	ids, distinct := tbl.Column("f").Rank()
+	if want := []uint32{3, 2, 0, 2, 1, 0}; !slices.Equal(ids, want) {
+		t.Errorf("float ids %v, want %v (NaNs lowest, zeros one id)", ids, want)
+	}
+	if !math.Signbit(distinct.Floats[2]) || cap(distinct.Floats) != len(distinct.Floats) {
+		t.Errorf("float distinct %v (cap %d): want the first row's −0, no spare capacity", distinct.Floats, cap(distinct.Floats))
+	}
+	empty := &Column{Name: "e", Kind: value.KindInt64}
+	if ids, distinct := empty.Rank(); len(ids) != 0 || distinct.Len() != 0 {
+		t.Errorf("empty column ranked to %v, %v", ids, distinct.Ints)
+	}
 }
