@@ -72,6 +72,9 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	if err != nil {
 		return nil, qs, err
 	}
+	if p.sel != nil && !p.sel.ready {
+		e.publish(p.sel)
+	}
 	for w := 0; w < workers; w++ {
 		qs.Add(wqs[w])
 	}
@@ -113,28 +116,17 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 		w.table.addPartial(part, ci)
 		return nil
 	}
-	state := activeAll
-	if p.where != nil {
-		if e.opts.DisableSkipping {
-			state = activeSome
-		} else {
-			state = p.where.classify(ci, byChunkDict)
-		}
+	state, mask, err := e.selectChunk(p, ci, &w.mask, qs)
+	if err != nil {
+		return err
 	}
-	var (
-		mask *enc.Bitmap
-		key  string
-		err  error
-	)
+	var key string
 	switch {
 	case state == activeNone:
 		qs.ChunksSkipped++
 		qs.RowsSkipped += int64(rows)
 		return nil
 	case state == activeSome:
-		if mask, err = p.where.mask(e, p, ci, &w.mask); err != nil {
-			return err
-		}
 	case e.resultCache != nil:
 		key = cacheKey(ci, p)
 		if v, ok := e.resultCache.Get(key); ok {

@@ -91,11 +91,13 @@ func (e *Engine) cacheResidency(p *plan) {
 		}
 		if p.cachedParts == nil {
 			p.cachedParts = make(map[int]*groupSet, 8)
-			// The pin set parts from the active set: copy before clearing.
-			p.pin = make([]bool, len(p.full))
-			for i := range p.pin {
-				p.pin[i] = p.active == nil || p.active[i]
+			// The pin set may be the active set or a memoized one: copy
+			// before clearing.
+			pin := make([]bool, len(p.full))
+			for i := range pin {
+				pin[i] = p.pin == nil || p.pin[i]
 			}
+			p.pin = pin
 		}
 		p.cachedParts[ci] = v.(*groupSet)
 		p.pin[ci] = false

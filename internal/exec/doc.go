@@ -40,7 +40,16 @@
 //     skipped without touching their (never loaded) data; surviving chunks
 //     get the exact classification on their chunk dictionaries — skip /
 //     fully active (cacheable) / partial — and active ones are aggregated,
-//     fanned out over admission-gated workers. A row scan skips phase 3
+//     fanned out over admission-gated workers. A group-by's first query
+//     with a WHERE clause records each chunk's verdict and mask into the
+//     engine's one-entry memo (memo.go), keyed by the clause's canonical
+//     text, once its scan completes; a later one with the same clause
+//     skips compiling the restriction, takes phase 2's sets from the
+//     memo, pins only chunks whose verdict is not none and no column only
+//     the restriction reads, and reads verdicts and masks here. A hit is safe because an engine's rows
+//     never change: every ingest unit, frozen view and leaf has an engine
+//     of its own. Row scans, row predicates and DisableSkipping are not
+//     memoized. A row scan skips phase 3
 //     and pins in two phases of its own (rowscan.go): it selects on the
 //     WHERE columns and the first ORDER BY key, a round of chunks at a
 //     time, best-first by that key's spans, skipping unloaded the chunks

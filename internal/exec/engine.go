@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"powerdrill/internal/cache"
 	"powerdrill/internal/colstore"
@@ -57,6 +58,9 @@ type Engine struct {
 
 	// gate admits scan workers across concurrent queries (see Gate).
 	gate *Gate
+
+	// memo holds the restriction the last group-by evaluated (memo.go).
+	memo atomic.Pointer[selection]
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -162,6 +166,9 @@ type QueryStats struct {
 	RowsCovered int64 `json:"rows_covered"`
 	// ShardsMissing counts shards absent from a merged answer.
 	ShardsMissing int64 `json:"shards_missing"`
+	// MasksBuilt counts the chunks whose row mask this query computed: 0
+	// when its restriction came from the engine's memo (memo.go).
+	MasksBuilt int64 `json:"masks_built"`
 }
 
 // Result is a finished query result.
@@ -369,7 +376,7 @@ func exprColumns(e sql.Expr) []string { return expr.Columns(e) }
 // pinned into ps and no chunk: which chunks to pin is decided on the
 // compiled plan.
 func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
-	name := operandName(x)
+	name := e.operandColumn(x)
 	if e.store.HasColumn(name) {
 		return ps.ColumnDict(name)
 	}
@@ -422,6 +429,27 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 		return nil, err
 	}
 	return ps.ColumnDict(name)
+}
+
+// operandColumn is the column an operand resolves to: operandName, unless
+// a column of that name holds another kind than the expression's. Before
+// float literals printed with a point, latency * 2.0 was named
+// "(latency * 2)", and a store's sidecar may still hold that float64
+// column; latency * 2 then takes a name no expression prints.
+func (e *Engine) operandColumn(x sql.Expr) string {
+	name := operandName(x)
+	m, ok := e.store.ColumnMeta(name)
+	if _, id := x.(*sql.Ident); id || !ok {
+		return name
+	}
+	kind, err := expr.InferKind(x, func(col string) (value.Kind, bool) {
+		c, ok := e.store.ColumnMeta(col)
+		return c.Kind, ok
+	})
+	if err != nil || kind == m.Kind {
+		return name
+	}
+	return name + " :: " + kind.String()
 }
 
 // addVirtualColumn computes a virtual column chunk by chunk — fill writes
@@ -519,6 +547,11 @@ type plan struct {
 	cachedParts map[int]*groupSet
 	// cacheSig is the chunk-independent part of the result-cache key.
 	cacheSig string
+	// sel is the restriction's selection when the memo holds it (sel.ready:
+	// where is nil, and the scan reads verdicts and masks from it), or the
+	// one the scan fills in and publishes; nil when the plan is not
+	// memoized.
+	sel *selection
 	// The scan's columns, resolved once so no chunk looks them up again:
 	// groupCol is the column grouped by (nil for a global aggregate),
 	// aggCols[j] aggregate j's argument (nil for COUNT(*)), and aggInt[j]
@@ -564,15 +597,40 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 	if err := checkOrderItems(stmt, p.orderCols); err != nil {
 		return nil, err
 	}
-
-	// WHERE.
-	if stmt.Where != nil {
-		w, err := e.compileRestriction(stmt.Where, ps)
-		if err != nil {
-			return nil, err
+	hasAgg := false
+	for _, item := range stmt.Items {
+		if sql.HasAggregate(item.Expr) {
+			hasAgg = true
 		}
-		p.where = w
-		w.columnsOf(p.access)
+	}
+	p.rowScan = !hasAgg && len(stmt.GroupBy) == 0
+
+	// WHERE: from the memo, or compiled. Only group-bys are memoized: a row
+	// scan stops early, so it never evaluates its restriction everywhere.
+	if stmt.Where != nil {
+		memoize := !p.rowScan && !e.opts.DisableSkipping
+		var key string
+		if memoize {
+			key = stmt.Where.String()
+			if s := e.memo.Load(); s != nil && s.key == key {
+				p.sel = s
+			}
+		}
+		if p.sel != nil {
+			for _, c := range p.sel.cols {
+				p.access(c)
+			}
+		} else {
+			w, err := e.compileRestriction(stmt.Where, ps)
+			if err != nil {
+				return nil, err
+			}
+			p.where = w
+			w.columnsOf(p.access)
+			if memoize && !w.canError() {
+				p.sel = &selection{key: key, cols: slices.Clone(p.accessCols)}
+			}
+		}
 	}
 
 	// GROUP BY columns (materialized).
@@ -587,13 +645,6 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 	}
 
 	// Select items: group keys and aggregates.
-	hasAgg := false
-	for _, item := range stmt.Items {
-		if sql.HasAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
-	p.rowScan = !hasAgg && len(stmt.GroupBy) == 0
 	if p.rowScan && stmt.Having != nil {
 		return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
 	}
@@ -609,7 +660,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 			// A projected column is read for the rows the scan returns
 			// alone, so a column that exists pins nothing here: no
 			// dictionary, whose values the winners look up (Values).
-			name := operandName(item.Expr)
+			name := e.operandColumn(item.Expr)
 			if !e.store.HasColumn(name) {
 				col, err := e.materializeOperand(item.Expr, ps)
 				if err != nil {
@@ -665,10 +716,14 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 // pinPlan pins the plan's access set at the chunks pruning and the cache
 // probe left, each column with its dictionary — an aggregation reads
 // values everywhere: group keys, aggregate arguments, row predicates — and
-// resolves the scan's columns to the pinned views.
+// resolves the scan's columns to the pinned views. A restriction from the
+// memo reads no column, so a column only it accesses is not pinned.
 func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	p.cols = make(map[string]*colstore.Column, len(p.accessCols))
 	for _, col := range p.accessCols {
+		if p.sel != nil && p.sel.ready && !p.aggregates(col) {
+			continue
+		}
 		c, err := e.pinColumn(ps, col, true, p.pin)
 		if err != nil {
 			return err
@@ -717,6 +772,20 @@ func (e *Engine) pinColumn(ps *colstore.PinSet, name string, withDict bool, acti
 		}
 	}
 	return ps.ColumnChunks(name, active)
+}
+
+// aggregates reports whether the scan groups by or aggregates the named
+// column.
+func (p *plan) aggregates(col string) bool {
+	if col == p.composite || slices.Contains(p.groupCols, col) {
+		return true
+	}
+	for _, a := range p.aggs {
+		if a.argCol == col {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveGroupExpr maps a GROUP BY expression, which may be an alias of a

@@ -26,8 +26,13 @@ import (
 // analyzeResidency classifies every chunk against the plan's restriction
 // using spans and blooms only, and sets the plan's active and full sets.
 // Anything the metadata cannot decide (row predicates, leaves without
-// spans) is "may match".
+// spans) is "may match". A restriction from the memo brings its analysis
+// along, and pins only the chunks its exact verdicts keep.
 func (e *Engine) analyzeResidency(p *plan) {
+	if s := p.sel; s != nil && s.ready {
+		p.active, p.full, p.activeCount, p.bloomSkipped, p.pin = s.active, s.full, s.activeCount, s.bloomSkipped, s.pin
+		return
+	}
 	n := e.store.NumChunks()
 	p.activeCount = n
 	if e.opts.DisableSkipping {
@@ -64,6 +69,9 @@ func (e *Engine) analyzeResidency(p *plan) {
 		}
 	}
 	p.pin = p.active
+	if p.sel != nil {
+		p.sel.size(e, p)
+	}
 }
 
 // hasBlooms reports whether any leaf carries chunk bloom filters.

@@ -273,16 +273,9 @@ func (s *rowScan) selectRows(qs *QueryStats) error {
 func (s *rowScan) scanChunk(ci int, w *scanWorker, qs *QueryStats) error {
 	e, p := s.e, s.p
 	rows := e.store.ChunkRows(ci)
-	state := activeAll
-	if p.where != nil {
-		if e.opts.DisableSkipping {
-			state = activeSome
-		} else {
-			state = p.where.classify(ci, byChunkDict)
-		}
-	}
-	if state == activeNone {
-		return nil
+	state, mask, err := e.selectChunk(p, ci, &w.mask, qs)
+	if err != nil || state == activeNone {
+		return err
 	}
 	qs.ChunksScanned++
 	qs.RowsScanned += int64(rows)
@@ -299,10 +292,6 @@ func (s *rowScan) scanChunk(ci int, w *scanWorker, qs *QueryStats) error {
 			m = append(m, rowCand{chunk: int32(ci), row: int32(r)})
 		}
 	} else {
-		mask, err := p.where.mask(e, p, ci, &w.mask)
-		if err != nil {
-			return err
-		}
 		mask.ForEach(func(r int) {
 			if len(m) < capRows {
 				m = append(m, rowCand{chunk: int32(ci), row: int32(r)})

@@ -8,6 +8,7 @@ import (
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/value"
 )
 
 // virtcolQueries is an expression-heavy drill-down slice: a virtual
@@ -249,5 +250,95 @@ func TestPlainQueryDoesNotWaitForPlanLock(t *testing.T) {
 	unlock()
 	if err := <-fresh; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVirtualColumnKeepsLiteralKind: a virtual column is named by its
+// expression's canonical text, so an integer and a float literal must
+// print apart — latency * 2 is an int64 column, latency * 2.0 a float64
+// one — or whichever materialized first would answer for both.
+func TestVirtualColumnKeepsLiteralKind(t *testing.T) {
+	e := buildEngine(t, logs(2000), chunkedOpts(), Options{})
+	for _, c := range []struct {
+		q    string
+		kind value.Kind
+	}{
+		{`SELECT SUM(latency * 2.0) AS s FROM data;`, value.KindFloat64},
+		{`SELECT SUM(latency * 2) AS s FROM data;`, value.KindInt64},
+	} {
+		res, err := e.Query(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Kind(); got != c.kind {
+			t.Errorf("%s: a %v sum, want %v", c.q, got, c.kind)
+		}
+	}
+}
+
+// TestStaleFloatVirtualColumnIgnored: before float literals printed with a
+// point, latency * 2.0 materialized as "(latency * 2)", the name latency * 2
+// now has. A sidecar written then still holds that float64 column; after a
+// reopen, latency * 2 must not answer from it.
+func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
+	dir := savedReorderedStore(t, 2000, "zippy")
+	old, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := old.ColumnErr("latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]value.Value, old.NumRows())
+	var sum int64
+	for ci := range old.NumChunks() {
+		for r := range old.ChunkRows(ci) {
+			v := lat.ValueAt(ci, r).Int()
+			sum += 2 * v
+			vals[old.Bounds[ci]+r] = value.Float64(2 * float64(v))
+		}
+	}
+	ps := old.NewPinSet()
+	_, err = old.AddVirtualColumnPinned(ps, "(latency * 2)", value.KindFloat64, vals)
+	ps.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := reopened.ColumnMeta("(latency * 2)"); !ok || m.Kind != value.KindFloat64 {
+		t.Fatalf("the sidecar kept no float64 (latency * 2): %+v, %v", m, ok)
+	}
+	e := New(reopened, Options{Parallelism: 2})
+	for _, q := range []string{
+		`SELECT SUM(latency * 2) AS s FROM data;`,
+		`SELECT COUNT(*) AS c FROM data WHERE latency * 2 >= 0;`,
+		`SELECT latency * 2 AS l FROM data ORDER BY l DESC LIMIT 1;`,
+	} {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got.Kind() != value.KindInt64 {
+			t.Errorf("%s: %v is a %v, want int64", q, got, got.Kind())
+		}
+	}
+	res, err := e.Query(`SELECT SUM(latency * 2) AS s FROM data;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got.Kind() != value.KindInt64 || got.Int() != sum {
+		t.Errorf("SUM(latency * 2) = %v (%v), want int64 %d", got, got.Kind(), sum)
+	}
+	res, err = e.Query(`SELECT SUM(latency * 2.0) AS s FROM data;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got.Kind() != value.KindFloat64 || got.Float() != float64(sum) {
+		t.Errorf("SUM(latency * 2.0) = %v (%v), want float64 %d", got, got.Kind(), sum)
 	}
 }

@@ -96,14 +96,25 @@ func (*In) exprNode()        {}
 // String implements Expr.
 func (e *Ident) String() string { return e.Name }
 
-// String implements Expr.
-func (e *StringLit) String() string { return strconv.Quote(e.Val) }
+// String implements Expr. A backslash escapes the byte after it, the
+// lexer's one escape rule, so the literal reads back byte for byte.
+func (e *StringLit) String() string { return `"` + quoteEscaper.Replace(e.Val) + `"` }
+
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 // String implements Expr.
 func (e *IntLit) String() string { return strconv.FormatInt(e.Val, 10) }
 
-// String implements Expr.
-func (e *FloatLit) String() string { return strconv.FormatFloat(e.Val, 'g', -1, 64) }
+// String implements Expr. The lexer reads neither an exponent nor a
+// number without a point as a float, so the value prints in full, with a
+// point.
+func (e *FloatLit) String() string {
+	s := strconv.FormatFloat(e.Val, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
 
 // String implements Expr.
 func (e *Call) String() string {

@@ -27,9 +27,44 @@ func Parse(src string) (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// maxDepth bounds how deeply a statement's expressions nest: the height of
+// an expression tree, each operator, NOT, IN and call one level. The
+// parser, the engine's compilers and String all recurse over the tree, and
+// a recursion that exhausts the stack is a fatal error no recover catches.
+const maxDepth = 1000
+
+// maxOpen bounds the expressions the parser is inside at once — its own
+// recursion, which parentheses deepen without adding a level. String prints
+// a tree of height h inside at most 2h+1 of them (an IN list sits inside two
+// parentheses), so every statement Parse accepts also parses from its
+// String.
+const maxOpen = 2*maxDepth + 1
+
+// DepthError is the error Parse returns for a statement nested deeper than
+// 1 000 levels, or parenthesized deeper than 2 001.
+type DepthError struct {
+	Pos int // byte offset where the limit was crossed
+}
+
+func (e *DepthError) Error() string {
+	return fmt.Sprintf("sql: expression nested deeper than %d levels at %d", maxDepth, e.Pos)
+}
+
 type parser struct {
 	lex *lexer
 	tok token
+	// open counts the expressions being parsed, one inside another; height
+	// is the height of the expression the last parse step returned.
+	open, height int
+}
+
+// node records that the expression being built stands one level above its
+// tallest operand, of height h, and refuses it past maxDepth.
+func (p *parser) node(h int) error {
+	if p.height = h + 1; p.height > maxDepth {
+		return &DepthError{Pos: p.tok.pos}
+	}
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -203,7 +238,14 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 
 // parseExpr parses with precedence OR < AND < NOT < comparison/IN <
 // additive < multiplicative < unary.
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if p.open++; p.open > maxOpen {
+		return nil, &DepthError{Pos: p.tok.pos}
+	}
+	e, err := p.parseOr()
+	p.open--
+	return e, err
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -211,11 +253,15 @@ func (p *parser) parseOr() (Expr, error) {
 		return nil, err
 	}
 	for p.atKeyword("or") {
+		lh := p.height
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		r, err := p.parseAnd()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.node(max(lh, p.height)); err != nil {
 			return nil, err
 		}
 		l = &Binary{Op: OpOr, L: l, R: r}
@@ -229,6 +275,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		return nil, err
 	}
 	for p.atKeyword("and") {
+		lh := p.height
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -236,23 +283,35 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := p.node(max(lh, p.height)); err != nil {
+			return nil, err
+		}
 		l = &Binary{Op: OpAnd, L: l, R: r}
 	}
 	return l, nil
 }
 
+// parseNot reads a run of NOTs in a loop, not by recursion: a run too long
+// to build is refused by node, without the parser recursing through it.
 func (p *parser) parseNot() (Expr, error) {
-	if p.atKeyword("not") {
+	nots := 0
+	for p.atKeyword("not") {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		x, err := p.parseNot()
-		if err != nil {
+		nots++
+	}
+	x, err := p.parseComparison()
+	if err != nil {
+		return nil, err
+	}
+	for ; nots > 0; nots-- {
+		if err := p.node(p.height); err != nil {
 			return nil, err
 		}
-		return &Not{X: x}, nil
+		x = &Not{X: x}
 	}
-	return p.parseComparison()
+	return x, nil
 }
 
 var cmpOps = map[string]BinaryOp{
@@ -264,6 +323,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	lh := p.height
 	if p.tok.kind == tokOp {
 		if op, ok := cmpOps[p.tok.text]; ok {
 			if err := p.advance(); err != nil {
@@ -271,6 +331,9 @@ func (p *parser) parseComparison() (Expr, error) {
 			}
 			r, err := p.parseAdditive()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.node(max(lh, p.height)); err != nil {
 				return nil, err
 			}
 			return &Binary{Op: op, L: l, R: r}, nil
@@ -307,6 +370,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			lh = max(lh, p.height)
 			list = append(list, e)
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
@@ -318,6 +382,9 @@ func (p *parser) parseComparison() (Expr, error) {
 		}
 		if p.tok.kind != tokRParen {
 			return nil, fmt.Errorf("sql: expected ) closing IN list at %d", p.tok.pos)
+		}
+		if err := p.node(lh); err != nil {
+			return nil, err
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -340,8 +407,12 @@ func (p *parser) parseAdditive() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		lh := p.height
 		r, err := p.parseMultiplicative()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.node(max(lh, p.height)); err != nil {
 			return nil, err
 		}
 		l = &Binary{Op: op, L: l, R: r}
@@ -362,8 +433,12 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		lh := p.height
 		r, err := p.parseUnary()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.node(max(lh, p.height)); err != nil {
 			return nil, err
 		}
 		l = &Binary{Op: op, L: l, R: r}
@@ -371,27 +446,38 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	return l, nil
 }
 
+// parseUnary reads a run of minus signs in a loop, like parseNot. A minus
+// negates a literal in place and subtracts anything else from 0.
 func (p *parser) parseUnary() (Expr, error) {
-	if p.tok.kind == tokOp && p.tok.text == "-" {
+	minus := 0
+	for p.tok.kind == tokOp && p.tok.text == "-" {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
+		minus++
+	}
+	x, err := p.parsePrimary()
+	if err != nil {
+		return nil, err
+	}
+	for ; minus > 0; minus-- {
 		switch lit := x.(type) {
 		case *IntLit:
-			return &IntLit{Val: -lit.Val}, nil
+			x = &IntLit{Val: -lit.Val}
 		case *FloatLit:
-			return &FloatLit{Val: -lit.Val}, nil
+			x = &FloatLit{Val: -lit.Val}
+		default:
+			if err := p.node(p.height); err != nil {
+				return nil, err
+			}
+			x = &Binary{Op: OpSub, L: &IntLit{Val: 0}, R: x}
 		}
-		return &Binary{Op: OpSub, L: &IntLit{Val: 0}, R: x}, nil
 	}
-	return p.parsePrimary()
+	return x, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
+	p.height = 1
 	switch p.tok.kind {
 	case tokNumber:
 		text := p.tok.text
@@ -443,7 +529,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		call := &Call{Name: strings.ToLower(name)}
+		call, h := &Call{Name: strings.ToLower(name)}, 0
 		if p.tok.kind == tokOp && p.tok.text == "*" {
 			call.Star = true
 			if err := p.advance(); err != nil {
@@ -462,6 +548,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 					return nil, err
 				}
 				call.Args = append(call.Args, a)
+				h = max(h, p.height)
 				if p.tok.kind != tokComma {
 					break
 				}
@@ -472,6 +559,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		if p.tok.kind != tokRParen {
 			return nil, fmt.Errorf("sql: expected ) closing call at %d", p.tok.pos)
+		}
+		if err := p.node(h); err != nil {
+			return nil, err
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
