@@ -19,15 +19,8 @@ type ClusterOptions struct {
 	// Replicas per sub-query: 2 enables the paper's primary+replica
 	// scheme (default), 1 disables it.
 	Replicas int
-	// Servers is how many placement servers in-process clusters spread
-	// replicas over (default Replicas). With Servers > Replicas some
-	// servers start empty — spare capacity Rebalance can move hot
-	// shards' replicas onto.
-	Servers int
 	// Store configures the per-shard imports.
 	Store Options
-	// Seed drives shard placement.
-	Seed int64
 
 	// Deadline bounds each query's wall clock (0 = none). When shards
 	// cannot answer in time the cluster serves a partial answer with
@@ -58,8 +51,6 @@ func (o ClusterOptions) clusterOptions() cluster.Options {
 		Shards:           o.Shards,
 		Fanout:           o.Fanout,
 		Replicas:         o.Replicas,
-		Servers:          o.Servers,
-		Seed:             o.Seed,
 		Deadline:         o.Deadline,
 		HedgeMultiplier:  o.HedgeMultiplier,
 		HedgeMinDelay:    o.HedgeMinDelay,
@@ -188,39 +179,6 @@ func (c *Cluster) InjectStragglers(frac float64, delay time.Duration, seed int64
 // result cache and one set of statistics.
 func ServeShard(l net.Listener, s *Store) error {
 	return cluster.Serve(l, s.engine)
-}
-
-// RebalanceOptions tunes one Rebalance pass.
-type RebalanceOptions = cluster.RebalanceOptions
-
-// RebalanceMove records one replica relocation performed by Rebalance.
-type RebalanceMove = cluster.Move
-
-// PlacementEntry is one row of the shard→server placement table.
-type PlacementEntry = cluster.PlacementEntry
-
-// Placement returns the current shard→server placement table, including
-// each replica's latency estimate and breaker state.
-func (c *Cluster) Placement() []PlacementEntry { return c.inner.Placement() }
-
-// Rebalance runs one placement pass: replicas whose latency EWMA towers
-// over the cluster median (or whose breaker is open) are rebuilt on the
-// least-loaded registered server not already hosting their shard.
-// In-process clusters (NewCluster, OpenCluster) register their simulated
-// servers automatically; RPC clusters add spare servers with
-// AddRemoteServer. Superseded leaves are left to drain.
-func (c *Cluster) Rebalance(opts RebalanceOptions) ([]RebalanceMove, error) {
-	return c.inner.Rebalance(opts)
-}
-
-// AddRemoteServer registers a remote placement server as a Rebalance move
-// target: addrForShard maps a shard index to the address where that
-// server would serve it (one pdserver -store process per shard, or one
-// multiplexed listener).
-func (c *Cluster) AddRemoteServer(name string, addrForShard func(shard int) string) {
-	c.inner.AddServer(name, func(si int) (cluster.Leaf, error) {
-		return cluster.NewRemoteLeaf(addrForShard(si)), nil
-	})
 }
 
 // Mixer is an inner node of the serving tree: it answers partial queries

@@ -27,14 +27,12 @@ type statzPayload struct {
 	// has completed: when it ran, what it covered, and the verdicts.
 	LastScrub *scrubStatz `json:"last_scrub,omitempty"`
 	// Cluster is present in coordinator mode (-shards, -connect) and mixer
-	// mode (-mixer): fan-out counters, per-child health and, on a
-	// coordinator, the shard→server placement table.
+	// mode (-mixer): fan-out counters and per-child health.
 	Cluster *clusterStatz `json:"cluster,omitempty"`
 }
 
 // The owners, each beside what is computed from it: hit rates, the
-// scrub's time in RFC 3339, durations in milliseconds — a replica's
-// latency EWMA is the rebalancer's signal.
+// scrub's time in RFC 3339, durations in milliseconds.
 type (
 	memoryStatz struct {
 		powerdrill.MemoryStats
@@ -51,15 +49,10 @@ type (
 	}
 	clusterStatz struct {
 		powerdrill.ClusterStats
-		Leaves    []leafStatz      `json:"leaves"`
-		Placement []placementStatz `json:"placement,omitempty"`
+		Leaves []leafStatz `json:"leaves"`
 	}
 	leafStatz struct {
 		powerdrill.LeafHealth
-		LatencyEWMAMS float64 `json:"latency_ewma_ms"`
-	}
-	placementStatz struct {
-		powerdrill.PlacementEntry
 		LatencyEWMAMS float64 `json:"latency_ewma_ms"`
 	}
 )
@@ -73,15 +66,12 @@ func memStatz(ms powerdrill.MemoryStats, ok bool) *memoryStatz {
 	return &memoryStatz{ms, ms.HitRate()}
 }
 
-// dispatchStatz renders a dispatcher's fan-out counters, per-child health
-// and (a coordinator's) placement: coordinators and mixers share the shape.
-func dispatchStatz(st powerdrill.ClusterStats, health []powerdrill.LeafHealth, placement ...powerdrill.PlacementEntry) *clusterStatz {
+// dispatchStatz renders a dispatcher's fan-out counters and per-child
+// health: coordinators and mixers share the shape.
+func dispatchStatz(st powerdrill.ClusterStats, health []powerdrill.LeafHealth) *clusterStatz {
 	s := &clusterStatz{ClusterStats: st}
 	for _, h := range health {
 		s.Leaves = append(s.Leaves, leafStatz{h, millis(h.LatencyEWMA)})
-	}
-	for _, e := range placement {
-		s.Placement = append(s.Placement, placementStatz{e, millis(e.LatencyEWMA)})
 	}
 	return s
 }
@@ -200,11 +190,11 @@ func statzMux(store *powerdrill.Store) *http.ServeMux {
 }
 
 // coordinatorStatzHandler serves the coordinator's runtime counters:
-// cluster fan-out stats, per-leaf breaker health, the placement table, and
-// the shared memory manager's accounting.
+// cluster fan-out stats, per-leaf breaker health and latency, and the
+// shared memory manager's accounting.
 func coordinatorStatzHandler(c *powerdrill.Cluster) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeStatz(w, &statzPayload{Cluster: dispatchStatz(c.Stats(), c.Health(), c.Placement()...), Memory: memStatz(c.MemStats())})
+		writeStatz(w, &statzPayload{Cluster: dispatchStatz(c.Stats(), c.Health()), Memory: memStatz(c.MemStats())})
 	})
 }
 

@@ -222,19 +222,9 @@ cluster.leaves[].server string
 cluster.leaves[].shard number
 cluster.leaves[].successes number
 cluster.partial_answers number
-cluster.placement array
-cluster.placement[] object
-cluster.placement[].breaker string
-cluster.placement[].latency_ewma_ms number
-cluster.placement[].leaf string
-cluster.placement[].replica number
-cluster.placement[].server string
-cluster.placement[].shard number
 cluster.primary_failures number
 cluster.queries number
-cluster.rebalances number
 cluster.replica_races number
-cluster.replicas_moved number
 cluster.retries number
 cluster.shards_missing number
 cluster.sub_queries number
@@ -295,9 +285,7 @@ cluster.leaves[].successes number
 cluster.partial_answers number
 cluster.primary_failures number
 cluster.queries number
-cluster.rebalances number
 cluster.replica_races number
-cluster.replicas_moved number
 cluster.retries number
 cluster.shards_missing number
 cluster.sub_queries number
@@ -358,7 +346,6 @@ func TestStatzKeys(t *testing.T) {
 		{"leaf", "last_scrub", reflect.TypeFor[powerdrill.ScrubStatus]()},
 		{"coordinator", "cluster", reflect.TypeFor[powerdrill.ClusterStats]()},
 		{"coordinator", "cluster.leaves[]", reflect.TypeFor[powerdrill.LeafHealth]()},
-		{"coordinator", "cluster.placement[]", reflect.TypeFor[powerdrill.PlacementEntry]()},
 		{"mixer", "cluster", reflect.TypeFor[powerdrill.ClusterStats]()},
 		{"mixer", "cluster.leaves[]", reflect.TypeFor[powerdrill.LeafHealth]()},
 	} {

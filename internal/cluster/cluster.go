@@ -28,10 +28,9 @@
 //     Coverage < 1 and the missing shards' row counts accounted — the
 //     paper's UI reports exactly this fraction next to every answer.
 //
-// On top of the topology, placement.go keeps a shard→server placement
-// table and a rebalancer that moves hot shards' replicas onto cold
-// servers using the breaker state and per-replica latency estimates the
-// dispatcher already tracks.
+// Each shard's replica set is fixed when the tree is assembled
+// (topology.go); hedging and the breakers route around a slow or dead
+// replica without moving it.
 //
 // Leaves are in-process by default (the unit tests and benchmarks run a
 // whole cluster in one binary); rpc.go exposes the same node interface
@@ -134,17 +133,10 @@ type Options struct {
 	// Replicas per sub-query: 1 (no replication) or 2 (the paper's
 	// primary + replica scheme). Default 2.
 	Replicas int
-	// Servers is how many placement servers NewLocal/OpenShards spread
-	// replicas over (default Replicas). With Servers > Replicas some
-	// servers start empty — spare capacity the rebalancer can move hot
-	// shards' replicas onto.
-	Servers int
 	// Store configures the per-shard column stores.
 	Store colstore.Options
 	// Engine configures the per-shard engines.
 	Engine exec.Options
-	// Seed drives shard placement.
-	Seed int64
 
 	// Deadline bounds each Query's wall clock (0 = none). QueryContext
 	// callers can carry their own deadline instead; both compose.
@@ -189,9 +181,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replicas > 2 {
 		o.Replicas = 2
-	}
-	if o.Servers < o.Replicas {
-		o.Servers = o.Replicas
 	}
 	if o.HedgeMultiplier <= 0 {
 		o.HedgeMultiplier = 3
@@ -240,26 +229,13 @@ func (o Options) newLeafState(leaf Leaf, si, r int, srv string) *leafState {
 // children (leaves or mixers) that finalizes merged partials into results.
 type Cluster struct {
 	dispatcher
-	place placement
 	// leaves are the distinct local leaves (for fault injection); remote
-	// clusters leave this nil. Guarded by dispatcher.mu — the rebalancer
-	// appends while queries run.
+	// clusters leave this nil.
 	leaves []*LocalLeaf
 }
 
 // Leaves returns the local leaves for fault injection in tests.
-func (c *Cluster) Leaves() []*LocalLeaf {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*LocalLeaf(nil), c.leaves...)
-}
-
-// addLeaf records a locally-created leaf.
-func (c *Cluster) addLeaf(l *LocalLeaf) {
-	c.mu.Lock()
-	c.leaves = append(c.leaves, l)
-	c.mu.Unlock()
-}
+func (c *Cluster) Leaves() []*LocalLeaf { return c.leaves }
 
 // Query runs a SQL query over the whole cluster under Options.Deadline:
 // leaves compute partials for their shards in parallel, inner tree levels

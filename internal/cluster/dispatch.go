@@ -42,41 +42,15 @@ type Stats struct {
 	// counts dispatches skipped because a breaker was open.
 	BreakerOpens int64 `json:"breaker_opens"`
 	BreakerSkips int64 `json:"breaker_skips"`
-	// Rebalances counts Rebalance calls that moved at least one replica;
-	// ReplicasMoved counts the individual relocations.
-	Rebalances    int64 `json:"rebalances"`
-	ReplicasMoved int64 `json:"replicas_moved"`
 }
 
 // shardState holds one shard's replicas and its dispatch-side state.
 type shardState struct {
-	lat latEstimate
+	lat      latEstimate
+	replicas []*leafState // fixed at assembly
 
-	mu       sync.Mutex
-	replicas []*leafState
-	rows     int64 // known row count (0 until learned; see learnRows)
-}
-
-// replicaList snapshots the replica set. The returned slice is immutable:
-// the rebalancer replaces the whole slice (setReplica), never an element
-// in place, so in-flight dispatches keep a consistent view.
-func (s *shardState) replicaList() []*leafState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicas
-}
-
-// setReplica swaps replica r for ls (copy-on-write) and returns the
-// superseded leaf state, which is left to drain — in-flight sub-queries
-// may still be using it.
-func (s *shardState) setReplica(r int, ls *leafState) *leafState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.replicas[r]
-	replicas := append([]*leafState(nil), s.replicas...)
-	replicas[r] = ls
-	s.replicas = replicas
-	return old
+	mu   sync.Mutex
+	rows int64 // known row count (0 until learned; see learnRows)
 }
 
 // learnRows records the shard's row count, so coverage accounting can
@@ -113,6 +87,20 @@ type dispatcher struct {
 	rowsKnown atomic.Bool
 }
 
+// setChildren wires childSets into d under opts; childSets[i] holds the
+// replicas of child i, each its own server.
+func (d *dispatcher) setChildren(childSets [][]Leaf, opts Options) {
+	opts.Shards = len(childSets)
+	d.opts = opts.withDefaults()
+	for i, replicas := range childSets {
+		s := &shardState{}
+		for r, leaf := range replicas {
+			s.replicas = append(s.replicas, d.opts.newLeafState(leaf, i, r, leaf.Name()))
+		}
+		d.shards = append(d.shards, s)
+	}
+}
+
 // bump adds n to one stats counter.
 func (d *dispatcher) bump(field *int64, n int64) {
 	d.mu.Lock()
@@ -133,7 +121,7 @@ func (d *dispatcher) Stats() Stats {
 func (d *dispatcher) Health() []LeafHealth {
 	var out []LeafHealth
 	for _, s := range d.shards {
-		for _, ls := range s.replicaList() {
+		for _, ls := range s.replicas {
 			out = append(out, ls.health())
 		}
 	}
@@ -149,7 +137,7 @@ func (d *dispatcher) Health() []LeafHealth {
 func (d *dispatcher) Close() error {
 	var first error
 	for _, s := range d.shards {
-		for _, ls := range s.replicaList() {
+		for _, ls := range s.replicas {
 			if c, ok := ls.leaf.(io.Closer); ok {
 				if err := c.Close(); err != nil && first == nil {
 					first = err
@@ -229,7 +217,7 @@ func (d *dispatcher) refreshRows(ctx context.Context) {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
-			for _, ls := range s.replicaList() {
+			for _, ls := range s.replicas {
 				rc, ok := ls.leaf.(RowCounter)
 				if !ok {
 					continue
@@ -283,22 +271,22 @@ func (d *dispatcher) scatter(ctx context.Context, sqlText string) ([]*exec.Parti
 //
 //  1. Dispatch to the primary (breaker-open replicas are skipped).
 //  2. If it has not answered within the hedge delay, dispatch the replica
-//     too; the first success wins. An error brings the replica in
-//     immediately (speculative re-dispatch).
+//     too (at once while the shard has no latency estimate); the first
+//     success wins. An error brings the replica in immediately
+//     (speculative re-dispatch).
 //  3. When every allowed replica has been tried, re-dispatch with capped
 //     jittered backoff until MaxRetries or the deadline runs out.
 func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exec.Partial, error) {
 	s := d.shards[si]
-	replicas := s.replicaList()
 	d.bump(&d.stats.SubQueries, 1)
 
 	// Dispatch order: primary first, breaker-open leaves skipped. If every
 	// breaker is open the shard fails fast — it will be probed again after
 	// the cooldown — instead of burning the deadline on known-dead leaves.
 	now := time.Now()
-	order := make([]*leafState, 0, len(replicas))
+	order := make([]*leafState, 0, len(s.replicas))
 	var skipped int64
-	for _, ls := range replicas {
+	for _, ls := range s.replicas {
 		if ls.allowed(now) {
 			order = append(order, ls)
 		} else {
@@ -309,7 +297,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 		d.bump(&d.stats.BreakerSkips, skipped)
 	}
 	if len(order) == 0 {
-		return nil, fmt.Errorf("shard %d: all %d replicas circuit-open", si, len(replicas))
+		return nil, fmt.Errorf("shard %d: all %d replicas circuit-open", si, len(s.replicas))
 	}
 
 	type answer struct {
@@ -332,7 +320,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			if err == nil {
 				// Per-leaf latency is observed here, in the launch
 				// goroutine, so hedge losers that finish long after the
-				// winner still feed the estimate the rebalancer reads — a
+				// winner still feed the estimate /statz shows — a
 				// straggling replica looks slow even though it never wins.
 				ls.observe(elapsed)
 			}
@@ -340,22 +328,39 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 		}()
 	}
 
+	raced := false
+	markRaced := func(ls *leafState) {
+		if !raced && ls != order[0] {
+			raced = true
+			d.bump(&d.stats.ReplicaRaces, 1)
+		}
+	}
 	next := 0 // next undispatched entry in order
+	hedge := func() {
+		d.bump(&d.stats.Hedges, 1)
+		markRaced(order[next])
+		launch(order[next])
+		next++
+	}
+
 	launch(order[next])
 	next++
-
 	// The hedge timer is armed only while an undispatched replica remains.
+	// A shard with no latency estimate yet asks it right away.
 	var hedgeCh <-chan time.Time
 	if next < len(order) {
-		t := time.NewTimer(d.opts.hedgeDelay(&s.lat))
-		defer t.Stop()
-		hedgeCh = t.C
+		if delay := d.opts.hedgeDelay(&s.lat); delay > 0 {
+			t := time.NewTimer(delay)
+			defer t.Stop()
+			hedgeCh = t.C
+		} else {
+			hedge()
+		}
 	}
 
 	retriesLeft := d.opts.MaxRetries
 	retryAttempt := 0            // backoff exponent + rotation cursor
 	var retryCh <-chan time.Time // pending backoff timer
-	raced := false
 	var firstErr error
 
 	finish := func(a answer) *exec.Partial {
@@ -366,12 +371,6 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			d.bump(&d.stats.PrimaryFailures, 1)
 		}
 		return a.part
-	}
-	markRaced := func(ls *leafState) {
-		if !raced && ls != order[0] {
-			raced = true
-			d.bump(&d.stats.ReplicaRaces, 1)
-		}
 	}
 
 	for {
@@ -431,10 +430,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			}
 		case <-hedgeCh:
 			hedgeCh = nil
-			d.bump(&d.stats.Hedges, 1)
-			markRaced(order[next])
-			launch(order[next])
-			next++
+			hedge()
 		case <-retryCh:
 			retryCh = nil
 			target := order[retryAttempt%len(order)]

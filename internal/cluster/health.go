@@ -123,11 +123,11 @@ type leafState struct {
 	leaf    Leaf
 	shard   int
 	replica int
-	server  string   // placement label (see placement.go)
+	server  string   // label of the server the replica lives on
 	br      *breaker // nil when the breaker is disabled
 	// lat tracks this replica's completed-attempt latency — observed for
 	// hedge losers too, so a straggler accumulates a high estimate even
-	// when it never wins a race. The rebalancer reads it.
+	// when it never wins a race. Health reports it.
 	lat latEstimate
 
 	mu        sync.Mutex
@@ -136,14 +136,8 @@ type leafState struct {
 	lastErr   string
 }
 
-// serverName is the placement label of the server this replica lives on.
-func (ls *leafState) serverName() string { return ls.server }
-
 // observe feeds the replica's latency estimate.
 func (ls *leafState) observe(d time.Duration) { ls.lat.observe(d) }
-
-// latency is the replica's moving completed-attempt latency (0 = none).
-func (ls *leafState) latency() time.Duration { return ls.lat.value() }
 
 // allowed reports whether the breaker admits a dispatch now.
 func (ls *leafState) allowed(now time.Time) bool {
@@ -181,7 +175,7 @@ type LeafHealth struct {
 	Name    string `json:"name"`
 	Shard   int    `json:"shard"`
 	Replica int    `json:"replica"`
-	// Server is the placement label of the server the replica lives on.
+	// Server labels the server the replica lives on.
 	Server string `json:"server,omitempty"`
 	// Breaker is "closed", "open" or "half-open" ("disabled" when health
 	// tracking is off).
@@ -192,8 +186,7 @@ type LeafHealth struct {
 	// BreakerOpens counts how many times this leaf's breaker tripped.
 	BreakerOpens int64 `json:"breaker_opens"`
 	// LatencyEWMA is the replica's moving completed-attempt latency
-	// (0 = no observation yet) — the signal the rebalancer reads. /statz
-	// shows it in milliseconds.
+	// (0 = no observation yet). /statz shows it in milliseconds.
 	LatencyEWMA time.Duration `json:"-"`
 	LastError   string        `json:"last_error,omitempty"`
 }

@@ -26,17 +26,8 @@ type Mixer struct {
 // replicas of child subtree i (replica mixers are legal — two mixers over
 // the same leaves hedge each other the way leaf replicas do).
 func NewMixer(name string, childSets [][]Leaf, opts Options) *Mixer {
-	opts.Shards = len(childSets)
-	opts = opts.withDefaults()
 	m := &Mixer{name: name}
-	m.opts = opts
-	for i, replicas := range childSets {
-		s := &shardState{}
-		for r, leaf := range replicas {
-			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, leaf.Name()))
-		}
-		m.shards = append(m.shards, s)
-	}
+	m.setChildren(childSets, opts)
 	return m
 }
 

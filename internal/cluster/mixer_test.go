@@ -2,8 +2,7 @@ package cluster
 
 // Tests for the real mixer tier: topology-invariant results (bit-for-bit,
 // floats included), per-level coverage accounting, the Stat RPC making the
-// very first query's Coverage exact, mixer failover over real RPC, and the
-// health-driven rebalancer.
+// very first query's Coverage exact, and mixer failover over real RPC.
 
 import (
 	"fmt"
@@ -428,113 +427,5 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	}
 	if st := root.Stats(); st.PrimaryFailures == 0 || st.Retries == 0 {
 		t.Errorf("expected a kill-triggered re-dispatch; stats = %+v", st)
-	}
-}
-
-// TestRebalanceMovesHotReplica: a straggling server's shard replica must be
-// rebuilt on a cold server, after which dispatch stops visiting the
-// straggler entirely.
-func TestRebalanceMovesHotReplica(t *testing.T) {
-	c, err := NewLocal(logs(2000), Options{
-		Shards: 4, Replicas: 1, Servers: 3, Store: storeOpts(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	straggler := c.Leaves()[0] // shard 0's only replica, on srv0
-	straggler.SetStraggle(30 * time.Millisecond)
-	for i := 0; i < 8; i++ {
-		if _, err := c.Query(countQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	moves, err := c.Rebalance(RebalanceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != 1 {
-		t.Fatalf("moves = %+v, want exactly one", moves)
-	}
-	mv := moves[0]
-	if mv.Shard != 0 || mv.From != "srv0" || mv.To == "srv0" || mv.Reason != "hot" {
-		t.Errorf("move = %+v, want shard 0 off srv0 for reason \"hot\"", mv)
-	}
-	if mv.LeafEWMA <= mv.MedianEWMA {
-		t.Errorf("moved replica's EWMA %v not above median %v", mv.LeafEWMA, mv.MedianEWMA)
-	}
-	var entry PlacementEntry
-	for _, e := range c.Placement() {
-		if e.Shard == 0 {
-			entry = e
-		}
-	}
-	if entry.Server != mv.To {
-		t.Errorf("placement table says shard 0 is on %s, move said %s", entry.Server, mv.To)
-	}
-
-	// The superseded leaf stops receiving dispatches, and answers stay
-	// correct from the replacement replica.
-	before := straggler.Inject().Calls()
-	want := singleNodeResult(t, logs(2000), countQuery)
-	for i := 0; i < 3; i++ {
-		res, err := c.Query(countQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := append([][]value.Value{}, res.Rows...)
-		w := append([][]value.Value{}, want...)
-		sortRows(g)
-		sortRows(w)
-		if !equalRows(t, g, w) {
-			t.Fatal("post-rebalance answer diverged")
-		}
-	}
-	if after := straggler.Inject().Calls(); after != before {
-		t.Errorf("superseded leaf still dispatched to: %d -> %d calls", before, after)
-	}
-	if st := c.Stats(); st.Rebalances != 1 || st.ReplicasMoved != 1 {
-		t.Errorf("stats = %+v, want one rebalance moving one replica", st)
-	}
-
-	// The fresh replica has no latency estimate yet; a second pass finds
-	// nothing to move.
-	if moves, _ := c.Rebalance(RebalanceOptions{}); len(moves) != 0 {
-		t.Errorf("second pass moved %+v, want none", moves)
-	}
-}
-
-// TestRebalanceMovesBreakerOpenReplica: a replica whose breaker is open is
-// movable regardless of latency, and the move restores full coverage.
-func TestRebalanceMovesBreakerOpenReplica(t *testing.T) {
-	c, err := NewLocal(logs(1000), Options{
-		Shards: 2, Replicas: 1, Servers: 3,
-		BreakerThreshold: 1, MaxRetries: 0, Store: storeOpts(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Leaves()[1].SetFail(true) // shard 1's only replica
-	res, err := c.Query(countQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coverage >= 1 {
-		t.Fatalf("coverage = %v with a dead shard", res.Coverage)
-	}
-
-	moves, err := c.Rebalance(RebalanceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != 1 || moves[0].Shard != 1 || moves[0].Reason != "breaker-open" {
-		t.Fatalf("moves = %+v, want shard 1 moved for reason \"breaker-open\"", moves)
-	}
-	res, err = c.Query(countQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coverage != 1 {
-		t.Errorf("coverage after rebalance = %v, want 1", res.Coverage)
 	}
 }

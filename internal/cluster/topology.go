@@ -1,13 +1,11 @@
 package cluster
 
-// Topology assembly: how a Cluster's shard→replica table is built.
-// NewLocal and OpenShards simulate a fleet inside one process and label
-// each replica with the server it "lives on" (replica r of shard i lands
-// on server (i+r) mod Servers — the paper's quasi-random spread), also
-// registering a leaf factory per server so the rebalancer can materialize
-// a shard's replica on a different server later. FromLeaves assembles a
-// tree from pre-built children (RPC clients, mixers); each child is its
-// own server and no factories exist unless AddServer provides them.
+// Topology assembly: how a Cluster's shard→replica table is built. The
+// table is fixed once assembled. NewLocal and OpenShards simulate a fleet
+// inside one process and label each replica with the server it "lives on"
+// (replica r of shard i lands on server (i+r) mod Replicas — the paper's
+// quasi-random spread). FromLeaves assembles a tree from pre-built
+// children (RPC clients, mixers); each child is its own server.
 
 import (
 	"fmt"
@@ -18,46 +16,17 @@ import (
 	"powerdrill/internal/table"
 )
 
-// localServerName labels the simulated servers of NewLocal/OpenShards.
-func localServerName(i int) string { return fmt.Sprintf("srv%d", i) }
-
 // NewLocal builds an in-process cluster: the table is sharded, each shard
 // imported into Replicas independent stores (a real deployment loads the
 // same shard files on two machines; here each replica builds its own store
-// so fault injection on one cannot corrupt the other).
+// so fault injection on one cannot corrupt the other). The cluster keeps
+// only the stores: the shard tables are garbage once NewLocal returns.
 func NewLocal(tbl *table.Table, opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
-	c := &Cluster{}
-	c.opts = opts
 	shards := tbl.Shard(opts.Shards)
-	for i, shardTbl := range shards {
-		s := &shardState{rows: int64(shardTbl.NumRows())}
-		for r := 0; r < opts.Replicas; r++ {
-			store, err := colstore.FromTable(shardTbl, opts.Store)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: shard %d replica %d: %w", i, r, err)
-			}
-			leaf := NewLocalLeaf(fmt.Sprintf("shard%d-r%d", i, r), exec.New(store, opts.Engine))
-			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, localServerName((i+r)%opts.Servers)))
-			c.leaves = append(c.leaves, leaf)
-		}
-		c.shards = append(c.shards, s)
-	}
-	// Every simulated server can build any shard's store from the kept
-	// shard tables, so the rebalancer has real move targets.
-	for i := 0; i < opts.Servers; i++ {
-		name := localServerName(i)
-		c.place.add(name, func(si int) (Leaf, error) {
-			store, err := colstore.FromTable(shards[si], opts.Store)
-			if err != nil {
-				return nil, err
-			}
-			leaf := NewLocalLeaf(fmt.Sprintf("shard%d@%s", si, name), exec.New(store, opts.Engine))
-			c.addLeaf(leaf)
-			return leaf, nil
-		})
-	}
-	return c, nil
+	return assembleLocal(len(shards), opts, "", func(i int) (*colstore.Store, error) {
+		return colstore.FromTable(shards[i], opts.Store)
+	})
 }
 
 // OpenShards assembles an in-process cluster from persisted shard
@@ -67,42 +36,37 @@ func NewLocal(tbl *table.Table, opts Options) (*Cluster, error) {
 // for lazy loading without a budget). Replicas of a shard open the same
 // directory and therefore share resident columns, which is exactly what
 // the paper's primary+replica scheme wants: the replica answers from the
-// same bytes — and it is also what keeps rebalancing inside the budget: a
-// moved replica reopens the same directory under the same manager, so it
-// shares the shard's residency instead of doubling it.
+// same bytes.
 func OpenShards(dirs []string, opts Options, mgr *memmgr.Manager) (*Cluster, error) {
 	opts.Shards = len(dirs)
 	opts = opts.withDefaults()
 	if mgr == nil {
 		mgr = memmgr.New(0, "")
 	}
+	return assembleLocal(len(dirs), opts, "open ", func(i int) (*colstore.Store, error) {
+		store, _, err := colstore.OpenLazy(dirs[i], mgr)
+		return store, err
+	})
+}
+
+// assembleLocal builds n shards of opts.Replicas in-process leaves each,
+// opening every replica's store with open. verb prefixes the error.
+func assembleLocal(n int, opts Options, verb string, open func(i int) (*colstore.Store, error)) (*Cluster, error) {
 	c := &Cluster{}
 	c.opts = opts
-	for i, dir := range dirs {
+	for i := 0; i < n; i++ {
 		s := &shardState{}
 		for r := 0; r < opts.Replicas; r++ {
-			store, _, err := colstore.OpenLazy(dir, mgr)
+			store, err := open(i)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: open shard %d replica %d: %w", i, r, err)
+				return nil, fmt.Errorf("cluster: %sshard %d replica %d: %w", verb, i, r, err)
 			}
 			s.rows = int64(store.NumRows())
 			leaf := NewLocalLeaf(fmt.Sprintf("shard%d-r%d", i, r), exec.New(store, opts.Engine))
-			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, localServerName((i+r)%opts.Servers)))
+			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, fmt.Sprintf("srv%d", (i+r)%opts.Replicas)))
 			c.leaves = append(c.leaves, leaf)
 		}
 		c.shards = append(c.shards, s)
-	}
-	for i := 0; i < opts.Servers; i++ {
-		name := localServerName(i)
-		c.place.add(name, func(si int) (Leaf, error) {
-			store, _, err := colstore.OpenLazy(dirs[si], mgr)
-			if err != nil {
-				return nil, err
-			}
-			leaf := NewLocalLeaf(fmt.Sprintf("shard%d@%s", si, name), exec.New(store, opts.Engine))
-			c.addLeaf(leaf)
-			return leaf, nil
-		})
 	}
 	return c, nil
 }
@@ -111,19 +75,9 @@ func OpenShards(dirs []string, opts Options, mgr *memmgr.Manager) (*Cluster, err
 // mixers, custom Leafs); leafSets[i] holds the replicas of shard i.
 // Children that are down at assembly simply stay unhealthy until they
 // come back — see NewRemoteLeaf — so a partially-up fleet still serves
-// (partial) answers. Each child counts as its own server; register move
-// targets with AddServer to enable the rebalancer.
+// (partial) answers. Each child counts as its own server.
 func FromLeaves(leafSets [][]Leaf, opts Options) *Cluster {
-	opts.Shards = len(leafSets)
-	opts = opts.withDefaults()
 	c := &Cluster{}
-	c.opts = opts
-	for i, replicas := range leafSets {
-		s := &shardState{}
-		for r, leaf := range replicas {
-			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, leaf.Name()))
-		}
-		c.shards = append(c.shards, s)
-	}
+	c.setChildren(leafSets, opts)
 	return c
 }
