@@ -6,59 +6,34 @@ import (
 	"time"
 
 	"powerdrill/internal/cluster"
+	"powerdrill/internal/exec"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/sql"
 )
 
 // ClusterOptions configures distributed execution (paper, Section 4).
+// The dispatch policy is fixed: the replica is asked once the primary
+// takes 3× its shard's moving latency (clamped to [1ms, 1s]), a failed
+// sub-query is re-dispatched up to twice with jittered backoff, and a
+// leaf's circuit breaker opens after 3 consecutive failures for 1s
+// (docs/cluster.md).
 type ClusterOptions struct {
 	// Shards is the number of data shards (the paper keeps 5–7 million
 	// rows per shard). Default 8.
 	Shards int
-	// Fanout of the execution tree (default 8).
-	Fanout int
 	// Replicas per sub-query: 2 enables the paper's primary+replica
 	// scheme (default), 1 disables it.
 	Replicas int
 	// Store configures the per-shard imports.
 	Store Options
-
 	// Deadline bounds each query's wall clock (0 = none). When shards
 	// cannot answer in time the cluster serves a partial answer with
 	// Result.Coverage < 1 instead of hanging.
 	Deadline time.Duration
-	// HedgeMultiplier scales the per-shard moving latency estimate into
-	// the straggler threshold after which the replica is also asked
-	// (default 3; shards with no estimate yet hedge immediately).
-	HedgeMultiplier float64
-	// HedgeMinDelay clamps the hedge delay from below (default 1ms).
-	HedgeMinDelay time.Duration
-	// MaxRetries re-dispatches per sub-query beyond the first pass over
-	// the replicas (default 2; negative disables).
-	MaxRetries int
-	// BreakerThreshold consecutive failures open a leaf's circuit breaker
-	// (default 3; negative disables); BreakerCooldown (default 1s) is how
-	// long an open breaker waits before a half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MinCoverage rejects answers covering less than this fraction of
-	// rows (default 0 = serve any partial answer; 1 = all shards or
-	// error).
-	MinCoverage float64
 }
 
 func (o ClusterOptions) clusterOptions() cluster.Options {
-	return cluster.Options{
-		Shards:           o.Shards,
-		Fanout:           o.Fanout,
-		Replicas:         o.Replicas,
-		Deadline:         o.Deadline,
-		HedgeMultiplier:  o.HedgeMultiplier,
-		HedgeMinDelay:    o.HedgeMinDelay,
-		MaxRetries:       o.MaxRetries,
-		BreakerThreshold: o.BreakerThreshold,
-		BreakerCooldown:  o.BreakerCooldown,
-		MinCoverage:      o.MinCoverage,
-	}
+	return cluster.Options{Shards: o.Shards, Replicas: o.Replicas, Deadline: o.Deadline}
 }
 
 // Cluster executes queries over sharded, replicated leaf servers through a
@@ -176,10 +151,41 @@ func (c *Cluster) InjectStragglers(frac float64, delay time.Duration, seed int64
 // ServeShard serves a store as a leaf server on the listener; it blocks.
 // Pair with ConnectCluster. The store's own engine answers the RPCs, so
 // local queries, remote partials, and the /statz counters all share one
-// result cache and one set of statistics.
+// result cache and one set of statistics. A store with an append path
+// answers from a snapshot of it, as Query does: rows appended through
+// Append (or pdserver's POST /ingest) reach coordinators as soon as
+// they reach local queries.
 func ServeShard(l net.Listener, s *Store) error {
-	return cluster.Serve(l, s.engine)
+	return cluster.ServeNode(l, shardLeaf{name: l.Addr().String(), s: s})
 }
+
+// shardLeaf is the serving-tree leaf over a Store.
+type shardLeaf struct {
+	name string
+	s    *Store
+}
+
+func (l shardLeaf) Name() string { return l.name }
+
+func (l shardLeaf) PartialQuery(_ context.Context, sqlText string) (*exec.Partial, error) {
+	stmt, err := sql.Parse(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	w := l.s.writer()
+	if w == nil {
+		return l.s.engine.RunPartial(stmt)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	defer snap.Release()
+	return snap.RunPartial(stmt)
+}
+
+// NumRows answers the coordinator's Stat round (cluster.RowCounter).
+func (l shardLeaf) NumRows(context.Context) (int64, error) { return int64(l.s.NumRows()), nil }
 
 // Mixer is an inner node of the serving tree: it answers partial queries
 // like a leaf but computes them by fanning out to child nodes (leaf or

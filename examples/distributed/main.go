@@ -20,7 +20,6 @@ func main() {
 	tbl := powerdrill.GenerateQueryLogs(400_000, 99)
 	cluster, err := powerdrill.NewCluster(tbl, powerdrill.ClusterOptions{
 		Shards:   8,
-		Fanout:   4,
 		Replicas: 2,
 		Deadline: 5 * time.Second,
 		Store: powerdrill.Options{

@@ -2,8 +2,10 @@ package powerdrill
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ingestOptions are small-scale settings that force several seals.
@@ -124,6 +126,80 @@ func TestPublicAPIAppend(t *testing.T) {
 		t.Fatal("reopen did not attach the append path")
 	}
 	checkOracle("reopened")
+}
+
+// TestServeShardSeesAppends: a coordinator over a leaf served with
+// ServeShard answers over every row appended to the leaf's store — while
+// the rows sit in the write buffer, after Flush seals them, and with a
+// segment and a buffer at once — exactly as the store's own Query does.
+func TestServeShardSeesAppends(t *testing.T) {
+	const baseRows = 1000
+	full := GenerateQueryLogs(baseRows+6, 11)
+	dir := t.TempDir()
+	built, err := Build(tableSlice(full, 0, baseRows), ingestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Save(dir, "zippy"); err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := Open(dir, ingestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = ServeShard(l, store) }()
+	c, err := ConnectCluster([][]string{{l.Addr().String()}}, ClusterOptions{Replicas: 1, Deadline: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	queries := []string{
+		`SELECT COUNT(*) AS c FROM data;`,
+		`SELECT country, COUNT(*) AS c, SUM(latency) AS s FROM data GROUP BY country ORDER BY country;`,
+	}
+	check := func(stage string, wantRows int) {
+		t.Helper()
+		if store.NumRows() != wantRows {
+			t.Fatalf("%s: NumRows = %d, want %d", stage, store.NumRows(), wantRows)
+		}
+		for _, q := range queries {
+			want, err := store.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", stage, q, err)
+			}
+			if got.Stats.RowsTotal != int64(store.NumRows()) || got.Coverage != 1 {
+				t.Errorf("%s: %s: RowsTotal = %d, coverage %v; want %d, 1",
+					stage, q, got.Stats.RowsTotal, got.Coverage, store.NumRows())
+			}
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Errorf("%s: %s\ncluster %v\nstore   %v", stage, q, got.Rows, want.Rows)
+			}
+		}
+	}
+	check("base", baseRows)
+	if err := store.Append(tableSlice(full, baseRows, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check("buffered", baseRows+3)
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed", baseRows+3)
+	if err := store.Append(tableSlice(full, baseRows+3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check("segment and buffer", baseRows+6)
 }
 
 // TestIngestFsyncPolicies runs each WAL fsync rung, set through

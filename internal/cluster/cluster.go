@@ -41,7 +41,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -127,9 +126,6 @@ type Options struct {
 	// Shards is the number of data shards (default 8). The paper keeps
 	// 5–7 million rows per shard in production.
 	Shards int
-	// Fanout is the execution-tree fanout (default 8): how many children
-	// each inner node aggregates.
-	Fanout int
 	// Replicas per sub-query: 1 (no replication) or 2 (the paper's
 	// primary + replica scheme). Default 2.
 	Replicas int
@@ -141,40 +137,31 @@ type Options struct {
 	// Deadline bounds each Query's wall clock (0 = none). QueryContext
 	// callers can carry their own deadline instead; both compose.
 	Deadline time.Duration
+
+	// The dispatch policy below is fixed for every deployment; the fields
+	// exist so tests can shorten or widen it, and zero means the default.
+
 	// HedgeMultiplier scales the moving per-shard latency estimate into
 	// the straggler threshold: the replica is asked after
-	// multiplier × estimate (default 3). While a shard has no estimate
-	// yet, the replica is asked immediately (the seed's race-both).
+	// multiplier × estimate (default 3), clamped to [hedgeMinDelay,
+	// HedgeMaxDelay] (default 1s). While a shard has no estimate yet,
+	// the replica is asked immediately (the seed's race-both).
 	HedgeMultiplier float64
-	// HedgeMinDelay / HedgeMaxDelay clamp the hedge delay
-	// (defaults 1ms / 1s).
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
+	HedgeMaxDelay   time.Duration
 	// MaxRetries is how many re-dispatches beyond the first pass over the
 	// replicas a sub-query may use (default 2; negative disables).
 	// Sub-queries are idempotent reads, so re-dispatch is always safe.
 	MaxRetries int
-	// RetryBackoff seeds the capped, jittered exponential backoff between
-	// re-dispatches (default 2ms).
-	RetryBackoff time.Duration
 	// BreakerThreshold consecutive failures trip a leaf's circuit breaker
-	// (default 3; negative disables health tracking). An open breaker
-	// skips the leaf until BreakerCooldown (default 1s) has passed, then
-	// a single half-open probe decides.
+	// (default 3). An open breaker skips the leaf until BreakerCooldown
+	// (default 1s) has passed, then a single half-open probe decides.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MinCoverage fails queries whose merged answer covers less than this
-	// fraction of rows (default 0: serve any partial answer; 1 restores
-	// all-shards-or-error).
-	MinCoverage float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 8
-	}
-	if o.Fanout <= 1 {
-		o.Fanout = 8
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 2
@@ -185,9 +172,6 @@ func (o Options) withDefaults() Options {
 	if o.HedgeMultiplier <= 0 {
 		o.HedgeMultiplier = 3
 	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
-	}
 	if o.HedgeMaxDelay <= 0 {
 		o.HedgeMaxDelay = time.Second
 	}
@@ -197,10 +181,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.BreakerThreshold == 0 {
+	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
 	}
 	if o.BreakerCooldown <= 0 {
@@ -216,13 +197,10 @@ func (o Options) withDefaults() Options {
 }
 
 // newLeafState wires a leaf into shard si at replica index r on server
-// srv under o's health policy.
+// srv under o's breaker policy.
 func (o Options) newLeafState(leaf Leaf, si, r int, srv string) *leafState {
-	ls := &leafState{leaf: leaf, shard: si, replica: r, server: srv}
-	if o.BreakerThreshold > 0 {
-		ls.br = newBreaker(o.BreakerThreshold, o.BreakerCooldown)
-	}
-	return ls
+	return &leafState{leaf: leaf, shard: si, replica: r, server: srv,
+		br: newBreaker(o.BreakerThreshold, o.BreakerCooldown)}
 }
 
 // Cluster is the root of the serving tree: a dispatcher over replicated
@@ -238,9 +216,8 @@ type Cluster struct {
 func (c *Cluster) Leaves() []*LocalLeaf { return c.leaves }
 
 // Query runs a SQL query over the whole cluster under Options.Deadline:
-// leaves compute partials for their shards in parallel, inner tree levels
-// merge Fanout children at a time, and the root finalizes (AVG, ORDER BY,
-// LIMIT).
+// leaves compute partials for their shards in parallel, the partials are
+// merged, and the root finalizes (AVG, ORDER BY, LIMIT).
 func (c *Cluster) Query(sqlText string) (*exec.Result, error) {
 	return c.QueryContext(context.Background(), sqlText)
 }
@@ -248,9 +225,8 @@ func (c *Cluster) Query(sqlText string) (*exec.Result, error) {
 // QueryContext is Query under a caller-supplied context; Options.Deadline
 // (when set) still caps the total wall clock. When shards are unreachable
 // within the deadline the merged answer is served anyway with
-// Result.Coverage < 1, unless Options.MinCoverage forbids it. The error is
-// non-nil only when parsing fails, merging fails, no shard answered at
-// all, or coverage fell below MinCoverage.
+// Result.Coverage < 1. The error is non-nil only when parsing fails,
+// merging fails, or no shard answered at all.
 func (c *Cluster) QueryContext(ctx context.Context, sqlText string) (*exec.Result, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -264,14 +240,6 @@ func (c *Cluster) QueryContext(ctx context.Context, sqlText string) (*exec.Resul
 	merged, missing, err := c.gather(ctx, sqlText)
 	if err != nil {
 		return nil, err
-	}
-	coverage := 1.0
-	if merged.Stats.RowsTotal > 0 {
-		coverage = float64(merged.Stats.RowsCovered) / float64(merged.Stats.RowsTotal)
-	}
-	if len(missing) > 0 && coverage < c.opts.MinCoverage {
-		return nil, fmt.Errorf("cluster: answer covers %.1f%% of rows (%d of %d shards missing), below MinCoverage %.1f%%",
-			100*coverage, len(missing), len(c.shards), 100*c.opts.MinCoverage)
 	}
 	c.mu.Lock()
 	c.stats.Queries++

@@ -149,7 +149,7 @@ func (d *dispatcher) Close() error {
 }
 
 // gather runs one fan-out round: scatter the sub-query to every shard,
-// merge what arrived Fanout at a time, and charge shards that never
+// merge what arrived in one exec.MergeAll, and charge shards that never
 // answered to the stats so Coverage degrades correctly. It is the shared
 // core of Cluster.QueryContext and Mixer.PartialQuery. The returned error
 // is non-nil only when not a single shard answered or a merge failed.
@@ -170,7 +170,7 @@ func (d *dispatcher) gather(ctx context.Context, sqlText string) (*exec.Partial,
 	if err != nil {
 		return nil, nil, err
 	}
-	merged, err := d.mergeTree(partials)
+	merged, err := exec.MergeAll(partials)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -422,7 +422,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			case retriesLeft > 0 && retryCh == nil:
 				retriesLeft--
 				d.bump(&d.stats.Retries, 1)
-				t := time.NewTimer(backoffDelay(d.opts.RetryBackoff, d.opts.HedgeMaxDelay, retryAttempt))
+				t := time.NewTimer(backoffDelay(retryBackoff, d.opts.HedgeMaxDelay, retryAttempt))
 				defer t.Stop()
 				retryCh = t.C
 			case inflight == 0 && retryCh == nil:
@@ -449,26 +449,4 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// mergeTree merges partials Fanout at a time — the in-process remnant of
-// the computation tree. With real mixers in the topology each level
-// arrives pre-merged and this folds only the node's own children; a flat
-// coordinator still simulates every level here. Either way the float
-// aggregates stay bit-for-bit identical: per-leaf sums ride the partial's
-// float-parts column and are folded canonically at finalize.
-func (d *dispatcher) mergeTree(parts []*exec.Partial) (*exec.Partial, error) {
-	level := parts
-	for len(level) > d.opts.Fanout {
-		var next []*exec.Partial
-		for start := 0; start < len(level); start += d.opts.Fanout {
-			acc, err := exec.MergeAll(level[start:min(start+d.opts.Fanout, len(level))])
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, acc)
-		}
-		level = next
-	}
-	return exec.MergeAll(level)
 }

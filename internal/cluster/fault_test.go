@@ -251,8 +251,8 @@ func TestErrorRateEventuallyCovers(t *testing.T) {
 	c, err := NewLocal(tbl, Options{
 		Shards: 4, Replicas: 2, Store: storeOpts(),
 		// Keep breakers out of the way: a flaky (not dead) leaf should
-		// keep being asked.
-		BreakerThreshold: -1,
+		// keep being asked, so the threshold is one no run reaches.
+		BreakerThreshold: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +346,8 @@ func TestHedgeDelay(t *testing.T) {
 	}
 	lat = latEstimate{}
 	lat.observe(10 * time.Microsecond)
-	if d := o.hedgeDelay(&lat); d != o.HedgeMinDelay {
-		t.Errorf("hedge delay = %v, want clamped to min %v", d, o.HedgeMinDelay)
+	if d := o.hedgeDelay(&lat); d != hedgeMinDelay {
+		t.Errorf("hedge delay = %v, want clamped to min %v", d, hedgeMinDelay)
 	}
 	lat = latEstimate{}
 	lat.observe(10 * time.Second)

@@ -123,8 +123,8 @@ type leafState struct {
 	leaf    Leaf
 	shard   int
 	replica int
-	server  string   // label of the server the replica lives on
-	br      *breaker // nil when the breaker is disabled
+	server  string // label of the server the replica lives on
+	br      *breaker
 	// lat tracks this replica's completed-attempt latency — observed for
 	// hedge losers too, so a straggler accumulates a high estimate even
 	// when it never wins a race. Health reports it.
@@ -141,7 +141,7 @@ func (ls *leafState) observe(d time.Duration) { ls.lat.observe(d) }
 
 // allowed reports whether the breaker admits a dispatch now.
 func (ls *leafState) allowed(now time.Time) bool {
-	return ls.br == nil || ls.br.allow(now)
+	return ls.br.allow(now)
 }
 
 // success records a served sub-query.
@@ -149,9 +149,7 @@ func (ls *leafState) success() {
 	ls.mu.Lock()
 	ls.successes++
 	ls.mu.Unlock()
-	if ls.br != nil {
-		ls.br.success()
-	}
+	ls.br.success()
 }
 
 // failure records a failed sub-query; it reports whether the breaker
@@ -163,9 +161,6 @@ func (ls *leafState) failure(err error, now time.Time) bool {
 		ls.lastErr = err.Error()
 	}
 	ls.mu.Unlock()
-	if ls.br == nil {
-		return false
-	}
 	return ls.br.failure(now)
 }
 
@@ -177,8 +172,7 @@ type LeafHealth struct {
 	Replica int    `json:"replica"`
 	// Server labels the server the replica lives on.
 	Server string `json:"server,omitempty"`
-	// Breaker is "closed", "open" or "half-open" ("disabled" when health
-	// tracking is off).
+	// Breaker is "closed", "open" or "half-open".
 	Breaker             string `json:"breaker"`
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 	Successes           int64  `json:"successes"`
@@ -198,15 +192,12 @@ func (ls *leafState) health() LeafHealth {
 		Shard:       ls.shard,
 		Replica:     ls.replica,
 		Server:      ls.server,
-		Breaker:     "disabled",
 		Successes:   ls.successes,
 		Failures:    ls.failures,
 		LatencyEWMA: ls.lat.value(),
 		LastError:   ls.lastErr,
 	}
 	ls.mu.Unlock()
-	if ls.br != nil {
-		h.Breaker, h.ConsecutiveFailures, h.BreakerOpens = ls.br.snapshot()
-	}
+	h.Breaker, h.ConsecutiveFailures, h.BreakerOpens = ls.br.snapshot()
 	return h
 }

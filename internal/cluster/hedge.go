@@ -44,9 +44,17 @@ func (l *latEstimate) value() time.Duration {
 	return time.Duration(l.ewma)
 }
 
+const (
+	// hedgeMinDelay is the floor of the hedge delay.
+	hedgeMinDelay = time.Millisecond
+	// retryBackoff seeds the capped, jittered exponential backoff between
+	// re-dispatches.
+	retryBackoff = 2 * time.Millisecond
+)
+
 // hedgeDelay computes how long to wait for the primary before asking the
 // next replica: HedgeMultiplier × the shard's moving latency estimate,
-// clamped to [HedgeMinDelay, HedgeMaxDelay]. A shard with no estimate yet
+// clamped to [hedgeMinDelay, HedgeMaxDelay]. A shard with no estimate yet
 // hedges immediately (delay 0).
 func (o Options) hedgeDelay(lat *latEstimate) time.Duration {
 	est := lat.value()
@@ -54,8 +62,8 @@ func (o Options) hedgeDelay(lat *latEstimate) time.Duration {
 		return 0
 	}
 	d := time.Duration(o.HedgeMultiplier * float64(est))
-	if d < o.HedgeMinDelay {
-		d = o.HedgeMinDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	if d > o.HedgeMaxDelay {
 		d = o.HedgeMaxDelay

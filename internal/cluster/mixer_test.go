@@ -101,7 +101,7 @@ func bitIdenticalRows(a, b [][]value.Value) bool {
 // uneven tree must answer bit-for-bit identically — float SUM/AVG included
 // — with identical summed scan statistics.
 func TestTopologyEquivalence(t *testing.T) {
-	opts := Options{Fanout: 3, Replicas: 1}
+	opts := Options{Replicas: 1}
 	cases := []struct {
 		name    string
 		tbl     *table.Table
@@ -197,7 +197,7 @@ func TestTopologyEquivalence(t *testing.T) {
 func TestMixerCoverageOnLeafDeath(t *testing.T) {
 	tbl := logs(3000)
 	leaves := buildLeaves(t, tbl, 4, storeOpts())
-	opts := Options{Replicas: 1, MaxRetries: -1, BreakerThreshold: -1}
+	opts := Options{Replicas: 1, MaxRetries: -1, BreakerThreshold: 1 << 30}
 	ma := NewMixer("mix-a", singles(leaves[0:2]), opts)
 	mb := NewMixer("mix-b", singles(leaves[2:4]), opts)
 	root := FromLeaves([][]Leaf{{ma}, {mb}}, opts)

@@ -61,7 +61,7 @@ func (w *Writer) CompactNow() (CompactStats, error) {
 	}
 	gs := genSegment{Dir: segRel(seq), Rows: tbl.NumRows()}
 	dir := filepath.Join(w.dir, gs.Dir)
-	if err := colstore.Save(cs, dir, w.codec); err != nil {
+	if err := colstore.Save(cs, dir, w.base.Codec()); err != nil {
 		return CompactStats{}, err
 	}
 	m := &genManifest{Gen: gen + 1, NextSeg: seq + 1, Segments: []genSegment{gs}, WalFloor: walFloor, WalDone: walDone}

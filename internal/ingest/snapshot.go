@@ -134,11 +134,18 @@ func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
 	if !hasAgg && len(stmt.GroupBy) == 0 {
 		return s.runRowScan(stmt)
 	}
-	return s.runAggregate(stmt)
+	merged, err := s.RunPartial(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return exec.FinalizePartial(stmt, merged)
 }
 
-// runAggregate merges per-unit partials in unit order.
-func (s *Snapshot) runAggregate(stmt *sql.SelectStmt) (*exec.Result, error) {
+// RunPartial runs an aggregate on every unit and merges the per-unit
+// partials in unit order: the mergeable partial a leaf serving the
+// snapshot ships up the serving tree. Row scans are refused, as by every
+// engine's RunPartial.
+func (s *Snapshot) RunPartial(stmt *sql.SelectStmt) (*exec.Partial, error) {
 	parts := make([]*exec.Partial, len(s.units))
 	for i, u := range s.units {
 		var err error
@@ -146,11 +153,7 @@ func (s *Snapshot) runAggregate(stmt *sql.SelectStmt) (*exec.Result, error) {
 			return nil, err
 		}
 	}
-	merged, err := exec.MergeAll(parts)
-	if err != nil {
-		return nil, err
-	}
-	return exec.FinalizePartial(stmt, merged)
+	return exec.MergeAll(parts)
 }
 
 // runRowScan concatenates per-unit projections in unit order and applies

@@ -23,15 +23,9 @@ type Opts struct {
 	// CompactMinSegments is the segment count at which the background
 	// compactor merges all live segments into one (default 4).
 	CompactMinSegments int
-	// Codec overrides the segment compression codec; empty uses the base
-	// store's codec.
-	Codec string
 	// FsyncPolicy controls when WAL appends reach stable storage:
 	// FsyncAlways, FsyncInterval (the default) or FsyncNever.
 	FsyncPolicy string
-	// FsyncEvery is the timer period of the FsyncInterval policy
-	// (default 200ms).
-	FsyncEvery time.Duration
 	// EngineOpts configures the engines of segments and frozen buffer
 	// views. The gate is always replaced by the base engine's, so every
 	// unit shares one process-wide worker budget, and the per-chunk
@@ -51,9 +45,6 @@ func (o Opts) withDefaults(base *colstore.Store) Opts {
 	}
 	if o.FsyncPolicy == "" {
 		o.FsyncPolicy = FsyncInterval
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 200 * time.Millisecond
 	}
 	return o
 }
@@ -87,7 +78,6 @@ type Writer struct {
 	base    *colstore.Store
 	baseEng *exec.Engine
 	opts    Opts
-	codec   string
 	schema  []colstore.ColumnMeta
 
 	mu      sync.Mutex
@@ -171,13 +161,9 @@ func Attach(dir string, base *colstore.Store, baseEng *exec.Engine, opts Opts) (
 		base:      base,
 		baseEng:   baseEng,
 		opts:      opts,
-		codec:     opts.Codec,
 		schema:    schema,
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
-	}
-	if w.codec == "" {
-		w.codec = base.Codec()
 	}
 	walk, err := genChain(dir).Walk()
 	if err != nil {
@@ -352,11 +338,14 @@ func (w *Writer) retireWAL(chunk *writeChunk, done []int) {
 	w.mu.Unlock()
 }
 
+// fsyncPeriod is the FsyncInterval policy's timer period.
+const fsyncPeriod = 200 * time.Millisecond
+
 // syncLoop is the FsyncInterval policy's timer: it periodically fsyncs
 // the live buffer's WAL. Sealed chunks' WALs are synced at rotation.
 func (w *Writer) syncLoop() {
 	defer w.wg.Done()
-	t := time.NewTicker(w.opts.FsyncEvery)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {
@@ -582,7 +571,7 @@ func (w *Writer) buildSegment(p chunkPrefix, seq, gen int, prev []genSegment, wa
 	if err := vfs().MkdirAll(filepath.Dir(dir), 0o755); err != nil {
 		return nil, err
 	}
-	if err := colstore.Save(cs, dir, w.codec); err != nil {
+	if err := colstore.Save(cs, dir, w.base.Codec()); err != nil {
 		return nil, err
 	}
 	if w.testBeforeCommit != nil {

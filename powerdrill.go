@@ -154,16 +154,6 @@ type Options struct {
 	// The latest verdict is available from Store.LastScrub and pdserver's
 	// /statz last_scrub section. Default 0 = no background scrubbing.
 	ScrubInterval time.Duration
-
-	// DisableVirtualPersist keeps virtual columns (expressions materialized
-	// at query time) out of the store's on-disk sidecar. By default a store
-	// opened with Open persists each materialization next to the store so
-	// it joins the memory budget — evictable, reloadable, and span-prunable
-	// like physical data — and is still there after a reopen. With this set
-	// (or when the store directory is not writable) materializations fall
-	// back to in-memory registry residency: correct, but unevictable and
-	// outside the budget, reported by MemoryStats.VirtualBytes.
-	DisableVirtualPersist bool
 }
 
 func (o Options) storeOptions() colstore.Options {
@@ -353,9 +343,6 @@ func Open(dir string, opts Options) (*Store, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if opts.DisableVirtualPersist {
-		cs.DisableVirtualPersist()
-	}
 	s := &Store{store: cs, engine: exec.New(cs, opts.engineOptions()), opts: opts, dir: dir}
 	// A directory that was appended to reopens with its append path
 	// attached, so the sealed generations are queryable immediately.
@@ -419,9 +406,9 @@ func validateFsyncPolicy(p string) error {
 
 // MemStats reports the memory manager's accounting; ok is false for stores
 // built in memory (Build), which have no manager. Virtual columns that
-// could not join the budget (persistence disabled or impossible) are
-// folded in: their bytes count toward both VirtualBytes and ResidentBytes,
-// so the gauge covers every byte the engine holds.
+// could not join the budget (an unwritable store directory) are folded
+// in: their bytes count toward both VirtualBytes and ResidentBytes, so the
+// gauge covers every byte the engine holds.
 func (s *Store) MemStats() (MemoryStats, bool) {
 	mgr := s.store.MemManager()
 	if mgr == nil {
