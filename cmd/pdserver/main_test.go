@@ -185,10 +185,9 @@ func TestCoordinatorStatzHandler(t *testing.T) {
 	}
 }
 
-// TestIngestHandler drives POST /ingest end to end: appended rows are
-// queryable immediately, the flush barrier seals them, and /statz grows
-// an ingest section.
-func TestIngestHandler(t *testing.T) {
+// ingestStore saves a 1 000-row store and opens it for appends.
+func ingestStore(t *testing.T) *powerdrill.Store {
+	t.Helper()
 	tbl := powerdrill.GenerateQueryLogs(1000, 3)
 	built, err := powerdrill.Build(tbl, powerdrill.Options{
 		PartitionFields: []string{"country", "table_name"},
@@ -205,16 +204,50 @@ func TestIngestHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
+	t.Cleanup(func() { store.Close() })
+	return store
+}
 
-	body := `{"columns":[
+// ingestBody is a three-row batch of every column of ingestStore's store.
+const ingestBody = `{"columns":[
 		{"name":"timestamp","kind":"int64","ints":[1,2,3]},
 		{"name":"table_name","kind":"string","strs":["t1","t1","t2"]},
 		{"name":"latency","kind":"int64","ints":[10,20,30]},
 		{"name":"country","kind":"string","strs":["zz","zz","zz"]},
 		{"name":"user","kind":"string","strs":["u1","u2","u3"]}]}`
+
+// TestIngestBodyBound: a batch padded to exactly maxIngestBodyBytes is
+// appended; one byte more is refused with 413 before anything is
+// appended.
+func TestIngestBodyBound(t *testing.T) {
+	store := ingestStore(t)
+	post := func(size int) int {
+		body := strings.Repeat(" ", size-len(ingestBody)) + ingestBody
+		rec := httptest.NewRecorder()
+		ingestHandler(store).ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(maxIngestBodyBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body one byte over the bound: status %d, want 413", code)
+	}
+	if n := store.NumRows(); n != 1000 {
+		t.Fatalf("%d rows after the refused batch, want 1000", n)
+	}
+	if code := post(maxIngestBodyBytes); code != http.StatusOK {
+		t.Fatalf("a body at the bound: status %d, want 200", code)
+	}
+	if n := store.NumRows(); n != 1003 {
+		t.Fatalf("%d rows after the batch at the bound, want 1003", n)
+	}
+}
+
+// TestIngestHandler drives POST /ingest end to end: appended rows are
+// queryable immediately, the flush barrier seals them, and /statz grows
+// an ingest section.
+func TestIngestHandler(t *testing.T) {
+	store := ingestStore(t)
 	rec := httptest.NewRecorder()
-	ingestHandler(store).ServeHTTP(rec, httptest.NewRequest("POST", "/ingest?flush=1", strings.NewReader(body)))
+	ingestHandler(store).ServeHTTP(rec, httptest.NewRequest("POST", "/ingest?flush=1", strings.NewReader(ingestBody)))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/url"
 	"strings"
@@ -129,10 +130,16 @@ type ingestColumn struct {
 	Floats []float64 `json:"floats,omitempty"`
 }
 
+// maxIngestBodyBytes bounds the body of one POST /ingest: the batch is
+// decoded in memory whole, so a client that wants to send more sends
+// several batches.
+const maxIngestBodyBytes = 16 << 20
+
 // ingestHandler appends a POSTed batch through the store's streaming
 // ingestion path; the rows are visible to queries as soon as the request
 // returns. ?flush=1 additionally seals the write buffer (durability
-// barrier).
+// barrier). A body over maxIngestBodyBytes is refused with 413, and
+// nothing of it appended.
 func ingestHandler(store *powerdrill.Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -140,8 +147,13 @@ func ingestHandler(store *powerdrill.Store) http.Handler {
 			return
 		}
 		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		tbl := powerdrill.NewTable("data")

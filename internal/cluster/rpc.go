@@ -29,10 +29,10 @@ import (
 	"powerdrill/internal/exec"
 )
 
-// LeafService is the net/rpc server wrapper around a node. Wrapping a Leaf
-// rather than a bare engine means the server side of the wire carries the
-// same fault-injection hooks as an in-process leaf (pdserver exposes them,
-// and the RPC tests straggle a real server to force failover).
+// LeafService is the net/rpc server wrapper around a node: a leaf, a mixer
+// or a shard, whatever implements Leaf. The RPC tests serve a LocalLeaf and
+// straggle it through its Injector to force failover; nothing in cmd/
+// reaches that Injector.
 type LeafService struct {
 	leaf Leaf
 }
@@ -109,9 +109,6 @@ func ServeNode(l net.Listener, node Leaf) error {
 		go srv.ServeConn(conn)
 	}
 }
-
-// ServeLeaf is ServeNode under its historical name.
-func ServeLeaf(l net.Listener, leaf Leaf) error { return ServeNode(l, leaf) }
 
 // Serve wraps an engine in a LocalLeaf and serves it on l.
 func Serve(l net.Listener, engine *exec.Engine) error {

@@ -32,7 +32,7 @@ func serveShardLeaf(t *testing.T, shardTbl *table.Table) (string, *LocalLeaf) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	leaf := NewLocalLeaf(ln.Addr().String(), exec.New(store, exec.Options{}))
-	go ServeLeaf(ln, leaf)
+	go ServeNode(ln, leaf)
 	return ln.Addr().String(), leaf
 }
 

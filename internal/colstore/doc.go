@@ -43,8 +43,10 @@
 // LoadColumnChunk read one record at its exact byte range through a
 // bounded handle cache, and ReadChunkRuns serves contiguous cold chunks
 // with one read per byte run. IOStats counts the physical work. A PinSet's
-// cold loads read and decompress into two buffers the set owns and reuses,
-// dropped at Release; the exported Reader methods allocate their own.
+// cold loads read into one buffer the set owns and reuses, and decompress
+// into one more for its dictionaries and one per chunk decode worker
+// (PinChunks), all dropped at Release; the exported Reader methods
+// allocate their own.
 //
 // # Virtual columns
 //

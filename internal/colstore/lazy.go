@@ -329,33 +329,28 @@ func (s *Store) acquireDict(k *colKeys, load func() (dict.Dict, int64, error)) (
 	return ld.d, cold, ld.size, ld.diskBytes, nil
 }
 
-// acquireChunk pins one chunk of the named column. rec, when non-nil, is
-// the chunk's file record pre-read by a coalesced run (see ColumnChunks);
-// the load then decodes without touching the disk again. The record bytes
-// are only consumed if this call actually performs the load — when another
-// query won the race, the resident chunk is shared and rec is dropped. A
-// cold load reads and decompresses into bufs.
-func (s *Store) acquireChunk(name string, k *colKeys, ci int, rec []byte, bufs *loadBufs) (ch *Chunk, cold bool, size, diskBytes int64, err error) {
+// decodeChunk decodes chunk ci of the named column from its file record,
+// decompressing into bufs, and checks its rows against the store's. Safe
+// to run on several goroutines at once, each with its own bufs.
+func (s *Store) decodeChunk(name string, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
+	c, err := s.lazy.reader.decodeChunkRecord(name, ci, rec, bufs)
+	if err != nil {
+		return nil, err
+	}
+	if want := s.ChunkRows(ci); c.Rows() != want {
+		return nil, fmt.Errorf("colstore: column %q chunk %d has %d rows, want %d", name, ci, c.Rows(), want)
+	}
+	return c, nil
+}
+
+// acquireChunk pins one chunk of a column. ch is the chunk already decoded
+// (decodeChunk) from a record of disk bytes; it is admitted only if this
+// call performs the load — when the chunk is resident, or another query's
+// load of it finishes first, the resident chunk is shared and ch dropped.
+func (s *Store) acquireChunk(k *colKeys, ci int, ch *Chunk, disk int64) (resident *Chunk, cold bool, size, diskBytes int64, err error) {
 	v, cold, err := s.acquire(k, k.chunks[ci], func() (any, int64, int64, error) {
-		var (
-			c    *Chunk
-			disk int64
-			err  error
-		)
-		if rec != nil {
-			c, err = s.lazy.reader.decodeChunkRecord(name, ci, rec, bufs)
-			disk = int64(len(rec))
-		} else {
-			c, disk, err = s.lazy.reader.loadColumnChunk(name, ci, bufs)
-		}
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if want := s.ChunkRows(ci); c.Rows() != want {
-			return nil, 0, 0, fmt.Errorf("colstore: column %q chunk %d has %d rows, want %d", name, ci, c.Rows(), want)
-		}
-		size := c.MemoryElements() + c.MemoryChunkDict()
-		return &loadedChunk{ch: c, size: size, diskBytes: disk}, size, disk, nil
+		size := ch.MemoryElements() + ch.MemoryChunkDict()
+		return &loadedChunk{ch: ch, size: size, diskBytes: disk}, size, disk, nil
 	})
 	if err != nil {
 		return nil, false, 0, 0, err

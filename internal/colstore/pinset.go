@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
@@ -58,21 +60,32 @@ type PinSet struct {
 	// mismatch (the query then fails with that ChecksumError).
 	ChecksumFailed int64
 
-	// bufs holds the transient buffers of the set's cold loads, reused by
-	// each and dropped at Release.
-	bufs loadBufs
-	// warm is ColumnChunks' scratch, reused by each call.
+	// bufs holds the transient buffers of the set's reads and dictionary
+	// loads, and decode one decompress buffer per chunk decode worker;
+	// each is reused by every load it serves and dropped at Release.
+	bufs   loadBufs
+	decode []loadBufs
+	// warm is PinChunks' scratch, reused by each call.
 	warm warmScratch
 }
 
-// warmScratch holds one ColumnChunks call's wanted chunks, their keys, the
-// values the manager pinned for the resident ones, and the indices of the
-// cold ones.
+// warmScratch holds one PinChunks call's work: for the column at hand, its
+// wanted chunks, their keys, the values the manager pinned for the resident
+// ones and the indices of the cold ones; for the call, the cold chunks of
+// every column, in (column, chunk) order. Loading reuses chunks for the
+// indices of the batch at hand.
 type warmScratch struct {
-	chunks []int
-	keys   []string
-	values []any
-	cold   []int
+	chunks  []int
+	keys    []string
+	values  []any
+	cold    []int
+	pending []coldChunk
+}
+
+// coldChunk is a chunk PinChunks loads from disk.
+type coldChunk struct {
+	h  *heldPin
+	ci int
 }
 
 // heldPin records the pins held for one column.
@@ -168,20 +181,21 @@ func (p *PinSet) noteChecksumErr(err error) {
 	}
 }
 
-// ensureChunk pins one chunk into the view. rec optionally carries the
-// chunk's pre-read file record from a coalesced run.
-func (p *PinSet) ensureChunk(h *heldPin, ci int, rec []byte) error {
-	if h.chunks[ci] {
-		return nil
-	}
-	ch, cold, size, disk, err := p.s.acquireChunk(h.view.Name, h.keys, ci, rec, &p.bufs)
-	if err != nil {
-		p.noteChecksumErr(err)
-		return err
-	}
+// hold records chunk ci of the column as pinned, with ch its data.
+func (p *PinSet) hold(h *heldPin, ci int, ch *Chunk) {
 	h.view.Chunks[ci] = ch
 	h.chunks[ci] = true
 	p.keys = append(p.keys, h.keys.chunks[ci])
+}
+
+// admitChunk pins a chunk decoded from disk bytes into the view (see
+// acquireChunk).
+func (p *PinSet) admitChunk(h *heldPin, ci int, ch *Chunk, disk int64) error {
+	ch, cold, size, disk, err := p.s.acquireChunk(h.keys, ci, ch, disk)
+	if err != nil {
+		return err
+	}
+	p.hold(h, ci, ch)
 	if cold {
 		p.ColdChunkLoads++
 		p.coldColumn(h, size, disk)
@@ -223,33 +237,80 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	return h.view, nil
 }
 
-// ColumnChunks returns the named column with the chunks flagged in active
-// pinned (nil active = every chunk), and no dictionary: enough to read and
-// compare global-ids. A caller that reads values pins the dictionary too
-// (ColumnDict), or looks them up afterwards (Values). The view's Dict is
-// nil until one of them does — on a resident store the column is returned
-// whole. Chunks outside the active set stay nil in the returned view;
-// callers must not touch them.
-// Pinning is monotonic per set: asking again with a wider set fills the
-// missing chunks, and already pinned ones are never double-counted.
-//
-// The wanted chunks already resident are pinned first, all under one lock,
-// so that this call's own cold loads cannot evict them. The rest are
-// prefetched in coalesced runs: sorted into contiguous byte runs, each
-// served by one ReadAt instead of one read per chunk (ReadRuns and
-// CoalescedReads count the effect). A chunk another query loads in between
-// is shared as usual — its pre-read bytes are simply dropped.
+// ColumnChunks is PinChunks for one column, decoding on the calling
+// goroutine.
 func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
-	if c := p.s.residentColumn(name); c != nil {
-		return c, nil
-	}
-	if p.s.lazy == nil {
-		return nil, fmt.Errorf("colstore: unknown column %q", name)
-	}
-	h, err := p.ensure(name)
+	views, err := p.PinChunks([]string{name}, active, 1)
 	if err != nil {
 		return nil, err
 	}
+	return views[0], nil
+}
+
+// PinChunks returns the named columns, in the order of names, with the
+// chunks flagged in active pinned (nil active = every chunk), and no
+// dictionary: enough to read and compare global-ids. A caller that reads
+// values pins the dictionary too (ColumnDict), or looks them up afterwards
+// (Values). A view's Dict is nil until one of them does — on a resident
+// store the column is returned whole. Chunks outside the active set stay
+// nil in the returned views; callers must not touch them. Pinning is
+// monotonic per set: asking again with a wider set fills the missing
+// chunks, and already pinned ones are never double-counted.
+//
+// The call works in three steps:
+//  1. Every column's wanted chunks already resident are pinned first, with
+//     one PinResident a column, so that this call's own cold loads cannot
+//     evict them.
+//  2. Each column's cold chunks are read in coalesced runs, one bounded
+//     batch at a time: contiguous byte runs, each served by one ReadAt
+//     instead of one read per chunk (ReadRuns and CoalescedReads count the
+//     effect). A batch holds at most maxPrefetchBatchBytes of records — a
+//     batch boundary can split a contiguous run: one extra read, bounded
+//     memory. The batch's records are then verified, decompressed and
+//     decoded on up to workers goroutines, each decompressing into its own
+//     buffer; with one worker, or one record, on the calling goroutine.
+//  3. The decoded chunks are admitted to the memory manager one at a time,
+//     in (column, chunk) order, so what is admitted, evicted and counted
+//     does not depend on workers. The first record that fails a check, in
+//     that order, fails the call, and the chunks decoded after it are
+//     dropped unadmitted. A chunk another query loads in between is shared
+//     as usual, and the decoded copy dropped.
+func (p *PinSet) PinChunks(names []string, active []bool, workers int) ([]*Column, error) {
+	views := make([]*Column, len(names))
+	p.warm.pending = p.warm.pending[:0]
+	for i, name := range names {
+		if c := p.s.residentColumn(name); c != nil {
+			views[i] = c
+			continue
+		}
+		if p.s.lazy == nil {
+			return nil, fmt.Errorf("colstore: unknown column %q", name)
+		}
+		h, err := p.ensure(name)
+		if err != nil {
+			return nil, err
+		}
+		views[i] = h.view
+		if !slices.Contains(names[:i], name) {
+			p.pinWarm(h, active)
+		}
+	}
+	for pending := p.warm.pending; len(pending) > 0; {
+		n, err := p.nextBatch(pending)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.loadBatch(pending[:n], workers); err != nil {
+			return nil, err
+		}
+		pending = pending[n:]
+	}
+	return views, nil
+}
+
+// pinWarm pins the column's wanted chunks that are resident, under one
+// lock, and queues the others on p.warm.pending.
+func (p *PinSet) pinWarm(h *heldPin, active []bool) {
 	w := &p.warm
 	w.chunks, w.keys = w.chunks[:0], w.keys[:0]
 	for ci := range h.chunks {
@@ -260,66 +321,93 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 		w.keys = append(w.keys, h.keys.chunks[ci])
 	}
 	if len(w.keys) == 0 {
-		return h.view, nil
+		return
 	}
 	w.values = slices.Grow(w.values[:0], len(w.keys))[:len(w.keys)]
 	clear(w.values)
 	w.cold = p.s.lazy.mgr.PinResident(w.keys, w.values, w.cold[:0])
 	for i, v := range w.values {
-		if v == nil {
-			continue
+		if v != nil {
+			p.hold(h, w.chunks[i], v.(*loadedChunk).ch)
 		}
-		ci := w.chunks[i]
-		h.view.Chunks[ci] = v.(*loadedChunk).ch
-		h.chunks[ci] = true
-		p.keys = append(p.keys, w.keys[i])
-	}
-	// Batched cold prefetch: read runs and pin their chunks one bounded
-	// batch at a time, so the transient raw-record buffers never exceed
-	// maxPrefetchBatchBytes regardless of how much of the column is cold
-	// (the decoded chunks themselves are pinned and budget-accounted as
-	// usual). A batch boundary can split a contiguous run — one extra
-	// read, bounded memory.
-	reader := p.s.lazy.reader
-	var batch []int
-	var batchBytes int64
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		recs, runs, coalesced, err := reader.readChunkRuns(name, batch, &p.bufs)
-		if err != nil {
-			return err
-		}
-		p.ReadRuns += int64(runs)
-		p.CoalescedReads += int64(coalesced)
-		for _, ci := range batch {
-			if err := p.ensureChunk(h, ci, recs[ci]); err != nil {
-				return err
-			}
-		}
-		batch = batch[:0]
-		batchBytes = 0
-		return nil
 	}
 	for _, i := range w.cold {
-		ci := w.chunks[i]
-		_, n, err := reader.ChunkFileRange(name, ci)
+		w.pending = append(w.pending, coldChunk{h: h, ci: w.chunks[i]})
+	}
+}
+
+// nextBatch returns how many of the cold chunks, from the first, make the
+// next batch: the first one's column's, up to maxPrefetchBatchBytes of
+// records (at least one).
+func (p *PinSet) nextBatch(pending []coldChunk) (int, error) {
+	var bytes int64
+	for i, c := range pending {
+		if c.h != pending[0].h {
+			return i, nil
+		}
+		_, n, err := p.s.lazy.reader.ChunkFileRange(c.h.view.Name, c.ci)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if len(batch) > 0 && batchBytes+n > maxPrefetchBatchBytes {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+		if i > 0 && bytes+n > maxPrefetchBatchBytes {
+			return i, nil
 		}
-		batch = append(batch, ci)
-		batchBytes += n
+		bytes += n
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	return len(pending), nil
+}
+
+// loadBatch reads one column's batch of cold chunks in coalesced runs,
+// decodes their records on up to workers goroutines, and admits them in
+// chunk order.
+func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
+	h := batch[0].h
+	name := h.view.Name
+	chunks := p.warm.chunks[:0]
+	for _, c := range batch {
+		chunks = append(chunks, c.ci)
 	}
-	return h.view, nil
+	p.warm.chunks = chunks
+	recs, runs, coalesced, err := p.s.lazy.reader.readChunkRuns(name, chunks, &p.bufs)
+	if err != nil {
+		return err
+	}
+	p.ReadRuns += int64(runs)
+	p.CoalescedReads += int64(coalesced)
+	decoded := make([]*Chunk, len(chunks))
+	errs := make([]error, len(chunks))
+	workers = max(1, min(workers, len(chunks)))
+	for len(p.decode) < workers {
+		p.decode = append(p.decode, loadBufs{})
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	decode := func(w int) {
+		for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
+			decoded[i], errs[i] = p.s.decodeChunk(name, chunks[i], recs[i], &p.decode[w])
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			decode(w)
+		}(w)
+	}
+	decode(0)
+	wg.Wait()
+	for i, ci := range chunks {
+		if errs[i] != nil {
+			p.noteChecksumErr(errs[i])
+			return errs[i]
+		}
+		if err := p.admitChunk(h, ci, decoded[i], int64(len(recs[i]))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Values returns the values of the global-ids in the named column's
@@ -405,5 +493,5 @@ func (p *PinSet) Release() {
 	if p.s.lazy != nil {
 		p.s.lazy.mgr.ReleaseAll(p.keys)
 	}
-	p.held, p.keys, p.bufs, p.warm = nil, nil, loadBufs{}, warmScratch{}
+	p.held, p.keys, p.bufs, p.decode, p.warm = nil, nil, loadBufs{}, nil, warmScratch{}
 }

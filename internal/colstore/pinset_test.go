@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -69,6 +71,50 @@ func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
 			t.Fatalf("after release: pinned %d, resident %d of a %d budget", st.PinnedBytes, st.ResidentBytes, budget)
 		}
 	})
+}
+
+// TestPinChunksChecksumMidBatch: a corrupt record in the middle of a cold
+// batch fails the pin with its ChecksumError, counted once, at every worker
+// count. The chunks before it in admission order are admitted; those
+// decoded after it are dropped, and nothing stays pinned after Release.
+func TestPinChunksChecksumMidBatch(t *testing.T) {
+	built, dir := buildSavedStore(t, 8000, "zippy")
+	col := built.Columns()[0]
+	n := built.NumChunks()
+	if n < 8 {
+		t.Fatalf("store has %d chunks, want at least 8", n)
+	}
+	mid := n / 2
+	r, _, err := NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, size, err := r.ChunkFileRange(col, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipBit(t, filepath.Join(dir, "col_0000.bin"), off+size/2)
+	for _, workers := range []int{1, 4} {
+		mgr := memmgr.New(0, "")
+		lazy, _, err := OpenLazy(dir, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := lazy.NewPinSet()
+		_, err = ps.PinChunks([]string{col}, nil, workers)
+		var ce *ChecksumError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%d workers: err = %v, want a ChecksumError", workers, err)
+		}
+		if ps.ChecksumFailed != 1 || ps.ColdChunkLoads != int64(mid) {
+			t.Fatalf("%d workers: %d checksum failures, %d chunks admitted; want 1, %d", workers, ps.ChecksumFailed, ps.ColdChunkLoads, mid)
+		}
+		ps.Release()
+		if st := mgr.Stats(); st.PinnedBytes != 0 || st.ResidentItems != mid {
+			t.Fatalf("%d workers: after release %d bytes pinned, %d entries resident; want 0, %d", workers, st.PinnedBytes, st.ResidentItems, mid)
+		}
+		lazy.Close()
+	}
 }
 
 // BenchmarkWarmPin pins and releases every chunk and the dictionary of

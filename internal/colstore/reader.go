@@ -360,20 +360,15 @@ func (r *Reader) framedDict(mc manifestCol, kind value.Kind) bool {
 // (if the codec compressed it). The reported disk bytes are exactly the
 // record's.
 func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
-	return r.loadColumnChunk(name, chunk, nil)
-}
-
-// loadColumnChunk is LoadColumnChunk reading and decompressing into bufs.
-func (r *Reader) loadColumnChunk(name string, chunk int, bufs *loadBufs) (*Chunk, int64, error) {
 	mc, off, n, err := r.chunkRecord(name, chunk)
 	if err != nil {
 		return nil, 0, err
 	}
-	rec, err := r.readRange(mc.File, off, n, bufs)
+	rec, err := r.readRange(mc.File, off, n, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
 	}
-	ch, err := r.decodeChunkRecord(name, chunk, rec, bufs)
+	ch, err := r.decodeChunkRecord(name, chunk, rec, nil)
 	if err != nil {
 		return nil, 0, err
 	}

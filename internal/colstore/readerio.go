@@ -3,7 +3,6 @@ package colstore
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"powerdrill/internal/faultfs"
 )
@@ -19,7 +18,7 @@ const (
 	// maxOpenFiles bounds the Reader's file handle cache.
 	maxOpenFiles = 32
 	// maxPrefetchBatchBytes bounds the raw record bytes a coalesced
-	// prefetch holds in flight (PinSet.ColumnChunks): the byte budget
+	// prefetch holds in flight (PinSet.PinChunks): the byte budget
 	// governs decoded residency, so the undecoded staging area must stay
 	// small and constant too.
 	maxPrefetchBatchBytes = 8 << 20
@@ -42,8 +41,10 @@ type IOStats struct {
 	// ChecksumVerified counts records whose CRC32C was checked and
 	// matched on a cold read.
 	ChecksumVerified int64
-	// ChecksumFailed counts records whose CRC32C check failed — each one
-	// a load that returned a ChecksumError instead of decoded data.
+	// ChecksumFailed counts records whose CRC32C check failed. A pin
+	// verifies a whole batch before it admits any of it, so a batch with
+	// two bad records counts both, and its pin returns the first one's
+	// ChecksumError.
 	ChecksumFailed int64
 }
 
@@ -124,12 +125,14 @@ func (r *Reader) evictFilesLocked() {
 }
 
 // loadBufs are the transient buffers of cold loads: the record bytes read
-// from disk, and their decompressed form. A PinSet owns one and reuses it
-// for every load it makes, on the query's goroutine; every decoder copies
-// what it keeps out of them (the chunk's global-ids and elements, the
-// dictionary's values), so nothing decoded aliases them, and the set drops
-// them at Release. A nil *loadBufs allocates afresh for each load: the
-// exported Reader methods, whose callers may keep the bytes.
+// from disk, and their decompressed form. A PinSet owns one for its reads
+// and dictionary loads, on the query's goroutine, and one more per chunk
+// decode worker, whose read half stays empty; each is reused by every load
+// it serves. Every decoder copies what it keeps out of them (the chunk's
+// global-ids and elements, the dictionary's values), so nothing decoded
+// aliases them, and the set drops them at Release. A nil *loadBufs
+// allocates afresh for each load: the exported Reader methods, whose
+// callers may keep the bytes.
 type loadBufs struct {
 	read, raw []byte
 }
@@ -175,59 +178,51 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// byteRun is one contiguous byte range covering consecutive chunk records.
-type byteRun struct {
-	off, n int64
-	chunks []int
-}
-
 // ReadChunkRuns reads the records of the given chunks, coalescing records
-// that are adjacent in the file into single ReadAt calls. It returns the
-// per-chunk record bytes (pass each to DecodeChunkRecord), the number of
-// read runs issued, and the number of reads coalescing saved (a run of m
-// chunks is one read instead of m, saving m−1).
-func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs map[int][]byte, runs, coalesced int, err error) {
+// that are adjacent in the list and in the file into single ReadAt calls
+// (list the chunks in ascending order to coalesce every run). It returns
+// each chunk's record bytes at its position in chunks (pass each to
+// DecodeChunkRecord), the number of read runs issued, and the number of
+// reads coalescing saved (a run of m chunks is one read instead of m,
+// saving m−1).
+func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs [][]byte, runs, coalesced int, err error) {
 	return r.readChunkRuns(name, chunks, nil)
 }
 
 // readChunkRuns is ReadChunkRuns reading every run into one buffer from
 // bufs.
-func (r *Reader) readChunkRuns(name string, chunks []int, bufs *loadBufs) (recs map[int][]byte, runs, coalesced int, err error) {
-	sorted := append([]int(nil), chunks...)
-	sort.Ints(sorted)
+func (r *Reader) readChunkRuns(name string, chunks []int, bufs *loadBufs) (recs [][]byte, runs, coalesced int, err error) {
 	var (
 		mc    manifestCol
-		plan  []byteRun
 		total int64
 	)
-	for _, ci := range sorted {
-		var off, n int64
-		if mc, off, n, err = r.chunkRecord(name, ci); err != nil {
+	spans := make([]struct{ off, n int64 }, len(chunks))
+	for i, ci := range chunks {
+		if mc, spans[i].off, spans[i].n, err = r.chunkRecord(name, ci); err != nil {
 			return nil, 0, 0, err
 		}
-		total += n
-		if last := len(plan) - 1; last >= 0 && plan[last].off+plan[last].n == off {
-			plan[last].n += n
-			plan[last].chunks = append(plan[last].chunks, ci)
-			continue
-		}
-		plan = append(plan, byteRun{off: off, n: n, chunks: []int{ci}})
+		total += spans[i].n
 	}
 	buf := bufs.readBuf(total)
-	recs = make(map[int][]byte, len(sorted))
-	for _, run := range plan {
-		runBuf := buf[:run.n:run.n]
-		buf = buf[run.n:]
-		if err := r.readInto(mc.File, run.off, runBuf); err != nil {
-			return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, run.chunks, err)
+	recs = make([][]byte, len(chunks))
+	for start := 0; start < len(chunks); {
+		end, n := start+1, spans[start].n
+		for end < len(chunks) && spans[end].off == spans[start].off+n {
+			n += spans[end].n
+			end++
 		}
-		pos := int64(0)
-		for _, ci := range run.chunks {
-			_, n := chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
-			recs[ci] = runBuf[pos : pos+n : pos+n]
-			pos += n
+		run := buf[:n:n]
+		buf = buf[n:]
+		if err := r.readInto(mc.File, spans[start].off, run); err != nil {
+			return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, chunks[start:end], err)
 		}
-		coalesced += len(run.chunks) - 1
+		for i := start; i < end; i++ {
+			n := spans[i].n
+			recs[i], run = run[:n:n], run[n:]
+		}
+		runs++
+		coalesced += end - start - 1
+		start = end
 	}
-	return recs, len(plan), coalesced, nil
+	return recs, runs, coalesced, nil
 }

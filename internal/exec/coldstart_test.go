@@ -402,3 +402,97 @@ func TestBudgetedRepeatDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetedParallelDecode: how many workers decode a query's cold chunks
+// changes neither its answer nor what it reads, loads and evicts, because
+// decoded chunks are admitted in (column, chunk) order. Two opens of one
+// saved store under a byte budget, one engine at Parallelism 1 and one at
+// 4, run TestBudgetedRepeatDeterministic's ten queries: the rows match bit
+// for bit, and query by query so do the disk bytes, the cold chunk and
+// dictionary loads and the manager's evictions.
+func TestBudgetedParallelDecode(t *testing.T) {
+	dir := savedWorkloadStore(t, 40000)
+	queries := append(coldStartQueries[:len(coldStartQueries):len(coldStartQueries)],
+		`SELECT table_name, MAX(user) AS m, COUNT(*) AS c FROM data WHERE latency < 200 GROUP BY table_name ORDER BY c DESC LIMIT 5;`,
+		`SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`)
+	type step struct {
+		disk, chunks, dicts, evictions int64
+	}
+	run := func(parallelism int) ([]*Result, []step) {
+		mgr := memmgr.New(300<<10, "2q")
+		store, _, err := colstore.OpenLazy(dir, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(store, Options{Parallelism: parallelism})
+		var (
+			results []*Result
+			steps   []step
+		)
+		for _, q := range queries {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("parallelism %d, %s: %v", parallelism, q, err)
+			}
+			results = append(results, res)
+			steps = append(steps, step{res.Stats.DiskBytesRead, res.Stats.ColdChunkLoads, res.Stats.ColdDictLoads, mgr.Stats().Evictions})
+		}
+		return results, steps
+	}
+	run(1) // persists the virtual columns the queries materialize
+	wantRes, want := run(1)
+	gotRes, got := run(4)
+	if last := want[len(want)-1]; last.evictions == 0 {
+		t.Fatalf("the budget evicted nothing: %+v", want)
+	}
+	for i, q := range queries {
+		requireSameRows(t, q, "Parallelism 4", gotRes[i].Rows, wantRes[i].Rows)
+		if got[i] != want[i] {
+			t.Errorf("query %d (%s): %+v at Parallelism 4, %+v at 1", i, q, got[i], want[i])
+		}
+	}
+}
+
+// TestGateOneWorkerLazy: an engine whose gate has a single worker answers a
+// row scan and a group-by over a budgeted lazy store — the pins that decode
+// on gate workers never wait on the one the query already holds.
+func TestGateOneWorkerLazy(t *testing.T) {
+	dir := savedWorkloadStore(t, 20000)
+	store, _, err := colstore.OpenLazy(dir, memmgr.New(300<<10, "2q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(store, Options{Parallelism: 4, Gate: NewGate(1)})
+	ref := buildEngine(t, workload.QueryLogs(workload.LogsSpec{Rows: 20000, Seed: 11}), colstore.Options{
+		PartitionFields:  []string{"country", "table_name"},
+		MaxChunkRows:     500,
+		OptimizeElements: true,
+	}, Options{Parallelism: 1})
+	for _, q := range []string{
+		`SELECT country, latency FROM data WHERE latency > 900 ORDER BY latency DESC, country ASC LIMIT 25;`,
+		`SELECT country, table_name, COUNT(*) AS c FROM data GROUP BY country, table_name ORDER BY c DESC, country ASC, table_name ASC LIMIT 20;`,
+	} {
+		done := make(chan struct{})
+		var (
+			res *Result
+			err error
+		)
+		go func() {
+			defer close(done)
+			res, err = e.Query(q)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: no answer within a minute through a one-worker gate", q)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRows(t, q, "one-worker gate", res.Rows, want.Rows)
+	}
+}

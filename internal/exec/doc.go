@@ -30,10 +30,10 @@
 //     row-predicate columns, group columns, aggregate arguments, the
 //     composite — is pinned with its dictionaries at the surviving
 //     chunks, cold-loading from disk as needed: one coalesced read per
-//     column, under no lock, so
-//     concurrent first-touch queries load disjoint data in parallel (the
-//     memory manager deduplicates identical loads). The plan now holds a
-//     pinned view of every accessed column (plan.cols,
+//     column, decoded on workers taken from the gate for the pin alone,
+//     under no lock, so concurrent first-touch queries load disjoint data
+//     in parallel (the memory manager deduplicates identical loads). The
+//     plan now holds a pinned view of every accessed column (plan.cols,
 //     restriction.colRef), so later phases never touch the store registry
 //     or the manager mutex.
 //  4. Scan (executeChunks / executeRowScan): chunks pruned in phase 2 are
@@ -70,7 +70,8 @@
 //
 // Gate is a weighted semaphore admitting scan workers across concurrent
 // queries: each fan-out (chunk scans, row scans, virtual-column
-// materialization) takes what is available up to its parallelism and
+// materialization, the decode of a pin's cold chunks) takes what is
+// available up to its parallelism and
 // never blocks below one worker, so N concurrent queries degrade smoothly
 // instead of spawning N × Parallelism goroutines. Engines get a private
 // gate by default; cluster leaves share one via Options.Gate.

@@ -389,10 +389,8 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 	// worker's row cache so the per-chunk loop never goes back through the
 	// memory manager.
 	srcCols := make(map[string]*colstore.Column, 4)
-	for _, col := range exprColumns(x) {
-		if c, cerr := ps.Column(col); cerr == nil {
-			srcCols[col] = c
-		}
+	if err := e.pinFull(ps, exprColumns(x), srcCols); err != nil {
+		return nil, err
 	}
 	kind, err := expr.InferKind(x, func(col string) (value.Kind, bool) {
 		c := srcCols[col]
@@ -719,18 +717,18 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 // resolves the scan's columns to the pinned views. A restriction from the
 // memo reads no column, so a column only it accesses is not pinned.
 func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
-	p.cols = make(map[string]*colstore.Column, len(p.accessCols))
+	names := make([]string, 0, len(p.accessCols))
 	for _, col := range p.accessCols {
-		if p.sel != nil && p.sel.ready && !p.aggregates(col) {
-			continue
+		if p.sel == nil || !p.sel.ready || p.aggregates(col) {
+			names = append(names, col)
 		}
-		c, err := e.pinColumn(ps, col, true, p.pin)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			p.cols[col] = c
-		}
+	}
+	p.cols = make(map[string]*colstore.Column, len(names))
+	workers := e.gate.AcquireUpTo(e.parallelism())
+	err := e.pinColumns(ps, names, names, p.pin, workers, p.cols)
+	e.gate.Release(workers)
+	if err != nil {
+		return err
 	}
 	if gcol := p.groupColumn(); gcol != "" && !p.rowScan {
 		p.groupCol = p.col(e, gcol)
@@ -758,20 +756,38 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	return nil
 }
 
-// pinColumn pins the named column at the chunks flagged in active (nil =
-// every chunk), with its dictionary when withDict is set. A name only a
+// pinColumns pins the dictionaries of the columns named in dicts, then the
+// chunks flagged in active (nil = every chunk) of those named in cols, and
+// stores the views of cols in views. Cold chunks decode on workers
+// goroutines, which the caller holds from the gate. A name only a
 // row-level predicate mentions may be unknown; it is left to fail at
-// evaluation time, and a nil view comes back.
-func (e *Engine) pinColumn(ps *colstore.PinSet, name string, withDict bool, active []bool) (*colstore.Column, error) {
-	if !e.store.HasColumn(name) {
-		return nil, nil
-	}
-	if withDict {
-		if _, err := ps.ColumnDict(name); err != nil {
-			return nil, err
+// evaluation time, and gets no view.
+func (e *Engine) pinColumns(ps *colstore.PinSet, dicts, cols []string, active []bool, workers int, views map[string]*colstore.Column) error {
+	for _, name := range dicts {
+		if e.store.HasColumn(name) {
+			if _, err := ps.ColumnDict(name); err != nil {
+				return err
+			}
 		}
 	}
-	return ps.ColumnChunks(name, active)
+	known := slices.DeleteFunc(slices.Clone(cols), func(name string) bool { return !e.store.HasColumn(name) })
+	pinned, err := ps.PinChunks(known, active, workers)
+	if err != nil {
+		return err
+	}
+	for i, name := range known {
+		views[name] = pinned[i]
+	}
+	return nil
+}
+
+// pinFull pins the named columns whole, dictionaries too, into views — the
+// pin of a materialization, which reads every row — decoding on workers it
+// holds from the gate for the pin alone.
+func (e *Engine) pinFull(ps *colstore.PinSet, names []string, views map[string]*colstore.Column) error {
+	workers := e.gate.AcquireUpTo(e.parallelism())
+	defer e.gate.Release(workers)
+	return e.pinColumns(ps, names, names, nil, workers, views)
 }
 
 // aggregates reports whether the scan groups by or aggregates the named
@@ -831,13 +847,15 @@ func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet) (aggSpec,
 // group columns' global-ids joined into one string key. Using ids (not
 // values) keeps the composite compact and order-preserving per column.
 func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.PinSet) error {
+	views := make(map[string]*colstore.Column, len(cols))
+	if err := e.pinFull(ps, cols, views); err != nil {
+		return err
+	}
 	colRefs := make([]*colstore.Column, len(cols))
 	for i, cn := range cols {
-		c, err := ps.Column(cn)
-		if err != nil {
-			return err
+		if colRefs[i] = views[cn]; colRefs[i] == nil {
+			return fmt.Errorf("exec: unknown column %q", cn)
 		}
-		colRefs[i] = c
 	}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()

@@ -39,10 +39,15 @@ import (
 func (e *Engine) executeRowScan(p *plan, ps *colstore.PinSet) (*Result, QueryStats, error) {
 	qs := e.scanStats(p)
 	s := newRowScan(e, p, ps)
-	if err := s.selectRows(&qs); err != nil {
+	// Both phases pin while they hold their workers, and decode cold chunks
+	// on them: taking more from the gate could wait on a gate with none
+	// free.
+	workers := e.gate.AcquireUpTo(e.chunkWorkers(len(s.found)))
+	defer e.gate.Release(workers)
+	if err := s.selectRows(&qs, workers); err != nil {
 		return nil, qs, err
 	}
-	rows, err := s.fetchRows()
+	rows, err := s.fetchRows(workers)
 	if err != nil {
 		return nil, qs, err
 	}
@@ -202,11 +207,9 @@ func (s *rowScan) done() bool {
 
 // selectRows is the select phase: it pins, scans and bounds a round at a
 // time.
-func (s *rowScan) selectRows(qs *QueryStats) error {
+func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 	e, p := s.e, s.p
 	order, spans := s.visitOrder()
-	workers := e.gate.AcquireUpTo(e.chunkWorkers(len(s.found)))
-	defer e.gate.Release(workers)
 	ws := workerPool.take(workers)
 	defer workerPool.give(ws)
 	wqs := make([]QueryStats, workers)
@@ -229,22 +232,17 @@ func (s *rowScan) selectRows(qs *QueryStats) error {
 		for _, ci := range round {
 			mask[ci] = true
 		}
-		for _, name := range s.whereCols {
-			// The restriction reads values at row predicates.
-			c, err := e.pinColumn(s.ps, name, true, mask)
-			if err != nil {
-				return err
-			}
-			if c != nil {
-				p.cols[name] = c
-			}
+		// The restriction reads values at row predicates; the first key,
+		// global-ids.
+		cols := s.whereCols
+		if s.ordered {
+			cols = append(slices.Clip(cols), s.keyCol)
+		}
+		if err := e.pinColumns(s.ps, s.whereCols, cols, mask, workers, p.cols); err != nil {
+			return err
 		}
 		if s.ordered {
-			c, err := e.pinColumn(s.ps, s.keyCol, false, mask)
-			if err != nil {
-				return err
-			}
-			s.keyView = c
+			s.keyView = p.cols[s.keyCol]
 		}
 		clear(wqs)
 		err := forEachChunk(len(round), workers, nil, func(w, i int) error {
@@ -333,7 +331,7 @@ func (s *rowScan) keep(m []rowCand, bound uint32) []rowCand {
 // fetchRows is the fetch phase: it narrows the candidates to those that
 // can still win, pins the rest of what the answer reads at their chunks,
 // ranks them and renders the winners.
-func (s *rowScan) fetchRows() ([][]value.Value, error) {
+func (s *rowScan) fetchRows(workers int) ([][]value.Value, error) {
 	p := s.p
 	var cands []rowCand
 	bound, bounded := s.bounded()
@@ -361,15 +359,8 @@ func (s *rowScan) fetchRows() ([][]value.Value, error) {
 	}
 	names = append(names, p.groupCols...)
 	views := make(map[string]*colstore.Column, len(names))
-	for _, name := range names {
-		if views[name] != nil {
-			continue
-		}
-		c, err := s.e.pinColumn(s.ps, name, false, mask)
-		if err != nil {
-			return nil, err
-		}
-		views[name] = c
+	if err := s.e.pinColumns(s.ps, nil, names, mask, workers, views); err != nil {
+		return nil, err
 	}
 	var picked []int
 	if !s.ordered {
