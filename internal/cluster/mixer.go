@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"powerdrill/internal/exec"
+	"powerdrill/internal/sql"
 )
 
 // Mixer is an inner node of the serving tree.
@@ -40,8 +41,11 @@ func (m *Mixer) Name() string { return m.name }
 // never answered are charged to the stats (RowsTotal grows, RowsCovered
 // does not), which is how a leaf death three levels down still shows up
 // in the root's Coverage; the error is non-nil only when not a single
-// child answered.
+// child answered, or when the text is longer than any child would parse.
 func (m *Mixer) PartialQuery(ctx context.Context, sqlText string) (*exec.Partial, error) {
+	if err := sql.CheckLength(sqlText); err != nil {
+		return nil, err
+	}
 	if m.opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.opts.Deadline)

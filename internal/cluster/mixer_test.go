@@ -5,17 +5,21 @@ package cluster
 // very first query's Coverage exact, and mixer failover over real RPC.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/exec"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 )
@@ -427,5 +431,28 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	}
 	if st := root.Stats(); st.PrimaryFailures == 0 || st.Retries == 0 {
 		t.Errorf("expected a kill-triggered re-dispatch; stats = %+v", st)
+	}
+}
+
+// TestMixerRefusesOverlongQuery: a mixer forwards statement text unparsed,
+// so it checks the parser's 1 MiB bound itself. Text one byte over is
+// refused with a *sql.LengthError before any child is asked; text at the
+// bound is answered.
+func TestMixerRefusesOverlongQuery(t *testing.T) {
+	leaves := buildLeaves(t, logs(600), 2, storeOpts())
+	m := NewMixer("mix", singles(leaves), Options{Replicas: 1})
+	closeAtCleanup(t, m)
+	at := countQuery + strings.Repeat(" ", 1<<20-len(countQuery))
+	var le *sql.LengthError
+	if _, err := m.PartialQuery(context.Background(), at+" "); !errors.As(err, &le) {
+		t.Fatalf("%d bytes: got %v, want a *sql.LengthError", len(at)+1, err)
+	}
+	for _, l := range leaves {
+		if calls := l.Inject().Calls(); calls != 0 {
+			t.Fatalf("%s was asked %d times for a refused query", l.Name(), calls)
+		}
+	}
+	if _, err := m.PartialQuery(context.Background(), at); err != nil {
+		t.Fatalf("%d bytes: %v", len(at), err)
 	}
 }

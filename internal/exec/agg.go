@@ -66,12 +66,10 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 		w.begin(p)
 	}
 	wqs := make([]QueryStats, workers)
-	err := forEachChunk(nChunks, workers, nil, func(w, ci int) error {
-		return e.scanChunk(p, ci, nCols, &wqs[w], ws[w])
+	forEachChunk(nChunks, workers, nil, func(w, ci int) error {
+		e.scanChunk(p, ci, nCols, &wqs[w], ws[w])
+		return nil
 	})
-	if err != nil {
-		return nil, qs, err
-	}
 	if p.sel != nil && !p.sel.ready {
 		e.publish(p.sel)
 	}
@@ -95,7 +93,7 @@ func (e *Engine) scanStats(p *plan) QueryStats {
 
 // scanChunk classifies one chunk and folds its contribution into the
 // worker's table — the unit of work one parallel worker claims at a time.
-func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scanWorker) error {
+func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scanWorker) {
 	rows := e.store.ChunkRows(ci)
 	if p.active != nil && !p.active[ci] {
 		// Pruned by the residency analysis: on a chunk-granular store this
@@ -103,7 +101,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 		// column views have nil entries here.
 		qs.ChunksSkipped++
 		qs.RowsSkipped += int64(rows)
-		return nil
+		return
 	}
 	if part, ok := p.cachedParts[ci]; ok {
 		// Answered by the cache probe: the chunk is fully active and its
@@ -114,18 +112,15 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 		qs.CacheSkippedChunks++
 		qs.RowsCached += int64(rows)
 		w.table.addPartial(part, ci)
-		return nil
+		return
 	}
-	state, mask, err := e.selectChunk(p, ci, &w.mask, qs)
-	if err != nil {
-		return err
-	}
+	state, mask := e.selectChunk(p, ci, &w.mask, qs)
 	var key string
 	switch {
 	case state == activeNone:
 		qs.ChunksSkipped++
 		qs.RowsSkipped += int64(rows)
-		return nil
+		return
 	case state == activeSome:
 	case e.resultCache != nil:
 		key = cacheKey(ci, p)
@@ -133,7 +128,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 			qs.ChunksCached++
 			qs.RowsCached += int64(rows)
 			w.table.addPartial(v.(*groupSet), ci)
-			return nil
+			return
 		}
 	}
 	e.aggregateChunk(p, ci, mask, &w.chunkAggCtx)
@@ -146,7 +141,6 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 	qs.KernelChunks++
 	qs.RowsScanned += int64(rows)
 	qs.CellsScanned += int64(rows) * nCols
-	return nil
 }
 
 // groupColumn returns the single column the engine groups by: the lone

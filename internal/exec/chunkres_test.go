@@ -260,7 +260,7 @@ func TestResidencySoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := append(slices.Clone(predicateZoo),
-		`latency = latency`, // row predicate: analysis must not prune
+		`latency = latency`, // a predicate field: every row holds 1
 		fmt.Sprintf(`date(timestamp) = %q`, res.Rows[0][0].Str()),
 		fmt.Sprintf(`latency = %d`, res.Rows[0][1].Int()))
 	bloomSkipped := 0

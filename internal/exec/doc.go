@@ -12,9 +12,11 @@
 // data:
 //
 //  1. Compile (plan): one walk resolves every operand — WHERE leaves,
-//     group keys, aggregate arguments — to a column; an expression or a
-//     multi-key composite no earlier query materialized is materialized
-//     right here (its sources pinned in full: it scans every row). Only
+//     group keys, aggregate arguments — to a column; an expression, a
+//     predicate the dictionaries cannot decide (as a field of 0s and 1s)
+//     or a multi-key composite no earlier query materialized is
+//     materialized right here (its sources pinned in full: it evaluates
+//     every row, and a row that fails fails the query). Only
 //     dictionaries are pinned. Restriction literals become sorted
 //     global-id sets and ranges, and each leaf of the restriction tree
 //     carries its column's per-chunk value spans and bloom filters from
@@ -26,36 +28,35 @@
 //     active and the provably fully active chunks before any chunk data is
 //     loaded. Fully active chunks whose partials the result cache holds
 //     are answered from it and never pinned.
-//  3. Pin (pinPlan): the plan's access set — restriction leaves,
-//     row-predicate columns, group columns, aggregate arguments, the
-//     composite — is pinned with its dictionaries at the surviving
-//     chunks, cold-loading from disk as needed: one coalesced read per
-//     column, decoded on workers taken from the gate for the pin alone,
-//     under no lock, so concurrent first-touch queries load disjoint data
-//     in parallel (the memory manager deduplicates identical loads). The
-//     plan now holds a pinned view of every accessed column (plan.cols,
-//     restriction.colRef), so later phases never touch the store registry
-//     or the manager mutex.
-//  4. Scan (executeChunks / executeRowScan): chunks pruned in phase 2 are
-//     skipped without touching their (never loaded) data; surviving chunks
-//     get the exact classification on their chunk dictionaries — skip /
-//     fully active (cacheable) / partial — and active ones are aggregated,
-//     fanned out over admission-gated workers. A group-by's first query
-//     with a WHERE clause records each chunk's verdict and mask into the
-//     engine's one-entry memo (memo.go), keyed by the clause's canonical
-//     text, once its scan completes; a later one with the same clause
-//     skips compiling the restriction, takes phase 2's sets from the
-//     memo, pins only chunks whose verdict is not none and no column only
-//     the restriction reads, and reads verdicts and masks here. A hit is safe because an engine's rows
-//     never change: every ingest unit, frozen view and leaf has an engine
-//     of its own. Row scans, row predicates and DisableSkipping are not
-//     memoized. A row scan skips phase 3
-//     and pins in two phases of its own (rowscan.go): it selects on the
-//     WHERE columns and the first ORDER BY key, a round of chunks at a
-//     time, best-first by that key's spans, skipping unloaded the chunks
-//     its rank bound rules out; then it fetches the other ORDER BY keys
-//     and the projection at the chunks that hold a candidate only, ranks
-//     the candidates and looks up the winners' values.
+//  3. Pin (pinPlan): the plan's access set — restriction leaves, group
+//     columns, aggregate arguments, the composite — is pinned with its
+//     dictionaries at the surviving chunks, cold-loading from disk as
+//     needed: one coalesced read per column, decoded on workers taken
+//     from the gate for the pin alone, under no lock, so concurrent
+//     first-touch queries load disjoint data in parallel (the memory
+//     manager deduplicates identical loads). The plan now holds a pinned
+//     view of every accessed column (plan.cols, restriction.colRef), so
+//     later phases never touch the store registry or the manager mutex.
+//  4. Scan (executeChunks / executeRowScan): chunks pruned in phase 2
+//     are skipped without touching their (never loaded) data; surviving
+//     chunks get the exact classification on their chunk dictionaries —
+//     skip / fully active (cacheable) / partial — and active ones are
+//     aggregated, fanned out over admission-gated workers. A group-by's
+//     first query with a WHERE clause records each chunk's verdict and
+//     mask into the engine's one-entry memo (memo.go), keyed by the
+//     clause's canonical text, once its scan completes; a later one with
+//     the same clause skips compiling the restriction, takes phase 2's
+//     sets from the memo, pins only chunks whose verdict is not none and
+//     no column only the restriction reads, and reads verdicts and masks
+//     here. A hit is safe because an engine's rows never change: every
+//     ingest unit, frozen view and leaf has an engine of its own. Row
+//     scans and DisableSkipping are not memoized. A row scan skips phase
+//     3 and pins in two phases of its own (rowscan.go): it selects on
+//     the WHERE columns and the first ORDER BY key, a round of chunks at
+//     a time, best-first by that key's spans, skipping unloaded the
+//     chunks its rank bound rules out; then it fetches the other ORDER
+//     BY keys and the projection at the chunks that hold a candidate
+//     only, ranks the candidates and looks up the winners' values.
 //  5. Emit and finalize: the merged group table, already laid out as a
 //     Partial's columns, is wrapped as one (emitPartial) with keys and
 //     MIN/MAX still global-ids beside their pinned dictionaries. RunPartial resolves

@@ -325,48 +325,21 @@ func (e *Engine) closeStats(qs QueryStats, ps *colstore.PinSet, p *plan) QuerySt
 	return qs
 }
 
-// storeRow adapts a (chunk, row) position to the expr.Row interface. It is
-// confined to one goroutine; cols caches name resolution so per-row
-// evaluation skips the store's registry lock. When a plan is supplied, its
-// pre-resolved column pointers are preferred (no memory-manager traffic on
-// lazy stores).
+// storeRow adapts a (chunk, row) position of a materialization's pinned
+// source columns to the expr.Row interface; a column it does not hold
+// reads as invalid, which evaluation reports as unknown.
 type storeRow struct {
-	e     *Engine
-	p     *plan
-	chunk int
-	row   int
-	cols  map[string]*colstore.Column
-}
-
-func newStoreRow(e *Engine, p *plan, chunk int) *storeRow {
-	return &storeRow{e: e, p: p, chunk: chunk, cols: make(map[string]*colstore.Column, 4)}
+	cols       map[string]*colstore.Column
+	chunk, row int
 }
 
 // ColumnValue implements expr.Row.
 func (r *storeRow) ColumnValue(name string) value.Value {
-	col, ok := r.cols[name]
-	if !ok {
-		if r.p != nil {
-			col = r.p.cols[name]
-		}
-		if col == nil {
-			col = r.e.store.Column(name)
-		}
-		r.cols[name] = col
+	if col := r.cols[name]; col != nil {
+		return col.ValueAt(r.chunk, r.row)
 	}
-	if col == nil {
-		return value.Value{}
-	}
-	return col.ValueAt(r.chunk, r.row)
+	return value.Value{}
 }
-
-// evalPredRow, exprLiteral and exprColumns keep restrict.go free of direct
-// expr imports.
-func evalPredRow(e sql.Expr, row expr.Row) (bool, error) { return expr.EvalPred(e, row) }
-
-func exprLiteral(e sql.Expr) (value.Value, bool) { return expr.IsLiteral(e) }
-
-func exprColumns(e sql.Expr) []string { return expr.Columns(e) }
 
 // materializeOperand resolves an expression used as a restriction, group-by
 // or aggregate operand to a column, materializing a virtual field when it
@@ -383,37 +356,54 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 	if _, ok := x.(*sql.Ident); ok {
 		return nil, fmt.Errorf("exec: unknown column %q", name)
 	}
-	// Materializing reads the expression's source columns row by row, so
-	// they are pinned in full — before the lock: on a lazy store this is
-	// where the cold loads happen. The resolved pointers also seed each
-	// worker's row cache so the per-chunk loop never goes back through the
-	// memory manager.
-	srcCols := make(map[string]*colstore.Column, 4)
-	if err := e.pinFull(ps, exprColumns(x), srcCols); err != nil {
-		return nil, err
-	}
-	kind, err := expr.InferKind(x, func(col string) (value.Kind, bool) {
-		c := srcCols[col]
-		if c == nil {
-			return value.KindInvalid, false
-		}
-		return c.Kind, true
-	})
+	kind, err := expr.InferKind(x, e.columnKind)
 	if err != nil {
 		return nil, err
 	}
+	return e.materialize(x, name, kind, expr.Eval, ps)
+}
+
+// materializePredicate resolves a predicate the restriction cannot decide
+// on dictionaries — a comparison of two expressions, an IN list that is not
+// all literals — to its predicate field: an int64 virtual field, named by
+// the predicate's canonical text, that is 1 at the rows the predicate holds
+// at and 0 elsewhere. No comparison is an operand (InferKind refuses it), so
+// the name is no operand field's. Evaluated over every row, the predicate
+// fails the query at any row it fails at, as an operand expression does.
+func (e *Engine) materializePredicate(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
+	name := operandName(x)
+	if e.store.HasColumn(name) {
+		return ps.ColumnDict(name)
+	}
+	return e.materialize(x, name, value.KindInt64, func(x sql.Expr, row expr.Row) (value.Value, error) {
+		holds, err := expr.EvalPred(x, row)
+		if holds {
+			return value.Int64(1), err
+		}
+		return value.Int64(0), err
+	}, ps)
+}
+
+// materialize computes x with eval over every row into the virtual field
+// name of kind, unless a concurrent query did first, and returns it with
+// its dictionary pinned into ps — the one place an expression is evaluated
+// over a store's rows. The sources are pinned in full before the lock: on a
+// lazy store this is where the cold loads happen.
+func (e *Engine) materialize(x sql.Expr, name string, kind value.Kind, eval func(sql.Expr, expr.Row) (value.Value, error), ps *colstore.PinSet) (*colstore.Column, error) {
+	srcs := make(map[string]*colstore.Column, 4)
+	if err := e.pinFull(ps, expr.Columns(x), srcs); err != nil {
+		return nil, err
+	}
+	var err error
 	e.planMu.Lock()
 	if !e.store.HasColumn(name) { // else a concurrent query materialized it first
-		// The per-row interface dispatch of expr.Eval makes this the
+		// The per-row interface dispatch of expr's evaluation makes this the
 		// costliest part of materialization.
 		err = e.addVirtualColumn(ps, name, kind, func(ci int, vals []value.Value) error {
-			row := newStoreRow(e, nil, ci)
-			for k, v := range srcCols {
-				row.cols[k] = v
-			}
+			row := &storeRow{cols: srcs, chunk: ci}
 			for r := range vals {
 				row.row = r
-				v, err := expr.Eval(x, row)
+				v, err := eval(x, row)
 				if err != nil {
 					return err
 				}
@@ -429,6 +419,12 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 	return ps.ColumnDict(name)
 }
 
+// columnKind is an expr.KindResolver over the store's column metadata.
+func (e *Engine) columnKind(col string) (value.Kind, bool) {
+	m, ok := e.store.ColumnMeta(col)
+	return m.Kind, ok
+}
+
 // operandColumn is the column an operand resolves to: operandName, unless
 // a column of that name holds another kind than the expression's. Before
 // float literals printed with a point, latency * 2.0 was named
@@ -440,10 +436,7 @@ func (e *Engine) operandColumn(x sql.Expr) string {
 	if _, id := x.(*sql.Ident); id || !ok {
 		return name
 	}
-	kind, err := expr.InferKind(x, func(col string) (value.Kind, bool) {
-		c, ok := e.store.ColumnMeta(col)
-		return c.Kind, ok
-	})
+	kind, err := expr.InferKind(x, e.columnKind)
 	if err != nil || kind == m.Kind {
 		return name
 	}
@@ -513,9 +506,9 @@ type plan struct {
 	// (orderItems), every one checked to name one.
 	orderCols []int
 	// accessCols are the physical/virtual columns the scan reads — WHERE
-	// leaves, row-predicate columns, group columns, aggregate arguments, the
-	// composite — in the order compiling met them: what pinPlan pins and
-	// cell accounting counts.
+	// leaves, group columns, aggregate arguments, the composite — in the
+	// order compiling met them: what pinPlan pins and cell accounting
+	// counts.
 	accessCols []string
 	// cols maps every accessed column to its pinned view, so the scan and
 	// finalize phases never go back through the store registry or the
@@ -625,7 +618,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 			}
 			p.where = w
 			w.columnsOf(p.access)
-			if memoize && !w.canError() {
+			if memoize {
 				p.sel = &selection{key: key, cols: slices.Clone(p.accessCols)}
 			}
 		}
@@ -713,7 +706,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 
 // pinPlan pins the plan's access set at the chunks pruning and the cache
 // probe left, each column with its dictionary — an aggregation reads
-// values everywhere: group keys, aggregate arguments, row predicates — and
+// values everywhere: group keys, aggregate arguments — and
 // resolves the scan's columns to the pinned views. A restriction from the
 // memo reads no column, so a column only it accesses is not pinned.
 func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
@@ -725,7 +718,7 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	}
 	p.cols = make(map[string]*colstore.Column, len(names))
 	workers := e.gate.AcquireUpTo(e.parallelism())
-	err := e.pinColumns(ps, names, names, p.pin, workers, p.cols)
+	err := e.pinColumns(ps, true, names, p.pin, workers, p.cols)
 	e.gate.Release(workers)
 	if err != nil {
 		return err
@@ -756,21 +749,20 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	return nil
 }
 
-// pinColumns pins the dictionaries of the columns named in dicts, then the
-// chunks flagged in active (nil = every chunk) of those named in cols, and
-// stores the views of cols in views. Cold chunks decode on workers
-// goroutines, which the caller holds from the gate. A name only a
-// row-level predicate mentions may be unknown; it is left to fail at
-// evaluation time, and gets no view.
-func (e *Engine) pinColumns(ps *colstore.PinSet, dicts, cols []string, active []bool, workers int, views map[string]*colstore.Column) error {
-	for _, name := range dicts {
-		if e.store.HasColumn(name) {
+// pinColumns pins the chunks flagged in active (nil = every chunk) of the
+// named columns, after their dictionaries when dicts is set, and stores
+// their views in views. Cold chunks decode on workers goroutines, which
+// the caller holds from the gate. A name only a materialization's source
+// mentions may be unknown; it gets no view, and evaluation reports it.
+func (e *Engine) pinColumns(ps *colstore.PinSet, dicts bool, names []string, active []bool, workers int, views map[string]*colstore.Column) error {
+	known := slices.DeleteFunc(slices.Clone(names), func(name string) bool { return !e.store.HasColumn(name) })
+	if dicts {
+		for _, name := range known {
 			if _, err := ps.ColumnDict(name); err != nil {
 				return err
 			}
 		}
 	}
-	known := slices.DeleteFunc(slices.Clone(cols), func(name string) bool { return !e.store.HasColumn(name) })
 	pinned, err := ps.PinChunks(known, active, workers)
 	if err != nil {
 		return err
@@ -787,7 +779,7 @@ func (e *Engine) pinColumns(ps *colstore.PinSet, dicts, cols []string, active []
 func (e *Engine) pinFull(ps *colstore.PinSet, names []string, views map[string]*colstore.Column) error {
 	workers := e.gate.AcquireUpTo(e.parallelism())
 	defer e.gate.Release(workers)
-	return e.pinColumns(ps, names, names, nil, workers, views)
+	return e.pinColumns(ps, true, names, nil, workers, views)
 }
 
 // aggregates reports whether the scan groups by or aggregates the named

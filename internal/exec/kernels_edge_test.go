@@ -173,11 +173,12 @@ func TestKernelEmptyStore(t *testing.T) {
 }
 
 // TestKernelMaskErrorParity: the mask evaluation stops folding a subtree
-// once a leaf has decided it, but a row predicate among the skipped
-// children may fail, and the query must report that failure — here the
-// chunk dictionary decides the AND ("none", by n = 99) and the OR ("all",
-// by p) before the failing comparison is reached. The error is the failing
-// comparison's own, with skipping on and off.
+// once a leaf has decided it — here the chunk dictionary decides the AND
+// ("none", by n = 99) and the OR ("all", by p) before the failing
+// comparison is reached — but the failing comparison is a predicate field,
+// evaluated at every row when the query compiles, so the query reports
+// its failure. The error is the failing comparison's own, with skipping on
+// and off.
 func TestKernelMaskErrorParity(t *testing.T) {
 	const want = "expr: cannot compare string with int64"
 	store := edgeStore(t)

@@ -120,14 +120,10 @@ func diffScanVsReference(t *testing.T, seed int64, rows int, shape uint16) {
 
 // requireMatchesReference runs q on an engine over store with opts and on
 // referencePartial, and demands the same partial, group by group, and the
-// same finished rows, bit for bit. Errors: with skipping off the engine
-// evaluates every row predicate at every row, so it must raise the
-// reference's error or, with the reference, none. With skipping on, chunk
-// classification may skip the chunks that hold the failing rows: an engine
-// error must still be one the reference raises, but an answer is compared
-// with the reference's, whose failing comparisons read as false — the
-// rows of a skipped chunk are out whichever way they read. It returns the
-// engine's result, nil if the query failed.
+// same finished rows, bit for bit. Errors: the engine evaluates a predicate
+// field at every row, skipping or not, so it must raise the reference's
+// error or, with the reference, none. It returns the engine's result, nil
+// if the query failed.
 func requireMatchesReference(t *testing.T, store *colstore.Store, opts Options, q string) *Result {
 	t.Helper()
 	stmt, err := sql.Parse(q)
@@ -142,7 +138,7 @@ func requireMatchesReference(t *testing.T, store *colstore.Store, opts Options, 
 		t.Fatalf("error divergence for %q:\n  engine:    %v\n  reference: %v", q, err, werr)
 	case err != nil:
 		return nil
-	case werr != nil && opts.DisableSkipping:
+	case werr != nil:
 		t.Fatalf("error divergence for %q:\n  engine:    none\n  reference: %v", q, werr)
 	}
 	part, err := enginePartial(e, stmt)
@@ -394,7 +390,8 @@ func randomKernelQuery(rng *rand.Rand, strCard, intCard, lastPart int) string {
 		func() string { return fmt.Sprintf("p != %s", partLit()) },
 		func() string { return fmt.Sprintf("p >= %s", partLit()) },
 		func() string { return fmt.Sprintf("p IN (%s, %s)", partLit(), partLit()) },
-		// A row predicate: evaluated per row, and now and then one that fails.
+		// A predicate field: evaluated at every row, and now and then one
+		// that fails.
 		func() string {
 			if rng.Intn(8) == 0 {
 				return "s < n"

@@ -90,13 +90,12 @@ func (e *Engine) publish(s *selection) {
 // and, for a partially active chunk, its rows, in sc. A memoized
 // restriction is read from its published selection, or computed and
 // recorded into the one the query will publish.
-func (e *Engine) selectChunk(p *plan, ci int, sc *maskScratch, qs *QueryStats) (triState, *enc.Bitmap, error) {
+func (e *Engine) selectChunk(p *plan, ci int, sc *maskScratch, qs *QueryStats) (triState, *enc.Bitmap) {
 	if p.sel != nil && p.sel.ready {
-		state, mask := p.sel.chunk(ci, e.store.ChunkRows(ci), sc)
-		return state, mask, nil
+		return p.sel.chunk(ci, e.store.ChunkRows(ci), sc)
 	}
 	if p.where == nil {
-		return activeAll, nil, nil
+		return activeAll, nil
 	}
 	state := activeSome
 	if !e.opts.DisableSkipping {
@@ -104,14 +103,11 @@ func (e *Engine) selectChunk(p *plan, ci int, sc *maskScratch, qs *QueryStats) (
 	}
 	var mask *enc.Bitmap
 	if state == activeSome {
-		var err error
-		if mask, err = p.where.mask(e, p, ci, sc); err != nil {
-			return 0, nil, err
-		}
+		mask = p.where.mask(e, ci, sc)
 		qs.MasksBuilt++
 	}
 	if p.sel != nil {
 		p.sel.record(ci, state, mask)
 	}
-	return state, mask, nil
+	return state, mask
 }

@@ -27,8 +27,9 @@ var memoGroupBys = []string{
 }
 
 // memoWheres draws n restrictions from the table's own values: IN, NOT
-// IN, =, != and ranges under AND, OR and NOT, a date(timestamp) leaf,
-// literals no row holds, and literals of the other numeric kind.
+// IN, =, != and ranges under AND, OR and NOT, a date(timestamp) leaf, a
+// comparison of two expressions (a predicate field), literals no row
+// holds, and literals of the other numeric kind.
 func memoWheres(tbl *table.Table, dates []string, seed int64, n int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(vals []string) string {
@@ -48,7 +49,7 @@ func memoWheres(tbl *table.Table, dates []string, seed int64, n int) []string {
 	latencies := tbl.Column("latency").Ints
 	var leaf func() string
 	leaf = func() string {
-		switch rng.Intn(11) {
+		switch rng.Intn(12) {
 		case 0:
 			return "country IN (" + list(countries) + ")"
 		case 1:
@@ -69,6 +70,8 @@ func memoWheres(tbl *table.Table, dates []string, seed int64, n int) []string {
 			return "date(timestamp) " + []string{"=", "<", ">="}[rng.Intn(3)] + " " + pick(dates)
 		case 9:
 			return fmt.Sprintf("latency IN (%d, 123456789, 7.5)", latencies[rng.Intn(len(latencies))])
+		case 10:
+			return fmt.Sprintf("latency * 2 > timestamp - timestamp + %d", latencies[rng.Intn(len(latencies))])
 		default:
 			return "NOT " + leaf()
 		}

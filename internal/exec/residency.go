@@ -25,8 +25,8 @@ import (
 
 // analyzeResidency classifies every chunk against the plan's restriction
 // using spans and blooms only, and sets the plan's active and full sets.
-// Anything the metadata cannot decide (row predicates, leaves without
-// spans) is "may match". A restriction from the memo brings its analysis
+// Anything the metadata cannot decide (leaves without spans) is "may
+// match". A restriction from the memo brings its analysis
 // along, and pins only the chunks its exact verdicts keep.
 func (e *Engine) analyzeResidency(p *plan) {
 	if s := p.sel; s != nil && s.ready {

@@ -9,6 +9,7 @@ import (
 	"powerdrill/internal/bloom"
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/enc"
+	"powerdrill/internal/expr"
 	"powerdrill/internal/sql"
 	"powerdrill/internal/value"
 )
@@ -16,13 +17,17 @@ import (
 // The restriction machinery implements Section 2.4's "special treatment"
 // of AND, OR, NOT, IN, NOT IN, = and != (plus ordinary comparisons, which
 // sorted dictionaries turn into global-id ranges): a WHERE clause compiles
-// into a tree whose leaves are per-column global-id sets or ranges. The
-// tree is evaluated up to three times per chunk: in three-valued logic
+// into a tree whose leaves are per-column global-id sets or ranges. A
+// comparison that is not column-against-literals — latency * 2 > timestamp,
+// x IN (y) — is a leaf too: it is computed once over every row into a
+// virtual field of 0s and 1s (Section 5), and the leaf selects the value 1.
+// The tree is evaluated up to three times per chunk: in three-valued logic
 // against the manifest's spans and blooms, before the chunk is loaded
 // (residency.go); by the same fold against the chunk-dictionaries alone —
 // classifying the chunk as skippable, fully active (cacheable) or partially
 // active — and only for partially active chunks row-wise, producing a
-// selection bitmap.
+// selection bitmap. No step can fail: every leaf is decided on its
+// column's dictionaries.
 
 // triState is the chunk classification lattice.
 type triState int8
@@ -53,10 +58,9 @@ type restriction struct {
 	// colRef is the query's pinned view of col. Compiling pins the
 	// dictionary only; the view's chunks fill in when the plan pins the
 	// chunks that survive pruning (a PinSet's views are stable).
-	colRef  *colstore.Column
-	gids    []uint32 // rInSet: sorted global-ids
-	lo, hi  uint32   // rRange: [lo, hi) of global-ids
-	rowExpr sql.Expr // rRowPred: arbitrary row-level fallback
+	colRef *colstore.Column
+	gids   []uint32 // rInSet: sorted global-ids
+	lo, hi uint32   // rRange: [lo, hi) of global-ids
 	// spans and blooms are col's per-chunk metadata from the manifest, what
 	// the leaf is classified on before any chunk is loaded (residency.go).
 	// nil spans: the leaf may match anywhere.
@@ -70,9 +74,8 @@ const (
 	rAnd rOp = iota
 	rOr
 	rNot
-	rInSet   // column value's global-id ∈ gids
-	rRange   // lo <= global-id < hi
-	rRowPred // evaluate expression per row (cannot skip)
+	rInSet // column value's global-id ∈ gids
+	rRange // lo <= global-id < hi
 )
 
 // compileRestriction translates a WHERE expression — the one place that
@@ -125,10 +128,28 @@ func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restrict
 	if err != nil {
 		return nil, err
 	}
+	return e.leafOn(op, col), nil
+}
+
+// leafOn is a leaf of op on col, carrying col's spans and blooms.
+func (e *Engine) leafOn(op rOp, col *colstore.Column) *restriction {
 	leaf := &restriction{op: op, col: col.Name, colRef: col}
 	leaf.spans, _ = e.store.ChunkSpans(col.Name)
 	leaf.blooms, _ = e.store.ChunkBlooms(col.Name)
-	return leaf, nil
+	return leaf
+}
+
+// compilePredicateField compiles a predicate the dictionaries cannot decide
+// as a leaf on its predicate field (materializePredicate): the rows where
+// the field holds 1.
+func (e *Engine) compilePredicateField(x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
+	col, err := e.materializePredicate(x, ps)
+	if err != nil {
+		return nil, err
+	}
+	leaf := e.leafOn(rInSet, col)
+	leaf.gids, err = eqGIDs(col, value.Int64(1))
+	return leaf, err
 }
 
 // negated wraps leaf in a NOT when neg is set.
@@ -178,10 +199,9 @@ func eqGIDs(col *colstore.Column, lit value.Value) ([]uint32, error) {
 func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet) (*restriction, error) {
 	lits := make([]value.Value, 0, len(n.List))
 	for _, item := range n.List {
-		v, ok := exprLiteral(item)
+		v, ok := expr.IsLiteral(item)
 		if !ok {
-			// Non-literal member: row-level fallback.
-			return &restriction{op: rRowPred, rowExpr: n}, nil
+			return e.compilePredicateField(n, ps)
 		}
 		lits = append(lits, v)
 	}
@@ -196,19 +216,19 @@ func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet) (*restriction, error)
 }
 
 // compileComparison maps `col OP literal` (either side) onto a set or a
-// range leaf; anything else becomes a row predicate.
+// range leaf; anything else, such as column against column, onto a
+// predicate field.
 func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet) (*restriction, error) {
 	lhs, rhs := n.L, n.R
 	op := n.Op
-	if _, isLit := exprLiteral(lhs); isLit {
+	if _, isLit := expr.IsLiteral(lhs); isLit {
 		// Normalize to column-on-the-left, flipping the operator.
 		lhs, rhs = rhs, lhs
 		op = flipOp(op)
 	}
-	lit, ok := exprLiteral(rhs)
+	lit, ok := expr.IsLiteral(rhs)
 	if !ok {
-		// Column-to-column or other complex comparison.
-		return &restriction{op: rRowPred, rowExpr: n}, nil
+		return e.compilePredicateField(n, ps)
 	}
 	if op == sql.OpEq || op == sql.OpNe {
 		leaf, err := e.compileLeaf(rInSet, lhs, ps)
@@ -373,33 +393,31 @@ func (r *restriction) classify(ci int, by evidence) triState {
 		default:
 			return activeSome
 		}
-	case rInSet, rRange:
-		if by != byChunkDict {
-			return r.classifySpan(ci, by == byBlooms)
-		}
-		ch := r.colRef.Chunks[ci]
-		if ch.Rows() == 0 {
+	}
+	if by != byChunkDict {
+		return r.classifySpan(ci, by == byBlooms)
+	}
+	ch := r.colRef.Chunks[ci]
+	if ch.Rows() == 0 {
+		return activeNone
+	}
+	if r.op == rInSet {
+		if !ch.ContainsAny(r.gids) {
 			return activeNone
 		}
-		if r.op == rInSet {
-			if !ch.ContainsAny(r.gids) {
-				return activeNone
-			}
-			if ch.AllWithin(r.gids) {
-				return activeAll
-			}
-			return activeSome
-		}
-		first, last := ch.GlobalIDs[0], ch.GlobalIDs[len(ch.GlobalIDs)-1]
-		if r.lo >= r.hi || last < r.lo || first >= r.hi {
-			return activeNone
-		}
-		if first >= r.lo && last < r.hi {
+		if ch.AllWithin(r.gids) {
 			return activeAll
 		}
 		return activeSome
 	}
-	return activeSome // a row predicate cannot be decided without its rows
+	first, last := ch.GlobalIDs[0], ch.GlobalIDs[len(ch.GlobalIDs)-1]
+	if r.lo >= r.hi || last < r.lo || first >= r.hi {
+		return activeNone
+	}
+	if first >= r.lo && last < r.hi {
+		return activeAll
+	}
+	return activeSome
 }
 
 // maskScratch is where a scan worker's restriction masks live: the verdict
@@ -422,22 +440,17 @@ func (s *maskScratch) bitmap(depth, rows int) *enc.Bitmap {
 }
 
 // mask computes the row-selection bitmap of the tree for chunk ci with
-// eval. p (the compiled plan, nil in tests) supplies pre-resolved pinned
-// column pointers to the row-predicate fallback. The bitmap belongs to sc
-// and is good until sc's next mask.
-func (r *restriction) mask(e *Engine, p *plan, ci int, sc *maskScratch) (*enc.Bitmap, error) {
-	state, err := r.eval(e, p, ci, sc, 0)
-	if err != nil {
-		return nil, err
-	}
+// eval. The bitmap belongs to sc and is good until sc's next mask.
+func (r *restriction) mask(e *Engine, ci int, sc *maskScratch) *enc.Bitmap {
+	state := r.eval(e, ci, sc, 0)
 	if state == activeSome {
-		return sc.bitmaps[0], nil
+		return sc.bitmaps[0]
 	}
 	m := sc.bitmap(0, e.store.ChunkRows(ci))
 	if state == activeAll {
 		m.SetAll()
 	}
-	return m, nil
+	return m
 }
 
 // eval is the mask evaluation. It decides every leaf on the
@@ -447,7 +460,7 @@ func (r *restriction) mask(e *Engine, p *plan, ci int, sc *maskScratch) (*enc.Bi
 // nor a bitmap, and AND, OR and NOT fold those verdicts as identities and
 // short-circuits. Only an activeSome result has rows, in sc.bitmaps[depth];
 // the evaluation may overwrite the bitmaps below depth.
-func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth int) (triState, error) {
+func (r *restriction) eval(e *Engine, ci int, sc *maskScratch, depth int) triState {
 	rows := e.store.ChunkRows(ci)
 	switch r.op {
 	case rAnd, rOr:
@@ -461,15 +474,7 @@ func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth in
 		state := identity
 		for _, c := range r.children {
 			if state == decided {
-				// The remaining children cannot change the rows; evaluate
-				// only those that could surface an error, so that whether a
-				// query fails does not depend on the order of its children.
-				if c.canError() {
-					if _, err := c.eval(e, p, ci, sc, depth+1); err != nil {
-						return 0, err
-					}
-				}
-				continue
+				break
 			}
 			if r.op == rAnd && state == activeSome && c.isLeaf() && sc.bitmaps[depth].Count()*8 <= rows {
 				// Few rows are left: look the leaf up at those rows only.
@@ -482,11 +487,7 @@ func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth in
 			if state == identity {
 				at = depth
 			}
-			cs, err := c.eval(e, p, ci, sc, at)
-			if err != nil {
-				return 0, err
-			}
-			switch {
+			switch cs := c.eval(e, ci, sc, at); {
 			case cs == identity:
 			case cs == decided || state == identity:
 				state = cs
@@ -498,31 +499,23 @@ func (r *restriction) eval(e *Engine, p *plan, ci int, sc *maskScratch, depth in
 				sc.bitmaps[depth].Or(sc.bitmaps[at])
 			}
 		}
-		return state, nil
+		return state
 	case rNot:
-		state, err := r.children[0].eval(e, p, ci, sc, depth)
-		if err != nil {
-			return 0, err
-		}
-		switch state {
+		switch r.children[0].eval(e, ci, sc, depth) {
 		case activeNone:
-			return activeAll, nil
+			return activeAll
 		case activeAll:
-			return activeNone, nil
+			return activeNone
 		}
 		sc.bitmaps[depth].Not()
-		return activeSome, nil
-	case rInSet, rRange:
-		ch := r.colRef.Chunks[ci]
-		state := r.decide(ch, sc)
-		if state == activeSome {
-			ch.Elems.SpreadMask(sc.verdict, sc.bitmap(depth, rows))
-		}
-		return state, nil
-	case rRowPred:
-		return activeSome, e.rowPredMask(r.rowExpr, p, ci, sc.bitmap(depth, rows))
+		return activeSome
 	}
-	return 0, fmt.Errorf("exec: cannot mask restriction op %d", r.op)
+	ch := r.colRef.Chunks[ci]
+	state := r.decide(ch, sc)
+	if state == activeSome {
+		ch.Elems.SpreadMask(sc.verdict, sc.bitmap(depth, rows))
+	}
+	return state
 }
 
 // isLeaf reports whether r is decided per distinct value of one column.
@@ -601,42 +594,6 @@ func (r *restriction) leafVerdicts(ch *colstore.Chunk, verdict []uint8) int {
 	return n
 }
 
-// canError reports whether evaluating the tree's mask can surface an
-// error: only the row-predicate fallback evaluates expressions per row; id
-// sets, ranges and their boolean combinations cannot fail. eval skips a
-// subtree whose rows no longer matter only when this is false, so its
-// shortcuts never hide an error: a masked chunk fails exactly when one of
-// its rows fails a row predicate, whichever way the tree's other leaves
-// decide that row.
-func (r *restriction) canError() bool {
-	if r.op == rRowPred {
-		return true
-	}
-	for _, c := range r.children {
-		if c.canError() {
-			return true
-		}
-	}
-	return false
-}
-
-// rowPredMask evaluates an arbitrary predicate per row — the slow path —
-// into the cleared bitmap m.
-func (e *Engine) rowPredMask(pred sql.Expr, p *plan, ci int, m *enc.Bitmap) error {
-	row := newStoreRow(e, p, ci)
-	for r := 0; r < m.Len(); r++ {
-		row.row = r
-		ok, err := evalPredRow(pred, row)
-		if err != nil {
-			return err
-		}
-		if ok {
-			m.Set(r)
-		}
-	}
-	return nil
-}
-
 // columnsOf reports the column names a restriction tree touches.
 func (r *restriction) columnsOf(out func(name string)) {
 	for _, c := range r.children {
@@ -644,10 +601,5 @@ func (r *restriction) columnsOf(out func(name string)) {
 	}
 	if r.col != "" {
 		out(r.col)
-	}
-	if r.rowExpr != nil {
-		for _, c := range exprColumns(r.rowExpr) {
-			out(c)
-		}
 	}
 }

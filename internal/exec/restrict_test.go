@@ -55,10 +55,7 @@ func TestClassifyConsistentWithMask(t *testing.T) {
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
 			state := r.classify(ci, byChunkDict)
-			mask, err := r.mask(e, nil, ci, &sc)
-			if err != nil {
-				t.Fatalf("mask %q chunk %d: %v", p, ci, err)
-			}
+			mask := r.mask(e, ci, &sc)
 			switch state {
 			case activeNone:
 				if !mask.None() {
@@ -119,10 +116,7 @@ func TestClassifyRandomTrees(t *testing.T) {
 		}
 		for ci := 0; ci < e.store.NumChunks(); ci++ {
 			state := rt.classify(ci, byChunkDict)
-			mask, err := rt.mask(e, nil, ci, &sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mask := rt.mask(e, ci, &sc)
 			if state == activeNone && !mask.None() {
 				t.Fatalf("%q chunk %d: none but %d match", p, ci, mask.Count())
 			}
@@ -202,8 +196,7 @@ func TestRestrictionErrorPaths(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Errorf("latency = 1.5 matched %v", res.Rows)
 	}
-	// Row-predicate fallback: column-to-column comparison works, just
-	// cannot skip.
+	// A column-to-column comparison is a predicate field.
 	res2, err := e.Query(`SELECT COUNT(*) FROM data WHERE latency = latency;`)
 	if err != nil {
 		t.Fatalf("column-to-column: %v", err)
@@ -211,7 +204,7 @@ func TestRestrictionErrorPaths(t *testing.T) {
 	if res2.Rows[0][0].Int() != 200 {
 		t.Errorf("latency = latency matched %v rows", res2.Rows[0][0])
 	}
-	// Non-literal IN member falls back to row evaluation.
+	// So is an IN list with a non-literal member.
 	res3, err := e.Query(`SELECT COUNT(*) FROM data WHERE latency IN (latency);`)
 	if err != nil {
 		t.Fatalf("non-literal IN: %v", err)

@@ -99,9 +99,7 @@ func TestMaskedScanAllocations(t *testing.T) {
 		pass := func() {
 			var qs QueryStats
 			for ci := 0; ci < chunks; ci++ {
-				if err := e.scanChunk(p, ci, 2, &qs, w); err != nil {
-					t.Fatal(err)
-				}
+				e.scanChunk(p, ci, 2, &qs, w)
 			}
 			if qs.ChunksScanned != int64(chunks) || qs.KernelChunks != int64(chunks) {
 				t.Fatalf("%q: scanned %d, kernels on %d of %d chunks", where, qs.ChunksScanned, qs.KernelChunks, chunks)

@@ -232,25 +232,22 @@ func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 		for _, ci := range round {
 			mask[ci] = true
 		}
-		// The restriction reads values at row predicates; the first key,
-		// global-ids.
+		// The restriction and the first key read global-ids alone.
 		cols := s.whereCols
 		if s.ordered {
 			cols = append(slices.Clip(cols), s.keyCol)
 		}
-		if err := e.pinColumns(s.ps, s.whereCols, cols, mask, workers, p.cols); err != nil {
+		if err := e.pinColumns(s.ps, false, cols, mask, workers, p.cols); err != nil {
 			return err
 		}
 		if s.ordered {
 			s.keyView = p.cols[s.keyCol]
 		}
 		clear(wqs)
-		err := forEachChunk(len(round), workers, nil, func(w, i int) error {
-			return s.scanChunk(round[i], ws[w], &wqs[w])
+		forEachChunk(len(round), workers, nil, func(w, i int) error {
+			s.scanChunk(round[i], ws[w], &wqs[w])
+			return nil
 		})
-		if err != nil {
-			return err
-		}
 		for w := range wqs {
 			qs.Add(wqs[w])
 		}
@@ -268,12 +265,12 @@ func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 }
 
 // scanChunk selects chunk ci's candidates into s.found[ci].
-func (s *rowScan) scanChunk(ci int, w *scanWorker, qs *QueryStats) error {
+func (s *rowScan) scanChunk(ci int, w *scanWorker, qs *QueryStats) {
 	e, p := s.e, s.p
 	rows := e.store.ChunkRows(ci)
-	state, mask, err := e.selectChunk(p, ci, &w.mask, qs)
-	if err != nil || state == activeNone {
-		return err
+	state, mask := e.selectChunk(p, ci, &w.mask, qs)
+	if state == activeNone {
+		return
 	}
 	qs.ChunksScanned++
 	qs.RowsScanned += int64(rows)
@@ -319,7 +316,6 @@ func (s *rowScan) scanChunk(ci int, w *scanWorker, qs *QueryStats) error {
 	if len(m) > 0 {
 		s.found[ci] = slices.Clone(m)
 	}
-	return nil
 }
 
 // keep filters m in place to the candidates whose first key ties or beats
@@ -359,7 +355,7 @@ func (s *rowScan) fetchRows(workers int) ([][]value.Value, error) {
 	}
 	names = append(names, p.groupCols...)
 	views := make(map[string]*colstore.Column, len(names))
-	if err := s.e.pinColumns(s.ps, nil, names, mask, workers, views); err != nil {
+	if err := s.e.pinColumns(s.ps, false, names, mask, workers, views); err != nil {
 		return nil, err
 	}
 	var picked []int

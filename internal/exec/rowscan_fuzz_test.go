@@ -25,7 +25,7 @@ import (
 // over it: 1–5 projected columns; 0–3 ORDER BY keys, ASC or DESC, among
 // them the constant and the unique key and now and then a key that is not
 // projected, which must be refused; LIMIT absent, 0, 1, a few, or at least
-// the row count; and a WHERE of IN, range and row-predicate leaves under
+// the row count; and a WHERE of IN, range and predicate-field leaves under
 // AND, OR and NOT. The query runs on a resident Build at Parallelism 1 and
 // 3, and on the same store saved, with or without a codec, and opened
 // lazily under a budget below one column — every load evicts, and the
@@ -225,9 +225,9 @@ func randomRowScanWhere(rng *rand.Rand, n int) string {
 	case 4:
 		leaf = fmt.Sprintf("f >= %g", float64(rng.Intn(5))/2-1)
 	case 5:
-		leaf = "i < u" // a row predicate
+		leaf = "i < u" // a predicate field
 	default:
-		leaf = "s != k" // a row predicate
+		leaf = "s != k" // a predicate field
 	}
 	if rng.Intn(5) == 0 {
 		return "NOT " + leaf

@@ -8,6 +8,7 @@ import (
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/value"
 )
 
@@ -116,6 +117,97 @@ func TestVirtualSpanPruningAcrossReopen(t *testing.T) {
 	}
 	if got.Stats.ActiveChunks == got.Stats.ChunksTotal {
 		t.Fatalf("residency analysis treated the virtual restriction as all-active: %+v", got.Stats)
+	}
+}
+
+// TestPredicateFieldMaterializedOnce: a predicate the dictionaries cannot
+// decide — here a comparison of two expressions — is a virtual field,
+// computed once. Two goroutines that touch it first at the same time add
+// one column between them (a resident store refuses a second column of one
+// name); a repeat builds no mask and adds no column; and a lazy store
+// reopened from its directory knows the field from its sidecar and answers
+// without loading the predicate's sources to evaluate it again.
+func TestPredicateFieldMaterializedOnce(t *testing.T) {
+	dir := savedReorderedStore(t, 4000, "zippy")
+	resident, _, err := colstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(resident, Options{Parallelism: 2})
+	top, err := e.Query(`SELECT MAX(latency) FROM data;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := fmt.Sprintf("latency * 2 > timestamp - timestamp + %d", top.Rows[0][0].Int())
+	q := `SELECT country, COUNT(*) AS c FROM data WHERE ` + pred + ` GROUP BY country ORDER BY c DESC, country ASC;`
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field, before := operandName(stmt.Where), len(resident.Columns())
+
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		first [2]*Result
+		errs  [2]error
+	)
+	for g := range first {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			first[g], errs[g] = e.Query(q)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameResult(t, q, first[0], first[1])
+	if first[0].Stats.MasksBuilt+first[1].Stats.MasksBuilt == 0 {
+		t.Fatalf("the first queries built no mask: the predicate decides no chunk partially")
+	}
+	if cols := resident.Columns(); len(cols) != before+1 || !resident.HasColumn(field) {
+		t.Fatalf("two first touches left columns %q, want one more than %d: %q", cols, before, field)
+	}
+	requireMatchesReference(t, resident, Options{}, q)
+
+	repeat, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, q, first[0], repeat)
+	if repeat.Stats.MasksBuilt != 0 || len(resident.Columns()) != before+1 {
+		t.Fatalf("repeat: %d masks built and %d columns, want 0 and %d", repeat.Stats.MasksBuilt, len(resident.Columns()), before+1)
+	}
+
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(lazy, Options{Parallelism: 2}).Query(q); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reopened.HasColumn(field) {
+		t.Fatalf("reopened store does not know the persisted predicate field %q", field)
+	}
+	got, err := New(reopened, Options{Parallelism: 2}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, q, first[0], got)
+	// The predicate field and country; evaluating again would load latency
+	// and timestamp too.
+	if got.Stats.ColdLoads != 2 {
+		t.Fatalf("after reopen the query loaded %d columns, want 2", got.Stats.ColdLoads)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package expr evaluates the scalar expressions of the SQL subset: column
 // references, literals, arithmetic, comparisons and the scalar functions
 // (date, year, month, hour, lower, upper, length). The executor uses it in
-// two places: to materialize virtual fields (paper, Section 5 "Complex
+// one place: to materialize virtual fields (paper, Section 5 "Complex
 // Expressions" — every non-trivial expression is computed once and stored
-// in the datastore's own format) and as the row-level fallback for
-// predicates that cannot be mapped to dictionary restrictions.
+// in the datastore's own format), among them the fields of 0s and 1s that
+// stand for predicates that cannot be mapped to dictionary restrictions.
 package expr
 
 import (

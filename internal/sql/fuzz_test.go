@@ -124,11 +124,29 @@ func TestLiteralsPrintReadably(t *testing.T) {
 	}
 }
 
+// TestParseLengthBound: source of exactly maxSourceBytes parses, and one
+// byte more is refused with a LengthError before it is lexed — the byte
+// over opens a string that never closes.
+func TestParseLengthBound(t *testing.T) {
+	const stmt = "SELECT a FROM t WHERE a = 1"
+	at := stmt + strings.Repeat(" ", maxSourceBytes-len(stmt))
+	if _, err := Parse(at); err != nil {
+		t.Fatalf("%d bytes: %v", len(at), err)
+	}
+	_, err := Parse(at + `"`)
+	var le *LengthError
+	if !errors.As(err, &le) || le.Len != maxSourceBytes+1 {
+		t.Fatalf("%d bytes: got %v, want a LengthError", maxSourceBytes+1, err)
+	}
+}
+
 // TestParseDepthBound: a statement nested past the bound is refused with a
 // DepthError — by parentheses, NOTs, calls or a chain of ANDs alike — and
-// the test process lives on; one level less parses.
+// the test process lives on; one level less parses. huge levels, a hundred
+// times the bound, keep each statement within maxSourceBytes, past which
+// Parse refuses the text before lexing it (TestParseLengthBound).
 func TestParseDepthBound(t *testing.T) {
-	const huge = 1_000_000
+	const huge = 100_000
 	for name, src := range map[string]string{
 		"parentheses": "SELECT a FROM t WHERE " + strings.Repeat("(", huge) + "a = 1" + strings.Repeat(")", huge),
 		"NOTs":        "SELECT a FROM t WHERE " + strings.Repeat("NOT ", huge) + "a = 1",

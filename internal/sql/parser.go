@@ -8,6 +8,9 @@ import (
 
 // Parse parses a single SELECT statement.
 func Parse(src string) (*SelectStmt, error) {
+	if err := CheckLength(src); err != nil {
+		return nil, err
+	}
 	p := &parser{lex: &lexer{src: src}}
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -25,6 +28,30 @@ func Parse(src string) (*SelectStmt, error) {
 		return nil, fmt.Errorf("sql: trailing input at %d: %q", p.tok.pos, p.tok.text)
 	}
 	return stmt, nil
+}
+
+// maxSourceBytes bounds the text of one statement, which every node of a
+// serving tree receives whole, and whose predicates name the virtual fields
+// a store persists.
+const maxSourceBytes = 1 << 20
+
+// LengthError is the error Parse returns for source over 1 MiB.
+type LengthError struct {
+	Len int // the source's length in bytes
+}
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("sql: statement of %d bytes exceeds the %d-byte limit", e.Len, maxSourceBytes)
+}
+
+// CheckLength returns the *LengthError Parse would refuse src with, or nil:
+// the check a node that forwards statement text unparsed makes before it
+// fans the text out.
+func CheckLength(src string) error {
+	if len(src) > maxSourceBytes {
+		return &LengthError{Len: len(src)}
+	}
+	return nil
 }
 
 // maxDepth bounds how deeply a statement's expressions nest: the height of
