@@ -198,7 +198,10 @@ func BenchmarkTrieDict(b *testing.B) {
 		b.Fatal(err)
 	}
 	arr := store.Column("table_name").Dict.(*dict.StringArray)
-	vals := arr.Strings()
+	vals := make([]string, arr.Len())
+	for i := range vals {
+		vals[i] = arr.StringAt(uint32(i))
+	}
 	var trie *dict.Trie
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

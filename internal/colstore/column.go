@@ -190,22 +190,19 @@ func appendUint32s(dst []byte, ids []uint32) []byte {
 func serializeDict(d dict.Dict) []byte {
 	var out []byte
 	switch dd := d.(type) {
-	case *dict.StringArray:
-		for _, s := range dd.Strings() {
-			out = appendUvarint(out, uint64(len(s)))
-			out = append(out, s...)
-		}
 	case *dict.Trie:
 		// The trie is already a compact byte array; compress that.
 		out = append(out, dd.Buf()...)
+	case dict.StringDict:
+		for i := 0; i < d.Len(); i++ {
+			s := dd.StringAt(uint32(i))
+			out = appendUvarint(out, uint64(len(s)))
+			out = append(out, s...)
+		}
 	default:
 		for i := 0; i < d.Len(); i++ {
 			v := d.Value(uint32(i))
 			switch v.Kind() {
-			case value.KindString:
-				s := v.Str()
-				out = appendUvarint(out, uint64(len(s)))
-				out = append(out, s...)
 			case value.KindInt64:
 				out = appendLE64(out, uint64(v.Int()))
 			case value.KindFloat64:

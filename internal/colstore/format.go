@@ -263,7 +263,7 @@ func dictShardFrames(col *Column) []manifestDictShard {
 		}
 		start := off
 		for k := 0; k < fr.Count; k++ {
-			s := col.Dict.Value(idx).Str()
+			s := sd.StringAt(idx)
 			off += int64(uvarintLen(uint64(len(s)))) + int64(len(s))
 			idx++
 		}
@@ -388,8 +388,9 @@ func appendDict(out []byte, d dict.Dict, kind value.Kind) []byte {
 	n := d.Len()
 	out = appendUvarint(out, uint64(n))
 	if kind == value.KindString {
+		sd := d.(dict.StringDict)
 		for i := 0; i < n; i++ {
-			s := d.Value(uint32(i)).Str()
+			s := sd.StringAt(uint32(i))
 			out = appendUvarint(out, uint64(len(s)))
 			out = append(out, s...)
 		}
@@ -567,25 +568,33 @@ func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd Str
 	return col, nil
 }
 
-// decodeDict parses the dictionary header encodeColumn writes: walkDict
-// reads and checks every value, and the dictionary is built on what it
-// returns.
+// decodeDict parses the dictionary header encodeColumn writes. A string
+// dictionary is decoded into one block (decodeStringArray), which a trie
+// or a sharded dictionary is then built from; for numbers walkDict reads
+// and checks every value, and the dictionary is built on what it returns.
 func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
-	strs, ints, floats, err := walkDict(r, kind, nil)
+	if kind == value.KindString {
+		arr, err := decodeStringArray(r)
+		if err != nil {
+			return nil, err
+		}
+		if sd != StringDictTrie && sd != StringDictSharded {
+			return arr, nil
+		}
+		strs := make([]string, arr.Len())
+		for i := range strs {
+			strs[i] = arr.StringAt(uint32(i))
+		}
+		if sd == StringDictTrie {
+			return dict.TrieOf(strs)
+		}
+		return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
+	}
+	_, ints, floats, err := walkDict(r, kind, nil)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case value.KindString:
-		switch sd {
-		case StringDictTrie:
-			return dict.TrieOf(strs)
-		case StringDictSharded:
-			return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
-		default:
-			return dict.StringArrayOf(strs)
-		}
-	case value.KindInt64:
+	if kind == value.KindInt64 {
 		return dict.Int64sOf(ints)
 	}
 	return dict.Float64sOf(floats)

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -210,16 +211,19 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, raw []byte, gids []
 }
 
 // dictSizeOf estimates the resident bytes of the dictionary a head record
-// decodes to, from its count and its length alone: exact for numbers, at
-// least the string array's footprint for strings.
+// decodes to, from its count and its length alone: exact for numbers, and
+// for strings the footprint of a string array whose block holds every byte
+// the record has left after one length byte per value — exact when every
+// value is shorter than 128 bytes and nothing follows the dictionary, more
+// otherwise. A trie or a sharded dictionary is estimated as the array.
 func dictSizeOf(kind value.Kind, raw []byte) int64 {
 	br := &byteReader{buf: raw}
 	n, err := br.uvarint()
-	if err != nil || n > uint64(len(raw)) {
+	if err != nil || n > uint64(len(raw)-br.off) {
 		return int64(len(raw))
 	}
 	if kind == value.KindString {
-		return int64(n)*(16+8) + int64(len(raw))
+		return dict.StringArrayBytes(len(raw)-br.off-int(n), int(n))
 	}
 	return int64(n) * 8
 }
@@ -479,40 +483,94 @@ func walkDict(r *byteReader, kind value.Kind, want []uint32) (strs []string, int
 }
 
 // walkStrings reads a string dictionary payload of n length-prefixed
-// values for walkDict.
+// values for walkDict, keeping the values at the ids in want (every value
+// when want is nil) as strings of their own. It refuses what
+// decodeStringArray refuses: values must ascend strictly.
 func walkStrings(r *byteReader, n uint64, want []uint32) ([]string, error) {
 	if n > uint64(len(r.buf)-r.off) {
 		return nil, errTruncated
 	}
 	var out []string
 	if want == nil {
-		out = make([]string, n)
+		out = make([]string, 0, n)
 	} else {
 		out = make([]string, 0, len(want))
 	}
 	next := 0
 	var prev []byte
-	for i := 0; i < int(n); i++ {
-		l, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(l))
-		if err != nil {
-			return nil, err
-		}
+	err := eachString(r, n, func(i int, b []byte) error {
 		if i > 0 && string(prev) >= string(b) {
-			return nil, fmt.Errorf("colstore: string dictionary does not ascend strictly at %d", i)
+			return fmt.Errorf("colstore: string dictionary does not ascend strictly at %d", i)
 		}
 		prev = b
 		if want == nil {
-			out[i] = string(b)
+			out = append(out, string(b))
 		} else if next < len(want) && want[next] == uint32(i) {
 			out = append(out, string(b))
 			next++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, checkWant(want, next)
+}
+
+// eachString reads the n length-prefixed values of a string dictionary
+// payload, refusing a value that runs past the record, and hands each to
+// keep in id order until keep refuses one. b lies in the record.
+func eachString(r *byteReader, n uint64, keep func(i int, b []byte) error) error {
+	for i := 0; i < int(n); i++ {
+		l, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		b, err := r.take(int(l))
+		if err != nil {
+			return err
+		}
+		if err := keep(i, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeStringArray reads a string dictionary record — the count, then
+// the values — into one dictionary block in one pass: two allocations,
+// the block and its offsets, however many values the record holds. The
+// count is bounded by the bytes left, a value must not run past the
+// record, and dict.StringArrayOf refuses values that do not ascend
+// strictly. The block is sized by the bytes the record has left after one
+// length byte per value, the most its values can take; a record followed
+// by more than a few bytes of other data (a whole column file) has the
+// block trimmed to what it holds.
+func decodeStringArray(r *byteReader) (*dict.StringArray, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	left := uint64(len(r.buf) - r.off)
+	if n > left {
+		return nil, errTruncated
+	}
+	var data strings.Builder
+	data.Grow(int(left - n))
+	off := make([]uint32, 1, n+1)
+	err = eachString(r, n, func(_ int, b []byte) error {
+		data.Write(b)
+		off = append(off, uint32(data.Len()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	block := data.String()
+	if data.Cap()-data.Len() > data.Len()/8+64 {
+		block = strings.Clone(block)
+	}
+	return dict.StringArrayOf(block, off)
 }
 
 // checkWant refuses a walk that kept fewer values than want names: an id

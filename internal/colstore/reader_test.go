@@ -112,10 +112,13 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 		col := built.Column(name)
 		gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2), 0}
 		size := col.Dict.MemoryBytes()
+		// A budget of exactly what the other columns hold is full, with no
+		// room for the dictionary, once they are all resident.
+		fill := othersResident(t, dir, built.Columns(), name)
 		for _, c := range []struct {
 			budget int64
 			full   bool // fill the manager first, so the dictionary does not fit
-		}{{0, false}, {2*size + 8192, false}, {2*size + 8192, true}} {
+		}{{0, false}, {2*size + 8192, false}, {fill, true}} {
 			mgr := memmgr.New(c.budget, "")
 			lazy, _, err := OpenLazy(dir, mgr)
 			if err != nil {
@@ -166,4 +169,25 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 			ps.Release()
 		}
 	}
+}
+
+// othersResident returns the bytes a manager without a budget holds once
+// every column of the store at dir but skip has been pinned and released.
+func othersResident(t *testing.T, dir string, columns []string, skip string) int64 {
+	mgr := memmgr.New(0, "")
+	lazy, _, err := OpenLazy(dir, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range columns {
+		if other == skip {
+			continue
+		}
+		ps := lazy.NewPinSet()
+		if _, err := ps.Column(other); err != nil {
+			t.Fatal(err)
+		}
+		ps.Release()
+	}
+	return mgr.Stats().ResidentBytes
 }

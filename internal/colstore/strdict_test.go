@@ -1,0 +1,185 @@
+package colstore
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"powerdrill/internal/dict"
+	"powerdrill/internal/value"
+)
+
+// walkStringsReference is the string dictionary decode before dictionaries
+// became one block, kept as the reference: a string of its own per value,
+// and the same refusals — a count past the bytes left, a value past the
+// record, values that do not ascend strictly.
+func walkStringsReference(r *byteReader) ([]string, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(r.buf)-r.off) {
+		return nil, errTruncated
+	}
+	out := make([]string, n)
+	var prev []byte
+	for i := 0; i < int(n); i++ {
+		l, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		b, err := r.take(int(l))
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && string(prev) >= string(b) {
+			return nil, fmt.Errorf("colstore: string dictionary does not ascend strictly at %d", i)
+		}
+		prev = b
+		out[i] = string(b)
+	}
+	return out, nil
+}
+
+// stringSetOf splits data at zero bytes into the sorted set of its pieces.
+func stringSetOf(data []byte) []string {
+	var vals []string
+	for _, b := range bytes.Split(data, []byte{0}) {
+		vals = append(vals, string(b))
+	}
+	slices.Sort(vals)
+	return slices.Compact(vals)
+}
+
+// FuzzStringDict: arbitrary bytes read as a string dictionary record decode
+// through the one-block path to exactly what the per-value reference walk
+// gives — the same values in the same order, read to the same byte, or a
+// refusal from both — never a panic, and never an allocation the input's
+// length cannot back. A sorted set built from the input round-trips through
+// serializeDict and the block decode.
+func FuzzStringDict(f *testing.F) {
+	for _, vals := range [][]string{
+		nil,
+		{""},
+		{"", "a", "ab", "b"},
+		{"de", "fr", "us"},
+		{strings.Repeat("x", 127), strings.Repeat("x", 128), strings.Repeat("y", 300)},
+	} {
+		rec := appendDict(nil, dict.NewStringArray(vals), value.KindString)
+		f.Add(rec)
+		f.Add(append(rec, 7))   // a chunk count after the dictionary
+		f.Add(rec[:len(rec)/2]) // truncated
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 'b', 1, 'a'})  // descending
+	f.Add([]byte{2, 1, 'a', 1, 'a'})  // a repeat
+	f.Add([]byte{200, 1, 1, 'a'})     // a count past the bytes left
+	f.Add([]byte{1, 0x80, 0x01, 'a'}) // a length past the record
+	f.Add([]byte{1, 0x81, 0x00, 'a'}) // an overlong length
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := &byteReader{buf: data}
+		arr, err := decodeStringArray(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(data))+1<<16 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		ref := &byteReader{buf: data}
+		want, werr := walkStringsReference(ref)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("record %x: block decode error %v, reference %v", data, err, werr)
+		}
+		if err == nil {
+			if arr.Len() != len(want) || r.off != ref.off {
+				t.Fatalf("record %x: %d values to byte %d, reference %d to byte %d", data, arr.Len(), r.off, len(want), ref.off)
+			}
+			for i, s := range want {
+				if got := arr.StringAt(uint32(i)); got != s {
+					t.Fatalf("record %x: value %d is %q, reference %q", data, i, got, s)
+				}
+			}
+		}
+
+		set := stringSetOf(data)
+		rec := appendUvarint(nil, uint64(len(set)))
+		rec = append(rec, serializeDict(dict.NewStringArray(set))...)
+		r = &byteReader{buf: rec}
+		got, err := decodeStringArray(r)
+		if err != nil || r.off != len(rec) || got.Len() != len(set) {
+			t.Fatalf("%d values decode to %v (%d of %d bytes read)", len(set), err, r.off, len(rec))
+		}
+		for i, s := range set {
+			if got.StringAt(uint32(i)) != s {
+				t.Fatalf("value %d is %q, want %q", i, got.StringAt(uint32(i)), s)
+			}
+		}
+		if again := serializeDict(got); !bytes.Equal(again, rec[uvarintLen(uint64(len(set))):]) {
+			t.Fatalf("%d values re-serialize to %x, want %x", len(set), again, rec)
+		}
+	})
+}
+
+// TestDictSizeOfCoversDecoded: the admission estimate a dictionary record
+// is charged before it is decoded is never below what the decoded array
+// dictionary's MemoryBytes charges, for every value kind, and equals it
+// when every string is shorter than 128 bytes and nothing follows the
+// record. (A trie or a sharded dictionary charges its own layout, which
+// the estimate does not model.)
+func TestDictSizeOfCoversDecoded(t *testing.T) {
+	short := []string{"", "de", "fr", "logs.queries_20110302", "us"}
+	long := append(slices.Clone(short), strings.Repeat("z", 200))
+	cases := []struct {
+		kind value.Kind
+		d    dict.Dict
+	}{
+		{value.KindString, dict.NewStringArray(short)},
+		{value.KindString, dict.NewStringArray(long)},
+		{value.KindString, dict.NewStringArray(nil)},
+		{value.KindInt64, dict.NewInt64s([]int64{-7, 0, 3, 1 << 40})},
+		{value.KindFloat64, dict.NewFloat64s([]float64{-1.5, 0, 2.25})},
+	}
+	for _, c := range cases {
+		rec := appendDict(nil, c.d, c.kind)
+		for _, tail := range []int{0, 1, 3} {
+			raw := append(slices.Clone(rec), make([]byte, tail)...)
+			d, err := decodeDict(&byteReader{buf: raw}, c.kind, StringDictArray)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, held := dictSizeOf(c.kind, raw), d.MemoryBytes()
+			exact := c.kind != value.KindString || tail == 0 && c.d.Len() < len(long)
+			if est < held || exact && est != held {
+				t.Errorf("%v, %d values, %d bytes after the record: dictSizeOf %d, MemoryBytes %d",
+					c.kind, d.Len(), tail, est, held)
+			}
+		}
+	}
+
+	// The head records of a saved store, chunk count and all.
+	built, dir := buildSavedStore(t, 3000, "zippy")
+	r, _, err := NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range built.Columns() {
+		mc, kind, err := r.dictMeta(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _, err := r.dictRecord(mc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.decodeDictRecord(mc, kind, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est, held := dictSizeOf(kind, raw), d.MemoryBytes(); est < held || est > held+8 {
+			t.Errorf("%s: dictSizeOf %d, MemoryBytes %d", name, est, held)
+		}
+	}
+}

@@ -13,11 +13,20 @@
 // All implementations answer both directions — rank → value and
 // value → rank — because query evaluation needs rank lookups for WHERE
 // clauses and value lookups only for the final (top-k) result rows.
+//
+// A string array holds its values in one block: the bytes of every value
+// end to end, and a uint32 offset per value. Two accessors read it.
+// StringAt returns a string inside the block, for code that compares,
+// hashes or copies the value while the dictionary is pinned. Value returns
+// a copy, and every value that leaves the engine goes through it: the
+// memory manager lets a caller keep a value after releasing its pins, and a
+// copy keeps no evicted block alive.
 package dict
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"powerdrill/internal/sketch"
@@ -31,7 +40,8 @@ type Dict interface {
 	Kind() value.Kind
 	// Len returns the number of distinct values.
 	Len() int
-	// Value returns the value with the given rank.
+	// Value returns the value with the given rank. A string is the
+	// caller's own: it shares no memory with the dictionary.
 	Value(id uint32) value.Value
 	// Lookup returns the rank of v and whether v is present.
 	Lookup(v value.Value) (uint32, bool)
@@ -53,10 +63,28 @@ func findGEByProbe(d Dict, v value.Value) uint32 {
 	}))
 }
 
-// StringArray is the canonical sorted-array dictionary for strings:
-// lookup by rank is an array access, rank of a value a binary search.
+// StringDict is a string dictionary's zero-copy accessor: StringAt
+// returns the value with the given rank without boxing or copying it. The
+// string may share memory with the dictionary, so it is for code that
+// compares it, hashes it or copies it while the dictionary is pinned; a
+// value that is kept goes through Value, which copies.
+type StringDict interface {
+	Dict
+	StringAt(id uint32) string
+}
+
+// StringArray is the canonical sorted-array dictionary for strings, held as
+// one block: every value end to end in data, value i at
+// data[off[i]:off[i+1]]. Lookup by rank is two offset reads, the rank of a
+// value a binary search. A dictionary is two allocations however many
+// values it holds, and the garbage collector scans no string headers in it.
+//
+// StringAt returns a string inside the block. Value returns a copy, so a
+// rendered value that outlives its query never keeps the block — and with
+// it a dictionary the memory manager has evicted — alive.
 type StringArray struct {
-	vals []string
+	data string
+	off  []uint32
 	// hashes[id] is Hash(id), computed once, on first use: COUNT(DISTINCT)
 	// offers a chunk's values by hash on every query, and hashing a string
 	// reads all of it. Dictionaries no COUNT(DISTINCT) reads never pay for
@@ -66,21 +94,51 @@ type StringArray struct {
 }
 
 // NewStringArray builds a dictionary from strictly sorted, distinct
-// strings. It panics if the input is not sorted or has duplicates, which
-// would indicate an import-pipeline bug.
-func NewStringArray(sorted []string) *StringArray { return must(StringArrayOf(sorted)) }
+// strings, copied into one block. It panics if the input is not sorted or
+// has duplicates, which would indicate an import-pipeline bug.
+func NewStringArray(sorted []string) *StringArray { return must(StringArrayOf(packStrings(sorted))) }
 
-// StringArrayOf is NewStringArray for input that is not trusted (a decoded
-// record): out-of-order input is an error, not a panic.
-func StringArrayOf(sorted []string) (*StringArray, error) {
-	if err := checkStrings(sorted); err != nil {
-		return nil, err
+// packStrings lays vals end to end in one block, with the offsets
+// StringArrayOf takes: vals[i] is data[off[i]:off[i+1]].
+func packStrings(vals []string) (data string, off []uint32) {
+	total := 0
+	for _, s := range vals {
+		total += len(s)
 	}
-	return &StringArray{vals: sorted}, nil
+	var b strings.Builder
+	b.Grow(total)
+	off = make([]uint32, len(vals)+1)
+	for i, s := range vals {
+		b.WriteString(s)
+		off[i+1] = uint32(b.Len())
+	}
+	return b.String(), off
 }
 
-// checkStrings is the one order check of every string dictionary
-// constructor: values must ascend strictly.
+// StringArrayOf is the one constructor of a StringArray, for input that is
+// not trusted (a decoded record): value i is data[off[i]:off[i+1]]. The
+// offsets must run from 0 to len(data) without going back, and the values
+// must ascend strictly; anything else is an error, not a panic. The
+// dictionary keeps data and off.
+func StringArrayOf(data string, off []uint32) (*StringArray, error) {
+	if len(off) == 0 || off[0] != 0 || int64(off[len(off)-1]) != int64(len(data)) {
+		return nil, fmt.Errorf("dict: string block offsets do not span its %d bytes", len(data))
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return nil, fmt.Errorf("dict: string block offsets go back at %d", i)
+		}
+	}
+	d := &StringArray{data: data, off: off}
+	for i := uint32(1); int(i) < d.Len(); i++ {
+		if prev, s := d.StringAt(i-1), d.StringAt(i); prev >= s {
+			return nil, fmt.Errorf("dict: strings not strictly sorted at %d: %q >= %q", i, prev, s)
+		}
+	}
+	return d, nil
+}
+
+// checkStrings is the trie's order check: values must ascend strictly.
 func checkStrings(sorted []string) error {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1] >= sorted[i] {
@@ -99,23 +157,50 @@ func must[T any](d T, err error) T {
 	return d
 }
 
+// slice returns ranks [lo, hi) as a dictionary of their own that shares
+// d's block.
+func (d *StringArray) slice(lo, hi int) *StringArray {
+	off := make([]uint32, hi-lo+1)
+	for i := range off {
+		off[i] = d.off[lo+i] - d.off[lo]
+	}
+	return must(StringArrayOf(d.data[d.off[lo]:d.off[hi]], off))
+}
+
 // Kind implements Dict.
 func (d *StringArray) Kind() value.Kind { return value.KindString }
 
 // Len implements Dict.
-func (d *StringArray) Len() int { return len(d.vals) }
+func (d *StringArray) Len() int { return len(d.off) - 1 }
 
-// StringAt returns the string with the given rank without boxing.
-func (d *StringArray) StringAt(id uint32) string { return d.vals[id] }
+// StringAt implements StringDict: the string lies inside the block.
+func (d *StringArray) StringAt(id uint32) string { return d.data[d.off[id]:d.off[id+1]] }
 
-// Value implements Dict.
-func (d *StringArray) Value(id uint32) value.Value { return value.String(d.vals[id]) }
+// Value implements Dict with a copy of the value, which shares no memory
+// with the block.
+func (d *StringArray) Value(id uint32) value.Value {
+	return value.String(strings.Clone(d.StringAt(id)))
+}
+
+// search returns the smallest rank whose value is >= s, or Len().
+func (d *StringArray) search(s string) uint32 {
+	lo, hi := 0, d.Len()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.StringAt(uint32(mid)) < s {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return uint32(lo)
+}
 
 // LookupString returns the rank of s without boxing.
 func (d *StringArray) LookupString(s string) (uint32, bool) {
-	i := sort.SearchStrings(d.vals, s)
-	if i < len(d.vals) && d.vals[i] == s {
-		return uint32(i), true
+	i := d.search(s)
+	if int(i) < d.Len() && d.StringAt(i) == s {
+		return i, true
 	}
 	return 0, false
 }
@@ -133,36 +218,34 @@ func (d *StringArray) FindGE(v value.Value) uint32 {
 	if v.Kind() != value.KindString {
 		return findGEByProbe(d, v)
 	}
-	return uint32(sort.SearchStrings(d.vals, v.Str()))
+	return d.search(v.Str())
 }
 
 // Hash implements Dict.
 func (d *StringArray) Hash(id uint32) uint64 {
 	d.hashOnce.Do(func() {
-		d.hashes = make([]uint64, len(d.vals))
-		for i, s := range d.vals {
-			d.hashes[i] = sketch.HashString(s)
+		d.hashes = make([]uint64, d.Len())
+		for i := range d.hashes {
+			d.hashes[i] = sketch.HashString(d.StringAt(uint32(i)))
 		}
 	})
 	return d.hashes[id]
 }
 
-// MemoryBytes implements Dict. Each Go string costs a 16-byte header plus
-// its bytes, and 8 more for its hash — counted whether or not it has been
-// computed yet, so that a budget that admits the dictionary has room for
-// them; this mirrors the paper's observation that verbatim dictionaries for
-// high-cardinality fields dominate the footprint.
+// MemoryBytes implements Dict: what the dictionary holds — the block, a
+// 4-byte offset per value and one more, and 8 bytes per value for its hash,
+// counted whether or not it has been computed yet, so that a budget that
+// admits the dictionary has room for them. Verbatim dictionaries for
+// high-cardinality fields dominate the footprint (Section 3).
 func (d *StringArray) MemoryBytes() int64 {
-	total := int64(len(d.vals)) * (16 + 8)
-	for _, s := range d.vals {
-		total += int64(len(s))
-	}
-	return total
+	return StringArrayBytes(len(d.data), d.Len())
 }
 
-// Strings exposes the backing slice for building derived structures
-// (tries, shards). Callers must not modify it.
-func (d *StringArray) Strings() []string { return d.vals }
+// StringArrayBytes is the MemoryBytes of a StringArray of n values whose
+// block is dataLen bytes long.
+func StringArrayBytes(dataLen, n int) int64 {
+	return int64(dataLen) + 4*int64(n+1) + 8*int64(n)
+}
 
 // Int64s is the sorted-array dictionary for int64 values (including
 // timestamps stored as epoch microseconds).
@@ -307,7 +390,7 @@ func (d *Float64s) Hash(id uint32) uint64 {
 func (d *Float64s) MemoryBytes() int64 { return int64(len(d.vals)) * 8 }
 
 var (
-	_ Dict = (*StringArray)(nil)
-	_ Dict = (*Int64s)(nil)
-	_ Dict = (*Float64s)(nil)
+	_ StringDict = (*StringArray)(nil)
+	_ Dict       = (*Int64s)(nil)
+	_ Dict       = (*Float64s)(nil)
 )

@@ -261,7 +261,8 @@ func TestQuickArrayVsTrie(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	vals := sortedStrings(1000)
 	arr := NewStringArray(vals)
-	var want int64 = int64(len(vals)) * (16 + 8) // string header, memoized hash
+	// The block, a 4-byte offset per value and one more, a memoized hash.
+	want := int64(4 + len(vals)*(4+8))
 	for _, s := range vals {
 		want += int64(len(s))
 	}

@@ -69,9 +69,12 @@ func NewSharded(sorted []string, opts ShardedOptions) *Sharded {
 	return must(ShardedOf(sorted, opts))
 }
 
-// ShardedOf is NewSharded returning an error for out-of-order input.
+// ShardedOf is NewSharded returning an error for out-of-order input. The
+// values are copied into one block: retained shards are views of it, and
+// the default loader serves reloads from it.
 func ShardedOf(sorted []string, opts ShardedOptions) (*Sharded, error) {
-	if err := checkStrings(sorted); err != nil {
+	all, err := StringArrayOf(packStrings(sorted))
+	if err != nil {
 		return nil, err
 	}
 	if opts.ShardSize <= 0 {
@@ -80,37 +83,31 @@ func ShardedOf(sorted []string, opts ShardedOptions) (*Sharded, error) {
 	if opts.BloomFP <= 0 || opts.BloomFP >= 1 {
 		opts.BloomFP = 0.01
 	}
-	d := &Sharded{n: len(sorted)}
-	for base := 0; base < len(sorted); base += opts.ShardSize {
-		end := base + opts.ShardSize
-		if end > len(sorted) {
-			end = len(sorted)
+	d := &Sharded{n: all.Len()}
+	for base := 0; base < d.n; base += opts.ShardSize {
+		end := min(base+opts.ShardSize, d.n)
+		f := bloom.NewWithEstimates(end-base, opts.BloomFP)
+		for id := base; id < end; id++ {
+			f.AddString(all.StringAt(uint32(id)))
 		}
-		vals := sorted[base:end]
-		f := bloom.NewWithEstimates(len(vals), opts.BloomFP)
-		for _, s := range vals {
-			f.AddString(s)
-		}
-		sh := shard{base: base, count: len(vals), first: vals[0], last: vals[len(vals)-1], filter: f}
+		sh := shard{base: base, count: end - base, first: all.StringAt(uint32(base)), last: all.StringAt(uint32(end - 1)), filter: f}
 		if opts.Retain {
-			sh.resident = &StringArray{vals: append([]string(nil), vals...)} // checked above
+			sh.resident = all.slice(base, end)
 		}
 		d.shards = append(d.shards, sh)
 	}
-	// Default loader: a private copy of the input, standing in for a disk
-	// file in tests.
-	backing := append([]string(nil), sorted...)
+	// Default loader: the block, standing in for a disk file in tests.
 	size := opts.ShardSize
 	d.loader = func(i int) ([]string, error) {
 		base := i * size
-		end := base + size
-		if end > len(backing) {
-			end = len(backing)
-		}
-		if base < 0 || base >= len(backing) {
+		if base < 0 || base >= d.n {
 			return nil, fmt.Errorf("dict: shard %d out of range", i)
 		}
-		return backing[base:end], nil
+		vals := make([]string, min(base+size, d.n)-base)
+		for j := range vals {
+			vals[j] = all.StringAt(uint32(base + j))
+		}
+		return vals, nil
 	}
 	if len(opts.Hot) > 0 {
 		d.hotIDs = make(map[string]uint32, len(opts.Hot))
@@ -225,7 +222,7 @@ func (d *Sharded) load(i int) (*StringArray, error) {
 	if len(vals) != sh.count {
 		return nil, fmt.Errorf("dict: shard %d loaded %d values, want %d", i, len(vals), sh.count)
 	}
-	sa, err = StringArrayOf(append([]string(nil), vals...))
+	sa, err = StringArrayOf(packStrings(vals))
 	if err != nil {
 		return nil, fmt.Errorf("dict: shard %d: %w", i, err)
 	}
@@ -248,15 +245,17 @@ func (d *Sharded) at(id uint32) (*StringArray, uint32) {
 	return sa, id - uint32(d.shards[i].base)
 }
 
-// StringAt returns the string with the given rank, loading its shard if
-// necessary.
+// StringAt implements StringDict, loading the rank's shard if necessary.
 func (d *Sharded) StringAt(id uint32) string {
 	sa, local := d.at(id)
 	return sa.StringAt(local)
 }
 
-// Value implements Dict.
-func (d *Sharded) Value(id uint32) value.Value { return value.String(d.StringAt(id)) }
+// Value implements Dict: a copy, as the shard's own.
+func (d *Sharded) Value(id uint32) value.Value {
+	sa, local := d.at(id)
+	return sa.Value(local)
+}
 
 // lookupSlow resolves a string to its rank, loading shards as needed but
 // honouring Bloom filters.
@@ -380,4 +379,4 @@ func (d *Sharded) ResidentShards() int {
 // Shards returns the total number of sub-dictionaries.
 func (d *Sharded) Shards() int { return len(d.shards) }
 
-var _ Dict = (*Sharded)(nil)
+var _ StringDict = (*Sharded)(nil)

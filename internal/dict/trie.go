@@ -266,8 +266,9 @@ func (t *Trie) LookupString(s string) (uint32, bool) {
 	return rank, true
 }
 
-// StringAt returns the string with the given rank. It panics if id is out
-// of range, as slice indexing would.
+// StringAt implements StringDict with a string built from the trie's
+// nibbles, which shares no memory with it. It panics if id is out of
+// range, as slice indexing would.
 func (t *Trie) StringAt(id uint32) string {
 	if int(id) >= t.n {
 		panic(fmt.Sprintf("dict: trie rank %d out of range [0,%d)", id, t.n))
@@ -361,7 +362,7 @@ func RebuildTrie(buf []byte, root, n int) (*Trie, error) {
 // Root returns the root node offset (for persistence).
 func (t *Trie) Root() int { return t.root }
 
-var _ Dict = (*Trie)(nil)
+var _ StringDict = (*Trie)(nil)
 
 // ByteTrie is an ablation variant using whole bytes (fan-out 256) as node
 // labels instead of nibbles, without path compression. It answers the

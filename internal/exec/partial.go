@@ -81,24 +81,16 @@ func newValueColumn(kind value.Kind, n int) valueColumn {
 
 func (c *valueColumn) bytesAt(i int) []byte { return c.arena[c.off[i]:c.off[i+1]] }
 
-// append adds a dictionary value of the column's kind.
-func (c *valueColumn) append(v value.Value) {
-	switch c.kind {
-	case value.KindInt64:
-		c.ints = append(c.ints, v.Int())
-	case value.KindFloat64:
-		c.flts = append(c.flts, v.Float())
-	default:
-		s := v.Str()
-		if c.arena == nil {
-			// A sorted dictionary's neighbours are about as long as each other:
-			// room for as many strings as the column expects, a little longer
-			// than the first, mostly saves growing.
-			c.arena = make([]byte, 0, (len(s)+len(s)/8+1)*cap(c.off))
-		}
-		c.arena = append(c.arena, s...)
-		c.off = append(c.off, uint32(len(c.arena)))
+// appendString copies s into a string column's arena.
+func (c *valueColumn) appendString(s string) {
+	if c.arena == nil {
+		// A sorted dictionary's neighbours are about as long as each other:
+		// room for as many strings as the column expects, a little longer
+		// than the first, mostly saves growing.
+		c.arena = make([]byte, 0, (len(s)+len(s)/8+1)*cap(c.off))
 	}
+	c.arena = append(c.arena, s...)
+	c.off = append(c.off, uint32(len(c.arena)))
 }
 
 // appendFrom adds value i of src, a column of the same kind.
@@ -349,8 +341,10 @@ func (c *valueColumn) resolve() {
 		c.flts = c.flts[:len(ids)]
 		fillFloats(c.flts, d, ids)
 	default:
+		// The arena is the copy: read the dictionary in place.
+		sd := d.(dict.StringDict)
 		for _, id := range ids {
-			c.append(d.Value(id))
+			c.appendString(sd.StringAt(id))
 		}
 	}
 }
@@ -370,8 +364,9 @@ func (e *Engine) emitPartial(p *plan, groups *groupSet) (*Partial, error) {
 		for k := range out.keys {
 			out.keys[k] = valueColumn{kind: p.groupKind[k], ids: make([]uint32, n), dict: p.col(e, p.groupCols[k]).Dict}
 		}
+		keys := p.groupCol.Dict.(dict.StringDict)
 		for i, gid := range groups.gids {
-			key := p.groupCol.Dict.Value(gid).Str()
+			key := keys.StringAt(gid)
 			for k := range out.keys {
 				sub, ok := compositeSub(key, k)
 				if !ok || len(key) != 9*len(out.keys)-1 {

@@ -382,3 +382,15 @@ func (p *refPartial) String() string {
 	}
 	return b.String()
 }
+
+// append adds a value of the column's kind.
+func (c *valueColumn) append(v value.Value) {
+	switch c.kind {
+	case value.KindInt64:
+		c.ints = append(c.ints, v.Int())
+	case value.KindFloat64:
+		c.flts = append(c.flts, v.Float())
+	default:
+		c.appendString(v.Str())
+	}
+}
