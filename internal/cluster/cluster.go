@@ -37,6 +37,12 @@
 // over net/rpc for multi-process deployments (partials cross the wire in
 // the versioned exec.EncodePartial form), and faultinject.go provides the
 // fault harness the tests drive.
+//
+// Time comes from one clock (clock.go). Constructors install the real
+// one; breakers, latency estimates, hedge and retry timers, injected
+// straggles and the RPC dial backoff all read it, so in-package tests run
+// a whole tree on one manually advanced clock. Query deadlines and the
+// Stat round's timeout stay real context deadlines.
 package cluster
 
 import (
@@ -81,7 +87,7 @@ type LocalLeaf struct {
 // NewLocalLeaf creates an in-process leaf server.
 func NewLocalLeaf(name string, engine *exec.Engine) *LocalLeaf {
 	l := &LocalLeaf{name: name, engine: engine}
-	l.inj.name = name
+	l.inj.name, l.inj.clk = name, wall{}
 	return l
 }
 
@@ -121,7 +127,8 @@ func (l *LocalLeaf) NumRows(ctx context.Context) (int64, error) {
 	return int64(l.engine.Store().NumRows()), nil
 }
 
-// Options configures a cluster.
+// Options configures a cluster. The dispatch policy is not among them: it
+// is the same for every deployment (hedge.go).
 type Options struct {
 	// Shards is the number of data shards (default 8). The paper keeps
 	// 5–7 million rows per shard in production.
@@ -133,30 +140,9 @@ type Options struct {
 	Store colstore.Options
 	// Engine configures the per-shard engines.
 	Engine exec.Options
-
 	// Deadline bounds each Query's wall clock (0 = none). QueryContext
 	// callers can carry their own deadline instead; both compose.
 	Deadline time.Duration
-
-	// The dispatch policy below is fixed for every deployment; the fields
-	// exist so tests can shorten or widen it, and zero means the default.
-
-	// HedgeMultiplier scales the moving per-shard latency estimate into
-	// the straggler threshold: the replica is asked after
-	// multiplier × estimate (default 3), clamped to [hedgeMinDelay,
-	// HedgeMaxDelay] (default 1s). While a shard has no estimate yet,
-	// the replica is asked immediately (the seed's race-both).
-	HedgeMultiplier float64
-	HedgeMaxDelay   time.Duration
-	// MaxRetries is how many re-dispatches beyond the first pass over the
-	// replicas a sub-query may use (default 2; negative disables).
-	// Sub-queries are idempotent reads, so re-dispatch is always safe.
-	MaxRetries int
-	// BreakerThreshold consecutive failures trip a leaf's circuit breaker
-	// (default 3). An open breaker skips the leaf until BreakerCooldown
-	// (default 1s) has passed, then a single half-open probe decides.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -169,24 +155,6 @@ func (o Options) withDefaults() Options {
 	if o.Replicas > 2 {
 		o.Replicas = 2
 	}
-	if o.HedgeMultiplier <= 0 {
-		o.HedgeMultiplier = 3
-	}
-	if o.HedgeMaxDelay <= 0 {
-		o.HedgeMaxDelay = time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
-	}
 	if o.Engine.Gate == nil {
 		// One admission gate for every leaf engine in the process: a query
 		// fanning out to all shards (× replicas) shares one worker budget
@@ -196,11 +164,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// newLeafState wires a leaf into shard si at replica index r on server
-// srv under o's breaker policy.
-func (o Options) newLeafState(leaf Leaf, si, r int, srv string) *leafState {
-	return &leafState{leaf: leaf, shard: si, replica: r, server: srv,
-		br: newBreaker(o.BreakerThreshold, o.BreakerCooldown)}
+// newLeafState wires a leaf into shard si at replica index r on server srv.
+func newLeafState(leaf Leaf, si, r int, srv string) *leafState {
+	return &leafState{leaf: leaf, shard: si, replica: r, server: srv}
 }
 
 // Cluster is the root of the serving tree: a dispatcher over replicated

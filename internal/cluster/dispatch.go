@@ -78,6 +78,7 @@ func (s *shardState) knownRows() int64 {
 type dispatcher struct {
 	opts   Options
 	shards []*shardState
+	clk    clock
 
 	mu    sync.Mutex
 	stats Stats
@@ -91,11 +92,11 @@ type dispatcher struct {
 // replicas of child i, each its own server.
 func (d *dispatcher) setChildren(childSets [][]Leaf, opts Options) {
 	opts.Shards = len(childSets)
-	d.opts = opts.withDefaults()
+	d.opts, d.clk = opts.withDefaults(), wall{}
 	for i, replicas := range childSets {
 		s := &shardState{}
 		for r, leaf := range replicas {
-			s.replicas = append(s.replicas, d.opts.newLeafState(leaf, i, r, leaf.Name()))
+			s.replicas = append(s.replicas, newLeafState(leaf, i, r, leaf.Name()))
 		}
 		d.shards = append(d.shards, s)
 	}
@@ -275,7 +276,7 @@ func (d *dispatcher) scatter(ctx context.Context, sqlText string) ([]*exec.Parti
 //     success wins. An error brings the replica in immediately
 //     (speculative re-dispatch).
 //  3. When every allowed replica has been tried, re-dispatch with capped
-//     jittered backoff until MaxRetries or the deadline runs out.
+//     jittered backoff until maxRetries or the deadline runs out.
 func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exec.Partial, error) {
 	s := d.shards[si]
 	d.bump(&d.stats.SubQueries, 1)
@@ -283,7 +284,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 	// Dispatch order: primary first, breaker-open leaves skipped. If every
 	// breaker is open the shard fails fast — it will be probed again after
 	// the cooldown — instead of burning the deadline on known-dead leaves.
-	now := time.Now()
+	now := d.clk.now()
 	order := make([]*leafState, 0, len(s.replicas))
 	var skipped int64
 	for _, ls := range s.replicas {
@@ -309,14 +310,14 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 	// Buffered for every launch this sub-query can possibly make, so late
 	// finishers never block (they just finish in the background, like the
 	// paper's losing replica).
-	ch := make(chan answer, len(order)*(1+d.opts.MaxRetries)+2)
+	ch := make(chan answer, len(order)*(1+maxRetries)+2)
 	inflight := 0
 	launch := func(ls *leafState) {
 		inflight++
 		go func() {
-			start := time.Now()
+			start := d.clk.now()
 			part, err := ls.leaf.PartialQuery(ctx, sqlText)
-			elapsed := time.Since(start)
+			elapsed := d.clk.now().Sub(start)
 			if err == nil {
 				// Per-leaf latency is observed here, in the launch
 				// goroutine, so hedge losers that finish long after the
@@ -349,16 +350,16 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 	// A shard with no latency estimate yet asks it right away.
 	var hedgeCh <-chan time.Time
 	if next < len(order) {
-		if delay := d.opts.hedgeDelay(&s.lat); delay > 0 {
-			t := time.NewTimer(delay)
-			defer t.Stop()
-			hedgeCh = t.C
+		if delay := hedgeDelay(&s.lat); delay > 0 {
+			c, stop := d.clk.timer(delay)
+			defer stop()
+			hedgeCh = c
 		} else {
 			hedge()
 		}
 	}
 
-	retriesLeft := d.opts.MaxRetries
+	retriesLeft := maxRetries
 	retryAttempt := 0            // backoff exponent + rotation cursor
 	var retryCh <-chan time.Time // pending backoff timer
 	var firstErr error
@@ -387,7 +388,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 						inflight--
 						if b.err == nil {
 							b.ls.success()
-						} else if b.ls.failure(b.err, time.Now()) {
+						} else if b.ls.failure(b.err, d.clk.now()) {
 							d.bump(&d.stats.BreakerOpens, 1)
 						}
 					default:
@@ -396,7 +397,7 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 				}
 				return finish(a), nil
 			}
-			if a.ls.failure(a.err, time.Now()) {
+			if a.ls.failure(a.err, d.clk.now()) {
 				d.bump(&d.stats.BreakerOpens, 1)
 			}
 			if firstErr == nil {
@@ -422,9 +423,9 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			case retriesLeft > 0 && retryCh == nil:
 				retriesLeft--
 				d.bump(&d.stats.Retries, 1)
-				t := time.NewTimer(backoffDelay(retryBackoff, d.opts.HedgeMaxDelay, retryAttempt))
-				defer t.Stop()
-				retryCh = t.C
+				c, stop := d.clk.timer(backoffDelay(retryBackoff, hedgeMaxDelay, retryAttempt))
+				defer stop()
+				retryCh = c
 			case inflight == 0 && retryCh == nil:
 				return nil, firstErr
 			}

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"powerdrill/internal/exec"
 )
 
 const countQuery = `SELECT country, COUNT(*) FROM data GROUP BY country;`
@@ -89,11 +91,14 @@ func TestShardLossCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := newFakeClock(t)
+	clk.attach(c)
 	// Kill both replicas of shard 0.
 	c.Leaves()[0].SetFail(true)
 	c.Leaves()[1].SetFail(true)
 	start := time.Now()
-	res, err := c.Query(countQuery)
+	var res *exec.Result
+	clk.drive(func() { res, err = c.Query(countQuery) })
 	if err != nil {
 		t.Fatalf("query with one shard fully dead: %v", err)
 	}
@@ -128,10 +133,12 @@ func TestHedgingHidesStragglersP99(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: establish per-shard latency estimates so hedge delays are
-	// proportional to real sub-query latency.
-	if _, err := c.Query(countQuery); err != nil {
-		t.Fatal(err)
+	clk := newFakeClock(t)
+	clk.attach(c)
+	// Warm latency estimates, as a first query leaves them on the real
+	// clock: every shard arms its hedge timer at 3× its estimate.
+	for _, s := range c.shards {
+		s.lat.observe(time.Millisecond)
 	}
 	// Straggle the primaries of 3 of 10 shards at 10× a generous base.
 	const straggle = 200 * time.Millisecond
@@ -143,15 +150,29 @@ func TestHedgingHidesStragglersP99(t *testing.T) {
 	const n = 30
 	lat := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		start := time.Now()
-		res, err := c.Query(countQuery)
-		if err != nil {
+		var delay time.Duration // the straggling shards' latest hedge
+		for _, s := range c.shards[:3] {
+			delay = max(delay, hedgeDelay(&s.lat))
+		}
+		armed, start := clk.armed(), clk.now()
+		done := make(chan error, 1)
+		var res *exec.Result
+		go func() {
+			var err error
+			res, err = c.Query(countQuery)
+			done <- err
+		}()
+		// Ten hedge timers and three straggling calls: let the hedges pass.
+		clk.waitArmed(armed + 13)
+		clk.advance(delay)
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 		if res.Coverage != 1 {
 			t.Fatalf("coverage dropped to %v under stragglers", res.Coverage)
 		}
-		lat = append(lat, time.Since(start))
+		lat = append(lat, clk.now().Sub(start))
+		clk.advance(straggle) // release the straggling primaries
 	}
 	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 	p50, p99 := lat[n/2], lat[n*99/100]
@@ -169,32 +190,33 @@ func TestHedgingHidesStragglersP99(t *testing.T) {
 // after it heals and the cooldown passes.
 func TestBreakerSkipsDeadLeaf(t *testing.T) {
 	tbl := logs(1000)
-	c, err := NewLocal(tbl, Options{
-		Shards: 2, Replicas: 2, Store: storeOpts(),
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-	})
+	c, err := NewLocal(tbl, Options{Shards: 2, Replicas: 2, Store: storeOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := newFakeClock(t)
+	clk.attach(c)
+	// A latency estimate makes shard 0's dispatch tiered: the primary is
+	// asked first, and the replica only once the primary has failed, as
+	// the hedge delay never passes on a clock nothing advances. So every
+	// failure reaches the breaker before the replica's win does.
+	c.shards[0].lat.observe(time.Millisecond)
 	dead := c.Leaves()[0] // shard 0 primary
 	dead.SetFail(true)
-	// Straggle the healthy replica slightly so the primary's failure is
-	// always processed before the replica's win (deterministic breaker
-	// accounting for this test).
-	c.Leaves()[1].SetStraggle(20 * time.Millisecond)
-	// Two failures trip the breaker.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := c.Query(countQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := c.Health()[0].Breaker; got != "open" {
-		t.Fatalf("breaker = %q after %d failures, want open (health=%+v)", got, 2, c.Health()[0])
+		t.Fatalf("breaker = %q after %d failures, want open (health=%+v)", got, breakerThreshold, c.Health()[0])
 	}
 	if c.Stats().BreakerOpens == 0 {
 		t.Error("breaker trip not recorded in stats")
 	}
-	// While open (within cooldown), dispatch must skip the leaf entirely.
+	// While open, up to the last nanosecond of the cooldown, dispatch
+	// must skip the leaf entirely.
+	clk.advance(breakerCooldown - time.Nanosecond)
 	calls := dead.Inject().Calls()
 	if _, err := c.Query(countQuery); err != nil {
 		t.Fatal(err)
@@ -205,9 +227,9 @@ func TestBreakerSkipsDeadLeaf(t *testing.T) {
 	if c.Stats().BreakerSkips == 0 {
 		t.Error("breaker skip not recorded in stats")
 	}
-	// Heal the leaf, wait out the cooldown: a half-open probe closes it.
+	// Heal the leaf and let the cooldown pass: a half-open probe closes it.
 	dead.SetFail(false)
-	time.Sleep(60 * time.Millisecond)
+	clk.advance(time.Nanosecond)
 	if _, err := c.Query(countQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +249,15 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := newFakeClock(t)
+	clk.attach(c)
 	// Fail the next call on every leaf: first dispatches all fail, the
 	// re-dispatches succeed.
 	for _, leaf := range c.Leaves() {
 		leaf.Inject().FailNext(1)
 	}
-	res, err := c.Query(countQuery)
+	var res *exec.Result
+	clk.drive(func() { res, err = c.Query(countQuery) })
 	if err != nil {
 		t.Fatalf("transient faults were fatal: %v", err)
 	}
@@ -248,22 +273,25 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 // leaf) still serves full answers nearly always, via hedges and retries.
 func TestErrorRateEventuallyCovers(t *testing.T) {
 	tbl := logs(1000)
-	c, err := NewLocal(tbl, Options{
-		Shards: 4, Replicas: 2, Store: storeOpts(),
-		// Keep breakers out of the way: a flaky (not dead) leaf should
-		// keep being asked, so the threshold is one no run reaches.
-		BreakerThreshold: 1 << 30,
-	})
+	c, err := NewLocal(tbl, Options{Shards: 4, Replicas: 2, Store: storeOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := newFakeClock(t)
+	clk.attach(c)
 	for i, leaf := range c.Leaves() {
 		leaf.Inject().SetErrorRate(0.3, int64(1000+i))
 	}
 	full := 0
 	const n = 20
 	for i := 0; i < n; i++ {
-		res, err := c.Query(countQuery)
+		// A flaky leaf is not a dead one and should keep being asked: the
+		// cooldown passes between queries, so a leaf whose breaker a run
+		// of failures opened is probed again on the next one.
+		clk.advance(breakerCooldown)
+		var res *exec.Result
+		var err error
+		clk.drive(func() { res, err = c.Query(countQuery) })
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -291,24 +319,40 @@ func TestSlowStartHedged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up latency estimates first so the slow-start is a straggle
-	// relative to a real estimate.
-	if _, err := c.Query(countQuery); err != nil {
-		t.Fatal(err)
+	clk := newFakeClock(t)
+	clk.attach(c)
+	// Warm latency estimates, as a first query leaves them on the real
+	// clock, so the slow start is a straggle relative to an estimate.
+	for _, s := range c.shards {
+		s.lat.observe(time.Millisecond)
 	}
-	c.Leaves()[0].Inject().SetSlowStart(3, 300*time.Millisecond)
+	const slow = 300 * time.Millisecond
+	c.Leaves()[0].Inject().SetSlowStart(3, slow)
 	for i := 0; i < 4; i++ {
-		start := time.Now()
-		res, err := c.Query(countQuery)
-		if err != nil {
+		delay := hedgeDelay(&c.shards[0].lat)
+		armed, start := clk.armed(), clk.now()
+		done := make(chan error, 1)
+		var res *exec.Result
+		go func() {
+			var err error
+			res, err = c.Query(countQuery)
+			done <- err
+		}()
+		if i < 3 {
+			// Two hedge timers and the slow call: let shard 0's hedge pass.
+			clk.waitArmed(armed + 3)
+			clk.advance(delay)
+		}
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 		if res.Coverage != 1 {
 			t.Fatalf("coverage = %v during slow start", res.Coverage)
 		}
-		if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		if elapsed := clk.now().Sub(start); elapsed >= slow {
 			t.Errorf("query %d took %v: slow-start straggle not hedged", i, elapsed)
 		}
+		clk.advance(slow) // release the slow call
 	}
 }
 
@@ -333,25 +377,25 @@ func TestBackoffDelay(t *testing.T) {
 }
 
 // TestHedgeDelay checks the straggler-threshold policy: immediate while
-// cold, proportional and clamped once warm.
+// cold, proportional and clamped once warm. TestClockHedgeThreshold checks
+// that a hedge fires at that delay.
 func TestHedgeDelay(t *testing.T) {
-	o := Options{}.withDefaults()
 	var lat latEstimate
-	if d := o.hedgeDelay(&lat); d != 0 {
+	if d := hedgeDelay(&lat); d != 0 {
 		t.Errorf("cold shard hedge delay = %v, want 0 (immediate race)", d)
 	}
 	lat.observe(10 * time.Millisecond)
-	if d := o.hedgeDelay(&lat); d != 30*time.Millisecond {
+	if d := hedgeDelay(&lat); d != 30*time.Millisecond {
 		t.Errorf("hedge delay = %v, want 3x estimate = 30ms", d)
 	}
 	lat = latEstimate{}
 	lat.observe(10 * time.Microsecond)
-	if d := o.hedgeDelay(&lat); d != hedgeMinDelay {
+	if d := hedgeDelay(&lat); d != hedgeMinDelay {
 		t.Errorf("hedge delay = %v, want clamped to min %v", d, hedgeMinDelay)
 	}
 	lat = latEstimate{}
 	lat.observe(10 * time.Second)
-	if d := o.hedgeDelay(&lat); d != o.HedgeMaxDelay {
-		t.Errorf("hedge delay = %v, want clamped to max %v", d, o.HedgeMaxDelay)
+	if d := hedgeDelay(&lat); d != hedgeMaxDelay {
+		t.Errorf("hedge delay = %v, want clamped to max %v", d, hedgeMaxDelay)
 	}
 }

@@ -32,6 +32,7 @@ import (
 // nothing.
 type Injector struct {
 	name string
+	clk  clock
 
 	mu             sync.Mutex
 	straggle       time.Duration
@@ -114,14 +115,14 @@ func (in *Injector) admit(ctx context.Context) error {
 	if !fail && in.errorRate > 0 && in.rng.Float64() < in.errorRate {
 		fail = true
 	}
-	name := in.name
+	name, clk := in.name, in.clk
 	in.mu.Unlock()
 
 	if delay > 0 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
+		c, stop := clk.timer(delay)
+		defer stop()
 		select {
-		case <-t.C:
+		case <-c:
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -5,8 +5,8 @@ package cluster
 // timeout (or a full deadline) re-discovering that. Each leaf carries a
 // consecutive-failure circuit breaker:
 //
-//	closed ──(threshold consecutive failures)──▶ open
-//	open ──(cooldown elapses, one probe admitted)──▶ half-open
+//	closed ──(breakerThreshold consecutive failures)──▶ open
+//	open ──(breakerCooldown elapses, one probe admitted)──▶ half-open
 //	half-open ──probe succeeds──▶ closed
 //	half-open ──probe fails──▶ open (cooldown restarts)
 //
@@ -42,19 +42,12 @@ func (s breakerState) String() string {
 
 // breaker is one leaf's consecutive-failure circuit breaker.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
 	mu          sync.Mutex
 	state       breakerState
 	consecutive int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
 	opens       int64
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
 // allow reports whether a dispatch may proceed: always while closed; while
@@ -66,7 +59,7 @@ func (b *breaker) allow(now time.Time) bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -101,7 +94,7 @@ func (b *breaker) failure(now time.Time) bool {
 	case breakerHalfOpen:
 		tripped = true
 	case breakerClosed:
-		tripped = b.consecutive >= b.threshold
+		tripped = b.consecutive >= breakerThreshold
 	}
 	if tripped {
 		b.state = breakerOpen
@@ -124,7 +117,7 @@ type leafState struct {
 	shard   int
 	replica int
 	server  string // label of the server the replica lives on
-	br      *breaker
+	br      breaker
 	// lat tracks this replica's completed-attempt latency — observed for
 	// hedge losers too, so a straggler accumulates a high estimate even
 	// when it never wins a race. Health reports it.

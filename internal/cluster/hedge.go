@@ -44,31 +44,36 @@ func (l *latEstimate) value() time.Duration {
 	return time.Duration(l.ewma)
 }
 
+// The dispatch policy, the same for every deployment.
 const (
-	// hedgeMinDelay is the floor of the hedge delay.
-	hedgeMinDelay = time.Millisecond
+	// hedgeMultiplier scales a shard's moving latency estimate into its
+	// straggler threshold, clamped to [hedgeMinDelay, hedgeMaxDelay];
+	// hedgeMaxDelay also caps the retry backoff.
+	hedgeMultiplier = 3
+	hedgeMinDelay   = time.Millisecond
+	hedgeMaxDelay   = time.Second
 	// retryBackoff seeds the capped, jittered exponential backoff between
-	// re-dispatches.
+	// re-dispatches, of which a sub-query may use maxRetries beyond its
+	// first pass over the replicas. Sub-queries are idempotent reads, so
+	// re-dispatch is always safe.
 	retryBackoff = 2 * time.Millisecond
+	maxRetries   = 2
+	// breakerThreshold consecutive failures open a child's breaker; it
+	// admits one half-open probe once breakerCooldown has passed.
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
 )
 
 // hedgeDelay computes how long to wait for the primary before asking the
-// next replica: HedgeMultiplier × the shard's moving latency estimate,
-// clamped to [hedgeMinDelay, HedgeMaxDelay]. A shard with no estimate yet
+// next replica: hedgeMultiplier × the shard's moving latency estimate,
+// clamped to [hedgeMinDelay, hedgeMaxDelay]. A shard with no estimate yet
 // hedges immediately (delay 0).
-func (o Options) hedgeDelay(lat *latEstimate) time.Duration {
+func hedgeDelay(lat *latEstimate) time.Duration {
 	est := lat.value()
 	if est == 0 {
 		return 0
 	}
-	d := time.Duration(o.HedgeMultiplier * float64(est))
-	if d < hedgeMinDelay {
-		d = hedgeMinDelay
-	}
-	if d > o.HedgeMaxDelay {
-		d = o.HedgeMaxDelay
-	}
-	return d
+	return min(max(hedgeMultiplier*est, hedgeMinDelay), hedgeMaxDelay)
 }
 
 // backoffDelay is the capped exponential backoff with jitter for retry

@@ -201,13 +201,17 @@ func TestTopologyEquivalence(t *testing.T) {
 func TestMixerCoverageOnLeafDeath(t *testing.T) {
 	tbl := logs(3000)
 	leaves := buildLeaves(t, tbl, 4, storeOpts())
-	opts := Options{Replicas: 1, MaxRetries: -1, BreakerThreshold: 1 << 30}
+	opts := Options{Replicas: 1}
 	ma := NewMixer("mix-a", singles(leaves[0:2]), opts)
 	mb := NewMixer("mix-b", singles(leaves[2:4]), opts)
 	root := FromLeaves([][]Leaf{{ma}, {mb}}, opts)
+	clk := newFakeClock(t)
+	clk.attach(root)
 
 	leaves[3].SetFail(true)
-	res, err := root.Query(countQuery)
+	var res *exec.Result
+	var err error
+	clk.drive(func() { res, err = root.Query(countQuery) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +229,17 @@ func TestMixerCoverageOnLeafDeath(t *testing.T) {
 		t.Errorf("root charged %d missing shards; both mixers answered", st.ShardsMissing)
 	}
 
-	// The leaf recovers: coverage returns to 1 through the same tree.
+	// Its first attempt and maxRetries re-dispatches all failed, which
+	// opened the dead leaf's breaker in its mixer.
+	if got := mb.Health()[1].Breaker; got != "open" {
+		t.Errorf("dead leaf's breaker = %q, want open", got)
+	}
+
+	// The leaf recovers: once the cooldown has passed, the half-open probe
+	// brings coverage back to 1 through the same tree.
 	leaves[3].SetFail(false)
-	res, err = root.Query(countQuery)
+	clk.advance(breakerCooldown)
+	clk.drive(func() { res, err = root.Query(countQuery) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +255,14 @@ func TestMixerCoverageOnLeafDeath(t *testing.T) {
 func TestFirstQueryCoverageExact(t *testing.T) {
 	tbl := logs(2000)
 	leaves := buildLeaves(t, tbl, 4, storeOpts())
-	c := FromLeaves(singles(leaves), Options{Replicas: 1, MaxRetries: 0})
+	c := FromLeaves(singles(leaves), Options{Replicas: 1})
+	clk := newFakeClock(t)
+	clk.attach(c)
 	leaves[1].SetFail(true)
 
-	res, err := c.Query(countQuery)
+	var res *exec.Result
+	var err error
+	clk.drive(func() { res, err = c.Query(countQuery) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +331,19 @@ func TestRPCStatFirstQueryCoverage(t *testing.T) {
 	tbl := logs(2000)
 	leaves := buildLeaves(t, tbl, 2, storeOpts())
 	leaves[0].SetFail(true)
+	clk := newFakeClock(t)
 	var sets [][]Leaf
 	for _, l := range leaves {
+		clk.attach(l)
 		sets = append(sets, []Leaf{NewRemoteLeaf(serveNodeAddr(t, l))})
 	}
-	c := FromLeaves(sets, Options{Replicas: 1, MaxRetries: 0})
+	c := FromLeaves(sets, Options{Replicas: 1})
+	clk.attach(c)
 	closeAtCleanup(t, c)
 
-	res, err := c.Query(countQuery)
+	var res *exec.Result
+	var err error
+	clk.drive(func() { res, err = c.Query(countQuery) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +366,10 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	checkGoroutines(t)
 	tbl := logs(3000)
 	leaves := buildLeaves(t, tbl, 4, storeOpts())
+	clk := newFakeClock(t)
 	var leafAddrs []string
 	for _, l := range leaves {
+		clk.attach(l)
 		leafAddrs = append(leafAddrs, serveNodeAddr(t, l))
 	}
 	mixerOver := func(name string) *Mixer {
@@ -355,6 +378,7 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 			sets = append(sets, []Leaf{NewRemoteLeaf(a)})
 		}
 		m := NewMixer(name, sets, Options{Replicas: 1})
+		clk.attach(m)
 		closeAtCleanup(t, m)
 		return m
 	}
@@ -367,14 +391,15 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	// A huge hedge multiplier keeps the replica mixer out of the race until
-	// the primary actually fails: the failover below is kill-triggered, not
-	// a hedge that would have fired anyway.
-	root := FromLeaves(
-		[][]Leaf{{NewRemoteLeaf(proxy.Addr()), NewRemoteLeaf(addrB)}},
-		Options{Replicas: 2, HedgeMultiplier: 1000, HedgeMaxDelay: 10 * time.Second},
-	)
+	root := FromLeaves([][]Leaf{{NewRemoteLeaf(proxy.Addr()), NewRemoteLeaf(addrB)}}, Options{Replicas: 2})
+	clk.attach(root)
 	closeAtCleanup(t, root)
+	// With a latency estimate the root asks the replica mixer only after
+	// the hedge delay, which never passes on a clock nothing advances, or
+	// once the primary fails: no query races the two mixers, and the
+	// failover below is kill-triggered, not a hedge that would have fired
+	// anyway.
+	root.shards[0].lat.observe(time.Millisecond)
 
 	ref, err := root.Query(countQuery)
 	if err != nil {
@@ -403,21 +428,27 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 
 	// Slow the whole leaf tier down so the primary mixer's answer is still
 	// in flight when its transport dies.
+	const straggle = 200 * time.Millisecond
 	for _, l := range leaves {
-		l.SetStraggle(200 * time.Millisecond)
+		l.SetStraggle(straggle)
 	}
 	type outcome struct {
 		res *exec.Result
 		err error
 	}
 	done := make(chan outcome, 1)
+	armed := clk.armed()
 	go func() {
 		res, err := root.Query(countQuery)
 		done <- outcome{res, err}
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The root's hedge timer and the primary mixer's four leaf calls.
+	clk.waitArmed(armed + 5)
 	proxy.SetDown(true)
 	proxy.KillActive()
+	// The replica mixer's four leaf calls join them; the straggle passes.
+	clk.waitArmed(armed + 9)
+	clk.advance(straggle)
 
 	o := <-done
 	if o.err != nil {
@@ -429,8 +460,8 @@ func TestMixerKilledMidQueryFailsOver(t *testing.T) {
 	if !bitIdenticalRows(sortedCopy(o.res.Rows), sortedCopy(ref.Rows)) {
 		t.Error("failover answer diverged from the healthy baseline")
 	}
-	if st := root.Stats(); st.PrimaryFailures == 0 || st.Retries == 0 {
-		t.Errorf("expected a kill-triggered re-dispatch; stats = %+v", st)
+	if st := root.Stats(); st.PrimaryFailures == 0 || st.Retries == 0 || st.Hedges != 0 {
+		t.Errorf("expected a kill-triggered re-dispatch and no hedge; stats = %+v", st)
 	}
 }
 

@@ -124,6 +124,7 @@ func Serve(l net.Listener, engine *exec.Engine) error {
 type RemoteLeaf struct {
 	name string
 	addr string
+	clk  clock
 
 	mu        sync.Mutex
 	client    *rpc.Client
@@ -142,7 +143,7 @@ const (
 // the cluster serves partial answers until it comes up, at which point a
 // half-open probe (or the next dispatch) redials and the leaf joins.
 func NewRemoteLeaf(addr string) *RemoteLeaf {
-	return &RemoteLeaf{name: addr, addr: addr}
+	return &RemoteLeaf{name: addr, addr: addr, clk: wall{}}
 }
 
 // Dial connects to a leaf server eagerly, failing if it is unreachable.
@@ -170,7 +171,7 @@ func (r *RemoteLeaf) ensureClient() (*rpc.Client, error) {
 	if r.closed {
 		return nil, fmt.Errorf("cluster: leaf %s: closed", r.addr)
 	}
-	now := time.Now()
+	now := r.clk.now()
 	if now.Before(r.nextDial) {
 		return nil, fmt.Errorf("cluster: leaf %s: down (redial backoff)", r.addr)
 	}

@@ -50,6 +50,8 @@ func TestRemoteLeafRedial(t *testing.T) {
 
 	remote := NewRemoteLeaf(proxy.Addr())
 	defer remote.Close()
+	clk := newFakeClock(t)
+	clk.attach(remote)
 	ctx := context.Background()
 	if _, err := remote.PartialQuery(ctx, countQuery); err != nil {
 		t.Fatalf("first query: %v", err)
@@ -59,18 +61,12 @@ func TestRemoteLeafRedial(t *testing.T) {
 	if _, err := remote.PartialQuery(ctx, countQuery); err == nil {
 		t.Fatal("query succeeded against a down server")
 	}
-	// Server comes back; after the dial backoff window the next call
+	// Server comes back; past any dial backoff window the next call
 	// redials transparently.
 	proxy.SetDown(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := remote.PartialQuery(ctx, countQuery); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leaf never redialed after the server came back")
-		}
-		time.Sleep(20 * time.Millisecond)
+	clk.advance(dialBackoffMax)
+	if _, err := remote.PartialQuery(ctx, countQuery); err != nil {
+		t.Fatalf("leaf did not redial after the server came back: %v", err)
 	}
 }
 
@@ -93,29 +89,39 @@ func TestRPCFailoverMidQuery(t *testing.T) {
 	defer primary.Close()
 	defer replica.Close()
 	c := FromLeaves([][]Leaf{{primary, replica}}, Options{Replicas: 2})
+	clk := newFakeClock(t)
+	clk.attach(c, primaryLeaf)
+	// A latency estimate, as a first query leaves one on the real clock,
+	// makes hedging tiered: the primary is asked first, and no query
+	// leaves a losing call in flight.
+	c.shards[0].lat.observe(time.Millisecond)
 
-	// Warm up so hedging is tiered (primary first) from here on.
 	want, err := c.Query(countQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	delay := hedgeDelay(&c.shards[0].lat)
 	// The primary's server straggles; sever its connection mid-call.
-	primaryLeaf.SetStraggle(300 * time.Millisecond)
-	killed := make(chan struct{})
+	const straggle = 300 * time.Millisecond
+	primaryLeaf.SetStraggle(straggle)
+	armed := clk.armed()
+	done := make(chan error, 1)
+	var got *exec.Result
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		proxy.KillActive()
-		close(killed)
+		var err error
+		got, err = c.Query(countQuery)
+		done <- err
 	}()
-	start := time.Now()
-	got, err := c.Query(countQuery)
-	if err != nil {
+	clk.waitArmed(armed + 2) // the hedge timer and the straggling call
+	proxy.KillActive()
+	// The client resends on a fresh connection, which straggles too; the
+	// hedge hides it long before the straggle passes.
+	clk.waitArmed(armed + 3)
+	clk.advance(delay)
+	if err := <-done; err != nil {
 		t.Fatalf("query with primary killed mid-flight: %v", err)
 	}
-	<-killed
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Errorf("failover took %v, straggle was not hidden", elapsed)
-	}
+	clk.advance(straggle) // release the server's calls
 	if got.Coverage != 1 {
 		t.Errorf("coverage = %v after failover, want 1", got.Coverage)
 	}
@@ -157,12 +163,12 @@ func TestRemoteAssemblyNonFatal(t *testing.T) {
 	down := NewRemoteLeaf(proxy.Addr())
 	defer up.Close()
 	defer down.Close()
-	c := FromLeaves([][]Leaf{{up}, {down}}, Options{
-		Replicas:        1,
-		BreakerCooldown: 50 * time.Millisecond,
-	})
+	c := FromLeaves([][]Leaf{{up}, {down}}, Options{Replicas: 1})
+	clk := newFakeClock(t)
+	clk.attach(c)
 
-	res, err := c.Query(countQuery)
+	var res *exec.Result
+	clk.drive(func() { res, err = c.Query(countQuery) })
 	if err != nil {
 		t.Fatalf("query with one shard's server down: %v", err)
 	}
@@ -172,21 +178,20 @@ func TestRemoteAssemblyNonFatal(t *testing.T) {
 	if c.Stats().PartialAnswers == 0 {
 		t.Error("partial answer not recorded")
 	}
-	// Bring the server up: after the breaker cooldown a half-open probe
-	// redials and the shard rejoins with full coverage.
+	// The first attempt and maxRetries re-dispatches failed: the breaker
+	// is open.
+	if got := c.Health()[1].Breaker; got != "open" {
+		t.Fatalf("down leaf's breaker = %q, want open", got)
+	}
+	// Bring the server up: past the breaker cooldown (and any dial backoff)
+	// a half-open probe redials and the shard rejoins with full coverage.
 	proxy.SetDown(false)
 	want := singleNodeResult(t, tbl, countQuery)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, err = c.Query(countQuery)
-		if err == nil && res.Coverage == 1 && res.Stats.ShardsMissing == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard never rejoined: coverage=%v missing=%d err=%v",
-				res.Coverage, res.Stats.ShardsMissing, err)
-		}
-		time.Sleep(25 * time.Millisecond)
+	clk.advance(max(breakerCooldown, dialBackoffMax))
+	clk.drive(func() { res, err = c.Query(countQuery) })
+	if err != nil || res.Coverage != 1 || res.Stats.ShardsMissing != 0 {
+		t.Fatalf("shard did not rejoin: coverage=%v missing=%d err=%v",
+			res.Coverage, res.Stats.ShardsMissing, err)
 	}
 	g := append([][]value.Value{}, res.Rows...)
 	w := append([][]value.Value{}, want...)

@@ -53,7 +53,7 @@ func OpenShards(dirs []string, opts Options, mgr *memmgr.Manager) (*Cluster, err
 // opening every replica's store with open. verb prefixes the error.
 func assembleLocal(n int, opts Options, verb string, open func(i int) (*colstore.Store, error)) (*Cluster, error) {
 	c := &Cluster{}
-	c.opts = opts
+	c.opts, c.clk = opts, wall{}
 	for i := 0; i < n; i++ {
 		s := &shardState{}
 		for r := 0; r < opts.Replicas; r++ {
@@ -63,7 +63,7 @@ func assembleLocal(n int, opts Options, verb string, open func(i int) (*colstore
 			}
 			s.rows = int64(store.NumRows())
 			leaf := NewLocalLeaf(fmt.Sprintf("shard%d-r%d", i, r), exec.New(store, opts.Engine))
-			s.replicas = append(s.replicas, opts.newLeafState(leaf, i, r, fmt.Sprintf("srv%d", (i+r)%opts.Replicas)))
+			s.replicas = append(s.replicas, newLeafState(leaf, i, r, fmt.Sprintf("srv%d", (i+r)%opts.Replicas)))
 			c.leaves = append(c.leaves, leaf)
 		}
 		c.shards = append(c.shards, s)

@@ -12,6 +12,15 @@ import (
 	"powerdrill/internal/workload"
 )
 
+// valueColumn gathers per-row values into the column AddVirtualColumn takes.
+func valueColumn(name string, kind value.Kind, vals []value.Value) *table.Column {
+	col := table.NewColumn(name, kind, len(vals))
+	for i, v := range vals {
+		col.Set(i, v)
+	}
+	return col
+}
+
 func logs(rows int) *table.Table {
 	return workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 21})
 }
@@ -232,7 +241,7 @@ func TestVirtualColumn(t *testing.T) {
 			vals = append(vals, value.Int64(tsCol.ValueAt(c, r).Int()/86_400_000_000))
 		}
 	}
-	col, err := s.AddVirtualColumn("date(timestamp)", value.KindInt64, vals)
+	col, err := s.AddVirtualColumn(valueColumn("date(timestamp)", value.KindInt64, vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +258,10 @@ func TestVirtualColumn(t *testing.T) {
 			i++
 		}
 	}
-	if _, err := s.AddVirtualColumn("date(timestamp)", value.KindInt64, vals); err == nil {
+	if _, err := s.AddVirtualColumn(valueColumn("date(timestamp)", value.KindInt64, vals)); err == nil {
 		t.Error("duplicate virtual column accepted")
 	}
-	if _, err := s.AddVirtualColumn("short", value.KindInt64, vals[:5]); err == nil {
+	if _, err := s.AddVirtualColumn(valueColumn("short", value.KindInt64, vals[:5])); err == nil {
 		t.Error("misaligned virtual column accepted")
 	}
 }
@@ -384,7 +393,7 @@ func TestBuiltStoreHoldsNoSlack(t *testing.T) {
 		for i := range vals {
 			vals[i] = value.Int64(int64(i % 777))
 		}
-		if _, err := s.AddVirtualColumn("v", value.KindInt64, vals); err != nil {
+		if _, err := s.AddVirtualColumn(valueColumn("v", value.KindInt64, vals)); err != nil {
 			t.Fatal(err)
 		}
 		for _, cn := range s.Columns() {

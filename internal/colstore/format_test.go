@@ -68,7 +68,7 @@ func TestOpenPreservesVirtualColumns(t *testing.T) {
 	for i := range vals {
 		vals[i] = value.Int64(int64(i % 7))
 	}
-	if _, err := s.AddVirtualColumn("vf", value.KindInt64, vals); err != nil {
+	if _, err := s.AddVirtualColumn(valueColumn("vf", value.KindInt64, vals)); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

@@ -13,11 +13,18 @@ import (
 // buildSavedStore imports a synthetic table and persists it.
 func buildSavedStore(t *testing.T, rows int, codec string) (*Store, string) {
 	t.Helper()
+	return buildSavedStoreDict(t, rows, codec, StringDictArray)
+}
+
+// buildSavedStoreDict is buildSavedStore with string dictionaries of kind sd.
+func buildSavedStoreDict(t *testing.T, rows int, codec string, sd StringDictKind) (*Store, string) {
+	t.Helper()
 	tbl := workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 7})
 	s, err := FromTable(tbl, Options{
 		PartitionFields:  []string{"country", "table_name"},
 		MaxChunkRows:     500,
 		OptimizeElements: true,
+		StringDict:       sd,
 	})
 	if err != nil {
 		t.Fatal(err)

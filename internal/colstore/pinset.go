@@ -417,8 +417,9 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 // memory. A cold one is admitted as ColumnDict would when the manager can
 // hold it without evicting anything (always, without a budget). Otherwise
 // its record is read, CRC-verified and decompressed like any cold load, and
-// walked once for the wanted ids; the dictionary is never built and never
-// enters the manager. The walk counts as a cold dictionary load with no
+// walked once for the wanted ids; the dictionary never enters the manager,
+// and is built only on a trie or sharded store, whose charge the record's
+// length does not tell. The walk counts as a cold dictionary load with no
 // resident bytes.
 func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if c := p.s.residentColumn(name); c != nil {
@@ -457,8 +458,21 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 		p.noteChecksumErr(err)
 		return nil, err
 	}
-	if p.s.lazy.mgr.Fits(dictSizeOf(kind, rec)) {
+	var d dict.Dict
+	size := dictSizeOf(kind, rec)
+	if kind == value.KindString && reader.sd != StringDictArray {
+		// The estimate models the string array only: a trie or a sharded
+		// dictionary must fit at what it is charged once decoded.
+		if d, err = reader.decodeDictRecord(mc, kind, rec); err != nil {
+			return nil, err
+		}
+		size = d.MemoryBytes()
+	}
+	if p.s.lazy.mgr.Fits(size) {
 		err := p.admitDict(h, func() (dict.Dict, int64, error) {
+			if d != nil {
+				return d, disk, nil
+			}
 			d, err := reader.decodeDictRecord(mc, kind, rec)
 			return d, disk, err
 		})
@@ -467,8 +481,10 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 		}
 		return lookupValues(h.view.Dict, gids), nil
 	}
-	vals, err := reader.dictValues(mc, kind, rec, gids)
-	if err != nil {
+	var vals []value.Value
+	if d != nil {
+		vals = lookupValues(d, gids)
+	} else if vals, err = reader.dictValues(mc, kind, rec, gids); err != nil {
 		return nil, err
 	}
 	p.ColdDictLoads++

@@ -215,7 +215,7 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, raw []byte, gids []
 // for strings the footprint of a string array whose block holds every byte
 // the record has left after one length byte per value — exact when every
 // value is shorter than 128 bytes and nothing follows the dictionary, more
-// otherwise. A trie or a sharded dictionary is estimated as the array.
+// otherwise. It does not model a trie or a sharded dictionary.
 func dictSizeOf(kind value.Kind, raw []byte) int64 {
 	br := &byteReader{buf: raw}
 	n, err := br.uvarint()

@@ -171,6 +171,78 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 	}
 }
 
+// TestValuesChargesDecodedDict: dictSizeOf models a string array, and a
+// trie or a sharded dictionary is charged more than it estimates. So on
+// those stores PinSet.Values checks the budget against the decoded
+// dictionary's charge: with room for the estimate but not the charge it
+// walks, and with room for the charge it admits. Neither evicts.
+func TestValuesChargesDecodedDict(t *testing.T) {
+	for _, sd := range []StringDictKind{StringDictTrie, StringDictSharded} {
+		// Compressed, so that a sharded dictionary loads from its record.
+		built, dir := buildSavedStoreDict(t, 3000, "zippy", sd)
+		const name = "user"
+		col := built.Column(name)
+		gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2)}
+		r, _, err := NewReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, kind, err := r.dictMeta(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _, err := r.dictRecord(mc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.decodeDictRecord(mc, kind, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, held := dictSizeOf(kind, raw), d.MemoryBytes()
+		if est >= held {
+			t.Fatalf("%s: estimate %d not below the charge %d: the case is not tested", sd, est, held)
+		}
+		fill := othersResident(t, dir, built.Columns(), name)
+		for _, room := range []int64{est, held} {
+			mgr := memmgr.New(fill+room, "")
+			lazy, _, err := OpenLazy(dir, mgr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, other := range built.Columns() {
+				if other == name {
+					continue
+				}
+				ps := lazy.NewPinSet()
+				if _, err := ps.Column(other); err != nil {
+					t.Fatal(err)
+				}
+				ps.Release()
+			}
+			before := mgr.Stats()
+			ps := lazy.NewPinSet()
+			vals, err := ps.Values(name, gids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range gids {
+				if vals[i] != col.Dict.Value(id) {
+					t.Fatalf("%s, room %d: id %d is %v, want %v", sd, room, id, vals[i], col.Dict.Value(id))
+				}
+			}
+			ps.Release()
+			after := mgr.Stats()
+			if after.Evictions != before.Evictions {
+				t.Errorf("%s, room %d of charge %d: Values evicted %d entries", sd, room, held, after.Evictions-before.Evictions)
+			}
+			if admitted := after.ResidentBytes > before.ResidentBytes; admitted != (room == held) {
+				t.Errorf("%s, room %d of charge %d: dictionary admitted = %v", sd, room, held, admitted)
+			}
+		}
+	}
+}
+
 // othersResident returns the bytes a manager without a budget holds once
 // every column of the store at dir but skip has been pinned and released.
 func othersResident(t *testing.T, dir string, columns []string, skip string) int64 {

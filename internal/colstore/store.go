@@ -377,53 +377,34 @@ func (s *Store) assemble(name string, kind value.Kind, d dict.Dict, gids []uint3
 	return col, nil
 }
 
-// buildVirtual dictionary-encodes materialized per-row values into a
-// virtual column aligned with the store's chunk layout.
-func (s *Store) buildVirtual(name string, kind value.Kind, vals []value.Value) (*Column, error) {
-	col := &table.Column{Name: name, Kind: kind}
-	switch kind {
-	case value.KindString:
-		col.Strs = make([]string, len(vals))
-		for i, v := range vals {
-			col.Strs[i] = v.Str()
-		}
-	case value.KindInt64:
-		col.Ints = make([]int64, len(vals))
-		for i, v := range vals {
-			col.Ints[i] = v.Int()
-		}
-	case value.KindFloat64:
-		col.Floats = make([]float64, len(vals))
-		for i, v := range vals {
-			col.Floats[i] = v.Float()
-		}
-		if err := checkNaN(col); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("colstore: virtual column %q has invalid kind", name)
+// buildVirtual dictionary-encodes a materialized raw column into a virtual
+// column aligned with the store's chunk layout.
+func (s *Store) buildVirtual(raw *table.Column) (*Column, error) {
+	if err := checkNaN(raw); err != nil {
+		return nil, err
 	}
-	gids, distinct := col.Rank()
-	return s.encodeColumn(col, distinct, gids, nil, true)
+	gids, distinct := raw.Rank()
+	return s.encodeColumn(raw, distinct, gids, nil, true)
 }
 
-// AddVirtualColumn materializes per-row values (computed by the expression
-// engine) as a first-class column in the store's own format — the
-// Section 5 "virtual fields" mechanism. The values slice must be in store
-// row order. Callers racing on the same name must serialize externally
-// (the engine's plan lock does); the registry itself is mutation-safe.
+// AddVirtualColumn materializes a raw column of per-row values (computed
+// by the expression engine) as a first-class column in the store's own
+// format — the Section 5 "virtual fields" mechanism. Its rows must be in
+// store row order. Callers racing on the same name must serialize
+// externally (the engine's plan lock does); the registry itself is
+// mutation-safe.
 //
 // The column lives in the in-memory registry: always resident, never
 // evicted, outside any byte budget. On a budget-managed store prefer
 // AddVirtualColumnPinned, which persists the materialization next to the
 // store so it can be evicted and reloaded like physical data.
-func (s *Store) AddVirtualColumn(name string, kind value.Kind, vals []value.Value) (*Column, error) {
-	if s.HasColumn(name) {
+func (s *Store) AddVirtualColumn(raw *table.Column) (*Column, error) {
+	if s.HasColumn(raw.Name) {
 		// Metadata-only check: on a lazy store, Column(name) here would
 		// cold-load the whole column just to prove it exists.
-		return nil, fmt.Errorf("colstore: virtual column %q already exists", name)
+		return nil, fmt.Errorf("colstore: virtual column %q already exists", raw.Name)
 	}
-	col, err := s.buildVirtual(name, kind, vals)
+	col, err := s.buildVirtual(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +414,7 @@ func (s *Store) AddVirtualColumn(name string, kind value.Kind, vals []value.Valu
 	return col, nil
 }
 
-// AddVirtualColumnPinned materializes per-row values like AddVirtualColumn
+// AddVirtualColumnPinned materializes a column like AddVirtualColumn
 // and, on a lazy store, persists the new column into the
 // store's virtual/ sidecar (see docs/format.md) so it becomes an ordinary
 // citizen of the memory subsystem: its global dictionary and chunks are
@@ -449,15 +430,16 @@ func (s *Store) AddVirtualColumn(name string, kind value.Kind, vals []value.Valu
 // cannot be written (read-only store directory), it falls back to
 // AddVirtualColumn's in-registry residency: correct, but unevictable and
 // outside the budget (reported by UnevictableVirtualBytes).
-func (s *Store) AddVirtualColumnPinned(ps *PinSet, name string, kind value.Kind, vals []value.Value) (*Column, error) {
+func (s *Store) AddVirtualColumnPinned(ps *PinSet, raw *table.Column) (*Column, error) {
 	if s.lazy == nil || s.lazy.noPersist.Load() {
-		return s.AddVirtualColumn(name, kind, vals)
+		return s.AddVirtualColumn(raw)
 	}
+	name := raw.Name
 	if s.HasColumn(name) {
 		// Already materialized (possibly by a racing engine): adopt it.
 		return ps.Column(name)
 	}
-	col, err := s.buildVirtual(name, kind, vals)
+	col, err := s.buildVirtual(raw)
 	if err != nil {
 		return nil, err
 	}

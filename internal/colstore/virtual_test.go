@@ -27,7 +27,7 @@ func materializeSuffix(t *testing.T, s *Store, name, suffix string) *Column {
 	}
 	ps := s.NewPinSet()
 	defer ps.Release()
-	col, err := s.AddVirtualColumnPinned(ps, name, value.KindString, vals)
+	col, err := s.AddVirtualColumnPinned(ps, valueColumn(name, value.KindString, vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestVirtualMaterializeRaceAdopts(t *testing.T) {
 	}
 	ps := lazy.NewPinSet()
 	defer ps.Release()
-	got, err := lazy.AddVirtualColumnPinned(ps, "upper(country)", value.KindString, vals)
+	got, err := lazy.AddVirtualColumnPinned(ps, valueColumn("upper(country)", value.KindString, vals))
 	if err != nil {
 		t.Fatalf("losing materializer should adopt, got %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/expr"
 	"powerdrill/internal/sql"
+	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 )
 
@@ -399,15 +400,15 @@ func (e *Engine) materialize(x sql.Expr, name string, kind value.Kind, eval func
 	if !e.store.HasColumn(name) { // else a concurrent query materialized it first
 		// The per-row interface dispatch of expr's evaluation makes this the
 		// costliest part of materialization.
-		err = e.addVirtualColumn(ps, name, kind, func(ci int, vals []value.Value) error {
+		err = e.addVirtualColumn(ps, name, kind, func(ci int, col *table.Column, lo, hi int) error {
 			row := &storeRow{cols: srcs, chunk: ci}
-			for r := range vals {
+			for r := range hi - lo {
 				row.row = r
 				v, err := eval(x, row)
 				if err != nil {
 					return err
 				}
-				vals[r] = v
+				col.Set(lo+r, v)
 			}
 			return nil
 		})
@@ -444,8 +445,8 @@ func (e *Engine) operandColumn(x sql.Expr) string {
 }
 
 // addVirtualColumn computes a virtual column chunk by chunk — fill writes
-// chunk ci's rows into its slice of the column's values (disjoint regions,
-// so no locks) — and adds it to the store; the caller holds planMu. The
+// chunk ci's rows into rows [lo, hi) of the column (disjoint regions, so
+// no locks) — and adds it to the store; the caller holds planMu. The
 // fan-out goes through the admission gate like every other chunk sweep, so
 // a burst of first-touch queries cannot multiply worker goroutines past the
 // shared budget.
@@ -454,17 +455,17 @@ func (e *Engine) operandColumn(x sql.Expr) string {
 // store's virtual sidecar and its pieces enter the memory budget (evicting
 // cold chunks to make room), pinned into ps like any physical column;
 // resident stores keep the in-registry path.
-func (e *Engine) addVirtualColumn(ps *colstore.PinSet, name string, kind value.Kind, fill func(ci int, vals []value.Value) error) error {
+func (e *Engine) addVirtualColumn(ps *colstore.PinSet, name string, kind value.Kind, fill func(ci int, col *table.Column, lo, hi int) error) error {
 	workers := e.gate.AcquireUpTo(e.parallelism())
-	vals := make([]value.Value, e.store.NumRows())
+	col := table.NewColumn(name, kind, e.store.NumRows())
 	err := forEachChunk(e.store.NumChunks(), workers, nil, func(_, ci int) error {
-		return fill(ci, vals[e.store.Bounds[ci]:e.store.Bounds[ci+1]])
+		return fill(ci, col, e.store.Bounds[ci], e.store.Bounds[ci+1])
 	})
 	e.gate.Release(workers)
 	if err != nil {
 		return err
 	}
-	_, err = e.store.AddVirtualColumnPinned(ps, name, kind, vals)
+	_, err = e.store.AddVirtualColumnPinned(ps, col)
 	return err
 }
 
@@ -854,9 +855,9 @@ func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.P
 	if e.store.HasColumn(name) {
 		return nil // a concurrent query materialized it first
 	}
-	return e.addVirtualColumn(ps, name, value.KindString, func(ci int, vals []value.Value) error {
+	return e.addVirtualColumn(ps, name, value.KindString, func(ci int, col *table.Column, lo, hi int) error {
 		buf := make([]byte, 0, 9*len(cols))
-		for r := range vals {
+		for r := range hi - lo {
 			buf = buf[:0]
 			for j, c := range colRefs {
 				if j > 0 {
@@ -864,7 +865,7 @@ func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.P
 				}
 				buf = appendHex32(buf, c.GlobalIDAt(ci, r))
 			}
-			vals[r] = value.String(string(buf))
+			col.Strs[lo+r] = string(buf)
 		}
 		return nil
 	})

@@ -9,6 +9,7 @@ import (
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/memmgr"
 	"powerdrill/internal/sql"
+	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 )
 
@@ -382,17 +383,17 @@ func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]value.Value, old.NumRows())
+	vals := table.NewColumn("(latency * 2)", value.KindFloat64, old.NumRows())
 	var sum int64
 	for ci := range old.NumChunks() {
 		for r := range old.ChunkRows(ci) {
 			v := lat.ValueAt(ci, r).Int()
 			sum += 2 * v
-			vals[old.Bounds[ci]+r] = value.Float64(2 * float64(v))
+			vals.Floats[old.Bounds[ci]+r] = 2 * float64(v)
 		}
 	}
 	ps := old.NewPinSet()
-	_, err = old.AddVirtualColumnPinned(ps, "(latency * 2)", value.KindFloat64, vals)
+	_, err = old.AddVirtualColumnPinned(ps, vals)
 	ps.Release()
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,32 @@ type Column struct {
 	Floats []float64
 }
 
+// NewColumn returns a column of kind holding n zero values, for Set to fill.
+func NewColumn(name string, kind value.Kind, n int) *Column {
+	c := &Column{Name: name, Kind: kind}
+	switch kind {
+	case value.KindString:
+		c.Strs = make([]string, n)
+	case value.KindInt64:
+		c.Ints = make([]int64, n)
+	case value.KindFloat64:
+		c.Floats = make([]float64, n)
+	}
+	return c
+}
+
+// Set stores v, which must be of the column's kind, at row i.
+func (c *Column) Set(i int, v value.Value) {
+	switch c.Kind {
+	case value.KindString:
+		c.Strs[i] = v.Str()
+	case value.KindInt64:
+		c.Ints[i] = v.Int()
+	default:
+		c.Floats[i] = v.Float()
+	}
+}
+
 // Len returns the number of values in the column.
 func (c *Column) Len() int {
 	switch c.Kind {
