@@ -332,3 +332,48 @@ func TestClockStraggle(t *testing.T) {
 		t.Errorf("%d timers left armed by an abandoned straggle", n)
 	}
 }
+
+// TestClockNoRetryAfterClose: a sub-query still in flight when its node
+// closes, and failing after, returns that failure. It arms no backoff
+// timer against children that can never answer and counts no retry, and
+// no goroutine is left waiting on the clock: the check runs before the
+// clock is released.
+func TestClockNoRetryAfterClose(t *testing.T) {
+	c, err := NewLocal(logs(300), Options{Shards: 1, Replicas: 1, Store: storeOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock(t)
+	checkGoroutines(t)
+	clk.attach(c)
+	leaf := c.Leaves()[0]
+	leaf.SetStraggle(time.Hour)
+	leaf.SetFail(true)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Query(countQuery)
+		done <- err
+	}()
+	clk.waitArmed(1) // the straggle
+	select {
+	case <-clk.kick:
+	default:
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retries := c.Stats().Retries
+	clk.advance(time.Hour) // the call fails now, after Close
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a query whose only leaf failed answered")
+		}
+	case <-clk.kick:
+		t.Fatalf("a sub-query failing after Close armed a timer (%d armed in all)", clk.armed())
+	}
+	if n, r := clk.armed(), c.Stats().Retries; n != 1 || r != retries {
+		t.Errorf("after Close: %d timers armed in all, %d retries; want 1 and %d", n, r, retries)
+	}
+}

@@ -86,6 +86,9 @@ type dispatcher struct {
 	// rowsKnown short-circuits the pre-query Stat round once every
 	// shard's row count has been learned.
 	rowsKnown atomic.Bool
+	// closed is set by Close: a sub-query that fails from then on retries
+	// no child, since none can answer.
+	closed atomic.Bool
 }
 
 // setChildren wires childSets into d under opts; childSets[i] holds the
@@ -133,9 +136,11 @@ func (d *dispatcher) Health() []LeafHealth {
 // — which also ends whatever is still in flight on them, hedge losers and
 // Stat rounds included, so that no goroutine of the node outlives it — and
 // in-process mixers, which close their own children in turn. Queries after
-// Close fail as they would against a fleet that is down. Closing again is
-// a no-op.
+// Close fail as they would against a fleet that is down, and a sub-query
+// still in flight returns its first failure without a retry. Closing
+// again is a no-op.
 func (d *dispatcher) Close() error {
+	d.closed.Store(true)
 	var first error
 	for _, s := range d.shards {
 		for _, ls := range s.replicas {
@@ -402,6 +407,12 @@ func (d *dispatcher) askShard(ctx context.Context, si int, sqlText string) (*exe
 			}
 			if firstErr == nil {
 				firstErr = a.err
+			}
+			if d.closed.Load() {
+				// The node is closed, and so are its children: no retry
+				// or re-dispatch can be answered. Attempts still in flight
+				// drain into the buffered channel.
+				return nil, firstErr
 			}
 			if ctx.Err() != nil {
 				// Deadline already gone: no point re-dispatching.

@@ -1,10 +1,9 @@
 package colstore
 
 // Integrity checksums. Save records a CRC32C (Castagnoli) per on-disk
-// record — the head record (dictionary plus chunk-count varint), every
-// chunk record, and every dictionary shard frame — computed over the exact
-// file bytes a cold load reads (a codec record's bytes with a codec,
-// whether compressed or stored raw; raw bytes otherwise). Readers verify
+// record — every dictionary frame and every chunk record — computed over
+// the exact file bytes a cold load reads (a codec record's bytes with a
+// codec, whether compressed or stored raw; raw bytes otherwise). Readers verify
 // on every cold read; a mismatch degrades like a missing shard: an error
 // carrying file and byte range, never a silently wrong answer.
 
@@ -42,34 +41,6 @@ func (e *ChecksumError) Error() string {
 		e.Path, e.Off, e.Off+e.Len, e.Want, e.Got)
 }
 
-// headFileLen is the byte length of a column's head record (dictionary
-// plus chunk-count varint) inside the column file: its codec record
-// (compressed or stored raw) with a codec, the bytes
-// before the first chunk otherwise (all of a chunkless file, which only
-// the verifier's fuzzer builds).
-func headFileLen(mc manifestCol, compressed bool, fileLen int64) int64 {
-	if compressed {
-		return mc.DictCLen
-	}
-	if len(mc.Chunks) > 0 {
-		return mc.Chunks[0].Off
-	}
-	return fileLen
-}
-
-// headRawLen is the raw byte length of a column's head record: the
-// dictionary and the chunk-count varint after it.
-func headRawLen(mc manifestCol) int64 {
-	return mc.DictLen + int64(uvarintLen(uint64(len(mc.Chunks))))
-}
-
-// headStoredRaw and chunkStoredRaw report whether a record of a codec
-// store sits in the file raw: exactly when its file length equals its raw
-// length, which compressRecords never lets a compressed record reach.
-func headStoredRaw(mc manifestCol) bool { return mc.DictCLen == headRawLen(mc) }
-
-func chunkStoredRaw(ch manifestChunk) bool { return ch.CLen == ch.Len }
-
 // chunkFileRange is the byte range of one chunk record in the column file:
 // the codec record with a codec, the raw record otherwise.
 func chunkFileRange(ch manifestChunk, compressed bool) (off, n int64) {
@@ -79,55 +50,52 @@ func chunkFileRange(ch manifestChunk, compressed bool) (off, n int64) {
 	return ch.Off, ch.Len
 }
 
-// addColChecksums computes the record checksums of one column from its
-// final file bytes; compressed says which byte ranges delimit the records.
-// Dictionary shard frames are only checksummed on uncompressed stores,
-// where their offsets index the file directly.
-func addColChecksums(mc *manifestCol, data []byte, compressed bool) {
-	mc.DictCRC = CRC32C(data[:headFileLen(*mc, compressed, int64(len(data)))])
-	for i := range mc.Chunks {
-		off, n := chunkFileRange(mc.Chunks[i], compressed)
-		mc.Chunks[i].CRC = CRC32C(data[off : off+n])
-	}
-	if !compressed {
-		for i := range mc.DictShards {
-			ds := &mc.DictShards[i]
-			ds.CRC = CRC32C(data[ds.Off : ds.Off+ds.Len])
-		}
-	}
+// record is a byte range of a column file, and the CRC32C its bytes carry.
+type record struct {
+	off, n int64
+	crc    uint32
 }
 
-// verifyColumnFile checks every record checksum of one column against
-// its full file bytes; compressed says which byte ranges delimit the
-// records. Returns how many records carried a checksum and were verified;
-// the first mismatch aborts with a ChecksumError. A record whose stored
-// CRC is zero is skipped (zero doubles as "absent" in the manifest
-// encoding, which is all a manifest of generations 1–4 records; a data CRC
-// of exactly zero forgoes its check — a 2^-32 gap, documented in
-// docs/format.md).
-func verifyColumnFile(mc manifestCol, compressed bool, data []byte, path string) (int, error) {
-	verified := 0
-	check := func(off, n int64, want uint32) error {
-		if want == 0 {
-			return nil
-		}
-		if off < 0 || n < 0 || off+n > int64(len(data)) {
-			return &ChecksumError{Path: path, Off: off, Len: n, Want: want, Got: 0}
-		}
-		if got := CRC32C(data[off : off+n]); got != want {
-			return &ChecksumError{Path: path, Off: off, Len: n, Want: want, Got: got}
-		}
-		verified++
-		return nil
-	}
-	if err := check(0, headFileLen(mc, compressed, int64(len(data))), mc.DictCRC); err != nil {
-		return verified, err
+// records lists a column file's checksummed records: its dictionary's
+// frames, then its chunks; compressed says which byte ranges delimit the
+// chunks.
+func (mc manifestCol) records(compressed bool) []record {
+	out := make([]record, 0, len(mc.Frames)+len(mc.Chunks))
+	for _, fr := range mc.Frames {
+		out = append(out, record{fr.Off, fr.Len, fr.CRC})
 	}
 	for _, ch := range mc.Chunks {
 		off, n := chunkFileRange(ch, compressed)
-		if err := check(off, n, ch.CRC); err != nil {
-			return verified, err
+		out = append(out, record{off, n, ch.CRC})
+	}
+	return out
+}
+
+// verifyColumnFile checks every record checksum of one column against its
+// full file bytes. Returns how many records carried a checksum and were
+// verified; the first mismatch aborts with a ChecksumError.
+func verifyColumnFile(mc manifestCol, compressed bool, data []byte, path string) (int, error) {
+	return verifyRecords(mc.records(compressed), data, path)
+}
+
+// verifyRecords checks each record's file bytes in data against its CRC.
+// A record whose stored CRC is zero is skipped (zero doubles as "absent"
+// in the manifest encoding, which is all a manifest of generations 1–4
+// records; a data CRC of exactly zero forgoes its check — a 2^-32 gap,
+// documented in docs/format.md).
+func verifyRecords(recs []record, data []byte, path string) (int, error) {
+	verified := 0
+	for _, rec := range recs {
+		if rec.crc == 0 {
+			continue
 		}
+		if rec.off < 0 || rec.n < 0 || rec.off+rec.n > int64(len(data)) {
+			return verified, &ChecksumError{Path: path, Off: rec.off, Len: rec.n, Want: rec.crc, Got: 0}
+		}
+		if got := CRC32C(data[rec.off : rec.off+rec.n]); got != rec.crc {
+			return verified, &ChecksumError{Path: path, Off: rec.off, Len: rec.n, Want: rec.crc, Got: got}
+		}
+		verified++
 	}
 	return verified, nil
 }

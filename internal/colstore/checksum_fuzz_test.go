@@ -1,6 +1,6 @@
 package colstore
 
-// Fuzzing the v5 record-checksum verifier: for any file bytes and any
+// Fuzzing the record-checksum verifier: for any file bytes and any
 // record layout, a clean file must verify, and flipping any bit inside a
 // checksummed record must fail with a ChecksumError naming the range —
 // the "detected, never silently wrong" half of the durability contract.
@@ -17,11 +17,11 @@ func FuzzChunkChecksum(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		// Lay the file out as a head record and two chunk records; the
-		// split point and therefore every record boundary is fuzzed.
+		// Lay the file out as a dictionary frame and two chunk records;
+		// the split point and therefore every record boundary is fuzzed.
 		h := int(split) % len(data)
 		mid := h + (len(data)-h)/2
-		mc := manifestCol{File: "col_0000.bin", DictCRC: CRC32C(data[:h])}
+		mc := manifestCol{File: "col_0000.bin", Frames: []manifestFrame{{Len: int64(h), Raw: int64(h), CRC: CRC32C(data[:h])}}}
 		mc.Chunks = []manifestChunk{
 			{Off: int64(h), Len: int64(mid - h), CRC: CRC32C(data[h:mid])},
 			{Off: int64(mid), Len: int64(len(data) - mid), CRC: CRC32C(data[mid:])},
@@ -42,7 +42,7 @@ func FuzzChunkChecksum(f *testing.F) {
 		var want uint32
 		switch {
 		case idx < h:
-			want = mc.DictCRC
+			want = mc.Frames[0].CRC
 		case idx < mid:
 			want = mc.Chunks[0].CRC
 		default:

@@ -19,30 +19,32 @@
 //
 // # Persistence
 //
-// Save writes a manifest.json plus one binary file per column:
-// dictionary header first, then length-prefixed chunk records. The
-// manifest also records, per column, the dictionary's byte length and
-// each chunk's global-id span, Bloom filter, byte range and CRC32C (see
-// manifestChunk) — enough metadata to decide which chunks a restriction
-// can match, and to load and verify any single dictionary or chunk,
-// without touching the rest of the file. With a codec, every record is
-// encoded individually — compressed, or kept raw where the codec does not
-// shrink it below 7/8 — and its file byte range recorded too, so the
-// exact-read property holds under compression. Save writes format
-// generation 6, the one generation every reader but the eager Open reads
-// (docs/format.md); a store written by an earlier build is refused with
-// ErrOldFormat by everything except the eager Open, which is what Upgrade
-// rewrites it with (upgrade.go).
+// Save writes a manifest.json plus one binary file per column: the
+// global dictionary cut into frames of about 4 KiB, then one record per
+// chunk. The manifest indexes every record — each frame's byte range, raw
+// length, value count and CRC32C, and each chunk's global-id span, Bloom
+// filter, byte range and CRC32C (see manifestFrame, manifestChunk) —
+// enough metadata to decide which chunks a restriction can match, and to
+// load and verify any single chunk, a whole dictionary, or only the frames
+// that hold some global-ids, without touching the rest of the file. With
+// a codec, every record is encoded individually — compressed, or kept raw
+// where the codec does not shrink it below 7/8 — and its file byte range
+// recorded too, so the exact-read property holds under compression. Save
+// writes format generation 7, the one generation every reader but the
+// eager Open reads (docs/format.md); a store written by an earlier build
+// is refused with ErrOldFormat by everything except the eager Open, which
+// is what Upgrade rewrites it with (upgrade.go).
 //
 // # Lazy stores and the Reader
 //
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
 // unit is the (column, chunk) pair plus one entry per global dictionary.
-// Reader is the decoding layer underneath: LoadColumnDict and
-// LoadColumnChunk read one record at its exact byte range through a
-// bounded handle cache, and ReadChunkRuns serves contiguous cold chunks
-// with one read per byte run. IOStats counts the physical work. A PinSet's
+// Reader is the decoding layer underneath: LoadColumnDict reads a
+// dictionary's frames and LoadColumnChunk one chunk record, each at its
+// exact byte range through a bounded handle cache; ReadChunkRuns serves
+// contiguous cold chunks with one read per byte run; and PinSet.Values
+// reads only the dictionary frames that hold the ids it looks up. IOStats counts the physical work. A PinSet's
 // cold loads read into one buffer the set owns and reuses, and decompress
 // into one more for its dictionaries and one per chunk decode worker
 // (PinChunks), all dropped at Release; the exported Reader methods

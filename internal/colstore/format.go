@@ -21,25 +21,33 @@ import (
 // experiments (Figure 5 charges disk loads by these exact byte counts) and
 // the pdrill CLI.
 //
-// Save writes generation 6, and every reader but one reads generation 6
-// only. The manifest records, per column, the byte range, global-id span,
-// Bloom filter and CRC32C of every record — the head record (global
-// dictionary plus chunk-count varint) and one record per chunk — so a cold
-// load is one exact ReadAt of one record, verified and, with a codec,
-// decompressed alone. A record the codec does not shrink below 7/8 of its
-// raw length is stored raw (its file length then equals its raw length,
-// which is how readers tell), and a numeric dictionary is written as
-// fixed-width deltas of order-preserving keys (numdict.go). Stores written
-// by earlier builds (generations 1–5) are read by exactly one function,
-// the eager Open, which is all Upgrade needs to rewrite them (upgrade.go);
+// Save writes generation 7, and every reader but one reads generation 7
+// only. A column file is its global dictionary cut into frames of about
+// frameBytes raw bytes each, then one record per chunk. The manifest
+// records, per column, every frame's byte range, raw length, value count
+// and CRC32C, and every chunk's byte range, global-id span, Bloom filter
+// and CRC32C — so a cold load reads exactly the records it needs, and
+// verifies and, with a codec, decompresses each alone: one chunk, the
+// frames of a whole dictionary, or only the frames that hold the ids a
+// lookup wants. A record the codec does not shrink below 7/8 of its raw
+// length is stored raw (its file length then equals its raw length, which
+// is how readers tell), and a numeric frame is written as fixed-width
+// deltas of order-preserving keys (numdict.go). Stores written by earlier
+// builds (generations 1–6) are read by exactly one function, the eager
+// Open, which is all Upgrade needs to rewrite them (upgrade.go);
 // everything else refuses them with ErrOldFormat.
 
 // formatVersion is the manifest generation Save writes, and the one
 // generation every reader but the eager Open accepts.
-const formatVersion = 6
+const formatVersion = 7
+
+// frameBytes is the raw length a dictionary is cut into frames at: a frame
+// holds as many values as fit in it, and at least one. A cold lookup of a
+// few ids reads, verifies and decompresses only the frames that hold them.
+const frameBytes = 4096
 
 // ErrOldFormat is what errors.Is matches when a store directory was
-// written in format generation 1–5; the error itself is an
+// written in format generation 1–6; the error itself is an
 // *OldFormatError naming the generation found.
 var ErrOldFormat = errors.New("colstore: old format generation")
 
@@ -74,48 +82,47 @@ type manifestCol struct {
 	Kind    string `json:"kind"`
 	Virtual bool   `json:"virtual,omitempty"`
 	File    string `json:"file"`
-	// DictLen is the byte length of the dictionary header at the start of
-	// the (uncompressed) column stream.
-	DictLen int64 `json:"dict_len,omitempty"`
-	// DictCLen is the file length of the head record (dictionary plus
-	// chunk-count varint) at the start of the column file; set exactly when
-	// the store has a codec. The record is stored raw exactly when DictCLen
-	// equals its raw length (headRawLen).
-	DictCLen int64 `json:"dict_clen,omitempty"`
-	// DictCRC is the CRC32C of the head record's file bytes: its codec
-	// record with a codec, otherwise every byte before the first chunk.
-	DictCRC uint32 `json:"dict_crc,omitempty"`
+	// Frames is the dictionary's frame index, in id order: the frames sit
+	// at the start of the column file, one after another.
+	Frames []manifestFrame `json:"frames,omitempty"`
 	// Chunks is the per-chunk layout: value span for restriction pruning
 	// and the byte range of each chunk record, so a single chunk can be
 	// loaded without touching the rest of the column.
 	Chunks []manifestChunk `json:"chunks,omitempty"`
-	// DictShards sub-frames a sharded string dictionary: one entry per
-	// dict.Sharded shard, in id order. Byte offsets index the uncompressed
-	// column stream, so lazy readers of uncompressed stores can load single
-	// shards with exact reads; compressed stores fall back to the full
-	// dictionary record.
+	// DictShards routes lookups in a sharded string dictionary, one entry
+	// per dict.Sharded shard, in id order; shard i is frame i. A lazy
+	// reader rebuilds the dictionary from them and loads a shard's frame
+	// only when a query probes it.
 	DictShards []manifestDictShard `json:"dict_shards,omitempty"`
+	// oldHead is the head record of generations 2–6, read by Upgrade only.
+	oldHead
 }
 
-// manifestDictShard is one sub-dictionary frame: the byte range
-// [Off, Off+Len) of its values inside the uncompressed column stream, the
-// value count, the first/last values for routing, and the shard's marshaled
-// Bloom filter (so absent-value probes answer without any load).
-type manifestDictShard struct {
+// manifestFrame is one dictionary frame: its byte range [Off, Off+Len) in
+// the column file, its raw length (Len when it is stored raw), the number
+// of values it holds, and the CRC32C of its file bytes.
+type manifestFrame struct {
 	Off   int64  `json:"off"`
 	Len   int64  `json:"len"`
+	Raw   int64  `json:"raw"`
+	Count int    `json:"count"`
+	CRC   uint32 `json:"crc,omitempty"`
+}
+
+// manifestDictShard is what routing needs of one sub-dictionary: its value
+// count, its first and last values, and its marshaled Bloom filter (so
+// absent-value probes answer without any load).
+type manifestDictShard struct {
 	Count int    `json:"count"`
 	First string `json:"first"`
 	Last  string `json:"last"`
 	Bloom []byte `json:"bloom,omitempty"`
-	// CRC is the CRC32C of the shard's file bytes (uncompressed stores
-	// only — shard offsets index the file directly there).
-	CRC uint32 `json:"crc,omitempty"`
 }
 
 // manifestChunk records one chunk's residency metadata: the global-id span
 // of its chunk-dictionary (Min > Max marks an empty chunk) and the byte
-// range [Off, Off+Len) of its record in the uncompressed column stream.
+// range [Off, Off+Len) of its record in the uncompressed column stream —
+// every frame's raw bytes, then every chunk record's.
 // With a codec, [COff, COff+CLen) is additionally the record's byte range
 // in the column file — the exact range a cold load reads. The record is
 // stored raw there exactly when CLen == Len.
@@ -146,8 +153,8 @@ type manifestOpts struct {
 
 // Save persists the store into dir (created if needed). codecName may be
 // empty for uncompressed files or any registered codec; a codec compresses
-// the dictionary and every chunk individually (keeping a record raw where
-// it does not pay), so cold loads read exact byte ranges either way.
+// every dictionary frame and every chunk individually (keeping a record raw
+// where it does not pay), so cold loads read exact byte ranges either way.
 func Save(s *Store, dir, codecName string) error {
 	var codec compress.Codec
 	if codecName != "" {
@@ -183,19 +190,12 @@ func Save(s *Store, dir, codecName string) error {
 			ps.Release()
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
-		file := fmt.Sprintf("col_%04d.bin", i)
-		raw, dictLen, chunkMetas := encodeColumn(col)
-		buildChunkBlooms(col, chunkMetas)
-		mc := manifestCol{
-			Name: name, Kind: col.Kind.String(), Virtual: col.Virtual, File: file,
-			DictLen: dictLen, Chunks: chunkMetas, DictShards: dictShardFrames(col),
-		}
+		raw, mc := encodeColumn(col, codec)
+		mc.File = fmt.Sprintf("col_%04d.bin", i)
+		buildChunkBlooms(col, mc.Chunks)
+		mc.DictShards = dictShards(col)
 		ps.Release()
-		if codec != nil {
-			raw, mc = compressRecords(codec, raw, mc)
-		}
-		addColChecksums(&mc, raw, codec != nil)
-		if err := vfs().WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+		if err := vfs().WriteFile(filepath.Join(dir, mc.File), raw, 0o644); err != nil {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
 		m.Columns = append(m.Columns, mc)
@@ -238,40 +238,23 @@ func buildChunkBlooms(col *Column, metas []manifestChunk) {
 	}
 }
 
-// dictShardFrames exports a sharded string dictionary's sub-frames: one
-// manifest row per dict.Sharded shard with its byte range inside the
-// uncompressed dictionary payload (recomputed from the deterministic
-// length-prefixed layout encodeColumn writes). Returns nil — no frames,
-// full-dictionary loads — for non-sharded dictionaries and for values that
-// would not survive a JSON round-trip (routing bounds are stored as JSON
-// strings, which replace invalid UTF-8).
-func dictShardFrames(col *Column) []manifestDictShard {
+// dictShards exports a sharded string dictionary's routing: one entry per
+// dict.Sharded shard, whose values are the frame of the same index
+// (dictFrames). Returns nil — full-dictionary loads — for other
+// dictionaries, and for values that would not survive a JSON round-trip
+// (routing bounds are stored as JSON strings, which replace invalid
+// UTF-8).
+func dictShards(col *Column) []manifestDictShard {
 	sd, ok := col.Dict.(*dict.Sharded)
 	if !ok || col.Kind != value.KindString {
 		return nil
 	}
-	frames := sd.Frames()
-	if len(frames) == 0 {
-		return nil
-	}
-	off := int64(uvarintLen(uint64(col.Dict.Len())))
-	out := make([]manifestDictShard, 0, len(frames))
-	idx := uint32(0)
-	for _, fr := range frames {
+	var out []manifestDictShard
+	for _, fr := range sd.Frames() {
 		if !utf8.ValidString(fr.First) || !utf8.ValidString(fr.Last) {
 			return nil
 		}
-		start := off
-		for k := 0; k < fr.Count; k++ {
-			s := sd.StringAt(idx)
-			off += int64(uvarintLen(uint64(len(s)))) + int64(len(s))
-			idx++
-		}
-		out = append(out, manifestDictShard{
-			Off: start, Len: off - start,
-			Count: fr.Count, First: fr.First, Last: fr.Last,
-			Bloom: fr.Filter.Marshal(),
-		})
+		out = append(out, manifestDictShard{Count: fr.Count, First: fr.First, Last: fr.Last, Bloom: fr.Filter.Marshal()})
 	}
 	return out
 }
@@ -286,121 +269,126 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// compressRecords rewrites one column's raw stream with per-record codec
-// framing: a head record (dictionary plus chunk-count varint, the bytes
-// before the first chunk) followed by one record per chunk, each
-// compressed independently. A record stays compressed only if that makes
-// it strictly smaller than 7/8 of its raw length, and is stored raw
-// otherwise — so a compressed record is never as long as its raw form,
-// and a reader tells the two apart by length. The returned manifest entry
-// carries the file byte range of every record.
-func compressRecords(codec compress.Codec, raw []byte, mc manifestCol) ([]byte, manifestCol) {
-	var out []byte
-	record := func(src []byte) (off, n int64) {
-		start := len(out)
-		out = codec.Compress(out, src)
-		if !keepCompressed(len(out)-start, len(src)) {
-			out = append(out[:start], src...)
-		}
-		return int64(start), int64(len(out) - start)
-	}
-	_, mc.DictCLen = record(raw[:headRawLen(mc)])
-	for i := range mc.Chunks {
-		ch := &mc.Chunks[i]
-		ch.COff, ch.CLen = record(raw[ch.Off : ch.Off+ch.Len])
-	}
-	return out, mc
-}
-
 // keepCompressed is the codec rule: a compressed record is kept only when
 // it is strictly smaller than 7/8 of its raw length, since decompressing
 // it costs more than reading the bytes it saves.
 func keepCompressed(compressed, raw int) bool { return 8*compressed < 7*raw }
 
-// decompressColumnFile rebuilds a column's uncompressed stream from its
-// per-record file contents — the head record, then each chunk's —
-// decompressing the records stored compressed and copying the ones stored
-// raw.
-func decompressColumnFile(codec compress.Codec, mc manifestCol, data []byte) (raw []byte, err error) {
-	off, n, rawOff, rawLen, stored := int64(0), mc.DictCLen, int64(0), headRawLen(mc), headStoredRaw(mc)
-	for i := 0; i <= len(mc.Chunks); i++ {
-		if i > 0 {
-			ch := mc.Chunks[i-1]
-			off, n, rawOff, rawLen, stored = ch.COff, ch.CLen, ch.Off, ch.Len, chunkStoredRaw(ch)
+// encodeColumn renders a column file — the dictionary's frames, then one
+// record per chunk — and the manifest entry that indexes it. With a codec
+// every record is compressed alone and kept compressed only if that makes
+// it strictly smaller than 7/8 of its raw length (keepCompressed), so a
+// compressed record is never as long as its raw form and a reader tells
+// the two apart by length. Every record's CRC32C is taken over its file
+// bytes.
+func encodeColumn(col *Column, codec compress.Codec) (file []byte, mc manifestCol) {
+	mc = manifestCol{Name: col.Name, Kind: col.Kind.String(), Virtual: col.Virtual}
+	record := func(src []byte) (off, n int64, crc uint32) {
+		start := len(file)
+		if codec == nil {
+			file = append(file, src...)
+		} else if file = codec.Compress(file, src); !keepCompressed(len(file)-start, len(src)) {
+			file = append(file[:start], src...)
 		}
-		if off < 0 || n < 0 || off+n > int64(len(data)) || int64(len(raw)) != rawOff {
-			return nil, errTruncated
-		}
-		if stored {
-			raw = append(raw, data[off:off+n]...)
-		} else if raw, err = codec.Decompress(raw, data[off:off+n]); err != nil {
-			return nil, err
-		}
-		if int64(len(raw)) != rawOff+rawLen {
-			return nil, errTruncated
-		}
+		return int64(start), int64(len(file) - start), CRC32C(file[start:])
 	}
-	return raw, nil
-}
-
-// encodeColumn renders a column's dictionary and chunks. Alongside the raw
-// stream it reports the layout the manifest records for chunk-granular
-// loads: the dictionary's byte length and each chunk's value span and byte
-// range within the stream.
-func encodeColumn(col *Column) (raw []byte, dictLen int64, chunkMetas []manifestChunk) {
-	out := appendDict(nil, col.Dict, col.Kind)
-	dictLen = int64(len(out))
-	// Chunks.
-	out = appendUvarint(out, uint64(len(col.Chunks)))
+	var rawOff int64
+	dictFrames(col.Dict, col.Kind, func(raw []byte, count int) {
+		fr := manifestFrame{Raw: int64(len(raw)), Count: count}
+		fr.Off, fr.Len, fr.CRC = record(raw)
+		mc.Frames = append(mc.Frames, fr)
+		rawOff += fr.Raw
+	})
+	var buf []byte
 	for _, ch := range col.Chunks {
-		meta := manifestChunk{Off: int64(len(out))}
+		buf = appendChunk(buf[:0], ch)
+		meta := manifestChunk{Off: rawOff, Len: int64(len(buf))}
 		if len(ch.GlobalIDs) > 0 {
 			meta.Min = ch.GlobalIDs[0]
 			meta.Max = ch.GlobalIDs[len(ch.GlobalIDs)-1]
 		} else {
 			meta.Min, meta.Max = 1, 0 // Min > Max: empty chunk
 		}
-		out = appendUvarint(out, uint64(len(ch.GlobalIDs)))
-		prev := uint32(0)
-		for i, g := range ch.GlobalIDs {
-			delta := g
-			if i > 0 {
-				delta = g - prev // sorted ascending, so this never wraps
-			}
-			out = appendUvarint(out, uint64(delta))
-			prev = g
+		off, n, crc := record(buf)
+		if codec != nil {
+			meta.COff, meta.CLen = off, n
 		}
-		out = append(out, byte(ch.Elems.Width()))
-		out = appendUvarint(out, uint64(ch.Elems.Len()))
-		payload := ch.Elems.AppendBytes(nil)
-		out = appendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
-		meta.Len = int64(len(out)) - meta.Off
-		chunkMetas = append(chunkMetas, meta)
+		meta.CRC = crc
+		rawOff += meta.Len
+		mc.Chunks = append(mc.Chunks, meta)
 	}
-	return out, dictLen, chunkMetas
+	return file, mc
 }
 
-// appendDict appends a global dictionary: the count, then a string's
-// length and bytes per value, or a numeric dictionary's key deltas
-// (numdict.go).
-func appendDict(out []byte, d dict.Dict, kind value.Kind) []byte {
+// appendChunk appends one chunk record: its chunk dictionary as
+// global-id deltas, then its element width, row count and elements.
+func appendChunk(out []byte, ch *Chunk) []byte {
+	out = appendUvarint(out, uint64(len(ch.GlobalIDs)))
+	prev := uint32(0)
+	for i, g := range ch.GlobalIDs {
+		delta := g
+		if i > 0 {
+			delta = g - prev // sorted ascending, so this never wraps
+		}
+		out = appendUvarint(out, uint64(delta))
+		prev = g
+	}
+	out = append(out, byte(ch.Elems.Width()))
+	out = appendUvarint(out, uint64(ch.Elems.Len()))
+	payload := ch.Elems.AppendBytes(nil)
+	out = appendUvarint(out, uint64(len(payload)))
+	return append(out, payload...)
+}
+
+// dictFrames cuts a global dictionary into frames, in id order, and hands
+// each frame's raw bytes (valid until the next call) and value count to
+// emit. A string frame holds its values' lengths and bytes; a numeric one
+// restarts the key: its first key, then its own width byte and deltas
+// (appendKeyDeltas). A frame takes values while they fit in frameBytes,
+// and at least one — but a sharded string dictionary's frames are its
+// shards, which dictShards routes to.
+func dictFrames(d dict.Dict, kind value.Kind, emit func(raw []byte, count int)) {
 	n := d.Len()
-	out = appendUvarint(out, uint64(n))
+	var buf []byte
 	if kind == value.KindString {
 		sd := d.(dict.StringDict)
-		for i := 0; i < n; i++ {
-			s := sd.StringAt(uint32(i))
-			out = appendUvarint(out, uint64(len(s)))
-			out = append(out, s...)
+		var shards []dict.ShardFrame
+		if sh, ok := d.(*dict.Sharded); ok {
+			shards = sh.Frames()
 		}
-		return out
+		for lo, f := 0, 0; lo < n; f++ {
+			buf = buf[:0]
+			hi := lo
+			for ; hi < n; hi++ {
+				s := sd.StringAt(uint32(hi))
+				if shards != nil && hi == lo+shards[f].Count ||
+					shards == nil && hi > lo && len(buf)+uvarintLen(uint64(len(s)))+len(s) > frameBytes {
+					break
+				}
+				buf = append(appendUvarint(buf, uint64(len(s))), s...)
+			}
+			emit(buf, hi-lo)
+			lo = hi
+		}
+		return
 	}
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = numericKey(d.Value(uint32(i)))
 	}
-	return appendKeyDeltas(out, keys)
+	for lo := 0; lo < n; {
+		hi, span := lo+1, uint64(0)
+		for ; hi < n; hi++ {
+			next := span | (keys[hi] - keys[hi-1])
+			if 9+(hi-lo)*deltaWidth(next) > frameBytes {
+				break
+			}
+			span = next
+		}
+		buf = appendKeyDeltas(buf[:0], keys[lo:hi])
+		emit(buf, hi-lo)
+		lo = hi
+	}
 }
 
 // DiskStats reports how many bytes Open read, the quantity Figure 5's
@@ -433,7 +421,7 @@ func readManifest(dir string) (*manifest, int64, error) {
 }
 
 // checkCurrent is the gate of every reader but the eager Open: an
-// *OldFormatError for generations 1–5, and for generation 6 a check that
+// *OldFormatError for generations 1–6, and for generation 7 a check that
 // every column carries the layout cold reads rely on.
 func (m *manifest) checkCurrent(dir string) error {
 	if m.Format != formatVersion {
@@ -448,11 +436,22 @@ func (m *manifest) checkCurrent(dir string) error {
 }
 
 // checkLayout verifies one column entry (of the manifest or of its virtual
-// sidecar) records a dictionary length and one chunk per store chunk, with
-// codec record ranges when the store has a codec.
+// sidecar) records one chunk per store chunk, and a frame index that maps
+// every global-id to its bytes: frames that follow one another from the
+// start of the file, each holding at least one value in no fewer raw
+// bytes, and stored raw — at its raw length — unless the store has a
+// codec, which never keeps a record longer.
 func (m *manifest) checkLayout(mc manifestCol) error {
-	if mc.DictLen <= 0 || len(mc.Chunks) != len(m.Bounds)-1 || (m.Codec != "" && mc.DictCLen <= 0) {
+	if len(mc.Chunks) != len(m.Bounds)-1 {
 		return fmt.Errorf("colstore: column %q has no chunk layout", mc.Name)
+	}
+	var end int64
+	for i, fr := range mc.Frames {
+		if fr.Off != end || fr.Count <= 0 || fr.Raw < int64(fr.Count) || fr.Len <= 0 || fr.Len > fr.Raw ||
+			m.Codec == "" && fr.Len != fr.Raw {
+			return fmt.Errorf("colstore: column %q dictionary frame %d is malformed", mc.Name, i)
+		}
+		end += fr.Len
 	}
 	return nil
 }
@@ -478,62 +477,38 @@ func storeShell(m *manifest) *Store {
 // implementation is taken from the manifest options. For a lazily loaded,
 // budget-managed store see OpenLazy.
 //
-// Open is also the one reader of format generations 1–5 (Upgrade is Open
-// plus Save), and the one function that decodes by generation: it reads
-// whole files and decodes full columns, an older generation's once
-// oldColumnStream (upgrade.go) has rewritten them in generation 6's
-// framing.
+// Open is also the one reader of format generations 1–6 (Upgrade is Open
+// plus Save; openOld, upgrade.go). A current store it reads as the lazy
+// reader does, record by record — every frame of a dictionary and every
+// chunk, each verified — and decodes in full.
 func Open(dir string) (*Store, *DiskStats, error) {
-	stats := &DiskStats{}
 	m, manifestBytes, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	old := m.Format != formatVersion
-	if err := m.checkCurrent(dir); err != nil && !old {
+	if m.Format != formatVersion {
+		return openOld(dir, m, manifestBytes)
+	}
+	if err := m.checkCurrent(dir); err != nil {
 		return nil, nil, err
 	}
-	stats.BytesRead += manifestBytes
-	stats.Files++
-	var codec compress.Codec
-	if m.Codec != "" {
-		if codec, err = compress.ByName(m.Codec); err != nil {
-			return nil, nil, err
-		}
+	r, err := newReader(dir, m)
+	if err != nil {
+		return nil, nil, err
 	}
+	defer r.Close()
 	s := storeShell(m)
+	var bufs loadBufs
 	for _, mc := range m.Columns {
-		raw, err := vfs().ReadFile(filepath.Join(dir, mc.File))
+		col, err := r.loadColumn(mc, &bufs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
-		}
-		stats.BytesRead += int64(len(raw))
-		stats.Files++
-		if _, err := verifyColumnFile(mc, codec != nil, raw, filepath.Join(dir, mc.File)); err != nil {
-			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
-		}
-		kind, err := value.ParseKind(mc.Kind)
-		if err != nil {
-			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
-		}
-		switch {
-		case old:
-			raw, err = oldColumnStream(m.generation(), codec, mc, kind, raw)
-		case codec != nil:
-			raw, err = decompressColumnFile(codec, mc, raw)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
-		}
-		col, err := decodeColumn(mc.Name, kind, mc.Virtual, raw, s.Opts.StringDict)
-		if err != nil {
-			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 		}
 		if err := s.AddColumn(col); err != nil {
 			return nil, nil, err
 		}
 	}
-	return s, stats, nil
+	return s, &DiskStats{BytesRead: manifestBytes + r.IOStats().BytesRead, Files: 1 + len(m.Columns)}, nil
 }
 
 // FormatGeneration reports which format generation wrote the store at dir,
@@ -546,61 +521,7 @@ func FormatGeneration(dir string) (int, error) {
 	return m.generation(), nil
 }
 
-// decodeColumn parses the output of encodeColumn.
-func decodeColumn(name string, kind value.Kind, virtual bool, raw []byte, sd StringDictKind) (*Column, error) {
-	r := &byteReader{buf: raw}
-	d, err := decodeDict(r, kind, sd)
-	if err != nil {
-		return nil, err
-	}
-	nChunks, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	col := &Column{Name: name, Kind: kind, Dict: d, Virtual: virtual}
-	for c := uint64(0); c < nChunks; c++ {
-		ch, err := decodeChunk(r)
-		if err != nil {
-			return nil, err
-		}
-		col.Chunks = append(col.Chunks, ch)
-	}
-	return col, nil
-}
-
-// decodeDict parses the dictionary header encodeColumn writes. A string
-// dictionary is decoded into one block (decodeStringArray), which a trie
-// or a sharded dictionary is then built from; for numbers walkDict reads
-// and checks every value, and the dictionary is built on what it returns.
-func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
-	if kind == value.KindString {
-		arr, err := decodeStringArray(r)
-		if err != nil {
-			return nil, err
-		}
-		if sd != StringDictTrie && sd != StringDictSharded {
-			return arr, nil
-		}
-		strs := make([]string, arr.Len())
-		for i := range strs {
-			strs[i] = arr.StringAt(uint32(i))
-		}
-		if sd == StringDictTrie {
-			return dict.TrieOf(strs)
-		}
-		return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
-	}
-	_, ints, floats, err := walkDict(r, kind, nil)
-	if err != nil {
-		return nil, err
-	}
-	if kind == value.KindInt64 {
-		return dict.Int64sOf(ints)
-	}
-	return dict.Float64sOf(floats)
-}
-
-// decodeChunk parses one chunk record written by encodeColumn. The record is
+// decodeChunk parses one chunk record (appendChunk). The record is
 // not trusted: a cardinality is bounded by the bytes left (every global-id
 // takes at least one), the global-ids must ascend strictly within uint32, and
 // enc.Decode refuses an element outside the chunk dictionary — the scan

@@ -12,8 +12,8 @@ import (
 
 // buildShardedStore makes a multi-chunk store with an unsorted
 // high-cardinality string column (the shape chunk Blooms and dictionary
-// sub-framing exist for) and saves it uncompressed in v4 format.
-func buildShardedStore(t *testing.T, rows int) (*Store, string) {
+// sub-framing exist for) and saves it with the codec named ("" for none).
+func buildShardedStore(t *testing.T, rows int, codec string) (*Store, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	tag := make([]string, rows)
@@ -32,7 +32,7 @@ func buildShardedStore(t *testing.T, rows int) (*Store, string) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := Save(built, dir, ""); err != nil {
+	if err := Save(built, dir, codec); err != nil {
 		t.Fatal(err)
 	}
 	return built, dir
@@ -43,7 +43,7 @@ func buildShardedStore(t *testing.T, rows int) (*Store, string) {
 // in a chunk must test positive in that chunk's Bloom filter — a false
 // negative would make the residency analysis silently drop matching rows.
 func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
-	built, dir := buildShardedStore(t, 4000)
+	built, dir := buildShardedStore(t, 4000, "")
 	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +70,20 @@ func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
 	}
 }
 
-// TestV4DictSubFramingRoundTrip pins the sub-framed dictionary read path:
-// a lazily opened v4 store rebuilds the sharded dictionary from manifest
-// frames with zero shards resident, every id resolves to the same value as
-// the dictionary it was saved from, and a point lookup pages in one shard.
+// TestV4DictSubFramingRoundTrip pins the sub-framed dictionary read path,
+// with a codec and without: a lazily opened store rebuilds the sharded
+// dictionary from the manifest's routing with zero shards resident, every
+// id resolves to the same value as the dictionary it was saved from, and a
+// point lookup pages in one shard — its frame, and no other bytes.
 func TestV4DictSubFramingRoundTrip(t *testing.T) {
+	for _, codec := range []string{"", "zippy"} {
+		t.Run("codec="+codec, func(t *testing.T) { subFramingRoundTrip(t, codec) })
+	}
+}
+
+func subFramingRoundTrip(t *testing.T, codec string) {
 	// 40k rows give ~25k distinct values — several 8192-value shards.
-	built, dir := buildShardedStore(t, 40000)
+	built, dir := buildShardedStore(t, 40000, codec)
 	want := built.Column("tag").Dict
 
 	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
@@ -101,6 +108,7 @@ func TestV4DictSubFramingRoundTrip(t *testing.T) {
 	}
 
 	// Point probe: exactly one shard pages in.
+	io0, _ := lazy.IOStats()
 	probe := want.Value(uint32(want.Len() / 2)).Str()
 	id, ok := sd.LookupString(probe)
 	if !ok {
@@ -111,6 +119,15 @@ func TestV4DictSubFramingRoundTrip(t *testing.T) {
 	}
 	if got := sd.Loads(); got != 1 {
 		t.Fatalf("point lookup loaded %d shards, want 1", got)
+	}
+	mc, _, err := lazy.lazy.reader.dictMeta("tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := want.Len() / 2 / mc.DictShards[0].Count
+	if io, _ := lazy.IOStats(); io.BytesRead-io0.BytesRead != mc.Frames[shard].Len || io.ChecksumVerified-io0.ChecksumVerified != 1 {
+		t.Fatalf("point lookup read %d bytes and verified %d records, want frame %d's %d bytes and 1",
+			io.BytesRead-io0.BytesRead, io.ChecksumVerified-io0.ChecksumVerified, shard, mc.Frames[shard].Len)
 	}
 
 	// Full sweep: every id resolves identically to the saved dictionary.

@@ -4,15 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"powerdrill/internal/value"
 )
 
-// A numeric dictionary is written as fixed-width deltas of
-// order-preserving uint64 keys (docs/format.md): after the count n, the
+// A numeric dictionary frame is written as fixed-width deltas of
+// order-preserving uint64 keys (docs/format.md): for its n values, the
 // first key in 8 little-endian bytes, then — when n ≥ 2 — one width byte
 // (1, 2, 4 or 8, the narrowest that holds every delta) and the n−1 deltas
-// in that many little-endian bytes each. Sorted distinct values have
+// in that many little-endian bytes each. Every frame restarts the key, so
+// each is read alone. Sorted distinct values have
 // strictly ascending keys, so every delta is at least one; a dictionary of
 // timestamps or small integers packs into a byte or two a value.
 
@@ -45,6 +47,14 @@ func keyFloat64(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
+// fromKey inverts numericKey for a T, a float64 exactly when float is set.
+func fromKey[T int64 | float64](k uint64, float bool) T {
+	if float {
+		return T(keyFloat64(k))
+	}
+	return T(keyInt64(k))
+}
+
 // deltaWidth is the narrowest delta width, in bytes, that holds span (the
 // OR of every delta, which has the largest delta's bit length).
 func deltaWidth(span uint64) int {
@@ -59,8 +69,8 @@ func deltaWidth(span uint64) int {
 	return 8
 }
 
-// appendKeyDeltas appends the payload of a numeric dictionary whose keys
-// ascend strictly (the count is the caller's).
+// appendKeyDeltas appends a numeric frame of keys that ascend strictly (the
+// count is the caller's).
 func appendKeyDeltas(out []byte, keys []uint64) []byte {
 	if len(keys) == 0 {
 		return out
@@ -90,20 +100,19 @@ const (
 	maxFloatKey = 0xFFF0000000000000
 )
 
-// walkNumbers reads a numeric dictionary payload of n values, the count
-// read and passed by walkDict: the key deltas appendKeyDeltas writes,
-// converted by key. It keeps the values at the ids in want, a sorted set
-// (every value when want is nil), and converts no other. The payload is
-// not trusted: n is bounded by the bytes left before anything is
-// allocated; a width byte other than 1, 2, 4 or 8, or wider than the
+// walkNumbers reads a numeric frame of n values, the count given by the
+// frame index: the key deltas appendKeyDeltas writes, converted to T. It
+// appends to out the values at the ids in want, a sorted set (every value
+// when want is nil), and converts no other. The frame is not trusted: n is
+// bounded by the bytes left before anything is allocated; a width byte other than 1, 2, 4 or 8, or wider than the
 // deltas need, is an error; and the values must ascend strictly — a zero
 // delta repeats a value, and a delta that wraps the key past 2⁶⁴ descends.
 // Keys order as their values do, so the keys are what is checked, but for
 // what float64 order adds: no NaN, and not both −0 and +0, which are
 // adjacent keys of equal values.
-func walkNumbers[T int64 | float64](r *byteReader, n uint64, key func(uint64) T, want []uint32) ([]T, error) {
+func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out []T) ([]T, error) {
 	if n == 0 {
-		return []T{}, checkWant(want, 0)
+		return out, checkWant(want, 0)
 	}
 	first, err := r.take(8)
 	if err != nil {
@@ -124,10 +133,7 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, key func(uint64) T,
 		}
 		body, _ = r.take(int(n-1) * w) // cannot fail: bounded just above
 	}
-	var out []T
-	if want == nil {
-		out = make([]T, n)
-	} else {
+	if want != nil && out == nil {
 		out = make([]T, 0, len(want))
 	}
 	next := 0 // the next id of want
@@ -141,9 +147,9 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, key func(uint64) T,
 		return nil, descends(0)
 	}
 	if want == nil {
-		out[0] = key(k)
+		out = append(slices.Grow(out, int(n)), fromKey[T](k, float))
 	} else if len(want) > 0 && want[0] == 0 {
-		out = append(out, key(k))
+		out = append(out, fromKey[T](k, float))
 		next++
 	}
 	// The keys go through a block at a time: one tight loop per delta
@@ -207,13 +213,15 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, key func(uint64) T,
 			return nil, descends(bad)
 		}
 		if want == nil {
+			at := len(out)
+			out = out[:at+len(keys)] // grown to n above
 			for j, kj := range keys {
-				out[base+j] = key(kj)
+				out[at+j] = fromKey[T](kj, float)
 			}
 			continue
 		}
 		for ; next < len(want) && int(want[next]) < base+len(keys); next++ {
-			out = append(out, key(keys[int(want[next])-base]))
+			out = append(out, fromKey[T](keys[int(want[next])-base], float))
 		}
 	}
 	if float && k > maxFloatKey {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -64,13 +65,72 @@ func appendWordDict(out []byte, d dict.Dict) []byte {
 	return out
 }
 
-// FuzzNumericDict: the numeric dictionary record, as Save writes it and as
-// Upgrade's word decoder reads generation 5's. A sorted set built from the
-// input round-trips bit for bit through the key deltas and through the
+// appendDict appends a dictionary as a head record of generations 1–6
+// holds it, for decodeDict: the count, then every value in one frame.
+func appendDict(out []byte, d dict.Dict, kind value.Kind) []byte {
+	out = appendUvarint(out, uint64(d.Len()))
+	if kind == value.KindString {
+		sd := d.(dict.StringDict)
+		for i := 0; i < d.Len(); i++ {
+			s := sd.StringAt(uint32(i))
+			out = append(appendUvarint(out, uint64(len(s))), s...)
+		}
+		return out
+	}
+	keys := make([]uint64, d.Len())
+	for i := range keys {
+		keys[i] = numericKey(d.Value(uint32(i)))
+	}
+	return appendKeyDeltas(out, keys)
+}
+
+// randomNumbers is a sorted set of up to 4 000 numbers drawn from rng,
+// whose gaps change size every few hundred values, so that the frames of
+// one dictionary need different delta widths.
+func randomNumbers(rng *rand.Rand, float bool) dict.Dict {
+	n := rng.Intn(4000)
+	keys := make([]uint64, 0, n)
+	k, bits := rng.Uint64()>>2, 1
+	for i := 0; i < n; i++ {
+		if i%300 == 0 {
+			bits = 1 + rng.Intn(40)
+		}
+		gap := 1 + rng.Uint64()>>(64-bits)
+		if k+gap <= k {
+			break
+		}
+		k += gap
+		keys = append(keys, k)
+	}
+	if !float {
+		ints := make([]int64, len(keys))
+		for i, k := range keys {
+			ints[i] = keyInt64(k)
+		}
+		return dict.NewInt64s(ints)
+	}
+	var floats []float64
+	for _, k := range keys {
+		if k < minFloatKey || k > maxFloatKey {
+			continue
+		}
+		if v := keyFloat64(k); len(floats) == 0 || floats[len(floats)-1] < v {
+			floats = append(floats, v)
+		}
+	}
+	return dict.NewFloat64s(floats)
+}
+
+// FuzzNumericDict: the numeric dictionary, as Save writes it in frames,
+// and as head records of generation 6 (key deltas) and of generation 5
+// (8-byte words, Upgrade's word decoder) held it. A sorted set built from
+// the input round-trips bit for bit through the key deltas and through the
 // 8-byte words, and the input read as either record decodes to an error or
 // to a dictionary whose values re-encode to exactly the bytes they were
 // read from — never a panic, and never an allocation the input's length
-// cannot back.
+// cannot back. A larger set drawn from the input's checksum goes through
+// checkFrameReads: read whole, by the frames a few ids need, and with a
+// byte flipped in one frame.
 func FuzzNumericDict(f *testing.F) {
 	words := func(vs ...uint64) []byte {
 		var out []byte
@@ -148,5 +208,7 @@ func FuzzNumericDict(f *testing.F) {
 				}
 			}
 		}
+		rng := rand.New(rand.NewSource(int64(CRC32C(data))))
+		checkFrameReads(t, randomNumbers(rng, float), kind, rng)
 	})
 }

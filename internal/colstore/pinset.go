@@ -415,12 +415,13 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 // loading it is free — the lookup a row scan renders its winners with. A
 // dictionary the set holds, or the manager holds resident, answers from
 // memory. A cold one is admitted as ColumnDict would when the manager can
-// hold it without evicting anything (always, without a budget). Otherwise
-// its record is read, CRC-verified and decompressed like any cold load, and
-// walked once for the wanted ids; the dictionary never enters the manager,
-// and is built only on a trie or sharded store, whose charge the record's
-// length does not tell. The walk counts as a cold dictionary load with no
-// resident bytes.
+// hold it without evicting anything (always, without a budget), which the
+// frame index tells without reading anything. Otherwise only the frames
+// that hold the wanted ids are read, CRC-verified and decompressed like
+// any cold load, and walked; nothing enters the manager. A trie or a
+// sharded dictionary, whose charge the index does not tell, is read and
+// decoded whole first and looked up in. The lookup counts as a cold
+// dictionary load with no resident bytes.
 func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return lookupValues(c.Dict, gids), nil
@@ -446,24 +447,14 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if reader.framedDict(mc, kind) {
-		// A frame-indexed dictionary loads no values until probed.
-		if err := p.ensureDict(h); err != nil {
-			return nil, err
-		}
-		return lookupValues(h.view.Dict, gids), nil
-	}
-	rec, disk, err := reader.dictRecord(mc, &p.bufs)
-	if err != nil {
-		p.noteChecksumErr(err)
-		return nil, err
-	}
-	var d dict.Dict
-	size := dictSizeOf(kind, rec)
+	var (
+		d    dict.Dict
+		disk int64
+	)
+	size := dictSizeOf(kind, mc.Frames)
 	if kind == value.KindString && reader.sd != StringDictArray {
-		// The estimate models the string array only: a trie or a sharded
-		// dictionary must fit at what it is charged once decoded.
-		if d, err = reader.decodeDictRecord(mc, kind, rec); err != nil {
+		if d, disk, err = reader.readDict(mc, kind, &p.bufs); err != nil {
+			p.noteChecksumErr(err)
 			return nil, err
 		}
 		size = d.MemoryBytes()
@@ -473,8 +464,7 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 			if d != nil {
 				return d, disk, nil
 			}
-			d, err := reader.decodeDictRecord(mc, kind, rec)
-			return d, disk, err
+			return reader.readDict(mc, kind, &p.bufs)
 		})
 		if err != nil {
 			return nil, err
@@ -484,7 +474,8 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	var vals []value.Value
 	if d != nil {
 		vals = lookupValues(d, gids)
-	} else if vals, err = reader.dictValues(mc, kind, rec, gids); err != nil {
+	} else if vals, disk, err = reader.dictValues(mc, kind, gids, &p.bufs); err != nil {
+		p.noteChecksumErr(err)
 		return nil, err
 	}
 	p.ColdDictLoads++

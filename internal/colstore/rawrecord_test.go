@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"powerdrill/internal/compress"
+	"powerdrill/internal/dict"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/value"
 )
 
 // savedManifest reads the manifest Save wrote into dir.
@@ -29,7 +31,7 @@ func savedManifest(t *testing.T, dir string) *manifest {
 	return &m
 }
 
-// TestStoredRawRecords: a generation-6 zippy store keeps the records zippy
+// TestStoredRawRecords: a zippy store keeps the records zippy
 // does not shrink below 7/8 raw, and compresses the rest. Every reader
 // agrees on what it holds — the lazy loads, the eager Open and Upgrade,
 // which rewrites the same bytes — and the scrub verifies both kinds. A raw
@@ -43,16 +45,18 @@ func TestStoredRawRecords(t *testing.T) {
 	}
 	type record struct {
 		col     manifestCol
-		chunk   int // -1: the head record
+		chunk   int // -1: a dictionary frame
 		off, n  int64
 		rawLen  int64
 		storedR bool
 	}
 	var records []record
 	for _, mc := range m.Columns {
-		records = append(records, record{mc, -1, 0, mc.DictCLen, headRawLen(mc), headStoredRaw(mc)})
+		for _, fr := range mc.Frames {
+			records = append(records, record{mc, -1, fr.Off, fr.Len, fr.Raw, fr.Len == fr.Raw})
+		}
 		for ci, ch := range mc.Chunks {
-			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, chunkStoredRaw(ch)})
+			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, ch.CLen == ch.Len})
 		}
 	}
 	var raw, compressed *record
@@ -105,18 +109,22 @@ func TestStoredRawRecords(t *testing.T) {
 	}
 
 	// A flipped byte in the first raw chunk record and in the first raw
-	// head record.
+	// dictionary frame of each dictionary kind, numeric and string.
 	var flips []record
 	for _, head := range []bool{false, true} {
+		kinds := map[string]bool{}
 		for _, rec := range records {
-			if rec.storedR && (rec.chunk < 0) == head {
+			if rec.storedR && (rec.chunk < 0) == head && !kinds[rec.col.Kind] {
+				kinds[rec.col.Kind] = true
 				flips = append(flips, rec)
-				break
+				if !head {
+					break
+				}
 			}
 		}
 	}
-	if len(flips) != 2 {
-		t.Fatalf("want a raw chunk record and a raw head record, have %d of them", len(flips))
+	if len(flips) != 3 {
+		t.Fatalf("want a raw chunk record and a raw numeric and string dictionary frame, have %d of them", len(flips))
 	}
 	for _, rec := range flips {
 		t.Run(fmt.Sprintf("%s/%d", rec.col.Name, rec.chunk), func(t *testing.T) {
@@ -161,8 +169,9 @@ func TestStoredRawRecords(t *testing.T) {
 }
 
 // TestKeepCompressedNeverRawLength: whatever the codec makes of a record,
-// a compressed record kept is never as long as its raw form
-// — the length a reader takes for "stored raw" — for raw lengths 0–64.
+// a compressed record kept is never as long as its raw form — the length
+// a reader takes for "stored raw" — for raw lengths 0–64, and a record of
+// each, here a one-value dictionary's frame, reads back to its raw bytes.
 func TestKeepCompressedNeverRawLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, name := range []string{"zippy", "lzoish"} {
@@ -170,24 +179,25 @@ func TestKeepCompressedNeverRawLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := &Reader{m: &manifest{Codec: name}}
 		for n := 0; n <= 64; n++ {
 			for c := 0; c <= n+16; c++ {
 				if keepCompressed(c, n) && c >= n {
 					t.Fatalf("keepCompressed(%d, %d) keeps a record no shorter than raw", c, n)
 				}
 			}
-			for _, chunk := range [][]byte{make([]byte, n), bytes.Repeat([]byte("ab"), n)[:n], randBytes(rng, n)} {
-				// A one-chunk column: a one-byte head record, then the chunk.
-				raw := append([]byte{1}, chunk...)
-				mc := manifestCol{Chunks: []manifestChunk{{Off: 1, Len: int64(n)}}}
-				file, mc := compressRecords(codec, raw, mc)
-				ch := mc.Chunks[0]
-				if chunkStoredRaw(ch) != bytes.Equal(file[ch.COff:ch.COff+ch.CLen], chunk) {
-					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, chunkStoredRaw(ch), file[ch.COff:], chunk)
+			for _, val := range [][]byte{make([]byte, n), bytes.Repeat([]byte("ab"), n)[:n], randBytes(rng, n)} {
+				col := &Column{Name: "c", Kind: value.KindString, Dict: dict.NewStringArray([]string{string(val)})}
+				file, mc := encodeColumn(col, codec)
+				fr := mc.Frames[0]
+				raw := append(appendUvarint(nil, uint64(n)), val...)
+				rec := file[fr.Off : fr.Off+fr.Len]
+				if (fr.Len == fr.Raw) != bytes.Equal(rec, raw) {
+					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, fr.Len == fr.Raw, rec, raw)
 				}
-				back, err := decompressColumnFile(codec, mc, file)
+				back, err := r.rawRecord(rec, fr.Raw, nil)
 				if err != nil || !bytes.Equal(back, raw) {
-					t.Fatalf("%s, %d bytes: the column file decodes to %x, %v", name, n, back, err)
+					t.Fatalf("%s, %d bytes: the frame reads back as %x, %v", name, n, back, err)
 				}
 			}
 		}

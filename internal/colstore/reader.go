@@ -13,9 +13,10 @@ import (
 	"powerdrill/internal/value"
 )
 
-// This file is the Reader: it decodes a single dictionary or a single
-// chunk from the persisted format, each read at its exact byte range,
-// CRC-verified, and decompressed if its codec compressed it. The file
+// This file is the Reader: it decodes a single dictionary, the values of a
+// few of its ids, or a single chunk from the persisted format, each record
+// read at its exact byte range, CRC-verified, and decompressed if its codec
+// compressed it. The file
 // handle cache, the coalesced run reads and the I/O counters it keeps are
 // in readerio.go.
 
@@ -54,15 +55,21 @@ func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 	if err := m.checkCurrent(dir); err != nil {
 		return nil, 0, err
 	}
+	r, err = newReader(dir, m)
+	return r, n, err
+}
+
+// newReader serves the current-generation manifest m of the store in dir.
+func newReader(dir string, m *manifest) (*Reader, error) {
 	if m.Codec != "" {
 		// Validate up front so every later load can resolve the codec
 		// infallibly (mustCodec): an unknown codec — a store written by a
 		// newer build, say — must fail the open, not the first cold query.
 		if _, err := compress.ByName(m.Codec); err != nil {
-			return nil, 0, fmt.Errorf("colstore: open %s: %w", dir, err)
+			return nil, fmt.Errorf("colstore: open %s: %w", dir, err)
 		}
 	}
-	r = &Reader{
+	r := &Reader{
 		dir:  dir,
 		m:    m,
 		sd:   StringDictKind(m.Opts.StringDict),
@@ -74,7 +81,7 @@ func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 	for _, mc := range m.Columns {
 		r.cols[mc.Name] = mc
 	}
-	return r, n, nil
+	return r, nil
 }
 
 // colMeta looks up a column's manifest entry. Reads take the lock because
@@ -110,10 +117,11 @@ func (r *Reader) Columns() []ColumnMeta {
 // Bounds returns the store's chunk row boundaries.
 func (r *Reader) Bounds() []int { return r.m.Bounds }
 
-// LoadColumnDict decodes only the named column's global dictionary: the
-// head record's byte range is read from disk, verified, and, if the codec
+// LoadColumnDict decodes only the named column's global dictionary: its
+// frames are read in one run from disk, each verified and, if the codec
 // compressed it, decompressed alone. The reported disk bytes are exactly
-// that record's.
+// the frames'. A sharded string dictionary with routing in the manifest
+// loads no values at all: it reads a shard's frame when a lookup probes it.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 	return r.loadColumnDict(name, nil)
 }
@@ -125,18 +133,9 @@ func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, 
 		return nil, 0, err
 	}
 	if d, ok := r.shardedDictFromFrames(mc, kind); ok {
-		// Sub-framed load (uncompressed sharded string dictionaries):
-		// routing bounds and Bloom filters come straight from the manifest,
-		// so no dictionary bytes are read until a query probes a shard —
-		// and each probe reads exactly that shard's byte range.
 		return d, 0, nil
 	}
-	raw, n, err := r.dictRecord(mc, bufs)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := r.decodeDictRecord(mc, kind, raw)
-	return d, n, err
+	return r.readDict(mc, kind, bufs)
 }
 
 // dictMeta resolves a column's manifest entry and kind.
@@ -152,127 +151,185 @@ func (r *Reader) dictMeta(name string) (manifestCol, value.Kind, error) {
 	return mc, kind, nil
 }
 
-// dictRecord reads a column's head record — its dictionary, then the
-// chunk-count varint — verifies it and, if the codec compressed it,
-// decompresses it into bufs: the bytes decodeDict and dictValues walk. n
-// is the record's file length, the disk bytes the read cost.
-func (r *Reader) dictRecord(mc manifestCol, bufs *loadBufs) (raw []byte, n int64, err error) {
-	n = headFileLen(mc, r.m.Codec != "", 0)
-	raw, err = r.readRange(mc.File, 0, n, bufs)
+// readDict decodes a column's whole dictionary — a sharded one too, with
+// every shard resident: all its frames in one read into bufs, each
+// verified, then decompressed one at a time into one frame-sized buffer
+// and decoded into one dictBuilder. n is the frames' file length, the disk
+// bytes the read cost.
+func (r *Reader) readDict(mc manifestCol, kind value.Kind, bufs *loadBufs) (d dict.Dict, n int64, err error) {
+	all := make([]int, len(mc.Frames))
+	var count, rawLen int64
+	for i, fr := range mc.Frames {
+		all[i] = i
+		count += int64(fr.Count)
+		rawLen += fr.Raw
+	}
+	recs, n, err := r.readFrames(mc, all, bufs)
+	if err != nil {
+		return nil, 0, err
+	}
+	b, err := newDictBuilder(kind, uint64(count), int(rawLen))
+	for i := 0; err == nil && i < len(recs); i++ {
+		var raw []byte
+		if raw, err = r.rawRecord(recs[i], mc.Frames[i].Raw, bufs); err == nil {
+			br := &byteReader{buf: raw}
+			if err = b.frame(br, uint64(mc.Frames[i].Count)); err == nil {
+				err = frameEnd(br)
+			}
+		}
+	}
+	if err == nil {
+		d, err = b.dict(r.sd)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
+	}
+	return d, n, nil
+}
+
+// readFrames reads frames idx (ascending) of a column's dictionary into
+// bufs — one read per run of adjacent frames — and verifies each against
+// its CRC. It returns each frame's file bytes and the disk bytes read.
+func (r *Reader) readFrames(mc manifestCol, idx []int, bufs *loadBufs) (recs [][]byte, n int64, err error) {
+	spans := make([]record, len(idx))
+	for j, i := range idx {
+		fr := mc.Frames[i]
+		spans[j] = record{off: fr.Off, n: fr.Len, crc: fr.CRC}
+		n += fr.Len
+	}
+	recs, _, _, err = r.readRuns(mc.File, spans, bufs)
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", mc.Name, err)
 	}
-	if err := r.verifyRecord(mc.File, 0, raw, mc.DictCRC); err != nil {
-		return nil, 0, err
-	}
-	if r.m.Codec != "" && !headStoredRaw(mc) {
-		if raw, err = r.decompress(mustCodec(r.m.Codec), raw, bufs); err != nil {
-			return nil, 0, fmt.Errorf("colstore: load dictionary of %q: %w", mc.Name, err)
+	for j, sp := range spans {
+		if err := r.verifyRecord(mc.File, sp.off, recs[j], sp.crc); err != nil {
+			return nil, 0, err
 		}
 	}
-	return raw, n, nil
+	return recs, n, nil
 }
 
-// decodeDictRecord builds the dictionary of a head record dictRecord
-// returned. The record ends in the chunk-count varint; the decoder stops
-// at the dictionary's end and ignores it.
-func (r *Reader) decodeDictRecord(mc manifestCol, kind value.Kind, raw []byte) (dict.Dict, error) {
-	d, err := decodeDict(&byteReader{buf: raw}, kind, r.sd)
-	if err != nil {
-		return nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
-	}
-	return d, nil
-}
-
-// dictValues looks the global-ids up in a head record dictRecord returned,
-// in one walk and without building the dictionary: the record goes through
-// walkDict, and every refusal of a full decode, like one.
-func (r *Reader) dictValues(mc manifestCol, kind value.Kind, raw []byte, gids []uint32) ([]value.Value, error) {
+// dictValues looks the global-ids up in a column's dictionary without
+// building it: only the frames that hold them are read (readFrames),
+// decompressed and walked, and each refuses what its decode would. It
+// returns the values in the order of gids, and the disk bytes read.
+func (r *Reader) dictValues(mc manifestCol, kind value.Kind, gids []uint32, bufs *loadBufs) ([]value.Value, int64, error) {
 	want := slices.Clone(gids)
 	slices.Sort(want)
 	want = slices.Compact(want)
-	strs, ints, floats, err := walkDict(&byteReader{buf: raw}, kind, want)
+	// The frames holding want, and the global-id each starts at.
+	var idx []int
+	var bases []uint32
+	base, i := uint32(0), 0
+	for _, id := range want {
+		for i < len(mc.Frames) && id-base >= uint32(mc.Frames[i].Count) {
+			base += uint32(mc.Frames[i].Count)
+			i++
+		}
+		if i == len(mc.Frames) {
+			return nil, 0, fmt.Errorf("colstore: column %q: dictionary has no global-id %d", mc.Name, id)
+		}
+		if len(idx) == 0 || idx[len(idx)-1] != i {
+			idx, bases = append(idx, i), append(bases, base)
+		}
+	}
+	recs, n, err := r.readFrames(mc, idx, bufs)
 	if err != nil {
-		return nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
+		return nil, 0, err
+	}
+	vals := make([]value.Value, 0, len(want))
+	local := make([]uint32, 0, len(want))
+	for j, i := range idx {
+		fr := mc.Frames[i]
+		local = local[:0]
+		for _, id := range want[len(vals):] {
+			if id-bases[j] >= uint32(fr.Count) {
+				break
+			}
+			local = append(local, id-bases[j])
+		}
+		raw, err := r.rawRecord(recs[j], fr.Raw, bufs)
+		var (
+			strs   []string
+			ints   []int64
+			floats []float64
+		)
+		if err == nil {
+			strs, ints, floats, err = walkFrame(raw, kind, uint64(fr.Count), local)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("colstore: column %q dictionary frame %d: %w", mc.Name, i, err)
+		}
+		for k := range local {
+			switch kind {
+			case value.KindString:
+				vals = append(vals, value.String(strs[k]))
+			case value.KindInt64:
+				vals = append(vals, value.Int64(ints[k]))
+			default:
+				vals = append(vals, value.Float64(floats[k]))
+			}
+		}
 	}
 	out := make([]value.Value, len(gids))
 	for i, id := range gids {
 		k, _ := slices.BinarySearch(want, id)
-		switch kind {
-		case value.KindString:
-			out[i] = value.String(strs[k])
-		case value.KindInt64:
-			out[i] = value.Int64(ints[k])
-		default:
-			out[i] = value.Float64(floats[k])
-		}
+		out[i] = vals[k]
 	}
-	return out, nil
+	return out, n, nil
 }
 
-// dictSizeOf estimates the resident bytes of the dictionary a head record
-// decodes to, from its count and its length alone: exact for numbers, and
-// for strings the footprint of a string array whose block holds every byte
-// the record has left after one length byte per value — exact when every
-// value is shorter than 128 bytes and nothing follows the dictionary, more
-// otherwise. It does not model a trie or a sharded dictionary.
-func dictSizeOf(kind value.Kind, raw []byte) int64 {
-	br := &byteReader{buf: raw}
-	n, err := br.uvarint()
-	if err != nil || n > uint64(len(raw)-br.off) {
-		return int64(len(raw))
+// dictSizeOf estimates the resident bytes of the dictionary a column's
+// frames decode to, from the frame index alone: exact for numbers, and for
+// strings the footprint of a string array whose block holds every byte the
+// frames hold after one length byte per value — exact when every value is
+// shorter than 128 bytes. It does not model a trie or a sharded
+// dictionary.
+func dictSizeOf(kind value.Kind, frames []manifestFrame) int64 {
+	var n, raw int64
+	for _, fr := range frames {
+		n += int64(fr.Count)
+		raw += fr.Raw
 	}
 	if kind == value.KindString {
-		return dict.StringArrayBytes(len(raw)-br.off-int(n), int(n))
+		return dict.StringArrayBytes(int(raw-n), int(n))
 	}
-	return int64(n) * 8
+	return 8 * n
 }
 
-// shardedDictFromFrames reconstructs a sharded string dictionary from the
-// manifest's sub-frames, loading no values. Applies only to uncompressed
-// stores saved with StringDictSharded: the shard byte ranges index the raw
-// column file, so each shard the query probes is served by one exact
-// ReadAt. Any malformed frame (bad Bloom bytes, non-positive count) makes
-// the whole path report !ok and the caller falls back to decoding the full
-// dictionary record — slower, never wrong.
+// shardedDictFromFrames rebuilds a sharded string dictionary from the
+// manifest's routing, loading no values: on a store opened with
+// StringDictSharded whose every shard is one frame, a lookup that probes
+// shard i reads, verifies and decodes frame i alone. Any malformed entry
+// (bad Bloom bytes, a count the frame does not hold) makes it report !ok,
+// and the caller decodes the whole dictionary — slower, never wrong.
 func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Dict, bool) {
-	if !r.framedDict(mc, kind) {
+	if kind != value.KindString || r.sd != StringDictSharded || len(mc.DictShards) == 0 || len(mc.DictShards) != len(mc.Frames) {
 		return nil, false
 	}
 	frames := make([]dict.ShardFrame, len(mc.DictShards))
 	for i, ds := range mc.DictShards {
 		f, err := bloom.Unmarshal(ds.Bloom)
-		if err != nil || ds.Count <= 0 || ds.Len <= 0 {
+		if err != nil || ds.Count != mc.Frames[i].Count {
 			return nil, false
 		}
 		frames[i] = dict.ShardFrame{Count: ds.Count, First: ds.First, Last: ds.Last, Filter: f}
 	}
-	shards := mc.DictShards
-	file := mc.File
 	loader := func(i int) ([]string, error) {
-		if i < 0 || i >= len(shards) {
+		if i < 0 || i >= len(mc.Frames) {
 			return nil, fmt.Errorf("colstore: dict shard %d of %q out of range", i, mc.Name)
 		}
-		ds := shards[i]
-		raw, err := r.readRange(file, ds.Off, ds.Len, nil)
+		recs, _, err := r.readFrames(mc, []int{i}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("colstore: load dict shard %d of %q: %w", i, mc.Name, err)
-		}
-		if err := r.verifyRecord(file, ds.Off, raw, ds.CRC); err != nil {
 			return nil, err
 		}
-		br := &byteReader{buf: raw}
-		vals := make([]string, ds.Count)
-		for j := range vals {
-			l, err := br.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
-			}
-			b, err := br.take(int(l))
-			if err != nil {
-				return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
-			}
-			vals[j] = string(b)
+		raw, err := r.rawRecord(recs[0], mc.Frames[i].Raw, nil)
+		var vals []string
+		if err == nil {
+			vals, _, _, err = walkFrame(raw, kind, uint64(mc.Frames[i].Count), nil)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
 		}
 		return vals, nil
 	}
@@ -332,6 +389,24 @@ func (r *Reader) decompress(codec compress.Codec, src []byte, bufs *loadBufs) ([
 	return out, err
 }
 
+// rawRecord returns a record's raw bytes from its file bytes: rec itself
+// when it is stored raw — its length is its raw length, which a kept
+// compressed record never reaches — and otherwise rec decompressed into
+// bufs, which must give rawLen bytes.
+func (r *Reader) rawRecord(rec []byte, rawLen int64, bufs *loadBufs) ([]byte, error) {
+	if int64(len(rec)) == rawLen {
+		return rec, nil
+	}
+	if r.m.Codec == "" {
+		return nil, errTruncated
+	}
+	raw, err := r.decompress(mustCodec(r.m.Codec), rec, bufs)
+	if err == nil && int64(len(raw)) != rawLen {
+		err = errTruncated
+	}
+	return raw, err
+}
+
 // verifyRecord checks one record's file bytes against its stored CRC,
 // updating the reader's counters. want == 0 skips (absent checksum).
 func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) error {
@@ -350,13 +425,6 @@ func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) e
 		return &ChecksumError{Path: r.dir + "/" + file, Off: off, Len: int64(len(rec)), Want: want, Got: got}
 	}
 	return nil
-}
-
-// framedDict reports whether a column's dictionary loads from the
-// manifest's sub-frames (shardedDictFromFrames) rather than from its
-// record.
-func (r *Reader) framedDict(mc manifestCol, kind value.Kind) bool {
-	return kind == value.KindString && len(mc.DictShards) > 0 && r.m.Codec == "" && r.sd == StringDictSharded
 }
 
 // LoadColumnChunk decodes a single chunk of the named column: only the
@@ -402,14 +470,18 @@ func (r *Reader) ChunkFileRange(name string, ci int) (off, n int64, err error) {
 	return off, n, err
 }
 
-// DictFileLen returns the byte length of the head record (dictionary plus
-// chunk-count varint) a dictionary load reads.
+// DictFileLen returns the file length of a dictionary's frames: what a
+// load of the whole dictionary reads.
 func (r *Reader) DictFileLen(name string) (int64, error) {
 	mc, ok := r.colMeta(name)
 	if !ok {
 		return 0, fmt.Errorf("colstore: unknown column %q", name)
 	}
-	return headFileLen(mc, r.m.Codec != "", 0), nil
+	var n int64
+	for _, fr := range mc.Frames {
+		n += fr.Len
+	}
+	return n, nil
 }
 
 // DecodeChunkRecord decodes one chunk from its file-level record bytes (as
@@ -428,17 +500,11 @@ func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBu
 	if err := r.verifyRecord(mc.File, off, rec, mc.Chunks[ci].CRC); err != nil {
 		return nil, err
 	}
-	raw := rec
-	if r.m.Codec != "" && !chunkStoredRaw(mc.Chunks[ci]) {
-		raw, err = r.decompress(mustCodec(r.m.Codec), rec, bufs)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
-		}
-		if int64(len(raw)) != mc.Chunks[ci].Len {
-			return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, errTruncated)
-		}
+	raw, err := r.rawRecord(rec, mc.Chunks[ci].Len, bufs)
+	var ch *Chunk
+	if err == nil {
+		ch, err = decodeChunk(&byteReader{buf: raw})
 	}
-	ch, err := decodeChunk(&byteReader{buf: raw})
 	if err != nil {
 		return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
 	}
@@ -455,37 +521,70 @@ func mustCodec(name string) compress.Codec {
 	return c
 }
 
-// walkDict is the one reader of a dictionary record, behind decodeDict and
-// Reader.dictValues alike: it reads the count, then every value in id order,
-// and keeps the values at the ids in want, a sorted set (every value when
-// want is nil), as strings, int64s or float64s by kind. The record is not
-// trusted, and every refusal is here, so a walk that keeps ten values
-// refuses exactly the records a full decode does: the count is bounded by
-// the bytes left (a string takes at least its length byte, a delta its
-// width) before anything is allocated, the values must ascend strictly,
-// and an id of want past the last value is an error.
-func walkDict(r *byteReader, kind value.Kind, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
-	n, err := r.uvarint()
+// loadColumn decodes one whole column, as the eager Open does: its
+// dictionary (readDict) and every chunk, the chunks read in one run.
+func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
+	kind, err := value.ParseKind(mc.Kind)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	d, _, err := r.readDict(mc, kind, bufs)
+	if err != nil {
+		return nil, err
+	}
+	col := &Column{Name: mc.Name, Kind: kind, Dict: d, Virtual: mc.Virtual, Chunks: make([]*Chunk, len(mc.Chunks))}
+	all := make([]int, len(mc.Chunks))
+	for ci := range all {
+		all[ci] = ci
+	}
+	recs, _, _, err := r.readChunkRuns(mc.Name, all, bufs)
+	if err != nil {
+		return nil, err
+	}
+	for ci, rec := range recs {
+		if col.Chunks[ci], err = r.decodeChunkRecord(mc.Name, ci, rec, bufs); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
+}
+
+// walkFrame reads one dictionary frame of n values and keeps those at the
+// frame-local ids in want, a sorted set (every value when want is nil), as
+// strings, int64s or float64s by kind. The frame is not trusted, and a
+// walk refuses exactly the frames a decode refuses (dictBuilder): a value
+// past the frame's end, bytes after its last value, and values that do not
+// ascend strictly within it — and an id of want past the last value.
+func walkFrame(raw []byte, kind value.Kind, n uint64, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
+	r := &byteReader{buf: raw}
 	switch kind {
 	case value.KindString:
 		strs, err = walkStrings(r, n, want)
 	case value.KindInt64:
-		ints, err = walkNumbers(r, n, keyInt64, want)
+		ints, err = walkNumbers[int64](r, n, want, nil)
 	case value.KindFloat64:
-		floats, err = walkNumbers(r, n, keyFloat64, want)
+		floats, err = walkNumbers[float64](r, n, want, nil)
 	default:
 		err = fmt.Errorf("invalid kind %v", kind)
+	}
+	if err == nil {
+		err = frameEnd(r)
 	}
 	return strs, ints, floats, err
 }
 
-// walkStrings reads a string dictionary payload of n length-prefixed
-// values for walkDict, keeping the values at the ids in want (every value
-// when want is nil) as strings of their own. It refuses what
-// decodeStringArray refuses: values must ascend strictly.
+// frameEnd refuses a frame with bytes left after its last value.
+func frameEnd(r *byteReader) error {
+	if r.off != len(r.buf) {
+		return fmt.Errorf("colstore: dictionary frame has %d bytes after its values", len(r.buf)-r.off)
+	}
+	return nil
+}
+
+// walkStrings reads n length-prefixed values for walkFrame, keeping the
+// values at the ids in want (every value when want is nil) as strings of
+// their own. It refuses what a decode refuses: values must ascend
+// strictly.
 func walkStrings(r *byteReader, n uint64, want []uint32) ([]string, error) {
 	if n > uint64(len(r.buf)-r.off) {
 		return nil, errTruncated
@@ -537,40 +636,90 @@ func eachString(r *byteReader, n uint64, keep func(i int, b []byte) error) error
 	return nil
 }
 
-// decodeStringArray reads a string dictionary record — the count, then
-// the values — into one dictionary block in one pass: two allocations,
-// the block and its offsets, however many values the record holds. The
-// count is bounded by the bytes left, a value must not run past the
-// record, and dict.StringArrayOf refuses values that do not ascend
-// strictly. The block is sized by the bytes the record has left after one
-// length byte per value, the most its values can take; a record followed
-// by more than a few bytes of other data (a whole column file) has the
-// block trimmed to what it holds.
-func decodeStringArray(r *byteReader) (*dict.StringArray, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	left := uint64(len(r.buf) - r.off)
-	if n > left {
+// dictBuilder decodes a dictionary frame by frame into the one form it is
+// held in: a string array's block and offsets — two allocations however
+// many values it holds — or a slice of numbers.
+type dictBuilder struct {
+	kind   value.Kind
+	block  strings.Builder
+	off    []uint32
+	ints   []int64
+	floats []float64
+}
+
+// newDictBuilder sizes a builder for n values held in rawLen raw bytes of
+// frames. n is bounded by rawLen — every value takes a byte at least —
+// before anything is allocated, and a string block by the bytes rawLen
+// leaves after one length byte per value, the most the values can take.
+func newDictBuilder(kind value.Kind, n uint64, rawLen int) (*dictBuilder, error) {
+	if n > uint64(rawLen) {
 		return nil, errTruncated
 	}
-	var data strings.Builder
-	data.Grow(int(left - n))
-	off := make([]uint32, 1, n+1)
-	err = eachString(r, n, func(_ int, b []byte) error {
-		data.Write(b)
-		off = append(off, uint32(data.Len()))
-		return nil
-	})
+	b := &dictBuilder{kind: kind}
+	switch kind {
+	case value.KindString:
+		b.block.Grow(rawLen - int(n))
+		b.off = make([]uint32, 1, n+1)
+	case value.KindInt64:
+		b.ints = make([]int64, 0, n)
+	case value.KindFloat64:
+		b.floats = make([]float64, 0, n)
+	default:
+		return nil, fmt.Errorf("invalid kind %v", kind)
+	}
+	return b, nil
+}
+
+// frame reads the next frame's n values from r, refusing a value that
+// runs past r and, for numbers, what walkNumbers refuses.
+func (b *dictBuilder) frame(r *byteReader, n uint64) (err error) {
+	switch b.kind {
+	case value.KindString:
+		return eachString(r, n, func(_ int, s []byte) error {
+			b.block.Write(s)
+			b.off = append(b.off, uint32(b.block.Len()))
+			return nil
+		})
+	case value.KindInt64:
+		b.ints, err = walkNumbers(r, n, nil, b.ints)
+	default:
+		b.floats, err = walkNumbers(r, n, nil, b.floats)
+	}
+	return err
+}
+
+// dict builds the dictionary of the values read: a string array, or a
+// trie or a sharded dictionary built on one, by sd; a numeric dictionary.
+// The constructors refuse values that do not ascend strictly, across
+// frames as within them. A block with more than a little room left over
+// (values of 128 bytes and more, or a builder sized by a whole column
+// stream) is trimmed to what it holds.
+func (b *dictBuilder) dict(sd StringDictKind) (dict.Dict, error) {
+	switch b.kind {
+	case value.KindInt64:
+		return dict.Int64sOf(b.ints)
+	case value.KindFloat64:
+		return dict.Float64sOf(b.floats)
+	}
+	block := b.block.String()
+	if b.block.Cap()-b.block.Len() > b.block.Len()/8+64 {
+		block = strings.Clone(block)
+	}
+	arr, err := dict.StringArrayOf(block, b.off)
 	if err != nil {
 		return nil, err
 	}
-	block := data.String()
-	if data.Cap()-data.Len() > data.Len()/8+64 {
-		block = strings.Clone(block)
+	if sd != StringDictTrie && sd != StringDictSharded {
+		return arr, nil
 	}
-	return dict.StringArrayOf(block, off)
+	strs := make([]string, arr.Len())
+	for i := range strs {
+		strs[i] = arr.StringAt(uint32(i))
+	}
+	if sd == StringDictTrie {
+		return dict.TrieOf(strs)
+	}
+	return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
 }
 
 // checkWant refuses a walk that kept fewer values than want names: an id

@@ -2,33 +2,59 @@ package colstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/memmgr"
 	"powerdrill/internal/value"
 )
 
-// TestDictWalkMatchesDecode: a walk for some global-ids refuses exactly
-// the records a full decode refuses, and returns the values the decoded
-// dictionary holds at those ids — over valid records of every kind, over
-// the same records with bytes overwritten, and over records only the order
-// check refuses.
+// frameDecode decodes one frame of n values alone, as readDict decodes each
+// of a dictionary's frames.
+func frameDecode(raw []byte, kind value.Kind, n uint64) (dict.Dict, error) {
+	b, err := newDictBuilder(kind, n, len(raw))
+	if err != nil {
+		return nil, err
+	}
+	r := &byteReader{buf: raw}
+	if err := b.frame(r, n); err != nil {
+		return nil, err
+	}
+	if err := frameEnd(r); err != nil {
+		return nil, err
+	}
+	return b.dict(StringDictArray)
+}
+
+// TestDictWalkMatchesDecode: a walk of one frame for some of its ids
+// refuses exactly the frames its decode refuses, and returns the values
+// the decoded frame holds at those ids — over the frames of valid
+// dictionaries of every kind, one frame or several, over the same frames
+// with bytes overwritten, and over frames only the order check refuses.
 func TestDictWalkMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	kinds := []value.Kind{value.KindString, value.KindInt64, value.KindFloat64}
-	records := map[value.Kind][][]byte{}
+	type frame struct {
+		raw []byte
+		n   int
+	}
+	frames := map[value.Kind][]frame{}
 	for _, kind := range kinds {
-		for _, n := range []int{0, 1, 2, 7, 300} {
+		for _, n := range []int{1, 2, 7, 300, 3000} {
 			var d dict.Dict
 			switch kind {
 			case value.KindString:
 				vals := make([]string, n)
 				for i := range vals {
-					vals[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
+					vals[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26))) + strings.Repeat("x", rng.Intn(3))
 				}
 				slices.Sort(vals)
 				d = dict.NewStringArray(slices.Compact(vals))
@@ -47,40 +73,45 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 				slices.Sort(vals)
 				d = dict.NewFloat64s(slices.Compact(vals))
 			}
-			records[kind] = append(records[kind], appendDict(nil, d, kind))
+			dictFrames(d, kind, func(raw []byte, count int) {
+				frames[kind] = append(frames[kind], frame{slices.Clone(raw), count})
+			})
 		}
 	}
-	// Records only the order check refuses: a repeat, a wrap, −0 beside
+	// Frames only the order check refuses: a repeat, a wrap, −0 beside
 	// +0, and a NaN first or last.
-	keys := func(ks ...uint64) []byte {
-		return appendKeyDeltas(appendUvarint(nil, uint64(len(ks))), ks)
+	keys := func(ks ...uint64) frame { return frame{appendKeyDeltas(nil, ks), len(ks)} }
+	deltas := func(first uint64, ds ...byte) frame {
+		raw := binary.LittleEndian.AppendUint64(nil, first)
+		return frame{append(append(raw, 1), ds...), 1 + len(ds)}
 	}
-	deltas := func(first uint64, ds ...byte) []byte {
-		rec := binary.LittleEndian.AppendUint64(appendUvarint(nil, uint64(1+len(ds))), first)
-		return append(append(rec, 1), ds...)
-	}
-	records[value.KindInt64] = append(records[value.KindInt64], deltas(5, 1, 0, 2), deltas(math.MaxUint64-1, 1, 1))
-	records[value.KindFloat64] = append(records[value.KindFloat64],
+	frames[value.KindInt64] = append(frames[value.KindInt64], deltas(5, 1, 0, 2), deltas(math.MaxUint64-1, 1, 1))
+	frames[value.KindFloat64] = append(frames[value.KindFloat64],
 		keys(numericKey(value.Float64(-1)), numericKey(value.Float64(math.Copysign(0, -1))), numericKey(value.Float64(0))),
 		keys(minFloatKey-1, numericKey(value.Float64(1))),
 		keys(numericKey(value.Float64(1)), maxFloatKey+1))
+	frames[value.KindString] = append(frames[value.KindString], frame{[]byte{1, 'b', 1, 'a'}, 2}, frame{[]byte{1, 'a', 1, 'a'}, 2})
+	multi := 0
 	for _, kind := range kinds {
-		for _, rec := range records[kind] {
+		for _, fr := range frames[kind] {
+			if fr.n > 1 && len(fr.raw) > frameBytes/2 {
+				multi++
+			}
 			for trial := 0; trial < 40; trial++ {
-				raw := slices.Clone(rec)
-				if trial > 0 && len(raw) > 0 {
+				raw := slices.Clone(fr.raw)
+				if trial > 0 {
 					raw[rng.Intn(len(raw))] = byte(rng.Intn(256))
 				}
-				d, derr := decodeDict(&byteReader{buf: raw}, kind, StringDictArray)
-				var want []uint32
-				if derr == nil && d.Len() > 0 {
-					want = []uint32{0, uint32(rng.Intn(d.Len())), uint32(d.Len() - 1)}
-					slices.Sort(want)
-					want = slices.Compact(want)
-				}
-				strs, ints, floats, werr := walkDict(&byteReader{buf: raw}, kind, want)
+				d, derr := frameDecode(raw, kind, uint64(fr.n))
+				want := []uint32{0, uint32(rng.Intn(fr.n)), uint32(fr.n - 1)}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				strs, ints, floats, werr := walkFrame(raw, kind, uint64(fr.n), want)
 				if (derr != nil) != (werr != nil) {
 					t.Fatalf("%v %x: decode error %v, walk error %v", kind, raw, derr, werr)
+				}
+				if derr != nil {
+					continue
 				}
 				for i, id := range want {
 					var got value.Value
@@ -98,6 +129,123 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 				}
 			}
 		}
+	}
+	if multi < len(kinds) {
+		t.Fatalf("only %d full frames: the 3 000-value dictionaries should cut several", multi)
+	}
+}
+
+// frameStore writes the column file of a dictionary alone — its frames,
+// no chunks — with the codec named (none for ""), and returns a Reader
+// over it and the column's manifest entry.
+func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Reader, manifestCol) {
+	t.Helper()
+	var c compress.Codec
+	if codec != "" {
+		c = mustCodec(codec)
+	}
+	file, mc := encodeColumn(&Column{Name: "d", Kind: kind, Dict: d}, c)
+	mc.File = "col_0000.bin"
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, mc.File), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newReader(dir, &manifest{Codec: codec, Columns: []manifestCol{mc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, mc
+}
+
+// checkFrameReads saves d as frames, without a codec or with zippy, and
+// checks the reads of it: the whole dictionary decodes to d's values bit
+// for bit; a lookup of any ids reads exactly the frames that hold them and
+// gives the values of the full decode; and once a byte of one frame is
+// flipped, every read that touches that frame fails with a
+// *ChecksumError, and no read that does not.
+func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand) {
+	t.Helper()
+	r, mc := frameStore(t, d, kind, []string{"", "zippy"}[rng.Intn(2)])
+	defer r.Close()
+	same := func(a, b value.Value) bool {
+		return a == b && (a.Kind() != value.KindFloat64 || math.Float64bits(a.Float()) == math.Float64bits(b.Float()))
+	}
+	full, _, err := r.readDict(mc, kind, nil)
+	if err != nil || full.Len() != d.Len() {
+		t.Fatalf("%d values in %d frames decode to %v", d.Len(), len(mc.Frames), err)
+	}
+	for id := 0; id < d.Len(); id++ {
+		if !same(full.Value(uint32(id)), d.Value(uint32(id))) {
+			t.Fatalf("value %d decodes to %v, want %v", id, full.Value(uint32(id)), d.Value(uint32(id)))
+		}
+	}
+	if d.Len() == 0 {
+		return
+	}
+	frameOf := func(id uint32) int {
+		base := 0
+		for i, fr := range mc.Frames {
+			if base += fr.Count; int(id) < base {
+				return i
+			}
+		}
+		return -1
+	}
+	someIDs := func() []uint32 {
+		ids := make([]uint32, 1+rng.Intn(8))
+		for i := range ids {
+			ids[i] = uint32(rng.Intn(d.Len()))
+		}
+		return ids
+	}
+	ids := someIDs()
+	vals, n, err := r.dictValues(mc, kind, ids, nil)
+	if err != nil {
+		t.Fatalf("lookup of %v: %v", ids, err)
+	}
+	var want int64
+	read := map[int]bool{}
+	for i, id := range ids {
+		if !same(vals[i], full.Value(id)) {
+			t.Fatalf("lookup gives %v at id %d, the full decode %v", vals[i], id, full.Value(id))
+		}
+		if f := frameOf(id); !read[f] {
+			read[f] = true
+			want += mc.Frames[f].Len
+		}
+	}
+	if n != want {
+		t.Fatalf("lookup of %v read %d bytes, its %d frames hold %d", ids, n, len(read), want)
+	}
+
+	bad, base := rng.Intn(len(mc.Frames)), 0
+	for _, fr := range mc.Frames[:bad] {
+		base += fr.Count
+	}
+	fr := mc.Frames[bad]
+	path := filepath.Join(r.dir, mc.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[fr.Off+rng.Int63n(fr.Len)] ^= 1 << rng.Intn(8)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *ChecksumError
+	for trial := 0; trial < 6; trial++ {
+		ids := someIDs()
+		if trial == 0 {
+			ids = append(ids, uint32(base+rng.Intn(fr.Count)))
+		}
+		touches := slices.ContainsFunc(ids, func(id uint32) bool { return frameOf(id) == bad })
+		_, _, err := r.dictValues(mc, kind, ids, nil)
+		if touches != errors.As(err, &ce) || !touches && err != nil {
+			t.Fatalf("lookup of %v after a flip in frame %d of %d: %v", ids, bad, len(mc.Frames), err)
+		}
+	}
+	if _, _, err := r.readDict(mc, kind, nil); !errors.As(err, &ce) || ce.Off != fr.Off || ce.Len != fr.Len {
+		t.Fatalf("full decode after a flip in frame %d at [%d,%d): %v", bad, fr.Off, fr.Off+fr.Len, err)
 	}
 }
 
@@ -171,14 +319,72 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 	}
 }
 
+// TestValuesReadsOnlyItsFrames: on a budgeted store, PinSet.Values on
+// timestamp — a dictionary of many frames, larger than the budget — reads
+// exactly the frames that hold the ids it wants, each no longer than a
+// frame, and not the rest of the dictionary.
+func TestValuesReadsOnlyItsFrames(t *testing.T) {
+	built, dir := buildSavedStore(t, 20000, "zippy")
+	const name = "timestamp"
+	d := built.Column(name).Dict
+	lazy, _, err := OpenLazy(dir, memmgr.New(1, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	r := lazy.lazy.reader
+	mc, _, err := r.dictMeta(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := r.DictFileLen(name)
+	if err != nil || len(mc.Frames) < 4 {
+		t.Fatalf("%s: %d frames (%v); want several", name, len(mc.Frames), err)
+	}
+	gids := []uint32{uint32(d.Len() - 1), 0, 1, uint32(d.Len() / 2), 0}
+	var want int64
+	held := map[int]bool{}
+	for _, id := range gids {
+		base := 0
+		for i, fr := range mc.Frames {
+			if base += fr.Count; int(id) < base {
+				if !held[i] {
+					held[i] = true
+					want += fr.Len
+				}
+				break
+			}
+		}
+	}
+	ps := lazy.NewPinSet()
+	defer ps.Release()
+	vals, err := ps.Values(name, gids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range gids {
+		if vals[i] != d.Value(id) {
+			t.Fatalf("id %d is %v, want %v", id, vals[i], d.Value(id))
+		}
+	}
+	if ps.DiskBytesRead != want || want > int64(len(held))*frameBytes || want*4 > whole {
+		t.Fatalf("Values read %d bytes: its %d frames hold %d (at most %d each), the dictionary %d",
+			ps.DiskBytesRead, len(held), want, frameBytes, whole)
+	}
+	if ps.ColdDictLoads != 1 || ps.ColdBytesLoaded != 0 || ps.ChecksumVerified != 1 {
+		t.Errorf("%d cold dictionary loads of %d resident bytes, %d verified; want 1, 0, 1",
+			ps.ColdDictLoads, ps.ColdBytesLoaded, ps.ChecksumVerified)
+	}
+}
+
 // TestValuesChargesDecodedDict: dictSizeOf models a string array, and a
 // trie or a sharded dictionary is charged more than it estimates. So on
 // those stores PinSet.Values checks the budget against the decoded
 // dictionary's charge: with room for the estimate but not the charge it
-// walks, and with room for the charge it admits. Neither evicts.
+// walks, and with room for the charge it admits. Neither evicts. The
+// stores are compressed; a sharded one's shards are its frames.
 func TestValuesChargesDecodedDict(t *testing.T) {
 	for _, sd := range []StringDictKind{StringDictTrie, StringDictSharded} {
-		// Compressed, so that a sharded dictionary loads from its record.
 		built, dir := buildSavedStoreDict(t, 3000, "zippy", sd)
 		const name = "user"
 		col := built.Column(name)
@@ -191,15 +397,11 @@ func TestValuesChargesDecodedDict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _, err := r.dictRecord(mc, nil)
+		d, _, err := r.readDict(mc, kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := r.decodeDictRecord(mc, kind, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, held := dictSizeOf(kind, raw), d.MemoryBytes()
+		est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes()
 		if est >= held {
 			t.Fatalf("%s: estimate %d not below the charge %d: the case is not tested", sd, est, held)
 		}

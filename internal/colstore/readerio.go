@@ -192,29 +192,41 @@ func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs [][]byte, runs, 
 // readChunkRuns is ReadChunkRuns reading every run into one buffer from
 // bufs.
 func (r *Reader) readChunkRuns(name string, chunks []int, bufs *loadBufs) (recs [][]byte, runs, coalesced int, err error) {
-	var (
-		mc    manifestCol
-		total int64
-	)
-	spans := make([]struct{ off, n int64 }, len(chunks))
+	var mc manifestCol
+	spans := make([]record, len(chunks))
 	for i, ci := range chunks {
 		if mc, spans[i].off, spans[i].n, err = r.chunkRecord(name, ci); err != nil {
 			return nil, 0, 0, err
 		}
-		total += spans[i].n
+	}
+	recs, runs, coalesced, err = r.readRuns(mc.File, spans, bufs)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, chunks, err)
+	}
+	return recs, runs, coalesced, nil
+}
+
+// readRuns reads byte ranges of a column file into one buffer from bufs,
+// one ReadAt per run of ranges adjacent in the list and in the file, and
+// returns each range's bytes at its position in spans, the number of reads
+// issued, and the number coalescing saved.
+func (r *Reader) readRuns(file string, spans []record, bufs *loadBufs) (recs [][]byte, runs, coalesced int, err error) {
+	var total int64
+	for _, sp := range spans {
+		total += sp.n
 	}
 	buf := bufs.readBuf(total)
-	recs = make([][]byte, len(chunks))
-	for start := 0; start < len(chunks); {
+	recs = make([][]byte, len(spans))
+	for start := 0; start < len(spans); {
 		end, n := start+1, spans[start].n
-		for end < len(chunks) && spans[end].off == spans[start].off+n {
+		for end < len(spans) && spans[end].off == spans[start].off+n {
 			n += spans[end].n
 			end++
 		}
 		run := buf[:n:n]
 		buf = buf[n:]
-		if err := r.readInto(mc.File, spans[start].off, run); err != nil {
-			return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, chunks[start:end], err)
+		if err := r.readInto(file, spans[start].off, run); err != nil {
+			return nil, 0, 0, err
 		}
 		for i := start; i < end; i++ {
 			n := spans[i].n

@@ -3,6 +3,7 @@ package colstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -54,12 +55,37 @@ func stringSetOf(data []byte) []string {
 	return slices.Compact(vals)
 }
 
-// FuzzStringDict: arbitrary bytes read as a string dictionary record decode
-// through the one-block path to exactly what the per-value reference walk
-// gives — the same values in the same order, read to the same byte, or a
-// refusal from both — never a panic, and never an allocation the input's
-// length cannot back. A sorted set built from the input round-trips through
-// serializeDict and the block decode.
+// randomStrings is a sorted set of up to 1 500 strings drawn from rng,
+// mostly short, some of a few hundred bytes, a few longer than a frame.
+func randomStrings(rng *rand.Rand) dict.Dict {
+	vals := make([]string, rng.Intn(1500))
+	for i := range vals {
+		n := rng.Intn(12)
+		switch rng.Intn(50) {
+		case 0:
+			n = rng.Intn(400)
+		case 1:
+			n = frameBytes + rng.Intn(100)
+		}
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte('a' + rng.Intn(6))
+		}
+		vals[i] = string(b)
+	}
+	slices.Sort(vals)
+	return dict.NewStringArray(slices.Compact(vals))
+}
+
+// FuzzStringDict: arbitrary bytes read as a string dictionary record (a
+// generation 1–6 head record: the count, then one frame) decode through
+// the one-block path to exactly what the per-value reference walk gives —
+// the same values in the same order, read to the same byte, or a refusal
+// from both — never a panic, and never an allocation the input's length
+// cannot back. A sorted set built from the input round-trips through
+// serializeDict and the block decode, and a larger set drawn from the
+// input's checksum goes through checkFrameReads: read whole, by the frames
+// a few ids need, and with a byte flipped in one frame.
 func FuzzStringDict(f *testing.F) {
 	for _, vals := range [][]string{
 		nil,
@@ -83,7 +109,7 @@ func FuzzStringDict(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r := &byteReader{buf: data}
-		arr, err := decodeStringArray(r)
+		d, err := decodeDict(r, value.KindString, StringDictArray)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(data))+1<<16 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
@@ -94,6 +120,7 @@ func FuzzStringDict(f *testing.F) {
 			t.Fatalf("record %x: block decode error %v, reference %v", data, err, werr)
 		}
 		if err == nil {
+			arr := d.(*dict.StringArray)
 			if arr.Len() != len(want) || r.off != ref.off {
 				t.Fatalf("record %x: %d values to byte %d, reference %d to byte %d", data, arr.Len(), r.off, len(want), ref.off)
 			}
@@ -108,58 +135,64 @@ func FuzzStringDict(f *testing.F) {
 		rec := appendUvarint(nil, uint64(len(set)))
 		rec = append(rec, serializeDict(dict.NewStringArray(set))...)
 		r = &byteReader{buf: rec}
-		got, err := decodeStringArray(r)
+		got, err := decodeDict(r, value.KindString, StringDictArray)
 		if err != nil || r.off != len(rec) || got.Len() != len(set) {
 			t.Fatalf("%d values decode to %v (%d of %d bytes read)", len(set), err, r.off, len(rec))
 		}
 		for i, s := range set {
-			if got.StringAt(uint32(i)) != s {
-				t.Fatalf("value %d is %q, want %q", i, got.StringAt(uint32(i)), s)
+			if got.Value(uint32(i)).Str() != s {
+				t.Fatalf("value %d is %v, want %q", i, got.Value(uint32(i)), s)
 			}
 		}
 		if again := serializeDict(got); !bytes.Equal(again, rec[uvarintLen(uint64(len(set))):]) {
 			t.Fatalf("%d values re-serialize to %x, want %x", len(set), again, rec)
 		}
+		rng := rand.New(rand.NewSource(int64(CRC32C(data))))
+		checkFrameReads(t, randomStrings(rng), value.KindString, rng)
 	})
 }
 
-// TestDictSizeOfCoversDecoded: the admission estimate a dictionary record
-// is charged before it is decoded is never below what the decoded array
-// dictionary's MemoryBytes charges, for every value kind, and equals it
-// when every string is shorter than 128 bytes and nothing follows the
-// record. (A trie or a sharded dictionary charges its own layout, which
-// the estimate does not model.)
+// TestDictSizeOfCoversDecoded: the admission estimate a dictionary is
+// charged from its frame index, before anything is read, is never below
+// what the decoded array dictionary's MemoryBytes charges, for every value
+// kind, and equals it when every string is shorter than 128 bytes. (A trie
+// or a sharded dictionary charges its own layout, which the estimate does
+// not model.)
 func TestDictSizeOfCoversDecoded(t *testing.T) {
 	short := []string{"", "de", "fr", "logs.queries_20110302", "us"}
 	long := append(slices.Clone(short), strings.Repeat("z", 200))
+	many := make([]string, 3000)
+	for i := range many {
+		many[i] = fmt.Sprintf("value %05d", i)
+	}
 	cases := []struct {
 		kind value.Kind
 		d    dict.Dict
 	}{
 		{value.KindString, dict.NewStringArray(short)},
 		{value.KindString, dict.NewStringArray(long)},
+		{value.KindString, dict.NewStringArray(many)},
 		{value.KindString, dict.NewStringArray(nil)},
 		{value.KindInt64, dict.NewInt64s([]int64{-7, 0, 3, 1 << 40})},
 		{value.KindFloat64, dict.NewFloat64s([]float64{-1.5, 0, 2.25})},
 	}
 	for _, c := range cases {
-		rec := appendDict(nil, c.d, c.kind)
-		for _, tail := range []int{0, 1, 3} {
-			raw := append(slices.Clone(rec), make([]byte, tail)...)
-			d, err := decodeDict(&byteReader{buf: raw}, c.kind, StringDictArray)
+		for _, codec := range []string{"", "zippy"} {
+			r, mc := frameStore(t, c.d, c.kind, codec)
+			d, _, err := r.readDict(mc, c.kind, nil)
+			r.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, held := dictSizeOf(c.kind, raw), d.MemoryBytes()
-			exact := c.kind != value.KindString || tail == 0 && c.d.Len() < len(long)
+			est, held := dictSizeOf(c.kind, mc.Frames), d.MemoryBytes()
+			exact := c.kind != value.KindString || c.d.Len() != len(long)
 			if est < held || exact && est != held {
-				t.Errorf("%v, %d values, %d bytes after the record: dictSizeOf %d, MemoryBytes %d",
-					c.kind, d.Len(), tail, est, held)
+				t.Errorf("%v, %d values in %d frames: dictSizeOf %d, MemoryBytes %d", c.kind, d.Len(), len(mc.Frames), est, held)
 			}
 		}
 	}
 
-	// The head records of a saved store, chunk count and all.
+	// The dictionaries of a saved store.
 	built, dir := buildSavedStore(t, 3000, "zippy")
 	r, _, err := NewReader(dir)
 	if err != nil {
@@ -170,15 +203,11 @@ func TestDictSizeOfCoversDecoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _, err := r.dictRecord(mc, nil)
+		d, _, err := r.readDict(mc, kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := r.decodeDictRecord(mc, kind, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est, held := dictSizeOf(kind, raw), d.MemoryBytes(); est < held || est > held+8 {
+		if est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes(); est != held {
 			t.Errorf("%s: dictSizeOf %d, MemoryBytes %d", name, est, held)
 		}
 	}

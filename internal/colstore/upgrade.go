@@ -44,41 +44,143 @@ func (m *manifest) generation() int {
 	return 2
 }
 
-// oldColumnStream is the read half of Upgrade, behind the eager Open and
-// nowhere else: it rewrites the verified column file data of a store of
-// generation gen < formatVersion as generation 6's uncompressed column
-// stream. Strings and chunk records are framed alike in every generation.
-// Generations 1–2 compressed a column file as one codec stream, and 3–5
-// compressed every record, even one the codec made longer; 1–5 wrote a
-// numeric dictionary as 8-byte words, which decodeWordDict reads and
-// checks before appendDict writes it again as key deltas.
-func oldColumnStream(gen int, codec compress.Codec, mc manifestCol, kind value.Kind, data []byte) (raw []byte, err error) {
+// oldHead is how generations 2–6 recorded a column's head record — its
+// dictionary, then the chunk-count varint, at the start of the column
+// stream: DictLen is the dictionary's raw length, DictCLen the record's
+// file length with a codec, and DictCRC (generations 5–6) the CRC32C of
+// its file bytes.
+type oldHead struct {
+	DictLen  int64  `json:"dict_len,omitempty"`
+	DictCLen int64  `json:"dict_clen,omitempty"`
+	DictCRC  uint32 `json:"dict_crc,omitempty"`
+}
+
+// openOld is the eager Open of a store of generation 1–6, and the one
+// reader of those generations: it reads whole column files, verifies the
+// checksums generations 5–6 record, and decodes each column from its
+// stream (oldColumn).
+func openOld(dir string, m *manifest, manifestBytes int64) (*Store, *DiskStats, error) {
+	stats := &DiskStats{BytesRead: manifestBytes, Files: 1}
+	var codec compress.Codec
+	if m.Codec != "" {
+		var err error
+		if codec, err = compress.ByName(m.Codec); err != nil {
+			return nil, nil, err
+		}
+	}
+	s := storeShell(m)
+	for _, mc := range m.Columns {
+		path := filepath.Join(dir, mc.File)
+		data, err := vfs().ReadFile(path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
+		}
+		stats.BytesRead += int64(len(data))
+		stats.Files++
+		head := record{n: int64(len(data)), crc: mc.DictCRC} // a chunkless file is all head
+		switch {
+		case codec != nil:
+			head.n = mc.DictCLen
+		case len(mc.Chunks) > 0:
+			head.n = mc.Chunks[0].Off
+		}
+		recs := append([]record{head}, mc.records(codec != nil)...)
+		if _, err := verifyRecords(recs, data, path); err != nil {
+			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
+		}
+		col, err := oldColumn(m.generation(), codec, mc, data, s.Opts.StringDict)
+		if err != nil {
+			return nil, nil, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
+		}
+		if err := s.AddColumn(col); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s, stats, nil
+}
+
+// oldColumn decodes one column of generation gen from its verified file
+// data. Its stream is the head record — the dictionary as one frame after
+// its count, then the chunk count — and the chunk records, as in
+// generation 7. Generations 1–2 compressed a column file as one codec
+// stream, 3–5 compressed every record, even one the codec made longer, and
+// 6 kept a record raw where the codec did not shrink it. Generations 1–5
+// wrote a numeric dictionary as 8-byte words (decodeWordDict); 6 wrote the
+// key deltas of a generation-7 frame.
+func oldColumn(gen int, codec compress.Codec, mc manifestCol, data []byte, sd StringDictKind) (*Column, error) {
+	kind, err := value.ParseKind(mc.Kind)
+	if err != nil {
+		return nil, err
+	}
+	var raw []byte
 	switch {
 	case codec == nil:
 		raw = data
 	case gen < 3:
 		raw, err = codec.Decompress(nil, data)
 	default:
-		off, n := int64(0), mc.DictCLen // the head record, then each chunk's
+		// The head record, then each chunk's.
+		off, n, rawLen := int64(0), mc.DictCLen, mc.DictLen+int64(uvarintLen(uint64(len(mc.Chunks))))
 		for i := 0; err == nil && i <= len(mc.Chunks); i++ {
 			if i > 0 {
-				off, n = mc.Chunks[i-1].COff, mc.Chunks[i-1].CLen
+				off, n, rawLen = mc.Chunks[i-1].COff, mc.Chunks[i-1].CLen, mc.Chunks[i-1].Len
 			}
 			if off < 0 || n < 0 || off+n > int64(len(data)) {
 				return nil, errTruncated
 			}
-			raw, err = codec.Decompress(raw, data[off:off+n])
+			if gen == 6 && n == rawLen {
+				raw = append(raw, data[off:off+n]...)
+			} else {
+				raw, err = codec.Decompress(raw, data[off:off+n])
+			}
 		}
 	}
-	if err != nil || kind == value.KindString {
-		return raw, err
-	}
-	r := &byteReader{buf: raw}
-	d, err := decodeWordDict(r, kind)
 	if err != nil {
 		return nil, err
 	}
-	return append(appendDict(nil, d, kind), raw[r.off:]...), nil
+	r := &byteReader{buf: raw}
+	var d dict.Dict
+	if gen < 6 && kind != value.KindString {
+		d, err = decodeWordDict(r, kind)
+	} else {
+		d, err = decodeDict(r, kind, sd)
+	}
+	if err != nil {
+		return nil, err
+	}
+	nChunks, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	col := &Column{Name: mc.Name, Kind: kind, Dict: d, Virtual: mc.Virtual}
+	for c := uint64(0); c < nChunks; c++ {
+		ch, err := decodeChunk(r)
+		if err != nil {
+			return nil, err
+		}
+		col.Chunks = append(col.Chunks, ch)
+	}
+	return col, nil
+}
+
+// decodeDict parses the dictionary of a generation 1–6 head record: the
+// count, then its values as one frame — lengths and bytes, or (generation
+// 6) key deltas. The record is not trusted: the count is bounded by the
+// bytes left before anything is allocated, every refusal of a frame's
+// decode applies, and the decoder stops at the dictionary's end.
+func decodeDict(r *byteReader, kind value.Kind, sd StringDictKind) (dict.Dict, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	b, err := newDictBuilder(kind, n, len(r.buf)-r.off)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.frame(r, n); err != nil {
+		return nil, err
+	}
+	return b.dict(sd)
 }
 
 // decodeWordDict parses a numeric dictionary of generations 1–5, int64 or

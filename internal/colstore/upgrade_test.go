@@ -12,9 +12,9 @@ import (
 )
 
 // TestOldGenerationsRefusedThenUpgraded runs the committed corpus of
-// generation 1–5 stores (testdata/gen*, 300 rows × 3 columns, and the base
-// of testdata/parent5, each written by the last build that still had its
-// writer) through the one path left for them: every reader but the eager
+// generation 1–6 stores (testdata/gen*, 300 rows × 3 columns, and the
+// bases of testdata/parent5 and parent6, each written by the last build
+// that still had its writer) through the one path left for them: every reader but the eager
 // Open refuses them with the typed error naming their generation, and
 // Upgrade rewrites them into a store that opens lazily, holds the same
 // values, and scrubs clean.
@@ -29,6 +29,7 @@ func TestOldGenerationsRefusedThenUpgraded(t *testing.T) {
 		{"gen3", 3},      // per-record zippy
 		{"gen4", 4},      // chunk blooms and dictionary shard frames, no codec
 		{"parent5", 5},   // checksums, every record zippy, 8-byte numeric words; its segs/ is ingest state, not read here
+		{"parent6", 6},   // one head record, stored raw where zippy does not shrink it; numeric key deltas
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", fx.name)

@@ -40,6 +40,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"powerdrill/internal/compress"
 	"powerdrill/internal/value"
 )
 
@@ -103,15 +104,12 @@ func (vs *virtualSidecar) matches(m *manifest) bool {
 func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	src := s.lazy
 	r := src.reader
-	raw, dictLen, chunkMetas := encodeColumn(col)
-	mc := manifestCol{
-		Name: col.Name, Kind: col.Kind.String(), Virtual: true,
-		DictLen: dictLen, Chunks: chunkMetas,
-	}
+	var codec compress.Codec
 	if r.m.Codec != "" {
-		raw, mc = compressRecords(mustCodec(r.m.Codec), raw, mc)
+		codec = mustCodec(r.m.Codec)
 	}
-	addColChecksums(&mc, raw, r.m.Codec != "")
+	raw, mc := encodeColumn(col, codec)
+	mc.Virtual = true
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {
 		return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)
 	}

@@ -115,7 +115,7 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 // TestVirtualSidecarExactColdReads checks that a persisted virtual column
 // on a per-record-compressed store serves single-chunk cold loads by exact
 // byte range, like any physical column: one pinned chunk is charged
-// exactly its compressed record plus the dictionary record.
+// exactly its compressed record plus the dictionary's frames.
 func TestVirtualSidecarExactColdReads(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
 	warm, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
@@ -126,7 +126,7 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 
 	vm := sidecarManifest(t, dir)
 	mc := vm.Columns[0]
-	if mc.DictCLen == 0 || mc.Chunks[0].CLen == 0 {
+	if len(mc.Frames) == 0 || mc.Chunks[0].CLen == 0 {
 		t.Fatalf("sidecar not per-record compressed: %+v", mc)
 	}
 	cold, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
@@ -143,7 +143,10 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	if _, err := ps.ColumnChunks("upper(country)", active); err != nil {
 		t.Fatal(err)
 	}
-	want := mc.DictCLen + mc.Chunks[0].CLen
+	want := mc.Chunks[0].CLen
+	for _, fr := range mc.Frames {
+		want += fr.Len
+	}
 	if ps.DiskBytesRead != want {
 		t.Fatalf("one virtual chunk + dict charged %d bytes, want exact records %d", ps.DiskBytesRead, want)
 	}

@@ -32,8 +32,8 @@ func FuzzZippyVsReference(f *testing.F) {
 }
 
 // clickRecords saves a small click table with zippy and returns the
-// compressed records of its column files: each column's head record
-// (dictionary plus chunk count) and its first chunk records.
+// compressed records of its column files: each column's first dictionary
+// frames and first chunk records.
 func clickRecords(tb testing.TB) [][]byte {
 	tb.Helper()
 	const rows, chunksPerColumn = 20_000, 8
@@ -53,9 +53,12 @@ func clickRecords(tb testing.TB) [][]byte {
 	}
 	var m struct {
 		Columns []struct {
-			File     string `json:"file"`
-			DictCLen int64  `json:"dict_clen"`
-			Chunks   []struct {
+			File   string `json:"file"`
+			Frames []struct {
+				Off int64 `json:"off"`
+				Len int64 `json:"len"`
+			} `json:"frames"`
+			Chunks []struct {
 				COff int64 `json:"coff"`
 				CLen int64 `json:"clen"`
 			} `json:"chunks"`
@@ -70,7 +73,9 @@ func clickRecords(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		recs = append(recs, data[:c.DictCLen])
+		for _, fr := range c.Frames[:min(len(c.Frames), chunksPerColumn)] {
+			recs = append(recs, data[fr.Off:fr.Off+fr.Len])
+		}
 		for _, ch := range c.Chunks[:min(len(c.Chunks), chunksPerColumn)] {
 			recs = append(recs, data[ch.COff:ch.COff+ch.CLen])
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -27,8 +28,8 @@ const slowestQueries = `SELECT timestamp, table_name, latency, country, user FRO
 // rules out without loading them — the same ones at every parallelism —
 // and walks timestamp's dictionary, larger than the budget, instead of
 // admitting it; without a budget the dictionary stays resident. The walk
-// verifies the record like any cold load: a flipped byte in it fails the
-// query with a ChecksumError.
+// verifies each frame it reads like any cold load: with a byte flipped in
+// every frame of the dictionary, the query fails with a ChecksumError.
 func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	tbl := workload.QueryLogs(workload.LogsSpec{Rows: 40000, Seed: 2012})
 	built, err := colstore.FromTable(tbl, colstore.Options{
@@ -118,14 +119,31 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 		}
 	}
 
-	// A flipped byte in timestamp's dictionary record.
+	// A flipped byte in every frame of timestamp's dictionary.
 	i := slices.Index(built.Columns(), "timestamp")
 	path := filepath.Join(dir, fmt.Sprintf("col_%04d.bin", i))
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[10] ^= 0x10
+	var m struct {
+		Columns []struct {
+			Frames []struct {
+				Off int64 `json:"off"`
+				Len int64 `json:"len"`
+			} `json:"frames"`
+		} `json:"columns"`
+	}
+	mblob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(mblob, &m); err != nil || len(m.Columns[i].Frames) < 2 {
+		t.Fatalf("timestamp's dictionary is not in frames (%v)", err)
+	}
+	for _, fr := range m.Columns[i].Frames {
+		blob[fr.Off+fr.Len/2] ^= 0x10
+	}
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

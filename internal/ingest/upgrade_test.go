@@ -23,11 +23,17 @@ import (
 // generation-chain walkers: a generation-5 zippy base store, two sealed
 // generation-5 segments behind MANIFEST.gen-000002, a virtual sidecar
 // holding date(timestamp), and 20 acknowledged rows still in the WAL, as
-// after a crash.
+// after a crash. testdata/parent6 is the same in generation 6, written by
+// the last commit that wrote a dictionary as one record.
 func parentStore(t *testing.T) string {
+	return parentFixture(t, "parent5")
+}
+
+// parentFixture copies colstore's testdata/<name> into a temp dir.
+func parentFixture(t *testing.T, name string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
-	copyTree(t, filepath.Join("..", "colstore", "testdata", "parent5"), dir)
+	copyTree(t, filepath.Join("..", "colstore", "testdata", name), dir)
 	return dir
 }
 
@@ -39,8 +45,13 @@ type parentAnswers []struct {
 }
 
 func readParentAnswers(t *testing.T) parentAnswers {
+	return readFixtureAnswers(t, "parent5")
+}
+
+// readFixtureAnswers is readParentAnswers for the fixture name.
+func readFixtureAnswers(t *testing.T, name string) parentAnswers {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("..", "colstore", "testdata", "parent5", "expected.json"))
+	blob, err := os.ReadFile(filepath.Join("..", "colstore", "testdata", name, "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +105,11 @@ func openUpgraded(dir string) (*Writer, error) {
 // behind — attaches with every row, and answers what the commit that
 // wrote parent5 answered, date(timestamp) re-materialized.
 func checkUpgradedParent(t *testing.T, dir string) {
+	checkUpgradedFixture(t, dir, "parent5")
+}
+
+// checkUpgradedFixture is checkUpgradedParent for the fixture name.
+func checkUpgradedFixture(t *testing.T, dir, name string) {
 	t.Helper()
 	rep, err := ScrubStore(dir)
 	if err != nil {
@@ -115,8 +131,8 @@ func checkUpgradedParent(t *testing.T, dir string) {
 		t.Errorf("the upgrade carried the virtual sidecar (kinds: %v)", kinds)
 	}
 	for _, sub := range []string{"", segRel(0), segRel(1)} {
-		if gen, err := colstore.FormatGeneration(filepath.Join(dir, sub)); err != nil || gen != 6 {
-			t.Errorf("%q is generation %d (%v), want 6", sub, gen, err)
+		if gen, err := colstore.FormatGeneration(filepath.Join(dir, sub)); err != nil || gen != 7 {
+			t.Errorf("%q is generation %d (%v), want 7", sub, gen, err)
 		}
 	}
 	w, err := openUpgraded(dir)
@@ -128,7 +144,7 @@ func checkUpgradedParent(t *testing.T, dir string) {
 		t.Fatalf("rows = %d (want 300 base + 100 sealed + 20 from the WAL), sidecar column registered: %v",
 			w.Rows(), w.base.HasColumn("date(timestamp)"))
 	}
-	if diff := readParentAnswers(t).mismatch(w); diff != "" {
+	if diff := readFixtureAnswers(t, name).mismatch(w); diff != "" {
 		t.Fatal(diff)
 	}
 }
@@ -136,13 +152,39 @@ func checkUpgradedParent(t *testing.T, dir string) {
 // TestParentWrittenStore: a directory written by the parent of the
 // one-generation change — base, segments, sidecar and WAL — upgrades into
 // one this build serves: it scrubs clean, attaches, and answers what the
-// commit that wrote it answered (expected.json).
+// commit that wrote it answered (expected.json). So does the generation-6
+// directory written by the parent of the framed dictionaries, which no
+// reader but Upgrade opens either: OpenLazy refuses its base and Attach
+// its segments.
 func TestParentWrittenStore(t *testing.T) {
-	up := filepath.Join(t.TempDir(), "up")
-	if err := Upgrade(parentStore(t), up); err != nil {
-		t.Fatal(err)
+	for _, fx := range []struct {
+		name string
+		gen  int
+	}{{"parent5", 5}, {"parent6", 6}} {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := parentFixture(t, fx.name)
+			var old *colstore.OldFormatError
+			if _, _, err := colstore.OpenLazy(dir, memmgr.New(0, "")); !errors.As(err, &old) || old.Generation != fx.gen {
+				t.Fatalf("OpenLazy = %v, want a generation-%d refusal", err, fx.gen)
+			}
+			up := filepath.Join(t.TempDir(), "up")
+			if err := Upgrade(dir, up); err != nil {
+				t.Fatal(err)
+			}
+			checkUpgradedFixture(t, up, fx.name)
+			base, _, err := colstore.OpenLazy(up, memmgr.New(0, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Close()
+			if w, err := Attach(dir, base, exec.New(base, exec.Options{}), Opts{}); !errors.As(err, &old) || old.Generation != fx.gen {
+				if err == nil {
+					w.Close()
+				}
+				t.Fatalf("Attach over generation-%d segments = %v, want a generation-%d refusal", fx.gen, err, fx.gen)
+			}
+		})
 	}
-	checkUpgradedParent(t, up)
 }
 
 // snapshotTree reads every file under dir, keyed by its relative path.
@@ -228,8 +270,8 @@ func TestUpgradeCarriesIngestState(t *testing.T) {
 	if err := Upgrade(dir, up3); err != nil {
 		t.Fatalf("Upgrade over a generation-3 segment = %v", err)
 	}
-	if gen, err := colstore.FormatGeneration(filepath.Join(up3, segRel(0))); err != nil || gen != 6 {
-		t.Fatalf("the generation-3 segment upgraded to generation %d (%v), want 6", gen, err)
+	if gen, err := colstore.FormatGeneration(filepath.Join(up3, segRel(0))); err != nil || gen != 7 {
+		t.Fatalf("the generation-3 segment upgraded to generation %d (%v), want 7", gen, err)
 	}
 	if err := attach(); !errors.Is(err, colstore.ErrOldFormat) {
 		t.Fatalf("Attach over old segments = %v, want ErrOldFormat", err)

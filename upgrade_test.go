@@ -10,12 +10,19 @@ import (
 )
 
 // TestUpgradeParentStore: the public path for a directory an older build
-// wrote and appended to (internal/colstore/testdata/parent5). Open refuses
-// it with ErrOldFormat; Upgrade carries its base, sealed segments and
-// write-ahead log into a directory that opens with every row and gives the
-// answers the writing build gave (expected.json).
+// wrote and appended to (internal/colstore/testdata/parent5, generation 5,
+// and parent6, generation 6). Open refuses it with ErrOldFormat; Upgrade
+// carries its base, sealed segments and write-ahead log into a directory
+// that opens with every row and gives the answers the writing build gave
+// (expected.json).
 func TestUpgradeParentStore(t *testing.T) {
-	src := filepath.Join("internal", "colstore", "testdata", "parent5")
+	for _, name := range []string{"parent5", "parent6"} {
+		t.Run(name, func(t *testing.T) { upgradeParentStore(t, name) })
+	}
+}
+
+func upgradeParentStore(t *testing.T, name string) {
+	src := filepath.Join("internal", "colstore", "testdata", name)
 	old := filepath.Join(t.TempDir(), "old")
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -38,14 +45,14 @@ func TestUpgradeParentStore(t *testing.T) {
 		if err == nil {
 			s.Close()
 		}
-		t.Fatalf("Open of a generation-5 store = %v, want ErrOldFormat", err)
+		t.Fatalf("Open of %s = %v, want ErrOldFormat", name, err)
 	}
 	up := filepath.Join(t.TempDir(), "up")
 	if err := Upgrade(old, up); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := FormatGeneration(up); err != nil || gen != 6 {
-		t.Fatalf("upgraded store is generation %d (%v), want 6", gen, err)
+	if gen, err := FormatGeneration(up); err != nil || gen != 7 {
+		t.Fatalf("upgraded store is generation %d (%v), want 7", gen, err)
 	}
 	s, _, err := Open(up, Options{})
 	if err != nil {
