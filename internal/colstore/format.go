@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"unicode/utf8"
 
 	"powerdrill/internal/bloom"
 	"powerdrill/internal/compress"
@@ -77,6 +76,9 @@ type manifest struct {
 	Opts    manifestOpts  `json:"options"`
 }
 
+// manifestCol is one column's entry. Older builds also wrote a sharded
+// string dictionary's routing in it, as "dict_shards": that field is
+// ignored, and those frames are read as any other frames.
 type manifestCol struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
@@ -89,11 +91,6 @@ type manifestCol struct {
 	// and the byte range of each chunk record, so a single chunk can be
 	// loaded without touching the rest of the column.
 	Chunks []manifestChunk `json:"chunks,omitempty"`
-	// DictShards routes lookups in a sharded string dictionary, one entry
-	// per dict.Sharded shard, in id order; shard i is frame i. A lazy
-	// reader rebuilds the dictionary from them and loads a shard's frame
-	// only when a query probes it.
-	DictShards []manifestDictShard `json:"dict_shards,omitempty"`
 	// oldHead is the head record of generations 2–6, read by Upgrade only.
 	oldHead
 }
@@ -107,16 +104,6 @@ type manifestFrame struct {
 	Raw   int64  `json:"raw"`
 	Count int    `json:"count"`
 	CRC   uint32 `json:"crc,omitempty"`
-}
-
-// manifestDictShard is what routing needs of one sub-dictionary: its value
-// count, its first and last values, and its marshaled Bloom filter (so
-// absent-value probes answer without any load).
-type manifestDictShard struct {
-	Count int    `json:"count"`
-	First string `json:"first"`
-	Last  string `json:"last"`
-	Bloom []byte `json:"bloom,omitempty"`
 }
 
 // manifestChunk records one chunk's residency metadata: the global-id span
@@ -149,6 +136,16 @@ type manifestOpts struct {
 	OptimizeElements bool     `json:"optimize_elements,omitempty"`
 	StringDict       string   `json:"string_dict,omitempty"`
 	Reorder          bool     `json:"reorder,omitempty"`
+}
+
+// stringDict is the string-dictionary kind the options name: a trie, or
+// else an array, which is also what the "sharded" kind of older builds
+// reads as.
+func (o manifestOpts) stringDict() StringDictKind {
+	if StringDictKind(o.StringDict) == StringDictTrie {
+		return StringDictTrie
+	}
+	return StringDictArray
 }
 
 // Save persists the store into dir (created if needed). codecName may be
@@ -193,7 +190,6 @@ func Save(s *Store, dir, codecName string) error {
 		raw, mc := encodeColumn(col, codec)
 		mc.File = fmt.Sprintf("col_%04d.bin", i)
 		buildChunkBlooms(col, mc.Chunks)
-		mc.DictShards = dictShards(col)
 		ps.Release()
 		if err := vfs().WriteFile(filepath.Join(dir, mc.File), raw, 0o644); err != nil {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
@@ -236,27 +232,6 @@ func buildChunkBlooms(col *Column, metas []manifestChunk) {
 		}
 		metas[i].Bloom = f.Marshal()
 	}
-}
-
-// dictShards exports a sharded string dictionary's routing: one entry per
-// dict.Sharded shard, whose values are the frame of the same index
-// (dictFrames). Returns nil — full-dictionary loads — for other
-// dictionaries, and for values that would not survive a JSON round-trip
-// (routing bounds are stored as JSON strings, which replace invalid
-// UTF-8).
-func dictShards(col *Column) []manifestDictShard {
-	sd, ok := col.Dict.(*dict.Sharded)
-	if !ok || col.Kind != value.KindString {
-		return nil
-	}
-	var out []manifestDictShard
-	for _, fr := range sd.Frames() {
-		if !utf8.ValidString(fr.First) || !utf8.ValidString(fr.Last) {
-			return nil
-		}
-		out = append(out, manifestDictShard{Count: fr.Count, First: fr.First, Last: fr.Last, Bloom: fr.Filter.Marshal()})
-	}
-	return out
 }
 
 // uvarintLen returns the encoded byte length of v as a uvarint.
@@ -345,24 +320,18 @@ func appendChunk(out []byte, ch *Chunk) []byte {
 // emit. A string frame holds its values' lengths and bytes; a numeric one
 // restarts the key: its first key, then its own width byte and deltas
 // (appendKeyDeltas). A frame takes values while they fit in frameBytes,
-// and at least one — but a sharded string dictionary's frames are its
-// shards, which dictShards routes to.
+// and at least one.
 func dictFrames(d dict.Dict, kind value.Kind, emit func(raw []byte, count int)) {
 	n := d.Len()
 	var buf []byte
 	if kind == value.KindString {
 		sd := d.(dict.StringDict)
-		var shards []dict.ShardFrame
-		if sh, ok := d.(*dict.Sharded); ok {
-			shards = sh.Frames()
-		}
-		for lo, f := 0, 0; lo < n; f++ {
+		for lo := 0; lo < n; {
 			buf = buf[:0]
 			hi := lo
 			for ; hi < n; hi++ {
 				s := sd.StringAt(uint32(hi))
-				if shards != nil && hi == lo+shards[f].Count ||
-					shards == nil && hi > lo && len(buf)+uvarintLen(uint64(len(s)))+len(s) > frameBytes {
+				if hi > lo && len(buf)+uvarintLen(uint64(len(s)))+len(s) > frameBytes {
 					break
 				}
 				buf = append(appendUvarint(buf, uint64(len(s))), s...)
@@ -466,7 +435,7 @@ func storeShell(m *manifest) *Store {
 			PartitionFields:  m.Opts.PartitionFields,
 			MaxChunkRows:     m.Opts.MaxChunkRows,
 			OptimizeElements: m.Opts.OptimizeElements,
-			StringDict:       StringDictKind(m.Opts.StringDict),
+			StringDict:       m.Opts.stringDict(),
 			Reorder:          m.Opts.Reorder,
 		}.withDefaults(),
 		columns: make(map[string]*Column),

@@ -406,7 +406,7 @@ func TestDecodeDictRejectsHostile(t *testing.T) {
 		hostile{"empty", 6, value.KindString, rec(0), []value.Value{}},
 	)
 	for _, c := range cases {
-		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie, StringDictSharded} {
+		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie} {
 			if c.kind != value.KindString && sd != StringDictArray {
 				continue
 			}

@@ -10,10 +10,10 @@ import (
 	"powerdrill/internal/table"
 )
 
-// buildShardedStore makes a multi-chunk store with an unsorted
+// buildSparseStore makes a multi-chunk store with an unsorted
 // high-cardinality string column (the shape chunk Blooms and dictionary
-// sub-framing exist for) and saves it with the codec named ("" for none).
-func buildShardedStore(t *testing.T, rows int, codec string) (*Store, string) {
+// frames exist for) and saves it with the codec named ("" for none).
+func buildSparseStore(t *testing.T, rows int, codec string) (*Store, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	tag := make([]string, rows)
@@ -26,7 +26,6 @@ func buildShardedStore(t *testing.T, rows int, codec string) (*Store, string) {
 	built, err := FromTable(tbl, Options{
 		PartitionFields: []string{"p"},
 		MaxChunkRows:    rows / 8,
-		StringDict:      StringDictSharded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func buildShardedStore(t *testing.T, rows int, codec string) (*Store, string) {
 // in a chunk must test positive in that chunk's Bloom filter — a false
 // negative would make the residency analysis silently drop matching rows.
 func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
-	built, dir := buildShardedStore(t, 4000, "")
+	built, dir := buildSparseStore(t, 4000, "")
 	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +69,11 @@ func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
 	}
 }
 
-// TestV4DictSubFramingRoundTrip pins the sub-framed dictionary read path,
-// with a codec and without: a lazily opened store rebuilds the sharded
-// dictionary from the manifest's routing with zero shards resident, every
-// id resolves to the same value as the dictionary it was saved from, and a
-// point lookup pages in one shard — its frame, and no other bytes.
+// TestV4DictSubFramingRoundTrip pins the framed read of a string
+// dictionary, with a codec and without: on a lazily opened store under a
+// budget, a point lookup reads and verifies exactly the frame that holds
+// its id, and a full load resolves every id to the value of the
+// dictionary it was saved from.
 func TestV4DictSubFramingRoundTrip(t *testing.T) {
 	for _, codec := range []string{"", "zippy"} {
 		t.Run("codec="+codec, func(t *testing.T) { subFramingRoundTrip(t, codec) })
@@ -82,61 +81,59 @@ func TestV4DictSubFramingRoundTrip(t *testing.T) {
 }
 
 func subFramingRoundTrip(t *testing.T, codec string) {
-	// 40k rows give ~25k distinct values — several 8192-value shards.
-	built, dir := buildShardedStore(t, 40000, codec)
+	// 40k rows give ~25k distinct values: dozens of frames.
+	built, dir := buildSparseStore(t, 40000, codec)
 	want := built.Column("tag").Dict
 
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	tight, _, err := OpenLazy(dir, memmgr.New(1, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := lazy.NewPinSet()
+	defer tight.Close()
+	mc, _, err := tight.lazy.reader.dictMeta("tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mc.Frames) < 2 {
+		t.Fatalf("only %d frame(s); framing needs several to mean anything", len(mc.Frames))
+	}
+	id := uint32(want.Len() / 2)
+	frame := 0
+	for base := mc.Frames[0].Count; int(id) >= base; base += mc.Frames[frame].Count {
+		frame++
+	}
+	ps := tight.NewPinSet()
+	vals, err := ps.Values("tag", []uint32{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals[0] != want.Value(id) {
+		t.Fatalf("id %d is %v, want %v", id, vals[0], want.Value(id))
+	}
+	if ps.DiskBytesRead != mc.Frames[frame].Len || ps.ChecksumVerified != 1 || ps.ColdBytesLoaded != 0 {
+		t.Fatalf("point lookup read %d bytes, verified %d records and admitted %d bytes; want frame %d's %d bytes, 1 and 0",
+			ps.DiskBytesRead, ps.ChecksumVerified, ps.ColdBytesLoaded, frame, mc.Frames[frame].Len)
+	}
+	ps.Release()
+
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	ps = lazy.NewPinSet()
 	defer ps.Release()
 	view, err := ps.ColumnDict("tag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, ok := view.Dict.(*dict.Sharded)
-	if !ok {
-		t.Fatalf("lazy dictionary is %T, want *dict.Sharded (sub-framed load)", view.Dict)
-	}
-	if sd.Shards() < 2 {
-		t.Fatalf("only %d shard(s); sub-framing needs several to mean anything", sd.Shards())
-	}
-	if got := sd.ResidentShards(); got != 0 {
-		t.Fatalf("%d shards resident before any probe, want 0", got)
-	}
-
-	// Point probe: exactly one shard pages in.
-	io0, _ := lazy.IOStats()
-	probe := want.Value(uint32(want.Len() / 2)).Str()
-	id, ok := sd.LookupString(probe)
-	if !ok {
-		t.Fatalf("lookup of present value %q failed", probe)
-	}
-	if id != uint32(want.Len()/2) {
-		t.Fatalf("LookupString(%q) = %d, want %d", probe, id, want.Len()/2)
-	}
-	if got := sd.Loads(); got != 1 {
-		t.Fatalf("point lookup loaded %d shards, want 1", got)
-	}
-	mc, _, err := lazy.lazy.reader.dictMeta("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := want.Len() / 2 / mc.DictShards[0].Count
-	if io, _ := lazy.IOStats(); io.BytesRead-io0.BytesRead != mc.Frames[shard].Len || io.ChecksumVerified-io0.ChecksumVerified != 1 {
-		t.Fatalf("point lookup read %d bytes and verified %d records, want frame %d's %d bytes and 1",
-			io.BytesRead-io0.BytesRead, io.ChecksumVerified-io0.ChecksumVerified, shard, mc.Frames[shard].Len)
-	}
-
-	// Full sweep: every id resolves identically to the saved dictionary.
-	if sd.Len() != want.Len() {
-		t.Fatalf("Len = %d, want %d", sd.Len(), want.Len())
+	got := view.Dict.(dict.StringDict)
+	if got.Len() != want.Len() {
+		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
 	}
 	for id := 0; id < want.Len(); id++ {
-		if got, exp := sd.StringAt(uint32(id)), want.Value(uint32(id)).Str(); got != exp {
-			t.Fatalf("StringAt(%d) = %q, want %q", id, got, exp)
+		if g, w := got.StringAt(uint32(id)), want.Value(uint32(id)).Str(); g != w {
+			t.Fatalf("StringAt(%d) = %q, want %q", id, g, w)
 		}
 	}
 }

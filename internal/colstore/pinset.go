@@ -418,10 +418,10 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 // hold it without evicting anything (always, without a budget), which the
 // frame index tells without reading anything. Otherwise only the frames
 // that hold the wanted ids are read, CRC-verified and decompressed like
-// any cold load, and walked; nothing enters the manager. A trie or a
-// sharded dictionary, whose charge the index does not tell, is read and
-// decoded whole first and looked up in. The lookup counts as a cold
-// dictionary load with no resident bytes.
+// any cold load, and walked; nothing enters the manager. A trie, whose
+// charge the index does not tell, is read and decoded whole first and
+// looked up in. The lookup counts as a cold dictionary load with no
+// resident bytes.
 func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return lookupValues(c.Dict, gids), nil
@@ -452,7 +452,7 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 		disk int64
 	)
 	size := dictSizeOf(kind, mc.Frames)
-	if kind == value.KindString && reader.sd != StringDictArray {
+	if kind == value.KindString && reader.sd == StringDictTrie {
 		if d, disk, err = reader.readDict(mc, kind, &p.bufs); err != nil {
 			p.noteChecksumErr(err)
 			return nil, err

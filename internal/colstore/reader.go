@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
@@ -72,11 +71,8 @@ func newReader(dir string, m *manifest) (*Reader, error) {
 	r := &Reader{
 		dir:  dir,
 		m:    m,
-		sd:   StringDictKind(m.Opts.StringDict),
+		sd:   m.Opts.stringDict(),
 		cols: make(map[string]manifestCol, len(m.Columns)),
-	}
-	if r.sd == "" {
-		r.sd = StringDictArray
 	}
 	for _, mc := range m.Columns {
 		r.cols[mc.Name] = mc
@@ -120,8 +116,7 @@ func (r *Reader) Bounds() []int { return r.m.Bounds }
 // LoadColumnDict decodes only the named column's global dictionary: its
 // frames are read in one run from disk, each verified and, if the codec
 // compressed it, decompressed alone. The reported disk bytes are exactly
-// the frames'. A sharded string dictionary with routing in the manifest
-// loads no values at all: it reads a shard's frame when a lookup probes it.
+// the frames'.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
 	return r.loadColumnDict(name, nil)
 }
@@ -131,9 +126,6 @@ func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, 
 	mc, kind, err := r.dictMeta(name)
 	if err != nil {
 		return nil, 0, err
-	}
-	if d, ok := r.shardedDictFromFrames(mc, kind); ok {
-		return d, 0, nil
 	}
 	return r.readDict(mc, kind, bufs)
 }
@@ -151,11 +143,10 @@ func (r *Reader) dictMeta(name string) (manifestCol, value.Kind, error) {
 	return mc, kind, nil
 }
 
-// readDict decodes a column's whole dictionary — a sharded one too, with
-// every shard resident: all its frames in one read into bufs, each
-// verified, then decompressed one at a time into one frame-sized buffer
-// and decoded into one dictBuilder. n is the frames' file length, the disk
-// bytes the read cost.
+// readDict decodes a column's whole dictionary: all its frames in one
+// read into bufs, each verified, then decompressed one at a time into one
+// frame-sized buffer and decoded into one dictBuilder. n is the frames'
+// file length, the disk bytes the read cost.
 func (r *Reader) readDict(mc manifestCol, kind value.Kind, bufs *loadBufs) (d dict.Dict, n int64, err error) {
 	all := make([]int, len(mc.Frames))
 	var count, rawLen int64
@@ -283,8 +274,7 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, gids []uint32, bufs
 // frames decode to, from the frame index alone: exact for numbers, and for
 // strings the footprint of a string array whose block holds every byte the
 // frames hold after one length byte per value — exact when every value is
-// shorter than 128 bytes. It does not model a trie or a sharded
-// dictionary.
+// shorter than 128 bytes. It does not model a trie.
 func dictSizeOf(kind value.Kind, frames []manifestFrame) int64 {
 	var n, raw int64
 	for _, fr := range frames {
@@ -295,49 +285,6 @@ func dictSizeOf(kind value.Kind, frames []manifestFrame) int64 {
 		return dict.StringArrayBytes(int(raw-n), int(n))
 	}
 	return 8 * n
-}
-
-// shardedDictFromFrames rebuilds a sharded string dictionary from the
-// manifest's routing, loading no values: on a store opened with
-// StringDictSharded whose every shard is one frame, a lookup that probes
-// shard i reads, verifies and decodes frame i alone. Any malformed entry
-// (bad Bloom bytes, a count the frame does not hold) makes it report !ok,
-// and the caller decodes the whole dictionary — slower, never wrong.
-func (r *Reader) shardedDictFromFrames(mc manifestCol, kind value.Kind) (dict.Dict, bool) {
-	if kind != value.KindString || r.sd != StringDictSharded || len(mc.DictShards) == 0 || len(mc.DictShards) != len(mc.Frames) {
-		return nil, false
-	}
-	frames := make([]dict.ShardFrame, len(mc.DictShards))
-	for i, ds := range mc.DictShards {
-		f, err := bloom.Unmarshal(ds.Bloom)
-		if err != nil || ds.Count != mc.Frames[i].Count {
-			return nil, false
-		}
-		frames[i] = dict.ShardFrame{Count: ds.Count, First: ds.First, Last: ds.Last, Filter: f}
-	}
-	loader := func(i int) ([]string, error) {
-		if i < 0 || i >= len(mc.Frames) {
-			return nil, fmt.Errorf("colstore: dict shard %d of %q out of range", i, mc.Name)
-		}
-		recs, _, err := r.readFrames(mc, []int{i}, nil)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.rawRecord(recs[0], mc.Frames[i].Raw, nil)
-		var vals []string
-		if err == nil {
-			vals, _, _, err = walkFrame(raw, kind, uint64(mc.Frames[i].Count), nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("colstore: dict shard %d of %q: %w", i, mc.Name, err)
-		}
-		return vals, nil
-	}
-	d, err := dict.NewShardedFromFrames(frames, loader)
-	if err != nil {
-		return nil, false
-	}
-	return d, true
 }
 
 // readRange reads exactly [off, off+n) of a column file through the handle
@@ -550,11 +497,11 @@ func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 }
 
 // walkFrame reads one dictionary frame of n values and keeps those at the
-// frame-local ids in want, a sorted set (every value when want is nil), as
-// strings, int64s or float64s by kind. The frame is not trusted, and a
-// walk refuses exactly the frames a decode refuses (dictBuilder): a value
-// past the frame's end, bytes after its last value, and values that do not
-// ascend strictly within it — and an id of want past the last value.
+// frame-local ids in want, a sorted set, as strings, int64s or float64s by
+// kind. The frame is not trusted, and a walk refuses exactly the frames a
+// decode refuses (dictBuilder): a value past the frame's end, bytes after
+// its last value, and values that do not ascend strictly within it — and
+// an id of want past the last value.
 func walkFrame(raw []byte, kind value.Kind, n uint64, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
 	r := &byteReader{buf: raw}
 	switch kind {
@@ -582,19 +529,13 @@ func frameEnd(r *byteReader) error {
 }
 
 // walkStrings reads n length-prefixed values for walkFrame, keeping the
-// values at the ids in want (every value when want is nil) as strings of
-// their own. It refuses what a decode refuses: values must ascend
-// strictly.
+// values at the ids in want as strings of their own. It refuses what a
+// decode refuses: values must ascend strictly.
 func walkStrings(r *byteReader, n uint64, want []uint32) ([]string, error) {
 	if n > uint64(len(r.buf)-r.off) {
 		return nil, errTruncated
 	}
-	var out []string
-	if want == nil {
-		out = make([]string, 0, n)
-	} else {
-		out = make([]string, 0, len(want))
-	}
+	out := make([]string, 0, len(want))
 	next := 0
 	var prev []byte
 	err := eachString(r, n, func(i int, b []byte) error {
@@ -602,9 +543,7 @@ func walkStrings(r *byteReader, n uint64, want []uint32) ([]string, error) {
 			return fmt.Errorf("colstore: string dictionary does not ascend strictly at %d", i)
 		}
 		prev = b
-		if want == nil {
-			out = append(out, string(b))
-		} else if next < len(want) && want[next] == uint32(i) {
+		if next < len(want) && want[next] == uint32(i) {
 			out = append(out, string(b))
 			next++
 		}
@@ -689,7 +628,7 @@ func (b *dictBuilder) frame(r *byteReader, n uint64) (err error) {
 }
 
 // dict builds the dictionary of the values read: a string array, or a
-// trie or a sharded dictionary built on one, by sd; a numeric dictionary.
+// trie built on one, by sd; a numeric dictionary.
 // The constructors refuse values that do not ascend strictly, across
 // frames as within them. A block with more than a little room left over
 // (values of 128 bytes and more, or a builder sized by a whole column
@@ -709,17 +648,14 @@ func (b *dictBuilder) dict(sd StringDictKind) (dict.Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sd != StringDictTrie && sd != StringDictSharded {
+	if sd != StringDictTrie {
 		return arr, nil
 	}
 	strs := make([]string, arr.Len())
 	for i := range strs {
 		strs[i] = arr.StringAt(uint32(i))
 	}
-	if sd == StringDictTrie {
-		return dict.TrieOf(strs)
-	}
-	return dict.ShardedOf(strs, dict.ShardedOptions{Retain: true})
+	return dict.TrieOf(strs)
 }
 
 // checkWant refuses a walk that kept fewer values than want names: an id

@@ -378,69 +378,66 @@ func TestValuesReadsOnlyItsFrames(t *testing.T) {
 }
 
 // TestValuesChargesDecodedDict: dictSizeOf models a string array, and a
-// trie or a sharded dictionary is charged more than it estimates. So on
-// those stores PinSet.Values checks the budget against the decoded
-// dictionary's charge: with room for the estimate but not the charge it
-// walks, and with room for the charge it admits. Neither evicts. The
-// stores are compressed; a sharded one's shards are its frames.
+// trie is charged more than it estimates. So on a trie store
+// PinSet.Values checks the budget against the decoded dictionary's charge:
+// with room for the estimate but not the charge it walks, and with room
+// for the charge it admits. Neither evicts. The store is compressed.
 func TestValuesChargesDecodedDict(t *testing.T) {
-	for _, sd := range []StringDictKind{StringDictTrie, StringDictSharded} {
-		built, dir := buildSavedStoreDict(t, 3000, "zippy", sd)
-		const name = "user"
-		col := built.Column(name)
-		gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2)}
-		r, _, err := NewReader(dir)
+	built, dir := buildSavedStoreDict(t, 3000, "zippy", StringDictTrie)
+	const name = "user"
+	col := built.Column(name)
+	gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2)}
+	r, _, err := NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, kind, err := r.dictMeta(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := r.readDict(mc, kind, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes()
+	if est >= held {
+		t.Fatalf("estimate %d not below the charge %d: the case is not tested", est, held)
+	}
+	fill := othersResident(t, dir, built.Columns(), name)
+	for _, room := range []int64{est, held} {
+		mgr := memmgr.New(fill+room, "")
+		lazy, _, err := OpenLazy(dir, mgr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, kind, err := r.dictMeta(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, _, err := r.readDict(mc, kind, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes()
-		if est >= held {
-			t.Fatalf("%s: estimate %d not below the charge %d: the case is not tested", sd, est, held)
-		}
-		fill := othersResident(t, dir, built.Columns(), name)
-		for _, room := range []int64{est, held} {
-			mgr := memmgr.New(fill+room, "")
-			lazy, _, err := OpenLazy(dir, mgr)
-			if err != nil {
-				t.Fatal(err)
+		for _, other := range built.Columns() {
+			if other == name {
+				continue
 			}
-			for _, other := range built.Columns() {
-				if other == name {
-					continue
-				}
-				ps := lazy.NewPinSet()
-				if _, err := ps.Column(other); err != nil {
-					t.Fatal(err)
-				}
-				ps.Release()
-			}
-			before := mgr.Stats()
 			ps := lazy.NewPinSet()
-			vals, err := ps.Values(name, gids)
-			if err != nil {
+			if _, err := ps.Column(other); err != nil {
 				t.Fatal(err)
-			}
-			for i, id := range gids {
-				if vals[i] != col.Dict.Value(id) {
-					t.Fatalf("%s, room %d: id %d is %v, want %v", sd, room, id, vals[i], col.Dict.Value(id))
-				}
 			}
 			ps.Release()
-			after := mgr.Stats()
-			if after.Evictions != before.Evictions {
-				t.Errorf("%s, room %d of charge %d: Values evicted %d entries", sd, room, held, after.Evictions-before.Evictions)
+		}
+		before := mgr.Stats()
+		ps := lazy.NewPinSet()
+		vals, err := ps.Values(name, gids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range gids {
+			if vals[i] != col.Dict.Value(id) {
+				t.Fatalf("room %d: id %d is %v, want %v", room, id, vals[i], col.Dict.Value(id))
 			}
-			if admitted := after.ResidentBytes > before.ResidentBytes; admitted != (room == held) {
-				t.Errorf("%s, room %d of charge %d: dictionary admitted = %v", sd, room, held, admitted)
-			}
+		}
+		ps.Release()
+		after := mgr.Stats()
+		if after.Evictions != before.Evictions {
+			t.Errorf("room %d of charge %d: Values evicted %d entries", room, held, after.Evictions-before.Evictions)
+		}
+		if admitted := after.ResidentBytes > before.ResidentBytes; admitted != (room == held) {
+			t.Errorf("room %d of charge %d: dictionary admitted = %v", room, held, admitted)
 		}
 	}
 }

@@ -24,9 +24,6 @@ const (
 	StringDictArray StringDictKind = "array"
 	// StringDictTrie is the hand-crafted 4-bit trie (Section 3).
 	StringDictTrie StringDictKind = "trie"
-	// StringDictSharded splits the dictionary into lazily loaded
-	// sub-dictionaries with Bloom filters (Section 5).
-	StringDictSharded StringDictKind = "sharded"
 )
 
 // Options configures the import pipeline (Section 2.2 and Section 3).
@@ -40,19 +37,11 @@ type Options struct {
 	// (Section 3 "OptCols"); false stores 32-bit elements ("Basic").
 	OptimizeElements bool
 	// StringDict selects the string dictionary implementation
-	// (default StringDictArray).
+	// (default StringDictArray); FromTable refuses any other kind.
 	StringDict StringDictKind
 	// Reorder sorts rows lexicographically by PartitionFields before
 	// partitioning (Section 3 "Reordering Rows").
 	Reorder bool
-	// ShardedDictSize overrides the sub-dictionary size for
-	// StringDictSharded (default 8192).
-	ShardedDictSize int
-	// LazyDicts keeps sharded dictionaries non-resident: sub-dictionaries
-	// load on first use and can be evicted, the Section 5 "when only few
-	// chunks are active there is no need to have the entire dictionary in
-	// memory". Only meaningful with StringDictSharded.
-	LazyDicts bool
 }
 
 func (o Options) withDefaults() Options {
@@ -210,6 +199,9 @@ func (s *Store) AddColumn(c *Column) error {
 // are assembled from its ids permuted into store order.
 func FromTable(tbl *table.Table, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
+	if opts.StringDict != StringDictArray && opts.StringDict != StringDictTrie {
+		return nil, fmt.Errorf("colstore: unknown string dictionary %q (array or trie)", opts.StringDict)
+	}
 	for _, col := range tbl.Cols {
 		if err := checkNaN(col); err != nil {
 			return nil, err
@@ -300,12 +292,9 @@ func (s *Store) encodeColumn(col, distinct *table.Column, gids []uint32, perm []
 	var d dict.Dict
 	switch col.Kind {
 	case value.KindString:
-		switch s.Opts.StringDict {
-		case StringDictTrie:
+		if s.Opts.StringDict == StringDictTrie {
 			d = dict.NewTrie(distinct.Strs)
-		case StringDictSharded:
-			d = dict.NewSharded(distinct.Strs, dict.ShardedOptions{ShardSize: s.Opts.ShardedDictSize, Retain: !s.Opts.LazyDicts})
-		default:
+		} else {
 			d = dict.NewStringArray(distinct.Strs)
 		}
 	case value.KindInt64:

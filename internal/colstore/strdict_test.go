@@ -156,8 +156,7 @@ func FuzzStringDict(f *testing.F) {
 // charged from its frame index, before anything is read, is never below
 // what the decoded array dictionary's MemoryBytes charges, for every value
 // kind, and equals it when every string is shorter than 128 bytes. (A trie
-// or a sharded dictionary charges its own layout, which the estimate does
-// not model.)
+// charges its own layout, which the estimate does not model.)
 func TestDictSizeOfCoversDecoded(t *testing.T) {
 	short := []string{"", "de", "fr", "logs.queries_20110302", "us"}
 	long := append(slices.Clone(short), strings.Repeat("z", 200))

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -106,5 +107,173 @@ func TestNewerFormatRefused(t *testing.T) {
 	}
 	if _, _, err := OpenLazy(dir, memmgr.New(0, "")); err == nil || errors.Is(err, ErrOldFormat) {
 		t.Fatalf("OpenLazy of a %s store = %v, want a newer-build refusal", newer, err)
+	}
+}
+
+// TestShardedManifestsReadAsArray: older builds wrote a "sharded" string
+// dictionary kind, with the routing of its sub-dictionaries in each
+// column's dict_shards. testdata/sharded7 is testdata/gen4 as upgraded by
+// the last such build. This build reads any kind but "trie" as an array
+// and ignores dict_shards: both opens hold gen4's values, the store
+// scrubs clean, a lazily loaded dictionary is charged what it holds after
+// every id has been looked up, and a re-save names "array".
+func TestShardedManifestsReadAsArray(t *testing.T) {
+	const dir = "testdata/sharded7"
+	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"string_dict": "sharded"`) || !strings.Contains(string(blob), `"dict_shards"`) {
+		t.Fatal("fixture is not a sharded store with routing")
+	}
+	want, _, err := Open("testdata/gen4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertColumnsEqual(t, want, eager)
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	assertColumnsEqual(t, want, lazy)
+	for _, f := range ScrubDir(dir, dir) {
+		if !f.OK() {
+			t.Fatalf("%s: %s", f.Path, f.Err)
+		}
+	}
+
+	mgr := memmgr.New(0, "")
+	charged, _, err := OpenLazy(dir, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer charged.Close()
+	for _, name := range charged.Columns() {
+		before := mgr.Stats().ResidentBytes
+		ps := charged.NewPinSet()
+		view, err := ps.ColumnDict(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := view.Dict
+		for id := 0; id < d.Len(); id++ {
+			d.Value(uint32(id))
+		}
+		if got := mgr.Stats().ResidentBytes - before; got != d.MemoryBytes() {
+			t.Errorf("%s: dictionary charged %d bytes, holds %d", name, got, d.MemoryBytes())
+		}
+		ps.Release()
+	}
+
+	if eager.Opts.StringDict != StringDictArray || lazy.Opts.StringDict != StringDictArray {
+		t.Errorf("sharded store opens as %q eagerly, %q lazily; want array", eager.Opts.StringDict, lazy.Opts.StringDict)
+	}
+	out := filepath.Join(t.TempDir(), "up")
+	if err := Upgrade(dir, out); err != nil {
+		t.Fatal(err)
+	}
+	if m, _, err := readManifest(out); err != nil || m.Opts.StringDict != string(StringDictArray) {
+		t.Errorf("re-saved store names string_dict %q (%v), want array", m.Opts.StringDict, err)
+	}
+}
+
+// TestShardFramesPastFrameBytes: an older sharded store cut a string
+// dictionary's frames at its sub-dictionaries, many times frameBytes. A
+// store whose every string dictionary is one such frame, routed by
+// dict_shards, opens both ways with the values it was saved from, scrubs
+// clean, and answers a lookup that walks the frame under a budget.
+func TestShardFramesPastFrameBytes(t *testing.T) {
+	built, dir := buildSavedStore(t, 3000, "")
+	path := filepath.Join(dir, "manifest.json")
+	m, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var big string
+	for i, mc := range m.Columns {
+		if mc.Kind != "string" || len(mc.Frames) < 2 {
+			continue
+		}
+		// Uncompressed frames lie end to end from the file's start: the
+		// same bytes read as one frame.
+		one := manifestFrame{}
+		for _, fr := range mc.Frames {
+			one.Len += fr.Len
+			one.Count += fr.Count
+		}
+		one.Raw = one.Len
+		data, err := os.ReadFile(filepath.Join(dir, mc.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.CRC = CRC32C(data[:one.Len])
+		m.Columns[i].Frames = []manifestFrame{one}
+		if one.Raw > frameBytes {
+			big = mc.Name
+		}
+	}
+	if big == "" {
+		t.Fatal("no string dictionary is larger than one frame: the case is not tested")
+	}
+	m.Opts.StringDict = "sharded"
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(blob, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range raw["columns"].([]any) {
+		c.(map[string]any)["dict_shards"] = []any{map[string]any{"count": 1, "first": "", "last": "", "bloom": ""}}
+	}
+	if blob, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eager, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertColumnsEqual(t, built, eager)
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	assertColumnsEqual(t, built, lazy)
+	for _, f := range ScrubDir(dir, dir) {
+		if !f.OK() {
+			t.Fatalf("%s: %s", f.Path, f.Err)
+		}
+	}
+	tight, _, err := OpenLazy(dir, memmgr.New(1, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tight.Close()
+	d := built.Column(big).Dict
+	gids := []uint32{uint32(d.Len() - 1), 0}
+	ps := tight.NewPinSet()
+	defer ps.Release()
+	vals, err := ps.Values(big, gids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range gids {
+		if vals[i] != d.Value(id) {
+			t.Errorf("%s: id %d is %v, want %v", big, id, vals[i], d.Value(id))
+		}
+	}
+	if ps.ColdBytesLoaded != 0 {
+		t.Errorf("a lookup under a budget of one byte admitted %d bytes", ps.ColdBytesLoaded)
 	}
 }

@@ -1,14 +1,18 @@
 // Package dict implements PowerDrill's global dictionaries (paper,
 // Section 2.3): the sorted set of distinct values of one column, mapping a
-// value to its integer rank (the global-id) and back. Three storage
+// value to its integer rank (the global-id) and back. Two storage
 // strategies are provided:
 //
 //   - sorted arrays (the "canonical" implementation of Section 2.3) for
 //     strings, int64s and float64s;
 //   - a hand-crafted 4-bit trie stored in a flat byte array (Section 3,
-//     "Optimize Global-Dictionaries") that exploits long shared prefixes;
-//   - sharded dictionaries with Bloom filters (Section 5) that keep only a
-//     subset of sub-dictionaries resident and load the rest on demand.
+//     "Optimize Global-Dictionaries") that exploits long shared prefixes.
+//
+// Section 5 splits a dictionary into sub-dictionaries, since "when only
+// few chunks are active there is no need to have the entire dictionary in
+// memory". That is not a third strategy here: a store on disk cuts every
+// dictionary into checksummed frames (internal/colstore), and a lazy
+// lookup reads only the frames that hold its ids.
 //
 // All implementations answer both directions — rank → value and
 // value → rank — because query evaluation needs rank lookups for WHERE
@@ -155,16 +159,6 @@ func must[T any](d T, err error) T {
 		panic(err.Error())
 	}
 	return d
-}
-
-// slice returns ranks [lo, hi) as a dictionary of their own that shares
-// d's block.
-func (d *StringArray) slice(lo, hi int) *StringArray {
-	off := make([]uint32, hi-lo+1)
-	for i := range off {
-		off[i] = d.off[lo+i] - d.off[lo]
-	}
-	return must(StringArrayOf(d.data[d.off[lo]:d.off[hi]], off))
 }
 
 // Kind implements Dict.

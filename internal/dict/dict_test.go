@@ -37,9 +37,8 @@ func sortedStrings(n int) []string {
 // stringDicts builds each string dictionary implementation over vals.
 func stringDicts(vals []string) map[string]Dict {
 	return map[string]Dict{
-		"array":   NewStringArray(vals),
-		"trie":    NewTrie(vals),
-		"sharded": NewSharded(vals, ShardedOptions{ShardSize: 64}),
+		"array": NewStringArray(vals),
+		"trie":  NewTrie(vals),
 	}
 }
 
@@ -129,7 +128,6 @@ func TestConstructorsPanicOnUnsorted(t *testing.T) {
 		for _, build := range []func(){
 			func() { NewStringArray(vals) },
 			func() { NewTrie(vals) },
-			func() { NewSharded(vals, ShardedOptions{}) },
 			func() { NewByteTrie(vals) },
 		} {
 			func() {

@@ -87,11 +87,10 @@
 //   - Store data is immutable after load. Chunk-dictionaries, element
 //     sequences and global dictionaries are never written once built, so
 //     the scan phase (classify → mask → aggregate) takes no locks at all.
-//     The two exceptions hide their own synchronization: the lazily
-//     loaded sharded dictionary (dict.Sharded) and the colstore column
-//     registry/metadata, which grow when a virtual field materializes
-//     (on lazy stores the materialization is persisted into the store's
-//     sidecar and budgeted via the memory manager).
+//     The one exception hides its own synchronization: the colstore
+//     column registry/metadata, which grows when a virtual field
+//     materializes (on lazy stores the materialization is persisted into
+//     the store's sidecar and budgeted via the memory manager).
 //   - planMu guards one step only: "check column exists → materialize →
 //     register", taken (and the check repeated) just when compiling meets
 //     an expression or composite that no query has materialized yet; a

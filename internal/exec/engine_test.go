@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"powerdrill/internal/colstore"
-	"powerdrill/internal/dict"
 	"powerdrill/internal/expr"
 	"powerdrill/internal/memmgr"
 	"powerdrill/internal/sql"
@@ -731,53 +730,5 @@ func BenchmarkDrillDownWithSkipping(b *testing.B) {
 		if _, err := e.Query(`SELECT user, COUNT(*) as c FROM data WHERE country IN ("ch") GROUP BY user ORDER BY c DESC LIMIT 10;`); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestLazyShardedDictionaries runs queries against a store whose string
-// dictionaries load sub-dictionaries on demand (Section 5): results must
-// match the fully resident layout, and lookups must actually trigger
-// shard loads.
-func TestLazyShardedDictionaries(t *testing.T) {
-	tbl := logs(3000)
-	resident := buildEngine(t, tbl, chunkedOpts(), Options{})
-	lazyOpts := chunkedOpts()
-	lazyOpts.StringDict = colstore.StringDictSharded
-	lazyOpts.ShardedDictSize = 64
-	lazyOpts.LazyDicts = true
-	lazy := buildEngine(t, tbl, lazyOpts, Options{})
-
-	queries := []string{
-		`SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC, country ASC LIMIT 10;`,
-		`SELECT table_name, COUNT(*) as c FROM data GROUP BY table_name ORDER BY c DESC, table_name ASC LIMIT 10;`,
-		`SELECT user, COUNT(*) FROM data WHERE country IN ("de", "fr") GROUP BY user;`,
-	}
-	for _, q := range queries {
-		a, err := resident.Query(q)
-		if err != nil {
-			t.Fatalf("resident %q: %v", q, err)
-		}
-		b, err := lazy.Query(q)
-		if err != nil {
-			t.Fatalf("lazy %q: %v", q, err)
-		}
-		ga := append([][]value.Value{}, a.Rows...)
-		gb := append([][]value.Value{}, b.Rows...)
-		sortRows(ga)
-		sortRows(gb)
-		if !equalRows(ga, gb) {
-			t.Fatalf("lazy dictionaries changed results for %q", q)
-		}
-	}
-	// The high-cardinality dictionary must have loaded shards on demand.
-	sharded, ok := lazy.Store().Column("table_name").Dict.(*dict.Sharded)
-	if !ok {
-		t.Fatal("table_name dictionary is not sharded")
-	}
-	if sharded.Loads() == 0 {
-		t.Error("no sub-dictionary loads despite lazy mode")
-	}
-	if sharded.ResidentShards() == sharded.Shards() {
-		t.Log("note: every shard resident (top-10 lookups touched all ranges)")
 	}
 }

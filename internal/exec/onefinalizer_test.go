@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"powerdrill/internal/colstore"
@@ -52,9 +53,9 @@ func finalizerTable(rows int) *table.Table {
 // on every string dictionary kind, sequential and parallel.
 func TestRunMatchesFinalizedPartial(t *testing.T) {
 	tbl := finalizerTable(6000)
-	for _, kind := range []colstore.StringDictKind{colstore.StringDictArray, colstore.StringDictTrie, colstore.StringDictSharded} {
+	for _, kind := range []colstore.StringDictKind{colstore.StringDictArray, colstore.StringDictTrie} {
 		opts := chunkedOpts()
-		opts.StringDict, opts.ShardedDictSize, opts.LazyDicts = kind, 16, true
+		opts.StringDict = kind
 		store, err := colstore.FromTable(tbl, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -83,35 +84,64 @@ func TestRunMatchesFinalizedPartial(t *testing.T) {
 				}
 			})
 		}
-		if kind != colstore.StringDictSharded {
-			continue
-		}
-		// The id form's point (Section 2.5): a top-k looks up the survivors'
-		// strings and nobody else's. user is the ORDER BY tie-break too — it
-		// compares ids. Resolving every group, as RunPartial must, loads every
-		// sub-dictionary.
-		users := store.Column("user").Dict.(*dict.Sharded)
-		const limit = 3
-		stmt := mustParseStmt(t, fmt.Sprintf(`SELECT user, COUNT(*) AS c FROM data GROUP BY user ORDER BY c DESC, user ASC LIMIT %d;`, limit))
-		e := New(store, Options{Parallelism: 1})
-		loads := func(run func() error) int64 {
-			users.EvictAll()
-			before := users.Loads()
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			return users.Loads() - before
-		}
-		top := loads(func() error { _, err := e.Run(stmt); return err })
-		all := loads(func() error { _, err := e.RunPartial(stmt); return err })
-		t.Logf("sharded user dictionary, %d shards: Run loaded %d, RunPartial %d", users.Shards(), top, all)
-		if users.Shards() <= limit || all != int64(users.Shards()) {
-			t.Fatalf("%d shards, RunPartial loaded %d: the store does not tell a top-%d from every group", users.Shards(), all, limit)
-		}
-		if top > limit {
-			t.Errorf("Run loaded %d sub-dictionaries for %d surviving rows", top, limit)
-		}
 	}
+
+	// The id form's point (Section 2.5): a top-k looks up the survivors'
+	// strings and nobody else's. user is the ORDER BY tie-break too — it
+	// compares ids. Resolving every group, as RunPartial must, resolves
+	// every id.
+	store, err := colstore.FromTable(tbl, chunkedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := store.Column("user")
+	users := &resolveCounter{StringArray: col.Dict.(*dict.StringArray)}
+	col.Dict = users
+	const limit = 3
+	stmt := mustParseStmt(t, fmt.Sprintf(`SELECT user, COUNT(*) AS c FROM data GROUP BY user ORDER BY c DESC, user ASC LIMIT %d;`, limit))
+	e := New(store, Options{Parallelism: 1})
+	resolved := func(run func() error) int {
+		users.ids = map[uint32]bool{}
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return len(users.ids)
+	}
+	top := resolved(func() error { _, err := e.Run(stmt); return err })
+	all := resolved(func() error { _, err := e.RunPartial(stmt); return err })
+	t.Logf("user dictionary of %d values: Run resolved %d ids, RunPartial %d", users.Len(), top, all)
+	if users.Len() <= limit || all != users.Len() {
+		t.Fatalf("%d users, RunPartial resolved %d: the test does not tell a top-%d from every group", users.Len(), all, limit)
+	}
+	if top > limit {
+		t.Errorf("Run resolved %d ids for %d surviving rows", top, limit)
+	}
+}
+
+// resolveCounter is a string array that records the ids whose strings
+// are asked for, through StringAt or Value.
+type resolveCounter struct {
+	*dict.StringArray
+	mu  sync.Mutex
+	ids map[uint32]bool
+}
+
+func (d *resolveCounter) note(id uint32) {
+	d.mu.Lock()
+	d.ids[id] = true
+	d.mu.Unlock()
+}
+
+// StringAt implements dict.StringDict.
+func (d *resolveCounter) StringAt(id uint32) string {
+	d.note(id)
+	return d.StringArray.StringAt(id)
+}
+
+// Value implements dict.Dict.
+func (d *resolveCounter) Value(id uint32) value.Value {
+	d.note(id)
+	return d.StringArray.Value(id)
 }
 
 // TestRunPartialOutlivesPins: a RunPartial result holds values and hashes,

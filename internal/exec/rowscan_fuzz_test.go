@@ -65,8 +65,7 @@ func diffRowScan(t *testing.T, seed int64, rows int, allTies bool, limitMode uin
 	}
 	opts := colstore.Options{
 		PartitionFields: fields, MaxChunkRows: 1 + rng.Intn(40), OptimizeElements: true,
-		StringDict:      []colstore.StringDictKind{colstore.StringDictArray, colstore.StringDictTrie, colstore.StringDictSharded}[rng.Intn(3)],
-		ShardedDictSize: 2,
+		StringDict: []colstore.StringDictKind{colstore.StringDictArray, colstore.StringDictTrie}[rng.Intn(2)],
 	}
 	resident, err := colstore.FromTable(tbl, opts)
 	if err != nil {

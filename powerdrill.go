@@ -80,11 +80,11 @@ func GenerateQueryLogs(rows int, seed int64) *Table {
 // StringDictKind selects the string dictionary implementation.
 type StringDictKind = colstore.StringDictKind
 
-// The dictionary implementations (paper Section 2.3, 3 and 5).
+// The dictionary implementations (paper Sections 2.3 and 3). Build
+// refuses any other kind.
 const (
-	StringDictArray   = colstore.StringDictArray
-	StringDictTrie    = colstore.StringDictTrie
-	StringDictSharded = colstore.StringDictSharded
+	StringDictArray = colstore.StringDictArray
+	StringDictTrie  = colstore.StringDictTrie
 )
 
 // Options configures the import pipeline. The zero value is the paper's

@@ -352,3 +352,38 @@ func TestOpenRefusesRemovedMemoryPolicy(t *testing.T) {
 	}
 	s.Close()
 }
+
+// TestBuildRefusesUnknownStringDict: a string dictionary is an array or a
+// trie, so Build refuses any other kind by name — a typo, or the sharded
+// kind older builds had — rather than quietly building arrays.
+func TestBuildRefusesUnknownStringDict(t *testing.T) {
+	tbl := GenerateQueryLogs(200, 3)
+	for _, c := range []struct {
+		kind StringDictKind
+		ok   bool
+	}{
+		{"", true},
+		{StringDictArray, true},
+		{StringDictTrie, true},
+		{"tire", false},
+		{"sharded", false},
+		{"Array", false},
+	} {
+		_, err := Build(tbl, Options{StringDict: c.kind})
+		if c.ok {
+			if err != nil {
+				t.Errorf("Build refused StringDict %q: %v", c.kind, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Build accepted StringDict %q", c.kind)
+			continue
+		}
+		for _, name := range []string{`"` + string(c.kind) + `"`, "array", "trie"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("refusal of StringDict %q does not name %s: %v", c.kind, name, err)
+			}
+		}
+	}
+}
