@@ -24,6 +24,7 @@ import (
 	"powerdrill"
 
 	"powerdrill/internal/backends"
+	"powerdrill/internal/colstore"
 	"powerdrill/internal/value"
 )
 
@@ -531,14 +532,25 @@ func runInfo(args []string) error {
 		return err
 	}
 	fmt.Printf("store: %d rows, %d chunks\n", store.NumRows(), store.NumChunks())
+	r, _, err := colstore.NewReader(*storeDir)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
 	fmt.Println("columns:")
 	for _, cn := range store.Columns() {
 		m, err := store.Memory(cn)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-24s elements %8.2f MB  chunk-dicts %8.2f MB  dict %8.2f MB\n",
+		fmt.Printf("  %-24s elements %8.2f MB  chunk-dicts %8.2f MB  dict %8.2f MB",
 			cn, float64(m.Elements)/1e6, float64(m.ChunkDicts)/1e6, float64(m.GlobalDict)/1e6)
+		// The file bytes of the column's layout and Bloom records; a
+		// virtual column of the sidecar is not the manifest's.
+		if layout, bloom, err := r.IndexBytes(cn); err == nil {
+			fmt.Printf("  index %8d B  bloom %8d B", layout, bloom)
+		}
+		fmt.Println()
 	}
 	if ms, ok := store.MemStats(); ok {
 		fmt.Printf("on disk: %.2f MB across %d column files\n", float64(ms.DiskBytesRead)/1e6, ms.ColdLoads)

@@ -1,10 +1,11 @@
-// Package bloom implements the Bloom filters PowerDrill keeps per
-// (sub-)dictionary so that point lookups ("is this value present at all?")
-// can usually be answered without loading the dictionary into memory
-// (paper, Section 5, "Further Optimizing the Global-Dictionaries").
+// Package bloom implements the Bloom filters PowerDrill keeps per chunk
+// over the global-ids the chunk holds, so that an equality restriction can
+// prune a chunk its [min, max] span cannot (paper, Section 5, "Further
+// Optimizing the Global-Dictionaries", applied to chunk-dictionaries).
 //
-// The filter is a standard k-hash-function Bloom filter over a bit array.
-// The two base hashes are derived from a single 64-bit FNV-1a pass using the
+// The filter is a standard k-hash-function Bloom filter over a bit array,
+// keyed by uint64. The two base hashes are derived from a single 64-bit
+// FNV-1a pass over the key's eight little-endian bytes using the
 // Kirsch–Mitzenmacher construction h_i = h1 + i*h2, which preserves the
 // asymptotic false-positive rate while hashing each key only once.
 package bloom
@@ -53,15 +54,15 @@ func NewWithEstimates(n int, fp float64) *Filter {
 	return New(m, k)
 }
 
-// fnv64a hashes b with 64-bit FNV-1a.
-func fnv64a(b []byte) uint64 {
+// hashUint64 hashes key's eight little-endian bytes with 64-bit FNV-1a.
+func hashUint64(key uint64) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < 8; i++ {
+		h ^= key >> (8 * i) & 0xff
 		h *= prime
 	}
 	return h
@@ -88,59 +89,16 @@ func (f *Filter) setOrTest(h uint64, set bool) bool {
 	return all
 }
 
-// Add inserts a byte key.
-func (f *Filter) Add(key []byte) {
-	f.setOrTest(fnv64a(key), true)
-	f.n++
-}
-
-// AddString inserts a string key without allocating.
-func (f *Filter) AddString(key string) {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	f.setOrTest(h, true)
-	f.n++
-}
-
-// AddUint64 inserts an integer key (used for numeric dictionaries).
+// AddUint64 inserts an integer key: a global-id.
 func (f *Filter) AddUint64(key uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], key)
-	f.Add(buf[:])
+	f.setOrTest(hashUint64(key), true)
+	f.n++
 }
 
-// Test reports whether key may have been added. False means definitely not
-// present; true means present with probability 1-fp.
-func (f *Filter) Test(key []byte) bool {
-	return f.setOrTest(fnv64a(key), false)
-}
-
-// TestString is Test for string keys without allocating.
-func (f *Filter) TestString(key string) bool {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return f.setOrTest(h, false)
-}
-
-// TestUint64 is Test for integer keys.
+// TestUint64 reports whether key may have been added. False means
+// definitely not present; true means present with probability 1-fp.
 func (f *Filter) TestUint64(key uint64) bool {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], key)
-	return f.Test(buf[:])
+	return f.setOrTest(hashUint64(key), false)
 }
 
 // Bits returns the number of bits in the filter.
@@ -149,7 +107,7 @@ func (f *Filter) Bits() uint64 { return f.m }
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.k }
 
-// Count returns the number of Add calls.
+// Count returns the number of keys added.
 func (f *Filter) Count() int { return f.n }
 
 // MemoryBytes returns the in-memory footprint of the bit array.
@@ -185,7 +143,9 @@ func Unmarshal(data []byte) (*Filter, error) {
 	k := int(binary.LittleEndian.Uint64(data[8:]))
 	n := int(binary.LittleEndian.Uint64(data[16:]))
 	words := int(m / 64)
-	if m%64 != 0 || k <= 0 || len(data) != 24+words*8 {
+	// m = 0 would divide by zero on every probe, and k > m buys nothing
+	// but probe time: neither is a filter New builds.
+	if m == 0 || m%64 != 0 || k <= 0 || uint64(k) > m || len(data) != 24+words*8 {
 		return nil, fmt.Errorf("bloom: corrupt encoding (m=%d k=%d len=%d)", m, k, len(data))
 	}
 	f := &Filter{bits: make([]uint64, words), m: m, k: k, n: n}

@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzBloomNoFalseNegatives is the fuzz form of the filter's one hard
-// guarantee: any key that was added must test positive — across the byte,
-// string and uint64 key forms, across filter geometries, and across a
-// marshal/unmarshal round trip. (False positives are allowed; false
-// negatives would silently drop chunks from query results.)
+// guarantee: any key that was added must test positive — across filter
+// geometries, and across a marshal/unmarshal round trip. (False positives
+// are allowed; false negatives would silently drop chunks from query
+// results.)
 func FuzzBloomNoFalseNegatives(f *testing.F) {
 	f.Add([]byte("hello world"), uint16(64), uint8(3))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(8), uint8(1))
@@ -19,34 +19,19 @@ func FuzzBloomNoFalseNegatives(f *testing.F) {
 		k := int(kRaw)%8 + 1
 		fl := New(m, k)
 
-		// Chop the input into keys: every 3-byte window is one key.
-		var keys [][]byte
+		// Chop the input into keys: every 3-byte window, zero-extended, is
+		// one key.
+		var keys []uint64
 		for i := 0; i+3 <= len(data); i += 3 {
-			keys = append(keys, data[i:i+3])
+			keys = append(keys, binary.LittleEndian.Uint64(append(data[i:i+3:i+3], 0, 0, 0, 0, 0)))
 		}
-		for i, key := range keys {
-			switch i % 3 {
-			case 0:
-				fl.Add(key)
-			case 1:
-				fl.AddString(string(key))
-			default:
-				fl.AddUint64(binary.LittleEndian.Uint64(append(key[:len(key):len(key)], 0, 0, 0, 0, 0)))
-			}
+		for _, key := range keys {
+			fl.AddUint64(key)
 		}
 		check := func(fl *Filter, ctx string) {
 			for i, key := range keys {
-				var ok bool
-				switch i % 3 {
-				case 0:
-					ok = fl.Test(key)
-				case 1:
-					ok = fl.TestString(string(key))
-				default:
-					ok = fl.TestUint64(binary.LittleEndian.Uint64(append(key[:len(key):len(key)], 0, 0, 0, 0, 0)))
-				}
-				if !ok {
-					t.Fatalf("%s: false negative for key %d (%x) with m=%d k=%d", ctx, i, key, m, k)
+				if !fl.TestUint64(key) {
+					t.Fatalf("%s: false negative for key %d (%#x) with m=%d k=%d", ctx, i, key, m, k)
 				}
 			}
 		}

@@ -1,20 +1,20 @@
 package bloom
 
 import (
-	"fmt"
-	"math/rand"
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
 	f := NewWithEstimates(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		f.AddString(fmt.Sprintf("table_%d", i))
+	for i := uint64(0); i < 1000; i++ {
+		f.AddUint64(i * 31)
 	}
-	for i := 0; i < 1000; i++ {
-		if !f.TestString(fmt.Sprintf("table_%d", i)) {
-			t.Fatalf("false negative for table_%d", i)
+	for i := uint64(0); i < 1000; i++ {
+		if !f.TestUint64(i * 31) {
+			t.Fatalf("false negative for %d", i*31)
 		}
 	}
 }
@@ -22,13 +22,13 @@ func TestNoFalseNegatives(t *testing.T) {
 func TestFalsePositiveRateRoughlyAsConfigured(t *testing.T) {
 	const n = 5000
 	f := NewWithEstimates(n, 0.01)
-	for i := 0; i < n; i++ {
-		f.AddString(fmt.Sprintf("present_%d", i))
+	for i := uint64(0); i < n; i++ {
+		f.AddUint64(2 * i)
 	}
 	fp := 0
 	const probes = 20000
-	for i := 0; i < probes; i++ {
-		if f.TestString(fmt.Sprintf("absent_%d", i)) {
+	for i := uint64(0); i < probes; i++ {
+		if f.TestUint64(2*i + 1) {
 			fp++
 		}
 	}
@@ -53,22 +53,24 @@ func TestUint64Keys(t *testing.T) {
 	}
 }
 
-func TestByteAndStringKeysAgree(t *testing.T) {
-	f := NewWithEstimates(10, 0.01)
-	f.Add([]byte("chaussures"))
-	if !f.TestString("chaussures") {
-		t.Error("string probe missed byte-added key")
-	}
-	g := NewWithEstimates(10, 0.01)
-	g.AddString("voyages sncf")
-	if !g.Test([]byte("voyages sncf")) {
-		t.Error("byte probe missed string-added key")
+// TestUint64HashIsFNVOfBytes pins the key hash to 64-bit FNV-1a over the
+// key's eight little-endian bytes, which is what every persisted filter
+// was built with: a filter written by an older build must still answer.
+func TestUint64HashIsFNVOfBytes(t *testing.T) {
+	for _, key := range []uint64{0, 1, 0xff, 0x100, 1<<32 - 1, 0xdeadbeefcafef00d, 1<<64 - 1} {
+		h := fnv.New64a()
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], key)
+		h.Write(buf[:])
+		if got, want := hashUint64(key), h.Sum64(); got != want {
+			t.Errorf("hashUint64(%#x) = %#x, FNV-1a of its bytes is %#x", key, got, want)
+		}
 	}
 }
 
 func TestEmptyFilter(t *testing.T) {
 	f := NewWithEstimates(100, 0.01)
-	if f.TestString("anything") {
+	if f.TestUint64(42) {
 		t.Error("empty filter claims membership")
 	}
 	if f.EstimatedFalsePositiveRate() != 0 {
@@ -104,8 +106,8 @@ func TestNewWithEstimatesDefensiveDefaults(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	f := NewWithEstimates(500, 0.02)
-	for i := 0; i < 500; i++ {
-		f.AddString(fmt.Sprintf("key-%d", i))
+	for i := uint64(0); i < 500; i++ {
+		f.AddUint64(i << 20)
 	}
 	g, err := Unmarshal(f.Marshal())
 	if err != nil {
@@ -115,9 +117,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed parameters: %d/%d/%d vs %d/%d/%d",
 			g.Bits(), g.K(), g.Count(), f.Bits(), f.K(), f.Count())
 	}
-	for i := 0; i < 500; i++ {
-		if !g.TestString(fmt.Sprintf("key-%d", i)) {
-			t.Fatalf("false negative after round trip: key-%d", i)
+	for i := uint64(0); i < 500; i++ {
+		if !g.TestUint64(i << 20) {
+			t.Fatalf("false negative after round trip: %d", i<<20)
 		}
 	}
 }
@@ -134,16 +136,24 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 	if _, err := Unmarshal(raw[:len(raw)-1]); err == nil {
 		t.Error("Unmarshal(truncated body) succeeded")
 	}
+	// No bits (a probe would divide by zero), and more hashes than bits.
+	if _, err := Unmarshal(make([]byte, 24)); err == nil {
+		t.Error("Unmarshal of a filter with no bits succeeded")
+	}
+	binary.LittleEndian.PutUint64(raw[8:], 129)
+	if _, err := Unmarshal(raw); err == nil {
+		t.Error("Unmarshal of a filter with k > m succeeded")
+	}
 }
 
 func TestQuickNoFalseNegativesProperty(t *testing.T) {
-	f := func(keys []string) bool {
+	f := func(keys []uint64) bool {
 		fl := NewWithEstimates(len(keys)+1, 0.01)
 		for _, k := range keys {
-			fl.AddString(k)
+			fl.AddUint64(k)
 		}
 		for _, k := range keys {
-			if !fl.TestString(k) {
+			if !fl.TestUint64(k) {
 				return false
 			}
 		}
@@ -158,31 +168,5 @@ func TestMemoryBytes(t *testing.T) {
 	f := New(1024, 4)
 	if got := f.MemoryBytes(); got != 1024/8 {
 		t.Errorf("MemoryBytes = %d, want %d", got, 1024/8)
-	}
-}
-
-func BenchmarkAddString(b *testing.B) {
-	f := NewWithEstimates(1<<20, 0.01)
-	keys := make([]string, 1024)
-	r := rand.New(rand.NewSource(1))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench_table_%d_%d", i, r.Int63())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.AddString(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkTestString(b *testing.B) {
-	f := NewWithEstimates(1<<20, 0.01)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench_table_%d", i)
-		f.AddString(keys[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.TestString(keys[i%len(keys)])
 	}
 }

@@ -1,7 +1,8 @@
 package colstore
 
 // Integrity checksums. Save records a CRC32C (Castagnoli) per on-disk
-// record — every dictionary frame and every chunk record — computed over
+// record — every dictionary frame, every chunk record and each column's
+// layout and Bloom records — computed over
 // the exact file bytes a cold load reads (a codec record's bytes with a
 // codec, whether compressed or stored raw; raw bytes otherwise). Readers verify
 // on every cold read; a mismatch degrades like a missing shard: an error
@@ -41,41 +42,36 @@ func (e *ChecksumError) Error() string {
 		e.Path, e.Off, e.Off+e.Len, e.Want, e.Got)
 }
 
-// chunkFileRange is the byte range of one chunk record in the column file:
-// the codec record with a codec, the raw record otherwise.
-func chunkFileRange(ch manifestChunk, compressed bool) (off, n int64) {
-	if compressed {
-		return ch.COff, ch.CLen
-	}
-	return ch.Off, ch.Len
-}
-
 // record is a byte range of a column file, and the CRC32C its bytes carry.
 type record struct {
 	off, n int64
 	crc    uint32
 }
 
-// records lists a column file's checksummed records: its dictionary's
-// frames, then its chunks; compressed says which byte ranges delimit the
-// chunks.
-func (mc manifestCol) records(compressed bool) []record {
-	out := make([]record, 0, len(mc.Frames)+len(mc.Chunks))
-	for _, fr := range mc.Frames {
-		out = append(out, record{fr.Off, fr.Len, fr.CRC})
-	}
-	for _, ch := range mc.Chunks {
-		off, n := chunkFileRange(ch, compressed)
-		out = append(out, record{off, n, ch.CRC})
-	}
-	return out
-}
-
 // verifyColumnFile checks every record checksum of one column against its
-// full file bytes. Returns how many records carried a checksum and were
-// verified; the first mismatch aborts with a ChecksumError.
+// full file bytes: its layout record, then every record the layout indexes,
+// then its Bloom record. Returns how many records carried a checksum and
+// were verified; the first mismatch aborts with a ChecksumError, and a
+// layout that verifies but does not parse with its error.
 func verifyColumnFile(mc manifestCol, compressed bool, data []byte, path string) (int, error) {
-	return verifyRecords(mc.records(compressed), data, path)
+	ref := mc.Index
+	n, err := verifyRecords([]record{ref.record()}, data, path)
+	if err != nil {
+		return n, err
+	}
+	if ref.Off < 0 || ref.Len <= 0 || ref.Off+ref.Len > int64(len(data)) {
+		return n, fmt.Errorf("colstore: %s: layout record [%d,%d) outside the file", path, ref.Off, ref.Off+ref.Len)
+	}
+	lay, err := decodeLayout(data[ref.Off : ref.Off+ref.Len])
+	if err != nil {
+		return n, fmt.Errorf("colstore: %s: %w", path, err)
+	}
+	recs := lay.records(compressed)
+	if mc.Bloom != nil {
+		recs = append(recs, mc.Bloom.record())
+	}
+	m, err := verifyRecords(recs, data, path)
+	return n + m, err
 }
 
 // verifyRecords checks each record's file bytes in data against its CRC.

@@ -8,32 +8,50 @@ package colstore
 import (
 	"errors"
 	"testing"
+
+	"powerdrill/internal/bloom"
 )
 
 func FuzzChunkChecksum(f *testing.F) {
 	f.Add([]byte("a small column file with a head and one chunk"), uint16(10), uint16(3))
 	f.Add([]byte{0, 0, 0, 0}, uint16(0), uint16(31))
+	f.Add([]byte("a flip past the chunks lands in an index record"), uint16(7), uint16(60))
 	f.Fuzz(func(t *testing.T, data []byte, split, flip uint16) {
 		if len(data) == 0 {
 			return
 		}
 		// Lay the file out as a dictionary frame and two chunk records;
 		// the split point and therefore every record boundary is fuzzed.
+		// The layout record indexing them follows, then a Bloom record
+		// with a filter for the first chunk.
 		h := int(split) % len(data)
 		mid := h + (len(data)-h)/2
-		mc := manifestCol{File: "col_0000.bin", Frames: []manifestFrame{{Len: int64(h), Raw: int64(h), CRC: CRC32C(data[:h])}}}
-		mc.Chunks = []manifestChunk{
-			{Off: int64(h), Len: int64(mid - h), CRC: CRC32C(data[h:mid])},
-			{Off: int64(mid), Len: int64(len(data) - mid), CRC: CRC32C(data[mid:])},
+		frames := []frameEntry{{len: int64(h), raw: int64(h), count: 1, crc: CRC32C(data[:h])}}
+		spans := []ChunkSpan{{MinGID: 0, MaxGID: uint32(split)}, {MinGID: 1, MaxGID: 0}}
+		chunks := []chunkEntry{
+			{off: int64(h), len: int64(mid - h), crc: CRC32C(data[h:mid])},
+			{off: int64(mid), len: int64(len(data) - mid), crc: CRC32C(data[mid:])},
 		}
-		if _, err := verifyColumnFile(mc, false, data, mc.File); err != nil {
+		filter := bloom.New(64, 2)
+		filter.AddUint64(uint64(split))
+		file := append([]byte(nil), data...)
+		mc := manifestCol{File: "col_0000.bin"}
+		index := func(rec []byte) recordRef {
+			ref := recordRef{Off: int64(len(file)), Len: int64(len(rec)), CRC: CRC32C(rec)}
+			file = append(file, rec...)
+			return ref
+		}
+		mc.Index = index(appendLayout(nil, frames, spans, chunks))
+		bref := index(appendBlooms(nil, []*bloom.Filter{filter, nil}))
+		mc.Bloom = &bref
+		if _, err := verifyColumnFile(mc, false, file, mc.File); err != nil {
 			t.Fatalf("clean file fails verification: %v", err)
 		}
 
 		// Flip one bit anywhere in the file.
-		idx := int(flip) % len(data)
+		idx := int(flip) % len(file)
 		bit := byte(1) << (flip % 8)
-		mut := append([]byte(nil), data...)
+		mut := append([]byte(nil), file...)
 		mut[idx] ^= bit
 
 		// The flipped byte lies in exactly one record; the verifier must
@@ -42,15 +60,19 @@ func FuzzChunkChecksum(f *testing.F) {
 		var want uint32
 		switch {
 		case idx < h:
-			want = mc.Frames[0].CRC
+			want = frames[0].crc
 		case idx < mid:
-			want = mc.Chunks[0].CRC
+			want = chunks[0].crc
+		case idx < len(data):
+			want = chunks[1].crc
+		case int64(idx) < mc.Index.Off+mc.Index.Len:
+			want = mc.Index.CRC
 		default:
-			want = mc.Chunks[1].CRC
+			want = mc.Bloom.CRC
 		}
 		_, err := verifyColumnFile(mc, false, mut, mc.File)
 		if want == 0 {
-			if err != nil {
+			if err != nil && idx < len(data) {
 				t.Fatalf("zero-CRC record must be skipped, got %v", err)
 			}
 			return
@@ -68,9 +90,12 @@ func FuzzChunkChecksum(f *testing.F) {
 
 		// A pre-checksum manifest (generations 1–4) records every CRC as
 		// zero, so it has nothing to verify: the same flip passes silently.
-		v4 := manifestCol{File: mc.File, Chunks: []manifestChunk{mc.Chunks[0], mc.Chunks[1]}}
-		v4.Chunks[0].CRC, v4.Chunks[1].CRC = 0, 0
-		if n, err := verifyColumnFile(v4, false, mut, mc.File); err != nil || n != 0 {
+		v4 := oldIndex{Chunks: []oldChunk{{Off: int64(h), Len: int64(mid - h)}, {Off: int64(mid), Len: int64(len(data) - mid)}}}
+		v4lay, err := v4.layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := verifyRecords(v4lay.records(false), mut, mc.File); err != nil || n != 0 {
 			t.Fatalf("v4 manifest verified %d checksums: %v", n, err)
 		}
 	})

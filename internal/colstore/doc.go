@@ -20,17 +20,20 @@
 // # Persistence
 //
 // Save writes a manifest.json plus one binary file per column: the
-// global dictionary cut into frames of about 4 KiB, then one record per
-// chunk. The manifest indexes every record — each frame's byte range, raw
-// length, value count and CRC32C, and each chunk's global-id span, Bloom
-// filter, byte range and CRC32C (see manifestFrame, manifestChunk) —
-// enough metadata to decide which chunks a restriction can match, and to
+// global dictionary cut into frames of about 4 KiB, one record per chunk,
+// then the column's index records (index.go). The layout record indexes
+// every frame — its byte range, raw length, value count, CRC32C and first
+// value — and every chunk — its global-id span, byte range and CRC32C;
+// the Bloom record holds each sparse chunk's filter over its global-ids.
+// That is enough to decide which chunks a restriction can match, and to
 // load and verify any single chunk, a whole dictionary, or only the frames
-// that hold some global-ids, without touching the rest of the file. With
-// a codec, every record is encoded individually — compressed, or kept raw
+// that hold some global-ids, without touching the rest of the file. The
+// manifest keeps what is per store or per column, and where each index
+// record lies, so it does not grow with rows. With a codec, every frame
+// and chunk record is encoded individually — compressed, or kept raw
 // where the codec does not shrink it below 7/8 — and its file byte range
 // recorded too, so the exact-read property holds under compression. Save
-// writes format generation 7, the one generation every reader but the
+// writes format generation 8, the one generation every reader but the
 // eager Open reads (docs/format.md); a store written by an earlier build
 // is refused with ErrOldFormat by everything except the eager Open, which
 // is what Upgrade rewrites it with (upgrade.go).
@@ -39,7 +42,9 @@
 //
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
-// unit is the (column, chunk) pair plus one entry per global dictionary.
+// unit is the (column, chunk) pair plus, per column, one entry for its
+// global dictionary, one for its layout and one for its Bloom record: the
+// index is paged through the budget like the data.
 // Reader is the decoding layer underneath: LoadColumnDict reads a
 // dictionary's frames and LoadColumnChunk one chunk record, each at its
 // exact byte range through a bounded handle cache; ReadChunkRuns serves
@@ -55,7 +60,7 @@
 // Expressions materialized at query time (AddVirtualColumn) are built in
 // the store's own format. On a lazy store, AddVirtualColumnPinned
 // additionally persists the column into the virtual/ sidecar next to the
-// store — same framing, codec and per-chunk spans as the parent's columns
+// store — same framing, codec and layout record as the parent's columns
 // — and registers its pieces with the memory manager, so materializations
 // are budgeted, evictable, reloadable and span-prunable exactly like
 // physical data, and survive a reopen. When persistence is impossible

@@ -20,25 +20,28 @@ import (
 // experiments (Figure 5 charges disk loads by these exact byte counts) and
 // the pdrill CLI.
 //
-// Save writes generation 7, and every reader but one reads generation 7
+// Save writes generation 8, and every reader but one reads generation 8
 // only. A column file is its global dictionary cut into frames of about
-// frameBytes raw bytes each, then one record per chunk. The manifest
-// records, per column, every frame's byte range, raw length, value count
-// and CRC32C, and every chunk's byte range, global-id span, Bloom filter
-// and CRC32C — so a cold load reads exactly the records it needs, and
-// verifies and, with a codec, decompresses each alone: one chunk, the
-// frames of a whole dictionary, or only the frames that hold the ids a
-// lookup wants. A record the codec does not shrink below 7/8 of its raw
-// length is stored raw (its file length then equals its raw length, which
-// is how readers tell), and a numeric frame is written as fixed-width
-// deltas of order-preserving keys (numdict.go). Stores written by earlier
-// builds (generations 1–6) are read by exactly one function, the eager
-// Open, which is all Upgrade needs to rewrite them (upgrade.go);
-// everything else refuses them with ErrOldFormat.
+// frameBytes raw bytes each, then one record per chunk, then its layout
+// record and, if any chunk has a filter, its Bloom record (index.go). The
+// layout record indexes every frame's byte range, raw length, value count
+// and CRC32C, and every chunk's byte range, global-id span and CRC32C — so
+// a cold load reads exactly the records it needs, and verifies and, with a
+// codec, decompresses each alone: one chunk, the frames of a whole
+// dictionary, or only the frames that hold the ids a lookup wants. A
+// record the codec does not shrink below 7/8 of its raw length is stored
+// raw (its file length then equals its raw length, which is how readers
+// tell), and a numeric frame is written as fixed-width deltas of
+// order-preserving keys (numdict.go). The manifest keeps what is per store
+// or per column — so its size does not grow with rows — and each index
+// record's byte range and CRC32C. Stores written by earlier builds
+// (generations 1–7) are read by exactly one function, the eager Open,
+// which is all Upgrade needs to rewrite them (upgrade.go); everything else
+// refuses them with ErrOldFormat.
 
 // formatVersion is the manifest generation Save writes, and the one
 // generation every reader but the eager Open accepts.
-const formatVersion = 7
+const formatVersion = 8
 
 // frameBytes is the raw length a dictionary is cut into frames at: a frame
 // holds as many values as fit in it, and at least one. A cold lookup of a
@@ -46,7 +49,7 @@ const formatVersion = 7
 const frameBytes = 4096
 
 // ErrOldFormat is what errors.Is matches when a store directory was
-// written in format generation 1–6; the error itself is an
+// written in format generation 1–7; the error itself is an
 // *OldFormatError naming the generation found.
 var ErrOldFormat = errors.New("colstore: old format generation")
 
@@ -76,59 +79,34 @@ type manifest struct {
 	Opts    manifestOpts  `json:"options"`
 }
 
-// manifestCol is one column's entry. Older builds also wrote a sharded
-// string dictionary's routing in it, as "dict_shards": that field is
-// ignored, and those frames are read as any other frames.
+// manifestCol is one column's entry: what is per column, and where its
+// index records are. Older builds also wrote a sharded string dictionary's
+// routing in it, as "dict_shards": that field is ignored, and those frames
+// are read as any other frames.
 type manifestCol struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
 	Virtual bool   `json:"virtual,omitempty"`
 	File    string `json:"file"`
-	// Frames is the dictionary's frame index, in id order: the frames sit
-	// at the start of the column file, one after another.
-	Frames []manifestFrame `json:"frames,omitempty"`
-	// Chunks is the per-chunk layout: value span for restriction pruning
-	// and the byte range of each chunk record, so a single chunk can be
-	// loaded without touching the rest of the column.
-	Chunks []manifestChunk `json:"chunks,omitempty"`
-	// oldHead is the head record of generations 2–6, read by Upgrade only.
+	// Index is the column's layout record, Bloom its Bloom record — absent
+	// when no chunk has a filter (index.go).
+	Index recordRef  `json:"index"`
+	Bloom *recordRef `json:"bloom,omitempty"`
+	// oldIndex and oldHead are how generations 2–7 indexed a column, read
+	// by Upgrade only.
+	oldIndex
 	oldHead
 }
 
-// manifestFrame is one dictionary frame: its byte range [Off, Off+Len) in
-// the column file, its raw length (Len when it is stored raw), the number
-// of values it holds, and the CRC32C of its file bytes.
-type manifestFrame struct {
-	Off   int64  `json:"off"`
-	Len   int64  `json:"len"`
-	Raw   int64  `json:"raw"`
-	Count int    `json:"count"`
-	CRC   uint32 `json:"crc,omitempty"`
+// recordRef locates an index record: its byte range [Off, Off+Len) in the
+// column file, stored raw, and the CRC32C of its bytes.
+type recordRef struct {
+	Off int64  `json:"off"`
+	Len int64  `json:"len"`
+	CRC uint32 `json:"crc"`
 }
 
-// manifestChunk records one chunk's residency metadata: the global-id span
-// of its chunk-dictionary (Min > Max marks an empty chunk) and the byte
-// range [Off, Off+Len) of its record in the uncompressed column stream —
-// every frame's raw bytes, then every chunk record's.
-// With a codec, [COff, COff+CLen) is additionally the record's byte range
-// in the column file — the exact range a cold load reads. The record is
-// stored raw there exactly when CLen == Len.
-type manifestChunk struct {
-	Min  uint32 `json:"min"`
-	Max  uint32 `json:"max"`
-	Off  int64  `json:"off"`
-	Len  int64  `json:"len"`
-	COff int64  `json:"coff,omitempty"`
-	CLen int64  `json:"clen,omitempty"`
-	// Bloom is a marshaled filter over the chunk's distinct global-ids
-	// (sparse chunks only): a negative probe proves an equality restriction
-	// matches nothing in the chunk, pruning it before any load — the check
-	// the [Min, Max] span cannot make on unsorted columns.
-	Bloom []byte `json:"bloom,omitempty"`
-	// CRC is the CRC32C of the chunk record's file bytes: the codec
-	// record [COff, COff+CLen) with a codec, [Off, Off+Len) otherwise.
-	CRC uint32 `json:"crc,omitempty"`
-}
+func (ref recordRef) record() record { return record{ref.Off, ref.Len, ref.CRC} }
 
 type manifestOpts struct {
 	PartitionFields  []string `json:"partition_fields,omitempty"`
@@ -187,9 +165,8 @@ func Save(s *Store, dir, codecName string) error {
 			ps.Release()
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
-		raw, mc := encodeColumn(col, codec)
+		raw, mc := encodeColumn(col, codec, buildChunkBlooms(col))
 		mc.File = fmt.Sprintf("col_%04d.bin", i)
-		buildChunkBlooms(col, mc.Chunks)
 		ps.Release()
 		if err := vfs().WriteFile(filepath.Join(dir, mc.File), raw, 0o644); err != nil {
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
@@ -204,34 +181,6 @@ func Save(s *Store, dir, codecName string) error {
 		return fmt.Errorf("colstore: save manifest: %w", err)
 	}
 	return nil
-}
-
-// chunkBloomMaxCard bounds the cardinality a chunk bloom filter covers:
-// beyond it the filter's manifest footprint (~1.2 bytes/distinct value)
-// outweighs the expected pruning win.
-const chunkBloomMaxCard = 1 << 16
-
-// buildChunkBlooms attaches a global-id Bloom filter to every chunk whose
-// chunk-dictionary is sparse within its [min, max] span. Dense chunks gain
-// nothing — the span test is already exact there — so the filter is built
-// only when at most half the span's ids are present (unsorted columns,
-// where restriction spans prune worst).
-func buildChunkBlooms(col *Column, metas []manifestChunk) {
-	for i, ch := range col.Chunks {
-		gids := ch.GlobalIDs
-		if len(gids) == 0 || len(gids) > chunkBloomMaxCard {
-			continue
-		}
-		span := int64(gids[len(gids)-1]) - int64(gids[0]) + 1
-		if int64(len(gids))*2 > span {
-			continue
-		}
-		f := bloom.NewWithEstimates(len(gids), 0.01)
-		for _, g := range gids {
-			f.AddUint64(uint64(g))
-		}
-		metas[i].Bloom = f.Marshal()
-	}
 }
 
 // uvarintLen returns the encoded byte length of v as a uvarint.
@@ -249,15 +198,18 @@ func uvarintLen(v uint64) int {
 // it costs more than reading the bytes it saves.
 func keepCompressed(compressed, raw int) bool { return 8*compressed < 7*raw }
 
-// encodeColumn renders a column file — the dictionary's frames, then one
-// record per chunk — and the manifest entry that indexes it. With a codec
-// every record is compressed alone and kept compressed only if that makes
-// it strictly smaller than 7/8 of its raw length (keepCompressed), so a
-// compressed record is never as long as its raw form and a reader tells
-// the two apart by length. Every record's CRC32C is taken over its file
-// bytes.
-func encodeColumn(col *Column, codec compress.Codec) (file []byte, mc manifestCol) {
+// encodeColumn renders a column file — the dictionary's frames, one record
+// per chunk, the layout record and, when filters holds one, the Bloom
+// record — and the manifest entry that locates its index records. With a
+// codec every frame and chunk record is compressed alone and kept
+// compressed only if that makes it strictly smaller than 7/8 of its raw
+// length (keepCompressed), so a compressed record is never as long as its
+// raw form and a reader tells the two apart by length; the index records
+// are stored raw. Every record's CRC32C is taken over its file bytes.
+func encodeColumn(col *Column, codec compress.Codec, filters []*bloom.Filter) (file []byte, mc manifestCol) {
 	mc = manifestCol{Name: col.Name, Kind: col.Kind.String(), Virtual: col.Virtual}
+	var frames []frameEntry
+	spans, chunks := make([]ChunkSpan, len(col.Chunks)), make([]chunkEntry, len(col.Chunks))
 	record := func(src []byte) (off, n int64, crc uint32) {
 		start := len(file)
 		if codec == nil {
@@ -269,28 +221,36 @@ func encodeColumn(col *Column, codec compress.Codec) (file []byte, mc manifestCo
 	}
 	var rawOff int64
 	dictFrames(col.Dict, col.Kind, func(raw []byte, count int) {
-		fr := manifestFrame{Raw: int64(len(raw)), Count: count}
-		fr.Off, fr.Len, fr.CRC = record(raw)
-		mc.Frames = append(mc.Frames, fr)
-		rawOff += fr.Raw
+		fr := frameEntry{raw: int64(len(raw)), count: count}
+		if col.Kind == value.KindString {
+			l, n := binary.Uvarint(raw)
+			fr.first = append([]byte(nil), raw[n:n+int(l)]...)
+		}
+		fr.off, fr.len, fr.crc = record(raw)
+		frames = append(frames, fr)
+		rawOff += fr.raw
 	})
 	var buf []byte
-	for _, ch := range col.Chunks {
+	for i, ch := range col.Chunks {
 		buf = appendChunk(buf[:0], ch)
-		meta := manifestChunk{Off: rawOff, Len: int64(len(buf))}
-		if len(ch.GlobalIDs) > 0 {
-			meta.Min = ch.GlobalIDs[0]
-			meta.Max = ch.GlobalIDs[len(ch.GlobalIDs)-1]
-		} else {
-			meta.Min, meta.Max = 1, 0 // Min > Max: empty chunk
-		}
+		meta := chunkEntry{off: rawOff, len: int64(len(buf))}
 		off, n, crc := record(buf)
 		if codec != nil {
-			meta.COff, meta.CLen = off, n
+			meta.coff, meta.clen = off, n
 		}
-		meta.CRC = crc
-		rawOff += meta.Len
-		mc.Chunks = append(mc.Chunks, meta)
+		meta.crc = crc
+		rawOff += meta.len
+		spans[i], chunks[i] = spanOf(ch), meta
+	}
+	indexRecord := func(rec []byte) recordRef {
+		ref := recordRef{Off: int64(len(file)), Len: int64(len(rec)), CRC: CRC32C(rec)}
+		file = append(file, rec...)
+		return ref
+	}
+	mc.Index = indexRecord(appendLayout(nil, frames, spans, chunks))
+	if filters != nil {
+		ref := indexRecord(appendBlooms(nil, filters))
+		mc.Bloom = &ref
 	}
 	return file, mc
 }
@@ -390,37 +350,39 @@ func readManifest(dir string) (*manifest, int64, error) {
 }
 
 // checkCurrent is the gate of every reader but the eager Open: an
-// *OldFormatError for generations 1–6, and for generation 7 a check that
-// every column carries the layout cold reads rely on.
+// *OldFormatError for generations 1–7, and for generation 8 a check that
+// every column locates its layout record. The records themselves are read,
+// and checked (checkLayout), on the first touch of their column.
 func (m *manifest) checkCurrent(dir string) error {
 	if m.Format != formatVersion {
 		return &OldFormatError{Dir: dir, Generation: m.generation()}
 	}
 	for _, mc := range m.Columns {
-		if err := m.checkLayout(mc); err != nil {
-			return err
+		if mc.Index.Len <= 0 {
+			return fmt.Errorf("colstore: column %q has no layout record", mc.Name)
 		}
 	}
 	return nil
 }
 
-// checkLayout verifies one column entry (of the manifest or of its virtual
-// sidecar) records one chunk per store chunk, and a frame index that maps
-// every global-id to its bytes: frames that follow one another from the
-// start of the file, each holding at least one value in no fewer raw
-// bytes, and stored raw — at its raw length — unless the store has a
+// checkLayout verifies one column's layout (of the store or of its
+// virtual sidecar) records one chunk per store chunk, and a frame index
+// that maps every global-id to its bytes: frames that follow one another
+// from the start of the file, each holding at least one value in no fewer
+// raw bytes, and stored raw — at its raw length — unless the store has a
 // codec, which never keeps a record longer.
-func (m *manifest) checkLayout(mc manifestCol) error {
-	if len(mc.Chunks) != len(m.Bounds)-1 {
-		return fmt.Errorf("colstore: column %q has no chunk layout", mc.Name)
+func (m *manifest) checkLayout(name string, lay *columnLayout) error {
+	if lay.numChunks() != len(m.Bounds)-1 {
+		return fmt.Errorf("colstore: column %q has %d chunks in its layout, the store %d", name, lay.numChunks(), len(m.Bounds)-1)
 	}
 	var end int64
-	for i, fr := range mc.Frames {
-		if fr.Off != end || fr.Count <= 0 || fr.Raw < int64(fr.Count) || fr.Len <= 0 || fr.Len > fr.Raw ||
-			m.Codec == "" && fr.Len != fr.Raw {
-			return fmt.Errorf("colstore: column %q dictionary frame %d is malformed", mc.Name, i)
+	for i := range lay.numFrames() {
+		fr := lay.frame(i)
+		if fr.off != end || fr.count <= 0 || fr.raw < int64(fr.count) || fr.len <= 0 || fr.len > fr.raw ||
+			m.Codec == "" && fr.len != fr.raw {
+			return fmt.Errorf("colstore: column %q dictionary frame %d is malformed", name, i)
 		}
-		end += fr.Len
+		end += fr.len
 	}
 	return nil
 }
@@ -446,20 +408,25 @@ func storeShell(m *manifest) *Store {
 // implementation is taken from the manifest options. For a lazily loaded,
 // budget-managed store see OpenLazy.
 //
-// Open is also the one reader of format generations 1–6 (Upgrade is Open
-// plus Save; openOld, upgrade.go). A current store it reads as the lazy
-// reader does, record by record — every frame of a dictionary and every
-// chunk, each verified — and decodes in full.
+// Open is also the one reader of format generations 1–7 (Upgrade is Open
+// plus Save): generations 1–6 through openOld (upgrade.go), and generation
+// 7, whose manifest held each column's index, through the current reader,
+// its index lifted into the current layout (oldIndex.layout). A store of
+// generation 7 or 8 it reads as the lazy reader does, record by record —
+// the layout record, every frame of a dictionary and every chunk, each
+// verified — and decodes in full.
 func Open(dir string) (*Store, *DiskStats, error) {
 	m, manifestBytes, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if m.Format != formatVersion {
+	if m.Format < 7 {
 		return openOld(dir, m, manifestBytes)
 	}
-	if err := m.checkCurrent(dir); err != nil {
-		return nil, nil, err
+	if m.Format == formatVersion {
+		if err := m.checkCurrent(dir); err != nil {
+			return nil, nil, err
+		}
 	}
 	r, err := newReader(dir, m)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // buildSparseStore makes a multi-chunk store with an unsorted
 // high-cardinality string column (the shape chunk Blooms and dictionary
 // frames exist for) and saves it with the codec named ("" for none).
-func buildSparseStore(t *testing.T, rows int, codec string) (*Store, string) {
+func buildSparseStore(t testing.TB, rows int, codec string) (*Store, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	tag := make([]string, rows)
@@ -47,8 +47,10 @@ func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filters, ok := lazy.ChunkBlooms("tag")
-	if !ok || filters == nil {
+	ps := lazy.NewPinSet()
+	defer ps.Release()
+	filters, err := ps.ChunkBlooms("tag")
+	if err != nil || filters == nil {
 		t.Fatal("lazy store exposes no chunk Blooms for the sparse column")
 	}
 	col := built.Column("tag")
@@ -90,16 +92,17 @@ func subFramingRoundTrip(t *testing.T, codec string) {
 		t.Fatal(err)
 	}
 	defer tight.Close()
-	mc, _, err := tight.lazy.reader.dictMeta("tag")
+	_, lay, err := tight.lazy.reader.layoutOf("tag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mc.Frames) < 2 {
-		t.Fatalf("only %d frame(s); framing needs several to mean anything", len(mc.Frames))
+	frames, _ := entries(lay)
+	if len(frames) < 2 {
+		t.Fatalf("only %d frame(s); framing needs several to mean anything", len(frames))
 	}
 	id := uint32(want.Len() / 2)
 	frame := 0
-	for base := mc.Frames[0].Count; int(id) >= base; base += mc.Frames[frame].Count {
+	for base := frames[0].count; int(id) >= base; base += frames[frame].count {
 		frame++
 	}
 	ps := tight.NewPinSet()
@@ -110,9 +113,9 @@ func subFramingRoundTrip(t *testing.T, codec string) {
 	if vals[0] != want.Value(id) {
 		t.Fatalf("id %d is %v, want %v", id, vals[0], want.Value(id))
 	}
-	if ps.DiskBytesRead != mc.Frames[frame].Len || ps.ChecksumVerified != 1 || ps.ColdBytesLoaded != 0 {
+	if ps.DiskBytesRead != frames[frame].len || ps.ChecksumVerified != 1 || ps.ColdBytesLoaded != 0 {
 		t.Fatalf("point lookup read %d bytes, verified %d records and admitted %d bytes; want frame %d's %d bytes, 1 and 0",
-			ps.DiskBytesRead, ps.ChecksumVerified, ps.ColdBytesLoaded, frame, mc.Frames[frame].Len)
+			ps.DiskBytesRead, ps.ChecksumVerified, ps.ColdBytesLoaded, frame, frames[frame].len)
 	}
 	ps.Release()
 

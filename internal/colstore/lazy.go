@@ -21,10 +21,11 @@ import (
 // the pieces they are scanning resident while cold data gets evicted
 // around them.
 //
-// The unit of residency is the (column, chunk) pair plus one entry per
-// global dictionary: a restricted query that scans k of n chunks pins the
-// dictionaries of its columns and the k active chunks of each, nothing
-// else.
+// The unit of residency is the (column, chunk) pair plus, per column, one
+// entry for its global dictionary and one for each of its index records:
+// a restricted query that scans k of n chunks pins the layouts and
+// dictionaries of its columns, the Bloom records of the columns its id-set
+// leaves restrict, and the k active chunks of each column, nothing else.
 
 // ColumnMeta describes a persisted column without loading its data.
 type ColumnMeta struct {
@@ -36,8 +37,8 @@ type ColumnMeta struct {
 // ChunkSpan is the residency metadata of one chunk of one column: the
 // bounds of the global-ids occurring in it. Because global dictionaries are
 // sorted, the span bounds the chunk's values, which lets the engine decide
-// from the manifest alone whether a restriction can match the chunk —
-// before loading any chunk data. MinGID > MaxGID marks an empty chunk.
+// from the column's layout alone whether a restriction can match the chunk
+// — before loading any chunk data. MinGID > MaxGID marks an empty chunk.
 type ChunkSpan struct {
 	MinGID uint32
 	MaxGID uint32
@@ -62,22 +63,12 @@ type lazySource struct {
 	// Replicas opened from the same directory share entries by design: the
 	// data is immutable and identical.
 	ns string
-	// mu guards spans and sidecar: both immutable for physical columns but
-	// extended at query time when a virtual column is persisted.
+	// mu guards sidecar, extended at query time when a virtual column is
+	// persisted, and keys.
 	mu sync.RWMutex
-	// spans holds each column's per-chunk value spans, straight from the
-	// manifest (or the virtual sidecar) — the metadata restriction pruning
-	// runs on.
-	spans map[string][]ChunkSpan
-	// blooms holds each column's decoded per-chunk Bloom filters (nil
-	// entries where the chunk has none), the second metadata input to
-	// restriction pruning: a negative probe proves an equality restriction
-	// matches nothing in a chunk even when the value falls inside the
-	// chunk's [min, max] span.
-	blooms map[string][]*bloom.Filter
 	// sidecar mirrors the virtual/ sidecar manifest's column list.
 	sidecar []manifestCol
-	// keys holds each pinned column's residency keys (guarded by mu).
+	// keys holds each pinned column's residency keys.
 	keys map[string]*colKeys
 
 	// persistMu serializes sidecar writes for this store.
@@ -87,13 +78,13 @@ type lazySource struct {
 }
 
 // colKeys name one column's residency units inside the manager: one entry
-// for its global dictionary, one per chunk. They are built on the column's
-// first pin in the store and shared by every later one, so a warm pin
-// builds no string.
+// for its global dictionary, one for each index record, one per chunk.
+// They are built on the column's first pin in the store and shared by
+// every later one, so a warm pin builds no string.
 type colKeys struct {
-	virtual bool
-	dict    string
-	chunks  []string
+	virtual            bool
+	dict, index, bloom string
+	chunks             []string
 }
 
 // keysOf returns the column's residency keys, building them on first use.
@@ -105,7 +96,7 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 		return k
 	}
 	prefix := l.ns + "\x00" + meta.Name + "#"
-	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", chunks: make([]string, chunks)}
+	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", index: prefix + "index", bloom: prefix + "bloom", chunks: make([]string, chunks)}
 	for ci := range k.chunks {
 		k.chunks[ci] = prefix + strconv.Itoa(ci)
 	}
@@ -118,19 +109,20 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 	return k
 }
 
-// OpenLazy opens a persisted store without loading any column data: only
-// the manifest (and the virtual sidecar's manifest, if one exists) is
-// read. Data materializes on first touch through mgr (which enforces the
-// byte budget and evicts cold entries); virtual columns the engine
-// materializes later are persisted into the sidecar and budgeted the same
-// way (AddVirtualColumnPinned). mgr may be shared across stores (e.g. all
+// OpenLazy opens a persisted store without loading any column data or
+// index: only the manifest (and the virtual sidecar's manifest, and the
+// layout records of its columns, if one exists) is read. Data materializes
+// on first touch through mgr (which enforces the byte budget and evicts
+// cold entries); virtual columns the engine materializes later are
+// persisted into the sidecar and budgeted the same way
+// (AddVirtualColumnPinned). mgr may be shared across stores (e.g. all
 // shards of a leaf process share one budget).
 //
 // Residency is chunk-granular: the manager tracks one entry per global
-// dictionary and one per (column, chunk) pair, so a restricted query pins
-// only the chunks it scans. A store of an older format generation is
-// refused with an *OldFormatError (errors.Is ErrOldFormat); Upgrade
-// converts it.
+// dictionary, one per index record and one per (column, chunk) pair, so a
+// restricted query pins only the chunks it scans. A store of an older
+// format generation is refused with an *OldFormatError (errors.Is
+// ErrOldFormat); Upgrade converts it.
 func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 	if mgr == nil {
 		mgr = memmgr.New(0, "")
@@ -149,8 +141,6 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		reader: r,
 		mgr:    mgr,
 		ns:     ns,
-		spans:  make(map[string][]ChunkSpan),
-		blooms: make(map[string][]*bloom.Filter),
 		keys:   make(map[string]*colKeys),
 	}
 	s.lazy = src
@@ -161,11 +151,6 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		}
 		s.metas[meta.Name] = meta
 		s.order = append(s.order, meta.Name)
-		mc := r.cols[meta.Name]
-		src.spans[meta.Name] = chunkSpans(mc)
-		if filters := decodeChunkBlooms(mc); filters != nil {
-			src.blooms[meta.Name] = filters
-		}
 	}
 	// Virtual columns persisted by earlier sessions: register them so this
 	// session serves them as ordinary budgeted columns instead of
@@ -174,15 +159,6 @@ func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
 		return nil, nil, err
 	}
 	return s, stats, nil
-}
-
-// chunkSpans lifts a manifest entry's per-chunk global-id spans.
-func chunkSpans(mc manifestCol) []ChunkSpan {
-	spans := make([]ChunkSpan, len(mc.Chunks))
-	for i, cm := range mc.Chunks {
-		spans[i] = ChunkSpan{MinGID: cm.Min, MaxGID: cm.Max}
-	}
-	return spans
 }
 
 // DisableVirtualPersist turns off sidecar persistence for this store:
@@ -245,64 +221,6 @@ func (s *Store) Close() error {
 	return s.lazy.reader.Close()
 }
 
-// ChunkSpans returns the per-chunk global-id spans of the named column,
-// without loading any chunk data: from the manifest on a lazy store, from
-// the chunk-dictionaries on a resident one. ok is false when the column is
-// unknown.
-func (s *Store) ChunkSpans(name string) ([]ChunkSpan, bool) {
-	if c := s.residentColumn(name); c != nil {
-		out := make([]ChunkSpan, len(c.Chunks))
-		for i, ch := range c.Chunks {
-			out[i] = spanOf(ch)
-		}
-		return out, true
-	}
-	if s.lazy != nil {
-		s.lazy.mu.RLock()
-		sp, ok := s.lazy.spans[name]
-		s.lazy.mu.RUnlock()
-		return sp, ok
-	}
-	return nil, false
-}
-
-// decodeChunkBlooms unmarshals a manifest column's per-chunk Bloom
-// filters. The returned slice is indexed by chunk, nil where the chunk
-// carries no filter (dense or empty chunks) or where the bytes fail to
-// parse — a bad filter degrades to span-only pruning, never to a wrong
-// answer. Returns nil when no chunk has one.
-func decodeChunkBlooms(mc manifestCol) []*bloom.Filter {
-	var filters []*bloom.Filter
-	for i, cm := range mc.Chunks {
-		if len(cm.Bloom) == 0 {
-			continue
-		}
-		f, err := bloom.Unmarshal(cm.Bloom)
-		if err != nil {
-			continue
-		}
-		if filters == nil {
-			filters = make([]*bloom.Filter, len(mc.Chunks))
-		}
-		filters[i] = f
-	}
-	return filters
-}
-
-// ChunkBlooms returns the named column's per-chunk Bloom filters over
-// distinct global-ids, without loading any chunk data: nil entries mark
-// chunks without one. ok is false on fully resident stores and for columns
-// none of whose chunks carry one — callers then prune on spans alone.
-func (s *Store) ChunkBlooms(name string) ([]*bloom.Filter, bool) {
-	if s.lazy == nil {
-		return nil, false
-	}
-	s.lazy.mu.RLock()
-	bf, ok := s.lazy.blooms[name]
-	s.lazy.mu.RUnlock()
-	return bf, ok
-}
-
 // acquire pins key through the manager; virtual-column entries are tagged
 // so their resident bytes show up in Stats.VirtualBytes.
 func (s *Store) acquire(k *colKeys, key string, load memmgr.LoadFunc) (any, bool, error) {
@@ -329,16 +247,48 @@ func (s *Store) acquireDict(k *colKeys, load func() (dict.Dict, int64, error)) (
 	return ld.d, cold, ld.size, ld.diskBytes, nil
 }
 
-// decodeChunk decodes chunk ci of the named column from its file record,
+// acquireLayout pins a column's layout; on a cold miss its layout record
+// is read, verified and decoded on this goroutine.
+func (s *Store) acquireLayout(k *colKeys, mc manifestCol) (*columnLayout, error) {
+	v, _, err := s.acquire(k, k.index, func() (any, int64, int64, error) {
+		lay, disk, err := s.lazy.reader.layout(mc)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return lay, lay.memoryBytes(), disk, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*columnLayout), nil
+}
+
+// acquireBlooms pins a column's Bloom record, as acquireLayout does its
+// layout.
+func (s *Store) acquireBlooms(k *colKeys, mc manifestCol) ([]*bloom.Filter, error) {
+	v, _, err := s.acquire(k, k.bloom, func() (any, int64, int64, error) {
+		filters, disk, err := s.lazy.reader.blooms(mc)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return filters, bloomsBytes(filters), disk, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]*bloom.Filter), nil
+}
+
+// decodeChunk decodes chunk ci of a pinned column from its file record,
 // decompressing into bufs, and checks its rows against the store's. Safe
 // to run on several goroutines at once, each with its own bufs.
-func (s *Store) decodeChunk(name string, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
-	c, err := s.lazy.reader.decodeChunkRecord(name, ci, rec, bufs)
+func (s *Store) decodeChunk(h *heldPin, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
+	c, err := s.lazy.reader.decodeChunkRecord(h.mc, h.layout, ci, rec, bufs)
 	if err != nil {
 		return nil, err
 	}
 	if want := s.ChunkRows(ci); c.Rows() != want {
-		return nil, fmt.Errorf("colstore: column %q chunk %d has %d rows, want %d", name, ci, c.Rows(), want)
+		return nil, fmt.Errorf("colstore: column %q chunk %d has %d rows, want %d", h.mc.Name, ci, c.Rows(), want)
 	}
 	return c, nil
 }
@@ -359,7 +309,8 @@ func (s *Store) acquireChunk(k *colKeys, ci int, ch *Chunk, disk int64) (residen
 	return lc.ch, cold, lc.size, lc.diskBytes, nil
 }
 
-// loadedDict and loadedChunk are the residency units the manager holds.
+// loadedDict and loadedChunk are residency units the manager holds; a
+// layout is held as its *columnLayout, and Bloom filters as their slice.
 type loadedDict struct {
 	d         dict.Dict
 	size      int64

@@ -325,7 +325,7 @@ func TestLoadColumnDict(t *testing.T) {
 	}
 }
 
-// TestChunkSpansMatchChunks checks that the spans the manifest records are
+// TestChunkSpansMatchChunks checks that the spans the layout records are
 // exactly the first/last global-ids of each chunk-dictionary.
 func TestChunkSpansMatchChunks(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "")
@@ -338,13 +338,15 @@ func TestChunkSpansMatchChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range eager.Columns() {
-		want, ok := eager.ChunkSpans(name) // computed from resident chunks
-		if !ok {
-			t.Fatalf("no spans on resident store for %q", name)
+		want, err := eager.NewPinSet().ChunkSpans(name) // computed from resident chunks
+		if err != nil {
+			t.Fatalf("no spans on resident store for %q: %v", name, err)
 		}
-		got, ok := lazy.ChunkSpans(name) // read from the manifest
-		if !ok {
-			t.Fatalf("no spans on lazy store for %q", name)
+		ps := lazy.NewPinSet()
+		got, err := ps.ChunkSpans(name) // read from the layout record
+		ps.Release()
+		if err != nil {
+			t.Fatalf("no spans on lazy store for %q: %v", name, err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("column %q: %d spans, want %d", name, len(got), len(want))

@@ -7,16 +7,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"powerdrill/internal/bloom"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
 )
 
 // PinSet keeps the pieces one query touches resident for the query's
-// lifetime: the engine pins every dictionary and chunk it needs from first
-// touch (during planning) through the parallel chunk scan and final
-// dictionary lookups, then releases them all at once. Cold-load counters
-// accumulate per set, giving per-query attribution of what had to come
-// from disk.
+// lifetime: the engine pins every layout, dictionary, Bloom record and
+// chunk it needs from first touch (during planning) through the parallel
+// chunk scan and final dictionary lookups, then releases them all at once.
+// Cold-load counters accumulate per set, giving per-query attribution of
+// what had to come from disk.
 //
 // On a lazy store a column is represented by a query-private *Column view
 // whose Chunks slice is filled only at the pinned indices; positions the
@@ -92,6 +93,13 @@ type coldChunk struct {
 type heldPin struct {
 	view *Column
 	keys *colKeys
+	// mc and layout are the column's manifest entry and pinned layout,
+	// which every load of its frames and chunks reads.
+	mc     manifestCol
+	layout *columnLayout
+	// blooms are the pinned Bloom record's filters, once bloomsHeld.
+	blooms     []*bloom.Filter
+	bloomsHeld bool
 	// chunks flags which chunk indices are pinned.
 	chunks []bool
 	dict   bool
@@ -112,7 +120,8 @@ func (p *PinSet) coldColumn(h *heldPin, size, disk int64) {
 	p.DiskBytesRead += disk
 }
 
-// ensure returns (creating if needed) the held record for a lazy column.
+// ensure returns (creating if needed) the held record for a lazy column,
+// with its layout pinned.
 func (p *PinSet) ensure(name string) (*heldPin, error) {
 	if h, ok := p.held[name]; ok {
 		return h, nil
@@ -131,6 +140,9 @@ func (p *PinSet) ensure(name string) (*heldPin, error) {
 		chunks: make([]bool, p.s.NumChunks()),
 		keys:   p.s.lazy.keysOf(meta, p.s.NumChunks()),
 	}
+	if err := p.pinLayout(h); err != nil {
+		return nil, err
+	}
 	if p.held == nil {
 		p.held = make(map[string]*heldPin, 8)
 	}
@@ -138,11 +150,77 @@ func (p *PinSet) ensure(name string) (*heldPin, error) {
 	return h, nil
 }
 
+// pinLayout pins the column's layout into h, loading its layout record
+// from disk if it is cold.
+func (p *PinSet) pinLayout(h *heldPin) error {
+	mc, ok := p.s.lazy.reader.colMeta(h.view.Name)
+	if !ok {
+		return fmt.Errorf("colstore: unknown column %q", h.view.Name)
+	}
+	lay, err := p.s.acquireLayout(h.keys, mc)
+	if err != nil {
+		p.noteChecksumErr(err)
+		return err
+	}
+	h.mc, h.layout = mc, lay
+	p.keys = append(p.keys, h.keys.index)
+	return nil
+}
+
+// ChunkSpans returns the per-chunk global-id spans of the named column,
+// without loading any chunk data: from its layout, which it pins, on a lazy
+// store; from the chunk-dictionaries of a resident column.
+func (p *PinSet) ChunkSpans(name string) ([]ChunkSpan, error) {
+	if c := p.s.residentColumn(name); c != nil {
+		out := make([]ChunkSpan, len(c.Chunks))
+		for i, ch := range c.Chunks {
+			out[i] = spanOf(ch)
+		}
+		return out, nil
+	}
+	if p.s.lazy == nil {
+		return nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	h, err := p.ensure(name)
+	if err != nil {
+		return nil, err
+	}
+	return h.layout.spans, nil
+}
+
+// ChunkBlooms returns the named column's per-chunk Bloom filters over
+// distinct global-ids, without loading any chunk data: nil entries mark
+// chunks without one. It returns nil for a resident column and for one
+// none of whose chunks has a filter — callers then prune on spans alone.
+// On a lazy store the first call pins the column's Bloom record, loading
+// it from disk if it is cold: only an id-set restriction probes a filter,
+// so only one loads it.
+func (p *PinSet) ChunkBlooms(name string) ([]*bloom.Filter, error) {
+	if p.s.lazy == nil || p.s.residentColumn(name) != nil {
+		return nil, nil
+	}
+	h, err := p.ensure(name)
+	if err != nil {
+		return nil, err
+	}
+	if !h.bloomsHeld && h.mc.Bloom != nil {
+		filters, err := p.s.acquireBlooms(h.keys, h.mc)
+		if err != nil {
+			p.noteChecksumErr(err)
+			return nil, err
+		}
+		h.blooms = filters
+		p.keys = append(p.keys, h.keys.bloom)
+	}
+	h.bloomsHeld = true
+	return h.blooms, nil
+}
+
 // ensureDict pins the column's global dictionary into the view, loading
 // it from disk if it is cold.
 func (p *PinSet) ensureDict(h *heldPin) error {
 	return p.admitDict(h, func() (dict.Dict, int64, error) {
-		return p.s.lazy.reader.loadColumnDict(h.view.Name, &p.bufs)
+		return p.s.lazy.reader.readDict(h.mc, h.layout, h.view.Kind, &p.bufs)
 	})
 }
 
@@ -296,10 +374,7 @@ func (p *PinSet) PinChunks(names []string, active []bool, workers int) ([]*Colum
 		}
 	}
 	for pending := p.warm.pending; len(pending) > 0; {
-		n, err := p.nextBatch(pending)
-		if err != nil {
-			return nil, err
-		}
+		n := p.nextBatch(pending)
 		if err := p.loadBatch(pending[:n], workers); err != nil {
 			return nil, err
 		}
@@ -339,22 +414,20 @@ func (p *PinSet) pinWarm(h *heldPin, active []bool) {
 // nextBatch returns how many of the cold chunks, from the first, make the
 // next batch: the first one's column's, up to maxPrefetchBatchBytes of
 // records (at least one).
-func (p *PinSet) nextBatch(pending []coldChunk) (int, error) {
+func (p *PinSet) nextBatch(pending []coldChunk) int {
+	compressed := p.s.lazy.reader.m.Codec != ""
 	var bytes int64
 	for i, c := range pending {
 		if c.h != pending[0].h {
-			return i, nil
+			return i
 		}
-		_, n, err := p.s.lazy.reader.ChunkFileRange(c.h.view.Name, c.ci)
-		if err != nil {
-			return 0, err
-		}
+		_, n := c.h.layout.chunk(c.ci).fileRange(compressed)
 		if i > 0 && bytes+n > maxPrefetchBatchBytes {
-			return i, nil
+			return i
 		}
 		bytes += n
 	}
-	return len(pending), nil
+	return len(pending)
 }
 
 // loadBatch reads one column's batch of cold chunks in coalesced runs,
@@ -362,13 +435,12 @@ func (p *PinSet) nextBatch(pending []coldChunk) (int, error) {
 // chunk order.
 func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 	h := batch[0].h
-	name := h.view.Name
 	chunks := p.warm.chunks[:0]
 	for _, c := range batch {
 		chunks = append(chunks, c.ci)
 	}
 	p.warm.chunks = chunks
-	recs, runs, coalesced, err := p.s.lazy.reader.readChunkRuns(name, chunks, &p.bufs)
+	recs, runs, coalesced, err := p.s.lazy.reader.readChunkRuns(h.mc, h.layout, chunks, &p.bufs)
 	if err != nil {
 		return err
 	}
@@ -386,7 +458,7 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 	)
 	decode := func(w int) {
 		for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
-			decoded[i], errs[i] = p.s.decodeChunk(name, chunks[i], recs[i], &p.decode[w])
+			decoded[i], errs[i] = p.s.decodeChunk(h, chunks[i], recs[i], &p.decode[w])
 		}
 	}
 	wg.Add(workers - 1)
@@ -443,17 +515,14 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 		return lookupValues(h.view.Dict, gids), nil
 	}
 	reader := p.s.lazy.reader
-	mc, kind, err := reader.dictMeta(name)
-	if err != nil {
-		return nil, err
-	}
+	mc, lay, kind := h.mc, h.layout, h.view.Kind
 	var (
 		d    dict.Dict
 		disk int64
 	)
-	size := dictSizeOf(kind, mc.Frames)
+	size := dictSizeOf(kind, lay)
 	if kind == value.KindString && reader.sd == StringDictTrie {
-		if d, disk, err = reader.readDict(mc, kind, &p.bufs); err != nil {
+		if d, disk, err = reader.readDict(mc, lay, kind, &p.bufs); err != nil {
 			p.noteChecksumErr(err)
 			return nil, err
 		}
@@ -464,7 +533,7 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 			if d != nil {
 				return d, disk, nil
 			}
-			return reader.readDict(mc, kind, &p.bufs)
+			return reader.readDict(mc, lay, kind, &p.bufs)
 		})
 		if err != nil {
 			return nil, err
@@ -474,7 +543,7 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	var vals []value.Value
 	if d != nil {
 		vals = lookupValues(d, gids)
-	} else if vals, disk, err = reader.dictValues(mc, kind, gids, &p.bufs); err != nil {
+	} else if vals, disk, err = reader.dictValues(mc, lay, kind, gids, &p.bufs); err != nil {
 		p.noteChecksumErr(err)
 		return nil, err
 	}

@@ -52,11 +52,12 @@ func TestStoredRawRecords(t *testing.T) {
 	}
 	var records []record
 	for _, mc := range m.Columns {
-		for _, fr := range mc.Frames {
-			records = append(records, record{mc, -1, fr.Off, fr.Len, fr.Raw, fr.Len == fr.Raw})
+		frames, chunks := entries(savedLayout(t, dir, mc.Name))
+		for _, fr := range frames {
+			records = append(records, record{mc, -1, fr.off, fr.len, fr.raw, fr.len == fr.raw})
 		}
-		for ci, ch := range mc.Chunks {
-			records = append(records, record{mc, ci, ch.COff, ch.CLen, ch.Len, ch.CLen == ch.Len})
+		for ci, ch := range chunks {
+			records = append(records, record{mc, ci, ch.coff, ch.clen, ch.len, ch.clen == ch.len})
 		}
 	}
 	var raw, compressed *record
@@ -104,8 +105,15 @@ func TestStoredRawRecords(t *testing.T) {
 		}
 		verified += f.Records
 	}
-	if verified != len(records) {
-		t.Fatalf("scrub verified %d records, the store holds %d", verified, len(records))
+	index := 0
+	for _, mc := range m.Columns {
+		index++ // the layout record
+		if mc.Bloom != nil {
+			index++
+		}
+	}
+	if verified != len(records)+index {
+		t.Fatalf("scrub verified %d records, the store holds %d and %d index records", verified, len(records), index)
 	}
 
 	// A flipped byte in the first raw chunk record and in the first raw
@@ -188,14 +196,14 @@ func TestKeepCompressedNeverRawLength(t *testing.T) {
 			}
 			for _, val := range [][]byte{make([]byte, n), bytes.Repeat([]byte("ab"), n)[:n], randBytes(rng, n)} {
 				col := &Column{Name: "c", Kind: value.KindString, Dict: dict.NewStringArray([]string{string(val)})}
-				file, mc := encodeColumn(col, codec)
-				fr := mc.Frames[0]
+				file, mc := encodeColumn(col, codec, nil)
+				fr := fileLayout(t, file, mc).frame(0)
 				raw := append(appendUvarint(nil, uint64(n)), val...)
-				rec := file[fr.Off : fr.Off+fr.Len]
-				if (fr.Len == fr.Raw) != bytes.Equal(rec, raw) {
-					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, fr.Len == fr.Raw, rec, raw)
+				rec := file[fr.off : fr.off+fr.len]
+				if (fr.len == fr.raw) != bytes.Equal(rec, raw) {
+					t.Fatalf("%s, %d bytes: stored raw = %v, but the file holds %x for %x", name, n, fr.len == fr.raw, rec, raw)
 				}
-				back, err := r.rawRecord(rec, fr.Raw, nil)
+				back, err := r.rawRecord(rec, fr.raw, nil)
 				if err != nil || !bytes.Equal(back, raw) {
 					t.Fatalf("%s, %d bytes: the frame reads back as %x, %v", name, n, back, err)
 				}

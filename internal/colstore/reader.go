@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"powerdrill/internal/bloom"
 	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
@@ -58,7 +59,8 @@ func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 	return r, n, err
 }
 
-// newReader serves the current-generation manifest m of the store in dir.
+// newReader serves the manifest m of the store in dir: of the current
+// generation, or of generation 7 for the eager Open.
 func newReader(dir string, m *manifest) (*Reader, error) {
 	if m.Codec != "" {
 		// Validate up front so every later load can resolve the codec
@@ -113,58 +115,119 @@ func (r *Reader) Columns() []ColumnMeta {
 // Bounds returns the store's chunk row boundaries.
 func (r *Reader) Bounds() []int { return r.m.Bounds }
 
+// layout reads, verifies, decodes and checks a column's layout record,
+// and reports the disk bytes it read. Of generation 7, which only the
+// eager Open reads, it lifts the manifest's index instead (oldIndex).
+func (r *Reader) layout(mc manifestCol) (*columnLayout, int64, error) {
+	var (
+		lay *columnLayout
+		n   int64
+		err error
+	)
+	if r.m.Format == formatVersion {
+		rec, err := r.readIndexRecord(mc, mc.Index)
+		if err != nil {
+			return nil, 0, err
+		}
+		if lay, err = decodeLayout(rec); err != nil {
+			return nil, 0, fmt.Errorf("colstore: column %q layout: %w", mc.Name, err)
+		}
+		n = mc.Index.Len
+	} else if lay, err = mc.oldIndex.layout(); err != nil {
+		return nil, 0, fmt.Errorf("colstore: column %q layout: %w", mc.Name, err)
+	}
+	if err := r.m.checkLayout(mc.Name, lay); err != nil {
+		return nil, 0, err
+	}
+	return lay, n, nil
+}
+
+// blooms reads, verifies and decodes a column's Bloom record, and reports
+// the disk bytes it read; a column without one has no filters.
+func (r *Reader) blooms(mc manifestCol) ([]*bloom.Filter, int64, error) {
+	if mc.Bloom == nil {
+		return nil, 0, nil
+	}
+	rec, err := r.readIndexRecord(mc, *mc.Bloom)
+	if err != nil {
+		return nil, 0, err
+	}
+	filters, err := decodeBlooms(rec)
+	if err == nil && len(filters) != len(r.m.Bounds)-1 {
+		err = fmt.Errorf("%d filters for %d chunks", len(filters), len(r.m.Bounds)-1)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("colstore: column %q Bloom record: %w", mc.Name, err)
+	}
+	return filters, mc.Bloom.Len, nil
+}
+
+// readIndexRecord reads one index record of a column file and verifies it
+// against its CRC. The bytes are the caller's: a decode keeps what it
+// needs of them.
+func (r *Reader) readIndexRecord(mc manifestCol, ref recordRef) ([]byte, error) {
+	rec, err := r.readRange(mc.File, ref.Off, ref.Len, nil)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: load column %q index: %w", mc.Name, err)
+	}
+	if err := r.verifyRecord(mc.File, ref.Off, rec, ref.CRC); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// layoutOf resolves the named column's manifest entry and reads its
+// layout: the exported loaders' way in, each call reading the record. A
+// PinSet reads it once per query, through the memory manager.
+func (r *Reader) layoutOf(name string) (manifestCol, *columnLayout, error) {
+	mc, ok := r.colMeta(name)
+	if !ok {
+		return mc, nil, fmt.Errorf("colstore: unknown column %q", name)
+	}
+	lay, _, err := r.layout(mc)
+	return mc, lay, err
+}
+
 // LoadColumnDict decodes only the named column's global dictionary: its
 // frames are read in one run from disk, each verified and, if the codec
 // compressed it, decompressed alone. The reported disk bytes are exactly
 // the frames'.
 func (r *Reader) LoadColumnDict(name string) (dict.Dict, int64, error) {
-	return r.loadColumnDict(name, nil)
-}
-
-// loadColumnDict is LoadColumnDict reading and decompressing into bufs.
-func (r *Reader) loadColumnDict(name string, bufs *loadBufs) (dict.Dict, int64, error) {
-	mc, kind, err := r.dictMeta(name)
+	mc, lay, err := r.layoutOf(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return r.readDict(mc, kind, bufs)
-}
-
-// dictMeta resolves a column's manifest entry and kind.
-func (r *Reader) dictMeta(name string) (manifestCol, value.Kind, error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return mc, value.KindInvalid, fmt.Errorf("colstore: unknown column %q", name)
-	}
 	kind, err := value.ParseKind(mc.Kind)
 	if err != nil {
-		return mc, value.KindInvalid, fmt.Errorf("colstore: column %q: %w", name, err)
+		return nil, 0, fmt.Errorf("colstore: column %q: %w", name, err)
 	}
-	return mc, kind, nil
+	return r.readDict(mc, lay, kind, nil)
 }
 
 // readDict decodes a column's whole dictionary: all its frames in one
 // read into bufs, each verified, then decompressed one at a time into one
 // frame-sized buffer and decoded into one dictBuilder. n is the frames'
 // file length, the disk bytes the read cost.
-func (r *Reader) readDict(mc manifestCol, kind value.Kind, bufs *loadBufs) (d dict.Dict, n int64, err error) {
-	all := make([]int, len(mc.Frames))
+func (r *Reader) readDict(mc manifestCol, lay *columnLayout, kind value.Kind, bufs *loadBufs) (d dict.Dict, n int64, err error) {
+	all := make([]int, lay.numFrames())
 	var count, rawLen int64
-	for i, fr := range mc.Frames {
+	for i := range all {
+		fr := lay.frame(i)
 		all[i] = i
-		count += int64(fr.Count)
-		rawLen += fr.Raw
+		count += int64(fr.count)
+		rawLen += fr.raw
 	}
-	recs, n, err := r.readFrames(mc, all, bufs)
+	recs, n, err := r.readFrames(mc, lay, all, bufs)
 	if err != nil {
 		return nil, 0, err
 	}
 	b, err := newDictBuilder(kind, uint64(count), int(rawLen))
 	for i := 0; err == nil && i < len(recs); i++ {
 		var raw []byte
-		if raw, err = r.rawRecord(recs[i], mc.Frames[i].Raw, bufs); err == nil {
+		fr := lay.frame(i)
+		if raw, err = r.rawRecord(recs[i], fr.raw, bufs); err == nil {
 			br := &byteReader{buf: raw}
-			if err = b.frame(br, uint64(mc.Frames[i].Count)); err == nil {
+			if err = b.frame(br, uint64(fr.count)); err == nil {
 				err = frameEnd(br)
 			}
 		}
@@ -181,12 +244,12 @@ func (r *Reader) readDict(mc manifestCol, kind value.Kind, bufs *loadBufs) (d di
 // readFrames reads frames idx (ascending) of a column's dictionary into
 // bufs — one read per run of adjacent frames — and verifies each against
 // its CRC. It returns each frame's file bytes and the disk bytes read.
-func (r *Reader) readFrames(mc manifestCol, idx []int, bufs *loadBufs) (recs [][]byte, n int64, err error) {
+func (r *Reader) readFrames(mc manifestCol, lay *columnLayout, idx []int, bufs *loadBufs) (recs [][]byte, n int64, err error) {
 	spans := make([]record, len(idx))
 	for j, i := range idx {
-		fr := mc.Frames[i]
-		spans[j] = record{off: fr.Off, n: fr.Len, crc: fr.CRC}
-		n += fr.Len
+		fr := lay.frame(i)
+		spans[j] = record{off: fr.off, n: fr.len, crc: fr.crc}
+		n += fr.len
 	}
 	recs, _, _, err = r.readRuns(mc.File, spans, bufs)
 	if err != nil {
@@ -204,7 +267,7 @@ func (r *Reader) readFrames(mc manifestCol, idx []int, bufs *loadBufs) (recs [][
 // building it: only the frames that hold them are read (readFrames),
 // decompressed and walked, and each refuses what its decode would. It
 // returns the values in the order of gids, and the disk bytes read.
-func (r *Reader) dictValues(mc manifestCol, kind value.Kind, gids []uint32, bufs *loadBufs) ([]value.Value, int64, error) {
+func (r *Reader) dictValues(mc manifestCol, lay *columnLayout, kind value.Kind, gids []uint32, bufs *loadBufs) ([]value.Value, int64, error) {
 	want := slices.Clone(gids)
 	slices.Sort(want)
 	want = slices.Compact(want)
@@ -213,40 +276,43 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, gids []uint32, bufs
 	var bases []uint32
 	base, i := uint32(0), 0
 	for _, id := range want {
-		for i < len(mc.Frames) && id-base >= uint32(mc.Frames[i].Count) {
-			base += uint32(mc.Frames[i].Count)
-			i++
+		for ; i < lay.numFrames(); i++ {
+			count := uint32(lay.frame(i).count)
+			if id-base < count {
+				break
+			}
+			base += count
 		}
-		if i == len(mc.Frames) {
+		if i == lay.numFrames() {
 			return nil, 0, fmt.Errorf("colstore: column %q: dictionary has no global-id %d", mc.Name, id)
 		}
 		if len(idx) == 0 || idx[len(idx)-1] != i {
 			idx, bases = append(idx, i), append(bases, base)
 		}
 	}
-	recs, n, err := r.readFrames(mc, idx, bufs)
+	recs, n, err := r.readFrames(mc, lay, idx, bufs)
 	if err != nil {
 		return nil, 0, err
 	}
 	vals := make([]value.Value, 0, len(want))
 	local := make([]uint32, 0, len(want))
 	for j, i := range idx {
-		fr := mc.Frames[i]
+		fr := lay.frame(i)
 		local = local[:0]
 		for _, id := range want[len(vals):] {
-			if id-bases[j] >= uint32(fr.Count) {
+			if id-bases[j] >= uint32(fr.count) {
 				break
 			}
 			local = append(local, id-bases[j])
 		}
-		raw, err := r.rawRecord(recs[j], fr.Raw, bufs)
+		raw, err := r.rawRecord(recs[j], fr.raw, bufs)
 		var (
 			strs   []string
 			ints   []int64
 			floats []float64
 		)
 		if err == nil {
-			strs, ints, floats, err = walkFrame(raw, kind, uint64(fr.Count), local)
+			strs, ints, floats, err = walkFrame(raw, kind, uint64(fr.count), local)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("colstore: column %q dictionary frame %d: %w", mc.Name, i, err)
@@ -275,11 +341,12 @@ func (r *Reader) dictValues(mc manifestCol, kind value.Kind, gids []uint32, bufs
 // strings the footprint of a string array whose block holds every byte the
 // frames hold after one length byte per value — exact when every value is
 // shorter than 128 bytes. It does not model a trie.
-func dictSizeOf(kind value.Kind, frames []manifestFrame) int64 {
+func dictSizeOf(kind value.Kind, lay *columnLayout) int64 {
 	var n, raw int64
-	for _, fr := range frames {
-		n += int64(fr.Count)
-		raw += fr.Raw
+	for i := range lay.numFrames() {
+		fr := lay.frame(i)
+		n += int64(fr.count)
+		raw += fr.raw
 	}
 	if kind == value.KindString {
 		return dict.StringArrayBytes(int(raw-n), int(n))
@@ -379,7 +446,11 @@ func (r *Reader) verifyRecord(file string, off int64, rec []byte, want uint32) e
 // (if the codec compressed it). The reported disk bytes are exactly the
 // record's.
 func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) {
-	mc, off, n, err := r.chunkRecord(name, chunk)
+	mc, lay, err := r.layoutOf(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	off, n, _, err := r.chunkRange(mc, lay, chunk)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -387,73 +458,109 @@ func (r *Reader) LoadColumnChunk(name string, chunk int) (*Chunk, int64, error) 
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: load column %q chunk %d: %w", name, chunk, err)
 	}
-	ch, err := r.decodeChunkRecord(name, chunk, rec, nil)
+	ch, err := r.decodeChunkRecord(mc, lay, chunk, rec, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	return ch, n, nil
 }
 
-// chunkRecord resolves chunk ci of the named column: its manifest entry and
-// the byte range of the chunk's record in the column file — the codec
-// record with a codec, raw bytes otherwise. An unknown column or a chunk
-// index out of range is an error.
-func (r *Reader) chunkRecord(name string, ci int) (mc manifestCol, off, n int64, err error) {
-	mc, ok := r.colMeta(name)
-	if !ok {
-		return mc, 0, 0, fmt.Errorf("colstore: unknown column %q", name)
+// chunkRange resolves the byte range of chunk ci's record in the column
+// file — the codec record with a codec, raw bytes otherwise — and its
+// entry. A chunk index out of range is an error.
+func (r *Reader) chunkRange(mc manifestCol, lay *columnLayout, ci int) (off, n int64, ch chunkEntry, err error) {
+	if ci < 0 || ci >= lay.numChunks() {
+		return 0, 0, ch, fmt.Errorf("colstore: column %q has %d chunks, want %d", mc.Name, lay.numChunks(), ci)
 	}
-	if ci < 0 || ci >= len(mc.Chunks) {
-		return mc, 0, 0, fmt.Errorf("colstore: column %q has %d chunks, want %d", name, len(mc.Chunks), ci)
-	}
-	off, n = chunkFileRange(mc.Chunks[ci], r.m.Codec != "")
-	return mc, off, n, nil
+	ch = lay.chunk(ci)
+	off, n = ch.fileRange(r.m.Codec != "")
+	return off, n, ch, nil
 }
 
 // ChunkFileRange returns the byte range of chunk ci's record in the column
-// file (see chunkRecord).
+// file (see chunkRange).
 func (r *Reader) ChunkFileRange(name string, ci int) (off, n int64, err error) {
-	_, off, n, err = r.chunkRecord(name, ci)
+	mc, lay, err := r.layoutOf(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	off, n, _, err = r.chunkRange(mc, lay, ci)
 	return off, n, err
 }
 
 // DictFileLen returns the file length of a dictionary's frames: what a
 // load of the whole dictionary reads.
 func (r *Reader) DictFileLen(name string) (int64, error) {
+	_, lay, err := r.layoutOf(name)
+	if err != nil {
+		return 0, err
+	}
+	return lay.dictFileLen(), nil
+}
+
+// IndexBytes returns the file bytes of the named column's layout record
+// and of its Bloom record, 0 when it has none.
+func (r *Reader) IndexBytes(name string) (layout, bloom int64, err error) {
 	mc, ok := r.colMeta(name)
 	if !ok {
-		return 0, fmt.Errorf("colstore: unknown column %q", name)
+		return 0, 0, fmt.Errorf("colstore: unknown column %q", name)
 	}
-	var n int64
-	for _, fr := range mc.Frames {
-		n += fr.Len
+	if mc.Bloom != nil {
+		bloom = mc.Bloom.Len
 	}
-	return n, nil
+	return mc.Index.Len, bloom, nil
+}
+
+// RecordRange is the byte range [Off, Off+Len) of one record in a column
+// file.
+type RecordRange struct{ Off, Len int64 }
+
+// ColumnRecords returns the path of the named column's file, relative to
+// the store directory, and the byte ranges of its dictionary frames and of
+// its chunk records in it, in order, as its layout record gives them.
+func (r *Reader) ColumnRecords(name string) (file string, frames, chunks []RecordRange, err error) {
+	mc, lay, err := r.layoutOf(name)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	for i := range lay.numFrames() {
+		fr := lay.frame(i)
+		frames = append(frames, RecordRange{fr.off, fr.len})
+	}
+	for i := range lay.numChunks() {
+		off, n := lay.chunk(i).fileRange(r.m.Codec != "")
+		chunks = append(chunks, RecordRange{off, n})
+	}
+	return mc.File, frames, chunks, nil
 }
 
 // DecodeChunkRecord decodes one chunk from its file-level record bytes (as
 // delimited by ChunkFileRange): the codec record with a codec — compressed
 // or stored raw — the raw record otherwise.
 func (r *Reader) DecodeChunkRecord(name string, ci int, rec []byte) (*Chunk, error) {
-	return r.decodeChunkRecord(name, ci, rec, nil)
-}
-
-// decodeChunkRecord is DecodeChunkRecord decompressing into bufs.
-func (r *Reader) decodeChunkRecord(name string, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
-	mc, off, _, err := r.chunkRecord(name, ci)
+	mc, lay, err := r.layoutOf(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.verifyRecord(mc.File, off, rec, mc.Chunks[ci].CRC); err != nil {
+	return r.decodeChunkRecord(mc, lay, ci, rec, nil)
+}
+
+// decodeChunkRecord is DecodeChunkRecord decompressing into bufs.
+func (r *Reader) decodeChunkRecord(mc manifestCol, lay *columnLayout, ci int, rec []byte, bufs *loadBufs) (*Chunk, error) {
+	off, _, entry, err := r.chunkRange(mc, lay, ci)
+	if err != nil {
 		return nil, err
 	}
-	raw, err := r.rawRecord(rec, mc.Chunks[ci].Len, bufs)
+	if err := r.verifyRecord(mc.File, off, rec, entry.crc); err != nil {
+		return nil, err
+	}
+	raw, err := r.rawRecord(rec, entry.len, bufs)
 	var ch *Chunk
 	if err == nil {
 		ch, err = decodeChunk(&byteReader{buf: raw})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("colstore: column %q chunk %d: %w", name, ci, err)
+		return nil, fmt.Errorf("colstore: column %q chunk %d: %w", mc.Name, ci, err)
 	}
 	return ch, nil
 }
@@ -468,28 +575,37 @@ func mustCodec(name string) compress.Codec {
 	return c
 }
 
-// loadColumn decodes one whole column, as the eager Open does: its
-// dictionary (readDict) and every chunk, the chunks read in one run.
+// loadColumn decodes one whole column, as the eager Open does: its layout,
+// its dictionary (readDict) and every chunk, the chunks read in one run.
+// It verifies the Bloom record too, which a resident store does not keep:
+// every record of the column is checked.
 func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 	kind, err := value.ParseKind(mc.Kind)
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := r.readDict(mc, kind, bufs)
+	lay, _, err := r.layout(mc)
 	if err != nil {
 		return nil, err
 	}
-	col := &Column{Name: mc.Name, Kind: kind, Dict: d, Virtual: mc.Virtual, Chunks: make([]*Chunk, len(mc.Chunks))}
-	all := make([]int, len(mc.Chunks))
+	if _, _, err := r.blooms(mc); err != nil {
+		return nil, err
+	}
+	d, _, err := r.readDict(mc, lay, kind, bufs)
+	if err != nil {
+		return nil, err
+	}
+	col := &Column{Name: mc.Name, Kind: kind, Dict: d, Virtual: mc.Virtual, Chunks: make([]*Chunk, lay.numChunks())}
+	all := make([]int, lay.numChunks())
 	for ci := range all {
 		all[ci] = ci
 	}
-	recs, _, _, err := r.readChunkRuns(mc.Name, all, bufs)
+	recs, _, _, err := r.readChunkRuns(mc, lay, all, bufs)
 	if err != nil {
 		return nil, err
 	}
 	for ci, rec := range recs {
-		if col.Chunks[ci], err = r.decodeChunkRecord(mc.Name, ci, rec, bufs); err != nil {
+		if col.Chunks[ci], err = r.decodeChunkRecord(mc, lay, ci, rec, bufs); err != nil {
 			return nil, err
 		}
 	}

@@ -137,14 +137,14 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 
 // frameStore writes the column file of a dictionary alone — its frames,
 // no chunks — with the codec named (none for ""), and returns a Reader
-// over it and the column's manifest entry.
-func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Reader, manifestCol) {
+// over it, the column's manifest entry and its layout.
+func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Reader, manifestCol, *columnLayout) {
 	t.Helper()
 	var c compress.Codec
 	if codec != "" {
 		c = mustCodec(codec)
 	}
-	file, mc := encodeColumn(&Column{Name: "d", Kind: kind, Dict: d}, c)
+	file, mc := encodeColumn(&Column{Name: "d", Kind: kind, Dict: d}, c, nil)
 	mc.File = "col_0000.bin"
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, mc.File), file, 0o644); err != nil {
@@ -154,7 +154,7 @@ func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Read
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, mc
+	return r, mc, fileLayout(t, file, mc)
 }
 
 // checkFrameReads saves d as frames, without a codec or with zippy, and
@@ -165,14 +165,15 @@ func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Read
 // *ChecksumError, and no read that does not.
 func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand) {
 	t.Helper()
-	r, mc := frameStore(t, d, kind, []string{"", "zippy"}[rng.Intn(2)])
+	r, mc, lay := frameStore(t, d, kind, []string{"", "zippy"}[rng.Intn(2)])
+	frames, _ := entries(lay)
 	defer r.Close()
 	same := func(a, b value.Value) bool {
 		return a == b && (a.Kind() != value.KindFloat64 || math.Float64bits(a.Float()) == math.Float64bits(b.Float()))
 	}
-	full, _, err := r.readDict(mc, kind, nil)
+	full, _, err := r.readDict(mc, lay, kind, nil)
 	if err != nil || full.Len() != d.Len() {
-		t.Fatalf("%d values in %d frames decode to %v", d.Len(), len(mc.Frames), err)
+		t.Fatalf("%d values in %d frames decode to %v", d.Len(), len(frames), err)
 	}
 	for id := 0; id < d.Len(); id++ {
 		if !same(full.Value(uint32(id)), d.Value(uint32(id))) {
@@ -184,8 +185,8 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 	}
 	frameOf := func(id uint32) int {
 		base := 0
-		for i, fr := range mc.Frames {
-			if base += fr.Count; int(id) < base {
+		for i, fr := range frames {
+			if base += fr.count; int(id) < base {
 				return i
 			}
 		}
@@ -199,7 +200,7 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 		return ids
 	}
 	ids := someIDs()
-	vals, n, err := r.dictValues(mc, kind, ids, nil)
+	vals, n, err := r.dictValues(mc, lay, kind, ids, nil)
 	if err != nil {
 		t.Fatalf("lookup of %v: %v", ids, err)
 	}
@@ -211,24 +212,24 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 		}
 		if f := frameOf(id); !read[f] {
 			read[f] = true
-			want += mc.Frames[f].Len
+			want += frames[f].len
 		}
 	}
 	if n != want {
 		t.Fatalf("lookup of %v read %d bytes, its %d frames hold %d", ids, n, len(read), want)
 	}
 
-	bad, base := rng.Intn(len(mc.Frames)), 0
-	for _, fr := range mc.Frames[:bad] {
-		base += fr.Count
+	bad, base := rng.Intn(len(frames)), 0
+	for _, fr := range frames[:bad] {
+		base += fr.count
 	}
-	fr := mc.Frames[bad]
+	fr := frames[bad]
 	path := filepath.Join(r.dir, mc.File)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[fr.Off+rng.Int63n(fr.Len)] ^= 1 << rng.Intn(8)
+	data[fr.off+rng.Int63n(fr.len)] ^= 1 << rng.Intn(8)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -236,16 +237,16 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 	for trial := 0; trial < 6; trial++ {
 		ids := someIDs()
 		if trial == 0 {
-			ids = append(ids, uint32(base+rng.Intn(fr.Count)))
+			ids = append(ids, uint32(base+rng.Intn(fr.count)))
 		}
 		touches := slices.ContainsFunc(ids, func(id uint32) bool { return frameOf(id) == bad })
-		_, _, err := r.dictValues(mc, kind, ids, nil)
+		_, _, err := r.dictValues(mc, lay, kind, ids, nil)
 		if touches != errors.As(err, &ce) || !touches && err != nil {
-			t.Fatalf("lookup of %v after a flip in frame %d of %d: %v", ids, bad, len(mc.Frames), err)
+			t.Fatalf("lookup of %v after a flip in frame %d of %d: %v", ids, bad, len(frames), err)
 		}
 	}
-	if _, _, err := r.readDict(mc, kind, nil); !errors.As(err, &ce) || ce.Off != fr.Off || ce.Len != fr.Len {
-		t.Fatalf("full decode after a flip in frame %d at [%d,%d): %v", bad, fr.Off, fr.Off+fr.Len, err)
+	if _, _, err := r.readDict(mc, lay, kind, nil); !errors.As(err, &ce) || ce.Off != fr.off || ce.Len != fr.len {
+		t.Fatalf("full decode after a flip in frame %d at [%d,%d): %v", bad, fr.off, fr.off+fr.len, err)
 	}
 }
 
@@ -272,6 +273,7 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pinLayout(t, lazy, name)
 			for _, other := range built.Columns() {
 				if !c.full || mgr.Stats().ResidentBytes > c.budget-size {
 					break
@@ -333,24 +335,22 @@ func TestValuesReadsOnlyItsFrames(t *testing.T) {
 	}
 	defer lazy.Close()
 	r := lazy.lazy.reader
-	mc, _, err := r.dictMeta(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, lay, _ := columnOf(t, r, name)
+	frames, _ := entries(lay)
 	whole, err := r.DictFileLen(name)
-	if err != nil || len(mc.Frames) < 4 {
-		t.Fatalf("%s: %d frames (%v); want several", name, len(mc.Frames), err)
+	if err != nil || len(frames) < 4 {
+		t.Fatalf("%s: %d frames (%v); want several", name, len(frames), err)
 	}
 	gids := []uint32{uint32(d.Len() - 1), 0, 1, uint32(d.Len() / 2), 0}
 	var want int64
 	held := map[int]bool{}
 	for _, id := range gids {
 		base := 0
-		for i, fr := range mc.Frames {
-			if base += fr.Count; int(id) < base {
+		for i, fr := range frames {
+			if base += fr.count; int(id) < base {
 				if !held[i] {
 					held[i] = true
-					want += fr.Len
+					want += fr.len
 				}
 				break
 			}
@@ -391,15 +391,12 @@ func TestValuesChargesDecodedDict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, kind, err := r.dictMeta(name)
+	mc, lay, kind := columnOf(t, r, name)
+	d, _, err := r.readDict(mc, lay, kind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := r.readDict(mc, kind, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes()
+	est, held := dictSizeOf(kind, lay), d.MemoryBytes()
 	if est >= held {
 		t.Fatalf("estimate %d not below the charge %d: the case is not tested", est, held)
 	}
@@ -410,6 +407,7 @@ func TestValuesChargesDecodedDict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pinLayout(t, lazy, name)
 		for _, other := range built.Columns() {
 			if other == name {
 				continue
@@ -443,13 +441,15 @@ func TestValuesChargesDecodedDict(t *testing.T) {
 }
 
 // othersResident returns the bytes a manager without a budget holds once
-// every column of the store at dir but skip has been pinned and released.
+// every column of the store at dir but skip, and skip's layout, have been
+// pinned and released.
 func othersResident(t *testing.T, dir string, columns []string, skip string) int64 {
 	mgr := memmgr.New(0, "")
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinLayout(t, lazy, skip)
 	for _, other := range columns {
 		if other == skip {
 			continue
@@ -461,4 +461,16 @@ func othersResident(t *testing.T, dir string, columns []string, skip string) int
 		ps.Release()
 	}
 	return mgr.Stats().ResidentBytes
+}
+
+// pinLayout loads the named column's layout into the store's manager and
+// leaves it resident, unpinned: a lookup of the column's values then loads
+// nothing but its dictionary's frames.
+func pinLayout(t *testing.T, s *Store, name string) {
+	t.Helper()
+	ps := s.NewPinSet()
+	defer ps.Release()
+	if _, err := ps.ChunkSpans(name); err != nil {
+		t.Fatal(err)
+	}
 }

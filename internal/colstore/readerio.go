@@ -186,22 +186,25 @@ func (r *Reader) Close() error {
 // reads coalescing saved (a run of m chunks is one read instead of m,
 // saving m−1).
 func (r *Reader) ReadChunkRuns(name string, chunks []int) (recs [][]byte, runs, coalesced int, err error) {
-	return r.readChunkRuns(name, chunks, nil)
+	mc, lay, err := r.layoutOf(name)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return r.readChunkRuns(mc, lay, chunks, nil)
 }
 
 // readChunkRuns is ReadChunkRuns reading every run into one buffer from
 // bufs.
-func (r *Reader) readChunkRuns(name string, chunks []int, bufs *loadBufs) (recs [][]byte, runs, coalesced int, err error) {
-	var mc manifestCol
+func (r *Reader) readChunkRuns(mc manifestCol, lay *columnLayout, chunks []int, bufs *loadBufs) (recs [][]byte, runs, coalesced int, err error) {
 	spans := make([]record, len(chunks))
 	for i, ci := range chunks {
-		if mc, spans[i].off, spans[i].n, err = r.chunkRecord(name, ci); err != nil {
+		if spans[i].off, spans[i].n, _, err = r.chunkRange(mc, lay, ci); err != nil {
 			return nil, 0, 0, err
 		}
 	}
 	recs, runs, coalesced, err = r.readRuns(mc.File, spans, bufs)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", name, chunks, err)
+		return nil, 0, 0, fmt.Errorf("colstore: load column %q chunks %v: %w", mc.Name, chunks, err)
 	}
 	return recs, runs, coalesced, nil
 }

@@ -177,16 +177,16 @@ func TestDictSizeOfCoversDecoded(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, codec := range []string{"", "zippy"} {
-			r, mc := frameStore(t, c.d, c.kind, codec)
-			d, _, err := r.readDict(mc, c.kind, nil)
+			r, mc, lay := frameStore(t, c.d, c.kind, codec)
+			d, _, err := r.readDict(mc, lay, c.kind, nil)
 			r.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, held := dictSizeOf(c.kind, mc.Frames), d.MemoryBytes()
+			est, held := dictSizeOf(c.kind, lay), d.MemoryBytes()
 			exact := c.kind != value.KindString || c.d.Len() != len(long)
 			if est < held || exact && est != held {
-				t.Errorf("%v, %d values in %d frames: dictSizeOf %d, MemoryBytes %d", c.kind, d.Len(), len(mc.Frames), est, held)
+				t.Errorf("%v, %d values in %d frames: dictSizeOf %d, MemoryBytes %d", c.kind, d.Len(), lay.numFrames(), est, held)
 			}
 		}
 	}
@@ -198,15 +198,12 @@ func TestDictSizeOfCoversDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range built.Columns() {
-		mc, kind, err := r.dictMeta(name)
+		mc, lay, kind := columnOf(t, r, name)
+		d, _, err := r.readDict(mc, lay, kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _, err := r.readDict(mc, kind, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est, held := dictSizeOf(kind, mc.Frames), d.MemoryBytes(); est != held {
+		if est, held := dictSizeOf(kind, lay), d.MemoryBytes(); est != held {
 			t.Errorf("%s: dictSizeOf %d, MemoryBytes %d", name, est, held)
 		}
 	}

@@ -44,6 +44,54 @@ func (m *manifest) generation() int {
 	return 2
 }
 
+// oldIndex is how generations 2–7 indexed a column in the manifest: the
+// chunk index (2–7) and the dictionary's frame index (7), both read by
+// Upgrade only. Generations 4–7 also kept each chunk's Bloom filter in its
+// entry, as "bloom"; Upgrade rebuilds the filters from the chunks.
+type oldIndex struct {
+	Frames []oldFrame `json:"frames,omitempty"`
+	Chunks []oldChunk `json:"chunks,omitempty"`
+}
+
+// oldFrame is a frame entry of generation 7 (frameEntry, without a first
+// value).
+type oldFrame struct {
+	Off   int64  `json:"off"`
+	Len   int64  `json:"len"`
+	Raw   int64  `json:"raw"`
+	Count int    `json:"count"`
+	CRC   uint32 `json:"crc,omitempty"`
+}
+
+// oldChunk is a chunk entry of generations 2–7 (a ChunkSpan and a
+// chunkEntry); CRC is absent before generation 5, COff and CLen without a
+// codec.
+type oldChunk struct {
+	Min  uint32 `json:"min"`
+	Max  uint32 `json:"max"`
+	Off  int64  `json:"off"`
+	Len  int64  `json:"len"`
+	COff int64  `json:"coff,omitempty"`
+	CLen int64  `json:"clen,omitempty"`
+	CRC  uint32 `json:"crc,omitempty"`
+}
+
+// layout encodes the manifest's index as a layout record and decodes it,
+// so one reader serves generation 7 and 8 alike. An index no record can
+// hold — a count past what its type allows — is an error.
+func (x oldIndex) layout() (*columnLayout, error) {
+	frames := make([]frameEntry, len(x.Frames))
+	for i, fr := range x.Frames {
+		frames[i] = frameEntry{off: fr.Off, len: fr.Len, raw: fr.Raw, count: fr.Count, crc: fr.CRC}
+	}
+	spans, chunks := make([]ChunkSpan, len(x.Chunks)), make([]chunkEntry, len(x.Chunks))
+	for i, ch := range x.Chunks {
+		spans[i] = ChunkSpan{MinGID: ch.Min, MaxGID: ch.Max}
+		chunks[i] = chunkEntry{off: ch.Off, len: ch.Len, coff: ch.COff, clen: ch.CLen, crc: ch.CRC}
+	}
+	return decodeLayout(appendLayout(nil, frames, spans, chunks))
+}
+
 // oldHead is how generations 2–6 recorded a column's head record — its
 // dictionary, then the chunk-count varint, at the start of the column
 // stream: DictLen is the dictionary's raw length, DictCLen the record's
@@ -84,7 +132,11 @@ func openOld(dir string, m *manifest, manifestBytes int64) (*Store, *DiskStats, 
 		case len(mc.Chunks) > 0:
 			head.n = mc.Chunks[0].Off
 		}
-		recs := append([]record{head}, mc.records(codec != nil)...)
+		lay, err := mc.oldIndex.layout()
+		if err != nil {
+			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
+		}
+		recs := append([]record{head}, lay.records(codec != nil)...)
 		if _, err := verifyRecords(recs, data, path); err != nil {
 			return nil, nil, fmt.Errorf("colstore: open column %q: %w", mc.Name, err)
 		}

@@ -13,8 +13,8 @@ import (
 )
 
 // TestOldGenerationsRefusedThenUpgraded runs the committed corpus of
-// generation 1–6 stores (testdata/gen*, 300 rows × 3 columns, and the
-// bases of testdata/parent5 and parent6, each written by the last build
+// generation 1–7 stores (testdata/gen*, 300 rows × 3 columns, and the
+// bases of testdata/parent5, parent6 and parent7, each written by the last build
 // that still had its writer) through the one path left for them: every reader but the eager
 // Open refuses them with the typed error naming their generation, and
 // Upgrade rewrites them into a store that opens lazily, holds the same
@@ -31,6 +31,7 @@ func TestOldGenerationsRefusedThenUpgraded(t *testing.T) {
 		{"gen4", 4},      // chunk blooms and dictionary shard frames, no codec
 		{"parent5", 5},   // checksums, every record zippy, 8-byte numeric words; its segs/ is ingest state, not read here
 		{"parent6", 6},   // one head record, stored raw where zippy does not shrink it; numeric key deltas
+		{"parent7", 7},   // dictionary frames; the chunk and frame index in the manifest
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", fx.name)
@@ -113,10 +114,11 @@ func TestNewerFormatRefused(t *testing.T) {
 // TestShardedManifestsReadAsArray: older builds wrote a "sharded" string
 // dictionary kind, with the routing of its sub-dictionaries in each
 // column's dict_shards. testdata/sharded7 is testdata/gen4 as upgraded by
-// the last such build. This build reads any kind but "trie" as an array
-// and ignores dict_shards: both opens hold gen4's values, the store
-// scrubs clean, a lazily loaded dictionary is charged what it holds after
-// every id has been looked up, and a re-save names "array".
+// the last such build, in generation 7. This build reads any kind but
+// "trie" as an array and ignores dict_shards: the eager open holds gen4's
+// values, the lazy one refuses the generation, and the upgraded store
+// holds them lazily, scrubs clean, charges a lazily loaded dictionary what
+// it holds after every id has been looked up, and names "array".
 func TestShardedManifestsReadAsArray(t *testing.T) {
 	const dir = "testdata/sharded7"
 	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -135,27 +137,38 @@ func TestShardedManifestsReadAsArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertColumnsEqual(t, want, eager)
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
+	var old *OldFormatError
+	if _, _, err := OpenLazy(dir, memmgr.New(0, "")); !errors.As(err, &old) || old.Generation != 7 {
+		t.Fatalf("OpenLazy of a generation-7 store = %v, want its refusal", err)
+	}
+	out := filepath.Join(t.TempDir(), "up")
+	if err := Upgrade(dir, out); err != nil {
+		t.Fatal(err)
+	}
+	lazy, _, err := OpenLazy(out, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lazy.Close()
 	assertColumnsEqual(t, want, lazy)
-	for _, f := range ScrubDir(dir, dir) {
+	for _, f := range ScrubDir(out, out) {
 		if !f.OK() {
 			t.Fatalf("%s: %s", f.Path, f.Err)
 		}
 	}
 
 	mgr := memmgr.New(0, "")
-	charged, _, err := OpenLazy(dir, mgr)
+	charged, _, err := OpenLazy(out, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer charged.Close()
 	for _, name := range charged.Columns() {
-		before := mgr.Stats().ResidentBytes
 		ps := charged.NewPinSet()
+		if _, err := ps.ChunkSpans(name); err != nil { // the layout, charged apart
+			t.Fatal(err)
+		}
+		before := mgr.Stats().ResidentBytes
 		view, err := ps.ColumnDict(name)
 		if err != nil {
 			t.Fatal(err)
@@ -171,11 +184,7 @@ func TestShardedManifestsReadAsArray(t *testing.T) {
 	}
 
 	if eager.Opts.StringDict != StringDictArray || lazy.Opts.StringDict != StringDictArray {
-		t.Errorf("sharded store opens as %q eagerly, %q lazily; want array", eager.Opts.StringDict, lazy.Opts.StringDict)
-	}
-	out := filepath.Join(t.TempDir(), "up")
-	if err := Upgrade(dir, out); err != nil {
-		t.Fatal(err)
+		t.Errorf("sharded store opens as %q eagerly, %q upgraded; want array", eager.Opts.StringDict, lazy.Opts.StringDict)
 	}
 	if m, _, err := readManifest(out); err != nil || m.Opts.StringDict != string(StringDictArray) {
 		t.Errorf("re-saved store names string_dict %q (%v), want array", m.Opts.StringDict, err)
@@ -196,24 +205,32 @@ func TestShardFramesPastFrameBytes(t *testing.T) {
 	}
 	var big string
 	for i, mc := range m.Columns {
-		if mc.Kind != "string" || len(mc.Frames) < 2 {
+		lay := savedLayout(t, dir, mc.Name)
+		frames, chunks := entries(lay)
+		if mc.Kind != "string" || len(frames) < 2 {
 			continue
 		}
 		// Uncompressed frames lie end to end from the file's start: the
-		// same bytes read as one frame.
-		one := manifestFrame{}
-		for _, fr := range mc.Frames {
-			one.Len += fr.Len
-			one.Count += fr.Count
+		// same bytes read as one frame. The layout saying so is appended
+		// to the file, and the manifest pointed at it.
+		one := frameEntry{first: frames[0].first}
+		for _, fr := range frames {
+			one.len += fr.len
+			one.count += fr.count
 		}
-		one.Raw = one.Len
-		data, err := os.ReadFile(filepath.Join(dir, mc.File))
+		one.raw = one.len
+		path := filepath.Join(dir, mc.File)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one.CRC = CRC32C(data[:one.Len])
-		m.Columns[i].Frames = []manifestFrame{one}
-		if one.Raw > frameBytes {
+		one.crc = CRC32C(data[:one.len])
+		rec := appendLayout(nil, []frameEntry{one}, lay.spans, chunks)
+		m.Columns[i].Index = recordRef{Off: int64(len(data)), Len: int64(len(rec)), CRC: CRC32C(rec)}
+		if err := os.WriteFile(path, append(data, rec...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if one.raw > frameBytes {
 			big = mc.Name
 		}
 	}

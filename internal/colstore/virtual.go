@@ -108,7 +108,7 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	if r.m.Codec != "" {
 		codec = mustCodec(r.m.Codec)
 	}
-	raw, mc := encodeColumn(col, codec)
+	raw, mc := encodeColumn(col, codec, nil)
 	mc.Virtual = true
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {
 		return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)
@@ -250,18 +250,15 @@ func (s *Store) GCVirtualSidecar() (files int, bytes int64) {
 
 // registerSidecarColumn publishes a sidecar column's metadata so the store
 // serves it exactly like a physical column: lazy-load metadata in the
-// registry, per-chunk spans for restriction pruning, and the manifest
-// entry in the Reader for cold loads. Used both when a materialization is
-// persisted and when OpenLazy finds an existing sidecar.
+// registry, and the manifest entry in the Reader for cold loads of its
+// layout, frames and chunks. Used both when a materialization is persisted
+// and when OpenLazy finds an existing sidecar.
 func (s *Store) registerSidecarColumn(mc manifestCol) error {
 	kind, err := value.ParseKind(mc.Kind)
 	if err != nil {
 		return fmt.Errorf("colstore: virtual column %q: %w", mc.Name, err)
 	}
 	src := s.lazy
-	if err := src.reader.m.checkLayout(mc); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	if _, dup := s.metas[mc.Name]; dup {
 		s.mu.Unlock()
@@ -274,9 +271,6 @@ func (s *Store) registerSidecarColumn(mc manifestCol) error {
 	s.metas[mc.Name] = ColumnMeta{Name: mc.Name, Kind: kind, Virtual: true}
 	s.order = append(s.order, mc.Name)
 	s.mu.Unlock()
-	src.mu.Lock()
-	src.spans[mc.Name] = chunkSpans(mc)
-	src.mu.Unlock()
 	src.reader.registerVirtual(mc)
 	return nil
 }
@@ -284,10 +278,11 @@ func (s *Store) registerSidecarColumn(mc manifestCol) error {
 // loadSidecar reads and registers dir's virtual sidecar during OpenLazy.
 // The sidecar is best-effort by contract ("lose a column, never corrupt
 // one"), so staleness never fails the open: a framing mismatch (see
-// virtualSidecar.matches) ignores the sidecar entirely, and an entry that no longer registers — typically a column an
-// in-place Save promoted into the main manifest — is skipped and dropped
-// from the kept list, re-materializing (or serving from the main
-// manifest) instead.
+// virtualSidecar.matches) ignores the sidecar entirely, and an entry that
+// no longer registers — a column an in-place Save promoted into the main
+// manifest, or one whose layout record does not load or no longer fits
+// the store's chunks — is skipped and dropped from the kept list,
+// re-materializing (or serving from the main manifest) instead.
 func (s *Store) loadSidecar(dir string) error {
 	src := s.lazy
 	walk, err := walkSidecar(dir)
@@ -297,6 +292,9 @@ func (s *Store) loadSidecar(dir string) error {
 	}
 	kept := make([]manifestCol, 0, len(vm.Columns))
 	for _, mc := range vm.Columns {
+		if _, _, err := src.reader.layout(mc); err != nil {
+			continue
+		}
 		if err := s.registerSidecarColumn(mc); err != nil {
 			continue
 		}
@@ -325,6 +323,9 @@ func (p *PinSet) adoptVirtual(col *Column) (*Column, error) {
 	src := p.s.lazy
 	keys := src.keysOf(ColumnMeta{Name: name, Kind: col.Kind, Virtual: true}, p.s.NumChunks())
 	h := &heldPin{view: col, chunks: make([]bool, p.s.NumChunks()), dict: true, keys: keys}
+	if err := p.pinLayout(h); err != nil {
+		return nil, err
+	}
 	dictSize := col.Dict.MemoryBytes()
 	ld := src.mgr.Insert(keys.dict, &loadedDict{d: col.Dict, size: dictSize}, dictSize, true).(*loadedDict)
 	col.Dict = ld.d

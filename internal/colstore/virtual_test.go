@@ -91,8 +91,11 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 			if !reopened.HasColumn("upper(country)") {
 				t.Fatal("reopened store lost the persisted virtual column")
 			}
-			if _, ok := reopened.ChunkSpans("upper(country)"); !ok {
-				t.Fatal("reopened store has no spans for the virtual column")
+			ps := reopened.NewPinSet()
+			_, err = ps.ChunkSpans("upper(country)")
+			ps.Release()
+			if err != nil {
+				t.Fatalf("reopened store has no spans for the virtual column: %v", err)
 			}
 			got, err := reopened.ColumnErr("upper(country)")
 			if err != nil {
@@ -124,14 +127,13 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	}
 	materializeUpper(t, warm, "upper(country)")
 
-	vm := sidecarManifest(t, dir)
-	mc := vm.Columns[0]
-	if len(mc.Frames) == 0 || mc.Chunks[0].CLen == 0 {
-		t.Fatalf("sidecar not per-record compressed: %+v", mc)
-	}
 	cold, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, lay, _ := columnOf(t, cold.lazy.reader, "upper(country)")
+	if lay.numFrames() == 0 || lay.chunk(0).clen == 0 {
+		t.Fatalf("sidecar not per-record compressed: %+v", lay)
 	}
 	ps := cold.NewPinSet()
 	defer ps.Release()
@@ -143,10 +145,7 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	if _, err := ps.ColumnChunks("upper(country)", active); err != nil {
 		t.Fatal(err)
 	}
-	want := mc.Chunks[0].CLen
-	for _, fr := range mc.Frames {
-		want += fr.Len
-	}
+	want := lay.chunk(0).clen + lay.dictFileLen()
 	if ps.DiskBytesRead != want {
 		t.Fatalf("one virtual chunk + dict charged %d bytes, want exact records %d", ps.DiskBytesRead, want)
 	}

@@ -1,7 +1,6 @@
 package compress_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,37 +46,26 @@ func clickRecords(tb testing.TB) [][]byte {
 	if err := colstore.Save(s, dir, "zippy"); err != nil {
 		tb.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	r, _, err := colstore.NewReader(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var m struct {
-		Columns []struct {
-			File   string `json:"file"`
-			Frames []struct {
-				Off int64 `json:"off"`
-				Len int64 `json:"len"`
-			} `json:"frames"`
-			Chunks []struct {
-				COff int64 `json:"coff"`
-				CLen int64 `json:"clen"`
-			} `json:"chunks"`
-		} `json:"columns"`
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		tb.Fatal(err)
-	}
+	defer r.Close()
 	var recs [][]byte
-	for _, c := range m.Columns {
-		data, err := os.ReadFile(filepath.Join(dir, c.File))
+	for _, col := range r.Columns() {
+		file, frames, chunks, err := r.ColumnRecords(col.Name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for _, fr := range c.Frames[:min(len(c.Frames), chunksPerColumn)] {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, fr := range frames[:min(len(frames), chunksPerColumn)] {
 			recs = append(recs, data[fr.Off:fr.Off+fr.Len])
 		}
-		for _, ch := range c.Chunks[:min(len(c.Chunks), chunksPerColumn)] {
-			recs = append(recs, data[ch.COff:ch.COff+ch.CLen])
+		for _, ch := range chunks[:min(len(chunks), chunksPerColumn)] {
+			recs = append(recs, data[ch.Off:ch.Off+ch.Len])
 		}
 	}
 	return recs

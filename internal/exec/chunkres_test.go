@@ -123,13 +123,14 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 		t.Fatalf("warm repeat cold-loaded: %+v", warm.Stats)
 	}
 
-	// The manager held exactly the active working set: 2 dicts + 2k chunks.
+	// The manager held exactly the active working set: 2 layouts, 2 dicts
+	// and 2k chunks (country's chunks are dense: it has no Bloom record).
 	ms := mgr.Stats()
-	if ms.ColdLoads != 2*k+2 {
-		t.Fatalf("manager cold loads = %d, want %d", ms.ColdLoads, 2*k+2)
+	if ms.ColdLoads != 2*k+4 {
+		t.Fatalf("manager cold loads = %d, want %d", ms.ColdLoads, 2*k+4)
 	}
-	if int64(ms.ResidentItems) != 2*k+2 {
-		t.Fatalf("resident items = %d, want %d", ms.ResidentItems, 2*k+2)
+	if int64(ms.ResidentItems) != 2*k+4 {
+		t.Fatalf("resident items = %d, want %d", ms.ResidentItems, 2*k+4)
 	}
 }
 

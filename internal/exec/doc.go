@@ -19,8 +19,9 @@
 //     every row, and a row that fails fails the query). Only
 //     dictionaries are pinned. Restriction literals become sorted
 //     global-id sets and ranges, and each leaf of the restriction tree
-//     carries its column's per-chunk value spans and bloom filters from
-//     the store manifest. The result-cache signature is derived from the
+//     carries its column's per-chunk value spans and, on an id-set leaf,
+//     bloom filters from the column's index records (pinned into the
+//     query's PinSet). The result-cache signature is derived from the
 //     compiled group column and aggregates.
 //  2. Prune (analyzeResidency, cacheResidency): the restriction tree is
 //     classified per chunk on the spans and blooms — the same AND/OR/NOT

@@ -84,7 +84,7 @@ type Stats struct {
 // and so is every row: ChunksSkipped + ChunksCached + ChunksScanned =
 // ChunksTotal, and the rows likewise sum to RowsCovered — the split the
 // paper reports for production (Sections 5–6). A chunk is skipped when
-// the manifest's spans and blooms prune it, when its chunk dictionary
+// the index's spans and blooms prune it, when its chunk dictionary
 // proves no row matches, or — in a row scan — when the rank bound rules it
 // out (its span on the first ORDER BY key cannot tie the LIMIT-th row
 // held) or the scan holds LIMIT rows before reaching it. Of these, only
@@ -108,7 +108,7 @@ type QueryStats struct {
 	// on a chunk-granular lazy store.
 	ActiveChunks int64 `json:"active_chunks"`
 	// SkippedChunks counts chunks the residency analysis pruned from
-	// manifest spans alone, before any of their data was loaded. They are
+	// index spans alone, before any of their data was loaded. They are
 	// also included in ChunksSkipped, which additionally counts chunks the
 	// precise per-chunk-dictionary classification skipped.
 	SkippedChunks int64 `json:"skipped_chunks"`
@@ -146,7 +146,7 @@ type QueryStats struct {
 	CoalescedReads int64 `json:"coalesced_reads"`
 	// BloomSkippedChunks counts chunks this query pruned only because a
 	// per-chunk bloom filter proved an equality restriction's ids absent —
-	// the manifest spans alone could not have skipped them. They are also
+	// the index spans alone could not have skipped them. They are also
 	// counted in SkippedChunks (and ChunksSkipped).
 	BloomSkippedChunks int64 `json:"bloom_skipped_chunks"`
 	// KernelChunks counts chunks this query aggregated, all of them through

@@ -14,10 +14,10 @@ import (
 // so only the active ones need RAM). It classifies the plan's one
 // restriction tree (restrict.go) on metadata alone: the leaves' global-id
 // sets and ranges against the per-chunk value spans and bloom filters the
-// manifest records (colstore.ChunkSpan). The verdict is deliberately
-// conservative — a chunk is pruned only when the spans PROVE no row can
-// match — so the exact classification on the chunk dictionaries, in
-// scanChunk, still runs on whatever survives.
+// columns' index records hold (colstore.ChunkSpan). The verdict is
+// deliberately conservative — a chunk is pruned only when the spans PROVE
+// no row can match — so the exact classification on the chunk
+// dictionaries, in scanChunk, still runs on whatever survives.
 //
 // Compiling pinned only dictionaries; the verdict tells the plan which
 // chunks to pin, so a restricted query never loads — and never charges the

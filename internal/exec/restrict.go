@@ -22,7 +22,7 @@ import (
 // x IN (y) — is a leaf too: it is computed once over every row into a
 // virtual field of 0s and 1s (Section 5), and the leaf selects the value 1.
 // The tree is evaluated up to three times per chunk: in three-valued logic
-// against the manifest's spans and blooms, before the chunk is loaded
+// against the index's spans and blooms, before the chunk is loaded
 // (residency.go); by the same fold against the chunk-dictionaries alone —
 // classifying the chunk as skippable, fully active (cacheable) or partially
 // active — and only for partially active chunks row-wise, producing a
@@ -61,9 +61,10 @@ type restriction struct {
 	colRef *colstore.Column
 	gids   []uint32 // rInSet: sorted global-ids
 	lo, hi uint32   // rRange: [lo, hi) of global-ids
-	// spans and blooms are col's per-chunk metadata from the manifest, what
-	// the leaf is classified on before any chunk is loaded (residency.go).
-	// nil spans: the leaf may match anywhere.
+	// spans and blooms are col's per-chunk metadata from its index
+	// records, what the leaf is classified on before any chunk is loaded
+	// (residency.go): blooms only on an id-set leaf, the one that probes
+	// them. nil spans: the leaf may match anywhere.
 	spans  []colstore.ChunkSpan
 	blooms []*bloom.Filter
 }
@@ -119,24 +120,32 @@ func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restricti
 }
 
 // compileLeaf resolves a leaf's operand to its column and hangs the
-// column's manifest spans and chunk blooms on the leaf. Persisted virtual
-// columns record theirs in the store's sidecar, so a restriction on a
-// materialized expression prunes chunks even after the column was evicted,
-// or in a later process that reopened the store.
+// column's chunk spans and, on an id-set leaf, its chunk blooms on the
+// leaf. Persisted virtual columns keep theirs in the store's sidecar, so a
+// restriction on a materialized expression prunes chunks even after the
+// column was evicted, or in a later process that reopened the store.
 func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
 	col, err := e.materializeOperand(x, ps)
 	if err != nil {
 		return nil, err
 	}
-	return e.leafOn(op, col), nil
+	return leafOn(op, col, ps)
 }
 
-// leafOn is a leaf of op on col, carrying col's spans and blooms.
-func (e *Engine) leafOn(op rOp, col *colstore.Column) *restriction {
+// leafOn is a leaf of op on col, carrying col's spans and, for an id-set
+// leaf, its blooms, both pinned into ps.
+func leafOn(op rOp, col *colstore.Column, ps *colstore.PinSet) (*restriction, error) {
 	leaf := &restriction{op: op, col: col.Name, colRef: col}
-	leaf.spans, _ = e.store.ChunkSpans(col.Name)
-	leaf.blooms, _ = e.store.ChunkBlooms(col.Name)
-	return leaf
+	var err error
+	if leaf.spans, err = ps.ChunkSpans(col.Name); err != nil {
+		return nil, err
+	}
+	if op == rInSet {
+		if leaf.blooms, err = ps.ChunkBlooms(col.Name); err != nil {
+			return nil, err
+		}
+	}
+	return leaf, nil
 }
 
 // compilePredicateField compiles a predicate the dictionaries cannot decide
@@ -147,7 +156,10 @@ func (e *Engine) compilePredicateField(x sql.Expr, ps *colstore.PinSet) (*restri
 	if err != nil {
 		return nil, err
 	}
-	leaf := e.leafOn(rInSet, col)
+	leaf, err := leafOn(rInSet, col, ps)
+	if err != nil {
+		return nil, err
+	}
 	leaf.gids, err = eqGIDs(col, value.Int64(1))
 	return leaf, err
 }
@@ -351,7 +363,7 @@ func flipOp(op sql.BinaryOp) sql.BinaryOp {
 type evidence uint8
 
 const (
-	bySpans     evidence = iota // the manifest's [min, max] spans: nothing loaded
+	bySpans     evidence = iota // the index's [min, max] spans: no chunk loaded
 	byBlooms                    // the spans and the per-chunk bloom filters
 	byChunkDict                 // the pinned chunk's own dictionary: exact
 )

@@ -18,7 +18,7 @@ import (
 //     key alone. It visits the chunks the residency analysis kept in
 //     rounds of 1, 2, 4, … chunks — pinned a round at a time, scanned in
 //     parallel within one — in chunk order, or with an ORDER BY best-first
-//     by the first key's span in the manifest (ChunkSpans). A chunk keeps
+//     by the first key's span in its layout (PinSet.ChunkSpans). A chunk keeps
 //     its matching rows whose first key ties or beats its own LIMIT-th
 //     (compared on global-ids: dictionaries are sorted, so id order is
 //     value order). Once LIMIT rows are held, a chunk whose span cannot
@@ -154,7 +154,7 @@ func (s *rowScan) spanBest(sp colstore.ChunkSpan) (uint32, bool) {
 // visitOrder lists the chunks the residency analysis kept: in chunk order,
 // or with an ORDER BY best-first by the first key's span, in chunk order
 // among equals and empty chunks last.
-func (s *rowScan) visitOrder() ([]int, []colstore.ChunkSpan) {
+func (s *rowScan) visitOrder() ([]int, []colstore.ChunkSpan, error) {
 	var order []int
 	for ci := range s.found {
 		if s.p.active == nil || s.p.active[ci] {
@@ -162,11 +162,11 @@ func (s *rowScan) visitOrder() ([]int, []colstore.ChunkSpan) {
 		}
 	}
 	if !s.ordered {
-		return order, nil
+		return order, nil, nil
 	}
-	spans, ok := s.e.store.ChunkSpans(s.keyCol)
-	if !ok {
-		return order, nil
+	spans, err := s.ps.ChunkSpans(s.keyCol)
+	if err != nil {
+		return nil, nil, err
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
 		ka, oka := s.spanBest(spans[a])
@@ -185,7 +185,7 @@ func (s *rowScan) visitOrder() ([]int, []colstore.ChunkSpan) {
 		}
 		return 0
 	})
-	return order, spans
+	return order, spans, nil
 }
 
 // ruledOut reports whether chunk ci can hold no row of the answer: LIMIT
@@ -209,7 +209,10 @@ func (s *rowScan) done() bool {
 // time.
 func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 	e, p := s.e, s.p
-	order, spans := s.visitOrder()
+	order, spans, err := s.visitOrder()
+	if err != nil {
+		return err
+	}
 	ws := workerPool.take(workers)
 	defer workerPool.give(ws)
 	wqs := make([]QueryStats, workers)

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,28 +118,20 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	}
 
 	// A flipped byte in every frame of timestamp's dictionary.
-	i := slices.Index(built.Columns(), "timestamp")
-	path := filepath.Join(dir, fmt.Sprintf("col_%04d.bin", i))
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, frames, _, err := r.ColumnRecords("timestamp")
+	if err != nil || len(frames) < 2 {
+		t.Fatalf("timestamp's dictionary is not in frames (%v)", err)
+	}
+	path := filepath.Join(dir, file)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
-		Columns []struct {
-			Frames []struct {
-				Off int64 `json:"off"`
-				Len int64 `json:"len"`
-			} `json:"frames"`
-		} `json:"columns"`
-	}
-	mblob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(mblob, &m); err != nil || len(m.Columns[i].Frames) < 2 {
-		t.Fatalf("timestamp's dictionary is not in frames (%v)", err)
-	}
-	for _, fr := range m.Columns[i].Frames {
+	for _, fr := range frames {
 		blob[fr.Off+fr.Len/2] ^= 0x10
 	}
 	if err := os.WriteFile(path, blob, 0o644); err != nil {

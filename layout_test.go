@@ -3,13 +3,14 @@ package powerdrill
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"powerdrill/internal/colstore"
 )
 
 // layoutCases are the tables and import options whose saved stores
@@ -24,42 +25,43 @@ var layoutCases = []struct {
 	want string
 	// chunks is the digest of the chunk records alone (chunkDigest),
 	// recorded from generation 6 and unchanged by generation 7, which
-	// moved only the dictionaries' bytes.
+	// moved only the dictionaries' bytes, and by generation 8, which moved
+	// the index out of the manifest into records after the chunks.
 	chunks string
 }{
 	{
 		name:   "bench",
 		tbl:    func() *Table { return GenerateQueryLogs(50_000, 1) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true},
-		want:   "9437ffd1fae0ae51e5c751923203419f769c24109a590e616e5393e48642f0e3",
+		want:   "02159fbf4dacb51e1822a60bf6f1705ef526e6a4fe2e563d2b089d1672b93653",
 		chunks: "fadcb123539eb661b4c007684ae4bee1782823d28094e739f36944b52296896d",
 	},
 	{
 		name:   "three-fields",
 		tbl:    func() *Table { return GenerateQueryLogs(30_000, 2) },
 		opts:   Options{PartitionFields: []string{"country", "table_name", "user"}, MaxChunkRows: 1000, OptimizeElements: true},
-		want:   "c82b70a0f6d33450c8d6fb722b1e89f0c8a1f769233fe3b949e56498ef2cb841",
+		want:   "445303a3d0a984b72b2c437ffbcb2efc236a60458fcb6c624d9e38f812c9c1e3",
 		chunks: "d3c4c5e6caa0a3689e4112ae5752331589ce38dbe3281c2ca9eba98d3905680f",
 	},
 	{
 		name:   "int64-field",
 		tbl:    func() *Table { return GenerateQueryLogs(20_000, 3) },
 		opts:   Options{PartitionFields: []string{"latency", "country"}, MaxChunkRows: 1500, OptimizeElements: true},
-		want:   "89d2ddac52887d6130a47ead948241982bfd4e3052ce8b63f09eff1605e5a303",
+		want:   "7ffdb1bc38690b8015a4f6af260f72d81d11e08315b32e84f74acd9d6999ab6c",
 		chunks: "e75f1fd65b39fcb14a958238055de750f70d3aba79506fda55db76b03ea43e10",
 	},
 	{
 		name:   "reorder",
 		tbl:    func() *Table { return GenerateQueryLogs(40_000, 4) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true, Reorder: true},
-		want:   "4e50c6ba2082cf37ab6ada1379d34629ff3c9fa071058069e679e3d530689ae0",
+		want:   "c3f65cecfc556c29bdd70c55df6eb912490c47ca4a1afac27483cad60216ef7d",
 		chunks: "1910f1fe8eca0e9705cc8187215c6fab44a5fe3fb9590ffc618a4bfdd4c2e8f1",
 	},
 	{
 		name:   "unpartitioned",
 		tbl:    func() *Table { return GenerateQueryLogs(20_000, 5) },
 		opts:   Options{},
-		want:   "f1630f3fdaee70f155f723a2e8dc5969f7935952753fab1f08c71b32ddcbfaea",
+		want:   "90cccdcbec0cddbceef67ee41738dff59df800e23cb363113b6cb22416ce6080",
 		chunks: "4f6d7fd11a25c17e3e95fc10de3dddec302194dd73438c0f1ae5371329980c05",
 	},
 	{
@@ -81,7 +83,7 @@ var layoutCases = []struct {
 			return tbl.AddFloat64Column("score", score)
 		},
 		opts:   Options{PartitionFields: []string{"country"}, MaxChunkRows: 2500, OptimizeElements: true},
-		want:   "d88bf99d97e8442109e904c15b0869dfee00df163649d32564fd0661325af87d",
+		want:   "70753a8ac86485fc559cebf17bf24c47479e5d89ed5ac91fb887eb069cfe53ad",
 		chunks: "694bda7f48804ecdbf8f6d36907f175f2f40021d1b844f7b6e7d3f3815b1b299",
 	},
 }
@@ -143,38 +145,31 @@ func dirDigest(t *testing.T, dir string) string {
 
 // chunkDigest hashes the chunk records of a store saved with a codec: for
 // each column in manifest order, its file name, then the bytes of every
-// chunk record at the file range the manifest gives it.
+// chunk record at the file range its layout record gives it.
 func chunkDigest(t *testing.T, dir string) string {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	r, _, err := colstore.NewReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
-		Columns []struct {
-			File   string `json:"file"`
-			Chunks []struct {
-				COff int64 `json:"coff"`
-				CLen int64 `json:"clen"`
-			} `json:"chunks"`
-		} `json:"columns"`
-	}
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
+	defer r.Close()
 	h := sha256.New()
-	for _, c := range m.Columns {
-		data, err := os.ReadFile(filepath.Join(dir, c.File))
+	for _, col := range r.Columns() {
+		file, _, chunks, err := r.ColumnRecords(col.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write([]byte(c.File))
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(file))
 		h.Write([]byte{0})
-		for _, ch := range c.Chunks {
-			if ch.COff < 0 || ch.CLen <= 0 || ch.COff+ch.CLen > int64(len(data)) {
-				t.Fatalf("%s: chunk record [%d,%d) outside the file", c.File, ch.COff, ch.COff+ch.CLen)
+		for _, ch := range chunks {
+			if ch.Off < 0 || ch.Len <= 0 || ch.Off+ch.Len > int64(len(data)) {
+				t.Fatalf("%s: chunk record [%d,%d) outside the file", file, ch.Off, ch.Off+ch.Len)
 			}
-			h.Write(data[ch.COff : ch.COff+ch.CLen])
+			h.Write(data[ch.Off : ch.Off+ch.Len])
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
