@@ -349,9 +349,6 @@ func runQuery(args []string) error {
 		if res.Stats.CacheSkippedChunks > 0 {
 			warmth += fmt.Sprintf("; %d chunks answered from result cache unloaded", res.Stats.CacheSkippedChunks)
 		}
-		if res.Stats.BloomSkippedChunks > 0 {
-			warmth += fmt.Sprintf("; %d chunks pruned by bloom filters", res.Stats.BloomSkippedChunks)
-		}
 		fmt.Printf("-- %d rows in %v; chunks: %d/%d active, %d skipped, %d cached, %d scanned; %s\n\n",
 			len(res.Rows), elapsed.Round(time.Microsecond),
 			res.Stats.ActiveChunks, res.Stats.ChunksTotal,
@@ -545,10 +542,10 @@ func runInfo(args []string) error {
 		}
 		fmt.Printf("  %-24s elements %8.2f MB  chunk-dicts %8.2f MB  dict %8.2f MB",
 			cn, float64(m.Elements)/1e6, float64(m.ChunkDicts)/1e6, float64(m.GlobalDict)/1e6)
-		// The file bytes of the column's layout and Bloom records; a
-		// virtual column of the sidecar is not the manifest's.
-		if layout, bloom, err := r.IndexBytes(cn); err == nil {
-			fmt.Printf("  index %8d B  bloom %8d B", layout, bloom)
+		// The file bytes of the column's layout record; a virtual column
+		// of the sidecar is not the manifest's.
+		if layout, err := r.IndexBytes(cn); err == nil {
+			fmt.Printf("  index %8d B", layout)
 		}
 		fmt.Println()
 	}

@@ -2,10 +2,9 @@ package colstore
 
 // Integrity checksums. Save records a CRC32C (Castagnoli) per on-disk
 // record — every dictionary frame, every chunk record and each column's
-// layout and Bloom records — computed over
-// the exact file bytes a cold load reads (a codec record's bytes with a
-// codec, whether compressed or stored raw; raw bytes otherwise). Readers verify
-// on every cold read; a mismatch degrades like a missing shard: an error
+// layout record — computed over the exact file bytes a cold load reads (a
+// codec record's bytes with a codec, whether compressed or stored raw; raw
+// bytes otherwise). Readers verify on every cold read; a mismatch degrades like a missing shard: an error
 // carrying file and byte range, never a silently wrong answer.
 
 import (
@@ -50,8 +49,10 @@ type record struct {
 
 // verifyColumnFile checks every record checksum of one column against its
 // full file bytes: its layout record, then every record the layout indexes,
-// then its Bloom record. Returns how many records carried a checksum and
-// were verified; the first mismatch aborts with a ChecksumError, and a
+// then the Bloom record an older generation-8 build wrote, if it has one
+// (nothing else reads that record, so this and the eager Open's loadColumn
+// are what still check it). Returns how many records carried a checksum
+// and were verified; the first mismatch aborts with a ChecksumError, and a
 // layout that verifies but does not parse with its error.
 func verifyColumnFile(mc manifestCol, compressed bool, data []byte, path string) (int, error) {
 	ref := mc.Index

@@ -8,8 +8,6 @@ package colstore
 import (
 	"errors"
 	"testing"
-
-	"powerdrill/internal/bloom"
 )
 
 func FuzzChunkChecksum(f *testing.F) {
@@ -22,8 +20,9 @@ func FuzzChunkChecksum(f *testing.F) {
 		}
 		// Lay the file out as a dictionary frame and two chunk records;
 		// the split point and therefore every record boundary is fuzzed.
-		// The layout record indexing them follows, then a Bloom record
-		// with a filter for the first chunk.
+		// The layout record indexing them follows, then the Bloom record
+		// an older generation-8 build wrote after it: opaque bytes here,
+		// since nothing decodes one, but still checksummed.
 		h := int(split) % len(data)
 		mid := h + (len(data)-h)/2
 		frames := []frameEntry{{len: int64(h), raw: int64(h), count: 1, crc: CRC32C(data[:h])}}
@@ -32,8 +31,6 @@ func FuzzChunkChecksum(f *testing.F) {
 			{off: int64(h), len: int64(mid - h), crc: CRC32C(data[h:mid])},
 			{off: int64(mid), len: int64(len(data) - mid), crc: CRC32C(data[mid:])},
 		}
-		filter := bloom.New(64, 2)
-		filter.AddUint64(uint64(split))
 		file := append([]byte(nil), data...)
 		mc := manifestCol{File: "col_0000.bin"}
 		index := func(rec []byte) recordRef {
@@ -42,7 +39,7 @@ func FuzzChunkChecksum(f *testing.F) {
 			return ref
 		}
 		mc.Index = index(appendLayout(nil, frames, spans, chunks))
-		bref := index(appendBlooms(nil, []*bloom.Filter{filter, nil}))
+		bref := index([]byte{2, 9, byte(split), byte(flip), 0})
 		mc.Bloom = &bref
 		if _, err := verifyColumnFile(mc, false, file, mc.File); err != nil {
 			t.Fatalf("clean file fails verification: %v", err)

@@ -21,15 +21,18 @@
 //
 // Save writes a manifest.json plus one binary file per column: the
 // global dictionary cut into frames of about 4 KiB, one record per chunk,
-// then the column's index records (index.go). The layout record indexes
-// every frame — its byte range, raw length, value count, CRC32C and first
-// value — and every chunk — its global-id span, byte range and CRC32C;
-// the Bloom record holds each sparse chunk's filter over its global-ids.
-// That is enough to decide which chunks a restriction can match, and to
-// load and verify any single chunk, a whole dictionary, or only the frames
-// that hold some global-ids, without touching the rest of the file. The
-// manifest keeps what is per store or per column, and where each index
-// record lies, so it does not grow with rows. With a codec, every frame
+// then the column's layout record (index.go). It indexes every frame — its
+// byte range, raw length, value count, CRC32C and first value — and every
+// chunk — its global-id span, byte range and CRC32C. That is enough to
+// decide which chunks a restriction can match by their spans (the exact
+// verdict then comes from the chunk-dictionaries of the chunks a span
+// admits), and to load and verify any single chunk, a whole dictionary, or
+// only the frames that hold some global-ids, without touching the rest of
+// the file. The manifest keeps what is per store or per column, and where
+// the layout record lies, so it does not grow with rows. A column file
+// that an older generation-8 build wrote may end in a Bloom record of
+// per-chunk filters after the layout: Scrub and the eager Open verify its
+// CRC, and nothing decodes or loads it. With a codec, every frame
 // and chunk record is encoded individually — compressed, or kept raw
 // where the codec does not shrink it below 7/8 — and its file byte range
 // recorded too, so the exact-read property holds under compression. Save
@@ -43,8 +46,8 @@
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
 // unit is the (column, chunk) pair plus, per column, one entry for its
-// global dictionary, one for its layout and one for its Bloom record: the
-// index is paged through the budget like the data.
+// global dictionary and one for its layout: the index is paged through the
+// budget like the data.
 // Reader is the decoding layer underneath: LoadColumnDict reads a
 // dictionary's frames and LoadColumnChunk one chunk record, each at its
 // exact byte range through a bounded handle cache; ReadChunkRuns serves

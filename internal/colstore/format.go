@@ -8,7 +8,6 @@ import (
 	"math"
 	"path/filepath"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
@@ -23,18 +22,17 @@ import (
 // Save writes generation 8, and every reader but one reads generation 8
 // only. A column file is its global dictionary cut into frames of about
 // frameBytes raw bytes each, then one record per chunk, then its layout
-// record and, if any chunk has a filter, its Bloom record (index.go). The
-// layout record indexes every frame's byte range, raw length, value count
-// and CRC32C, and every chunk's byte range, global-id span and CRC32C — so
-// a cold load reads exactly the records it needs, and verifies and, with a
-// codec, decompresses each alone: one chunk, the frames of a whole
-// dictionary, or only the frames that hold the ids a lookup wants. A
-// record the codec does not shrink below 7/8 of its raw length is stored
-// raw (its file length then equals its raw length, which is how readers
-// tell), and a numeric frame is written as fixed-width deltas of
-// order-preserving keys (numdict.go). The manifest keeps what is per store
-// or per column — so its size does not grow with rows — and each index
-// record's byte range and CRC32C. Stores written by earlier builds
+// record (index.go). The layout record indexes every frame's byte range,
+// raw length, value count and CRC32C, and every chunk's byte range,
+// global-id span and CRC32C — so a cold load reads exactly the records it
+// needs, and verifies and, with a codec, decompresses each alone: one
+// chunk, the frames of a whole dictionary, or only the frames that hold the
+// ids a lookup wants. A record the codec does not shrink below 7/8 of its
+// raw length is stored raw (its file length then equals its raw length,
+// which is how readers tell), and a numeric frame is written as
+// fixed-width deltas of order-preserving keys (numdict.go). The manifest
+// keeps what is per store or per column — so its size does not grow with
+// rows — and the layout record's byte range and CRC32C. Stores written by earlier builds
 // (generations 1–7) are read by exactly one function, the eager Open,
 // which is all Upgrade needs to rewrite them (upgrade.go); everything else
 // refuses them with ErrOldFormat.
@@ -88,8 +86,10 @@ type manifestCol struct {
 	Kind    string `json:"kind"`
 	Virtual bool   `json:"virtual,omitempty"`
 	File    string `json:"file"`
-	// Index is the column's layout record, Bloom its Bloom record — absent
-	// when no chunk has a filter (index.go).
+	// Index is the column's layout record (index.go). Bloom is the Bloom
+	// record of per-chunk filters an older generation-8 build wrote after
+	// it: its CRC is verified with the rest of the file (verifyColumnFile),
+	// and nothing decodes or loads it.
 	Index recordRef  `json:"index"`
 	Bloom *recordRef `json:"bloom,omitempty"`
 	// oldIndex and oldHead are how generations 2–7 indexed a column, read
@@ -165,7 +165,7 @@ func Save(s *Store, dir, codecName string) error {
 			ps.Release()
 			return fmt.Errorf("colstore: save column %q: %w", name, err)
 		}
-		raw, mc := encodeColumn(col, codec, buildChunkBlooms(col))
+		raw, mc := encodeColumn(col, codec)
 		mc.File = fmt.Sprintf("col_%04d.bin", i)
 		ps.Release()
 		if err := vfs().WriteFile(filepath.Join(dir, mc.File), raw, 0o644); err != nil {
@@ -199,14 +199,14 @@ func uvarintLen(v uint64) int {
 func keepCompressed(compressed, raw int) bool { return 8*compressed < 7*raw }
 
 // encodeColumn renders a column file — the dictionary's frames, one record
-// per chunk, the layout record and, when filters holds one, the Bloom
-// record — and the manifest entry that locates its index records. With a
-// codec every frame and chunk record is compressed alone and kept
-// compressed only if that makes it strictly smaller than 7/8 of its raw
-// length (keepCompressed), so a compressed record is never as long as its
-// raw form and a reader tells the two apart by length; the index records
-// are stored raw. Every record's CRC32C is taken over its file bytes.
-func encodeColumn(col *Column, codec compress.Codec, filters []*bloom.Filter) (file []byte, mc manifestCol) {
+// per chunk, then the layout record — and the manifest entry that locates
+// the layout record. With a codec every frame and chunk record is
+// compressed alone and kept compressed only if that makes it strictly
+// smaller than 7/8 of its raw length (keepCompressed), so a compressed
+// record is never as long as its raw form and a reader tells the two apart
+// by length; the layout record is stored raw. Every record's CRC32C is
+// taken over its file bytes.
+func encodeColumn(col *Column, codec compress.Codec) (file []byte, mc manifestCol) {
 	mc = manifestCol{Name: col.Name, Kind: col.Kind.String(), Virtual: col.Virtual}
 	var frames []frameEntry
 	spans, chunks := make([]ChunkSpan, len(col.Chunks)), make([]chunkEntry, len(col.Chunks))
@@ -242,17 +242,9 @@ func encodeColumn(col *Column, codec compress.Codec, filters []*bloom.Filter) (f
 		rawOff += meta.len
 		spans[i], chunks[i] = spanOf(ch), meta
 	}
-	indexRecord := func(rec []byte) recordRef {
-		ref := recordRef{Off: int64(len(file)), Len: int64(len(rec)), CRC: CRC32C(rec)}
-		file = append(file, rec...)
-		return ref
-	}
-	mc.Index = indexRecord(appendLayout(nil, frames, spans, chunks))
-	if filters != nil {
-		ref := indexRecord(appendBlooms(nil, filters))
-		mc.Bloom = &ref
-	}
-	return file, mc
+	rec := appendLayout(nil, frames, spans, chunks)
+	mc.Index = recordRef{Off: int64(len(file)), Len: int64(len(rec)), CRC: CRC32C(rec)}
+	return append(file, rec...), mc
 }
 
 // appendChunk appends one chunk record: its chunk dictionary as

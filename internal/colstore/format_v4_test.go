@@ -11,8 +11,8 @@ import (
 )
 
 // buildSparseStore makes a multi-chunk store with an unsorted
-// high-cardinality string column (the shape chunk Blooms and dictionary
-// frames exist for) and saves it with the codec named ("" for none).
+// high-cardinality string column (the shape dictionary frames exist for)
+// and saves it with the codec named ("" for none).
 func buildSparseStore(t testing.TB, rows int, codec string) (*Store, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4))
@@ -35,40 +35,6 @@ func buildSparseStore(t testing.TB, rows int, codec string) (*Store, string) {
 		t.Fatal(err)
 	}
 	return built, dir
-}
-
-// TestV4ChunkBloomsNeverFalseNegative pins the persisted filters' soundness
-// contract: after a save/load round trip, every global-id actually present
-// in a chunk must test positive in that chunk's Bloom filter — a false
-// negative would make the residency analysis silently drop matching rows.
-func TestV4ChunkBloomsNeverFalseNegative(t *testing.T) {
-	built, dir := buildSparseStore(t, 4000, "")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := lazy.NewPinSet()
-	defer ps.Release()
-	filters, err := ps.ChunkBlooms("tag")
-	if err != nil || filters == nil {
-		t.Fatal("lazy store exposes no chunk Blooms for the sparse column")
-	}
-	col := built.Column("tag")
-	checked := 0
-	for ci, ch := range col.Chunks {
-		if ci >= len(filters) || filters[ci] == nil {
-			continue // dense chunk: span test is exact, no filter persisted
-		}
-		for _, gid := range ch.GlobalIDs {
-			if !filters[ci].TestUint64(uint64(gid)) {
-				t.Fatalf("chunk %d: false negative for present gid %d", ci, gid)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no sparse chunk carried a Bloom filter; the dataset should produce some")
-	}
 }
 
 // TestV4DictSubFramingRoundTrip pins the framed read of a string

@@ -3,30 +3,24 @@ package colstore
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"unsafe"
-
-	"powerdrill/internal/bloom"
 )
 
-// A column's per-chunk and per-frame metadata lives in two binary records
-// at the end of its column file (generation 8), not in the manifest, whose
-// size no longer grows with rows:
+// A column's per-chunk and per-frame metadata lives in a binary layout
+// record at the end of its column file (generation 8), not in the
+// manifest, whose size no longer grows with rows. The layout record holds
+// the dictionary's frame index — every frame's byte range, raw length,
+// value count and CRC32C, and a string frame's first value — then the
+// chunk index — every chunk's global-id span, raw and file byte ranges and
+// CRC32C.
 //
-//   - the layout record: the dictionary's frame index — every frame's byte
-//     range, raw length, value count and CRC32C, and a string frame's
-//     first value — then the chunk index — every chunk's global-id span,
-//     raw and file byte ranges and CRC32C;
-//   - the Bloom record: one marshaled filter over distinct global-ids per
-//     chunk, or none. A column none of whose chunks has a filter has no
-//     Bloom record.
-//
-// Both are stored raw, each checksummed by a CRC32C the manifest keeps with
-// its byte range. On a lazy store each is a memory-manager entry of its
-// own, charged what it holds in memory (lazy.go): the layout is pinned by a
-// query's first touch of the column, the Bloom record only by an id-set
-// restriction leaf on it — the one reader of a filter.
+// It is stored raw, checksummed by a CRC32C the manifest keeps with its
+// byte range. On a lazy store it is a memory-manager entry of its own,
+// charged what it holds in memory (lazy.go) and pinned by a query's first
+// touch of the column. Older generation-8 builds also wrote a Bloom record
+// of per-chunk filters after it; this build verifies that record's CRC
+// wherever it verifies a whole column file, and never decodes or loads it.
 
 // frameEntry is one dictionary frame: its byte range [off, off+len) in the
 // column file, its raw length (len when it is stored raw), the number of
@@ -173,7 +167,7 @@ const (
 	minChunkEntry = 6 + 4
 )
 
-// errIndex refuses a layout or Bloom record that does not parse.
+// errIndex refuses a layout record that does not parse.
 var errIndex = errors.New("colstore: malformed index record")
 
 // decodeLayout checks that a layout record (appendLayout) decodes, and
@@ -216,60 +210,6 @@ func decodeLayout(rec []byte) (*columnLayout, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-// appendBlooms appends the Bloom record of filters, one per chunk: the
-// chunk count, then per chunk its marshaled filter's length and bytes, or
-// a length of 0 where the chunk has none.
-func appendBlooms(out []byte, filters []*bloom.Filter) []byte {
-	out = appendUvarint(out, uint64(len(filters)))
-	for _, f := range filters {
-		if f == nil {
-			out = append(out, 0)
-			continue
-		}
-		b := f.Marshal()
-		out = appendUvarint(out, uint64(len(b)))
-		out = append(out, b...)
-	}
-	return out
-}
-
-// decodeBlooms parses a Bloom record (appendBlooms), exactly as
-// decodeLayout does: a record that decodes re-encodes to the same bytes.
-func decodeBlooms(rec []byte) ([]*bloom.Filter, error) {
-	r := &indexReader{byteReader: byteReader{buf: rec}}
-	var filters []*bloom.Filter
-	if n := r.count(1); n > 0 {
-		filters = make([]*bloom.Filter, n)
-	}
-	for i := range filters {
-		b := r.bytes()
-		if r.err != nil || len(b) == 0 {
-			continue
-		}
-		f, err := bloom.Unmarshal(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: chunk %d: %v", errIndex, i, err)
-		}
-		filters[i] = f
-	}
-	if err := r.end(); err != nil {
-		return nil, err
-	}
-	return filters, nil
-}
-
-// bloomsBytes is what decoded filters hold, the charge of a Bloom entry:
-// the slice (boxed in the entry), and each filter's header and bit array.
-func bloomsBytes(filters []*bloom.Filter) int64 {
-	n := int64(unsafe.Sizeof(filters)) + int64(cap(filters))*int64(unsafe.Sizeof(filters[0]))
-	for _, f := range filters {
-		if f != nil {
-			n += int64(unsafe.Sizeof(*f)) + f.MemoryBytes()
-		}
-	}
-	return n
 }
 
 // indexReader is a byteReader that keeps the first error: a read past it
@@ -343,38 +283,3 @@ func (r *indexReader) end() error {
 	}
 	return r.err
 }
-
-// buildChunkBlooms builds a global-id Bloom filter for every chunk whose
-// chunk-dictionary is sparse within its [min, max] span, and returns them
-// by chunk, or nil when no chunk has one. Dense chunks gain nothing — the
-// span test is already exact there — so the filter is built only when at
-// most half the span's ids are present (unsorted columns, where
-// restriction spans prune worst).
-func buildChunkBlooms(col *Column) []*bloom.Filter {
-	var filters []*bloom.Filter
-	for i, ch := range col.Chunks {
-		gids := ch.GlobalIDs
-		if len(gids) == 0 || len(gids) > chunkBloomMaxCard {
-			continue
-		}
-		span := int64(gids[len(gids)-1]) - int64(gids[0]) + 1
-		if int64(len(gids))*2 > span {
-			continue
-		}
-		f := bloom.NewWithEstimates(len(gids), 0.01)
-		for _, g := range gids {
-			f.AddUint64(uint64(g))
-		}
-		if filters == nil {
-			filters = make([]*bloom.Filter, len(col.Chunks))
-		}
-		filters[i] = f
-	}
-	return filters
-}
-
-// chunkBloomMaxCard bounds the cardinality a chunk bloom filter covers:
-// beyond it the filter (~1.2 bytes per distinct value, paged in whole with
-// the column's Bloom record by every id-set restriction on the column)
-// costs more to read and hold than the pruning it buys.
-const chunkBloomMaxCard = 1 << 16

@@ -66,12 +66,13 @@ func fileLayout(t testing.TB, file []byte, mc manifestCol) *columnLayout {
 	return lay
 }
 
-// FuzzColumnIndex feeds arbitrary bytes to the layout and Bloom record
-// decoders. Each input must be refused, or decode to an index that
-// re-encodes to the very same bytes — a decode is exact, so nothing a
-// record does not say can reach a reader. A decode never panics, and never
-// holds more than a small multiple of the input's length: every count is
-// bounded by the bytes left before anything is allocated.
+// FuzzColumnIndex feeds arbitrary bytes to the layout record decoder.
+// Each input must be refused, or decode to a layout that re-encodes to the
+// very same bytes — a decode is exact, so nothing a record does not say
+// can reach a reader. A decode never panics, and never holds more than a
+// small multiple of the input's length: every count is bounded by the
+// bytes left before anything is allocated. The seeds are layout records,
+// an older build's Bloom record (testdata/bloom8) and a few short inputs.
 func FuzzColumnIndex(f *testing.F) {
 	_, dir := buildSparseStore(f, 3000, "zippy")
 	r, _, err := NewReader(dir)
@@ -80,15 +81,23 @@ func FuzzColumnIndex(f *testing.F) {
 	}
 	for _, name := range []string{"tag", "p"} {
 		mc, _ := r.colMeta(name)
-		for _, ref := range []*recordRef{&mc.Index, mc.Bloom} {
-			if ref == nil {
-				continue
-			}
-			rec, err := r.readIndexRecord(mc, *ref)
+		rec, err := r.readIndexRecord(mc, mc.Index)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec)
+	}
+	old, _, err := readManifest("testdata/bloom8")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, mc := range old.Columns {
+		if mc.Name == "table_name" {
+			data, err := os.ReadFile(filepath.Join("testdata/bloom8", mc.File))
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(rec)
+			f.Add(data[mc.Bloom.Off : mc.Bloom.Off+mc.Bloom.Len])
 		}
 	}
 	f.Add([]byte{})
@@ -105,19 +114,6 @@ func FuzzColumnIndex(f *testing.F) {
 				t.Fatalf("a %d-byte layout record holds %d bytes", len(rec), held)
 			}
 		}
-		if filters, err := decodeBlooms(rec); err == nil {
-			if got := appendBlooms(nil, filters); !bytes.Equal(got, rec) {
-				t.Fatalf("Bloom record %x re-encodes to %x", rec, got)
-			}
-			if held := bloomsBytes(filters); held > 8*int64(len(rec))+slack {
-				t.Fatalf("a %d-byte Bloom record holds %d bytes", len(rec), held)
-			}
-			for _, f := range filters {
-				if f != nil {
-					f.TestUint64(uint64(len(rec)))
-				}
-			}
-		}
 	})
 }
 
@@ -125,9 +121,8 @@ func FuzzColumnIndex(f *testing.F) {
 // store or per column. One table saved at about 100 and about 1 000 chunks
 // gives manifests that differ in the bounds array alone, once the setting
 // that makes the difference (max_chunk_rows) and the byte range and CRC of
-// each index record — three numbers a record, whatever its chunk count —
-// are set aside. The table leaves out the query logs' user column, whose
-// chunks turn sparse, and so gain filters, at the finer cut.
+// each layout record — three numbers a record, whatever its chunk count —
+// are set aside.
 func TestManifestSizeIndependentOfChunks(t *testing.T) {
 	const rows = 20_000
 	logs := workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 1})
@@ -135,7 +130,8 @@ func TestManifestSizeIndependentOfChunks(t *testing.T) {
 		AddInt64Column("timestamp", logs.Column("timestamp").Ints).
 		AddStringColumn("table_name", logs.Column("table_name").Strs).
 		AddInt64Column("latency", logs.Column("latency").Ints).
-		AddStringColumn("country", logs.Column("country").Strs)
+		AddStringColumn("country", logs.Column("country").Strs).
+		AddStringColumn("user", logs.Column("user").Strs)
 	var masked [2][]byte
 	for i, maxRows := range []int{rows / 100, rows / 1200} {
 		s, err := FromTable(tbl, Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: maxRows, OptimizeElements: true})
@@ -160,12 +156,9 @@ func TestManifestSizeIndependentOfChunks(t *testing.T) {
 		delete(m, "bounds")
 		delete(m["options"].(map[string]any), "max_chunk_rows")
 		for _, c := range m["columns"].([]any) {
-			for _, rec := range []string{"index", "bloom"} {
-				if ref, ok := c.(map[string]any)[rec].(map[string]any); ok {
-					for k := range ref {
-						ref[k] = 0
-					}
-				}
+			ref := c.(map[string]any)["index"].(map[string]any)
+			for k := range ref {
+				ref[k] = 0
 			}
 		}
 		if masked[i], err = json.Marshal(m); err != nil {
@@ -177,10 +170,9 @@ func TestManifestSizeIndependentOfChunks(t *testing.T) {
 	}
 }
 
-// TestIndexEntriesChargedTheirDecodedSize: a column's layout and Bloom
-// entries are each charged what their decoded values hold on the heap,
-// walked by reflection — and a column without filters loads no Bloom
-// entry at all.
+// TestIndexEntriesChargedTheirDecodedSize: a column's layout entry is
+// charged what its decoded value holds on the heap, walked by reflection,
+// in one load.
 func TestIndexEntriesChargedTheirDecodedSize(t *testing.T) {
 	_, dir := buildSparseStore(t, 4000, "zippy")
 	mgr := memmgr.New(1<<30, "")
@@ -190,7 +182,6 @@ func TestIndexEntriesChargedTheirDecodedSize(t *testing.T) {
 	}
 	defer s.Close()
 	r := s.lazy.reader
-	withBlooms := 0
 	for _, name := range s.Columns() {
 		mc, _ := r.colMeta(name)
 		ps := s.NewPinSet()
@@ -206,24 +197,7 @@ func TestIndexEntriesChargedTheirDecodedSize(t *testing.T) {
 		if got, want := after.ResidentBytes-before.ResidentBytes, heapBytes(reflect.ValueOf(lay)); got != want || after.ColdLoads != before.ColdLoads+1 {
 			t.Errorf("%s: layout charged %d bytes in %d loads, holds %d", name, got, after.ColdLoads-before.ColdLoads, want)
 		}
-		before = after
-		filters, err := ps.ChunkBlooms(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after = mgr.Stats()
-		var want int64
-		if filters != nil {
-			withBlooms++
-			want = heapBytes(reflect.ValueOf(&filters))
-		}
-		if got := after.ResidentBytes - before.ResidentBytes; got != want || (filters != nil) != (mc.Bloom != nil) {
-			t.Errorf("%s: Bloom record (%v) charged %d bytes, holds %d", name, mc.Bloom != nil, got, want)
-		}
 		ps.Release()
-	}
-	if withBlooms == 0 || withBlooms == len(s.Columns()) {
-		t.Fatalf("%d of %d columns have filters: want some with and some without", withBlooms, len(s.Columns()))
 	}
 }
 

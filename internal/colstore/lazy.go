@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/memmgr"
 	"powerdrill/internal/value"
@@ -22,10 +21,10 @@ import (
 // around them.
 //
 // The unit of residency is the (column, chunk) pair plus, per column, one
-// entry for its global dictionary and one for each of its index records:
-// a restricted query that scans k of n chunks pins the layouts and
-// dictionaries of its columns, the Bloom records of the columns its id-set
-// leaves restrict, and the k active chunks of each column, nothing else.
+// entry for its global dictionary and one for its layout record: a
+// restricted query that scans k of n chunks pins the layouts and
+// dictionaries of its columns and the k active chunks of each column,
+// nothing else.
 
 // ColumnMeta describes a persisted column without loading its data.
 type ColumnMeta struct {
@@ -78,13 +77,13 @@ type lazySource struct {
 }
 
 // colKeys name one column's residency units inside the manager: one entry
-// for its global dictionary, one for each index record, one per chunk.
+// for its global dictionary, one for its layout record, one per chunk.
 // They are built on the column's first pin in the store and shared by
 // every later one, so a warm pin builds no string.
 type colKeys struct {
-	virtual            bool
-	dict, index, bloom string
-	chunks             []string
+	virtual     bool
+	dict, index string
+	chunks      []string
 }
 
 // keysOf returns the column's residency keys, building them on first use.
@@ -96,7 +95,7 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 		return k
 	}
 	prefix := l.ns + "\x00" + meta.Name + "#"
-	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", index: prefix + "index", bloom: prefix + "bloom", chunks: make([]string, chunks)}
+	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", index: prefix + "index", chunks: make([]string, chunks)}
 	for ci := range k.chunks {
 		k.chunks[ci] = prefix + strconv.Itoa(ci)
 	}
@@ -263,22 +262,6 @@ func (s *Store) acquireLayout(k *colKeys, mc manifestCol) (*columnLayout, error)
 	return v.(*columnLayout), nil
 }
 
-// acquireBlooms pins a column's Bloom record, as acquireLayout does its
-// layout.
-func (s *Store) acquireBlooms(k *colKeys, mc manifestCol) ([]*bloom.Filter, error) {
-	v, _, err := s.acquire(k, k.bloom, func() (any, int64, int64, error) {
-		filters, disk, err := s.lazy.reader.blooms(mc)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return filters, bloomsBytes(filters), disk, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*bloom.Filter), nil
-}
-
 // decodeChunk decodes chunk ci of a pinned column from its file record,
 // decompressing into bufs, and checks its rows against the store's. Safe
 // to run on several goroutines at once, each with its own bufs.
@@ -310,7 +293,7 @@ func (s *Store) acquireChunk(k *colKeys, ci int, ch *Chunk, disk int64) (residen
 }
 
 // loadedDict and loadedChunk are residency units the manager holds; a
-// layout is held as its *columnLayout, and Bloom filters as their slice.
+// layout is held as its *columnLayout.
 type loadedDict struct {
 	d         dict.Dict
 	size      int64

@@ -7,15 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
 )
 
 // PinSet keeps the pieces one query touches resident for the query's
-// lifetime: the engine pins every layout, dictionary, Bloom record and
-// chunk it needs from first touch (during planning) through the parallel
-// chunk scan and final dictionary lookups, then releases them all at once.
+// lifetime: the engine pins every layout, dictionary and chunk it needs
+// from first touch (during planning) through the parallel chunk scan and
+// final dictionary lookups, then releases them all at once.
 // Cold-load counters accumulate per set, giving per-query attribution of
 // what had to come from disk.
 //
@@ -97,9 +96,6 @@ type heldPin struct {
 	// which every load of its frames and chunks reads.
 	mc     manifestCol
 	layout *columnLayout
-	// blooms are the pinned Bloom record's filters, once bloomsHeld.
-	blooms     []*bloom.Filter
-	bloomsHeld bool
 	// chunks flags which chunk indices are pinned.
 	chunks []bool
 	dict   bool
@@ -186,34 +182,6 @@ func (p *PinSet) ChunkSpans(name string) ([]ChunkSpan, error) {
 		return nil, err
 	}
 	return h.layout.spans, nil
-}
-
-// ChunkBlooms returns the named column's per-chunk Bloom filters over
-// distinct global-ids, without loading any chunk data: nil entries mark
-// chunks without one. It returns nil for a resident column and for one
-// none of whose chunks has a filter — callers then prune on spans alone.
-// On a lazy store the first call pins the column's Bloom record, loading
-// it from disk if it is cold: only an id-set restriction probes a filter,
-// so only one loads it.
-func (p *PinSet) ChunkBlooms(name string) ([]*bloom.Filter, error) {
-	if p.s.lazy == nil || p.s.residentColumn(name) != nil {
-		return nil, nil
-	}
-	h, err := p.ensure(name)
-	if err != nil {
-		return nil, err
-	}
-	if !h.bloomsHeld && h.mc.Bloom != nil {
-		filters, err := p.s.acquireBlooms(h.keys, h.mc)
-		if err != nil {
-			p.noteChecksumErr(err)
-			return nil, err
-		}
-		h.blooms = filters
-		p.keys = append(p.keys, h.keys.bloom)
-	}
-	h.bloomsHeld = true
-	return h.blooms, nil
 }
 
 // ensureDict pins the column's global dictionary into the view, loading

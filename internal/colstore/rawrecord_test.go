@@ -105,13 +105,7 @@ func TestStoredRawRecords(t *testing.T) {
 		}
 		verified += f.Records
 	}
-	index := 0
-	for _, mc := range m.Columns {
-		index++ // the layout record
-		if mc.Bloom != nil {
-			index++
-		}
-	}
+	index := len(m.Columns) // one layout record each
 	if verified != len(records)+index {
 		t.Fatalf("scrub verified %d records, the store holds %d and %d index records", verified, len(records), index)
 	}
@@ -196,7 +190,7 @@ func TestKeepCompressedNeverRawLength(t *testing.T) {
 			}
 			for _, val := range [][]byte{make([]byte, n), bytes.Repeat([]byte("ab"), n)[:n], randBytes(rng, n)} {
 				col := &Column{Name: "c", Kind: value.KindString, Dict: dict.NewStringArray([]string{string(val)})}
-				file, mc := encodeColumn(col, codec, nil)
+				file, mc := encodeColumn(col, codec)
 				fr := fileLayout(t, file, mc).frame(0)
 				raw := append(appendUvarint(nil, uint64(n)), val...)
 				rec := file[fr.off : fr.off+fr.len]

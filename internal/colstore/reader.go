@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/compress"
 	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
@@ -140,26 +139,6 @@ func (r *Reader) layout(mc manifestCol) (*columnLayout, int64, error) {
 		return nil, 0, err
 	}
 	return lay, n, nil
-}
-
-// blooms reads, verifies and decodes a column's Bloom record, and reports
-// the disk bytes it read; a column without one has no filters.
-func (r *Reader) blooms(mc manifestCol) ([]*bloom.Filter, int64, error) {
-	if mc.Bloom == nil {
-		return nil, 0, nil
-	}
-	rec, err := r.readIndexRecord(mc, *mc.Bloom)
-	if err != nil {
-		return nil, 0, err
-	}
-	filters, err := decodeBlooms(rec)
-	if err == nil && len(filters) != len(r.m.Bounds)-1 {
-		err = fmt.Errorf("%d filters for %d chunks", len(filters), len(r.m.Bounds)-1)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: column %q Bloom record: %w", mc.Name, err)
-	}
-	return filters, mc.Bloom.Len, nil
 }
 
 // readIndexRecord reads one index record of a column file and verifies it
@@ -498,17 +477,13 @@ func (r *Reader) DictFileLen(name string) (int64, error) {
 	return lay.dictFileLen(), nil
 }
 
-// IndexBytes returns the file bytes of the named column's layout record
-// and of its Bloom record, 0 when it has none.
-func (r *Reader) IndexBytes(name string) (layout, bloom int64, err error) {
+// IndexBytes returns the file bytes of the named column's layout record.
+func (r *Reader) IndexBytes(name string) (int64, error) {
 	mc, ok := r.colMeta(name)
 	if !ok {
-		return 0, 0, fmt.Errorf("colstore: unknown column %q", name)
+		return 0, fmt.Errorf("colstore: unknown column %q", name)
 	}
-	if mc.Bloom != nil {
-		bloom = mc.Bloom.Len
-	}
-	return mc.Index.Len, bloom, nil
+	return mc.Index.Len, nil
 }
 
 // RecordRange is the byte range [Off, Off+Len) of one record in a column
@@ -577,8 +552,8 @@ func mustCodec(name string) compress.Codec {
 
 // loadColumn decodes one whole column, as the eager Open does: its layout,
 // its dictionary (readDict) and every chunk, the chunks read in one run.
-// It verifies the Bloom record too, which a resident store does not keep:
-// every record of the column is checked.
+// It verifies the CRC of an older build's Bloom record too, which nothing
+// reads: every record of the column is checked.
 func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 	kind, err := value.ParseKind(mc.Kind)
 	if err != nil {
@@ -588,8 +563,10 @@ func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := r.blooms(mc); err != nil {
-		return nil, err
+	if mc.Bloom != nil {
+		if _, err := r.readIndexRecord(mc, *mc.Bloom); err != nil {
+			return nil, err
+		}
 	}
 	d, _, err := r.readDict(mc, lay, kind, bufs)
 	if err != nil {

@@ -144,7 +144,7 @@ func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Read
 	if codec != "" {
 		c = mustCodec(codec)
 	}
-	file, mc := encodeColumn(&Column{Name: "d", Kind: kind, Dict: d}, c, nil)
+	file, mc := encodeColumn(&Column{Name: "d", Kind: kind, Dict: d}, c)
 	mc.File = "col_0000.bin"
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, mc.File), file, 0o644); err != nil {

@@ -15,6 +15,12 @@ import (
 // this build can read eagerly — as a current-generation store at newDir,
 // with the same codec and import options. Only the manifest's own columns
 // are carried: a virtual sidecar is a rebuildable cache and is left behind.
+// No per-chunk Bloom filter is carried either, whether an old manifest
+// held it (generations 4–7) or a generation-8 column file's Bloom record
+// did: chunks are skipped on their spans, then on their chunk-dictionaries,
+// so the store written has a layout record per column and nothing after
+// it. A generation-8 store with Bloom records needs no upgrade; this only
+// drops them.
 func Upgrade(oldDir, newDir string) error {
 	if _, err := vfs().Stat(filepath.Join(newDir, "manifest.json")); err == nil {
 		return fmt.Errorf("colstore: upgrade: %s already holds a store", newDir)
@@ -47,7 +53,7 @@ func (m *manifest) generation() int {
 // oldIndex is how generations 2–7 indexed a column in the manifest: the
 // chunk index (2–7) and the dictionary's frame index (7), both read by
 // Upgrade only. Generations 4–7 also kept each chunk's Bloom filter in its
-// entry, as "bloom"; Upgrade rebuilds the filters from the chunks.
+// entry, as "bloom", which nothing reads.
 type oldIndex struct {
 	Frames []oldFrame `json:"frames,omitempty"`
 	Chunks []oldChunk `json:"chunks,omitempty"`

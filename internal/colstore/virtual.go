@@ -108,7 +108,7 @@ func (s *Store) persistVirtualLocked(col *Column) (manifestCol, error) {
 	if r.m.Codec != "" {
 		codec = mustCodec(r.m.Codec)
 	}
-	raw, mc := encodeColumn(col, codec, nil)
+	raw, mc := encodeColumn(col, codec)
 	mc.Virtual = true
 	if err := vfs().MkdirAll(filepath.Join(r.dir, virtualSubdir), 0o755); err != nil {
 		return mc, fmt.Errorf("colstore: persist virtual column %q: %w", col.Name, err)

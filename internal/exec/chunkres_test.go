@@ -124,7 +124,7 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	}
 
 	// The manager held exactly the active working set: 2 layouts, 2 dicts
-	// and 2k chunks (country's chunks are dense: it has no Bloom record).
+	// and 2k chunks.
 	ms := mgr.Stats()
 	if ms.ColdLoads != 2*k+4 {
 		t.Fatalf("manager cold loads = %d, want %d", ms.ColdLoads, 2*k+4)
@@ -243,11 +243,11 @@ func TestChunkGranularConcurrentRestricted(t *testing.T) {
 }
 
 // TestResidencySoundness checks the safety property of pruning on the one
-// compiled tree: what the spans and blooms prove about a chunk — none or
-// all — the exact classification on its chunk dictionary confirms, and the
-// plan's active count is its flag sum. Over the operator zoo of
-// restrict_test plus a materialized expression and an equality the chunk
-// blooms decide, on a lazy store.
+// compiled tree: what the spans prove about a chunk — none or all — the
+// exact classification on its chunk dictionary confirms, and the plan's
+// active count is its flag sum. Over the operator zoo of restrict_test
+// plus a materialized expression and an equality on an unsorted column,
+// on a lazy store; some predicate must prune a chunk on its spans.
 func TestResidencySoundness(t *testing.T) {
 	store, _, err := colstore.OpenLazy(savedReorderedStore(t, 6000, ""), memmgr.New(1<<30, "2q"))
 	if err != nil {
@@ -264,7 +264,7 @@ func TestResidencySoundness(t *testing.T) {
 		`latency = latency`, // a predicate field: every row holds 1
 		fmt.Sprintf(`date(timestamp) = %q`, res.Rows[0][0].Str()),
 		fmt.Sprintf(`latency = %d`, res.Rows[0][1].Int()))
-	bloomSkipped := 0
+	spanSkipped := 0
 	for _, pred := range preds {
 		stmt, err := sql.Parse(`SELECT country, COUNT(*) FROM data WHERE ` + pred + ` GROUP BY country;`)
 		if err != nil {
@@ -283,7 +283,7 @@ func TestResidencySoundness(t *testing.T) {
 		}
 		count := 0
 		for ci := 0; ci < store.NumChunks(); ci++ {
-			span, exact := p.where.classify(ci, byBlooms), p.where.classify(ci, byChunkDict)
+			span, exact := p.where.classify(ci, bySpans), p.where.classify(ci, byChunkDict)
 			if span != activeSome && span != exact {
 				t.Fatalf("%q chunk %d: spans prove %v but the chunk dictionary says %v", pred, ci, span, exact)
 			}
@@ -297,11 +297,11 @@ func TestResidencySoundness(t *testing.T) {
 		if count != p.activeCount {
 			t.Fatalf("%q: active count %d, active flags sum %d", pred, p.activeCount, count)
 		}
-		bloomSkipped += p.bloomSkipped
+		spanSkipped += store.NumChunks() - count
 		ps.Release()
 	}
-	if bloomSkipped == 0 {
-		t.Fatal("no predicate was pruned by a chunk bloom")
+	if spanSkipped == 0 {
+		t.Fatal("no predicate was pruned on its spans")
 	}
 }
 

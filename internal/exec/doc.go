@@ -19,15 +19,13 @@
 //     every row, and a row that fails fails the query). Only
 //     dictionaries are pinned. Restriction literals become sorted
 //     global-id sets and ranges, and each leaf of the restriction tree
-//     carries its column's per-chunk value spans and, on an id-set leaf,
-//     bloom filters from the column's index records (pinned into the
-//     query's PinSet). The result-cache signature is derived from the
-//     compiled group column and aggregates.
+//     carries its column's per-chunk value spans from the column's layout
+//     record (pinned into the query's PinSet). The result-cache signature
+//     is derived from the compiled group column and aggregates.
 //  2. Prune (analyzeResidency, cacheResidency): the restriction tree is
-//     classified per chunk on the spans and blooms — the same AND/OR/NOT
-//     fold the scan applies to chunk dictionaries — giving the possibly
-//     active and the provably fully active chunks before any chunk data is
-//     loaded. Fully active chunks whose partials the result cache holds
+//     classified per chunk on the spans — the same AND/OR/NOT fold the
+//     scan applies to chunk dictionaries — giving the possibly active and
+//     the provably fully active chunks before any chunk data is loaded. Fully active chunks whose partials the result cache holds
 //     are answered from it and never pinned.
 //  3. Pin (pinPlan): the plan's access set — restriction leaves, group
 //     columns, aggregate arguments, the composite — is pinned with its

@@ -84,11 +84,11 @@ type Stats struct {
 // and so is every row: ChunksSkipped + ChunksCached + ChunksScanned =
 // ChunksTotal, and the rows likewise sum to RowsCovered — the split the
 // paper reports for production (Sections 5–6). A chunk is skipped when
-// the index's spans and blooms prune it, when its chunk dictionary
-// proves no row matches, or — in a row scan — when the rank bound rules it
-// out (its span on the first ORDER BY key cannot tie the LIMIT-th row
-// held) or the scan holds LIMIT rows before reaching it. Of these, only
-// the chunks their chunk dictionaries skip were loaded.
+// the layout's spans prune it, when its chunk dictionary proves no row
+// matches, or — in a row scan — when the rank bound rules it out (its span
+// on the first ORDER BY key cannot tie the LIMIT-th row held) or the scan
+// holds LIMIT rows before reaching it. Of these, only the chunks their
+// chunk dictionaries skip were loaded.
 type QueryStats struct {
 	ChunksTotal   int64 `json:"chunks_total"`
 	ChunksSkipped int64 `json:"chunks_skipped"`
@@ -144,10 +144,11 @@ type QueryStats struct {
 	// CoalescedReads counts the reads this query's run coalescing saved
 	// (a run of m contiguous cold chunks is one read, saving m−1).
 	CoalescedReads int64 `json:"coalesced_reads"`
-	// BloomSkippedChunks counts chunks this query pruned only because a
-	// per-chunk bloom filter proved an equality restriction's ids absent —
-	// the index spans alone could not have skipped them. They are also
-	// counted in SkippedChunks (and ChunksSkipped).
+	// BloomSkippedChunks is never written and stays 0: chunks are skipped
+	// by their spans and chunk dictionaries, and no per-chunk filter is
+	// read. Like ScalarChunks below it is a reserved slot, kept with its
+	// tag and position for the partial wire, and goes with the next wire
+	// version.
 	BloomSkippedChunks int64 `json:"bloom_skipped_chunks"`
 	// KernelChunks counts chunks this query aggregated, all of them through
 	// the vectorized kernels: ChunksScanned, unless the query is a row
@@ -299,15 +300,13 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, erro
 }
 
 // closeStats completes a query's counters with what the scan workers do
-// not see — the residency analysis' bloom prunes, the pin set's cold-load
-// attribution, and the rows the answer spans — and folds them into the
-// engine's cumulative stats. An engine's answer (and a leaf's partial)
+// not see — the pin set's cold-load attribution and the rows the answer
+// spans — and folds them into the engine's cumulative stats. An engine's answer (and a leaf's partial)
 // always covers its whole store — coverage accounting is about server
 // availability, not restriction selectivity; the coordinator adds the row
 // counts of shards that never answered to RowsTotal alone, which is what
 // drives Coverage below 1.
 func (e *Engine) closeStats(qs QueryStats, ps *colstore.PinSet, p *plan) QueryStats {
-	qs.BloomSkippedChunks = int64(p.bloomSkipped)
 	qs.ColdLoads = ps.ColdLoads
 	qs.ColdChunkLoads = ps.ColdChunkLoads
 	qs.ColdDictLoads = ps.ColdDictLoads
@@ -521,11 +520,9 @@ type plan struct {
 	// active flags the chunks the residency analysis kept (nil = all);
 	// the scan skips pruned chunks without touching their data, which on a
 	// lazy store was never loaded in the first place. activeCount is their
-	// number, and bloomSkipped counts the pruned chunks that the [min, max]
-	// spans alone would have kept.
-	active       []bool
-	activeCount  int
-	bloomSkipped int
+	// number.
+	active      []bool
+	activeCount int
 	// full flags chunks the spans PROVE fully active (every row matches):
 	// exactly the chunks whose partials the result cache can hold. nil
 	// under Options.DisableSkipping.

@@ -3,6 +3,8 @@ package exec
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,12 +14,11 @@ import (
 	"powerdrill/internal/memmgr"
 )
 
-// TestIndexRecordsPagedThroughBudget: a column's layout and Bloom records
-// are memory-manager entries of their own, loaded on first use. On a lazy
-// store with a budget that holds the whole store, opening loads no index
-// record; a range leaf on latency loads latency's layout and no Bloom
-// record; an IN leaf on latency, whose chunks carry filters, loads exactly
-// one Bloom record, latency's. Answers match the resident store's. A byte
+// TestIndexRecordsPagedThroughBudget: a column's layout record is a
+// memory-manager entry of its own, loaded on first use. On a lazy store
+// with a budget that holds the whole store, opening loads no layout; a
+// range leaf and an IN leaf on latency each load latency's layout and the
+// group column's, no other. Answers match the resident store's. A byte
 // flipped in a layout record fails the first query that touches the column
 // with a *ChecksumError, and the scrub reports the column file.
 func TestIndexRecordsPagedThroughBudget(t *testing.T) {
@@ -33,47 +34,41 @@ func TestIndexRecordsPagedThroughBudget(t *testing.T) {
 	}
 	eager := New(eagerStore, Options{Parallelism: 2})
 	lazy := New(lazyStore, Options{Parallelism: 2})
-	resident := func(col, record string) bool {
-		key := lazyStore.CacheNamespace() + "\x00" + col + "#" + record
+	resident := func(col string) bool {
+		key := lazyStore.CacheNamespace() + "\x00" + col + "#index"
 		if cold := mgr.PinResident([]string{key}, make([]any, 1), nil); len(cold) > 0 {
 			return false
 		}
 		mgr.Release(key)
 		return true
 	}
-	loaded := func(record string) []string {
+	loaded := func() []string {
 		var cols []string
 		for _, col := range lazyStore.Columns() {
-			if resident(col, record) {
+			if resident(col) {
 				cols = append(cols, col)
 			}
 		}
 		return cols
 	}
-	if idx, blooms := loaded("index"), loaded("bloom"); len(idx)+len(blooms) > 0 {
-		t.Fatalf("opening loaded layouts of %v and Bloom records of %v", idx, blooms)
+	if idx := loaded(); len(idx) > 0 {
+		t.Fatalf("opening loaded layouts of %v", idx)
 	}
-	for _, c := range []struct {
-		q      string
-		blooms string
-	}{
-		{`SELECT country, COUNT(*) AS c FROM data WHERE latency > 500 GROUP BY country ORDER BY country ASC;`, ""},
-		{`SELECT country, COUNT(*) AS c FROM data WHERE latency IN (12, 500, 3000) GROUP BY country ORDER BY country ASC;`, "latency"},
+	for _, q := range []string{
+		`SELECT country, COUNT(*) AS c FROM data WHERE latency > 500 GROUP BY country ORDER BY country ASC;`,
+		`SELECT country, COUNT(*) AS c FROM data WHERE latency IN (12, 500, 3000) GROUP BY country ORDER BY country ASC;`,
 	} {
-		want, err := eager.Query(c.q)
+		want, err := eager.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lazy.Query(c.q)
+		got, err := lazy.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, c.q, want, got)
-		if idx := loaded("index"); strings.Join(idx, ",") != "latency,country" {
-			t.Errorf("%s: layouts of %v loaded, want latency's and country's", c.q, idx)
-		}
-		if blooms := strings.Join(loaded("bloom"), ","); blooms != c.blooms {
-			t.Errorf("%s: Bloom records of [%s] loaded, want [%s]", c.q, blooms, c.blooms)
+		assertSameResult(t, q, want, got)
+		if idx := loaded(); strings.Join(idx, ",") != "latency,country" {
+			t.Errorf("%s: layouts of %v loaded, want latency's and country's", q, idx)
 		}
 	}
 
@@ -136,4 +131,208 @@ func TestIndexRecordsPagedThroughBudget(t *testing.T) {
 	if dirty != 1 {
 		t.Fatalf("scrub found %d dirty files, want table_name's", dirty)
 	}
+}
+
+// TestOlderBloomRecordsVerifiedNotRead runs colstore's testdata/bloom8: a
+// generation-8 store written by the last build that kept per-chunk Bloom
+// filters, whose sparse columns (timestamp, table_name, latency, user)
+// each end in a Bloom record after the layout, with a date(timestamp)
+// sidecar and expected.json, that build's resident answers. The eager and
+// the lazy open answer as that build did; the scrub verifies every Bloom
+// record with the rest of its file and is clean. A byte flipped inside
+// table_name's Bloom record fails the scrub of that file and the eager
+// open with a *ChecksumError, while a lazy query restricted on table_name
+// still answers, and loads, charges and reads exactly what it does on the
+// same store with the Bloom records left out of the manifest.
+func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
+	src := filepath.Join("..", "colstore", "testdata", "bloom8")
+	blob, err := os.ReadFile(filepath.Join(src, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers []struct {
+		SQL  string     `json:"sql"`
+		Rows [][]string `json:"rows"`
+	}
+	if err := json.Unmarshal(blob, &answers); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(s *colstore.Store, label string) {
+		t.Helper()
+		e := New(s, Options{Parallelism: 2})
+		for _, a := range answers {
+			res, err := e.Query(a.SQL)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, a.SQL, err)
+			}
+			var got [][]string
+			for _, row := range res.Rows {
+				var r []string
+				for _, v := range row {
+					r = append(r, v.String())
+				}
+				got = append(got, r)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(a.Rows) {
+				t.Fatalf("%s: %s = %v, want %v", label, a.SQL, got, a.Rows)
+			}
+		}
+	}
+
+	dir := copyFixture(t, src)
+	eager, _, err := colstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer(eager, "Open")
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer(lazy, "OpenLazy")
+	lazy.Close()
+	tight, _, err := colstore.OpenLazy(dir, memmgr.New(residentFootprint(t, eager)/4, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer(tight, "OpenLazy, a quarter of the footprint")
+	tight.Close()
+
+	// The manifest's Bloom records, and the records the scrub verifies:
+	// every frame, chunk and layout record, and the Bloom record.
+	var m map[string]any
+	if blob, err = os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want, blooms := map[string]int{}, map[string]string{}
+	var flipAt int64 // inside table_name's Bloom record
+	for _, c := range m["columns"].([]any) {
+		c := c.(map[string]any)
+		name, file := c["name"].(string), c["file"].(string)
+		_, frames, chunks, err := r.ColumnRecords(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[file] = len(frames) + len(chunks) + 1
+		if ref, ok := c["bloom"].(map[string]any); ok {
+			want[file]++
+			blooms[name] = file
+			if name == "table_name" {
+				flipAt = int64(ref["off"].(float64)) + 3
+			}
+		}
+	}
+	if len(blooms) != 4 {
+		t.Fatalf("Bloom records on %v, want the four sparse columns", blooms)
+	}
+	for _, f := range colstore.ScrubDir(dir, dir) {
+		if !f.OK() {
+			t.Fatalf("scrub: %s: %s", f.Path, f.Err)
+		}
+		if n, ok := want[f.Path]; ok && f.Records != n {
+			t.Errorf("scrub verified %d records of %s, want %d", f.Records, f.Path, n)
+		}
+	}
+
+	// The same store with no Bloom record in its manifest.
+	stripped := copyFixture(t, src)
+	for _, c := range m["columns"].([]any) {
+		delete(c.(map[string]any), "bloom")
+	}
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stripped, "manifest.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A flipped byte inside table_name's Bloom record.
+	path := filepath.Join(dir, blooms["table_name"])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[flipAt] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dirty := 0
+	for _, f := range colstore.ScrubDir(dir, dir) {
+		if !f.OK() {
+			dirty++
+			if f.Path != blooms["table_name"] || !strings.Contains(f.Err, "checksum mismatch") {
+				t.Errorf("scrub: %s: %s", f.Path, f.Err)
+			}
+		}
+	}
+	if dirty != 1 {
+		t.Fatalf("scrub found %d dirty files, want table_name's", dirty)
+	}
+	var ce *colstore.ChecksumError
+	if _, _, err := colstore.Open(dir); !errors.As(err, &ce) || ce.Path != path {
+		t.Fatalf("eager Open of a flipped Bloom record: err = %v, want a ChecksumError in %s", err, path)
+	}
+
+	q := answers[2].SQL
+	if !strings.Contains(q, "WHERE table_name IN") {
+		t.Fatalf("expected.json's third query is not restricted on table_name: %s", q)
+	}
+	run := func(dir string) (memmgr.Stats, QueryStats) {
+		t.Helper()
+		mgr := memmgr.New(0, "")
+		s, _, err := colstore.OpenLazy(dir, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := New(s, Options{Parallelism: 2}).Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != len(answers[2].Rows) {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), len(answers[2].Rows))
+		}
+		return mgr.Stats(), res.Stats
+	}
+	mgrFlipped, qsFlipped := run(dir)
+	mgrStripped, qsStripped := run(stripped)
+	if mgrFlipped.ColdLoads != mgrStripped.ColdLoads || mgrFlipped.ResidentBytes != mgrStripped.ResidentBytes ||
+		qsFlipped.DiskBytesRead != qsStripped.DiskBytesRead || qsFlipped.ColdLoads != qsStripped.ColdLoads {
+		t.Fatalf("with Bloom records: %d loads, %d bytes charged, %d read; without: %d, %d, %d",
+			mgrFlipped.ColdLoads, mgrFlipped.ResidentBytes, qsFlipped.DiskBytesRead,
+			mgrStripped.ColdLoads, mgrStripped.ResidentBytes, qsStripped.DiskBytesRead)
+	}
+}
+
+// copyFixture copies a committed store directory into a temp dir, since
+// an open may write to its sidecar.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "store")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), blob, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }

@@ -29,10 +29,10 @@ type selection struct {
 	slab    []uint64
 	// The residency analysis' outputs (plan), and pin: the active chunks
 	// whose verdict is not none, the only chunks a hit pins.
-	active, full              []bool
-	activeCount, bloomSkipped int
-	pin                       []bool
-	ready                     bool // published
+	active, full []bool
+	activeCount  int
+	pin          []bool
+	ready        bool // published
 }
 
 // size lays the selection out from the query's residency analysis, which
@@ -41,7 +41,7 @@ type selection struct {
 func (s *selection) size(e *Engine, p *plan) {
 	n := len(p.full)
 	s.verdict, s.off = make([]triState, n), make([]int32, n+1)
-	s.active, s.full, s.activeCount, s.bloomSkipped = p.active, p.full, p.activeCount, p.bloomSkipped
+	s.active, s.full, s.activeCount = p.active, p.full, p.activeCount
 	for ci := range n {
 		words := 0
 		switch {

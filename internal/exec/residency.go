@@ -3,7 +3,6 @@ package exec
 import (
 	"sort"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/colstore"
 )
 
@@ -13,24 +12,24 @@ import (
 // partitioning makes most chunks provably inactive for a restricted query,
 // so only the active ones need RAM). It classifies the plan's one
 // restriction tree (restrict.go) on metadata alone: the leaves' global-id
-// sets and ranges against the per-chunk value spans and bloom filters the
-// columns' index records hold (colstore.ChunkSpan). The verdict is
-// deliberately conservative — a chunk is pruned only when the spans PROVE
-// no row can match — so the exact classification on the chunk
-// dictionaries, in scanChunk, still runs on whatever survives.
+// sets and ranges against the per-chunk value spans the columns' layout
+// records hold (colstore.ChunkSpan). The verdict is deliberately
+// conservative — a chunk is pruned only when the spans PROVE no row can
+// match — so the exact classification on the chunk dictionaries, in
+// scanChunk, still runs on whatever survives.
 //
 // Compiling pinned only dictionaries; the verdict tells the plan which
 // chunks to pin, so a restricted query never loads — and never charges the
 // byte budget for — chunks it cannot scan.
 
 // analyzeResidency classifies every chunk against the plan's restriction
-// using spans and blooms only, and sets the plan's active and full sets.
-// Anything the metadata cannot decide (leaves without spans) is "may
-// match". A restriction from the memo brings its analysis
-// along, and pins only the chunks its exact verdicts keep.
+// using spans only, and sets the plan's active and full sets. Anything the
+// metadata cannot decide (leaves without spans) is "may match". A
+// restriction from the memo brings its analysis along, and pins only the
+// chunks its exact verdicts keep.
 func (e *Engine) analyzeResidency(p *plan) {
 	if s := p.sel; s != nil && s.ready {
-		p.active, p.full, p.activeCount, p.bloomSkipped, p.pin = s.active, s.full, s.activeCount, s.bloomSkipped, s.pin
+		p.active, p.full, p.activeCount, p.pin = s.active, s.full, s.activeCount, s.pin
 		return
 	}
 	n := e.store.NumChunks()
@@ -49,9 +48,8 @@ func (e *Engine) analyzeResidency(p *plan) {
 	}
 	p.active = make([]bool, n)
 	p.activeCount = 0
-	hasBlooms := p.where.hasBlooms()
 	for ci := 0; ci < n; ci++ {
-		switch p.where.classify(ci, byBlooms) {
+		switch p.where.classify(ci, bySpans) {
 		case activeAll:
 			// Span-proven fully active: the chunk's cached partial, if any,
 			// answers it exactly.
@@ -60,12 +58,6 @@ func (e *Engine) analyzeResidency(p *plan) {
 		case activeSome:
 			p.active[ci] = true
 			p.activeCount++
-		case activeNone:
-			// Attribute the skip: if spans alone would have kept the chunk,
-			// the bloom filters are what pruned it.
-			if hasBlooms && p.where.classify(ci, bySpans) != activeNone {
-				p.bloomSkipped++
-			}
 		}
 	}
 	p.pin = p.active
@@ -74,27 +66,12 @@ func (e *Engine) analyzeResidency(p *plan) {
 	}
 }
 
-// hasBlooms reports whether any leaf carries chunk bloom filters.
-func (r *restriction) hasBlooms() bool {
-	if len(r.blooms) > 0 {
-		return true
-	}
-	for _, c := range r.children {
-		if c.hasBlooms() {
-			return true
-		}
-	}
-	return false
-}
-
 // classifySpan classifies leaf r on chunk ci's [min, max] span instead of
 // its chunk dictionary. Sound by construction: none and all are returned
 // only when they hold for every value a chunk with that span can contain.
-// useBloom additionally consults the chunk's bloom filter at an id-set
-// leaf: a filter that tests negative for every id in the set proves the
-// chunk holds none of them — filters never report a present id absent —
-// which sharpens none on unsorted columns whose spans cover everything.
-func (r *restriction) classifySpan(ci int, useBloom bool) triState {
+// Where a span cannot decide an id-set leaf, the chunk's own dictionary
+// does, exactly, once the chunk is pinned (classify's byChunkDict).
+func (r *restriction) classifySpan(ci int) triState {
 	if r.spans == nil {
 		return activeSome
 	}
@@ -115,9 +92,6 @@ func (r *restriction) classifySpan(ci int, useBloom bool) triState {
 		// Single distinct value, proven to be in the set.
 		return activeAll
 	}
-	if useBloom && ci < len(r.blooms) && r.blooms[ci] != nil && !anyGIDInBloom(r.gids, sp, r.blooms[ci]) {
-		return activeNone
-	}
 	return activeSome
 }
 
@@ -126,17 +100,4 @@ func (r *restriction) classifySpan(ci int, useBloom bool) triState {
 func anyGIDInSpan(sorted []uint32, sp colstore.ChunkSpan) bool {
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= sp.MinGID })
 	return i < len(sorted) && sorted[i] <= sp.MaxGID
-}
-
-// anyGIDInBloom reports whether the chunk's bloom filter admits any of the
-// sorted global-ids inside the span. False means every id is provably
-// absent from the chunk (filters have no false negatives).
-func anyGIDInBloom(sorted []uint32, sp colstore.ChunkSpan, f *bloom.Filter) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= sp.MinGID })
-	for ; i < len(sorted) && sorted[i] <= sp.MaxGID; i++ {
-		if f.TestUint64(uint64(sorted[i])) {
-			return true
-		}
-	}
-	return false
 }

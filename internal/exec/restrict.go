@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"powerdrill/internal/bloom"
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/enc"
 	"powerdrill/internal/expr"
@@ -22,7 +21,7 @@ import (
 // x IN (y) — is a leaf too: it is computed once over every row into a
 // virtual field of 0s and 1s (Section 5), and the leaf selects the value 1.
 // The tree is evaluated up to three times per chunk: in three-valued logic
-// against the index's spans and blooms, before the chunk is loaded
+// against the layout's spans, before the chunk is loaded
 // (residency.go); by the same fold against the chunk-dictionaries alone —
 // classifying the chunk as skippable, fully active (cacheable) or partially
 // active — and only for partially active chunks row-wise, producing a
@@ -61,12 +60,10 @@ type restriction struct {
 	colRef *colstore.Column
 	gids   []uint32 // rInSet: sorted global-ids
 	lo, hi uint32   // rRange: [lo, hi) of global-ids
-	// spans and blooms are col's per-chunk metadata from its index
-	// records, what the leaf is classified on before any chunk is loaded
-	// (residency.go): blooms only on an id-set leaf, the one that probes
-	// them. nil spans: the leaf may match anywhere.
-	spans  []colstore.ChunkSpan
-	blooms []*bloom.Filter
+	// spans are col's per-chunk global-id spans from its layout record,
+	// what the leaf is classified on before any chunk is loaded
+	// (residency.go). nil spans: the leaf may match anywhere.
+	spans []colstore.ChunkSpan
 }
 
 type rOp uint8
@@ -120,10 +117,10 @@ func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restricti
 }
 
 // compileLeaf resolves a leaf's operand to its column and hangs the
-// column's chunk spans and, on an id-set leaf, its chunk blooms on the
-// leaf. Persisted virtual columns keep theirs in the store's sidecar, so a
-// restriction on a materialized expression prunes chunks even after the
-// column was evicted, or in a later process that reopened the store.
+// column's chunk spans on the leaf. Persisted virtual columns keep theirs
+// in the store's sidecar, so a restriction on a materialized expression
+// prunes chunks even after the column was evicted, or in a later process
+// that reopened the store.
 func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
 	col, err := e.materializeOperand(x, ps)
 	if err != nil {
@@ -132,20 +129,13 @@ func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restrict
 	return leafOn(op, col, ps)
 }
 
-// leafOn is a leaf of op on col, carrying col's spans and, for an id-set
-// leaf, its blooms, both pinned into ps.
+// leafOn is a leaf of op on col, carrying col's spans, pinned into ps.
 func leafOn(op rOp, col *colstore.Column, ps *colstore.PinSet) (*restriction, error) {
-	leaf := &restriction{op: op, col: col.Name, colRef: col}
-	var err error
-	if leaf.spans, err = ps.ChunkSpans(col.Name); err != nil {
+	spans, err := ps.ChunkSpans(col.Name)
+	if err != nil {
 		return nil, err
 	}
-	if op == rInSet {
-		if leaf.blooms, err = ps.ChunkBlooms(col.Name); err != nil {
-			return nil, err
-		}
-	}
-	return leaf, nil
+	return &restriction{op: op, col: col.Name, colRef: col, spans: spans}, nil
 }
 
 // compilePredicateField compiles a predicate the dictionaries cannot decide
@@ -363,15 +353,14 @@ func flipOp(op sql.BinaryOp) sql.BinaryOp {
 type evidence uint8
 
 const (
-	bySpans     evidence = iota // the index's [min, max] spans: no chunk loaded
-	byBlooms                    // the spans and the per-chunk bloom filters
+	bySpans     evidence = iota // the layout's [min, max] spans: no chunk loaded
 	byChunkDict                 // the pinned chunk's own dictionary: exact
 )
 
 // classify evaluates the tree for chunk ci in three-valued logic — the one
-// AND/OR/NOT fold, over whichever evidence the caller has. On spans and
-// blooms it is conservative: none and all are proofs (classifySpan), so the
-// exact verdict on the chunk dictionary agrees wherever they are given.
+// AND/OR/NOT fold, over whichever evidence the caller has. On spans it is
+// conservative: none and all are proofs (classifySpan), so the exact
+// verdict on the chunk dictionary agrees wherever they are given.
 func (r *restriction) classify(ci int, by evidence) triState {
 	switch r.op {
 	case rAnd:
@@ -406,8 +395,8 @@ func (r *restriction) classify(ci int, by evidence) triState {
 			return activeSome
 		}
 	}
-	if by != byChunkDict {
-		return r.classifySpan(ci, by == byBlooms)
+	if by == bySpans {
+		return r.classifySpan(ci)
 	}
 	ch := r.colRef.Chunks[ci]
 	if ch.Rows() == 0 {

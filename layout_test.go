@@ -33,28 +33,28 @@ var layoutCases = []struct {
 		name:   "bench",
 		tbl:    func() *Table { return GenerateQueryLogs(50_000, 1) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true},
-		want:   "02159fbf4dacb51e1822a60bf6f1705ef526e6a4fe2e563d2b089d1672b93653",
+		want:   "0197abb08cc24d116fd64bb41ad7ce389cd02d3dceed49976b6be95b5185ec08",
 		chunks: "fadcb123539eb661b4c007684ae4bee1782823d28094e739f36944b52296896d",
 	},
 	{
 		name:   "three-fields",
 		tbl:    func() *Table { return GenerateQueryLogs(30_000, 2) },
 		opts:   Options{PartitionFields: []string{"country", "table_name", "user"}, MaxChunkRows: 1000, OptimizeElements: true},
-		want:   "445303a3d0a984b72b2c437ffbcb2efc236a60458fcb6c624d9e38f812c9c1e3",
+		want:   "00d4e4e890adc68f553f5d7a80618b45538898d34f409cba3c34ddb04d4b2746",
 		chunks: "d3c4c5e6caa0a3689e4112ae5752331589ce38dbe3281c2ca9eba98d3905680f",
 	},
 	{
 		name:   "int64-field",
 		tbl:    func() *Table { return GenerateQueryLogs(20_000, 3) },
 		opts:   Options{PartitionFields: []string{"latency", "country"}, MaxChunkRows: 1500, OptimizeElements: true},
-		want:   "7ffdb1bc38690b8015a4f6af260f72d81d11e08315b32e84f74acd9d6999ab6c",
+		want:   "11f663e3924b82a57170ca9917ac0a404fad7a3fe2e291aabc6ff2b958c23f94",
 		chunks: "e75f1fd65b39fcb14a958238055de750f70d3aba79506fda55db76b03ea43e10",
 	},
 	{
 		name:   "reorder",
 		tbl:    func() *Table { return GenerateQueryLogs(40_000, 4) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true, Reorder: true},
-		want:   "c3f65cecfc556c29bdd70c55df6eb912490c47ca4a1afac27483cad60216ef7d",
+		want:   "642df2a5bf37dd7c1ac7f7999c23ab8aef6b55a9e731674466bdc1db694b5564",
 		chunks: "1910f1fe8eca0e9705cc8187215c6fab44a5fe3fb9590ffc618a4bfdd4c2e8f1",
 	},
 	{
@@ -83,7 +83,7 @@ var layoutCases = []struct {
 			return tbl.AddFloat64Column("score", score)
 		},
 		opts:   Options{PartitionFields: []string{"country"}, MaxChunkRows: 2500, OptimizeElements: true},
-		want:   "70753a8ac86485fc559cebf17bf24c47479e5d89ed5ac91fb887eb069cfe53ad",
+		want:   "3d20241dd1ee61c60905615f20e379ced98dbd8af95bca418dcf92a40bef2ac4",
 		chunks: "694bda7f48804ecdbf8f6d36907f175f2f40021d1b844f7b6e7d3f3815b1b299",
 	},
 }
