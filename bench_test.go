@@ -7,6 +7,7 @@ package powerdrill
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -22,7 +23,6 @@ import (
 	"powerdrill/internal/dict"
 	"powerdrill/internal/exec"
 	"powerdrill/internal/memmgr"
-	"powerdrill/internal/prodsim"
 	"powerdrill/internal/reorder"
 	"powerdrill/internal/sketch"
 	"powerdrill/internal/sql"
@@ -254,39 +254,53 @@ func BenchmarkReorder(b *testing.B) {
 	b.ReportMetric(float64(reorder.HammingCost(tbl, fields, reorder.Lexicographic(tbl, fields))), "hammingLex")
 }
 
-// BenchmarkFigure5 runs the production simulation behind Figure 5 and the
-// Section 6 split, reporting the headline percentages and Figure 5 itself
-// as metrics: the average latency of the queries that loaded nothing
-// (ms@nodisk) and of each log2 bucket of data loaded from disk
-// (ms@[lo,hi)MB).
+// BenchmarkFigure5 replays drill-down sessions on the query logs saved
+// with zippy and opened with Open under a quarter of their resident bytes,
+// with a 32 MiB result cache, and reports the Section 6 split of records
+// (skipped%, cached%, scanned%), the share of queries that read nothing
+// from disk (nodisk%), and Figure 5 itself: the mean latency of those
+// queries (ms@nodisk) and of each log2 bucket of the bytes a query read
+// from disk (ms@[lo,hi)KB; at this scale a query reads KB, not MB). Every
+// iteration saves and opens the store afresh, so the counted metrics
+// repeat exactly.
 func BenchmarkFigure5(b *testing.B) {
-	var rep *prodsim.Report
-	var err error
+	setup := newSection6(b, 50_000, 1000, 2012, 2, 5, 10)
+	var run section6Run
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = prodsim.Run(prodsim.Config{
-			Rows: 50_000, Servers: 2, Sessions: 2, ClicksPerSession: 5,
-			QueriesPerClick: 10, Seed: 2012,
-			Store: colstore.Options{
-				PartitionFields:  []string{"country", "table_name"},
-				MaxChunkRows:     1000,
-				OptimizeElements: true,
-			},
-			EvictProb: 0.15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		b.StopTimer()
+		dir := setup.save(b)
+		b.StartTimer()
+		run = setup.replay(b, dir, setup.resident/4, 0)
 	}
-	b.ReportMetric(rep.SkippedPct, "skipped%")
-	b.ReportMetric(rep.CachedPct, "cached%")
-	b.ReportMetric(rep.ScannedPct, "scanned%")
-	b.ReportMetric(rep.NoDiskPct, "nodisk%")
-	for _, bk := range rep.Buckets {
-		unit := "ms@nodisk"
-		if bk.Log2MB >= 0 {
-			unit = fmt.Sprintf("ms@[%d,%d)MB", 1<<bk.Log2MB, 1<<(bk.Log2MB+1))
-		}
-		b.ReportMetric(float64(bk.AvgLatency.Microseconds())/1000, unit)
+	b.StopTimer()
+	skipped, cached, scanned := run.split()
+	b.ReportMetric(skipped, "skipped%")
+	b.ReportMetric(cached, "cached%")
+	b.ReportMetric(scanned, "scanned%")
+	b.ReportMetric(run.noDiskPct(), "nodisk%")
+	sum := map[string]time.Duration{}
+	count := map[string]int{}
+	for i, lat := range run.latency {
+		unit := figure5Unit(run.disk[i])
+		sum[unit] += lat
+		count[unit]++
+	}
+	for unit, n := range count {
+		b.ReportMetric(float64((sum[unit]/time.Duration(n)).Microseconds())/1000, unit)
+	}
+}
+
+// figure5Unit names the Figure 5 bar of a query that read bytes from
+// disk: nodisk, or the log2 bucket in KB that holds bytes.
+func figure5Unit(bytes int64) string {
+	switch kb := bits.Len64(uint64(bytes) >> 10); {
+	case bytes == 0:
+		return "ms@nodisk"
+	case kb == 0:
+		return "ms@[0,1)KB"
+	default:
+		return fmt.Sprintf("ms@[%d,%d)KB", 1<<(kb-1), 1<<kb)
 	}
 }
 
@@ -706,43 +720,6 @@ func BenchmarkResultCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkClick is the headline: one mouse click = 20 drill-down queries
-// over a replicated cluster; cells/second is the reported metric.
-func BenchmarkClick(b *testing.B) {
-	tbl := dataset(b)
-	c, err := cluster.NewLocal(tbl, cluster.Options{
-		Shards: 4, Replicas: 2,
-		Store: colstore.Options{
-			PartitionFields:  []string{"country", "table_name"},
-			MaxChunkRows:     5000,
-			OptimizeElements: true,
-		},
-		Engine: exec.Options{ResultCacheBytes: 32 << 20},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	clicks := workload.DrillDownSession(tbl, workload.SessionSpec{Seed: 2012, Clicks: 2, QueriesPerClick: 20})
-	b.ResetTimer()
-	var cells int64
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		click := clicks[i%len(clicks)]
-		start := time.Now()
-		for _, q := range click.Queries {
-			res, err := c.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cells += res.Stats.CellsCovered
-		}
-		elapsed += time.Since(start)
-	}
-	if elapsed > 0 {
-		b.ReportMetric(float64(cells)/elapsed.Seconds(), "cells/s")
-	}
 }
 
 // BenchmarkParallelScan measures the parallel chunk-execution pipeline on a

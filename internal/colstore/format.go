@@ -312,8 +312,7 @@ func dictFrames(d dict.Dict, kind value.Kind, emit func(raw []byte, count int)) 
 	}
 }
 
-// DiskStats reports how many bytes Open read, the quantity Figure 5's
-// latency model charges.
+// DiskStats reports how many bytes Open read.
 type DiskStats struct {
 	BytesRead int64
 	Files     int

@@ -44,8 +44,7 @@ type Reader struct {
 
 // NewReader opens the manifest in dir, which must be of the current format
 // generation (an older one is refused with an *OldFormatError).
-// manifestBytes reports the bytes read, the quantity Figure 5's latency
-// model charges.
+// manifestBytes reports the bytes read.
 func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 	m, n, err := readManifest(dir)
 	if err != nil {

@@ -126,7 +126,8 @@ type QueryStats struct {
 	// ColdBytesLoaded sums the resident bytes of those cold loads.
 	ColdBytesLoaded int64 `json:"cold_bytes_loaded"`
 	// DiskBytesRead sums their on-disk (compressed) bytes — the quantity
-	// Figure 5's latency model charges.
+	// BenchmarkFigure5 buckets this query's latency by (the paper's
+	// Figure 5, latency by bytes loaded from disk).
 	DiskBytesRead int64 `json:"disk_bytes_read"`
 	// ChecksumVerified / ChecksumFailed count this query's cold loads
 	// that passed / failed CRC32C verification. A nonzero failure count
