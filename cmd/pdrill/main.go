@@ -342,7 +342,7 @@ func runQuery(args []string) error {
 		printResult(res)
 		warmth := "warm"
 		if res.Stats.ColdLoads > 0 {
-			warmth = fmt.Sprintf("cold: %d columns (%d chunks, %d dicts), %.2f MB from disk in %d runs",
+			warmth = fmt.Sprintf("cold: %d columns (%d chunks, %d dictionary entries), %.2f MB from disk in %d runs",
 				res.Stats.ColdLoads, res.Stats.ColdChunkLoads, res.Stats.ColdDictLoads,
 				float64(res.Stats.DiskBytesRead)/1e6, res.Stats.ReadRuns)
 		}

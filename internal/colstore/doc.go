@@ -45,14 +45,17 @@
 //
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
-// unit is the (column, chunk) pair plus, per column, one entry for its
-// global dictionary and one for its layout: the index is paged through the
-// budget like the data.
+// unit is the (column, chunk) pair plus, per column, its layout and its
+// global dictionary: the index is paged through the budget like the data,
+// and under a budget so is a string dictionary, one entry per frame
+// (paged.go; Section 5's sub-dictionaries), where any other dictionary is
+// one entry.
 // Reader is the decoding layer underneath: LoadColumnDict reads a
 // dictionary's frames and LoadColumnChunk one chunk record, each at its
 // exact byte range through a bounded handle cache; ReadChunkRuns serves
-// contiguous cold chunks with one read per byte run; and PinSet.Values
-// reads only the dictionary frames that hold the ids it looks up. IOStats counts the physical work. A PinSet's
+// contiguous cold chunks with one read per byte run; and a paged
+// dictionary, or PinSet.Values, reads only the dictionary frames that
+// hold the values it looks up. IOStats counts the physical work. A PinSet's
 // cold loads read into one buffer the set owns and reuses, and decompress
 // into one more for its dictionaries and one per chunk decode worker
 // (PinChunks), all dropped at Release; the exported Reader methods
@@ -81,8 +84,9 @@
 // # The PinSet-first contract
 //
 // Query execution must access lazy columns through a PinSet: it pins
-// every dictionary and chunk the query touches from first touch until
-// Release, carries load errors, and counts per-query cold loads. The
+// every dictionary, dictionary frame and chunk the query touches from
+// first touch until Release, carries load errors — a frame load that a
+// lookup meets is kept for Err — and counts per-query cold loads. The
 // convenience accessor Store.Column cannot report why a load failed (it
 // returns nil; Store.ColumnErr surfaces the error) and leaves data
 // unpinned — it exists for resident stores, tooling and tests. Engine

@@ -40,7 +40,7 @@ func buildSparseStore(t testing.TB, rows int, codec string) (*Store, string) {
 // TestV4DictSubFramingRoundTrip pins the framed read of a string
 // dictionary, with a codec and without: on a lazily opened store under a
 // budget, a point lookup reads and verifies exactly the frame that holds
-// its id, and a full load resolves every id to the value of the
+// its id, which leaves nothing resident once released, and a full load resolves every id to the value of the
 // dictionary it was saved from.
 func TestV4DictSubFramingRoundTrip(t *testing.T) {
 	for _, codec := range []string{"", "zippy"} {
@@ -53,7 +53,8 @@ func subFramingRoundTrip(t *testing.T, codec string) {
 	built, dir := buildSparseStore(t, 40000, codec)
 	want := built.Column("tag").Dict
 
-	tight, _, err := OpenLazy(dir, memmgr.New(1, ""))
+	mgr := memmgr.New(1, "")
+	tight, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,16 @@ func subFramingRoundTrip(t *testing.T, codec string) {
 	if vals[0] != want.Value(id) {
 		t.Fatalf("id %d is %v, want %v", id, vals[0], want.Value(id))
 	}
-	if ps.DiskBytesRead != frames[frame].len || ps.ChecksumVerified != 1 || ps.ColdBytesLoaded != 0 {
-		t.Fatalf("point lookup read %d bytes, verified %d records and admitted %d bytes; want frame %d's %d bytes, 1 and 0",
-			ps.DiskBytesRead, ps.ChecksumVerified, ps.ColdBytesLoaded, frame, frames[frame].len)
+	if ps.DiskBytesRead != frames[frame].len || ps.ChecksumVerified != 1 || ps.ColdDictLoads != 1 {
+		t.Fatalf("point lookup read %d bytes, verified %d records and loaded %d entries; want frame %d's %d bytes, 1 and 1",
+			ps.DiskBytesRead, ps.ChecksumVerified, ps.ColdDictLoads, frame, frames[frame].len)
 	}
+	// The frame is admitted pinned, past the budget, and dropped when the
+	// pin goes.
 	ps.Release()
+	if st := mgr.Stats(); st.ResidentBytes != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("after Release %d bytes stay resident, %d pinned, under a budget of one byte", st.ResidentBytes, st.PinnedBytes)
+	}
 
 	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {

@@ -93,6 +93,9 @@ type columnLayout struct {
 	rec              []byte
 	frameAt, chunkAt []uint32
 	spans            []ChunkSpan
+	// base[i] is the first global-id of frame i, base[numFrames] the
+	// dictionary's length: what a paged dictionary finds an id's frame by.
+	base []uint32
 }
 
 // numFrames and numChunks count the layout's entries.
@@ -128,7 +131,7 @@ func (l *columnLayout) at(off uint32) indexReader {
 // record and the slices beside it.
 func (l *columnLayout) memoryBytes() int64 {
 	return int64(unsafe.Sizeof(*l)) + int64(cap(l.rec)) +
-		int64(cap(l.frameAt)+cap(l.chunkAt))*int64(unsafe.Sizeof(uint32(0))) +
+		int64(cap(l.frameAt)+cap(l.chunkAt)+cap(l.base))*int64(unsafe.Sizeof(uint32(0))) +
 		int64(cap(l.spans))*int64(unsafe.Sizeof(ChunkSpan{}))
 }
 
@@ -182,7 +185,8 @@ func decodeLayout(rec []byte) (*columnLayout, error) {
 	}
 	r := &indexReader{byteReader: byteReader{buf: rec}}
 	l := &columnLayout{rec: rec[:len(rec):len(rec)]}
-	if n := r.count(minFrameEntry); n > 0 {
+	n := r.count(minFrameEntry)
+	if l.base = make([]uint32, n+1); n > 0 {
 		l.frameAt = make([]uint32, n)
 	}
 	for i := range l.frameAt {
@@ -190,7 +194,9 @@ func decodeLayout(rec []byte) (*columnLayout, error) {
 		r.int64()
 		r.int64()
 		r.int64()
-		r.bounded(math.MaxInt32)
+		if l.base[i+1] = l.base[i] + uint32(r.bounded(math.MaxInt32)); l.base[i+1] < l.base[i] {
+			r.err = errIndex // more global-ids than a uint32 numbers
+		}
 		r.crc()
 		r.bytes()
 	}

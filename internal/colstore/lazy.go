@@ -21,10 +21,11 @@ import (
 // around them.
 //
 // The unit of residency is the (column, chunk) pair plus, per column, one
-// entry for its global dictionary and one for its layout record: a
-// restricted query that scans k of n chunks pins the layouts and
-// dictionaries of its columns and the k active chunks of each column,
-// nothing else.
+// entry for its layout record and its global dictionary's entries: one per
+// frame of a string dictionary under a budget (paged.go), one for any other
+// dictionary. A restricted query that scans k of n chunks pins the layouts
+// of its columns, the dictionary frames its literals and rendered values
+// lie in, and the k active chunks of each column, nothing else.
 
 // ColumnMeta describes a persisted column without loading its data.
 type ColumnMeta struct {
@@ -77,14 +78,18 @@ type lazySource struct {
 }
 
 // colKeys name one column's residency units inside the manager: one entry
-// for its global dictionary, one for its layout record, one per chunk.
+// for its global dictionary (or one per frame), one for its layout record,
+// one per chunk.
 // They are built on the column's first pin in the store and shared by
 // every later one, so a warm pin builds no string.
 type colKeys struct {
-	virtual     bool
-	dict, index string
-	chunks      []string
+	virtual             bool
+	prefix, dict, index string
+	chunks              []string
 }
+
+// frame is the key of frame i of a paged dictionary (paged.go).
+func (k *colKeys) frame(i int) string { return k.prefix + "f" + strconv.Itoa(i) }
 
 // keysOf returns the column's residency keys, building them on first use.
 func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
@@ -95,7 +100,7 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 		return k
 	}
 	prefix := l.ns + "\x00" + meta.Name + "#"
-	k = &colKeys{virtual: meta.Virtual, dict: prefix + "dict", index: prefix + "index", chunks: make([]string, chunks)}
+	k = &colKeys{virtual: meta.Virtual, prefix: prefix, dict: prefix + "dict", index: prefix + "index", chunks: make([]string, chunks)}
 	for ci := range k.chunks {
 		k.chunks[ci] = prefix + strconv.Itoa(ci)
 	}
@@ -117,9 +122,10 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 // (AddVirtualColumnPinned). mgr may be shared across stores (e.g. all
 // shards of a leaf process share one budget).
 //
-// Residency is chunk-granular: the manager tracks one entry per global
-// dictionary, one per index record and one per (column, chunk) pair, so a
-// restricted query pins only the chunks it scans. A store of an older
+// Residency is chunk-granular: the manager tracks one entry per string
+// dictionary frame or other global dictionary, one per index record and
+// one per (column, chunk) pair, so a restricted query pins only the chunks
+// it scans. A store of an older
 // format generation is refused with an *OldFormatError (errors.Is
 // ErrOldFormat); Upgrade converts it.
 func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {

@@ -40,7 +40,9 @@ type PinSet struct {
 	// ColdChunkLoads counts individual (column, chunk) entries this set
 	// cold-loaded.
 	ColdChunkLoads int64
-	// ColdDictLoads counts global dictionaries this set cold-loaded.
+	// ColdDictLoads counts the dictionary entries this set cold-loaded: a
+	// whole dictionary, or one frame of a paged one, counts one, and so
+	// does a walk of a numeric dictionary's frames (Values).
 	ColdDictLoads int64
 	// ColdBytesLoaded sums the resident bytes of all cold loads.
 	ColdBytesLoaded int64
@@ -67,6 +69,8 @@ type PinSet struct {
 	decode []loadBufs
 	// warm is PinChunks' scratch, reused by each call.
 	warm warmScratch
+	// err is the first frame load that failed (Err).
+	err error
 }
 
 // warmScratch holds one PinChunks call's work: for the column at hand, its
@@ -184,9 +188,13 @@ func (p *PinSet) ChunkSpans(name string) ([]ChunkSpan, error) {
 	return h.layout.spans, nil
 }
 
-// ensureDict pins the column's global dictionary into the view, loading
-// it from disk if it is cold.
+// ensureDict gives the view its global dictionary: a paged one's view,
+// which loads nothing yet, or a whole one pinned, loaded from disk if it is
+// cold.
 func (p *PinSet) ensureDict(h *heldPin) error {
+	if p.pagedDictOf(h) != nil {
+		return nil
+	}
 	return p.admitDict(h, func() (dict.Dict, int64, error) {
 		return p.s.lazy.reader.readDict(h.mc, h.layout, h.view.Kind, &p.bufs)
 	})
@@ -251,7 +259,8 @@ func (p *PinSet) admitChunk(h *heldPin, ci int, ch *Chunk, disk int64) error {
 }
 
 // Column returns the named column fully pinned: dictionary plus every
-// chunk. Registry-resident columns (fully resident stores, unpersisted
+// chunk, and the frames of a paged dictionary that the chunks' ids lie
+// in. Registry-resident columns (fully resident stores, unpersisted
 // virtual columns) need no pin and pass straight through; persisted
 // virtual columns pin like physical ones. Unknown columns are an error.
 // Use ColumnChunks when the query will only scan a subset of the chunks.
@@ -259,13 +268,19 @@ func (p *PinSet) Column(name string) (*Column, error) {
 	if _, err := p.ColumnDict(name); err != nil {
 		return nil, err
 	}
-	return p.ColumnChunks(name, nil)
+	c, err := p.ColumnChunks(name, nil)
+	if err == nil {
+		err = p.PinChunkFrames(name, nil)
+	}
+	return c, err
 }
 
 // ColumnDict returns a view of the named column with only its global
-// dictionary pinned — enough to look up restriction literals and decode
-// group keys, but with no chunk data. On a resident store it degrades to
-// the full column.
+// dictionary — enough to look up restriction literals and decode group
+// keys, but with no chunk data. A dictionary paged by frame (paged.go)
+// pins each frame on the set's goroutine as a lookup first reads it; any
+// other is pinned whole. On a resident store it degrades to the full
+// column.
 func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return c, nil
@@ -451,10 +466,11 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 }
 
 // Values returns the values of the global-ids in the named column's
-// dictionary, in the order of gids, without pinning the dictionary unless
-// loading it is free — the lookup a row scan renders its winners with. A
-// dictionary the set holds, or the manager holds resident, answers from
-// memory. A cold one is admitted as ColumnDict would when the manager can
+// dictionary, in the order of gids — the lookup a row scan renders its
+// winners with. A dictionary paged by frame pins just the frames that hold
+// them, in frame order, the cold ones read in coalesced runs. Any other is
+// not pinned unless loading it is free: one the set holds, or the manager
+// holds resident, answers from memory. A cold one is admitted as ColumnDict would when the manager can
 // hold it without evicting anything (always, without a budget), which the
 // frame index tells without reading anything. Otherwise only the frames
 // that hold the wanted ids are read, CRC-verified and decompressed like
@@ -472,6 +488,11 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	h, err := p.ensure(name)
 	if err != nil {
 		return nil, err
+	}
+	if pd := p.pagedDictOf(h); pd != nil {
+		if err := p.pinIDs(pd, gids); err != nil {
+			return nil, err
+		}
 	}
 	if !h.dict {
 		var resident [1]any

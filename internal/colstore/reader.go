@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -204,10 +205,7 @@ func (r *Reader) readDict(mc manifestCol, lay *columnLayout, kind value.Kind, bu
 		var raw []byte
 		fr := lay.frame(i)
 		if raw, err = r.rawRecord(recs[i], fr.raw, bufs); err == nil {
-			br := &byteReader{buf: raw}
-			if err = b.frame(br, uint64(fr.count)); err == nil {
-				err = frameEnd(br)
-			}
+			err = b.readFrame(raw, uint64(fr.count))
 		}
 	}
 	if err == nil {
@@ -217,6 +215,45 @@ func (r *Reader) readDict(mc manifestCol, lay *columnLayout, kind value.Kind, bu
 		return nil, 0, fmt.Errorf("colstore: column %q: %w", mc.Name, err)
 	}
 	return d, n, nil
+}
+
+// stringFrame decodes frame i of a string dictionary alone from its file
+// bytes, decompressing into bufs — a paged dictionary's frame. Beside what
+// a decode of the whole dictionary refuses of the frame, it refuses one
+// that does not start at the layout's first value for it, or reaches the
+// next frame's: what keeps frames read apart in one strict order.
+func (r *Reader) stringFrame(mc manifestCol, lay *columnLayout, i int, rec []byte, bufs *loadBufs) (*dict.StringArray, error) {
+	fr := lay.frame(i)
+	raw, err := r.rawRecord(rec, fr.raw, bufs)
+	var f *dict.StringArray
+	if err == nil {
+		f, err = decodeStringFrame(raw, uint64(fr.count))
+	}
+	if err == nil && (f.StringAt(0) != string(fr.first) ||
+		i+1 < lay.numFrames() && f.StringAt(uint32(f.Len()-1)) >= string(lay.frame(i+1).first)) {
+		err = errors.New("values do not lie between the layout's first values")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("colstore: column %q dictionary frame %d: %w", mc.Name, i, err)
+	}
+	return f, nil
+}
+
+// decodeStringFrame decodes one string dictionary frame of n values alone,
+// refusing what a decode of the whole dictionary refuses of it.
+func decodeStringFrame(raw []byte, n uint64) (*dict.StringArray, error) {
+	b, err := newDictBuilder(value.KindString, n, len(raw))
+	if err == nil {
+		err = b.readFrame(raw, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d, err := b.dict(StringDictArray)
+	if err != nil {
+		return nil, err
+	}
+	return d.(*dict.StringArray), nil
 }
 
 // readFrames reads frames idx (ascending) of a column's dictionary into
@@ -486,8 +523,12 @@ func (r *Reader) IndexBytes(name string) (int64, error) {
 }
 
 // RecordRange is the byte range [Off, Off+Len) of one record in a column
-// file.
-type RecordRange struct{ Off, Len int64 }
+// file, and for a dictionary frame the number of values it holds: frame i
+// holds the global-ids from the sum of the counts of those before it.
+type RecordRange struct {
+	Off, Len int64
+	Values   int
+}
 
 // ColumnRecords returns the path of the named column's file, relative to
 // the store directory, and the byte ranges of its dictionary frames and of
@@ -499,11 +540,11 @@ func (r *Reader) ColumnRecords(name string) (file string, frames, chunks []Recor
 	}
 	for i := range lay.numFrames() {
 		fr := lay.frame(i)
-		frames = append(frames, RecordRange{fr.off, fr.len})
+		frames = append(frames, RecordRange{fr.off, fr.len, fr.count})
 	}
 	for i := range lay.numChunks() {
 		off, n := lay.chunk(i).fileRange(r.m.Codec != "")
-		chunks = append(chunks, RecordRange{off, n})
+		chunks = append(chunks, RecordRange{Off: off, Len: n})
 	}
 	return mc.File, frames, chunks, nil
 }
@@ -593,12 +634,23 @@ func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 // kind. The frame is not trusted, and a walk refuses exactly the frames a
 // decode refuses (dictBuilder): a value past the frame's end, bytes after
 // its last value, and values that do not ascend strictly within it — and
-// an id of want past the last value.
+// an id of want past the last value. A string frame is decoded as a paged
+// dictionary's frame is.
 func walkFrame(raw []byte, kind value.Kind, n uint64, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
 	r := &byteReader{buf: raw}
 	switch kind {
 	case value.KindString:
-		strs, err = walkStrings(r, n, want)
+		var f *dict.StringArray
+		if f, err = decodeStringFrame(raw, n); err != nil {
+			return nil, nil, nil, err
+		}
+		for _, id := range want {
+			if int(id) >= f.Len() {
+				break
+			}
+			strs = append(strs, f.StringAt(id))
+		}
+		return strs, nil, nil, checkWant(want, len(strs))
 	case value.KindInt64:
 		ints, err = walkNumbers[int64](r, n, want, nil)
 	case value.KindFloat64:
@@ -618,33 +670,6 @@ func frameEnd(r *byteReader) error {
 		return fmt.Errorf("colstore: dictionary frame has %d bytes after its values", len(r.buf)-r.off)
 	}
 	return nil
-}
-
-// walkStrings reads n length-prefixed values for walkFrame, keeping the
-// values at the ids in want as strings of their own. It refuses what a
-// decode refuses: values must ascend strictly.
-func walkStrings(r *byteReader, n uint64, want []uint32) ([]string, error) {
-	if n > uint64(len(r.buf)-r.off) {
-		return nil, errTruncated
-	}
-	out := make([]string, 0, len(want))
-	next := 0
-	var prev []byte
-	err := eachString(r, n, func(i int, b []byte) error {
-		if i > 0 && string(prev) >= string(b) {
-			return fmt.Errorf("colstore: string dictionary does not ascend strictly at %d", i)
-		}
-		prev = b
-		if next < len(want) && want[next] == uint32(i) {
-			out = append(out, string(b))
-			next++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, checkWant(want, next)
 }
 
 // eachString reads the n length-prefixed values of a string dictionary
@@ -699,6 +724,15 @@ func newDictBuilder(kind value.Kind, n uint64, rawLen int) (*dictBuilder, error)
 		return nil, fmt.Errorf("invalid kind %v", kind)
 	}
 	return b, nil
+}
+
+// readFrame reads a whole frame of n values from raw.
+func (b *dictBuilder) readFrame(raw []byte, n uint64) error {
+	r := &byteReader{buf: raw}
+	if err := b.frame(r, n); err != nil {
+		return err
+	}
+	return frameEnd(r)
 }
 
 // frame reads the next frame's n values from r, refusing a value that

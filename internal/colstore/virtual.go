@@ -41,6 +41,7 @@ import (
 	"syscall"
 
 	"powerdrill/internal/compress"
+	"powerdrill/internal/dict"
 	"powerdrill/internal/value"
 )
 
@@ -322,14 +323,25 @@ func (p *PinSet) adoptVirtual(col *Column) (*Column, error) {
 	}
 	src := p.s.lazy
 	keys := src.keysOf(ColumnMeta{Name: name, Kind: col.Kind, Virtual: true}, p.s.NumChunks())
-	h := &heldPin{view: col, chunks: make([]bool, p.s.NumChunks()), dict: true, keys: keys}
+	h := &heldPin{view: col, chunks: make([]bool, p.s.NumChunks()), keys: keys}
 	if err := p.pinLayout(h); err != nil {
 		return nil, err
 	}
-	dictSize := col.Dict.MemoryBytes()
-	ld := src.mgr.Insert(keys.dict, &loadedDict{d: col.Dict, size: dictSize}, dictSize, true).(*loadedDict)
-	col.Dict = ld.d
-	p.keys = append(p.keys, keys.dict)
+	if built := col.Dict; p.pagedDictOf(h) == nil {
+		p.holdDict(h, src.mgr.Insert(keys.dict, &loadedDict{d: built, size: built.MemoryBytes()}, built.MemoryBytes(), true).(*loadedDict).d)
+	} else {
+		// Paged by frame: each frame is cut from the built dictionary.
+		d, sd := col.Dict.(*pagedDict), built.(dict.StringDict)
+		for i := range d.frames {
+			vals := make([]string, d.base[i+1]-d.base[i])
+			for j := range vals {
+				vals[j] = sd.StringAt(d.base[i] + uint32(j))
+			}
+			f := dict.NewStringArray(vals)
+			key := keys.frame(i)
+			p.holdFrame(d, i, key, src.mgr.Insert(key, &loadedDict{d: f, size: f.MemoryBytes()}, f.MemoryBytes(), true).(*loadedDict))
+		}
+	}
 	for ci, ch := range col.Chunks {
 		key := keys.chunks[ci]
 		size := ch.MemoryElements() + ch.MemoryChunkDict()

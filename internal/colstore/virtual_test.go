@@ -118,7 +118,8 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 // TestVirtualSidecarExactColdReads checks that a persisted virtual column
 // on a per-record-compressed store serves single-chunk cold loads by exact
 // byte range, like any physical column: one pinned chunk is charged
-// exactly its compressed record plus the dictionary's frames.
+// exactly its compressed record plus the dictionary's frames, each one
+// cold dictionary entry.
 func TestVirtualSidecarExactColdReads(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
 	warm, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
@@ -145,12 +146,15 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	if _, err := ps.ColumnChunks("upper(country)", active); err != nil {
 		t.Fatal(err)
 	}
+	if err := ps.PinChunkFrames("upper(country)", active); err != nil {
+		t.Fatal(err)
+	}
 	want := lay.chunk(0).clen + lay.dictFileLen()
 	if ps.DiskBytesRead != want {
 		t.Fatalf("one virtual chunk + dict charged %d bytes, want exact records %d", ps.DiskBytesRead, want)
 	}
-	if ps.ColdChunkLoads != 1 || ps.ColdDictLoads != 1 {
-		t.Fatalf("cold loads = %d chunks / %d dicts, want 1/1", ps.ColdChunkLoads, ps.ColdDictLoads)
+	if ps.ColdChunkLoads != 1 || ps.ColdDictLoads != int64(lay.numFrames()) {
+		t.Fatalf("cold loads = %d chunks / %d dictionary frames, want 1/%d", ps.ColdChunkLoads, ps.ColdDictLoads, lay.numFrames())
 	}
 }
 

@@ -67,6 +67,36 @@ func findGEByProbe(d Dict, v value.Value) uint32 {
 	}))
 }
 
+// Hashes writes Hash(id) of each of ids, which ascend, into dst — through
+// the dictionary's own batch form when it has one: a dictionary paged by
+// frame finds each frame once, not once per id.
+func Hashes(d Dict, ids []uint32, dst []uint64) {
+	if b, ok := d.(batchDict); ok {
+		b.Hashes(ids, dst)
+		return
+	}
+	for i, id := range ids {
+		dst[i] = d.Hash(id)
+	}
+}
+
+// Load readies the values of ids to be read on this goroutine, through the
+// dictionary's own Load when it has one: a dictionary paged by frame loads
+// the frames that hold them at once, rather than each as it is first read.
+// Any other holds every value already.
+func Load(d Dict, ids []uint32) {
+	if b, ok := d.(batchDict); ok {
+		b.Load(ids)
+	}
+}
+
+// batchDict is a dictionary whose values are read in batches: one paged by
+// frame (internal/colstore).
+type batchDict interface {
+	Hashes(ids []uint32, dst []uint64)
+	Load(ids []uint32)
+}
+
 // StringDict is a string dictionary's zero-copy accessor: StringAt
 // returns the value with the given rank without boxing or copying it. The
 // string may share memory with the dictionary, so it is for code that

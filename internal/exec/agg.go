@@ -66,6 +66,9 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 		w.begin(p)
 	}
 	wqs := make([]QueryStats, workers)
+	if e.resultCache != nil {
+		p.fresh = make([]*groupSet, nChunks)
+	}
 	forEachChunk(nChunks, workers, nil, func(w, ci int) error {
 		e.scanChunk(p, ci, nCols, &wqs[w], ws[w])
 		return nil
@@ -77,6 +80,19 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 		qs.Add(wqs[w])
 	}
 	return mergeTables(p, ws), qs, nil
+}
+
+// finish fails a query whose answer met a dictionary frame that failed to
+// load (PinSet.Err), and otherwise puts the partials of the fully active
+// chunks its scan aggregated into the result cache, in chunk order: a query
+// that fails caches nothing.
+func (e *Engine) finish(p *plan, ps *colstore.PinSet) error {
+	for ci, part := range p.fresh {
+		if part != nil && ps.Err() == nil {
+			e.resultCache.Put(cacheKey(ci, p), part, part.sizeBytes())
+		}
+	}
+	return ps.Err()
 }
 
 // scanStats starts a scan's counters with what is known before it runs:
@@ -133,8 +149,7 @@ func (e *Engine) scanChunk(p *plan, ci int, nCols int64, qs *QueryStats, w *scan
 	}
 	e.aggregateChunk(p, ci, mask, &w.chunkAggCtx)
 	if key != "" {
-		part := w.newPartial(p)
-		e.resultCache.Put(key, part, part.sizeBytes())
+		p.fresh[ci] = w.newPartial(p)
 	}
 	w.table.add(w.groupGIDs, w.present, w.counts, w.dense, ci)
 	qs.ChunksScanned++
@@ -634,8 +649,12 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 			}
 		case aggCountDistinct:
 			hs := resized(c.argHash[j], len(ach.GlobalIDs))
-			for i, gid := range ach.GlobalIDs {
-				hs[i] = distinctOffer(e, acol.Dict, gid)
+			if e.opts.ExactDistinct {
+				for i, gid := range ach.GlobalIDs {
+					hs[i] = uint64(gid)
+				}
+			} else {
+				dict.Hashes(acol.Dict, ach.GlobalIDs, hs)
 			}
 			c.argHash[j] = hs
 		}

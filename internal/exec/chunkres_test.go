@@ -59,7 +59,7 @@ func chunksContaining(t *testing.T, s *colstore.Store, column, val string) int64
 // TestChunkGranularExactColdLoads is the acceptance test of chunk-granular
 // residency: a restricted query whose restriction selects k of n chunks
 // must cold-load exactly the k active chunks of each column it touches
-// (plus one dictionary per column), under a tight budget, with results
+// (plus the dictionary frames that hold its literal and its groups), under a tight budget, with results
 // bit-for-bit identical to an unbudgeted fully resident store.
 func TestChunkGranularExactColdLoads(t *testing.T) {
 	dir := savedReorderedStore(t, 6000, "")
@@ -83,7 +83,7 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	lazy := New(lazyStore, Options{Parallelism: 2})
 
 	// One restriction column, one group column: the query touches exactly
-	// two columns, so the k active chunks cost 2k chunk loads + 2 dicts.
+	// two columns, so the k active chunks cost 2k chunk loads.
 	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name ORDER BY c DESC, table_name ASC;`
 	want, err := eager.Query(q)
 	if err != nil {
@@ -106,8 +106,15 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 		t.Fatalf("cold chunk loads = %d, want exactly 2k = %d (k=%d of %d chunks)",
 			st.ColdChunkLoads, 2*k, k, n)
 	}
-	if st.ColdDictLoads != 2 {
-		t.Fatalf("cold dict loads = %d, want 2 (country + table_name)", st.ColdDictLoads)
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	frames, _ := framesHolding(t, r, eagerStore, "country", []value.Value{value.String("de")})
+	groups, _ := framesHolding(t, r, eagerStore, "table_name", columnValues(want, 0))
+	if st.ColdDictLoads != frames+groups {
+		t.Fatalf("cold dict loads = %d, want %d frames of country and table_name", st.ColdDictLoads, frames+groups)
 	}
 	if st.ColdLoads != 2 {
 		t.Fatalf("cold columns = %d, want 2", st.ColdLoads)
@@ -123,14 +130,11 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 		t.Fatalf("warm repeat cold-loaded: %+v", warm.Stats)
 	}
 
-	// The manager held exactly the active working set: 2 layouts, 2 dicts
-	// and 2k chunks.
+	// The manager held exactly the active working set: 2 layouts, the
+	// dictionary frames and 2k chunks.
 	ms := mgr.Stats()
-	if ms.ColdLoads != 2*k+4 {
-		t.Fatalf("manager cold loads = %d, want %d", ms.ColdLoads, 2*k+4)
-	}
-	if int64(ms.ResidentItems) != 2*k+4 {
-		t.Fatalf("resident items = %d, want %d", ms.ResidentItems, 2*k+4)
+	if want := 2*k + 2 + frames + groups; ms.ColdLoads != want || int64(ms.ResidentItems) != want {
+		t.Fatalf("manager cold loads = %d, resident items = %d, want %d", ms.ColdLoads, ms.ResidentItems, want)
 	}
 }
 

@@ -31,10 +31,49 @@ func activeChunkIndices(t *testing.T, s *colstore.Store, column, val string) []i
 	return idx
 }
 
+// framesHolding returns how many of the named column's dictionary frames
+// hold the values, and their file bytes, from the store's layout at r: the
+// frame entries a lazy lookup of those values loads.
+func framesHolding(t *testing.T, r *colstore.Reader, s *colstore.Store, column string, vals []value.Value) (n, disk int64) {
+	t.Helper()
+	_, frames, _, err := r.ColumnRecords(column)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.Column(column).Dict
+	held := map[int]bool{}
+	for _, v := range vals {
+		id, ok := d.Lookup(v)
+		if !ok {
+			t.Fatalf("%s: no value %v", column, v)
+		}
+		for i, base := 0, 0; i < len(frames); i++ {
+			if base += frames[i].Values; int(id) < base {
+				if !held[i] {
+					held[i] = true
+					n++
+					disk += frames[i].Len
+				}
+				break
+			}
+		}
+	}
+	return n, disk
+}
+
+// columnValues returns column k of the result's rows.
+func columnValues(res *Result, k int) []value.Value {
+	out := make([]value.Value, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = row[k]
+	}
+	return out
+}
+
 // TestChunkCompressedExactColdReads is the acceptance test of per-chunk
 // compression: on a codec-compressed store, a restriction selecting k of n
 // chunks must cold-read EXACTLY the k active chunks' compressed byte
-// ranges plus the two dictionaries — DiskBytesRead proportional to k, not
+// ranges plus the dictionary frames that hold the literal and the groups — DiskBytesRead proportional to k, not
 // to the column file size — with contiguous chunks coalesced into fewer
 // read runs than chunk loads, and results bit-for-bit identical to the
 // fully resident store. The counterpart of PR 3's
@@ -61,11 +100,6 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	}
 	var wantDisk int64
 	for _, col := range []string{"country", "table_name"} {
-		dlen, err := r.DictFileLen(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDisk += dlen
 		for _, ci := range active {
 			_, clen, err := r.ChunkFileRange(col, ci)
 			if err != nil {
@@ -101,8 +135,13 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	if st.ColdChunkLoads != 2*k {
 		t.Fatalf("cold chunk loads = %d, want exactly 2k = %d", st.ColdChunkLoads, 2*k)
 	}
-	if st.ColdDictLoads != 2 {
-		t.Fatalf("cold dict loads = %d, want 2", st.ColdDictLoads)
+	// And the dictionary frames that hold the literal and the rendered
+	// groups: one per frame.
+	frames, frameDisk := framesHolding(t, r, eagerStore, "country", []value.Value{value.String("de")})
+	groups, groupDisk := framesHolding(t, r, eagerStore, "table_name", columnValues(want, 0))
+	wantDisk += frameDisk + groupDisk
+	if st.ColdDictLoads != frames+groups {
+		t.Fatalf("cold dict loads = %d, want %d frames", st.ColdDictLoads, frames+groups)
 	}
 	if st.DiskBytesRead != wantDisk {
 		t.Fatalf("disk bytes read = %d, want the exact active ranges = %d", st.DiskBytesRead, wantDisk)

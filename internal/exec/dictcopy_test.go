@@ -18,10 +18,10 @@ import (
 // A lazy store on the bench layout (partitioned on country and table_name,
 // 2 000-row chunks, zippy, a quarter of its resident size as the budget)
 // answers two drill-down sessions while every row is kept, and
-// table_name's dictionary is evicted and reloaded between queries. After
-// each query the test records the block of the table_name dictionary the
-// query rendered from, and holds it so that its addresses are not reused;
-// afterwards, no kept string lies inside any recorded block.
+// table_name's dictionary frames are evicted and reloaded between queries.
+// After each query the test records the blocks of the table_name
+// dictionary — one per frame — and holds them so that their addresses are
+// not reused; afterwards, no kept string lies inside any recorded block.
 func TestRetainedRowsDoNotPinDictionaries(t *testing.T) {
 	tbl := workload.QueryLogs(workload.LogsSpec{Rows: 50000, Seed: 1})
 	built, err := colstore.FromTable(tbl, colstore.Options{
@@ -59,12 +59,25 @@ func TestRetainedRowsDoNotPinDictionaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The dictionary's values lie end to end in one block per frame:
+		// a run of values each starting where the one before ends.
 		d := col.Dict.(dict.StringDict)
-		first, last := d.StringAt(0), d.StringAt(uint32(d.Len()-1))
-		lo := uintptr(unsafe.Pointer(unsafe.StringData(first)))
-		if !seen[lo] {
-			seen[lo] = true
-			blocks = append(blocks, block{lo, uintptr(unsafe.Pointer(unsafe.StringData(last))) + uintptr(len(last)), first})
+		var cur *block
+		for id := 0; id < d.Len(); id++ {
+			s := d.StringAt(uint32(id))
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if cur == nil || lo != cur.hi || len(s) == 0 {
+				if cur != nil && !seen[cur.lo] {
+					seen[cur.lo] = true
+					blocks = append(blocks, *cur)
+				}
+				cur = &block{lo, lo, s}
+			}
+			cur.hi = lo + uintptr(len(s))
+		}
+		if cur != nil && !seen[cur.lo] {
+			seen[cur.lo] = true
+			blocks = append(blocks, *cur)
 		}
 	}
 
@@ -81,8 +94,13 @@ func TestRetainedRowsDoNotPinDictionaries(t *testing.T) {
 			}
 		}
 	}
-	if len(blocks) < 2 {
-		t.Fatalf("table_name's dictionary was loaded into %d block(s); the budget must evict and reload it", len(blocks))
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, frames, _, err := r.ColumnRecords("table_name"); err != nil || len(blocks) <= len(frames) {
+		t.Fatalf("table_name's %d dictionary frames were loaded into %d block(s) (%v); the budget must evict and reload them", len(frames), len(blocks), err)
 	}
 	runtime.GC()
 	strs := 0

@@ -120,8 +120,9 @@ type QueryStats struct {
 	// ColdChunkLoads counts the individual (column, chunk) entries this
 	// query cold-loaded (chunk-granular lazy stores only).
 	ColdChunkLoads int64 `json:"cold_chunk_loads"`
-	// ColdDictLoads counts the global dictionaries this query cold-loaded
-	// (chunk-granular lazy stores only).
+	// ColdDictLoads counts the dictionary entries this query cold-loaded
+	// (chunk-granular lazy stores only): a whole dictionary, or one frame
+	// of a string dictionary paged by frame, counts one.
 	ColdDictLoads int64 `json:"cold_dict_loads"`
 	// ColdBytesLoaded sums the resident bytes of those cold loads.
 	ColdBytesLoaded int64 `json:"cold_bytes_loaded"`
@@ -269,6 +270,9 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := e.finish(p, ps); err != nil {
+		return nil, err
 	}
 	res.Stats = e.closeStats(qs, ps, p)
 	res.Coverage = 1
@@ -535,6 +539,9 @@ type plan struct {
 	// retrieved, by chunk index; the scan returns them without touching
 	// (never-loaded) chunk data. Read-only during execution.
 	cachedParts map[int]*groupSet
+	// fresh holds, by chunk index, the partials of the fully active chunks
+	// the scan aggregated, which finish caches.
+	fresh []*groupSet
 	// cacheSig is the chunk-independent part of the result-cache key.
 	cacheSig string
 	// sel is the restriction's selection when the memo holds it (sel.ready:
@@ -700,7 +707,8 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 		p.access(p.composite)
 	}
 	p.cacheSig = cacheSigOf(p.groupColumn(), p.aggs)
-	return p, nil
+	// A literal met a frame that failed to load: nothing may run on p.
+	return p, ps.Err()
 }
 
 // pinPlan pins the plan's access set at the chunks pruning and the cache
@@ -719,6 +727,11 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	workers := e.gate.AcquireUpTo(e.parallelism())
 	err := e.pinColumns(ps, true, names, p.pin, workers, p.cols)
 	e.gate.Release(workers)
+	for _, spec := range p.aggs {
+		if err == nil && spec.fn == aggCountDistinct && !e.opts.ExactDistinct {
+			err = ps.PinChunkFrames(spec.argCol, p.pin) // hashed on workers
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -773,12 +786,19 @@ func (e *Engine) pinColumns(ps *colstore.PinSet, dicts bool, names []string, act
 }
 
 // pinFull pins the named columns whole, dictionaries too, into views — the
-// pin of a materialization, which reads every row — decoding on workers it
+// pin of a materialization, which reads every row on workers, so with every
+// frame of a paged dictionary its chunks need — decoding on workers it
 // holds from the gate for the pin alone.
 func (e *Engine) pinFull(ps *colstore.PinSet, names []string, views map[string]*colstore.Column) error {
 	workers := e.gate.AcquireUpTo(e.parallelism())
 	defer e.gate.Release(workers)
-	return e.pinColumns(ps, true, names, nil, workers, views)
+	err := e.pinColumns(ps, true, names, nil, workers, views)
+	for _, name := range names {
+		if err == nil {
+			err = ps.PinChunkFrames(name, nil)
+		}
+	}
+	return err
 }
 
 // aggregates reports whether the scan groups by or aggregates the named

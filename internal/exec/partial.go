@@ -286,6 +286,9 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 		return nil, err
 	}
 	out.resolve()
+	if err := e.finish(p, ps); err != nil {
+		return nil, err
+	}
 	out.Stats = e.closeStats(qs, ps, p)
 	return out, nil
 }
@@ -343,6 +346,7 @@ func (c *valueColumn) resolve() {
 	default:
 		// The arena is the copy: read the dictionary in place.
 		sd := d.(dict.StringDict)
+		dict.Load(d, ids)
 		for _, id := range ids {
 			c.appendString(sd.StringAt(id))
 		}
@@ -365,6 +369,7 @@ func (e *Engine) emitPartial(p *plan, groups *groupSet) (*Partial, error) {
 			out.keys[k] = valueColumn{kind: p.groupKind[k], ids: make([]uint32, n), dict: p.col(e, p.groupCols[k]).Dict}
 		}
 		keys := p.groupCol.Dict.(dict.StringDict)
+		dict.Load(keys, groups.gids)
 		for i, gid := range groups.gids {
 			key := keys.StringAt(gid)
 			for k := range out.keys {

@@ -139,7 +139,7 @@ func (w *Writer) readout(segs []*segment) (*table.Table, error) {
 						}
 					}
 				}
-				return nil
+				return ps.Err()
 			}()
 			if err != nil {
 				return nil, err
