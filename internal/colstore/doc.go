@@ -22,7 +22,8 @@
 // Save writes a manifest.json plus one binary file per column: the
 // global dictionary cut into frames of about 4 KiB, one record per chunk,
 // then the column's layout record (index.go). It indexes every frame — its
-// byte range, raw length, value count, CRC32C and first value — and every
+// byte range, raw length, value count, CRC32C and first value (a string,
+// or a number's order-preserving key) — and every
 // chunk — its global-id span, byte range and CRC32C. That is enough to
 // decide which chunks a restriction can match by their spans (the exact
 // verdict then comes from the chunk-dictionaries of the chunks a span
@@ -36,7 +37,7 @@
 // and chunk record is encoded individually — compressed, or kept raw
 // where the codec does not shrink it below 7/8 — and its file byte range
 // recorded too, so the exact-read property holds under compression. Save
-// writes format generation 8, the one generation every reader but the
+// writes format generation 9, the one generation every reader but the
 // eager Open reads (docs/format.md); a store written by an earlier build
 // is refused with ErrOldFormat by everything except the eager Open, which
 // is what Upgrade rewrites it with (upgrade.go).
@@ -45,17 +46,16 @@
 //
 // Open loads a store eagerly; OpenLazy reads only the manifest and
 // materializes data on demand through a memmgr.Manager. The residency
-// unit is the (column, chunk) pair plus, per column, its layout and its
-// global dictionary: the index is paged through the budget like the data,
-// and under a budget so is a string dictionary, one entry per frame
-// (paged.go; Section 5's sub-dictionaries), where any other dictionary is
-// one entry.
+// unit is the (column, chunk) pair plus, per column, its layout and each
+// frame of its global dictionary: the index is paged through the budget
+// like the data, and so is every dictionary, one entry per frame, with a
+// budget or without (paged.go; Section 5's sub-dictionaries).
 // Reader is the decoding layer underneath: LoadColumnDict reads a
 // dictionary's frames and LoadColumnChunk one chunk record, each at its
 // exact byte range through a bounded handle cache; ReadChunkRuns serves
 // contiguous cold chunks with one read per byte run; and a paged
-// dictionary, or PinSet.Values, reads only the dictionary frames that
-// hold the values it looks up. IOStats counts the physical work. A PinSet's
+// dictionary reads only the dictionary frames that hold the values it
+// looks up. IOStats counts the physical work. A PinSet's
 // cold loads read into one buffer the set owns and reuses, and decompress
 // into one more for its dictionaries and one per chunk decode worker
 // (PinChunks), all dropped at Release; the exported Reader methods
@@ -84,7 +84,7 @@
 // # The PinSet-first contract
 //
 // Query execution must access lazy columns through a PinSet: it pins
-// every dictionary, dictionary frame and chunk the query touches from
+// every layout, dictionary frame and chunk the query touches from
 // first touch until Release, carries load errors — a frame load that a
 // lookup meets is kept for Err — and counts per-query cold loads. The
 // convenience accessor Store.Column cannot report why a load failed (it

@@ -19,27 +19,27 @@ import (
 // experiments (Figure 5 charges disk loads by these exact byte counts) and
 // the pdrill CLI.
 //
-// Save writes generation 8, and every reader but one reads generation 8
+// Save writes generation 9, and every reader but one reads generation 9
 // only. A column file is its global dictionary cut into frames of about
 // frameBytes raw bytes each, then one record per chunk, then its layout
 // record (index.go). The layout record indexes every frame's byte range,
-// raw length, value count and CRC32C, and every chunk's byte range,
-// global-id span and CRC32C — so a cold load reads exactly the records it
-// needs, and verifies and, with a codec, decompresses each alone: one
-// chunk, the frames of a whole dictionary, or only the frames that hold the
-// ids a lookup wants. A record the codec does not shrink below 7/8 of its
+// raw length, value count, CRC32C and first value, and every chunk's byte
+// range, global-id span and CRC32C — so a cold load reads exactly the
+// records it needs, and verifies and, with a codec, decompresses each
+// alone: one chunk, the frames of a whole dictionary, or only the frames
+// that hold the ids or the values a lookup wants. A record the codec does not shrink below 7/8 of its
 // raw length is stored raw (its file length then equals its raw length,
 // which is how readers tell), and a numeric frame is written as
 // fixed-width deltas of order-preserving keys (numdict.go). The manifest
 // keeps what is per store or per column — so its size does not grow with
 // rows — and the layout record's byte range and CRC32C. Stores written by earlier builds
-// (generations 1–7) are read by exactly one function, the eager Open,
+// (generations 1–8) are read by exactly one function, the eager Open,
 // which is all Upgrade needs to rewrite them (upgrade.go); everything else
 // refuses them with ErrOldFormat.
 
 // formatVersion is the manifest generation Save writes, and the one
 // generation every reader but the eager Open accepts.
-const formatVersion = 8
+const formatVersion = 9
 
 // frameBytes is the raw length a dictionary is cut into frames at: a frame
 // holds as many values as fit in it, and at least one. A cold lookup of a
@@ -47,7 +47,7 @@ const formatVersion = 8
 const frameBytes = 4096
 
 // ErrOldFormat is what errors.Is matches when a store directory was
-// written in format generation 1–7; the error itself is an
+// written in format generation 1–8; the error itself is an
 // *OldFormatError naming the generation found.
 var ErrOldFormat = errors.New("colstore: old format generation")
 
@@ -225,6 +225,8 @@ func encodeColumn(col *Column, codec compress.Codec) (file []byte, mc manifestCo
 		if col.Kind == value.KindString {
 			l, n := binary.Uvarint(raw)
 			fr.first = append([]byte(nil), raw[n:n+int(l)]...)
+		} else { // the frame's first key, big-endian (orderKey)
+			fr.first = binary.BigEndian.AppendUint64(nil, binary.LittleEndian.Uint64(raw))
 		}
 		fr.off, fr.len, fr.crc = record(raw)
 		frames = append(frames, fr)
@@ -341,7 +343,7 @@ func readManifest(dir string) (*manifest, int64, error) {
 }
 
 // checkCurrent is the gate of every reader but the eager Open: an
-// *OldFormatError for generations 1–7, and for generation 8 a check that
+// *OldFormatError for generations 1–8, and for generation 9 a check that
 // every column locates its layout record. The records themselves are read,
 // and checked (checkLayout), on the first touch of their column.
 func (m *manifest) checkCurrent(dir string) error {
@@ -361,16 +363,19 @@ func (m *manifest) checkCurrent(dir string) error {
 // that maps every global-id to its bytes: frames that follow one another
 // from the start of the file, each holding at least one value in no fewer
 // raw bytes, and stored raw — at its raw length — unless the store has a
-// codec, which never keeps a record longer.
-func (m *manifest) checkLayout(name string, lay *columnLayout) error {
+// codec, which never keeps a record longer. In generation 9 a numeric
+// frame's first value is its 8-byte key.
+func (m *manifest) checkLayout(mc manifestCol, lay *columnLayout) error {
+	name := mc.Name
 	if lay.numChunks() != len(m.Bounds)-1 {
 		return fmt.Errorf("colstore: column %q has %d chunks in its layout, the store %d", name, lay.numChunks(), len(m.Bounds)-1)
 	}
+	numeric := m.Format == formatVersion && mc.Kind != value.KindString.String()
 	var end int64
 	for i := range lay.numFrames() {
 		fr := lay.frame(i)
 		if fr.off != end || fr.count <= 0 || fr.raw < int64(fr.count) || fr.len <= 0 || fr.len > fr.raw ||
-			m.Codec == "" && fr.len != fr.raw {
+			m.Codec == "" && fr.len != fr.raw || numeric && len(fr.first) != 8 {
 			return fmt.Errorf("colstore: column %q dictionary frame %d is malformed", name, i)
 		}
 		end += fr.len
@@ -399,11 +404,13 @@ func storeShell(m *manifest) *Store {
 // implementation is taken from the manifest options. For a lazily loaded,
 // budget-managed store see OpenLazy.
 //
-// Open is also the one reader of format generations 1–7 (Upgrade is Open
-// plus Save): generations 1–6 through openOld (upgrade.go), and generation
-// 7, whose manifest held each column's index, through the current reader,
-// its index lifted into the current layout (oldIndex.layout). A store of
-// generation 7 or 8 it reads as the lazy reader does, record by record —
+// Open is also the one reader of format generations 1–8 (Upgrade is Open
+// plus Save): generations 1–6 through openOld (upgrade.go), and
+// generations 7 and 8 through the current reader — generation 7, whose
+// manifest held each column's index, with that index lifted into the
+// current layout (oldIndex.layout), and generation 8, whose layout records
+// hold no first value of a numeric frame, which only a paged dictionary
+// reads. A store of generation 7 to 9 it reads as the lazy reader does, record by record —
 // the layout record, every frame of a dictionary and every chunk, each
 // verified — and decodes in full.
 func Open(dir string) (*Store, *DiskStats, error) {

@@ -8,10 +8,12 @@ import (
 )
 
 // A column's per-chunk and per-frame metadata lives in a binary layout
-// record at the end of its column file (generation 8), not in the
+// record at the end of its column file (since generation 8), not in the
 // manifest, whose size no longer grows with rows. The layout record holds
 // the dictionary's frame index — every frame's byte range, raw length,
-// value count and CRC32C, and a string frame's first value — then the
+// value count, CRC32C and first value (orderKey: a string frame's first
+// string, a numeric one's first key; generation 8 left a numeric one's
+// empty) — then the
 // chunk index — every chunk's global-id span, raw and file byte ranges and
 // CRC32C.
 //
@@ -19,13 +21,13 @@ import (
 // byte range. On a lazy store it is a memory-manager entry of its own,
 // charged what it holds in memory (lazy.go) and pinned by a query's first
 // touch of the column. Older generation-8 builds also wrote a Bloom record
-// of per-chunk filters after it; this build verifies that record's CRC
-// wherever it verifies a whole column file, and never decodes or loads it.
+// of per-chunk filters after it; the eager Open verifies that record's CRC
+// with the rest of the column file, and nothing decodes or loads it.
 
 // frameEntry is one dictionary frame: its byte range [off, off+len) in the
 // column file, its raw length (len when it is stored raw), the number of
-// values it holds, the CRC32C of its file bytes, and for a string
-// dictionary its first value (empty for a numeric one).
+// values it holds, the CRC32C of its file bytes, and its first value as
+// orderKey gives it.
 type frameEntry struct {
 	off, len, raw int64
 	count         int

@@ -71,8 +71,12 @@ func fileLayout(t testing.TB, file []byte, mc manifestCol) *columnLayout {
 // very same bytes — a decode is exact, so nothing a record does not say
 // can reach a reader. A decode never panics, and never holds more than a
 // small multiple of the input's length: every count is bounded by the
-// bytes left before anything is allocated. The seeds are layout records,
-// an older build's Bloom record (testdata/bloom8) and a few short inputs.
+// bytes left before anything is allocated. A layout the checks of a
+// numeric column accept holds an 8-byte key as every frame's first value,
+// which a paged dictionary finds a number's frame by. The seeds are layout
+// records of string columns, an older build's Bloom record
+// (testdata/bloom8), a few short inputs, and layout records of an int64
+// and a float64 column.
 func FuzzColumnIndex(f *testing.F) {
 	_, dir := buildSparseStore(f, 3000, "zippy")
 	r, _, err := NewReader(dir)
@@ -103,15 +107,37 @@ func FuzzColumnIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 0x80, 0})
+	ints, floats := make([]int64, 3000), make([]float64, 3000)
+	for i := range ints {
+		ints[i], floats[i] = int64(i*i)-1<<40, float64(i%7)-2.5
+	}
+	built, err := FromTable(table.New("d").AddInt64Column("n", ints).AddFloat64Column("x", floats), Options{MaxChunkRows: 500})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{"n", "x"} {
+		file, mc := encodeColumn(built.Column(name), nil)
+		f.Add(file[mc.Index.Off:])
+	}
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		const slack = 128
-		if lay, err := decodeLayout(rec); err == nil {
-			frames, chunks := entries(lay)
-			if got := appendLayout(nil, frames, lay.spans, chunks); !bytes.Equal(got, rec) {
-				t.Fatalf("layout %x re-encodes to %x", rec, got)
-			}
-			if held := lay.memoryBytes(); held > 8*int64(len(rec))+slack {
-				t.Fatalf("a %d-byte layout record holds %d bytes", len(rec), held)
+		lay, err := decodeLayout(rec)
+		if err != nil {
+			return
+		}
+		frames, chunks := entries(lay)
+		if got := appendLayout(nil, frames, lay.spans, chunks); !bytes.Equal(got, rec) {
+			t.Fatalf("layout %x re-encodes to %x", rec, got)
+		}
+		if held := lay.memoryBytes(); held > 8*int64(len(rec))+slack {
+			t.Fatalf("a %d-byte layout record holds %d bytes", len(rec), held)
+		}
+		m := &manifest{Format: formatVersion, Bounds: make([]int, lay.numChunks()+1), Codec: "zippy"}
+		if m.checkLayout(manifestCol{Name: "n", Kind: "int64"}, lay) == nil {
+			for i, fr := range frames {
+				if len(fr.first) != 8 {
+					t.Fatalf("a numeric layout accepted with a %d-byte first value in frame %d", len(fr.first), i)
+				}
 			}
 		}
 	})

@@ -21,11 +21,11 @@ import (
 // around them.
 //
 // The unit of residency is the (column, chunk) pair plus, per column, one
-// entry for its layout record and its global dictionary's entries: one per
-// frame of a string dictionary under a budget (paged.go), one for any other
-// dictionary. A restricted query that scans k of n chunks pins the layouts
-// of its columns, the dictionary frames its literals and rendered values
-// lie in, and the k active chunks of each column, nothing else.
+// entry for its layout record and one per frame of its global dictionary
+// (paged.go). A restricted query that scans k of n chunks pins the layouts
+// of its columns, the dictionary frames its literals, aggregated values
+// and rendered values lie in, and the k active chunks of each column,
+// nothing else.
 
 // ColumnMeta describes a persisted column without loading its data.
 type ColumnMeta struct {
@@ -78,18 +78,28 @@ type lazySource struct {
 }
 
 // colKeys name one column's residency units inside the manager: one entry
-// for its global dictionary (or one per frame), one for its layout record,
-// one per chunk.
-// They are built on the column's first pin in the store and shared by
-// every later one, so a warm pin builds no string.
+// for its layout record, one per dictionary frame, one per chunk.
+// They are built on the column's first pin in the store (the frames' on
+// the first pin of one of them) and shared by every later one, so a warm
+// pin builds no string.
 type colKeys struct {
-	virtual             bool
-	prefix, dict, index string
-	chunks              []string
+	virtual       bool
+	prefix, index string
+	chunks        []string
+	framesOnce    sync.Once
+	frames        []string
 }
 
-// frame is the key of frame i of a paged dictionary (paged.go).
-func (k *colKeys) frame(i int) string { return k.prefix + "f" + strconv.Itoa(i) }
+// frameKeys returns the keys of the column's n dictionary frames.
+func (k *colKeys) frameKeys(n int) []string {
+	k.framesOnce.Do(func() {
+		k.frames = make([]string, n)
+		for i := range k.frames {
+			k.frames[i] = k.prefix + "f" + strconv.Itoa(i)
+		}
+	})
+	return k.frames
+}
 
 // keysOf returns the column's residency keys, building them on first use.
 func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
@@ -100,7 +110,7 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 		return k
 	}
 	prefix := l.ns + "\x00" + meta.Name + "#"
-	k = &colKeys{virtual: meta.Virtual, prefix: prefix, dict: prefix + "dict", index: prefix + "index", chunks: make([]string, chunks)}
+	k = &colKeys{virtual: meta.Virtual, prefix: prefix, index: prefix + "index", chunks: make([]string, chunks)}
 	for ci := range k.chunks {
 		k.chunks[ci] = prefix + strconv.Itoa(ci)
 	}
@@ -122,10 +132,10 @@ func (l *lazySource) keysOf(meta ColumnMeta, chunks int) *colKeys {
 // (AddVirtualColumnPinned). mgr may be shared across stores (e.g. all
 // shards of a leaf process share one budget).
 //
-// Residency is chunk-granular: the manager tracks one entry per string
-// dictionary frame or other global dictionary, one per index record and
-// one per (column, chunk) pair, so a restricted query pins only the chunks
-// it scans. A store of an older
+// Residency is chunk-granular: the manager tracks one entry per
+// dictionary frame, one per layout record and one per (column, chunk)
+// pair, so a restricted query pins only the frames and chunks it reads. A
+// store of an older
 // format generation is refused with an *OldFormatError (errors.Is
 // ErrOldFormat); Upgrade converts it.
 func OpenLazy(dir string, mgr *memmgr.Manager) (*Store, *DiskStats, error) {
@@ -235,23 +245,6 @@ func (s *Store) acquire(k *colKeys, key string, load memmgr.LoadFunc) (any, bool
 	return s.lazy.mgr.Acquire(key, load)
 }
 
-// acquireDict pins a column's global dictionary. On a cold miss load
-// produces it, and the disk bytes it read, on this goroutine.
-func (s *Store) acquireDict(k *colKeys, load func() (dict.Dict, int64, error)) (d dict.Dict, cold bool, size, diskBytes int64, err error) {
-	v, cold, err := s.acquire(k, k.dict, func() (any, int64, int64, error) {
-		dd, disk, err := load()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &loadedDict{d: dd, size: dd.MemoryBytes(), diskBytes: disk}, dd.MemoryBytes(), disk, nil
-	})
-	if err != nil {
-		return nil, false, 0, 0, err
-	}
-	ld := v.(*loadedDict)
-	return ld.d, cold, ld.size, ld.diskBytes, nil
-}
-
 // acquireLayout pins a column's layout; on a cold miss its layout record
 // is read, verified and decoded on this goroutine.
 func (s *Store) acquireLayout(k *colKeys, mc manifestCol) (*columnLayout, error) {
@@ -298,8 +291,8 @@ func (s *Store) acquireChunk(k *colKeys, ci int, ch *Chunk, disk int64) (residen
 	return lc.ch, cold, lc.size, lc.diskBytes, nil
 }
 
-// loadedDict and loadedChunk are residency units the manager holds; a
-// layout is held as its *columnLayout.
+// loadedDict (a dictionary frame) and loadedChunk are residency units the
+// manager holds; a layout is held as its *columnLayout.
 type loadedDict struct {
 	d         dict.Dict
 	size      int64

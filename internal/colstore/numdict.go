@@ -36,6 +36,16 @@ func numericKey(v value.Value) uint64 {
 	return uint64(v.Int()) ^ signBit
 }
 
+// orderKey is v as a layout's frame entries hold their first values: a
+// string's bytes, and a number's key (numericKey) in 8 big-endian bytes,
+// so that the first values of frames of any kind order as strings do.
+func orderKey(v value.Value) string {
+	if v.Kind() == value.KindString {
+		return v.Str()
+	}
+	return string(binary.BigEndian.AppendUint64(nil, numericKey(v)))
+}
+
 // keyInt64 inverts numericKey for an int64.
 func keyInt64(k uint64) int64 { return int64(k ^ signBit) }
 
@@ -101,18 +111,17 @@ const (
 )
 
 // walkNumbers reads a numeric frame of n values, the count given by the
-// frame index: the key deltas appendKeyDeltas writes, converted to T. It
-// appends to out the values at the ids in want, a sorted set (every value
-// when want is nil), and converts no other. The frame is not trusted: n is
-// bounded by the bytes left before anything is allocated; a width byte other than 1, 2, 4 or 8, or wider than the
-// deltas need, is an error; and the values must ascend strictly — a zero
+// frame index: the key deltas appendKeyDeltas writes, converted to T and
+// appended to out. The frame is not trusted: n is bounded by the bytes
+// left before anything is allocated; a width byte other than 1, 2, 4 or 8,
+// or wider than the deltas need, is an error; and the values must ascend strictly — a zero
 // delta repeats a value, and a delta that wraps the key past 2⁶⁴ descends.
 // Keys order as their values do, so the keys are what is checked, but for
 // what float64 order adds: no NaN, and not both −0 and +0, which are
 // adjacent keys of equal values.
-func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out []T) ([]T, error) {
+func walkNumbers[T int64 | float64](r *byteReader, n uint64, out []T) ([]T, error) {
 	if n == 0 {
-		return out, checkWant(want, 0)
+		return out, nil
 	}
 	first, err := r.take(8)
 	if err != nil {
@@ -133,10 +142,6 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out 
 		}
 		body, _ = r.take(int(n-1) * w) // cannot fail: bounded just above
 	}
-	if want != nil && out == nil {
-		out = make([]T, 0, len(want))
-	}
-	next := 0 // the next id of want
 	descends := func(i int) error {
 		return fmt.Errorf("colstore: numeric dictionary does not ascend strictly at %d", i)
 	}
@@ -146,15 +151,9 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out 
 	if float && k < minFloatKey {
 		return nil, descends(0)
 	}
-	if want == nil {
-		out = append(slices.Grow(out, int(n)), fromKey[T](k, float))
-	} else if len(want) > 0 && want[0] == 0 {
-		out = append(out, fromKey[T](k, float))
-		next++
-	}
+	out = append(slices.Grow(out, int(n)), fromKey[T](k, float))
 	// The keys go through a block at a time: one tight loop per delta
-	// width reads, sums and checks them, and only the kept ones are
-	// converted.
+	// width reads, sums and checks them, and then they are converted.
 	var (
 		block [256]uint64
 		span  uint64
@@ -212,16 +211,10 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out 
 		if bad >= 0 {
 			return nil, descends(bad)
 		}
-		if want == nil {
-			at := len(out)
-			out = out[:at+len(keys)] // grown to n above
-			for j, kj := range keys {
-				out[at+j] = fromKey[T](kj, float)
-			}
-			continue
-		}
-		for ; next < len(want) && int(want[next]) < base+len(keys); next++ {
-			out = append(out, fromKey[T](keys[int(want[next])-base], float))
+		at := len(out)
+		out = out[:at+len(keys)] // grown to n above
+		for j, kj := range keys {
+			out[at+j] = fromKey[T](kj, float)
 		}
 	}
 	if float && k > maxFloatKey {
@@ -230,5 +223,5 @@ func walkNumbers[T int64 | float64](r *byteReader, n uint64, want []uint32, out 
 	if deltaWidth(span) != w {
 		return nil, fmt.Errorf("colstore: numeric dictionary delta width %d, the deltas need %d", w, deltaWidth(span))
 	}
-	return out, checkWant(want, next)
+	return out, nil
 }

@@ -40,9 +40,7 @@ type PinSet struct {
 	// ColdChunkLoads counts individual (column, chunk) entries this set
 	// cold-loaded.
 	ColdChunkLoads int64
-	// ColdDictLoads counts the dictionary entries this set cold-loaded: a
-	// whole dictionary, or one frame of a paged one, counts one, and so
-	// does a walk of a numeric dictionary's frames (Values).
+	// ColdDictLoads counts the dictionary frames this set cold-loaded.
 	ColdDictLoads int64
 	// ColdBytesLoaded sums the resident bytes of all cold loads.
 	ColdBytesLoaded int64
@@ -54,7 +52,7 @@ type PinSet struct {
 	// CoalescedReads counts the reads run coalescing saved: a run of m
 	// contiguous cold chunks is one read instead of m, saving m−1.
 	CoalescedReads int64
-	// ChecksumVerified counts the records (chunks, dictionaries) whose
+	// ChecksumVerified counts the records (chunks, dictionary frames) whose
 	// CRC32C this set's cold loads checked and matched — one per cold load:
 	// the lazy path verifies every record it reads.
 	ChecksumVerified int64
@@ -67,8 +65,14 @@ type PinSet struct {
 	// each is reused by every load it serves and dropped at Release.
 	bufs   loadBufs
 	decode []loadBufs
-	// warm is PinChunks' scratch, reused by each call.
+	// warm is PinChunks' and pinFrames' scratch; want, mark and ids are
+	// the frames a pin of frames wants, a flag a frame for those it names,
+	// and the ids it finds them by, sorted (wantFrames). Each is reused by
+	// every call.
 	warm warmScratch
+	want []int
+	mark []bool
+	ids  []uint32
 	// err is the first frame load that failed (Err).
 	err error
 }
@@ -77,7 +81,7 @@ type PinSet struct {
 // wanted chunks, their keys, the values the manager pinned for the resident
 // ones and the indices of the cold ones; for the call, the cold chunks of
 // every column, in (column, chunk) order. Loading reuses chunks for the
-// indices of the batch at hand.
+// indices of the batch at hand, and pinFrames the first four for frames.
 type warmScratch struct {
 	chunks  []int
 	keys    []string
@@ -102,7 +106,6 @@ type heldPin struct {
 	layout *columnLayout
 	// chunks flags which chunk indices are pinned.
 	chunks []bool
-	dict   bool
 	// cold marks the column as already counted in ColdLoads.
 	cold bool
 }
@@ -188,45 +191,6 @@ func (p *PinSet) ChunkSpans(name string) ([]ChunkSpan, error) {
 	return h.layout.spans, nil
 }
 
-// ensureDict gives the view its global dictionary: a paged one's view,
-// which loads nothing yet, or a whole one pinned, loaded from disk if it is
-// cold.
-func (p *PinSet) ensureDict(h *heldPin) error {
-	if p.pagedDictOf(h) != nil {
-		return nil
-	}
-	return p.admitDict(h, func() (dict.Dict, int64, error) {
-		return p.s.lazy.reader.readDict(h.mc, h.layout, h.view.Kind, &p.bufs)
-	})
-}
-
-// admitDict pins the column's global dictionary into the view; on a cold
-// miss load produces it, and the disk bytes it read.
-func (p *PinSet) admitDict(h *heldPin, load func() (dict.Dict, int64, error)) error {
-	if h.dict {
-		return nil
-	}
-	d, cold, size, disk, err := p.s.acquireDict(h.keys, load)
-	if err != nil {
-		p.noteChecksumErr(err)
-		return err
-	}
-	p.holdDict(h, d)
-	if cold {
-		p.ColdDictLoads++
-		p.coldColumn(h, size, disk)
-		p.ChecksumVerified++
-	}
-	return nil
-}
-
-// holdDict records the view's dictionary as pinned.
-func (p *PinSet) holdDict(h *heldPin, d dict.Dict) {
-	h.view.Dict = d
-	h.dict = true
-	p.keys = append(p.keys, h.keys.dict)
-}
-
 // noteChecksumErr counts a load aborted by a checksum mismatch.
 func (p *PinSet) noteChecksumErr(err error) {
 	var ce *ChecksumError
@@ -258,12 +222,12 @@ func (p *PinSet) admitChunk(h *heldPin, ci int, ch *Chunk, disk int64) error {
 	return nil
 }
 
-// Column returns the named column fully pinned: dictionary plus every
-// chunk, and the frames of a paged dictionary that the chunks' ids lie
-// in. Registry-resident columns (fully resident stores, unpersisted
-// virtual columns) need no pin and pass straight through; persisted
-// virtual columns pin like physical ones. Unknown columns are an error.
-// Use ColumnChunks when the query will only scan a subset of the chunks.
+// Column returns the named column fully pinned: every chunk, and the
+// dictionary frames that the chunks' ids lie in. Registry-resident
+// columns (fully resident stores, unpersisted virtual columns) need no
+// pin and pass straight through; persisted virtual columns pin like
+// physical ones. Unknown columns are an error. Use ColumnChunks when the
+// query will only scan a subset of the chunks.
 func (p *PinSet) Column(name string) (*Column, error) {
 	if _, err := p.ColumnDict(name); err != nil {
 		return nil, err
@@ -277,10 +241,9 @@ func (p *PinSet) Column(name string) (*Column, error) {
 
 // ColumnDict returns a view of the named column with only its global
 // dictionary — enough to look up restriction literals and decode group
-// keys, but with no chunk data. A dictionary paged by frame (paged.go)
-// pins each frame on the set's goroutine as a lookup first reads it; any
-// other is pinned whole. On a resident store it degrades to the full
-// column.
+// keys, but with no chunk data. The dictionary is paged by frame
+// (paged.go): it pins each frame on the set's goroutine as a lookup first
+// reads it. On a resident store it degrades to the full column.
 func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return c, nil
@@ -292,9 +255,7 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.ensureDict(h); err != nil {
-		return nil, err
-	}
+	p.pagedDictOf(h)
 	return h.view, nil
 }
 
@@ -467,17 +428,8 @@ func (p *PinSet) loadBatch(batch []coldChunk, workers int) error {
 
 // Values returns the values of the global-ids in the named column's
 // dictionary, in the order of gids — the lookup a row scan renders its
-// winners with. A dictionary paged by frame pins just the frames that hold
-// them, in frame order, the cold ones read in coalesced runs. Any other is
-// not pinned unless loading it is free: one the set holds, or the manager
-// holds resident, answers from memory. A cold one is admitted as ColumnDict would when the manager can
-// hold it without evicting anything (always, without a budget), which the
-// frame index tells without reading anything. Otherwise only the frames
-// that hold the wanted ids are read, CRC-verified and decompressed like
-// any cold load, and walked; nothing enters the manager. A trie, whose
-// charge the index does not tell, is read and decoded whole first and
-// looked up in. The lookup counts as a cold dictionary load with no
-// resident bytes.
+// winners with. It pins just the frames that hold them, in frame order,
+// the cold ones read in coalesced runs.
 func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if c := p.s.residentColumn(name); c != nil {
 		return lookupValues(c.Dict, gids), nil
@@ -489,57 +441,11 @@ func (p *PinSet) Values(name string, gids []uint32) ([]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pd := p.pagedDictOf(h); pd != nil {
-		if err := p.pinIDs(pd, gids); err != nil {
-			return nil, err
-		}
-	}
-	if !h.dict {
-		var resident [1]any
-		if cold := p.s.lazy.mgr.PinResident([]string{h.keys.dict}, resident[:], nil); len(cold) == 0 {
-			p.holdDict(h, resident[0].(*loadedDict).d)
-		}
-	}
-	if h.dict {
-		return lookupValues(h.view.Dict, gids), nil
-	}
-	reader := p.s.lazy.reader
-	mc, lay, kind := h.mc, h.layout, h.view.Kind
-	var (
-		d    dict.Dict
-		disk int64
-	)
-	size := dictSizeOf(kind, lay)
-	if kind == value.KindString && reader.sd == StringDictTrie {
-		if d, disk, err = reader.readDict(mc, lay, kind, &p.bufs); err != nil {
-			p.noteChecksumErr(err)
-			return nil, err
-		}
-		size = d.MemoryBytes()
-	}
-	if p.s.lazy.mgr.Fits(size) {
-		err := p.admitDict(h, func() (dict.Dict, int64, error) {
-			if d != nil {
-				return d, disk, nil
-			}
-			return reader.readDict(mc, lay, kind, &p.bufs)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return lookupValues(h.view.Dict, gids), nil
-	}
-	var vals []value.Value
-	if d != nil {
-		vals = lookupValues(d, gids)
-	} else if vals, disk, err = reader.dictValues(mc, lay, kind, gids, &p.bufs); err != nil {
-		p.noteChecksumErr(err)
+	d := p.pagedDictOf(h)
+	if err := p.pinIDs(d, gids); err != nil {
 		return nil, err
 	}
-	p.ColdDictLoads++
-	p.coldColumn(h, 0, disk)
-	p.ChecksumVerified++
-	return vals, nil
+	return lookupValues(d, gids), nil
 }
 
 // lookupValues looks global-ids up in a dictionary held in memory.
@@ -559,4 +465,5 @@ func (p *PinSet) Release() {
 		p.s.lazy.mgr.ReleaseAll(p.keys)
 	}
 	p.held, p.keys, p.bufs, p.decode, p.warm = nil, nil, loadBufs{}, nil, warmScratch{}
+	p.want, p.mark, p.ids = nil, nil, nil
 }

@@ -43,15 +43,20 @@ func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := lazy.NewPinSet()
-		if _, err := ps.ColumnDict(col); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := ps.ColumnChunks(col, warm); err != nil {
 			t.Fatal(err)
 		}
+		ids := make([]uint32, full.Dict.Len())
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		if _, err := ps.Values(col, ids); err != nil { // every dictionary frame
+			t.Fatal(err)
+		}
 		ps.Release()
-		if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != half+2 {
-			t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, half+2)
+		want := half + 1 + savedLayout(t, dir, col).numFrames()
+		if st := mgr.Stats(); st.Evictions != 0 || st.ResidentItems != want {
+			t.Fatalf("warm-up left %d entries resident, %d evictions; want %d, 0", st.ResidentItems, st.Evictions, want)
 		}
 		ps = lazy.NewPinSet()
 		view, err := ps.ColumnChunks(col, nil)
@@ -117,8 +122,8 @@ func TestPinChunksChecksumMidBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmPin pins and releases every chunk and the dictionary of
-// three columns of a warm store opened lazily with no budget: the price a
+// BenchmarkWarmPin pins and releases every chunk, dictionary frame and
+// layout of three columns of a warm store opened lazily with no budget: the price a
 // query pays for residency when nothing is cold. ns/pin and allocs/pin
 // divide by the entries pinned.
 func BenchmarkWarmPin(b *testing.B) {
@@ -139,17 +144,18 @@ func BenchmarkWarmPin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pinAll := func() {
+	pinAll := func() int {
 		ps := lazy.NewPinSet()
 		for _, col := range cols {
 			if _, err := ps.Column(col); err != nil {
 				b.Fatal(err)
 			}
 		}
+		n := len(ps.keys)
 		ps.Release()
+		return n
 	}
-	pinAll() // load everything once
-	pins := len(cols) * (lazy.NumChunks() + 1)
+	pins := pinAll() // load everything once
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()

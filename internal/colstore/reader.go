@@ -3,7 +3,6 @@ package colstore
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -13,9 +12,9 @@ import (
 	"powerdrill/internal/value"
 )
 
-// This file is the Reader: it decodes a single dictionary, the values of a
-// few of its ids, or a single chunk from the persisted format, each record
-// read at its exact byte range, CRC-verified, and decompressed if its codec
+// This file is the Reader: it decodes a single dictionary, one frame of
+// one, or a single chunk from the persisted format, each record read at
+// its exact byte range, CRC-verified, and decompressed if its codec
 // compressed it. The file
 // handle cache, the coalesced run reads and the I/O counters it keeps are
 // in readerio.go.
@@ -59,7 +58,7 @@ func NewReader(dir string) (r *Reader, manifestBytes int64, err error) {
 }
 
 // newReader serves the manifest m of the store in dir: of the current
-// generation, or of generation 7 for the eager Open.
+// generation, or of generation 7 or 8 for the eager Open.
 func newReader(dir string, m *manifest) (*Reader, error) {
 	if m.Codec != "" {
 		// Validate up front so every later load can resolve the codec
@@ -123,7 +122,7 @@ func (r *Reader) layout(mc manifestCol) (*columnLayout, int64, error) {
 		n   int64
 		err error
 	)
-	if r.m.Format == formatVersion {
+	if r.m.Format >= 8 {
 		rec, err := r.readIndexRecord(mc, mc.Index)
 		if err != nil {
 			return nil, 0, err
@@ -135,7 +134,7 @@ func (r *Reader) layout(mc manifestCol) (*columnLayout, int64, error) {
 	} else if lay, err = mc.oldIndex.layout(); err != nil {
 		return nil, 0, fmt.Errorf("colstore: column %q layout: %w", mc.Name, err)
 	}
-	if err := r.m.checkLayout(mc.Name, lay); err != nil {
+	if err := r.m.checkLayout(mc, lay); err != nil {
 		return nil, 0, err
 	}
 	return lay, n, nil
@@ -217,20 +216,20 @@ func (r *Reader) readDict(mc manifestCol, lay *columnLayout, kind value.Kind, bu
 	return d, n, nil
 }
 
-// stringFrame decodes frame i of a string dictionary alone from its file
+// frameDict decodes frame i of a column's dictionary alone from its file
 // bytes, decompressing into bufs — a paged dictionary's frame. Beside what
 // a decode of the whole dictionary refuses of the frame, it refuses one
 // that does not start at the layout's first value for it, or reaches the
 // next frame's: what keeps frames read apart in one strict order.
-func (r *Reader) stringFrame(mc manifestCol, lay *columnLayout, i int, rec []byte, bufs *loadBufs) (*dict.StringArray, error) {
+func (r *Reader) frameDict(mc manifestCol, lay *columnLayout, kind value.Kind, i int, rec []byte, bufs *loadBufs) (dict.Dict, error) {
 	fr := lay.frame(i)
 	raw, err := r.rawRecord(rec, fr.raw, bufs)
-	var f *dict.StringArray
+	var f dict.Dict
 	if err == nil {
-		f, err = decodeStringFrame(raw, uint64(fr.count))
+		f, err = decodeFrame(raw, kind, uint64(fr.count), r.sd)
 	}
-	if err == nil && (f.StringAt(0) != string(fr.first) ||
-		i+1 < lay.numFrames() && f.StringAt(uint32(f.Len()-1)) >= string(lay.frame(i+1).first)) {
+	if err == nil && (orderKey(f.Value(0)) != string(fr.first) ||
+		i+1 < lay.numFrames() && orderKey(f.Value(uint32(f.Len()-1))) >= string(lay.frame(i+1).first)) {
 		err = errors.New("values do not lie between the layout's first values")
 	}
 	if err != nil {
@@ -239,21 +238,18 @@ func (r *Reader) stringFrame(mc manifestCol, lay *columnLayout, i int, rec []byt
 	return f, nil
 }
 
-// decodeStringFrame decodes one string dictionary frame of n values alone,
-// refusing what a decode of the whole dictionary refuses of it.
-func decodeStringFrame(raw []byte, n uint64) (*dict.StringArray, error) {
-	b, err := newDictBuilder(value.KindString, n, len(raw))
+// decodeFrame decodes one dictionary frame of n values alone, into the
+// form sd names for strings, refusing what a decode of the whole
+// dictionary refuses of it.
+func decodeFrame(raw []byte, kind value.Kind, n uint64, sd StringDictKind) (dict.Dict, error) {
+	b, err := newDictBuilder(kind, n, len(raw))
 	if err == nil {
 		err = b.readFrame(raw, n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	d, err := b.dict(StringDictArray)
-	if err != nil {
-		return nil, err
-	}
-	return d.(*dict.StringArray), nil
+	return b.dict(sd)
 }
 
 // readFrames reads frames idx (ascending) of a column's dictionary into
@@ -276,97 +272,6 @@ func (r *Reader) readFrames(mc manifestCol, lay *columnLayout, idx []int, bufs *
 		}
 	}
 	return recs, n, nil
-}
-
-// dictValues looks the global-ids up in a column's dictionary without
-// building it: only the frames that hold them are read (readFrames),
-// decompressed and walked, and each refuses what its decode would. It
-// returns the values in the order of gids, and the disk bytes read.
-func (r *Reader) dictValues(mc manifestCol, lay *columnLayout, kind value.Kind, gids []uint32, bufs *loadBufs) ([]value.Value, int64, error) {
-	want := slices.Clone(gids)
-	slices.Sort(want)
-	want = slices.Compact(want)
-	// The frames holding want, and the global-id each starts at.
-	var idx []int
-	var bases []uint32
-	base, i := uint32(0), 0
-	for _, id := range want {
-		for ; i < lay.numFrames(); i++ {
-			count := uint32(lay.frame(i).count)
-			if id-base < count {
-				break
-			}
-			base += count
-		}
-		if i == lay.numFrames() {
-			return nil, 0, fmt.Errorf("colstore: column %q: dictionary has no global-id %d", mc.Name, id)
-		}
-		if len(idx) == 0 || idx[len(idx)-1] != i {
-			idx, bases = append(idx, i), append(bases, base)
-		}
-	}
-	recs, n, err := r.readFrames(mc, lay, idx, bufs)
-	if err != nil {
-		return nil, 0, err
-	}
-	vals := make([]value.Value, 0, len(want))
-	local := make([]uint32, 0, len(want))
-	for j, i := range idx {
-		fr := lay.frame(i)
-		local = local[:0]
-		for _, id := range want[len(vals):] {
-			if id-bases[j] >= uint32(fr.count) {
-				break
-			}
-			local = append(local, id-bases[j])
-		}
-		raw, err := r.rawRecord(recs[j], fr.raw, bufs)
-		var (
-			strs   []string
-			ints   []int64
-			floats []float64
-		)
-		if err == nil {
-			strs, ints, floats, err = walkFrame(raw, kind, uint64(fr.count), local)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("colstore: column %q dictionary frame %d: %w", mc.Name, i, err)
-		}
-		for k := range local {
-			switch kind {
-			case value.KindString:
-				vals = append(vals, value.String(strs[k]))
-			case value.KindInt64:
-				vals = append(vals, value.Int64(ints[k]))
-			default:
-				vals = append(vals, value.Float64(floats[k]))
-			}
-		}
-	}
-	out := make([]value.Value, len(gids))
-	for i, id := range gids {
-		k, _ := slices.BinarySearch(want, id)
-		out[i] = vals[k]
-	}
-	return out, n, nil
-}
-
-// dictSizeOf estimates the resident bytes of the dictionary a column's
-// frames decode to, from the frame index alone: exact for numbers, and for
-// strings the footprint of a string array whose block holds every byte the
-// frames hold after one length byte per value — exact when every value is
-// shorter than 128 bytes. It does not model a trie.
-func dictSizeOf(kind value.Kind, lay *columnLayout) int64 {
-	var n, raw int64
-	for i := range lay.numFrames() {
-		fr := lay.frame(i)
-		n += int64(fr.count)
-		raw += fr.raw
-	}
-	if kind == value.KindString {
-		return dict.StringArrayBytes(int(raw-n), int(n))
-	}
-	return 8 * n
 }
 
 // readRange reads exactly [off, off+n) of a column file through the handle
@@ -629,41 +534,6 @@ func (r *Reader) loadColumn(mc manifestCol, bufs *loadBufs) (*Column, error) {
 	return col, nil
 }
 
-// walkFrame reads one dictionary frame of n values and keeps those at the
-// frame-local ids in want, a sorted set, as strings, int64s or float64s by
-// kind. The frame is not trusted, and a walk refuses exactly the frames a
-// decode refuses (dictBuilder): a value past the frame's end, bytes after
-// its last value, and values that do not ascend strictly within it — and
-// an id of want past the last value. A string frame is decoded as a paged
-// dictionary's frame is.
-func walkFrame(raw []byte, kind value.Kind, n uint64, want []uint32) (strs []string, ints []int64, floats []float64, err error) {
-	r := &byteReader{buf: raw}
-	switch kind {
-	case value.KindString:
-		var f *dict.StringArray
-		if f, err = decodeStringFrame(raw, n); err != nil {
-			return nil, nil, nil, err
-		}
-		for _, id := range want {
-			if int(id) >= f.Len() {
-				break
-			}
-			strs = append(strs, f.StringAt(id))
-		}
-		return strs, nil, nil, checkWant(want, len(strs))
-	case value.KindInt64:
-		ints, err = walkNumbers[int64](r, n, want, nil)
-	case value.KindFloat64:
-		floats, err = walkNumbers[float64](r, n, want, nil)
-	default:
-		err = fmt.Errorf("invalid kind %v", kind)
-	}
-	if err == nil {
-		err = frameEnd(r)
-	}
-	return strs, ints, floats, err
-}
-
 // frameEnd refuses a frame with bytes left after its last value.
 func frameEnd(r *byteReader) error {
 	if r.off != len(r.buf) {
@@ -746,9 +616,9 @@ func (b *dictBuilder) frame(r *byteReader, n uint64) (err error) {
 			return nil
 		})
 	case value.KindInt64:
-		b.ints, err = walkNumbers(r, n, nil, b.ints)
+		b.ints, err = walkNumbers(r, n, b.ints)
 	default:
-		b.floats, err = walkNumbers(r, n, nil, b.floats)
+		b.floats, err = walkNumbers(r, n, b.floats)
 	}
 	return err
 }
@@ -782,13 +652,4 @@ func (b *dictBuilder) dict(sd StringDictKind) (dict.Dict, error) {
 		strs[i] = arr.StringAt(uint32(i))
 	}
 	return dict.TrieOf(strs)
-}
-
-// checkWant refuses a walk that kept fewer values than want names: an id
-// past the dictionary's last value.
-func checkWant(want []uint32, kept int) error {
-	if kept < len(want) {
-		return fmt.Errorf("colstore: dictionary has no global-id %d", want[kept])
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,12 +35,14 @@ func frameDecode(raw []byte, kind value.Kind, n uint64) (dict.Dict, error) {
 	return b.dict(StringDictArray)
 }
 
-// TestDictWalkMatchesDecode: a walk of one frame for some of its ids
-// refuses exactly the frames its decode refuses, and returns the values
-// the decoded frame holds at those ids — over the frames of valid
-// dictionaries of every kind, one frame or several, over the same frames
-// with bytes overwritten, and over frames only the order check refuses.
-func TestDictWalkMatchesDecode(t *testing.T) {
+// TestFrameReadMatchesDecode: a frame read alone, as a paged dictionary
+// reads it (frameDict, its first value checked against the layout's),
+// refuses every frame a decode of the whole dictionary refuses of it, and
+// accepts every frame of a valid dictionary, giving the values that decode
+// gives — over the frames of valid dictionaries of every kind, one frame
+// or several, over the same frames with bytes overwritten, and over frames
+// only the order check refuses.
+func TestFrameReadMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	kinds := []value.Kind{value.KindString, value.KindInt64, value.KindFloat64}
 	type frame struct {
@@ -92,10 +95,20 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 		keys(numericKey(value.Float64(1)), maxFloatKey+1))
 	frames[value.KindString] = append(frames[value.KindString], frame{[]byte{1, 'b', 1, 'a'}, 2}, frame{[]byte{1, 'a', 1, 'a'}, 2})
 	multi := 0
+	r := &Reader{m: &manifest{}}
 	for _, kind := range kinds {
 		for _, fr := range frames[kind] {
 			if fr.n > 1 && len(fr.raw) > frameBytes/2 {
 				multi++
+			}
+			// The layout's first value is the unaltered frame's.
+			entry := frameEntry{len: int64(len(fr.raw)), raw: int64(len(fr.raw)), count: fr.n}
+			if d, err := frameDecode(fr.raw, kind, uint64(fr.n)); err == nil {
+				entry.first = []byte(orderKey(d.Value(0)))
+			}
+			lay, err := decodeLayout(appendLayout(nil, []frameEntry{entry}, nil, nil))
+			if err != nil {
+				t.Fatal(err)
 			}
 			for trial := 0; trial < 40; trial++ {
 				raw := slices.Clone(fr.raw)
@@ -103,28 +116,16 @@ func TestDictWalkMatchesDecode(t *testing.T) {
 					raw[rng.Intn(len(raw))] = byte(rng.Intn(256))
 				}
 				d, derr := frameDecode(raw, kind, uint64(fr.n))
-				want := []uint32{0, uint32(rng.Intn(fr.n)), uint32(fr.n - 1)}
-				slices.Sort(want)
-				want = slices.Compact(want)
-				strs, ints, floats, werr := walkFrame(raw, kind, uint64(fr.n), want)
-				if (derr != nil) != (werr != nil) {
-					t.Fatalf("%v %x: decode error %v, walk error %v", kind, raw, derr, werr)
+				f, ferr := r.frameDict(manifestCol{Name: "d"}, lay, kind, 0, raw, nil)
+				if derr != nil && ferr == nil || trial == 0 && (derr == nil) != (ferr == nil) {
+					t.Fatalf("%v %x: decode error %v, frame read error %v", kind, raw, derr, ferr)
 				}
-				if derr != nil {
+				if ferr != nil {
 					continue
 				}
-				for i, id := range want {
-					var got value.Value
-					switch kind {
-					case value.KindString:
-						got = value.String(strs[i])
-					case value.KindInt64:
-						got = value.Int64(ints[i])
-					default:
-						got = value.Float64(floats[i])
-					}
-					if got != d.Value(id) {
-						t.Fatalf("%v: walk gives %v at id %d, decode %v", kind, got, id, d.Value(id))
+				for id := uint32(0); int(id) < fr.n; id++ {
+					if got, want := f.Value(id), d.Value(id); got != want || orderKey(got) != orderKey(want) {
+						t.Fatalf("%v: frame read gives %v at id %d, decode %v", kind, got, id, want)
 					}
 				}
 			}
@@ -159,10 +160,10 @@ func frameStore(t *testing.T, d dict.Dict, kind value.Kind, codec string) (*Read
 
 // checkFrameReads saves d as frames, without a codec or with zippy, and
 // checks the reads of it: the whole dictionary decodes to d's values bit
-// for bit; a lookup of any ids reads exactly the frames that hold them and
-// gives the values of the full decode; and once a byte of one frame is
-// flipped, every read that touches that frame fails with a
-// *ChecksumError, and no read that does not.
+// for bit; the frames that hold any ids, read alone as a paged dictionary
+// reads them (frameValues), give the values of the full decode; and once
+// a byte of one frame is flipped, every read that touches that frame fails
+// with a *ChecksumError, and no read that does not.
 func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand) {
 	t.Helper()
 	r, mc, lay := frameStore(t, d, kind, []string{"", "zippy"}[rng.Intn(2)])
@@ -200,7 +201,7 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 		return ids
 	}
 	ids := someIDs()
-	vals, n, err := r.dictValues(mc, lay, kind, ids, nil)
+	vals, n, err := frameValues(r, mc, lay, kind, ids)
 	if err != nil {
 		t.Fatalf("lookup of %v: %v", ids, err)
 	}
@@ -240,7 +241,7 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 			ids = append(ids, uint32(base+rng.Intn(fr.count)))
 		}
 		touches := slices.ContainsFunc(ids, func(id uint32) bool { return frameOf(id) == bad })
-		_, _, err := r.dictValues(mc, lay, kind, ids, nil)
+		_, _, err := frameValues(r, mc, lay, kind, ids)
 		if touches != errors.As(err, &ce) || !touches && err != nil {
 			t.Fatalf("lookup of %v after a flip in frame %d of %d: %v", ids, bad, len(frames), err)
 		}
@@ -250,49 +251,57 @@ func checkFrameReads(t *testing.T, d dict.Dict, kind value.Kind, rng *rand.Rand)
 	}
 }
 
-// TestValuesAdmitsOrWalks: PinSet.Values admits a cold numeric dictionary
-// when the budget holds it beside everything resident — without a budget,
-// or in an empty manager — and otherwise walks its record, evicting
-// nothing: the same values either way, one verified cold dictionary load
-// either way, and only an admitted dictionary resident afterwards. A
-// string dictionary is paged by frame: its frame (user's one) is pinned
-// like any load, evicting to make room in a full manager, and resident
-// afterwards under every budget.
-func TestValuesAdmitsOrWalks(t *testing.T) {
+// frameValues reads the frames that hold ids, each alone (readFrames,
+// frameDict), and returns the values of ids and the disk bytes read.
+func frameValues(r *Reader, mc manifestCol, lay *columnLayout, kind value.Kind, ids []uint32) ([]value.Value, int64, error) {
+	var idx []int
+	for _, id := range ids {
+		idx = append(idx, sort.Search(lay.numFrames(), func(i int) bool { return lay.base[i+1] > id }))
+	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	recs, n, err := r.readFrames(mc, lay, idx, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	vals := make([]value.Value, len(ids))
+	for k, i := range idx {
+		f, err := r.frameDict(mc, lay, kind, i, recs[k], nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		for j, id := range ids {
+			if id >= lay.base[i] && id < lay.base[i+1] {
+				vals[j] = f.Value(id - lay.base[i])
+			}
+		}
+	}
+	return vals, n, nil
+}
+
+// TestValuesPinsItsFrames: PinSet.Values pins the frames that hold the
+// ids it wants, numeric dictionaries' as strings', like any load: without
+// a budget, under one with room, and in a manager the other columns fill,
+// where the loads evict to make room. Each gives the same values, one
+// verified cold load per frame, and the frames resident afterwards.
+func TestValuesPinsItsFrames(t *testing.T) {
 	built, dir := buildSavedStore(t, 3000, "zippy")
 	for _, name := range []string{"timestamp", "latency", "user"} {
 		col := built.Column(name)
 		gids := []uint32{uint32(col.Dict.Len() - 1), 0, uint32(col.Dict.Len() / 2), 0}
 		size := col.Dict.MemoryBytes()
-		// A budget of exactly what the other columns hold is full, with no
-		// room for the dictionary, once they are all resident.
 		fill := othersResident(t, dir, built.Columns(), name)
-		for _, c := range []struct {
-			budget int64
-			full   bool // fill the manager first, so the dictionary does not fit
-		}{{0, false}, {2*size + 8192, false}, {fill, true}} {
-			mgr := memmgr.New(c.budget, "")
+		for _, budget := range []int64{0, 2*size + 8192, fill} {
+			mgr := memmgr.New(budget, "")
 			lazy, _, err := OpenLazy(dir, mgr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pinLayout(t, lazy, name)
-			for _, other := range built.Columns() {
-				if !c.full || mgr.Stats().ResidentBytes > c.budget-size {
-					break
-				}
-				if other == name {
-					continue
-				}
-				ps := lazy.NewPinSet()
-				if _, err := ps.Column(other); err != nil {
-					t.Fatal(err)
-				}
-				ps.Release()
-			}
-			before := mgr.Stats()
-			if c.full && before.ResidentBytes <= c.budget-size {
-				t.Fatalf("%s %+v: %d bytes resident, not enough to keep the dictionary out", name, c, before.ResidentBytes)
+			_, lay, _ := columnOf(t, lazy.lazy.reader, name)
+			frames := map[int]bool{}
+			for _, id := range gids {
+				frames[sort.Search(lay.numFrames(), func(i int) bool { return lay.base[i+1] > id })] = true
 			}
 			ps := lazy.NewPinSet()
 			vals, err := ps.Values(name, gids)
@@ -301,31 +310,20 @@ func TestValuesAdmitsOrWalks(t *testing.T) {
 			}
 			for i, id := range gids {
 				if vals[i] != col.Dict.Value(id) {
-					t.Fatalf("%s %+v: id %d is %v, want %v", name, c, id, vals[i], col.Dict.Value(id))
+					t.Fatalf("%s, budget %d: id %d is %v, want %v", name, budget, id, vals[i], col.Dict.Value(id))
 				}
 			}
-			if ps.ColdDictLoads != 1 || ps.ChecksumVerified != 1 || ps.DiskBytesRead == 0 {
-				t.Errorf("%s %+v: %d cold dictionaries, %d verified, %d disk bytes; want 1, 1, > 0",
-					name, c, ps.ColdDictLoads, ps.ChecksumVerified, ps.DiskBytesRead)
-			}
-			paged := col.Kind == value.KindString
-			if c.full && !paged && mgr.Stats().Evictions != before.Evictions {
-				t.Errorf("%s %+v: looking values up evicted %d entries", name, c, mgr.Stats().Evictions-before.Evictions)
+			if n := int64(len(frames)); ps.ColdDictLoads != n || ps.ChecksumVerified != n || ps.DiskBytesRead == 0 {
+				t.Errorf("%s, budget %d: %d cold frames, %d verified, %d disk bytes; want %d, %d, > 0",
+					name, budget, ps.ColdDictLoads, ps.ChecksumVerified, ps.DiskBytesRead, n, n)
 			}
 			ps.Release()
 			ps = lazy.NewPinSet()
-			if paged {
-				_, err = ps.Values(name, gids)
-			} else {
-				_, err = ps.ColumnDict(name)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resident := ps.ColdDictLoads == 0; resident != (paged || !c.full) {
-				t.Errorf("%s %+v: dictionary resident afterwards = %v", name, c, resident)
+			if _, err := ps.Values(name, gids); err != nil || ps.ColdDictLoads != 0 {
+				t.Errorf("%s, budget %d: %d frames cold again (%v)", name, budget, ps.ColdDictLoads, err)
 			}
 			ps.Release()
+			lazy.Close()
 		}
 	}
 }
@@ -380,17 +378,16 @@ func TestValuesReadsOnlyItsFrames(t *testing.T) {
 		t.Fatalf("Values read %d bytes: its %d frames hold %d (at most %d each), the dictionary %d",
 			ps.DiskBytesRead, len(held), want, frameBytes, whole)
 	}
-	if ps.ColdDictLoads != 1 || ps.ColdBytesLoaded != 0 || ps.ChecksumVerified != 1 {
-		t.Errorf("%d cold dictionary loads of %d resident bytes, %d verified; want 1, 0, 1",
-			ps.ColdDictLoads, ps.ColdBytesLoaded, ps.ChecksumVerified)
+	if n := int64(len(held)); ps.ColdDictLoads != n || ps.ChecksumVerified != n {
+		t.Errorf("%d cold frames, %d verified; want %d, one per frame", ps.ColdDictLoads, ps.ChecksumVerified, n)
 	}
 }
 
-// TestValuesChargesDecodedDict: dictSizeOf models a string array, and a
-// trie is charged more than it estimates. So on a trie store
-// PinSet.Values checks the budget against the decoded dictionary's charge:
-// with room for the estimate but not the charge it walks, and with room
-// for the charge it admits. Neither evicts. The store is compressed.
+// TestValuesChargesDecodedDict: on a store saved with tries, a frame
+// decodes to a trie of its own, and PinSet.Values charges the frames it
+// pins exactly what they hold decoded: in a manager the other columns fill
+// with room for that charge and not a byte more, the frames are admitted
+// and nothing is evicted. The store is compressed.
 func TestValuesChargesDecodedDict(t *testing.T) {
 	built, dir := buildSavedStoreDict(t, 3000, "zippy", StringDictTrie)
 	const name = "user"
@@ -400,52 +397,63 @@ func TestValuesChargesDecodedDict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	mc, lay, kind := columnOf(t, r, name)
-	d, _, err := r.readDict(mc, lay, kind, nil)
+	reached := map[int]bool{}
+	for _, id := range gids {
+		reached[sort.Search(lay.numFrames(), func(i int) bool { return lay.base[i+1] > id })] = true
+	}
+	var held int64
+	for i := range reached {
+		recs, _, err := r.readFrames(mc, lay, []int{i}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.frameDict(mc, lay, kind, i, recs[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := f.(*dict.Trie); !ok {
+			t.Fatalf("frame %d decodes to a %T, want a trie", i, f)
+		}
+		held += f.MemoryBytes()
+	}
+	mgr := memmgr.New(othersResident(t, dir, built.Columns(), name)+held, "")
+	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, held := dictSizeOf(kind, lay), d.MemoryBytes()
-	if est >= held {
-		t.Fatalf("estimate %d not below the charge %d: the case is not tested", est, held)
-	}
-	fill := othersResident(t, dir, built.Columns(), name)
-	for _, room := range []int64{est, held} {
-		mgr := memmgr.New(fill+room, "")
-		lazy, _, err := OpenLazy(dir, mgr)
-		if err != nil {
-			t.Fatal(err)
+	defer lazy.Close()
+	pinLayout(t, lazy, name)
+	for _, other := range built.Columns() {
+		if other == name {
+			continue
 		}
-		pinLayout(t, lazy, name)
-		for _, other := range built.Columns() {
-			if other == name {
-				continue
-			}
-			ps := lazy.NewPinSet()
-			if _, err := ps.Column(other); err != nil {
-				t.Fatal(err)
-			}
-			ps.Release()
-		}
-		before := mgr.Stats()
 		ps := lazy.NewPinSet()
-		vals, err := ps.Values(name, gids)
-		if err != nil {
+		if _, err := ps.Column(other); err != nil {
 			t.Fatal(err)
-		}
-		for i, id := range gids {
-			if vals[i] != col.Dict.Value(id) {
-				t.Fatalf("room %d: id %d is %v, want %v", room, id, vals[i], col.Dict.Value(id))
-			}
 		}
 		ps.Release()
-		after := mgr.Stats()
-		if after.Evictions != before.Evictions {
-			t.Errorf("room %d of charge %d: Values evicted %d entries", room, held, after.Evictions-before.Evictions)
+	}
+	before := mgr.Stats()
+	ps := lazy.NewPinSet()
+	vals, err := ps.Values(name, gids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range gids {
+		if vals[i] != col.Dict.Value(id) {
+			t.Fatalf("id %d is %v, want %v", id, vals[i], col.Dict.Value(id))
 		}
-		if admitted := after.ResidentBytes > before.ResidentBytes; admitted != (room == held) {
-			t.Errorf("room %d of charge %d: dictionary admitted = %v", room, held, admitted)
-		}
+	}
+	if ps.ColdBytesLoaded != held {
+		t.Errorf("Values charged %d bytes, the decoded frames hold %d", ps.ColdBytesLoaded, held)
+	}
+	ps.Release()
+	after := mgr.Stats()
+	if after.Evictions != before.Evictions || after.ResidentBytes != before.ResidentBytes+held {
+		t.Errorf("Values evicted %d entries, and resident bytes went %d -> %d; want none evicted and %d more",
+			after.Evictions-before.Evictions, before.ResidentBytes, after.ResidentBytes, held)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"powerdrill/internal/dict"
+	"powerdrill/internal/memmgr"
+	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 )
 
@@ -152,59 +154,77 @@ func FuzzStringDict(f *testing.F) {
 	})
 }
 
-// TestDictSizeOfCoversDecoded: the admission estimate a dictionary is
-// charged from its frame index, before anything is read, is never below
-// what the decoded array dictionary's MemoryBytes charges, for every value
-// kind, and equals it when every string is shorter than 128 bytes. (A trie
-// charges its own layout, which the estimate does not model.)
-func TestDictSizeOfCoversDecoded(t *testing.T) {
+// TestFrameChargeIsMemoryBytes: each frame entry of a paged dictionary is
+// charged exactly what its decoded frame holds (MemoryBytes), so the view's
+// MemoryBytes, the set's cold bytes and the manager's resident bytes agree
+// once every frame is pinned — for every value kind, strings of 128 bytes
+// and more among them, with and without a codec, with string arrays and
+// with tries, and for the columns of a saved store.
+func TestFrameChargeIsMemoryBytes(t *testing.T) {
 	short := []string{"", "de", "fr", "logs.queries_20110302", "us"}
 	long := append(slices.Clone(short), strings.Repeat("z", 200))
 	many := make([]string, 3000)
 	for i := range many {
 		many[i] = fmt.Sprintf("value %05d", i)
 	}
-	cases := []struct {
-		kind value.Kind
-		d    dict.Dict
-	}{
-		{value.KindString, dict.NewStringArray(short)},
-		{value.KindString, dict.NewStringArray(long)},
-		{value.KindString, dict.NewStringArray(many)},
-		{value.KindString, dict.NewStringArray(nil)},
-		{value.KindInt64, dict.NewInt64s([]int64{-7, 0, 3, 1 << 40})},
-		{value.KindFloat64, dict.NewFloat64s([]float64{-1.5, 0, 2.25})},
-	}
-	for _, c := range cases {
-		for _, codec := range []string{"", "zippy"} {
-			r, mc, lay := frameStore(t, c.d, c.kind, codec)
-			d, _, err := r.readDict(mc, lay, c.kind, nil)
-			r.Close()
+	for _, tbl := range []*table.Table{
+		table.New("d").AddStringColumn("s", short),
+		table.New("d").AddStringColumn("s", long),
+		table.New("d").AddStringColumn("s", many),
+		table.New("d").AddInt64Column("s", []int64{-7, 0, 3, 1 << 40}),
+		table.New("d").AddFloat64Column("s", []float64{-1.5, 0, 2.25}),
+	} {
+		for _, sd := range []StringDictKind{StringDictArray, StringDictTrie} {
+			built, err := FromTable(tbl, Options{StringDict: sd})
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, held := dictSizeOf(c.kind, lay), d.MemoryBytes()
-			exact := c.kind != value.KindString || c.d.Len() != len(long)
-			if est < held || exact && est != held {
-				t.Errorf("%v, %d values in %d frames: dictSizeOf %d, MemoryBytes %d", c.kind, d.Len(), lay.numFrames(), est, held)
+			for _, codec := range []string{"", "zippy"} {
+				dir := t.TempDir()
+				if err := Save(built, dir, codec); err != nil {
+					t.Fatal(err)
+				}
+				checkFrameCharges(t, dir, "s")
 			}
 		}
 	}
+	_, dir := buildSavedStore(t, 3000, "zippy")
+	for _, name := range []string{"timestamp", "table_name", "latency", "country", "user"} {
+		checkFrameCharges(t, dir, name)
+	}
+}
 
-	// The dictionaries of a saved store.
-	built, dir := buildSavedStore(t, 3000, "zippy")
-	r, _, err := NewReader(dir)
+// checkFrameCharges pins every frame of the named column's dictionary in
+// a lazy store of dir and checks the charges (TestFrameChargeIsMemoryBytes).
+func checkFrameCharges(t *testing.T, dir, name string) {
+	t.Helper()
+	mgr := memmgr.New(0, "")
+	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range built.Columns() {
-		mc, lay, kind := columnOf(t, r, name)
-		d, _, err := r.readDict(mc, lay, kind, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est, held := dictSizeOf(kind, lay), d.MemoryBytes(); est != held {
-			t.Errorf("%s: dictSizeOf %d, MemoryBytes %d", name, est, held)
-		}
+	defer lazy.Close()
+	pinLayout(t, lazy, name)
+	before := mgr.Stats().ResidentBytes
+	ps := lazy.NewPinSet()
+	defer ps.Release()
+	view, err := ps.ColumnDict(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint32, view.Dict.Len())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	if _, err := ps.Values(name, ids); err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for _, f := range view.Dict.(*pagedDict).frames {
+		held += f.MemoryBytes()
+	}
+	if got := mgr.Stats().ResidentBytes - before; view.Dict.MemoryBytes() != held || ps.ColdBytesLoaded != held || got != held {
+		t.Errorf("%s in %s: frames hold %d, view says %d, cold loads %d, manager %d",
+			name, dir, held, view.Dict.MemoryBytes(), ps.ColdBytesLoaded, got)
 	}
 }

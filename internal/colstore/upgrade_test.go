@@ -13,8 +13,8 @@ import (
 )
 
 // TestOldGenerationsRefusedThenUpgraded runs the committed corpus of
-// generation 1–7 stores (testdata/gen*, 300 rows × 3 columns, and the
-// bases of testdata/parent5, parent6 and parent7, each written by the last build
+// generation 1–8 stores (testdata/gen*, 300 rows × 3 columns, and the
+// bases of testdata/parent5 to parent8, each written by the last build
 // that still had its writer) through the one path left for them: every reader but the eager
 // Open refuses them with the typed error naming their generation, and
 // Upgrade rewrites them into a store that opens lazily, holds the same
@@ -32,6 +32,7 @@ func TestOldGenerationsRefusedThenUpgraded(t *testing.T) {
 		{"parent5", 5},   // checksums, every record zippy, 8-byte numeric words; its segs/ is ingest state, not read here
 		{"parent6", 6},   // one head record, stored raw where zippy does not shrink it; numeric key deltas
 		{"parent7", 7},   // dictionary frames; the chunk and frame index in the manifest
+		{"parent8", 8},   // layout records, with no first value for a numeric frame
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", fx.name)

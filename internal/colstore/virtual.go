@@ -327,20 +327,23 @@ func (p *PinSet) adoptVirtual(col *Column) (*Column, error) {
 	if err := p.pinLayout(h); err != nil {
 		return nil, err
 	}
-	if built := col.Dict; p.pagedDictOf(h) == nil {
-		p.holdDict(h, src.mgr.Insert(keys.dict, &loadedDict{d: built, size: built.MemoryBytes()}, built.MemoryBytes(), true).(*loadedDict).d)
-	} else {
-		// Paged by frame: each frame is cut from the built dictionary.
-		d, sd := col.Dict.(*pagedDict), built.(dict.StringDict)
-		for i := range d.frames {
-			vals := make([]string, d.base[i+1]-d.base[i])
-			for j := range vals {
-				vals[j] = sd.StringAt(d.base[i] + uint32(j))
-			}
-			f := dict.NewStringArray(vals)
-			key := keys.frame(i)
+	// Each frame is cut from the built dictionary as the sidecar's file
+	// holds it, and decoded as its load would decode it.
+	built, d, i := col.Dict, p.pagedDictOf(h), 0
+	var err error
+	dictFrames(built, col.Kind, func(raw []byte, count int) {
+		if err != nil {
+			return
+		}
+		var f dict.Dict
+		if f, err = decodeFrame(raw, col.Kind, uint64(count), src.reader.sd); err == nil {
+			key := keys.frameKeys(len(d.frames))[i]
 			p.holdFrame(d, i, key, src.mgr.Insert(key, &loadedDict{d: f, size: f.MemoryBytes()}, f.MemoryBytes(), true).(*loadedDict))
 		}
+		i++
+	})
+	if err != nil {
+		return nil, err
 	}
 	for ci, ch := range col.Chunks {
 		key := keys.chunks[ci]

@@ -11,8 +11,9 @@
 // Section 5 splits a dictionary into sub-dictionaries, since "when only
 // few chunks are active there is no need to have the entire dictionary in
 // memory". That is not a third strategy here: a store on disk cuts every
-// dictionary into checksummed frames (internal/colstore), and a lazy
-// lookup reads only the frames that hold its ids.
+// dictionary into checksummed frames (internal/colstore), and a lazy store
+// holds each frame as a dictionary of its own, loading only the frames
+// that hold the ids a query reads (Hashes, Strings and Numbers walk them).
 //
 // All implementations answer both directions — rank → value and
 // value → rank — because query evaluation needs rank lookups for WHERE
@@ -29,6 +30,7 @@ package dict
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -67,33 +69,94 @@ func findGEByProbe(d Dict, v value.Value) uint32 {
 	}))
 }
 
-// Hashes writes Hash(id) of each of ids, which ascend, into dst — through
-// the dictionary's own batch form when it has one: a dictionary paged by
-// frame finds each frame once, not once per id.
+// Hashes writes Hash(id) of each of ids into dst.
 func Hashes(d Dict, ids []uint32, dst []uint64) {
-	if b, ok := d.(batchDict); ok {
-		b.Hashes(ids, dst)
-		return
+	for k := 0; k < len(ids); {
+		f, lo, n := frameAt(d, ids[k])
+		for ; k < len(ids) && ids[k]-lo < n; k++ {
+			dst[k] = f.Hash(ids[k] - lo)
+		}
 	}
-	for i, id := range ids {
-		dst[i] = d.Hash(id)
+}
+
+// Strings hands each of ids' values, in order, to each as a string that
+// may lie in the dictionary (StringDict.StringAt). d is a string
+// dictionary.
+func Strings(d Dict, ids []uint32, each func(i int, s string)) {
+	for k := 0; k < len(ids); {
+		f, lo, n := frameAt(d, ids[k])
+		sd := f.(StringDict)
+		for ; k < len(ids) && ids[k]-lo < n; k++ {
+			each(k, sd.StringAt(ids[k]-lo))
+		}
 	}
+}
+
+// Numbers writes the value of each of ids into dst, as a T: a sorted
+// array answers without boxing each one into a value.Value.
+func Numbers[T int64 | float64](d Dict, ids []uint32, dst []T) {
+	for k := 0; k < len(ids); {
+		switch f, lo, n := frameAt(d, ids[k]); f := f.(type) {
+		case *Int64s:
+			k = gather(f.vals, lo, ids, dst, k)
+		case *Float64s:
+			k = gather(f.vals, lo, ids, dst, k)
+		default:
+			for ; k < len(ids) && ids[k]-lo < n; k++ {
+				if v := f.Value(ids[k] - lo); v.Kind() == value.KindInt64 {
+					dst[k] = T(v.Int())
+				} else {
+					dst[k] = T(v.AsFloat())
+				}
+			}
+		}
+	}
+}
+
+// gather writes vals[id−lo] into dst for the ids from k on that vals
+// holds, and returns the index past them.
+func gather[V, T int64 | float64](vals []V, lo uint32, ids []uint32, dst []T, k int) int {
+	dst = dst[:len(ids)]
+	for ; k < len(ids); k++ {
+		x := int(ids[k] - lo)
+		if x >= len(vals) {
+			break
+		}
+		dst[k] = T(vals[x])
+	}
+	return k
+}
+
+// frameAt returns the frame of d that holds id, the first id it holds and
+// how many: d itself, holding every id, unless d is held in frames. The
+// bulk readers walk a dictionary held in frames with it beside their ids,
+// finding a frame once per run of ids in it rather than once per id.
+func frameAt(d Dict, id uint32) (f Dict, lo, n uint32) {
+	if fd, ok := d.(framed); ok {
+		if f, lo, hi := fd.Frame(id); f != nil {
+			return f, lo, hi - lo
+		}
+		// failed to load: d reads its ids as zero values
+	}
+	return d, 0, math.MaxUint32
 }
 
 // Load readies the values of ids to be read on this goroutine, through the
-// dictionary's own Load when it has one: a dictionary paged by frame loads
+// dictionary's own Load when it has one: a dictionary held in frames loads
 // the frames that hold them at once, rather than each as it is first read.
 // Any other holds every value already.
 func Load(d Dict, ids []uint32) {
-	if b, ok := d.(batchDict); ok {
-		b.Load(ids)
+	if f, ok := d.(framed); ok {
+		f.Load(ids)
 	}
 }
 
-// batchDict is a dictionary whose values are read in batches: one paged by
-// frame (internal/colstore).
-type batchDict interface {
-	Hashes(ids []uint32, dst []uint64)
+// framed is a dictionary held in frames, each a dictionary of its own: a
+// lazy store's (internal/colstore). Frame returns the frame that holds id,
+// ready to be read on this goroutine, and the ids [lo, hi) it holds; a nil
+// frame failed to load, and the dictionary reads its ids as zero values.
+type framed interface {
+	Frame(id uint32) (f Dict, lo, hi uint32)
 	Load(ids []uint32)
 }
 
@@ -262,13 +325,7 @@ func (d *StringArray) Hash(id uint32) uint64 {
 // admits the dictionary has room for them. Verbatim dictionaries for
 // high-cardinality fields dominate the footprint (Section 3).
 func (d *StringArray) MemoryBytes() int64 {
-	return StringArrayBytes(len(d.data), d.Len())
-}
-
-// StringArrayBytes is the MemoryBytes of a StringArray of n values whose
-// block is dataLen bytes long.
-func StringArrayBytes(dataLen, n int) int64 {
-	return int64(dataLen) + 4*int64(n+1) + 8*int64(n)
+	return int64(len(d.data)) + 4*int64(len(d.off)) + 8*int64(d.Len())
 }
 
 // Int64s is the sorted-array dictionary for int64 values (including

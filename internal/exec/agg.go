@@ -202,9 +202,8 @@ type chunkAggCtx struct {
 	// Per-aggregate argument tables: argGIDs and argHash indexed
 	// [agg][chunk-id] — the chunk dictionary, and what a chunk-id offers
 	// COUNT(DISTINCT): its value's hash, or under Options.ExactDistinct its
-	// global-id — argInts and argFlts [agg][global-id], a SUM or AVG
-	// argument's dictionary values, which the kernels gather through the
-	// chunk dictionary; argChunks is the argument's chunk itself.
+	// global-id — argInts and argFlts [agg][chunk-id], a SUM or AVG
+	// argument's values; argChunks is the argument's chunk itself.
 	argInts   [][]int64
 	argFlts   [][]float64
 	argGIDs   [][]uint32
@@ -267,8 +266,6 @@ func (c *chunkAggCtx) occupied() int {
 // evicted chunk alive outside the memory budget.
 func (c *chunkAggCtx) release() {
 	c.groupGIDs, c.gseq, c.gelems, c.occOf = nil, nil, enc.Raw{}, nil
-	clear(c.argInts)
-	clear(c.argFlts)
 	clear(c.argGIDs)
 	clear(c.argChunks)
 }
@@ -288,6 +285,7 @@ func (c *chunkAggCtx) trim(lim int) int {
 	c.gwide, c.awide = kept(c.gwide, lim, &n), kept(c.awide, lim, &n)
 	for j := range c.argHash {
 		c.argHash[j] = kept(c.argHash[j], lim, &n)
+		c.argInts[j], c.argFlts[j] = kept(c.argInts[j], lim, &n), kept(c.argFlts[j], lim, &n)
 	}
 	c.counts, c.present = kept(c.counts, lim, &n), kept(c.present, lim, &n)
 	for j := range c.dense {
@@ -641,11 +639,12 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 		c.argChunks[j], c.argGIDs[j] = ach, ach.GlobalIDs
 		switch spec.fn {
 		case aggSum, aggAvg:
-			// A numeric column's dictionary is the sorted array.
 			if p.aggInt[j] {
-				c.argInts[j] = acol.Dict.(*dict.Int64s).Values()
+				c.argInts[j] = resized(c.argInts[j], len(ach.GlobalIDs))
+				dict.Numbers(acol.Dict, ach.GlobalIDs, c.argInts[j])
 			} else {
-				c.argFlts[j] = acol.Dict.(*dict.Float64s).Values()
+				c.argFlts[j] = resized(c.argFlts[j], len(ach.GlobalIDs))
+				dict.Numbers(acol.Dict, ach.GlobalIDs, c.argFlts[j])
 			}
 		case aggCountDistinct:
 			hs := resized(c.argHash[j], len(ach.GlobalIDs))
@@ -684,33 +683,6 @@ func (c *chunkAggCtx) occupancy(j int, mask *enc.Bitmap) []int64 {
 		c.occOf = ach
 	}
 	return c.occ
-}
-
-// fillInts looks up the int64 values of gids; the sorted-array dictionary
-// answers without boxing each one into a value.Value.
-func fillInts(dst []int64, d dict.Dict, gids []uint32) {
-	if arr, ok := d.(*dict.Int64s); ok {
-		for i, gid := range gids {
-			dst[i] = arr.Int64At(gid)
-		}
-		return
-	}
-	for i, gid := range gids {
-		dst[i] = d.Value(gid).Int()
-	}
-}
-
-// fillFloats is fillInts for a float column.
-func fillFloats(dst []float64, d dict.Dict, gids []uint32) {
-	if arr, ok := d.(*dict.Float64s); ok {
-		for i, gid := range gids {
-			dst[i] = arr.Float64At(gid)
-		}
-		return
-	}
-	for i, gid := range gids {
-		dst[i] = d.Value(gid).AsFloat()
-	}
 }
 
 // newPartial copies the chunk's results into a partial of its own, at its

@@ -120,9 +120,8 @@ type QueryStats struct {
 	// ColdChunkLoads counts the individual (column, chunk) entries this
 	// query cold-loaded (chunk-granular lazy stores only).
 	ColdChunkLoads int64 `json:"cold_chunk_loads"`
-	// ColdDictLoads counts the dictionary entries this query cold-loaded
-	// (chunk-granular lazy stores only): a whole dictionary, or one frame
-	// of a string dictionary paged by frame, counts one.
+	// ColdDictLoads counts the dictionary frames this query cold-loaded
+	// (chunk-granular lazy stores only).
 	ColdDictLoads int64 `json:"cold_dict_loads"`
 	// ColdBytesLoaded sums the resident bytes of those cold loads.
 	ColdBytesLoaded int64 `json:"cold_bytes_loaded"`
@@ -728,8 +727,8 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	err := e.pinColumns(ps, true, names, p.pin, workers, p.cols)
 	e.gate.Release(workers)
 	for _, spec := range p.aggs {
-		if err == nil && spec.fn == aggCountDistinct && !e.opts.ExactDistinct {
-			err = ps.PinChunkFrames(spec.argCol, p.pin) // hashed on workers
+		if err == nil && (spec.fn == aggSum || spec.fn == aggAvg || spec.fn == aggCountDistinct && !e.opts.ExactDistinct) {
+			err = ps.PinChunkFrames(spec.argCol, p.pin) // read on workers
 		}
 	}
 	if err != nil {

@@ -137,13 +137,15 @@ func TestIndexRecordsPagedThroughBudget(t *testing.T) {
 // generation-8 store written by the last build that kept per-chunk Bloom
 // filters, whose sparse columns (timestamp, table_name, latency, user)
 // each end in a Bloom record after the layout, with a date(timestamp)
-// sidecar and expected.json, that build's resident answers. The eager and
-// the lazy open answer as that build did; the scrub verifies every Bloom
-// record with the rest of its file and is clean. A byte flipped inside
-// table_name's Bloom record fails the scrub of that file and the eager
-// open with a *ChecksumError, while a lazy query restricted on table_name
-// still answers, and loads, charges and reads exactly what it does on the
-// same store with the Bloom records left out of the manifest.
+// sidecar and expected.json, that build's resident answers. The eager open
+// answers as that build did; the lazy one refuses the old generation, and
+// the upgrade answers as that build did, lazily, with and without a tight
+// budget, and scrubs clean with no Bloom record left. The eager open
+// verifies every Bloom record with the rest of its file and reads nothing
+// of it: a byte flipped inside table_name's Bloom record fails the eager
+// open, and so the upgrade, with a *ChecksumError, and the store with its
+// Bloom records left out of the manifest upgrades to the very bytes the
+// store with them does.
 func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
 	src := filepath.Join("..", "colstore", "testdata", "bloom8")
 	blob, err := os.ReadFile(filepath.Join(src, "expected.json"))
@@ -185,55 +187,43 @@ func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	answer(eager, "Open")
-	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
+	if _, _, err := colstore.OpenLazy(dir, memmgr.New(0, "")); !errors.Is(err, colstore.ErrOldFormat) {
+		t.Fatalf("OpenLazy of a generation-8 store: err = %v, want ErrOldFormat", err)
+	}
+	up := filepath.Join(t.TempDir(), "up")
+	if err := colstore.Upgrade(dir, up); err != nil {
+		t.Fatal(err)
+	}
+	lazy, _, err := colstore.OpenLazy(up, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer(lazy, "OpenLazy")
+	answer(lazy, "OpenLazy of the upgrade")
 	lazy.Close()
-	tight, _, err := colstore.OpenLazy(dir, memmgr.New(residentFootprint(t, eager)/4, ""))
+	tight, _, err := colstore.OpenLazy(up, memmgr.New(residentFootprint(t, eager)/4, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer(tight, "OpenLazy, a quarter of the footprint")
+	answer(tight, "OpenLazy of the upgrade, a quarter of the footprint")
 	tight.Close()
 
-	// The manifest's Bloom records, and the records the scrub verifies:
-	// every frame, chunk and layout record, and the Bloom record.
-	var m map[string]any
-	if blob, err = os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := colstore.NewReader(dir)
+	// The upgrade's scrub verifies every frame, chunk and layout record,
+	// and finds no Bloom record.
+	r, _, err := colstore.NewReader(up)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	want, blooms := map[string]int{}, map[string]string{}
-	var flipAt int64 // inside table_name's Bloom record
-	for _, c := range m["columns"].([]any) {
-		c := c.(map[string]any)
-		name, file := c["name"].(string), c["file"].(string)
-		_, frames, chunks, err := r.ColumnRecords(name)
+	want, files := map[string]int{}, []string{"manifest.json"}
+	for _, meta := range r.Columns() {
+		file, frames, chunks, err := r.ColumnRecords(meta.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[file] = len(frames) + len(chunks) + 1
-		if ref, ok := c["bloom"].(map[string]any); ok {
-			want[file]++
-			blooms[name] = file
-			if name == "table_name" {
-				flipAt = int64(ref["off"].(float64)) + 3
-			}
-		}
+		files = append(files, file)
 	}
-	if len(blooms) != 4 {
-		t.Fatalf("Bloom records on %v, want the four sparse columns", blooms)
-	}
-	for _, f := range colstore.ScrubDir(dir, dir) {
+	for _, f := range colstore.ScrubDir(up, up) {
 		if !f.OK() {
 			t.Fatalf("scrub: %s: %s", f.Path, f.Err)
 		}
@@ -242,16 +232,46 @@ func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
 		}
 	}
 
-	// The same store with no Bloom record in its manifest.
-	stripped := copyFixture(t, src)
-	for _, c := range m["columns"].([]any) {
-		delete(c.(map[string]any), "bloom")
+	// The manifest's Bloom records, and the same store with none in it.
+	var m map[string]any
+	if blob, err = os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
+		t.Fatal(err)
 	}
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	blooms := map[string]string{}
+	var flipAt int64 // inside table_name's Bloom record
+	for _, c := range m["columns"].([]any) {
+		c := c.(map[string]any)
+		if ref, ok := c["bloom"].(map[string]any); ok {
+			blooms[c["name"].(string)] = c["file"].(string)
+			if c["name"] == "table_name" {
+				flipAt = int64(ref["off"].(float64)) + 3
+			}
+			delete(c, "bloom")
+		}
+	}
+	if len(blooms) != 4 {
+		t.Fatalf("Bloom records on %v, want the four sparse columns", blooms)
+	}
+	stripped := copyFixture(t, src)
 	if blob, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(stripped, "manifest.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	upStripped := filepath.Join(t.TempDir(), "up")
+	if err := colstore.Upgrade(stripped, upStripped); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		a, errA := os.ReadFile(filepath.Join(up, file))
+		b, errB := os.ReadFile(filepath.Join(upStripped, file))
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Fatalf("%s differs between the upgrades with and without Bloom records (%v, %v)", file, errA, errB)
+		}
 	}
 
 	// A flipped byte inside table_name's Bloom record.
@@ -264,51 +284,12 @@ func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dirty := 0
-	for _, f := range colstore.ScrubDir(dir, dir) {
-		if !f.OK() {
-			dirty++
-			if f.Path != blooms["table_name"] || !strings.Contains(f.Err, "checksum mismatch") {
-				t.Errorf("scrub: %s: %s", f.Path, f.Err)
-			}
-		}
-	}
-	if dirty != 1 {
-		t.Fatalf("scrub found %d dirty files, want table_name's", dirty)
-	}
 	var ce *colstore.ChecksumError
 	if _, _, err := colstore.Open(dir); !errors.As(err, &ce) || ce.Path != path {
 		t.Fatalf("eager Open of a flipped Bloom record: err = %v, want a ChecksumError in %s", err, path)
 	}
-
-	q := answers[2].SQL
-	if !strings.Contains(q, "WHERE table_name IN") {
-		t.Fatalf("expected.json's third query is not restricted on table_name: %s", q)
-	}
-	run := func(dir string) (memmgr.Stats, QueryStats) {
-		t.Helper()
-		mgr := memmgr.New(0, "")
-		s, _, err := colstore.OpenLazy(dir, mgr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		res, err := New(s, Options{Parallelism: 2}).Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if len(res.Rows) != len(answers[2].Rows) {
-			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), len(answers[2].Rows))
-		}
-		return mgr.Stats(), res.Stats
-	}
-	mgrFlipped, qsFlipped := run(dir)
-	mgrStripped, qsStripped := run(stripped)
-	if mgrFlipped.ColdLoads != mgrStripped.ColdLoads || mgrFlipped.ResidentBytes != mgrStripped.ResidentBytes ||
-		qsFlipped.DiskBytesRead != qsStripped.DiskBytesRead || qsFlipped.ColdLoads != qsStripped.ColdLoads {
-		t.Fatalf("with Bloom records: %d loads, %d bytes charged, %d read; without: %d, %d, %d",
-			mgrFlipped.ColdLoads, mgrFlipped.ResidentBytes, qsFlipped.DiskBytesRead,
-			mgrStripped.ColdLoads, mgrStripped.ResidentBytes, qsStripped.DiskBytesRead)
+	if err := colstore.Upgrade(dir, filepath.Join(t.TempDir(), "up")); !errors.As(err, &ce) || ce.Path != path {
+		t.Fatalf("upgrade of a flipped Bloom record: err = %v, want a ChecksumError in %s", err, path)
 	}
 }
 

@@ -125,10 +125,10 @@ func kernel[G, A enc.Elem](c *chunkAggCtx, p *plan, j int, ge []G, ae []A, mask 
 	case aggSum, aggAvg:
 		if p.aggInt[j] {
 			a.sumI = zeroed(a.sumI, c.card)
-			kernelSum(a.sumI, c.argInts[j], c.argGIDs[j], ge, ae, mask)
+			kernelSum(a.sumI, c.argInts[j], ge, ae, mask)
 		} else {
 			c.sumsF = zeroed(c.sumsF, c.card)
-			kernelSum(c.sumsF, c.argFlts[j], c.argGIDs[j], ge, ae, mask)
+			kernelSum(c.sumsF, c.argFlts[j], ge, ae, mask)
 			c.floatParts(a, c.sumsF)
 		}
 	case aggMin, aggMax:
@@ -283,17 +283,15 @@ func (c *chunkAggCtx) fillRuns(a *aggColumn, most int) {
 }
 
 // kernelSum accumulates SUM/AVG: dense per-group sums indexed by group
-// chunk-id, each row's value gathered from the dictionary's values through
-// the chunk dictionary's global-ids — no per-chunk table of values: a chunk
-// holds barely more rows than distinct values of a column such as latency.
-// Ascending row order keeps a float accumulation bit-identical to a
-// row-at-a-time sum.
-func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, gids []uint32, ge []G, ae []A, mask *enc.Bitmap) {
+// chunk-id, each row's value gathered from the chunk's values, indexed by
+// chunk-id. Ascending row order keeps a float accumulation bit-identical to
+// a row-at-a-time sum.
+func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, ge []G, ae []A, mask *enc.Bitmap) {
 	switch {
 	case ge == nil && mask == nil:
 		var s T
 		for _, x := range ae {
-			s += vals[gids[x]]
+			s += vals[x]
 		}
 		sums[0] = s
 	case ge == nil:
@@ -301,21 +299,21 @@ func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, gids []uint32, 
 		for wi, w := range mask.Words() {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
-				s += vals[gids[ae[base+bits.TrailingZeros64(w)]]]
+				s += vals[ae[base+bits.TrailingZeros64(w)]]
 			}
 		}
 		sums[0] = s
 	case mask == nil:
 		ge = ge[:len(ae)]
 		for r, x := range ae {
-			sums[ge[r]] += vals[gids[x]]
+			sums[ge[r]] += vals[x]
 		}
 	default:
 		for wi, w := range mask.Words() {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
 				r := base + bits.TrailingZeros64(w)
-				sums[ge[r]] += vals[gids[ae[r]]]
+				sums[ge[r]] += vals[ae[r]]
 			}
 		}
 	}

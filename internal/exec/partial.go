@@ -339,17 +339,14 @@ func (c *valueColumn) resolve() {
 	switch c.kind {
 	case value.KindInt64:
 		c.ints = c.ints[:len(ids)]
-		fillInts(c.ints, d, ids)
+		dict.Numbers(d, ids, c.ints)
 	case value.KindFloat64:
 		c.flts = c.flts[:len(ids)]
-		fillFloats(c.flts, d, ids)
+		dict.Numbers(d, ids, c.flts)
 	default:
 		// The arena is the copy: read the dictionary in place.
-		sd := d.(dict.StringDict)
 		dict.Load(d, ids)
-		for _, id := range ids {
-			c.appendString(sd.StringAt(id))
-		}
+		dict.Strings(d, ids, func(_ int, s string) { c.appendString(s) })
 	}
 }
 

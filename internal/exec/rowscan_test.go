@@ -24,10 +24,10 @@ const slowestQueries = `SELECT timestamp, table_name, latency, country, user FRO
 // opened query-log store loads the columns it only projects at no more
 // chunks than hold one of its ten rows, skips the chunks the rank bound
 // rules out without loading them — the same ones at every parallelism —
-// and walks timestamp's dictionary, larger than the budget, instead of
-// admitting it; without a budget the dictionary stays resident. The walk
-// verifies each frame it reads like any cold load: with a byte flipped in
-// every frame of the dictionary, the query fails with a ChecksumError.
+// and of timestamp's dictionary, larger than the budget, pins only the
+// frames that hold its answer's values, under the budget and without one.
+// It verifies each frame it reads like any cold load: with a byte flipped
+// in every frame of the dictionary, the query fails with a ChecksumError.
 func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	tbl := workload.QueryLogs(workload.LogsSpec{Rows: 40000, Seed: 2012})
 	built, err := colstore.FromTable(tbl, colstore.Options{
@@ -63,6 +63,40 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	if len(want.Rows) != 10 || len(winners) == 0 {
 		t.Fatalf("%d rows in %d chunks, want 10 rows", len(want.Rows), len(winners))
 	}
+	// The frames of timestamp's dictionary, and those that hold the answer.
+	r, _, err := colstore.NewReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, frames, _, err := r.ColumnRecords("timestamp")
+	if err != nil || len(frames) < 2 {
+		t.Fatalf("timestamp's dictionary is not in frames (%v)", err)
+	}
+	answer := map[int]bool{}
+	for _, row := range want.Rows {
+		id, _ := built.Column("timestamp").Dict.Lookup(row[0])
+		for i, base := 0, 0; i < len(frames); i++ {
+			if base += frames[i].Values; int(id) < base {
+				answer[i] = true
+				break
+			}
+		}
+	}
+	others := int64(len(frames) - len(answer))
+	// coldFrames pins every frame of timestamp's dictionary and counts the
+	// ones that were not resident.
+	coldFrames := func(s *colstore.Store) int64 {
+		ps := s.NewPinSet()
+		defer ps.Release()
+		ids := make([]uint32, built.Column("timestamp").Dict.Len())
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		if _, err := ps.Values("timestamp", ids); err != nil {
+			t.Fatal(err)
+		}
+		return ps.ColdDictLoads
+	}
 
 	var stats []QueryStats
 	for _, par := range []int{1, 4} {
@@ -73,14 +107,10 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 		}
 		assertSameResult(t, slowestQueries, want, res)
 		stats = append(stats, res.Stats)
-		ps := s.NewPinSet()
-		if _, err := ps.ColumnDict("timestamp"); err != nil {
-			t.Fatal(err)
+		if cold := coldFrames(s); cold < others {
+			t.Errorf("p%d: %d of timestamp's %d frames (%d bytes) resident after the query under a %d-byte budget; its answer is in %d",
+				par, int64(len(frames))-cold, len(frames), tsDict, budget, len(answer))
 		}
-		if ps.ColdDictLoads != 1 {
-			t.Errorf("p%d: timestamp's %d-byte dictionary resident after the query under a %d-byte budget", par, tsDict, budget)
-		}
-		ps.Release()
 	}
 	st := stats[0]
 	if !reflect.DeepEqual(stats[0], stats[1]) {
@@ -99,14 +129,12 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	if _, err := New(s, Options{Parallelism: 2}).Run(stmt); err != nil {
 		t.Fatal(err)
 	}
+	if cold := coldFrames(s); cold != others {
+		t.Errorf("%d of timestamp's %d frames resident after the query without a budget; want the %d that hold its answer",
+			int64(len(frames))-cold, len(frames), len(answer))
+	}
 	ps := s.NewPinSet()
 	defer ps.Release()
-	if _, err := ps.ColumnDict("timestamp"); err != nil {
-		t.Fatal(err)
-	}
-	if ps.ColdDictLoads != 0 {
-		t.Error("timestamp's dictionary not resident after the query without a budget")
-	}
 	for _, name := range []string{"timestamp", "table_name", "country", "user"} {
 		before := ps.ColdChunkLoads
 		if _, err := ps.ColumnChunks(name, nil); err != nil {
@@ -118,14 +146,6 @@ func TestRowScanFetchesWinnersOnly(t *testing.T) {
 	}
 
 	// A flipped byte in every frame of timestamp's dictionary.
-	r, _, err := colstore.NewReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, frames, _, err := r.ColumnRecords("timestamp")
-	if err != nil || len(frames) < 2 {
-		t.Fatalf("timestamp's dictionary is not in frames (%v)", err)
-	}
 	path := filepath.Join(dir, file)
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -26,7 +26,9 @@ import (
 // after a crash. testdata/parent6 is the same in generation 6, written by
 // the last commit that wrote a dictionary as one record, and
 // testdata/parent7 in generation 7, written by the last commit that kept
-// each column's chunk and frame index in the manifest.
+// each column's chunk and frame index in the manifest, and
+// testdata/parent8 in generation 8, written by the last commit whose layout
+// records held no first value of a numeric dictionary frame.
 func parentStore(t *testing.T) string {
 	return parentFixture(t, "parent5")
 }
@@ -133,8 +135,8 @@ func checkUpgradedFixture(t *testing.T, dir, name string) {
 		t.Errorf("the upgrade carried the virtual sidecar (kinds: %v)", kinds)
 	}
 	for _, sub := range []string{"", segRel(0), segRel(1)} {
-		if gen, err := colstore.FormatGeneration(filepath.Join(dir, sub)); err != nil || gen != 8 {
-			t.Errorf("%q is generation %d (%v), want 8", sub, gen, err)
+		if gen, err := colstore.FormatGeneration(filepath.Join(dir, sub)); err != nil || gen != 9 {
+			t.Errorf("%q is generation %d (%v), want 9", sub, gen, err)
 		}
 	}
 	w, err := openUpgraded(dir)
@@ -155,15 +157,16 @@ func checkUpgradedFixture(t *testing.T, dir, name string) {
 // one-generation change — base, segments, sidecar and WAL — upgrades into
 // one this build serves: it scrubs clean, attaches, and answers what the
 // commit that wrote it answered (expected.json). So do the generation-6
-// directory written by the parent of the framed dictionaries and the
-// generation-7 one written by the parent of the index records, which no
-// reader but Upgrade opens either: OpenLazy refuses each base and Attach
-// its segments.
+// directory written by the parent of the framed dictionaries, the
+// generation-7 one written by the parent of the index records and the
+// generation-8 one written by the parent of the numeric frames' first
+// values, which no reader but Upgrade opens either: OpenLazy refuses each
+// base and Attach its segments.
 func TestParentWrittenStore(t *testing.T) {
 	for _, fx := range []struct {
 		name string
 		gen  int
-	}{{"parent5", 5}, {"parent6", 6}, {"parent7", 7}} {
+	}{{"parent5", 5}, {"parent6", 6}, {"parent7", 7}, {"parent8", 8}} {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := parentFixture(t, fx.name)
 			var old *colstore.OldFormatError
@@ -273,8 +276,8 @@ func TestUpgradeCarriesIngestState(t *testing.T) {
 	if err := Upgrade(dir, up3); err != nil {
 		t.Fatalf("Upgrade over a generation-3 segment = %v", err)
 	}
-	if gen, err := colstore.FormatGeneration(filepath.Join(up3, segRel(0))); err != nil || gen != 8 {
-		t.Fatalf("the generation-3 segment upgraded to generation %d (%v), want 8", gen, err)
+	if gen, err := colstore.FormatGeneration(filepath.Join(up3, segRel(0))); err != nil || gen != 9 {
+		t.Fatalf("the generation-3 segment upgraded to generation %d (%v), want 9", gen, err)
 	}
 	if err := attach(); !errors.Is(err, colstore.ErrOldFormat) {
 		t.Fatalf("Attach over old segments = %v, want ErrOldFormat", err)

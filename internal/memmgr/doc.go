@@ -7,10 +7,9 @@
 //
 // The manager is deliberately key-agnostic: callers decide what an entry
 // is. colstore uses one entry per (column, chunk) pair, one per frame of a
-// string column's global dictionary under a budget, one per other global
-// dictionary, and one per column's layout record (keys
-// "<dir>\x00<column>#<chunk>", "<dir>\x00<column>#f<frame>",
-// "<dir>\x00<column>#dict" and "<dir>\x00<column>#index").
+// column's global dictionary, and one per column's layout record (keys
+// "<dir>\x00<column>#<chunk>", "<dir>\x00<column>#f<frame>" and
+// "<dir>\x00<column>#index").
 // Namespacing by absolute store directory means replicas opened from the
 // same path share residency. One Manager may be shared by many stores —
 // every shard of a cluster leaf process, for example — to enforce a single

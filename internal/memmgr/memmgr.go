@@ -283,18 +283,6 @@ func (m *Manager) PinResident(keys []string, values []any, cold []int) []int {
 	return cold
 }
 
-// Fits reports whether size more bytes fit in the budget beside every
-// resident entry, so that admitting them would evict nothing. Without a
-// budget everything fits.
-func (m *Manager) Fits(size int64) bool {
-	if m.budget == 0 {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident.SizeBytes()+size <= m.budget
-}
-
 // Release drops one pin on key; see ReleaseAll.
 func (m *Manager) Release(key string) { m.ReleaseAll([]string{key}) }
 

@@ -42,26 +42,6 @@ func TestAcquireColdThenWarm(t *testing.T) {
 	})
 }
 
-// TestFits: an entry fits while the budget holds it beside every resident
-// entry, pinned or not; without a budget everything fits.
-func TestFits(t *testing.T) {
-	if !New(0, "").Fits(1 << 40) {
-		t.Error("an unlimited manager refused an entry")
-	}
-	m := New(1000, "")
-	var calls atomic.Int64
-	if _, _, err := m.Acquire("a", loader(&calls, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Fits(700) || m.Fits(701) {
-		t.Errorf("300 of 1000 bytes pinned: Fits(700) = %v, Fits(701) = %v; want true, false", m.Fits(700), m.Fits(701))
-	}
-	m.Release("a")
-	if m.Fits(701) {
-		t.Error("an unpinned resident entry no longer counts against Fits")
-	}
-}
-
 func TestBudgetEvictsCold(t *testing.T) {
 	m := New(250, "")
 	var calls atomic.Int64

@@ -25,43 +25,44 @@ var layoutCases = []struct {
 	want string
 	// chunks is the digest of the chunk records alone (chunkDigest),
 	// recorded from generation 6 and unchanged by generation 7, which
-	// moved only the dictionaries' bytes, and by generation 8, which moved
-	// the index out of the manifest into records after the chunks.
+	// moved only the dictionaries' bytes, by generation 8, which moved
+	// the index out of the manifest into records after the chunks, and by
+	// generation 9, which gave a numeric frame's index entry its first key.
 	chunks string
 }{
 	{
 		name:   "bench",
 		tbl:    func() *Table { return GenerateQueryLogs(50_000, 1) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true},
-		want:   "0197abb08cc24d116fd64bb41ad7ce389cd02d3dceed49976b6be95b5185ec08",
+		want:   "b0253444384453a0fa6b096c233d06e340dbb1a51e17c74c76c366f6051b1698",
 		chunks: "fadcb123539eb661b4c007684ae4bee1782823d28094e739f36944b52296896d",
 	},
 	{
 		name:   "three-fields",
 		tbl:    func() *Table { return GenerateQueryLogs(30_000, 2) },
 		opts:   Options{PartitionFields: []string{"country", "table_name", "user"}, MaxChunkRows: 1000, OptimizeElements: true},
-		want:   "00d4e4e890adc68f553f5d7a80618b45538898d34f409cba3c34ddb04d4b2746",
+		want:   "fab9ea844c89b62cd7c3f0c70eb27ce17c9ba999cac43801beadd2413aab9ff8",
 		chunks: "d3c4c5e6caa0a3689e4112ae5752331589ce38dbe3281c2ca9eba98d3905680f",
 	},
 	{
 		name:   "int64-field",
 		tbl:    func() *Table { return GenerateQueryLogs(20_000, 3) },
 		opts:   Options{PartitionFields: []string{"latency", "country"}, MaxChunkRows: 1500, OptimizeElements: true},
-		want:   "11f663e3924b82a57170ca9917ac0a404fad7a3fe2e291aabc6ff2b958c23f94",
+		want:   "6417bd64f24eef849ebe3edf691da10e04439ae2ba7faf05f02315950736319a",
 		chunks: "e75f1fd65b39fcb14a958238055de750f70d3aba79506fda55db76b03ea43e10",
 	},
 	{
 		name:   "reorder",
 		tbl:    func() *Table { return GenerateQueryLogs(40_000, 4) },
 		opts:   Options{PartitionFields: []string{"country", "table_name"}, MaxChunkRows: 2000, OptimizeElements: true, Reorder: true},
-		want:   "642df2a5bf37dd7c1ac7f7999c23ab8aef6b55a9e731674466bdc1db694b5564",
+		want:   "eaf3ddc423102654dc007b1e8c30b33bc9be562a3d3b4dadb1ed694e280c52a1",
 		chunks: "1910f1fe8eca0e9705cc8187215c6fab44a5fe3fb9590ffc618a4bfdd4c2e8f1",
 	},
 	{
 		name:   "unpartitioned",
 		tbl:    func() *Table { return GenerateQueryLogs(20_000, 5) },
 		opts:   Options{},
-		want:   "90cccdcbec0cddbceef67ee41738dff59df800e23cb363113b6cb22416ce6080",
+		want:   "9c12dbdde714a3a1ed7776083536c8d7b5df863f3e88acbc6a02d07e2143042b",
 		chunks: "4f6d7fd11a25c17e3e95fc10de3dddec302194dd73438c0f1ae5371329980c05",
 	},
 	{
@@ -83,7 +84,7 @@ var layoutCases = []struct {
 			return tbl.AddFloat64Column("score", score)
 		},
 		opts:   Options{PartitionFields: []string{"country"}, MaxChunkRows: 2500, OptimizeElements: true},
-		want:   "3d20241dd1ee61c60905615f20e379ced98dbd8af95bca418dcf92a40bef2ac4",
+		want:   "68a82c4dc2a434712e84cf10ba2859faefec21e1df6dcc68748df52341dcc38a",
 		chunks: "694bda7f48804ecdbf8f6d36907f175f2f40021d1b844f7b6e7d3f3815b1b299",
 	},
 }

@@ -308,3 +308,82 @@ func activeChunkBytes(t *testing.T, built *Store, r *colstore.Reader, on string,
 	}
 	return bytes
 }
+
+// benchCharts are the click benchmark's 20 chart shapes (bench/session.go,
+// chart 20 with its row predicate), each under the WHERE clause %s stands
+// for.
+var benchCharts = []string{
+	"SELECT country AS k, COUNT(*) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT table_name AS k, COUNT(*) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT user AS k, COUNT(*) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT date(timestamp) AS k, COUNT(*) AS v FROM data%s GROUP BY k ORDER BY k ASC LIMIT 400;",
+	"SELECT country AS k, SUM(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT date(timestamp) AS k, SUM(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT user AS k, SUM(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT country AS k, AVG(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT table_name AS k, MAX(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT date(timestamp) AS k, MIN(latency) AS v FROM data%s GROUP BY k ORDER BY v ASC, k ASC LIMIT 10;",
+	"SELECT user AS k, AVG(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT table_name AS k, AVG(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT country AS k, MAX(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT user AS k, MAX(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT country AS k, COUNT(DISTINCT table_name) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT date(timestamp) AS k, AVG(latency) AS v FROM data%s GROUP BY k ORDER BY v DESC, k ASC LIMIT 10;",
+	"SELECT country AS k, MIN(latency) AS v FROM data%s GROUP BY k ORDER BY v ASC, k ASC LIMIT 10;",
+	"SELECT COUNT(*) AS n, SUM(latency) AS s, MIN(latency) AS lo, MAX(latency) AS hi FROM data%s;",
+	"SELECT country AS k, user AS u, COUNT(*) AS v FROM data%s GROUP BY k, u ORDER BY v DESC, k ASC, u ASC LIMIT 10;",
+	"SELECT timestamp, table_name, latency, country, user FROM data%s ORDER BY latency DESC, timestamp ASC, table_name ASC LIMIT 10;",
+}
+
+// TestOneDictionaryResidencyPath: on a lazy store, with a quarter of its
+// resident bytes as the budget and without one, every dictionary is paged
+// by frame. The click benchmark's chart shapes, unrestricted and under
+// three restrictions, answer as the built store does; afterwards nothing
+// is pinned, the manager holds no entry of a whole dictionary (a key
+// "<column>#dict", which no build since paged numeric dictionaries makes),
+// and without a budget it holds frames of every column the charts read,
+// virtual ones included.
+func TestOneDictionaryResidencyPath(t *testing.T) {
+	ps := newPagedSetup(t, 50_000)
+	wheres := []string{"", ` WHERE country IN ("us", "de")`, ` WHERE latency > 500`,
+		fmt.Sprintf(` WHERE table_name = "%s"`, ps.name(ps.base[1]))}
+	for _, budget := range []int64{ps.resident / 4, 0} {
+		s, _, err := Open(ps.dir, Options{MemoryBudgetBytes: budget, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, where := range wheres {
+			for i, chart := range benchCharts {
+				q := fmt.Sprintf(chart, where)
+				if i == len(benchCharts)-1 { // the slowest queries, as the benchmark keeps them
+					q = fmt.Sprintf(chart, " WHERE latency > 20000"+strings.Replace(where, " WHERE", " AND", 1))
+				}
+				want, err := ps.built.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Query(q)
+				if err != nil {
+					t.Fatalf("budget %d: %s: %v", budget, q, err)
+				}
+				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("budget %d: %s = %v, want %v", budget, q, got.Rows, want.Rows)
+				}
+			}
+		}
+		cs := s.internalStore()
+		mgr, ns := cs.MemManager(), cs.CacheNamespace()
+		if st := mgr.Stats(); st.PinnedBytes != 0 {
+			t.Errorf("budget %d: %d bytes pinned after the charts", budget, st.PinnedBytes)
+		}
+		for _, col := range cs.Columns() {
+			if n, _ := mgr.DropNamespace(ns + "\x00" + col + "#dict"); n != 0 {
+				t.Errorf("budget %d: %d whole-dictionary entries of %s", budget, n, col)
+			}
+			if n, _ := mgr.DropNamespace(ns + "\x00" + col + "#f"); budget == 0 && n == 0 {
+				t.Errorf("no frame of %s resident without a budget", col)
+			}
+		}
+		s.Close()
+	}
+}

@@ -11,13 +11,14 @@ import (
 
 // TestUpgradeParentStore: the public path for a directory an older build
 // wrote and appended to (internal/colstore/testdata/parent5, generation 5,
-// parent6, generation 6, and parent7, generation 7). Open refuses it with
+// parent6, generation 6, parent7, generation 7, and parent8, generation 8).
+// Open refuses it with
 // ErrOldFormat; Upgrade
 // carries its base, sealed segments and write-ahead log into a directory
 // that opens with every row and gives the answers the writing build gave
 // (expected.json).
 func TestUpgradeParentStore(t *testing.T) {
-	for _, name := range []string{"parent5", "parent6", "parent7"} {
+	for _, name := range []string{"parent5", "parent6", "parent7", "parent8"} {
 		t.Run(name, func(t *testing.T) { upgradeParentStore(t, name) })
 	}
 }
@@ -52,8 +53,8 @@ func upgradeParentStore(t *testing.T, name string) {
 	if err := Upgrade(old, up); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := FormatGeneration(up); err != nil || gen != 8 {
-		t.Fatalf("upgraded store is generation %d (%v), want 8", gen, err)
+	if gen, err := FormatGeneration(up); err != nil || gen != 9 {
+		t.Fatalf("upgraded store is generation %d (%v), want 9", gen, err)
 	}
 	s, _, err := Open(up, Options{})
 	if err != nil {
