@@ -489,7 +489,7 @@ func BenchmarkRowScanCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		lazy, _, err := colstore.OpenLazy(dir, memmgr.New(resident/4, "2q"))
+		lazy, _, err := colstore.OpenLazy(dir, memmgr.New(resident/4, ""))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -507,9 +507,9 @@ func BenchmarkRowScanCold(b *testing.B) {
 	b.ReportMetric(float64(diskBytes)/float64(b.N), "disk_bytes/op")
 }
 
-// BenchmarkCacheScan measures 2Q under the Section 5 pathology: a hot
-// working set polluted by one-time scans. hitRate is the share of hot-set
-// lookups that hit.
+// BenchmarkCacheScan measures the LIRS cache under the Section 5
+// pathology: a hot working set polluted by one-time scans. hitRate is the
+// share of hot-set lookups that hit.
 func BenchmarkCacheScan(b *testing.B) {
 	c := cache.New(100*64, nil)
 	for i := 0; i < b.N; i++ {

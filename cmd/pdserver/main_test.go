@@ -71,7 +71,7 @@ func TestStatzHandler(t *testing.T) {
 	if p.Memory == nil {
 		t.Fatal("memory section missing for a lazily opened store")
 	}
-	if p.Memory.BudgetBytes != 1<<20 || p.Memory.ColdLoads == 0 || p.Memory.Policy != "2q" {
+	if p.Memory.BudgetBytes != 1<<20 || p.Memory.ColdLoads == 0 || p.Memory.Policy != "lirs" {
 		t.Fatalf("memory section = %+v", p.Memory)
 	}
 	if p.Memory.VirtualBytes == 0 {

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// The tests of behaviour every replacement policy shares run as a "2q"
-// subtest, named for the one policy the cache implements.
+// The tests of behaviour every replacement policy shares run as a subtest
+// that keeps the name "2q", after the policy the cache ran before LIRS, so
+// that their names stay stable across policies.
 func TestBasicPutGet(t *testing.T) {
 	t.Run("2q", func(t *testing.T) {
 		c := New(1000, nil)
@@ -108,9 +109,9 @@ func TestStatsCounters(t *testing.T) {
 	})
 }
 
-// TestScanResistance is the behaviour the paper adopts 2Q for: a hot
+// TestScanResistance is the behaviour the paper replaces LRU for: a hot
 // working set accessed repeatedly must survive a one-time scan of many cold
-// keys. Plain LRU loses the entire working set; 2Q keeps all of it.
+// keys. Plain LRU loses the entire working set; LIRS keeps all of it.
 func TestScanResistance(t *testing.T) {
 	c := New(100*10, nil) // 100 entries of size 10
 	hot := make([]string, 50)
@@ -139,121 +140,6 @@ func TestScanResistance(t *testing.T) {
 	}
 }
 
-func TestTwoQPromotionOnSecondAccess(t *testing.T) {
-	c := New(1000, nil)
-	c.Put("x", 1, 10)
-	c.Get("x") // promote to Am
-	// Flood probation; x must survive since it lives in Am now.
-	for i := 0; i < 200; i++ {
-		c.Put(fmt.Sprintf("flood%d", i), i, 10)
-	}
-	if _, ok := c.Get("x"); !ok {
-		t.Error("promoted entry evicted by probationary flood")
-	}
-}
-
-func TestTwoQGhostReadmission(t *testing.T) {
-	c := New(200, nil)
-	c.Put("g", 1, 50)
-	// Evict g from probation.
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("f%d", i), i, 50)
-	}
-	if _, ok := c.Get("g"); ok {
-		t.Fatal("g should have been evicted")
-	}
-	// Re-inserting a ghost goes straight to the hot queue.
-	c.Put("g", 2, 50)
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("f2-%d", i), i, 50)
-	}
-	if _, ok := c.Get("g"); !ok {
-		t.Error("ghost readmission did not protect g")
-	}
-}
-
-// ghost makes key A1out's newest ghost in a 10-byte cache left empty: key
-// enters A1in alone, and a filler's insert evicts it from there.
-func ghost(c *Cache, key string) {
-	c.Remove(key)
-	c.Put(key, key, 10)
-	c.Put("filler", nil, 10)
-	c.Remove("filler")
-}
-
-// checkGhosts compares A1out, newest first, with model, oldest first.
-func checkGhosts(t *testing.T, c *Cache, model []string) {
-	t.Helper()
-	if len(c.ghosts) != len(model) || c.a1out.n != len(model) {
-		t.Fatalf("A1out holds %d keys in its map and %d in its queue, want %d", len(c.ghosts), c.a1out.n, len(model))
-	}
-	g := c.a1out.head
-	for i := len(model) - 1; i >= 0; i-- {
-		if g.key != model[i] || c.ghosts[g.key] != g {
-			t.Fatalf("A1out position %d is %q, want %q", len(model)-1-i, g.key, model[i])
-		}
-		g = g.next
-	}
-}
-
-// TestGhostQueueHoldsEveryGhost: after repeated ghost hits and removals,
-// A1out holds every key ghosted since it was last admitted or removed, up
-// to kout keys, oldest forgotten first.
-func TestGhostQueueHoldsEveryGhost(t *testing.T) {
-	c := New(10, nil)
-	var model []string
-	forget := func(key string) {
-		for i, k := range model {
-			if k == key {
-				model = append(model[:i], model[i+1:]...)
-				return
-			}
-		}
-	}
-	r := rand.New(rand.NewSource(7))
-	for op := 0; op < 3000; op++ {
-		key := fmt.Sprintf("k%d", r.Intn(600))
-		forget(key)
-		if r.Intn(2) == 0 {
-			ghost(c, key)
-			model = append(model, key)
-			continue
-		}
-		// A ghost hit (or a first access), then a removal: key is
-		// neither resident nor a ghost.
-		c.Put(key, key, 10)
-		c.Remove(key)
-	}
-	checkGhosts(t, c, model)
-	for i := 0; i < kout; i++ {
-		key := fmt.Sprintf("x%d", i)
-		ghost(c, key)
-		model = append(model, key)
-	}
-	checkGhosts(t, c, model[len(model)-kout:])
-}
-
-// TestGhostSurvivesReghosting: a key ghosted, promoted by a ghost hit,
-// removed and ghosted again is remembered for exactly kout − 1 further
-// ghostings.
-func TestGhostSurvivesReghosting(t *testing.T) {
-	c := New(10, nil)
-	ghost(c, "g")
-	c.Put("g", "g", 10) // ghost hit: promoted to Am
-	c.Remove("g")
-	ghost(c, "g")
-	for i := 0; i < kout-1; i++ {
-		ghost(c, fmt.Sprintf("x%d", i))
-	}
-	if c.ghosts["g"] == nil {
-		t.Fatalf("g forgotten after %d further ghostings", kout-1)
-	}
-	ghost(c, "last")
-	if c.ghosts["g"] != nil {
-		t.Fatalf("g remembered after %d further ghostings", kout)
-	}
-}
-
 // TestDropSkipsPinned: Drop removes an unpinned entry and leaves a pinned
 // one where it is, counting no hit, miss or eviction.
 func TestDropSkipsPinned(t *testing.T) {
@@ -269,8 +155,8 @@ func TestDropSkipsPinned(t *testing.T) {
 	if _, _, ok := c.Drop("a"); ok {
 		t.Fatal("Drop of an absent key reported it")
 	}
-	if c.Len() != 1 || c.items["p"].list != &c.a1in {
-		t.Fatal("Drop moved the pinned entry out of A1in")
+	if p := c.items["p"]; c.Len() != 1 || p.t != &c.hir || p.q.in != &c.q {
+		t.Fatal("Drop moved the pinned entry out of Q")
 	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("Drop counted %+v", s)

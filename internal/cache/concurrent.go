@@ -2,14 +2,11 @@ package cache
 
 import "sync"
 
-// Synchronized is a Cache behind a mutex, safe for concurrent use. 2Q
-// mutates its queues on every Get, so even read-only-looking accesses must
-// serialize; the engine's parallel chunk workers share one result cache
-// through this wrapper.
-//
-// The lock is held only for the cache's bookkeeping (list moves, map
-// lookups), never while computing a value, so contention stays bounded by
-// the cache's own constant-time operations.
+// Synchronized is a Cache behind a mutex, safe for concurrent use. LIRS
+// moves entries in S and Q on every Get, so even read-only-looking
+// accesses must serialize; the engine's parallel chunk workers share one
+// result cache through this wrapper. The lock is held only for the cache's
+// bookkeeping, never while computing a value.
 type Synchronized struct {
 	mu sync.Mutex
 	c  *Cache

@@ -26,7 +26,7 @@ func TestPerChunkCompressedRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertColumnsEqual(t, built, eager)
-			lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestUnknownCodecFailsOpen(t *testing.T) {
 	if _, _, err := NewReader(dir); err == nil {
 		t.Fatal("NewReader accepted an unknown codec")
 	}
-	if _, _, err := OpenLazy(dir, memmgr.New(0, "2q")); err == nil {
+	if _, _, err := OpenLazy(dir, memmgr.New(0, "")); err == nil {
 		t.Fatal("OpenLazy accepted an unknown codec")
 	}
 }
@@ -233,7 +233,7 @@ func TestColdLoadsDoNotAliasScratch(t *testing.T) {
 			for _, name := range built.Columns() {
 				total += built.Column(name).Memory().Total()
 			}
-			lazy, _, err := OpenLazy(dir, memmgr.New(total/4, "2q"))
+			lazy, _, err := OpenLazy(dir, memmgr.New(total/4, ""))
 			if err != nil {
 				t.Fatal(err)
 			}

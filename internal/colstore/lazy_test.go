@@ -79,7 +79,7 @@ func TestOpenLazyMatchesOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy, stats, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			lazy, stats, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestLazyEvictionReloadDeterministic(t *testing.T) {
 
 func TestPinSetColdWarmCounters(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "")
-	mgr := memmgr.New(0, "2q")
+	mgr := memmgr.New(0, "")
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestLazyConcurrentReaders(t *testing.T) {
 	for _, name := range eager.Columns() {
 		total += eager.Column(name).Memory().Total()
 	}
-	mgr := memmgr.New(total/3, "2q")
+	mgr := memmgr.New(total/3, "")
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestChunkSpansMatchChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestChunkSpansMatchChunks(t *testing.T) {
 // lazy-load errors into nil, ColumnErr surfaces them.
 func TestColumnErrSurfacesLoadFailures(t *testing.T) {
 	_, dir := buildSavedStore(t, 1000, "")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestColumnChunksPinsWarmBeforeCold(t *testing.T) {
 			budget += ch.MemoryElements() + ch.MemoryChunkDict()
 			warm[ci] = true
 		}
-		mgr := memmgr.New(budget, "2q")
+		mgr := memmgr.New(budget, "")
 		lazy, _, err := OpenLazy(dir, mgr)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func BenchmarkWarmPin(b *testing.B) {
 	if err := Save(s, dir, "zippy"); err != nil {
 		b.Fatal(err)
 	}
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		b.Fatal(err)
 	}

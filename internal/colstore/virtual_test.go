@@ -66,7 +66,7 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			_, dir := buildSavedStore(t, 3000, codec)
-			lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 			}
 
 			// A fresh open must see the column without re-materializing.
-			reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,13 +122,13 @@ func TestVirtualSidecarPersistReopen(t *testing.T) {
 // cold dictionary entry.
 func TestVirtualSidecarExactColdReads(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
-	warm, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	warm, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	materializeUpper(t, warm, "upper(country)")
 
-	cold, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	cold, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestVirtualPersistFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, virtualSubdir), []byte("squat"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestVirtualPersistFallback(t *testing.T) {
 // path even on a writable chunk-granular store.
 func TestVirtualPersistDisabled(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestVirtualPersistDisabled(t *testing.T) {
 // colstore level.
 func TestVirtualEvictReload(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
-	mgr := memmgr.New(1, "2q") // 1 byte: everything evicts the moment it unpins
+	mgr := memmgr.New(1, "") // 1 byte: everything evicts the moment it unpins
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -242,12 +242,12 @@ func TestVirtualEvictReload(t *testing.T) {
 // metadata, not from the materializing session.
 func TestVirtualGaugeOnReload(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	materializeUpper(t, lazy, "upper(country)")
-	reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestVirtualSidecarCrossStoreNoOverwrite(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
 	// Separate managers: 1-byte budgets so everything evicts on release
 	// and reloads go back to the files.
-	a, _, err := OpenLazy(dir, memmgr.New(1, "2q"))
+	a, _, err := OpenLazy(dir, memmgr.New(1, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := OpenLazy(dir, memmgr.New(1, "2q"))
+	b, _, err := OpenLazy(dir, memmgr.New(1, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestVirtualSidecarCrossStoreNoOverwrite(t *testing.T) {
 		}
 	}
 	// A reopen sees the last-written manifest (b's) — lose, never corrupt.
-	reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestVirtualSidecarCrossStoreNoOverwrite(t *testing.T) {
 // must skip the duplicate sidecar entries instead of failing the open.
 func TestVirtualSidecarSurvivesInPlaceSave(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestVirtualSidecarSurvivesInPlaceSave(t *testing.T) {
 	if err := Save(lazy, dir, "zippy"); err != nil {
 		t.Fatal(err)
 	}
-	reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatalf("reopen after in-place save: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestVirtualSidecarSurvivesInPlaceSave(t *testing.T) {
 // instead of failing the losing query.
 func TestVirtualMaterializeRaceAdopts(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "zippy")
-	lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestVirtualMaterializeRaceAdopts(t *testing.T) {
 // the persisted virtual column must still load afterwards.
 func TestVirtualReuseAfterClose(t *testing.T) {
 	_, dir := buildSavedStore(t, 2000, "zippy")
-	mgr := memmgr.New(1, "2q")
+	mgr := memmgr.New(1, "")
 	lazy, _, err := OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -396,11 +396,11 @@ func TestVirtualReuseAfterClose(t *testing.T) {
 // newest generation, merge, and claim the next — both columns survive.
 func TestVirtualSidecarLoseNothingAcrossHandles(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "zippy")
-	s1, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	s1, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	s2, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestVirtualSidecarLoseNothingAcrossHandles(t *testing.T) {
 	}
 
 	// A third handle sees both, bit-for-bit.
-	s3, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	s3, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestVirtualSidecarLoseNothingAcrossHandles(t *testing.T) {
 // column files are collected; the live generation's files survive.
 func TestGCVirtualSidecar(t *testing.T) {
 	_, dir := buildSavedStore(t, 3000, "")
-	s, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	s, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestGCVirtualSidecar(t *testing.T) {
 	if len(vm.Columns) != 2 {
 		t.Fatalf("GC damaged the live generation: %+v", vm.Columns)
 	}
-	reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestVirtualSidecarTornGeneration(t *testing.T) {
 	} {
 		t.Run(torn.name, func(t *testing.T) {
 			_, dir := buildSavedStore(t, 1500, "zippy")
-			lazy, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			lazy, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,7 +520,7 @@ func TestVirtualSidecarTornGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			reopened, _, err := OpenLazy(dir, memmgr.New(0, "2q"))
+			reopened, _, err := OpenLazy(dir, memmgr.New(0, ""))
 			if err != nil {
 				t.Fatalf("torn sidecar generation breaks open: %v", err)
 			}

@@ -74,7 +74,7 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 		t.Fatalf("degenerate test data: %d of %d chunks contain de", k, n)
 	}
 
-	mgr := memmgr.New(footprint/4, "2q") // tight: ~25% of the store
+	mgr := memmgr.New(footprint/4, "") // tight: ~25% of the store
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestChunkGranularEvictReloadDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			budget := residentFootprint(t, eagerStore) / 5
-			mgr := memmgr.New(budget, "2q")
+			mgr := memmgr.New(budget, "")
 			lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 			if err != nil {
 				t.Fatal(err)
@@ -253,7 +253,7 @@ func TestChunkGranularConcurrentRestricted(t *testing.T) {
 // plus a materialized expression and an equality on an unsorted column,
 // on a lazy store; some predicate must prune a chunk on its spans.
 func TestResidencySoundness(t *testing.T) {
-	store, _, err := colstore.OpenLazy(savedReorderedStore(t, 6000, ""), memmgr.New(1<<30, "2q"))
+	store, _, err := colstore.OpenLazy(savedReorderedStore(t, 6000, ""), memmgr.New(1<<30, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestAliasShadowingColumnIsNotLoaded(t *testing.T) {
 	// cold runs q on a store opened for it alone: its cold columns, chunks,
 	// dictionaries and disk bytes, and what the memory manager loaded.
 	cold := func(q string) (loads [4]int64, mgrLoads int64, err error) {
-		mgr := memmgr.New(0, "2q")
+		mgr := memmgr.New(0, "")
 		store, _, err := colstore.OpenLazy(dir, mgr)
 		if err != nil {
 			t.Fatal(err)

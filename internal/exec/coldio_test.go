@@ -109,7 +109,7 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 		}
 	}
 
-	mgr := memmgr.New(footprint/4, "2q")
+	mgr := memmgr.New(footprint/4, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) 
 	for _, name := range dicts {
 		dictBytes += eagerStore.Column(name).Memory().GlobalDict
 	}
-	mgr := memmgr.New(dictBytes+dictBytes/4, "2q")
+	mgr := memmgr.New(dictBytes+dictBytes/4, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestCacheSkippedRestricted(t *testing.T) {
 		t.Fatal(err)
 	}
 	eager := New(eagerStore, Options{Parallelism: 2})
-	lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestCompressedCodecsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			budget := residentFootprint(t, eagerStore) / 4
-			lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(budget, "2q"))
+			lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(budget, ""))
 			if err != nil {
 				t.Fatal(err)
 			}

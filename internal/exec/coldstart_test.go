@@ -89,7 +89,7 @@ func TestColdStartBudgetedMatchesResident(t *testing.T) {
 			maxColumn = m
 		}
 	}
-	mgr := memmgr.New(budget, "2q")
+	mgr := memmgr.New(budget, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestColdStartBudgetedMatchesResident(t *testing.T) {
 // query's working set).
 func TestColdThenWarmStats(t *testing.T) {
 	dir := savedWorkloadStore(t, 2000)
-	mgr := memmgr.New(0, "2q") // unlimited: everything stays warm
+	mgr := memmgr.New(0, "") // unlimited: everything stays warm
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func BenchmarkColdOpen(b *testing.B) {
 	q := `SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+		lazyStore, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestBudgetedRepeatDeterministic(t *testing.T) {
 		evictions int64
 	}
 	run := func() []step {
-		mgr := memmgr.New(300<<10, "2q")
+		mgr := memmgr.New(300<<10, "")
 		store, _, err := colstore.OpenLazy(dir, mgr)
 		if err != nil {
 			t.Fatal(err)
@@ -419,7 +419,7 @@ func TestBudgetedParallelDecode(t *testing.T) {
 		disk, chunks, dicts, evictions int64
 	}
 	run := func(parallelism int) ([]*Result, []step) {
-		mgr := memmgr.New(300<<10, "2q")
+		mgr := memmgr.New(300<<10, "")
 		store, _, err := colstore.OpenLazy(dir, mgr)
 		if err != nil {
 			t.Fatal(err)
@@ -458,7 +458,7 @@ func TestBudgetedParallelDecode(t *testing.T) {
 // on gate workers never wait on the one the query already holds.
 func TestGateOneWorkerLazy(t *testing.T) {
 	dir := savedWorkloadStore(t, 20000)
-	store, _, err := colstore.OpenLazy(dir, memmgr.New(300<<10, "2q"))
+	store, _, err := colstore.OpenLazy(dir, memmgr.New(300<<10, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestRetainedRowsDoNotPinDictionaries(t *testing.T) {
 	if err := colstore.Save(built, dir, "zippy"); err != nil {
 		t.Fatal(err)
 	}
-	store, _, err := colstore.OpenLazy(dir, memmgr.New(mem.Total()/4, "2q"))
+	store, _, err := colstore.OpenLazy(dir, memmgr.New(mem.Total()/4, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

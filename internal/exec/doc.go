@@ -108,7 +108,7 @@
 //     written once built, so the cache shares it between queries and
 //     workers as it is.
 //   - Shared mutable state is wrapped, not sprinkled with locks: the
-//     result cache is a cache.Synchronized (2Q mutates its queues on
+//     result cache is a cache.Synchronized (LIRS mutates its lists on
 //     Get), and the engine's cumulative Stats accumulate under
 //     statsMu once per query, from the already-merged per-query counters.
 package exec

@@ -683,7 +683,7 @@ func BenchmarkPrepare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(1<<30, "2q"))
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(1<<30, ""))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestRestrictionMemoMatchesFreshEngine(t *testing.T) {
 			store, opts := resident, Options{Parallelism: 3}
 			switch variant {
 			case "lazy 25%":
-				if store, _, err = colstore.OpenLazy(dir, memmgr.New(residentFootprint(t, resident)/4, "2q")); err != nil {
+				if store, _, err = colstore.OpenLazy(dir, memmgr.New(residentFootprint(t, resident)/4, "")); err != nil {
 					t.Fatal(err)
 				}
 			case "result cache":

@@ -155,7 +155,7 @@ func TestRunPartialOutlivesPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := residentFootprint(t, eagerStore) / 20
-	mgr := memmgr.New(budget, "2q")
+	mgr := memmgr.New(budget, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)

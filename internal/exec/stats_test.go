@@ -45,7 +45,7 @@ func TestStatsPartitionEveryChunk(t *testing.T) {
 			for _, cacheBytes := range []int64{0, 32 << 20} {
 				store := resident
 				if lazy {
-					if store, _, err = colstore.OpenLazy(dir, memmgr.New(footprint/4, "2q")); err != nil {
+					if store, _, err = colstore.OpenLazy(dir, memmgr.New(footprint/4, "")); err != nil {
 						t.Fatal(err)
 					}
 				}

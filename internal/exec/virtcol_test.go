@@ -41,7 +41,7 @@ func TestVirtualColumnBudgetedBitIdentical(t *testing.T) {
 	}
 	eager := New(eagerStore, Options{Parallelism: 2})
 	budget := residentFootprint(t, eagerStore) / 4
-	mgr := memmgr.New(budget, "2q")
+	mgr := memmgr.New(budget, "")
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestVirtualColumnBudgetedBitIdentical(t *testing.T) {
 // its very first restricted query.
 func TestVirtualSpanPruningAcrossReopen(t *testing.T) {
 	dir := savedReorderedStore(t, 4000, "zippy")
-	first, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	first, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestVirtualSpanPruningAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +186,14 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 		t.Fatalf("repeat: %d masks built and %d columns, want 0 and %d", repeat.Stats.MasksBuilt, len(resident.Columns()), before+1)
 	}
 
-	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	lazy, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(lazy, Options{Parallelism: 2}).Query(q); err != nil {
 		t.Fatal(err)
 	}
-	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestVirtualColumnConcurrentBudgeted(t *testing.T) {
 // strand persisted virtual columns — handles reopen on demand.
 func TestVirtualColumnReuseAfterClose(t *testing.T) {
 	dir := savedReorderedStore(t, 3000, "zippy")
-	mgr := memmgr.New(1, "2q") // evict everything on release: every query reloads
+	mgr := memmgr.New(1, "") // evict everything on release: every query reloads
 	lazyStore, _, err := colstore.OpenLazy(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestVirtualColumnKeepsLiteralKind(t *testing.T) {
 // reopen, latency * 2 must not answer from it.
 func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
 	dir := savedReorderedStore(t, 2000, "zippy")
-	old, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	old, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, "2q"))
+	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@
 // Section 5 mechanism that lets one machine "serve" far more data than fits
 // in RAM. Data loads lazily from the persisted format on first touch,
 // in-flight scans pin what they are using, and when the budget is exceeded
-// cold entries are evicted by internal/cache's 2Q policy (scan-resistant,
-// so a one-time full scan cannot flush the interactive working set).
+// cold entries are evicted by internal/cache's LIRS policy (scan-resistant,
+// so a one-time full scan cannot flush the interactive working set, and
+// loop-resistant, so a click's queries cycling a working set larger than
+// the budget keep most of it resident).
 //
 // The manager is deliberately key-agnostic: callers decide what an entry
 // is. colstore uses one entry per (column, chunk) pair, one per frame of a
@@ -17,8 +19,8 @@
 //
 // # The pin/evict contract
 //
-// The 2Q cache holds every resident entry, pinned or not, and its capacity
-// is the budget. A pin is a count on the cache's entry.
+// The LIRS cache holds every resident entry, pinned or not, and its
+// capacity is the budget. A pin is a count on the cache's entry.
 //
 //   - Acquire(key, load) returns the entry's value and pins it. A pinned
 //     entry is NEVER evicted, whatever the budget: victim selection skips
@@ -51,6 +53,10 @@
 // is ever evicted.
 //
 // Hotness survives a pin by construction: the entry never leaves the
-// cache, and the pin is the access that promotes it to 2Q's hot queue Am,
-// so scan resistance engages for the interactive working set.
+// cache, and the pin is the access that makes it LIR when it is
+// re-referenced while still in the recency stack, so scan resistance
+// engages for the interactive working set. Pins do cap the policy, though:
+// the victim is the oldest unpinned HIR entry, and only when every HIR
+// entry is pinned the bottom-most unpinned LIR one, so a query whose pins
+// exceed the budget's HIR share evicts LIR entries to stay within it.
 package memmgr

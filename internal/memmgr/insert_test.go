@@ -89,7 +89,7 @@ func TestVirtualBytesFollowsResidency(t *testing.T) {
 	m.Release("big")
 
 	// Oversized virtual entry: dropped on release, gauge back to zero.
-	m2 := New(100, "2q")
+	m2 := New(100, "")
 	m2.Insert("huge", []byte("x"), 500, true)
 	if st := m2.Stats(); st.VirtualBytes != 500 {
 		t.Fatalf("pinned oversized virtual = %d, want 500", st.VirtualBytes)

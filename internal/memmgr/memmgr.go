@@ -1,6 +1,6 @@
 package memmgr
 
-// The 2Q cache holds every resident entry, pinned or not, and its capacity
+// The LIRS cache holds every resident entry, pinned or not, and its capacity
 // is the budget (see doc.go for the full pin/evict contract). A pin is a
 // count on the cache's entry: the cache never picks a pinned victim, so
 // pinned bytes may transiently exceed the budget.
@@ -63,7 +63,7 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 	// EvictedBytes sums the resident bytes of evicted entries.
 	EvictedBytes int64 `json:"evicted_bytes"`
-	// Policy names the replacement policy: always "2q".
+	// Policy names the replacement policy: always "lirs".
 	Policy string `json:"policy"`
 }
 
@@ -107,16 +107,16 @@ type Manager struct {
 // unlimitedCapacity stands in for "no budget" so the cache never evicts.
 const unlimitedCapacity = math.MaxInt64 / 4
 
-// twoQ is the name of the one replacement policy, as Stats reports it.
-const twoQ = "2q"
+// Policy is the name of the one replacement policy, as Stats reports it.
+const Policy = "lirs"
 
 // New creates a manager with the given byte budget (0 or negative =
 // unlimited: columns still load lazily and are tracked, but nothing is ever
-// evicted). policyName must be "" or "2q": 2Q is the only replacement
-// policy, and any other name is a caller's bug that panics.
+// evicted). policyName must be "" or "lirs": LIRS is the only replacement
+// policy, and any other name, "2q" included, is a caller's bug that panics.
 func New(budgetBytes int64, policyName string) *Manager {
-	if policyName != "" && policyName != twoQ {
-		panic(fmt.Sprintf("memmgr: unknown replacement policy %q (2q is the only one)", policyName))
+	if policyName != "" && policyName != Policy {
+		panic(fmt.Sprintf("memmgr: unknown replacement policy %q (lirs is the only one)", policyName))
 	}
 	if budgetBytes < 0 {
 		budgetBytes = 0
@@ -164,8 +164,8 @@ func (m *Manager) AcquireVirtual(key string, load LoadFunc) (value any, cold boo
 func (m *Manager) acquire(key string, virtual bool, load LoadFunc) (value any, cold bool, err error) {
 	m.mu.Lock()
 	for {
-		// Resident, pinned or not: one more pin. A second access proves the
-		// entry hot by 2Q's definition, and the pin is that access.
+		// Resident, pinned or not: one more pin. The pin is the access that
+		// makes a HIR entry still in LIRS's recency stack LIR.
 		if it, ok := m.pin(key); ok {
 			m.hits++
 			m.mu.Unlock()
@@ -372,6 +372,6 @@ func (m *Manager) Stats() Stats {
 		DiskBytesRead:   m.diskBytes,
 		Evictions:       m.evictions,
 		EvictedBytes:    m.evictedBytes,
-		Policy:          twoQ,
+		Policy:          Policy,
 	}
 }

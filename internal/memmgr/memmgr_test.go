@@ -16,11 +16,19 @@ func loader(calls *atomic.Int64, size int64) LoadFunc {
 	}
 }
 
-// TestAcquireColdThenWarm also checks that New takes "2q", the name of its
-// one replacement policy.
+// TestAcquireColdThenWarm also checks that New takes "lirs", the name of
+// its one replacement policy, and panics on "2q", the name of a removed one.
 func TestAcquireColdThenWarm(t *testing.T) {
 	t.Run("2q", func(t *testing.T) {
-		m := New(1000, "2q")
+		m := New(1000, Policy)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal(`New(1000, "2q") did not panic`)
+				}
+			}()
+			New(1000, "2q")
+		}()
 		var calls atomic.Int64
 		v, cold, err := m.Acquire("a", loader(&calls, 100))
 		if err != nil || !cold || v == nil {
@@ -70,7 +78,7 @@ func TestBudgetEvictsCold(t *testing.T) {
 }
 
 func TestPinnedEntriesSurviveBudgetPressure(t *testing.T) {
-	m := New(150, "2q")
+	m := New(150, "")
 	var calls atomic.Int64
 	// Pin "a" and keep it pinned while loading entries that overflow the
 	// budget.
@@ -124,7 +132,7 @@ func TestOversizedEntryDroppedOnRelease(t *testing.T) {
 }
 
 func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
-	m := New(0, "2q")
+	m := New(0, "")
 	var calls atomic.Int64
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -329,7 +337,7 @@ func TestPinResidentThenReleaseAll(t *testing.T) {
 // more entry of a retired namespace gets it, and its release drops it with
 // the stragglers; once they are gone the namespace admits entries again.
 func TestDropNamespaceDrainingColdLoad(t *testing.T) {
-	m := New(0, "2q")
+	m := New(0, "")
 	var calls atomic.Int64
 	if _, _, err := m.Acquire("seg1\x00a", loader(&calls, 100)); err != nil {
 		t.Fatal(err)

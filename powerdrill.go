@@ -127,11 +127,11 @@ type Options struct {
 	// 0 means unlimited: data still loads lazily but nothing is evicted.
 	// Ignored by Build, whose store is fully resident by construction.
 	MemoryBudgetBytes int64
-	// MemoryPolicy names the eviction policy for Open. 2Q is the only
-	// one, so it must be "" or "2q"; Open and OpenCluster refuse any
-	// other name.
+	// MemoryPolicy names the eviction policy for Open. LIRS is the only
+	// one, so it must be "" or "lirs"; Open and OpenCluster refuse any
+	// other name, a removed policy's ("2q", "lru", "arc") included.
 	//
-	// Deprecated: 2Q is always used; leave MemoryPolicy empty.
+	// Deprecated: LIRS is always used; leave MemoryPolicy empty.
 	MemoryPolicy string
 	// IngestSealRows is the streaming-append buffer size: an Append that
 	// fills the in-memory write buffer to this many rows seals it into an
@@ -375,11 +375,12 @@ func FormatGeneration(dir string) (int, error) { return colstore.FormatGeneratio
 // stores"). Virtual columns are not carried; they re-materialize on use.
 func Upgrade(oldDir, newDir string) error { return ingest.Upgrade(oldDir, newDir) }
 
-// validateMemoryPolicy refuses any policy name but 2Q's, so a config that
-// names a removed policy ("lru", "arc") fails instead of quietly running 2Q.
+// validateMemoryPolicy refuses any policy name but LIRS's, so a config that
+// names a removed policy ("2q", "lru", "arc") fails instead of quietly
+// running another.
 func validateMemoryPolicy(p string) error {
-	if p != "" && p != "2q" {
-		return fmt.Errorf("powerdrill: unknown memory policy %q (2q is the only one)", p)
+	if p != "" && p != memmgr.Policy {
+		return fmt.Errorf("powerdrill: unknown memory policy %q (%s is the only one)", p, memmgr.Policy)
 	}
 	return nil
 }

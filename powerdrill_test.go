@@ -317,9 +317,9 @@ func TestOpenClusterLazyShards(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRemovedMemoryPolicy: 2Q is the only replacement policy,
+// TestOpenRefusesRemovedMemoryPolicy: LIRS is the only replacement policy,
 // so Open and OpenCluster refuse a removed one by name rather than quietly
-// running 2Q, and accept 2Q's own name.
+// running LIRS, and accept LIRS's own name.
 func TestOpenRefusesRemovedMemoryPolicy(t *testing.T) {
 	store, err := Build(GenerateQueryLogs(500, 3), Options{})
 	if err != nil {
@@ -329,26 +329,28 @@ func TestOpenRefusesRemovedMemoryPolicy(t *testing.T) {
 	if err := store.Save(dir, "zippy"); err != nil {
 		t.Fatal(err)
 	}
-	refused := func(what string, err error) {
-		t.Helper()
+	for _, policy := range []string{"2q", "lru", "arc"} {
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s accepted MemoryPolicy %q", what, policy)
+			}
+			if !strings.Contains(err.Error(), `"`+policy+`"`) {
+				t.Fatalf("%s's refusal does not name the policy: %v", what, err)
+			}
+		}
+		s, _, err := Open(dir, Options{MemoryPolicy: policy})
 		if err == nil {
-			t.Fatalf("%s accepted MemoryPolicy \"lru\"", what)
+			s.Close()
 		}
-		if !strings.Contains(err.Error(), `"lru"`) {
-			t.Fatalf("%s's refusal does not name the policy: %v", what, err)
-		}
+		refused("Open", err)
+		_, err = OpenCluster([]string{dir}, ClusterOptions{Replicas: 1, Store: Options{MemoryPolicy: policy}})
+		refused("OpenCluster", err)
 	}
-	s, _, err := Open(dir, Options{MemoryPolicy: "lru"})
-	if err == nil {
-		s.Close()
-	}
-	refused("Open", err)
-	_, err = OpenCluster([]string{dir}, ClusterOptions{Replicas: 1, Store: Options{MemoryPolicy: "lru"}})
-	refused("OpenCluster", err)
 
-	s, _, err = Open(dir, Options{MemoryPolicy: "2q"})
+	s, _, err := Open(dir, Options{MemoryPolicy: "lirs"})
 	if err != nil {
-		t.Fatalf("Open refused MemoryPolicy \"2q\": %v", err)
+		t.Fatalf("Open refused MemoryPolicy \"lirs\": %v", err)
 	}
 	s.Close()
 }
