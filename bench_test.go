@@ -6,6 +6,7 @@
 package powerdrill
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -30,6 +31,15 @@ import (
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
 )
+
+// query parses src and runs it on e.
+func query(e *exec.Engine, src string) (*exec.Result, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(context.Background(), stmt)
+}
 
 // benchRows is the dataset size benchmarks use; the paper uses 5M rows, and
 // `go test -bench` keeps iterations fast at 200K. Shapes — who wins, by
@@ -73,7 +83,7 @@ func BenchmarkTable1Basic(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Query(q.sql); err != nil {
+				if _, err := query(engine, q.sql); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -578,7 +588,7 @@ func BenchmarkSkippingAblation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rows int64
 			for i := 0; i < b.N; i++ {
-				res, err := engine.Query(q)
+				res, err := query(engine, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -619,7 +629,7 @@ func BenchmarkPartitionOrder(b *testing.B) {
 				engine := exec.New(store, exec.Options{ResultCacheBytes: 32 << 20})
 				for _, click := range clicks {
 					for _, q := range click.Queries {
-						if _, err := engine.Query(q); err != nil {
+						if _, err := query(engine, q); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -671,7 +681,7 @@ func BenchmarkGroupByAblation(b *testing.B) {
 		q := fmt.Sprintf(`SELECT %s, COUNT(*) as c FROM data GROUP BY %s ORDER BY c DESC LIMIT 10;`, field, field)
 		b.Run("countsarray/"+field, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Query(q); err != nil {
+				if _, err := query(engine, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -704,18 +714,18 @@ func BenchmarkResultCache(b *testing.B) {
 	cold := exec.New(store, exec.Options{})
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cold.Query(q); err != nil {
+			if _, err := query(cold, q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	warm := exec.New(store, exec.Options{ResultCacheBytes: 64 << 20})
-	if _, err := warm.Query(q); err != nil {
+	if _, err := query(warm, q); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := warm.Query(q); err != nil {
+			if _, err := query(warm, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -746,7 +756,7 @@ func BenchmarkParallelScan(b *testing.B) {
 	fingerprint := func(e *exec.Engine) string {
 		var out string
 		for _, q := range queries {
-			res, err := e.Query(q)
+			res, err := query(e, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -772,7 +782,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := engine.Query(q); err != nil {
+					if _, err := query(engine, q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -847,7 +857,7 @@ func BenchmarkVectorizedScan(b *testing.B) {
 				want[grp[i]] = [2]int64{w[0] + 1, w[1] + metric[i]}
 			}
 		}
-		res, err := kernel.Query(q)
+		res, err := query(kernel, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -862,7 +872,7 @@ func BenchmarkVectorizedScan(b *testing.B) {
 		b.Run(pt.label, func(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, err := kernel.Query(q); err != nil {
+				if _, err := query(kernel, q); err != nil {
 					b.Fatal(err)
 				}
 			}

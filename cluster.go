@@ -117,11 +117,7 @@ func (c *Cluster) Query(sqlText string) (*Result, error) {
 // QueryContext is Query under a caller-supplied context (deadline or
 // cancellation); ClusterOptions.Deadline still applies when set.
 func (c *Cluster) QueryContext(ctx context.Context, sqlText string) (*Result, error) {
-	res, err := c.inner.QueryContext(ctx, sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Coverage: res.Coverage}, nil
+	return c.inner.QueryContext(ctx, sqlText)
 }
 
 // Close shuts the cluster's connections to its servers (ConnectCluster);
@@ -167,21 +163,12 @@ type shardLeaf struct {
 
 func (l shardLeaf) Name() string { return l.name }
 
-func (l shardLeaf) PartialQuery(_ context.Context, sqlText string) (*exec.Partial, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	w := l.s.writer()
-	if w == nil {
-		return l.s.engine.RunPartial(stmt)
-	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	return snap.RunPartial(stmt)
+// PartialQuery implements cluster.Leaf: the store's engine, or a snapshot
+// of its append stream, runs the partial under ctx.
+func (l shardLeaf) PartialQuery(ctx context.Context, sqlText string) (*exec.Partial, error) {
+	return runOn(l.s, sqlText, func(r runner, stmt *sql.SelectStmt) (*exec.Partial, error) {
+		return r.RunPartialContext(ctx, stmt)
+	})
 }
 
 // NumRows answers the coordinator's Stat round (cluster.RowCounter).

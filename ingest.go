@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"powerdrill/internal/ingest"
-	"powerdrill/internal/sql"
 )
 
 // IngestStats is a point-in-time snapshot of a store's append path:
@@ -99,22 +98,4 @@ func (s *Store) ensureWriter() (*ingest.Writer, error) {
 	}
 	s.ing = w
 	return w, nil
-}
-
-// queryIngest runs a query through a snapshot of the append stream.
-func queryIngest(w *ingest.Writer, sqlText string) (*Result, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	res, err := snap.Run(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Coverage: res.Coverage}, nil
 }

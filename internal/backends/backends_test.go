@@ -1,6 +1,7 @@
 package backends
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/exec"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
@@ -45,7 +47,11 @@ func engineResult(t testing.TB, tbl *table.Table, q string) [][]value.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.New(s, exec.Options{ExactDistinct: true}).Query(q)
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exec.New(s, exec.Options{ExactDistinct: true}).RunContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,11 @@ func (l *LocalLeaf) SetFail(fail bool) { l.inj.SetFail(fail) }
 // Engine exposes the underlying engine (for stats).
 func (l *LocalLeaf) Engine() *exec.Engine { return l.engine }
 
-// PartialQuery implements Leaf. Injected latency waits are abandoned when
-// ctx expires; the engine call itself always runs to completion (the
-// paper executes on both replicas regardless, to keep their caches warm).
+// PartialQuery implements Leaf. ctx reaches the engine: an injected
+// latency wait, and the engine's query at its cancellation points, stop
+// when it is done. A hedge loser's scan thus stops once the query that
+// launched it returns under a deadline or a cancel; with neither it runs
+// to completion and warms the caches.
 func (l *LocalLeaf) PartialQuery(ctx context.Context, sqlText string) (*exec.Partial, error) {
 	if err := l.inj.admit(ctx); err != nil {
 		return nil, err
@@ -117,7 +119,7 @@ func (l *LocalLeaf) PartialQuery(ctx context.Context, sqlText string) (*exec.Par
 	if err != nil {
 		return nil, err
 	}
-	return l.engine.RunPartial(stmt)
+	return l.engine.RunPartialContext(ctx, stmt)
 }
 
 // NumRows implements RowCounter. It deliberately bypasses the fault

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"net"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"powerdrill/internal/colstore"
 	"powerdrill/internal/exec"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
@@ -33,7 +35,11 @@ func singleNodeResult(t testing.TB, tbl *table.Table, q string) [][]value.Value 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.New(s, exec.Options{}).Query(q)
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exec.New(s, exec.Options{}).RunContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,9 @@ func NewLeafService(leaf Leaf) *LeafService {
 }
 
 // PartialQuery is the RPC method: run the node, ship the partial. The
-// server runs without a deadline — cancellation is the client's business
-// (it abandons the call); the server finishes and keeps its caches warm.
+// wire carries no cancel, so the node runs under context.Background(): a
+// client that abandons the call (a hedge loser, an expired deadline)
+// leaves the server to finish, which keeps its caches warm.
 func (s *LeafService) PartialQuery(args *QueryArgs, reply *QueryReply) error {
 	part, err := s.leaf.PartialQuery(context.Background(), args.SQL)
 	if err != nil {

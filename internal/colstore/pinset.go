@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -262,7 +263,7 @@ func (p *PinSet) ColumnDict(name string) (*Column, error) {
 // ColumnChunks is PinChunks for one column, decoding on the calling
 // goroutine.
 func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
-	views, err := p.PinChunks([]string{name}, active, 1)
+	views, err := p.PinChunks(context.Background(), []string{name}, active, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -291,13 +292,16 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 //     memory. The batch's records are then verified, decompressed and
 //     decoded on up to workers goroutines, each decompressing into its own
 //     buffer; with one worker, or one record, on the calling goroutine.
+//     Before each batch ctx's Done channel, captured once, is polled: a
+//     call whose ctx is done reads nothing more and returns ctx.Err(),
+//     what it pinned so far staying in the set until Release.
 //  3. The decoded chunks are admitted to the memory manager one at a time,
 //     in (column, chunk) order, so what is admitted, evicted and counted
 //     does not depend on workers. The first record that fails a check, in
 //     that order, fails the call, and the chunks decoded after it are
 //     dropped unadmitted. A chunk another query loads in between is shared
 //     as usual, and the decoded copy dropped.
-func (p *PinSet) PinChunks(names []string, active []bool, workers int) ([]*Column, error) {
+func (p *PinSet) PinChunks(ctx context.Context, names []string, active []bool, workers int) ([]*Column, error) {
 	views := make([]*Column, len(names))
 	p.warm.pending = p.warm.pending[:0]
 	for i, name := range names {
@@ -317,7 +321,13 @@ func (p *PinSet) PinChunks(names []string, active []bool, workers int) ([]*Colum
 			p.pinWarm(h, active)
 		}
 	}
+	done := ctx.Done()
 	for pending := p.warm.pending; len(pending) > 0; {
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
+		}
 		n := p.nextBatch(pending)
 		if err := p.loadBatch(pending[:n], workers); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"runtime"
@@ -106,7 +107,7 @@ func TestPinChunksChecksumMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := lazy.NewPinSet()
-		_, err = ps.PinChunks([]string{col}, nil, workers)
+		_, err = ps.PinChunks(context.Background(), []string{col}, nil, workers)
 		var ce *ChecksumError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%d workers: err = %v, want a ChecksumError", workers, err)

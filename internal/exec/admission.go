@@ -1,8 +1,8 @@
 package exec
 
 import (
+	"context"
 	"runtime"
-	"sync"
 )
 
 // Gate is the cross-query admission controller: a weighted semaphore over
@@ -19,10 +19,8 @@ import (
 // partials merge in chunk order regardless of who computed them), so
 // admission shrinks only parallelism, never changes answers.
 type Gate struct {
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	capacity int
-	free     int
+	// tokens holds one element per granted worker.
+	tokens chan struct{}
 }
 
 // NewGate creates a gate admitting at most capacity concurrent workers.
@@ -31,55 +29,43 @@ func NewGate(capacity int) *Gate {
 	if capacity <= 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	g := &Gate{capacity: capacity, free: capacity}
-	g.notFull = sync.NewCond(&g.mu)
-	return g
+	return &Gate{tokens: make(chan struct{}, capacity)}
 }
 
 // Capacity returns the total worker budget.
-func (g *Gate) Capacity() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.capacity
-}
+func (g *Gate) Capacity() int { return cap(g.tokens) }
 
 // InUse returns the number of currently granted workers.
-func (g *Gate) InUse() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.capacity - g.free
-}
+func (g *Gate) InUse() int { return len(g.tokens) }
 
 // AcquireUpTo blocks until at least one worker token is free, then takes
-// min(want, free) tokens and returns how many it took. want < 1 is treated
-// as 1.
-func (g *Gate) AcquireUpTo(want int) int {
-	if want < 1 {
-		want = 1
+// up to want of the free tokens and returns how many it took. want < 1 is
+// treated as 1. A free token is always taken; a caller still waiting at a
+// full gate when ctx is done takes nothing and gets ctx.Err().
+func (g *Gate) AcquireUpTo(ctx context.Context, want int) (int, error) {
+	select {
+	case g.tokens <- struct{}{}:
+	default:
+		select {
+		case g.tokens <- struct{}{}:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.free == 0 {
-		g.notFull.Wait()
+	n := 1
+	for ; n < want; n++ {
+		select {
+		case g.tokens <- struct{}{}:
+		default:
+			return n, nil
+		}
 	}
-	n := want
-	if n > g.free {
-		n = g.free
-	}
-	g.free -= n
-	return n
+	return n, nil
 }
 
 // Release returns n tokens taken by AcquireUpTo.
 func (g *Gate) Release(n int) {
-	if n <= 0 {
-		return
+	for range n {
+		<-g.tokens
 	}
-	g.mu.Lock()
-	g.free += n
-	if g.free > g.capacity {
-		g.free = g.capacity
-	}
-	g.mu.Unlock()
-	g.notFull.Broadcast()
 }

@@ -47,7 +47,9 @@ func (s *groupSet) sizeBytes() int64 {
 // (mergeTables). Counts, integer sums, MIN/MAX and sketches combine in any
 // order; float sums, where addition order changes the last ULPs, are added
 // in ascending chunk order at the merge — not in the racy order workers
-// finish — so the result is bit-for-bit the sequential engine's.
+// finish — so the result is bit-for-bit the sequential engine's. A scan
+// its context cancels returns the context's error and publishes no memo:
+// the chunks it did not claim were never recorded.
 func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	qs := e.scanStats(p)
 	nChunks, nCols := e.store.NumChunks(), int64(len(p.accessCols))
@@ -58,7 +60,10 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	// Admission control: take up to the wanted worker count from the shared
 	// gate; under concurrent-query pressure the grant shrinks (never below
 	// one), so total scan goroutines stay bounded by the gate's capacity.
-	workers := e.gate.AcquireUpTo(e.chunkWorkers(nChunks))
+	workers, err := e.gate.AcquireUpTo(p.ctx, e.chunkWorkers(nChunks))
+	if err != nil {
+		return nil, qs, err
+	}
 	defer e.gate.Release(workers)
 	ws := workerPool.take(workers)
 	defer workerPool.give(ws)
@@ -69,10 +74,13 @@ func (e *Engine) executeChunks(p *plan) (*groupSet, QueryStats, error) {
 	if e.resultCache != nil {
 		p.fresh = make([]*groupSet, nChunks)
 	}
-	forEachChunk(nChunks, workers, nil, func(w, ci int) error {
+	err = forEachChunk(p.ctx, nChunks, workers, func(w, ci int) error {
 		e.scanChunk(p, ci, nCols, &wqs[w], ws[w])
 		return nil
 	})
+	if err != nil {
+		return nil, qs, err
+	}
 	if p.sel != nil && !p.sel.ready {
 		e.publish(p.sel)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -85,11 +86,11 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	// One restriction column, one group column: the query touches exactly
 	// two columns, so the k active chunks cost 2k chunk loads.
 	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name ORDER BY c DESC, table_name ASC;`
-	want, err := eager.Query(q)
+	want, err := query(eager, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lazy.Query(q)
+	got, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestChunkGranularExactColdLoads(t *testing.T) {
 	}
 
 	// Warm repeat: nothing else may load.
-	warm, err := lazy.Query(q)
+	warm, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,11 @@ func TestChunkGranularEvictReloadDeterministic(t *testing.T) {
 			lazy := New(lazyStore, Options{Parallelism: 2})
 			for pass := 0; pass < 2; pass++ {
 				for _, q := range coldStartQueries {
-					want, err := eager.Query(q)
+					want, err := query(eager, q)
 					if err != nil {
 						t.Fatalf("eager %s: %v", q, err)
 					}
-					got, err := lazy.Query(q)
+					got, err := query(lazy, q)
 					if err != nil {
 						t.Fatalf("lazy %s: %v", q, err)
 					}
@@ -217,7 +218,7 @@ func TestChunkGranularConcurrentRestricted(t *testing.T) {
 	}
 	want := make(map[string]*Result, len(queries))
 	for _, q := range queries {
-		r, err := eager.Query(q)
+		r, err := query(eager, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestChunkGranularConcurrentRestricted(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*len(queries); i++ {
 				q := queries[(w+i)%len(queries)]
-				got, err := lazy.Query(q)
+				got, err := query(lazy, q)
 				if err != nil {
 					t.Errorf("worker %d: %s: %v", w, q, err)
 					return
@@ -260,7 +261,7 @@ func TestResidencySoundness(t *testing.T) {
 	e := New(store, Options{})
 	// A date and a latency that occur; the first query materializes the
 	// expression.
-	res, err := e.Query(`SELECT MIN(date(timestamp)), MAX(latency) FROM data;`)
+	res, err := query(e, `SELECT MIN(date(timestamp)), MAX(latency) FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestResidencySoundness(t *testing.T) {
 			t.Fatalf("parse %q: %v", pred, err)
 		}
 		ps := store.NewPinSet()
-		p, err := e.prepare(stmt, ps)
+		p, err := e.prepare(context.Background(), stmt, ps)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", pred, err)
 		}
@@ -325,7 +326,7 @@ func TestAliasShadowingColumnIsNotLoaded(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		res, err := New(store, Options{}).Query(q)
+		res, err := query(New(store, Options{}), q)
 		if err == nil {
 			st := res.Stats
 			loads = [4]int64{st.ColdLoads, st.ColdChunkLoads, st.ColdDictLoads, st.DiskBytesRead}

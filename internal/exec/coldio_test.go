@@ -118,11 +118,11 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	lazy := New(lazyStore, Options{Parallelism: 2})
 
 	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name ORDER BY c DESC, table_name ASC;`
-	want, err := eager.Query(q)
+	want, err := query(eager, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lazy.Query(q)
+	got, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestChunkCompressedExactColdReads(t *testing.T) {
 	}
 
 	// Warm repeat: nothing loads, nothing reads.
-	warm, err := lazy.Query(q)
+	warm, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) 
 	}
 	n := int64(eagerStore.NumChunks())
 	eager := New(eagerStore, Options{Parallelism: 2})
-	want, err := eager.Query(q)
+	want, err := query(eager, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) 
 	}
 	lazy := New(lazyStore, Options{Parallelism: 2, ResultCacheBytes: 32 << 20})
 
-	cold, err := lazy.Query(q)
+	cold, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) 
 	// Repeat: every chunk is fully active (no WHERE) and cached, so none
 	// may be pinned or loaded — even though the budget evicted them all.
 	// Only the dictionaries may reload (compiling and finalize need them).
-	warm, err := lazy.Query(q)
+	warm, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func cacheSkippedWarmRepeat(t *testing.T, q string, dicts []string, cols int64) 
 
 	// Third pass: the dictionaries are warm again, so the query is entirely
 	// I/O-free — zero cold loads of any kind.
-	third, err := lazy.Query(q)
+	third, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +287,16 @@ func TestCacheSkippedRestricted(t *testing.T) {
 	lazy := New(lazyStore, Options{Parallelism: 2, ResultCacheBytes: 32 << 20})
 
 	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name ORDER BY c DESC, table_name ASC;`
-	want, err := eager.Query(q)
+	want, err := query(eager, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := lazy.Query(q)
+	cold, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, q, want, cold)
-	warm, err := lazy.Query(q)
+	warm, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +341,11 @@ func TestCompressedCodecsBitIdentical(t *testing.T) {
 			eager := New(eagerStore, Options{Parallelism: 2})
 			lazy := New(lazyStore, Options{Parallelism: 2})
 			for _, q := range queries {
-				want, err := eager.Query(q)
+				want, err := query(eager, q)
 				if err != nil {
 					t.Fatalf("eager %s: %v", q, err)
 				}
-				got, err := lazy.Query(q)
+				got, err := query(lazy, q)
 				if err != nil {
 					t.Fatalf("lazy %s: %v", q, err)
 				}
@@ -383,7 +383,7 @@ func TestColdIOConcurrentCompressed(t *testing.T) {
 	}
 	want := make(map[string]*Result, len(queries))
 	for _, q := range queries {
-		r, err := eager.Query(q)
+		r, err := query(eager, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestColdIOConcurrentCompressed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*len(queries); i++ {
 				q := queries[(w+i)%len(queries)]
-				got, err := lazy.Query(q)
+				got, err := query(lazy, q)
 				if err != nil {
 					t.Errorf("worker %d: %s: %v", w, q, err)
 					return

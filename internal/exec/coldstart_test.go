@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -100,11 +101,11 @@ func TestColdStartBudgetedMatchesResident(t *testing.T) {
 	var totalCold int64
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range coldStartQueries {
-			want, err := eager.Query(q)
+			want, err := query(eager, q)
 			if err != nil {
 				t.Fatalf("eager %s: %v", q, err)
 			}
-			got, err := lazy.Query(q)
+			got, err := query(lazy, q)
 			if err != nil {
 				t.Fatalf("lazy %s: %v", q, err)
 			}
@@ -146,14 +147,14 @@ func TestColdThenWarmStats(t *testing.T) {
 	}
 	e := New(lazyStore, Options{})
 	q := `SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 5;`
-	first, err := e.Query(q)
+	first, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.ColdLoads == 0 || first.Stats.ColdBytesLoaded <= 0 || first.Stats.DiskBytesRead <= 0 {
 		t.Fatalf("first query cold stats = %+v", first.Stats)
 	}
-	second, err := e.Query(q)
+	second, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestColdStartConcurrentQueries(t *testing.T) {
 	// Precompute expected results sequentially.
 	want := make(map[string]*Result, len(coldStartQueries))
 	for _, q := range coldStartQueries {
-		r, err := eager.Query(q)
+		r, err := query(eager, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestColdStartConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3*len(coldStartQueries); i++ {
 				q := coldStartQueries[(w+i)%len(coldStartQueries)]
-				got, err := lazy.Query(q)
+				got, err := query(lazy, q)
 				if err != nil {
 					t.Errorf("worker %d: %s: %v", w, q, err)
 					return
@@ -218,10 +219,17 @@ func TestColdStartConcurrentQueries(t *testing.T) {
 
 func TestGateAcquireSemantics(t *testing.T) {
 	g := NewGate(4)
-	if got := g.AcquireUpTo(3); got != 3 {
+	acquire := func(want int) int {
+		n, err := g.AcquireUpTo(context.Background(), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if got := acquire(3); got != 3 {
 		t.Fatalf("first acquire = %d, want 3", got)
 	}
-	if got := g.AcquireUpTo(3); got != 1 {
+	if got := acquire(3); got != 1 {
 		t.Fatalf("second acquire = %d, want remaining 1", got)
 	}
 	if g.InUse() != 4 {
@@ -229,7 +237,10 @@ func TestGateAcquireSemantics(t *testing.T) {
 	}
 	// A full gate blocks until a release.
 	done := make(chan int, 1)
-	go func() { done <- g.AcquireUpTo(2) }()
+	go func() {
+		n, _ := g.AcquireUpTo(context.Background(), 2)
+		done <- n
+	}()
 	select {
 	case <-done:
 		t.Fatal("acquire succeeded on a full gate")
@@ -249,7 +260,7 @@ func TestGateAcquireSemantics(t *testing.T) {
 	if g.InUse() != 0 {
 		t.Fatalf("in use = %d after all releases", g.InUse())
 	}
-	if got := g.AcquireUpTo(0); got != 1 {
+	if got := acquire(0); got != 1 {
 		t.Fatalf("acquire(0) = %d, want clamp to 1", got)
 	}
 	g.Release(1)
@@ -351,7 +362,7 @@ func BenchmarkColdOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := New(lazyStore, Options{})
-		if _, err := e.Query(q); err != nil {
+		if _, err := query(e, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +394,7 @@ func TestBudgetedRepeatDeterministic(t *testing.T) {
 		e := New(store, Options{Parallelism: 1})
 		var steps []step
 		for _, q := range queries {
-			res, err := e.Query(q)
+			res, err := query(e, q)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
@@ -430,7 +441,7 @@ func TestBudgetedParallelDecode(t *testing.T) {
 			steps   []step
 		)
 		for _, q := range queries {
-			res, err := e.Query(q)
+			res, err := query(e, q)
 			if err != nil {
 				t.Fatalf("parallelism %d, %s: %v", parallelism, q, err)
 			}
@@ -479,7 +490,7 @@ func TestGateOneWorkerLazy(t *testing.T) {
 		)
 		go func() {
 			defer close(done)
-			res, err = e.Query(q)
+			res, err = query(e, q)
 		}()
 		select {
 		case <-done:
@@ -489,7 +500,7 @@ func TestGateOneWorkerLazy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := ref.Query(q)
+		want, err := query(ref, q)
 		if err != nil {
 			t.Fatal(err)
 		}

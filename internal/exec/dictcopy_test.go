@@ -85,7 +85,7 @@ func TestRetainedRowsDoNotPinDictionaries(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		for _, click := range workload.DrillDownSession(tbl, workload.SessionSpec{Seed: seed, Clicks: 8, QueriesPerClick: 20}) {
 			for _, q := range click.Queries {
-				res, err := e.Query(q)
+				res, err := query(e, q)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}

@@ -66,19 +66,41 @@
 //     and only the surviving rows' keys and values decode through the
 //     dictionaries. Then the pins release.
 //
+// # Cancellation
+//
+// RunContext and RunPartialContext take the caller's context; Run and
+// RunPartial are the same calls under context.Background(). The context
+// is checked only where the work is already split into pieces, each
+// time by a non-blocking poll of the Done channel the piece of work
+// captured once — never by ctx.Err() per chunk:
+//
+//   - at the gate: a query waiting for a worker token leaves when its
+//     context is done (Gate.AcquireUpTo);
+//   - before each cold batch of a pin (colstore.PinSet.PinChunks): phase
+//     3's, a row scan's, a materialization's sources';
+//   - before each chunk claim of a chunk sweep (forEachChunk): phase 4's
+//     scan, a row scan's round, a materialization;
+//   - before each round of a row scan.
+//
+// A cancelled query returns ctx.Err() and releases every pin with its
+// PinSet. It publishes no memo selection, caches no partial, adds no
+// virtual column and folds nothing into the engine's Stats, so whatever
+// runs next answers as if it had never started.
+//
 // # Admission control
 //
-// Gate is a weighted semaphore admitting scan workers across concurrent
-// queries: each fan-out (chunk scans, row scans, virtual-column
-// materialization, the decode of a pin's cold chunks) takes what is
-// available up to its parallelism and
-// never blocks below one worker, so N concurrent queries degrade smoothly
-// instead of spawning N × Parallelism goroutines. Engines get a private
+// Gate is a weighted semaphore — a channel of worker tokens — admitting
+// scan workers across concurrent queries: each fan-out (chunk scans, row
+// scans, virtual-column materialization, the decode of a pin's cold
+// chunks) waits for one token, takes what else is free up to its
+// parallelism, and never blocks below one worker, so N concurrent queries
+// degrade smoothly instead of spawning N × Parallelism goroutines. A query
+// still waiting leaves when its context is done. Engines get a private
 // gate by default; cluster leaves share one via Options.Gate.
 //
 // # Concurrency model
 //
-// The engine is safe for concurrent Query/Run/RunPartial calls, and a
+// The engine is safe for concurrent Run/RunPartial calls, and a
 // single query fans its chunk work out over Options.Parallelism workers —
 // the in-process analogue of the paper's Section 4 execution tree.
 // The invariants that make this work:

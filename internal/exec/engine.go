@@ -4,6 +4,7 @@ package exec
 // planner; see doc.go for the package overview and query lifecycle.
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -227,23 +228,21 @@ func (e *Engine) CacheStats() (cache.Stats, bool) {
 	return e.resultCache.Stats(), true
 }
 
-// Query parses and runs a SQL query.
-func (e *Engine) Query(src string) (*Result, error) {
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(stmt)
+// Run is RunContext under context.Background().
+func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
+	return e.RunContext(context.Background(), stmt)
 }
 
-// Run executes a parsed statement: prepare decides what must be resident
-// and pins it, the scan runs lock-free over the pinned, immutable data,
-// fanned out over the workers the admission gate grants, and the pins drop
-// when the result is assembled.
-func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
+// RunContext executes a parsed statement: prepare decides what must be
+// resident and pins it, the scan runs lock-free over the pinned, immutable
+// data, fanned out over the workers the admission gate grants, and the
+// pins drop when the result is assembled. A query cancelled through ctx
+// stops at its next cancellation point (doc.go) and returns ctx.Err(),
+// having cached and memoized nothing.
+func (e *Engine) RunContext(ctx context.Context, stmt *sql.SelectStmt) (*Result, error) {
 	ps := e.store.NewPinSet()
 	defer ps.Release()
-	p, err := e.prepare(stmt, ps)
+	p, err := e.prepare(ctx, stmt, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +285,8 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 // coalesced read per column, under no lock, so concurrent first-touch
 // queries load disjoint data in parallel (the memory manager deduplicates
 // identical loads).
-func (e *Engine) prepare(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
-	p, err := e.plan(stmt, ps)
+func (e *Engine) prepare(ctx context.Context, stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
+	p, err := e.plan(ctx, stmt, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +351,7 @@ func (r *storeRow) ColumnValue(name string) value.Value {
 // on them can then skip chunks). The column comes back with its dictionary
 // pinned into ps and no chunk: which chunks to pin is decided on the
 // compiled plan.
-func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
+func (e *Engine) materializeOperand(ctx context.Context, x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
 	name := e.operandColumn(x)
 	if e.store.HasColumn(name) {
 		return ps.ColumnDict(name)
@@ -364,7 +363,7 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 	if err != nil {
 		return nil, err
 	}
-	return e.materialize(x, name, kind, expr.Eval, ps)
+	return e.materialize(ctx, x, name, kind, expr.Eval, ps)
 }
 
 // materializePredicate resolves a predicate the restriction cannot decide
@@ -374,12 +373,12 @@ func (e *Engine) materializeOperand(x sql.Expr, ps *colstore.PinSet) (*colstore.
 // at and 0 elsewhere. No comparison is an operand (InferKind refuses it), so
 // the name is no operand field's. Evaluated over every row, the predicate
 // fails the query at any row it fails at, as an operand expression does.
-func (e *Engine) materializePredicate(x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
+func (e *Engine) materializePredicate(ctx context.Context, x sql.Expr, ps *colstore.PinSet) (*colstore.Column, error) {
 	name := operandName(x)
 	if e.store.HasColumn(name) {
 		return ps.ColumnDict(name)
 	}
-	return e.materialize(x, name, value.KindInt64, func(x sql.Expr, row expr.Row) (value.Value, error) {
+	return e.materialize(ctx, x, name, value.KindInt64, func(x sql.Expr, row expr.Row) (value.Value, error) {
 		holds, err := expr.EvalPred(x, row)
 		if holds {
 			return value.Int64(1), err
@@ -393,9 +392,9 @@ func (e *Engine) materializePredicate(x sql.Expr, ps *colstore.PinSet) (*colstor
 // its dictionary pinned into ps — the one place an expression is evaluated
 // over a store's rows. The sources are pinned in full before the lock: on a
 // lazy store this is where the cold loads happen.
-func (e *Engine) materialize(x sql.Expr, name string, kind value.Kind, eval func(sql.Expr, expr.Row) (value.Value, error), ps *colstore.PinSet) (*colstore.Column, error) {
+func (e *Engine) materialize(ctx context.Context, x sql.Expr, name string, kind value.Kind, eval func(sql.Expr, expr.Row) (value.Value, error), ps *colstore.PinSet) (*colstore.Column, error) {
 	srcs := make(map[string]*colstore.Column, 4)
-	if err := e.pinFull(ps, expr.Columns(x), srcs); err != nil {
+	if err := e.pinFull(ctx, ps, expr.Columns(x), srcs); err != nil {
 		return nil, err
 	}
 	var err error
@@ -403,7 +402,7 @@ func (e *Engine) materialize(x sql.Expr, name string, kind value.Kind, eval func
 	if !e.store.HasColumn(name) { // else a concurrent query materialized it first
 		// The per-row interface dispatch of expr's evaluation makes this the
 		// costliest part of materialization.
-		err = e.addVirtualColumn(ps, name, kind, func(ci int, col *table.Column, lo, hi int) error {
+		err = e.addVirtualColumn(ctx, ps, name, kind, func(ci int, col *table.Column, lo, hi int) error {
 			row := &storeRow{cols: srcs, chunk: ci}
 			for r := range hi - lo {
 				row.row = r
@@ -458,10 +457,13 @@ func (e *Engine) operandColumn(x sql.Expr) string {
 // store's virtual sidecar and its pieces enter the memory budget (evicting
 // cold chunks to make room), pinned into ps like any physical column;
 // resident stores keep the in-registry path.
-func (e *Engine) addVirtualColumn(ps *colstore.PinSet, name string, kind value.Kind, fill func(ci int, col *table.Column, lo, hi int) error) error {
-	workers := e.gate.AcquireUpTo(e.parallelism())
+func (e *Engine) addVirtualColumn(ctx context.Context, ps *colstore.PinSet, name string, kind value.Kind, fill func(ci int, col *table.Column, lo, hi int) error) error {
+	workers, err := e.gate.AcquireUpTo(ctx, e.parallelism())
+	if err != nil {
+		return err
+	}
 	col := table.NewColumn(name, kind, e.store.NumRows())
-	err := forEachChunk(e.store.NumChunks(), workers, nil, func(_, ci int) error {
+	err = forEachChunk(ctx, e.store.NumChunks(), workers, func(_, ci int) error {
 		return fill(ci, col, e.store.Bounds[ci], e.store.Bounds[ci+1])
 	})
 	e.gate.Release(workers)
@@ -498,6 +500,8 @@ func (a aggSpec) signature() string {
 // plan is a compiled query: the one object the prune, pin, scan and
 // finalize steps read.
 type plan struct {
+	// ctx is the query's context, which its cancellation points poll.
+	ctx       context.Context
 	stmt      *sql.SelectStmt
 	where     *restriction // nil when no WHERE clause
 	groupCols []string     // materialized group-by columns (one per group expr)
@@ -570,36 +574,20 @@ func (p *plan) access(name string) {
 	}
 }
 
-// col returns the plan's resolved pointer for an accessed column, falling
-// back to the store for names outside the access set.
-func (p *plan) col(e *Engine, name string) *colstore.Column {
-	if c := p.cols[name]; c != nil {
-		return c
-	}
-	return e.store.Column(name)
-}
-
 // plan compiles a statement in one walk: every operand is resolved to a
 // column — an expression or a composite nobody materialized yet is
 // materialized right here — and the restriction's literals become
 // global-id sets and ranges. Only dictionaries are pinned into ps.
-func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
+func (e *Engine) plan(ctx context.Context, stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) {
 	if stmt.From == "" {
 		return nil, fmt.Errorf("exec: missing FROM")
 	}
 	// ORDER BY names output columns: refused here, before anything is loaded,
 	// by every engine of every deployment shape alike.
-	p := &plan{stmt: stmt, orderCols: orderItems(stmt)}
+	p := &plan{ctx: ctx, stmt: stmt, orderCols: orderItems(stmt), rowScan: RowScan(stmt)}
 	if err := checkOrderItems(stmt, p.orderCols); err != nil {
 		return nil, err
 	}
-	hasAgg := false
-	for _, item := range stmt.Items {
-		if sql.HasAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
-	p.rowScan = !hasAgg && len(stmt.GroupBy) == 0
 
 	// WHERE: from the memo, or compiled. Only group-bys are memoized: a row
 	// scan stops early, so it never evaluates its restriction everywhere.
@@ -617,7 +605,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 				p.access(c)
 			}
 		} else {
-			w, err := e.compileRestriction(stmt.Where, ps)
+			w, err := e.compileRestriction(ctx, stmt.Where, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -631,7 +619,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 
 	// GROUP BY columns (materialized).
 	for _, g := range stmt.GroupBy {
-		gc, err := e.materializeOperand(resolveGroupExpr(stmt, g), ps)
+		gc, err := e.materializeOperand(ctx, resolveGroupExpr(stmt, g), ps)
 		if err != nil {
 			return nil, err
 		}
@@ -658,7 +646,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 			// dictionary, whose values the winners look up (Values).
 			name := e.operandColumn(item.Expr)
 			if !e.store.HasColumn(name) {
-				col, err := e.materializeOperand(item.Expr, ps)
+				col, err := e.materializeOperand(ctx, item.Expr, ps)
 				if err != nil {
 					return nil, err
 				}
@@ -671,7 +659,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 			if !ok {
 				return nil, fmt.Errorf("exec: aggregates must be top-level calls, got %s", item.Expr)
 			}
-			spec, err := e.compileAggregate(call, ps)
+			spec, err := e.compileAggregate(ctx, call, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -682,7 +670,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 		default:
 			// Must match a group expression; finishedColumns binds it to the
 			// key column of that expression.
-			col, err := e.materializeOperand(item.Expr, ps)
+			col, err := e.materializeOperand(ctx, item.Expr, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -699,7 +687,7 @@ func (e *Engine) plan(stmt *sql.SelectStmt, ps *colstore.PinSet) (*plan, error) 
 	if !p.rowScan && len(p.groupCols) > 1 {
 		p.composite = compositeName(p.groupCols)
 		if !e.store.HasColumn(p.composite) {
-			if err := e.materializeComposite(p.composite, p.groupCols, ps); err != nil {
+			if err := e.materializeComposite(ctx, p.composite, p.groupCols, ps); err != nil {
 				return nil, err
 			}
 		}
@@ -723,8 +711,11 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 		}
 	}
 	p.cols = make(map[string]*colstore.Column, len(names))
-	workers := e.gate.AcquireUpTo(e.parallelism())
-	err := e.pinColumns(ps, true, names, p.pin, workers, p.cols)
+	workers, err := e.gate.AcquireUpTo(p.ctx, e.parallelism())
+	if err != nil {
+		return err
+	}
+	err = e.pinColumns(p.ctx, ps, true, names, p.pin, workers, p.cols)
 	e.gate.Release(workers)
 	for _, spec := range p.aggs {
 		if err == nil && (spec.fn == aggSum || spec.fn == aggAvg || spec.fn == aggCountDistinct && !e.opts.ExactDistinct) {
@@ -735,14 +726,14 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 		return err
 	}
 	if gcol := p.groupColumn(); gcol != "" && !p.rowScan {
-		p.groupCol = p.col(e, gcol)
+		p.groupCol = p.cols[gcol]
 	}
 	p.aggCols = make([]*colstore.Column, len(p.aggs))
 	p.aggInt = make([]bool, len(p.aggs))
 	p.emptyAggs = make([]aggColumn, len(p.aggs))
 	for j, spec := range p.aggs {
 		if spec.argCol != "" {
-			p.aggCols[j] = p.col(e, spec.argCol)
+			p.aggCols[j] = p.cols[spec.argCol]
 			p.aggInt[j] = p.aggCols[j].Kind == value.KindInt64
 			p.hasArgs = true
 		}
@@ -765,7 +756,7 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 // their views in views. Cold chunks decode on workers goroutines, which
 // the caller holds from the gate. A name only a materialization's source
 // mentions may be unknown; it gets no view, and evaluation reports it.
-func (e *Engine) pinColumns(ps *colstore.PinSet, dicts bool, names []string, active []bool, workers int, views map[string]*colstore.Column) error {
+func (e *Engine) pinColumns(ctx context.Context, ps *colstore.PinSet, dicts bool, names []string, active []bool, workers int, views map[string]*colstore.Column) error {
 	known := slices.DeleteFunc(slices.Clone(names), func(name string) bool { return !e.store.HasColumn(name) })
 	if dicts {
 		for _, name := range known {
@@ -774,7 +765,7 @@ func (e *Engine) pinColumns(ps *colstore.PinSet, dicts bool, names []string, act
 			}
 		}
 	}
-	pinned, err := ps.PinChunks(known, active, workers)
+	pinned, err := ps.PinChunks(ctx, known, active, workers)
 	if err != nil {
 		return err
 	}
@@ -788,10 +779,13 @@ func (e *Engine) pinColumns(ps *colstore.PinSet, dicts bool, names []string, act
 // pin of a materialization, which reads every row on workers, so with every
 // frame of a paged dictionary its chunks need — decoding on workers it
 // holds from the gate for the pin alone.
-func (e *Engine) pinFull(ps *colstore.PinSet, names []string, views map[string]*colstore.Column) error {
-	workers := e.gate.AcquireUpTo(e.parallelism())
+func (e *Engine) pinFull(ctx context.Context, ps *colstore.PinSet, names []string, views map[string]*colstore.Column) error {
+	workers, err := e.gate.AcquireUpTo(ctx, e.parallelism())
+	if err != nil {
+		return err
+	}
 	defer e.gate.Release(workers)
-	err := e.pinColumns(ps, true, names, nil, workers, views)
+	err = e.pinColumns(ctx, ps, true, names, nil, workers, views)
 	for _, name := range names {
 		if err == nil {
 			err = ps.PinChunkFrames(name, nil)
@@ -814,6 +808,13 @@ func (p *plan) aggregates(col string) bool {
 	return false
 }
 
+// RowScan reports whether stmt is a row scan: a plain projection, with
+// neither an aggregate nor a GROUP BY. An engine answers one in two phases
+// of its own (rowscan.go), and no partial carries one.
+func RowScan(stmt *sql.SelectStmt) bool {
+	return len(stmt.GroupBy) == 0 && !slices.ContainsFunc(stmt.Items, func(it sql.SelectItem) bool { return sql.HasAggregate(it.Expr) })
+}
+
 // resolveGroupExpr maps a GROUP BY expression, which may be an alias of a
 // select item, back to the underlying expression.
 func resolveGroupExpr(stmt *sql.SelectStmt, g sql.Expr) sql.Expr {
@@ -829,7 +830,7 @@ func resolveGroupExpr(stmt *sql.SelectStmt, g sql.Expr) sql.Expr {
 
 // compileAggregate validates an aggregate call and materializes its
 // argument column.
-func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet) (aggSpec, error) {
+func (e *Engine) compileAggregate(ctx context.Context, call *sql.Call, ps *colstore.PinSet) (aggSpec, error) {
 	fn, ok := aggFnFor(call.Name, call.Distinct)
 	if !ok {
 		return aggSpec{}, fmt.Errorf("exec: unknown aggregate %q", call.Name)
@@ -843,7 +844,7 @@ func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet) (aggSpec,
 	if len(call.Args) != 1 {
 		return aggSpec{}, fmt.Errorf("exec: %s expects one argument", call.Name)
 	}
-	arg, err := e.materializeOperand(call.Args[0], ps)
+	arg, err := e.materializeOperand(ctx, call.Args[0], ps)
 	if err != nil {
 		return aggSpec{}, err
 	}
@@ -856,9 +857,9 @@ func (e *Engine) compileAggregate(call *sql.Call, ps *colstore.PinSet) (aggSpec,
 // materializeComposite builds the combined group-by column: per row, the
 // group columns' global-ids joined into one string key. Using ids (not
 // values) keeps the composite compact and order-preserving per column.
-func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.PinSet) error {
+func (e *Engine) materializeComposite(ctx context.Context, name string, cols []string, ps *colstore.PinSet) error {
 	views := make(map[string]*colstore.Column, len(cols))
-	if err := e.pinFull(ps, cols, views); err != nil {
+	if err := e.pinFull(ctx, ps, cols, views); err != nil {
 		return err
 	}
 	colRefs := make([]*colstore.Column, len(cols))
@@ -872,7 +873,7 @@ func (e *Engine) materializeComposite(name string, cols []string, ps *colstore.P
 	if e.store.HasColumn(name) {
 		return nil // a concurrent query materialized it first
 	}
-	return e.addVirtualColumn(ps, name, value.KindString, func(ci int, col *table.Column, lo, hi int) error {
+	return e.addVirtualColumn(ctx, ps, name, value.KindString, func(ci int, col *table.Column, lo, hi int) error {
 		buf := make([]byte, 0, 9*len(cols))
 		for r := range hi - lo {
 			buf = buf[:0]

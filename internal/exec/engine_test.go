@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -15,6 +16,15 @@ import (
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
 )
+
+// query parses src and runs it on e.
+func query(e *Engine, src string) (*Result, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(context.Background(), stmt)
+}
 
 func logs(rows int) *table.Table {
 	return workload.QueryLogs(workload.LogsSpec{Rows: rows, Seed: 31})
@@ -325,7 +335,7 @@ func equalRows(a, b [][]value.Value) bool {
 // differently); such queries should order deterministically.
 func checkAgainstNaive(t *testing.T, e *Engine, tbl *table.Table, src string) {
 	t.Helper()
-	got, err := e.Query(src)
+	got, err := query(e, src)
 	if err != nil {
 		t.Fatalf("engine %q: %v", src, err)
 	}
@@ -421,11 +431,11 @@ func TestEngineSkippingDisabledSameResults(t *testing.T) {
 	normal := buildEngine(t, tbl, chunkedOpts(), Options{})
 	noskip := buildEngine(t, tbl, chunkedOpts(), Options{DisableSkipping: true})
 	q := `SELECT country, COUNT(*) as c FROM data WHERE country IN ("de") GROUP BY country;`
-	a, err := normal.Query(q)
+	a, err := query(normal, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := noskip.Query(q)
+	b, err := query(noskip, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +459,7 @@ func TestSkippingStatsOnDrillDown(t *testing.T) {
 	tbl := logs(5000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 	// Restricting on the first partition field must skip most chunks.
-	res, err := e.Query(`SELECT user, COUNT(*) FROM data WHERE country IN ("at") GROUP BY user;`)
+	res, err := query(e, `SELECT user, COUNT(*) FROM data WHERE country IN ("at") GROUP BY user;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,14 +480,14 @@ func TestResultCacheHitsOnFullyActiveChunks(t *testing.T) {
 	tbl := logs(3000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{ResultCacheBytes: 16 << 20})
 	q := `SELECT country, COUNT(*) FROM data GROUP BY country;`
-	first, err := e.Query(q)
+	first, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.ChunksCached != 0 {
 		t.Error("first run hit cache")
 	}
-	second, err := e.Query(q)
+	second, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +502,7 @@ func TestResultCacheHitsOnFullyActiveChunks(t *testing.T) {
 	// A restricted query over fully-active chunks reuses the same cache
 	// entries: a restriction on a partition-field value makes matching
 	// chunks fully active.
-	res, err := e.Query(`SELECT country, COUNT(*) FROM data WHERE country IN ("us") GROUP BY country;`)
+	res, err := query(e, `SELECT country, COUNT(*) FROM data WHERE country IN ("us") GROUP BY country;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,11 +516,11 @@ func TestCountDistinctApproximation(t *testing.T) {
 	exact := buildEngine(t, tbl, chunkedOpts(), Options{ExactDistinct: true})
 	approx := buildEngine(t, tbl, chunkedOpts(), Options{SketchM: 2048})
 	q := `SELECT COUNT(DISTINCT table_name) FROM data;`
-	er, err := exact.Query(q)
+	er, err := query(exact, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := approx.Query(q)
+	ar, err := query(approx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,11 +535,11 @@ func TestCountDistinctApproximation(t *testing.T) {
 	}
 	// Grouped count distinct.
 	gq := `SELECT country, COUNT(DISTINCT user) FROM data GROUP BY country;`
-	eg, err := exact.Query(gq)
+	eg, err := query(exact, gq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := approx.Query(gq)
+	ag, err := query(approx, gq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,14 +555,14 @@ func TestVirtualFieldReuse(t *testing.T) {
 	tbl := logs(1000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 	before := len(e.Store().Columns())
-	if _, err := e.Query(`SELECT date(timestamp), COUNT(*) FROM data GROUP BY date(timestamp);`); err != nil {
+	if _, err := query(e, `SELECT date(timestamp), COUNT(*) FROM data GROUP BY date(timestamp);`); err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := len(e.Store().Columns())
 	if afterFirst != before+1 {
 		t.Fatalf("expected one virtual column, got %d new", afterFirst-before)
 	}
-	if _, err := e.Query(`SELECT date(timestamp), SUM(latency) FROM data GROUP BY date(timestamp);`); err != nil {
+	if _, err := query(e, `SELECT date(timestamp), SUM(latency) FROM data GROUP BY date(timestamp);`); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(e.Store().Columns()); got != afterFirst {
@@ -572,7 +582,7 @@ func TestVirtualFieldSkipping(t *testing.T) {
 		MaxChunkRows:     200,
 		OptimizeElements: true,
 	}, Options{})
-	res, err := e.Query(`SELECT country, COUNT(*) FROM data WHERE date(timestamp) IN ("2011-01-05") GROUP BY country;`)
+	res, err := query(e, `SELECT country, COUNT(*) FROM data WHERE date(timestamp) IN ("2011-01-05") GROUP BY country;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +605,7 @@ func TestEngineErrors(t *testing.T) {
 		`SELECT country, COUNT(*) FROM data WHERE latency IN ("abc") GROUP BY country;`,
 		`not sql at all`,
 	} {
-		if _, err := e.Query(q); err == nil {
+		if _, err := query(e, q); err == nil {
 			t.Errorf("%q succeeded, want error", q)
 		}
 	}
@@ -605,7 +615,7 @@ func TestCumulativeStats(t *testing.T) {
 	tbl := logs(1000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 	for i := 0; i < 3; i++ {
-		if _, err := e.Query(`SELECT country, COUNT(*) FROM data GROUP BY country;`); err != nil {
+		if _, err := query(e, `SELECT country, COUNT(*) FROM data GROUP BY country;`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -621,7 +631,7 @@ func TestCumulativeStats(t *testing.T) {
 func TestMinMaxOverStrings(t *testing.T) {
 	tbl := logs(500)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
-	res, err := e.Query(`SELECT MIN(country), MAX(country) FROM data;`)
+	res, err := query(e, `SELECT MIN(country), MAX(country) FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +650,7 @@ func TestMinMaxOverStrings(t *testing.T) {
 func TestEmptyResultQueries(t *testing.T) {
 	tbl := logs(300)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
-	res, err := e.Query(`SELECT country, COUNT(*) FROM data WHERE country IN ("zz") GROUP BY country;`)
+	res, err := query(e, `SELECT country, COUNT(*) FROM data WHERE country IN ("zz") GROUP BY country;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +661,7 @@ func TestEmptyResultQueries(t *testing.T) {
 		t.Errorf("impossible restriction scanned chunks: %+v", res.Stats)
 	}
 	// Global aggregate over empty selection.
-	res2, err := e.Query(`SELECT COUNT(*) FROM data WHERE country IN ("zz");`)
+	res2, err := query(e, `SELECT COUNT(*) FROM data WHERE country IN ("zz");`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +678,7 @@ func BenchmarkQuery1CountsArray(b *testing.B) {
 	e := buildEngine(b, tbl, colstore.Options{OptimizeElements: true}, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(`SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`); err != nil {
+		if _, err := query(e, `SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -709,7 +719,7 @@ func BenchmarkPrepare(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ps := c.store.NewPinSet()
-				if _, err := e.prepare(stmt, ps); err != nil {
+				if _, err := e.prepare(context.Background(), stmt, ps); err != nil {
 					b.Fatal(err)
 				}
 				ps.Release()
@@ -727,7 +737,7 @@ func BenchmarkDrillDownWithSkipping(b *testing.B) {
 	}, Options{ResultCacheBytes: 64 << 20})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(`SELECT user, COUNT(*) as c FROM data WHERE country IN ("ch") GROUP BY user ORDER BY c DESC LIMIT 10;`); err != nil {
+		if _, err := query(e, `SELECT user, COUNT(*) as c FROM data WHERE country IN ("ch") GROUP BY user ORDER BY c DESC LIMIT 10;`); err != nil {
 			b.Fatal(err)
 		}
 	}

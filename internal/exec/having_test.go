@@ -22,7 +22,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 
 	// Reference: counts per country without HAVING.
-	all, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country;`)
+	all, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 
 	// HAVING by alias.
-	res, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING c > 100;`)
+	res, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING c > 100;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 
 	// HAVING by canonical aggregate form.
-	res2, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING COUNT(*) > 100;`)
+	res2, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING COUNT(*) > 100;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 
 	// HAVING referencing the group key.
-	res3, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING country IN ("us", "de") AND c > 0;`)
+	res3, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING country IN ("us", "de") AND c > 0;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 func TestHavingBeforeOrderAndLimit(t *testing.T) {
 	tbl := logs(2000)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
-	res, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country
+	res, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country
 		HAVING c < 100 ORDER BY c DESC LIMIT 3;`)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestHavingErrors(t *testing.T) {
 		// Unknown column in HAVING.
 		`SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING nope > 5;`,
 	} {
-		if _, err := e.Query(q); err == nil {
+		if _, err := query(e, q); err == nil {
 			t.Errorf("%q succeeded, want error", q)
 		}
 	}
@@ -115,13 +115,13 @@ func TestHavingRoundTripsThroughParser(t *testing.T) {
 	tbl := logs(500)
 	e := buildEngine(t, tbl, chunkedOpts(), Options{})
 	q := `SELECT country, SUM(latency) AS s FROM data GROUP BY country HAVING s > 1000 ORDER BY s DESC;`
-	a, err := e.Query(q)
+	a, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-parse the canonical printing and run again: identical results.
 	stmt := mustParseStmt(t, q)
-	b, err := e.Query(stmt.String())
+	b, err := query(e, stmt.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,11 @@ func TestIndexRecordsPagedThroughBudget(t *testing.T) {
 		`SELECT country, COUNT(*) AS c FROM data WHERE latency > 500 GROUP BY country ORDER BY country ASC;`,
 		`SELECT country, COUNT(*) AS c FROM data WHERE latency IN (12, 500, 3000) GROUP BY country ORDER BY country ASC;`,
 	} {
-		want, err := eager.Query(q)
+		want, err := query(eager, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lazy.Query(q)
+		got, err := query(lazy, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestIndexRecordsPagedThroughBudget(t *testing.T) {
 		t.Fatalf("a flipped byte in a layout record failed the open: %v", err)
 	}
 	e := New(corrupt, Options{Parallelism: 2})
-	if _, err := e.Query(`SELECT country, COUNT(*) AS c FROM data GROUP BY country;`); err != nil {
+	if _, err := query(e, `SELECT country, COUNT(*) AS c FROM data GROUP BY country;`); err != nil {
 		t.Fatalf("a query not touching table_name: %v", err)
 	}
 	var ce *colstore.ChecksumError
-	_, err = e.Query(`SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name;`)
+	_, err = query(e, `SELECT table_name, COUNT(*) AS c FROM data WHERE country = "de" GROUP BY table_name;`)
 	if !errors.As(err, &ce) || ce.Path != file {
 		t.Fatalf("the first query touching table_name: err = %v, want a ChecksumError in %s", err, file)
 	}
@@ -163,7 +163,7 @@ func TestOlderBloomRecordsVerifiedNotRead(t *testing.T) {
 		t.Helper()
 		e := New(s, Options{Parallelism: 2})
 		for _, a := range answers {
-			res, err := e.Query(a.SQL)
+			res, err := query(e, a.SQL)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, a.SQL, err)
 			}

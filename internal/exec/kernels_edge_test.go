@@ -188,7 +188,7 @@ func TestKernelMaskErrorParity(t *testing.T) {
 	} {
 		for _, noSkip := range []bool{false, true} {
 			opts := Options{DisableSkipping: noSkip}
-			if _, err := New(store, opts).Query(q); err == nil || err.Error() != want {
+			if _, err := query(New(store, opts), q); err == nil || err.Error() != want {
 				t.Errorf("%s (DisableSkipping %v): error %v, want %q", q, noSkip, err, want)
 			}
 			requireMatchesReference(t, store, opts, q)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -132,7 +133,7 @@ func requireMatchesReference(t *testing.T, store *colstore.Store, opts Options, 
 	}
 	e := New(store, opts)
 	want, werr := referencePartial(t, store, stmt, e.opts)
-	res, err := e.Query(q)
+	res, err := query(e, q)
 	switch {
 	case err != nil && (werr == nil || err.Error() != werr.Error()):
 		t.Fatalf("error divergence for %q:\n  engine:    %v\n  reference: %v", q, err, werr)
@@ -174,7 +175,7 @@ func enginePartial(e *Engine, stmt *sql.SelectStmt) (*Partial, error) {
 	}
 	ps := e.store.NewPinSet()
 	defer ps.Release()
-	p, err := e.prepare(stmt, ps)
+	p, err := e.prepare(context.Background(), stmt, ps)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"powerdrill/internal/exec"
 	"powerdrill/internal/ingest"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 )
 
@@ -45,7 +47,10 @@ func TestRestrictionMemoIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	const q = `SELECT c, COUNT(*) AS n, SUM(v) AS s FROM data WHERE c IN ("c1", "c3") AND v >= 500 GROUP BY c ORDER BY c ASC;`
+	stmt, err := sql.Parse(`SELECT c, COUNT(*) AS n, SUM(v) AS s FROM data WHERE c IN ("c1", "c3") AND v >= 500 GROUP BY c ORDER BY c ASC;`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// want is q's answer over rows [0, rows): c1 and c3 rows from 500 on.
 	want := func(rows int) string {
 		var n, s [2]int64
@@ -65,7 +70,7 @@ func TestRestrictionMemoIngest(t *testing.T) {
 		}
 		defer snap.Release()
 		for rep := 0; rep < 2; rep++ {
-			res, err := snap.Query(q)
+			res, err := snap.RunContext(context.Background(), stmt)
 			if err != nil {
 				t.Fatal(err)
 			}

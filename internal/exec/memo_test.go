@@ -98,7 +98,7 @@ func memoWheres(tbl *table.Table, dates []string, seed int64, n int) []string {
 // memoDates lists the values of date(timestamp).
 func memoDates(t *testing.T, e *Engine) []string {
 	t.Helper()
-	res, err := e.Query(`SELECT date(timestamp) AS d, COUNT(*) FROM data GROUP BY d;`)
+	res, err := query(e, `SELECT date(timestamp) AS d, COUNT(*) FROM data GROUP BY d;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestRestrictionMemoMatchesFreshEngine(t *testing.T) {
 					q := fmt.Sprintf(gb, w)
 					var runs, twinRuns [2]*Result
 					for i := range runs {
-						if runs[i], err = e.Query(q); err != nil {
+						if runs[i], err = query(e, q); err != nil {
 							t.Fatalf("%s: %v", q, err)
 						}
 						twin.memo.Store(nil)
-						if twinRuns[i], err = twin.Query(q); err != nil {
+						if twinRuns[i], err = query(twin, q); err != nil {
 							t.Fatalf("twin: %s: %v", q, err)
 						}
 						requireSameAnswer(t, fmt.Sprintf("run %d against a missing twin", i+1), q, runs[i], twinRuns[i])
@@ -197,7 +197,7 @@ func TestRestrictionMemoMatchesFreshEngine(t *testing.T) {
 						t.Fatalf("%s: the repeat built %d masks, want 0 (a memo hit)", q, runs[1].Stats.MasksBuilt)
 					}
 					if opts.ResultCacheBytes == 0 {
-						fresh, err := New(store, opts).Query(q)
+						fresh, err := query(New(store, opts), q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -231,7 +231,7 @@ func TestRestrictionMemoConcurrent(t *testing.T) {
 	const where = ` WHERE country IN ("US", "DE", "JP") AND (latency > 300 OR NOT user IN ("user0001", "user0002"))`
 	want := make([]*Result, len(memoGroupBys))
 	for i, gb := range memoGroupBys {
-		if want[i], err = New(store, Options{Parallelism: 1}).Query(fmt.Sprintf(gb, where)); err != nil {
+		if want[i], err = query(New(store, Options{Parallelism: 1}), fmt.Sprintf(gb, where)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestRestrictionMemoConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := e.Query(fmt.Sprintf(memoGroupBys[g%len(memoGroupBys)], where))
+				res, err := query(e, fmt.Sprintf(memoGroupBys[g%len(memoGroupBys)], where))
 				if err != nil {
 					errs <- err
 				}
@@ -282,7 +282,7 @@ func TestRestrictionMemoClickMasks(t *testing.T) {
 	e := New(store, Options{})
 	var first, total int64
 	for i, chart := range clickCharts {
-		res, err := e.Query(fmt.Sprintf(chart, where))
+		res, err := query(e, fmt.Sprintf(chart, where))
 		if err != nil {
 			t.Fatal(err)
 		}

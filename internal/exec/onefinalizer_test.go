@@ -205,7 +205,7 @@ func TestRunPartialOutlivesPins(t *testing.T) {
 		// load its dictionaries anew.
 		evicted := mgr.Stats().Evictions
 		for _, other := range coldStartQueries {
-			if _, err := lazy.Query(other); err != nil {
+			if _, err := query(lazy, other); err != nil {
 				t.Fatalf("%s: %v", other, err)
 			}
 		}
@@ -239,12 +239,12 @@ func TestExactDistinctThroughTheOnePath(t *testing.T) {
 	exact := buildEngine(t, tbl, chunkedOpts(), Options{ExactDistinct: true})
 	sketched := buildEngine(t, tbl, chunkedOpts(), Options{})
 	q := `SELECT country, COUNT(DISTINCT table_name) AS n FROM data GROUP BY country HAVING n > 2 ORDER BY n DESC, country LIMIT 4;`
-	got, err := exact.Query(q)
+	got, err := query(exact, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Far below m distinct values a group: the sketch is exact too.
-	want, err := sketched.Query(q)
+	want, err := query(sketched, q)
 	if err != nil {
 		t.Fatal(err)
 	}

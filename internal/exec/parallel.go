@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -39,23 +40,26 @@ func (e *Engine) chunkWorkers(nChunks int) int {
 // worker private accumulator state without locks.
 //
 // The first error stops all workers from claiming further chunks and is
-// returned; chunks already being scanned finish first. A non-nil quit is
-// polled before each claim; once it returns true no further chunks are
-// claimed (row scans use this to stop after collecting LIMIT rows).
+// returned; chunks already being scanned finish first. ctx's Done channel,
+// captured once, is polled without blocking before each claim: once it is
+// closed no further chunk is claimed, and a call that stopped short returns
+// ctx.Err() — the query's cancellation point inside a chunk sweep. Nothing
+// else stops a sweep early: a row scan stops at LIMIT between its rounds.
 //
 // workers <= 1 degenerates to the sequential loop on the caller's
 // goroutine — the Parallelism: 1 engine spawns nothing.
-func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) error) error {
+func forEachChunk(ctx context.Context, n, workers int, fn func(worker, chunk int) error) error {
 	if n <= 0 {
 		return nil
 	}
+	done := ctx.Done()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for ci := 0; ci < n; ci++ {
-			if quit != nil && quit() {
-				return nil
+			if closed(done) {
+				return ctx.Err()
 			}
 			if err := fn(0, ci); err != nil {
 				return err
@@ -70,12 +74,21 @@ func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) e
 		errMu  sync.Mutex
 		first  error
 	)
+	fail := func(err error) {
+		errMu.Lock()
+		if first == nil {
+			first = err
+		}
+		errMu.Unlock()
+		failed.Store(true)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				if failed.Load() || (quit != nil && quit()) {
+			for !failed.Load() {
+				if closed(done) {
+					fail(ctx.Err())
 					return
 				}
 				ci := int(next.Add(1)) - 1
@@ -83,12 +96,7 @@ func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) e
 					return
 				}
 				if err := fn(w, ci); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
+					fail(err)
 					return
 				}
 			}
@@ -96,6 +104,17 @@ func forEachChunk(n, workers int, quit func() bool, fn func(worker, chunk int) e
 	}
 	wg.Wait()
 	return first
+}
+
+// closed reports, without blocking, whether done is closed; a nil done (a
+// context that is never cancelled) never is.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Add folds another query's, unit's or worker's counters into qs: every

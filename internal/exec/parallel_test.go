@@ -46,7 +46,7 @@ func runAll(t *testing.T, e *Engine) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(parallelQueries))
 	for _, q := range parallelQueries {
-		res, err := e.Query(q)
+		res, err := query(e, q)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -105,7 +105,7 @@ func TestConcurrentQueries(t *testing.T) {
 				// Stagger the workload so different queries overlap.
 				for i := range parallelQueries {
 					q := parallelQueries[(i+g+r)%len(parallelQueries)]
-					res, err := eng.Query(q)
+					res, err := query(eng, q)
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d: %q: %v", g, q, err)
 						return
@@ -223,13 +223,13 @@ func TestParallelFloatSumDeterminism(t *testing.T) {
 	byG.MaxChunkRows = 100
 	q := `SELECT g, SUM(f) AS s, AVG(f) AS a FROM data GROUP BY g ORDER BY g ASC;`
 	seq := buildEngine(t, tbl, byG, Options{Parallelism: 1})
-	want, err := seq.Query(q)
+	want, err := query(seq, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := buildEngine(t, tbl, byG, Options{Parallelism: runtime.NumCPU() * 2})
 	for run := 0; run < 5; run++ {
-		got, err := par.Query(q)
+		got, err := query(par, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestParallelFloatSumDeterminism(t *testing.T) {
 		`SELECT k, SUM(f) AS s, AVG(f) AS a, SUM(n) AS sn, MIN(s) AS lo, MAX(n) AS hi, COUNT(DISTINCT s) AS d FROM data GROUP BY k ORDER BY k ASC;`,
 		`SELECT k, SUM(f) AS s, AVG(f) AS a, SUM(n) AS sn, MIN(s) AS lo, MAX(n) AS hi, COUNT(DISTINCT s) AS d FROM data WHERE p >= "p20" OR n < 30 GROUP BY k ORDER BY k ASC;`,
 	} {
-		want, err := buildEngine(t, tbl, byP, Options{Parallelism: 1}).Query(q)
+		want, err := query(buildEngine(t, tbl, byP, Options{Parallelism: 1}), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestParallelFloatSumDeterminism(t *testing.T) {
 			for _, cacheBytes := range []int64{0, 32 << 20} {
 				e := buildEngine(t, tbl, byP, Options{Parallelism: parallelism, ResultCacheBytes: cacheBytes})
 				for _, pass := range []string{"cold", "warm"} {
-					got, err := e.Query(q)
+					got, err := query(e, q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -290,11 +290,11 @@ func TestParallelRowScanOrder(t *testing.T) {
 		`SELECT user FROM data LIMIT 1;`,
 		`SELECT user FROM data LIMIT 0;`,
 	} {
-		a, err := seq.Query(q)
+		a, err := query(seq, q)
 		if err != nil {
 			t.Fatalf("seq %q: %v", q, err)
 		}
-		b, err := par.Query(q)
+		b, err := query(par, q)
 		if err != nil {
 			t.Fatalf("par %q: %v", q, err)
 		}

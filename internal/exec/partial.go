@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -264,17 +265,23 @@ func floatOrd(f float64) int64 {
 	return b
 }
 
-// RunPartial executes a statement but stops before finalization: no AVG
-// division, no ORDER BY, no LIMIT — those happen once, at the root. The
-// partial it returns holds values only, and nothing of the store's: it is
-// resolved before the query's pins drop.
+// RunPartial is RunPartialContext under context.Background().
 func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
+	return e.RunPartialContext(context.Background(), stmt)
+}
+
+// RunPartialContext executes a statement but stops before finalization: no
+// AVG division, no ORDER BY, no LIMIT — those happen once, at the root.
+// The partial it returns holds values only, and nothing of the store's: it
+// is resolved before the query's pins drop. Cancellation through ctx is as
+// in RunContext.
+func (e *Engine) RunPartialContext(ctx context.Context, stmt *sql.SelectStmt) (*Partial, error) {
 	if e.opts.ExactDistinct {
 		return nil, fmt.Errorf("exec: exact count distinct is not multi-level aggregatable (Section 4); use sketches")
 	}
 	ps := e.store.NewPinSet()
 	defer ps.Release()
-	p, err := e.prepare(stmt, ps)
+	p, err := e.prepare(ctx, stmt, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +370,7 @@ func (e *Engine) emitPartial(p *plan, groups *groupSet) (*Partial, error) {
 	case p.composite != "":
 		// The composite key spells out each group column's global-id.
 		for k := range out.keys {
-			out.keys[k] = valueColumn{kind: p.groupKind[k], ids: make([]uint32, n), dict: p.col(e, p.groupCols[k]).Dict}
+			out.keys[k] = valueColumn{kind: p.groupKind[k], ids: make([]uint32, n), dict: p.cols[p.groupCols[k]].Dict}
 		}
 		keys := p.groupCol.Dict.(dict.StringDict)
 		dict.Load(keys, groups.gids)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func BenchmarkPartialPath(b *testing.B) {
 		for i, e := range engines {
 			ps := e.store.NewPinSet()
 			defer ps.Release()
-			if plans[i], err = e.prepare(stmt, ps); err != nil {
+			if plans[i], err = e.prepare(context.Background(), stmt, ps); err != nil {
 				b.Fatal(err)
 			}
 			if tables[i], _, err = e.executeChunks(plans[i]); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -81,16 +82,16 @@ const (
 // virtual field (Section 5), after which it is a plain column again. A leaf
 // pins its column's dictionary into ps, which the literal lookups need, and
 // no chunk: which chunks the scan touches is decided on the compiled tree.
-func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restriction, error) {
+func (e *Engine) compileRestriction(ctx context.Context, w sql.Expr, ps *colstore.PinSet) (*restriction, error) {
 	switch n := w.(type) {
 	case *sql.Binary:
 		switch n.Op {
 		case sql.OpAnd, sql.OpOr:
-			l, err := e.compileRestriction(n.L, ps)
+			l, err := e.compileRestriction(ctx, n.L, ps)
 			if err != nil {
 				return nil, err
 			}
-			r, err := e.compileRestriction(n.R, ps)
+			r, err := e.compileRestriction(ctx, n.R, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -100,18 +101,18 @@ func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restricti
 			}
 			return &restriction{op: op, children: []*restriction{l, r}}, nil
 		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-			return e.compileComparison(n, ps)
+			return e.compileComparison(ctx, n, ps)
 		default:
 			return nil, fmt.Errorf("exec: operator %s is not a predicate", n.Op)
 		}
 	case *sql.Not:
-		child, err := e.compileRestriction(n.X, ps)
+		child, err := e.compileRestriction(ctx, n.X, ps)
 		if err != nil {
 			return nil, err
 		}
 		return &restriction{op: rNot, children: []*restriction{child}}, nil
 	case *sql.In:
-		return e.compileIn(n, ps)
+		return e.compileIn(ctx, n, ps)
 	}
 	return nil, fmt.Errorf("exec: expression %s is not a predicate", w)
 }
@@ -121,8 +122,8 @@ func (e *Engine) compileRestriction(w sql.Expr, ps *colstore.PinSet) (*restricti
 // in the store's sidecar, so a restriction on a materialized expression
 // prunes chunks even after the column was evicted, or in a later process
 // that reopened the store.
-func (e *Engine) compileLeaf(op rOp, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
-	col, err := e.materializeOperand(x, ps)
+func (e *Engine) compileLeaf(ctx context.Context, op rOp, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
+	col, err := e.materializeOperand(ctx, x, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +142,8 @@ func leafOn(op rOp, col *colstore.Column, ps *colstore.PinSet) (*restriction, er
 // compilePredicateField compiles a predicate the dictionaries cannot decide
 // as a leaf on its predicate field (materializePredicate): the rows where
 // the field holds 1.
-func (e *Engine) compilePredicateField(x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
-	col, err := e.materializePredicate(x, ps)
+func (e *Engine) compilePredicateField(ctx context.Context, x sql.Expr, ps *colstore.PinSet) (*restriction, error) {
+	col, err := e.materializePredicate(ctx, x, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -198,16 +199,16 @@ func eqGIDs(col *colstore.Column, lit value.Value) ([]uint32, error) {
 }
 
 // compileIn maps `X [NOT] IN (literals)` onto a global-id set.
-func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet) (*restriction, error) {
+func (e *Engine) compileIn(ctx context.Context, n *sql.In, ps *colstore.PinSet) (*restriction, error) {
 	lits := make([]value.Value, 0, len(n.List))
 	for _, item := range n.List {
 		v, ok := expr.IsLiteral(item)
 		if !ok {
-			return e.compilePredicateField(n, ps)
+			return e.compilePredicateField(ctx, n, ps)
 		}
 		lits = append(lits, v)
 	}
-	leaf, err := e.compileLeaf(rInSet, n.X, ps)
+	leaf, err := e.compileLeaf(ctx, rInSet, n.X, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func (e *Engine) compileIn(n *sql.In, ps *colstore.PinSet) (*restriction, error)
 // compileComparison maps `col OP literal` (either side) onto a set or a
 // range leaf; anything else, such as column against column, onto a
 // predicate field.
-func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet) (*restriction, error) {
+func (e *Engine) compileComparison(ctx context.Context, n *sql.Binary, ps *colstore.PinSet) (*restriction, error) {
 	lhs, rhs := n.L, n.R
 	op := n.Op
 	if _, isLit := expr.IsLiteral(lhs); isLit {
@@ -230,10 +231,10 @@ func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet) (*restric
 	}
 	lit, ok := expr.IsLiteral(rhs)
 	if !ok {
-		return e.compilePredicateField(n, ps)
+		return e.compilePredicateField(ctx, n, ps)
 	}
 	if op == sql.OpEq || op == sql.OpNe {
-		leaf, err := e.compileLeaf(rInSet, lhs, ps)
+		leaf, err := e.compileLeaf(ctx, rInSet, lhs, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +243,7 @@ func (e *Engine) compileComparison(n *sql.Binary, ps *colstore.PinSet) (*restric
 		}
 		return negated(leaf, op == sql.OpNe), nil
 	}
-	leaf, err := e.compileLeaf(rRange, lhs, ps)
+	leaf, err := e.compileLeaf(ctx, rRange, lhs, ps)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -49,7 +50,7 @@ func TestClassifyConsistentWithMask(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", p, err)
 		}
-		r, err := e.compileRestriction(stmt.Where, e.store.NewPinSet())
+		r, err := e.compileRestriction(context.Background(), stmt.Where, e.store.NewPinSet())
 		if err != nil {
 			t.Fatalf("compile %q: %v", p, err)
 		}
@@ -110,7 +111,7 @@ func TestClassifyRandomTrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", p, err)
 		}
-		rt, err := e.compileRestriction(stmt.Where, e.store.NewPinSet())
+		rt, err := e.compileRestriction(context.Background(), stmt.Where, e.store.NewPinSet())
 		if err != nil {
 			t.Fatalf("compile %q: %v", p, err)
 		}
@@ -158,7 +159,7 @@ func TestRangeCompilation(t *testing.T) {
 		{`500 < latency`, count(func(v int64) bool { return v > 500 })},
 		{`500 >= latency`, count(func(v int64) bool { return v <= 500 })},
 	} {
-		res, err := e.Query(`SELECT COUNT(*) FROM data WHERE ` + tc.where + `;`)
+		res, err := query(e, `SELECT COUNT(*) FROM data WHERE `+tc.where+`;`)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.where, err)
 		}
@@ -183,13 +184,13 @@ func TestRestrictionErrorPaths(t *testing.T) {
 		`SELECT COUNT(*) FROM data WHERE latency + 1;`,      // non-predicate
 		`SELECT COUNT(*) FROM data WHERE latency IN ("s");`, // kind clash in IN
 	} {
-		if _, err := e.Query(q); err == nil {
+		if _, err := query(e, q); err == nil {
 			t.Errorf("%q succeeded, want error", q)
 		}
 	}
 	// Float-vs-int coercions that can never match must yield empty
 	// results, not errors (1.5 can never equal an integer).
-	res, err := e.Query(`SELECT COUNT(*) FROM data WHERE latency = 1.5;`)
+	res, err := query(e, `SELECT COUNT(*) FROM data WHERE latency = 1.5;`)
 	if err != nil {
 		t.Fatalf("fractional equality: %v", err)
 	}
@@ -197,7 +198,7 @@ func TestRestrictionErrorPaths(t *testing.T) {
 		t.Errorf("latency = 1.5 matched %v", res.Rows)
 	}
 	// A column-to-column comparison is a predicate field.
-	res2, err := e.Query(`SELECT COUNT(*) FROM data WHERE latency = latency;`)
+	res2, err := query(e, `SELECT COUNT(*) FROM data WHERE latency = latency;`)
 	if err != nil {
 		t.Fatalf("column-to-column: %v", err)
 	}
@@ -205,7 +206,7 @@ func TestRestrictionErrorPaths(t *testing.T) {
 		t.Errorf("latency = latency matched %v rows", res2.Rows[0][0])
 	}
 	// So is an IN list with a non-literal member.
-	res3, err := e.Query(`SELECT COUNT(*) FROM data WHERE latency IN (latency);`)
+	res3, err := query(e, `SELECT COUNT(*) FROM data WHERE latency IN (latency);`)
 	if err != nil {
 		t.Fatalf("non-literal IN: %v", err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -337,7 +338,7 @@ func TestRowScanLimitAllocations(t *testing.T) {
 	if len(res.Rows) != limit || cap(res.Rows) > 2*limit {
 		t.Fatalf("%d rows in a slice of capacity %d, want %d rows of their own", len(res.Rows), cap(res.Rows), limit)
 	}
-	all, err := e.Query(`SELECT timestamp, table_name, latency FROM data ORDER BY latency DESC, timestamp ASC;`)
+	all, err := query(e, `SELECT timestamp, table_name, latency FROM data ORDER BY latency DESC, timestamp ASC;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func planned(t testing.TB, e *Engine, q string) (*plan, func()) {
 		t.Fatal(err)
 	}
 	ps := e.store.NewPinSet()
-	p, err := e.prepare(stmt, ps)
+	p, err := e.prepare(context.Background(), stmt, ps)
 	if err != nil {
 		ps.Release()
 		t.Fatal(err)

@@ -42,7 +42,10 @@ func (e *Engine) executeRowScan(p *plan, ps *colstore.PinSet) (*Result, QuerySta
 	// Both phases pin while they hold their workers, and decode cold chunks
 	// on them: taking more from the gate could wait on a gate with none
 	// free.
-	workers := e.gate.AcquireUpTo(e.chunkWorkers(len(s.found)))
+	workers, err := e.gate.AcquireUpTo(p.ctx, e.chunkWorkers(len(s.found)))
+	if err != nil {
+		return nil, qs, err
+	}
 	defer e.gate.Release(workers)
 	if err := s.selectRows(&qs, workers); err != nil {
 		return nil, qs, err
@@ -206,13 +209,15 @@ func (s *rowScan) done() bool {
 }
 
 // selectRows is the select phase: it pins, scans and bounds a round at a
-// time.
+// time. The query's context is polled between rounds, and by the round's
+// pin and chunk sweep.
 func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 	e, p := s.e, s.p
 	order, spans, err := s.visitOrder()
 	if err != nil {
 		return err
 	}
+	done := p.ctx.Done()
 	ws := workerPool.take(workers)
 	defer workerPool.give(ws)
 	wqs := make([]QueryStats, workers)
@@ -230,6 +235,9 @@ func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 		if len(round) == 0 {
 			break
 		}
+		if closed(done) {
+			return p.ctx.Err()
+		}
 		next += len(round)
 		clear(mask)
 		for _, ci := range round {
@@ -240,17 +248,20 @@ func (s *rowScan) selectRows(qs *QueryStats, workers int) error {
 		if s.ordered {
 			cols = append(slices.Clip(cols), s.keyCol)
 		}
-		if err := e.pinColumns(s.ps, false, cols, mask, workers, p.cols); err != nil {
+		if err := e.pinColumns(p.ctx, s.ps, false, cols, mask, workers, p.cols); err != nil {
 			return err
 		}
 		if s.ordered {
 			s.keyView = p.cols[s.keyCol]
 		}
 		clear(wqs)
-		forEachChunk(len(round), workers, nil, func(w, i int) error {
+		err := forEachChunk(p.ctx, len(round), workers, func(w, i int) error {
 			s.scanChunk(round[i], ws[w], &wqs[w])
 			return nil
 		})
+		if err != nil {
+			return err
+		}
 		for w := range wqs {
 			qs.Add(wqs[w])
 		}
@@ -358,7 +369,7 @@ func (s *rowScan) fetchRows(workers int) ([][]value.Value, error) {
 	}
 	names = append(names, p.groupCols...)
 	views := make(map[string]*colstore.Column, len(names))
-	if err := s.e.pinColumns(s.ps, false, names, mask, workers, views); err != nil {
+	if err := s.e.pinColumns(p.ctx, s.ps, false, names, mask, workers, views); err != nil {
 		return nil, err
 	}
 	var picked []int

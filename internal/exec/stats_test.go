@@ -53,7 +53,7 @@ func TestStatsPartitionEveryChunk(t *testing.T) {
 				e := New(store, Options{Parallelism: par, ResultCacheBytes: cacheBytes})
 				for rep := 0; rep < 2; rep++ {
 					for _, q := range queries {
-						res, err := e.Query(q)
+						res, err := query(e, q)
 						if err != nil {
 							t.Fatalf("%s: %s: %v", name, q, err)
 						}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -73,7 +74,7 @@ func diffTopKVsStableSort(t *testing.T, seed int64) {
 
 	ps := store.NewPinSet()
 	defer ps.Release()
-	p, err := e.prepare(stmt, ps)
+	p, err := e.prepare(context.Background(), stmt, ps)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}

@@ -51,11 +51,11 @@ func TestVirtualColumnBudgetedBitIdentical(t *testing.T) {
 	var restrictedRepeat QueryStats
 	for pass := 0; pass < 3; pass++ {
 		for _, q := range virtcolQueries() {
-			want, err := eager.Query(q)
+			want, err := query(eager, q)
 			if err != nil {
 				t.Fatalf("eager %s: %v", q, err)
 			}
-			got, err := lazy.Query(q)
+			got, err := query(lazy, q)
 			if err != nil {
 				t.Fatalf("lazy pass %d %s: %v", pass, q, err)
 			}
@@ -96,7 +96,7 @@ func TestVirtualSpanPruningAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT table_name, COUNT(*) AS c FROM data WHERE upper(country) = "DE" GROUP BY table_name ORDER BY c DESC, table_name ASC LIMIT 10;`
-	want, err := New(first, Options{Parallelism: 2}).Query(q)
+	want, err := query(New(first, Options{Parallelism: 2}), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestVirtualSpanPruningAcrossReopen(t *testing.T) {
 	if !reopened.HasColumn("upper(country)") {
 		t.Fatal("reopened store does not know the persisted virtual column")
 	}
-	got, err := New(reopened, Options{Parallelism: 2}).Query(q)
+	got, err := query(New(reopened, Options{Parallelism: 2}), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(resident, Options{Parallelism: 2})
-	top, err := e.Query(`SELECT MAX(latency) FROM data;`)
+	top, err := query(e, `SELECT MAX(latency) FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			first[g], errs[g] = e.Query(q)
+			first[g], errs[g] = query(e, q)
 		}()
 	}
 	close(start)
@@ -177,7 +177,7 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 	}
 	requireMatchesReference(t, resident, Options{}, q)
 
-	repeat, err := e.Query(q)
+	repeat, err := query(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(lazy, Options{Parallelism: 2}).Query(q); err != nil {
+	if _, err := query(New(lazy, Options{Parallelism: 2}), q); err != nil {
 		t.Fatal(err)
 	}
 	reopened, _, err := colstore.OpenLazy(dir, memmgr.New(0, ""))
@@ -200,7 +200,7 @@ func TestPredicateFieldMaterializedOnce(t *testing.T) {
 	if !reopened.HasColumn(field) {
 		t.Fatalf("reopened store does not know the persisted predicate field %q", field)
 	}
-	got, err := New(reopened, Options{Parallelism: 2}).Query(q)
+	got, err := query(New(reopened, Options{Parallelism: 2}), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestVirtualColumnConcurrentBudgeted(t *testing.T) {
 	queries := virtcolQueries()
 	wants := make([]*Result, len(queries))
 	for i, q := range queries {
-		if wants[i], err = eager.Query(q); err != nil {
+		if wants[i], err = query(eager, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestVirtualColumnConcurrentBudgeted(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				i := (g + rep) % len(queries)
-				got, err := lazy.Query(queries[i])
+				got, err := query(lazy, queries[i])
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d rep %d: %w", g, rep, err)
 					return
@@ -283,14 +283,14 @@ func TestVirtualColumnReuseAfterClose(t *testing.T) {
 	}
 	lazy := New(lazyStore, Options{Parallelism: 2})
 	q := virtcolQueries()[0]
-	want, err := lazy.Query(q)
+	want, err := query(lazy, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lazyStore.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := lazy.Query(q)
+	got, err := query(lazy, q)
 	if err != nil {
 		t.Fatalf("query after Close: %v", err)
 	}
@@ -309,14 +309,14 @@ func TestPlainQueryDoesNotWaitForPlanLock(t *testing.T) {
 		`SELECT country, user, COUNT(*) FROM data GROUP BY country, user;`,
 	}
 	for _, q := range settled {
-		if _, err := e.Query(q); err != nil {
+		if _, err := query(e, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run := func(q string) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			_, err := e.Query(q)
+			_, err := query(e, q)
 			done <- err
 		}()
 		return done
@@ -359,7 +359,7 @@ func TestVirtualColumnKeepsLiteralKind(t *testing.T) {
 		{`SELECT SUM(latency * 2.0) AS s FROM data;`, value.KindFloat64},
 		{`SELECT SUM(latency * 2) AS s FROM data;`, value.KindInt64},
 	} {
-		res, err := e.Query(c.q)
+		res, err := query(e, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
 		`SELECT COUNT(*) AS c FROM data WHERE latency * 2 >= 0;`,
 		`SELECT latency * 2 AS l FROM data ORDER BY l DESC LIMIT 1;`,
 	} {
-		res, err := e.Query(q)
+		res, err := query(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,14 +420,14 @@ func TestStaleFloatVirtualColumnIgnored(t *testing.T) {
 			t.Errorf("%s: %v is a %v, want int64", q, got, got.Kind())
 		}
 	}
-	res, err := e.Query(`SELECT SUM(latency * 2) AS s FROM data;`)
+	res, err := query(e, `SELECT SUM(latency * 2) AS s FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Rows[0][0]; got.Kind() != value.KindInt64 || got.Int() != sum {
 		t.Errorf("SUM(latency * 2) = %v (%v), want int64 %d", got, got.Kind(), sum)
 	}
-	res, err = e.Query(`SELECT SUM(latency * 2.0) AS s FROM data;`)
+	res, err = query(e, `SELECT SUM(latency * 2.0) AS s FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}

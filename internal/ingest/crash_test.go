@@ -138,7 +138,7 @@ func verifyRecovered(t *testing.T, trial int, dir string, acked, pending []int64
 		t.Fatalf("trial %d: snapshot: %v", trial, err)
 	}
 	defer snap.Release()
-	res, err := snap.Query(`SELECT v, c FROM data ORDER BY v;`)
+	res, err := query(snap, `SELECT v, c FROM data ORDER BY v;`)
 	if err != nil {
 		t.Fatalf("trial %d: query: %v", trial, err)
 	}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,15 @@ import (
 	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 )
+
+// query parses src and runs it on the snapshot.
+func query(s *Snapshot, src string) (*exec.Result, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunContext(context.Background(), stmt)
+}
 
 // rowsTable builds rows [start, start+n) of the deterministic test
 // stream: v is the global row index, c cycles through five groups. The
@@ -88,7 +98,7 @@ func countSegDirs(t *testing.T, dir string) int {
 // stream: COUNT(*), SUM(v), MIN(v), MAX(v) globally and per group.
 func checkPrefix(t *testing.T, snap *Snapshot, n int) {
 	t.Helper()
-	res, err := snap.Query(`SELECT COUNT(*) AS cnt, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM data;`)
+	res, err := query(snap, `SELECT COUNT(*) AS cnt, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM data;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func checkPrefix(t *testing.T, snap *Snapshot, n int) {
 		t.Fatalf("prefix %d: got cnt=%d sum=%d lo=%d hi=%d, want cnt=%d sum=%d lo=0 hi=%d",
 			n, row[0].Int(), row[1].Int(), row[2].Int(), row[3].Int(), n, wantSum, n-1)
 	}
-	byGroup, err := snap.Query(`SELECT c, COUNT(*) AS cnt FROM data GROUP BY c ORDER BY c;`)
+	byGroup, err := query(snap, `SELECT c, COUNT(*) AS cnt FROM data GROUP BY c ORDER BY c;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +212,7 @@ func TestRowScanAcrossGenerations(t *testing.T) {
 	defer snap.Release()
 	// Rows live in base, a sealed segment and the write buffer; ORDER BY
 	// and LIMIT must apply to the merged scan, not per unit.
-	res, err := snap.Query(`SELECT v FROM data WHERE c = "c2" ORDER BY v DESC LIMIT 4;`)
+	res, err := query(snap, `SELECT v FROM data WHERE c = "c2" ORDER BY v DESC LIMIT 4;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +279,8 @@ func TestSnapshotConsistencyUnderConcurrency(t *testing.T) {
 				}
 				checkPrefix(t, snap, n)
 				// Bit-for-bit repeatability on one snapshot.
-				q1, err1 := snap.Query(`SELECT c, COUNT(*) AS cnt, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
-				q2, err2 := snap.Query(`SELECT c, COUNT(*) AS cnt, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
+				q1, err1 := query(snap, `SELECT c, COUNT(*) AS cnt, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
+				q2, err2 := query(snap, `SELECT c, COUNT(*) AS cnt, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
 				if err1 != nil || err2 != nil {
 					t.Error(err1, err2)
 				} else if fmt.Sprint(q1.Rows) != fmt.Sprint(q2.Rows) {
@@ -398,7 +408,7 @@ func TestCompactionRetiresSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinnedRes, err := snap.Query(`SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
+	pinnedRes, err := query(snap, `SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +426,7 @@ func TestCompactionRetiresSegments(t *testing.T) {
 	}
 
 	// The pinned snapshot still reads its retired segments, identically.
-	again, err := snap.Query(`SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
+	again, err := query(snap, `SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY c;`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func TestSnapshotChecksumCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	res, err := snap.Query(`SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY s DESC;`)
+	res, err := query(snap, `SELECT c, SUM(v) AS s FROM data GROUP BY c ORDER BY s DESC;`)
 	if err != nil {
 		t.Fatal(err)
 	}

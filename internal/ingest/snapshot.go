@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"sync"
 
 	"powerdrill/internal/exec"
@@ -93,30 +94,27 @@ func (w *Writer) Snapshot() (*Snapshot, error) {
 // NumRows returns the number of rows the snapshot covers.
 func (s *Snapshot) NumRows() int64 { return s.rows }
 
-// Query parses and runs a SQL query against the snapshot.
-func (s *Snapshot) Query(src string) (*exec.Result, error) {
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(stmt)
+// Run is RunContext under context.Background().
+func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
+	return s.RunContext(context.Background(), stmt)
 }
 
-// Run executes a parsed statement against the snapshot. A single-unit
-// snapshot (no appends yet, or everything compacted into the base) runs
-// the plain engine — full feature compatibility. A multi-unit snapshot
-// runs each unit and merges: aggregates through the same partial
+// RunContext executes a parsed statement against the snapshot. A
+// single-unit snapshot (no appends yet, or everything compacted into the
+// base) runs the plain engine — full feature compatibility. A multi-unit
+// snapshot runs each unit and merges: aggregates through the same partial
 // machinery the distributed tree uses (Section 4), row scans by
 // concatenating per-unit scans in unit order and applying ORDER BY and
 // LIMIT once at the end. Either way an aggregate ends in the one
-// exec.FinalizePartial — over the unit's own partial inside Engine.Run,
-// over the merged one here — so the two shapes cannot answer differently
-// (an ORDER BY key that names no output column is refused by every
-// unit's plan). COUNT(DISTINCT x) merges as a sketch, so exact distinct
-// mode only works single-unit — the same restriction the cluster has.
-func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
+// exec.FinalizePartial — over the unit's own partial inside
+// Engine.RunContext, over the merged one here — so the two shapes cannot
+// answer differently (an ORDER BY key that names no output column is
+// refused by every unit's plan). COUNT(DISTINCT x) merges as a sketch, so
+// exact distinct mode only works single-unit — the same restriction the
+// cluster has. ctx reaches every unit's engine.
+func (s *Snapshot) RunContext(ctx context.Context, stmt *sql.SelectStmt) (*exec.Result, error) {
 	if len(s.units) == 1 {
-		res, err := s.units[0].eng.Run(stmt)
+		res, err := s.units[0].eng.RunContext(ctx, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -124,32 +122,25 @@ func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
 		res.Stats.RowsCovered = s.rows
 		return res, nil
 	}
-	hasAgg := false
-	for _, item := range stmt.Items {
-		if sql.HasAggregate(item.Expr) {
-			hasAgg = true
-			break
-		}
+	if exec.RowScan(stmt) {
+		return s.runRowScan(ctx, stmt)
 	}
-	if !hasAgg && len(stmt.GroupBy) == 0 {
-		return s.runRowScan(stmt)
-	}
-	merged, err := s.RunPartial(stmt)
+	merged, err := s.RunPartialContext(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
 	return exec.FinalizePartial(stmt, merged)
 }
 
-// RunPartial runs an aggregate on every unit and merges the per-unit
-// partials in unit order: the mergeable partial a leaf serving the
-// snapshot ships up the serving tree. Row scans are refused, as by every
-// engine's RunPartial.
-func (s *Snapshot) RunPartial(stmt *sql.SelectStmt) (*exec.Partial, error) {
+// RunPartialContext runs an aggregate on every unit and merges the
+// per-unit partials in unit order: the mergeable partial a leaf serving
+// the snapshot ships up the serving tree. Row scans are refused, as by
+// every engine's RunPartialContext.
+func (s *Snapshot) RunPartialContext(ctx context.Context, stmt *sql.SelectStmt) (*exec.Partial, error) {
 	parts := make([]*exec.Partial, len(s.units))
 	for i, u := range s.units {
 		var err error
-		if parts[i], err = u.eng.RunPartial(stmt); err != nil {
+		if parts[i], err = u.eng.RunPartialContext(ctx, stmt); err != nil {
 			return nil, err
 		}
 	}
@@ -162,10 +153,10 @@ func (s *Snapshot) RunPartial(stmt *sql.SelectStmt) (*exec.Partial, error) {
 // first LIMIT of the assembled order is among the first LIMIT of its own
 // unit's, ties going to the earlier row in both, so no unit has to hand
 // over more than LIMIT rows.
-func (s *Snapshot) runRowScan(stmt *sql.SelectStmt) (*exec.Result, error) {
+func (s *Snapshot) runRowScan(ctx context.Context, stmt *sql.SelectStmt) (*exec.Result, error) {
 	var out *exec.Result
 	for _, u := range s.units {
-		res, err := u.eng.Run(stmt)
+		res, err := u.eng.RunContext(ctx, stmt)
 		if err != nil {
 			return nil, err
 		}

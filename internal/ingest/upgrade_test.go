@@ -75,7 +75,7 @@ func (answers parentAnswers) mismatch(w *Writer) string {
 	}
 	defer snap.Release()
 	for _, a := range answers {
-		res, err := snap.Query(a.SQL)
+		res, err := query(snap, a.SQL)
 		if err != nil || len(res.Rows) != len(a.Rows) {
 			return fmt.Sprintf("%s: err %v; want %d rows", a.SQL, err, len(a.Rows))
 		}

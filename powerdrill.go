@@ -26,6 +26,7 @@
 package powerdrill
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -35,6 +36,7 @@ import (
 	"powerdrill/internal/exec"
 	"powerdrill/internal/ingest"
 	"powerdrill/internal/memmgr"
+	"powerdrill/internal/sql"
 	"powerdrill/internal/table"
 	"powerdrill/internal/value"
 	"powerdrill/internal/workload"
@@ -209,18 +211,10 @@ func Build(tbl *Table, opts Options) (*Store, error) {
 	return &Store{store: cs, engine: exec.New(cs, opts.engineOptions()), opts: opts}, nil
 }
 
-// Result is a query result: column names and rows of values.
-type Result struct {
-	Columns []string
-	Rows    [][]Value
-	// Stats reports what the query touched.
-	Stats QueryStats
-	// Coverage is the fraction of rows the answer spans, in (0, 1]. It is
-	// 1 except for cluster queries that had to serve a partial answer
-	// because some shards were unreachable — the paper's UI shows this
-	// fraction next to every result.
-	Coverage float64
-}
+// Result is a query result: column names, rows of values, what the query
+// touched (Stats), and the fraction of rows the answer spans (Coverage, 1
+// except for cluster queries that had to serve a partial answer).
+type Result = exec.Result
 
 // QueryStats are per-query execution counters (chunks skipped, cached,
 // scanned; rows and cells).
@@ -239,14 +233,37 @@ type QueryStats = exec.QueryStats
 // for the duration of the query while appends, seals and compactions
 // continue underneath.
 func (s *Store) Query(sqlText string) (*Result, error) {
-	if w := s.writer(); w != nil {
-		return queryIngest(w, sqlText)
-	}
-	res, err := s.engine.Query(sqlText)
+	return runOn(s, sqlText, func(r runner, stmt *sql.SelectStmt) (*Result, error) {
+		return r.RunContext(context.Background(), stmt)
+	})
+}
+
+// runner answers a store's queries: its engine, or a snapshot of its
+// append stream.
+type runner interface {
+	RunContext(context.Context, *sql.SelectStmt) (*exec.Result, error)
+	RunPartialContext(context.Context, *sql.SelectStmt) (*exec.Partial, error)
+}
+
+// runOn parses sqlText and runs fn on the store's runner: the engine, or
+// on a store with an append path a snapshot of it, held for the call —
+// the one way into a node that Query and the serving tree's leaf share.
+func runOn[T any](s *Store, sqlText string, fn func(runner, *sql.SelectStmt) (T, error)) (T, error) {
+	var zero T
+	stmt, err := sql.Parse(sqlText)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return &Result{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Coverage: res.Coverage}, nil
+	w := s.writer()
+	if w == nil {
+		return fn(s.engine, stmt)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		return zero, err
+	}
+	defer snap.Release()
+	return fn(snap, stmt)
 }
 
 // NumRows returns the number of imported rows, including appended rows
