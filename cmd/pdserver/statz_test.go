@@ -140,7 +140,8 @@ func statzKeys(prefix string, v any, out map[string]string) {
 }
 
 // parentStatzKeys is every key /statz emitted on the fixture above before
-// the sections became the owners' structs, with its JSON type.
+// the sections became the owners' structs, with its JSON type, and the
+// keys added since: memory.derived_bytes.
 var parentStatzKeys = map[string]string{
 	"leaf": `
 chunks number
@@ -187,6 +188,7 @@ memory object
 memory.budget_bytes number
 memory.cold_bytes_loaded number
 memory.cold_loads number
+memory.derived_bytes number
 memory.disk_bytes_read number
 memory.evicted_bytes number
 memory.evictions number
@@ -253,6 +255,7 @@ memory object
 memory.budget_bytes number
 memory.cold_bytes_loaded number
 memory.cold_loads number
+memory.derived_bytes number
 memory.disk_bytes_read number
 memory.evicted_bytes number
 memory.evictions number

@@ -115,6 +115,23 @@ func (c *Cache) Unpin(key string, remove bool) (value any, pins int, ok bool) {
 	return value, pins, true
 }
 
+// Grow adds n bytes to a resident entry's size, with no recency effect,
+// and evicts for the budget; pins is the entry's count, ok false when the
+// key is not resident.
+func (c *Cache) Grow(key string, n int64) (value any, pins int, ok bool) {
+	e := c.items[key]
+	if e == nil || e.t == nil {
+		return nil, 0, false
+	}
+	t := e.t
+	c.setTier(e, nil)
+	e.size += n
+	c.setTier(e, t)
+	c.demote()
+	c.balance()
+	return e.value, e.pins, true
+}
+
 // Drop removes key unless it is pinned, with no recency or counter effects;
 // pins is its count (0 if removed), ok false when the key is absent.
 func (c *Cache) Drop(key string) (value any, pins int, ok bool) {

@@ -20,6 +20,8 @@ type Chunk struct {
 	GlobalIDs []uint32
 	// Elems holds one chunk-id per row of the chunk.
 	Elems enc.Sequence
+	// derived holds the tables queries derive from the chunk (derived.go).
+	derived derived
 }
 
 // Rows returns the number of rows in the chunk.
@@ -119,16 +121,20 @@ type MemoryBreakdown struct {
 	Elements   int64
 	ChunkDicts int64
 	GlobalDict int64
+	// Derived is what the chunks' derived tables (derived.go) hold: 0 until
+	// a query builds one.
+	Derived int64
 }
 
 // Total sums the layers.
-func (m MemoryBreakdown) Total() int64 { return m.Elements + m.ChunkDicts + m.GlobalDict }
+func (m MemoryBreakdown) Total() int64 { return m.Elements + m.ChunkDicts + m.GlobalDict + m.Derived }
 
 // Add accumulates another breakdown.
 func (m *MemoryBreakdown) Add(o MemoryBreakdown) {
 	m.Elements += o.Elements
 	m.ChunkDicts += o.ChunkDicts
 	m.GlobalDict += o.GlobalDict
+	m.Derived += o.Derived
 }
 
 // Memory returns the column's exact byte footprint per layer.
@@ -137,6 +143,7 @@ func (c *Column) Memory() MemoryBreakdown {
 	for _, ch := range c.Chunks {
 		m.Elements += ch.MemoryElements()
 		m.ChunkDicts += ch.MemoryChunkDict()
+		m.Derived += ch.derived.bytes.Load()
 	}
 	m.GlobalDict = c.Dict.MemoryBytes()
 	return m

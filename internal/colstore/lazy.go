@@ -281,6 +281,7 @@ func (s *Store) decodeChunk(h *heldPin, ci int, rec []byte, bufs *loadBufs) (*Ch
 // load of it finishes first, the resident chunk is shared and ch dropped.
 func (s *Store) acquireChunk(k *colKeys, ci int, ch *Chunk, disk int64) (resident *Chunk, cold bool, size, diskBytes int64, err error) {
 	v, cold, err := s.acquire(k, k.chunks[ci], func() (any, int64, int64, error) {
+		ch.derived.mgr, ch.derived.key = s.lazy.mgr, k.chunks[ci]
 		size := ch.MemoryElements() + ch.MemoryChunkDict()
 		return &loadedChunk{ch: ch, size: size, diskBytes: disk}, size, disk, nil
 	})

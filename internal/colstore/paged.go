@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -267,11 +268,17 @@ func (p *PinSet) holdFrame(d *pagedDict, i int, key string, ld *loadedDict) {
 // PinChunkFrames pins the frames of the named lazy column's dictionary
 // that hold the global-ids of its pinned chunks flagged in active (nil =
 // every one), read in coalesced runs: what workers that hash, sum or
-// render every value of those chunks read, pinned before they start.
-func (p *PinSet) PinChunkFrames(name string, active []bool) error {
+// render every value of those chunks read, pinned before they start. A
+// call whose ctx is done reads nothing and returns ctx.Err().
+func (p *PinSet) PinChunkFrames(ctx context.Context, name string, active []bool) error {
 	h := p.held[name]
 	if h == nil {
 		return nil
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
 	}
 	d := p.pagedDictOf(h)
 	p.startWant(d)

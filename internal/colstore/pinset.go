@@ -235,7 +235,7 @@ func (p *PinSet) Column(name string) (*Column, error) {
 	}
 	c, err := p.ColumnChunks(name, nil)
 	if err == nil {
-		err = p.PinChunkFrames(name, nil)
+		err = p.PinChunkFrames(context.Background(), name, nil)
 	}
 	return c, err
 }

@@ -348,6 +348,7 @@ func (p *PinSet) adoptVirtual(col *Column) (*Column, error) {
 	for ci, ch := range col.Chunks {
 		key := keys.chunks[ci]
 		size := ch.MemoryElements() + ch.MemoryChunkDict()
+		ch.derived.mgr, ch.derived.key = src.mgr, key
 		lc := src.mgr.Insert(key, &loadedChunk{ch: ch, size: size}, size, true).(*loadedChunk)
 		col.Chunks[ci] = lc.ch
 		h.chunks[ci] = true

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,7 +147,7 @@ func TestVirtualSidecarExactColdReads(t *testing.T) {
 	if _, err := ps.ColumnChunks("upper(country)", active); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.PinChunkFrames("upper(country)", active); err != nil {
+	if err := ps.PinChunkFrames(context.Background(), "upper(country)", active); err != nil {
 		t.Fatal(err)
 	}
 	want := lay.chunk(0).clen + lay.dictFileLen()

@@ -31,6 +31,7 @@ package dict
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,8 +94,9 @@ func Strings(d Dict, ids []uint32, each func(i int, s string)) {
 }
 
 // Numbers writes the value of each of ids into dst, as a T: a sorted
-// array answers without boxing each one into a value.Value.
-func Numbers[T int64 | float64](d Dict, ids []uint32, dst []T) {
+// array answers without boxing each one into a value.Value. An int32 must
+// hold every value.
+func Numbers[T int32 | int64 | float64](d Dict, ids []uint32, dst []T) {
 	for k := 0; k < len(ids); {
 		switch f, lo, n := frameAt(d, ids[k]); f := f.(type) {
 		case *Int64s:
@@ -113,9 +115,53 @@ func Numbers[T int64 | float64](d Dict, ids []uint32, dst []T) {
 	}
 }
 
+// Table holds numbers by position, at the narrowest width that holds
+// them: F64 for a dictionary of any kind but int64, I64 for an int64 one
+// whose values leave int32, I32 otherwise. The others are nil.
+type Table struct {
+	I32 []int32
+	I64 []int64
+	F64 []float64
+}
+
+// NumberTable returns the values of ids, which ascend, in order, as a
+// Table whose slice lies in buf's: as Numbers writes them, int64s kept as
+// int32s when the first and the last fit.
+func NumberTable(d Dict, ids []uint32, buf *Table) Table {
+	n := len(ids)
+	switch {
+	case d.Kind() != value.KindInt64:
+		buf.F64 = slices.Grow(buf.F64[:0], n)[:n]
+		Numbers(d, ids, buf.F64)
+		return Table{F64: buf.F64}
+	case n > 0 && (d.Value(ids[0]).Int() < math.MinInt32 || d.Value(ids[n-1]).Int() > math.MaxInt32):
+		buf.I64 = slices.Grow(buf.I64[:0], n)[:n]
+		Numbers(d, ids, buf.I64)
+		return Table{I64: buf.I64}
+	}
+	buf.I32 = slices.Grow(buf.I32[:0], n)[:n]
+	Numbers(d, ids, buf.I32)
+	return Table{I32: buf.I32}
+}
+
+// Int returns number i of an integer table.
+func (t Table) Int(i uint32) int64 {
+	if t.I64 != nil {
+		return t.I64[i]
+	}
+	return int64(t.I32[i])
+}
+
+// Bytes returns what the table holds, and Clone a copy of it.
+func (t Table) Bytes() int64 { return 4*int64(len(t.I32)) + 8*int64(len(t.I64)+len(t.F64)) }
+
+func (t Table) Clone() Table {
+	return Table{slices.Clone(t.I32), slices.Clone(t.I64), slices.Clone(t.F64)}
+}
+
 // gather writes vals[id−lo] into dst for the ids from k on that vals
 // holds, and returns the index past them.
-func gather[V, T int64 | float64](vals []V, lo uint32, ids []uint32, dst []T, k int) int {
+func gather[V int64 | float64, T int32 | int64 | float64](vals []V, lo uint32, ids []uint32, dst []T, k int) int {
 	dst = dst[:len(ids)]
 	for ; k < len(ids); k++ {
 		x := int(ids[k] - lo)

@@ -183,12 +183,12 @@ func (p *plan) groupColumn() string {
 // cardinality and global-ids, the group elements where they lie, and the
 // per-aggregate argument tables (distinct offer and global-id of each
 // argument chunk-id — computed once per distinct value, not per row, the
-// same trick the restriction masks use — and a sum's dictionary values) —
-// and the dense per-group tables the kernels accumulate in. Every buffer
-// keeps its capacity from chunk to chunk and, in workerPool, from query to
-// query, so a warm scan allocates nothing per chunk. A worker scans one
-// chunk at a time, which is why the scratch is the worker's and needs no
-// lock.
+// same trick the restriction masks use — and a sum's values, which the
+// chunk keeps) — and the dense per-group tables the kernels accumulate in.
+// Every buffer keeps its capacity from chunk to chunk and, in workerPool,
+// from query to query, so a warm scan allocates nothing per chunk. A worker
+// scans one chunk at a time, which is why the scratch is the worker's and
+// needs no lock.
 type chunkAggCtx struct {
 	rows int
 	// mask is the restriction's scratch: verdict table and bitmaps.
@@ -204,16 +204,18 @@ type chunkAggCtx struct {
 	// widened into (enc.Sequence.Raw), a byte a row.
 	card         int
 	groupGIDs    []uint32
+	gch          *colstore.Chunk
 	gseq         enc.Sequence
 	gelems       enc.Raw
 	gwide, awide []uint8
 	// Per-aggregate argument tables: argGIDs and argHash indexed
 	// [agg][chunk-id] — the chunk dictionary, and what a chunk-id offers
-	// COUNT(DISTINCT): its value's hash, or under Options.ExactDistinct its
-	// global-id — argInts and argFlts [agg][chunk-id], a SUM or AVG
-	// argument's values; argChunks is the argument's chunk itself.
-	argInts   [][]int64
-	argFlts   [][]float64
+	// a multi-group chunk's COUNT(DISTINCT): its value's hash, or under
+	// Options.ExactDistinct its global-id — argVals [agg], a SUM or AVG
+	// argument's values by chunk-id (Chunk.Values), in argBufs when the
+	// chunk does not keep them; argChunks is the argument's chunk itself.
+	argVals   []dict.Table
+	argBufs   []dict.Table
 	argGIDs   [][]uint32
 	argHash   [][]uint64
 	argChunks []*colstore.Chunk
@@ -273,8 +275,9 @@ func (c *chunkAggCtx) occupied() int {
 // dictionaries and element sequences — so that a pooled scratch keeps no
 // evicted chunk alive outside the memory budget.
 func (c *chunkAggCtx) release() {
-	c.groupGIDs, c.gseq, c.gelems, c.occOf = nil, nil, enc.Raw{}, nil
+	c.groupGIDs, c.gch, c.gseq, c.gelems, c.occOf = nil, nil, nil, enc.Raw{}, nil
 	clear(c.argGIDs)
+	clear(c.argVals)
 	clear(c.argChunks)
 }
 
@@ -293,7 +296,8 @@ func (c *chunkAggCtx) trim(lim int) int {
 	c.gwide, c.awide = kept(c.gwide, lim, &n), kept(c.awide, lim, &n)
 	for j := range c.argHash {
 		c.argHash[j] = kept(c.argHash[j], lim, &n)
-		c.argInts[j], c.argFlts[j] = kept(c.argInts[j], lim, &n), kept(c.argFlts[j], lim, &n)
+		b := &c.argBufs[j]
+		b.I32, b.I64, b.F64 = kept(b.I32, lim, &n), kept(b.I64, lim, &n), kept(b.F64, lim, &n)
 	}
 	c.counts, c.present = kept(c.counts, lim, &n), kept(c.present, lim, &n)
 	for j := range c.dense {
@@ -618,11 +622,21 @@ func zeroed[T any](buf []T, n int) []T {
 // loadGroups resolves chunk ci's group geometry.
 func (c *chunkAggCtx) loadGroups(p *plan, ci int) {
 	if p.groupCol == nil {
-		c.card, c.groupGIDs, c.gseq = 1, globalGroup, nil
+		c.card, c.groupGIDs, c.gch, c.gseq = 1, globalGroup, nil, nil
 		return
 	}
-	gch := p.groupCol.Chunks[ci]
-	c.card, c.groupGIDs, c.gseq = gch.Cardinality(), gch.GlobalIDs, gch.Elems
+	c.gch = p.groupCol.Chunks[ci]
+	c.card, c.groupGIDs, c.gseq = c.gch.Cardinality(), c.gch.GlobalIDs, c.gch.Elems
+}
+
+// args sizes the per-aggregate argument tables for na aggregates.
+func (c *chunkAggCtx) args(na int) {
+	if len(c.argChunks) < na {
+		c.argVals, c.argBufs = make([]dict.Table, na), make([]dict.Table, na)
+		c.argGIDs = make([][]uint32, na)
+		c.argHash = make([][]uint64, na)
+		c.argChunks = make([]*colstore.Chunk, na)
+	}
 }
 
 // load resolves chunk ci's group geometry and dense argument tables.
@@ -630,14 +644,7 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 	c.rows = e.store.ChunkRows(ci)
 	c.loadGroups(p, ci)
 	c.occOf = nil
-	na := len(p.aggs)
-	if len(c.argChunks) < na {
-		c.argInts = make([][]int64, na)
-		c.argFlts = make([][]float64, na)
-		c.argGIDs = make([][]uint32, na)
-		c.argHash = make([][]uint64, na)
-		c.argChunks = make([]*colstore.Chunk, na)
-	}
+	c.args(len(p.aggs))
 	for j, spec := range p.aggs {
 		acol := p.aggCols[j]
 		if acol == nil {
@@ -645,16 +652,10 @@ func (c *chunkAggCtx) load(e *Engine, p *plan, ci int) {
 		}
 		ach := acol.Chunks[ci]
 		c.argChunks[j], c.argGIDs[j] = ach, ach.GlobalIDs
-		switch spec.fn {
-		case aggSum, aggAvg:
-			if p.aggInt[j] {
-				c.argInts[j] = resized(c.argInts[j], len(ach.GlobalIDs))
-				dict.Numbers(acol.Dict, ach.GlobalIDs, c.argInts[j])
-			} else {
-				c.argFlts[j] = resized(c.argFlts[j], len(ach.GlobalIDs))
-				dict.Numbers(acol.Dict, ach.GlobalIDs, c.argFlts[j])
-			}
-		case aggCountDistinct:
+		switch {
+		case spec.fn == aggSum || spec.fn == aggAvg:
+			c.argVals[j] = ach.Values(acol.Dict, &c.argBufs[j])
+		case spec.fn == aggCountDistinct && c.card > 1:
 			hs := resized(c.argHash[j], len(ach.GlobalIDs))
 			if e.opts.ExactDistinct {
 				for i, gid := range ach.GlobalIDs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,37 +18,44 @@ import (
 
 // cancelFS passes every call through to the real filesystem and counts
 // the ReadAt calls on the files of one store, noting each that starts at
-// a chunk record: the first of those cancels the armed context.
+// a chunk record or at a dictionary frame: the first chunk read, or under
+// onFrame the first frame read, cancels the armed context.
 type cancelFS struct {
 	faultfs.OS
-	dir    string
-	chunks map[string]map[int64]bool // file -> chunk record offsets
-	mu     sync.Mutex
-	cancel context.CancelFunc // fired and cleared by the first chunk read
-	// only, when set, restricts the trigger to that file's chunks.
+	dir            string
+	chunks, frames map[string]map[int64]bool // file -> record offsets
+	onFrame        bool
+	frameReads     []string // the file of every frame read, in order
+	mu             sync.Mutex
+	cancel         context.CancelFunc // fired and cleared by the first read that cancels
+	// only, when set, restricts the trigger to that file's records.
 	only  string
 	calls int64    // every ReadAt
 	reads []string // the file of every chunk read, in order
 }
 
-// newCancelFS maps the chunk records of every column of the store at dir.
+// newCancelFS maps the chunk records and frames of every column of the
+// store at dir.
 func newCancelFS(t *testing.T, dir string) *cancelFS {
 	t.Helper()
 	r, _, err := colstore.NewReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &cancelFS{dir: dir, chunks: map[string]map[int64]bool{}}
+	fs := &cancelFS{dir: dir, chunks: map[string]map[int64]bool{}, frames: map[string]map[int64]bool{}}
+	offsets := func(rs []colstore.RecordRange) map[int64]bool {
+		offs := map[int64]bool{}
+		for _, rr := range rs {
+			offs[rr.Off] = true
+		}
+		return offs
+	}
 	for _, c := range r.Columns() {
-		file, _, chunks, err := r.ColumnRecords(c.Name)
+		file, frames, chunks, err := r.ColumnRecords(c.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		offs := map[int64]bool{}
-		for _, rr := range chunks {
-			offs[rr.Off] = true
-		}
-		fs.chunks[filepath.Base(file)] = offs
+		fs.chunks[filepath.Base(file)], fs.frames[filepath.Base(file)] = offsets(chunks), offsets(frames)
 	}
 	return fs
 }
@@ -71,13 +79,14 @@ func (fs *cancelFS) Open(name string) (faultfs.File, error) {
 	if err != nil || !strings.HasPrefix(name, fs.dir) {
 		return f, err
 	}
-	return &cancelFile{File: f, fs: fs, offs: fs.chunks[filepath.Base(name)]}, nil
+	base := filepath.Base(name)
+	return &cancelFile{File: f, fs: fs, offs: fs.chunks[base], frames: fs.frames[base]}, nil
 }
 
 type cancelFile struct {
 	faultfs.File
-	fs   *cancelFS
-	offs map[int64]bool
+	fs           *cancelFS
+	offs, frames map[int64]bool
 }
 
 func (f *cancelFile) ReadAt(p []byte, off int64) (int, error) {
@@ -85,13 +94,16 @@ func (f *cancelFile) ReadAt(p []byte, off int64) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.calls++
+	file := filepath.Base(f.Name())
 	if f.offs[off] {
-		file := filepath.Base(f.Name())
 		fs.reads = append(fs.reads, file)
-		if fs.cancel != nil && (fs.only == "" || fs.only == file) {
-			fs.cancel()
-			fs.cancel = nil
-		}
+	}
+	if f.frames[off] {
+		fs.frameReads = append(fs.frameReads, file)
+	}
+	if fs.cancel != nil && (fs.onFrame && f.frames[off] || !fs.onFrame && f.offs[off]) && (fs.only == "" || fs.only == file) {
+		fs.cancel()
+		fs.cancel = nil
 	}
 	return f.File.ReadAt(p, off)
 }
@@ -320,6 +332,51 @@ func TestRestrictionMemoCancelNotPoisoned(t *testing.T) {
 		}
 		if i == 0 && got.Stats.ChunksCached != 0 {
 			t.Fatalf("%s: %d chunks answered from the result cache the cancelled query left", q, got.Stats.ChunksCached)
+		}
+	}
+}
+
+// takeFrames returns the files of the frame reads since the last call.
+func (fs *cancelFS) takeFrames() []string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	reads := fs.frameReads
+	fs.frameReads = nil
+	return reads
+}
+
+// TestFramePinCancel: dictionary-frame pins stop at a cancelled context as
+// chunk pins do. A cold group-by whose first frame read cancels it returns
+// context.Canceled, reads no frame after that one and leaves nothing
+// pinned: SUM(latency)'s frames are pinned first and COUNT(DISTINCT
+// user)'s are never read (PinChunkFrames), and of a composite key's two
+// columns only the first column's frames are (pinFull). Uncancelled, each
+// query reads frames of two columns.
+func TestFramePinCancel(t *testing.T) {
+	dir := savedReorderedStore(t, 6000, "zippy")
+	fs := newCancelFS(t, dir)
+	defer faultfs.Swap(fs)()
+	fs.onFrame = true
+	for _, q := range []string{
+		`SELECT country, SUM(latency) AS s, COUNT(DISTINCT user) AS d FROM data GROUP BY country;`,
+		`SELECT country, user, SUM(latency) AS s FROM data GROUP BY country, user;`,
+	} {
+		full, _ := lazyCancelEngine(t, dir, Options{Parallelism: 1})
+		fs.takeFrames()
+		if _, err := query(full, q); err != nil {
+			t.Fatal(err)
+		}
+		if files := slices.Compact(fs.takeFrames()); len(files) < 2 {
+			t.Fatalf("%s: the uncancelled query read frames of %v, want two columns'", q, files)
+		}
+
+		e, mgr := lazyCancelEngine(t, dir, Options{Parallelism: 1})
+		ctx, cancel := context.WithCancel(context.Background())
+		fs.cancel = cancel
+		runCancelled(t, ctx, e, mgr, q)
+		cancel()
+		if reads := fs.takeFrames(); len(reads) != 1 {
+			t.Fatalf("%s: the cancelled query made frame reads %v, want the first only", q, reads)
 		}
 	}
 }

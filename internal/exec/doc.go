@@ -78,6 +78,8 @@
 //     context is done (Gate.AcquireUpTo);
 //   - before each cold batch of a pin (colstore.PinSet.PinChunks): phase
 //     3's, a row scan's, a materialization's sources';
+//   - before each column's frame pin (colstore.PinSet.PinChunkFrames):
+//     phase 3's aggregate arguments', a materialization's sources';
 //   - before each chunk claim of a chunk sweep (forEachChunk): phase 4's
 //     scan, a row scan's round, a materialization;
 //   - before each round of a row scan.
@@ -108,10 +110,11 @@
 //   - Store data is immutable after load. Chunk-dictionaries, element
 //     sequences and global dictionaries are never written once built, so
 //     the scan phase (classify → mask → aggregate) takes no locks at all.
-//     The one exception hides its own synchronization: the colstore
-//     column registry/metadata, which grows when a virtual field
-//     materializes (on lazy stores the materialization is persisted into
-//     the store's sidecar and budgeted via the memory manager).
+//     Two exceptions hide their own synchronization: the colstore column
+//     registry/metadata, which grows when a virtual field materializes
+//     (on lazy stores persisted into the sidecar and budgeted), and the
+//     tables a chunk keeps of what the kernels derive from it alone
+//     (colstore.Chunk.Counts, Values, HashOrder), each built once.
 //   - planMu guards one step only: "check column exists → materialize →
 //     register", taken (and the check repeated) just when compiling meets
 //     an expression or composite that no query has materialized yet; a

@@ -702,7 +702,9 @@ func (e *Engine) plan(ctx context.Context, stmt *sql.SelectStmt, ps *colstore.Pi
 // probe left, each column with its dictionary — an aggregation reads
 // values everywhere: group keys, aggregate arguments — and
 // resolves the scan's columns to the pinned views. A restriction from the
-// memo reads no column, so a column only it accesses is not pinned.
+// memo reads no column, so a column only it accesses is not pinned. A SUM
+// or AVG argument's frames are pinned only for the chunks that keep no
+// value table (Chunk.Values), which workers read.
 func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	names := make([]string, 0, len(p.accessCols))
 	for _, col := range p.accessCols {
@@ -718,8 +720,12 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 	err = e.pinColumns(p.ctx, ps, true, names, p.pin, workers, p.cols)
 	e.gate.Release(workers)
 	for _, spec := range p.aggs {
-		if err == nil && (spec.fn == aggSum || spec.fn == aggAvg || spec.fn == aggCountDistinct && !e.opts.ExactDistinct) {
-			err = ps.PinChunkFrames(spec.argCol, p.pin) // read on workers
+		switch {
+		case err != nil:
+		case spec.fn == aggSum || spec.fn == aggAvg:
+			err = ps.PinChunkFrames(p.ctx, spec.argCol, unbuiltValues(p.cols[spec.argCol], p.pin))
+		case spec.fn == aggCountDistinct && !e.opts.ExactDistinct:
+			err = ps.PinChunkFrames(p.ctx, spec.argCol, p.pin) // read on workers
 		}
 	}
 	if err != nil {
@@ -749,6 +755,16 @@ func (e *Engine) pinPlan(p *plan, ps *colstore.PinSet) error {
 		}
 	}
 	return nil
+}
+
+// unbuiltValues flags the pinned chunks of col flagged in active (nil =
+// every one) that keep no value table.
+func unbuiltValues(col *colstore.Column, active []bool) []bool {
+	out := make([]bool, len(col.Chunks))
+	for ci, ch := range col.Chunks {
+		out[ci] = ch != nil && (active == nil || active[ci]) && !ch.HasValues()
+	}
+	return out
 }
 
 // pinColumns pins the chunks flagged in active (nil = every chunk) of the
@@ -788,7 +804,7 @@ func (e *Engine) pinFull(ctx context.Context, ps *colstore.PinSet, names []strin
 	err = e.pinColumns(ctx, ps, true, names, nil, workers, views)
 	for _, name := range names {
 		if err == nil {
-			err = ps.PinChunkFrames(name, nil)
+			err = ps.PinChunkFrames(ctx, name, nil)
 		}
 	}
 	return err

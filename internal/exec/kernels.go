@@ -23,13 +23,17 @@ package exec
 // rows at all: the argument's chunk dictionary is the sorted list of values
 // that occur, so under a full mask its first and last entries are the
 // extremes and its entries are the distinct values, and under a partial mask
-// the same holds for the entries CountIntoMasked finds occupied.
+// the same holds for the entries CountIntoMasked finds occupied. What
+// depends on a chunk alone — full-mask group counts, SUM's values by
+// chunk-id, the chunk-ids in hash order — is read from the tables the chunk
+// keeps (colstore's derived.go).
 
 import (
 	"math"
 	"math/bits"
 	"slices"
 
+	"powerdrill/internal/dict"
 	"powerdrill/internal/enc"
 )
 
@@ -65,7 +69,7 @@ func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCt
 			c.counts[0] = int64(mask.Count())
 		}
 	case mask == nil:
-		c.gseq.CountInto(c.counts)
+		c.gch.Counts(c.counts)
 	default:
 		c.gseq.CountIntoMasked(c.counts, mask)
 	}
@@ -81,7 +85,7 @@ func (e *Engine) aggregateChunk(p *plan, ci int, mask *enc.Bitmap, c *chunkAggCt
 		case single && (spec.fn == aggMin || spec.fn == aggMax):
 			dictMinMax(a, j, c, mask)
 		case single && spec.fn == aggCountDistinct:
-			dictDistinct(a, j, c, mask)
+			dictDistinct(e, a, j, c, p.aggCols[j].Dict, mask)
 		default:
 			c.rowKernel(p, j, mask)
 		}
@@ -123,13 +127,17 @@ func kernel[G, A enc.Elem](c *chunkAggCtx, p *plan, j int, ge []G, ae []A, mask 
 	a := &c.dense[j]
 	switch p.aggs[j].fn {
 	case aggSum, aggAvg:
-		if p.aggInt[j] {
-			a.sumI = zeroed(a.sumI, c.card)
-			kernelSum(a.sumI, c.argInts[j], ge, ae, mask)
-		} else {
+		switch v := c.argVals[j]; {
+		case !p.aggInt[j]:
 			c.sumsF = zeroed(c.sumsF, c.card)
-			kernelSum(c.sumsF, c.argFlts[j], ge, ae, mask)
+			kernelSum(c.sumsF, v.F64, ge, ae, mask)
 			c.floatParts(a, c.sumsF)
+		case v.I64 != nil:
+			a.sumI = zeroed(a.sumI, c.card)
+			kernelSum(a.sumI, v.I64, ge, ae, mask)
+		default:
+			a.sumI = zeroed(a.sumI, c.card)
+			kernelSum(a.sumI, v.I32, ge, ae, mask)
 		}
 	case aggMin, aggMax:
 		kernelMinMax(a, c, c.argGIDs[j], ge, ae, mask)
@@ -168,6 +176,7 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 		}
 	}
 	c.occupied()
+	c.args(len(p.aggs))
 	for j, spec := range p.aggs {
 		acol := p.aggCols[j]
 		if acol == nil {
@@ -178,16 +187,16 @@ func (e *Engine) aggregateChunkVecSparse(p *plan, ci int, mask *enc.Bitmap, nsel
 		agids, aseq := ach.GlobalIDs, ach.Elems
 		switch spec.fn {
 		case aggSum, aggAvg:
-			if p.aggInt[j] {
+			if v := ach.Values(acol.Dict, &c.argBufs[j]); p.aggInt[j] {
 				sums := zeroed(a.sumI, c.card)
 				for i, r := range sel {
-					sums[c.gof[i]] += acol.Dict.Value(agids[aseq.At(int(r))]).Int()
+					sums[c.gof[i]] += v.Int(aseq.At(int(r)))
 				}
 				a.sumI = sums
 			} else {
 				sums := zeroed(c.sumsF, c.card)
 				for i, r := range sel {
-					sums[c.gof[i]] += acol.Dict.Value(agids[aseq.At(int(r))]).AsFloat()
+					sums[c.gof[i]] += v.F64[aseq.At(int(r))]
 				}
 				c.sumsF = sums
 				c.floatParts(a, sums)
@@ -283,15 +292,15 @@ func (c *chunkAggCtx) fillRuns(a *aggColumn, most int) {
 }
 
 // kernelSum accumulates SUM/AVG: dense per-group sums indexed by group
-// chunk-id, each row's value gathered from the chunk's values, indexed by
-// chunk-id. Ascending row order keeps a float accumulation bit-identical to
-// a row-at-a-time sum.
-func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, ge []G, ae []A, mask *enc.Bitmap) {
+// chunk-id, each row's value read from the chunk's values, indexed by
+// chunk-id, at their width. Ascending row order keeps a float accumulation
+// bit-identical to a row-at-a-time sum.
+func kernelSum[T int64 | float64, V int32 | int64 | float64, G, A enc.Elem](sums []T, vals []V, ge []G, ae []A, mask *enc.Bitmap) {
 	switch {
 	case ge == nil && mask == nil:
 		var s T
 		for _, x := range ae {
-			s += vals[x]
+			s += T(vals[x])
 		}
 		sums[0] = s
 	case ge == nil:
@@ -299,21 +308,21 @@ func kernelSum[T int64 | float64, G, A enc.Elem](sums, vals []T, ge []G, ae []A,
 		for wi, w := range mask.Words() {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
-				s += vals[ae[base+bits.TrailingZeros64(w)]]
+				s += T(vals[ae[base+bits.TrailingZeros64(w)]])
 			}
 		}
 		sums[0] = s
 	case mask == nil:
 		ge = ge[:len(ae)]
 		for r, x := range ae {
-			sums[ge[r]] += vals[x]
+			sums[ge[r]] += T(vals[x])
 		}
 	default:
 		for wi, w := range mask.Words() {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
 				r := base + bits.TrailingZeros64(w)
-				sums[ge[r]] += vals[ae[r]]
+				sums[ge[r]] += T(vals[ae[r]])
 			}
 		}
 	}
@@ -412,17 +421,40 @@ func kernelDistinct[G, A enc.Elem](a *aggColumn, c *chunkAggCtx, hs []uint64, ge
 	c.fillRuns(a, most)
 }
 
-// dictDistinct feeds COUNT(DISTINCT x) of a single-group chunk: the occupied
-// entries of the argument's chunk dictionary are offered, each once.
-func dictDistinct(a *aggColumn, j int, c *chunkAggCtx, mask *enc.Bitmap) {
-	hs := c.argHash[j]
-	fill := c.buckets(len(hs))
-	occ := c.occupancy(j, mask)
-	for i, h := range hs {
-		if occ == nil || occ[i] > 0 {
-			c.bucket[fill[0]] = h
-			fill[0]++
+// dictDistinct writes COUNT(DISTINCT x)'s run for a single-group chunk, as
+// fillRuns would: the offers of the occupied chunk dictionary entries,
+// ascending and each once, the m smallest. Global-ids (ExactDistinct)
+// ascend with chunk-ids; hashes are walked in the chunk's hash order.
+func dictDistinct(e *Engine, a *aggColumn, j int, c *chunkAggCtx, d dict.Dict, mask *enc.Bitmap) {
+	ach, occ := c.argChunks[j], c.occupancy(j, mask)
+	a.hashes.vals = a.hashes.vals[:0]
+	if e.opts.ExactDistinct {
+		for id, gid := range ach.GlobalIDs {
+			if occ == nil || occ[id] > 0 {
+				a.hashes.vals = append(a.hashes.vals, uint64(gid))
+			}
 		}
+	} else if order := ach.HashOrder(d); order.U16 != nil {
+		walkDistinct(a, order.U16, ach.GlobalIDs, d, occ)
+	} else {
+		walkDistinct(a, order.U32, ach.GlobalIDs, d, occ)
 	}
-	c.fillRuns(a, len(hs))
+	a.hashes.off = append(a.hashes.off[:0], 0, uint32(len(a.hashes.vals)))
+}
+
+// walkDistinct appends the hashes of order's chunk-ids that occ occupies
+// (all, if nil), a hash equal to the last skipped, until the run holds m.
+func walkDistinct[T uint16 | uint32](a *aggColumn, order []T, gids []uint32, d dict.Dict, occ []int64) {
+	for _, id := range order {
+		if occ != nil && occ[id] == 0 {
+			continue
+		}
+		h, n := d.Hash(gids[id]), len(a.hashes.vals)
+		if n > 0 && a.hashes.vals[n-1] == h {
+			continue
+		} else if n == a.m {
+			break
+		}
+		a.hashes.vals = append(a.hashes.vals, h)
+	}
 }

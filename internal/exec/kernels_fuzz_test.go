@@ -121,7 +121,8 @@ func diffScanVsReference(t *testing.T, seed int64, rows int, shape uint16) {
 
 // requireMatchesReference runs q on an engine over store with opts and on
 // referencePartial, and demands the same partial, group by group, and the
-// same finished rows, bit for bit. Errors: the engine evaluates a predicate
+// same finished rows, bit for bit, from the engine's first run and from a
+// run after the tables its chunks keep were built. Errors: the engine evaluates a predicate
 // field at every row, skipping or not, so it must raise the reference's
 // error or, with the reference, none. It returns the engine's result, nil
 // if the query failed.
@@ -162,6 +163,14 @@ func requireMatchesReference(t *testing.T, store *colstore.Store, opts Options, 
 	rows := referenceFinalize(t, stmt, want).Rows
 	if !slices.EqualFunc(res.Rows, rows, func(a, b []value.Value) bool { return slices.EqualFunc(a, b, sameBits) }) {
 		t.Fatalf("row divergence for %q:\n  engine:    %v\n  reference: %v", q, res.Rows, rows)
+	}
+	// The runs above built the tables the chunks keep; another reads them.
+	again, err := query(e, q)
+	if err != nil {
+		t.Fatalf("second run of %q: %v", q, err)
+	}
+	if !slices.EqualFunc(again.Rows, rows, func(a, b []value.Value) bool { return slices.EqualFunc(a, b, sameBits) }) {
+		t.Fatalf("row divergence for %q on a second run:\n  engine:    %v\n  reference: %v", q, again.Rows, rows)
 	}
 	return res
 }

@@ -29,6 +29,7 @@ type item struct {
 	// operators can see how much of the budget drill-down materializations
 	// occupy.
 	virtual bool
+	derived int64 // the part of size charged after admission (Charge)
 }
 
 // inflight deduplicates concurrent loads of one key.
@@ -50,6 +51,8 @@ type Stats struct {
 	// VirtualBytes is the portion of ResidentBytes held by materialized
 	// virtual columns (entries acquired or inserted with virtual = true).
 	VirtualBytes int64 `json:"virtual_bytes"`
+	// DerivedBytes is the portion charged after admission (Charge).
+	DerivedBytes int64 `json:"derived_bytes"`
 	// Hits counts pins served from resident data, by Acquire or
 	// PinResident.
 	Hits int64 `json:"hits"`
@@ -100,8 +103,9 @@ type Manager struct {
 	condemned map[string]int
 	// virtualBytes tracks the resident bytes of virtual-column entries
 	// (grows when one becomes resident, shrinks when one leaves residency
-	// via eviction or removal).
-	virtualBytes int64
+	// via eviction or removal), derived charges aside; derivedBytes tracks
+	// those charges.
+	virtualBytes, derivedBytes int64
 }
 
 // unlimitedCapacity stands in for "no budget" so the cache never evicts.
@@ -134,9 +138,7 @@ func New(budgetBytes int64, policyName string) *Manager {
 	m.resident = cache.New(capacity, func(_ string, v any, size int64) {
 		m.evictions++
 		m.evictedBytes += size
-		if it, ok := v.(*item); ok && it.virtual {
-			m.virtualBytes -= size
-		}
+		m.left(v.(*item))
 	})
 	return m
 }
@@ -302,9 +304,31 @@ func (m *Manager) ReleaseAll(keys []string) {
 		}
 		it := v.(*item)
 		m.pinned(key, it, -1)
-		if remove && it.virtual {
-			m.virtualBytes -= it.size
+		if remove {
+			m.left(it)
 		}
+	}
+}
+
+// left accounts an entry that left residency. Requires m.mu.
+func (m *Manager) left(it *item) {
+	if it.virtual {
+		m.virtualBytes -= it.size - it.derived
+	}
+	m.derivedBytes -= it.derived
+}
+
+// Charge adds n bytes built from key's value after its admission — a
+// chunk's derived tables — to its entry, which the caller holds pinned. The
+// bytes count in ResidentBytes and DerivedBytes, the cache evicts unpinned
+// entries for them, and they leave with the entry.
+func (m *Manager) Charge(key string, n int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v, _, ok := m.resident.Grow(key, n); ok {
+		it := v.(*item)
+		it.size, it.derived = it.size+n, it.derived+n
+		m.derivedBytes, m.pinnedBytes = m.derivedBytes+n, m.pinnedBytes+n
 	}
 }
 
@@ -329,9 +353,7 @@ func (m *Manager) DropNamespace(prefix string) (dropped int, droppedBytes int64)
 			continue
 		}
 		it := v.(*item)
-		if it.virtual {
-			m.virtualBytes -= it.size
-		}
+		m.left(it)
 		dropped++
 		droppedBytes += it.size
 	}
@@ -366,6 +388,7 @@ func (m *Manager) Stats() Stats {
 		PinnedBytes:     m.pinnedBytes,
 		ResidentItems:   m.resident.Len(),
 		VirtualBytes:    m.virtualBytes,
+		DerivedBytes:    m.derivedBytes,
 		Hits:            m.hits,
 		ColdLoads:       m.coldLoads,
 		ColdBytesLoaded: m.coldBytes,
